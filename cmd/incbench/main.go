@@ -42,7 +42,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|exp1|exp2|exp2types|exp3|exp4|aff|ablation|datasets|extensions|scaling|all")
+		exp       = flag.String("exp", "all", "experiment: table1|exp1|exp2|exp2types|exp3|exp4|aff|ablation|datasets|extensions|scaling|exchange|all")
 		class     = flag.String("class", "all", "query class for exp2: sssp|cc|sim|lcc|dfs|all")
 		scale     = flag.Float64("scale", 1.0, "dataset scale multiplier")
 		seed      = flag.Int64("seed", 1, "workload seed")
@@ -132,6 +132,8 @@ func main() {
 		run("extensions", bench.ExpExtensions)
 	case "scaling":
 		run("scaling", bench.ExpScaling)
+	case "exchange":
+		run("exchange", bench.ExpExchange)
 	case "all":
 		run("datasets", bench.ExpDatasets)
 		run("table1", bench.Table1)
@@ -144,6 +146,7 @@ func main() {
 		run("ablation", bench.ExpAblation)
 		run("extensions", bench.ExpExtensions)
 		run("scaling", bench.ExpScaling)
+		run("exchange", bench.ExpExchange)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)

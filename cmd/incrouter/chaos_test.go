@@ -219,8 +219,9 @@ func TestChaosDifferential(t *testing.T) {
 	}
 
 	// Phase B: full partition of shard 1's primary. Queries must degrade
-	// to 200 partials (shard 1 answered stale by its replica, or missing
-	// with epoch 0), never a whole-query failure; updates must shed 503
+	// to 200 partials (shard 1 answered stale by its replica, missing
+	// with epoch 0, or lost to the exchange after its view was fetched),
+	// never a whole-query failure; updates must shed 503
 	// with a Retry-After hint once the breaker opens.
 	primary1Host := strings.TrimPrefix(primaries[1], "http://")
 	ft.Blackhole(primary1Host, true)
@@ -235,7 +236,7 @@ func TestChaosDifferential(t *testing.T) {
 				t.Fatalf("degraded answer carries %d shard statuses, want 2", len(q.Shards))
 			}
 			st := q.Shards[1].Status
-			if st != "stale-replica" && st != "missing" && st != "hedged" {
+			if st != "stale-replica" && st != "missing" && st != "hedged" && st != "exchange-lost" {
 				t.Fatalf("partitioned shard status %q", st)
 			}
 			if st == "missing" && q.Epochs[1] != 0 {

@@ -66,6 +66,7 @@ import (
 
 	"incgraph"
 	"incgraph/internal/obs"
+	"incgraph/internal/resilience"
 	"incgraph/internal/shard"
 )
 
@@ -327,12 +328,14 @@ func run(logger *slog.Logger, c *routerFlags) error {
 
 // discover asks shard 0 for the deployment's shape, retrying briefly —
 // the shard answers /healthz before its first host finishes the initial
-// batch run.
+// batch run. The retries back off from 2ms to 200ms, so a shard that is
+// ready within milliseconds does not cost a fixed 200ms sleep.
 func discover(table *shard.Table) (shard.Info, error) {
 	addr, _ := table.Active(0)
 	c := &shard.Client{Base: addr}
 	deadline := time.Now().Add(60 * time.Second)
-	for {
+	poll := resilience.NewBackoff(2*time.Millisecond, 200*time.Millisecond, 1)
+	for attempt := 0; ; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		info, err := c.Info(ctx)
 		cancel()
@@ -345,6 +348,6 @@ func discover(table *shard.Table) (shard.Info, error) {
 		if time.Now().After(deadline) {
 			return shard.Info{}, fmt.Errorf("shard 0 at %s: %w", addr, err)
 		}
-		time.Sleep(200 * time.Millisecond)
+		time.Sleep(poll.DelayFloored(attempt))
 	}
 }

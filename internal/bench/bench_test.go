@@ -105,6 +105,38 @@ func TestExpScalingResults(t *testing.T) {
 	}
 }
 
+// TestExpExchangeResults checks rung (f)'s rows: four counts per
+// topology, no evals or pairs at all on one shard, and counts that
+// repeat exactly for a fixed seed (they are what -diff gates).
+func TestExpExchangeResults(t *testing.T) {
+	run := func() []Result {
+		var buf bytes.Buffer
+		cfg := tinyCfg(&buf)
+		var results []Result
+		cfg.Report = func(r Result) { results = append(results, r) }
+		ExpExchange(cfg)
+		if !strings.Contains(buf.String(), "Boundary exchange") {
+			t.Fatalf("table missing:\n%s", buf.String())
+		}
+		return results
+	}
+	first, second := run(), run()
+	if len(first) != 12 {
+		t.Fatalf("got %d results, want 12 (3 topologies × 4 counts)", len(first))
+	}
+	for i, r := range first {
+		if r.Work != second[i].Work {
+			t.Fatalf("%s at %d shards does not repeat: %d then %d", r.Workload, r.Workers, r.Work, second[i].Work)
+		}
+		switch {
+		case r.Workers == 1 && r.Workload != "bytes" && r.Work != 0:
+			t.Fatalf("one shard made %d %s", r.Work, r.Workload)
+		case r.Workers > 1 && r.Work == 0:
+			t.Fatalf("%d shards report no %s", r.Workers, r.Workload)
+		}
+	}
+}
+
 func TestExpDatasetsSmoke(t *testing.T) {
 	runAndCheck(t, "ExpDatasets", ExpDatasets, "Dataset stand-ins", "OKT", "max deg")
 }

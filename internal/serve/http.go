@@ -19,7 +19,7 @@ import (
 // Service is a set of named hosts behind one HTTP API:
 //
 //	POST /update[?algo=<name>][&wait=1]  body: batch text ("+ u v w" / "- u v [w]")
-//	GET  /query/{algo}                   current snapshot view, JSON
+//	GET  /query/{algo}[?compact=1]       current snapshot view, JSON (compact: not indented)
 //	GET  /stats                          per-host serving counters, JSON
 //	GET  /metrics                        Prometheus text exposition
 //	GET  /metrics.json                   registry snapshot with raw histogram buckets
@@ -231,6 +231,14 @@ func (s *Service) Handler() http.Handler {
 		h := s.Get(r.PathValue("algo"))
 		if h == nil {
 			httpError(w, http.StatusNotFound, fmt.Errorf("unknown algo %q", r.PathValue("algo")))
+			return
+		}
+		// ?compact=1 is for machine readers — a shard router fetches a
+		// view per shard per query — for which indenting an O(|V|) vector
+		// triples the bytes on the wire and the time to scan them.
+		if r.URL.Query().Has("compact") {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(h.View())
 			return
 		}
 		writeJSON(w, http.StatusOK, h.View())

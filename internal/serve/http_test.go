@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -70,6 +72,35 @@ func TestHTTPHealthz(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPQueryCompact: ?compact=1 is the same document without the
+// indentation, and the default stays indented.
+func TestHTTPQueryCompact(t *testing.T) {
+	_, ts := newTestService(t)
+	fetch := func(url string) []byte {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: %d %q", url, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		return body
+	}
+	pretty, compact := fetch(ts.URL+"/query/sssp"), fetch(ts.URL+"/query/sssp?compact=1")
+	if !bytes.Contains(pretty, []byte("\n  ")) || bytes.Contains(bytes.TrimSpace(compact), []byte("\n")) {
+		t.Fatalf("default:\n%s\ncompact:\n%s", pretty, compact)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, pretty); err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.TrimSpace(compact); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("compact view %s, want %s", got, want.Bytes())
 	}
 }
 

@@ -191,15 +191,6 @@ func (c *Client) Update(ctx context.Context, b graph.Batch, wait bool) (UpdateOu
 	return out, err
 }
 
-// wireView mirrors the serve.View JSON with the data left raw so the
-// caller can decode the algo-specific shape.
-type wireView struct {
-	Algo     string          `json:"algo"`
-	Epoch    uint64          `json:"epoch"`
-	Degraded bool            `json:"degraded"`
-	Data     json.RawMessage `json:"data"`
-}
-
 // ShardView is one shard's published answer vector plus the metadata
 // the exchange needs.
 type ShardView struct {
@@ -215,44 +206,44 @@ type ShardView struct {
 }
 
 // View fetches the shard's published view for algo ("sssp" or "cc") and
-// extracts its value vector.
+// extracts its value vector, decoding the response in one typed pass.
 func (c *Client) View(ctx context.Context, algo string) (ShardView, error) {
 	var sv ShardView
-	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/query/"+algo, nil)
+	if algo != "sssp" && algo != "cc" {
+		return sv, fmt.Errorf("shard: no view decoder for algo %q", algo)
+	}
+	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/query/"+algo+"?compact=1", nil)
 	if err != nil {
 		return sv, err
 	}
-	var wv wireView
-	if err := c.do(req, &wv); err != nil {
+	// The union of serve.SSSPView and serve.CCView under serve.View's
+	// envelope: each algo fills its own vector and leaves the other nil.
+	var wire struct {
+		Epoch    uint64 `json:"epoch"`
+		Degraded bool   `json:"degraded"`
+		Data     struct {
+			Src    graph.NodeID `json:"src"`
+			Dist   []int64      `json:"dist"`
+			Labels []int64      `json:"labels"`
+		} `json:"data"`
+	}
+	if err := c.do(req, &wire); err != nil {
 		return sv, err
 	}
-	sv.Epoch, sv.Degraded = wv.Epoch, wv.Degraded
-	switch algo {
-	case "sssp":
-		var d struct {
-			Src  graph.NodeID `json:"src"`
-			Dist []int64      `json:"dist"`
-		}
-		if err := json.Unmarshal(wv.Data, &d); err != nil {
-			return sv, fmt.Errorf("shard: sssp view: %w", err)
-		}
-		sv.Src, sv.Values = d.Src, d.Dist
-	case "cc":
-		var d struct {
-			Labels []int64 `json:"labels"`
-		}
-		if err := json.Unmarshal(wv.Data, &d); err != nil {
-			return sv, fmt.Errorf("shard: cc view: %w", err)
-		}
-		sv.Values = d.Labels
-	default:
-		return sv, fmt.Errorf("shard: no view decoder for algo %q", algo)
+	sv.Epoch, sv.Degraded, sv.Src = wire.Epoch, wire.Degraded, wire.Data.Src
+	sv.Values = wire.Data.Dist
+	if algo == "cc" {
+		sv.Values = wire.Data.Labels
 	}
 	return sv, nil
 }
 
-// Eval runs one seeded local evaluation round on the shard. seeds are
-// sparse [vertex, value] pairs; the response vector is dense.
+// Eval sends the shard one exchange frontier (sparse [vertex, value]
+// seeds) and returns the sparse pairs its fragment improved. A response
+// that does not carry EvalProto is an error: an older shard answers
+// with a dense "values" vector this client does not read, and taking
+// its empty "improved" for "nothing improved" would silently return
+// wrong distances.
 func (c *Client) Eval(ctx context.Context, algo string, seeds [][2]int64) (EvalResponse, error) {
 	var out EvalResponse
 	body, err := json.Marshal(EvalRequest{Seeds: seeds})
@@ -264,8 +255,13 @@ func (c *Client) Eval(ctx context.Context, algo string, seeds [][2]int64) (EvalR
 		return out, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	err = c.do(req, &out)
-	return out, err
+	if err := c.do(req, &out); err != nil {
+		return out, err
+	}
+	if out.Proto != EvalProto {
+		return out, fmt.Errorf("shard: %s speaks eval protocol %d, this router %d (mixed versions?)", c.Base, out.Proto, EvalProto)
+	}
+	return out, nil
 }
 
 // MetricsSnapshot fetches the member's /metrics.json registry dump —

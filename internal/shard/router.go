@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"incgraph/internal/graph"
@@ -42,6 +42,8 @@ type Router struct {
 	updatesSplit  *obs.Counter
 	partialFails  *obs.Counter
 	exchangeRnds  *obs.Counter
+	exchangeEvals *obs.Counter
+	exchangePairs *obs.Counter
 	queriesServed *obs.Counter
 	reg           *obs.Registry
 
@@ -143,6 +145,8 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 	rt.updatesSplit = reg.Counter("incrouter_batches_split_total", "Update batches split and routed.")
 	rt.partialFails = reg.Counter("incrouter_partial_failures_total", "Split batches where only some shards applied.")
 	rt.exchangeRnds = reg.Counter("incrouter_exchange_rounds_total", "Boundary-value exchange rounds run.")
+	rt.exchangeEvals = reg.Counter("incrouter_exchange_evals_total", "Shard evaluations requested by boundary exchanges.")
+	rt.exchangePairs = reg.Counter("incrouter_exchange_pairs_total", "Vertex-value pairs moved by boundary exchanges, seeds sent plus improvements received.")
 	rt.queriesServed = reg.Counter("incrouter_queries_total", "Cross-shard queries assembled.")
 	return rt, nil
 }
@@ -208,18 +212,29 @@ type RouterUpdateResult struct {
 	EpochToken string `json:"epoch_token"`
 }
 
-// QueryResult is the JSON response of the router's GET /query/{algo}.
+// QueryResult is the JSON response of the router's GET /query/{algo}:
+// the QueryMeta fields followed by "data".
 type QueryResult struct {
+	QueryMeta
+	// Data is the assembled global answer.
+	Data QueryData `json:"data"`
+}
+
+// QueryMeta is everything in a QueryResult but the answer vector.
+type QueryMeta struct {
 	// Algo is the query class.
 	Algo string `json:"algo"`
 	// Epochs is the per-shard epoch vector the answer reflects.
 	Epochs EpochVector `json:"epochs"`
 	// EpochToken is the vector's opaque header token.
 	EpochToken string `json:"epoch_token"`
-	// Consistent reports whether Epochs covers the router's
-	// acknowledged floor — false means some acknowledged write is not
-	// reflected (e.g. lost in a promotion) and the client should treat
-	// the answer as a stale prefix.
+	// Consistent reports whether the answer is the exact result at
+	// Epochs and Epochs covers the router's acknowledged floor. It is
+	// false when some acknowledged write is not reflected (e.g. lost in
+	// a promotion), and when a shard's epoch moved during the boundary
+	// exchange (a concurrent writer): Epochs then holds the newest epoch
+	// seen per shard and the answer mixes stream positions. The client
+	// should treat either as a stale prefix.
 	Consistent bool `json:"consistent"`
 	// Degraded is set when the answer is a partial: a contributing
 	// shard's view was degraded or stale, a shard was missing entirely,
@@ -228,13 +243,28 @@ type QueryResult struct {
 	// stale the partial is.
 	Degraded bool `json:"degraded,omitempty"`
 	// Shards details where each shard's contribution came from when the
-	// answer is degraded: "ok", "hedged", "stale-replica", or "missing".
+	// answer is degraded.
 	Shards []QueryShard `json:"shards,omitempty"`
-	// ExchangeRounds counts boundary-exchange evaluation rounds.
+	// ExchangeRounds counts boundary-exchange sweeps over the shards in
+	// which at least one shard had a frontier to evaluate (CC: always 1,
+	// the label union).
 	ExchangeRounds int `json:"exchange_rounds"`
-	// Data is the assembled global answer (SSSP: {src,dist}; CC:
-	// {labels}).
-	Data any `json:"data"`
+	// ExchangeEvals counts shard evaluations (eval requests) made, and
+	// ExchangePairsOut/In the (vertex, value) pairs sent as seeds and
+	// received as improvements — what crossed a cut for this query.
+	ExchangeEvals    int `json:"exchange_evals"`
+	ExchangePairsOut int `json:"exchange_pairs_out"`
+	ExchangePairsIn  int `json:"exchange_pairs_in"`
+}
+
+// QueryData is the assembled answer: SSSP fills Src and Dist, CC fills
+// Labels; on the wire each algo carries only its own keys.
+type QueryData struct {
+	// Src is the SSSP source and Dist[v] the global distance to v.
+	Src  graph.NodeID `json:"src"`
+	Dist []int64      `json:"dist,omitempty"`
+	// Labels[v] is the minimum vertex id of v's global component.
+	Labels []int64 `json:"labels,omitempty"`
 }
 
 // QueryShard reports where one shard's contribution to a cross-shard
@@ -244,12 +274,16 @@ type QueryShard struct {
 	Shard int `json:"shard"`
 	// Status is "ok" (primary), "hedged" (replica won a latency race),
 	// "stale-replica" (primary unavailable, replica's stale surface
-	// answered), or "missing" (no member answered; the shard's entries
-	// are absent from the result and its epoch reads 0).
+	// answered), "missing" (no member answered; the shard's entries
+	// are absent from the result and its epoch reads 0), or
+	// "exchange-lost" (its view is in the result, but an eval failed and
+	// the exchange went on without the shard's relaxations).
 	Status string `json:"status"`
 	// Epoch is the stream position this shard's contribution reflects.
 	Epoch uint64 `json:"epoch"`
-	// Error carries the failure detail when Status is "missing".
+	// Error carries the failure detail when Status is "missing" or
+	// "exchange-lost", and the eval failure of a shard whose view a
+	// replica supplied.
 	Error string `json:"error,omitempty"`
 }
 
@@ -517,62 +551,58 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("shard epochs %v do not cover required %v", vector, minEV))
 		return
 	}
-	res := QueryResult{
-		Algo:       algo,
-		Epochs:     vector,
-		EpochToken: vector.String(),
-		Consistent: vector.Covers(rt.Floor()),
-		Degraded:   degraded,
-	}
-	// exchangeLost flips when a shard that contributed a view stops
-	// answering eval rounds mid-exchange; the answer is still a sound
-	// partial (min-combine without that shard's relaxations), so it is
-	// stamped degraded instead of failing the query.
-	var exchangeLost atomic.Bool
+	var res QueryResult
+	res.Algo, res.Degraded = algo, degraded
 	switch algo {
 	case "sssp":
-		dist, rounds, err := SSSPExchange(rt.n, views, func(i int, seeds []int64) ([]int64, error) {
-			if views[i] == nil {
-				return nil, nil // missing shard: no relaxations to offer
-			}
+		// An eval failure mid-exchange does not fail the query: the
+		// exchange goes on without that shard and the answer — still a
+		// sound partial — is stamped degraded.
+		dist, st := SSSPExchange(rt.part, rt.directed, rt.n, views, vector, func(i int, seeds [][2]int64) ([][2]int64, uint64, error) {
 			var resp EvalResponse
-			callErr := rt.callShard(ctx, i, func(ctx context.Context, c *Client) error {
+			err := rt.callShard(ctx, i, func(ctx context.Context, c *Client) error {
 				var e error
-				resp, e = c.Eval(ctx, "sssp", sparseSeeds(seeds))
+				resp, e = c.Eval(ctx, "sssp", seeds)
 				return e
 			})
-			if callErr != nil {
-				rt.noteOutcome(callErr)
-				exchangeLost.Store(true)
-				return nil, nil
+			if err != nil {
+				rt.noteOutcome(err)
+				res.Degraded = true
+				// A view that came from a replica keeps saying so: its
+				// primary failing evals is the same outage.
+				if shardStats[i].Status == "ok" {
+					shardStats[i].Status = "exchange-lost"
+				}
+				shardStats[i].Error = err.Error()
 			}
-			return resp.Values, nil
+			return resp.Improved, resp.Epoch, err
 		})
-		if err != nil {
-			w.Header().Set("Retry-After", maxRetryAfter(nil))
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		res.ExchangeRounds = rounds
-		rt.exchangeRnds.Add(float64(rounds))
-		res.Data = map[string]any{"src": src, "dist": dist}
+		res.ExchangeRounds, res.ExchangeEvals = st.Rounds, st.Evals
+		res.ExchangePairsOut, res.ExchangePairsIn = st.PairsOut, st.PairsIn
+		res.Consistent = st.Converged
+		res.Data = QueryData{Src: src, Dist: dist}
 	case "cc":
 		// CC's exchange needs no shard round-trips: the union of the
 		// published label relations is the global fixpoint.
-		res.ExchangeRounds = 1
-		rt.exchangeRnds.Inc()
-		res.Data = map[string]any{"labels": CCExchange(rt.n, views)}
+		res.ExchangeRounds, res.Consistent = 1, true
+		res.Data = QueryData{Labels: CCExchange(rt.n, views)}
 	}
-	if exchangeLost.Load() {
-		res.Degraded = true
-	}
+	// vector is final only now: the exchange records a moved epoch in it.
+	res.Epochs, res.EpochToken = vector, vector.String()
+	res.Consistent = res.Consistent && vector.Covers(rt.Floor())
 	if res.Degraded {
 		res.Shards = shardStats
 		rt.degradedQueries.Inc()
 	}
+	span.Arg("exchange_evals", int64(res.ExchangeEvals))
+	span.Arg("exchange_pairs_out", int64(res.ExchangePairsOut))
+	span.Arg("exchange_pairs_in", int64(res.ExchangePairsIn))
+	rt.exchangeRnds.Add(float64(res.ExchangeRounds))
+	rt.exchangeEvals.Add(float64(res.ExchangeEvals))
+	rt.exchangePairs.Add(float64(res.ExchangePairsOut + res.ExchangePairsIn))
 	rt.queriesServed.Inc()
 	w.Header().Set(EpochHeader, res.EpochToken)
-	writeJSON(w, http.StatusOK, res)
+	writeQuery(w, &res)
 }
 
 // gatherViews fetches every shard's view for algo concurrently through
@@ -635,18 +665,6 @@ func (rt *Router) gatherViews(ctx context.Context, algo string) (views [][]int64
 	return views, vector, shardStats, degraded, src, nil
 }
 
-// sparseSeeds converts a dense seed vector to the [vertex, value] pairs
-// the eval endpoint ships — only finite entries cross the wire.
-func sparseSeeds(dense []int64) [][2]int64 {
-	var out [][2]int64
-	for v, d := range dense {
-		if d < graph.Infinity {
-			out = append(out, [2]int64{int64(v), d})
-		}
-	}
-	return out
-}
-
 // minAlgoEpoch reduces a per-algo epoch map to the conservative shard
 // epoch: the minimum across hosted algos (they consume one stream, so
 // the minimum is the prefix *all* views reflect).
@@ -668,6 +686,41 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// queryBufs pools the encode buffers of writeQuery; a buffer settles at
+// the size of one answer.
+var queryBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeQuery encodes res compactly, once: the metadata through
+// encoding/json (small, and it owns string escaping), the O(|V|) answer
+// vector with strconv.AppendInt into a pooled buffer. The bytes equal
+// json.Marshal(res) except that an algo's data carries only its own
+// keys (no "src" on cc).
+func writeQuery(w http.ResponseWriter, res *QueryResult) {
+	bp := queryBufs.Get().(*[]byte)
+	defer queryBufs.Put(bp)
+	meta, _ := json.Marshal(&res.QueryMeta) // plain fields: cannot fail
+	b := append((*bp)[:0], meta[:len(meta)-1]...)
+	vec := res.Data.Labels
+	if res.Algo == "sssp" {
+		b = append(b, `,"data":{"src":`...)
+		b = strconv.AppendInt(b, int64(res.Data.Src), 10)
+		b = append(b, `,"dist":[`...)
+		vec = res.Data.Dist
+	} else {
+		b = append(b, `,"data":{"labels":[`...)
+	}
+	for i, x := range vec {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, x, 10)
+	}
+	b = append(b, "]}}\n"...)
+	*bp = b
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(b)
 }
 
 // writeError writes the standard JSON error envelope.

@@ -7,6 +7,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +26,13 @@ import (
 // behind an httptest server.
 func startShardDaemon(t *testing.T, g *graph.Graph, p Partitioner, id int, src graph.NodeID) *httptest.Server {
 	t.Helper()
+	return startWrappedShard(t, g, p, id, src, func(h http.Handler) http.Handler { return h })
+}
+
+// startWrappedShard is startShardDaemon with wrap around the daemon's
+// handler, for tests that interfere with the wire.
+func startWrappedShard(t *testing.T, g *graph.Graph, p Partitioner, id int, src graph.NodeID, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
 	frag := FilterGraph(g, p, id)
 	svc := serve.NewService()
 	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src), src), serve.Options{}); err != nil {
@@ -31,7 +42,7 @@ func startShardDaemon(t *testing.T, g *graph.Graph, p Partitioner, id int, src g
 		t.Fatal(err)
 	}
 	MountShardAPI(svc, p, id, g.NumNodes(), g.Directed(), nil)
-	srv := httptest.NewServer(svc.Handler())
+	srv := httptest.NewServer(wrap(svc.Handler()))
 	t.Cleanup(func() { srv.Close(); svc.Close() })
 	return srv
 }
@@ -382,6 +393,217 @@ func TestRouterMinEpochPrecondition(t *testing.T) {
 	}
 	if w, _ := queryRouter(t, h, "sssp", "%%%bad-token"); w.Code != http.StatusBadRequest {
 		t.Fatal("garbage min-epoch token accepted")
+	}
+}
+
+// interferingCluster is a 2-shard cluster whose shard 1 runs behind
+// wrap; it returns the router's handler.
+func interferingCluster(t *testing.T, g *graph.Graph, src graph.NodeID, wrap func(http.Handler) http.Handler) (*Router, http.Handler) {
+	t.Helper()
+	p := NewHashPartitioner(2)
+	s0 := startShardDaemon(t, g, p, 0, src)
+	s1 := startWrappedShard(t, g, p, 1, src, wrap)
+	rt, err := NewRouter(RouterOptions{Part: p, Table: NewTable([]string{s0.URL, s1.URL}),
+		Directed: g.Directed(), NumNodes: g.NumNodes(),
+		Resilience: ResilienceOptions{Attempts: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt, rt.Handler()
+}
+
+// TestRouterExchangeUnderWrites: a write that lands on a shard between
+// the view gather and its eval must end the exchange within the sweep
+// in progress and stamp the answer consistent:false with the epoch the
+// shard was seen at — not chase the stream round after round. Beside a
+// free-running writer every query still returns after a bounded number
+// of evals, and once the cluster is quiescent the answer is consistent
+// and exact again.
+func TestRouterExchangeUnderWrites(t *testing.T) {
+	leakCheck(t)
+	rng := rand.New(rand.NewSource(12))
+	g := gen.PowerLaw(rng, 300, 6, false)
+	src := graph.NodeID(0)
+	p := NewHashPartitioner(2)
+	// An edge inside shard 1, re-weighted before every eval the shard
+	// receives: each eval then sees a later epoch than the gather did.
+	// gmu guards g, the mirror both writers keep.
+	var gmu sync.Mutex
+	var eu, ev graph.NodeID = -1, -1
+	g.Edges(func(u, v graph.NodeID, w int64) {
+		if eu < 0 && p.Owner(u) == 1 && p.Owner(v) == 1 {
+			eu, ev = u, v
+		}
+	})
+	if eu < 0 {
+		t.Fatal("no edge inside shard 1")
+	}
+	var interfere atomic.Bool
+	_, h := interferingCluster(t, g, src, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if interfere.Load() && strings.HasPrefix(r.URL.Path, "/shard/eval/") {
+				gmu.Lock()
+				b := graph.Batch{
+					{Kind: graph.DeleteEdge, From: eu, To: ev},
+					{Kind: graph.InsertEdge, From: eu, To: ev, W: g.Weight(eu, ev) + 1},
+				}
+				g.Apply(b)
+				gmu.Unlock()
+				var buf bytes.Buffer
+				graph.WriteBatch(&buf, b)
+				rec := httptest.NewRecorder()
+				next.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update?wait=1", &buf))
+				if rec.Code != http.StatusOK {
+					t.Errorf("interfering write: %d %s", rec.Code, rec.Body.String())
+				}
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+
+	interfere.Store(true)
+	w, res := queryRouter(t, h, "sssp", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("query under writes: %d %s", w.Code, w.Body.String())
+	}
+	if res.Consistent {
+		t.Fatalf("answer assembled across a moving shard stamped consistent: %+v", res.QueryMeta)
+	}
+	if res.ExchangeRounds != 1 || res.ExchangeEvals > 2 {
+		t.Fatalf("exchange chased the stream: %d rounds, %d evals", res.ExchangeRounds, res.ExchangeEvals)
+	}
+	if res.Epochs[1] != 2 {
+		t.Fatalf("epochs %v do not show shard 1 at the epoch it was seen at (2)", res.Epochs)
+	}
+	if res.Degraded {
+		t.Fatal("a moved epoch is an inconsistency, not a degraded partial")
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		wr := rand.New(rand.NewSource(13))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Inserts of absent edges commute with the re-weighting above.
+			gmu.Lock()
+			b := gen.RandomUpdates(wr, g, 8, 1.0)
+			g.Apply(b)
+			gmu.Unlock()
+			var buf bytes.Buffer
+			graph.WriteBatch(&buf, b)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/update?wait=1", &buf))
+			if w.Code != http.StatusOK {
+				t.Errorf("writer: %d %s", w.Code, w.Body.String())
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		w, res := queryRouter(t, h, "sssp", "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("query %d beside a writer: %d %s", i, w.Code, w.Body.String())
+		}
+		if res.ExchangeEvals > 16 {
+			t.Fatalf("query %d beside a writer made %d evals", i, res.ExchangeEvals)
+		}
+	}
+	close(stop)
+	<-done
+	interfere.Store(false)
+
+	w, res = queryRouter(t, h, "sssp", "")
+	if w.Code != http.StatusOK || !res.Consistent {
+		t.Fatalf("quiescent query: %d %+v", w.Code, res.QueryMeta)
+	}
+	want := sssp.Dijkstra(g, src)
+	for v := range want {
+		if res.Data.Dist[v] != want[v] {
+			t.Fatalf("quiescent dist[%d] = %d, want %d", v, res.Data.Dist[v], want[v])
+		}
+	}
+}
+
+// TestRouterEvalVersionSkew: a shard that answers evals in the old
+// dense format is a failed eval — the answer is a degraded partial that
+// names the shard — never "this shard improved nothing".
+func TestRouterEvalVersionSkew(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	g := gen.PowerLaw(rng, 200, 5, false)
+	_, h := interferingCluster(t, g, 0, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/shard/eval/") {
+				w.Header().Set("Content-Type", "application/json")
+				fmt.Fprintf(w, `{"algo":"sssp","epoch":0,"values":[0,1,2]}`)
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	w, res := queryRouter(t, h, "sssp", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("query: %d %s", w.Code, w.Body.String())
+	}
+	if !res.Degraded || len(res.Shards) != 2 {
+		t.Fatalf("old-protocol shard not reported: degraded=%v shards=%+v", res.Degraded, res.Shards)
+	}
+	if s := res.Shards[1]; s.Status != "exchange-lost" || !strings.Contains(s.Error, "protocol") {
+		t.Fatalf("shard 1 provenance = %+v, want exchange-lost naming the protocol", s)
+	}
+	if res.Shards[0].Status != "ok" {
+		t.Fatalf("shard 0 provenance = %+v, want ok", res.Shards[0])
+	}
+	// Still a sound partial: nothing undershoots the true distance.
+	soundPartial(t, g, 0, res.Data.Dist)
+}
+
+// TestWriteQueryMatchesEncodingJSON pins the hand-rolled answer encoder
+// to the struct tags: byte-for-byte what json.Marshal produces, except
+// that a cc answer carries no "src".
+func TestWriteQueryMatchesEncodingJSON(t *testing.T) {
+	res := QueryResult{
+		QueryMeta: QueryMeta{
+			Algo: "sssp", Epochs: EpochVector{3, 0}, EpochToken: EpochVector{3, 0}.String(),
+			Consistent: true, Degraded: true,
+			Shards:         []QueryShard{{Shard: 1, Status: "missing", Error: `dial "tcp": <refused>`}},
+			ExchangeRounds: 2, ExchangeEvals: 3, ExchangePairsOut: 40, ExchangePairsIn: 9,
+		},
+		Data: QueryData{Src: 7, Dist: []int64{0, 5, graph.Infinity, -1}},
+	}
+	encode := func(r *QueryResult) []byte {
+		rec := httptest.NewRecorder()
+		writeQuery(rec, r)
+		return bytes.TrimSpace(rec.Body.Bytes())
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encode(&res); !bytes.Equal(got, want) {
+		t.Fatalf("sssp answer\n got %s\nwant %s", got, want)
+	}
+	var back QueryResult
+	if err := json.Unmarshal(encode(&res), &back); err != nil || !reflect.DeepEqual(back, res) {
+		t.Fatalf("sssp answer does not round-trip: %v\n%+v", err, back)
+	}
+
+	cc := QueryResult{QueryMeta: QueryMeta{Algo: "cc", Epochs: EpochVector{1}, Consistent: true, ExchangeRounds: 1},
+		Data: QueryData{Labels: []int64{0, 0, 2}}}
+	want, _ = json.Marshal(cc)
+	want = bytes.Replace(want, []byte(`"src":0,`), nil, 1)
+	if got := encode(&cc); !bytes.Equal(got, want) {
+		t.Fatalf("cc answer\n got %s\nwant %s", got, want)
+	}
+	// An empty vector is [], not null or absent.
+	empty := QueryResult{QueryMeta: QueryMeta{Algo: "cc"}}
+	if got := encode(&empty); !bytes.HasSuffix(got, []byte(`"data":{"labels":[]}}`)) {
+		t.Fatalf("empty answer: %s", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"incgraph/internal/graph"
 	"incgraph/internal/serve"
 )
 
@@ -14,13 +13,13 @@ import (
 // can drive boundary-value exchange rounds against it.
 //
 //	GET  /shard/info        Info: identity, partitioner, epoch
-//	POST /shard/eval/sssp   EvalRequest → EvalResponse (seeded relaxation)
+//	POST /shard/eval/sssp   EvalRequest → EvalResponse (frontier relaxation)
 //
 // The evaluation runs through Host.WithState, which queues behind every
 // accepted submission and executes inside the apply loop — so it reads
 // the maintainer's graph without breaking the single-writer contract,
 // and the reported epoch states exactly which stream prefix the
-// returned vector answers for.
+// returned pairs answer for.
 
 // Info is the JSON body of GET /shard/info: the daemon's shard identity.
 type Info struct {
@@ -42,25 +41,36 @@ type Info struct {
 	Epochs map[string]uint64 `json:"epochs,omitempty"`
 }
 
-// EvalRequest asks a shard for one seeded local evaluation round. Seeds
-// are sparse (vertex, value) pairs — only finite entries are shipped.
+// EvalProto is the version of the eval wire protocol a shard speaks.
+// Version 2 answers with the sparse pairs an eval improved; its
+// predecessor answered with a dense vector under "values" and carried
+// no version, so a router can tell an old shard from a shard that
+// improved nothing.
+const EvalProto = 2
+
+// EvalRequest asks a shard for one local evaluation. Seeds are the
+// shard's exchange frontier: sparse [vertex, value] pairs that improved
+// elsewhere since the shard last heard of them.
 type EvalRequest struct {
 	// Seeds lists [vertex, value] pairs seeding the relaxation.
 	Seeds [][2]int64 `json:"seeds"`
 }
 
-// EvalResponse is a shard's answer to one evaluation round.
+// EvalResponse is a shard's answer to one evaluation.
 type EvalResponse struct {
+	// Proto is EvalProto; Client.Eval rejects any other value.
+	Proto int `json:"proto"`
 	// Algo echoes the evaluated query class.
 	Algo string `json:"algo"`
 	// Epoch is the shard's stream position the evaluation saw.
 	Epoch uint64 `json:"epoch"`
-	// Values is the dense result vector (distances for sssp).
-	Values []int64 `json:"values"`
+	// Improved lists the [vertex, value] pairs the shard's fragment
+	// edges lowered below both its view and the seeds.
+	Improved [][2]int64 `json:"improved"`
 }
 
-// maxEvalBody bounds the eval request body (seeds are at most one pair
-// per vertex; 32 MiB covers millions of entries).
+// maxEvalBody bounds the eval request body (a frontier is at most one
+// pair per vertex; 32 MiB covers millions of entries).
 const maxEvalBody = 32 << 20
 
 // MountShardAPI grafts the shard-side endpoints onto svc's API. id is
@@ -82,6 +92,9 @@ func MountShardAPI(svc *serve.Service, p Partitioner, id, nodes int, directed bo
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(info)
 	}))
+	// One relaxer serves the sssp host, the only class with an eval; the
+	// host's apply loop serializes its use.
+	var relaxer seedRelaxer
 	svc.Mount("POST /shard/eval/{algo}", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		algo := r.PathValue("algo")
 		h := svc.Get(algo)
@@ -94,44 +107,38 @@ func MountShardAPI(svc *serve.Service, p Partitioner, id, nodes int, directed bo
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		values, epoch, err := evalHost(h, algo, req.Seeds)
+		resp, err := evalHost(h, &relaxer, req.Seeds)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(EvalResponse{Algo: algo, Epoch: epoch, Values: values})
+		json.NewEncoder(w).Encode(resp)
 	}))
 }
 
-// evalHost runs one seeded evaluation inside h's apply loop. Only sssp
-// has a seeded round today — CC's exchange is a single label union the
-// router computes from published views, needing no shard round-trip.
-func evalHost(h *serve.Host, algo string, pairs [][2]int64) (values []int64, epoch uint64, err error) {
-	if algo != "sssp" {
-		return nil, 0, fmt.Errorf("algo %q has no seeded evaluation (exchange uses published views)", algo)
+// evalHost runs one seeded evaluation inside h's apply loop, on top of
+// the view the host has published: WithState runs after every accepted
+// submission has been applied and published, so the view is the
+// maintainer's current state, immutable, and read without a copy. Only
+// sssp has a seeded evaluation — CC's exchange is a single label union
+// the router computes from published views, needing no shard
+// round-trip.
+func evalHost(h *serve.Host, r *seedRelaxer, seeds [][2]int64) (EvalResponse, error) {
+	resp := EvalResponse{Proto: EvalProto, Algo: h.Algo()}
+	if resp.Algo != "sssp" {
+		return resp, fmt.Errorf("algo %q has no seeded evaluation (exchange uses published views)", resp.Algo)
 	}
-	err = h.WithState(func(m serve.Serveable) error {
-		g := m.Graph()
-		seeds := make([]int64, g.NumNodes())
-		for i := range seeds {
-			seeds[i] = graph.Infinity
+	err := h.WithState(func(m serve.Serveable) error {
+		view := h.View()
+		sv, ok := view.Data.(serve.SSSPView)
+		if !ok {
+			return fmt.Errorf("sssp view holds %T", view.Data)
 		}
-		for _, p := range pairs {
-			v, d := p[0], p[1]
-			if v < 0 || v >= int64(len(seeds)) {
-				return fmt.Errorf("seed vertex %d out of range [0,%d)", v, len(seeds))
-			}
-			if d < 0 {
-				return fmt.Errorf("negative seed value %d for vertex %d", d, v)
-			}
-			if d < seeds[v] {
-				seeds[v] = d
-			}
-		}
-		values = SeededSSSP(g, seeds)
-		epoch = h.Stats().Epoch
-		return nil
+		var err error
+		resp.Epoch = view.Epoch
+		resp.Improved, err = r.relax(m.Graph(), sv.Dist, seeds)
+		return err
 	})
-	return values, epoch, err
+	return resp, err
 }

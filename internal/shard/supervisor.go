@@ -384,10 +384,13 @@ func (s *Supervisor) isStopping() bool {
 }
 
 // WaitReady blocks until every slot's active member answers /healthz,
-// or the timeout elapses.
+// or the timeout elapses. It polls on a backoff that starts at 2ms and
+// doubles up to 50ms, so a cluster that comes up in a few milliseconds
+// is seen within a few milliseconds instead of at the next 50ms tick.
 func (s *Supervisor) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
+	poll := resilience.NewBackoff(2*time.Millisecond, 50*time.Millisecond, s.opt.JitterSeed)
+	for attempt := 0; ; attempt++ {
 		ready := 0
 		for i := 0; i < s.opt.Table.Shards(); i++ {
 			addr, _ := s.opt.Table.Active(i)
@@ -407,7 +410,7 @@ func (s *Supervisor) WaitReady(timeout time.Duration) error {
 			return fmt.Errorf("shard: topology not ready after %s (%d/%d healthy)",
 				timeout, ready, s.opt.Table.Shards())
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(poll.DelayFloored(attempt))
 	}
 }
 
