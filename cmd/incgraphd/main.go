@@ -129,11 +129,10 @@ type cliFlags struct {
 	genDirect bool
 	genSeed   int64
 
-	maxBatch   int
-	maxWait    time.Duration
-	queue      int
-	workers    int
-	csrCompact float64
+	maxBatch int
+	maxWait  time.Duration
+	queue    int
+	workers  int
 
 	logLevel  string
 	debugAddr string
@@ -170,7 +169,6 @@ func newFlags(fs *flag.FlagSet) *cliFlags {
 	fs.DurationVar(&c.maxWait, "max-wait", 2*time.Millisecond, "coalescing window: flush after this long")
 	fs.IntVar(&c.queue, "queue", 1024, "per-maintainer submission queue depth")
 	fs.IntVar(&c.workers, "workers", 0, "partition repair rounds across this many workers (sssp, cc; 0 or 1: sequential)")
-	fs.Float64Var(&c.csrCompact, "csr-compact", 0, "rebuild a maintainer's flat CSR snapshot when its overlay exceeds this fraction of the base (sssp, cc, dfs, bc; 0: default 0.25)")
 
 	fs.StringVar(&c.logLevel, "log-level", "info", "log verbosity: debug|info|warn|error (debug logs every apply)")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "optional second listener for pprof and expvar (e.g. :6060)")
@@ -195,9 +193,6 @@ func newFlags(fs *flag.FlagSet) *cliFlags {
 func validateFlags(c *cliFlags) error {
 	if c.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", c.workers)
-	}
-	if c.csrCompact < 0 {
-		return fmt.Errorf("-csr-compact must be >= 0, got %g", c.csrCompact)
 	}
 	if c.shards < 0 {
 		return fmt.Errorf("-shards must be >= 1, got %d", c.shards)
@@ -260,7 +255,7 @@ func parseAlgos(algos string) ([]string, error) {
 // serveOptions assembles the host options from the flags, wiring the
 // apply debug log.
 func serveOptions(logger *slog.Logger, c *cliFlags) incgraph.ServeOptions {
-	opt := incgraph.ServeOptions{MaxBatch: c.maxBatch, MaxWait: c.maxWait, Queue: c.queue, Workers: c.workers, CompactThreshold: c.csrCompact}
+	opt := incgraph.ServeOptions{MaxBatch: c.maxBatch, MaxWait: c.maxWait, Queue: c.queue, Workers: c.workers}
 	// Every apply is traced through this hook at debug level: host, epoch,
 	// batch size, coalescing, |AFF|, and the latency split — the same
 	// fields /debug/applies retains.

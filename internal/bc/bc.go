@@ -90,12 +90,9 @@ func Run(g *graph.Graph) *Result {
 	}
 	st := newLowpointState(n)
 	st.epoch = 1
-	nb := func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-		return appendSortedNbrs(g, v, buf)
-	}
 	for s := 0; s < n; s++ {
 		if !st.visited(graph.NodeID(s)) {
-			st.runComponent(nb, graph.NodeID(s), r)
+			st.runComponent(g.AppendOutSorted, graph.NodeID(s), r)
 		}
 	}
 	return r
@@ -146,9 +143,9 @@ func (st *lowpointState) grow(n int) {
 }
 
 // nbrFunc appends v's neighbors to buf in ascending id order and returns
-// the extended slice — the DFS's only adjacency dependency, satisfied by
-// either the graph's lists (appendSortedNbrs) or a flat view's
-// AppendOutSorted.
+// the extended slice — the DFS's only adjacency dependency. The batch Run
+// passes graph.Graph.AppendOutSorted, the maintainer Inc its flat view's
+// AppendOutSorted: batch algorithms read the Graph, maintainers the Flat.
 type nbrFunc func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID
 
 // bcFrame is one DFS stack frame; [lo, hi) windows the state's neighbor
@@ -222,22 +219,6 @@ func (st *lowpointState) runComponent(nb nbrFunc, s graph.NodeID, r *Result) {
 	}
 }
 
-// appendSortedNbrs appends v's neighbors from the graph's adjacency to
-// buf in ascending order. Insertion sort: adjacency lists are short on
-// average.
-func appendSortedNbrs(g *graph.Graph, v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-	base := len(buf)
-	for _, e := range g.Out(v) {
-		buf = append(buf, e.To)
-	}
-	for i := base + 1; i < len(buf); i++ {
-		for j := i; j > base && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	return buf
-}
-
 // Inc is the deducible incremental BC algorithm: Apply re-derives the
 // biconnectivity structure of exactly the connected components touched by
 // ΔG (in G ⊕ ΔG), discovered by traversal from the update endpoints — no
@@ -250,40 +231,15 @@ func appendSortedNbrs(g *graph.Graph, v graph.NodeID, buf []graph.NodeID) []grap
 // publishes immutable snapshots to readers.
 type Inc struct {
 	g       *graph.Graph
-	flat    *graph.Flat // nil when built WithoutFlat
-	nb      nbrFunc     // DFS adjacency source: flat sorted rows or g's lists
+	flat    *graph.Flat
 	res     *Result
 	st      *lowpointState
 	pending graph.Batch
 }
 
-// Option configures an incremental maintainer.
-type Option func(*incOpts)
-
-type incOpts struct{ noFlat bool }
-
-// WithoutFlat disables the flat CSR+overlay adjacency view, keeping the
-// legacy per-node allocate-and-sort neighbor path. Used by differential
-// tests that pin the two paths against each other.
-func WithoutFlat() Option { return func(o *incOpts) { o.noFlat = true } }
-
 // NewInc runs the batch algorithm and returns the incremental one.
-func NewInc(g *graph.Graph, opts ...Option) *Inc {
-	var o incOpts
-	for _, f := range opts {
-		f(&o)
-	}
-	i := &Inc{g: g, st: newLowpointState(g.NumNodes())}
-	if !o.noFlat {
-		i.flat = graph.NewFlat(g)
-		i.nb = func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-			return i.flat.AppendOutSorted(v, buf)
-		}
-	} else {
-		i.nb = func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-			return appendSortedNbrs(i.g, v, buf)
-		}
-	}
+func NewInc(g *graph.Graph) *Inc {
+	i := &Inc{g: g, flat: graph.NewFlat(g), st: newLowpointState(g.NumNodes())}
 	i.res = &Result{
 		Articulation: make([]bool, g.NumNodes()),
 		EdgeComp:     make(map[[2]graph.NodeID]int32, g.NumEdges()),
@@ -291,7 +247,7 @@ func NewInc(g *graph.Graph, opts ...Option) *Inc {
 	i.st.epoch = 1
 	for s := 0; s < g.NumNodes(); s++ {
 		if !i.st.visited(graph.NodeID(s)) {
-			i.st.runComponent(i.nb, graph.NodeID(s), i.res)
+			i.st.runComponent(i.flat.AppendOutSorted, graph.NodeID(s), i.res)
 		}
 	}
 	return i
@@ -300,18 +256,10 @@ func NewInc(g *graph.Graph, opts ...Option) *Inc {
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
 
-// Flat returns the maintainer's flat adjacency view (nil WithoutFlat),
-// for observability of overlay size and compaction counts.
+// Flat returns the maintainer's flat adjacency view: overlay size and
+// compaction counts for observability, SetCompactThreshold for tests that
+// force a compaction regime.
 func (i *Inc) Flat() *graph.Flat { return i.flat }
-
-// SetCompactThreshold sets the flat view's overlay-to-base compaction
-// ratio (see graph.Flat.SetCompactThreshold). No-op when the maintainer
-// was built WithoutFlat. Single-writer contract: call between Applies.
-func (i *Inc) SetCompactThreshold(t float64) {
-	if i.flat != nil {
-		i.flat.SetCompactThreshold(t)
-	}
-}
 
 // Result returns the maintained structure (aliased).
 func (i *Inc) Result() *Result { return i.res }
@@ -353,10 +301,8 @@ func (i *Inc) Apply(b graph.Batch) int {
 func (i *Inc) Stage(b graph.Batch) {
 	applied := i.g.Apply(b.Net(false))
 	i.pending = append(i.pending, applied...)
-	if i.flat != nil {
-		i.flat.Stage(i.g, applied)
-		i.flat.MaybeCompact(i.g)
-	}
+	i.flat.Stage(i.g, applied)
+	i.flat.MaybeCompact(i.g)
 	i.st.grow(i.g.NumNodes())
 	for len(i.res.Articulation) < i.g.NumNodes() {
 		i.res.Articulation = append(i.res.Articulation, false)
@@ -383,7 +329,7 @@ func (i *Inc) Repair() int {
 				continue
 			}
 			pre := i.st.clock
-			i.st.runComponent(i.nb, v, i.res)
+			i.st.runComponent(i.flat.AppendOutSorted, v, i.res)
 			visitedNodes += int(i.st.clock - pre)
 		}
 	}

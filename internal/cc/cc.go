@@ -92,9 +92,11 @@ func UnionFind(g *graph.Graph) []int64 {
 // the neighbors. It is contracting and monotonic under the order on ids.
 //
 // When Flat is set, all adjacency reads go through the flat CSR+overlay
-// view instead of G's pointer-rich lists, and the engine's row-based drain
-// (fixpoint.UniformRelaxer) becomes available. The incremental maintainer
-// keeps Flat in sync with G; leave it nil for a plain map-backed instance.
+// view instead of G's pointer-rich lists: that is how the incremental
+// maintainer Inc runs it, keeping Flat in sync with G. With Flat nil the
+// instance reads the bare graph — the mode of the batch algorithm CCfp
+// (the recompute oracle, which must not share Flat staging with what it
+// checks) and of the IncNaive ablation.
 type Instance struct {
 	G    *graph.Graph
 	Flat *graph.Flat
@@ -138,8 +140,6 @@ func (c *Instance) Inputs(x fixpoint.Var, yield func(fixpoint.Var)) { c.neighbor
 func (c *Instance) Dependents(x fixpoint.Var, yield func(fixpoint.Var)) { c.neighbors(x, yield) }
 
 // Update evaluates f_x: the minimum of the node's id and neighbor labels.
-// On the flat path the meet over the dependent row is branch-free
-// (fixpoint.MinInt64); labels are node ids, far from the overflow bound.
 func (c *Instance) Update(x fixpoint.Var, get func(fixpoint.Var) int64) int64 {
 	best := int64(x)
 	if c.Flat != nil {
@@ -170,17 +170,24 @@ func (c *Instance) flatMeet(v graph.NodeID, best int64, get func(fixpoint.Var) i
 	}
 	if dead == nil {
 		for _, u := range ts {
-			best = fixpoint.MinInt64(best, get(fixpoint.Var(u)))
+			if l := get(fixpoint.Var(u)); l < best {
+				best = l
+			}
 		}
 	} else {
 		for k, u := range ts {
-			if !dead[k] {
-				best = fixpoint.MinInt64(best, get(fixpoint.Var(u)))
+			if dead[k] {
+				continue
+			}
+			if l := get(fixpoint.Var(u)); l < best {
+				best = l
 			}
 		}
 	}
 	for _, e := range extra {
-		best = fixpoint.MinInt64(best, get(fixpoint.Var(e.To)))
+		if l := get(fixpoint.Var(e.To)); l < best {
+			best = l
+		}
 	}
 	return best
 }
@@ -202,7 +209,7 @@ func (c *Instance) RelaxOut(x fixpoint.Var, xv int64, emit func(fixpoint.Var, in
 // min-label propagation emits the same candidate everywhere, so the
 // engine's sequential drain installs it along this row with no per-edge
 // closure. The row visits exactly what RelaxOut emits to, in the same
-// order, on both the flat and the legacy path.
+// order, in both the flat and the bare-graph mode.
 func (c *Instance) DependentRow(x fixpoint.Var, buf []fixpoint.Var) []fixpoint.Var {
 	v := graph.NodeID(x)
 	if c.Flat == nil {
@@ -275,35 +282,16 @@ func CCfp(g *graph.Graph) []int64 {
 // loop and publishes immutable snapshots to readers.
 type Inc struct {
 	g       *graph.Graph
-	flat    *graph.Flat // nil when built WithoutFlat
+	flat    *graph.Flat
 	eng     *fixpoint.Engine[int64]
 	arena   fixpoint.ScopeArena
 	pending graph.Batch
 }
 
-// Option configures an incremental maintainer.
-type Option func(*incOpts)
-
-type incOpts struct{ noFlat bool }
-
-// WithoutFlat disables the flat CSR+overlay adjacency view, keeping the
-// legacy map-backed hot path. Used by differential tests that pin the two
-// engines against each other; production maintainers should not need it.
-func WithoutFlat() Option { return func(o *incOpts) { o.noFlat = true } }
-
 // NewInc computes the initial fixpoint and returns the algorithm.
-func NewInc(g *graph.Graph, opts ...Option) *Inc {
-	var o incOpts
-	for _, f := range opts {
-		f(&o)
-	}
-	inst := &Instance{G: g}
-	var fl *graph.Flat
-	if !o.noFlat {
-		fl = graph.NewFlat(g)
-		inst.Flat = fl
-	}
-	eng := fixpoint.New[int64](inst, fixpoint.PriorityOrder)
+func NewInc(g *graph.Graph) *Inc {
+	fl := graph.NewFlat(g)
+	eng := fixpoint.New[int64](&Instance{G: g, Flat: fl}, fixpoint.PriorityOrder)
 	eng.Run()
 	return &Inc{g: g, flat: fl, eng: eng}
 }
@@ -375,23 +363,13 @@ func (i *Inc) Stage(b graph.Batch) {
 	applied := i.g.Apply(b.Net(i.g.Directed()))
 	i.pending = append(i.pending, applied...)
 	i.eng.Grow()
-	if i.flat != nil {
-		i.flat.Stage(i.g, applied)
-		i.flat.MaybeCompact(i.g)
-	}
+	i.flat.Stage(i.g, applied)
+	i.flat.MaybeCompact(i.g)
 }
 
-// SetCompactThreshold sets the flat view's overlay-to-base compaction
-// ratio (see graph.Flat.SetCompactThreshold). No-op when the maintainer
-// was built WithoutFlat. Single-writer contract: call between Applies.
-func (i *Inc) SetCompactThreshold(t float64) {
-	if i.flat != nil {
-		i.flat.SetCompactThreshold(t)
-	}
-}
-
-// Flat returns the maintainer's flat adjacency view (nil WithoutFlat),
-// for observability of overlay size and compaction counts.
+// Flat returns the maintainer's flat adjacency view: overlay size and
+// compaction counts for observability, SetCompactThreshold for tests that
+// force a compaction regime.
 func (i *Inc) Flat() *graph.Flat { return i.flat }
 
 // Repair runs the incremental algorithm over the staged updates.

@@ -103,10 +103,7 @@ func Run(g *graph.Graph) *Tree {
 	for i := range t.Parent {
 		t.Parent[i] = -1
 	}
-	nb := func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-		return appendSortedNbrs(g, v, buf)
-	}
-	replayFrom(g, nb, t, 1)
+	replayFrom(g, g.AppendOutSorted, t, 1)
 	return t
 }
 
@@ -120,30 +117,11 @@ type frame struct {
 }
 
 // nbrFunc appends v's neighbor ids to buf in ascending order and returns
-// the extended slice — the canonical enumeration order of §5.2. The two
-// implementations are appendSortedNbrs (legacy adjacency) and
-// graph.Flat.AppendOutSorted (CSR base + overlay tail).
+// the extended slice — the canonical enumeration order of §5.2. The batch
+// algorithms (Run, DynDFS) pass graph.Graph.AppendOutSorted, the
+// maintainer Inc its flat view's AppendOutSorted (CSR base + overlay
+// tail): batch algorithms read the Graph, maintainers the Flat.
 type nbrFunc func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID
-
-// appendSortedNbrs is the nbrFunc over the graph's adjacency lists. The
-// appended region is insertion-sorted for short rows and sort-sorted for
-// hubs, so a power-law row never degrades quadratically.
-func appendSortedNbrs(g *graph.Graph, v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-	base := len(buf)
-	for _, e := range g.Out(v) {
-		buf = append(buf, e.To)
-	}
-	if region := buf[base:]; len(region) > 32 {
-		sort.Slice(region, func(i, j int) bool { return region[i] < region[j] })
-		return buf
-	}
-	for i := base + 1; i < len(buf); i++ {
-		for j := i; j > base && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	return buf
-}
 
 // replayFrom discards every event at time >= tstar and re-runs the
 // traversal from the stack state at tstar, reading neighbors through nb.
@@ -236,51 +214,19 @@ func replayFrom(g *graph.Graph, nb nbrFunc, t *Tree, tstar int32) int {
 type Inc struct {
 	g       *graph.Graph
 	flat    *graph.Flat
-	nb      nbrFunc
 	tree    *Tree
 	pending graph.Batch
 }
 
-// incOpts collects construction options.
-type incOpts struct{ noFlat bool }
-
-// Option configures NewInc.
-type Option func(*incOpts)
-
-// WithoutFlat disables the flat CSR/overlay adjacency view, forcing the
-// legacy per-row sort path. Used by differential tests; production
-// callers should keep the default.
-func WithoutFlat() Option { return func(o *incOpts) { o.noFlat = true } }
-
 // NewInc runs the batch DFS and returns the incremental algorithm.
-func NewInc(g *graph.Graph, opts ...Option) *Inc {
-	var o incOpts
-	for _, fn := range opts {
-		fn(&o)
-	}
-	i := &Inc{g: g, tree: Run(g)}
-	if !o.noFlat {
-		i.flat = graph.NewFlat(g)
-		i.nb = i.flat.AppendOutSorted
-	} else {
-		i.nb = func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-			return appendSortedNbrs(g, v, buf)
-		}
-	}
-	return i
+func NewInc(g *graph.Graph) *Inc {
+	return &Inc{g: g, flat: graph.NewFlat(g), tree: Run(g)}
 }
 
-// Flat returns the maintained flat adjacency view (nil under
-// WithoutFlat).
+// Flat returns the maintainer's flat adjacency view: overlay size and
+// compaction counts for observability, SetCompactThreshold for tests that
+// force a compaction regime.
 func (i *Inc) Flat() *graph.Flat { return i.flat }
-
-// SetCompactThreshold forwards the overlay-compaction threshold to the
-// flat view (no-op under WithoutFlat). See graph.Flat.SetCompactThreshold.
-func (i *Inc) SetCompactThreshold(t float64) {
-	if i.flat != nil {
-		i.flat.SetCompactThreshold(t)
-	}
-}
 
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
@@ -320,10 +266,8 @@ func (i *Inc) Apply(b graph.Batch) int {
 func (i *Inc) Stage(b graph.Batch) {
 	applied := i.g.Apply(b.Net(i.g.Directed()))
 	i.pending = append(i.pending, applied...)
-	if i.flat != nil {
-		i.flat.Stage(i.g, applied)
-		i.flat.MaybeCompact(i.g)
-	}
+	i.flat.Stage(i.g, applied)
+	i.flat.MaybeCompact(i.g)
 }
 
 // Repair replays the traversal suffix for the staged updates.
@@ -377,7 +321,7 @@ func (i *Inc) Repair() int {
 			}
 		}
 	}
-	return replayFrom(i.g, i.nb, i.tree, tstar)
+	return replayFrom(i.g, i.flat.AppendOutSorted, i.tree, tstar)
 }
 
 // IncUnit is IncDFS_n: the unit-update variant.

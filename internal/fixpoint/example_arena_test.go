@@ -38,12 +38,3 @@ func ExampleVarSet() {
 	// true false true
 	// false
 }
-
-// ExampleMinInt64 shows the branch-free meet used in the relaxer inner
-// loops; inputs must keep b-a within int64 (distances stay at or below
-// graph.Infinity = MaxInt64/4).
-func ExampleMinInt64() {
-	fmt.Println(fixpoint.MinInt64(12, 7), fixpoint.MaxInt64(12, 7))
-	// Output:
-	// 7 12
-}

@@ -1,6 +1,60 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
+
+// CSR is an immutable compressed-sparse-row snapshot of one direction of a
+// graph's adjacency, each row sorted by neighbor id: the base a Flat view
+// reads as contiguous struct-of-arrays spans and binary-searches on
+// Stage.
+type CSR struct {
+	Offsets []int32
+	Targets []NodeID
+	Weights []int64
+}
+
+// Snapshot builds a CSR from the graph's current out-adjacency.
+func Snapshot(g *Graph) *CSR { return buildCSR(g.NumNodes(), g.Out) }
+
+// SnapshotIn builds a CSR over the graph's in-adjacency: row u holds the
+// sources of u's incoming edges, sorted by id. For undirected graphs this
+// equals Snapshot.
+func SnapshotIn(g *Graph) *CSR { return buildCSR(g.NumNodes(), g.In) }
+
+// buildCSR lays the n rows out end to end, each sorted by target.
+func buildCSR(n int, row func(NodeID) []Edge) *CSR {
+	total := 0
+	for u := 0; u < n; u++ {
+		total += len(row(NodeID(u)))
+	}
+	c := &CSR{
+		Offsets: make([]int32, n+1),
+		Targets: make([]NodeID, 0, total),
+		Weights: make([]int64, 0, total),
+	}
+	var buf []Edge
+	for u := 0; u < n; u++ {
+		buf = append(buf[:0], row(NodeID(u))...)
+		slices.SortFunc(buf, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+		for _, e := range buf {
+			c.Targets = append(c.Targets, e.To)
+			c.Weights = append(c.Weights, e.W)
+		}
+		c.Offsets[u+1] = int32(len(c.Targets))
+	}
+	return c
+}
+
+// NumNodes returns the number of rows in the snapshot.
+func (c *CSR) NumNodes() int { return len(c.Offsets) - 1 }
+
+// Neighbors returns u's sorted neighbor ids.
+func (c *CSR) Neighbors(u NodeID) []NodeID {
+	return c.Targets[c.Offsets[u]:c.Offsets[u+1]]
+}
 
 // DefaultCompactThreshold is the overlay-to-base ratio above which a Flat
 // view rebuilds its CSR snapshots. 0.25 keeps overlay scans a small
@@ -289,42 +343,6 @@ func (f *Flat) AppendOutSorted(u NodeID, buf []NodeID) []NodeID {
 	for _, e := range extra {
 		buf = append(buf, e.To)
 	}
-	for i := base + 1; i < len(buf); i++ {
-		for j := i; j > base && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
+	insertionSortFrom(buf, base)
 	return buf
-}
-
-// SnapshotIn builds a CSR over the graph's in-adjacency: row u holds the
-// sources of u's incoming edges, sorted by id. For undirected graphs this
-// equals Snapshot.
-func SnapshotIn(g *Graph) *CSR {
-	n := g.NumNodes()
-	c := &CSR{Offsets: make([]int32, n+1)}
-	total := 0
-	for u := 0; u < n; u++ {
-		total += g.InDegree(NodeID(u))
-	}
-	c.Targets = make([]NodeID, 0, total)
-	c.Weights = make([]int64, 0, total)
-	type pair struct {
-		to NodeID
-		w  int64
-	}
-	var buf []pair
-	for u := 0; u < n; u++ {
-		buf = buf[:0]
-		for _, e := range g.In(NodeID(u)) {
-			buf = append(buf, pair{e.To, e.W})
-		}
-		sort.Slice(buf, func(i, j int) bool { return buf[i].to < buf[j].to })
-		for _, p := range buf {
-			c.Targets = append(c.Targets, p.to)
-			c.Weights = append(c.Weights, p.w)
-		}
-		c.Offsets[u+1] = int32(len(c.Targets))
-	}
-	return c
 }

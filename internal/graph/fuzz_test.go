@@ -53,6 +53,10 @@ func FuzzReadBatch(f *testing.F) {
 	f.Add("+ 1 2 3\n- 4 5\n")
 	f.Add("# nothing\n")
 	f.Add("+ -1 -2 -3")
+	// Boundary weights: the largest legal one, Infinity, and MaxInt64.
+	f.Add("+ 1 2 2305843009213693950\n")
+	f.Add("+ 1 2 2305843009213693951\n")
+	f.Add("- 1 2 9223372036854775807\n")
 	// Torn-write corpora: a valid multi-line batch cut mid-line at every
 	// offset, the shape a crash leaves behind in a text batch file.
 	whole := "+ 1 2 3\n- 4 5 6\n+ 100 200 -7\n- 8 9\n"

@@ -7,6 +7,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // NodeID identifies a node. Node ids are dense: a graph with n nodes uses
@@ -24,9 +25,24 @@ type Edge struct {
 	W  int64
 }
 
-// Infinity is the weight used as "no path" by shortest-path code. It is
-// comfortably below overflow when added to any realistic path weight.
+// Infinity is the weight used as "no path" by shortest-path code. Edge
+// weights are kept strictly below it (see checkWeight), so d + w with a
+// finite d never wraps.
 const Infinity int64 = math.MaxInt64 / 4
+
+// checkWeight is the one gate on edge weights arriving from outside the
+// program (Update.Validate, Read): 0 ≤ w < Infinity. Every relaxation
+// computes d + w on a finite d < Infinity = MaxInt64/4, so the upper bound
+// is what keeps that sum from overflowing.
+func checkWeight(w int64) error {
+	if w < 0 {
+		return fmt.Errorf("negative weight %d", w)
+	}
+	if w >= Infinity {
+		return fmt.Errorf("weight %d not below Infinity (%d)", w, Infinity)
+	}
+	return nil
+}
 
 // Graph is a mutable labeled graph. Directed graphs maintain both out- and
 // in-adjacency; undirected graphs store each edge in both endpoint lists
@@ -243,6 +259,36 @@ func (g *Graph) In(u NodeID) []Edge {
 		return g.in[u]
 	}
 	return g.out[u]
+}
+
+// AppendOutSorted appends u's out-neighbor ids to buf in ascending order
+// and returns the extended slice: the canonical enumeration order of the
+// batch depth-first traversals (dfs.Run, bc.Run), which read the graph's
+// own lists rather than a Flat view. Short rows are insertion-sorted in
+// place; rows past the cut-off go through slices.Sort, so a power-law hub
+// never costs quadratic time.
+func (g *Graph) AppendOutSorted(u NodeID, buf []NodeID) []NodeID {
+	base := len(buf)
+	for _, e := range g.out[u] {
+		buf = append(buf, e.To)
+	}
+	if row := buf[base:]; len(row) > 32 {
+		slices.Sort(row)
+		return buf
+	}
+	insertionSortFrom(buf, base)
+	return buf
+}
+
+// insertionSortFrom sorts buf[base:] in place, leaving buf[:base] alone:
+// linear on an already sorted region with a short unsorted tail, which is
+// what a Flat row (sorted base + overlay tail) looks like.
+func insertionSortFrom(buf []NodeID, base int) {
+	for i := base + 1; i < len(buf); i++ {
+		for j := i; j > base && buf[j] < buf[j-1]; j-- {
+			buf[j], buf[j-1] = buf[j-1], buf[j]
+		}
+	}
 }
 
 // OutDegree returns the number of outgoing edges of u.

@@ -78,10 +78,11 @@ func WriteBatch(w io.Writer, b Batch) error {
 }
 
 // ReadBatch parses a batch in the WriteBatch format. Each update is
-// validated as it is parsed (non-negative node ids and weights, see
-// Update.Validate), so a malformed update file fails with a line-numbered
-// error here instead of panicking deep inside a maintainer. Upper node-id
-// bounds depend on the target graph and are checked by Batch.Validate.
+// validated as it is parsed (non-negative node ids, weights in
+// [0, Infinity), see Update.Validate), so a malformed update file fails
+// with a line-numbered error here instead of panicking deep inside a
+// maintainer. Upper node-id bounds depend on the target graph and are
+// checked by Batch.Validate.
 func ReadBatch(r io.Reader) (Batch, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -185,6 +186,9 @@ func Read(r io.Reader) (*Graph, error) {
 			}
 			if u < 0 || u >= int64(g.NumNodes()) || v < 0 || v >= int64(g.NumNodes()) {
 				return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range", line, u, v)
+			}
+			if err := checkWeight(wgt); err != nil {
+				return nil, fmt.Errorf("graph: line %d: edge (%d,%d): %v", line, u, v, err)
 			}
 			if !g.InsertEdge(NodeID(u), NodeID(v), wgt) {
 				return nil, fmt.Errorf("graph: line %d: duplicate or degenerate edge (%d,%d)", line, u, v)

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -75,11 +77,19 @@ func TestReadErrors(t *testing.T) {
 		"graph directed 2\ngraph directed 2", // duplicate header
 		"graph directed 2\ne 0 1 1\ne 0 1 2", // duplicate edge
 		"graph directed 2\ne 1 1 1",          // self-loop
+		"graph directed 2\ne 0 1 -5",         // negative weight
+		fmt.Sprintf("graph directed 2\ne 0 1 %d", Infinity),             // weight at Infinity
+		fmt.Sprintf("graph directed 2\ne 0 1 %d", int64(math.MaxInt64)), // d + w would wrap
 	}
 	for _, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Fatalf("no error for %q", in)
 		}
+	}
+	// A rejected weight names its line and edge; the largest legal one loads.
+	_, err := Read(strings.NewReader(fmt.Sprintf("graph directed 3\ne 0 1 %d\ne 1 2 %d\n", Infinity-1, Infinity)))
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "(1,2)") {
+		t.Fatalf("want positioned weight error, got %v", err)
 	}
 }
 
@@ -175,9 +185,11 @@ func TestReadBatchTolerant(t *testing.T) {
 func TestReadBatchErrors(t *testing.T) {
 	for _, in := range []string{
 		"* 1 2", "+ 1 2", "- 1", "+ a b c",
-		"+ -1 2 3", // negative node id
-		"+ 1 2 -3", // negative weight
-		"- 1 -2",   // negative node id on delete
+		"+ -1 2 3",                  // negative node id
+		"+ 1 2 -3",                  // negative weight
+		"- 1 -2",                    // negative node id on delete
+		"+ 1 2 9223372036854775807", // weight that would wrap d + W
+		"+ 1 2 2305843009213693951", // weight at Infinity
 	} {
 		if _, err := ReadBatch(strings.NewReader(in)); err == nil {
 			t.Fatalf("no error for %q", in)

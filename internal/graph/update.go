@@ -130,10 +130,10 @@ func (g *Graph) Apply(b Batch) Batch {
 }
 
 // Validate checks that the update is well-formed against a graph with n
-// nodes: both endpoints in [0, n) and a non-negative weight. A negative n
-// skips the upper-bound check, validating only what is knowable without a
-// graph (non-negative ids and weights) — the mode used by ReadBatch, where
-// the target graph is not yet known.
+// nodes: both endpoints in [0, n) and a weight in [0, Infinity). A negative
+// n skips the upper node-id bound, validating only what is knowable without
+// a graph (non-negative ids, the weight range) — the mode used by
+// ReadBatch, where the target graph is not yet known.
 func (u Update) Validate(n int) error {
 	for _, v := range [2]NodeID{u.From, u.To} {
 		if v < 0 {
@@ -143,10 +143,7 @@ func (u Update) Validate(n int) error {
 			return fmt.Errorf("node %d out of range [0,%d)", v, n)
 		}
 	}
-	if u.W < 0 {
-		return fmt.Errorf("negative weight %d", u.W)
-	}
-	return nil
+	return checkWeight(u.W)
 }
 
 // Validate checks every update in the batch against a graph with n nodes

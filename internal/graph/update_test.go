@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -139,6 +140,10 @@ func TestBatchValidate(t *testing.T) {
 		{"negative from", Batch{{Kind: InsertEdge, From: -1, To: 0, W: 1}}, 5, false},
 		{"negative weight", Batch{{Kind: InsertEdge, From: 0, To: 1, W: -2}}, 5, false},
 		{"negative delete weight", Batch{{Kind: DeleteEdge, From: 0, To: 1, W: -2}}, 5, false},
+		{"largest weight", Batch{{Kind: InsertEdge, From: 0, To: 1, W: Infinity - 1}}, 5, true},
+		{"weight at Infinity", Batch{{Kind: InsertEdge, From: 0, To: 1, W: Infinity}}, 5, false},
+		{"weight that wraps d+W", Batch{{Kind: InsertEdge, From: 0, To: 1, W: math.MaxInt64}}, -1, false},
+		{"delete weight at Infinity", Batch{{Kind: DeleteEdge, From: 0, To: 1, W: Infinity}}, 5, false},
 		{"unknown bound skips range", Batch{{Kind: InsertEdge, From: 1000, To: 2000, W: 1}}, -1, true},
 		{"unknown bound still checks sign", Batch{{Kind: InsertEdge, From: -1, To: 0, W: 1}}, -1, false},
 		{"second update reported", Batch{

@@ -72,9 +72,9 @@ func (s *ssspServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
 func (s *ssspServeable) SetWorkers(n int)            { s.inc.SetWorkers(n) }
 func (s *ssspServeable) ParStats() fixpoint.ParStats { return s.inc.ParStats() }
 
-// SetCompactThreshold forwards the flat view's overlay-compaction knob
-// (see graph.Flat); re-applied by the host after a heal recompute.
-func (s *ssspServeable) SetCompactThreshold(t float64) { s.inc.SetCompactThreshold(t) }
+// Flat exposes the current inner maintainer's flat adjacency view to the
+// host's compaction and overlay metrics.
+func (s *ssspServeable) Flat() *graph.Flat { return s.inc.Flat() }
 
 // ssspState is the gob envelope of PersistState: the distances are
 // IncSSSP's complete incremental state (deducible; <_C is distance
@@ -170,9 +170,9 @@ func (s *ccServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
 func (s *ccServeable) SetWorkers(n int)            { s.inc.SetWorkers(n) }
 func (s *ccServeable) ParStats() fixpoint.ParStats { return s.inc.ParStats() }
 
-// SetCompactThreshold forwards the flat view's overlay-compaction knob
-// (see graph.Flat); re-applied by the host after a heal recompute.
-func (s *ccServeable) SetCompactThreshold(t float64) { s.inc.SetCompactThreshold(t) }
+// Flat exposes the current inner maintainer's flat adjacency view to the
+// host's compaction and overlay metrics.
+func (s *ccServeable) Flat() *graph.Flat { return s.inc.Flat() }
 
 // ccState is the gob envelope of PersistState: labels plus the engine's
 // timestamps and clock, which carry the anchor order <_C across a
@@ -306,10 +306,9 @@ func (s *dfsServeable) RestoreState(r io.Reader) error {
 }
 func (s *dfsServeable) Recompute() { s.inc = dfs.NewInc(s.inc.Graph()) }
 
-// SetCompactThreshold forwards the flat view's overlay-compaction knob
-// (see Options.CompactThreshold); the host re-applies it after a heal
-// rebuilds the maintainer.
-func (s *dfsServeable) SetCompactThreshold(t float64) { s.inc.SetCompactThreshold(t) }
+// Flat exposes the current inner maintainer's flat adjacency view to the
+// host's compaction and overlay metrics.
+func (s *dfsServeable) Flat() *graph.Flat { return s.inc.Flat() }
 
 // LCCView is the published snapshot of a local-clustering-coefficient
 // maintainer.
@@ -381,9 +380,9 @@ func BC(inc *bc.Inc) Serveable { return &bcServeable{inc: inc} }
 func (s *bcServeable) Algo() string        { return "bc" }
 func (s *bcServeable) Graph() *graph.Graph { return s.inc.Graph() }
 
-// SetCompactThreshold forwards the flat view's overlay-compaction knob
-// (see graph.Flat); re-applied by the host after a heal recompute.
-func (s *bcServeable) SetCompactThreshold(t float64) { s.inc.SetCompactThreshold(t) }
+// Flat exposes the current inner maintainer's flat adjacency view to the
+// host's compaction and overlay metrics.
+func (s *bcServeable) Flat() *graph.Flat { return s.inc.Flat() }
 func (s *bcServeable) Apply(b graph.Batch) ApplyResult {
 	aff := s.inc.Apply(b)
 	return ApplyResult{Affected: aff,

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -180,6 +181,8 @@ func TestHTTPErrors(t *testing.T) {
 	}{
 		{"malformed line", "/update", "bogus line\n", http.StatusBadRequest},
 		{"negative weight", "/update", "+ 0 1 -5\n", http.StatusBadRequest},
+		{"weight MaxInt64 would wrap d+W", "/update", "+ 0 1 9223372036854775807\n", http.StatusBadRequest},
+		{"weight at Infinity", "/update", fmt.Sprintf("+ 0 1 %d\n", graph.Infinity), http.StatusBadRequest},
 		{"out of range", "/update", "+ 0 99 1\n", http.StatusBadRequest},
 		{"unknown target", "/update?algo=nope", "+ 0 1 1\n", http.StatusNotFound},
 	}

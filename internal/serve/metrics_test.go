@@ -109,6 +109,17 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if v := promValue(t, expo, `incgraph_graph_nodes{algo="cc"}`); v != 6 {
 		t.Errorf("graph nodes = %g, want 6", v)
 	}
+	// The flat view: the two updates that take effect stage 4 half-edge
+	// ops against a base of 4, far past the 0.25 threshold, so the apply
+	// compacted exactly once and left an empty overlay.
+	for _, algo := range []string{"cc", "sssp"} {
+		if c := promValue(t, expo, `incgraph_flat_compactions_total{algo="`+algo+`"}`); c != 1 {
+			t.Errorf("%s flat compactions %g, want 1", algo, c)
+		}
+		if r := promValue(t, expo, `incgraph_flat_overlay_ratio{algo="`+algo+`"}`); r != 0 {
+			t.Errorf("%s flat overlay ratio %g after compacting, want 0", algo, r)
+		}
+	}
 }
 
 // TestDebugApplies checks the recent-applies trace ring over HTTP: the

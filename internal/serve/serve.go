@@ -311,14 +311,6 @@ type Options struct {
 	// worker pool is internal to the maintainer; the host's single-writer
 	// apply loop still blocks until each repair completes.
 	Workers int
-	// CompactThreshold configures the flat adjacency view's overlay
-	// compaction for maintainers that keep one (SSSP, CC, BC): the CSR
-	// base is rebuilt once staged overlay operations exceed this fraction
-	// of its size, bounding read degradation on long update streams. 0
-	// keeps the maintainer default (graph.DefaultCompactThreshold); the
-	// setting is re-applied after a heal recompute rebuilds the
-	// maintainer.
-	CompactThreshold float64
 }
 
 func (o Options) withDefaults() Options {
@@ -370,11 +362,11 @@ type tracerSetter interface{ SetTracer(fixpoint.Tracer) }
 // single-writer contract.
 type workersSetter interface{ SetWorkers(int) }
 
-// compactSetter is the optional Serveable extension for the flat
-// adjacency view's compaction threshold (see graph.Flat). Called only
-// from host construction and the apply loop (heal re-install), honoring
-// the maintainers' single-writer contract.
-type compactSetter interface{ SetCompactThreshold(float64) }
+// flatViewer is the optional Serveable extension exposing the
+// maintainer's flat adjacency view (SSSP, CC, DFS, BC keep one), read
+// after each Apply for the compaction and overlay metrics. Called only
+// from the apply loop, honoring the maintainers' single-writer contract.
+type flatViewer interface{ Flat() *graph.Flat }
 
 // parStatser is the optional Serveable extension exposing cumulative
 // parallel-drain counters, snapshotted around each Apply to produce
@@ -421,6 +413,9 @@ type hostMetrics struct {
 	offenderCount  *obs.Gauge
 	offenderWorst  *obs.Gauge
 	offenderMin    *obs.Gauge
+
+	flatCompactions *obs.Counter
+	flatOverlay     *obs.Gauge
 }
 
 func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
@@ -458,6 +453,8 @@ func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 		offenderCount:   r.Gauge("incgraph_offender_count", "Entries retained in the top-K worst-boundedness ring.", l),
 		offenderWorst:   r.Gauge("incgraph_offender_worst_ratio", "Highest boundedness quotient ever retained by the offender ring.", l),
 		offenderMin:     r.Gauge("incgraph_offender_min_ratio", "Lowest retained offender quotient — the ring's admission threshold.", l),
+		flatCompactions: r.Counter("incgraph_flat_compactions_total", "CSR base rebuilds of the maintainer's flat adjacency view.", l),
+		flatOverlay:     r.Gauge("incgraph_flat_overlay_ratio", "Staged overlay operations as a fraction of the flat view's base after the last apply.", l),
 	}
 }
 
@@ -499,6 +496,10 @@ type Host struct {
 	rec       *trace.Recorder
 	track     int32
 	engTracer *trace.EngineTracer
+
+	// flatSeen is the flat view's compaction count as of the last apply
+	// (apply loop only), so the counter metric advances by the difference.
+	flatSeen int64
 
 	// quarantined is set (apply loop only) when a heal recompute itself
 	// panicked: the maintainer is permanently sidelined, batches are
@@ -548,11 +549,6 @@ func NewHost(m Serveable, opt Options) *Host {
 			ws.SetWorkers(h.opt.Workers)
 			h.stats.Workers = h.opt.Workers
 			h.met.workersG.Set(float64(h.opt.Workers))
-		}
-	}
-	if h.opt.CompactThreshold > 0 {
-		if cs, ok := m.(compactSetter); ok {
-			cs.SetCompactThreshold(h.opt.CompactThreshold)
 		}
 	}
 	if h.opt.Recorder != nil {
@@ -1014,6 +1010,16 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 		}
 		tr.ParRounds = res.Par.ParRounds
 	}
+	if fv, ok := h.m.(flatViewer); ok {
+		f := fv.Flat()
+		c := f.Compactions()
+		if c < h.flatSeen {
+			h.flatSeen = 0 // a heal rebuilt the maintainer with a fresh view
+		}
+		m.flatCompactions.Add(float64(c - h.flatSeen))
+		h.flatSeen = c
+		m.flatOverlay.Set(f.OverlayRatio())
+	}
 	if res.HasLedger {
 		led := res.Ledger
 		m.workTotal.Add(float64(led.Work()))
@@ -1160,12 +1166,6 @@ func (h *Host) absorbPanic(raw graph.Batch, pval any) {
 			if h.opt.Workers > 1 {
 				if ws, wok := h.m.(workersSetter); wok {
 					ws.SetWorkers(h.opt.Workers)
-				}
-			}
-			// And the flat view's compaction threshold, for the same reason.
-			if h.opt.CompactThreshold > 0 {
-				if cs, cok := h.m.(compactSetter); cok {
-					cs.SetCompactThreshold(h.opt.CompactThreshold)
 				}
 			}
 			data = h.m.Snapshot()

@@ -33,7 +33,7 @@ import (
 // loop and publishes immutable snapshots to readers.
 type Inc struct {
 	g    *graph.Graph
-	flat *graph.Flat // CSR+overlay adjacency; nil when built WithoutFlat
+	flat *graph.Flat // CSR+overlay adjacency every Repair loop reads
 	src  graph.NodeID
 
 	dist []int64
@@ -41,11 +41,11 @@ type Inc struct {
 
 	hq      *pq.Heap // h's queue, keyed by old distance
 	hkey    []int64
-	oldVal  []int64 // pre-revision distances of this round's revised nodes
-	mark    []int64 // epoch marks: revised this round
-	affMark []int64 // epoch marks: AFF membership (work ledger)
-	chMark  []int64 // epoch marks: written this repair (work ledger)
-	chOld   []int64 // repair-start distances of written nodes (work ledger)
+	oldVal  []int64        // pre-revision distances of this round's revised nodes
+	mark    []int64        // epoch marks: revised this round
+	affMark []int64        // epoch marks: AFF membership (work ledger)
+	chMark  []int64        // epoch marks: written this repair (work ledger)
+	chOld   []int64        // repair-start distances of written nodes (work ledger)
 	chList  []graph.NodeID // written nodes, swept at end of Repair
 	epoch   int64
 
@@ -64,27 +64,10 @@ type Inc struct {
 	par        fixpoint.ParStats
 }
 
-// Option configures an incremental maintainer.
-type Option func(*incOpts)
-
-type incOpts struct{ noFlat bool }
-
-// WithoutFlat disables the flat CSR+overlay adjacency view, keeping the
-// legacy pointer-list hot path. Used by differential tests that pin the
-// two paths against each other.
-func WithoutFlat() Option { return func(o *incOpts) { o.noFlat = true } }
-
 // NewInc runs Dijkstra and returns the incremental algorithm positioned
 // at its fixpoint.
-func NewInc(g *graph.Graph, src graph.NodeID, opts ...Option) *Inc {
-	var o incOpts
-	for _, f := range opts {
-		f(&o)
-	}
-	i := &Inc{g: g, src: src, dist: Dijkstra(g, src)}
-	if !o.noFlat {
-		i.flat = graph.NewFlat(g)
-	}
+func NewInc(g *graph.Graph, src graph.NodeID) *Inc {
+	i := &Inc{g: g, flat: graph.NewFlat(g), src: src, dist: Dijkstra(g, src)}
 	n := g.NumNodes()
 	i.wq = pq.New(n, func(a, b int32) bool { return i.dist[a] < i.dist[b] })
 	i.hq = pq.New(n, func(a, b int32) bool { return i.hkey[a] < i.hkey[b] })
@@ -101,18 +84,10 @@ func NewInc(g *graph.Graph, src graph.NodeID, opts ...Option) *Inc {
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
 
-// Flat returns the maintainer's flat adjacency view (nil WithoutFlat),
-// for observability of overlay size and compaction counts.
+// Flat returns the maintainer's flat adjacency view: overlay size and
+// compaction counts for observability, SetCompactThreshold for tests that
+// force a compaction regime.
 func (i *Inc) Flat() *graph.Flat { return i.flat }
-
-// SetCompactThreshold sets the flat view's overlay-to-base compaction
-// ratio (see graph.Flat.SetCompactThreshold). No-op when the maintainer
-// was built WithoutFlat. Single-writer contract: call between Applies.
-func (i *Inc) SetCompactThreshold(t float64) {
-	if i.flat != nil {
-		i.flat.SetCompactThreshold(t)
-	}
-}
 
 // Dist returns the current distance vector, aliased to internal state.
 func (i *Inc) Dist() []int64 { return i.dist }
@@ -151,10 +126,8 @@ func (i *Inc) Apply(b graph.Batch) int {
 func (i *Inc) Stage(b graph.Batch) {
 	applied := i.g.Apply(b.Net(i.g.Directed()))
 	i.pending = append(i.pending, applied...)
-	if i.flat != nil {
-		i.flat.Stage(i.g, applied)
-		i.flat.MaybeCompact(i.g)
-	}
+	i.flat.Stage(i.g, applied)
+	i.flat.MaybeCompact(i.g)
 	for len(i.dist) < i.g.NumNodes() {
 		i.dist = append(i.dist, Infinity)
 		i.hkey = append(i.hkey, 0)
@@ -288,15 +261,7 @@ func (i *Inc) Repair() int {
 			// Propagate along v's anchor edges only: C_xw = tight in-edges
 			// (Example 3), i.e. out-edges (v, w) with old dist_v + w(v, w)
 			// = old dist_w. Non-tight edges never justified w's value.
-			if i.flat != nil {
-				i.hAnchorsFlat(v, dv)
-			} else {
-				for _, e := range i.g.Out(v) {
-					if dv < Infinity && dv+e.W == i.oldDist(e.To) {
-						i.hEnqueue(e.To)
-					}
-				}
-			}
+			i.hAnchors(v, dv)
 		}
 	}
 	mid := time.Now()
@@ -351,18 +316,7 @@ func (i *Inc) Repair() int {
 				if dv >= Infinity {
 					continue
 				}
-				if i.flat != nil {
-					i.relaxOutFlat(v, dv)
-					continue
-				}
-				for _, e := range i.g.Out(v) {
-					i.stats.Updates++
-					if alt := dv + e.W; alt < i.dist[e.To] {
-						i.ledgerWrite(e.To, i.dist[e.To])
-						i.dist[e.To] = alt
-						i.wq.AddOrAdjust(int32(e.To))
-					}
-				}
+				i.relaxOut(v, dv)
 			}
 		}
 	}
@@ -383,9 +337,9 @@ func (i *Inc) hEnqueue(v graph.NodeID) {
 	i.hq.AddOrAdjust(int32(v))
 }
 
-// hAnchorsFlat is the flat-span form of h's anchor propagation: enqueue
-// every out-neighbor w with old dist_v + w(v, w) = old dist_w.
-func (i *Inc) hAnchorsFlat(v graph.NodeID, dv int64) {
+// hAnchors is h's anchor propagation: enqueue every out-neighbor w with
+// old dist_v + w(v, w) = old dist_w.
+func (i *Inc) hAnchors(v graph.NodeID, dv int64) {
 	if dv >= Infinity {
 		return
 	}
@@ -410,11 +364,10 @@ func (i *Inc) hAnchorsFlat(v graph.NodeID, dv int64) {
 	}
 }
 
-// relaxOutFlat relaxes every live out-edge of v at distance dv through
-// the flat spans: the struct-of-arrays inner loop of the resumed
-// Dijkstra, scanning contiguous target and weight arrays instead of
-// chasing []Edge pointers.
-func (i *Inc) relaxOutFlat(v graph.NodeID, dv int64) {
+// relaxOut relaxes every live out-edge of v at distance dv: the
+// struct-of-arrays inner loop of the resumed Dijkstra, scanning contiguous
+// target and weight arrays instead of chasing []Edge pointers.
+func (i *Inc) relaxOut(v graph.NodeID, dv int64) {
 	ts, ws, dead, extra := i.flat.OutSpans(v)
 	if dead == nil {
 		for k, t := range ts {
@@ -450,46 +403,31 @@ func (i *Inc) relaxOutFlat(v graph.NodeID, dv int64) {
 
 // feasibleValue evaluates f_v on the feasible input set Ȳ_v: in-neighbors
 // determined at or after v in the old distance order contribute their
-// initial value ∞ (Fig. 4, lines 5-6). The flat path folds the meet with
-// the branch-free MinInt64; distances stay within [0, Infinity] with
-// Infinity = MaxInt64/4, so the no-overflow precondition holds.
+// initial value ∞ (Fig. 4, lines 5-6).
 func (i *Inc) feasibleValue(v graph.NodeID, dv int64) int64 {
 	if v == i.src {
 		return 0
 	}
 	best := Infinity
-	if i.flat != nil {
-		ts, ws, dead, extra := i.flat.InSpans(v)
-		for k, u := range ts {
-			if dead != nil && dead[k] {
-				continue
-			}
-			i.stats.Reads++
-			if i.oldDist(u) >= dv {
-				continue // determined later: its feasible stand-in is ∞
-			}
-			if d := i.dist[u]; d < Infinity {
-				best = fixpoint.MinInt64(best, d+ws[k])
-			}
+	ts, ws, dead, extra := i.flat.InSpans(v)
+	for k, u := range ts {
+		if dead != nil && dead[k] {
+			continue
 		}
-		for _, e := range extra {
-			i.stats.Reads++
-			if i.oldDist(e.To) >= dv {
-				continue
-			}
-			if d := i.dist[e.To]; d < Infinity {
-				best = fixpoint.MinInt64(best, d+e.W)
-			}
-		}
-		return best
-	}
-	for _, e := range i.g.In(v) {
 		i.stats.Reads++
-		u := e.To
 		if i.oldDist(u) >= dv {
 			continue // determined later: its feasible stand-in is ∞
 		}
-		if d := i.dist[u]; d < Infinity && d+e.W < best {
+		if d := i.dist[u]; d < Infinity && d+ws[k] < best {
+			best = d + ws[k]
+		}
+	}
+	for _, e := range extra {
+		i.stats.Reads++
+		if i.oldDist(e.To) >= dv {
+			continue
+		}
+		if d := i.dist[e.To]; d < Infinity && d+e.W < best {
 			best = d + e.W
 		}
 	}
@@ -497,33 +435,23 @@ func (i *Inc) feasibleValue(v graph.NodeID, dv int64) int64 {
 }
 
 // best is Dijkstra's relaxation target: the minimum in-neighbor distance
-// plus weight, on actual current values (branch-free meet on the flat
-// path).
+// plus weight, on actual current values.
 func (i *Inc) best(v graph.NodeID) int64 {
 	if v == i.src {
 		return 0
 	}
 	best := Infinity
-	if i.flat != nil {
-		ts, ws, dead, extra := i.flat.InSpans(v)
-		for k, u := range ts {
-			if dead != nil && dead[k] {
-				continue
-			}
-			i.stats.Reads++
-			if d := i.dist[u]; d < Infinity {
-				best = fixpoint.MinInt64(best, d+ws[k])
-			}
+	ts, ws, dead, extra := i.flat.InSpans(v)
+	for k, u := range ts {
+		if dead != nil && dead[k] {
+			continue
 		}
-		for _, e := range extra {
-			i.stats.Reads++
-			if d := i.dist[e.To]; d < Infinity {
-				best = fixpoint.MinInt64(best, d+e.W)
-			}
+		i.stats.Reads++
+		if d := i.dist[u]; d < Infinity && d+ws[k] < best {
+			best = d + ws[k]
 		}
-		return best
 	}
-	for _, e := range i.g.In(v) {
+	for _, e := range extra {
 		i.stats.Reads++
 		if d := i.dist[e.To]; d < Infinity && d+e.W < best {
 			best = d + e.W

@@ -74,30 +74,21 @@ func (i *Inc) SetWorkers(n int) {
 				if dv >= Infinity {
 					continue
 				}
-				if i.flat != nil {
-					// Flat spans: workers scan the frozen CSR base (plus the
-					// short overlay tail) with no pointer chasing. The flat
-					// view is immutable for the whole resume — Stage ran
-					// before Repair — so concurrent readers are safe.
-					ts, ws, dead, extra := i.flat.OutSpans(v)
-					for k, t := range ts {
-						if dead != nil && dead[k] {
-							continue
-						}
-						pw.scanned++
-						if alt := dv + ws[k]; alt < i.dist[t] {
-							pw.cands = append(pw.cands, ssspCand{t, alt})
-						}
+				// Workers scan the frozen CSR base (plus the short overlay
+				// tail) with no pointer chasing. The flat view is immutable
+				// for the whole resume — Stage ran before Repair — so
+				// concurrent readers are safe.
+				ts, ws, dead, extra := i.flat.OutSpans(v)
+				for k, t := range ts {
+					if dead != nil && dead[k] {
+						continue
 					}
-					for _, e := range extra {
-						pw.scanned++
-						if alt := dv + e.W; alt < i.dist[e.To] {
-							pw.cands = append(pw.cands, ssspCand{e.To, alt})
-						}
+					pw.scanned++
+					if alt := dv + ws[k]; alt < i.dist[t] {
+						pw.cands = append(pw.cands, ssspCand{t, alt})
 					}
-					continue
 				}
-				for _, e := range i.g.Out(v) {
+				for _, e := range extra {
 					pw.scanned++
 					if alt := dv + e.W; alt < i.dist[e.To] {
 						pw.cands = append(pw.cands, ssspCand{e.To, alt})
@@ -152,18 +143,7 @@ func (i *Inc) drainParallel() {
 				if dv >= Infinity {
 					continue
 				}
-				if i.flat != nil {
-					i.relaxOutFlat(v, dv)
-					continue
-				}
-				for _, e := range i.g.Out(v) {
-					i.stats.Updates++
-					if alt := dv + e.W; alt < i.dist[e.To] {
-						i.ledgerWrite(e.To, i.dist[e.To])
-						i.dist[e.To] = alt
-						i.wq.AddOrAdjust(int32(e.To))
-					}
-				}
+				i.relaxOut(v, dv)
 			}
 			continue
 		}
