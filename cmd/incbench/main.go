@@ -6,6 +6,7 @@
 //
 //	incbench -exp all                 # every experiment at default scale
 //	incbench -exp exp2 -class sssp    # one figure family
+//	incbench -exp exp2,publish        # several, into one report
 //	incbench -exp exp1 -scale 0.5     # smaller stand-ins
 //	incbench -exp exp2 -json out.json # machine-readable results alongside tables
 //	incbench -exp exp2 -trace t.json  # per-experiment flight recording (Perfetto)
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"incgraph/internal/bench"
@@ -42,7 +44,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|exp1|exp2|exp2types|exp3|exp4|aff|ablation|datasets|extensions|scaling|exchange|all")
+		exp       = flag.String("exp", "all", "experiment, or a comma-separated list: table1|exp1|exp2|exp2types|exp3|exp4|aff|ablation|datasets|extensions|scaling|exchange|publish|all")
 		class     = flag.String("class", "all", "query class for exp2: sssp|cc|sim|lcc|dfs|all")
 		scale     = flag.Float64("scale", 1.0, "dataset scale multiplier")
 		seed      = flag.Int64("seed", 1, "workload seed")
@@ -109,47 +111,28 @@ func main() {
 			run("exp2-dfs", bench.Exp2DFS)
 		}
 	}
-	switch *exp {
-	case "table1":
-		run("table1", bench.Table1)
-	case "exp1":
-		run("exp1", bench.Exp1)
-	case "exp2":
-		exp2()
-	case "exp2types":
-		run("exp2types", bench.Exp2Types)
-	case "exp3":
-		run("exp3", bench.Exp3)
-	case "exp4":
-		run("exp4", bench.Exp4)
-	case "aff":
-		run("aff", bench.ExpAff)
-	case "ablation":
-		run("ablation", bench.ExpAblation)
-	case "datasets":
-		run("datasets", bench.ExpDatasets)
-	case "extensions":
-		run("extensions", bench.ExpExtensions)
-	case "scaling":
-		run("scaling", bench.ExpScaling)
-	case "exchange":
-		run("exchange", bench.ExpExchange)
-	case "all":
-		run("datasets", bench.ExpDatasets)
-		run("table1", bench.Table1)
-		run("exp1", bench.Exp1)
-		exp2()
-		run("exp2types", bench.Exp2Types)
-		run("exp3", bench.Exp3)
-		run("exp4", bench.Exp4)
-		run("aff", bench.ExpAff)
-		run("ablation", bench.ExpAblation)
-		run("extensions", bench.ExpExtensions)
-		run("scaling", bench.ExpScaling)
-		run("exchange", bench.ExpExchange)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+	// "all" runs the experiments in this order; a list runs the named ones
+	// in the order given.
+	order := []string{"datasets", "table1", "exp1", "exp2", "exp2types", "exp3", "exp4", "aff", "ablation", "extensions", "scaling", "exchange", "publish"}
+	experiments := map[string]func(bench.Config){
+		"datasets": bench.ExpDatasets, "table1": bench.Table1, "exp1": bench.Exp1, "exp2types": bench.Exp2Types,
+		"exp3": bench.Exp3, "exp4": bench.Exp4, "aff": bench.ExpAff, "ablation": bench.ExpAblation,
+		"extensions": bench.ExpExtensions, "scaling": bench.ExpScaling, "exchange": bench.ExpExchange, "publish": bench.ExpPublish,
+	}
+	names := strings.Split(*exp, ",")
+	if *exp == "all" {
+		names = order
+	}
+	for _, name := range names {
+		switch f, ok := experiments[name]; {
+		case name == "exp2": // a family of experiments, filtered by -class
+			exp2()
+		case ok:
+			run(name, f)
+		default:
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
+			os.Exit(2)
+		}
 	}
 
 	if *jsonOut != "" {

@@ -1,6 +1,9 @@
 package incgraph
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -195,6 +198,92 @@ func TestFlatDifferentialSixClass(t *testing.T) {
 		flatSeed(t, seed)
 	}
 	if err := quick.Check(func(seed int64) bool { return flatSeed(t, seed) }, &quick.Config{MaxCount: 3}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// publishNodes spans several view pages with a ragged last one, so a
+// chunk of the stream dirties some pages and leaves others shared.
+const publishNodes = 3*256 + 40
+
+// publishSeed drives all six serving adapters over seed's update stream
+// and requires, after every chunk, that the view the adapter publishes —
+// built from the previous epoch's pages plus what the apply changed —
+// encodes exactly like the view of a maintainer freshly built on the
+// same graph (Theorem 1, at the publication layer). Midway the adapter
+// is recomputed, and its persisted state restored into a rebuilt one:
+// after either, no written list describes the change, and the published
+// view must still be the recompute.
+func publishSeed(t *testing.T, seed int64) bool {
+	rng := rand.New(rand.NewSource(seed))
+	pattern := RandomPattern(seed+3, 4, 5, 3)
+	classes := []struct {
+		name     string
+		directed bool
+		build    func(g *Graph) Serveable
+	}{
+		{"sssp", true, func(g *Graph) Serveable { return ServeSSSP(NewIncSSSP(g, 0), 0) }},
+		{"cc", false, func(g *Graph) Serveable { return ServeCC(NewIncCC(g)) }},
+		{"sim", true, func(g *Graph) Serveable { return ServeSim(NewIncSim(g, pattern)) }},
+		{"dfs", false, func(g *Graph) Serveable { return ServeDFS(NewIncDFS(g)) }},
+		{"lcc", false, func(g *Graph) Serveable { return ServeLCC(NewIncLCC(g)) }},
+		{"bc", false, func(g *Graph) Serveable { return ServeBC(NewIncBC(g)) }},
+	}
+	for _, c := range classes {
+		m := c.build(PowerLawGraph(seed+1, publishNodes, 4, c.directed))
+		check := func(when string) bool {
+			got, err := json.Marshal(m.Snapshot())
+			if err != nil {
+				t.Errorf("seed %d %s %s: %v", seed, c.name, when, err)
+				return false
+			}
+			want, _ := json.Marshal(c.build(m.Graph().Clone()).Snapshot())
+			if !bytes.Equal(got, want) {
+				t.Errorf("seed %d %s %s: published view differs from a fresh maintainer's on the same graph", seed, c.name, when)
+				return false
+			}
+			return true
+		}
+		if !check("initially") {
+			return false
+		}
+		for i := 0; i < flatChunks; i++ {
+			m.Apply(flatStream(rng, m.Graph(), flatChunkLen).Net(c.directed))
+			if !check(fmt.Sprintf("after chunk %d", i)) {
+				return false
+			}
+			switch i {
+			case 1:
+				m.Recompute()
+				if !check("after Recompute") {
+					return false
+				}
+			case 3:
+				var state bytes.Buffer
+				if err := m.PersistState(&state); err != nil {
+					t.Fatal(err)
+				}
+				m = c.build(m.Graph().Clone())
+				m.Snapshot() // publish the rebuilt state first: the restore must not hide behind it
+				if err := m.RestoreState(&state); err != nil {
+					t.Fatal(err)
+				}
+				if !check("after RestoreState") {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestPublishDifferentialSixClass is the differential test of paged view
+// publication, on the stream shape of TestFlatDifferentialSixClass.
+func TestPublishDifferentialSixClass(t *testing.T) {
+	for seed := range flatGolden {
+		publishSeed(t, seed)
+	}
+	if err := quick.Check(func(seed int64) bool { return publishSeed(t, seed) }, &quick.Config{MaxCount: 3}); err != nil {
 		t.Fatal(err)
 	}
 }

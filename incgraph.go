@@ -191,8 +191,26 @@ type (
 	ServeOptions = serve.Options
 	// Service is a set of named hosts behind one HTTP API.
 	Service = serve.Service
-	// ServeView is one immutable published snapshot.
+	// ServeView is one immutable published snapshot. Its Data is one of
+	// the six view types below for the hosted classes.
 	ServeView = serve.View
+	// ServeSSSPView, ServeCCView, ServeSimView, ServeDFSView, ServeLCCView
+	// and ServeBCView are what ServeView.Data holds for each class. Their
+	// per-node vectors are paged, immutable and shared between epochs:
+	// read them with Len, At and Slice (e.g.
+	// v.Data.(incgraph.ServeSSSPView).Dist.At(int(node))); as JSON they
+	// are plain arrays.
+	ServeSSSPView = serve.SSSPView
+	// ServeCCView is the published snapshot of a connected-components host.
+	ServeCCView = serve.CCView
+	// ServeSimView is the published snapshot of a graph-simulation host.
+	ServeSimView = serve.SimView
+	// ServeDFSView is the published snapshot of a DFS host.
+	ServeDFSView = serve.DFSView
+	// ServeLCCView is the published snapshot of a clustering-coefficient host.
+	ServeLCCView = serve.LCCView
+	// ServeBCView is the published snapshot of a biconnectivity host.
+	ServeBCView = serve.BCView
 	// ServeStats are per-host serving counters.
 	ServeStats = serve.Stats
 	// ServeApplyResult is a maintainer's per-apply report: affected area

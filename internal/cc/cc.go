@@ -302,6 +302,11 @@ func (i *Inc) Graph() *graph.Graph { return i.g }
 // Labels returns the current component labels, aliased to internal state.
 func (i *Inc) Labels() []int64 { return i.eng.State().Val }
 
+// Written lists the nodes whose label the last Apply wrote (see
+// fixpoint.Engine.Written): a superset of the entries of Labels that
+// changed, aliased to engine state and valid until the next Apply.
+func (i *Inc) Written() []int32 { return i.eng.Written() }
+
 // Stats exposes the engine's inspection counters.
 func (i *Inc) Stats() fixpoint.Stats { return i.eng.State().Stats }
 

@@ -234,7 +234,7 @@ type Engine[V any] struct {
 	inScope []int64      // epoch marks for H⁰ and AFF membership
 	chMark  []int64      // epoch marks: written this run (ledger)
 	chOld   []V          // run-start values of written variables (ledger)
-	chList  []Var        // written variables, swept by ledgerSettle
+	chList  []int32      // written variables (first writes), kept until the next run
 	epoch   int64
 	deg     OutDegreer // instance's optional out-degree hook for ‖AFF‖
 
@@ -292,7 +292,7 @@ func New[V any](inst Instance[V], policy Policy, opts ...Option) *Engine[V] {
 	e.inScope = make([]int64, n)
 	e.chMark = make([]int64, n)
 	e.chOld = make([]V, n)
-	e.chList = make([]Var, 0, n)
+	e.chList = make([]int32, 0, n)
 	e.emitFn = func(z Var, cand V) {
 		if e.install(z, cand) {
 			e.wl.AddOrAdjust(z)
@@ -379,7 +379,7 @@ func (e *Engine[V]) Grow() {
 	if cap(e.chList) < n {
 		// Keep one preallocated slot per variable so ledgerWrite never
 		// allocates mid-run.
-		cl := make([]Var, len(e.chList), n)
+		cl := make([]int32, len(e.chList), n)
 		copy(cl, e.chList)
 		e.chList = cl
 	}
@@ -392,6 +392,12 @@ func (e *Engine[V]) Grow() {
 
 // Value returns the current value of variable x.
 func (e *Engine[V]) Value(x Var) V { return e.st.Val[x] }
+
+// Written lists the variables the last incremental run wrote, each once:
+// a superset of the entries of State().Val that changed, kept for the
+// work ledger's settle sweep. It aliases internal state, is never nil,
+// allocates nothing, and is valid until the next incremental run.
+func (e *Engine[V]) Written() []int32 { return e.chList }
 
 // recompute applies f_x and installs the result; it reports whether the
 // value changed.

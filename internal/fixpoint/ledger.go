@@ -175,7 +175,7 @@ func (e *Engine[V]) ledgerWrite(x Var, old V) {
 	}
 	e.chMark[x] = e.epoch
 	e.chOld[x] = old
-	e.chList = append(e.chList, x)
+	e.chList = append(e.chList, int32(x))
 }
 
 // ledgerSettle runs after the drain reaches the fixpoint: every written
@@ -186,8 +186,7 @@ func (e *Engine[V]) ledgerSettle() {
 	for _, x := range e.chList {
 		if !e.inst.Equal(e.st.Val[x], e.chOld[x]) {
 			e.st.Stats.Ledger.Changed++
-			e.ledgerAff(x)
+			e.ledgerAff(Var(x))
 		}
 	}
-	e.chList = e.chList[:0]
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/gob"
 	"io"
+	"slices"
+	"sort"
 
 	"incgraph/internal/bc"
 	"incgraph/internal/cc"
@@ -15,10 +17,15 @@ import (
 )
 
 // The adapters below wrap each incremental maintainer as a Serveable.
-// Every Snapshot deep-copies the maintainer's result, because the
-// maintainers alias internal state from their accessors (Dist, Labels, …)
-// and keep mutating it across Apply calls; the copy is what makes the
-// published views immutable.
+// The maintainers alias internal state from their accessors (Dist,
+// Labels, …) and keep mutating it across Apply calls, so a published
+// view holds its vectors as Paged values instead: each adapter keeps the
+// vectors it last published, and Snapshot builds the next ones with
+// Paged.Update, which copies the pages whose content changed and shares
+// the rest with the previous epoch. SSSP and CC hand Update the
+// maintainer's written list, so publishing costs what the apply wrote;
+// the other classes (and any adapter after Recompute or RestoreState)
+// pass nil and pay one comparison pass over the vector.
 //
 // Apply returns an ApplyResult instead of the bare affected count: the
 // engine-based maintainers (SSSP, CC, Sim) expose cumulative
@@ -37,18 +44,51 @@ import (
 // batch algorithm over the current graph — the self-healing and
 // recovery-verification path.
 
+// pubState tells an adapter with a written list what Snapshot may hand
+// Paged.Update: the maintainer's list describes exactly one apply, so it
+// is the truth only when exactly one happened since the last Snapshot.
+type pubState struct{ applies int }
+
+// nothingWritten is the written list of a maintainer nobody applied to.
+var nothingWritten = []int32{}
+
+// applied notes one Apply; unknown, a change no written list covers
+// (Recompute, RestoreState).
+func (p *pubState) applied() { p.applies++ }
+func (p *pubState) unknown() { p.applies = 2 }
+
+// written returns what to pass Update given the maintainer's list w, and
+// starts the next publication interval.
+func (p *pubState) written(w []int32) []int32 {
+	n := p.applies
+	p.applies = 0
+	switch n {
+	case 0:
+		return nothingWritten
+	case 1:
+		return w
+	}
+	return nil
+}
+
 // SSSPView is the published snapshot of an SSSP maintainer.
 type SSSPView struct {
 	// Src is the source node.
 	Src graph.NodeID `json:"src"`
 	// Dist[v] is the shortest distance from Src to v; graph.Infinity for
 	// unreachable nodes.
-	Dist []int64 `json:"dist"`
+	Dist Paged[int64] `json:"dist"`
+}
+
+func (v SSSPView) viewFields(lo, hi int) []viewField {
+	return []viewField{{name: "src", num: int64(v.Src)}, {name: "dist", vec: cutOf(v.Dist, lo, hi)}}
 }
 
 type ssspServeable struct {
-	inc *sssp.Inc
-	src graph.NodeID
+	inc  *sssp.Inc
+	src  graph.NodeID
+	dist Paged[int64] // last published
+	pub  pubState
 }
 
 // SSSP adapts an IncSSSP maintainer.
@@ -59,10 +99,12 @@ func SSSP(inc *sssp.Inc, src graph.NodeID) Serveable {
 func (s *ssspServeable) Algo() string        { return "sssp" }
 func (s *ssspServeable) Graph() *graph.Graph { return s.inc.Graph() }
 func (s *ssspServeable) Apply(b graph.Batch) ApplyResult {
+	s.pub.applied()
 	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
 }
 func (s *ssspServeable) Snapshot() any {
-	return SSSPView{Src: s.src, Dist: append([]int64(nil), s.inc.Dist()...)}
+	s.dist = s.dist.Update(s.inc.Dist(), s.pub.written(s.inc.Written()))
+	return SSSPView{Src: s.src, Dist: s.dist}
 }
 func (s *ssspServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
 
@@ -89,9 +131,13 @@ func (s *ssspServeable) RestoreState(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return err
 	}
+	s.pub.unknown()
 	return s.inc.RestoreState(st.Dist)
 }
-func (s *ssspServeable) Recompute() { s.inc = sssp.NewInc(s.inc.Graph(), s.src) }
+func (s *ssspServeable) Recompute() {
+	s.pub.unknown()
+	s.inc = sssp.NewInc(s.inc.Graph(), s.src)
+}
 
 // statser is the slice of the maintainer API the stats plumbing needs.
 type statser interface{ Stats() fixpoint.Stats }
@@ -147,10 +193,18 @@ func syntheticLedger(g *graph.Graph, delta, affected int) fixpoint.WorkLedger {
 type CCView struct {
 	// Labels[v] is the minimum node id of v's (weakly) connected
 	// component.
-	Labels []int64 `json:"labels"`
+	Labels Paged[int64] `json:"labels"`
 }
 
-type ccServeable struct{ inc *cc.Inc }
+func (v CCView) viewFields(lo, hi int) []viewField {
+	return []viewField{{name: "labels", vec: cutOf(v.Labels, lo, hi)}}
+}
+
+type ccServeable struct {
+	inc    *cc.Inc
+	labels Paged[int64] // last published
+	pub    pubState
+}
 
 // CC adapts an IncCC maintainer.
 func CC(inc *cc.Inc) Serveable { return &ccServeable{inc: inc} }
@@ -158,10 +212,12 @@ func CC(inc *cc.Inc) Serveable { return &ccServeable{inc: inc} }
 func (s *ccServeable) Algo() string        { return "cc" }
 func (s *ccServeable) Graph() *graph.Graph { return s.inc.Graph() }
 func (s *ccServeable) Apply(b graph.Batch) ApplyResult {
+	s.pub.applied()
 	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
 }
 func (s *ccServeable) Snapshot() any {
-	return CCView{Labels: append([]int64(nil), s.inc.Labels()...)}
+	s.labels = s.labels.Update(s.inc.Labels(), s.pub.written(s.inc.Written()))
+	return CCView{Labels: s.labels}
 }
 func (s *ccServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
 
@@ -191,9 +247,13 @@ func (s *ccServeable) RestoreState(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return err
 	}
+	s.pub.unknown()
 	return s.inc.RestoreState(st.Labels, st.TS, st.Clock)
 }
-func (s *ccServeable) Recompute() { s.inc = cc.NewInc(s.inc.Graph()) }
+func (s *ccServeable) Recompute() {
+	s.pub.unknown()
+	s.inc = cc.NewInc(s.inc.Graph())
+}
 
 // SimView is the published snapshot of a graph-simulation maintainer.
 type SimView struct {
@@ -202,11 +262,28 @@ type SimView struct {
 	// Count is the number of (data node, pattern node) matches in the
 	// maximum simulation.
 	Count int `json:"count"`
-	// Matches[u] lists the data nodes matching pattern node u.
-	Matches [][]graph.NodeID `json:"matches"`
+	// Matches[u] lists the data nodes matching pattern node u, ascending.
+	Matches []Paged[graph.NodeID] `json:"matches"`
 }
 
-type simServeable struct{ inc *sim.Inc }
+// viewFields cuts every match list to the data nodes in [lo, hi): the
+// lists ascend, so those are one run, found by binary search.
+func (v SimView) viewFields(lo, hi int) []viewField {
+	list := make([]cut, len(v.Matches))
+	for u, m := range v.Matches {
+		at := func(bound int) int {
+			return sort.Search(m.Len(), func(k int) bool { return int(m.At(k)) >= bound })
+		}
+		list[u] = cut{m, at(lo), at(hi)}
+	}
+	return []viewField{{name: "nq", num: int64(v.NQ)}, {name: "count", num: int64(v.Count)}, {name: "matches", list: list}}
+}
+
+type simServeable struct {
+	inc     *sim.Inc
+	matches []Paged[graph.NodeID] // last published
+	scratch []graph.NodeID        // one match list being gathered
+}
 
 // Sim adapts an IncSim maintainer.
 func Sim(inc *sim.Inc) Serveable { return &simServeable{inc: inc} }
@@ -220,16 +297,19 @@ func (s *simServeable) Apply(b graph.Batch) ApplyResult {
 func (s *simServeable) Snapshot() any {
 	r := s.inc.Relation()
 	n := len(r.Bits) / r.NQ
-	v := SimView{NQ: r.NQ, Count: r.Count(), Matches: make([][]graph.NodeID, r.NQ)}
+	if s.matches == nil {
+		s.matches = make([]Paged[graph.NodeID], r.NQ)
+	}
 	for u := 0; u < r.NQ; u++ {
-		v.Matches[u] = []graph.NodeID{}
+		s.scratch = s.scratch[:0]
 		for d := 0; d < n; d++ {
 			if r.Match(graph.NodeID(d), graph.NodeID(u)) {
-				v.Matches[u] = append(v.Matches[u], graph.NodeID(d))
+				s.scratch = append(s.scratch, graph.NodeID(d))
 			}
 		}
+		s.matches[u] = s.matches[u].Update(s.scratch, nil)
 	}
-	return v
+	return SimView{NQ: r.NQ, Count: r.Count(), Matches: slices.Clone(s.matches)}
 }
 
 // simState is the gob envelope of PersistState: the match relation, the
@@ -259,12 +339,23 @@ func (s *simServeable) Recompute() { s.inc = sim.NewInc(s.inc.Graph(), s.inc.Pat
 // DFSView is the published snapshot of a DFS maintainer: the canonical
 // forest as preorder/postorder intervals plus parent pointers.
 type DFSView struct {
-	First  []int32        `json:"first"`
-	Last   []int32        `json:"last"`
-	Parent []graph.NodeID `json:"parent"`
+	First  Paged[int32]        `json:"first"`
+	Last   Paged[int32]        `json:"last"`
+	Parent Paged[graph.NodeID] `json:"parent"`
 }
 
-type dfsServeable struct{ inc *dfs.Inc }
+func (v DFSView) viewFields(lo, hi int) []viewField {
+	return []viewField{
+		{name: "first", vec: cutOf(v.First, lo, hi)},
+		{name: "last", vec: cutOf(v.Last, lo, hi)},
+		{name: "parent", vec: cutOf(v.Parent, lo, hi)},
+	}
+}
+
+type dfsServeable struct {
+	inc  *dfs.Inc
+	last DFSView // last published
+}
 
 // DFS adapts an IncDFS maintainer.
 func DFS(inc *dfs.Inc) Serveable { return &dfsServeable{inc: inc} }
@@ -278,11 +369,12 @@ func (s *dfsServeable) Apply(b graph.Batch) ApplyResult {
 }
 func (s *dfsServeable) Snapshot() any {
 	t := s.inc.Tree()
-	return DFSView{
-		First:  append([]int32(nil), t.First...),
-		Last:   append([]int32(nil), t.Last...),
-		Parent: append([]graph.NodeID(nil), t.Parent...),
+	s.last = DFSView{
+		First:  s.last.First.Update(t.First, nil),
+		Last:   s.last.Last.Update(t.Last, nil),
+		Parent: s.last.Parent.Update(t.Parent, nil),
 	}
+	return s.last
 }
 
 // dfsState is the gob envelope of PersistState: the interval variables
@@ -313,13 +405,25 @@ func (s *dfsServeable) Flat() *graph.Flat { return s.inc.Flat() }
 // LCCView is the published snapshot of a local-clustering-coefficient
 // maintainer.
 type LCCView struct {
-	Deg []int32 `json:"deg"`
-	Tri []int64 `json:"tri"`
+	Deg Paged[int32] `json:"deg"`
+	Tri Paged[int64] `json:"tri"`
 	// Gamma[v] is the local clustering coefficient of v.
-	Gamma []float64 `json:"gamma"`
+	Gamma Paged[float64] `json:"gamma"`
 }
 
-type lccServeable struct{ inc *lcc.Inc }
+func (v LCCView) viewFields(lo, hi int) []viewField {
+	return []viewField{
+		{name: "deg", vec: cutOf(v.Deg, lo, hi)},
+		{name: "tri", vec: cutOf(v.Tri, lo, hi)},
+		{name: "gamma", vec: cutOf(v.Gamma, lo, hi)},
+	}
+}
+
+type lccServeable struct {
+	inc   *lcc.Inc
+	last  LCCView   // last published
+	gamma []float64 // scratch the coefficients are derived into
+}
 
 // LCC adapts an IncLCC maintainer.
 func LCC(inc *lcc.Inc) Serveable { return &lccServeable{inc: inc} }
@@ -333,15 +437,16 @@ func (s *lccServeable) Apply(b graph.Batch) ApplyResult {
 }
 func (s *lccServeable) Snapshot() any {
 	r := s.inc.Result()
-	v := LCCView{
-		Deg:   append([]int32(nil), r.Deg...),
-		Tri:   append([]int64(nil), r.Tri...),
-		Gamma: make([]float64, len(r.Deg)),
+	s.gamma = s.gamma[:0]
+	for i := range r.Deg {
+		s.gamma = append(s.gamma, r.Gamma(graph.NodeID(i)))
 	}
-	for i := range v.Gamma {
-		v.Gamma[i] = r.Gamma(graph.NodeID(i))
+	s.last = LCCView{
+		Deg:   s.last.Deg.Update(r.Deg, nil),
+		Tri:   s.last.Tri.Update(r.Tri, nil),
+		Gamma: s.last.Gamma.Update(s.gamma, nil),
 	}
-	return v
+	return s.last
 }
 
 // lccState is the gob envelope of PersistState: d_v and λ_v are IncLCC's
@@ -367,12 +472,22 @@ func (s *lccServeable) Recompute() { s.inc = lcc.NewInc(s.inc.Graph()) }
 // BCView is the published snapshot of a biconnectivity maintainer.
 type BCView struct {
 	// Articulation[v] reports whether v is an articulation point.
-	Articulation []bool `json:"articulation"`
+	Articulation Paged[bool] `json:"articulation"`
 	// NumComps is the number of biconnected edge components.
 	NumComps int `json:"num_comps"`
 }
 
-type bcServeable struct{ inc *bc.Inc }
+func (v BCView) viewFields(lo, hi int) []viewField {
+	return []viewField{
+		{name: "articulation", vec: cutOf(v.Articulation, lo, hi)},
+		{name: "num_comps", num: int64(v.NumComps)},
+	}
+}
+
+type bcServeable struct {
+	inc  *bc.Inc
+	arts Paged[bool] // last published
+}
 
 // BC adapts an IncBC maintainer.
 func BC(inc *bc.Inc) Serveable { return &bcServeable{inc: inc} }
@@ -390,10 +505,8 @@ func (s *bcServeable) Apply(b graph.Batch) ApplyResult {
 }
 func (s *bcServeable) Snapshot() any {
 	r := s.inc.Result()
-	return BCView{
-		Articulation: append([]bool(nil), r.Articulation...),
-		NumComps:     r.NumComps(),
-	}
+	s.arts = s.arts.Update(r.Articulation, nil)
+	return BCView{Articulation: s.arts, NumComps: r.NumComps()}
 }
 
 // bcState is the gob envelope of PersistState: the articulation flags

@@ -187,6 +187,9 @@ func VerifyRecovered(targets map[string]Serveable, rec *trace.Recorder) []string
 		before := m.Snapshot()
 		m.Recompute()
 		after := m.Snapshot()
+		// Paged vectors make this cheap and exact: Update shares every
+		// page the recompute left equal (pointer-equal, which DeepEqual
+		// short-circuits on) and copies a page only where content differs.
 		ok := reflect.DeepEqual(before, after)
 		if !ok {
 			divergent = append(divergent, name)

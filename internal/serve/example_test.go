@@ -27,7 +27,7 @@ func ExampleNewHost() {
 	}
 	v := h.View()
 	fmt.Println("epoch:", v.Epoch)
-	fmt.Println("dist:", v.Data.(serve.SSSPView).Dist)
+	fmt.Println("dist:", v.Data.(serve.SSSPView).Dist.Slice())
 	// Output:
 	// epoch: 1
 	// dist: [0 4 8]

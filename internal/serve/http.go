@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,7 +22,9 @@ import (
 // Service is a set of named hosts behind one HTTP API:
 //
 //	POST /update[?algo=<name>][&wait=1]  body: batch text ("+ u v w" / "- u v [w]")
-//	GET  /query/{algo}[?compact=1]       current snapshot view, JSON (compact: not indented)
+//	GET  /query/{algo}[?compact=1][&range=lo:hi]
+//	                                     current snapshot view, JSON (compact: not indented;
+//	                                     range: per-node vectors cut to nodes lo ≤ v < hi)
 //	GET  /stats                          per-host serving counters, JSON
 //	GET  /metrics                        Prometheus text exposition
 //	GET  /metrics.json                   registry snapshot with raw histogram buckets
@@ -227,22 +232,7 @@ func (s *Service) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, stats)
 	})
-	mux.HandleFunc("GET /query/{algo}", func(w http.ResponseWriter, r *http.Request) {
-		h := s.Get(r.PathValue("algo"))
-		if h == nil {
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown algo %q", r.PathValue("algo")))
-			return
-		}
-		// ?compact=1 is for machine readers — a shard router fetches a
-		// view per shard per query — for which indenting an O(|V|) vector
-		// triples the bytes on the wire and the time to scan them.
-		if r.URL.Query().Has("compact") {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(h.View())
-			return
-		}
-		writeJSON(w, http.StatusOK, h.View())
-	})
+	mux.HandleFunc("GET /query/{algo}", s.handleQuery)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	// The JSON snapshot keeps raw histogram buckets, so a federating
 	// router can merge per-shard distributions exactly; the text
@@ -317,6 +307,228 @@ func (s *Service) Handler() http.Handler {
 	// X-Incgraph-Deadline budget; the middleware turns it into a context
 	// deadline so shard-local work is bounded by the caller's patience.
 	return resilience.Middleware(mux)
+}
+
+// handleQuery answers GET /query/{algo} with the host's published view.
+// The body is assembled whole before the header is written — envelope
+// and scalars with strconv, every page of a per-node vector from the
+// page's encoded-bytes cache — so an answer that cannot be encoded is a
+// 500 rather than a truncated 200, every answer carries Content-Length,
+// and a page no apply touched since the last read is not encoded again.
+// The bytes are what json.Encoder wrote for the same view: indented by
+// default, on one line under ?compact=1 (for machine readers — a shard
+// router fetches a view per shard per query — for which indenting an
+// O(|V|) vector triples the bytes on the wire). ?range=lo:hi cuts every
+// per-node vector to the nodes lo ≤ v < hi, reading only the pages the
+// range overlaps, and adds "range":[lo,hi] to the envelope.
+func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
+	h := s.Get(r.PathValue("algo"))
+	if h == nil {
+		httpError(w, http.StatusNotFound, fmt.Errorf("unknown algo %q", r.PathValue("algo")))
+		return
+	}
+	q := r.URL.Query()
+	var rng *[2]int
+	if raws, ok := q["range"]; ok {
+		lohi, err := parseRange(raws, h.NumNodes())
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		rng = &lohi
+	}
+	bp := viewBufs.Get().(*[]byte)
+	defer viewBufs.Put(bp)
+	vw := viewWriter{b: (*bp)[:0]}
+	if q.Has("compact") {
+		vw.form = formCompact
+	}
+	err := vw.view(h.View(), rng)
+	*bp = vw.b
+	h.met.pagesEncoded.Add(float64(vw.encoded))
+	switch {
+	case errors.Is(err, errNoRange):
+		httpError(w, http.StatusBadRequest, fmt.Errorf("algo %s: %w", h.Algo(), err))
+		return
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("algo %s: encoding view: %w", h.Algo(), err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(vw.b)))
+	w.Write(vw.b) // a failed write is the client gone; nothing to report to
+}
+
+// parseRange parses the values of ?range= against a graph of n nodes:
+// exactly one "lo:hi" of plain decimals with 0 ≤ lo ≤ hi ≤ n.
+func parseRange(raws []string, n int) (lohi [2]int, err error) {
+	if len(raws) != 1 {
+		return lohi, fmt.Errorf("bad range %q: want one lo:hi", raws)
+	}
+	los, his, ok := strings.Cut(raws[0], ":")
+	lo, errLo := strconv.ParseUint(los, 10, 31)
+	hi, errHi := strconv.ParseUint(his, 10, 31)
+	if !ok || errLo != nil || errHi != nil || lo > hi || hi > uint64(n) {
+		return lohi, fmt.Errorf("bad range %q: want lo:hi with 0 <= lo <= hi <= %d", raws[0], n)
+	}
+	return [2]int{int(lo), int(hi)}, nil
+}
+
+// viewBufs pools the answer buffers of handleQuery; a buffer settles at
+// the size of one answer.
+var viewBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// errNoRange rejects ?range= on a view with no per-node vectors to cut
+// (a Serveable outside this package whose Snapshot is not a paged view).
+var errNoRange = errors.New("view has no per-node vectors to cut to a range")
+
+// viewWriter assembles one /query answer in b, byte for byte what
+// json.Encoder (with SetIndent("", "  ") in the indented form) writes
+// for the View. encoded counts the pages it had to encode rather than
+// copy from their cache.
+type viewWriter struct {
+	b       []byte
+	form    wireForm // the zero value is the indented default
+	encoded int
+}
+
+// nl starts a line at nesting depth (indented form only).
+func (w *viewWriter) nl(depth int) {
+	if w.form == formIndent {
+		w.b = append(w.b, elemSep(formIndent, depth)[1:]...)
+	}
+}
+
+// key starts the object member name at depth; first is the object's
+// first member.
+func (w *viewWriter) key(depth int, first bool, name string) {
+	if !first {
+		w.b = append(w.b, ',')
+	}
+	w.nl(depth)
+	w.b = append(append(append(w.b, '"'), name...), `":`...)
+	if w.form == formIndent {
+		w.b = append(w.b, ' ')
+	}
+}
+
+func (w *viewWriter) view(v *View, rng *[2]int) error {
+	algo, err := json.Marshal(v.Algo) // owns string escaping
+	if err != nil {
+		return err
+	}
+	w.b = append(w.b, '{')
+	w.key(1, true, "algo")
+	w.b = append(w.b, algo...)
+	w.key(1, false, "epoch")
+	w.b = strconv.AppendUint(w.b, v.Epoch, 10)
+	w.key(1, false, "batches")
+	w.b = strconv.AppendUint(w.b, v.Batches, 10)
+	if v.Degraded {
+		w.key(1, false, "degraded")
+		w.b = append(w.b, "true"...)
+	}
+	if rng != nil {
+		w.key(1, false, "range")
+		w.b = append(w.b, '[')
+		w.nl(2)
+		w.b = append(strconv.AppendInt(w.b, int64(rng[0]), 10), ',')
+		w.nl(2)
+		w.b = strconv.AppendInt(w.b, int64(rng[1]), 10)
+		w.nl(1)
+		w.b = append(w.b, ']')
+	}
+	w.key(1, false, "data")
+	if err := w.data(v.Data, rng); err != nil {
+		return err
+	}
+	w.nl(0)
+	w.b = append(w.b, "}\n"...)
+	return nil
+}
+
+// data writes the view's result object: field by field from pages for
+// the six hosted view types, through encoding/json for anything else a
+// Serveable's Snapshot may return.
+func (w *viewWriter) data(d any, rng *[2]int) error {
+	pv, ok := d.(pagedView)
+	if !ok {
+		if rng != nil {
+			return errNoRange
+		}
+		raw, err := json.Marshal(d)
+		if err != nil {
+			return err
+		}
+		if w.form == formCompact {
+			w.b = append(w.b, raw...)
+			return nil
+		}
+		buf := bytes.NewBuffer(w.b)
+		err = json.Indent(buf, raw, "  ", "  ")
+		w.b = buf.Bytes()
+		return err
+	}
+	lo, hi := 0, math.MaxInt
+	if rng != nil {
+		lo, hi = rng[0], rng[1]
+	}
+	w.b = append(w.b, '{')
+	for i, f := range pv.viewFields(lo, hi) {
+		w.key(2, i == 0, f.name)
+		switch {
+		case f.list != nil:
+			if err := w.vectors(f.list, 3); err != nil {
+				return err
+			}
+		case f.vec.v != nil:
+			if err := w.vector(f.vec, 3); err != nil {
+				return err
+			}
+		default:
+			w.b = strconv.AppendInt(w.b, f.num, 10)
+		}
+	}
+	w.nl(1)
+	w.b = append(w.b, '}')
+	return nil
+}
+
+// vectors writes list as an array of arrays whose elements (the inner
+// arrays) sit at depth.
+func (w *viewWriter) vectors(list []cut, depth int) error {
+	if len(list) == 0 {
+		w.b = append(w.b, "[]"...)
+		return nil
+	}
+	w.b = append(w.b, '[')
+	for k, c := range list {
+		if k > 0 {
+			w.b = append(w.b, ',')
+		}
+		w.nl(depth)
+		if err := w.vector(c, depth+1); err != nil {
+			return err
+		}
+	}
+	w.nl(depth - 1)
+	w.b = append(w.b, ']')
+	return nil
+}
+
+// vector writes the cut c as an array whose elements sit at depth.
+func (w *viewWriter) vector(c cut, depth int) error {
+	if c.lo >= c.hi {
+		w.b = append(w.b, "[]"...)
+		return nil
+	}
+	w.b = append(w.b, '[')
+	w.nl(depth)
+	b, n, err := c.v.appendRange(w.b, w.form, depth, c.lo, c.hi)
+	w.b, w.encoded = b, w.encoded+n
+	w.nl(depth - 1)
+	w.b = append(w.b, ']')
+	return err
 }
 
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -217,4 +219,160 @@ func TestServiceDuplicateAlgo(t *testing.T) {
 		t.Fatal("duplicate algo registered")
 	}
 	svc.Close()
+}
+
+// unencodable is a Serveable whose snapshot encoding/json refuses.
+type unencodable struct{ slowServeable }
+
+func (*unencodable) Algo() string  { return "broken" }
+func (*unencodable) Snapshot() any { return map[string]any{"f": func() {}} }
+
+// TestHTTPQueryEncodeFailureIs500: the answer is assembled before the
+// header goes out, so a view that cannot be encoded is a 500 with the
+// JSON error envelope — it used to be a 200 whose body stopped where the
+// encoder gave up — and every answer that does go out says how long it is.
+func TestHTTPQueryEncodeFailureIs500(t *testing.T) {
+	svc, ts := newTestService(t)
+	if _, err := svc.Host(&unencodable{slowServeable{g: graph.New(2, false)}}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"", "?compact=1"} {
+		resp, err := http.Get(ts.URL + "/query/broken" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(body["error"], "unsupported type") {
+			t.Errorf("broken%s: status %d, body %v (%v); want 500 naming the unsupported type", q, resp.StatusCode, body, err)
+		}
+	}
+	for _, path := range []string{"/query/sssp", "/query/cc?compact=1", "/query/sssp?range=1:3"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: status %d, Content-Length %d for %d bytes, transfer encoding %v", path,
+				resp.StatusCode, resp.ContentLength, len(body), resp.TransferEncoding)
+		}
+	}
+}
+
+// rangedView is what a /query answer decodes to for the range tests.
+type rangedView struct {
+	Epoch uint64  `json:"epoch"`
+	Range *[2]int `json:"range"`
+	Data  struct {
+		Src    *int    `json:"src"`
+		Dist   []int64 `json:"dist"`
+		Labels []int64 `json:"labels"`
+	} `json:"data"`
+}
+
+// TestHTTPQueryRange: ?range=lo:hi cuts the per-node vectors to the
+// half-open node range, keeps the scalars, echoes the range, and
+// rejects anything that is not one well-formed in-bounds range with a
+// 400 naming the value.
+func TestHTTPQueryRange(t *testing.T) {
+	_, ts := newTestService(t) // 6 nodes; sssp from 0 over 0-1-2: dist 0 2 4 ∞ ∞ ∞
+	var full rangedView
+	getJSON(t, ts.URL+"/query/sssp", &full)
+	if full.Range != nil || len(full.Data.Dist) != 6 {
+		t.Fatalf("full view: %+v", full)
+	}
+	for _, tc := range []struct {
+		q      string
+		lo, hi int
+	}{{"0:6", 0, 6}, {"1:3", 1, 3}, {"2:3", 2, 3}, {"4:4", 4, 4}, {"0:0", 0, 0}, {"6:6", 6, 6}, {"05:6", 5, 6}} {
+		for _, extra := range []string{"", "&compact=1"} {
+			var got rangedView
+			if code := getJSON(t, ts.URL+"/query/sssp?range="+tc.q+extra, &got); code != http.StatusOK {
+				t.Fatalf("range=%s: status %d", tc.q, code)
+			}
+			if got.Range == nil || *got.Range != [2]int{tc.lo, tc.hi} || got.Data.Src == nil || *got.Data.Src != 0 ||
+				!reflect.DeepEqual(got.Data.Dist, append([]int64{}, full.Data.Dist[tc.lo:tc.hi]...)) {
+				t.Errorf("range=%s%s: %+v, want dist %v", tc.q, extra, got, full.Data.Dist[tc.lo:tc.hi])
+			}
+		}
+	}
+	var labels rangedView
+	getJSON(t, ts.URL+"/query/cc?range=2:5", &labels)
+	if !reflect.DeepEqual(labels.Data.Labels, []int64{0, 3, 4}) {
+		t.Errorf("cc range=2:5: labels %v, want [0 3 4]", labels.Data.Labels)
+	}
+	for _, bad := range []string{"", ":", "1", "1:", ":2", "3:1", "0:7", "-1:2", "+1:2", "1:2:3", "a:b", "1:2&range=1:2",
+		"1 :2", "0x1:2", "1.0:2", "99999999999999999999:2", "0:99999999999999999999"} {
+		resp, err := http.Get(ts.URL + "/query/sssp?range=" + strings.ReplaceAll(url.QueryEscape(bad), "%26range%3D", "&range="))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]string
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		value, _, _ := strings.Cut(bad, "&")
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], fmt.Sprintf("%q", value)) {
+			t.Errorf("range=%s: status %d, error %q; want 400 quoting the value", bad, resp.StatusCode, body["error"])
+		}
+	}
+}
+
+// FuzzQueryRange throws arbitrary ?range= values at the handler: it
+// answers 200 or 400, never anything else, and a 200 carries exactly the
+// requested slice of the full vector under the range it echoes.
+func FuzzQueryRange(f *testing.F) {
+	for _, s := range []string{"0:6", "1:3", "3:1", "0:7", "6:6", "", ":", "1:", "-1:2", "+1:2", "1:2:3", "007:6",
+		"4294967296:4294967297", "2147483648:2147483648", "99999999999999999999:1", "1:2&range=3:4", "1%3A2", "١:٢", " 1:2", "1:2\x00"} {
+		f.Add(s)
+	}
+	svc := NewService()
+	g := graph.New(2*pageSize+3, false)
+	for v := 1; v < g.NumNodes(); v += 2 {
+		g.InsertEdge(graph.NodeID(v-1), graph.NodeID(v), int64(v))
+	}
+	if _, err := svc.Host(CC(cc.NewInc(g)), Options{}); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(svc.Close)
+	handler := svc.Handler()
+	full := svc.Get("cc").View().Data.(CCView).Labels.Slice()
+	f.Fuzz(func(t *testing.T, raw string) {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query/cc?compact=1&range="+url.QueryEscape(raw), nil))
+		switch rec.Code {
+		case http.StatusBadRequest:
+			lo, hi, ok := strings.Cut(raw, ":")
+			l, errL := strconv.Atoi(lo)
+			h, errH := strconv.Atoi(hi)
+			signed := strings.ContainsAny(raw, "+-")
+			if ok && errL == nil && errH == nil && !signed && l <= h && h <= len(full) {
+				t.Fatalf("range=%q rejected: %s", raw, rec.Body)
+			}
+		case http.StatusOK:
+			var got rangedView
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.Range == nil {
+				t.Fatalf("range=%q: %v in %s", raw, err, rec.Body)
+			}
+			lo, hi := got.Range[0], got.Range[1]
+			if lo < 0 || lo > hi || hi > len(full) || !reflect.DeepEqual(got.Data.Labels, append([]int64{}, full[lo:hi]...)) {
+				t.Fatalf("range=%q answered [%d,%d) with %d labels", raw, lo, hi, len(got.Data.Labels))
+			}
+			if !sameRange(raw, lo, hi) {
+				t.Fatalf("range=%q answered as %d:%d", raw, lo, hi)
+			}
+		default:
+			t.Fatalf("range=%q: status %d", raw, rec.Code)
+		}
+	})
+}
+
+// sameRange reports whether raw spells lo:hi up to leading zeros.
+func sameRange(raw string, lo, hi int) bool {
+	l, h, ok := strings.Cut(raw, ":")
+	ln, errL := strconv.Atoi(l)
+	hn, errH := strconv.Atoi(h)
+	return ok && errL == nil && errH == nil && ln == lo && hn == hi
 }

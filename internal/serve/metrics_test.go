@@ -120,6 +120,58 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Errorf("%s flat overlay ratio %g after compacting, want 0", algo, r)
 		}
 	}
+
+	// Publication: the six-node views are one page each, the batch
+	// changed both answers (3 joins 0's component and comes into reach, 2
+	// is cut off), so each publish copied that page; nobody has read a
+	// view yet, so nothing has been encoded.
+	scrape := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return string(raw)
+	}
+	for _, algo := range []string{"cc", "sssp"} {
+		if c := promValue(t, expo, `incgraph_view_pages_copied_total{algo="`+algo+`"}`); c != 1 {
+			t.Errorf("%s pages copied %g, want 1", algo, c)
+		}
+		if p := promValue(t, expo, `incgraph_view_pages{algo="`+algo+`"}`); p != 1 {
+			t.Errorf("%s view pages %g, want 1", algo, p)
+		}
+		if e := promValue(t, expo, `incgraph_view_pages_encoded_total{algo="`+algo+`"}`); e != 0 {
+			t.Errorf("%s pages encoded %g before any read", algo, e)
+		}
+		// The first GET encodes the page, the second finds it cached; the
+		// other wire form has a cache slot of its own.
+		for i, want := range []float64{1, 1, 2, 2} {
+			q := []string{"", "", "?compact=1", "?compact=1"}[i]
+			resp, err := http.Get(ts.URL + "/query/" + algo + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if e := promValue(t, scrape(), `incgraph_view_pages_encoded_total{algo="`+algo+`"}`); e != want {
+				t.Errorf("%s pages encoded after GET %d (%q) = %g, want %g", algo, i+1, q, e, want)
+			}
+		}
+	}
+	// /debug/boundedness reports the serving layer's ratio beside the
+	// engine's: six entries copied for three net updates.
+	var reports map[string]BoundednessReport
+	if code := getJSON(t, ts.URL+"/debug/boundedness", &reports); code != http.StatusOK {
+		t.Fatalf("debug/boundedness status %d", code)
+	}
+	for _, algo := range []string{"cc", "sssp"} {
+		rep := reports[algo]
+		if rep.EntriesCopied != 6 || rep.PublishRatio != 2 || rep.BoundedRatio <= 0 {
+			t.Errorf("%s boundedness report: entries copied %d, publish ratio %g, bounded ratio %g; want 6, 2, > 0",
+				algo, rep.EntriesCopied, rep.PublishRatio, rep.BoundedRatio)
+		}
+	}
 }
 
 // TestDebugApplies checks the recent-applies trace ring over HTTP: the
@@ -149,6 +201,9 @@ func TestDebugApplies(t *testing.T) {
 		}
 		if tr.ApplyNanos <= 0 || tr.QueueWaitNanos < 0 || tr.UnixNanos <= 0 {
 			t.Errorf("%s: timings %+v", algo, tr)
+		}
+		if tr.PagesCopied != 1 || tr.PagesTotal != 1 {
+			t.Errorf("%s: published %d of %d pages, want 1 of 1", algo, tr.PagesCopied, tr.PagesTotal)
 		}
 	}
 	// CC runs on the fixpoint engine: the trace must carry its counters.

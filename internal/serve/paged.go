@@ -1,0 +1,404 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"sync/atomic"
+
+	"incgraph/internal/graph"
+)
+
+// pageSize is the number of entries one page of a Paged vector holds.
+// Chosen by measurement on the repository benchmark's trickle workload
+// (|V| = 100,000, ~75 scattered entries change between two paced reads;
+// see EXPERIMENTS.md, "View publication and paged reads"): at 256 those
+// changes dirty about a sixth of the 391 pages, so a read re-encodes a
+// sixth of the vector, and one publish copies a few 2 KiB pages. Halving
+// it no longer speeds up reads and doubles the page table; doubling it
+// doubles both the bytes copied per apply and the share of the vector a
+// read re-encodes.
+const (
+	pageShift = 8
+	pageSize  = 1 << pageShift
+)
+
+// chunkSize is the fan-out of a vector's page table: pages are reached
+// through chunks of this many page pointers, so replacing a page copies
+// one 128-byte chunk and a top level of |V|/4096 pointers rather than a
+// flat table of |V|/256 — at |V| = 400,000 the flat table was the larger
+// part of a small publish.
+const (
+	chunkShift = 4
+	chunkSize  = 1 << chunkShift
+)
+
+// PageElem lists the element types of the per-node vectors the hosted
+// query classes publish.
+type PageElem interface {
+	int32 | int64 | float64 | bool | graph.NodeID
+}
+
+// wireForm selects one of the two encodings GET /query/{algo} answers
+// in; a page caches its bytes once per form.
+type wireForm int
+
+const (
+	formIndent  wireForm = iota // two-space indented, the default answer
+	formCompact                 // ?compact=1 and json.Marshal
+	numForms
+)
+
+// encodedPage is a page's elements in one wire form: separated, with no
+// enclosing brackets, so whole pages concatenate into an array body.
+type encodedPage struct {
+	// depth is the nesting depth the indented form was produced for (the
+	// separator carries the indentation); 0 in the compact form.
+	depth int
+	b     []byte
+}
+
+// page is the unit of sharing and of encoding. A page is written only
+// while its vector is being built; once the vector is returned nobody
+// modifies vals again, which is what lets any number of epochs and
+// readers hold the same page. enc is the one mutable part: a cache slot
+// per wire form, filled by whichever reader first needs the page in that
+// form (racing readers store identical bytes) and garbage with the page.
+type page[T PageElem] struct {
+	enc  [numForms]atomic.Pointer[encodedPage]
+	n    int // entries in use; pageSize except in a vector's last page
+	vals [pageSize]T
+}
+
+func newPage[T PageElem](src []T) *page[T] {
+	pg := &page[T]{n: len(src)}
+	copy(pg.vals[:], src)
+	return pg
+}
+
+func (pg *page[T]) equal(src []T) bool {
+	return pg.n == len(src) && slices.Equal(pg.vals[:pg.n], src)
+}
+
+// Paged is an immutable vector stored as fixed-size pages that
+// successive versions share: Update builds the next version by copying
+// only the pages whose content changed. It is what the view types hold
+// in place of a deep-copied slice, so publishing a view costs what the
+// apply changed and a reader never encodes an unchanged page twice. The
+// zero value is the empty vector. Paged values are safe for concurrent
+// use; as JSON a Paged is the plain array.
+type Paged[T PageElem] struct {
+	n      int
+	chunks []*[chunkSize]*page[T] // immutable, like the pages: Update copies the path to a page it replaces
+}
+
+// Len returns the number of entries.
+func (p Paged[T]) Len() int { return p.n }
+
+// At returns entry i.
+func (p Paged[T]) At(i int) T { return p.page(i >> pageShift).vals[i&(pageSize-1)] }
+
+// Slice returns the entries as a freshly allocated slice.
+func (p Paged[T]) Slice() []T {
+	out := make([]T, 0, p.n)
+	for k := range p.numPages() {
+		pg := p.page(k)
+		out = append(out, pg.vals[:pg.n]...)
+	}
+	return out
+}
+
+func (p Paged[T]) numPages() int { return (p.n + pageSize - 1) >> pageShift }
+
+func (p Paged[T]) page(k int) *page[T] { return p.chunks[k>>chunkShift][k&(chunkSize-1)] }
+
+// set puts pg at page k of q, a vector being built from prev: the top
+// level and k's chunk are copied the first time a write reaches them,
+// and stay shared with prev otherwise.
+func (q *Paged[T]) set(prev Paged[T], k int, pg *page[T]) {
+	c := k >> chunkShift
+	if len(prev.chunks) > 0 && &q.chunks[0] == &prev.chunks[0] {
+		q.chunks = slices.Clone(q.chunks)
+	}
+	if c < len(prev.chunks) && q.chunks[c] == prev.chunks[c] {
+		own := *q.chunks[c]
+		q.chunks[c] = &own
+	}
+	q.chunks[c][k&(chunkSize-1)] = pg
+}
+
+// Update returns the vector holding cur, sharing with p every page whose
+// content is the same. written lists the indices that may differ from p
+// — a superset is fine, order and duplicates do not matter — and makes
+// the cost O(len(written) + pages copied × page size); nil means
+// unknown, and every page is compared (O(len(cur)), still copying only
+// what differs). cur is not retained. A vector equal to p is p itself.
+func (p Paged[T]) Update(cur []T, written []int32) Paged[T] {
+	if written == nil || len(cur) != p.n {
+		return p.rebuild(cur)
+	}
+	q := p
+	for _, i := range written {
+		k := int(i) >> pageShift
+		if old := p.page(k); q.page(k) == old && old.vals[int(i)&(pageSize-1)] != cur[i] {
+			q.set(p, k, newPage(cur[k<<pageShift:min((k+1)<<pageShift, len(cur))]))
+		} // else page k is already copied, or this entry did not change
+	}
+	return q
+}
+
+// rebuild is Update without a written list: page-by-page comparison.
+func (p Paged[T]) rebuild(cur []T) Paged[T] {
+	q := Paged[T]{n: len(cur), chunks: p.chunks}
+	np, was := q.numPages(), p.numPages()
+	if np != was { // a table of another size shares pages, not chunks
+		q.chunks = make([]*[chunkSize]*page[T], (np+chunkSize-1)>>chunkShift)
+		for c := range q.chunks {
+			q.chunks[c] = new([chunkSize]*page[T])
+		}
+	}
+	for k := range np {
+		src := cur[k<<pageShift : min((k+1)<<pageShift, len(cur))]
+		switch {
+		case k >= was || !p.page(k).equal(src):
+			q.set(p, k, newPage(src))
+		case np != was:
+			q.set(p, k, p.page(k))
+		}
+	}
+	return q
+}
+
+// pagesSince counts the pages (and the entries in them) p does not share
+// with prev, its predecessor: what publishing p copied. Chunks the two
+// share are skipped whole.
+func (p Paged[T]) pagesSince(prev pagedVec) (pages, entries int) {
+	q, _ := prev.(Paged[T])
+	was := q.numPages()
+	for k := 0; k < p.numPages(); k++ {
+		if c := k >> chunkShift; k&(chunkSize-1) == 0 && c < len(q.chunks) && p.chunks[c] == q.chunks[c] {
+			k += chunkSize - 1
+			continue
+		}
+		if pg := p.page(k); k >= was || q.page(k) != pg {
+			pages++
+			entries += pg.n
+		}
+	}
+	return pages, entries
+}
+
+// elemSep is what separates two array elements in form f at nesting
+// depth: a comma, and in the indented form the line break and
+// indentation json.Encoder's SetIndent("", "  ") would put there.
+func elemSep(f wireForm, depth int) string {
+	const indented = ",\n                " // deep enough for any view: vectors nest 3 or 4 levels
+	if f == formCompact {
+		return ","
+	}
+	return indented[:2+2*depth]
+}
+
+// appendRange appends entries [lo, hi) to b as array elements in form f
+// (no brackets), taking every page the range covers whole from its cache
+// and filling the cache where it is empty. encoded counts the pages that
+// had to be run through the encoder.
+func (p Paged[T]) appendRange(b []byte, f wireForm, depth, lo, hi int) (_ []byte, encoded int, err error) {
+	sep := elemSep(f, depth)
+	if f == formCompact {
+		depth = 0
+	}
+	first, start := lo>>pageShift, len(b)
+	for k := first; k<<pageShift < hi; k++ {
+		pg, base := p.page(k), k<<pageShift
+		from, to := max(lo-base, 0), min(hi-base, pg.n)
+		if k == first+1 {
+			// Reserve the rest at the first page's bytes per entry, so a
+			// buffer that starts empty (the first answer, or a pooled
+			// buffer the GC dropped) is grown once, not a quarter at a time.
+			b = slices.Grow(b, ((len(b)-start)/(base-lo)+1)*(hi-base))
+		}
+		if base > lo {
+			b = append(b, sep...)
+		}
+		if from > 0 || to < pg.n { // a range's ragged edge: encoded, not cached
+			encoded++
+			if b, err = appendElems(b, pg.vals[from:to], sep); err != nil {
+				return b, encoded, err
+			}
+			continue
+		}
+		enc := pg.enc[f].Load()
+		if enc == nil || enc.depth != depth {
+			encoded++
+			start := len(b)
+			if b, err = appendElems(b, pg.vals[:pg.n], sep); err != nil {
+				return b, encoded, err
+			}
+			pg.enc[f].Store(&encodedPage{depth: depth, b: bytes.Clone(b[start:])})
+			continue
+		}
+		b = append(b, enc.b...)
+	}
+	return b, encoded, nil
+}
+
+// MarshalJSON encodes the vector as a JSON array, from the pages'
+// compact cache.
+func (p Paged[T]) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 2+4*p.n), '[')
+	b, _, err := p.appendRange(b, formCompact, 0, 0, p.n)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, ']'), nil
+}
+
+// UnmarshalJSON decodes a JSON array (or null, as the empty vector).
+func (p *Paged[T]) UnmarshalJSON(data []byte) error {
+	var vals []T
+	if err := json.Unmarshal(data, &vals); err != nil {
+		return err
+	}
+	*p = Paged[T]{}.Update(vals, nil)
+	return nil
+}
+
+// appendElems appends vals as JSON values separated by sep, each exactly
+// as encoding/json writes it.
+func appendElems[T PageElem](b []byte, vals []T, sep string) ([]byte, error) {
+	switch v := any(vals).(type) {
+	case []int64:
+		return AppendInts(b, v, sep), nil
+	case []int32:
+		return AppendInts(b, v, sep), nil
+	case []graph.NodeID:
+		return AppendInts(b, v, sep), nil
+	case []bool:
+		for i, x := range v {
+			if i > 0 {
+				b = append(b, sep...)
+			}
+			b = strconv.AppendBool(b, x)
+		}
+		return b, nil
+	case []float64:
+		for i, x := range v {
+			if i > 0 {
+				b = append(b, sep...)
+			}
+			var err error
+			if b, err = appendFloat(b, x); err != nil {
+				return b, err
+			}
+		}
+		return b, nil
+	}
+	panic("unreachable: PageElem lists the cases above")
+}
+
+// AppendInts appends vals in decimal, separated by sep — the one
+// integer-vector encoder behind both the daemon's view pages and the
+// router's merged answer (sep "," writes a compact JSON array body).
+func AppendInts[T ~int32 | ~int64](b []byte, vals []T, sep string) []byte {
+	for i, x := range vals {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return b
+}
+
+// appendFloat appends f the way encoding/json formats a float64: the
+// shortest representation that round-trips, exponent form only below
+// 1e-6 or from 1e21 up (with the exponent's leading zero dropped), and
+// an error for NaN and the infinities, which JSON cannot carry.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// pagedVec is a Paged[T] with its element type erased: what the view
+// writer and the publication accounting need of a vector.
+type pagedVec interface {
+	Len() int
+	numPages() int
+	appendRange(b []byte, f wireForm, depth, lo, hi int) ([]byte, int, error)
+	pagesSince(prev pagedVec) (pages, entries int)
+}
+
+// cut is the part [lo, hi) of a vector.
+type cut struct {
+	v      pagedVec
+	lo, hi int
+}
+
+// cutOf clips the node range [lo, hi) to v's length.
+func cutOf(v pagedVec, lo, hi int) cut {
+	hi = min(hi, v.Len())
+	return cut{v, min(lo, hi), hi}
+}
+
+// viewField is one key of a view's data object: a number, one per-node
+// vector, or (sim's matches) a list of vectors.
+type viewField struct {
+	name string
+	num  int64
+	vec  cut   // set when vec.v != nil
+	list []cut // set when non-nil
+}
+
+// pagedView is implemented by the six view types: the view's JSON keys
+// in declaration order, every per-node vector cut to the nodes [lo, hi).
+type pagedView interface {
+	viewFields(lo, hi int) []viewField
+}
+
+// vectorsOf lists the vectors a view holds, in field order.
+func vectorsOf(data any) []pagedVec {
+	pv, ok := data.(pagedView)
+	if !ok {
+		return nil
+	}
+	var out []pagedVec
+	for _, f := range pv.viewFields(0, math.MaxInt) {
+		if f.vec.v != nil {
+			out = append(out, f.vec.v)
+		}
+		for _, c := range f.list {
+			out = append(out, c.v)
+		}
+	}
+	return out
+}
+
+// publishDelta reports what publishing cur after prev copied: the pages
+// (and the entries in them) cur does not share with prev, of total.
+// Views that hold no paged vectors report zeros.
+func publishDelta(prev, cur any) (copied, entries, total int) {
+	old := vectorsOf(prev)
+	for i, v := range vectorsOf(cur) {
+		var was pagedVec
+		if i < len(old) {
+			was = old[i]
+		}
+		c, e := v.pagesSince(was)
+		copied, entries, total = copied+c, entries+e, total+v.numPages()
+	}
+	return copied, entries, total
+}

@@ -1,0 +1,464 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"incgraph/internal/cc"
+	"incgraph/internal/graph"
+	"incgraph/internal/sssp"
+)
+
+func pagedOf[T PageElem](vals []T) Paged[T] { return Paged[T]{}.Update(vals, nil) }
+
+// The plain mirrors of the envelope and the six view types: what the
+// wire format is defined by. encoding/json reflects over these with no
+// help from Paged, so comparing against them is not circular.
+type (
+	plainEnvelope struct {
+		Algo     string  `json:"algo"`
+		Epoch    uint64  `json:"epoch"`
+		Batches  uint64  `json:"batches"`
+		Degraded bool    `json:"degraded,omitempty"`
+		Range    *[2]int `json:"range,omitempty"`
+		Data     any     `json:"data"`
+	}
+	plainSSSP struct {
+		Src  graph.NodeID `json:"src"`
+		Dist []int64      `json:"dist"`
+	}
+	plainCC struct {
+		Labels []int64 `json:"labels"`
+	}
+	plainSim struct {
+		NQ      int              `json:"nq"`
+		Count   int              `json:"count"`
+		Matches [][]graph.NodeID `json:"matches"`
+	}
+	plainDFS struct {
+		First  []int32        `json:"first"`
+		Last   []int32        `json:"last"`
+		Parent []graph.NodeID `json:"parent"`
+	}
+	plainLCC struct {
+		Deg   []int32   `json:"deg"`
+		Tri   []int64   `json:"tri"`
+		Gamma []float64 `json:"gamma"`
+	}
+	plainBC struct {
+		Articulation []bool `json:"articulation"`
+		NumComps     int    `json:"num_comps"`
+	}
+)
+
+// sub is the plain slice of p's nodes [lo, hi), never nil: a vector
+// encodes as [] when empty.
+func sub[T PageElem](p Paged[T], lo, hi int) []T {
+	hi = min(hi, p.Len())
+	return append([]T{}, p.Slice()[min(lo, hi):hi]...)
+}
+
+// plainData mirrors a paged view, per-node vectors cut to [lo, hi).
+func plainData(t testing.TB, data any, lo, hi int) any {
+	switch v := data.(type) {
+	case SSSPView:
+		return plainSSSP{v.Src, sub(v.Dist, lo, hi)}
+	case CCView:
+		return plainCC{sub(v.Labels, lo, hi)}
+	case DFSView:
+		return plainDFS{sub(v.First, lo, hi), sub(v.Last, lo, hi), sub(v.Parent, lo, hi)}
+	case LCCView:
+		return plainLCC{sub(v.Deg, lo, hi), sub(v.Tri, lo, hi), sub(v.Gamma, lo, hi)}
+	case BCView:
+		return plainBC{sub(v.Articulation, lo, hi), v.NumComps}
+	case SimView:
+		p := plainSim{NQ: v.NQ, Count: v.Count, Matches: make([][]graph.NodeID, len(v.Matches))}
+		for u, m := range v.Matches {
+			p.Matches[u] = []graph.NodeID{}
+			for _, d := range m.Slice() {
+				if int(d) >= lo && int(d) < hi {
+					p.Matches[u] = append(p.Matches[u], d)
+				}
+			}
+		}
+		return p
+	}
+	t.Fatalf("no plain mirror for %T", data)
+	return nil
+}
+
+// referenceJSON is what json.Encoder writes for v (cut to rng) in each
+// wire form, indexed by wireForm.
+func referenceJSON(t testing.TB, v *View, rng *[2]int) [numForms][]byte {
+	lo, hi := 0, math.MaxInt
+	if rng != nil {
+		lo, hi = rng[0], rng[1]
+	}
+	env := plainEnvelope{v.Algo, v.Epoch, v.Batches, v.Degraded, rng, plainData(t, v.Data, lo, hi)}
+	var out [numForms][]byte
+	for f := range out {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		if wireForm(f) == formIndent {
+			enc.SetIndent("", "  ")
+		}
+		if err := enc.Encode(env); err != nil {
+			t.Fatal(err)
+		}
+		out[f] = buf.Bytes()
+	}
+	return out
+}
+
+// The boundary dictionaries the generated vectors draw from besides
+// random values: what the encoders treat specially.
+var (
+	edgeInts   = []int64{0, 1, -1, 9, 10, 99, 100, graph.Infinity, graph.Infinity - 1, math.MaxInt64, math.MinInt64, math.MaxInt32, math.MinInt32}
+	edgeFloats = []float64{0, math.Copysign(0, -1), 1, 0.5, 1.0 / 3, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, -1e21, 1.5e300, 5e-324, math.MaxFloat64}
+	edgeLens   = []int{0, 1, 2, pageSize - 1, pageSize, pageSize + 1, 2 * pageSize, 2*pageSize + 17, 3*pageSize - 1, chunkSize * pageSize, chunkSize*pageSize + 5}
+)
+
+func genInts[T int32 | int64 | graph.NodeID](rng *rand.Rand, n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		if rng.Intn(3) == 0 {
+			out[i] = T(edgeInts[rng.Intn(len(edgeInts))]) // truncates for the 32-bit types: still a value of T
+		} else {
+			out[i] = T(rng.Uint64())
+		}
+	}
+	return out
+}
+
+func genFloats(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		switch rng.Intn(3) {
+		case 0:
+			out[i] = edgeFloats[rng.Intn(len(edgeFloats))]
+		case 1:
+			out[i] = rng.Float64() // LCC's coefficients live in [0, 1]
+		default:
+			v, _ := quick.Value(reflect.TypeOf(float64(0)), rng)
+			out[i] = v.Float()
+		}
+	}
+	return out
+}
+
+func genBools(rng *rand.Rand, n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = rng.Intn(2) == 0
+	}
+	return out
+}
+
+// genViews builds one view of each class over n nodes.
+func genViews(rng *rand.Rand, n int) []any {
+	sim := SimView{NQ: rng.Intn(4), Count: rng.Intn(1000)}
+	sim.Matches = make([]Paged[graph.NodeID], sim.NQ)
+	for u := range sim.Matches {
+		var m []graph.NodeID
+		for d := 0; d < n; d++ {
+			if rng.Intn(3) > 0 {
+				m = append(m, graph.NodeID(d))
+			}
+		}
+		if rng.Intn(3) == 0 {
+			m = nil // a pattern node nothing matches
+		}
+		sim.Matches[u] = pagedOf(m)
+	}
+	return []any{
+		SSSPView{Src: graph.NodeID(rng.Intn(n + 1)), Dist: pagedOf(genInts[int64](rng, n))},
+		CCView{Labels: pagedOf(genInts[int64](rng, n))},
+		sim,
+		DFSView{pagedOf(genInts[int32](rng, n)), pagedOf(genInts[int32](rng, n)), pagedOf(genInts[graph.NodeID](rng, n))},
+		LCCView{pagedOf(genInts[int32](rng, n)), pagedOf(genInts[int64](rng, n)), pagedOf(genFloats(rng, n))},
+		BCView{Articulation: pagedOf(genBools(rng, n)), NumComps: rng.Intn(1 << 20)},
+	}
+}
+
+// TestViewWriterMatchesEncodingJSON is the wire-format property: for all
+// six view types, in both forms, whole and cut to a range, the handler's
+// writer produces json.Encoder's bytes — first from cold pages, then
+// again from the caches the first pass filled — and json.Marshal of the
+// view (the oracle's, the followers' and the benchmark's path) produces
+// json.Marshal's bytes of the plain mirror.
+func TestViewWriterMatchesEncodingJSON(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := edgeLens[rng.Intn(len(edgeLens))]
+		for _, data := range genViews(rng, n) {
+			v := &View{Algo: "x<y>&\"z", Epoch: rng.Uint64(), Batches: rng.Uint64(), Degraded: rng.Intn(2) == 0, Data: data}
+			lo := rng.Intn(n + 1)
+			cut := &[2]int{lo, lo + rng.Intn(n-lo+1)}
+			for _, r := range []*[2]int{nil, cut, {0, 0}, {n, n}, {0, n}} {
+				want := referenceJSON(t, v, r)
+				for pass := 0; pass < 2; pass++ {
+					for f := range want {
+						w := viewWriter{form: wireForm(f)}
+						if err := w.view(v, r); err != nil {
+							t.Errorf("seed %d %T range %v: %v", seed, data, r, err)
+							return false
+						}
+						if !bytes.Equal(w.b, want[f]) {
+							t.Errorf("seed %d %T n=%d range %v form %d pass %d:\ngot  %q\nwant %q", seed, data, n, r, f, pass, w.b, want[f])
+							return false
+						}
+					}
+				}
+			}
+			got, err := json.Marshal(v)
+			want, _ := json.Marshal(plainEnvelope{v.Algo, v.Epoch, v.Batches, v.Degraded, nil, plainData(t, data, 0, math.MaxInt)})
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("seed %d %T: json.Marshal(view) = %q, %v; want %q", seed, data, got, err, want)
+				return false
+			}
+		}
+		return true
+	}
+	for seed := int64(0); seed < int64(len(edgeLens))*4; seed++ { // every edge length a few times
+		if !check(seed) {
+			return
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestViewWriterForeignData: a Serveable outside this package may
+// snapshot anything; the writer falls back to encoding/json for the data
+// and still matches json.Encoder on the envelope.
+func TestViewWriterForeignData(t *testing.T) {
+	for _, data := range []any{
+		map[string]any{"b": []int{1, 2}, "a": map[string]int{}, "c": []int{}},
+		struct{}{}, nil, 7, "s", []string{"<"},
+	} {
+		v := &View{Algo: "foreign", Epoch: 3, Batches: 2, Data: data}
+		for f := wireForm(0); f < numForms; f++ {
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			if f == formIndent {
+				enc.SetIndent("", "  ")
+			}
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			w := viewWriter{form: f}
+			if err := w.view(v, nil); err != nil || !bytes.Equal(w.b, want.Bytes()) {
+				t.Errorf("%T form %d: %v\ngot  %q\nwant %q", data, f, err, w.b, want.Bytes())
+			}
+		}
+		w := viewWriter{}
+		if err := w.view(v, &[2]int{0, 0}); err != errNoRange {
+			t.Errorf("%T with a range: err %v, want errNoRange", data, err)
+		}
+	}
+}
+
+// TestPagedRoundTrip: Paged is the plain array as JSON, both ways.
+func TestPagedRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range edgeLens {
+		vals := genFloats(rng, n)
+		raw, err := json.Marshal(pagedOf(vals))
+		want, _ := json.Marshal(append([]float64{}, vals...))
+		if err != nil || !bytes.Equal(raw, want) {
+			t.Fatalf("n=%d: marshal %q, %v; want %q", n, raw, err, want)
+		}
+		var back Paged[float64]
+		if err := json.Unmarshal(raw, &back); err != nil || !slices.Equal(back.Slice(), vals) {
+			t.Fatalf("n=%d: unmarshal: %v", n, err)
+		}
+	}
+	var p Paged[int64]
+	if err := json.Unmarshal([]byte("null"), &p); err != nil || p.Len() != 0 {
+		t.Fatalf("null: %v, len %d", err, p.Len())
+	}
+	if err := json.Unmarshal([]byte(`[1,"x"]`), &p); err == nil {
+		t.Fatal("a string element decoded into Paged[int64]")
+	}
+	if _, err := json.Marshal(pagedOf([]float64{1, math.NaN()})); err == nil {
+		t.Fatal("NaN marshaled")
+	}
+}
+
+// TestPagedUpdateShares pins the sharing contract VerifyRecovered and
+// the publication accounting rest on: Update copies exactly the pages
+// whose content differs — with a written list or without — and a vector
+// that did not change is the same vector.
+func TestPagedUpdateShares(t *testing.T) {
+	const n = (chunkSize+3)*pageSize + 9 // two chunks of the page table, the last page ragged
+	cur := genInts[int64](rand.New(rand.NewSource(2)), n)
+	p := pagedOf(cur)
+	copied := func(q Paged[int64]) int { c, _ := q.pagesSince(p); return c }
+
+	if q := p.Update(cur, nil); copied(q) != 0 || &q.chunks[0] != &p.chunks[0] {
+		t.Fatalf("unchanged, nil list: %d pages copied", copied(q))
+	}
+	if q := p.Update(cur, []int32{0, 5, n - 1}); copied(q) != 0 || &q.chunks[0] != &p.chunks[0] {
+		t.Fatalf("unchanged, superset list: %d pages copied", copied(q))
+	}
+	// Two entries of page 1 and one of the ragged last page change.
+	next := slices.Clone(cur)
+	next[pageSize]++
+	next[pageSize+7]++
+	next[n-1]++
+	for name, written := range map[string][]int32{
+		"nil":      nil,
+		"exact":    {pageSize, pageSize + 7, n - 1},
+		"superset": {3, n - 1, pageSize + 7, pageSize, pageSize, 2 * pageSize},
+	} {
+		q := p.Update(next, written)
+		if !slices.Equal(q.Slice(), next) || copied(q) != 2 || q.page(0) != p.page(0) || q.page(2) != p.page(2) || q.page(chunkSize) != p.page(chunkSize) {
+			t.Fatalf("%s: %d pages copied, want 2 (page 1 and the last)", name, copied(q))
+		}
+		if !slices.Equal(p.Slice(), cur) {
+			t.Fatalf("%s: Update modified its receiver", name)
+		}
+	}
+	// The path to a replaced page is copied, the rest of the table shared.
+	one := slices.Clone(cur)
+	one[pageSize]++
+	if q := p.Update(one, []int32{pageSize}); q.chunks[0] == p.chunks[0] || q.chunks[1] != p.chunks[1] || copied(q) != 1 {
+		t.Fatalf("one page of chunk 0 replaced: chunk 0 shared %v, chunk 1 shared %v, %d pages copied",
+			q.chunks[0] == p.chunks[0], q.chunks[1] == p.chunks[1], copied(q))
+	}
+	// A length change rebuilds what it must and still shares equal pages.
+	longer := append(slices.Clone(cur), 1, 2, 3)
+	if q := p.Update(longer, []int32{}); !slices.Equal(q.Slice(), longer) || copied(q) != 1 {
+		t.Fatalf("grown vector: %d pages copied, want the last one", copied(q))
+	}
+	if q := p.Update(cur[:pageSize], nil); q.Len() != pageSize || q.page(0) != p.page(0) {
+		t.Fatal("shrunk vector does not share its first page")
+	}
+	if q := p.Update(nil, nil); q.Len() != 0 || q.numPages() != 0 {
+		t.Fatal("empty vector kept pages")
+	}
+	// At and Slice agree across page boundaries.
+	for _, i := range []int{0, pageSize - 1, pageSize, chunkSize*pageSize - 1, chunkSize * pageSize, n - 1} {
+		if p.At(i) != cur[i] {
+			t.Fatalf("At(%d) = %d, want %d", i, p.At(i), cur[i])
+		}
+	}
+}
+
+// TestPublishGuards: an apply that changes nothing publishes by sharing
+// every page and allocating a constant amount, and the written lists
+// the adapters feed Update cost no allocation to read.
+func TestPublishGuards(t *testing.T) {
+	const n = 8 * pageSize
+	g := graph.New(n, false)
+	for v := 1; v < n; v++ {
+		g.InsertEdge(graph.NodeID(v-1), graph.NodeID(v), 1)
+	}
+	sInc, cInc := sssp.NewInc(g.Clone(), 0), cc.NewInc(g.Clone())
+	for _, m := range []Serveable{SSSP(sInc, 0), CC(cInc)} {
+		first := m.Snapshot()
+		// Re-inserting an existing edge at its weight changes no answer.
+		noop := graph.Batch{{Kind: graph.InsertEdge, From: 3, To: 4, W: 1}}
+		var snap any
+		allocs := testing.AllocsPerRun(20, func() {
+			m.Apply(noop)
+			snap = m.Snapshot()
+		})
+		if c, _, total := publishDelta(first, snap); c != 0 || total == 0 {
+			t.Errorf("%s: a no-op apply copied %d of %d pages", m.Algo(), c, total)
+		}
+		// Apply itself allocates a little (the applied-batch slice, stats);
+		// the bound only has to exclude anything proportional to n/pageSize.
+		if allocs > 12 {
+			t.Errorf("%s: no-op apply+publish allocates %.0f objects", m.Algo(), allocs)
+		}
+		// A real change copies the pages it touched and no others.
+		m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: n - 2, To: n - 1}})
+		if c, _, total := publishDelta(snap, m.Snapshot()); c != 1 || total != n/pageSize {
+			t.Errorf("%s: cutting off the last node copied %d of %d pages, want 1", m.Algo(), c, total)
+		}
+		// Two applies between snapshots: the written list covers only the
+		// second, so the adapter must fall back to comparing.
+		m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: 0, To: 1}})
+		m.Apply(noop)
+		want, _ := json.Marshal(m.Snapshot())
+		m.Recompute()
+		if got, _ := json.Marshal(m.Snapshot()); !bytes.Equal(got, want) {
+			t.Errorf("%s: snapshot after two applies differs from the recompute", m.Algo())
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = sInc.Written() }); a != 0 {
+		t.Errorf("sssp Written allocates %.0f", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = cInc.Written() }); a != 0 {
+		t.Errorf("cc Written allocates %.0f", a)
+	}
+}
+
+// BenchmarkPagedUpdate: publishing 12 scattered changes costs the same
+// at |V| = 25k and 400k when a written list names them (the changes stay
+// inside the first 25k entries at both sizes), and one comparison pass
+// over the vector when none does.
+func BenchmarkPagedUpdate(b *testing.B) {
+	for _, n := range []int{25000, 400000} {
+		rng := rand.New(rand.NewSource(1))
+		cur := genInts[int64](rng, n)
+		p := pagedOf(cur)
+		written := make([]int32, 12)
+		for name, list := range map[string]func() []int32{"written-12": func() []int32 { return written }, "nil": func() []int32 { return nil }} {
+			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for j := range written {
+						written[j] = int32(rng.Intn(25000))
+						cur[written[j]]++
+					}
+					p = p.Update(cur, list())
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkViewWrite(b *testing.B) {
+	const n = 100000
+	rng := rand.New(rand.NewSource(1))
+	cur := make([]int64, n)
+	for i := range cur {
+		cur[i] = int64(rng.Intn(40))
+	}
+	p := pagedOf(cur)
+	for _, dirty := range []int{0, 75, n} {
+		b.Run(map[int]string{0: "warm", 75: "75-changed", n: "cold"}[dirty], func(b *testing.B) {
+			w := viewWriter{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				switch dirty {
+				case n:
+					p = Paged[int64]{}.Update(cur, nil)
+				case 0:
+				default:
+					written := make([]int32, dirty)
+					for j := range written {
+						written[j] = int32(rng.Intn(n))
+						cur[written[j]]++
+					}
+					p = p.Update(cur, written)
+				}
+				w.b = w.b[:0]
+				if err := w.view(&View{Algo: "sssp", Data: SSSPView{Dist: p}}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(w.b)))
+		})
+	}
+}

@@ -62,10 +62,10 @@ func TestHostParallelMatchesSequential(t *testing.T) {
 	// final graph (the unique fixpoint, regardless of batching schedule).
 	finalG := base.Clone()
 	finalG.Apply(stream.Net(finalG.Directed()))
-	if got := parS.View().Data.(SSSPView).Dist; !reflect.DeepEqual(got, sssp.Dijkstra(finalG, 0)) {
+	if got := parS.View().Data.(SSSPView).Dist.Slice(); !reflect.DeepEqual(got, sssp.Dijkstra(finalG, 0)) {
 		t.Fatal("sssp: parallel host's final view differs from fresh Dijkstra")
 	}
-	if got := parC.View().Data.(CCView).Labels; !reflect.DeepEqual(got, cc.Components(finalG)) {
+	if got := parC.View().Data.(CCView).Labels.Slice(); !reflect.DeepEqual(got, cc.Components(finalG)) {
 		t.Fatal("cc: parallel host's final view differs from batch components")
 	}
 
@@ -149,7 +149,7 @@ func TestHostWorkersSurviveHeal(t *testing.T) {
 	og := base.Clone()
 	og.Apply(b1.Net(og.Directed()))
 	og.Apply(b3.Net(og.Directed()))
-	if got := h.View().Data.(SSSPView).Dist; !reflect.DeepEqual(got, sssp.Dijkstra(og, 0)) {
+	if got := h.View().Data.(SSSPView).Dist.Slice(); !reflect.DeepEqual(got, sssp.Dijkstra(og, 0)) {
 		t.Fatal("post-heal parallel repairs diverged from oracle")
 	}
 }

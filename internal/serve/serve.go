@@ -23,9 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
-
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
@@ -48,9 +48,12 @@ type Serveable interface {
 	// Apply incorporates a (pre-coalesced) batch, returning the
 	// maintainer's affected-area measure and cost counters.
 	Apply(b graph.Batch) ApplyResult
-	// Snapshot returns a deep copy of the current result view. The value
-	// must remain valid — and must never be mutated by anyone — after
-	// further Apply calls, because readers retain it without locks.
+	// Snapshot returns the current result view. The value must remain
+	// valid — and must never be mutated by anyone — after further Apply
+	// calls, because readers retain it without locks; it may share
+	// immutable parts (the pages of a Paged vector) with earlier
+	// snapshots. Called only from the apply-loop goroutine, so an
+	// implementation may keep what it last returned and build on it.
 	Snapshot() any
 	// PersistState writes the maintainer's incremental state — the part a
 	// batch rerun cannot cheaply rebuild with the right anchor order
@@ -142,6 +145,11 @@ type ApplyTrace struct {
 	// BoundedRatio is Work/|ΔG| for this apply — the per-batch relative-
 	// boundedness quotient; 0 when the net batch was empty.
 	BoundedRatio float64 `json:"bounded_ratio,omitempty"`
+	// PagesCopied of the view's PagesTotal pages were copied to publish
+	// this apply; the rest are shared with the previous epoch's view.
+	// Both are 0 for a view that holds no Paged vectors.
+	PagesCopied int `json:"pages_copied"`
+	PagesTotal  int `json:"pages_total"`
 	// UnixNanos timestamps the apply's completion.
 	UnixNanos int64 `json:"unix_nanos"`
 	// TraceID is the W3C trace ID of the first traced submission merged
@@ -191,7 +199,9 @@ type View struct {
 	// panicked: the data is the last good answer, at an epoch behind the
 	// accepted stream. It clears once the host heals by batch recompute.
 	Degraded bool `json:"degraded,omitempty"`
-	// Data is the deep-copied, JSON-marshalable result (e.g. SSSPView).
+	// Data is the immutable, JSON-marshalable result (e.g. SSSPView). The
+	// hosted classes' views hold their per-node vectors as Paged values,
+	// whose unchanged pages successive epochs share.
 	Data any `json:"data"`
 }
 
@@ -255,6 +265,15 @@ type Stats struct {
 	// GET /debug/boundedness. Zero-valued for maintainers that report no
 	// ledger.
 	Audit fixpoint.WorkLedger `json:"audit"`
+	// PagesCopied and EntriesCopied total what view publication copied
+	// (pages, and the vector entries in them) over all applies — the
+	// serving layer's own cost beside the engine's Audit.
+	PagesCopied   uint64 `json:"pages_copied"`
+	EntriesCopied uint64 `json:"entries_copied"`
+	// PagesEncoded counts the view pages GET /query had to run through
+	// the encoder; a page read again before any apply touched it is served
+	// from its cache and not counted.
+	PagesEncoded uint64 `json:"pages_encoded"`
 	// WorkerUtilization is Par's cumulative pool utilization,
 	// BusyNanos/(Workers×WallNanos), in [0,1]; 0 while sequential.
 	WorkerUtilization float64 `json:"worker_utilization,omitempty"`
@@ -416,6 +435,10 @@ type hostMetrics struct {
 
 	flatCompactions *obs.Counter
 	flatOverlay     *obs.Gauge
+
+	pagesCopied  *obs.Counter
+	pagesEncoded *obs.Counter
+	viewPages    *obs.Gauge
 }
 
 func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
@@ -455,6 +478,9 @@ func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 		offenderMin:     r.Gauge("incgraph_offender_min_ratio", "Lowest retained offender quotient — the ring's admission threshold.", l),
 		flatCompactions: r.Counter("incgraph_flat_compactions_total", "CSR base rebuilds of the maintainer's flat adjacency view.", l),
 		flatOverlay:     r.Gauge("incgraph_flat_overlay_ratio", "Staged overlay operations as a fraction of the flat view's base after the last apply.", l),
+		pagesCopied:     r.Counter("incgraph_view_pages_copied_total", "View pages copied by publication (the rest are shared with the previous epoch).", l),
+		pagesEncoded:    r.Counter("incgraph_view_pages_encoded_total", "View pages run through the JSON encoder by GET /query (cached pages are not).", l),
+		viewPages:       r.Gauge("incgraph_view_pages", "Pages in the published view's vectors.", l),
 	}
 }
 
@@ -467,20 +493,12 @@ type Host struct {
 	dir  bool
 	opt  Options
 
-	// viewMu guards the published view pointer. Readers hold it only for
-	// the pointer copy, so they never block the writer for longer than a
-	// pointer swap, and never observe a half-applied batch: the swap
-	// happens strictly after Apply and Snapshot complete.
-	//
-	// Upgrade path: because views are immutable and epoch-stamped, the
-	// RWMutex can be replaced by an atomic.Pointer[View] (a two-slot
-	// epoch/double-buffer scheme degenerates to exactly that when
-	// snapshots are fresh allocations, as here). The mutex is kept for
-	// now so future views may share mutable buffers with the maintainer
-	// under the read lock if snapshot allocation ever shows up in
-	// profiles.
-	viewMu sync.RWMutex
-	view   *View
+	// view is the published view. The apply loop is its only writer and
+	// stores a new *View strictly after Apply and Snapshot complete;
+	// views and everything they point to are immutable, so a reader needs
+	// one atomic load and no lock, and never observes a half-applied
+	// batch.
+	view atomic.Pointer[View]
 
 	statMu sync.Mutex
 	stats  Stats
@@ -532,7 +550,7 @@ func NewHost(m Serveable, opt Options) *Host {
 		done: make(chan struct{}),
 	}
 	h.in = make(chan submission, h.opt.Queue)
-	h.view = &View{Algo: h.algo, Epoch: h.opt.BaseEpoch, Batches: h.opt.BaseBatches, Data: m.Snapshot()}
+	h.view.Store(&View{Algo: h.algo, Epoch: h.opt.BaseEpoch, Batches: h.opt.BaseBatches, Data: m.Snapshot()})
 	h.stats.Algo = h.algo
 	// A recovered host resumes its stream accounting where the durable
 	// prefix left off.
@@ -612,14 +630,23 @@ type BoundednessReport struct {
 	// OffenderCount and WorstRatio summarize the top-K offender ring.
 	OffenderCount int     `json:"offender_count"`
 	WorstRatio    float64 `json:"worst_ratio"`
+	// EntriesCopied is the cumulative count of view entries publication
+	// copied, and PublishRatio that count per net update (EntriesCopied /
+	// Ledger.Delta): the serving layer's bounded ratio, to read beside the
+	// engine's. It is at most a page per entry an apply changed; a value
+	// near |V| means every publish copies the whole view. 0 until the
+	// first audited apply.
+	EntriesCopied int64   `json:"entries_copied"`
+	PublishRatio  float64 `json:"publish_ratio"`
 }
 
 // Boundedness assembles the host's boundedness-audit report.
 func (h *Host) Boundedness() BoundednessReport {
 	h.statMu.Lock()
-	audit := h.stats.Audit
+	audit, entries := h.stats.Audit, int64(h.stats.EntriesCopied)
 	h.statMu.Unlock()
 	rep := BoundednessReport{
+		EntriesCopied:  entries,
 		Algo:           h.algo,
 		Ledger:         audit,
 		Work:           audit.Work(),
@@ -636,6 +663,9 @@ func (h *Host) Boundedness() BoundednessReport {
 	if hist := h.met.roundsHist; hist.Count() > 0 {
 		rep.RoundsP95 = hist.Quantile(0.95)
 	}
+	if audit.Delta > 0 {
+		rep.PublishRatio = float64(entries) / float64(audit.Delta)
+	}
 	return rep
 }
 
@@ -647,11 +677,7 @@ func (h *Host) NumNodes() int { return h.n }
 
 // View returns the current published snapshot. The returned value is
 // immutable and safe to retain across further updates.
-func (h *Host) View() *View {
-	h.viewMu.RLock()
-	defer h.viewMu.RUnlock()
-	return h.view
-}
+func (h *Host) View() *View { return h.view.Load() }
 
 // Stats returns a copy of the serving counters, with the derived fields
 // (queue depth, mean latency, uptime) filled in.
@@ -670,6 +696,7 @@ func (h *Host) Stats() Stats {
 		s.ApplyP95Nanos = int64(hist.Quantile(0.95) * 1e9)
 		s.ApplyP99Nanos = int64(hist.Quantile(0.99) * 1e9)
 	}
+	s.PagesEncoded = uint64(h.met.pagesEncoded.Value())
 	s.UptimeSeconds = time.Since(h.start).Seconds()
 	return s
 }
@@ -919,6 +946,7 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 		sub.End()
 		sub = h.rec.Begin("publish", "serve", h.track)
 	}
+	copied, entries, pages := publishDelta(h.view.Load().Data, data)
 
 	h.statMu.Lock()
 	h.stats.BatchesApplied++
@@ -941,16 +969,16 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 	if res.HasLedger {
 		h.stats.Audit = h.stats.Audit.Add(res.Ledger)
 	}
+	h.stats.PagesCopied += uint64(copied)
+	h.stats.EntriesCopied += uint64(entries)
 	epoch, batches := h.stats.Epoch, h.stats.BatchesApplied
 	h.statMu.Unlock()
 
-	v := &View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data}
-	h.viewMu.Lock()
-	h.view = v
-	h.viewMu.Unlock()
+	h.view.Store(&View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data})
 
 	if h.rec != nil {
 		sub.Arg("epoch", int64(epoch))
+		sub.Arg("pages_copied", int64(copied))
 		sub.End()
 		root.Arg("raw", int64(len(raw)))
 		root.Arg("net", int64(len(net)))
@@ -985,7 +1013,11 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 		QueueWaitNanos: queueWait,
 		ApplyNanos:     lat,
 		UnixNanos:      t0.UnixNano() + lat,
+		PagesCopied:    copied,
+		PagesTotal:     pages,
 	}
+	m.pagesCopied.Add(float64(copied))
+	m.viewPages.Set(float64(pages))
 	if !tid.IsZero() {
 		tr.TraceID = tid.String()
 	}
@@ -1119,10 +1151,8 @@ func (h *Host) absorbPanic(raw graph.Batch, pval any) {
 	// Republish the last good data under the degraded flag. The epoch is
 	// the stale view's: it honestly describes which prefix the data
 	// answers for.
-	h.viewMu.Lock()
-	old := h.view
-	h.view = &View{Algo: h.algo, Epoch: old.Epoch, Batches: batches, Degraded: true, Data: old.Data}
-	h.viewMu.Unlock()
+	old := h.view.Load()
+	h.view.Store(&View{Algo: h.algo, Epoch: old.Epoch, Batches: batches, Degraded: true, Data: old.Data})
 
 	if h.quarantined {
 		return
@@ -1190,10 +1220,7 @@ func (h *Host) absorbPanic(raw graph.Batch, pval any) {
 	h.met.heals.Inc()
 	h.met.degraded.Set(0)
 
-	v := &View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data}
-	h.viewMu.Lock()
-	h.view = v
-	h.viewMu.Unlock()
+	h.view.Store(&View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data})
 }
 
 func boolArg(b bool) int64 {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -46,14 +47,18 @@ func makeStream(seed int64, nodes, total int) graph.Batch {
 
 // TestLoadConcurrentReaders is the subsystem's load test: an ingest
 // goroutine streams >1000 updates through a hosted IncSSSP while
-// concurrent readers hammer View. Every observed view must be the exact
-// answer on some applied prefix of the stream — verified afterwards by
+// concurrent readers hammer View, keep every view they saw, and encode
+// each in both wire forms (racing each other to fill the shared pages'
+// encode caches). Every observed view must be the exact answer on some
+// applied prefix of the stream — verified after the writer has published
+// hundreds of later epochs on top of the pages those views share, by
 // replaying each observed prefix and recomputing with batch Dijkstra.
-// Run under -race this also proves readers never touch maintainer state.
+// Run under -race this also proves readers never touch maintainer state
+// and the writer never touches a published page.
 func TestLoadConcurrentReaders(t *testing.T) {
 	leakCheck(t)
 	const (
-		nodes   = 200
+		nodes   = 3*pageSize + 17 // several pages, the last one ragged
 		total   = 1500
 		readers = 6
 		chunk   = 5
@@ -65,8 +70,16 @@ func TestLoadConcurrentReaders(t *testing.T) {
 	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{MaxBatch: 64, MaxWait: time.Millisecond})
 
 	type obs struct {
-		epoch uint64
-		dist  []int64
+		epoch           uint64
+		view            *View
+		indent, compact []byte // the view as the handler wrote it when first seen
+	}
+	encode := func(v *View, form wireForm) []byte {
+		w := viewWriter{form: form}
+		if err := w.view(v, nil); err != nil {
+			t.Errorf("encoding view at epoch %d: %v", v.Epoch, err)
+		}
+		return w.b
 	}
 	observed := make([][]obs, readers)
 	stop := make(chan struct{})
@@ -91,7 +104,7 @@ func TestLoadConcurrentReaders(t *testing.T) {
 					return
 				}
 				if !hasLast || v.Epoch != last {
-					observed[r] = append(observed[r], obs{v.Epoch, v.Data.(SSSPView).Dist})
+					observed[r] = append(observed[r], obs{v.Epoch, v, encode(v, formIndent), encode(v, formCompact)})
 					last, hasLast = v.Epoch, true
 				}
 				if first {
@@ -157,8 +170,18 @@ func TestLoadConcurrentReaders(t *testing.T) {
 	checked := 0
 	for r := range observed {
 		for _, o := range observed[r] {
-			if !reflect.DeepEqual(o.dist, expect[o.epoch]) {
-				t.Fatalf("reader %d observed a view at epoch %d inconsistent with that prefix", r, o.epoch)
+			if !reflect.DeepEqual(o.view.Data.(SSSPView).Dist.Slice(), expect[o.epoch]) {
+				t.Fatalf("reader %d: the view held since epoch %d no longer equals the recompute at that prefix", r, o.epoch)
+			}
+			// What the reader encoded back then, and what the held view
+			// encodes to now, are both the encoding of that prefix.
+			ref := *o.view
+			ref.Data = SSSPView{Dist: pagedOf(expect[o.epoch])}
+			want := referenceJSON(t, &ref, nil)
+			for f, then := range [][]byte{formIndent: o.indent, formCompact: o.compact} {
+				if now := encode(o.view, wireForm(f)); !bytes.Equal(then, want[f]) || !bytes.Equal(now, want[f]) {
+					t.Fatalf("reader %d: epoch %d (form %d) encoded differently from json.Encoder on the recompute", r, o.epoch, f)
+				}
 			}
 			checked++
 		}
@@ -194,7 +217,7 @@ func TestCoalescingCancelsChurn(t *testing.T) {
 	if st.BatchesApplied != 1 || st.UpdatesApplied != 4 {
 		t.Fatalf("batches %d applied %d, want 1 and 4", st.BatchesApplied, st.UpdatesApplied)
 	}
-	labels := h.View().Data.(CCView).Labels
+	labels := h.View().Data.(CCView).Labels.Slice()
 	want := []int64{0, 0, 0, 3} // {0,1,2} connected, 3 isolated again
 	if !reflect.DeepEqual(labels, want) {
 		t.Fatalf("labels %v, want %v", labels, want)
@@ -261,11 +284,11 @@ func TestViewImmutability(t *testing.T) {
 	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{})
 	defer h.Close()
 	before := h.View()
-	snap := append([]int64(nil), before.Data.(SSSPView).Dist...)
+	snap := before.Data.(SSSPView).Dist.Slice()
 	if err := h.SubmitWait(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before.Data.(SSSPView).Dist, snap) {
+	if !reflect.DeepEqual(before.Data.(SSSPView).Dist.Slice(), snap) {
 		t.Fatal("old view mutated by a later apply")
 	}
 	if h.View().Epoch != 1 {

@@ -6,6 +6,7 @@ import (
 	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
 	"incgraph/internal/pq"
+	"incgraph/internal/serve"
 )
 
 // This file is the cross-shard query algebra: how per-shard maintained
@@ -201,11 +202,11 @@ func minCombine(dst, src []int64) {
 // and reused: after warm-up an eval allocates only its result. It is
 // used only from its host's apply loop, which serializes it.
 type seedRelaxer struct {
-	base    []int64         // the published view this eval relaxes on top of
-	touched fixpoint.VarSet // vertices this eval lowered below base
-	val     []int64         // their current value
-	told    []int64         // the value the router already holds for them
-	order   []int32         // touched vertices, first-touch order
+	base    serve.Paged[int64] // the published view this eval relaxes on top of
+	touched fixpoint.VarSet    // vertices this eval lowered below base
+	val     []int64            // their current value
+	told    []int64            // the value the router already holds for them
+	order   []int32            // touched vertices, first-touch order
 	heap    *pq.Heap
 }
 
@@ -213,7 +214,7 @@ func (r *seedRelaxer) dist(v int32) int64 {
 	if r.touched.Has(fixpoint.Var(v)) {
 		return r.val[v]
 	}
-	return r.base[v]
+	return r.base.At(int(v))
 }
 
 // lower records d as v's value; told is what the router knows of v: the
@@ -235,8 +236,8 @@ func (r *seedRelaxer) lower(v int32, d, told int64) {
 // seeds — what the router does not know yet. Seeds out of range,
 // negative or not finite are an error; duplicates keep the smaller
 // value; a seed no better than base is a no-op.
-func (r *seedRelaxer) relax(g *graph.Graph, base []int64, seeds [][2]int64) ([][2]int64, error) {
-	n := len(base)
+func (r *seedRelaxer) relax(g *graph.Graph, base serve.Paged[int64], seeds [][2]int64) ([][2]int64, error) {
+	n := base.Len()
 	if g.NumNodes() != n {
 		return nil, fmt.Errorf("view has %d nodes, graph %d", n, g.NumNodes())
 	}
@@ -269,7 +270,7 @@ func (r *seedRelaxer) relax(g *graph.Graph, base []int64, seeds [][2]int64) ([][
 			}
 		}
 	}
-	r.base = nil
+	r.base = serve.Paged[int64]{}
 	improved := make([][2]int64, 0, len(r.order))
 	for _, v := range r.order {
 		if r.val[v] < r.told[v] {

@@ -8,11 +8,15 @@ import (
 	"incgraph/internal/cc"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
+	"incgraph/internal/serve"
 	"incgraph/internal/sssp"
 )
 
 // infinities is an all-Infinity base: relaxing on top of it is a plain
 // multi-source Dijkstra.
+// paged publishes a distance vector the way a shard's host does.
+func paged(dist []int64) serve.Paged[int64] { return serve.Paged[int64]{}.Update(dist, nil) }
+
 func infinities(n int) []int64 {
 	d := make([]int64, n)
 	for i := range d {
@@ -59,7 +63,7 @@ func gathered(fs []*fragment) [][]int64 {
 // its own view, at epoch 0.
 func evalOn(fs []*fragment) func(int, [][2]int64) ([][2]int64, uint64, error) {
 	return func(i int, seeds [][2]int64) ([][2]int64, uint64, error) {
-		improved, err := fs[i].r.relax(fs[i].g, fs[i].view, seeds)
+		improved, err := fs[i].r.relax(fs[i].g, paged(fs[i].view), seeds)
 		return improved, 0, err
 	}
 }
@@ -81,7 +85,7 @@ func denseEvals(fs []*fragment, n int) int {
 					seeds = append(seeds, [2]int64{int64(v), d})
 				}
 			}
-			out, _ := f.r.relax(f.g, infinities(n), seeds)
+			out, _ := f.r.relax(f.g, paged(infinities(n)), seeds)
 			evals++
 			for _, p := range out {
 				if p[1] < dist[p[0]] {
@@ -100,7 +104,7 @@ func TestRelaxMatchesDijkstra(t *testing.T) {
 	g := gen.PowerLaw(rng, 300, 6, true)
 	src := graph.NodeID(0)
 	var r seedRelaxer
-	improved, err := r.relax(g, infinities(g.NumNodes()), [][2]int64{{int64(src), 0}})
+	improved, err := r.relax(g, paged(infinities(g.NumNodes())), [][2]int64{{int64(src), 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +131,7 @@ func TestRelaxReportsOnlyNews(t *testing.T) {
 	g.InsertEdge(0, 1, 5)
 	g.InsertEdge(1, 2, 1)
 	g.InsertEdge(1, 3, 1)
-	base := []int64{0, 5, 6, 2} // 3 is reached more cheaply some other way
+	base := paged([]int64{0, 5, 6, 2}) // 3 is reached more cheaply some other way
 	var r seedRelaxer
 	// A duplicate seed keeps the smaller value; a seed above base is a no-op.
 	improved, err := r.relax(g, base, [][2]int64{{1, 4}, {1, 3}, {2, 9}})
@@ -137,8 +141,8 @@ func TestRelaxReportsOnlyNews(t *testing.T) {
 	if len(improved) != 1 || improved[0] != [2]int64{2, 4} {
 		t.Fatalf("improved = %v, want [[2 4]]", improved)
 	}
-	if base[1] != 5 || base[2] != 6 {
-		t.Fatalf("relax wrote into the published view: %v", base)
+	if base.At(1) != 5 || base.At(2) != 6 {
+		t.Fatalf("relax wrote into the published view: %v", base.Slice())
 	}
 }
 
@@ -148,11 +152,11 @@ func TestRelaxRejectsBadSeeds(t *testing.T) {
 	for _, seeds := range [][][2]int64{
 		{{3, 1}}, {{-1, 1}}, {{0, -1}}, {{0, graph.Infinity}}, {{1 << 40, 1}},
 	} {
-		if _, err := r.relax(g, infinities(3), seeds); err == nil {
+		if _, err := r.relax(g, paged(infinities(3)), seeds); err == nil {
 			t.Errorf("seeds %v accepted", seeds)
 		}
 	}
-	if _, err := r.relax(g, infinities(2), nil); err == nil {
+	if _, err := r.relax(g, paged(infinities(2)), nil); err == nil {
 		t.Error("view and graph of different sizes accepted")
 	}
 }
@@ -162,7 +166,7 @@ func TestRelaxRejectsBadSeeds(t *testing.T) {
 func TestRelaxSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := gen.PowerLaw(rng, 2000, 8, false)
-	base := infinities(g.NumNodes())
+	base := paged(infinities(g.NumNodes()))
 	seeds := [][2]int64{{0, 0}, {7, 3}}
 	var r seedRelaxer
 	if _, err := r.relax(g, base, seeds); err != nil {
@@ -386,10 +390,10 @@ func FuzzEvalRequest(f *testing.F) {
 			valid = valid && v >= 0 && v < int64(n) && d >= 0 && d < graph.Infinity
 			seeds = append(seeds, [2]int64{v, d})
 		}
-		before := append([]int64(nil), view...)
-		improved, err := r.relax(g, view, seeds)
+		published := paged(view)
+		improved, err := r.relax(g, published, seeds)
 		for v := range view {
-			if view[v] != before[v] {
+			if published.At(v) != view[v] {
 				t.Fatalf("eval wrote view[%d]", v)
 			}
 		}
@@ -413,7 +417,7 @@ func FuzzEvalRequest(f *testing.F) {
 			}
 		}
 		var oracle seedRelaxer
-		closed, _ := oracle.relax(g, infinities(n), all)
+		closed, _ := oracle.relax(g, paged(infinities(n)), all)
 		want := start
 		for _, p := range closed {
 			want[p[0]] = p[1]

@@ -13,6 +13,7 @@ import (
 	"incgraph/internal/graph"
 	"incgraph/internal/obs"
 	"incgraph/internal/resilience"
+	"incgraph/internal/serve"
 	"incgraph/internal/trace"
 )
 
@@ -694,7 +695,8 @@ var queryBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeQuery encodes res compactly, once: the metadata through
 // encoding/json (small, and it owns string escaping), the O(|V|) answer
-// vector with strconv.AppendInt into a pooled buffer. The bytes equal
+// vector with serve.AppendInts — the daemon's page encoder — into a
+// pooled buffer. The bytes equal
 // json.Marshal(res) except that an algo's data carries only its own
 // keys (no "src" on cc).
 func writeQuery(w http.ResponseWriter, res *QueryResult) {
@@ -711,13 +713,7 @@ func writeQuery(w http.ResponseWriter, res *QueryResult) {
 	} else {
 		b = append(b, `,"data":{"labels":[`...)
 	}
-	for i, x := range vec {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, x, 10)
-	}
-	b = append(b, "]}}\n"...)
+	b = append(serve.AppendInts(b, vec, ","), "]}}\n"...)
 	*bp = b
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)

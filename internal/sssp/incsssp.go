@@ -41,12 +41,12 @@ type Inc struct {
 
 	hq      *pq.Heap // h's queue, keyed by old distance
 	hkey    []int64
-	oldVal  []int64        // pre-revision distances of this round's revised nodes
-	mark    []int64        // epoch marks: revised this round
-	affMark []int64        // epoch marks: AFF membership (work ledger)
-	chMark  []int64        // epoch marks: written this repair (work ledger)
-	chOld   []int64        // repair-start distances of written nodes (work ledger)
-	chList  []graph.NodeID // written nodes, swept at end of Repair
+	oldVal  []int64 // pre-revision distances of this round's revised nodes
+	mark    []int64 // epoch marks: revised this round
+	affMark []int64 // epoch marks: AFF membership (work ledger)
+	chMark  []int64 // epoch marks: written this repair (work ledger)
+	chOld   []int64 // repair-start distances of written nodes (work ledger)
+	chList  []int32 // written nodes (first writes), kept until the next Repair
 	epoch   int64
 
 	pending graph.Batch
@@ -77,7 +77,7 @@ func NewInc(g *graph.Graph, src graph.NodeID) *Inc {
 	i.affMark = make([]int64, n)
 	i.chMark = make([]int64, n)
 	i.chOld = make([]int64, n)
-	i.chList = make([]graph.NodeID, 0, n)
+	i.chList = make([]int32, 0, n)
 	return i
 }
 
@@ -91,6 +91,12 @@ func (i *Inc) Flat() *graph.Flat { return i.flat }
 
 // Dist returns the current distance vector, aliased to internal state.
 func (i *Inc) Dist() []int64 { return i.dist }
+
+// Written lists the nodes whose distance the last Apply (or Repair)
+// wrote, each once: a superset of the entries of Dist that changed,
+// kept for the work ledger's settle sweep. It aliases internal state,
+// is never nil, allocates nothing, and is valid until the next Apply.
+func (i *Inc) Written() []int32 { return i.chList }
 
 // Stats exposes inspection counters and the h/resume time split.
 func (i *Inc) Stats() fixpoint.Stats { return i.stats }
@@ -138,7 +144,7 @@ func (i *Inc) Stage(b graph.Batch) {
 		i.chOld = append(i.chOld, 0)
 	}
 	if cap(i.chList) < len(i.dist) {
-		cl := make([]graph.NodeID, len(i.chList), len(i.dist))
+		cl := make([]int32, len(i.chList), len(i.dist))
 		copy(cl, i.chList)
 		i.chList = cl
 	}
@@ -174,7 +180,7 @@ func (i *Inc) ledgerWrite(v graph.NodeID, old int64) {
 	}
 	i.chMark[v] = i.epoch
 	i.chOld[v] = old
-	i.chList = append(i.chList, v)
+	i.chList = append(i.chList, int32(v))
 }
 
 // ledgerSettle sweeps the repair's written nodes into CHANGED (and AFF)
@@ -183,10 +189,9 @@ func (i *Inc) ledgerSettle() {
 	for _, v := range i.chList {
 		if i.dist[v] != i.chOld[v] {
 			i.stats.Ledger.Changed++
-			i.ledgerAff(v)
+			i.ledgerAff(graph.NodeID(v))
 		}
 	}
-	i.chList = i.chList[:0]
 }
 
 // oldDist returns v's distance as of the start of this round.
@@ -201,11 +206,11 @@ func (i *Inc) oldDist(v graph.NodeID) int64 {
 func (i *Inc) Repair() int {
 	applied := i.pending
 	i.pending = nil
+	i.chList = i.chList[:0]
 	if len(applied) == 0 {
 		return 0
 	}
 	i.epoch++
-	i.chList = i.chList[:0]
 	st0 := i.stats
 	i.stats.Ledger.Runs++
 	i.stats.Ledger.Touched += int64(len(applied))
