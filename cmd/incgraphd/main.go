@@ -165,8 +165,8 @@ func newFlags(fs *flag.FlagSet) *cliFlags {
 	fs.BoolVar(&c.genDirect, "directed", false, "synthetic graph directed")
 	fs.Int64Var(&c.genSeed, "seed", 1, "synthetic seed")
 
-	fs.IntVar(&c.maxBatch, "max-batch", 256, "coalescing window: flush after this many updates")
-	fs.DurationVar(&c.maxWait, "max-wait", 2*time.Millisecond, "coalescing window: flush after this long")
+	fs.IntVar(&c.maxBatch, "max-batch", 256, "apply a batch once it holds this many updates")
+	fs.DurationVar(&c.maxWait, "max-wait", 2*time.Millisecond, "upper bound on how long a batch stays open while submissions keep arriving; an idle host applies at once")
 	fs.IntVar(&c.queue, "queue", 1024, "per-maintainer submission queue depth")
 	fs.IntVar(&c.workers, "workers", 0, "partition repair rounds across this many workers (sssp, cc; 0 or 1: sequential)")
 

@@ -141,7 +141,22 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 			return fail(flatChunks, "view never compacted at threshold 0.05")
 		}
 	}
-	return flatLedgers{s.Stats().Ledger.Portable(), c.Stats().Ledger.Portable()}, true
+	ledgers := flatLedgers{s.Stats().Ledger.Portable(), c.Stats().Ledger.Portable()}
+	// Compaction rebuilds into the arrays it replaces: once a view has
+	// compacted at this size, compacting again allocates only the
+	// row-sorting scratch, one per direction — not three arrays of |E|.
+	for k, g := range []*graph.Graph{s.Graph(), c.Graph(), b.Graph(), d.Graph()} {
+		f := flats[k]
+		if allocs := testing.AllocsPerRun(2, func() { f.Compact(g) }); allocs > 2 {
+			return fail(flatChunks, fmt.Sprintf("view %d: compacting an unchanged graph allocates %.0f objects", k, allocs))
+		}
+	}
+	// And the maintainers read the refilled arrays like fresh ones.
+	s.Apply(flatStream(rng, s.Graph(), flatChunkLen))
+	if !reflect.DeepEqual(s.Dist(), sssp.Dijkstra(s.Graph(), 0)) {
+		return fail(flatChunks, "sssp distances diverged from Dijkstra after compacting in place")
+	}
+	return ledgers, true
 }
 
 // flatSeed runs one seed under every threshold. Row scan order differs

@@ -186,7 +186,7 @@ type (
 	Serveable = serve.Serveable
 	// ServeHost runs one maintainer behind a single-writer apply loop.
 	ServeHost = serve.Host
-	// ServeOptions tune a host's coalescing window, queue depth, and
+	// ServeOptions tune a host's batching bounds, queue depth, and
 	// (via Workers) the parallel execution mode on supporting classes.
 	ServeOptions = serve.Options
 	// Service is a set of named hosts behind one HTTP API.

@@ -139,7 +139,8 @@ func collect(rep Report) map[string]aggregate {
 // survives the averaging), and the work-ledger boundedness quotient,
 // gated per cell — the ledger is deterministic for a fixed seed and
 // scale, so any inflation is a genuine cost-model regression the clock
-// could never resolve.
+// could never resolve. A quotient that was exactly zero (the publish
+// experiment's pages encoded per GET) is held to staying zero.
 func Diff(baseline, current Report, tolerance float64) (*DiffReport, error) {
 	if tolerance <= 0 {
 		return nil, fmt.Errorf("bench: tolerance must be positive, got %v", tolerance)
@@ -155,6 +156,15 @@ func Diff(baseline, current Report, tolerance float64) (*DiffReport, error) {
 	}
 
 	base, cur := collect(baseline), collect(current)
+	// An experiment that reports quotients at all reports them for every
+	// cell, so a cell of it without one measured an exact zero (no page
+	// encoded), not nothing.
+	countsZero := make(map[string]bool)
+	for _, a := range base {
+		if a.nRatio > 0 {
+			countsZero[a.experiment] = true
+		}
+	}
 	keys := make([]string, 0, len(base)+len(cur))
 	for k := range base {
 		keys = append(keys, k)
@@ -188,6 +198,14 @@ func Diff(baseline, current Report, tolerance float64) (*DiffReport, error) {
 				e.CurOps = float64(c.n) / c.incSeconds
 				e.OpsChange = e.CurOps/e.BaseOps - 1
 				logOps[e.Experiment] = append(logOps[e.Experiment], math.Log(e.CurOps/e.BaseOps))
+			}
+			if b.nRatio == 0 && c.nRatio > 0 && countsZero[b.experiment] {
+				// No relative change to hold against the tolerance: a
+				// count that was exactly zero rose.
+				e.CurRatio = c.ratio / float64(c.nRatio)
+				e.Verdict = "regression"
+				d.Regressions = append(d.Regressions,
+					fmt.Sprintf("%s: bounded ratio 0 -> %.4g (was exactly zero)", k, e.CurRatio))
 			}
 			if b.nRatio > 0 && c.nRatio > 0 {
 				e.BaseRatio = b.ratio / float64(b.nRatio)

@@ -130,6 +130,33 @@ func TestDiffBoundedRatioInflation(t *testing.T) {
 	}
 }
 
+// TestDiffZeroCountHeld: in an experiment that reports quotients, a cell
+// whose baseline quotient is exactly zero (publish: no page encoded per
+// GET) fails when it rises, by however little; staying zero passes, and
+// an experiment that reports no quotients at all is not held to any.
+func TestDiffZeroCountHeld(t *testing.T) {
+	base := mkReport(
+		res("publish", "PL", "pages_copied/apply", 0, 3.3),
+		res("publish", "PL", "pages_encoded/get@200", 0, 0),
+		res("exp1", "FS", "unit", 0.010, 0),
+	)
+	cur := mkReport(
+		res("publish", "PL", "pages_copied/apply", 0, 3.3),
+		res("publish", "PL", "pages_encoded/get@200", 0, 0.5),
+		res("exp1", "FS", "unit", 0.010, 2),
+	)
+	d, err := Diff(base, cur, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Regressions) != 1 || !strings.Contains(d.Regressions[0], "pages_encoded/get@200") || !strings.Contains(d.Regressions[0], "0 -> 0.5") {
+		t.Fatalf("want the one zero count that rose, got %v", d.Regressions)
+	}
+	if d, _ := Diff(base, base, 0.15); d.Failed() {
+		t.Fatalf("a zero that stayed zero flagged: %v", d.Regressions)
+	}
+}
+
 // TestDiffMissingAndNew: a baseline cell that vanished fails the gate
 // (coverage loss), a new cell is informational.
 func TestDiffMissingAndNew(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"incgraph/internal/bc"
@@ -24,9 +25,11 @@ import (
 // repository benchmark's trickle workload posts 8 unit updates at a time.
 const publishPerApply = 8
 
-// publishGaps are the applies-between-reads the experiment measures
-// pages-encoded-per-GET at, with how many reads each gets.
-var publishGaps = []struct{ applies, reads int }{{1, 10}, {5, 10}, {50, 4}}
+// publishGaps are the applies-between-reads the experiment measures a GET
+// at, with how many reads each gets. 200 is the regime of a writer that
+// does not wait out a coalescing window: the repository benchmark's
+// trickle writer gets 40–50 applies in between two paced reads.
+var publishGaps = [...]struct{ applies, reads int }{{1, 10}, {5, 10}, {50, 4}, {200, 2}}
 
 // ExpPublish is rung (g) of the benchmark ladder: what it costs the
 // serving layer to publish a view after an apply and to answer GET
@@ -44,21 +47,27 @@ var publishGaps = []struct{ applies, reads int }{{1, 10}, {5, 10}, {50, 4}}
 //
 // Per class and size, each class hosted alone behind a real Service on a
 // loopback server: pages copied per apply; publish time per apply
-// (Snapshot alone, median); pages encoded per GET when 1, 5 and 50
-// applies separate two reads; GET latency cold (no page cached), warm
-// (every page cached) and at each of those gaps.
+// (Snapshot alone, median); pages encoded from scratch per GET and
+// entries spliced into inherited bytes between two GETs when 1, 5, 50 and
+// 200 applies separate them; GET latency cold (no page cached), warm
+// (every page cached) and at each of those gaps. Every replaced page
+// inherits its predecessor's encoded bytes, so once the first GET has
+// read the form the encoded count is 0 at every gap and a GET costs the
+// warm one's copy, however many applies went by; what grows with the gap
+// is the spliced count, paid by the apply loop.
 //
 // Result rows: Workload names the count ("pages_copied/apply",
-// "pages_encoded/get@1", …), Work is its total over the run and
-// BoundedRatio the count per apply or per GET — exact for a fixed seed
-// and scale, so incbench -diff holds them to its tolerance; IncSeconds
-// is the publish time (first row) or the median GET at that gap, and
+// "pages_encoded/get@1", "entries_spliced/get@1", …), Work is its total
+// over the run and BoundedRatio the count per apply or per GET — exact
+// for a fixed seed and scale, so incbench -diff holds them to its
+// tolerance (and a count that was 0 to staying 0); IncSeconds is the
+// publish time (first row) or the median GET at that gap, and
 // BatchSeconds the cold GET, so Speedup reads "× faster than encoding
 // everything".
 func ExpPublish(cfg Config) {
 	core := max(int(25000*cfg.Scale), 64)
 	t := newTable(cfg.Out, fmt.Sprintf("View publication and paged reads: one %d-node core and stream, |V| padded up", core),
-		"|V|", "class", "pages", "copied/apply", "publish", "enc/GET @1", "@5", "@50", "GET cold", "warm", "@1", "@5", "@50")
+		"|V|", "class", "pages", "copied/apply", "publish", "enc/GET @1/5/50/200", "spliced/GET @1/5/50/200", "GET cold", "warm", "@1", "@5", "@50", "@200")
 	defer t.flush()
 	for _, mult := range []int{1, 4, 16} {
 		n := core * mult
@@ -70,16 +79,27 @@ func ExpPublish(cfg Config) {
 				return
 			}
 			us := func(sec float64) string { return fmt.Sprintf("%.0fµs", sec*1e6) }
-			per := func(count int64, over int) string { return fmt.Sprintf("%.1f", float64(count)/float64(over)) }
-			t.row(n, class, m.pages, per(m.copied, m.applies), fmt.Sprintf("%.1fµs", m.publish*1e6),
-				per(m.encoded[0], publishGaps[0].reads), per(m.encoded[1], publishGaps[1].reads), per(m.encoded[2], publishGaps[2].reads),
-				us(m.cold), us(m.warm), us(m.get[0]), us(m.get[1]), us(m.get[2]))
+			perGET := func(counts [len(publishGaps)]int64) string {
+				var cells []string
+				for i, gap := range publishGaps {
+					cells = append(cells, fmt.Sprintf("%.1f", float64(counts[i])/float64(gap.reads)))
+				}
+				return strings.Join(cells, "/")
+			}
+			t.row(n, class, m.pages, fmt.Sprintf("%.1f", float64(m.copied)/float64(m.applies)), fmt.Sprintf("%.1fµs", m.publish*1e6),
+				perGET(m.encoded), perGET(m.spliced),
+				us(m.cold), us(m.warm), us(m.get[0]), us(m.get[1]), us(m.get[2]), us(m.get[3]))
 			cfg.report(Result{Experiment: "publish", Dataset: dataset, Algo: class, Workload: "pages_copied/apply",
 				BatchSeconds: m.cold, IncSeconds: m.publish, Work: m.copied, BoundedRatio: float64(m.copied) / float64(m.applies)})
 			for i, gap := range publishGaps {
-				cfg.report(Result{Experiment: "publish", Dataset: dataset, Algo: class,
-					Workload:     fmt.Sprintf("pages_encoded/get@%d", gap.applies),
-					BatchSeconds: m.cold, IncSeconds: m.get[i], Work: m.encoded[i], BoundedRatio: float64(m.encoded[i]) / float64(gap.reads)})
+				for _, count := range []struct {
+					name string
+					n    int64
+				}{{"pages_encoded", m.encoded[i]}, {"entries_spliced", m.spliced[i]}} {
+					cfg.report(Result{Experiment: "publish", Dataset: dataset, Algo: class,
+						Workload:     fmt.Sprintf("%s/get@%d", count.name, gap.applies),
+						BatchSeconds: m.cold, IncSeconds: m.get[i], Work: count.n, BoundedRatio: float64(count.n) / float64(gap.reads)})
+				}
 			}
 		}
 	}
@@ -91,10 +111,11 @@ type publishCost struct {
 	applies int   // applies measured
 	copied  int64 // pages copied by them
 	publish float64
-	encoded [3]int64   // pages encoded by the reads at each gap
-	get     [3]float64 // median GET seconds at each gap
-	cold    float64    // the first GET: every page encoded
-	warm    float64    // median GET with every page cached
+	encoded [len(publishGaps)]int64   // pages the reads at each gap encoded from scratch
+	spliced [len(publishGaps)]int64   // entries the applies at each gap spliced into inherited bytes
+	get     [len(publishGaps)]float64 // median GET seconds at each gap
+	cold    float64                   // the first GET: every page encoded
+	warm    float64                   // median GET with every page cached
 }
 
 // snapshotTimer times the Snapshot calls a host makes.
@@ -183,9 +204,7 @@ func measurePublish(seed int64, core, n int, class string) (m publishCost, err e
 	timer := &snapshotTimer{Serveable: inner}
 	svc := serve.NewService()
 	defer svc.Close()
-	// A batch is exactly MaxBatch, so every SubmitWait is one apply and no
-	// coalescing window is waited out.
-	h, err := svc.Host(timer, serve.Options{MaxBatch: publishPerApply, MaxWait: time.Hour})
+	h, err := svc.Host(timer, serve.Options{}) // every SubmitWait finds the host idle: one apply each
 	if err != nil {
 		return m, err
 	}
@@ -232,7 +251,7 @@ func measurePublish(seed int64, core, n int, class string) (m publishCost, err e
 	timer.secs = timer.secs[:0] // drop the initial full build
 	for i, gap := range publishGaps {
 		var lat []float64
-		before := h.Stats().PagesEncoded
+		before := h.Stats()
 		for r := 0; r < gap.reads; r++ {
 			for a := 0; a < gap.applies; a++ {
 				if err := h.SubmitWait(stream.next()); err != nil {
@@ -246,7 +265,9 @@ func measurePublish(seed int64, core, n int, class string) (m publishCost, err e
 			}
 			lat = append(lat, sec)
 		}
-		m.encoded[i] = int64(h.Stats().PagesEncoded - before)
+		after := h.Stats()
+		m.encoded[i] = int64(after.PagesEncoded - before.PagesEncoded)
+		m.spliced[i] = int64(after.EntriesSpliced - before.EntriesSpliced)
 		m.get[i] = median(lat)
 	}
 	st := h.Stats()

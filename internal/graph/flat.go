@@ -17,25 +17,32 @@ type CSR struct {
 }
 
 // Snapshot builds a CSR from the graph's current out-adjacency.
-func Snapshot(g *Graph) *CSR { return buildCSR(g.NumNodes(), g.Out) }
+func Snapshot(g *Graph) *CSR { return buildCSR(nil, g.NumNodes(), g.Out) }
 
 // SnapshotIn builds a CSR over the graph's in-adjacency: row u holds the
 // sources of u's incoming edges, sorted by id. For undirected graphs this
 // equals Snapshot.
-func SnapshotIn(g *Graph) *CSR { return buildCSR(g.NumNodes(), g.In) }
+func SnapshotIn(g *Graph) *CSR { return buildCSR(nil, g.NumNodes(), g.In) }
 
-// buildCSR lays the n rows out end to end, each sorted by target.
-func buildCSR(n int, row func(NodeID) []Edge) *CSR {
-	total := 0
+// buildCSR lays the n rows out end to end, each sorted by target. A
+// non-nil c is refilled and returned: its arrays are reused where their
+// capacity suffices, so rebuilding a snapshot of a graph that has not
+// grown allocates nothing but the row-sorting scratch. The rows come from
+// row alone, never from c's old content.
+func buildCSR(c *CSR, n int, row func(NodeID) []Edge) *CSR {
+	total, widest := 0, 0
 	for u := 0; u < n; u++ {
-		total += len(row(NodeID(u)))
+		deg := len(row(NodeID(u)))
+		total, widest = total+deg, max(widest, deg)
 	}
-	c := &CSR{
-		Offsets: make([]int32, n+1),
-		Targets: make([]NodeID, 0, total),
-		Weights: make([]int64, 0, total),
+	if c == nil {
+		c = &CSR{}
 	}
-	var buf []Edge
+	c.Offsets = fit(c.Offsets, n+1)[:n+1]
+	c.Targets = fit(c.Targets, total)
+	c.Weights = fit(c.Weights, total)
+	c.Offsets[0] = 0
+	buf := make([]Edge, 0, widest)
 	for u := 0; u < n; u++ {
 		buf = append(buf[:0], row(NodeID(u))...)
 		slices.SortFunc(buf, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
@@ -46,6 +53,17 @@ func buildCSR(n int, row func(NodeID) []Edge) *CSR {
 		c.Offsets[u+1] = int32(len(c.Targets))
 	}
 	return c
+}
+
+// fit returns s emptied, with room for n entries. When it has to allocate
+// it allows a sixteenth more, so a graph that gains a few edges between
+// two compactions refills the arrays it has instead of replacing |E|-sized
+// arrays every time (append's own growth would add a quarter, and keep it).
+func fit[S ~[]E, E any](s S, n int) S {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make(S, 0, n+n/16)
 }
 
 // NumNodes returns the number of rows in the snapshot.
@@ -62,8 +80,8 @@ func (c *CSR) Neighbors(u NodeID) []NodeID {
 // staged batches.
 const DefaultCompactThreshold = 0.25
 
-// Flat is a read-optimized adjacency view: an immutable CSR base snapshot
-// plus a small per-node delta overlay for edges staged since the snapshot
+// Flat is a read-optimized adjacency view: a CSR base snapshot, unchanged
+// between compactions, plus a small per-node delta overlay for edges staged since the snapshot
 // was built. Hot loops iterate the base row as a dense struct-of-arrays
 // span (targets and weights in separate contiguous slices) and then the
 // short overlay tail, instead of chasing the graph's pointer-rich [][]Edge
@@ -80,7 +98,11 @@ const DefaultCompactThreshold = 0.25
 // operations since the last rebuild exceeds a configurable fraction of the
 // base size (see SetCompactThreshold and NeedCompact), MaybeCompact
 // rebuilds the CSR from the graph and clears the overlay, so a long-lived
-// process never degrades to all-overlay reads.
+// process never degrades to all-overlay reads. The rebuild refills the
+// arrays it replaces (the CSR is private to its single-writer Flat and the
+// rows are read from the Graph), so a compaction allocates only when the
+// graph outgrew them — and every span handed out earlier is invalid after
+// it, as after a Stage.
 //
 // Flat tracks staged edge batches only. Callers that mutate the Graph
 // through other entry points (DeleteNode, SetWeight) must Compact before
@@ -97,9 +119,10 @@ type Flat struct {
 
 // flatDir is one direction (out- or in-adjacency) of a Flat view.
 type flatDir struct {
-	csr  *CSR
-	dead []bool   // parallel to csr.Targets; nil until first tombstone
-	add  [][]Edge // per-node overlay inserts; nil rows are common
+	csr   *CSR
+	dead  []bool   // parallel to csr.Targets; nil until first tombstone
+	spare []bool   // the dead array of before the last rebuild, for the next first tombstone
+	add   [][]Edge // per-node overlay inserts; empty rows are common
 }
 
 // NewFlat builds a Flat view of g's current adjacency with an empty
@@ -113,12 +136,24 @@ func NewFlat(g *Graph) *Flat {
 }
 
 func (f *Flat) rebuild(g *Graph) {
-	n := g.NumNodes()
-	f.out = flatDir{csr: Snapshot(g), add: make([][]Edge, n)}
+	f.out.rebuild(g.NumNodes(), g.Out)
 	if f.directed {
-		f.in = flatDir{csr: SnapshotIn(g), add: make([][]Edge, n)}
+		f.in.rebuild(g.NumNodes(), g.In)
 	}
 	f.overlayOps = 0
+}
+
+// rebuild refills d from the graph's rows with an empty overlay, in the
+// arrays d already holds.
+func (d *flatDir) rebuild(n int, row func(NodeID) []Edge) {
+	d.csr = buildCSR(d.csr, n, row)
+	if d.dead != nil {
+		d.spare, d.dead = d.dead, nil
+	}
+	d.add = fit(d.add, n)[:n]
+	for u := range d.add {
+		d.add[u] = d.add[u][:0]
+	}
 }
 
 // SetCompactThreshold sets the overlay-to-base ratio above which
@@ -246,7 +281,8 @@ func (d *flatDir) remove(u, v NodeID) {
 	}
 	if i, ok := d.baseIndex(u, v); ok {
 		if d.dead == nil {
-			d.dead = make([]bool, len(d.csr.Targets))
+			d.dead = fit(d.spare, len(d.csr.Targets))[:len(d.csr.Targets)]
+			clear(d.dead)
 		}
 		d.dead[i] = true
 	}

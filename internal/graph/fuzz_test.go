@@ -1,7 +1,12 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -48,7 +53,82 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzReadBatch exercises the batch parser the same way.
+// readBatchSscanf is ReadBatch as it was before it stopped going through
+// strings.Fields and fmt.Sscanf, kept as the reference FuzzReadBatch
+// compares the parser against.
+func readBatchSscanf(r io.Reader) (Batch, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	var b Batch
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Fields(text)
+		var upd Update
+		switch {
+		case fields[0] == "+" && len(fields) == 4:
+			var u, v, w int64
+			if _, err := fmt.Sscanf(strings.Join(fields[1:], " "), "%d %d %d", &u, &v, &w); err != nil {
+				return nil, fmt.Errorf("batch: line %d: %v", line, err)
+			}
+			upd = Update{Kind: InsertEdge, From: NodeID(u), To: NodeID(v), W: w}
+		case fields[0] == "-" && (len(fields) == 3 || len(fields) == 4):
+			var u, v, w int64
+			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &u, &v); err != nil {
+				return nil, fmt.Errorf("batch: line %d: %v", line, err)
+			}
+			if len(fields) == 4 {
+				if _, err := fmt.Sscanf(fields[3], "%d", &w); err != nil {
+					return nil, fmt.Errorf("batch: line %d: %v", line, err)
+				}
+			}
+			upd = Update{Kind: DeleteEdge, From: NodeID(u), To: NodeID(v), W: w}
+		default:
+			return nil, fmt.Errorf("batch: line %d: malformed update %q", line, text)
+		}
+		if err := upd.Validate(-1); err != nil {
+			return nil, fmt.Errorf("batch: line %d: %v", line, err)
+		}
+		b = append(b, upd)
+	}
+	return b, sc.Err()
+}
+
+// errLine extracts the line number of a ReadBatch error (0 if none).
+func errLine(err error) (line int) {
+	if err != nil {
+		fmt.Sscanf(err.Error(), "batch: line %d:", &line)
+	}
+	return line
+}
+
+// gluedGarbage reports whether the given 1-based line of in holds a
+// number Sscanf read a prefix of: a field after the first that is not a
+// plain decimal. That is the one input the reference accepts and
+// ReadBatch refuses.
+func gluedGarbage(in string, line int) bool {
+	lines := strings.Split(in, "\n")
+	if line < 1 || line > len(lines) {
+		return false
+	}
+	fields := strings.Fields(lines[line-1])
+	for _, f := range fields[min(1, len(fields)):] {
+		if _, err := strconv.ParseInt(f, 10, 64); err != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzReadBatch exercises the batch parser differentially and by round
+// trip: it accepts what the Sscanf-based reference accepts, with the same
+// result and the same line in its errors — except a number with garbage
+// glued to it, which the reference read the prefix of and ReadBatch
+// refuses — and anything accepted re-serializes and re-parses.
 func FuzzReadBatch(f *testing.F) {
 	f.Add("+ 1 2 3\n- 4 5\n")
 	f.Add("# nothing\n")
@@ -57,6 +137,19 @@ func FuzzReadBatch(f *testing.F) {
 	f.Add("+ 1 2 2305843009213693950\n")
 	f.Add("+ 1 2 2305843009213693951\n")
 	f.Add("- 1 2 9223372036854775807\n")
+	// Where the two parsers could part: signs, underscores, other bases,
+	// overflow, glued garbage in every position, Unicode white space,
+	// carriage returns, a comment glued to an update.
+	f.Add("+ +1 +2 +3\n- 1 2 -0\n")
+	f.Add("+ 1_0 2 3\n")
+	f.Add("+ 0x10 2 3\n+ 1 2 0x10\n")
+	f.Add("+ 1 2 9223372036854775808\n")
+	f.Add("+ 4294967296 1 2\n")
+	f.Add("+ 1 2 3x\n")
+	f.Add("+ 1x 2 3\n- 1 2x\n- 1 2x 3\n- 1 2 3x\n")
+	f.Add("\u00a0+\u20031\u20282 3\u0085\n \t- 4 5 \r\n")
+	f.Add("+ 1 2 3 # c\n+ 1 2 3#c\n#+ 1 2 3\n")
+	f.Add("+ 1 2 \xff\n")
 	// Torn-write corpora: a valid multi-line batch cut mid-line at every
 	// offset, the shape a crash leaves behind in a text batch file.
 	whole := "+ 1 2 3\n- 4 5 6\n+ 100 200 -7\n- 8 9\n"
@@ -68,6 +161,17 @@ func FuzzReadBatch(f *testing.F) {
 			return
 		}
 		b, err := ReadBatch(strings.NewReader(in))
+		ref, refErr := readBatchSscanf(strings.NewReader(in))
+		switch {
+		case err == nil && (refErr != nil || !slices.Equal(b, ref)):
+			t.Fatalf("ReadBatch accepted %q as %v; the reference gives %v, %v", in, b, ref, refErr)
+		case err != nil && errLine(err) != errLine(refErr):
+			// Refusing a line the reference read on past is right only for
+			// glued garbage.
+			if at := errLine(refErr); (at != 0 && at < errLine(err)) || !gluedGarbage(in, errLine(err)) {
+				t.Fatalf("ReadBatch refused %q with %q; the reference gives %v, %v", in, err, ref, refErr)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -2,9 +2,13 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The text format is a labeled edge list, line-oriented and diff-friendly:
@@ -83,46 +87,76 @@ func WriteBatch(w io.Writer, b Batch) error {
 // with a line-numbered error here instead of panicking deep inside a
 // maintainer. Upper node-id bounds depend on the target graph and are
 // checked by Batch.Validate.
+//
+// It is on the path of every POST /update, so it works on the scanner's
+// bytes: no per-line strings, and a buffer that starts small and grows
+// only for a long line.
 func ReadBatch(r io.Reader) (Batch, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	var b Batch
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+	for line := 1; sc.Scan(); line++ {
+		var fields [4][]byte
+		n, rest := 0, sc.Bytes()
+		for {
+			var f []byte
+			if f, rest = nextField(rest); len(f) == 0 {
+				break
+			}
+			if n < len(fields) {
+				fields[n] = f
+			}
+			n++
+		}
+		if n == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		var upd Update
-		switch {
-		case fields[0] == "+" && len(fields) == 4:
-			var u, v, w int64
-			if _, err := fmt.Sscanf(strings.Join(fields[1:], " "), "%d %d %d", &u, &v, &w); err != nil {
-				return nil, fmt.Errorf("batch: line %d: %v", line, err)
-			}
-			upd = Update{Kind: InsertEdge, From: NodeID(u), To: NodeID(v), W: w}
-		case fields[0] == "-" && (len(fields) == 3 || len(fields) == 4):
-			var u, v, w int64
-			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &u, &v); err != nil {
-				return nil, fmt.Errorf("batch: line %d: %v", line, err)
-			}
-			if len(fields) == 4 {
-				if _, err := fmt.Sscanf(fields[3], "%d", &w); err != nil {
-					return nil, fmt.Errorf("batch: line %d: %v", line, err)
-				}
-			}
-			upd = Update{Kind: DeleteEdge, From: NodeID(u), To: NodeID(v), W: w}
+		upd := Update{Kind: InsertEdge}
+		switch op := fields[0]; {
+		case string(op) == "+" && n == 4:
+		case string(op) == "-" && (n == 3 || n == 4):
+			upd.Kind = DeleteEdge
 		default:
-			return nil, fmt.Errorf("batch: line %d: malformed update %q", line, text)
+			return nil, fmt.Errorf("batch: line %d: malformed update %q", line, bytes.TrimSpace(sc.Bytes()))
 		}
+		var nums [3]int64 // u, v and, where given, w
+		for k := range nums[:n-1] {
+			var err error
+			if nums[k], err = strconv.ParseInt(string(fields[k+1]), 10, 64); err != nil {
+				return nil, fmt.Errorf("batch: line %d: %v", line, err)
+			}
+		}
+		upd.From, upd.To, upd.W = NodeID(nums[0]), NodeID(nums[1]), nums[2]
 		if err := upd.Validate(-1); err != nil {
 			return nil, fmt.Errorf("batch: line %d: %v", line, err)
 		}
 		b = append(b, upd)
 	}
 	return b, sc.Err()
+}
+
+// nextField returns the first field of s — a run of bytes holding no
+// Unicode white space, as strings.Fields splits — and what follows it;
+// the field is empty when s holds nothing but white space.
+func nextField(s []byte) (field, rest []byte) {
+	start := -1
+	for i := 0; i < len(s); {
+		r, w := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRune(s[i:])
+		}
+		switch space := unicode.IsSpace(r); {
+		case space && start >= 0:
+			return s[start:i], s[i:]
+		case !space && start < 0:
+			start = i
+		}
+		i += w
+	}
+	if start < 0 {
+		return nil, nil
+	}
+	return s[start:], nil
 }
 
 // Read parses a graph in the text format.

@@ -202,6 +202,24 @@ func TestReadBatchErrors(t *testing.T) {
 	}
 }
 
+// TestReadBatchGluedGarbage: a number with anything glued to it is a
+// line-numbered error in every position — Sscanf used to read "3x" as 3
+// when it came last.
+func TestReadBatchGluedGarbage(t *testing.T) {
+	for _, in := range []string{"+ 1 2 3x", "+ 1x 2 3", "+ 1 2x 3", "- 1 2x", "- 1 2x 3", "- 1 2 3x", "- 1x 2", "+ 1 2 0x10", "+ 1 2 1_0"} {
+		_, err := ReadBatch(strings.NewReader("+ 7 8 9\n" + in + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%q: err %v, want an error naming line 2", in, err)
+		}
+	}
+	// What stays accepted: signs, any Unicode white space, \r\n, comments.
+	b, err := ReadBatch(strings.NewReader("\u00a0+ +1\u2003+2 +3 \r\n#x\n- 4 5 -0\n"))
+	want := Batch{{Kind: InsertEdge, From: 1, To: 2, W: 3}, {Kind: DeleteEdge, From: 4, To: 5}}
+	if err != nil || !reflect.DeepEqual(b, want) {
+		t.Fatalf("got %v, %v; want %v", b, err, want)
+	}
+}
+
 func TestReadBatchDeletionWeight(t *testing.T) {
 	b, err := ReadBatch(strings.NewReader("- 3 4 7\n"))
 	if err != nil {
@@ -273,5 +291,34 @@ func TestWriteDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "graph undirected 3") {
 		t.Fatalf("header missing: %q", a.String())
+	}
+}
+
+// BenchmarkReadBatch parses the two request bodies the repository
+// benchmark posts: trickle's 8 updates and burst's 400.
+func BenchmarkReadBatch(b *testing.B) {
+	for _, lines := range []int{8, 400} {
+		rng := rand.New(rand.NewSource(1))
+		batch := make(Batch, lines)
+		for i := range batch {
+			batch[i] = Update{Kind: UpdateKind(i % 2), From: NodeID(rng.Intn(100000)), To: NodeID(rng.Intn(100000))}
+			if batch[i].Kind == InsertEdge {
+				batch[i].W = int64(rng.Intn(100) + 1)
+			}
+		}
+		var body bytes.Buffer
+		if err := WriteBatch(&body, batch); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(body.Len()))
+			for i := 0; i < b.N; i++ {
+				got, err := ReadBatch(bytes.NewReader(body.Bytes()))
+				if err != nil || len(got) != lines {
+					b.Fatalf("%d updates, %v", len(got), err)
+				}
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"net/http"
 	"testing"
-	"time"
 
 	"incgraph/internal/bc"
 	"incgraph/internal/cc"
@@ -136,7 +135,7 @@ func TestHostAuditAggregation(t *testing.T) {
 	g := graph.New(8, false)
 	g.InsertEdge(0, 1, 1)
 	g.InsertEdge(1, 2, 1)
-	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{MaxWait: time.Millisecond})
+	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{})
 	defer h.Close()
 
 	batches := []graph.Batch{

@@ -53,7 +53,7 @@ func openDurableService(t *testing.T, base *graph.Graph, dir string, dopt Durabl
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{MaxBatch: 16, MaxWait: time.Millisecond, Workers: testWorkers()}
+	opt := Options{MaxBatch: 16, Workers: testWorkers()}
 	if _, err := svc.Host(SSSP(sssp.NewInc(base.Clone(), 0), 0), opt); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestPanicIsolationHeals(t *testing.T) {
 	inj.PanicOn("cc", 2)
 
 	h := NewHost(CC(cc.NewInc(base.Clone())), Options{
-		MaxBatch: 4, MaxWait: time.Millisecond, BeforeApply: inj.BeforeApply,
+		MaxBatch: 4, BeforeApply: inj.BeforeApply,
 	})
 	defer h.Close()
 
@@ -298,7 +298,7 @@ func (b *brokenServeable) Recompute()                     { panic("broken recomp
 
 func TestQuarantineServesStale(t *testing.T) {
 	g := gen.Synthetic(1, 10, 2, true)
-	h := NewHost(&brokenServeable{g: g, good: true}, Options{MaxBatch: 1, MaxWait: time.Millisecond})
+	h := NewHost(&brokenServeable{g: g, good: true}, Options{MaxBatch: 1})
 	defer h.Close()
 
 	b := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 5, W: 1}}
@@ -329,11 +329,39 @@ func TestQuarantineServesStale(t *testing.T) {
 // slowServeable blocks Apply until released, to saturate a host's queue
 // deterministically. entered closes on the first Apply call, marking the
 // moment the apply loop is parked and can no longer drain the queue.
+// sizes records the net size of every batch applied (apply loop only).
 type slowServeable struct {
 	g       *graph.Graph
 	release chan struct{}
 	entered chan struct{}
 	once    sync.Once
+	sizes   []int
+}
+
+// newSlow returns a slowServeable over an n-node directed graph.
+func newSlow(n int) *slowServeable {
+	return &slowServeable{g: graph.New(n, true), release: make(chan struct{}), entered: make(chan struct{})}
+}
+
+// newSlowReleased returns a slowServeable that never blocks.
+func newSlowReleased(n int) *slowServeable {
+	s := newSlow(n)
+	close(s.release)
+	return s
+}
+
+// park submits one update and returns once the apply loop is blocked
+// inside the maintainer applying it.
+func (s *slowServeable) park(t *testing.T, h *Host) {
+	t.Helper()
+	if err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("apply loop never reached the maintainer")
+	}
 }
 
 func (s *slowServeable) Algo() string        { return "slow" }
@@ -341,6 +369,7 @@ func (s *slowServeable) Graph() *graph.Graph { return s.g }
 func (s *slowServeable) Apply(b graph.Batch) ApplyResult {
 	s.once.Do(func() { close(s.entered) })
 	<-s.release
+	s.sizes = append(s.sizes, len(b))
 	return ApplyResult{}
 }
 func (s *slowServeable) Snapshot() any                  { return struct{}{} }
@@ -352,10 +381,9 @@ func (s *slowServeable) Recompute()                     {}
 // /update to shed with 503 + Retry-After instead of blocking — and to
 // recover once the queue drains.
 func TestShed503(t *testing.T) {
-	g := gen.Synthetic(2, 10, 2, true)
-	slow := &slowServeable{g: g, release: make(chan struct{}), entered: make(chan struct{})}
+	slow := newSlow(10)
 	svc := NewService()
-	h, err := svc.Host(slow, Options{MaxBatch: 1, MaxWait: time.Millisecond, Queue: 1})
+	h, err := svc.Host(slow, Options{MaxBatch: 1, Queue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,14 +402,7 @@ func TestShed503(t *testing.T) {
 	// Park the apply loop inside a blocked Apply, then fill the
 	// submission channel: with the loop parked, nothing can drain it, so
 	// saturation is stable until release.
-	if err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-slow.entered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("apply loop never reached the maintainer")
-	}
+	slow.park(t, h)
 	for !h.Saturated() {
 		if err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
 			t.Fatal(err)
@@ -425,7 +446,7 @@ func TestShed503(t *testing.T) {
 func TestDebugAppliesCap(t *testing.T) {
 	base := gen.Synthetic(4, 30, 3, true)
 	svc := NewService()
-	if _, err := svc.Host(SSSP(sssp.NewInc(base.Clone(), 0), 0), Options{MaxBatch: 1, MaxWait: time.Millisecond}); err != nil {
+	if _, err := svc.Host(SSSP(sssp.NewInc(base.Clone(), 0), 0), Options{MaxBatch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(svc.Handler())

@@ -314,7 +314,8 @@ func (s *Service) Handler() http.Handler {
 // and scalars with strconv, every page of a per-node vector from the
 // page's encoded-bytes cache — so an answer that cannot be encoded is a
 // 500 rather than a truncated 200, every answer carries Content-Length,
-// and a page no apply touched since the last read is not encoded again.
+// and no page is encoded twice: one an apply replaced since the last read
+// inherited its predecessor's bytes (derivePage).
 // The bytes are what json.Encoder wrote for the same view: indented by
 // default, on one line under ?compact=1 (for machine readers — a shard
 // router fetches a view per shard per query — for which indenting an

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"incgraph/internal/cc"
 	"incgraph/internal/graph"
@@ -28,10 +27,10 @@ func newTestService(t *testing.T) (*Service, *httptest.Server) {
 		g.InsertEdge(1, 2, 2)
 		return g
 	}
-	if _, err := svc.Host(CC(cc.NewInc(mk())), Options{MaxWait: time.Millisecond}); err != nil {
+	if _, err := svc.Host(CC(cc.NewInc(mk())), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Host(SSSP(sssp.NewInc(mk(), 0), 0), Options{MaxWait: time.Millisecond}); err != nil {
+	if _, err := svc.Host(SSSP(sssp.NewInc(mk(), 0), 0), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(svc.Handler())

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"incgraph/internal/cc"
 	"incgraph/internal/graph"
@@ -159,16 +158,57 @@ func TestMetricsEndToEnd(t *testing.T) {
 			}
 		}
 	}
+	// The POST found an idle host, so its one batch was closed by the
+	// empty queue; the other reasons are exported at 0.
+	for _, algo := range []string{"cc", "sssp"} {
+		for reason, want := range map[string]float64{"drain": 1, "full": 0, "timer": 0, "state": 0, "close": 0} {
+			if v := promValue(t, expo, `incgraph_apply_flushes_total{algo="`+algo+`",reason="`+reason+`"}`); v != want {
+				t.Errorf("%s flushes by %s = %g, want %g", algo, reason, v, want)
+			}
+		}
+		if v := promValue(t, expo, `incgraph_view_entries_spliced_total{algo="`+algo+`"}`); v != 0 {
+			t.Errorf("%s entries spliced %g with no form read yet", algo, v)
+		}
+	}
+	// Both forms of both views are cached now. An update that changes both
+	// answers again (edge 1-2 comes back) replaces the page with one born
+	// cached: its changed entries are spliced into both forms, and reading
+	// it encodes nothing.
+	if code, body := postUpdate(t, ts.URL+"/update?wait=1", "+ 1 2 1\n"); code != http.StatusOK {
+		t.Fatalf("update status %d: %s", code, body)
+	}
+	var stats map[string]Stats
+	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats status %d", code)
+	}
+	for _, algo := range []string{"cc", "sssp"} {
+		for _, q := range []string{"", "?compact=1"} {
+			resp, err := http.Get(ts.URL + "/query/" + algo + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		expo := scrape()
+		if e := promValue(t, expo, `incgraph_view_pages_encoded_total{algo="`+algo+`"}`); e != 2 {
+			t.Errorf("%s pages encoded %g after reading a page born cached, want the 2 of before", algo, e)
+		}
+		spliced := promValue(t, expo, `incgraph_view_entries_spliced_total{algo="`+algo+`"}`)
+		if spliced <= 0 || spliced > 12 || int(spliced)%2 != 0 || uint64(spliced) != stats[algo].EntriesSpliced {
+			t.Errorf("%s entries spliced %g (stats: %d), want the changed entries of one 6-entry page, once per form", algo, spliced, stats[algo].EntriesSpliced)
+		}
+	}
 	// /debug/boundedness reports the serving layer's ratio beside the
-	// engine's: six entries copied for three net updates.
+	// engine's: six entries copied per update that changed an answer.
 	var reports map[string]BoundednessReport
 	if code := getJSON(t, ts.URL+"/debug/boundedness", &reports); code != http.StatusOK {
 		t.Fatalf("debug/boundedness status %d", code)
 	}
 	for _, algo := range []string{"cc", "sssp"} {
 		rep := reports[algo]
-		if rep.EntriesCopied != 6 || rep.PublishRatio != 2 || rep.BoundedRatio <= 0 {
-			t.Errorf("%s boundedness report: entries copied %d, publish ratio %g, bounded ratio %g; want 6, 2, > 0",
+		if rep.EntriesCopied != 12 || rep.PublishRatio != 3 || rep.BoundedRatio <= 0 {
+			t.Errorf("%s boundedness report: entries copied %d, publish ratio %g, bounded ratio %g; want 12, 3, > 0",
 				algo, rep.EntriesCopied, rep.PublishRatio, rep.BoundedRatio)
 		}
 	}
@@ -204,6 +244,9 @@ func TestDebugApplies(t *testing.T) {
 		}
 		if tr.PagesCopied != 1 || tr.PagesTotal != 1 {
 			t.Errorf("%s: published %d of %d pages, want 1 of 1", algo, tr.PagesCopied, tr.PagesTotal)
+		}
+		if tr.FlushReason != "drain" {
+			t.Errorf("%s: flush reason %q on an idle host, want drain", algo, tr.FlushReason)
 		}
 	}
 	// CC runs on the fixpoint engine: the trace must carry its counters.
@@ -269,7 +312,7 @@ func TestStatsDerivedFields(t *testing.T) {
 // Trace applies.
 func TestTraceRingBounded(t *testing.T) {
 	g := graph.New(4, false)
-	h := NewHost(CC(cc.NewInc(g)), Options{MaxBatch: 1, MaxWait: time.Hour, Trace: 4})
+	h := NewHost(CC(cc.NewInc(g)), Options{MaxBatch: 1, Trace: 4})
 	defer h.Close()
 	for i := 0; i < 10; i++ {
 		b := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -14,13 +13,12 @@ import (
 
 // pageSize is the number of entries one page of a Paged vector holds.
 // Chosen by measurement on the repository benchmark's trickle workload
-// (|V| = 100,000, ~75 scattered entries change between two paced reads;
-// see EXPERIMENTS.md, "View publication and paged reads"): at 256 those
-// changes dirty about a sixth of the 391 pages, so a read re-encodes a
-// sixth of the vector, and one publish copies a few 2 KiB pages. Halving
-// it no longer speeds up reads and doubles the page table; doubling it
-// doubles both the bytes copied per apply and the share of the vector a
-// read re-encodes.
+// (|V| = 100,000, a dozen scattered entries change per apply; see
+// EXPERIMENTS.md, "View publication and paged reads"): at 256 one publish
+// copies a few 2 KiB pages and, per wire form somebody reads, their ~3 KB
+// of encoded bytes. Halving it doubles the page table and, once replaced
+// pages inherit their encoded bytes (derivePage), no longer speeds up
+// reads; doubling it doubles the bytes copied per apply.
 const (
 	pageShift = 8
 	pageSize  = 1 << pageShift
@@ -59,6 +57,12 @@ type encodedPage struct {
 	// separator carries the indentation); 0 in the compact form.
 	depth int
 	b     []byte
+	// end[i] is the offset in b just past entry i's value (the separator,
+	// if any, follows): what lets a page copied from this one keep the
+	// bytes of the entries it did not change. A page's bytes stay far
+	// below 64 KiB: 256 entries of at most 24 digits and a 17-byte
+	// separator.
+	end []uint16
 }
 
 // page is the unit of sharing and of encoding. A page is written only
@@ -67,20 +71,139 @@ type encodedPage struct {
 // readers hold the same page. enc is the one mutable part: a cache slot
 // per wire form, filled by whichever reader first needs the page in that
 // form (racing readers store identical bytes) and garbage with the page.
+// A page that replaces another starts with the slots its predecessor had
+// filled (derivePage).
 type page[T PageElem] struct {
-	enc  [numForms]atomic.Pointer[encodedPage]
-	n    int // entries in use; pageSize except in a vector's last page
-	vals [pageSize]T
+	enc     [numForms]atomic.Pointer[encodedPage]
+	n       int // entries in use; pageSize except in a vector's last page
+	spliced int // entries derivePage re-encoded to fill enc, over all forms
+	vals    [pageSize]T
 }
 
+// newPage builds a page with no predecessor: nothing is cached until a
+// reader encodes it.
 func newPage[T PageElem](src []T) *page[T] {
 	pg := &page[T]{n: len(src)}
 	copy(pg.vals[:], src)
 	return pg
 }
 
+// derivePage builds the page that replaces old with src as its content,
+// born cached: for every wire form old holds encoded it gets the same
+// bytes with only the entries that differ re-encoded — the unchanged runs
+// are copied, so the result is what a cold encode of src produces, at the
+// cost of a ~3 KB copy instead of 256 integer formats, and a reader never
+// meets a page cold just because an apply touched it. A form nobody read
+// on old stays empty; old itself is not retained.
+func derivePage[T PageElem](old *page[T], src []T) *page[T] {
+	pg := newPage(src)
+	if old.n != pg.n {
+		return pg // the last page of a vector whose length changed
+	}
+	var buf [pageSize]int
+	var changed []int // found once, when the first cached form needs it
+	for f := range pg.enc {
+		was := old.enc[f].Load()
+		if was == nil {
+			continue
+		}
+		if changed == nil {
+			changed = changedEntries(old.vals[:old.n], src, buf[:0])
+		}
+		sep := elemSep(wireForm(f), was.depth)
+		var enc *encodedPage
+		if 2*len(changed) > pg.n { // mostly new values: encoding them all costs less than splicing each
+			enc, _ = encodePage(src, was.depth, sep)
+		} else {
+			enc = splice(was, src, changed, len(sep))
+		}
+		if enc != nil {
+			pg.enc[f].Store(enc)
+			pg.spliced += len(changed)
+		}
+	}
+	return pg
+}
+
+// encodePage encodes vals, a page's entries, separated by sep.
+func encodePage[T PageElem](vals []T, depth int, sep string) (*encodedPage, error) {
+	enc := &encodedPage{depth: depth, end: make([]uint16, len(vals))}
+	var err error
+	if enc.b, err = appendElems(make([]byte, 0, (len(sep)+6)*len(vals)), vals, sep, enc.end); err != nil {
+		return nil, err
+	}
+	return enc, nil
+}
+
+// differs reports whether a and b encode to different bytes: when they
+// are unequal, and for the one value with two encodings — the floats 0
+// and -0, which compare equal.
+func differs[T PageElem](a, b T) bool {
+	if a != b {
+		return true
+	}
+	var zero T
+	if a != zero {
+		return false
+	}
+	f, ok := any(a).(float64)
+	return ok && math.Signbit(f) != math.Signbit(any(b).(float64))
+}
+
+// changedEntries appends to changed the indices at which cur differs from
+// old.
+func changedEntries[T PageElem](old, cur []T, changed []int) []int {
+	for i, x := range cur {
+		if differs(x, old[i]) {
+			changed = append(changed, i)
+		}
+	}
+	return changed
+}
+
+// splice returns e with the entries at the ascending indices changed
+// re-encoded from vals and everything else copied (sep is the length of
+// e's separator); nil when a new value cannot be encoded (a NaN), which
+// leaves the error to the reader.
+func splice[T PageElem](e *encodedPage, vals []T, changed []int, sep int) *encodedPage {
+	d := &encodedPage{depth: e.depth, b: make([]byte, 0, len(e.b)+2*len(changed)), end: make([]uint16, len(e.end))}
+	from, at := 0, 0 // e.b[from:] is still to copy; d.end[:at] is final
+	for _, i := range changed {
+		start := 0
+		if i > 0 {
+			start = int(e.end[i-1]) + sep
+		}
+		shift := len(d.b) - from // what the entries copied since the last splice moved by
+		d.b = append(d.b, e.b[from:start]...)
+		for ; at < i; at++ {
+			d.end[at] = uint16(int(e.end[at]) + shift)
+		}
+		var err error
+		if d.b, err = appendElems(d.b, vals[i:i+1], "", nil); err != nil {
+			return nil
+		}
+		d.end[i], at, from = uint16(len(d.b)), i+1, int(e.end[i])
+	}
+	shift := len(d.b) - from
+	d.b = append(d.b, e.b[from:]...)
+	for ; at < len(d.end); at++ {
+		d.end[at] = uint16(int(e.end[at]) + shift)
+	}
+	return d
+}
+
 func (pg *page[T]) equal(src []T) bool {
-	return pg.n == len(src) && slices.Equal(pg.vals[:pg.n], src)
+	if pg.n != len(src) || !slices.Equal(pg.vals[:pg.n], src) {
+		return false
+	}
+	if _, float := any(src).([]float64); float { // equal floats can still differ in the sign of a zero
+		for i, x := range src {
+			if differs(x, pg.vals[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Paged is an immutable vector stored as fixed-size pages that
@@ -143,8 +266,8 @@ func (p Paged[T]) Update(cur []T, written []int32) Paged[T] {
 	q := p
 	for _, i := range written {
 		k := int(i) >> pageShift
-		if old := p.page(k); q.page(k) == old && old.vals[int(i)&(pageSize-1)] != cur[i] {
-			q.set(p, k, newPage(cur[k<<pageShift:min((k+1)<<pageShift, len(cur))]))
+		if old := p.page(k); q.page(k) == old && differs(old.vals[int(i)&(pageSize-1)], cur[i]) {
+			q.set(p, k, derivePage(old, cur[k<<pageShift:min((k+1)<<pageShift, len(cur))]))
 		} // else page k is already copied, or this entry did not change
 	}
 	return q
@@ -163,8 +286,10 @@ func (p Paged[T]) rebuild(cur []T) Paged[T] {
 	for k := range np {
 		src := cur[k<<pageShift : min((k+1)<<pageShift, len(cur))]
 		switch {
-		case k >= was || !p.page(k).equal(src):
+		case k >= was:
 			q.set(p, k, newPage(src))
+		case !p.page(k).equal(src):
+			q.set(p, k, derivePage(p.page(k), src))
 		case np != was:
 			q.set(p, k, p.page(k))
 		}
@@ -172,23 +297,30 @@ func (p Paged[T]) rebuild(cur []T) Paged[T] {
 	return q
 }
 
-// pagesSince counts the pages (and the entries in them) p does not share
-// with prev, its predecessor: what publishing p copied. Chunks the two
+// publishCost is what publishing a vector (or a view's vectors) after its
+// predecessor took: the pages not shared with it, the entries in those
+// pages, and the entries re-encoded to hand the pages their predecessors'
+// cached bytes; total is the page count published.
+type publishCost struct{ pages, entries, spliced, total int }
+
+// costSince accounts p against prev, its predecessor. Chunks the two
 // share are skipped whole.
-func (p Paged[T]) pagesSince(prev pagedVec) (pages, entries int) {
+func (p Paged[T]) costSince(prev pagedVec) publishCost {
 	q, _ := prev.(Paged[T])
+	c := publishCost{total: p.numPages()}
 	was := q.numPages()
-	for k := 0; k < p.numPages(); k++ {
-		if c := k >> chunkShift; k&(chunkSize-1) == 0 && c < len(q.chunks) && p.chunks[c] == q.chunks[c] {
+	for k := 0; k < c.total; k++ {
+		if ch := k >> chunkShift; k&(chunkSize-1) == 0 && ch < len(q.chunks) && p.chunks[ch] == q.chunks[ch] {
 			k += chunkSize - 1
 			continue
 		}
 		if pg := p.page(k); k >= was || q.page(k) != pg {
-			pages++
-			entries += pg.n
+			c.pages++
+			c.entries += pg.n
+			c.spliced += pg.spliced
 		}
 	}
-	return pages, entries
+	return c
 }
 
 // elemSep is what separates two array elements in form f at nesting
@@ -205,7 +337,7 @@ func elemSep(f wireForm, depth int) string {
 // appendRange appends entries [lo, hi) to b as array elements in form f
 // (no brackets), taking every page the range covers whole from its cache
 // and filling the cache where it is empty. encoded counts the pages that
-// had to be run through the encoder.
+// had to be encoded from scratch.
 func (p Paged[T]) appendRange(b []byte, f wireForm, depth, lo, hi int) (_ []byte, encoded int, err error) {
 	sep := elemSep(f, depth)
 	if f == formCompact {
@@ -226,7 +358,7 @@ func (p Paged[T]) appendRange(b []byte, f wireForm, depth, lo, hi int) (_ []byte
 		}
 		if from > 0 || to < pg.n { // a range's ragged edge: encoded, not cached
 			encoded++
-			if b, err = appendElems(b, pg.vals[from:to], sep); err != nil {
+			if b, err = appendElems(b, pg.vals[from:to], sep, nil); err != nil {
 				return b, encoded, err
 			}
 			continue
@@ -234,12 +366,10 @@ func (p Paged[T]) appendRange(b []byte, f wireForm, depth, lo, hi int) (_ []byte
 		enc := pg.enc[f].Load()
 		if enc == nil || enc.depth != depth {
 			encoded++
-			start := len(b)
-			if b, err = appendElems(b, pg.vals[:pg.n], sep); err != nil {
+			if enc, err = encodePage(pg.vals[:pg.n], depth, sep); err != nil {
 				return b, encoded, err
 			}
-			pg.enc[f].Store(&encodedPage{depth: depth, b: bytes.Clone(b[start:])})
-			continue
+			pg.enc[f].Store(enc)
 		}
 		b = append(b, enc.b...)
 	}
@@ -268,24 +398,30 @@ func (p *Paged[T]) UnmarshalJSON(data []byte) error {
 }
 
 // appendElems appends vals as JSON values separated by sep, each exactly
-// as encoding/json writes it.
-func appendElems[T PageElem](b []byte, vals []T, sep string) ([]byte, error) {
+// as encoding/json writes it. A non-nil end, one slot per value, receives
+// the offset just past each value, counted from where the first began.
+func appendElems[T PageElem](b []byte, vals []T, sep string, end []uint16) ([]byte, error) {
 	switch v := any(vals).(type) {
 	case []int64:
-		return AppendInts(b, v, sep), nil
+		return appendInts(b, v, sep, end), nil
 	case []int32:
-		return AppendInts(b, v, sep), nil
+		return appendInts(b, v, sep, end), nil
 	case []graph.NodeID:
-		return AppendInts(b, v, sep), nil
+		return appendInts(b, v, sep, end), nil
 	case []bool:
+		start := len(b)
 		for i, x := range v {
 			if i > 0 {
 				b = append(b, sep...)
 			}
 			b = strconv.AppendBool(b, x)
+			if end != nil {
+				end[i] = uint16(len(b) - start)
+			}
 		}
 		return b, nil
 	case []float64:
+		start := len(b)
 		for i, x := range v {
 			if i > 0 {
 				b = append(b, sep...)
@@ -293,6 +429,9 @@ func appendElems[T PageElem](b []byte, vals []T, sep string) ([]byte, error) {
 			var err error
 			if b, err = appendFloat(b, x); err != nil {
 				return b, err
+			}
+			if end != nil {
+				end[i] = uint16(len(b) - start)
 			}
 		}
 		return b, nil
@@ -304,11 +443,19 @@ func appendElems[T PageElem](b []byte, vals []T, sep string) ([]byte, error) {
 // integer-vector encoder behind both the daemon's view pages and the
 // router's merged answer (sep "," writes a compact JSON array body).
 func AppendInts[T ~int32 | ~int64](b []byte, vals []T, sep string) []byte {
+	return appendInts(b, vals, sep, nil)
+}
+
+func appendInts[T ~int32 | ~int64](b []byte, vals []T, sep string, end []uint16) []byte {
+	start := len(b)
 	for i, x := range vals {
 		if i > 0 {
 			b = append(b, sep...)
 		}
 		b = strconv.AppendInt(b, int64(x), 10)
+		if end != nil {
+			end[i] = uint16(len(b) - start)
+		}
 	}
 	return b
 }
@@ -339,7 +486,7 @@ type pagedVec interface {
 	Len() int
 	numPages() int
 	appendRange(b []byte, f wireForm, depth, lo, hi int) ([]byte, int, error)
-	pagesSince(prev pagedVec) (pages, entries int)
+	costSince(prev pagedVec) publishCost
 }
 
 // cut is the part [lo, hi) of a vector.
@@ -387,18 +534,20 @@ func vectorsOf(data any) []pagedVec {
 	return out
 }
 
-// publishDelta reports what publishing cur after prev copied: the pages
-// (and the entries in them) cur does not share with prev, of total.
-// Views that hold no paged vectors report zeros.
-func publishDelta(prev, cur any) (copied, entries, total int) {
+// publishDelta reports what publishing the view cur after prev took,
+// summed over its vectors. Views that hold no paged vectors report zeros.
+func publishDelta(prev, cur any) (sum publishCost) {
 	old := vectorsOf(prev)
 	for i, v := range vectorsOf(cur) {
 		var was pagedVec
 		if i < len(old) {
 			was = old[i]
 		}
-		c, e := v.pagesSince(was)
-		copied, entries, total = copied+c, entries+e, total+v.numPages()
+		c := v.costSince(was)
+		sum.pages += c.pages
+		sum.entries += c.entries
+		sum.spliced += c.spliced
+		sum.total += c.total
 	}
-	return copied, entries, total
+	return sum
 }

@@ -120,7 +120,7 @@ func referenceJSON(t testing.TB, v *View, rng *[2]int) [numForms][]byte {
 // The boundary dictionaries the generated vectors draw from besides
 // random values: what the encoders treat specially.
 var (
-	edgeInts   = []int64{0, 1, -1, 9, 10, 99, 100, graph.Infinity, graph.Infinity - 1, math.MaxInt64, math.MinInt64, math.MaxInt32, math.MinInt32}
+	edgeInts   = []int64{0, 1, -1, 9, 10, 99, 100, 99999, 100000, graph.Infinity, graph.Infinity - 1, math.MaxInt64, math.MinInt64, math.MaxInt32, math.MinInt32}
 	edgeFloats = []float64{0, math.Copysign(0, -1), 1, 0.5, 1.0 / 3, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, -1e21, 1.5e300, 5e-324, math.MaxFloat64}
 	edgeLens   = []int{0, 1, 2, pageSize - 1, pageSize, pageSize + 1, 2 * pageSize, 2*pageSize + 17, 3*pageSize - 1, chunkSize * pageSize, chunkSize*pageSize + 5}
 )
@@ -301,7 +301,7 @@ func TestPagedUpdateShares(t *testing.T) {
 	const n = (chunkSize+3)*pageSize + 9 // two chunks of the page table, the last page ragged
 	cur := genInts[int64](rand.New(rand.NewSource(2)), n)
 	p := pagedOf(cur)
-	copied := func(q Paged[int64]) int { c, _ := q.pagesSince(p); return c }
+	copied := func(q Paged[int64]) int { return q.costSince(p).pages }
 
 	if q := p.Update(cur, nil); copied(q) != 0 || &q.chunks[0] != &p.chunks[0] {
 		t.Fatalf("unchanged, nil list: %d pages copied", copied(q))
@@ -353,6 +353,263 @@ func TestPagedUpdateShares(t *testing.T) {
 	}
 }
 
+// changedValue returns a value near x: for the integers a step up or down
+// (from the boundary values of edgeInts that is a change of width or
+// sign: 9→10, 99999→100000, −1→0) or a fresh one, for bools the other one,
+// for floats one of the values with an encoding of their own.
+func changedValue[T PageElem](rng *rand.Rand, x T) T {
+	step := int64(1 - 2*rng.Intn(2))
+	var y any
+	switch v := any(x).(type) {
+	case int64:
+		y = v + step
+		if rng.Intn(4) == 0 {
+			y = genInts[int64](rng, 1)[0]
+		}
+	case int32:
+		y = v + int32(step)
+	case graph.NodeID:
+		y = max(v+graph.NodeID(step), 0) // the sim mirror drops negative ids; int32 covers −1→0
+		if y == v {
+			y = v + 1
+		}
+	case bool:
+		y = !v
+	case float64:
+		y = genFloats(rng, 1)[0]
+		if rng.Intn(3) == 0 {
+			y = -v // 0 ↔ -0 among others: equal values, different bytes
+		}
+	}
+	return y.(T)
+}
+
+// writtenMode is how a test tells Update what changed.
+type writtenMode int
+
+const (
+	writtenNil writtenMode = iota
+	writtenExact
+	writtenSuperset
+	numWrittenModes
+)
+
+// updated returns p's successor: a few entries changed — the first and the
+// last of the vector among them, so both ends of a page's bytes move — and
+// with grow != 0 that many entries appended (or, negative, cut off).
+func updated[T PageElem](rng *rand.Rand, p Paged[T], mode writtenMode, grow int) Paged[T] {
+	cur := p.Slice()
+	var written []int32
+	if n := len(cur); n > 0 {
+		for _, i := range append([]int{0, n - 1}, rng.Perm(n)[:min(n, 1+rng.Intn(6))]...) {
+			cur[i] = changedValue(rng, cur[i])
+			written = append(written, int32(i))
+		}
+		if mode == writtenSuperset {
+			written = append(written, written...)
+			written = append(written, int32(rng.Intn(n)), int32(n/2))
+		}
+	}
+	for ; grow > 0; grow-- {
+		var zero T
+		cur = append(cur, changedValue(rng, zero))
+	}
+	if grow < 0 {
+		cur = cur[:max(0, len(cur)+grow)]
+	}
+	if mode == writtenNil {
+		written = nil
+	}
+	return p.Update(cur, written)
+}
+
+// updatedView applies updated to every vector of a view; cold rebuilds the
+// same values into pages nobody has read.
+func updatedView(rng *rand.Rand, data any, mode writtenMode, grow int) (next, cold any) {
+	switch v := data.(type) {
+	case SSSPView:
+		d := updated(rng, v.Dist, mode, grow)
+		return SSSPView{v.Src, d}, SSSPView{v.Src, pagedOf(d.Slice())}
+	case CCView:
+		l := updated(rng, v.Labels, mode, grow)
+		return CCView{l}, CCView{pagedOf(l.Slice())}
+	case DFSView:
+		f, l, p := updated(rng, v.First, mode, grow), updated(rng, v.Last, mode, grow), updated(rng, v.Parent, mode, grow)
+		return DFSView{f, l, p}, DFSView{pagedOf(f.Slice()), pagedOf(l.Slice()), pagedOf(p.Slice())}
+	case LCCView:
+		d, t, g := updated(rng, v.Deg, mode, grow), updated(rng, v.Tri, mode, grow), updated(rng, v.Gamma, mode, grow)
+		return LCCView{d, t, g}, LCCView{pagedOf(d.Slice()), pagedOf(t.Slice()), pagedOf(g.Slice())}
+	case BCView:
+		a := updated(rng, v.Articulation, mode, grow)
+		return BCView{a, v.NumComps}, BCView{pagedOf(a.Slice()), v.NumComps}
+	case SimView:
+		n, c := SimView{NQ: v.NQ, Count: v.Count}, SimView{NQ: v.NQ, Count: v.Count}
+		for _, m := range v.Matches {
+			m = updated(rng, m, mode, grow)
+			n.Matches, c.Matches = append(n.Matches, m), append(c.Matches, pagedOf(m.Slice()))
+		}
+		return n, c
+	}
+	panic(fmt.Sprintf("no update for %T", data))
+}
+
+// checkDerived is the born-cached property for one view: prev is read
+// cold in the forms of the bit set read, every vector is updated, and the
+// successor must then write, in both forms, json.Encoder's bytes — which
+// are also what the same values write from pages nobody has read. In a
+// form prev was read in, no page may need encoding (the replaced pages
+// were born cached); in a form it was not, every page must (nothing is
+// derived for a form nobody reads). The check then repeats on the
+// successor, twice: a page derived from a derived page is spliced at the
+// offsets the first splice wrote, and the check itself has by then read
+// both forms.
+func checkDerived(t testing.TB, rng *rand.Rand, data any, read int, mode writtenMode, grow int) error {
+	prev := &View{Algo: "d", Data: data}
+	for f := wireForm(0); f < numForms; f++ {
+		if read>>f&1 == 1 {
+			w := viewWriter{form: f}
+			if err := w.view(prev, nil); err != nil {
+				return err
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		nextData, coldData := updatedView(rng, data, mode, grow)
+		next, cold := &View{Algo: "d", Epoch: 1, Data: nextData}, &View{Algo: "d", Epoch: 1, Data: coldData}
+		want := referenceJSON(t, next, nil)
+		total := publishDelta(nil, nextData).total
+		for f := wireForm(0); f < numForms; f++ {
+			w, c := viewWriter{form: f}, viewWriter{form: f}
+			if err := w.view(next, nil); err != nil {
+				return err
+			}
+			if err := c.view(cold, nil); err != nil {
+				return err
+			}
+			if !bytes.Equal(w.b, want[f]) || !bytes.Equal(c.b, want[f]) {
+				return fmt.Errorf("%T form %d read %b mode %d grow %d round %d: %s", data, f, read, mode, grow, round, firstDiff(w.b, c.b, want[f]))
+			}
+			switch {
+			case read>>f&1 == 0 && w.encoded != total:
+				return fmt.Errorf("%T form %d, never read before the update: %d of %d pages encoded, so some page carried a cache", data, f, w.encoded, total)
+			case read>>f&1 == 1 && grow == 0 && w.encoded != 0:
+				return fmt.Errorf("%T form %d round %d, read before the update: %d pages were not born cached", data, f, round, w.encoded)
+			}
+		}
+		data, read, grow = nextData, 1<<numForms-1, 0
+	}
+	return nil
+}
+
+// firstDiff shows the three encodings around the first byte at which
+// either of the first two departs from want.
+func firstDiff(derived, cold, want []byte) string {
+	at := 0
+	for at < len(want) && at < len(derived) && at < len(cold) && derived[at] == want[at] && cold[at] == want[at] {
+		at++
+	}
+	around := func(b []byte) []byte { return b[min(max(at-20, 0), len(b)):min(at+20, len(b))] }
+	return fmt.Sprintf("at byte %d (lengths %d, %d, %d): derived …%q… cold …%q… want …%q…", at, len(derived), len(cold), len(want), around(derived), around(cold), around(want))
+}
+
+// TestDerivedPageMatchesColdEncode runs checkDerived over all six view
+// types (all five element types; sim's lists nest a level deeper) at the
+// boundary lengths and random ones, for every combination of forms read
+// and every way of telling Update what changed, with and without a length
+// change.
+func TestDerivedPageMatchesColdEncode(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := edgeLens[rng.Intn(len(edgeLens))]
+		if rng.Intn(3) == 0 {
+			n = rng.Intn(3 * pageSize)
+		}
+		grow := []int{0, 0, 0, 3, -3, pageSize}[rng.Intn(6)]
+		for _, data := range genViews(rng, n) {
+			if err := checkDerived(t, rng, data, rng.Intn(1<<numForms), writtenMode(rng.Intn(int(numWrittenModes))), grow); err != nil {
+				t.Errorf("seed %d n=%d: %v", seed, n, err)
+				return false
+			}
+		}
+		return true
+	}
+	for seed := int64(0); seed < 80; seed++ {
+		if !check(seed) {
+			return
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDerivedPageWidthChanges pins the cases a splice can get wrong by
+// name: an entry whose encoding changes width or sign, at the first and
+// the last position of a full and of a ragged page, with unchanged
+// entries after it whose offsets must move.
+func TestDerivedPageWidthChanges(t *testing.T) {
+	for _, n := range []int{pageSize, pageSize + 3, 2} {
+		for _, step := range [][2]int64{{9, 10}, {10, 9}, {99999, 100000}, {-1, 0}, {0, -1}, {graph.Infinity, 0}, {5, 7}} {
+			for _, at := range []int{0, 1, n / 2, n - 1} {
+				prev := make([]int64, n)
+				for i := range prev {
+					prev[i] = int64(i % 13)
+				}
+				prev[at] = step[0]
+				cur := slices.Clone(prev)
+				cur[at] = step[1]
+				p := pagedOf(prev)
+				for f := wireForm(0); f < numForms; f++ {
+					if _, _, err := p.appendRange(nil, f, 3, 0, n); err != nil {
+						t.Fatal(err)
+					}
+				}
+				q := p.Update(cur, []int32{int32(at)})
+				// A second update on top of the derived page reads the offsets
+				// the first one wrote.
+				cur[n-1-at%2] += 1000
+				r := q.Update(cur, nil)
+				for f := wireForm(0); f < numForms; f++ {
+					got, encoded, _ := r.appendRange(nil, f, 3, 0, n)
+					want, _, _ := pagedOf(cur).appendRange(nil, f, 3, 0, n)
+					if !bytes.Equal(got, want) || encoded != 0 {
+						t.Fatalf("n=%d %d→%d at %d form %d: %d pages encoded; %s", n, step[0], step[1], at, f, encoded, firstDiff(got, want, want))
+					}
+				}
+				if c := r.costSince(p); c.spliced == 0 {
+					t.Fatalf("n=%d at %d: nothing counted as spliced: %+v", n, at, c)
+				}
+			}
+		}
+	}
+}
+
+// TestDerivedPageCatchesMissedShift shows the byte comparison the tests
+// above rest on has teeth: a derived page whose offsets were not moved
+// after a width change (the bug a splice is most likely to have) yields
+// wrong bytes at the next update.
+func TestDerivedPageCatchesMissedShift(t *testing.T) {
+	prev := []int64{9, 1, 2, 3, 4, 5}
+	p := pagedOf(prev)
+	if _, _, err := p.appendRange(nil, formCompact, 0, 0, len(prev)); err != nil {
+		t.Fatal(err)
+	}
+	cur := slices.Clone(prev)
+	cur[0] = 10
+	q := p.Update(cur, []int32{0})
+	good := q.page(0).enc[formCompact].Load()
+	if string(good.b) != "10,1,2,3,4,5" {
+		t.Fatalf("derived bytes %q", good.b)
+	}
+	// The mutant: same bytes, the offsets of before the width change.
+	q.page(0).enc[formCompact].Store(&encodedPage{depth: good.depth, b: good.b, end: p.page(0).enc[formCompact].Load().end})
+	cur[4] = 77
+	got, _, _ := q.Update(cur, []int32{4}).appendRange(nil, formCompact, 0, 0, len(cur))
+	if want := "10,1,2,3,77,5"; string(got) == want {
+		t.Fatalf("unshifted offsets still spliced to %q: the comparison cannot see a missed shift", got)
+	}
+}
+
 // TestPublishGuards: an apply that changes nothing publishes by sharing
 // every page and allocating a constant amount, and the written lists
 // the adapters feed Update cost no allocation to read.
@@ -372,8 +629,8 @@ func TestPublishGuards(t *testing.T) {
 			m.Apply(noop)
 			snap = m.Snapshot()
 		})
-		if c, _, total := publishDelta(first, snap); c != 0 || total == 0 {
-			t.Errorf("%s: a no-op apply copied %d of %d pages", m.Algo(), c, total)
+		if c := publishDelta(first, snap); c.pages != 0 || c.total == 0 {
+			t.Errorf("%s: a no-op apply copied %d of %d pages", m.Algo(), c.pages, c.total)
 		}
 		// Apply itself allocates a little (the applied-batch slice, stats);
 		// the bound only has to exclude anything proportional to n/pageSize.
@@ -382,8 +639,8 @@ func TestPublishGuards(t *testing.T) {
 		}
 		// A real change copies the pages it touched and no others.
 		m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: n - 2, To: n - 1}})
-		if c, _, total := publishDelta(snap, m.Snapshot()); c != 1 || total != n/pageSize {
-			t.Errorf("%s: cutting off the last node copied %d of %d pages, want 1", m.Algo(), c, total)
+		if c := publishDelta(snap, m.Snapshot()); c.pages != 1 || c.total != n/pageSize {
+			t.Errorf("%s: cutting off the last node copied %d of %d pages, want 1", m.Algo(), c.pages, c.total)
 		}
 		// Two applies between snapshots: the written list covers only the
 		// second, so the adapter must fall back to comparing.

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"incgraph/internal/cc"
 	"incgraph/internal/fixpoint"
@@ -35,7 +34,7 @@ func TestHostParallelMatchesSequential(t *testing.T) {
 	stream := makeStream(17, nodes, chunks*chunkLen)
 
 	build := func(workers int) (*Host, *Host) {
-		opt := Options{MaxBatch: chunkLen, MaxWait: time.Millisecond, Workers: workers}
+		opt := Options{MaxBatch: chunkLen, Workers: workers}
 		hs := NewHost(SSSP(sssp.NewInc(base.Clone(), 0), 0), opt)
 		hc := NewHost(CC(cc.NewInc(base.Clone())), opt)
 		return hs, hc
@@ -116,7 +115,7 @@ func TestHostWorkersSurviveHeal(t *testing.T) {
 	inj.PanicOn("sssp", 2)
 
 	h := NewHost(SSSP(sssp.NewInc(base.Clone(), 0), 0), Options{
-		MaxBatch: wide, MaxWait: time.Millisecond, Workers: 4,
+		MaxBatch: wide, Workers: 4,
 		BeforeApply: inj.BeforeApply,
 	})
 	defer h.Close()

@@ -11,12 +11,15 @@
 // immutable snapshot view published after each applied batch.
 //
 // A Host additionally coalesces and batches the update stream before it
-// reaches the maintainer: submissions accumulate until a size or latency
-// budget is hit, and the accumulated batch is reduced with Batch.Net so
-// churn (insert/delete pairs of the same edge, duplicate operations)
-// cancels out instead of being paid for inside the repair machinery. This
-// amortizes the per-batch fixed costs (scope construction, priority-queue
-// setup) that dominate when updates arrive one at a time.
+// reaches the maintainer, by group commit: the apply loop takes everything
+// that queued up while the previous apply ran (up to a size budget) as one
+// batch and applies it as soon as the queue is empty, so an idle host adds
+// no latency and a busy one merges exactly as much as arrived. The
+// accumulated batch is reduced with Batch.Net so churn (insert/delete
+// pairs of the same edge, duplicate operations) cancels out instead of
+// being paid for inside the repair machinery. This amortizes the
+// per-batch fixed costs (scope construction, priority-queue setup) that
+// dominate when updates arrive one at a time.
 package serve
 
 import (
@@ -150,6 +153,11 @@ type ApplyTrace struct {
 	// Both are 0 for a view that holds no Paged vectors.
 	PagesCopied int `json:"pages_copied"`
 	PagesTotal  int `json:"pages_total"`
+	// FlushReason is why the apply loop stopped accumulating and applied:
+	// "drain" (the submission queue was empty), "full" (MaxBatch reached),
+	// "timer" (MaxWait ran out while submissions kept arriving), "state"
+	// (a WithState job needed every earlier submission applied) or "close".
+	FlushReason string `json:"flush_reason"`
 	// UnixNanos timestamps the apply's completion.
 	UnixNanos int64 `json:"unix_nanos"`
 	// TraceID is the W3C trace ID of the first traced submission merged
@@ -270,10 +278,14 @@ type Stats struct {
 	// serving layer's own cost beside the engine's Audit.
 	PagesCopied   uint64 `json:"pages_copied"`
 	EntriesCopied uint64 `json:"entries_copied"`
-	// PagesEncoded counts the view pages GET /query had to run through
-	// the encoder; a page read again before any apply touched it is served
-	// from its cache and not counted.
+	// PagesEncoded counts the view pages GET /query encoded from scratch:
+	// pages nobody had read in that wire form, neither themselves nor the
+	// page they were copied from. A cached page is not counted.
 	PagesEncoded uint64 `json:"pages_encoded"`
+	// EntriesSpliced counts the entries publication re-encoded into the
+	// cached bytes a replaced page inherited from its predecessor (the
+	// entries whose value changed; the unchanged byte runs are copied).
+	EntriesSpliced uint64 `json:"entries_spliced"`
 	// WorkerUtilization is Par's cumulative pool utilization,
 	// BusyNanos/(Workers×WallNanos), in [0,1]; 0 while sequential.
 	WorkerUtilization float64 `json:"worker_utilization,omitempty"`
@@ -284,8 +296,11 @@ type Options struct {
 	// MaxBatch flushes the pending batch once it holds this many raw
 	// updates. Default 256.
 	MaxBatch int
-	// MaxWait flushes a nonempty pending batch after this long even if
-	// MaxBatch was not reached — the latency budget. Default 2ms.
+	// MaxWait is the upper bound on how long the apply loop keeps
+	// absorbing queued submissions into one batch: the batch is applied
+	// as soon as the queue is empty or MaxBatch is reached, and after
+	// MaxWait at the latest however fast submissions keep arriving. An
+	// idle host never waits. Default 2ms.
 	MaxWait time.Duration
 	// Queue is the submission channel's buffer (backpressure beyond it:
 	// Submit blocks). Default 1024.
@@ -436,14 +451,22 @@ type hostMetrics struct {
 	flatCompactions *obs.Counter
 	flatOverlay     *obs.Gauge
 
-	pagesCopied  *obs.Counter
-	pagesEncoded *obs.Counter
-	viewPages    *obs.Gauge
+	pagesCopied    *obs.Counter
+	pagesEncoded   *obs.Counter
+	entriesSpliced *obs.Counter
+	viewPages      *obs.Gauge
+
+	flushes [numFlushReasons]*obs.Counter
 }
 
 func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 	l := obs.L("algo", algo)
+	var flushes [numFlushReasons]*obs.Counter
+	for why, name := range flushReasonNames {
+		flushes[why] = r.Counter("incgraph_apply_flushes_total", "Batches the apply loop closed, by what closed them: drain (queue empty), full (MaxBatch), timer (MaxWait), state (WithState job), close.", l, obs.L("reason", name))
+	}
 	return hostMetrics{
+		flushes:         flushes,
 		updatesReceived: r.Counter("incgraph_updates_received_total", "Raw unit updates accepted by Submit.", l),
 		updatesApplied:  r.Counter("incgraph_updates_applied_total", "Raw unit updates incorporated into the published view.", l),
 		updatesCoal:     r.Counter("incgraph_updates_coalesced_total", "Updates cancelled by batch coalescing before reaching the maintainer.", l),
@@ -479,7 +502,8 @@ func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 		flatCompactions: r.Counter("incgraph_flat_compactions_total", "CSR base rebuilds of the maintainer's flat adjacency view.", l),
 		flatOverlay:     r.Gauge("incgraph_flat_overlay_ratio", "Staged overlay operations as a fraction of the flat view's base after the last apply.", l),
 		pagesCopied:     r.Counter("incgraph_view_pages_copied_total", "View pages copied by publication (the rest are shared with the previous epoch).", l),
-		pagesEncoded:    r.Counter("incgraph_view_pages_encoded_total", "View pages run through the JSON encoder by GET /query (cached pages are not).", l),
+		pagesEncoded:    r.Counter("incgraph_view_pages_encoded_total", "View pages GET /query encoded from scratch (cached pages, and pages born cached from the page they replaced, are not).", l),
+		entriesSpliced:  r.Counter("incgraph_view_entries_spliced_total", "Changed entries publication re-encoded into the cached bytes a replaced page inherited.", l),
 		viewPages:       r.Gauge("incgraph_view_pages", "Pages in the published view's vectors.", l),
 	}
 }
@@ -807,8 +831,28 @@ func (h *Host) Close() {
 	<-h.done
 }
 
+// flushReason says why the apply loop stopped accumulating a batch; it
+// labels incgraph_apply_flushes_total and ApplyTrace.FlushReason.
+type flushReason int
+
+const (
+	flushDrain flushReason = iota // the submission queue was empty
+	flushFull                     // MaxBatch reached
+	flushTimer                    // MaxWait ran out while submissions kept arriving
+	flushState                    // a WithState job needs every earlier submission applied
+	flushClose                    // shutdown drain
+	numFlushReasons
+)
+
+var flushReasonNames = [numFlushReasons]string{"drain", "full", "timer", "state", "close"}
+
 // loop is the single writer: the only goroutine that touches the
-// maintainer after NewHost returns.
+// maintainer after NewHost returns. Its batching policy is group commit:
+// a batch is whatever queued up while the previous apply ran, applied the
+// moment the queue is empty (or MaxBatch is reached). Coalescing therefore
+// happens exactly when submissions outpace applies, and an idle host adds
+// no wait to a submission; MaxWait only bounds how long a queue that never
+// empties can keep a batch open.
 func (h *Host) loop() {
 	defer close(h.done)
 	var (
@@ -819,13 +863,13 @@ func (h *Host) loop() {
 		timer   *time.Timer
 		timerC  <-chan time.Time
 	)
-	flush := func() {
+	flush := func(why flushReason) {
 		if timer != nil {
 			timer.Stop()
 			timer, timerC = nil, nil
 		}
 		if len(pending) > 0 {
-			h.apply(pending, oldest, pendTID)
+			h.apply(pending, oldest, pendTID, why)
 			pending = nil
 			pendTID = trace.TraceID{}
 		}
@@ -838,7 +882,7 @@ func (h *Host) loop() {
 		if s.fn != nil {
 			// State job: flush so the maintainer reflects every earlier
 			// submission (channel order), then hand it the loop's turn.
-			flush()
+			flush(flushState)
 			s.fn()
 			if s.ack != nil {
 				close(s.ack)
@@ -860,15 +904,19 @@ func (h *Host) loop() {
 		select {
 		case s := <-h.in:
 			add(s)
-			if len(pending) >= h.opt.MaxBatch {
-				flush()
-			} else if len(pending) > 0 && timer == nil {
+			switch {
+			case len(pending) >= h.opt.MaxBatch:
+				flush(flushFull)
+			case len(h.in) == 0:
+				flush(flushDrain)
+			case timer == nil && len(pending) > 0:
+				// More is queued: keep absorbing, for MaxWait at most.
 				timer = time.NewTimer(h.opt.MaxWait)
 				timerC = timer.C
 			}
 		case <-timerC:
 			timer, timerC = nil, nil
-			flush()
+			flush(flushTimer)
 		case <-h.quit:
 			// Graceful shutdown: drain whatever Submit managed to
 			// enqueue before Close flipped the flag, then exit.
@@ -877,10 +925,10 @@ func (h *Host) loop() {
 				case s := <-h.in:
 					add(s)
 					if len(pending) >= h.opt.MaxBatch {
-						flush()
+						flush(flushFull)
 					}
 				default:
-					flush()
+					flush(flushClose)
 					return
 				}
 			}
@@ -895,7 +943,8 @@ func (h *Host) loop() {
 // which the maintainer's own h/resume spans nest — and "publish", plus a
 // "queue_wait" span covering the time the oldest merged submission sat
 // queued. Called only from loop.
-func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
+func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID, why flushReason) {
+	h.met.flushes[why].Inc()
 	var root, sub trace.Span
 	if h.rec != nil {
 		qw := trace.Event{
@@ -946,7 +995,7 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 		sub.End()
 		sub = h.rec.Begin("publish", "serve", h.track)
 	}
-	copied, entries, pages := publishDelta(h.view.Load().Data, data)
+	pub := publishDelta(h.view.Load().Data, data)
 
 	h.statMu.Lock()
 	h.stats.BatchesApplied++
@@ -969,8 +1018,9 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 	if res.HasLedger {
 		h.stats.Audit = h.stats.Audit.Add(res.Ledger)
 	}
-	h.stats.PagesCopied += uint64(copied)
-	h.stats.EntriesCopied += uint64(entries)
+	h.stats.PagesCopied += uint64(pub.pages)
+	h.stats.EntriesCopied += uint64(pub.entries)
+	h.stats.EntriesSpliced += uint64(pub.spliced)
 	epoch, batches := h.stats.Epoch, h.stats.BatchesApplied
 	h.statMu.Unlock()
 
@@ -978,7 +1028,7 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 
 	if h.rec != nil {
 		sub.Arg("epoch", int64(epoch))
-		sub.Arg("pages_copied", int64(copied))
+		sub.Arg("pages_copied", int64(pub.pages))
 		sub.End()
 		root.Arg("raw", int64(len(raw)))
 		root.Arg("net", int64(len(net)))
@@ -1013,11 +1063,13 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID) {
 		QueueWaitNanos: queueWait,
 		ApplyNanos:     lat,
 		UnixNanos:      t0.UnixNano() + lat,
-		PagesCopied:    copied,
-		PagesTotal:     pages,
+		PagesCopied:    pub.pages,
+		PagesTotal:     pub.total,
+		FlushReason:    flushReasonNames[why],
 	}
-	m.pagesCopied.Add(float64(copied))
-	m.viewPages.Set(float64(pages))
+	m.pagesCopied.Add(float64(pub.pages))
+	m.entriesSpliced.Add(float64(pub.spliced))
+	m.viewPages.Set(float64(pub.total))
 	if !tid.IsZero() {
 		tr.TraceID = tid.String()
 	}

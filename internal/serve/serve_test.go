@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"incgraph/internal/cc"
 	"incgraph/internal/gen"
@@ -51,8 +50,10 @@ func makeStream(seed int64, nodes, total int) graph.Batch {
 // each in both wire forms (racing each other to fill the shared pages'
 // encode caches). Every observed view must be the exact answer on some
 // applied prefix of the stream — verified after the writer has published
-// hundreds of later epochs on top of the pages those views share, by
-// replaying each observed prefix and recomputing with batch Dijkstra.
+// 300 later epochs on top of the pages those views share (each derived
+// from the cached bytes of the page it replaced, while the readers were
+// filling those caches), by replaying each observed prefix, recomputing
+// with batch Dijkstra and encoding the held view again in both forms.
 // Run under -race this also proves readers never touch maintainer state
 // and the writer never touches a published page.
 func TestLoadConcurrentReaders(t *testing.T) {
@@ -67,7 +68,7 @@ func TestLoadConcurrentReaders(t *testing.T) {
 	base := g.Clone()
 	stream := makeStream(11, nodes, total)
 
-	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{MaxBatch: 64, MaxWait: time.Millisecond})
+	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{MaxBatch: 64})
 
 	type obs struct {
 		epoch           uint64
@@ -123,11 +124,12 @@ func TestLoadConcurrentReaders(t *testing.T) {
 		if end > len(stream) {
 			end = len(stream)
 		}
-		if err := h.Submit(stream[i:end]); err != nil {
+		// One publish per chunk: 300 epochs pile up on the first views held.
+		if err := h.SubmitWait(stream[i:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h.Close() // drains the queue and publishes the final view
+	h.Close()
 	close(stop)
 	wg.Wait()
 
@@ -141,8 +143,11 @@ func TestLoadConcurrentReaders(t *testing.T) {
 	if st.UpdatesCoalesced == 0 {
 		t.Fatal("coalescer never fired on a churn-heavy stream")
 	}
-	if st.BatchesApplied == 0 || st.BatchesApplied > uint64(total) {
-		t.Fatalf("implausible batch count %d", st.BatchesApplied)
+	if st.BatchesApplied != total/chunk {
+		t.Fatalf("%d batches, want one per SubmitWait (%d)", st.BatchesApplied, total/chunk)
+	}
+	if st.EntriesSpliced == 0 {
+		t.Fatal("no replaced page inherited cached bytes although every view was read in both forms")
 	}
 
 	// Prefix-consistency: recompute the answer for every distinct
@@ -186,8 +191,8 @@ func TestLoadConcurrentReaders(t *testing.T) {
 			checked++
 		}
 	}
-	if checked == 0 {
-		t.Fatal("readers observed nothing")
+	if checked == 0 || !epochSet[0] {
+		t.Fatalf("checked %d observations; the initial view, with all %d publishes after it, among them: %v", checked, st.BatchesApplied, epochSet[0])
 	}
 	t.Logf("checked %d observations over %d distinct epochs; coalesced %d of %d updates in %d batches",
 		checked, len(epochs), st.UpdatesCoalesced, total, st.BatchesApplied)
@@ -198,9 +203,7 @@ func TestLoadConcurrentReaders(t *testing.T) {
 func TestCoalescingCancelsChurn(t *testing.T) {
 	g := graph.New(4, false)
 	g.InsertEdge(0, 1, 1)
-	// MaxBatch equals the submission size, so the flush is size-triggered
-	// and deterministic (MaxWait never fires).
-	h := NewHost(CC(cc.NewInc(g)), Options{MaxBatch: 4, MaxWait: time.Hour})
+	h := NewHost(CC(cc.NewInc(g)), Options{})
 	b := graph.Batch{
 		{Kind: graph.InsertEdge, From: 1, To: 2, W: 1},
 		{Kind: graph.InsertEdge, From: 2, To: 3, W: 1},
@@ -225,38 +228,25 @@ func TestCoalescingCancelsChurn(t *testing.T) {
 	h.Close()
 }
 
-// Micro-batches submitted faster than the latency budget must merge into
-// fewer Apply calls.
-func TestBatchingMergesSubmissions(t *testing.T) {
-	g := graph.New(10, false)
-	h := NewHost(CC(cc.NewInc(g)), Options{MaxBatch: 1 << 20, MaxWait: 50 * time.Millisecond})
-	for i := 0; i < 9; i++ {
-		if err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: graph.NodeID(i), To: graph.NodeID(i + 1), W: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.Close()
-	st := h.Stats()
-	if st.UpdatesApplied != 9 {
-		t.Fatalf("applied %d, want 9", st.UpdatesApplied)
-	}
-	if st.BatchesApplied >= 9 {
-		t.Fatalf("9 submissions produced %d batches; batching never merged", st.BatchesApplied)
-	}
-}
-
+// TestCloseDrainsAndRejects: Close applies everything accepted before it
+// — here 49 submissions queued behind a parked apply loop — and Submit
+// fails afterwards.
 func TestCloseDrainsAndRejects(t *testing.T) {
-	g := graph.New(50, true)
-	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{MaxBatch: 8, MaxWait: time.Hour})
+	slow := newSlow(50)
+	h := NewHost(slow, Options{MaxBatch: 8})
 	stream := makeStream(3, 50, 200)
+	slow.park(t, h)
 	for i := 0; i < len(stream); i += 4 {
 		if err := h.Submit(stream[i : i+4]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h.Close()
-	if v := h.View(); v.Epoch != uint64(len(stream)) {
-		t.Fatalf("close did not drain: epoch %d, want %d", v.Epoch, len(stream))
+	closed := make(chan struct{})
+	go func() { h.Close(); close(closed) }()
+	close(slow.release)
+	<-closed
+	if v := h.View(); v.Epoch != uint64(1+len(stream)) {
+		t.Fatalf("close did not drain: epoch %d, want %d", v.Epoch, 1+len(stream))
 	}
 	if err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != ErrClosed {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)

@@ -77,7 +77,10 @@ func (i *Inc) SetWorkers(n int) {
 				// Workers scan the frozen CSR base (plus the short overlay
 				// tail) with no pointer chasing. The flat view is immutable
 				// for the whole resume — Stage ran before Repair — so
-				// concurrent readers are safe.
+				// concurrent readers are safe. The spans are fetched here,
+				// per vertex, and die with the iteration: a compaction
+				// refills the arrays they point into, so none may outlive
+				// the resume (TestParallelCompactsBetweenResumes).
 				ts, ws, dead, extra := i.flat.OutSpans(v)
 				for k, t := range ts {
 					if dead != nil && dead[k] {

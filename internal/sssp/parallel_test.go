@@ -39,6 +39,36 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelCompactsBetweenResumes: graph.Flat compacts in place — it
+// refills the arrays every span handed out earlier points into — so no
+// worker may carry a span across a Stage. They do not: parRelaxFn fetches
+// its spans per vertex inside a resume, and Stage (the only caller of
+// MaybeCompact) returns before Repair starts the pool. With the view
+// compacting on every batch, a span kept from an earlier round would read
+// rows being rewritten: wrong distances here, a data race under -race.
+func TestParallelCompactsBetweenResumes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := gen.PowerLaw(rng, 600, 8, true)
+	seq, par := NewInc(g.Clone(), 0), NewInc(g.Clone(), 0)
+	par.SetWorkers(4)
+	defer par.Close()
+	par.Flat().SetCompactThreshold(0)
+	for round := 0; round < 8; round++ {
+		b := gen.RandomUpdates(rng, seq.Graph(), 120, 0.5)
+		seq.Apply(b)
+		par.Apply(b)
+		if !reflect.DeepEqual(seq.Dist(), par.Dist()) {
+			t.Fatalf("round %d: a maintainer compacting in place on every batch diverged from one that never compacts", round)
+		}
+	}
+	if c := par.Flat().Compactions(); c != 8 {
+		t.Fatalf("%d compactions in 8 batches at threshold 0", c)
+	}
+	if par.ParStats().ParRounds == 0 {
+		t.Fatal("no resume round was partitioned across the workers")
+	}
+}
+
 // TestParallelDeterministic: same graph, same batches, same worker count
 // ⇒ identical distances and identical deterministic counters.
 func TestParallelDeterministic(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // TestParallelServeSixClassDifferential is the whole-fleet differential
@@ -36,7 +35,7 @@ func TestParallelServeSixClassDifferential(t *testing.T) {
 		}
 
 		build := func(workers int) map[string]*ServeHost {
-			opt := ServeOptions{MaxBatch: chunkLen, MaxWait: time.Millisecond, Workers: workers}
+			opt := ServeOptions{MaxBatch: chunkLen, Workers: workers}
 			return map[string]*ServeHost{
 				"sssp": NewServeHost(ServeSSSP(NewIncSSSP(base.Clone(), 0), 0), opt),
 				"cc":   NewServeHost(ServeCC(NewIncCC(base.Clone())), opt),
