@@ -44,7 +44,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment, or a comma-separated list: table1|exp1|exp2|exp2types|exp3|exp4|aff|ablation|datasets|extensions|scaling|exchange|publish|all")
+		exp       = flag.String("exp", "all", "experiment, or a comma-separated list: table1|exp1|exp2|exp2types|exp3|exp4|aff|ablation|datasets|extensions|exchange|publish|all")
 		class     = flag.String("class", "all", "query class for exp2: sssp|cc|sim|lcc|dfs|all")
 		scale     = flag.Float64("scale", 1.0, "dataset scale multiplier")
 		seed      = flag.Int64("seed", 1, "workload seed")
@@ -113,11 +113,11 @@ func main() {
 	}
 	// "all" runs the experiments in this order; a list runs the named ones
 	// in the order given.
-	order := []string{"datasets", "table1", "exp1", "exp2", "exp2types", "exp3", "exp4", "aff", "ablation", "extensions", "scaling", "exchange", "publish"}
+	order := []string{"datasets", "table1", "exp1", "exp2", "exp2types", "exp3", "exp4", "aff", "ablation", "extensions", "exchange", "publish"}
 	experiments := map[string]func(bench.Config){
 		"datasets": bench.ExpDatasets, "table1": bench.Table1, "exp1": bench.Exp1, "exp2types": bench.Exp2Types,
 		"exp3": bench.Exp3, "exp4": bench.Exp4, "aff": bench.ExpAff, "ablation": bench.ExpAblation,
-		"extensions": bench.ExpExtensions, "scaling": bench.ExpScaling, "exchange": bench.ExpExchange, "publish": bench.ExpPublish,
+		"extensions": bench.ExpExtensions, "exchange": bench.ExpExchange, "publish": bench.ExpPublish,
 	}
 	names := strings.Split(*exp, ",")
 	if *exp == "all" {

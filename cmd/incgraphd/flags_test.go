@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -53,17 +55,28 @@ func TestReadmeFlagTable(t *testing.T) {
 func TestFlagDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("incgraphd", flag.ContinueOnError)
 	c := newFlags(fs)
-	if err := fs.Parse([]string{"-workers", "4", "-algos", "sssp"}); err != nil {
+	if err := fs.Parse([]string{"-algos", "sssp"}); err != nil {
 		t.Fatal(err)
 	}
-	if c.workers != 4 || c.algos != "sssp" {
-		t.Fatalf("parsed workers=%d algos=%q", c.workers, c.algos)
+	if c.algos != "sssp" {
+		t.Fatalf("parsed algos=%q", c.algos)
 	}
 	if c.listen != ":8356" || c.maxBatch != 256 || c.queue != 1024 {
 		t.Fatalf("defaults drifted: listen=%q max-batch=%d queue=%d", c.listen, c.maxBatch, c.queue)
 	}
-	if fs.Lookup("workers").DefValue != "0" {
-		t.Fatalf("workers default %q, want 0 (sequential)", fs.Lookup("workers").DefValue)
+}
+
+// TestWorkersFlagRejected: the retired -workers is an unknown flag, so a
+// command line that still carries it exits 2 (usage) instead of starting
+// a daemon that silently ignores it.
+func TestWorkersFlagRejected(t *testing.T) {
+	out, err := exec.Command(buildDaemon(t), "-gen", "grid", "-algos", "cc", "-workers", "2").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("incgraphd -workers 2: err = %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -workers") {
+		t.Fatalf("incgraphd -workers 2 did not name the unknown flag:\n%s", out)
 	}
 }
 
@@ -77,7 +90,6 @@ func TestValidateFlags(t *testing.T) {
 		want string // "" means valid
 	}{
 		{"defaults", nil, ""},
-		{"negative workers", []string{"-workers", "-1"}, "-workers"},
 		{"negative shards", []string{"-shards", "-2"}, "-shards"},
 		{"shard-id without shards", []string{"-shard-id", "0"}, "set together"},
 		{"shards without shard-id", []string{"-shards", "2"}, "set together"},

@@ -11,7 +11,6 @@
 //	incgraphd -graph g.txt -algos cc -log-level debug -debug-addr :6060
 //	incgraphd -graph g.txt -algos cc -access-log
 //	incgraphd -graph g.txt -algos sssp,cc -data-dir /var/lib/incgraph
-//	incgraphd -graph g.txt -algos sssp,cc -workers 4
 //	incgraphd -graph g.txt -algos sssp,cc -shard-id 0 -shards 2 -data-dir d0
 //	incgraphd -graph g.txt -algos sssp,cc -shard-id 0 -shards 2 \
 //	    -replica-of http://127.0.0.1:8356 -data-dir d0r
@@ -47,12 +46,6 @@
 // single-writer apply loop; updates are validated, coalesced and batched
 // before one Apply call. On SIGINT/SIGTERM the daemon stops accepting
 // requests, drains every apply queue, and exits.
-//
-// With -workers n (n >= 2), maintainers that support the parallel
-// execution mode (sssp, cc) partition each repair round's frontier
-// across n workers; results are deterministic and identical to the
-// sequential mode, and /stats reports the per-host worker counters.
-// Other classes ignore the flag and stay sequential.
 //
 // With -data-dir set the daemon is durable: every accepted update batch
 // is write-ahead-logged (fsync policy per -fsync) before it is
@@ -132,7 +125,6 @@ type cliFlags struct {
 	maxBatch int
 	maxWait  time.Duration
 	queue    int
-	workers  int
 
 	logLevel  string
 	debugAddr string
@@ -168,7 +160,6 @@ func newFlags(fs *flag.FlagSet) *cliFlags {
 	fs.IntVar(&c.maxBatch, "max-batch", 256, "apply a batch once it holds this many updates")
 	fs.DurationVar(&c.maxWait, "max-wait", 2*time.Millisecond, "upper bound on how long a batch stays open while submissions keep arriving; an idle host applies at once")
 	fs.IntVar(&c.queue, "queue", 1024, "per-maintainer submission queue depth")
-	fs.IntVar(&c.workers, "workers", 0, "partition repair rounds across this many workers (sssp, cc; 0 or 1: sequential)")
 
 	fs.StringVar(&c.logLevel, "log-level", "info", "log verbosity: debug|info|warn|error (debug logs every apply)")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "optional second listener for pprof and expvar (e.g. :6060)")
@@ -191,9 +182,6 @@ func newFlags(fs *flag.FlagSet) *cliFlags {
 // (usage) on a validation error, so misconfiguration is distinguishable
 // from runtime failure.
 func validateFlags(c *cliFlags) error {
-	if c.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", c.workers)
-	}
 	if c.shards < 0 {
 		return fmt.Errorf("-shards must be >= 1, got %d", c.shards)
 	}
@@ -255,7 +243,7 @@ func parseAlgos(algos string) ([]string, error) {
 // serveOptions assembles the host options from the flags, wiring the
 // apply debug log.
 func serveOptions(logger *slog.Logger, c *cliFlags) incgraph.ServeOptions {
-	opt := incgraph.ServeOptions{MaxBatch: c.maxBatch, MaxWait: c.maxWait, Queue: c.queue, Workers: c.workers}
+	opt := incgraph.ServeOptions{MaxBatch: c.maxBatch, MaxWait: c.maxWait, Queue: c.queue}
 	// Every apply is traced through this hook at debug level: host, epoch,
 	// batch size, coalescing, |AFF|, and the latency split — the same
 	// fields /debug/applies retains.
@@ -313,6 +301,9 @@ func run(logger *slog.Logger, c *cliFlags) error {
 	if c.replicaOf != "" {
 		return runReplica(logger, c, base, pat, part, algoList, opt)
 	}
+	// The maintainers take the graph over below, and the serving log line
+	// runs on another goroutine: what is reported of it is read here.
+	nodes, edges, directed := base.NumNodes(), base.NumEdges(), base.Directed()
 
 	svc := incgraph.NewService()
 	// Name the flight recorder's process so a cluster-merged timeline
@@ -335,18 +326,10 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		}
 	}
 	targets := make(map[string]incgraph.Serveable, len(algoList))
-	for _, algo := range algoList {
+	graphs, restored := classGraphs(algoList, base, rec)
+	for i, algo := range algoList {
 		t0 := time.Now()
-		// Every maintainer owns a private clone: maintainers mutate
-		// their graph in Apply and are single-writer objects.
-		g := base.Clone()
-		restored := false
-		if rec != nil {
-			if ra, ok := rec.Algos[algo]; ok {
-				g, restored = ra.Graph, true
-			}
-		}
-		m, err := buildServeable(algo, g, incgraph.NodeID(c.src), pat)
+		m, err := buildServeable(algo, graphs[i], incgraph.NodeID(c.src), pat)
 		if err != nil {
 			svc.Close()
 			return err
@@ -359,7 +342,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		}
 		targets[algo] = m
 		logger.Info("hosted", "host", algo, "batch_init", time.Since(t0).Round(time.Microsecond),
-			"from_checkpoint", restored)
+			"from_checkpoint", restored[i])
 	}
 	var d *incgraph.Durable
 	if rec != nil {
@@ -410,7 +393,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 	// Shard-mode daemons expose the exchange API the router drives, and
 	// (when durable) the WAL stream a log-shipping replica follows.
 	if part != nil {
-		shard.MountShardAPI(svc, part, c.shardID, base.NumNodes(), base.Directed(), nil)
+		shard.MountShardAPI(svc, part, c.shardID, nodes, directed, nil)
 	}
 	if d != nil {
 		svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
@@ -437,7 +420,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("serving", "nodes", base.NumNodes(), "edges", base.NumEdges(), "addr", c.listen)
+		logger.Info("serving", "nodes", nodes, "edges", edges, "addr", c.listen)
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -522,15 +505,13 @@ func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *inc
 	if err != nil {
 		return fmt.Errorf("replica recovery: %w", err)
 	}
+	nodes, directed := base.NumNodes(), base.Directed()
 	targets := make(map[string]incgraph.Serveable, len(algoList))
 	baseEpochs := make(map[string]uint64, len(algoList))
 	baseBatches := make(map[string]uint64, len(algoList))
-	for _, algo := range algoList {
-		g := base.Clone()
-		if ra, ok := rec.Algos[algo]; ok {
-			g = ra.Graph
-		}
-		m, err := buildServeable(algo, g, incgraph.NodeID(c.src), pat)
+	graphs, _ := classGraphs(algoList, base, rec)
+	for i, algo := range algoList {
+		m, err := buildServeable(algo, graphs[i], incgraph.NodeID(c.src), pat)
 		if err != nil {
 			return err
 		}
@@ -617,7 +598,7 @@ func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *inc
 		pstate.d = d
 		pstate.Unlock()
 		if part != nil {
-			shard.MountShardAPI(svc, part, c.shardID, base.NumNodes(), base.Directed(), func() bool { return false })
+			shard.MountShardAPI(svc, part, c.shardID, nodes, directed, func() bool { return false })
 		}
 		svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
 		full := svc.Handler()
@@ -643,7 +624,7 @@ func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *inc
 	mux.Handle("GET /metrics.json", svc.Registry().JSONHandler())
 	mux.Handle("GET /debug/trace", svc.Recorder().Handler())
 	mux.HandleFunc("GET /shard/info", func(w http.ResponseWriter, r *http.Request) {
-		info := shard.Info{Nodes: base.NumNodes(), Directed: base.Directed(), Replica: true, Epochs: follower.Epochs()}
+		info := shard.Info{Nodes: nodes, Directed: directed, Replica: true, Epochs: follower.Epochs()}
 		if part != nil {
 			info.Shard, info.Shards, info.Partitioner = c.shardID, part.Shards(), part.Name()
 		}
@@ -653,14 +634,14 @@ func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *inc
 	// its replayed maintainers, every view stamped degraded. This is the
 	// surface the router's fetchView falls back to when a primary's
 	// breaker is open — a lagging answer with an honest epoch instead of
-	// a missing shard.
+	// a missing shard. It reads the route's parameters as a primary does.
 	mux.HandleFunc("GET /query/{algo}", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := follower.View(r.PathValue("algo"))
 		if !ok {
 			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown algo " + r.PathValue("algo")})
 			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		incgraph.WriteQuery(w, r, &v, nodes)
 	})
 	mux.HandleFunc("POST /replica/promote", func(w http.ResponseWriter, r *http.Request) {
 		if !promoted.CompareAndSwap(false, true) {
@@ -722,6 +703,32 @@ func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *inc
 		}
 	}
 	return nil
+}
+
+// classGraphs returns, for each class of algoList, the graph its
+// maintainer will own — maintainers mutate their graph in Apply and are
+// single-writer objects, so no two share one — and whether it came from
+// the checkpoint. A class rec (which may be nil) covers takes the
+// checkpoint's graph; the others take a private copy of base, the last of
+// them base itself, which the caller must not touch afterwards.
+func classGraphs(algoList []string, base *incgraph.Graph, rec *incgraph.Recovery) (graphs []*incgraph.Graph, restored []bool) {
+	graphs = make([]*incgraph.Graph, len(algoList))
+	restored = make([]bool, len(algoList))
+	handedOver := false
+	for i := len(algoList) - 1; i >= 0; i-- {
+		if rec != nil {
+			if ra, ok := rec.Algos[algoList[i]]; ok {
+				graphs[i], restored[i] = ra.Graph, true
+				continue
+			}
+		}
+		if handedOver {
+			graphs[i] = base.Clone()
+		} else {
+			graphs[i], handedOver = base, true
+		}
+	}
+	return graphs, restored
 }
 
 // writeJSON writes v as JSON with the given status.

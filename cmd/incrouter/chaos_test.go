@@ -22,9 +22,8 @@ import (
 // TestChaosDifferential is the cluster chaos-differential drill: real
 // shard processes behind a router whose transport injects seeded
 // network faults (delays, resets, truncated bodies, spurious 503s),
-// plus one full partition (blackhole), one kill -9 with replica
-// promotion, and a worker-count mutation across the promotion — while
-// a structured update stream flows. The invariants:
+// plus one full partition (blackhole) and one kill -9 with replica
+// promotion — while a structured update stream flows. The invariants:
 //
 //   - queries during the partition answer 200 with "degraded": true
 //     partials (stale replica or missing shard, epoch vector exposing
@@ -71,17 +70,6 @@ func TestChaosDifferential(t *testing.T) {
 		genSeed:   seed,
 	}
 	specs, primaries := childSpecs(c)
-	// Worker-count mutation across the promotion: primaries run the
-	// parallel execution mode, replicas sequential — after the kill -9
-	// the promoted member answers with a different worker count, and the
-	// final recompute equality proves the mode change is invisible.
-	for i := range specs {
-		if specs[i].Replica {
-			specs[i].Argv = append(specs[i].Argv, "-workers", "1")
-		} else {
-			specs[i].Argv = append(specs[i].Argv, "-workers", "2")
-		}
-	}
 	table := shard.NewTable(primaries)
 	events := obs.NewRing[shard.TopologyEvent](128)
 	sup, err := shard.NewSupervisor(shard.SupervisorOptions{
@@ -280,8 +268,7 @@ func TestChaosDifferential(t *testing.T) {
 	mustApply(nextBatch(30), 60*time.Second)
 
 	// Phase C: quiesce shard 0's replication, then kill -9 its primary
-	// and wait for the supervisor to promote the replica (which runs
-	// with a different worker count).
+	// and wait for the supervisor to promote the replica.
 	replica0 := table.Replica(0)
 	if replica0 == "" {
 		t.Fatal("no replica registered for shard 0")

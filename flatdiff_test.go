@@ -206,8 +206,7 @@ func flatSeed(t *testing.T, seed int64) bool {
 // the flat (CSR + overlay) execution core: every class against batch
 // recompute after every chunk, the four flat-backed ones under each
 // compaction regime, on the golden seeds and on fresh ones from
-// testing/quick. Run under -race this also exercises staging vs the
-// parallel drain.
+// testing/quick.
 func TestFlatDifferentialSixClass(t *testing.T) {
 	for seed := range flatGolden {
 		flatSeed(t, seed)

@@ -186,8 +186,7 @@ type (
 	Serveable = serve.Serveable
 	// ServeHost runs one maintainer behind a single-writer apply loop.
 	ServeHost = serve.Host
-	// ServeOptions tune a host's batching bounds, queue depth, and
-	// (via Workers) the parallel execution mode on supporting classes.
+	// ServeOptions tune a host's batching bounds and queue depth.
 	ServeOptions = serve.Options
 	// Service is a set of named hosts behind one HTTP API.
 	Service = serve.Service
@@ -302,6 +301,14 @@ func NewServeHost(m Serveable, opt ServeOptions) *ServeHost { return serve.NewHo
 // trace-context resolution (see cmd/incgraphd's -access-log).
 func AccessLog(logger *slog.Logger, next http.Handler) http.Handler {
 	return serve.AccessLog(logger, next)
+}
+
+// WriteQuery answers a GET /query/{algo} request with the view v of a
+// graph of numNodes nodes, reading ?compact and ?range exactly as a
+// Service does (a warm replica serves its stale reads through it). It
+// returns the number of view pages it encoded rather than found cached.
+func WriteQuery(w http.ResponseWriter, r *http.Request, v *ServeView, numNodes int) int {
+	return serve.WriteQuery(w, r, v, numNodes)
 }
 
 // ServeSSSP adapts an SSSP maintainer for serving; src must be the source

@@ -51,11 +51,8 @@ type Result struct {
 	Affected int `json:"affected,omitempty"`
 	// Speedup is BatchSeconds / IncSeconds.
 	Speedup float64 `json:"speedup,omitempty"`
-	// Workers is the worker count of a parallel-mode measurement; 0 for
-	// the (default) sequential runs. In the scaling experiment the
-	// baseline in BatchSeconds is the sequential repair, so Speedup is
-	// the parallel scaling factor rather than a batch-vs-incremental
-	// ratio.
+	// Workers is the shard count of an exchange measurement (the key
+	// that tells its topologies apart in -diff); 0 everywhere else.
 	Workers int `json:"workers,omitempty"`
 	// Work is the repair's work-ledger measure (touched + |AFF| + ‖AFF‖)
 	// when the maintainer exposes the engine ledger, or the synthesized

@@ -67,44 +67,6 @@ func TestExpExtensionsSmoke(t *testing.T) {
 	runAndCheck(t, "ExpExtensions", ExpExtensions, "Extensions", "BC", "DualSim")
 }
 
-func TestExpScalingSmoke(t *testing.T) {
-	runAndCheck(t, "ExpScaling", ExpScaling, "Parallel scaling", "IncSSSP", "IncCC", "workers", "imbalance")
-}
-
-// TestExpScalingResults checks the machine-readable rows: one per worker
-// count, |AFF| identical across them (same fixpoint, same affected area),
-// and the 1-worker baseline filled into every row's BatchSeconds.
-func TestExpScalingResults(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyCfg(&buf)
-	var results []Result
-	cfg.Report = func(r Result) { results = append(results, r) }
-	ExpScaling(cfg)
-	if len(results) != 8 {
-		t.Fatalf("got %d results, want 8 (4 worker counts × 2 classes)", len(results))
-	}
-	byExp := map[string][]Result{}
-	for _, r := range results {
-		byExp[r.Experiment] = append(byExp[r.Experiment], r)
-	}
-	for exp, rs := range byExp {
-		if len(rs) != 4 {
-			t.Fatalf("%s: %d rows, want 4", exp, len(rs))
-		}
-		for i, r := range rs {
-			if want := []int{1, 2, 4, 8}[i]; r.Workers != want {
-				t.Fatalf("%s row %d: workers %d, want %d", exp, i, r.Workers, want)
-			}
-			if r.Affected != rs[0].Affected {
-				t.Fatalf("%s: |AFF| varies with worker count: %d vs %d", exp, r.Affected, rs[0].Affected)
-			}
-			if r.BatchSeconds != rs[0].IncSeconds {
-				t.Fatalf("%s row %d: baseline %v != 1-worker time %v", exp, i, r.BatchSeconds, rs[0].IncSeconds)
-			}
-		}
-	}
-}
-
 // TestExpExchangeResults checks rung (f)'s rows: four counts per
 // topology, no evals or pairs at all on one shard, and counts that
 // repeat exactly for a fixed seed (they are what -diff gates).

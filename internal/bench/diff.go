@@ -94,7 +94,7 @@ type DiffReport struct {
 func (d *DiffReport) Failed() bool { return len(d.Regressions) > 0 }
 
 // diffKey identifies a measurement across runs: the harness function,
-// dataset, algorithm, workload and worker count together name one
+// dataset, algorithm, workload and shard count together name one
 // comparable cell of the evaluation.
 func diffKey(r Result) string {
 	k := fmt.Sprintf("%s/%s/%s/%s", r.Experiment, r.Dataset, r.Algo, r.Workload)

@@ -330,23 +330,6 @@ func (i *Inc) RestoreState(labels, ts []int64, clock int64) error {
 // must be called from the single writer goroutine that drives Apply.
 func (i *Inc) SetTracer(t fixpoint.Tracer) { i.eng.SetTracer(t) }
 
-// SetWorkers sets the engine's worker count for parallel round drains
-// (see fixpoint.Engine.SetWorkers): n >= 2 partitions each propagation
-// round's frontier across a reusable pool, n <= 1 restores the
-// sequential path. Single-writer contract: call only between Applies.
-func (i *Inc) SetWorkers(n int) { i.eng.SetWorkers(n) }
-
-// Workers returns the engine's configured worker count (1 = sequential).
-func (i *Inc) Workers() int { return i.eng.Workers() }
-
-// ParStats returns the engine's cumulative parallel-drain counters;
-// zero-valued while the engine runs sequentially.
-func (i *Inc) ParStats() fixpoint.ParStats { return i.eng.ParStats() }
-
-// Close releases the engine's worker pool, if any; the maintainer stays
-// usable (the pool respawns lazily on the next parallel round).
-func (i *Inc) Close() { i.eng.Close() }
-
 // Apply computes G ⊕ ΔG and incrementally repairs the labels. It returns
 // |H⁰|.
 //

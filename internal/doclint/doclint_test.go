@@ -14,7 +14,7 @@ import (
 var audited = []string{
 	".",                   // root facade (incgraph.go)
 	"internal/graph",      // graph substrate + flat CSR/overlay core
-	"internal/fixpoint",   // generic engine + parallel mode
+	"internal/fixpoint",   // generic engine
 	"internal/serve",      // serving layer
 	"internal/wal",        // durability substrate
 	"internal/shard",      // sharded serving

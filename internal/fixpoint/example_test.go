@@ -4,7 +4,6 @@ package fixpoint_test
 
 import (
 	"fmt"
-	"slices"
 
 	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
@@ -42,29 +41,4 @@ func ExampleEngine_IncrementalRun() {
 	// dist(3) before: 2
 	// dist(3) after:  10
 	// |H0|: 1
-}
-
-func ExampleEngine_SetWorkers() {
-	// Two engines over identical graphs: one sequential, one draining
-	// rounds on 4 workers. The parallel mode is deterministic — same
-	// distances, batch for batch, as the sequential engine.
-	gs, gp := diamond(), diamond()
-	seq := fixpoint.New[int64](&sssp.Instance{G: gs, Src: 0}, fixpoint.PriorityOrder)
-	par := fixpoint.New[int64](&sssp.Instance{G: gp, Src: 0}, fixpoint.PriorityOrder,
-		fixpoint.WithWorkers(4), fixpoint.WithParThreshold(1))
-	defer par.Close() // releases the worker pool
-	seq.Run()
-	par.Run()
-
-	delta := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 3, W: 1}}
-	gs.Apply(delta)
-	gp.Apply(delta)
-	seq.IncrementalRun([]fixpoint.Var{3})
-	par.IncrementalRun([]fixpoint.Var{3})
-
-	fmt.Println("identical:", slices.Equal(seq.State().Val, par.State().Val))
-	fmt.Println("dist:", par.State().Val)
-	// Output:
-	// identical: true
-	// dist: [0 1 5 1]
 }

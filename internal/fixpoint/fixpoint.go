@@ -20,6 +20,8 @@ package fixpoint
 import (
 	"fmt"
 	"time"
+
+	"incgraph/internal/pq"
 )
 
 // Var identifies a status variable in Ψ_A. Instances map graph nodes
@@ -95,6 +97,12 @@ type Stats struct {
 // Inspected returns the total number of variable inspections, the cost
 // measure of the paper's boundedness analysis.
 func (s Stats) Inspected() int64 { return s.Reads + s.Updates + s.Pops + s.HPops }
+
+// ParStats is what is left of the retired parallel execution mode's
+// counters: the frozen benchmark module (benchmark/wrappers.go,
+// benchmark/bench_test.go) still names the type, and the next [benchmark]
+// PR removes it. Nothing in this repository produces or reads one.
+type ParStats struct{ Workers int }
 
 // Tracer observes the phases of one incremental run. It is the engine's
 // span hook: internal/trace implements it (structurally — the methods use
@@ -226,52 +234,28 @@ type Engine[V any] struct {
 	hEnqFn func(Var)
 	hx     Var
 
-	tracer    Tracer         // optional span hook; nil ⇒ untraced path, zero cost
-	parTracer ParRoundTracer // tracer's optional parallel extension, captured at SetTracer
+	tracer Tracer // optional span hook; nil ⇒ untraced path, zero cost
 
-	wl      worklist     // step-function scope
-	hq      *indexedHeap // h's queue, ordered by old timestamps
-	inScope []int64      // epoch marks for H⁰ and AFF membership
-	chMark  []int64      // epoch marks: written this run (ledger)
-	chOld   []V          // run-start values of written variables (ledger)
-	chList  []int32      // written variables (first writes), kept until the next run
+	wl      worklist // step-function scope
+	hq      *pq.Heap // h's queue, ordered by old timestamps (the order <_C)
+	inScope []int64  // epoch marks for H⁰ and AFF membership
+	chMark  []int64  // epoch marks: written this run (ledger)
+	chOld   []V      // run-start values of written variables (ledger)
+	chList  []int32  // written variables (first writes), kept until the next run
 	epoch   int64
 	deg     OutDegreer // instance's optional out-degree hook for ‖AFF‖
-
-	// Parallel execution mode (see parallel.go). All fields stay nil/zero
-	// for sequential engines, so the n<=1 path allocates nothing extra.
-	workers      int            // >= 2 ⇒ partitioned round drains
-	parThreshold int            // minimum frontier size to partition
-	pool         *Pool          // reusable workers, spawned lazily
-	parWs        []parWorker[V] // per-worker buffers, reused across rounds
-	parts        []span         // current round's frontier partition
-	frontier     []Var          // round frontier snapshot, reused
-	recomp       []Var          // pull mode: deduped dependents, reused
-	parSeen      []int64        // pull mode: epoch marks for dedup
-	parEpoch     int64
-	parRelaxFn   func(int) // hoisted phase closures (no per-round allocs)
-	parDepFn     func(int)
-	parEvalFn    func(int)
-	par          ParStats
 }
 
 // New creates an engine for the instance with an empty (all-Bottom) state.
-// Options (WithWorkers, WithParThreshold) configure the parallel execution
-// mode; without them the engine is sequential. The engine is single-writer:
-// all methods must be called from one goroutine at a time (the parallel
-// mode's worker pool is an internal detail — the driver still blocks until
-// each round's merge completes).
-func New[V any](inst Instance[V], policy Policy, opts ...Option) *Engine[V] {
-	cfg := config{parThreshold: defaultParThreshold}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// The engine is single-writer: all methods must be called from one
+// goroutine at a time.
+func New[V any](inst Instance[V], policy Policy) *Engine[V] {
 	n := inst.NumVars()
 	st := &State[V]{Val: make([]V, n), TS: make([]int64, n)}
 	for i := 0; i < n; i++ {
 		st.Val[i] = inst.Bottom(Var(i))
 	}
-	e := &Engine[V]{inst: inst, policy: policy, st: st, parThreshold: cfg.parThreshold}
+	e := &Engine[V]{inst: inst, policy: policy, st: st}
 	e.relaxer, _ = inst.(Relaxer[V])
 	e.uniform, _ = inst.(UniformRelaxer[V])
 	e.deg, _ = inst.(OutDegreer)
@@ -280,13 +264,13 @@ func New[V any](inst Instance[V], policy Policy, opts ...Option) *Engine[V] {
 		return e.st.Val[x]
 	}
 	if policy == PriorityOrder {
-		e.wl = newIndexedHeap(n, func(a, b Var) bool {
+		e.wl = priority{pq.New(n, func(a, b int32) bool {
 			return e.inst.Less(e.st.Val[a], e.st.Val[b])
-		})
+		})}
 	} else {
 		e.wl = newFifo(n)
 	}
-	e.hq = newIndexedHeap(n, func(a, b Var) bool {
+	e.hq = pq.New(n, func(a, b int32) bool {
 		return e.st.TS[a] < e.st.TS[b]
 	})
 	e.inScope = make([]int64, n)
@@ -318,21 +302,15 @@ func New[V any](inst Instance[V], policy Policy, opts ...Option) *Engine[V] {
 	}
 	e.hEnqFn = func(z Var) {
 		if e.st.TS[e.hx] < e.st.TS[z] { // hx may be in C_z
-			e.hq.AddOrAdjust(z)
+			e.hq.AddOrAdjust(int32(z))
 		}
 	}
-	e.SetWorkers(cfg.workers)
 	return e
 }
 
 // SetTracer installs (or, with nil, removes) the span hook observing
-// incremental runs. If the tracer also implements ParRoundTracer it
-// additionally receives per-round parallel events. Call it from the
-// goroutine that drives the engine.
-func (e *Engine[V]) SetTracer(t Tracer) {
-	e.tracer = t
-	e.parTracer, _ = t.(ParRoundTracer)
-}
+// incremental runs. Call it from the goroutine that drives the engine.
+func (e *Engine[V]) SetTracer(t Tracer) { e.tracer = t }
 
 // State exposes the engine's status for inspection and for handing the
 // fixpoint D^r to a later incremental run.
@@ -382,9 +360,6 @@ func (e *Engine[V]) Grow() {
 		cl := make([]int32, len(e.chList), n)
 		copy(cl, e.chList)
 		e.chList = cl
-	}
-	for e.parSeen != nil && len(e.parSeen) < n {
-		e.parSeen = append(e.parSeen, 0)
 	}
 	e.wl.Grow(n)
 	e.hq.Grow(n)
@@ -440,6 +415,17 @@ func (e *Engine[V]) Run() {
 		e.wl.AddOrAdjust(x)
 	})
 	e.dispatchDrain()
+}
+
+// dispatchDrain routes a drain to the traced rounds when a tracer is
+// installed and to the tight loop otherwise, which stays free of any
+// tracing bookkeeping (the zero-allocation guarantee).
+func (e *Engine[V]) dispatchDrain() {
+	if e.tracer != nil {
+		e.drainRounds()
+	} else {
+		e.drain()
+	}
 }
 
 // drain is the step function f_A iterated to the fixpoint: it pops a
@@ -648,15 +634,16 @@ func (e *Engine[V]) scopeFunction(touched []Touched) []Var {
 	for _, t := range touched {
 		addH0(t.X)
 		if t.MaybeInfeasible {
-			que.AddOrAdjust(t.X)
+			que.AddOrAdjust(int32(t.X))
 		}
 	}
 	var revised []Var
 	for {
-		x, ok := que.Pop()
+		top, ok := que.Pop()
 		if !ok {
 			break
 		}
+		x := Var(top)
 		st.Stats.HPops++
 		e.hx = x
 		st.Stats.Updates++

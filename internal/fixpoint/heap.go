@@ -1,104 +1,6 @@
 package fixpoint
 
-// indexedHeap is a binary min-heap over Vars with an external comparator
-// and position tracking, supporting addOrAdjust (decrease/increase-key).
-// It backs both the priority worklist of the step function (ordered by
-// current variable value) and the queue of the initial scope function h
-// (ordered by old timestamps, the order <_C).
-type indexedHeap struct {
-	less  func(a, b Var) bool
-	items []Var
-	pos   []int32 // pos[v] = index in items, -1 if absent
-}
-
-func newIndexedHeap(n int, less func(a, b Var) bool) *indexedHeap {
-	h := &indexedHeap{less: less, pos: make([]int32, n)}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-	return h
-}
-
-func (h *indexedHeap) Len() int { return len(h.items) }
-
-func (h *indexedHeap) Contains(x Var) bool { return h.pos[x] >= 0 }
-
-// Grow extends the handle space to n variables.
-func (h *indexedHeap) Grow(n int) {
-	for len(h.pos) < n {
-		h.pos = append(h.pos, -1)
-	}
-}
-
-// AddOrAdjust inserts x or restores heap order after x's key changed.
-func (h *indexedHeap) AddOrAdjust(x Var) {
-	if h.pos[x] < 0 {
-		h.pos[x] = int32(len(h.items))
-		h.items = append(h.items, x)
-		h.up(int(h.pos[x]))
-		return
-	}
-	i := int(h.pos[x])
-	if !h.up(i) {
-		h.down(i)
-	}
-}
-
-// Pop removes and returns the minimum element.
-func (h *indexedHeap) Pop() (Var, bool) {
-	if len(h.items) == 0 {
-		return 0, false
-	}
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.pos[h.items[0]] = 0
-	h.items = h.items[:last]
-	h.pos[top] = -1
-	if last > 0 {
-		h.down(0)
-	}
-	return top, true
-}
-
-func (h *indexedHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i]] = int32(i)
-	h.pos[h.items[j]] = int32(j)
-}
-
-func (h *indexedHeap) up(i int) bool {
-	moved := false
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(h.items[i], h.items[p]) {
-			break
-		}
-		h.swap(i, p)
-		i = p
-		moved = true
-	}
-	return moved
-}
-
-func (h *indexedHeap) down(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.less(h.items[l], h.items[m]) {
-			m = l
-		}
-		if r < n && h.less(h.items[r], h.items[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h.swap(i, m)
-		i = m
-	}
-}
+import "incgraph/internal/pq"
 
 // fifo is a FIFO worklist with membership bits, for step functions whose
 // convergence does not benefit from value ordering (CC, Sim).
@@ -141,4 +43,17 @@ type worklist interface {
 	AddOrAdjust(x Var)
 	Pop() (Var, bool)
 	Grow(n int)
+}
+
+// priority is the PriorityOrder worklist: a pq.Heap, whose handles are
+// int32, behind the worklist's Vars.
+type priority struct{ h *pq.Heap }
+
+func (p priority) Len() int          { return p.h.Len() }
+func (p priority) Grow(n int)        { p.h.Grow(n) }
+func (p priority) AddOrAdjust(x Var) { p.h.AddOrAdjust(int32(x)) }
+
+func (p priority) Pop() (Var, bool) {
+	x, ok := p.h.Pop()
+	return Var(x), ok
 }

@@ -1,91 +1,6 @@
 package fixpoint
 
-import (
-	"math/rand"
-	"sort"
-	"testing"
-)
-
-func TestIndexedHeapOrdering(t *testing.T) {
-	keys := []int64{5, 3, 8, 1, 9, 2, 7}
-	h := newIndexedHeap(len(keys), func(a, b Var) bool { return keys[a] < keys[b] })
-	for i := range keys {
-		h.AddOrAdjust(Var(i))
-	}
-	var got []int64
-	for {
-		x, ok := h.Pop()
-		if !ok {
-			break
-		}
-		got = append(got, keys[x])
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Fatalf("pop order not sorted: %v", got)
-	}
-	if len(got) != len(keys) {
-		t.Fatalf("popped %d items, want %d", len(got), len(keys))
-	}
-}
-
-func TestIndexedHeapAdjust(t *testing.T) {
-	keys := []int64{10, 20, 30}
-	h := newIndexedHeap(3, func(a, b Var) bool { return keys[a] < keys[b] })
-	for i := range keys {
-		h.AddOrAdjust(Var(i))
-	}
-	keys[2] = 1 // decrease-key
-	h.AddOrAdjust(2)
-	if x, _ := h.Pop(); x != 2 {
-		t.Fatalf("decrease-key not honored, popped %d", x)
-	}
-	keys[0] = 99 // increase-key
-	h.AddOrAdjust(0)
-	if x, _ := h.Pop(); x != 1 {
-		t.Fatalf("increase-key not honored, popped %d", x)
-	}
-	if !h.Contains(0) || h.Contains(1) {
-		t.Fatal("Contains wrong")
-	}
-}
-
-func TestIndexedHeapDuplicatesIgnored(t *testing.T) {
-	keys := []int64{4, 2}
-	h := newIndexedHeap(2, func(a, b Var) bool { return keys[a] < keys[b] })
-	h.AddOrAdjust(0)
-	h.AddOrAdjust(0)
-	h.AddOrAdjust(1)
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", h.Len())
-	}
-}
-
-func TestIndexedHeapRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const n = 200
-	keys := make([]int64, n)
-	h := newIndexedHeap(n, func(a, b Var) bool { return keys[a] < keys[b] })
-	live := map[Var]bool{}
-	for op := 0; op < 5000; op++ {
-		x := Var(rng.Intn(n))
-		switch rng.Intn(3) {
-		case 0, 1:
-			keys[x] = int64(rng.Intn(1000))
-			h.AddOrAdjust(x)
-			live[x] = true
-		case 2:
-			if y, ok := h.Pop(); ok {
-				// y must be minimal among live items.
-				for z := range live {
-					if z != y && keys[z] < keys[y] {
-						t.Fatalf("popped %d (key %d) but %d has key %d", y, keys[y], z, keys[z])
-					}
-				}
-				delete(live, y)
-			}
-		}
-	}
-}
+import "testing"
 
 func TestFifoOrder(t *testing.T) {
 	f := newFifo(5)

@@ -18,10 +18,9 @@ package fixpoint
 // CHANGED is settled *after* the drain, as {x : D_final(x) ≠ D_start(x)}:
 // counting installs as they happen would charge variables that move
 // transiently and return to their starting value, and which variables do
-// that depends on the propagation schedule (Gauss–Seidel pop order vs
-// Jacobi round snapshots). The final-vs-start definition is the paper's
-// CHANGED and is schedule-independent, so sequential and parallel drains
-// produce bit-identical ledgers (guarded by TestLedgerSeqParBitIdentical).
+// that depends on the propagation schedule (the worklist's pop order). The
+// final-vs-start definition is the paper's CHANGED and is
+// schedule-independent.
 
 // WorkLedger is the per-run work account of the deduced incremental
 // algorithm, attached to Stats. All fields except RecomputeEst are
@@ -32,10 +31,8 @@ package fixpoint
 // monotonic instances: the set of variables the resumed step function
 // moves (and hence the affected set and its incident edges) is determined
 // by the revised status D⁰ and the unique fixpoint, not by the order of
-// propagation, so sequential and parallel drains produce identical values.
-// Rounds is deterministic for a fixed worker count but depends on the
-// round decomposition (Gauss–Seidel pops vs Jacobi snapshots differ);
-// Portable strips it for cross-schedule comparison.
+// propagation. Rounds depends on the pop order; Portable strips it for
+// cross-schedule comparison.
 type WorkLedger struct {
 	// Runs counts incremental runs folded into this ledger.
 	Runs int64 `json:"runs"`
@@ -95,10 +92,9 @@ func (l WorkLedger) RecomputeRatio() float64 {
 }
 
 // Portable returns the ledger with schedule-dependent fields (Rounds)
-// zeroed, leaving exactly the counters that are bit-identical between
-// sequential and parallel drains of the same runs. The differential tests
-// compare Portable ledgers across schedules and full ledgers across
-// repeated runs at a fixed worker count.
+// zeroed, leaving exactly the counters that are properties of the
+// fixpoint and not of the order it was reached in — what the golden
+// ledgers of the differential tests pin.
 func (l WorkLedger) Portable() WorkLedger {
 	l.Rounds = 0
 	return l

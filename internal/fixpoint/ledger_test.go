@@ -95,6 +95,33 @@ func TestLedgerPaperExample(t *testing.T) {
 	}
 }
 
+// applyRandomDelta mutates the graph with nUpd random edge insertions and
+// deletions and returns the touched heads.
+func applyRandomDelta(rng *rand.Rand, n, nUpd int, g *minPlus) []Var {
+	var touched []Var
+	for i := 0; i < nUpd; i++ {
+		u, v := Var(rng.Intn(n)), Var(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		w := int64(rng.Intn(20) + 1)
+		has := false
+		for _, a := range g.out[u] {
+			if a.to == v {
+				has = true
+				break
+			}
+		}
+		if has {
+			g.delEdge(u, v)
+		} else {
+			g.addEdge(u, v, w)
+		}
+		touched = append(touched, v)
+	}
+	return touched
+}
+
 // TestLedgerDifferentialRandom is the engine-level differential test:
 // across random graphs, update streams, push/pull propagation and both
 // policies, the ledger's counters must equal the instrumented mark sets,
@@ -171,66 +198,6 @@ func TestLedgerDifferentialRandom(t *testing.T) {
 						t.Fatalf("seed %d round %d: not a fixpoint", seed, round)
 					}
 				}
-			}
-		})
-	}
-}
-
-// TestLedgerSeqParBitIdentical: the schedule-independent ledger — Portable
-// strips only Rounds, whose BFS decomposition legitimately differs between
-// Gauss–Seidel and Jacobi drains — must be bit-identical between a
-// sequential engine and WithWorkers engines, cumulatively across an update
-// stream, for push and pull propagation under both policies.
-func TestLedgerSeqParBitIdentical(t *testing.T) {
-	const n = 40
-	type variant struct {
-		name   string
-		policy Policy
-		push   bool
-	}
-	for _, vt := range []variant{
-		{"pull-priority", PriorityOrder, false},
-		{"pull-fifo", FIFOOrder, false},
-		{"push-priority", PriorityOrder, true},
-		{"push-fifo", FIFOOrder, true},
-	} {
-		t.Run(vt.name, func(t *testing.T) {
-			for seed := int64(0); seed < 8; seed++ {
-				build := func() *minPlus {
-					r := rand.New(rand.NewSource(seed))
-					m := newMinPlus(n, 0)
-					for i := 0; i < 130; i++ {
-						u, v := Var(r.Intn(n)), Var(r.Intn(n))
-						if u != v {
-							m.addEdge(u, v, int64(r.Intn(20)+1))
-						}
-					}
-					return m
-				}
-				gs, gp := build(), build()
-				mk := func(m *minPlus, opts ...Option) *Engine[int64] {
-					if vt.push {
-						return New[int64](pushMinPlus{m}, vt.policy, opts...)
-					}
-					return New[int64](m, vt.policy, opts...)
-				}
-				seq := mk(gs)
-				par := mk(gp, WithWorkers(3), WithParThreshold(1))
-				seq.Run()
-				par.Run()
-				rng := rand.New(rand.NewSource(seed + 99))
-				for round := 0; round < 5; round++ {
-					touched := applyRandomDelta(rng, n, 8, gs, gp)
-					seq.IncrementalRun(touched)
-					par.IncrementalRun(touched)
-					ls := seq.State().Stats.Ledger.Portable()
-					lp := par.State().Stats.Ledger.Portable()
-					if ls != lp {
-						t.Fatalf("seed %d round %d: sequential ledger %+v != parallel %+v",
-							seed, round, ls, lp)
-					}
-				}
-				par.Close()
 			}
 		})
 	}

@@ -108,12 +108,6 @@ func (s *ssspServeable) Snapshot() any {
 }
 func (s *ssspServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
 
-// SetWorkers and ParStats forward the parallel execution mode to the
-// current inner maintainer (Recompute replaces it, so the host re-applies
-// the setting after a heal).
-func (s *ssspServeable) SetWorkers(n int)            { s.inc.SetWorkers(n) }
-func (s *ssspServeable) ParStats() fixpoint.ParStats { return s.inc.ParStats() }
-
 // Flat exposes the current inner maintainer's flat adjacency view to the
 // host's compaction and overlay metrics.
 func (s *ssspServeable) Flat() *graph.Flat { return s.inc.Flat() }
@@ -144,8 +138,6 @@ type statser interface{ Stats() fixpoint.Stats }
 
 // statsDelta runs one Apply on a stats-exposing maintainer and packages
 // the affected count with the counter delta attributable to that apply.
-// Maintainers that also expose parallel-drain counters and have workers
-// configured additionally report the per-apply ParStats delta.
 //
 // The per-apply work ledger rides the same Stats snapshot: the engine
 // fills |CHANGED|, |AFF|, ‖AFF‖, and rounds, and the adapter completes
@@ -154,17 +146,8 @@ type statser interface{ Stats() fixpoint.Stats }
 // the graph after the apply).
 func statsDelta(m statser, g *graph.Graph, delta int, apply func() int) ApplyResult {
 	before := m.Stats()
-	var parBefore fixpoint.ParStats
-	ps, hasPar := m.(parStatser)
-	if hasPar {
-		parBefore = ps.ParStats()
-	}
 	aff := apply()
 	res := ApplyResult{Affected: aff, Stats: m.Stats().Sub(before), HasStats: true}
-	if hasPar {
-		res.Par = ps.ParStats().Sub(parBefore)
-		res.HasPar = res.Par.Workers > 1
-	}
 	res.Ledger = res.Stats.Ledger
 	res.Ledger.Delta = int64(delta)
 	res.Ledger.RecomputeEst = int64(g.NumNodes() + g.NumEdges())
@@ -220,11 +203,6 @@ func (s *ccServeable) Snapshot() any {
 	return CCView{Labels: s.labels}
 }
 func (s *ccServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
-
-// SetWorkers and ParStats forward the parallel execution mode to the
-// current inner maintainer.
-func (s *ccServeable) SetWorkers(n int)            { s.inc.SetWorkers(n) }
-func (s *ccServeable) ParStats() fixpoint.ParStats { return s.inc.ParStats() }
 
 // Flat exposes the current inner maintainer's flat adjacency view to the
 // host's compaction and overlay metrics.

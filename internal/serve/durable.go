@@ -209,17 +209,11 @@ type DurableOptions struct {
 	// CheckpointEvery takes a checkpoint after this many ingested
 	// batches; 0 means manual checkpoints only (Checkpoint / shutdown).
 	CheckpointEvery int
-	// KeepCheckpoints retains this many checkpoints (default 2: a
-	// checkpoint corrupted in place still leaves a recovery path).
-	KeepCheckpoints int
 }
 
-func (o DurableOptions) withDefaults() DurableOptions {
-	if o.KeepCheckpoints <= 0 {
-		o.KeepCheckpoints = 2
-	}
-	return o
-}
+// keepCheckpoints is how many checkpoints are retained: with two, a
+// checkpoint corrupted in place still leaves a recovery path.
+const keepCheckpoints = 2
 
 // Durable owns a service's WAL and checkpoints and implements Journal:
 // installed on a Service, it write-ahead-logs every POST /update batch
@@ -260,7 +254,6 @@ type Durable struct {
 // (LoadRecovery / Replay / VerifyRecovered) must have happened first:
 // Open truncates the torn tail of the last segment and appends after it.
 func OpenDurable(svc *Service, dir string, opt DurableOptions) (*Durable, error) {
-	opt = opt.withDefaults()
 	log, err := wal.Open(dir, opt.WAL)
 	if err != nil {
 		return nil, err
@@ -398,15 +391,14 @@ func (d *Durable) Checkpoint() error {
 	if _, err := wal.WriteCheckpoint(d.dir, ck); err != nil {
 		return err
 	}
-	keep := d.opt.KeepCheckpoints
-	if err := wal.PruneCheckpoints(d.dir, keep); err != nil {
+	if err := wal.PruneCheckpoints(d.dir, keepCheckpoints); err != nil {
 		return err
 	}
 	d.replayFroms = append(d.replayFroms, replayFrom)
-	if len(d.replayFroms) > keep {
-		d.replayFroms = d.replayFroms[len(d.replayFroms)-keep:]
+	if len(d.replayFroms) > keepCheckpoints {
+		d.replayFroms = d.replayFroms[len(d.replayFroms)-keepCheckpoints:]
 	}
-	if len(d.replayFroms) >= keep {
+	if len(d.replayFroms) >= keepCheckpoints {
 		// Every kept checkpoint replays from d.replayFroms[0] or later;
 		// older segments are dead weight.
 		if err := d.log.RemoveBefore(d.replayFroms[0]); err != nil {

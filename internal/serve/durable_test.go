@@ -7,9 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -35,15 +33,6 @@ func snapshotEqual(a, b any) bool {
 
 func jsonDecode(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }
 
-// testWorkers reads the INCGRAPH_TEST_WORKERS knob, letting CI rerun the
-// durable end-to-end tests with the maintainers' parallel mode on (the
-// crash-recovery equivalence must hold for any worker count). 0 — the
-// default — keeps the maintainers sequential.
-func testWorkers() int {
-	n, _ := strconv.Atoi(os.Getenv("INCGRAPH_TEST_WORKERS"))
-	return n
-}
-
 // openDurableService builds a service hosting sssp and cc on clones of
 // base, with the durable ingest path in dir.
 func openDurableService(t *testing.T, base *graph.Graph, dir string, dopt DurableOptions) (*Service, *Durable) {
@@ -53,7 +42,7 @@ func openDurableService(t *testing.T, base *graph.Graph, dir string, dopt Durabl
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{MaxBatch: 16, Workers: testWorkers()}
+	opt := Options{MaxBatch: 16}
 	if _, err := svc.Host(SSSP(sssp.NewInc(base.Clone(), 0), 0), opt); err != nil {
 		t.Fatal(err)
 	}

@@ -310,6 +310,20 @@ func (s *Service) Handler() http.Handler {
 }
 
 // handleQuery answers GET /query/{algo} with the host's published view.
+func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
+	h := s.Get(r.PathValue("algo"))
+	if h == nil {
+		httpError(w, http.StatusNotFound, fmt.Errorf("unknown algo %q", r.PathValue("algo")))
+		return
+	}
+	h.met.pagesEncoded.Add(float64(WriteQuery(w, r, h.View(), h.NumNodes())))
+}
+
+// WriteQuery answers a GET /query/{algo} request with v, a view of a
+// graph of numNodes nodes, and returns how many pages it had to encode
+// rather than copy from their cache. It is the one reader of the route's
+// parameters, so a warm replica answering from its replayed maintainers
+// accepts what a primary accepts and writes the same bytes.
 // The body is assembled whole before the header is written — envelope
 // and scalars with strconv, every page of a per-node vector from the
 // page's encoded-bytes cache — so an answer that cannot be encoded is a
@@ -322,19 +336,14 @@ func (s *Service) Handler() http.Handler {
 // O(|V|) vector triples the bytes on the wire). ?range=lo:hi cuts every
 // per-node vector to the nodes lo ≤ v < hi, reading only the pages the
 // range overlaps, and adds "range":[lo,hi] to the envelope.
-func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
-	h := s.Get(r.PathValue("algo"))
-	if h == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown algo %q", r.PathValue("algo")))
-		return
-	}
+func WriteQuery(w http.ResponseWriter, r *http.Request, v *View, numNodes int) (pagesEncoded int) {
 	q := r.URL.Query()
 	var rng *[2]int
 	if raws, ok := q["range"]; ok {
-		lohi, err := parseRange(raws, h.NumNodes())
+		lohi, err := parseRange(raws, numNodes)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
-			return
+			return 0
 		}
 		rng = &lohi
 	}
@@ -344,20 +353,19 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if q.Has("compact") {
 		vw.form = formCompact
 	}
-	err := vw.view(h.View(), rng)
+	err := vw.view(v, rng)
 	*bp = vw.b
-	h.met.pagesEncoded.Add(float64(vw.encoded))
 	switch {
 	case errors.Is(err, errNoRange):
-		httpError(w, http.StatusBadRequest, fmt.Errorf("algo %s: %w", h.Algo(), err))
-		return
+		httpError(w, http.StatusBadRequest, fmt.Errorf("algo %s: %w", v.Algo, err))
 	case err != nil:
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("algo %s: encoding view: %w", h.Algo(), err))
-		return
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("algo %s: encoding view: %w", v.Algo, err))
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(vw.b)))
+		w.Write(vw.b) // a failed write is the client gone; nothing to report to
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(vw.b)))
-	w.Write(vw.b) // a failed write is the client gone; nothing to report to
+	return vw.encoded
 }
 
 // parseRange parses the values of ?range= against a graph of n nodes:
@@ -375,7 +383,7 @@ func parseRange(raws []string, n int) (lohi [2]int, err error) {
 	return [2]int{int(lo), int(hi)}, nil
 }
 
-// viewBufs pools the answer buffers of handleQuery; a buffer settles at
+// viewBufs pools the answer buffers of WriteQuery; a buffer settles at
 // the size of one answer.
 var viewBufs = sync.Pool{New: func() any { return new([]byte) }}
 

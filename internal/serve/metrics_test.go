@@ -119,6 +119,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Errorf("%s flat overlay ratio %g after compacting, want 0", algo, r)
 		}
 	}
+	// The retired parallel mode left no series behind.
+	for _, name := range []string{"incgraph_fixpoint_workers", "incgraph_par_rounds_total",
+		"incgraph_par_seq_rounds_total", "incgraph_worker_utilization", "incgraph_worker_imbalance"} {
+		if strings.Contains(expo, name) {
+			t.Errorf("retired series %s is still exposed", name)
+		}
+	}
 
 	// Publication: the six-node views are one page each, the batch
 	// changed both answers (3 joins 0's component and comes into reach, 2

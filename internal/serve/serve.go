@@ -90,13 +90,6 @@ type ApplyResult struct {
 	// DFS, LCC, and BC use specialized repair machinery without the
 	// generic engine and report only Affected.
 	HasStats bool
-	// Par is the per-apply parallel-drain counter delta (rounds
-	// partitioned across workers, worker busy time, imbalance);
-	// meaningful only when HasPar is set — a maintainer running with
-	// two or more workers configured.
-	Par fixpoint.ParStats
-	// HasPar reports whether Par carries parallel-mode counters.
-	HasPar bool
 	// Ledger is the per-apply work ledger: |ΔG|, |CHANGED|, |AFF|, ‖AFF‖,
 	// rounds, and the recompute estimate Theorem 3's boundedness quotient
 	// is computed from. Engine-based adapters report the engine's ledger
@@ -134,9 +127,6 @@ type ApplyTrace struct {
 	// Inspected is the per-apply variable-inspection count (engine-based
 	// maintainers only).
 	Inspected int64 `json:"inspected"`
-	// ParRounds is how many of this apply's propagation rounds were
-	// partitioned across workers (parallel-mode maintainers only).
-	ParRounds int64 `json:"par_rounds,omitempty"`
 	// Work, Changed, Aff, AffEdges, and Rounds are the apply's work-ledger
 	// account (ledger-reporting maintainers only): the incremental-cost
 	// measure Touched+|AFF|+‖AFF‖ and its components.
@@ -260,14 +250,6 @@ type Stats struct {
 	// Fixpoint aggregates the maintainer's per-apply cost-counter deltas
 	// (engine-based maintainers only; ScopeSize is the last apply's |H⁰|).
 	Fixpoint fixpoint.Stats `json:"fixpoint"`
-	// Workers is the worker count configured for the maintainer's
-	// parallel execution mode; 0 when the maintainer runs sequentially
-	// (or does not support the mode).
-	Workers int `json:"workers,omitempty"`
-	// Par aggregates the maintainer's per-apply parallel-drain deltas
-	// (partitioned rounds, worker busy time, the work-imbalance gauges);
-	// zero-valued for sequential maintainers.
-	Par fixpoint.ParStats `json:"par,omitzero"`
 	// Audit aggregates the maintainer's per-apply work ledgers — the
 	// cumulative |ΔG|, |CHANGED|, |AFF|, ‖AFF‖ account behind
 	// GET /debug/boundedness. Zero-valued for maintainers that report no
@@ -286,9 +268,6 @@ type Stats struct {
 	// cached bytes a replaced page inherited from its predecessor (the
 	// entries whose value changed; the unchanged byte runs are copied).
 	EntriesSpliced uint64 `json:"entries_spliced"`
-	// WorkerUtilization is Par's cumulative pool utilization,
-	// BusyNanos/(Workers×WallNanos), in [0,1]; 0 while sequential.
-	WorkerUtilization float64 `json:"worker_utilization,omitempty"`
 }
 
 // Options tune a host's batching behaviour.
@@ -313,9 +292,6 @@ type Options struct {
 	// Trace is the capacity of the recent-applies ring buffer behind
 	// GET /debug/applies. Default 128.
 	Trace int
-	// Offenders is the capacity of the top-K worst-boundedness ring behind
-	// GET /debug/offenders. Default 32.
-	Offenders int
 	// Recorder receives span/flight-recorder events: one root span per
 	// applied batch (queue wait → coalesce → apply → publish) and, for
 	// maintainers exposing the fixpoint tracer hook, h-phase/resume spans
@@ -337,14 +313,6 @@ type Options struct {
 	// instead of restarting the stream at zero.
 	BaseEpoch   uint64
 	BaseBatches uint64
-	// Workers configures the maintainer's parallel execution mode: with
-	// n >= 2 the host asks the maintainer (if it supports SetWorkers —
-	// SSSP and CC do) to partition each repair round's frontier across n
-	// workers, re-applying the setting after a heal recompute rebuilds
-	// the maintainer. 0 or 1 leaves the maintainer sequential. The
-	// worker pool is internal to the maintainer; the host's single-writer
-	// apply loop still blocks until each repair completes.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -363,11 +331,12 @@ func (o Options) withDefaults() Options {
 	if o.Trace <= 0 {
 		o.Trace = 128
 	}
-	if o.Offenders <= 0 {
-		o.Offenders = 32
-	}
 	return o
 }
+
+// offenderRing is the capacity of the top-K worst-boundedness ring behind
+// GET /debug/offenders.
+const offenderRing = 32
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("serve: host closed")
@@ -389,23 +358,11 @@ type submission struct {
 // accept a span hook, driven from the host's apply loop.
 type tracerSetter interface{ SetTracer(fixpoint.Tracer) }
 
-// workersSetter is the optional Serveable extension for the parallel
-// execution mode: maintainers that can partition repair rounds across a
-// worker pool accept a worker count. Called only from host construction
-// and the apply loop (heal re-install), honoring the maintainers'
-// single-writer contract.
-type workersSetter interface{ SetWorkers(int) }
-
 // flatViewer is the optional Serveable extension exposing the
 // maintainer's flat adjacency view (SSSP, CC, DFS, BC keep one), read
 // after each Apply for the compaction and overlay metrics. Called only
 // from the apply loop, honoring the maintainers' single-writer contract.
 type flatViewer interface{ Flat() *graph.Flat }
-
-// parStatser is the optional Serveable extension exposing cumulative
-// parallel-drain counters, snapshotted around each Apply to produce
-// per-batch deltas.
-type parStatser interface{ ParStats() fixpoint.ParStats }
 
 // hostMetrics are a host's registry handles, resolved once at
 // construction so the apply loop only touches lock-free atomics.
@@ -431,12 +388,6 @@ type hostMetrics struct {
 	panics   *obs.Counter
 	heals    *obs.Counter
 	degraded *obs.Gauge
-
-	workersG    *obs.Gauge
-	parRounds   *obs.Counter
-	seqRounds   *obs.Counter
-	utilization *obs.Gauge
-	imbalance   *obs.Gauge
 
 	workTotal      *obs.Counter
 	changedTotal   *obs.Counter
@@ -485,11 +436,6 @@ func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 		panics:          r.Counter("incgraph_apply_panics_total", "Maintainer panics recovered by the apply loop.", l),
 		heals:           r.Counter("incgraph_heals_total", "Successful batch-recompute heals after a recovered panic.", l),
 		degraded:        r.Gauge("incgraph_degraded", "1 while the host serves a stale snapshot after a panic.", l),
-		workersG:        r.Gauge("incgraph_fixpoint_workers", "Configured worker count for the maintainer's parallel mode (0 = sequential).", l),
-		parRounds:       r.Counter("incgraph_par_rounds_total", "Propagation rounds whose frontier was partitioned across workers.", l),
-		seqRounds:       r.Counter("incgraph_par_seq_rounds_total", "Rounds run inline because the frontier was below the partition threshold.", l),
-		utilization:     r.Gauge("incgraph_worker_utilization", "Last apply's worker-pool utilization, busy/(workers×wall), in [0,1].", l),
-		imbalance:       r.Gauge("incgraph_worker_imbalance", "Last partitioned round's work imbalance, busiest×workers/total (1 = even).", l),
 		workTotal:       r.Counter("incgraph_work_total", "Ledger work units (touched+|AFF|+‖AFF‖) charged by applies.", l),
 		changedTotal:    r.Counter("incgraph_changed_total", "Variables whose value changed across applies (|CHANGED|).", l),
 		boundedRatio:    r.Histogram("incgraph_bounded_ratio", "Per-apply work/|ΔG| — the relative-boundedness quotient distribution.", l),
@@ -585,14 +531,7 @@ func NewHost(m Serveable, opt Options) *Host {
 	h.start = time.Now()
 	h.met = newHostMetrics(h.opt.Registry, h.algo)
 	h.traces = obs.NewRing[ApplyTrace](h.opt.Trace)
-	h.offenders = obs.NewTopK[Offender](h.opt.Offenders)
-	if h.opt.Workers > 1 {
-		if ws, ok := m.(workersSetter); ok {
-			ws.SetWorkers(h.opt.Workers)
-			h.stats.Workers = h.opt.Workers
-			h.met.workersG.Set(float64(h.opt.Workers))
-		}
-	}
+	h.offenders = obs.NewTopK[Offender](offenderRing)
 	if h.opt.Recorder != nil {
 		h.rec = h.opt.Recorder
 		h.track = h.rec.Track(h.algo)
@@ -1011,10 +950,6 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID, why f
 	if res.HasStats {
 		h.stats.Fixpoint = h.stats.Fixpoint.Add(res.Stats)
 	}
-	if res.HasPar {
-		h.stats.Par = h.stats.Par.Add(res.Par)
-		h.stats.WorkerUtilization = h.stats.Par.Utilization()
-	}
 	if res.HasLedger {
 		h.stats.Audit = h.stats.Audit.Add(res.Ledger)
 	}
@@ -1084,15 +1019,6 @@ func (h *Host) apply(raw graph.Batch, oldest time.Time, tid trace.TraceID, why f
 		tr.HNanos = int64(res.Stats.HSeconds * 1e9)
 		tr.ResumeNanos = int64(res.Stats.ResumeSeconds * 1e9)
 		tr.Inspected = res.Stats.Inspected()
-	}
-	if res.HasPar {
-		m.parRounds.Add(float64(res.Par.ParRounds))
-		m.seqRounds.Add(float64(res.Par.SeqRounds))
-		m.utilization.Set(res.Par.Utilization())
-		if res.Par.ParRounds > 0 {
-			m.imbalance.Set(res.Par.LastImbalance)
-		}
-		tr.ParRounds = res.Par.ParRounds
 	}
 	if fv, ok := h.m.(flatViewer); ok {
 		f := fv.Flat()
@@ -1241,13 +1167,6 @@ func (h *Host) absorbPanic(raw graph.Batch, pval any) {
 			if h.engTracer != nil {
 				if ts, tok := h.m.(tracerSetter); tok {
 					ts.SetTracer(h.engTracer)
-				}
-			}
-			// Likewise the parallel mode: heal-by-recompute rebuilds the
-			// inner maintainer, dropping its worker pool.
-			if h.opt.Workers > 1 {
-				if ws, wok := h.m.(workersSetter); wok {
-					ws.SetWorkers(h.opt.Workers)
 				}
 			}
 			data = h.m.Snapshot()

@@ -279,22 +279,6 @@ func (i *IncEngine) Relation() Relation {
 // Stats exposes the engine's inspection counters.
 func (i *IncEngine) Stats() fixpoint.Stats { return i.eng.State().Stats }
 
-// SetWorkers configures the engine's parallel execution mode (n >= 2
-// partitions repair rounds across n workers; <= 1 restores the
-// sequential drain). Single-writer: call it from the goroutine driving
-// Apply.
-func (i *IncEngine) SetWorkers(n int) { i.eng.SetWorkers(n) }
-
-// Workers returns the configured worker count (1 when sequential).
-func (i *IncEngine) Workers() int { return i.eng.Workers() }
-
-// ParStats returns the engine's cumulative parallel-drain counters.
-func (i *IncEngine) ParStats() fixpoint.ParStats { return i.eng.ParStats() }
-
-// Close releases the engine's worker pool, if any. The maintainer stays
-// usable; a later parallel Apply respawns the pool.
-func (i *IncEngine) Close() { i.eng.Close() }
-
 // Apply computes G ⊕ ΔG and incrementally maintains the relation. It
 // returns |H⁰|.
 func (i *IncEngine) Apply(b graph.Batch) int {

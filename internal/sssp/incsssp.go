@@ -52,16 +52,6 @@ type Inc struct {
 	pending graph.Batch
 	stats   fixpoint.Stats
 	tracer  fixpoint.Tracer
-
-	// Parallel resume mode (see parallel.go). Zero-valued for sequential
-	// maintainers, so the default path allocates nothing extra.
-	workers    int
-	pool       *fixpoint.Pool
-	ws         []ssspWorker
-	parts      []ssspPart
-	frontier   []graph.NodeID
-	parRelaxFn func(int)
-	par        fixpoint.ParStats
 }
 
 // NewInc runs Dijkstra and returns the incremental algorithm positioned
@@ -172,8 +162,7 @@ func (i *Inc) ledgerAff(v graph.NodeID) {
 // on the first write of this repair — v's repair-start distance. The
 // settle sweep at the end of Repair compares it against the fixpoint:
 // CHANGED is {v : dist_final ≠ dist_start}, which — unlike "installed at
-// least once" — does not count transient moves that revert, and is
-// therefore identical between the sequential and parallel resume paths.
+// least once" — does not count transient moves that revert.
 func (i *Inc) ledgerWrite(v graph.NodeID, old int64) {
 	if i.chMark[v] == i.epoch {
 		return
@@ -302,27 +291,23 @@ func (i *Inc) Repair() int {
 			relax(up.To, up.From, up.W)
 		}
 	}
-	if i.workers > 1 {
-		i.drainParallel()
-	} else {
-		// The outer loop counts BFS-level rounds into the ledger (queue
-		// size at round start bounds the inner pops) without changing
-		// Dijkstra's pop order.
-		for i.wq.Len() > 0 {
-			i.stats.Ledger.Rounds++
-			for n := i.wq.Len(); n > 0; n-- {
-				x, ok := i.wq.Pop()
-				if !ok {
-					break
-				}
-				i.stats.Pops++
-				v := graph.NodeID(x)
-				dv := i.dist[v]
-				if dv >= Infinity {
-					continue
-				}
-				i.relaxOut(v, dv)
+	// The outer loop counts BFS-level rounds into the ledger (queue size
+	// at round start bounds the inner pops) without changing Dijkstra's
+	// pop order.
+	for i.wq.Len() > 0 {
+		i.stats.Ledger.Rounds++
+		for n := i.wq.Len(); n > 0; n-- {
+			x, ok := i.wq.Pop()
+			if !ok {
+				break
 			}
+			i.stats.Pops++
+			v := graph.NodeID(x)
+			dv := i.dist[v]
+			if dv >= Infinity {
+				continue
+			}
+			i.relaxOut(v, dv)
 		}
 	}
 	i.ledgerSettle()

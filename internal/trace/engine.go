@@ -92,27 +92,6 @@ func (t *EngineTracer) Round(round int, frontier, pops, changes, affGrowth int64
 	t.rec.Emit(ev)
 }
 
-// ParRound implements the engine's optional parallel extension
-// (fixpoint.ParRoundTracer, satisfied structurally like Tracer): one
-// partitioned propagation round completed. Emitted after the round's
-// plain "round" event, it carries the worker count the frontier was
-// split across, the candidates computed by the workers, the busiest
-// single worker's compute time, and the round's parallel-phase wall
-// time — busiest/wall is the round's critical-path utilization.
-func (t *EngineTracer) ParRound(round, workers int, frontier, candidates, busiestNanos, wallNanos int64) {
-	ev := Event{
-		Name: "par_round", Cat: engineCat, Phase: PhaseInstant,
-		Track: t.track, TS: t.rec.Now(), Trace: t.trace,
-	}
-	ev.AddArg("round", int64(round))
-	ev.AddArg("workers", int64(workers))
-	ev.AddArg("frontier", frontier)
-	ev.AddArg("candidates", candidates)
-	ev.AddArg("busiest_nanos", busiestNanos)
-	ev.AddArg("wall_nanos", wallNanos)
-	t.rec.Emit(ev)
-}
-
 // EndRun implements fixpoint.Tracer: the resumed step function drained.
 func (t *EngineTracer) EndRun(pops, changes int64) {
 	now := t.rec.Now()
