@@ -55,15 +55,27 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-func startDaemon(t *testing.T, bin, addr, dataDir string) *exec.Cmd {
-	t.Helper()
-	cmd := exec.Command(bin,
+// daemonArgs is the command line every test daemon shares: the synthetic
+// graph, the two hosted classes, and where it keeps its data and listens.
+func daemonArgs(addr, dataDir string, extra ...string) []string {
+	return append([]string{
 		"-gen", "powerlaw", "-seed", fmt.Sprint(crashSeed),
 		"-nodes", fmt.Sprint(crashNodes), "-deg", fmt.Sprint(crashDeg), "-directed",
 		"-algos", "sssp,cc", "-src", "0",
 		"-data-dir", dataDir, "-checkpoint-every", "0", "-fsync", "always",
-		"-listen", addr)
+		"-listen", addr}, extra...)
+}
+
+func startDaemon(t *testing.T, bin, addr, dataDir string, extra ...string) *exec.Cmd {
+	t.Helper()
+	cmd := exec.Command(bin, daemonArgs(addr, dataDir, extra...)...)
 	cmd.Stderr = os.Stderr
+	return launch(t, cmd, addr)
+}
+
+// launch starts cmd and waits until the daemon answers /healthz on addr.
+func launch(t *testing.T, cmd *exec.Cmd, addr string) *exec.Cmd {
+	t.Helper()
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

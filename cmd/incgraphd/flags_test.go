@@ -98,6 +98,9 @@ func TestValidateFlags(t *testing.T) {
 		{"replica without data-dir", []string{"-replica-of", "http://primary:8356"}, "-data-dir"},
 		{"valid replica", []string{"-replica-of", "http://primary:8356", "-data-dir", "/tmp/r"}, ""},
 		{"sharded replica", []string{"-replica-of", "http://p:1", "-data-dir", "/tmp/r", "-shard-id", "0", "-shards", "2"}, ""},
+		{"bad fsync", []string{"-data-dir", "/tmp/d", "-fsync", "sometimes"}, "-fsync"},
+		{"bad fsync on a replica", []string{"-replica-of", "http://p:1", "-data-dir", "/tmp/r", "-fsync", "sometimes"}, "-fsync"},
+		{"fsync interval", []string{"-data-dir", "/tmp/d", "-fsync", "interval"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -67,25 +67,24 @@
 // answers through. With -data-dir the fragment's WAL is additionally
 // exposed under /wal/ for log-shipping replicas.
 //
-// With -replica-of URL the daemon is a warm replica: it continuously
-// ships the primary's WAL segments into its own -data-dir (required)
-// and replays every record through the recovery path, staying one poll
-// interval behind. It serves only /healthz, /shard/info,
-// /replica/status, stale degraded reads on GET /query/{algo} (the
-// router's fallback while a primary's breaker is open), and the
-// observability surface (/metrics,
-// /metrics.json with live replication-lag gauges, /debug/trace with
-// per-record replay spans) until POST /replica/promote, which seals the follower
-// loop, hosts the replayed maintainers at the shipped stream position,
-// opens the local WAL for writing, and atomically swaps in the full
-// serving API. Replication is asynchronous: updates the primary
-// acknowledged but had not shipped are lost on promotion, which the
-// epoch vector makes visible to the router.
+// With -replica-of URL the daemon is a warm replica — the same daemon,
+// with a follower in place of the WAL replay: it hosts its maintainers
+// from the checkpoint it pulled, ships the primary's WAL segments into
+// its own -data-dir (required) and submits every record to its hosts'
+// apply loops, staying one poll interval behind. Until POST
+// /replica/promote it serves the whole API behind a gate: POST /update
+// and POST /shard/eval/{algo} answer 503, GET /query/{algo} answers from
+// the published views stamped degraded (the router's fallback while a
+// primary's breaker is open), /replica/status reports the lag, and
+// /stats, /metrics, /debug/... are the hosts' own. Promotion stops the
+// follower, verifies the replayed answers, opens the local WAL (mounting
+// /wal/) and drops the gate; the epochs do not move. Replication is
+// asynchronous: updates acknowledged but not yet shipped are lost on
+// promotion, which the epoch vector makes visible to the router.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	_ "expvar" // registers /debug/vars on the -debug-addr listener
 	"flag"
@@ -96,7 +95,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -132,6 +130,7 @@ type cliFlags struct {
 
 	dataDir       string
 	fsync         string
+	syncPolicy    incgraph.SyncPolicy // -fsync, parsed by validateFlags
 	fsyncInterval time.Duration
 	ckptEvery     int
 	verifyRec     bool
@@ -193,6 +192,12 @@ func validateFlags(c *cliFlags) error {
 	}
 	if c.replicaOf != "" && c.dataDir == "" {
 		return fmt.Errorf("-replica-of requires -data-dir (the shipped WAL needs a home)")
+	}
+	// Parsed here for both roles: a replica opens its log only at promotion,
+	// far too late to learn the value was bad.
+	var err error
+	if c.syncPolicy, err = incgraph.ParseSyncPolicy(c.fsync); err != nil {
+		return fmt.Errorf("bad -fsync: %w", err)
 	}
 	return nil
 }
@@ -261,6 +266,11 @@ func serveOptions(logger *slog.Logger, c *cliFlags) incgraph.ServeOptions {
 	return opt
 }
 
+// run is the daemon's one lifecycle, for a primary and a warm replica
+// alike: build the maintainers, restore them from the data directory's
+// checkpoint, bring them to the end of the log — a primary replays its own
+// WAL tail and verifies it, a replica pulls its primary's and leaves the
+// tail to a follower — host them, serve, and drain on a signal.
 func run(logger *slog.Logger, c *cliFlags) error {
 	algoList, err := parseAlgos(c.algos)
 	if err != nil {
@@ -272,13 +282,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 	}
 	var pat *incgraph.Graph
 	if c.pattern != "" {
-		f, err := os.Open(c.pattern)
-		if err != nil {
-			return err
-		}
-		pat, err = incgraph.ReadGraph(f)
-		f.Close()
-		if err != nil {
+		if pat, err = loadGraph(c.pattern, "", 0, 0, 0, false); err != nil {
 			return err
 		}
 	}
@@ -296,31 +300,40 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		logger.Info("sharded", "shard", c.shardID, "shards", c.shards,
 			"fragment_edges", base.NumEdges(), "full_edges", full)
 	}
-
-	opt := serveOptions(logger, c)
-	if c.replicaOf != "" {
-		return runReplica(logger, c, base, pat, part, algoList, opt)
-	}
 	// The maintainers take the graph over below, and the serving log line
 	// runs on another goroutine: what is reported of it is read here.
 	nodes, edges, directed := base.NumNodes(), base.NumEdges(), base.Directed()
+	replica := c.replicaOf != ""
 
 	svc := incgraph.NewService()
 	// Name the flight recorder's process so a cluster-merged timeline
-	// shows "shard-2", not four processes all called "incgraph".
-	if part != nil {
-		svc.Recorder().SetProcess(fmt.Sprintf("shard-%d", c.shardID))
-	} else {
-		svc.Recorder().SetProcess("incgraphd")
+	// shows "shard-2" and "replica-2", not processes all called "incgraph".
+	process := "incgraphd"
+	switch {
+	case replica && part != nil:
+		process = fmt.Sprintf("replica-%d", c.shardID)
+	case replica:
+		process = "replica"
+	case part != nil:
+		process = fmt.Sprintf("shard-%d", c.shardID)
 	}
+	svc.Recorder().SetProcess(process)
 
 	// With a data directory, recovery runs before any host starts: restore
 	// each maintainer from the latest checkpoint (falling back to a fresh
 	// batch run on the input graph), replay the WAL tail through the
 	// incremental Apply path, verify against batch recompute, and only
-	// then start the apply loops at the recovered stream position.
+	// then start the apply loops at the recovered stream position. A
+	// replica first mirrors its primary's checkpoint and segments, so it
+	// starts from the newest durable cut, and hosts at the checkpoint: the
+	// tail reaches its hosts through the follower, record by record.
 	var rec *incgraph.Recovery
 	if c.dataDir != "" {
+		if replica {
+			if err := bootstrapPull(logger, c); err != nil {
+				return err
+			}
+		}
 		if rec, err = incgraph.LoadRecovery(c.dataDir); err != nil {
 			return fmt.Errorf("recovery: %w", err)
 		}
@@ -331,12 +344,10 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		t0 := time.Now()
 		m, err := buildServeable(algo, graphs[i], incgraph.NodeID(c.src), pat)
 		if err != nil {
-			svc.Close()
 			return err
 		}
 		if rec != nil {
 			if err := rec.Restore(algo, m); err != nil {
-				svc.Close()
 				return fmt.Errorf("recovery: restore %s: %w", algo, err)
 			}
 		}
@@ -344,59 +355,91 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		logger.Info("hosted", "host", algo, "batch_init", time.Since(t0).Round(time.Microsecond),
 			"from_checkpoint", restored[i])
 	}
-	var d *incgraph.Durable
-	if rec != nil {
-		replayed, err := rec.Replay(targets, svc.Recorder())
-		if err != nil {
+	var replayed, divergent int
+	if rec != nil && !replica {
+		if replayed, err = rec.Replay(targets, svc.Recorder()); err != nil {
 			return fmt.Errorf("recovery: replay: %w", err)
 		}
-		var divergent []string
 		if c.verifyRec {
-			divergent = incgraph.VerifyRecovered(targets, svc.Recorder())
-			if len(divergent) > 0 {
+			diverged := incgraph.VerifyRecovered(targets, svc.Recorder())
+			if divergent = len(diverged); divergent > 0 {
 				logger.Warn("recovery: replayed state diverged from batch recompute; repaired",
-					"algos", strings.Join(divergent, ","))
+					"algos", strings.Join(diverged, ","))
 			}
 		}
 		logger.Info("recovered", "dir", c.dataDir,
 			"checkpoint_epoch", rec.CheckpointEpoch, "replayed_records", replayed,
-			"divergent", len(divergent))
-		policy, err := incgraph.ParseSyncPolicy(c.fsync)
-		if err != nil {
-			return err
-		}
-		for _, algo := range algoList {
-			o := opt
+			"divergent", divergent)
+	}
+	opt := serveOptions(logger, c)
+	for _, algo := range algoList {
+		o := opt
+		if rec != nil {
 			o.BaseEpoch, o.BaseBatches = rec.Base(algo)
-			if _, err := svc.Host(targets[algo], o); err != nil {
-				svc.Close()
-				return err
-			}
 		}
-		if d, err = incgraph.OpenDurable(svc, c.dataDir, incgraph.DurableOptions{
-			WAL:             incgraph.WALOptions{Policy: policy, Interval: c.fsyncInterval},
-			CheckpointEvery: c.ckptEvery,
-		}); err != nil {
+		if _, err := svc.Host(targets[algo], o); err != nil {
 			svc.Close()
 			return err
 		}
-		d.RecordRecovery(replayed, len(divergent))
-	} else {
-		for _, algo := range algoList {
-			if _, err := svc.Host(targets[algo], opt); err != nil {
-				svc.Close()
-				return err
-			}
-		}
 	}
 
-	// Shard-mode daemons expose the exchange API the router drives, and
-	// (when durable) the WAL stream a log-shipping replica follows.
-	if part != nil {
-		shard.MountShardAPI(svc, part, c.shardID, nodes, directed, nil)
-	}
-	if d != nil {
+	// durable is set once the local WAL is open for writing, and served
+	// under /wal/ for replicas to follow: at start-up on a primary, by a
+	// promotion (on a request goroutine) on a replica.
+	var durable atomic.Pointer[incgraph.Durable]
+	openDurable := func(records, diverged int) error {
+		// Truncates a torn tail frame (a primary that died mid-ship).
+		d, err := incgraph.OpenDurable(svc, c.dataDir, incgraph.DurableOptions{
+			WAL:             incgraph.WALOptions{Policy: c.syncPolicy, Interval: c.fsyncInterval},
+			CheckpointEvery: c.ckptEvery,
+		})
+		if err != nil {
+			return err
+		}
+		d.RecordRecovery(records, diverged)
 		svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
+		durable.Store(d)
+		return nil
+	}
+	// A primary's surface is the service's handler; a replica's is the same
+	// handler behind the standby gate until it is promoted.
+	var follower *shard.Follower
+	var following func() bool
+	handler := svc.Handler
+	switch {
+	case replica:
+		follower = shard.NewFollower(shard.FollowerOptions{
+			Source: c.replicaOf, Dir: c.dataDir, Service: svc, ReplayFrom: rec.ReplayFrom,
+			Logf: func(format string, args ...any) { logger.Debug(fmt.Sprintf(format, args...)) },
+		})
+		go follower.Run()
+		logger.Info("following", "primary", c.replicaOf, "dir", c.dataDir,
+			"replay_from", rec.ReplayFrom, "checkpoint_epoch", rec.CheckpointEpoch)
+		// Promotion, run with the follower stopped and every shipped record
+		// applied: verify the replayed answers inside the hosts' apply loops,
+		// then open the shipped log — now the authoritative continuation.
+		standby := shard.NewStandby(svc, follower, func() error {
+			divergent := 0
+			if c.verifyRec {
+				divergent = verifyHosts(logger, svc)
+			}
+			if err := openDurable(int(follower.Status().Records), divergent); err != nil {
+				logger.Error("promotion failed", "err", err)
+				return err
+			}
+			logger.Info("promoted", "epochs", fmt.Sprint(follower.Epochs()))
+			return nil
+		})
+		following, handler = standby.Following, standby.Handler
+	case rec != nil:
+		if err := openDurable(replayed, divergent); err != nil {
+			svc.Close()
+			return err
+		}
+	}
+	// Shard-mode daemons expose the exchange API the router drives.
+	if part != nil {
+		shard.MountShardAPI(svc, part, c.shardID, nodes, directed, following)
 	}
 
 	if c.debugAddr != "" {
@@ -410,11 +453,11 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		}()
 	}
 
-	handler := svc.Handler()
+	api := handler()
 	if c.accessLog {
-		handler = incgraph.AccessLog(logger, handler)
+		api = incgraph.AccessLog(logger, api)
 	}
-	srv := &http.Server{Addr: c.listen, Handler: handler}
+	srv := &http.Server{Addr: c.listen, Handler: api}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -426,27 +469,26 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		}
 	}()
 
+	var serveErr error
 	select {
-	case err := <-errc:
-		svc.Close()
-		if d != nil {
-			d.Close()
-		}
-		return err
+	case serveErr = <-errc:
 	case <-ctx.Done():
+		// Graceful shutdown: stop taking requests first, then checkpoint
+		// at the drained cut (the checkpoint job queues behind every
+		// accepted submission, so it covers exactly what was
+		// acknowledged), then drain and stop the apply loops.
+		logger.Info("shutting down: draining apply queues")
+		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(shutCtx); err != nil {
+			logger.Warn("http shutdown", "err", err)
+		}
 	}
-
-	// Graceful shutdown: stop taking requests first, then checkpoint at
-	// the drained cut (the checkpoint job queues behind every accepted
-	// submission, so it covers exactly what was acknowledged), then drain
-	// and stop the apply loops.
-	logger.Info("shutting down: draining apply queues")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		logger.Warn("http shutdown", "err", err)
+	if follower != nil {
+		follower.Stop()
 	}
-	if d != nil {
+	d := durable.Load()
+	if d != nil && serveErr == nil {
 		t0 := time.Now()
 		if err := d.Checkpoint(); err != nil {
 			logger.Warn("checkpoint on drain", "err", err)
@@ -471,237 +513,44 @@ func run(logger *slog.Logger, c *cliFlags) error {
 			"mean_apply", time.Duration(st.MeanApplyNanos).Round(time.Microsecond),
 			"last_apply", time.Duration(st.LastApplyNanos).Round(time.Microsecond))
 	}
-	return nil
+	return serveErr
 }
 
-// runReplica is the warm-replica mode: ship the primary's WAL into the
-// local data directory, replay it continuously into un-hosted
-// maintainers, and serve only health/status endpoints until promotion
-// swaps in the full serving API.
-func runReplica(logger *slog.Logger, c *cliFlags, base *incgraph.Graph, pat *incgraph.Graph,
-	part shard.Partitioner, algoList []string, opt incgraph.ServeOptions) error {
-	// Bootstrap: pull the primary's checkpoint and segment bytes before
-	// recovery, so a replica started late still begins from the newest
-	// durable cut instead of replaying from genesis. Best effort — a
-	// briefly unreachable primary just means starting from local state.
+// verifyHosts checks every host's replayed answer against a batch
+// recompute from inside its apply loop, keeping the recomputed one, and
+// returns how many had diverged.
+func verifyHosts(logger *slog.Logger, svc *incgraph.Service) (divergent int) {
+	for _, h := range svc.Hosts() {
+		if diverged, err := h.Verify(); err != nil {
+			logger.Warn("promotion: verification failed; host keeps its last good view", "err", err)
+		} else if diverged {
+			divergent++
+			logger.Warn("promotion: replayed state diverged from batch recompute; repaired", "algo", h.Algo())
+		}
+	}
+	return divergent
+}
+
+// bootstrapPull mirrors the primary's checkpoint and segment bytes into
+// the replica's data directory before recovery, so a replica started late
+// begins from the newest durable cut instead of replaying from genesis.
+// Best effort — a briefly unreachable primary just means starting from
+// local state.
+func bootstrapPull(logger *slog.Logger, c *cliFlags) error {
 	if err := os.MkdirAll(c.dataDir, 0o755); err != nil {
 		return fmt.Errorf("replica data dir: %w", err)
 	}
-	hc := &http.Client{Timeout: 30 * time.Second}
-	var pullErr error
+	var err error
 	for attempt := 0; attempt < 20; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_, pullErr = shard.PullWAL(ctx, hc, c.replicaOf, c.dataDir)
+		_, err = shard.PullWAL(ctx, nil, c.replicaOf, c.dataDir)
 		cancel()
-		if pullErr == nil {
-			break
+		if err == nil {
+			return nil
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
-	if pullErr != nil {
-		logger.Warn("replica bootstrap: primary unreachable; starting from local state", "err", pullErr)
-	}
-	rec, err := incgraph.LoadRecovery(c.dataDir)
-	if err != nil {
-		return fmt.Errorf("replica recovery: %w", err)
-	}
-	nodes, directed := base.NumNodes(), base.Directed()
-	targets := make(map[string]incgraph.Serveable, len(algoList))
-	baseEpochs := make(map[string]uint64, len(algoList))
-	baseBatches := make(map[string]uint64, len(algoList))
-	graphs, _ := classGraphs(algoList, base, rec)
-	for i, algo := range algoList {
-		m, err := buildServeable(algo, graphs[i], incgraph.NodeID(c.src), pat)
-		if err != nil {
-			return err
-		}
-		if err := rec.Restore(algo, m); err != nil {
-			return fmt.Errorf("replica restore %s: %w", algo, err)
-		}
-		targets[algo] = m
-		ra := rec.Algos[algo]
-		baseEpochs[algo], baseBatches[algo] = ra.Epoch, ra.Batches
-	}
-	// The service exists before the follower so its registry carries the
-	// replication-lag gauges and its recorder the replay spans from the
-	// first shipped record — the replica is observable before promotion.
-	svc := incgraph.NewService()
-	if c.shardID >= 0 {
-		svc.Recorder().SetProcess(fmt.Sprintf("replica-%d", c.shardID))
-	} else {
-		svc.Recorder().SetProcess("replica")
-	}
-	follower := shard.NewFollower(shard.FollowerOptions{
-		Source:      c.replicaOf,
-		Dir:         c.dataDir,
-		Targets:     targets,
-		ReplayFrom:  rec.ReplayFrom,
-		BaseEpochs:  baseEpochs,
-		BaseBatches: baseBatches,
-		Client:      hc,
-		Registry:    svc.Registry(),
-		Recorder:    svc.Recorder(),
-		Logf: func(format string, args ...any) {
-			logger.Debug(fmt.Sprintf(format, args...))
-		},
-	})
-	go follower.Run()
-	logger.Info("following", "primary", c.replicaOf, "dir", c.dataDir,
-		"replay_from", rec.ReplayFrom, "checkpoint_epoch", rec.CheckpointEpoch)
-	var promoted atomic.Bool
-	// handler swaps from the replica mux to the full API on promotion.
-	// The stored values have different concrete handler types, so they
-	// ride in a one-field box to keep atomic.Value's type consistent.
-	type handlerBox struct{ h http.Handler }
-	var handler atomic.Value
-
-	// pstate carries what promotion creates across to the shutdown path.
-	var pstate struct {
-		sync.Mutex
-		d *incgraph.Durable
-	}
-
-	promote := func() (map[string]uint64, error) {
-		// Seal the follower: after Stop the targets reflect every shipped
-		// record and nothing else writes them, so hosting them at the
-		// follower's stream position is a consistent handoff.
-		follower.Stop()
-		epochs, batches := follower.Epochs(), follower.Batches()
-		if c.verifyRec {
-			if divergent := incgraph.VerifyRecovered(targets, svc.Recorder()); len(divergent) > 0 {
-				logger.Warn("promotion: replayed state diverged from batch recompute; repaired",
-					"algos", strings.Join(divergent, ","))
-			}
-		}
-		for _, algo := range algoList {
-			o := opt
-			o.BaseEpoch, o.BaseBatches = epochs[algo], batches[algo]
-			if _, err := svc.Host(targets[algo], o); err != nil {
-				return nil, err
-			}
-		}
-		policy, err := incgraph.ParseSyncPolicy(c.fsync)
-		if err != nil {
-			return nil, err
-		}
-		// OpenDurable truncates the shipped WAL's torn tail frame (if the
-		// primary died mid-ship) and appends after it — the replica's log
-		// is now the authoritative continuation.
-		d, err := incgraph.OpenDurable(svc, c.dataDir, incgraph.DurableOptions{
-			WAL:             incgraph.WALOptions{Policy: policy, Interval: c.fsyncInterval},
-			CheckpointEvery: c.ckptEvery,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pstate.Lock()
-		pstate.d = d
-		pstate.Unlock()
-		if part != nil {
-			shard.MountShardAPI(svc, part, c.shardID, nodes, directed, func() bool { return false })
-		}
-		svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
-		full := svc.Handler()
-		if c.accessLog {
-			full = incgraph.AccessLog(logger, full)
-		}
-		handler.Store(handlerBox{full})
-		logger.Info("promoted", "epochs", fmt.Sprint(epochs))
-		return epochs, nil
-	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /replica/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, follower.Status())
-	})
-	// Replication lag and replay spans are observable before promotion:
-	// the router's /cluster/metrics and /debug/cluster/trace scrape these.
-	mux.Handle("GET /metrics", svc.Registry().Handler())
-	mux.Handle("GET /metrics.json", svc.Registry().JSONHandler())
-	mux.Handle("GET /debug/trace", svc.Recorder().Handler())
-	mux.HandleFunc("GET /shard/info", func(w http.ResponseWriter, r *http.Request) {
-		info := shard.Info{Nodes: nodes, Directed: directed, Replica: true, Epochs: follower.Epochs()}
-		if part != nil {
-			info.Shard, info.Shards, info.Partitioner = c.shardID, part.Shards(), part.Name()
-		}
-		writeJSON(w, http.StatusOK, info)
-	})
-	// Stale reads: pre-promotion, the replica answers /query/{algo} from
-	// its replayed maintainers, every view stamped degraded. This is the
-	// surface the router's fetchView falls back to when a primary's
-	// breaker is open — a lagging answer with an honest epoch instead of
-	// a missing shard. It reads the route's parameters as a primary does.
-	mux.HandleFunc("GET /query/{algo}", func(w http.ResponseWriter, r *http.Request) {
-		v, ok := follower.View(r.PathValue("algo"))
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown algo " + r.PathValue("algo")})
-			return
-		}
-		incgraph.WriteQuery(w, r, &v, nodes)
-	})
-	mux.HandleFunc("POST /replica/promote", func(w http.ResponseWriter, r *http.Request) {
-		if !promoted.CompareAndSwap(false, true) {
-			writeJSON(w, http.StatusConflict, map[string]string{"error": "already promoted"})
-			return
-		}
-		epochs, err := promote()
-		if err != nil {
-			logger.Error("promotion failed", "err", err)
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"epochs": epochs})
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]string{"error": "warm replica: not serving until POST /replica/promote"})
-	})
-	handler.Store(handlerBox{mux})
-
-	srv := &http.Server{Addr: c.listen, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(handlerBox).h.ServeHTTP(w, r)
-	})}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("replica serving", "addr", c.listen, "primary", c.replicaOf)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	select {
-	case err := <-errc:
-		follower.Stop()
-		svc.Close()
-		return err
-	case <-ctx.Done():
-	}
-	logger.Info("replica shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		logger.Warn("http shutdown", "err", err)
-	}
-	follower.Stop()
-	pstate.Lock()
-	d := pstate.d
-	pstate.Unlock()
-	if d != nil {
-		if err := d.Checkpoint(); err != nil {
-			logger.Warn("checkpoint on drain", "err", err)
-		}
-	}
-	svc.Close()
-	if d != nil {
-		if err := d.Close(); err != nil {
-			logger.Warn("wal close", "err", err)
-		}
-	}
+	logger.Warn("replica bootstrap: primary unreachable; starting from local state", "err", err)
 	return nil
 }
 
@@ -729,13 +578,6 @@ func classGraphs(algoList []string, base *incgraph.Graph, rec *incgraph.Recovery
 		}
 	}
 	return graphs, restored
-}
-
-// writeJSON writes v as JSON with the given status.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }
 
 func loadGraph(path, genKind string, seed int64, nodes, deg int, directed bool) (*incgraph.Graph, error) {

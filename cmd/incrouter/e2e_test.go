@@ -348,34 +348,34 @@ func checkClusterMetrics(t *testing.T, h http.Handler) {
 		t.Fatalf("cluster metrics: %d", w.Code)
 	}
 	body := w.Body.String()
-	mustSeries := func(name string, labels ...string) {
+	// series sums the values of name's sample lines that carry every label.
+	series := func(name string, labels ...string) (sum float64, n int) {
 		t.Helper()
+	lines:
 		for _, line := range strings.Split(body, "\n") {
-			if !strings.HasPrefix(line, name) || strings.HasPrefix(line, "#") {
+			rest, ok := strings.CutPrefix(line, name)
+			if !ok || rest == "" || (rest[0] != '{' && rest[0] != ' ') {
 				continue
 			}
-			rest := line[len(name):]
-			if rest == "" || (rest[0] != '{' && rest[0] != ' ') {
-				continue
-			}
-			ok := true
 			for _, l := range labels {
 				if !strings.Contains(line, l) {
-					ok = false
-					break
+					continue lines
 				}
-			}
-			if !ok {
-				continue
 			}
 			fields := strings.Fields(line)
 			v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
 			if err != nil || math.IsNaN(v) {
 				t.Fatalf("series %s has non-numeric value in %q (err %v)", name, line, err)
 			}
-			return
+			sum, n = sum+v, n+1
 		}
-		t.Fatalf("federated metrics missing %s%v:\n%s", name, labels, body)
+		return sum, n
+	}
+	mustSeries := func(name string, labels ...string) {
+		t.Helper()
+		if _, n := series(name, labels...); n == 0 {
+			t.Fatalf("federated metrics missing %s%v:\n%s", name, labels, body)
+		}
 	}
 	mustSeries("incgraph_apply_latency_seconds_count", `shard="0"`, `role="primary"`)
 	mustSeries("incgraph_apply_latency_seconds_count", `shard="1"`, `role="primary"`)
@@ -383,6 +383,20 @@ func checkClusterMetrics(t *testing.T, h http.Handler) {
 	mustSeries("incrouter_cluster_epoch_skew")
 	mustSeries("incrouter_cluster_replica_lag_seconds")
 	mustSeries("incrouter_cluster_apply_latency_seconds_count")
+	// A warm replica hosts its maintainers: it exports the per-host
+	// families (its view epochs count in the skew), and the work rollups
+	// still count every accepted batch once — on the primaries.
+	mustSeries("incgraph_view_epoch", `shard="0"`, `role="replica"`)
+	for rollup, fam := range map[string]string{
+		"incrouter_cluster_apply_latency_seconds_count": "incgraph_apply_latency_seconds_count",
+		"incrouter_cluster_bounded_ratio_count":         "incgraph_bounded_ratio_count",
+	} {
+		got, _ := series(rollup)
+		primaries, _ := series(fam, `role="primary"`)
+		if replicas, _ := series(fam, `role="replica"`); got != primaries || replicas == 0 {
+			t.Fatalf("%s = %v, want the primaries' %v (replicas hold %v more)", rollup, got, primaries, replicas)
+		}
+	}
 }
 
 // waitCaughtUp blocks until the replica's replayed per-algo epochs match

@@ -303,14 +303,6 @@ func AccessLog(logger *slog.Logger, next http.Handler) http.Handler {
 	return serve.AccessLog(logger, next)
 }
 
-// WriteQuery answers a GET /query/{algo} request with the view v of a
-// graph of numNodes nodes, reading ?compact and ?range exactly as a
-// Service does (a warm replica serves its stale reads through it). It
-// returns the number of view pages it encoded rather than found cached.
-func WriteQuery(w http.ResponseWriter, r *http.Request, v *ServeView, numNodes int) int {
-	return serve.WriteQuery(w, r, v, numNodes)
-}
-
 // ServeSSSP adapts an SSSP maintainer for serving; src must be the source
 // the maintainer was built with.
 func ServeSSSP(inc *IncSSSP, src NodeID) Serveable { return serve.SSSP(inc, src) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 )
 
@@ -230,32 +231,46 @@ func (f *Federation) SumValues(name string) float64 {
 	return sum
 }
 
-// Values returns every scalar series of a family, sorted by label key —
-// the raw material for min/max rollups like epoch skew.
-func (f *Federation) Values(name string) []SeriesSnapshot {
+// hasLabels reports whether labels carry every label of match.
+func hasLabels(labels, match []Label) bool {
+	for _, m := range match {
+		if !slices.Contains(labels, m) {
+			return false
+		}
+	}
+	return true
+}
+
+// Values returns the scalar series of a family that carry every match
+// label (all of them when none is given), sorted by label key — the raw
+// material for min/max rollups like epoch skew.
+func (f *Federation) Values(name string, match ...Label) []SeriesSnapshot {
 	ff := f.fams[name]
 	if ff == nil {
 		return nil
 	}
 	out := make([]SeriesSnapshot, 0, len(ff.series))
 	for _, s := range ff.series {
-		out = append(out, SeriesSnapshot{Labels: append([]Label(nil), s.labels...), Value: s.value})
+		if hasLabels(s.labels, match) {
+			out = append(out, SeriesSnapshot{Labels: append([]Label(nil), s.labels...), Value: s.value})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return labelKey(out[i].Labels) < labelKey(out[j].Labels) })
 	return out
 }
 
-// MergedHistogram merges every histogram series of a family into one
-// snapshot — the exact cluster-wide distribution (e.g. apply-latency
-// p99 across all shards).
-func (f *Federation) MergedHistogram(name string) HistogramSnapshot {
+// MergedHistogram merges the histogram series of a family that carry
+// every match label (all of them when none is given) into one snapshot —
+// the exact cluster-wide distribution (e.g. apply-latency p99 across all
+// primaries).
+func (f *Federation) MergedHistogram(name string, match ...Label) HistogramSnapshot {
 	var m HistogramSnapshot
 	ff := f.fams[name]
 	if ff == nil {
 		return m
 	}
 	for _, s := range ff.series {
-		if s.hist != nil {
+		if s.hist != nil && hasLabels(s.labels, match) {
 			m.Merge(*s.hist)
 		}
 	}

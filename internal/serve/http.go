@@ -319,10 +319,20 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	h.met.pagesEncoded.Add(float64(WriteQuery(w, r, h.View(), h.NumNodes())))
 }
 
+// WriteStale answers GET /query/{algo} as handleQuery does, with the view
+// stamped Degraded: the read of a warm replica, which trails its primary
+// by the replication lag (the epoch says by how much). The stamp is on a
+// copy of the envelope; the pages and their cached bytes are shared.
+func (h *Host) WriteStale(w http.ResponseWriter, r *http.Request) {
+	v := *h.View()
+	v.Degraded = true
+	h.met.pagesEncoded.Add(float64(WriteQuery(w, r, &v, h.n)))
+}
+
 // WriteQuery answers a GET /query/{algo} request with v, a view of a
 // graph of numNodes nodes, and returns how many pages it had to encode
 // rather than copy from their cache. It is the one reader of the route's
-// parameters, so a warm replica answering from its replayed maintainers
+// parameters, so a warm replica answering from its hosts' published views
 // accepts what a primary accepts and writes the same bytes.
 // The body is assembled whole before the header is written — envelope
 // and scalars with strconv, every page of a per-node vector from the

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1120,65 +1121,20 @@ func (h *Host) absorbPanic(raw graph.Batch, pval any) {
 		h.stats.Panics++
 	}
 	h.stats.Degraded = true
-	batches := h.stats.BatchesApplied
 	h.statMu.Unlock()
-	h.met.degraded.Set(1)
 	h.met.updatesApplied.Add(float64(len(raw)))
 	h.met.batchesApplied.Inc()
-
-	// Republish the last good data under the degraded flag. The epoch is
-	// the stale view's: it honestly describes which prefix the data
-	// answers for.
-	old := h.view.Load()
-	h.view.Store(&View{Algo: h.algo, Epoch: old.Epoch, Batches: batches, Degraded: true, Data: old.Data})
+	h.publishDegraded()
 
 	if h.quarantined {
 		return
 	}
-
 	// Heal: batch recompute over the graph as the panic left it. The
 	// recompute result reflects every update that reached the graph —
 	// including any partially staged batch — so the healed view is the
 	// correct answer for the current graph state.
-	var span trace.Span
-	if h.rec != nil {
-		span = h.rec.Begin("heal", "serve", h.track)
-	}
-	healed := func() (ok bool) {
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
-		h.m.Recompute()
-		return true
-	}()
-	var data any
-	if healed {
-		// Recompute may have rebuilt the inner maintainer: re-install the
-		// engine tracer and take the fresh snapshot, both under the same
-		// fence.
-		healed = func() (ok bool) {
-			defer func() {
-				if recover() != nil {
-					ok = false
-				}
-			}()
-			if h.engTracer != nil {
-				if ts, tok := h.m.(tracerSetter); tok {
-					ts.SetTracer(h.engTracer)
-				}
-			}
-			data = h.m.Snapshot()
-			return true
-		}()
-	}
-	if h.rec != nil {
-		span.Arg("healed", boolArg(healed))
-		span.End()
-	}
+	data, healed := h.rebuild("heal")
 	if !healed {
-		h.quarantined = true
 		return
 	}
 
@@ -1192,6 +1148,74 @@ func (h *Host) absorbPanic(raw graph.Batch, pval any) {
 	h.met.degraded.Set(0)
 
 	h.view.Store(&View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data})
+}
+
+// publishDegraded republishes the last good data under the degraded flag.
+// The epoch is the stale view's: it honestly describes which prefix the
+// data answers for. Called only from the apply loop, which is the only
+// writer of the batch count it reads.
+func (h *Host) publishDegraded() {
+	batches := h.stats.BatchesApplied
+	h.met.degraded.Set(1)
+	old := h.view.Load()
+	h.view.Store(&View{Algo: h.algo, Epoch: old.Epoch, Batches: batches, Degraded: true, Data: old.Data})
+}
+
+// rebuild discards the maintained answer for a batch rerun over the
+// current graph and returns the fresh snapshot, in a span called name (the
+// heal after a panic, the verification at a promotion). Recompute may
+// have rebuilt the inner maintainer, so the engine tracer is re-installed
+// under the same fence; a panic anywhere quarantines the host. Called only
+// from the apply loop.
+func (h *Host) rebuild(name string) (data any, ok bool) {
+	var span trace.Span
+	if h.rec != nil {
+		span = h.rec.Begin(name, "serve", h.track)
+	}
+	defer func() {
+		if recover() != nil {
+			data, ok = nil, false
+		}
+		h.quarantined = !ok
+		if h.rec != nil {
+			span.Arg("ok", boolArg(ok))
+			span.End()
+		}
+	}()
+	h.m.Recompute()
+	if h.engTracer != nil {
+		if ts, tok := h.m.(tracerSetter); tok {
+			ts.SetTracer(h.engTracer)
+		}
+	}
+	return h.m.Snapshot(), true
+}
+
+// Verify is VerifyRecovered for a maintainer that is already hosted (a
+// warm replica at promotion): from inside the apply loop, after every
+// accepted submission, it recomputes the answer over the maintainer's
+// graph, publishes it at the same epoch and reports whether it differed —
+// which the design treats as a bug. An error means the recompute panicked
+// and the host is quarantined on its last good view.
+func (h *Host) Verify() (diverged bool, err error) {
+	err = h.WithState(func(Serveable) error {
+		if h.quarantined {
+			return fmt.Errorf("serve: %s is quarantined", h.algo)
+		}
+		data, ok := h.rebuild("verify")
+		if !ok {
+			h.statMu.Lock()
+			h.stats.Degraded = true
+			h.statMu.Unlock()
+			h.publishDegraded()
+			return fmt.Errorf("serve: %s: recompute panicked", h.algo)
+		}
+		old := h.view.Load()
+		diverged = !reflect.DeepEqual(old.Data, data)
+		h.view.Store(&View{Algo: h.algo, Epoch: old.Epoch, Batches: old.Batches, Data: data})
+		return nil
+	})
+	return diverged, err
 }
 
 func boolArg(b bool) int64 {

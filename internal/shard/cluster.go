@@ -164,15 +164,19 @@ func (rt *Router) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		fed.Ingest(fams, obs.L("shard", strconv.Itoa(m.Shard)), obs.L("role", m.Role))
 	}
 
+	// A warm replica hosts its maintainers too and exports the per-host
+	// families; it replays what its primary applied, so the work rollups
+	// count primaries only — once per batch the cluster accepted.
+	primary := obs.L("role", "primary")
 	fed.AddHistogram("incrouter_cluster_apply_latency_seconds",
 		"Apply latency merged across every shard's histogram buckets.",
-		fed.MergedHistogram("incgraph_apply_latency_seconds"))
+		fed.MergedHistogram("incgraph_apply_latency_seconds", primary))
 	fed.Add("incrouter_cluster_shed_total",
 		"Updates shed anywhere in the cluster (members plus router).",
 		"counter",
 		fed.SumValues("incgraph_shed_total")+fed.SumValues("incrouter_updates_shed_total"))
 	fed.Add("incrouter_cluster_epoch_skew",
-		"Spread (max-min) of published view epochs across primaries.",
+		"Spread (max-min) of published view epochs across primaries and replicas.",
 		"gauge", epochSkew(fed.Values("incgraph_view_epoch")))
 	fed.Add("incrouter_cluster_replica_lag_seconds",
 		"Worst-case follower seconds-behind across replicas.",
@@ -183,10 +187,10 @@ func (rt *Router) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	// shard's incremental work stops being a function of |ΔG| and |AFF|.
 	fed.AddHistogram("incrouter_cluster_bounded_ratio",
 		"Per-apply work/|ΔG| quotients merged across every shard's histogram buckets.",
-		fed.MergedHistogram("incgraph_bounded_ratio"))
+		fed.MergedHistogram("incgraph_bounded_ratio", primary))
 	fed.Add("incrouter_cluster_bounded_ratio_worst",
 		"Worst shard's most recent boundedness quotient (max over last-apply gauges).",
-		"gauge", maxValue(fed.Values("incgraph_bounded_ratio_last")))
+		"gauge", maxValue(fed.Values("incgraph_bounded_ratio_last", primary)))
 	fed.Add("incrouter_cluster_members",
 		"Scrapeable cluster members by reachability.",
 		"gauge", float64(reachable), obs.L("state", "reachable"))
@@ -199,10 +203,11 @@ func (rt *Router) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // epochSkew reduces view-epoch series to max-min, the number a dashboard
-// alerts on: how far the slowest shard's published view trails the
-// fastest. Replicas report the same family; their role label keeps them
-// in the federation but they count here too — a lagging replica *is*
-// epoch skew from a reader's point of view.
+// alerts on: how far the slowest member's published view trails the
+// fastest. A warm replica hosts its maintainers and reports the same
+// family under role="replica"; it counts here — a lagging replica *is*
+// epoch skew from a reader's point of view: its view is what a hedged or
+// stale read returns.
 func epochSkew(series []obs.SeriesSnapshot) float64 {
 	if len(series) == 0 {
 		return 0

@@ -2,11 +2,16 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -49,36 +54,153 @@ func startDurableShard(t *testing.T, g *graph.Graph, p Partitioner, id int, src 
 	return srv
 }
 
-// startObservedReplica runs a Follower against the primary with its own
-// registry and recorder, serving the replica-side observability surface
-// (/replica/status, /metrics.json, /debug/trace) the way the replica
-// daemon mode does.
-func startObservedReplica(t *testing.T, g *graph.Graph, p Partitioner, id int, src graph.NodeID, primaryURL string) (*Follower, *httptest.Server) {
+// openShippedLog is what a promotion of startObservedReplica's replica
+// does by default: open the shipped WAL in dir for writing.
+func openShippedLog(svc *serve.Service, dir string) (*serve.Durable, error) {
+	return serve.OpenDurable(svc, dir, serve.DurableOptions{WAL: wal.Options{Policy: wal.SyncAlways}})
+}
+
+// startObservedReplica runs a warm replica of the primary the way the
+// daemon's replica mode does: the maintainers hosted on a service from
+// the start, a Follower submitting the shipped records to them, and the
+// service's API served behind the Standby gate (NewStandby, MountShardAPI,
+// Standby.Handler — the calls cmd/incgraphd makes). A promotion verifies
+// the hosts and opens the shipped log with open.
+func startObservedReplica(t *testing.T, g *graph.Graph, p Partitioner, id int, src graph.NodeID, primaryURL string,
+	open func(svc *serve.Service, dir string) (*serve.Durable, error)) (*Follower, *httptest.Server) {
 	t.Helper()
 	frag := FilterGraph(g, p, id)
-	reg := obs.NewRegistry()
-	rec := trace.NewRecorder(1024)
+	svc := serve.NewService()
+	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src), src), serve.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Host(serve.CC(cc.NewInc(frag.Clone())), serve.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
 	f := NewFollower(FollowerOptions{
-		Source: primaryURL,
-		Dir:    t.TempDir(),
-		Targets: map[string]serve.Serveable{
-			"sssp": serve.SSSP(sssp.NewInc(frag, src), src),
-			"cc":   serve.CC(cc.NewInc(frag.Clone())),
-		},
+		Source:   primaryURL,
+		Dir:      dir,
+		Service:  svc,
 		Interval: 10 * time.Millisecond,
-		Registry: reg,
-		Recorder: rec,
 	})
 	go f.Run()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /replica/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Status())
+	var d *serve.Durable
+	sb := NewStandby(svc, f, func() error {
+		for _, h := range svc.Hosts() {
+			if _, err := h.Verify(); err != nil {
+				return err
+			}
+		}
+		var err error
+		if d, err = open(svc, dir); err != nil {
+			return err
+		}
+		svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
+		return nil
 	})
-	mux.Handle("GET /metrics.json", reg.JSONHandler())
-	mux.Handle("GET /debug/trace", rec.Handler())
-	srv := httptest.NewServer(mux)
-	t.Cleanup(func() { srv.Close(); f.Stop() })
+	MountShardAPI(svc, p, id, g.NumNodes(), g.Directed(), sb.Following)
+	srv := httptest.NewServer(sb.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		f.Stop()
+		svc.Close()
+		if d != nil {
+			d.Close()
+		}
+	})
 	return f, srv
+}
+
+// TestReplicaPromoteRetry: a promotion that fails — the shipped log
+// cannot be opened — leaves the replica promotable. The gate stays up
+// (stale reads, refused writes), the second attempt succeeds at the
+// epochs the replica had replayed to, a third is told 409, and the
+// promoted replica takes writes.
+func TestReplicaPromoteRetry(t *testing.T) {
+	leakCheck(t)
+	rng := rand.New(rand.NewSource(43))
+	g := gen.PowerLaw(rng, 120, 4, true)
+	p := NewHashPartitioner(1)
+	primary := startDurableShard(t, g, p, 0, 0)
+	// The first attempt opens the log under a regular file: MkdirAll fails.
+	blocker := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	attempts := 0
+	_, repl := startObservedReplica(t, g, p, 0, 0, primary.URL, func(svc *serve.Service, dir string) (*serve.Durable, error) {
+		if attempts++; attempts == 1 {
+			dir = filepath.Join(blocker, "wal")
+		}
+		return openShippedLog(svc, dir)
+	})
+
+	ctx := context.Background()
+	pc, rc := &Client{Base: primary.URL}, &Client{Base: repl.URL}
+	batch := gen.RandomUpdates(rng, g.Clone(), 30, 0.3)
+	out, err := pc.Update(ctx, batch, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := func() Info {
+		t.Helper()
+		in, err := rc.Info(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !reflect.DeepEqual(info().Epochs, out.Epochs) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica stuck at %v, want %v", info().Epochs, out.Epochs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Before promotion: writes and evals refused, the rest of the API up.
+	if _, err := rc.Update(ctx, batch, true); !IsShed(err) {
+		t.Fatalf("POST /update on a warm replica: err = %v, want a 503", err)
+	}
+	if _, err := rc.Eval(ctx, "sssp", nil); err == nil {
+		t.Fatal("POST /shard/eval on a warm replica succeeded")
+	}
+	for _, path := range []string{"/stats", "/debug/applies", "/debug/boundedness", "/replica/status"} {
+		if resp, err := http.Get(repl.URL + path); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s on a warm replica: %v %v", path, resp, err)
+		} else {
+			resp.Body.Close()
+		}
+	}
+
+	if _, err := rc.Promote(ctx); err == nil {
+		t.Fatal("promotion succeeded with an unopenable log")
+	}
+	if in := info(); !in.Replica || !reflect.DeepEqual(in.Epochs, out.Epochs) {
+		t.Fatalf("after a failed promotion: %+v, want a replica at %v", in, out.Epochs)
+	}
+	if v, err := rc.View(ctx, "sssp"); err != nil || !v.Degraded {
+		t.Fatalf("stale read after a failed promotion: degraded=%v err=%v", v.Degraded, err)
+	}
+	epochs, err := rc.Promote(ctx)
+	if err != nil || !reflect.DeepEqual(epochs, out.Epochs) {
+		t.Fatalf("second promotion: epochs %v err %v, want %v", epochs, err, out.Epochs)
+	}
+	if in := info(); in.Replica || !reflect.DeepEqual(in.Epochs, out.Epochs) {
+		t.Fatalf("after promotion: %+v, want a primary at %v", in, out.Epochs)
+	}
+	var se *StatusError
+	if _, err := rc.Promote(ctx); !errors.As(err, &se) || se.Code != http.StatusConflict {
+		t.Fatalf("third promotion: err = %v, want 409", err)
+	}
+	after, err := rc.Update(ctx, gen.RandomUpdates(rng, g.Clone(), 10, 0.3), true)
+	if err != nil || after.Epochs["sssp"] != out.Epochs["sssp"]+10 {
+		t.Fatalf("write to the promoted replica: epochs %v err %v", after.Epochs, err)
+	}
+	if v, err := rc.View(ctx, "sssp"); err != nil || v.Degraded {
+		t.Fatalf("read after promotion: degraded=%v err=%v", v.Degraded, err)
+	}
 }
 
 // get runs one GET against the router handler and returns the recorder.
@@ -186,7 +308,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	p := NewHashPartitioner(2)
 	s0 := startDurableShard(t, g, p, 0, src)
 	s1 := startDurableShard(t, g, p, 1, src)
-	follower, repl := startObservedReplica(t, g, p, 0, src, s0.URL)
+	follower, repl := startObservedReplica(t, g, p, 0, src, s0.URL, openShippedLog)
 
 	table := NewTable([]string{s0.URL, s1.URL})
 	table.SetReplica(0, repl.URL)
@@ -240,7 +362,8 @@ func TestClusterObservabilityE2E(t *testing.T) {
 		if containsSpan(spans["router"], "update") &&
 			containsSpan(spans["shard-0"], "apply") &&
 			containsSpan(spans["shard-1"], "apply") &&
-			containsSpan(spans["replica-0"], "replay") {
+			containsSpan(spans["replica-0"], "replay") &&
+			containsSpan(spans["replica-0"], "batch") { // the replica's own apply loop, under the primary's trace ID
 			break
 		}
 		if time.Now().After(deadline) {
@@ -293,6 +416,31 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	if v, _ := metricLine(t, body, "incrouter_cluster_apply_latency_seconds_count"); v == 0 {
 		t.Errorf("cluster apply-latency rollup counted no samples")
 	}
+	// The replica hosts its maintainers, so it exports the per-host
+	// families under role="replica" and its view epoch counts in the skew;
+	// the work rollups still count each accepted batch once — primaries.
+	for _, fam := range []string{"incgraph_view_epoch", "incgraph_apply_latency_seconds_count", "incgraph_bounded_ratio_count"} {
+		if _, ok := metricLine(t, body, fam, `role="replica"`, `shard="0"`, `algo="sssp"`); !ok {
+			t.Errorf("replica exports no %s series", fam)
+		}
+	}
+	for rollup, fam := range map[string]string{
+		"incrouter_cluster_apply_latency_seconds_count": "incgraph_apply_latency_seconds_count",
+		"incrouter_cluster_bounded_ratio_count":         "incgraph_bounded_ratio_count",
+	} {
+		var primaries, replicas float64
+		for _, algo := range []string{"sssp", "cc"} {
+			for shard := 0; shard < 2; shard++ {
+				v, _ := metricLine(t, body, fam, `role="primary"`, `shard="`+strconv.Itoa(shard)+`"`, `algo="`+algo+`"`)
+				primaries += v
+			}
+			v, _ := metricLine(t, body, fam, `role="replica"`, `algo="`+algo+`"`)
+			replicas += v
+		}
+		if got, _ := metricLine(t, body, rollup); got != primaries || replicas == 0 {
+			t.Errorf("%s = %v, want the primaries' %v (replica series hold %v more)", rollup, got, primaries, replicas)
+		}
+	}
 	if v, _ := metricLine(t, body, "incrouter_cluster_members", `state="reachable"`); v != 3 {
 		t.Errorf("reachable members = %v, want 3", v)
 	}
@@ -316,9 +464,9 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	if err := json.Unmarshal(ow.Body.Bytes(), &offRes); err != nil {
 		t.Fatalf("cluster offenders not JSON: %v (%s)", err, ow.Body.String())
 	}
-	// Both primaries answer the offender scrape; the replica's minimal
-	// surface has no /debug/offenders and is skipped, not fatal.
-	if offRes.MembersReachable != 2 || len(offRes.Offenders) == 0 {
+	// Both primaries answer the offender scrape, and so does the replica:
+	// its hosts keep the same rings, attributed to "replica-0".
+	if offRes.MembersReachable != 3 || len(offRes.Offenders) == 0 {
 		t.Fatalf("offender merge: reachable=%d entries=%d", offRes.MembersReachable, len(offRes.Offenders))
 	}
 	shardsSeen := map[int]bool{}

@@ -2,9 +2,13 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"sync"
+	"sync/atomic"
 
+	"incgraph/internal/resilience"
 	"incgraph/internal/serve"
 )
 
@@ -14,6 +18,8 @@ import (
 //
 //	GET  /shard/info        Info: identity, partitioner, epoch
 //	POST /shard/eval/sssp   EvalRequest → EvalResponse (frontier relaxation)
+//	GET  /replica/status    FollowerStatus: lag and position (Standby)
+//	POST /replica/promote   stop following, become the primary (Standby)
 //
 // The evaluation runs through Host.WithState, which queues behind every
 // accepted submission and executes inside the apply loop — so it reads
@@ -141,4 +147,87 @@ func evalHost(h *serve.Host, r *seedRelaxer, seeds [][2]int64) (EvalResponse, er
 		return err
 	})
 	return resp, err
+}
+
+// Standby is a warm replica's HTTP surface and promotion switch. Until it
+// is promoted the replica serves its service's whole API behind a gate:
+// POST /update and POST /shard/eval/{algo} answer 503, and GET
+// /query/{algo} answers from the hosts' published views stamped degraded
+// (Host.WriteStale) — the stale read a router falls back to while a
+// primary's breaker is open. A promotion takes the gate away.
+type Standby struct {
+	svc *serve.Service
+	f   *Follower
+	// promote makes the service writable (OpenDurable, mounting /wal/); it
+	// runs with the follower stopped and may be called again after failing.
+	promote func() error
+
+	mu   sync.Mutex                   // one promotion attempt at a time
+	live atomic.Pointer[http.Handler] // the ungated API; nil until promoted
+}
+
+// NewStandby wires the promotion switch of a replica whose follower f
+// (already running) feeds svc. Pass Following to MountShardAPI, then serve
+// Handler.
+func NewStandby(svc *serve.Service, f *Follower, promote func() error) *Standby {
+	return &Standby{svc: svc, f: f, promote: promote}
+}
+
+// Following reports whether the replica has not been promoted yet.
+func (s *Standby) Following() bool { return s.live.Load() == nil }
+
+// Handler mounts the replica routes on the service and returns the
+// handler to serve: the gated API until promotion, the service's own from
+// then on. Call it once, after every other Mount.
+func (s *Standby) Handler() http.Handler {
+	s.svc.Mount("GET /replica/status", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, s.f.Status())
+	}))
+	s.svc.Mount("POST /replica/promote", http.HandlerFunc(s.handlePromote))
+	full := s.svc.Handler()
+	refuse := func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusServiceUnavailable,
+			errors.New("warm replica: not serving until POST /replica/promote"))
+	}
+	gate := http.NewServeMux()
+	gate.HandleFunc("POST /update", refuse)
+	gate.HandleFunc("POST /shard/eval/{algo}", refuse)
+	gate.HandleFunc("GET /query/{algo}", func(w http.ResponseWriter, r *http.Request) {
+		if h := s.svc.Get(r.PathValue("algo")); h != nil {
+			h.WriteStale(w, r)
+			return
+		}
+		full.ServeHTTP(w, r) // the service's own 404
+	})
+	gate.Handle("/", full)
+	gated := resilience.Middleware(gate) // full carries its own; this covers the gate's routes
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if live := s.live.Load(); live != nil {
+			(*live).ServeHTTP(w, r)
+			return
+		}
+		gated.ServeHTTP(w, r)
+	})
+}
+
+// handlePromote serves POST /replica/promote: stop the follower (its last
+// drain applies every shipped record), make the service writable, and
+// swap in a handler built after promote mounted its routes. The hosts
+// keep the epochs they replayed to, which the answer reports. A failed
+// attempt can be repeated; after a successful one the answer is 409.
+func (s *Standby) handlePromote(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.Following() {
+		writeError(w, http.StatusConflict, errors.New("already promoted"))
+		return
+	}
+	s.f.Stop()
+	if err := s.promote(); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	full := s.svc.Handler()
+	s.live.Store(&full)
+	writeJSON(w, http.StatusOK, map[string]any{"epochs": s.f.Epochs()})
 }

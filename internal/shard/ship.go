@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"incgraph/internal/obs"
 	"incgraph/internal/serve"
 	"incgraph/internal/trace"
 	"incgraph/internal/wal"
@@ -20,13 +19,14 @@ import (
 // This file is the replication half of sharded serving: log shipping.
 // A primary shard daemon exposes its WAL through (*wal.Log).StreamHandler
 // (mounted under /wal/); a warm replica runs a Follower, which pulls
-// segment bytes and checkpoints into its own data directory and replays
-// every newly complete record through the same Apply path recovery
-// uses. Promotion is then cheap: stop the follower loop, read off the
-// per-algo stream positions it reached, and host the maintainers from
-// exactly that base. Replication is asynchronous — updates acked by the
-// primary but not yet shipped are lost on promotion, and the epoch
-// vector is what makes that loss visible instead of silent.
+// segment bytes and checkpoints into its own data directory and submits
+// every newly complete record to the serve.Hosts the replica's
+// maintainers live in from start-up. Promotion is then cheap: stop the
+// follower loop and open the shipped log for writing — the hosts already
+// stand at the stream position they replayed to. Replication is
+// asynchronous — updates acked by the primary but not yet shipped are
+// lost on promotion, and the epoch vector is what makes that loss visible
+// instead of silent.
 
 // ShipProgress describes one PullWAL cycle: what was fetched and how far
 // the local mirror still trails the primary's listing. The lag fields
@@ -46,16 +46,10 @@ type ShipProgress struct {
 // PullWAL mirrors the primary's WAL directory into dir: the newest
 // checkpoint (if any, fetched once) and every listed segment's missing
 // byte range. src is the primary's base URL; the stream endpoints are
-// expected under src+"/wal". It returns the number of segment bytes
-// fetched. Safe to call repeatedly; each call ships only what is new.
-func PullWAL(ctx context.Context, hc *http.Client, src, dir string) (int64, error) {
-	p, err := PullWALStatus(ctx, hc, src, dir)
-	return p.Shipped, err
-}
-
-// PullWALStatus is PullWAL reporting full ship progress — the
-// replication-lag measurement a follower turns into gauges.
-func PullWALStatus(ctx context.Context, hc *http.Client, src, dir string) (ShipProgress, error) {
+// expected under src+"/wal". It reports what it fetched and how far the
+// mirror still trails — the replication-lag measurement a follower turns
+// into gauges. Safe to call repeatedly; each call ships only what is new.
+func PullWAL(ctx context.Context, hc *http.Client, src, dir string) (ShipProgress, error) {
 	var p ShipProgress
 	if hc == nil {
 		hc = defaultShardClient
@@ -116,37 +110,40 @@ func pullSegment(ctx context.Context, hc *http.Client, src, dir string, seg wal.
 	return shipped, nil
 }
 
-func getJSON(ctx context.Context, hc *http.Client, url string, out any) error {
+// httpGet issues a GET and returns the response if it is a 200.
+func httpGet(ctx context.Context, hc *http.Client, url string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return resp, nil
+}
+
+func getJSON(ctx context.Context, hc *http.Client, url string, out any) error {
+	resp, err := httpGet(ctx, hc, url)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // fetchToFile downloads url into path atomically (tmp + rename), so a
 // crashed fetch never leaves a torn checkpoint with a valid name.
 func fetchToFile(ctx context.Context, hc *http.Client, url, path string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := hc.Do(req)
+	resp, err := httpGet(ctx, hc, url)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".ship-*")
 	if err != nil {
 		return err
@@ -166,18 +163,11 @@ func fetchToFile(ctx context.Context, hc *http.Client, url, path string) error {
 // byte count. Segments are append-only on both sides, so plain O_APPEND
 // is exact.
 func appendToFile(ctx context.Context, hc *http.Client, url, path string) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := hc.Do(req)
+	resp, err := httpGet(ctx, hc, url)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("status %d", resp.StatusCode)
-	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return 0, err
@@ -196,48 +186,33 @@ type FollowerOptions struct {
 	// Dir is the local data directory the WAL is shipped into — the
 	// directory the replica will serve durably from after promotion.
 	Dir string
-	// Targets maps algo names to un-hosted maintainers the replayed
-	// records are applied to. The follower is their only writer until
-	// promotion.
-	Targets map[string]serve.Serveable
+	// Service hosts the replica's maintainers, each at the stream position
+	// its checkpoint recorded. Every replayed record is submitted to its
+	// hosts; the follower must be their only submitter until promotion.
+	// The lag gauges land in the service's registry and the replay spans
+	// in its flight recorder.
+	Service *serve.Service
 	// ReplayFrom is the first WAL segment to tail (a recovered
 	// checkpoint's ReplayFrom; 0 tails from the oldest shipped segment).
 	ReplayFrom uint64
-	// BaseEpochs/BaseBatches seed the per-algo stream accounting with
-	// the recovered checkpoint's positions.
-	BaseEpochs  map[string]uint64
-	BaseBatches map[string]uint64
 	// Interval is the poll cadence (default 100ms — replication lag is
 	// bounded by this plus transfer time).
 	Interval time.Duration
-	// Client overrides the HTTP client used against the primary.
-	Client *http.Client
 	// Logf receives follower progress lines; nil discards them.
 	Logf func(format string, args ...any)
-	// Registry, when set, receives the replication-lag gauges
-	// (incgraph_replica_lag_{segments,bytes,seconds} and the shipped-byte
-	// counter) so a replica's /metrics scrape carries real lag numbers.
-	Registry *obs.Registry
-	// Recorder, when set, receives one replay span per applied WAL
-	// record, tagged with the trace ID the record was logged under — the
-	// piece that makes a replica's replay appear in the cluster-merged
-	// timeline of the original request.
-	Recorder *trace.Recorder
 }
 
 // Follower runs continuous log shipping for one replica: pull new WAL
-// bytes from the primary, replay newly complete records into the target
-// maintainers, repeat. All applies happen on the follower goroutine, so
-// the maintainers see a single writer — the same contract the serving
-// apply loop provides.
+// bytes from the primary, submit newly complete records to the hosts of
+// its service, repeat. It submits one record at a time and waits for each
+// host's apply loop to publish it, so a record is one applied batch on
+// every host it targets and the hosts' published epochs are the replica's
+// stream position. The apply loop does the applying: coalescing, panic
+// isolation, accounting and spans are the ones a primary has.
 type Follower struct {
 	opt   FollowerOptions
 	tail  *wal.Tail
-	track int32 // replication track on opt.Recorder, 0 when untraced
-
-	// applyMu serializes maintainer applies against View snapshots, so a
-	// stale read taken mid-replay still sees a record-aligned state.
-	applyMu sync.Mutex
+	track int32 // replication track on the service's flight recorder
 
 	// pullFails/skipTicks implement deterministic pull backoff: after k
 	// consecutive pull errors the follower skips min(2^k,16)-1 ticks
@@ -248,8 +223,6 @@ type Follower struct {
 	skipTicks int
 
 	mu         sync.Mutex
-	epochs     map[string]uint64
-	batches    map[string]uint64
 	shipped    int64
 	records    uint64
 	lastErr    error
@@ -274,39 +247,28 @@ func NewFollower(opt FollowerOptions) *Follower {
 		opt.Logf = func(string, ...any) {}
 	}
 	f := &Follower{
-		opt:     opt,
-		tail:    wal.NewTail(opt.Dir, opt.ReplayFrom),
-		epochs:  make(map[string]uint64),
-		batches: make(map[string]uint64),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		opt:   opt,
+		tail:  wal.NewTail(opt.Dir, opt.ReplayFrom),
+		track: opt.Service.Recorder().Track("replication"),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
-	for a, e := range opt.BaseEpochs {
-		f.epochs[a] = e
-	}
-	for a, b := range opt.BaseBatches {
-		f.batches[a] = b
-	}
-	if opt.Recorder != nil {
-		f.track = opt.Recorder.Track("replication")
-	}
-	if reg := opt.Registry; reg != nil {
-		reg.GaugeFunc("incgraph_replica_lag_segments",
-			"WAL segments listed by the primary but not fully mirrored.",
-			func() float64 { return float64(f.Status().LagSegments) })
-		reg.GaugeFunc("incgraph_replica_lag_bytes",
-			"WAL bytes listed by the primary but not yet shipped.",
-			func() float64 { return float64(f.Status().LagBytes) })
-		reg.GaugeFunc("incgraph_replica_lag_seconds",
-			"Seconds behind the primary: age of the newest replayed record while lagging, 0 when caught up.",
-			func() float64 { return f.Status().LagSeconds })
-		reg.GaugeFunc("incgraph_replica_shipped_bytes",
-			"Segment bytes fetched from the primary since the follower started.",
-			func() float64 { return float64(f.Status().ShippedBytes) })
-		reg.GaugeFunc("incgraph_replica_records",
-			"WAL records replayed into the replica's maintainers.",
-			func() float64 { return float64(f.Status().Records) })
-	}
+	reg := opt.Service.Registry()
+	reg.GaugeFunc("incgraph_replica_lag_segments",
+		"WAL segments listed by the primary but not fully mirrored.",
+		func() float64 { return float64(f.Status().LagSegments) })
+	reg.GaugeFunc("incgraph_replica_lag_bytes",
+		"WAL bytes listed by the primary but not yet shipped.",
+		func() float64 { return float64(f.Status().LagBytes) })
+	reg.GaugeFunc("incgraph_replica_lag_seconds",
+		"Seconds behind the primary: age of the newest replayed record while lagging, 0 when caught up.",
+		func() float64 { return f.Status().LagSeconds })
+	reg.GaugeFunc("incgraph_replica_shipped_bytes",
+		"Segment bytes fetched from the primary since the follower started.",
+		func() float64 { return float64(f.Status().ShippedBytes) })
+	reg.GaugeFunc("incgraph_replica_records",
+		"WAL records replayed into the replica's maintainers.",
+		func() float64 { return float64(f.Status().Records) })
 	return f
 }
 
@@ -345,17 +307,12 @@ func (f *Follower) cycle() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	p, err := PullWALStatus(ctx, f.opt.Client, f.opt.Source, f.opt.Dir)
+	p, err := PullWAL(ctx, nil, f.opt.Source, f.opt.Dir)
 	if err != nil {
 		f.pullFails++
-		skip := 1 << f.pullFails
-		if skip > 16 {
-			skip = 16
-		}
-		f.skipTicks = skip - 1
+		f.skipTicks = min(1<<f.pullFails, 16) - 1
 	} else {
-		f.pullFails = 0
-		f.skipTicks = 0
+		f.pullFails, f.skipTicks = 0, 0
 	}
 	f.mu.Lock()
 	f.shipped += p.Shipped
@@ -369,42 +326,35 @@ func (f *Follower) cycle() {
 	f.replayLocal()
 }
 
-// replayLocal advances the tail over shipped bytes, applying each record
-// to its targets with the same coalescing the serving path uses.
+// replayLocal advances the tail over shipped bytes, submitting each
+// record to the hosts it targets — all of them for a broadcast record —
+// host by host under the trace ID it was logged with, as POST /update
+// does, and waiting for each to publish it.
 func (f *Follower) replayLocal() {
 	emitted, err := f.tail.Advance(func(rec wal.Record) error {
-		var span trace.Span
-		if f.opt.Recorder != nil {
-			span = f.opt.Recorder.Begin("replay", "ship", f.track)
-			span.SetTrace(trace.TraceID(rec.Trace))
-			span.Arg("updates", int64(len(rec.Batch)))
-			if rec.Nanos > 0 {
-				span.Arg("record_age_ns", time.Now().UnixNano()-rec.Nanos)
+		span := f.opt.Service.Recorder().Begin("replay", "ship", f.track)
+		span.SetTrace(trace.TraceID(rec.Trace))
+		span.Arg("updates", int64(len(rec.Batch)))
+		if rec.Nanos > 0 {
+			span.Arg("record_age_ns", time.Now().UnixNano()-rec.Nanos)
+		}
+		defer span.End()
+		targets := f.opt.Service.Hosts()
+		if rec.Algo != "" {
+			targets = nil
+			if h := f.opt.Service.Get(rec.Algo); h != nil {
+				targets = []*serve.Host{h}
 			}
 		}
-		apply := func(name string, m serve.Serveable) {
-			f.applyMu.Lock()
-			m.Apply(rec.Batch.Net(m.Graph().Directed()))
-			f.mu.Lock()
-			f.epochs[name] += uint64(len(rec.Batch))
-			f.batches[name]++
-			f.mu.Unlock()
-			f.applyMu.Unlock()
-		}
-		if rec.Algo == "" {
-			for name, m := range f.opt.Targets {
-				apply(name, m)
+		for _, h := range targets {
+			if err := h.SubmitTraced(rec.Batch, trace.TraceID(rec.Trace), true); err != nil {
+				return fmt.Errorf("record for %s: %w", h.Algo(), err)
 			}
-		} else if m, ok := f.opt.Targets[rec.Algo]; ok {
-			apply(rec.Algo, m)
 		}
 		if rec.Nanos > 0 {
 			f.mu.Lock()
 			f.lastRecNs = rec.Nanos
 			f.mu.Unlock()
-		}
-		if f.opt.Recorder != nil {
-			span.End()
 		}
 		return nil
 	})
@@ -417,13 +367,9 @@ func (f *Follower) replayLocal() {
 	// best as fresh as the newest record it replayed; once the mirror is
 	// byte-complete and drained, it is caught up (0), regardless of how
 	// old the last record is on an idle primary.
+	f.behindSecs = 0
 	if f.lagBytes > 0 && f.lastRecNs > 0 {
-		f.behindSecs = time.Duration(time.Now().UnixNano() - f.lastRecNs).Seconds()
-		if f.behindSecs < 0 {
-			f.behindSecs = 0
-		}
-	} else {
-		f.behindSecs = 0
+		f.behindSecs = max(0, time.Duration(time.Now().UnixNano()-f.lastRecNs).Seconds())
 	}
 	f.mu.Unlock()
 	if err != nil {
@@ -434,62 +380,23 @@ func (f *Follower) replayLocal() {
 	}
 }
 
-// Stop halts the loop and blocks until the final local drain finished.
-// After Stop returns, the targets reflect every shipped record and no
-// goroutine touches them — the caller may host them.
+// Stop halts the loop and blocks until the final local drain finished:
+// after it returns every shipped record is applied and published, and the
+// follower submits nothing more.
 func (f *Follower) Stop() {
 	f.stopOnce.Do(func() { close(f.stop) })
 	<-f.done
 }
 
 // Epochs returns the per-algo stream positions the replica has applied
-// up to — the BaseEpoch a promoted host must resume from.
+// up to: the epochs of its hosts' published views.
 func (f *Follower) Epochs() map[string]uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]uint64, len(f.epochs))
-	for a, e := range f.epochs {
-		out[a] = e
+	hosts := f.opt.Service.Hosts()
+	out := make(map[string]uint64, len(hosts))
+	for _, h := range hosts {
+		out[h.Algo()] = h.View().Epoch
 	}
 	return out
-}
-
-// Batches returns the per-algo applied record counts (the BaseBatches
-// for promotion).
-func (f *Follower) Batches() map[string]uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]uint64, len(f.batches))
-	for a, b := range f.batches {
-		out[a] = b
-	}
-	return out
-}
-
-// View serves a stale read from the replica's maintainers while the
-// follower is still running — the surface a router falls back to when
-// the primary's breaker is open. The view is always stamped Degraded:
-// it trails the primary by the replication lag, and the epoch says by
-// exactly how much. Returns false for an algo the replica does not
-// host.
-func (f *Follower) View(algo string) (serve.View, bool) {
-	m, ok := f.opt.Targets[algo]
-	if !ok {
-		return serve.View{}, false
-	}
-	f.applyMu.Lock()
-	data := m.Snapshot()
-	f.mu.Lock()
-	v := serve.View{
-		Algo:     algo,
-		Epoch:    f.epochs[algo],
-		Batches:  f.batches[algo],
-		Degraded: true,
-		Data:     data,
-	}
-	f.mu.Unlock()
-	f.applyMu.Unlock()
-	return v, true
 }
 
 // Status reports the follower's replication progress.
@@ -503,13 +410,10 @@ func (f *Follower) Status() FollowerStatus {
 		LagSegments:  f.lagSegs,
 		LagBytes:     f.lagBytes,
 		LagSeconds:   f.behindSecs,
-		Epochs:       make(map[string]uint64, len(f.epochs)),
+		Epochs:       f.Epochs(),
 	}
 	if f.lastErr != nil {
 		st.LastError = f.lastErr.Error()
-	}
-	for a, e := range f.epochs {
-		st.Epochs[a] = e
 	}
 	return st
 }

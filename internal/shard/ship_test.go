@@ -43,13 +43,13 @@ func TestPullWALIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	n1, err := PullWAL(ctx, nil, srv.URL, dir)
-	if err != nil || n1 == 0 {
-		t.Fatalf("first pull: n=%d err=%v", n1, err)
+	p1, err := PullWAL(ctx, nil, srv.URL, dir)
+	if err != nil || p1.Shipped == 0 {
+		t.Fatalf("first pull: %+v err=%v", p1, err)
 	}
-	n2, err := PullWAL(ctx, nil, srv.URL, dir)
-	if err != nil || n2 != 0 {
-		t.Fatalf("idle pull moved %d bytes (err=%v)", n2, err)
+	p2, err := PullWAL(ctx, nil, srv.URL, dir)
+	if err != nil || p2.Shipped != 0 {
+		t.Fatalf("idle pull moved %d bytes (err=%v)", p2.Shipped, err)
 	}
 	if _, err := l.Rotate(); err != nil {
 		t.Fatal(err)
@@ -57,9 +57,9 @@ func TestPullWALIncremental(t *testing.T) {
 	if err := l.Append(wal.Record{Algo: "sssp", Batch: b}); err != nil {
 		t.Fatal(err)
 	}
-	n3, err := PullWAL(ctx, nil, srv.URL, dir)
-	if err != nil || n3 == 0 {
-		t.Fatalf("post-rotation pull: n=%d err=%v", n3, err)
+	p3, err := PullWAL(ctx, nil, srv.URL, dir)
+	if err != nil || p3.Shipped == 0 {
+		t.Fatalf("post-rotation pull: %+v err=%v", p3, err)
 	}
 	// The replica directory now mirrors the primary's segments.
 	ents, err := os.ReadDir(dir)
@@ -78,9 +78,10 @@ func TestPullWALIncremental(t *testing.T) {
 }
 
 // TestFollowerReplaysLiveStream: a Follower tailing a primary's WAL
-// over HTTP converges its target maintainers to the primary's graph,
-// with exact per-algo epoch accounting, including records appended
-// while the follower is already running and across a rotation.
+// over HTTP converges its service's hosts to the primary's graph, with
+// exact per-algo epoch and batch accounting (a record is one applied
+// batch), including records appended while the follower is already
+// running and across a rotation.
 func TestFollowerReplaysLiveStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	base := gen.PowerLaw(rng, 120, 5, true)
@@ -89,16 +90,20 @@ func TestFollowerReplaysLiveStream(t *testing.T) {
 	l, srv := startWALPrimary(t)
 	dir := t.TempDir()
 
-	ssspInc := sssp.NewInc(base.Clone(), 0)
-	ccInc := cc.NewInc(base.Clone())
-	targets := map[string]serve.Serveable{
-		"sssp": serve.SSSP(ssspInc, 0),
-		"cc":   serve.CC(ccInc),
+	svc := serve.NewService()
+	defer svc.Close()
+	ssspHost, err := svc.Host(serve.SSSP(sssp.NewInc(base.Clone(), 0), 0), serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccHost, err := svc.Host(serve.CC(cc.NewInc(base.Clone())), serve.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	f := NewFollower(FollowerOptions{
 		Source:   srv.URL,
 		Dir:      dir,
-		Targets:  targets,
+		Service:  svc,
 		Interval: 10 * time.Millisecond,
 	})
 	go f.Run()
@@ -132,28 +137,38 @@ func TestFollowerReplaysLiveStream(t *testing.T) {
 	}
 	f.Stop()
 
-	if got := f.Batches(); got["sssp"] != 3 || got["cc"] != 3 {
-		t.Fatalf("batch accounting %v, want 3 per algo", got)
+	if s, c := ssspHost.View().Batches, ccHost.View().Batches; s != 3 || c != 3 {
+		t.Fatalf("batch accounting sssp=%d cc=%d, want 3 per algo", s, c)
 	}
 	st := f.Status()
 	if st.Records != 3 || st.ShippedBytes == 0 || st.LastError != "" {
 		t.Fatalf("status %+v", st)
 	}
 
-	// After Stop the targets are exclusively ours: both maintainers must
-	// hold exactly the primary's graph and agree with a full recompute.
-	if ssspInc.Graph().NumEdges() != primary.NumEdges() {
-		t.Fatalf("replica sssp graph has %d edges, primary %d", ssspInc.Graph().NumEdges(), primary.NumEdges())
-	}
-	wantDist := sssp.Dijkstra(primary, 0)
-	gotDist := ssspInc.Dist()
+	// After Stop nothing submits any more: both hosts must hold exactly
+	// the primary's graph and publish what a full recompute answers.
+	ssspHost.WithState(func(m serve.Serveable) error {
+		if got := m.Graph().NumEdges(); got != primary.NumEdges() {
+			t.Errorf("replica sssp graph has %d edges, primary %d", got, primary.NumEdges())
+		}
+		return nil
+	})
+	checkReplicaViews(t, svc, primary, 0)
+}
+
+// checkReplicaViews compares the published sssp and cc views of a
+// replica's hosts with batch answers on the graph g.
+func checkReplicaViews(t *testing.T, svc *serve.Service, g *graph.Graph, src graph.NodeID) {
+	t.Helper()
+	wantDist := sssp.Dijkstra(g, src)
+	gotDist := svc.Get("sssp").View().Data.(serve.SSSPView).Dist.Slice()
 	for v := range wantDist {
 		if gotDist[v] != wantDist[v] {
 			t.Fatalf("replayed dist[%d] = %d, want %d", v, gotDist[v], wantDist[v])
 		}
 	}
-	wantLabels := cc.CCfp(primary)
-	gotLabels := ccInc.Labels()
+	wantLabels := cc.CCfp(g)
+	gotLabels := svc.Get("cc").View().Data.(serve.CCView).Labels.Slice()
 	for v := range wantLabels {
 		if gotLabels[v] != wantLabels[v] {
 			t.Fatalf("replayed label[%d] = %d, want %d", v, gotLabels[v], wantLabels[v])
@@ -167,7 +182,7 @@ func TestFollowerSurvivesDeadPrimary(t *testing.T) {
 	f := NewFollower(FollowerOptions{
 		Source:   "http://127.0.0.1:1", // nothing listens here
 		Dir:      t.TempDir(),
-		Targets:  map[string]serve.Serveable{},
+		Service:  serve.NewService(),
 		Interval: 5 * time.Millisecond,
 	})
 	go f.Run()
@@ -179,4 +194,69 @@ func TestFollowerSurvivesDeadPrimary(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	f.Stop()
+}
+
+// TestFollowerIsolatesReplayPanic: a maintainer that panics on a replayed
+// record degrades its host, not the replica. The apply loop's recover
+// fence absorbs the panic and heals by batch recompute, the follower keeps
+// submitting, and the replica ends at the primary's epoch with the
+// primary's answers. The injected panic strikes after the batch reached
+// the maintainer's graph, as a panic inside Apply's repair does, so the
+// recompute sees every update the primary applied.
+func TestFollowerIsolatesReplayPanic(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	base := gen.PowerLaw(rng, 120, 5, true)
+	primary := base.Clone()
+	l, srv := startWALPrimary(t)
+
+	const panicAt = 3 // 1-based replayed record
+	ssspGraph, applies := base.Clone(), 0
+	svc := serve.NewService()
+	defer svc.Close()
+	ssspHost, err := svc.Host(serve.SSSP(sssp.NewInc(ssspGraph, 0), 0), serve.Options{
+		BeforeApply: func(algo string, b graph.Batch) {
+			if applies++; applies == panicAt {
+				ssspGraph.Apply(b) // in the apply loop, the graph's one writer
+				panic("injected: sssp repair")
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Host(serve.CC(cc.NewInc(base.Clone())), serve.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower(FollowerOptions{Source: srv.URL, Dir: t.TempDir(), Service: svc, Interval: 10 * time.Millisecond})
+	go f.Run()
+	defer f.Stop()
+
+	var wantUnits uint64
+	for i := 0; i < 5; i++ {
+		b := gen.RandomUpdates(rng, primary, 20, 0.5)
+		primary.Apply(b)
+		if err := l.Append(wal.Record{Batch: b}); err != nil {
+			t.Fatal(err)
+		}
+		wantUnits += uint64(len(b))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ep := f.Epochs()
+		if ep["sssp"] == wantUnits && ep["cc"] == wantUnits {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at epochs %v, want %d (status %+v)", ep, wantUnits, f.Status())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	st := ssspHost.Stats()
+	if st.Panics != 1 || st.Heals != 1 || st.Degraded || ssspHost.View().Degraded {
+		t.Fatalf("sssp host after the injected panic: panics=%d heals=%d degraded=%v", st.Panics, st.Heals, st.Degraded)
+	}
+	if fs := f.Status(); fs.Records != 5 || fs.LastError != "" {
+		t.Fatalf("follower did not keep running past the panic: %+v", fs)
+	}
+	checkReplicaViews(t, svc, primary, 0)
 }
