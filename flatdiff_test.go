@@ -52,37 +52,43 @@ var flatThresholds = []float64{0, 0.05, graph.DefaultCompactThreshold, math.Inf(
 
 // flatLedgers is what one run of the differential hands back for
 // comparison across thresholds and against flatGolden.
-type flatLedgers struct{ sssp, cc fixpoint.WorkLedger }
+type flatLedgers struct{ sssp, cc, lcc fixpoint.WorkLedger }
 
-// flatGolden pins the work accounting of the flat-backed SSSP and CC
+// flatGolden pins the work accounting of the flat-backed SSSP, CC and LCC
 // maintainers: their cumulative Portable ledgers after the whole stream of
-// the given seed. Recorded at commit b3499a2, the last one that still
-// carried adjacency-list copies of the maintainer loops and asserted flat ≡
-// legacy ledgers bit for bit, so a change in what the maintainers count as
-// CHANGED / AFF / ‖AFF‖ shows here even though no second implementation is
-// left to compare against. (Portable zeroes Rounds, which depends on row
+// the given seed. SSSP's and CC's were recorded at commit b3499a2, the last
+// one that still carried adjacency-list copies of the maintainer loops and
+// asserted flat ≡ legacy ledgers bit for bit, so a change in what the
+// maintainers count as CHANGED / AFF / ‖AFF‖ shows here even though no
+// second implementation is left to compare against; LCC's when its scope
+// became the input-set rule, which internal/lcc's TestScopeIsInputSet holds
+// against the definition. (Portable zeroes Rounds, which depends on row
 // scan order and so on when the view last compacted.)
 var flatGolden = map[int64]flatLedgers{
 	1: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 229, Seeds: 149, Changed: 312, Aff: 413, AffEdges: 1748, RecomputeEst: 160},
 		cc:   fixpoint.WorkLedger{Runs: 6, Touched: 145, Seeds: 266, Changed: 6, Aff: 380, AffEdges: 2027, RecomputeEst: 160},
+		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 233, Changed: 389, Aff: 408, RecomputeEst: 160},
 	},
 	2: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 239, Seeds: 157, Changed: 436, Aff: 517, AffEdges: 2423, RecomputeEst: 160},
 		cc:   fixpoint.WorkLedger{Runs: 6, Touched: 153, Seeds: 260, Changed: 11, Aff: 377, AffEdges: 1811, RecomputeEst: 160},
+		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 373, Aff: 393, RecomputeEst: 160},
 	},
 	3: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 235, Seeds: 167, Changed: 265, Aff: 378, AffEdges: 1911, RecomputeEst: 160},
 		cc:   fixpoint.WorkLedger{Runs: 6, Touched: 132, Seeds: 267, Changed: 3, Aff: 366, AffEdges: 2016, RecomputeEst: 160},
+		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 364, Aff: 383, RecomputeEst: 160},
 	},
 	20210620: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 238, Seeds: 161, Changed: 431, Aff: 508, AffEdges: 2355, RecomputeEst: 160},
 		cc:   fixpoint.WorkLedger{Runs: 6, Touched: 151, Seeds: 262, Changed: 5, Aff: 366, AffEdges: 1980, RecomputeEst: 160},
+		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 236, Changed: 354, Aff: 379, RecomputeEst: 160},
 	},
 }
 
-// runFlatDifferential drives the four flat-backed maintainers (SSSP, CC,
-// BC, DFS) over seed's update stream at one compaction threshold and
+// runFlatDifferential drives the five flat-backed maintainers (SSSP, CC,
+// BC, DFS, LCC) over seed's update stream at one compaction threshold and
 // requires Theorem 1 after every chunk: the maintained state equals the
 // batch algorithm's on G ⊕ ΔG. The batch algorithms read the bare
 // graph.Graph, never the Flat, so a staging or compaction bug cannot
@@ -96,7 +102,8 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 	c := cc.NewInc(gu.Clone())
 	b := bc.NewInc(gu.Clone())
 	d := dfs.NewInc(gu.Clone())
-	flats := []*graph.Flat{s.Flat(), c.Flat(), b.Flat(), d.Flat()}
+	l := lcc.NewInc(gu.Clone())
+	flats := []*graph.Flat{s.Flat(), c.Flat(), b.Flat(), d.Flat(), l.Flat()}
 	for _, f := range flats {
 		f.SetCompactThreshold(threshold)
 	}
@@ -130,6 +137,10 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 		if !d.Tree().Equal(dfs.Run(d.Graph())) {
 			return fail(i, "dfs tree diverged from dfs.Run")
 		}
+		l.Apply(uStream)
+		if !l.Result().Equal(lcc.Run(l.Graph())) {
+			return fail(i, "lcc result diverged from lcc.Run")
+		}
 	}
 	for _, f := range flats {
 		switch {
@@ -141,11 +152,11 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 			return fail(flatChunks, "view never compacted at threshold 0.05")
 		}
 	}
-	ledgers := flatLedgers{s.Stats().Ledger.Portable(), c.Stats().Ledger.Portable()}
+	ledgers := flatLedgers{s.Stats().Ledger.Portable(), c.Stats().Ledger.Portable(), l.Stats().Ledger.Portable()}
 	// Compaction rebuilds into the arrays it replaces: once a view has
 	// compacted at this size, compacting again allocates only the
 	// row-sorting scratch, one per direction — not three arrays of |E|.
-	for k, g := range []*graph.Graph{s.Graph(), c.Graph(), b.Graph(), d.Graph()} {
+	for k, g := range []*graph.Graph{s.Graph(), c.Graph(), b.Graph(), d.Graph(), l.Graph()} {
 		f := flats[k]
 		if allocs := testing.AllocsPerRun(2, func() { f.Compact(g) }); allocs > 2 {
 			return fail(flatChunks, fmt.Sprintf("view %d: compacting an unchanged graph allocates %.0f objects", k, allocs))
@@ -162,8 +173,8 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 // flatSeed runs one seed under every threshold. Row scan order differs
 // between the regimes (sorted base rows vs. staging-order overlay tails),
 // so equal Portable ledgers across them is the scan-order independence
-// the flat-vs-legacy comparison used to assert. Sim and LCC do not read a
-// Flat; they are checked against recompute once per seed.
+// the flat-vs-legacy comparison used to assert. Sim does not read a Flat;
+// it is checked against recompute once per seed.
 func flatSeed(t *testing.T, seed int64) bool {
 	var first flatLedgers
 	for k, th := range flatThresholds {
@@ -186,16 +197,10 @@ func flatSeed(t *testing.T, seed int64) bool {
 	rng := rand.New(rand.NewSource(seed))
 	pattern := RandomPattern(seed+3, 4, 5, 3)
 	simEng := sim.NewIncEngine(PowerLawGraph(seed+1, flatNodes, 4, true), pattern)
-	lccInc := lcc.NewInc(PowerLawGraph(seed+2, flatNodes, 4, false))
 	for i := 0; i < flatChunks; i++ {
 		simEng.Apply(flatStream(rng, simEng.Graph(), flatChunkLen))
 		if ref := sim.Simfp(simEng.Graph(), pattern); !simEng.Relation().Equal(ref) {
 			t.Errorf("seed %d chunk %d: sim relation diverged from recompute", seed, i)
-			return false
-		}
-		lccInc.Apply(flatStream(rng, lccInc.Graph(), flatChunkLen))
-		if ref := lcc.Run(lccInc.Graph()); !lccInc.Result().Equal(ref) {
-			t.Errorf("seed %d chunk %d: lcc result diverged from recompute", seed, i)
 			return false
 		}
 	}
@@ -204,7 +209,7 @@ func flatSeed(t *testing.T, seed int64) bool {
 
 // TestFlatDifferentialSixClass is the whole-fleet differential test of
 // the flat (CSR + overlay) execution core: every class against batch
-// recompute after every chunk, the four flat-backed ones under each
+// recompute after every chunk, the five flat-backed ones under each
 // compaction regime, on the golden seeds and on fresh ones from
 // testing/quick.
 func TestFlatDifferentialSixClass(t *testing.T) {

@@ -47,23 +47,23 @@ func timeRepairAff(m applier, delta graph.Batch) (float64, int) {
 	return stopwatch(func() { aff = m.Apply(delta) }), aff
 }
 
-// audited is implemented by the engine-backed maintainers (SSSP, CC,
-// Sim): they expose the fixpoint work ledger and the graph it is
-// denominated against.
+// audited is implemented by the maintainers that keep a work ledger
+// (SSSP, CC, Sim, LCC): they expose it and the graph it is denominated
+// against.
 type audited interface {
 	Stats() fixpoint.Stats
 	Graph() *graph.Graph
 }
 
-// grapher covers the specialized maintainers (DFS, LCC, BC) that expose
-// their graph but no engine ledger.
+// grapher covers the specialized maintainers (DFS, BC) that expose
+// their graph but no ledger.
 type grapher interface{ Graph() *graph.Graph }
 
 // timeRepairLedger is timeRepairAff plus the work aggregates of the
-// repair: the engine ledger's Work() when the maintainer exposes one,
-// or the |ΔG| + |AFF| synthesis the serve layer uses for the
-// specialized classes. The ratio is work / |ΔG|, the boundedness
-// quotient the perf gate holds across commits.
+// repair: the ledger's Work() when the maintainer exposes one, or the
+// |ΔG| + |AFF| synthesis the serve layer uses for DFS and BC. The ratio
+// is work / |ΔG|, the boundedness quotient the perf gate holds across
+// commits.
 func timeRepairLedger(m applier, delta graph.Batch) (sec float64, aff int, work int64, ratio float64) {
 	am, isAudited := m.(audited)
 	var before fixpoint.Stats

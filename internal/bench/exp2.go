@@ -132,17 +132,11 @@ func Exp2LCC(cfg Config) {
 			batch := stopwatch(func() { lcc.Run(updated) })
 			inc := lcc.NewInc(g.Clone())
 			incT, aff, work, ratio := timeRepairLedger(inc, delta)
-			// The unit-at-a-time variant is orders of magnitude slower (it
-			// recomputes one-hop neighborhoods per unit update); measure it
-			// at the small sizes and extrapolate mentally beyond.
-			incNCell := any("-")
-			if p <= 4 {
-				incN := lcc.NewIncUnit(g.Clone())
-				incNCell = stopwatch(func() { incN.Apply(delta) })
-			}
+			incN := lcc.NewIncUnit(g.Clone())
+			incNT := stopwatch(func() { incN.Apply(delta) })
 			dyn := lcc.NewDynLCC(g.Clone())
 			dynT := stopwatch(func() { dyn.Apply(delta) })
-			t.row(fmt.Sprintf("%g%%", p), batch, incT, incNCell, dynT)
+			t.row(fmt.Sprintf("%g%%", p), batch, incT, incNT, dynT)
 			cfg.report(Result{Experiment: "exp2-lcc", Dataset: name, Algo: "IncLCC",
 				Workload:     fmt.Sprintf("|ΔG|=%g%%", p),
 				BatchSeconds: batch, IncSeconds: incT, Affected: aff,

@@ -43,9 +43,9 @@ func ExpExtensions(cfg Config) {
 
 	// Update locality: the same |ΔG| confined to a BFS ball shrinks the
 	// affected area, so the incremental advantage grows — the skew of
-	// real-world churn works in A_Δ's favor. LCC shows it most clearly:
-	// its PE set is the one-hop neighborhood of ΔG, which saturates under
-	// uniform updates but stays small under hotspot updates.
+	// real-world churn works in A_Δ's favor. LCC shows it directly: its
+	// PE set is the endpoints of ΔG and their common neighbors, and the
+	// updates of a hotspot share endpoints.
 	t2 := newTable(cfg.Out, "Update locality: uniform vs hotspot ΔG (IncLCC on LJ, 200 updates)",
 		"Workload", "|ΔG|", "LCC_fp", "IncLCC", "Speedup", "|PE|")
 	dl, _ := gen.ByName("LJ")

@@ -2,9 +2,10 @@
 // paper) on undirected graphs: the batch fixpoint algorithm LCC_fp over
 // the status variables d_v (degree) and λ_v (incident triangles), the
 // deducible incremental algorithm IncLCC that recomputes exactly the
-// potentially-affected variables (edge endpoints and their one-hop
-// neighborhood), its unit-update variant, and the streaming competitor
-// DynLCC (Ediger et al. style exact per-edge delta maintenance).
+// potentially-affected variables (the endpoints of each changed edge and
+// their common neighbors: the variables with that edge in their input
+// set), its unit-update variant, and the streaming competitor DynLCC
+// (Ediger et al. style exact per-edge delta maintenance).
 //
 // γ_v = 2·λ_v / (d_v·(d_v − 1)); nodes of degree < 2 have γ_v = 0.
 package lcc
@@ -12,6 +13,7 @@ package lcc
 import (
 	"fmt"
 
+	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
 )
 
@@ -79,9 +81,10 @@ func Brute(g *graph.Graph) *Result {
 }
 
 // Run is the batch fixpoint algorithm LCC_fp: one pass setting every d_v,
-// plus a triangle pass over a sorted CSR snapshot — for each edge (u, v)
-// with u < v, every common neighbor w gains one triangle (the edge
-// opposite w identifies the triangle {u, v, w} exactly once for w).
+// plus a triangle pass over a sorted CSR snapshot that finds each triangle
+// {w < v < u} once, from its two largest corners — for each edge (u, v)
+// with v < u, the rows of u and v are merged below v only, and every common
+// neighbor w credits all three corners.
 func Run(g *graph.Graph) *Result {
 	n := g.NumNodes()
 	r := NewResult(n)
@@ -90,11 +93,12 @@ func Run(g *graph.Graph) *Result {
 	}
 	c := graph.Snapshot(g)
 	for u := 0; u < n; u++ {
-		for _, v := range c.Neighbors(graph.NodeID(u)) {
-			if graph.NodeID(u) >= v {
-				continue
+		row := c.Neighbors(graph.NodeID(u))
+		for k, v := range row {
+			if v >= graph.NodeID(u) {
+				break
 			}
-			a, b := c.Neighbors(graph.NodeID(u)), c.Neighbors(v)
+			a, b := row[:k], c.Neighbors(v) // a: u's neighbors below v
 			i, j := 0, 0
 			for i < len(a) && j < len(b) {
 				switch {
@@ -103,6 +107,8 @@ func Run(g *graph.Graph) *Result {
 				case a[i] > b[j]:
 					j++
 				default:
+					r.Tri[u]++
+					r.Tri[v]++
 					r.Tri[a[i]]++
 					i++
 					j++
@@ -113,10 +119,21 @@ func Run(g *graph.Graph) *Result {
 	return r
 }
 
-// Inc is the deducible incremental algorithm IncLCC. For each changed
-// edge (u, v) it marks d_u, d_v and λ_w for every w within one hop of u or
-// v as potentially affected, and recomputes exactly those variables with
-// the original update functions — no auxiliary structure at all (§5.3).
+// Inc is the deducible incremental algorithm IncLCC. Its scope function is
+// the input-set rule of Fig. 4: an edge (u, v) is in the input set of d_u,
+// d_v, λ_u, λ_v and of λ_w for exactly the common neighbors w of u and v,
+// so those are the variables a changed edge makes potentially affected.
+// The common neighbors of a deleted edge are taken on the graph before the
+// Stage that deletes it, those of an inserted edge on the graph at Repair:
+// a triangle that exists on one side of the update only has a changed edge,
+// and its third corner is a common neighbor of that edge on the side where
+// the triangle exists (or an endpoint of another changed edge). The scope
+// is recomputed with the original update functions and nothing else — no
+// auxiliary structure at all (§5.3).
+//
+// Adjacency is read through a graph.Flat kept in step with the graph, as
+// in dfs and bc: sorted struct-of-arrays base rows let a recount stop each
+// neighbor row at the neighbor's own id, which visits every triangle once.
 //
 // An Inc is not goroutine-safe: it (and the graph it owns) must be
 // driven by a single writer goroutine making every call, reads included —
@@ -124,79 +141,56 @@ func Run(g *graph.Graph) *Result {
 // through internal/serve, which gives each maintainer one apply loop and
 // publishes immutable snapshots to readers.
 type Inc struct {
-	g *graph.Graph
-	r *Result
-	// stamp/epoch mark for O(1) membership tests during recomputation.
-	mark    []int64
-	epoch   int64
+	g    *graph.Graph
+	flat *graph.Flat
+	r    *Result
+	// mark/epoch stamp one neighborhood at a time: the row a common-
+	// neighbor scan or a recount tests membership in.
+	mark  []int64
+	epoch int64
+	// pending holds the applied updates of the Stages since the last
+	// Repair.
 	pending graph.Batch
-	// The PE accumulators are epoch-marked dense sets (mark array + list),
-	// replacing the per-apply map[NodeID]bool allocations: tri collects the
-	// λ recomputation set across Stage (pre-update hoods) and Repair
-	// (post-update hoods); deg collects the endpoints whose d_v changed.
-	triMark  []int64
-	triEpoch int64
-	triList  []graph.NodeID
-	degMark  []int64
-	degEpoch int64
-	degList  []graph.NodeID
+	// The scope is an epoch-marked dense set (mark array + list) that Stage
+	// and Repair both add to. It is emptied by the next Stage, not by
+	// Repair, so that Written can hand it out in between.
+	scopeMark  []int64
+	scopeEpoch int64
+	scope      []int32
+	stats      fixpoint.Stats
 }
 
 // NewInc runs the batch algorithm and returns the incremental one.
 func NewInc(g *graph.Graph) *Inc {
 	n := g.NumNodes()
 	return &Inc{
-		g: g, r: Run(g),
-		mark:    make([]int64, n),
-		triMark: make([]int64, n), triEpoch: 1,
-		degMark: make([]int64, n), degEpoch: 1,
-	}
-}
-
-// growSets extends the PE mark arrays to the current node count.
-func (i *Inc) growSets() {
-	n := i.g.NumNodes()
-	for len(i.triMark) < n {
-		i.triMark = append(i.triMark, 0)
-	}
-	for len(i.degMark) < n {
-		i.degMark = append(i.degMark, 0)
-	}
-}
-
-func (i *Inc) triAdd(v graph.NodeID) {
-	if i.triMark[v] != i.triEpoch {
-		i.triMark[v] = i.triEpoch
-		i.triList = append(i.triList, v)
-	}
-}
-
-func (i *Inc) degAdd(v graph.NodeID) {
-	if i.degMark[v] != i.degEpoch {
-		i.degMark[v] = i.degEpoch
-		i.degList = append(i.degList, v)
-	}
-}
-
-// triReset discards the accumulated λ set and opens a new generation.
-func (i *Inc) triReset() {
-	i.triEpoch++
-	i.triList = i.triList[:0]
-}
-
-// hood adds v and its current one-hop neighborhood to the λ set.
-func (i *Inc) hood(v graph.NodeID) {
-	i.triAdd(v)
-	for _, e := range i.g.Out(v) {
-		i.triAdd(e.To)
+		g: g, flat: graph.NewFlat(g), r: Run(g),
+		mark:      make([]int64, n),
+		scopeMark: make([]int64, n), scopeEpoch: 1,
 	}
 }
 
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
 
+// Flat returns the maintainer's flat adjacency view: overlay size and
+// compaction counts for observability, SetCompactThreshold for tests that
+// force a compaction regime.
+func (i *Inc) Flat() *graph.Flat { return i.flat }
+
 // Result returns the maintained status (aliased).
 func (i *Inc) Result() *Result { return i.r }
+
+// Written lists the nodes the last Apply (or Repair) recounted, each once:
+// its scope, a superset of the nodes whose d_v or λ_v changed. It aliases
+// internal state, allocates nothing, and is valid until the next Apply.
+func (i *Inc) Written() []int32 { return i.scope }
+
+// Stats exposes the work account: per Repair the ledger gains the applied
+// updates (Touched), the recounted nodes (Aff) and those of them whose d_v
+// or λ_v came out different (Changed); Reads counts the adjacency row
+// entries scanned.
+func (i *Inc) Stats() fixpoint.Stats { return i.stats }
 
 // RestoreState overwrites the maintained status with one exported from a
 // checkpoint of the same graph. The d_v and λ_v variables are IncLCC's
@@ -211,75 +205,166 @@ func (i *Inc) RestoreState(deg []int32, tri []int64) error {
 	return nil
 }
 
-// Apply computes G ⊕ ΔG and recomputes the PE variables. It returns the
-// number of λ recomputations, the affected-area measure.
+// Apply computes G ⊕ ΔG and recomputes the scope. It returns the number
+// of λ recomputations, the affected-area measure.
 func (i *Inc) Apply(b graph.Batch) int {
 	i.Stage(b)
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG, first snapshotting the pre-update one-hop
-// neighborhoods: a deleted edge's endpoints lose triangle partners that
-// are only visible pre-deletion.
+// Stage materializes G ⊕ ΔG update by update, adding to the scope the
+// endpoints of every update that changes the graph and, for a deletion,
+// the common neighbors the endpoints had when the Stage began (the flat
+// view is staged last, so it still shows that graph). Updates that change
+// nothing — deleting an absent edge, inserting a present one — add nothing.
+// The batch needs no netting: the rule holds for any sequence.
 func (i *Inc) Stage(b graph.Batch) {
-	net := b.Net(false)
-	i.growSets()
-	for _, u := range net {
-		i.hood(u.From)
-		i.hood(u.To)
+	if len(i.pending) == 0 { // nothing staged since the last Repair: its scope is still here
+		i.scopeEpoch++
+		i.scope = i.scope[:0]
 	}
-	i.pending = append(i.pending, i.g.Apply(net)...)
+	i.grow()
+	from := len(i.pending)
+	for _, u := range b {
+		switch u.Kind {
+		case graph.InsertEdge:
+			if !i.g.InsertEdge(u.From, u.To, u.W) {
+				continue
+			}
+		case graph.DeleteEdge:
+			if !i.g.HasEdge(u.From, u.To) {
+				continue
+			}
+			i.addCommon(u.From, u.To)
+			i.g.DeleteEdge(u.From, u.To)
+		default:
+			continue
+		}
+		i.add(u.From)
+		i.add(u.To)
+		i.pending = append(i.pending, u)
+	}
+	i.flat.Stage(i.g, i.pending[from:])
+	i.flat.MaybeCompact(i.g)
 }
 
-// Repair recomputes the PE variables for the staged updates.
+// grow extends the per-node arrays to the graph's current node count.
+func (i *Inc) grow() {
+	n := i.g.NumNodes()
+	i.r.grow(n)
+	for len(i.mark) < n {
+		i.mark = append(i.mark, 0)
+		i.scopeMark = append(i.scopeMark, 0)
+	}
+}
+
+// add puts v in the scope.
+func (i *Inc) add(v graph.NodeID) {
+	if i.scopeMark[v] != i.scopeEpoch {
+		i.scopeMark[v] = i.scopeEpoch
+		i.scope = append(i.scope, int32(v))
+	}
+}
+
+// stamp marks v's live neighbors in the flat view with a fresh epoch.
+func (i *Inc) stamp(v graph.NodeID) {
+	i.epoch++
+	ts, _, dead, extra := i.flat.OutSpans(v)
+	i.stats.Reads += int64(len(ts) + len(extra))
+	for k, x := range ts {
+		if dead == nil || !dead[k] {
+			i.mark[x] = i.epoch
+		}
+	}
+	for _, e := range extra {
+		i.mark[e.To] = i.epoch
+	}
+}
+
+// addCommon puts the common neighbors of u and v in the flat view into
+// the scope, in O(d_u + d_v).
+func (i *Inc) addCommon(u, v graph.NodeID) {
+	i.stamp(u)
+	ts, _, dead, extra := i.flat.OutSpans(v)
+	i.stats.Reads += int64(len(ts) + len(extra))
+	for k, x := range ts {
+		if i.mark[x] == i.epoch && (dead == nil || !dead[k]) {
+			i.add(x)
+		}
+	}
+	for _, e := range extra {
+		if i.mark[e.To] == i.epoch {
+			i.add(e.To)
+		}
+	}
+}
+
+// Repair completes the scope with the common neighbors of the inserted
+// edges on the graph as it is now, and recomputes d_v and λ_v over it.
 func (i *Inc) Repair() int {
 	applied := i.pending
 	i.pending = i.pending[:0]
-	if len(applied) == 0 && i.g.NumNodes() == len(i.r.Deg) {
-		i.triReset() // pre-update hoods of no-op batches are moot
+	i.grow() // nodes added since the last Stage
+	if len(applied) == 0 {
 		return 0
 	}
-	i.r.grow(i.g.NumNodes())
-	for len(i.mark) < i.g.NumNodes() {
-		i.mark = append(i.mark, 0)
-	}
-	i.growSets()
-	i.degEpoch++
-	i.degList = i.degList[:0]
 	for _, u := range applied {
-		i.degAdd(u.From)
-		i.degAdd(u.To)
-		i.hood(u.From)
-		i.hood(u.To)
-	}
-	for _, v := range i.degList {
-		i.r.Deg[v] = int32(i.g.Degree(v))
-	}
-	for _, v := range i.triList {
-		i.r.Tri[v] = i.countTriangles(v)
-	}
-	pe := len(i.triList)
-	i.triReset()
-	return pe
-}
-
-// countTriangles recomputes λ_v with a stamped neighbor set: each triangle
-// {v, x, y} is seen twice (via x and via y).
-func (i *Inc) countTriangles(v graph.NodeID) int64 {
-	i.epoch++
-	ns := i.g.Out(v)
-	for _, e := range ns {
-		i.mark[e.To] = i.epoch
-	}
-	var cnt int64
-	for _, e := range ns {
-		for _, f := range i.g.Out(e.To) {
-			if f.To != v && i.mark[f.To] == i.epoch {
-				cnt++
-			}
+		if u.Kind == graph.InsertEdge {
+			i.addCommon(u.From, u.To)
 		}
 	}
-	return cnt / 2
+	led := &i.stats.Ledger
+	led.Runs++
+	led.Touched += int64(len(applied))
+	led.Aff += int64(len(i.scope))
+	led.RecomputeEst = int64(i.g.NumNodes())
+	for _, v := range i.scope {
+		d, tri := int32(i.g.Degree(graph.NodeID(v))), i.countTriangles(graph.NodeID(v))
+		if d != i.r.Deg[v] || tri != i.r.Tri[v] {
+			i.r.Deg[v], i.r.Tri[v] = d, tri
+			led.Changed++
+		}
+	}
+	return len(i.scope)
+}
+
+// countTriangles recomputes λ_v: with v's neighbors stamped, every
+// neighbor x contributes its stamped neighbors below x, so each triangle
+// {v, x, y} is seen once, from its larger corner.
+func (i *Inc) countTriangles(v graph.NodeID) int64 {
+	i.stamp(v)
+	ts, _, dead, extra := i.flat.OutSpans(v)
+	var cnt int64
+	for k, x := range ts {
+		if dead == nil || !dead[k] {
+			cnt += i.stampedBelow(x)
+		}
+	}
+	for _, e := range extra {
+		cnt += i.stampedBelow(e.To)
+	}
+	return cnt
+}
+
+// stampedBelow counts x's live neighbors y < x that carry the current
+// stamp: the sorted base row up to x's own position, and the overlay tail.
+func (i *Inc) stampedBelow(x graph.NodeID) int64 {
+	ts, _, dead, extra := i.flat.OutSpans(x)
+	mark, epoch := i.mark, i.epoch
+	var cnt int64
+	k := 0
+	for ; k < len(ts) && ts[k] < x; k++ {
+		if mark[ts[k]] == epoch && (dead == nil || !dead[k]) {
+			cnt++
+		}
+	}
+	i.stats.Reads += int64(k + len(extra))
+	for _, e := range extra {
+		if e.To < x && mark[e.To] == epoch {
+			cnt++
+		}
+	}
+	return cnt
 }
 
 // IncUnit is IncLCC_n: the unit-update variant.
@@ -291,8 +376,8 @@ func NewIncUnit(g *graph.Graph) *IncUnit { return &IncUnit{NewInc(g)} }
 // Apply processes each unit update as its own batch.
 func (i *IncUnit) Apply(b graph.Batch) int {
 	total := 0
-	for _, u := range b {
-		total += i.Inc.Apply(graph.Batch{u})
+	for k := range b {
+		total += i.Inc.Apply(b[k : k+1])
 	}
 	return total
 }

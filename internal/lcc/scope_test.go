@@ -1,0 +1,294 @@
+package lcc
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"incgraph/internal/graph"
+)
+
+// stageRef is one Stage as the reference sees it: the graph before it and
+// the updates that changed that graph, found by applying the batch to a
+// copy.
+type stageRef struct {
+	pre     *graph.Graph
+	applied graph.Batch
+}
+
+// inputSetScope is the scope by definition, with no adjacency scan shared
+// with the implementation: node w is in it when an applied update's edge
+// (u, v) is in the input set of one of w's variables — w is u or v (d_w,
+// and λ_w through the edges at w), or u and v are both neighbors of w
+// (λ_w through the edges among w's neighbors), neighbors as of the graph
+// before the Stage for a deletion and as of the final graph for an
+// insertion.
+func inputSetScope(stages []stageRef, final *graph.Graph) []int32 {
+	var scope []int32
+	for w := graph.NodeID(0); int(w) < final.NumNodes(); w++ {
+		in := false
+		for _, s := range stages {
+			for _, u := range s.applied {
+				side := final
+				if u.Kind == graph.DeleteEdge {
+					side = s.pre
+				}
+				if w == u.From || w == u.To || side.HasEdge(w, u.From) && side.HasEdge(w, u.To) {
+					in = true
+				}
+			}
+		}
+		if in {
+			scope = append(scope, int32(w))
+		}
+	}
+	return scope
+}
+
+func sorted(s []int32) []int32 {
+	s = slices.Clone(s)
+	slices.Sort(s)
+	return s
+}
+
+// checkRepair stages the batches on inc one by one, repairs once, and
+// holds the outcome against the definitions: the status against Run and
+// Brute, the recounted set against inputSetScope, the ledger against a
+// before/after comparison of the status.
+func checkRepair(inc *Inc, batches ...graph.Batch) error {
+	before := inc.Result().clone()
+	st0 := inc.Stats()
+	var stages []stageRef
+	applied := 0
+	for _, b := range batches {
+		pre := inc.Graph().Clone()
+		ref := pre.Clone()
+		stages = append(stages, stageRef{pre, ref.Apply(b)})
+		applied += len(stages[len(stages)-1].applied)
+		inc.Stage(b)
+	}
+	pe := inc.Repair()
+	g := inc.Graph()
+
+	if want := Run(g); !inc.Result().Equal(want) {
+		return fmt.Errorf("result differs from Run: deg %v tri %v, want deg %v tri %v", inc.Result().Deg, inc.Result().Tri, want.Deg, want.Tri)
+	}
+	if !inc.Result().Equal(Brute(g)) {
+		return fmt.Errorf("result differs from Brute")
+	}
+	want := inputSetScope(stages, g)
+	if got := sorted(inc.Written()); !slices.Equal(got, want) {
+		return fmt.Errorf("recounted %v, the input-set rule gives %v", got, want)
+	}
+	if pe != len(want) {
+		return fmt.Errorf("Repair returned %d for a scope of %d", pe, len(want))
+	}
+
+	// CHANGED ⊆ written ⊆ AFF, the last two being one set here.
+	before.grow(g.NumNodes())
+	inScope := map[int32]bool{}
+	for _, v := range inc.Written() {
+		inScope[v] = true
+	}
+	changed := int64(0)
+	for v := range before.Deg {
+		if before.Deg[v] != inc.Result().Deg[v] || before.Tri[v] != inc.Result().Tri[v] {
+			changed++
+			if !inScope[int32(v)] {
+				return fmt.Errorf("node %d changed outside the recounted set", v)
+			}
+		}
+	}
+	led := inc.Stats().Sub(st0).Ledger
+	wantLed := led
+	wantLed.Runs, wantLed.Touched, wantLed.Changed, wantLed.Aff = 0, int64(applied), changed, int64(len(want))
+	if applied > 0 {
+		wantLed.Runs = 1
+	}
+	if led != wantLed || led.AffEdges != 0 {
+		return fmt.Errorf("ledger %+v, want runs/touched/changed/aff = %d/%d/%d/%d", led, wantLed.Runs, applied, changed, len(want))
+	}
+	return nil
+}
+
+// denseGraph draws a small graph in which most edges sit in triangles.
+func denseGraph(rng *rand.Rand, n int, p float64) *graph.Graph {
+	g := graph.New(n, false)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				g.InsertEdge(graph.NodeID(u), graph.NodeID(v), 1)
+			}
+		}
+	}
+	return g
+}
+
+// rawBatch draws updates without looking at the graph, so a good share
+// of them change nothing, repeat an edge of the same batch, or undo one.
+func rawBatch(rng *rand.Rand, n, size int) graph.Batch {
+	var b graph.Batch
+	for len(b) < size {
+		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		kind := graph.InsertEdge
+		if rng.Intn(2) == 0 {
+			kind = graph.DeleteEdge
+		}
+		// u == v is drawn too: a self-loop is one more no-op.
+		b = append(b, graph.Update{Kind: kind, From: u, To: v, W: 1})
+		if rng.Intn(6) == 0 {
+			// The opposite update right behind it, the edge written the
+			// other way round.
+			b = append(b, graph.Update{Kind: graph.InsertEdge + graph.DeleteEdge - kind, From: v, To: u, W: 1})
+		}
+	}
+	return b
+}
+
+// TestScopeIsInputSet is the scope property test: on small triangle-dense
+// graphs, under every compaction regime (so base rows, dead bits and
+// overlay tails all carry edges), one to three Stages before each Repair.
+func TestScopeIsInputSet(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 6 + rng.Intn(14)
+		inc := NewInc(denseGraph(rng, n, 0.2+0.4*rng.Float64()))
+		inc.Flat().SetCompactThreshold([]float64{0, 0.05, graph.DefaultCompactThreshold, math.Inf(1)}[rng.Intn(4)])
+		for step := 0; step < 12; step++ {
+			if rng.Intn(8) == 0 {
+				inc.Graph().AddNode(0)
+				n++
+			}
+			batches := make([]graph.Batch, 1+rng.Intn(3))
+			for k := range batches {
+				batches[k] = rawBatch(rng, n, rng.Intn(7))
+			}
+			if err := checkRepair(inc, batches...); err != nil {
+				t.Errorf("seed %d step %d, batches %v: %v", seed, step, batches, err)
+				return false
+			}
+		}
+		return true
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		if !check(seed) {
+			return
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScopeHardCases names the batches a scope rule is most likely to get
+// wrong. The graph is two triangles {0,1,2} and {1,2,3} sharing the edge
+// (1,2), a pendant 4 on node 3, and an isolated node 5.
+func TestScopeHardCases(t *testing.T) {
+	ins := func(u, v graph.NodeID) graph.Update {
+		return graph.Update{Kind: graph.InsertEdge, From: u, To: v, W: 1}
+	}
+	del := func(u, v graph.NodeID) graph.Update { return graph.Update{Kind: graph.DeleteEdge, From: u, To: v} }
+	cases := []struct {
+		name   string
+		stages []graph.Batch
+		want   []int32 // the recounted set
+	}{
+		{"one edge of two triangles", []graph.Batch{{del(1, 2)}}, []int32{0, 1, 2, 3}},
+		{"two edges of one triangle, one batch", []graph.Batch{{del(0, 1), del(0, 2)}}, []int32{0, 1, 2}},
+		{"three edges of one triangle, one batch", []graph.Batch{{del(0, 1), del(0, 2), del(1, 2)}}, []int32{0, 1, 2, 3}},
+		{"two edges of one triangle, two stages", []graph.Batch{{del(0, 1)}, {del(0, 2)}}, []int32{0, 1, 2}},
+		{"three edges of one triangle, three stages", []graph.Batch{{del(0, 2)}, {del(0, 1)}, {del(1, 2)}}, []int32{0, 1, 2, 3}},
+		{"two inserts closing one triangle, one batch", []graph.Batch{{ins(5, 1), ins(5, 2)}}, []int32{1, 2, 5}},
+		{"three inserts making one triangle, one batch", []graph.Batch{{ins(5, 4), ins(5, 0), ins(4, 0)}}, []int32{0, 4, 5}},
+		{"two inserts closing one triangle, two stages", []graph.Batch{{ins(5, 1)}, {ins(5, 2)}}, []int32{1, 2, 5}},
+		{"insert whose triangle a later stage breaks", []graph.Batch{{ins(0, 3)}, {del(1, 3)}}, []int32{0, 1, 2, 3}},
+		{"delete then reinsert, one batch", []graph.Batch{{del(1, 2), ins(1, 2)}}, []int32{0, 1, 2, 3}},
+		{"insert then delete of an absent edge, one batch", []graph.Batch{{ins(0, 3), del(0, 3)}}, []int32{0, 1, 2, 3}},
+		{"absent-edge delete", []graph.Batch{{del(0, 3), del(4, 5)}}, nil},
+		{"duplicate insert, either orientation", []graph.Batch{{ins(0, 1), ins(2, 1)}}, nil},
+		{"self-loop and out-of-range ids", []graph.Batch{{ins(2, 2), del(3, 3), ins(0, 77), del(-1, 2)}}, nil},
+		{"pendant edge: no triangle either side", []graph.Batch{{del(3, 4)}}, []int32{3, 4}},
+	}
+	for _, c := range cases {
+		g := graph.New(6, false)
+		for _, e := range [][2]graph.NodeID{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}, {3, 4}} {
+			g.InsertEdge(e[0], e[1], 1)
+		}
+		inc := NewInc(g)
+		if err := checkRepair(inc, c.stages...); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if got := sorted(inc.Written()); !slices.Equal(got, c.want) {
+			t.Errorf("%s: recounted %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	t.Run("edge to a freshly added node id", func(t *testing.T) {
+		inc := NewInc(triangleWithTail())
+		v := inc.Graph().AddNode(0)
+		if err := checkRepair(inc, graph.Batch{ins(v, 0), ins(1, v)}); err != nil {
+			t.Fatal(err)
+		}
+		if got := sorted(inc.Written()); !slices.Equal(got, []int32{0, 1, int32(v)}) {
+			t.Fatalf("recounted %v", got)
+		}
+	})
+
+	// Two hubs over the same 40 leaves: the edge between them is in the
+	// input set of every leaf, and of nothing else.
+	t.Run("hub-hub edge", func(t *testing.T) {
+		const leaves = 40
+		g := graph.New(leaves+3, false)
+		for l := graph.NodeID(2); l < leaves+2; l++ {
+			g.InsertEdge(0, l, 1)
+			g.InsertEdge(1, l, 1)
+		}
+		g.InsertEdge(0, leaves+2, 1) // a neighbor of one hub only
+		inc := NewInc(g)
+		for _, b := range []graph.Batch{{ins(0, 1)}, {del(1, 0)}} {
+			if err := checkRepair(inc, b); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(inc.Written()); got != leaves+2 {
+				t.Fatalf("%v recounted %d nodes, want the hubs and their %d common leaves", b, got, leaves)
+			}
+		}
+	})
+}
+
+// TestScopeBoundedOnBurst is the boundedness guard on the benchmark's
+// burst shape: a batch recounts its endpoints and the common neighbors of
+// its edges, a small part of the graph — where the one-hop rule this
+// replaced recounted 5,600 of the 6,000 nodes.
+func TestScopeBoundedOnBurst(t *testing.T) {
+	g := burstGraph()
+	s := newBurstStream(7, g)
+	inc := NewInc(g)
+	for round := 0; round < 5; round++ {
+		b := s.next(burstBatch)
+		pre := inc.Graph().Clone()
+		pe := inc.Apply(b)
+		post := inc.Graph()
+		bound := 2 * len(b) // the stream holds no no-ops: every update is applied
+		for _, u := range b {
+			side := post
+			if u.Kind == graph.DeleteEdge {
+				side = pre
+			}
+			for _, e := range side.Out(u.From) {
+				if side.HasEdge(e.To, u.To) {
+					bound++
+				}
+			}
+		}
+		if pe > bound || pe >= burstNodes/4 {
+			t.Fatalf("round %d: %d nodes recounted; bound 2·|applied| + Σ|common| = %d, |V|/4 = %d", round, pe, bound, burstNodes/4)
+		}
+		if !inc.Result().Equal(Run(post)) {
+			t.Fatalf("round %d: result differs from Run", round)
+		}
+	}
+}

@@ -22,17 +22,17 @@ import (
 // view holds its vectors as Paged values instead: each adapter keeps the
 // vectors it last published, and Snapshot builds the next ones with
 // Paged.Update, which copies the pages whose content changed and shares
-// the rest with the previous epoch. SSSP and CC hand Update the
+// the rest with the previous epoch. SSSP, CC and LCC hand Update the
 // maintainer's written list, so publishing costs what the apply wrote;
 // the other classes (and any adapter after Recompute or RestoreState)
 // pass nil and pay one comparison pass over the vector.
 //
-// Apply returns an ApplyResult instead of the bare affected count: the
-// engine-based maintainers (SSSP, CC, Sim) expose cumulative
-// fixpoint.Stats, so each adapter snapshots the counters around Apply
-// and reports the per-apply delta — the numbers Theorem 3 is about —
-// rather than discarding them. DFS, LCC, and BC repair with specialized
-// machinery and report only the affected-area measure.
+// Apply returns an ApplyResult instead of the bare affected count: SSSP,
+// CC, Sim and LCC expose cumulative fixpoint.Stats, so each adapter
+// snapshots the counters around Apply and reports the per-apply delta —
+// the numbers Theorem 3 is about — rather than discarding them. DFS and
+// BC repair with specialized machinery and report only the affected-area
+// measure.
 //
 // PersistState/RestoreState serialize the maintainer's incremental state
 // as a gob blob for durability checkpoints. What each class persists is
@@ -156,7 +156,7 @@ func statsDelta(m statser, g *graph.Graph, delta int, apply func() int) ApplyRes
 }
 
 // syntheticLedger builds the work ledger for the specialized classes
-// (DFS, LCC, BC) that repair without the fixpoint engine: the batch size
+// (DFS, BC) that repair without counting their own work: the batch size
 // stands in for the touched set, the affected-area measure for both
 // |CHANGED| and |AFF| (their repair machinery reports only the combined
 // measure), and ‖AFF‖/rounds stay zero — Work degrades to touched+|AFF|,
@@ -400,7 +400,8 @@ func (v LCCView) viewFields(lo, hi int) []viewField {
 type lccServeable struct {
 	inc   *lcc.Inc
 	last  LCCView   // last published
-	gamma []float64 // scratch the coefficients are derived into
+	gamma []float64 // the coefficients of the last published status, refreshed where it was written
+	pub   pubState
 }
 
 // LCC adapts an IncLCC maintainer.
@@ -409,23 +410,37 @@ func LCC(inc *lcc.Inc) Serveable { return &lccServeable{inc: inc} }
 func (s *lccServeable) Algo() string        { return "lcc" }
 func (s *lccServeable) Graph() *graph.Graph { return s.inc.Graph() }
 func (s *lccServeable) Apply(b graph.Batch) ApplyResult {
-	aff := s.inc.Apply(b)
-	return ApplyResult{Affected: aff,
-		Ledger: syntheticLedger(s.inc.Graph(), len(b), aff), HasLedger: true}
+	s.pub.applied()
+	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
 }
+
+// Snapshot derives γ from d and λ at the written nodes only — the rest of
+// s.gamma is what the last Snapshot derived from values that have not
+// changed since — unless the change is unknown or the graph has grown.
 func (s *lccServeable) Snapshot() any {
 	r := s.inc.Result()
-	s.gamma = s.gamma[:0]
-	for i := range r.Deg {
-		s.gamma = append(s.gamma, r.Gamma(graph.NodeID(i)))
+	written := s.pub.written(s.inc.Written())
+	if written == nil || len(s.gamma) != len(r.Deg) {
+		written = nil
+		s.gamma = s.gamma[:0]
+		for i := range r.Deg {
+			s.gamma = append(s.gamma, r.Gamma(graph.NodeID(i)))
+		}
+	}
+	for _, i := range written {
+		s.gamma[i] = r.Gamma(graph.NodeID(i))
 	}
 	s.last = LCCView{
-		Deg:   s.last.Deg.Update(r.Deg, nil),
-		Tri:   s.last.Tri.Update(r.Tri, nil),
-		Gamma: s.last.Gamma.Update(s.gamma, nil),
+		Deg:   s.last.Deg.Update(r.Deg, written),
+		Tri:   s.last.Tri.Update(r.Tri, written),
+		Gamma: s.last.Gamma.Update(s.gamma, written),
 	}
 	return s.last
 }
+
+// Flat exposes the current inner maintainer's flat adjacency view to the
+// host's compaction and overlay metrics.
+func (s *lccServeable) Flat() *graph.Flat { return s.inc.Flat() }
 
 // lccState is the gob envelope of PersistState: d_v and λ_v are IncLCC's
 // complete state — it keeps no auxiliary structure (§5.3).
@@ -443,9 +458,13 @@ func (s *lccServeable) RestoreState(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return err
 	}
+	s.pub.unknown()
 	return s.inc.RestoreState(st.Deg, st.Tri)
 }
-func (s *lccServeable) Recompute() { s.inc = lcc.NewInc(s.inc.Graph()) }
+func (s *lccServeable) Recompute() {
+	s.pub.unknown()
+	s.inc = lcc.NewInc(s.inc.Graph())
+}
 
 // BCView is the published snapshot of a biconnectivity maintainer.
 type BCView struct {

@@ -51,7 +51,8 @@ func checkLedger(t *testing.T, algo string, res ApplyResult, g *graph.Graph, bat
 // TestAdapterLedgersAllClasses drives every class adapter through one
 // Apply and checks the work ledger each reports: the engine-backed
 // classes (SSSP, CC, Sim) surface the engine's schedule-independent
-// counters, the specialized classes (DFS, LCC, BC) a synthesized ledger.
+// counters, LCC its own count of what it recounted and what changed, the
+// other specialized classes (DFS, BC) a synthesized ledger.
 func TestAdapterLedgersAllClasses(t *testing.T) {
 	undirected := func() *graph.Graph {
 		g := graph.New(6, false)
@@ -117,6 +118,12 @@ func TestAdapterLedgersAllClasses(t *testing.T) {
 		s := LCC(lcc.NewInc(g))
 		res := s.Apply(batch)
 		checkLedger(t, "lcc", res, g, len(batch))
+		// Both inserts apply; no two of their endpoints 0, 4, 5 share a
+		// neighbor, so those three are recounted, and each gained a degree.
+		if led := res.Ledger; led.Touched != 2 || led.Aff != 3 || led.Changed != 3 || res.Affected != 3 || !res.HasStats {
+			t.Errorf("lcc: touched/aff/changed = %d/%d/%d, affected %d, stats %v; want 2/3/3, 3, true",
+				led.Touched, led.Aff, led.Changed, res.Affected, res.HasStats)
+		}
 	})
 	t.Run("bc", func(t *testing.T) {
 		g := undirected()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -13,6 +14,7 @@ import (
 
 	"incgraph/internal/cc"
 	"incgraph/internal/graph"
+	"incgraph/internal/lcc"
 	"incgraph/internal/sssp"
 )
 
@@ -718,4 +720,91 @@ func BenchmarkViewWrite(b *testing.B) {
 			b.SetBytes(int64(len(w.b)))
 		})
 	}
+}
+
+// TestDerivedPageLCCWrittenList: the LCC adapter publishes from the
+// maintainer's recounted set. After one apply, Snapshot replaces only
+// pages that hold a recounted node — in all three vectors, γ included,
+// which is derived at the recounted nodes alone — and the view is the one a
+// maintainer freshly built on the same graph publishes. When no list
+// describes the change (two applies between snapshots, Recompute,
+// RestoreState) the adapter compares instead, and the view is still that.
+func TestDerivedPageLCCWrittenList(t *testing.T) {
+	const n = 6 * pageSize
+	g := graph.New(n, false)
+	for v := graph.NodeID(2); v < n; v++ { // a strip of triangles {v-2, v-1, v}
+		g.InsertEdge(v-2, v, 1)
+		g.InsertEdge(v-1, v, 1)
+	}
+	inc := lcc.NewInc(g)
+	m := LCC(inc)
+	checkFresh := func(when string) LCCView {
+		t.Helper()
+		view := m.Snapshot().(LCCView)
+		got, err := json.Marshal(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(LCC(lcc.NewInc(m.Graph().Clone())).Snapshot())
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: published view differs from a fresh maintainer's: %s", when, firstDiff(got, want, want))
+		}
+		return view
+	}
+	prev := checkFresh("initially")
+
+	// One apply inside page 3: the recounted nodes sit in that page.
+	at := graph.NodeID(3*pageSize + 100)
+	m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: at, To: at + 1}, {Kind: graph.InsertEdge, From: at, To: at + 5, W: 1}})
+	holds := map[int]bool{}
+	for _, v := range inc.Written() {
+		holds[int(v)>>pageShift] = true
+	}
+	if len(inc.Written()) == 0 || len(holds) != 1 {
+		t.Fatalf("recounted %v: want a non-empty set within page 3", inc.Written())
+	}
+	cur := checkFresh("after one apply")
+	for k := 0; k < cur.Deg.numPages(); k++ {
+		copied := cur.Deg.page(k) != prev.Deg.page(k) || cur.Tri.page(k) != prev.Tri.page(k) || cur.Gamma.page(k) != prev.Gamma.page(k)
+		if copied && !holds[k] {
+			t.Errorf("page %d was copied and holds no recounted node", k)
+		}
+	}
+	if c := publishDelta(prev, cur); c.pages != 3 || c.total != 3*n/pageSize {
+		t.Errorf("one apply copied %d of %d pages, want one per vector", c.pages, c.total)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = inc.Written() }); a != 0 {
+		t.Errorf("lcc Written allocates %.0f", a)
+	}
+
+	// Two applies, in pages 0 and 5: the list covers the second only.
+	m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: 10, To: 11}})
+	m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: 5*pageSize + 10, To: 5*pageSize + 11}})
+	checkFresh("after two applies")
+
+	// RestoreState: the restored status is what must be published, even
+	// where it is not what the graph says.
+	r := m.(*lccServeable).inc.Result()
+	st := lccState{Deg: slices.Clone(r.Deg), Tri: slices.Clone(r.Tri)}
+	st.Tri[4*pageSize+7] += 5
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	view := m.Snapshot().(LCCView)
+	if got := view.Tri.At(4*pageSize + 7); got != st.Tri[4*pageSize+7] {
+		t.Errorf("after RestoreState the view holds λ = %d, the restored state %d", got, st.Tri[4*pageSize+7])
+	}
+	restored := lcc.Result{Deg: st.Deg, Tri: st.Tri}
+	if got, want := view.Gamma.At(4*pageSize+7), restored.Gamma(4*pageSize+7); got != want {
+		t.Errorf("after RestoreState the view holds γ = %v, the restored state gives %v", got, want)
+	}
+
+	// Recompute heals it: no apply has happened since that Snapshot, and
+	// the new maintainer's list is empty, yet the view must change.
+	m.Recompute()
+	checkFresh("after Recompute")
 }
