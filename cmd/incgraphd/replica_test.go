@@ -54,7 +54,7 @@ func waitReplayed(t *testing.T, raddr string, epoch uint64) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		resp, err := http.Get("http://" + raddr + "/query/sssp?compact=1&range=0:0")
+		resp, err := http.Get("http://" + raddr + "/query/sssp?range=0:0")
 		if err == nil {
 			var v queryView
 			err = json.NewDecoder(resp.Body).Decode(&v)
@@ -96,7 +96,7 @@ func TestReplicaQueryMatchesPrimary(t *testing.T) {
 	waitReplayed(t, raddr, query(t, paddr, "sssp").Epoch)
 
 	for _, algo := range []string{"sssp", "cc"} {
-		const q = "?compact=1&range=0:4"
+		const q = "?range=0:4"
 		pr, pb := get(t, "http://"+paddr+"/query/"+algo+q)
 		rr, rb := get(t, "http://"+raddr+"/query/"+algo+q)
 		if pr.StatusCode != http.StatusOK || rr.StatusCode != http.StatusOK {
@@ -164,7 +164,7 @@ func TestReplicaQueryMatchesPrimary(t *testing.T) {
 	}
 	views := map[string][]byte{}
 	for _, algo := range []string{"sssp", "cc"} {
-		_, views[algo] = get(t, "http://"+raddr+"/query/"+algo+"?compact=1")
+		_, views[algo] = get(t, "http://"+raddr+"/query/"+algo)
 		if bytes.Contains(views[algo], []byte(`"degraded"`)) {
 			t.Errorf("%s: view still degraded after promotion: %.120s", algo, views[algo])
 		}
@@ -182,7 +182,7 @@ func TestReplicaQueryMatchesPrimary(t *testing.T) {
 	restarted := startDaemon(t, bin, raddr, rdir, sharded...)
 	defer func() { restarted.Process.Kill(); restarted.Wait() }()
 	for algo, want := range views {
-		if _, got := get(t, "http://"+raddr+"/query/"+algo+"?compact=1"); !bytes.Equal(got, want) {
+		if _, got := get(t, "http://"+raddr+"/query/"+algo); !bytes.Equal(got, want) {
 			t.Errorf("%s: restart from the promoted data dir recovered another view\n got %.200s\nwant %.200s", algo, got, want)
 		}
 	}
@@ -242,7 +242,7 @@ func TestReplicaHonoursProcessFlags(t *testing.T) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	if resp, body := get(t, "http://"+raddr+"/query/sssp?compact=1&range=0:1"); resp.StatusCode != http.StatusOK {
+	if resp, body := get(t, "http://"+raddr+"/query/sssp?range=0:1"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stale read: %d %s", resp.StatusCode, body)
 	}
 	for !strings.Contains(logs.String(), "path=/query/sssp") {

@@ -52,7 +52,7 @@ var publishGaps = [...]struct{ applies, reads int }{{1, 10}, {5, 10}, {50, 4}, {
 // 200 applies separate them; GET latency cold (no page cached), warm
 // (every page cached) and at each of those gaps. Every replaced page
 // inherits its predecessor's encoded bytes, so once the first GET has
-// read the form the encoded count is 0 at every gap and a GET costs the
+// read the view the encoded count is 0 at every gap and a GET costs the
 // warm one's copy, however many applies went by; what grows with the gap
 // is the spliced count, paid by the apply loop.
 //

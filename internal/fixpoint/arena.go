@@ -18,10 +18,15 @@ type VarSet struct {
 
 // Begin clears the set and grows its capacity to n variables.
 func (s *VarSet) Begin(n int) {
+	s.grow(n)
+	s.epoch++
+}
+
+// grow extends the set's capacity to n variables, keeping its members.
+func (s *VarSet) grow(n int) {
 	if len(s.mark) < n {
 		s.mark = append(s.mark, make([]int64, n-len(s.mark))...)
 	}
-	s.epoch++
 }
 
 // Add inserts x and reports whether it was newly added.

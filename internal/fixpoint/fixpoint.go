@@ -236,14 +236,10 @@ type Engine[V any] struct {
 
 	tracer Tracer // optional span hook; nil ⇒ untraced path, zero cost
 
-	wl      worklist // step-function scope
-	hq      *pq.Heap // h's queue, ordered by old timestamps (the order <_C)
-	inScope []int64  // epoch marks for H⁰ and AFF membership
-	chMark  []int64  // epoch marks: written this run (ledger)
-	chOld   []V      // run-start values of written variables (ledger)
-	chList  []int32  // written variables (first writes), kept until the next run
-	epoch   int64
-	deg     OutDegreer // instance's optional out-degree hook for ‖AFF‖
+	wl  worklist   // step-function scope
+	hq  *pq.Heap   // h's queue, ordered by old timestamps (the order <_C)
+	led Tracker[V] // AFF membership (which is H⁰'s dedup too) and first writes
+	deg OutDegreer // instance's optional out-degree hook for ‖AFF‖
 }
 
 // New creates an engine for the instance with an empty (all-Bottom) state.
@@ -273,10 +269,7 @@ func New[V any](inst Instance[V], policy Policy) *Engine[V] {
 	e.hq = pq.New(n, func(a, b int32) bool {
 		return e.st.TS[a] < e.st.TS[b]
 	})
-	e.inScope = make([]int64, n)
-	e.chMark = make([]int64, n)
-	e.chOld = make([]V, n)
-	e.chList = make([]int32, 0, n)
+	e.led.Grow(n)
 	e.emitFn = func(z Var, cand V) {
 		if e.install(z, cand) {
 			e.wl.AddOrAdjust(z)
@@ -349,18 +342,8 @@ func (e *Engine[V]) Grow() {
 		x := Var(len(e.st.Val))
 		e.st.Val = append(e.st.Val, e.inst.Bottom(x))
 		e.st.TS = append(e.st.TS, 0)
-		e.inScope = append(e.inScope, 0)
-		e.chMark = append(e.chMark, 0)
-		var zero V
-		e.chOld = append(e.chOld, zero)
 	}
-	if cap(e.chList) < n {
-		// Keep one preallocated slot per variable so ledgerWrite never
-		// allocates mid-run.
-		cl := make([]int32, len(e.chList), n)
-		copy(cl, e.chList)
-		e.chList = cl
-	}
+	e.led.Grow(n)
 	e.wl.Grow(n)
 	e.hq.Grow(n)
 }
@@ -372,7 +355,21 @@ func (e *Engine[V]) Value(x Var) V { return e.st.Val[x] }
 // a superset of the entries of State().Val that changed, kept for the
 // work ledger's settle sweep. It aliases internal state, is never nil,
 // allocates nothing, and is valid until the next incremental run.
-func (e *Engine[V]) Written() []int32 { return e.chList }
+func (e *Engine[V]) Written() []int32 { return e.led.Written() }
+
+// ledgerAff enters x into the current run's affected area and reports
+// whether it was new there, in which case |AFF| grows by one and ‖AFF‖ by
+// x's out-degree.
+func (e *Engine[V]) ledgerAff(x Var) bool {
+	if !e.led.Aff(int32(x)) {
+		return false
+	}
+	e.st.Stats.Ledger.Aff++
+	if e.deg != nil {
+		e.st.Stats.Ledger.AffEdges += e.deg.OutDegree(x)
+	}
+	return true
+}
 
 // recompute applies f_x and installs the result; it reports whether the
 // value changed.
@@ -383,7 +380,7 @@ func (e *Engine[V]) recompute(x Var) bool {
 	if e.inst.Equal(newv, cur) {
 		return false
 	}
-	e.ledgerWrite(x, cur)
+	e.led.Write(int32(x), cur)
 	e.st.Val[x] = newv
 	e.st.clock++
 	e.st.TS[x] = e.st.clock
@@ -398,7 +395,7 @@ func (e *Engine[V]) install(z Var, cand V) bool {
 	if !e.inst.Less(cand, cur) {
 		return false
 	}
-	e.ledgerWrite(z, cur)
+	e.led.Write(int32(z), cur)
 	e.st.Val[z] = cand
 	e.st.clock++
 	e.st.TS[z] = e.st.clock
@@ -594,7 +591,13 @@ func (e *Engine[V]) IncrementalRunDelta(touched []Touched, pushSeeds []Var) []Va
 		e.wl.AddOrAdjust(x)
 	}
 	e.dispatchDrain()
-	e.ledgerSettle()
+	led.Changed += e.led.Settle(func(x int32, start V) bool {
+		if e.inst.Equal(e.st.Val[x], start) {
+			return false
+		}
+		e.ledgerAff(Var(x))
+		return true
+	})
 	if e.tracer != nil {
 		d := e.st.Stats
 		e.tracer.EndRun(d.Pops-resume0.Pops, d.Changes-resume0.Changes)
@@ -615,19 +618,12 @@ func (e *Engine[V]) scopeFunction(touched []Touched) []Var {
 	// st.TS is frozen while the queue drains — h defers its stamps to the
 	// loop below — so <_C read by hGetFn/hEnqFn is the previous run's.
 	que := e.hq
-	e.epoch++
-	e.chList = e.chList[:0] // drop first-write records of any prior epoch
+	e.led.Begin()
 	h0 := make([]Var, 0, len(touched)*2)
+	// H⁰ members are the first entrants of the run's affected area, so AFF
+	// membership is also H⁰'s dedup.
 	addH0 := func(x Var) {
-		if e.inScope[x] != e.epoch {
-			e.inScope[x] = e.epoch
-			// H⁰ members are the first entrants of the run's affected
-			// area; charge |AFF| and ‖AFF‖ here (ledgerAff would see the
-			// mark already set).
-			st.Stats.Ledger.Aff++
-			if e.deg != nil {
-				st.Stats.Ledger.AffEdges += e.deg.OutDegree(x)
-			}
+		if e.ledgerAff(x) {
 			h0 = append(h0, x)
 		}
 	}
@@ -651,7 +647,7 @@ func (e *Engine[V]) scopeFunction(touched []Touched) []Var {
 		if e.inst.Less(st.Val[x], newv) {
 			// x's old value is potentially infeasible for G ⊕ ΔG: revise
 			// it and inspect the variables it contributed to.
-			e.ledgerWrite(x, st.Val[x])
+			e.led.Write(int32(x), st.Val[x])
 			st.Val[x] = newv
 			st.Stats.HResets++
 			addH0(x)

@@ -9,11 +9,10 @@ package fixpoint
 // function of |ΔG| and |AFF|.
 //
 // Accounting is allocation-free: membership of the AFF and CHANGED sets is
-// tracked with epoch-mark arrays allocated once at engine construction
-// (the same idiom the scope function already uses for H⁰ dedup), first-write
-// old values land in a preallocated shadow array, and every counter bump
-// rides an existing hot-path branch. The nil-tracer zero-allocation
-// guarantee is preserved and guarded by TestLedgerZeroAlloc.
+// tracked by a Tracker — epoch-marked VarSets sized once, first-write old
+// values in a preallocated shadow array — and every counter bump rides an
+// existing hot-path branch. The nil-tracer zero-allocation guarantee is
+// preserved and guarded by TestLedgerZeroAlloc.
 //
 // CHANGED is settled *after* the drain, as {x : D_final(x) ≠ D_start(x)}:
 // counting installs as they happen would charge variables that move
@@ -143,46 +142,74 @@ type OutDegreer interface {
 	OutDegree(x Var) int64
 }
 
-// ledgerAff records x's first entry into the current run's affected area:
-// |AFF| grows by one and ‖AFF‖ by x's out-degree. Membership rides the
-// same epoch-mark array the scope function uses for H⁰ dedup — H⁰
-// variables are entered by addH0 itself — so the check is one array read.
-func (e *Engine[V]) ledgerAff(x Var) {
-	if e.inScope[x] == e.epoch {
-		return
+// Tracker is the set bookkeeping behind one incremental run's ledger, kept
+// once for every maintainer that reports one (the Engine, sssp.Inc,
+// sim.Inc): which variables entered the affected area, and which were
+// written together with the value each held when the run began — what
+// CHANGED is settled from and what a publisher reads as the written list.
+// Variables are dense int32 ids below the size last given to Grow. The zero
+// value is ready for Grow; before the first Begin nothing is recorded, so
+// the writes of an initial batch run cost one compare each. After Grow no
+// method allocates.
+//
+// The counters stay with the caller: Aff and Settle say when to charge
+// |AFF|, ‖AFF‖ and |CHANGED|, the caller knows what a variable's degree is.
+type Tracker[V any] struct {
+	aff, wrote VarSet
+	old        []V     // run-start value of each written variable
+	written    []int32 // the written variables, each once, in first-write order
+}
+
+// Grow makes room for variables 0..n-1, keeping the current run's records;
+// the written list gets a slot per variable so Write never allocates.
+func (t *Tracker[V]) Grow(n int) {
+	t.aff.grow(n)
+	t.wrote.grow(n)
+	if len(t.old) < n {
+		t.old = append(t.old, make([]V, n-len(t.old))...)
 	}
-	e.inScope[x] = e.epoch
-	e.st.Stats.Ledger.Aff++
-	if e.deg != nil {
-		e.st.Stats.Ledger.AffEdges += e.deg.OutDegree(x)
+	if cap(t.written) < n || t.written == nil {
+		t.written = append(make([]int32, 0, n), t.written...)
 	}
 }
 
-// ledgerWrite records a value write at x, capturing its pre-write value the
-// first time x is written this run — i.e. its run-start value, which
-// ledgerSettle compares against the fixpoint. Runs on every
-// install/recompute change, so it is branch-first and allocation-free
-// (chList is preallocated to one slot per variable; a run writes each
-// variable's first-write entry at most once). During the initial batch run
-// the epoch is 0 and the marks match, so batch writes are not recorded.
-func (e *Engine[V]) ledgerWrite(x Var, old V) {
-	if e.chMark[x] == e.epoch {
-		return
-	}
-	e.chMark[x] = e.epoch
-	e.chOld[x] = old
-	e.chList = append(e.chList, int32(x))
+// Begin starts a run: both sets and the written list empty, in O(1).
+func (t *Tracker[V]) Begin() {
+	t.aff.Begin(0)
+	t.wrote.Begin(0)
+	t.written = t.written[:0]
 }
 
-// ledgerSettle runs after the drain reaches the fixpoint: every written
-// variable whose final value differs from its run-start value is CHANGED
-// (and therefore AFF). The sweep costs O(written variables) — bounded by
-// the drain's own work — and allocates nothing.
-func (e *Engine[V]) ledgerSettle() {
-	for _, x := range e.chList {
-		if !e.inst.Equal(e.st.Val[x], e.chOld[x]) {
-			e.st.Stats.Ledger.Changed++
-			e.ledgerAff(Var(x))
+// Aff enters x into the run's affected area and reports whether this was
+// its first entry — the moment the caller charges |AFF| and ‖AFF‖.
+func (t *Tracker[V]) Aff(x int32) bool { return t.aff.Add(Var(x)) }
+
+// Write records a value write at x; old, the value being overwritten, is
+// kept only on x's first write of the run, when it is x's run-start value.
+// It sits on every install, so it is one compare unless the write is a first.
+func (t *Tracker[V]) Write(x int32, old V) {
+	if t.wrote.Add(Var(x)) {
+		t.old[x] = old
+		t.written = append(t.written, x)
+	}
+}
+
+// Settle runs once the run has reached its fixpoint. It calls changed for
+// every written variable with its run-start value and returns how many
+// times changed said yes: |CHANGED| = |{x : final(x) ≠ start(x)}|, which a
+// variable written and then written back does not join. A changed variable
+// is affected, so the callback is also where the caller enters it into Aff.
+// The sweep costs O(written variables), bounded by the run's own work.
+func (t *Tracker[V]) Settle(changed func(x int32, old V) bool) (n int64) {
+	for _, x := range t.written {
+		if changed(x, t.old[x]) {
+			n++
 		}
 	}
+	return n
 }
+
+// Written lists the variables written since Begin, each once: a superset
+// of those whose value changed. It aliases the tracker's storage, is never
+// nil after Grow, and is valid until the next Begin.
+func (t *Tracker[V]) Written() []int32 { return t.written }

@@ -13,7 +13,7 @@ func (m *minPlus) OutDegree(x Var) int64 { return int64(len(m.out[x])) }
 
 func (m *minLabel) OutDegree(x Var) int64 { return int64(len(m.adj[x])) }
 
-// affSet reads the engine's epoch marks back out: the exact AFF membership
+// affSet reads the engine's tracker back out: the exact AFF membership
 // of the most recent incremental run and the set of variables written
 // during it (a superset of CHANGED — transient writes that settle back are
 // marked but not charged). White-box — the marks are the accounting's
@@ -21,11 +21,11 @@ func (m *minLabel) OutDegree(x Var) int64 { return int64(len(m.adj[x])) }
 // the loop.
 func affSet[V any](e *Engine[V]) (aff, written map[Var]bool) {
 	aff, written = map[Var]bool{}, map[Var]bool{}
-	for x := range e.inScope {
-		if e.inScope[x] == e.epoch {
+	for x := range e.st.Val {
+		if e.led.aff.Has(Var(x)) {
 			aff[Var(x)] = true
 		}
-		if e.chMark[x] == e.epoch {
+		if e.led.wrote.Has(Var(x)) {
 			written[Var(x)] = true
 		}
 	}
@@ -260,5 +260,86 @@ func TestWorkLedgerAlgebra(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Portable(), a.Portable()) {
 		t.Fatal("Portable not deterministic")
+	}
+}
+
+// TestTracker pins the contracts every ledger-reporting maintainer gets
+// from the one Tracker: nothing recorded before the first Begin, first-write
+// capture, a transient write that reverts is written but not CHANGED, Aff
+// reports first entries only, Grow between runs keeps working, Written is
+// stable until the next Begin, and none of it allocates once grown.
+func TestTracker(t *testing.T) {
+	val := []int64{10, 11, 12, 13}
+	var tr Tracker[int64]
+	tr.Grow(len(val))
+	write := func(x int32, v int64) {
+		tr.Write(x, val[x])
+		val[x] = v
+	}
+	settle := func() (changed int64, olds map[int32]int64) {
+		olds = map[int32]int64{}
+		changed = tr.Settle(func(x int32, old int64) bool {
+			olds[x] = old
+			return val[x] != old
+		})
+		return changed, olds
+	}
+
+	// A batch run writes before any Begin: nothing is recorded.
+	write(0, 5)
+	if w := tr.Written(); w == nil || len(w) != 0 {
+		t.Fatalf("before Begin: Written = %v, want empty and non-nil", w)
+	}
+	if tr.Aff(0) {
+		t.Fatal("before Begin: Aff reported a first entry")
+	}
+
+	tr.Begin()
+	write(1, 20) // changes
+	write(2, 99) // transient: written twice, back to its run-start value
+	write(2, 12)
+	write(1, 21) // second write of 1: the first write's old value stays
+	changed, olds := settle()
+	if changed != 1 || olds[1] != 11 || olds[2] != 12 || len(olds) != 2 {
+		t.Fatalf("Settle: changed %d, run-start values %v; want 1 and {1:11, 2:12}", changed, olds)
+	}
+	if w := tr.Written(); len(w) != 2 || w[0] != 1 || w[1] != 2 {
+		t.Fatalf("Written = %v, want [1 2] in first-write order", w)
+	}
+	if !tr.Aff(3) || tr.Aff(3) || !tr.Aff(1) {
+		t.Fatal("Aff: want true on a first entry and false on the second")
+	}
+
+	// Written stays what it was until the next Begin, Grow included.
+	held := tr.Written()
+	val = append(val, 14, 15)
+	tr.Grow(len(val))
+	if len(held) != 2 || held[0] != 1 || held[1] != 2 || len(tr.Written()) != 2 {
+		t.Fatalf("after Grow: held %v, Written %v", held, tr.Written())
+	}
+	// ...and the run in progress goes on over the new variables.
+	write(5, 50)
+	if changed, olds := settle(); changed != 2 || olds[5] != 15 {
+		t.Fatalf("after Grow mid-stream: changed %d, run-start values %v", changed, olds)
+	}
+
+	tr.Begin()
+	if len(tr.Written()) != 0 || !tr.Aff(3) {
+		t.Fatal("Begin did not empty the written list and the affected set")
+	}
+	write(4, 40)
+	if changed, olds := settle(); changed != 1 || olds[4] != 14 || len(olds) != 1 {
+		t.Fatalf("second run: changed %d, run-start values %v", changed, olds)
+	}
+
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Begin()
+		for x := int32(0); x < int32(len(val)); x++ {
+			tr.Aff(x)
+			tr.Write(x, val[x])
+		}
+		tr.Settle(func(x int32, old int64) bool { return val[x] != old })
+	}); n != 0 {
+		t.Errorf("a full run over a grown tracker: %v allocs, want 0", n)
 	}
 }

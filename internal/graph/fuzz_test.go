@@ -55,7 +55,8 @@ func FuzzRead(f *testing.F) {
 
 // readBatchSscanf is ReadBatch as it was before it stopped going through
 // strings.Fields and fmt.Sscanf, kept as the reference FuzzReadBatch
-// compares the parser against.
+// compares the parser against. Like ReadBatch it scans node ids at
+// NodeID's width, so an id past 2³¹ − 1 is an error, not another node.
 func readBatchSscanf(r io.Reader) (Batch, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -71,13 +72,15 @@ func readBatchSscanf(r io.Reader) (Batch, error) {
 		var upd Update
 		switch {
 		case fields[0] == "+" && len(fields) == 4:
-			var u, v, w int64
+			var u, v int32
+			var w int64
 			if _, err := fmt.Sscanf(strings.Join(fields[1:], " "), "%d %d %d", &u, &v, &w); err != nil {
 				return nil, fmt.Errorf("batch: line %d: %v", line, err)
 			}
 			upd = Update{Kind: InsertEdge, From: NodeID(u), To: NodeID(v), W: w}
 		case fields[0] == "-" && (len(fields) == 3 || len(fields) == 4):
-			var u, v, w int64
+			var u, v int32
+			var w int64
 			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &u, &v); err != nil {
 				return nil, fmt.Errorf("batch: line %d: %v", line, err)
 			}
@@ -156,6 +159,10 @@ func FuzzReadBatch(f *testing.F) {
 	for cut := 0; cut < len(whole); cut++ {
 		f.Add(whole[:cut])
 	}
+	// Ids one past NodeID's range and one past uint32's: refused, where a
+	// 64-bit parse narrowed them to nodes −2³¹, 0 and 5.
+	f.Add("+ 2147483648 1 7\n")
+	f.Add("+ 4294967296 4294967301 7\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		if len(in) > 1<<16 {
 			return
@@ -174,6 +181,20 @@ func FuzzReadBatch(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		// Every id of an accepted update is the decimal on its line.
+		k := 0
+		for _, line := range strings.Split(in, "\n") {
+			fields := strings.Fields(line)
+			if len(fields) == 0 || fields[0][0] == '#' {
+				continue
+			}
+			for j, id := range []NodeID{b[k].From, b[k].To} {
+				if n, err := strconv.ParseInt(fields[1+j], 10, 64); err != nil || n != int64(id) {
+					t.Fatalf("ReadBatch read %q of %q as node %d", fields[1+j], line, id)
+				}
+			}
+			k++
 		}
 		var buf bytes.Buffer
 		if err := WriteBatch(&buf, b); err != nil {

@@ -121,8 +121,14 @@ func ReadBatch(r io.Reader) (Batch, error) {
 		}
 		var nums [3]int64 // u, v and, where given, w
 		for k := range nums[:n-1] {
+			// A node id must fit NodeID: parsed any wider, 2³² + 5 would be
+			// narrowed to node 5 below and the line accepted.
+			bits := 32
+			if k == 2 {
+				bits = 64
+			}
 			var err error
-			if nums[k], err = strconv.ParseInt(string(fields[k+1]), 10, 64); err != nil {
+			if nums[k], err = strconv.ParseInt(string(fields[k+1]), 10, bits); err != nil {
 				return nil, fmt.Errorf("batch: line %d: %v", line, err)
 			}
 		}

@@ -190,6 +190,9 @@ func TestReadBatchErrors(t *testing.T) {
 		"- 1 -2",                    // negative node id on delete
 		"+ 1 2 9223372036854775807", // weight that would wrap d + W
 		"+ 1 2 2305843009213693951", // weight at Infinity
+		"+ 2147483648 1 7",          // id past NodeID: narrowed, it was −2³¹
+		"+ 4294967296 4294967301 7", // ids past uint32: narrowed, they were nodes 0 and 5
+		"- 1 4294967301",
 	} {
 		if _, err := ReadBatch(strings.NewReader(in)); err == nil {
 			t.Fatalf("no error for %q", in)

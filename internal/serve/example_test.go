@@ -65,17 +65,5 @@ func ExampleNewService() {
 	resp.Body.Close()
 	fmt.Println(string(body))
 	// Output:
-	// {
-	//   "algo": "sssp",
-	//   "epoch": 1,
-	//   "batches": 1,
-	//   "data": {
-	//     "src": 0,
-	//     "dist": [
-	//       0,
-	//       2,
-	//       4
-	//     ]
-	//   }
-	// }
+	// {"algo":"sssp","epoch":1,"batches":1,"data":{"src":0,"dist":[0,2,4]}}
 }

@@ -1,0 +1,397 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"incgraph/internal/bc"
+	"incgraph/internal/cc"
+	"incgraph/internal/dfs"
+	"incgraph/internal/graph"
+	"incgraph/internal/lcc"
+	"incgraph/internal/sim"
+	"incgraph/internal/sssp"
+	"incgraph/internal/wal"
+)
+
+// FuzzOps fuzzes operation sequences through the real stack: a durable
+// six-class service behind its HTTP handler, driven by a program of
+// 4-byte ops (opsRig.run), with Theorem 1 as the oracle after every step —
+// each published view equals the batch answer on a mirror graph that took
+// the same accepted updates, and the bytes served are encoding/json's of
+// that view. Updates are drawn from a boundary dictionary (opsBatch), so
+// the fuzzer spends its mutations on the order of operations, not on
+// finding the interesting edges.
+
+// opsNodes gives every per-node vector two pages, the second ragged, so
+// the ranges at 255/256/257 straddle a page boundary.
+const opsNodes = pageSize + 44
+
+// opsMaxSteps bounds one program; a longer input's tail is ignored.
+const opsMaxSteps = 48
+
+// The dictionary's node ids — both ends of the id space, both sides of the
+// page boundary — its weights, and the bounds a ?range= is drawn from (the
+// last is past |V|: a 400).
+var (
+	opsIDs     = []int64{0, 1, 2, 3, 5, pageSize - 2, pageSize - 1, pageSize, pageSize + 1, opsNodes - 2, opsNodes - 1}
+	opsWeights = []int64{0, 1, 7, graph.Infinity - 1}
+	opsBounds  = []int{0, 1, pageSize - 1, pageSize, pageSize + 1, opsNodes - 1, opsNodes, opsNodes + 1}
+)
+
+// opsClasses are the six hosted classes, each built over a graph of its
+// own as the daemon builds them.
+var opsClasses = []struct {
+	algo  string
+	build func(g *graph.Graph) Serveable
+}{
+	{"sssp", func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0), 0) }},
+	{"cc", func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) }},
+	{"sim", func(g *graph.Graph) Serveable { return Sim(sim.NewInc(g, opsPattern())) }},
+	{"dfs", func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) }},
+	{"lcc", func(g *graph.Graph) Serveable { return LCC(lcc.NewInc(g)) }},
+	{"bc", func(g *graph.Graph) Serveable { return BC(bc.NewInc(g)) }},
+}
+
+// opsBase is the graph every program starts from: undirected (LCC and BC
+// need that), labeled for sim, sparse enough that single edges matter.
+func opsBase() *graph.Graph {
+	g := graph.New(opsNodes, false)
+	rng := rand.New(rand.NewSource(5))
+	for v := 0; v < opsNodes; v++ {
+		g.SetLabel(graph.NodeID(v), graph.Label('a'+v%3))
+	}
+	for i := 0; i < opsNodes; i++ {
+		g.InsertEdge(graph.NodeID(rng.Intn(opsNodes)), graph.NodeID(rng.Intn(opsNodes)), int64(1+rng.Intn(8)))
+	}
+	return g
+}
+
+func opsPattern() *graph.Graph {
+	q := graph.New(3, true)
+	q.SetLabel(0, 'a')
+	q.SetLabel(1, 'b')
+	q.SetLabel(2, 'c')
+	q.InsertEdge(0, 1, 1)
+	q.InsertEdge(1, 2, 1)
+	q.InsertEdge(2, 0, 1) // cyclic: insertions need the timestamps (Example 6)
+	return q
+}
+
+// opsUpd is one line of a POST body, ids as the text carries them — wider
+// than NodeID, which is the point of the last two dictionary entries.
+type opsUpd struct {
+	del     bool
+	u, v, w int64
+}
+
+// opsBatch is the boundary dictionary: entry sel over the nodes u, v, t
+// and weight w. reject says the gate must answer 400 and apply nothing.
+func opsBatch(sel byte, u, v, t, w int64) (ups []opsUpd, reject bool) {
+	ins := func(a, b int64) opsUpd { return opsUpd{u: a, v: b, w: w} }
+	del := func(a, b int64) opsUpd { return opsUpd{del: true, u: a, v: b} }
+	switch sel % 15 {
+	case 0:
+		return []opsUpd{ins(u, v)}, false
+	case 1:
+		return []opsUpd{del(u, v)}, false
+	case 2: // self-loop: accepted, skipped by every graph
+		return []opsUpd{ins(u, u)}, false
+	case 3: // duplicate insert, the second at another weight
+		return []opsUpd{ins(u, v), {u: u, v: v, w: (w + 1) % 9}}, false
+	case 4: // whatever the graph held, the second delete is of an absent edge
+		return []opsUpd{del(u, v), del(v, u)}, false
+	case 5: // delete then reinsert in one batch: raw and netted batches differ
+		return []opsUpd{del(u, v), ins(u, v)}, false
+	case 6: // all churn
+		return []opsUpd{ins(u, v), del(u, v), ins(v, u), del(v, u)}, false
+	case 7: // two edges of a triangle
+		return []opsUpd{ins(u, v), ins(v, t)}, false
+	case 8: // all three
+		return []opsUpd{ins(u, v), ins(v, t), ins(t, u)}, false
+	case 9:
+		return []opsUpd{del(u, v), del(v, t), del(t, u)}, false
+	case 10:
+		return nil, false
+	case 11: // the last node
+		return []opsUpd{ins(u, opsNodes-1)}, false
+	case 12: // one past it
+		return []opsUpd{ins(u, opsNodes)}, true
+	case 13: // 2³¹: NodeID(…) of it is negative
+		return []opsUpd{ins(1<<31, u)}, true
+	default: // 2³² and 2³² + 5: NodeID(…) of them are nodes 0 and 5
+		return []opsUpd{ins(1<<32, 1<<32+5)}, true
+	}
+}
+
+// opsRig is one program's system under test and its oracle.
+type opsRig struct {
+	t      *testing.T
+	dir    string
+	mirror *graph.Graph // opsBase ⊕ every accepted update, in order
+	epoch  uint64       // raw updates accepted so far
+	svc    *Service
+	dur    *Durable
+	api    http.Handler
+	// prev is, per class with a written list, what the last check saw
+	// published and at which batch count; dropped at a recovery, which
+	// rebuilds the maintainers.
+	prev map[string]opsSeen
+}
+
+type opsSeen struct {
+	batches uint64
+	vals    []int64
+}
+
+// boot runs the daemon's start-up: load the newest checkpoint, restore,
+// replay the WAL tail, verify against a recompute (no divergence allowed),
+// host the six classes where the durable prefix left off.
+func (r *opsRig) boot() {
+	t := r.t
+	rec, err := LoadRecovery(r.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]Serveable{}
+	for _, c := range opsClasses {
+		g := opsBase()
+		if ra, ok := rec.Algos[c.algo]; ok {
+			g = ra.Graph
+		}
+		targets[c.algo] = c.build(g)
+		if err := rec.Restore(c.algo, targets[c.algo]); err != nil {
+			t.Fatalf("restore %s: %v", c.algo, err)
+		}
+	}
+	if _, err := rec.Replay(targets, nil); err != nil {
+		t.Fatal(err)
+	}
+	if div := VerifyRecovered(targets, nil); len(div) != 0 {
+		t.Fatalf("recovered state diverged from batch recompute: %v", div)
+	}
+	r.svc = NewService()
+	if r.dur, err = OpenDurable(r.svc, r.dir, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}}); err != nil {
+		t.Fatal(err)
+	}
+	for algo, m := range targets {
+		epoch, batches := rec.Base(algo)
+		if _, err := r.svc.Host(m, Options{BaseEpoch: epoch, BaseBatches: batches}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.api = r.svc.Handler()
+	r.prev = map[string]opsSeen{}
+}
+
+func (r *opsRig) shutdown() {
+	r.svc.Close()
+	r.dur.Close()
+}
+
+func (r *opsRig) do(method, url, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	r.api.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+	return rec
+}
+
+// get fetches url, which must answer the view v cut to rng: 200, a
+// Content-Length, and encoding/json's bytes of the view's plain mirror.
+func (r *opsRig) get(url string, v *View, rng *[2]int) {
+	rec := r.do(http.MethodGet, url, "")
+	want := referenceJSON(r.t, v, rng)
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) || !bytes.Equal(rec.Body.Bytes(), want) {
+		r.t.Fatalf("GET %s: status %d, Content-Length %q, body\n%s\nwant %d bytes\n%s", url, rec.Code, rec.Header().Get("Content-Length"), rec.Body, len(want), want)
+	}
+}
+
+// post sends one dictionary batch and, if the gate must accept it, applies
+// it to the mirror.
+func (r *opsRig) post(wait bool, arg [3]byte) {
+	u, v := opsIDs[int(arg[1])%len(opsIDs)], opsIDs[int(arg[2])%len(opsIDs)]
+	t := opsIDs[(int(arg[1])+int(arg[2])+1)%len(opsIDs)]
+	ups, reject := opsBatch(arg[0], u, v, t, opsWeights[int(arg[0])/15%len(opsWeights)])
+	var body strings.Builder
+	var batch graph.Batch
+	for _, up := range ups {
+		kind := graph.InsertEdge
+		if up.del {
+			kind = graph.DeleteEdge
+			fmt.Fprintf(&body, "- %d %d\n", up.u, up.v)
+		} else {
+			fmt.Fprintf(&body, "+ %d %d %d\n", up.u, up.v, up.w)
+		}
+		if !reject {
+			batch = append(batch, graph.Update{Kind: kind, From: graph.NodeID(up.u), To: graph.NodeID(up.v), W: up.w})
+		}
+	}
+	url := "/update"
+	if wait {
+		url += "?wait=1"
+	}
+	rec := r.do(http.MethodPost, url, body.String())
+	if reject {
+		if rec.Code != http.StatusBadRequest {
+			r.t.Fatalf("POST %q: status %d %s, want 400", body.String(), rec.Code, rec.Body)
+		}
+		return
+	}
+	var res UpdateResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); rec.Code != http.StatusOK || err != nil || res.Accepted != len(batch) || res.Applied != wait {
+		r.t.Fatalf("POST %s %q: status %d %s", url, body.String(), rec.Code, rec.Body)
+	}
+	r.mirror.Apply(batch)
+	r.epoch += uint64(len(batch))
+}
+
+// published flattens what a class with a written list publishes to one
+// vector indexed the way the list is: distances, labels, or sim's match
+// bits at v·|V_Q| + u. nil for the other classes.
+func published(data any) []int64 {
+	switch d := data.(type) {
+	case SSSPView:
+		return d.Dist.Slice()
+	case CCView:
+		return d.Labels.Slice()
+	case SimView:
+		bits := make([]int64, opsNodes*d.NQ)
+		for u, m := range d.Matches {
+			for _, v := range m.Slice() {
+				bits[int(v)*d.NQ+u] = 1
+			}
+		}
+		return bits
+	}
+	return nil
+}
+
+func writtenBy(m Serveable) []int32 {
+	switch s := m.(type) {
+	case *ssspServeable:
+		return s.inc.Written()
+	case *ccServeable:
+		return s.inc.Written()
+	case *simServeable:
+		return s.inc.Written()
+	}
+	return nil
+}
+
+// check is the oracle, run after every step.
+func (r *opsRig) check(step int) {
+	t := r.t
+	for _, c := range opsClasses {
+		h := r.svc.Get(c.algo)
+		// Through the apply loop: every accepted submission is applied
+		// first, and the maintainer may be read.
+		var written []int32
+		if err := h.WithState(func(m Serveable) error {
+			written = slices.Clone(writtenBy(m))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		v := h.View()
+		if v.Epoch != r.epoch || v.Degraded {
+			t.Fatalf("step %d %s: view at epoch %d (degraded %v), %d updates accepted", step, c.algo, v.Epoch, v.Degraded, r.epoch)
+		}
+		if want := c.build(r.mirror.Clone()).Snapshot(); !snapshotEqual(v.Data, want) {
+			got, _ := json.Marshal(v.Data)
+			exp, _ := json.Marshal(want)
+			t.Fatalf("step %d %s: view differs from the batch answer on the mirror graph: %s", step, c.algo, firstDiff(got, exp, exp))
+		}
+		r.get("/query/"+c.algo, v, nil)
+
+		cur := published(v.Data)
+		if cur == nil {
+			continue
+		}
+		if was, ok := r.prev[c.algo]; ok && v.Batches-was.batches == 1 {
+			for i := range cur {
+				if cur[i] != was.vals[i] && !slices.Contains(written, int32(i)) {
+					t.Fatalf("step %d %s: published entry %d went %d → %d and is not in Written() %v", step, c.algo, i, was.vals[i], cur[i], written)
+				}
+			}
+		}
+		r.prev[c.algo] = opsSeen{v.Batches, cur}
+	}
+}
+
+// run interprets prog, four bytes an op: the op and three arguments.
+func (r *opsRig) run(prog []byte) {
+	for step := 0; len(prog) > 0 && step < opsMaxSteps; step++ {
+		var arg [3]byte
+		op := prog[0]
+		prog = prog[1+copy(arg[:], prog[1:]):]
+		switch op % 8 {
+		case 0, 1, 2:
+			r.post(true, arg)
+		case 3:
+			r.post(false, arg)
+		case 4: // a ranged read, ?compact=1 (an unread parameter) on every other one
+			c := opsClasses[int(arg[0])%len(opsClasses)]
+			lo, hi := opsBounds[int(arg[1])%len(opsBounds)], opsBounds[int(arg[2])%len(opsBounds)]
+			lo, hi = min(lo, hi), max(lo, hi)
+			url := fmt.Sprintf("/query/%s?range=%d:%d", c.algo, lo, hi)
+			if arg[0]&0x80 != 0 {
+				url += "&compact=1"
+			}
+			if hi > opsNodes {
+				if rec := r.do(http.MethodGet, url, ""); rec.Code != http.StatusBadRequest {
+					r.t.Fatalf("GET %s: status %d, want 400", url, rec.Code)
+				}
+				break
+			}
+			// Nothing is in flight: the last step's check went through every apply loop.
+			r.get(url, r.svc.Get(c.algo).View(), &[2]int{lo, hi})
+		case 5: // compact every Flat where it stands
+			for _, h := range r.svc.Hosts() {
+				if err := h.WithState(func(m Serveable) error {
+					if fv, ok := m.(flatViewer); ok {
+						fv.Flat().Compact(m.Graph())
+					}
+					return nil
+				}); err != nil {
+					r.t.Fatal(err)
+				}
+			}
+		case 6:
+			if err := r.dur.Checkpoint(); err != nil {
+				r.t.Fatal(err)
+			}
+		case 7: // stop without a checkpoint, start from what is on disk
+			r.shutdown()
+			r.boot()
+		}
+		r.check(step)
+	}
+}
+
+func FuzzOps(f *testing.F) {
+	// One seed per dictionary entry at each weight, applied and taken back…
+	for sel := 0; sel < 60; sel++ {
+		f.Add([]byte{0, byte(sel), 1, 4, 1, byte(sel), 4, 1, 3, byte(sel), 2, 7})
+	}
+	// …and the ops around them: ranged reads on the page boundary, a
+	// compaction, a checkpoint, a recovery with and without a WAL tail.
+	f.Add([]byte{4, 0, 2, 3, 4, 0x81, 3, 4, 4, 2, 2, 2, 4, 3, 0, 7, 4, 5, 6, 7})
+	f.Add([]byte{0, 8, 0, 1, 5, 0, 0, 0, 0, 9, 0, 1, 4, 4, 0, 6})
+	f.Add([]byte{0, 7, 5, 6, 6, 0, 0, 0, 3, 5, 5, 6, 7, 0, 0, 0, 0, 1, 5, 6})
+	f.Add([]byte{3, 0, 9, 10, 3, 1, 9, 10, 3, 0, 9, 10, 7, 0, 0, 0, 7, 0, 0, 0})
+	f.Add([]byte{0, 45, 0, 7, 0, 45, 7, 3, 0, 52, 0, 7, 6, 0, 0, 0, 0, 1, 0, 7, 7, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		r := &opsRig{t: t, dir: t.TempDir(), mirror: opsBase()}
+		r.boot()
+		defer r.shutdown()
+		r.check(-1)
+		r.run(prog)
+	})
+}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,9 +21,8 @@ import (
 // Service is a set of named hosts behind one HTTP API:
 //
 //	POST /update[?algo=<name>][&wait=1]  body: batch text ("+ u v w" / "- u v [w]")
-//	GET  /query/{algo}[?compact=1][&range=lo:hi]
-//	                                     current snapshot view, JSON (compact: not indented;
-//	                                     range: per-node vectors cut to nodes lo ≤ v < hi)
+//	GET  /query/{algo}[?range=lo:hi]     current snapshot view, one line of JSON (range:
+//	                                     per-node vectors cut to nodes lo ≤ v < hi)
 //	GET  /stats                          per-host serving counters, JSON
 //	GET  /metrics                        Prometheus text exposition
 //	GET  /metrics.json                   registry snapshot with raw histogram buckets
@@ -34,9 +32,14 @@ import (
 //	GET  /debug/offenders[?algo=<name>]  worst-boundedness applies (top-K), JSON
 //	GET  /healthz                        liveness
 //
+// The control-plane answers (/stats, /debug/*, errors) are small and
+// indented for reading; a view is O(|V|) and has one form, json.Marshal's.
+//
 // An update with no algo parameter is broadcast to every host: each
 // maintainer owns a private copy of the graph, so the same ΔG must reach
 // all of them to keep their answers describing the same logical graph.
+// The same handler serves a warm replica behind shard.Standby's gate,
+// which answers /query from Host.WriteStale until promotion.
 //
 // POST /update participates in W3C trace context: an incoming
 // traceparent header's trace ID is propagated through the submission
@@ -340,12 +343,11 @@ func (h *Host) WriteStale(w http.ResponseWriter, r *http.Request) {
 // 500 rather than a truncated 200, every answer carries Content-Length,
 // and no page is encoded twice: one an apply replaced since the last read
 // inherited its predecessor's bytes (derivePage).
-// The bytes are what json.Encoder wrote for the same view: indented by
-// default, on one line under ?compact=1 (for machine readers — a shard
-// router fetches a view per shard per query — for which indenting an
-// O(|V|) vector triples the bytes on the wire). ?range=lo:hi cuts every
-// per-node vector to the nodes lo ≤ v < hi, reading only the pages the
-// range overlaps, and adds "range":[lo,hi] to the envelope.
+// The body is json.Marshal of the view plus a newline — the one wire form
+// of a view, whoever reads it (pipe it through jq to indent it).
+// ?range=lo:hi cuts every per-node vector to the nodes lo ≤ v < hi, reading
+// only the pages the range overlaps, and adds "range":[lo,hi] to the
+// envelope.
 func WriteQuery(w http.ResponseWriter, r *http.Request, v *View, numNodes int) (pagesEncoded int) {
 	q := r.URL.Query()
 	var rng *[2]int
@@ -360,9 +362,6 @@ func WriteQuery(w http.ResponseWriter, r *http.Request, v *View, numNodes int) (
 	bp := viewBufs.Get().(*[]byte)
 	defer viewBufs.Put(bp)
 	vw := viewWriter{b: (*bp)[:0]}
-	if q.Has("compact") {
-		vw.form = formCompact
-	}
 	err := vw.view(v, rng)
 	*bp = vw.b
 	switch {
@@ -402,33 +401,19 @@ var viewBufs = sync.Pool{New: func() any { return new([]byte) }}
 var errNoRange = errors.New("view has no per-node vectors to cut to a range")
 
 // viewWriter assembles one /query answer in b, byte for byte what
-// json.Encoder (with SetIndent("", "  ") in the indented form) writes
-// for the View. encoded counts the pages it had to encode rather than
-// copy from their cache.
+// json.Marshal writes for the View, plus a newline. encoded counts the
+// pages it had to encode rather than copy from their cache.
 type viewWriter struct {
 	b       []byte
-	form    wireForm // the zero value is the indented default
 	encoded int
 }
 
-// nl starts a line at nesting depth (indented form only).
-func (w *viewWriter) nl(depth int) {
-	if w.form == formIndent {
-		w.b = append(w.b, elemSep(formIndent, depth)[1:]...)
-	}
-}
-
-// key starts the object member name at depth; first is the object's
-// first member.
-func (w *viewWriter) key(depth int, first bool, name string) {
+// key starts an object member; first is the object's first member.
+func (w *viewWriter) key(first bool, name string) {
 	if !first {
 		w.b = append(w.b, ',')
 	}
-	w.nl(depth)
 	w.b = append(append(append(w.b, '"'), name...), `":`...)
-	if w.form == formIndent {
-		w.b = append(w.b, ' ')
-	}
 }
 
 func (w *viewWriter) view(v *View, rng *[2]int) error {
@@ -437,31 +422,26 @@ func (w *viewWriter) view(v *View, rng *[2]int) error {
 		return err
 	}
 	w.b = append(w.b, '{')
-	w.key(1, true, "algo")
+	w.key(true, "algo")
 	w.b = append(w.b, algo...)
-	w.key(1, false, "epoch")
+	w.key(false, "epoch")
 	w.b = strconv.AppendUint(w.b, v.Epoch, 10)
-	w.key(1, false, "batches")
+	w.key(false, "batches")
 	w.b = strconv.AppendUint(w.b, v.Batches, 10)
 	if v.Degraded {
-		w.key(1, false, "degraded")
+		w.key(false, "degraded")
 		w.b = append(w.b, "true"...)
 	}
 	if rng != nil {
-		w.key(1, false, "range")
+		w.key(false, "range")
 		w.b = append(w.b, '[')
-		w.nl(2)
 		w.b = append(strconv.AppendInt(w.b, int64(rng[0]), 10), ',')
-		w.nl(2)
-		w.b = strconv.AppendInt(w.b, int64(rng[1]), 10)
-		w.nl(1)
-		w.b = append(w.b, ']')
+		w.b = append(strconv.AppendInt(w.b, int64(rng[1]), 10), ']')
 	}
-	w.key(1, false, "data")
+	w.key(false, "data")
 	if err := w.data(v.Data, rng); err != nil {
 		return err
 	}
-	w.nl(0)
 	w.b = append(w.b, "}\n"...)
 	return nil
 }
@@ -476,16 +456,7 @@ func (w *viewWriter) data(d any, rng *[2]int) error {
 			return errNoRange
 		}
 		raw, err := json.Marshal(d)
-		if err != nil {
-			return err
-		}
-		if w.form == formCompact {
-			w.b = append(w.b, raw...)
-			return nil
-		}
-		buf := bytes.NewBuffer(w.b)
-		err = json.Indent(buf, raw, "  ", "  ")
-		w.b = buf.Bytes()
+		w.b = append(w.b, raw...)
 		return err
 	}
 	lo, hi := 0, math.MaxInt
@@ -494,59 +465,40 @@ func (w *viewWriter) data(d any, rng *[2]int) error {
 	}
 	w.b = append(w.b, '{')
 	for i, f := range pv.viewFields(lo, hi) {
-		w.key(2, i == 0, f.name)
+		w.key(i == 0, f.name)
 		switch {
 		case f.list != nil:
-			if err := w.vectors(f.list, 3); err != nil {
-				return err
+			w.b = append(w.b, '[')
+			for k, c := range f.list {
+				if k > 0 {
+					w.b = append(w.b, ',')
+				}
+				if err := w.vector(c); err != nil {
+					return err
+				}
 			}
+			w.b = append(w.b, ']')
 		case f.vec.v != nil:
-			if err := w.vector(f.vec, 3); err != nil {
+			if err := w.vector(f.vec); err != nil {
 				return err
 			}
 		default:
 			w.b = strconv.AppendInt(w.b, f.num, 10)
 		}
 	}
-	w.nl(1)
 	w.b = append(w.b, '}')
 	return nil
 }
 
-// vectors writes list as an array of arrays whose elements (the inner
-// arrays) sit at depth.
-func (w *viewWriter) vectors(list []cut, depth int) error {
-	if len(list) == 0 {
-		w.b = append(w.b, "[]"...)
-		return nil
-	}
-	w.b = append(w.b, '[')
-	for k, c := range list {
-		if k > 0 {
-			w.b = append(w.b, ',')
-		}
-		w.nl(depth)
-		if err := w.vector(c, depth+1); err != nil {
-			return err
-		}
-	}
-	w.nl(depth - 1)
-	w.b = append(w.b, ']')
-	return nil
-}
-
-// vector writes the cut c as an array whose elements sit at depth.
-func (w *viewWriter) vector(c cut, depth int) error {
+// vector writes the cut c as an array.
+func (w *viewWriter) vector(c cut) error {
 	if c.lo >= c.hi {
 		w.b = append(w.b, "[]"...)
 		return nil
 	}
 	w.b = append(w.b, '[')
-	w.nl(depth)
-	b, n, err := c.v.appendRange(w.b, w.form, depth, c.lo, c.hi)
-	w.b, w.encoded = b, w.encoded+n
-	w.nl(depth - 1)
-	w.b = append(w.b, ']')
+	b, n, err := c.v.appendRange(w.b, c.lo, c.hi)
+	w.b, w.encoded = append(b, ']'), w.encoded+n
 	return err
 }
 

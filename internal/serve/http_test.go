@@ -77,10 +77,11 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 }
 
-// TestHTTPQueryCompact: ?compact=1 is the same document without the
-// indentation, and the default stays indented.
+// TestHTTPQueryCompact: a view has one wire form — json.Marshal of it and
+// a newline — and ?compact=1, which used to select that form, is an unread
+// parameter: the bare route answers the same bytes.
 func TestHTTPQueryCompact(t *testing.T) {
-	_, ts := newTestService(t)
+	svc, ts := newTestService(t)
 	fetch := func(url string) []byte {
 		resp, err := http.Get(url)
 		if err != nil {
@@ -93,16 +94,18 @@ func TestHTTPQueryCompact(t *testing.T) {
 		}
 		return body
 	}
-	pretty, compact := fetch(ts.URL+"/query/sssp"), fetch(ts.URL+"/query/sssp?compact=1")
-	if !bytes.Contains(pretty, []byte("\n  ")) || bytes.Contains(bytes.TrimSpace(compact), []byte("\n")) {
-		t.Fatalf("default:\n%s\ncompact:\n%s", pretty, compact)
+	for _, path := range []string{"/query/sssp?", "/query/cc?", "/query/sssp?range=1:3&"} {
+		bare, compact := fetch(ts.URL+path), fetch(ts.URL+path+"compact=1")
+		if !bytes.Equal(bare, compact) {
+			t.Errorf("%s: bare route\n%s\nwith compact=1\n%s", path, bare, compact)
+		}
 	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, pretty); err != nil {
+	want, err := json.Marshal(svc.Get("sssp").View())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bytes.TrimSpace(compact); !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("compact view %s, want %s", got, want.Bytes())
+	if got := fetch(ts.URL + "/query/sssp"); !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("view %q, want json.Marshal's %q and a newline", got, want)
 	}
 }
 
@@ -185,6 +188,8 @@ func TestHTTPErrors(t *testing.T) {
 		{"weight MaxInt64 would wrap d+W", "/update", "+ 0 1 9223372036854775807\n", http.StatusBadRequest},
 		{"weight at Infinity", "/update", fmt.Sprintf("+ 0 1 %d\n", graph.Infinity), http.StatusBadRequest},
 		{"out of range", "/update", "+ 0 99 1\n", http.StatusBadRequest},
+		{"ids past 2^32 that alias nodes 0 and 5", "/update?wait=1", "+ 4294967296 4294967301 7\n", http.StatusBadRequest},
+		{"id 2^31", "/update?wait=1", "+ 2147483648 1 7\n", http.StatusBadRequest},
 		{"unknown target", "/update?algo=nope", "+ 0 1 1\n", http.StatusNotFound},
 	}
 	for _, tc := range cases {
@@ -235,19 +240,17 @@ func TestHTTPQueryEncodeFailureIs500(t *testing.T) {
 	if _, err := svc.Host(&unencodable{slowServeable{g: graph.New(2, false)}}, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{"", "?compact=1"} {
-		resp, err := http.Get(ts.URL + "/query/broken" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body map[string]string
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(body["error"], "unsupported type") {
-			t.Errorf("broken%s: status %d, body %v (%v); want 500 naming the unsupported type", q, resp.StatusCode, body, err)
-		}
+	resp, err := http.Get(ts.URL + "/query/broken")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, path := range []string{"/query/sssp", "/query/cc?compact=1", "/query/sssp?range=1:3"} {
+	var body map[string]string
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(body["error"], "unsupported type") {
+		t.Errorf("broken: status %d, body %v (%v); want 500 naming the unsupported type", resp.StatusCode, body, err)
+	}
+	for _, path := range []string{"/query/sssp", "/query/cc", "/query/sssp?range=1:3"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -287,15 +290,13 @@ func TestHTTPQueryRange(t *testing.T) {
 		q      string
 		lo, hi int
 	}{{"0:6", 0, 6}, {"1:3", 1, 3}, {"2:3", 2, 3}, {"4:4", 4, 4}, {"0:0", 0, 0}, {"6:6", 6, 6}, {"05:6", 5, 6}} {
-		for _, extra := range []string{"", "&compact=1"} {
-			var got rangedView
-			if code := getJSON(t, ts.URL+"/query/sssp?range="+tc.q+extra, &got); code != http.StatusOK {
-				t.Fatalf("range=%s: status %d", tc.q, code)
-			}
-			if got.Range == nil || *got.Range != [2]int{tc.lo, tc.hi} || got.Data.Src == nil || *got.Data.Src != 0 ||
-				!reflect.DeepEqual(got.Data.Dist, append([]int64{}, full.Data.Dist[tc.lo:tc.hi]...)) {
-				t.Errorf("range=%s%s: %+v, want dist %v", tc.q, extra, got, full.Data.Dist[tc.lo:tc.hi])
-			}
+		var got rangedView
+		if code := getJSON(t, ts.URL+"/query/sssp?range="+tc.q, &got); code != http.StatusOK {
+			t.Fatalf("range=%s: status %d", tc.q, code)
+		}
+		if got.Range == nil || *got.Range != [2]int{tc.lo, tc.hi} || got.Data.Src == nil || *got.Data.Src != 0 ||
+			!reflect.DeepEqual(got.Data.Dist, append([]int64{}, full.Data.Dist[tc.lo:tc.hi]...)) {
+			t.Errorf("range=%s: %+v, want dist %v", tc.q, got, full.Data.Dist[tc.lo:tc.hi])
 		}
 	}
 	var labels rangedView
@@ -340,7 +341,7 @@ func FuzzQueryRange(f *testing.F) {
 	full := svc.Get("cc").View().Data.(CCView).Labels.Slice()
 	f.Fuzz(func(t *testing.T, raw string) {
 		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query/cc?compact=1&range="+url.QueryEscape(raw), nil))
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query/cc?range="+url.QueryEscape(raw), nil))
 		switch rec.Code {
 		case http.StatusBadRequest:
 			lo, hi, ok := strings.Cut(raw, ":")

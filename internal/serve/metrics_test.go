@@ -150,18 +150,17 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if e := promValue(t, expo, `incgraph_view_pages_encoded_total{algo="`+algo+`"}`); e != 0 {
 			t.Errorf("%s pages encoded %g before any read", algo, e)
 		}
-		// The first GET encodes the page, the second finds it cached; the
-		// other wire form has a cache slot of its own.
-		for i, want := range []float64{1, 1, 2, 2} {
-			q := []string{"", "", "?compact=1", "?compact=1"}[i]
+		// The first GET encodes the page; the next ones find it cached,
+		// ?compact=1 (which used to name a second form) included.
+		for i, q := range []string{"", "", "?compact=1"} {
 			resp, err := http.Get(ts.URL + "/query/" + algo + q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if e := promValue(t, scrape(), `incgraph_view_pages_encoded_total{algo="`+algo+`"}`); e != want {
-				t.Errorf("%s pages encoded after GET %d (%q) = %g, want %g", algo, i+1, q, e, want)
+			if e := promValue(t, scrape(), `incgraph_view_pages_encoded_total{algo="`+algo+`"}`); e != 1 {
+				t.Errorf("%s pages encoded after GET %d (%q) = %g, want 1", algo, i+1, q, e)
 			}
 		}
 	}
@@ -174,13 +173,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 			}
 		}
 		if v := promValue(t, expo, `incgraph_view_entries_spliced_total{algo="`+algo+`"}`); v != 0 {
-			t.Errorf("%s entries spliced %g with no form read yet", algo, v)
+			t.Errorf("%s entries spliced %g before any read", algo, v)
 		}
 	}
-	// Both forms of both views are cached now. An update that changes both
-	// answers again (edge 1-2 comes back) replaces the page with one born
-	// cached: its changed entries are spliced into both forms, and reading
-	// it encodes nothing.
+	// Both views are cached now. An update that changes both answers again
+	// (edge 1-2 comes back) replaces the page with one born cached: its
+	// changed entries are spliced into the cached bytes, and reading it
+	// encodes nothing.
 	if code, body := postUpdate(t, ts.URL+"/update?wait=1", "+ 1 2 1\n"); code != http.StatusOK {
 		t.Fatalf("update status %d: %s", code, body)
 	}
@@ -189,21 +188,19 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("stats status %d", code)
 	}
 	for _, algo := range []string{"cc", "sssp"} {
-		for _, q := range []string{"", "?compact=1"} {
-			resp, err := http.Get(ts.URL + "/query/" + algo + q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+		resp, err := http.Get(ts.URL + "/query/" + algo)
+		if err != nil {
+			t.Fatal(err)
 		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 		expo := scrape()
-		if e := promValue(t, expo, `incgraph_view_pages_encoded_total{algo="`+algo+`"}`); e != 2 {
-			t.Errorf("%s pages encoded %g after reading a page born cached, want the 2 of before", algo, e)
+		if e := promValue(t, expo, `incgraph_view_pages_encoded_total{algo="`+algo+`"}`); e != 1 {
+			t.Errorf("%s pages encoded %g after reading a page born cached, want the 1 of before", algo, e)
 		}
 		spliced := promValue(t, expo, `incgraph_view_entries_spliced_total{algo="`+algo+`"}`)
-		if spliced <= 0 || spliced > 12 || int(spliced)%2 != 0 || uint64(spliced) != stats[algo].EntriesSpliced {
-			t.Errorf("%s entries spliced %g (stats: %d), want the changed entries of one 6-entry page, once per form", algo, spliced, stats[algo].EntriesSpliced)
+		if spliced <= 0 || spliced > 6 || uint64(spliced) != stats[algo].EntriesSpliced {
+			t.Errorf("%s entries spliced %g (stats: %d), want the changed entries of one 6-entry page", algo, spliced, stats[algo].EntriesSpliced)
 		}
 	}
 	// /debug/boundedness reports the serving layer's ratio beside the

@@ -15,7 +15,7 @@ import (
 // Chosen by measurement on the repository benchmark's trickle workload
 // (|V| = 100,000, a dozen scattered entries change per apply; see
 // EXPERIMENTS.md, "View publication and paged reads"): at 256 one publish
-// copies a few 2 KiB pages and, per wire form somebody reads, their ~3 KB
+// copies a few 2 KiB pages and, once somebody has read them, their ~1 KB
 // of encoded bytes. Halving it doubles the page table and, once replaced
 // pages inherit their encoded bytes (derivePage), no longer speeds up
 // reads; doubling it doubles the bytes copied per apply.
@@ -40,43 +40,29 @@ type PageElem interface {
 	int32 | int64 | float64 | bool | graph.NodeID
 }
 
-// wireForm selects one of the two encodings GET /query/{algo} answers
-// in; a page caches its bytes once per form.
-type wireForm int
-
-const (
-	formIndent  wireForm = iota // two-space indented, the default answer
-	formCompact                 // ?compact=1 and json.Marshal
-	numForms
-)
-
-// encodedPage is a page's elements in one wire form: separated, with no
-// enclosing brackets, so whole pages concatenate into an array body.
+// encodedPage is a page's elements as json.Marshal writes them: comma-
+// separated, with no enclosing brackets, so whole pages concatenate into
+// an array body.
 type encodedPage struct {
-	// depth is the nesting depth the indented form was produced for (the
-	// separator carries the indentation); 0 in the compact form.
-	depth int
-	b     []byte
-	// end[i] is the offset in b just past entry i's value (the separator,
-	// if any, follows): what lets a page copied from this one keep the
-	// bytes of the entries it did not change. A page's bytes stay far
-	// below 64 KiB: 256 entries of at most 24 digits and a 17-byte
-	// separator.
+	b []byte
+	// end[i] is the offset in b just past entry i's value (the comma, if
+	// any, follows): what lets a page copied from this one keep the bytes
+	// of the entries it did not change. A page's bytes stay far below
+	// 64 KiB: 256 entries of at most 24 digits and a comma.
 	end []uint16
 }
 
 // page is the unit of sharing and of encoding. A page is written only
 // while its vector is being built; once the vector is returned nobody
 // modifies vals again, which is what lets any number of epochs and
-// readers hold the same page. enc is the one mutable part: a cache slot
-// per wire form, filled by whichever reader first needs the page in that
-// form (racing readers store identical bytes) and garbage with the page.
-// A page that replaces another starts with the slots its predecessor had
-// filled (derivePage).
+// readers hold the same page. enc is the one mutable part: the cache of
+// the page's encoded bytes, filled by whichever reader first needs them
+// (racing readers store identical bytes) and garbage with the page. A page
+// that replaces one already read starts with it filled (derivePage).
 type page[T PageElem] struct {
-	enc     [numForms]atomic.Pointer[encodedPage]
+	enc     atomic.Pointer[encodedPage]
 	n       int // entries in use; pageSize except in a vector's last page
-	spliced int // entries derivePage re-encoded to fill enc, over all forms
+	spliced int // entries derivePage re-encoded to fill enc
 	vals    [pageSize]T
 }
 
@@ -89,47 +75,38 @@ func newPage[T PageElem](src []T) *page[T] {
 }
 
 // derivePage builds the page that replaces old with src as its content,
-// born cached: for every wire form old holds encoded it gets the same
+// born cached: if old holds its encoded bytes the new page gets the same
 // bytes with only the entries that differ re-encoded — the unchanged runs
 // are copied, so the result is what a cold encode of src produces, at the
-// cost of a ~3 KB copy instead of 256 integer formats, and a reader never
-// meets a page cold just because an apply touched it. A form nobody read
-// on old stays empty; old itself is not retained.
+// cost of a ~1 KB copy instead of 256 integer formats, and a reader never
+// meets a page cold just because an apply touched it. A page nobody read
+// leaves its successor cold too; old itself is not retained.
 func derivePage[T PageElem](old *page[T], src []T) *page[T] {
 	pg := newPage(src)
-	if old.n != pg.n {
-		return pg // the last page of a vector whose length changed
+	was := old.enc.Load()
+	if was == nil || old.n != pg.n { // never read, or the last page of a vector whose length changed
+		return pg
 	}
 	var buf [pageSize]int
-	var changed []int // found once, when the first cached form needs it
-	for f := range pg.enc {
-		was := old.enc[f].Load()
-		if was == nil {
-			continue
-		}
-		if changed == nil {
-			changed = changedEntries(old.vals[:old.n], src, buf[:0])
-		}
-		sep := elemSep(wireForm(f), was.depth)
-		var enc *encodedPage
-		if 2*len(changed) > pg.n { // mostly new values: encoding them all costs less than splicing each
-			enc, _ = encodePage(src, was.depth, sep)
-		} else {
-			enc = splice(was, src, changed, len(sep))
-		}
-		if enc != nil {
-			pg.enc[f].Store(enc)
-			pg.spliced += len(changed)
-		}
+	changed := changedEntries(old.vals[:old.n], src, buf[:0])
+	var enc *encodedPage
+	if 2*len(changed) > pg.n { // mostly new values: encoding them all costs less than splicing each
+		enc, _ = encodePage(src)
+	} else {
+		enc = splice(was, src, changed)
+	}
+	if enc != nil {
+		pg.enc.Store(enc)
+		pg.spliced = len(changed)
 	}
 	return pg
 }
 
-// encodePage encodes vals, a page's entries, separated by sep.
-func encodePage[T PageElem](vals []T, depth int, sep string) (*encodedPage, error) {
-	enc := &encodedPage{depth: depth, end: make([]uint16, len(vals))}
+// encodePage encodes vals, a page's entries.
+func encodePage[T PageElem](vals []T) (*encodedPage, error) {
+	enc := &encodedPage{end: make([]uint16, len(vals))}
 	var err error
-	if enc.b, err = appendElems(make([]byte, 0, (len(sep)+6)*len(vals)), vals, sep, enc.end); err != nil {
+	if enc.b, err = appendElems(make([]byte, 0, 7*len(vals)), vals, enc.end); err != nil {
 		return nil, err
 	}
 	return enc, nil
@@ -162,16 +139,15 @@ func changedEntries[T PageElem](old, cur []T, changed []int) []int {
 }
 
 // splice returns e with the entries at the ascending indices changed
-// re-encoded from vals and everything else copied (sep is the length of
-// e's separator); nil when a new value cannot be encoded (a NaN), which
-// leaves the error to the reader.
-func splice[T PageElem](e *encodedPage, vals []T, changed []int, sep int) *encodedPage {
-	d := &encodedPage{depth: e.depth, b: make([]byte, 0, len(e.b)+2*len(changed)), end: make([]uint16, len(e.end))}
+// re-encoded from vals and everything else copied; nil when a new value
+// cannot be encoded (a NaN), which leaves the error to the reader.
+func splice[T PageElem](e *encodedPage, vals []T, changed []int) *encodedPage {
+	d := &encodedPage{b: make([]byte, 0, len(e.b)+2*len(changed)), end: make([]uint16, len(e.end))}
 	from, at := 0, 0 // e.b[from:] is still to copy; d.end[:at] is final
 	for _, i := range changed {
 		start := 0
 		if i > 0 {
-			start = int(e.end[i-1]) + sep
+			start = int(e.end[i-1]) + 1 // past the comma
 		}
 		shift := len(d.b) - from // what the entries copied since the last splice moved by
 		d.b = append(d.b, e.b[from:start]...)
@@ -179,7 +155,7 @@ func splice[T PageElem](e *encodedPage, vals []T, changed []int, sep int) *encod
 			d.end[at] = uint16(int(e.end[at]) + shift)
 		}
 		var err error
-		if d.b, err = appendElems(d.b, vals[i:i+1], "", nil); err != nil {
+		if d.b, err = appendElems(d.b, vals[i:i+1], nil); err != nil {
 			return nil
 		}
 		d.end[i], at, from = uint16(len(d.b)), i+1, int(e.end[i])
@@ -323,26 +299,11 @@ func (p Paged[T]) costSince(prev pagedVec) publishCost {
 	return c
 }
 
-// elemSep is what separates two array elements in form f at nesting
-// depth: a comma, and in the indented form the line break and
-// indentation json.Encoder's SetIndent("", "  ") would put there.
-func elemSep(f wireForm, depth int) string {
-	const indented = ",\n                " // deep enough for any view: vectors nest 3 or 4 levels
-	if f == formCompact {
-		return ","
-	}
-	return indented[:2+2*depth]
-}
-
-// appendRange appends entries [lo, hi) to b as array elements in form f
-// (no brackets), taking every page the range covers whole from its cache
-// and filling the cache where it is empty. encoded counts the pages that
-// had to be encoded from scratch.
-func (p Paged[T]) appendRange(b []byte, f wireForm, depth, lo, hi int) (_ []byte, encoded int, err error) {
-	sep := elemSep(f, depth)
-	if f == formCompact {
-		depth = 0
-	}
+// appendRange appends entries [lo, hi) to b as array elements (no
+// brackets), taking every page the range covers whole from its cache and
+// filling the cache where it is empty. encoded counts the pages that had to
+// be encoded from scratch.
+func (p Paged[T]) appendRange(b []byte, lo, hi int) (_ []byte, encoded int, err error) {
 	first, start := lo>>pageShift, len(b)
 	for k := first; k<<pageShift < hi; k++ {
 		pg, base := p.page(k), k<<pageShift
@@ -354,33 +315,32 @@ func (p Paged[T]) appendRange(b []byte, f wireForm, depth, lo, hi int) (_ []byte
 			b = slices.Grow(b, ((len(b)-start)/(base-lo)+1)*(hi-base))
 		}
 		if base > lo {
-			b = append(b, sep...)
+			b = append(b, ',')
 		}
 		if from > 0 || to < pg.n { // a range's ragged edge: encoded, not cached
 			encoded++
-			if b, err = appendElems(b, pg.vals[from:to], sep, nil); err != nil {
+			if b, err = appendElems(b, pg.vals[from:to], nil); err != nil {
 				return b, encoded, err
 			}
 			continue
 		}
-		enc := pg.enc[f].Load()
-		if enc == nil || enc.depth != depth {
+		enc := pg.enc.Load()
+		if enc == nil {
 			encoded++
-			if enc, err = encodePage(pg.vals[:pg.n], depth, sep); err != nil {
+			if enc, err = encodePage(pg.vals[:pg.n]); err != nil {
 				return b, encoded, err
 			}
-			pg.enc[f].Store(enc)
+			pg.enc.Store(enc)
 		}
 		b = append(b, enc.b...)
 	}
 	return b, encoded, nil
 }
 
-// MarshalJSON encodes the vector as a JSON array, from the pages'
-// compact cache.
+// MarshalJSON encodes the vector as a JSON array, from the pages' cache.
 func (p Paged[T]) MarshalJSON() ([]byte, error) {
 	b := append(make([]byte, 0, 2+4*p.n), '[')
-	b, _, err := p.appendRange(b, formCompact, 0, 0, p.n)
+	b, _, err := p.appendRange(b, 0, p.n)
 	if err != nil {
 		return nil, err
 	}
@@ -397,22 +357,22 @@ func (p *Paged[T]) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// appendElems appends vals as JSON values separated by sep, each exactly
-// as encoding/json writes it. A non-nil end, one slot per value, receives
-// the offset just past each value, counted from where the first began.
-func appendElems[T PageElem](b []byte, vals []T, sep string, end []uint16) ([]byte, error) {
+// appendElems appends vals as comma-separated JSON values, each exactly as
+// encoding/json writes it. A non-nil end, one slot per value, receives the
+// offset just past each value, counted from where the first began.
+func appendElems[T PageElem](b []byte, vals []T, end []uint16) ([]byte, error) {
 	switch v := any(vals).(type) {
 	case []int64:
-		return appendInts(b, v, sep, end), nil
+		return appendInts(b, v, end), nil
 	case []int32:
-		return appendInts(b, v, sep, end), nil
+		return appendInts(b, v, end), nil
 	case []graph.NodeID:
-		return appendInts(b, v, sep, end), nil
+		return appendInts(b, v, end), nil
 	case []bool:
 		start := len(b)
 		for i, x := range v {
 			if i > 0 {
-				b = append(b, sep...)
+				b = append(b, ',')
 			}
 			b = strconv.AppendBool(b, x)
 			if end != nil {
@@ -424,7 +384,7 @@ func appendElems[T PageElem](b []byte, vals []T, sep string, end []uint16) ([]by
 		start := len(b)
 		for i, x := range v {
 			if i > 0 {
-				b = append(b, sep...)
+				b = append(b, ',')
 			}
 			var err error
 			if b, err = appendFloat(b, x); err != nil {
@@ -439,18 +399,18 @@ func appendElems[T PageElem](b []byte, vals []T, sep string, end []uint16) ([]by
 	panic("unreachable: PageElem lists the cases above")
 }
 
-// AppendInts appends vals in decimal, separated by sep — the one
-// integer-vector encoder behind both the daemon's view pages and the
-// router's merged answer (sep "," writes a compact JSON array body).
-func AppendInts[T ~int32 | ~int64](b []byte, vals []T, sep string) []byte {
-	return appendInts(b, vals, sep, nil)
+// AppendInts appends vals in decimal, comma-separated (a JSON array body)
+// — the one integer-vector encoder behind both the daemon's view pages and
+// the router's merged answer.
+func AppendInts[T ~int32 | ~int64](b []byte, vals []T) []byte {
+	return appendInts(b, vals, nil)
 }
 
-func appendInts[T ~int32 | ~int64](b []byte, vals []T, sep string, end []uint16) []byte {
+func appendInts[T ~int32 | ~int64](b []byte, vals []T, end []uint16) []byte {
 	start := len(b)
 	for i, x := range vals {
 		if i > 0 {
-			b = append(b, sep...)
+			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, int64(x), 10)
 		if end != nil {
@@ -485,7 +445,7 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 type pagedVec interface {
 	Len() int
 	numPages() int
-	appendRange(b []byte, f wireForm, depth, lo, hi int) ([]byte, int, error)
+	appendRange(b []byte, lo, hi int) ([]byte, int, error)
 	costSince(prev pagedVec) publishCost
 }
 

@@ -96,27 +96,18 @@ func plainData(t testing.TB, data any, lo, hi int) any {
 	return nil
 }
 
-// referenceJSON is what json.Encoder writes for v (cut to rng) in each
-// wire form, indexed by wireForm.
-func referenceJSON(t testing.TB, v *View, rng *[2]int) [numForms][]byte {
+// referenceJSON is the wire form of v (cut to rng): json.Marshal of its
+// plain mirror and a newline.
+func referenceJSON(t testing.TB, v *View, rng *[2]int) []byte {
 	lo, hi := 0, math.MaxInt
 	if rng != nil {
 		lo, hi = rng[0], rng[1]
 	}
-	env := plainEnvelope{v.Algo, v.Epoch, v.Batches, v.Degraded, rng, plainData(t, v.Data, lo, hi)}
-	var out [numForms][]byte
-	for f := range out {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		if wireForm(f) == formIndent {
-			enc.SetIndent("", "  ")
-		}
-		if err := enc.Encode(env); err != nil {
-			t.Fatal(err)
-		}
-		out[f] = buf.Bytes()
+	out, err := json.Marshal(plainEnvelope{v.Algo, v.Epoch, v.Batches, v.Degraded, rng, plainData(t, v.Data, lo, hi)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return append(out, '\n')
 }
 
 // The boundary dictionaries the generated vectors draw from besides
@@ -190,11 +181,11 @@ func genViews(rng *rand.Rand, n int) []any {
 }
 
 // TestViewWriterMatchesEncodingJSON is the wire-format property: for all
-// six view types, in both forms, whole and cut to a range, the handler's
-// writer produces json.Encoder's bytes — first from cold pages, then
-// again from the caches the first pass filled — and json.Marshal of the
-// view (the oracle's, the followers' and the benchmark's path) produces
-// json.Marshal's bytes of the plain mirror.
+// six view types, whole and cut to a range, the handler's writer produces
+// json.Marshal's bytes of the plain mirror and a newline — first from cold
+// pages, then again from the caches the first pass filled — and so, less
+// the newline, does json.Marshal of the view itself (the oracle's, the
+// followers' and the benchmark's path).
 func TestViewWriterMatchesEncodingJSON(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -206,21 +197,19 @@ func TestViewWriterMatchesEncodingJSON(t *testing.T) {
 			for _, r := range []*[2]int{nil, cut, {0, 0}, {n, n}, {0, n}} {
 				want := referenceJSON(t, v, r)
 				for pass := 0; pass < 2; pass++ {
-					for f := range want {
-						w := viewWriter{form: wireForm(f)}
-						if err := w.view(v, r); err != nil {
-							t.Errorf("seed %d %T range %v: %v", seed, data, r, err)
-							return false
-						}
-						if !bytes.Equal(w.b, want[f]) {
-							t.Errorf("seed %d %T n=%d range %v form %d pass %d:\ngot  %q\nwant %q", seed, data, n, r, f, pass, w.b, want[f])
-							return false
-						}
+					var w viewWriter
+					if err := w.view(v, r); err != nil {
+						t.Errorf("seed %d %T range %v: %v", seed, data, r, err)
+						return false
+					}
+					if !bytes.Equal(w.b, want) {
+						t.Errorf("seed %d %T n=%d range %v pass %d:\ngot  %q\nwant %q", seed, data, n, r, pass, w.b, want)
+						return false
 					}
 				}
 			}
 			got, err := json.Marshal(v)
-			want, _ := json.Marshal(plainEnvelope{v.Algo, v.Epoch, v.Batches, v.Degraded, nil, plainData(t, data, 0, math.MaxInt)})
+			want := bytes.TrimSuffix(referenceJSON(t, v, nil), []byte("\n"))
 			if err != nil || !bytes.Equal(got, want) {
 				t.Errorf("seed %d %T: json.Marshal(view) = %q, %v; want %q", seed, data, got, err, want)
 				return false
@@ -240,28 +229,22 @@ func TestViewWriterMatchesEncodingJSON(t *testing.T) {
 
 // TestViewWriterForeignData: a Serveable outside this package may
 // snapshot anything; the writer falls back to encoding/json for the data
-// and still matches json.Encoder on the envelope.
+// and still matches json.Marshal on the envelope.
 func TestViewWriterForeignData(t *testing.T) {
 	for _, data := range []any{
 		map[string]any{"b": []int{1, 2}, "a": map[string]int{}, "c": []int{}},
 		struct{}{}, nil, 7, "s", []string{"<"},
 	} {
 		v := &View{Algo: "foreign", Epoch: 3, Batches: 2, Data: data}
-		for f := wireForm(0); f < numForms; f++ {
-			var want bytes.Buffer
-			enc := json.NewEncoder(&want)
-			if f == formIndent {
-				enc.SetIndent("", "  ")
-			}
-			if err := enc.Encode(v); err != nil {
-				t.Fatal(err)
-			}
-			w := viewWriter{form: f}
-			if err := w.view(v, nil); err != nil || !bytes.Equal(w.b, want.Bytes()) {
-				t.Errorf("%T form %d: %v\ngot  %q\nwant %q", data, f, err, w.b, want.Bytes())
-			}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
 		}
-		w := viewWriter{}
+		var w viewWriter
+		if err := w.view(v, nil); err != nil || !bytes.Equal(w.b, append(want, '\n')) {
+			t.Errorf("%T: %v\ngot  %q\nwant %q", data, err, w.b, want)
+		}
+		w = viewWriter{}
 		if err := w.view(v, &[2]int{0, 0}); err != errNoRange {
 			t.Errorf("%T with a range: err %v, want errNoRange", data, err)
 		}
@@ -456,23 +439,19 @@ func updatedView(rng *rand.Rand, data any, mode writtenMode, grow int) (next, co
 }
 
 // checkDerived is the born-cached property for one view: prev is read
-// cold in the forms of the bit set read, every vector is updated, and the
-// successor must then write, in both forms, json.Encoder's bytes — which
-// are also what the same values write from pages nobody has read. In a
-// form prev was read in, no page may need encoding (the replaced pages
-// were born cached); in a form it was not, every page must (nothing is
-// derived for a form nobody reads). The check then repeats on the
-// successor, twice: a page derived from a derived page is spliced at the
-// offsets the first splice wrote, and the check itself has by then read
-// both forms.
-func checkDerived(t testing.TB, rng *rand.Rand, data any, read int, mode writtenMode, grow int) error {
-	prev := &View{Algo: "d", Data: data}
-	for f := wireForm(0); f < numForms; f++ {
-		if read>>f&1 == 1 {
-			w := viewWriter{form: f}
-			if err := w.view(prev, nil); err != nil {
-				return err
-			}
+// cold if read says so, every vector is updated, and the successor must
+// then write json.Marshal's bytes — which are also what the same values
+// write from pages nobody has read. If prev was read, no page may need
+// encoding (the replaced pages were born cached); if it was not, every
+// page must (nothing is derived for a page nobody read). The check then
+// repeats on the successor, twice: a page derived from a derived page is
+// spliced at the offsets the first splice wrote, and the check itself has
+// by then read the view.
+func checkDerived(t testing.TB, rng *rand.Rand, data any, read bool, mode writtenMode, grow int) error {
+	if read {
+		var w viewWriter
+		if err := w.view(&View{Algo: "d", Data: data}, nil); err != nil {
+			return err
 		}
 	}
 	for round := 0; round < 3; round++ {
@@ -480,25 +459,23 @@ func checkDerived(t testing.TB, rng *rand.Rand, data any, read int, mode written
 		next, cold := &View{Algo: "d", Epoch: 1, Data: nextData}, &View{Algo: "d", Epoch: 1, Data: coldData}
 		want := referenceJSON(t, next, nil)
 		total := publishDelta(nil, nextData).total
-		for f := wireForm(0); f < numForms; f++ {
-			w, c := viewWriter{form: f}, viewWriter{form: f}
-			if err := w.view(next, nil); err != nil {
-				return err
-			}
-			if err := c.view(cold, nil); err != nil {
-				return err
-			}
-			if !bytes.Equal(w.b, want[f]) || !bytes.Equal(c.b, want[f]) {
-				return fmt.Errorf("%T form %d read %b mode %d grow %d round %d: %s", data, f, read, mode, grow, round, firstDiff(w.b, c.b, want[f]))
-			}
-			switch {
-			case read>>f&1 == 0 && w.encoded != total:
-				return fmt.Errorf("%T form %d, never read before the update: %d of %d pages encoded, so some page carried a cache", data, f, w.encoded, total)
-			case read>>f&1 == 1 && grow == 0 && w.encoded != 0:
-				return fmt.Errorf("%T form %d round %d, read before the update: %d pages were not born cached", data, f, round, w.encoded)
-			}
+		var w, c viewWriter
+		if err := w.view(next, nil); err != nil {
+			return err
 		}
-		data, read, grow = nextData, 1<<numForms-1, 0
+		if err := c.view(cold, nil); err != nil {
+			return err
+		}
+		if !bytes.Equal(w.b, want) || !bytes.Equal(c.b, want) {
+			return fmt.Errorf("%T read %v mode %d grow %d round %d: %s", data, read, mode, grow, round, firstDiff(w.b, c.b, want))
+		}
+		switch {
+		case !read && w.encoded != total:
+			return fmt.Errorf("%T, never read before the update: %d of %d pages encoded, so some page carried a cache", data, w.encoded, total)
+		case read && grow == 0 && w.encoded != 0:
+			return fmt.Errorf("%T round %d, read before the update: %d pages were not born cached", data, round, w.encoded)
+		}
+		data, read, grow = nextData, true, 0
 	}
 	return nil
 }
@@ -516,8 +493,8 @@ func firstDiff(derived, cold, want []byte) string {
 
 // TestDerivedPageMatchesColdEncode runs checkDerived over all six view
 // types (all five element types; sim's lists nest a level deeper) at the
-// boundary lengths and random ones, for every combination of forms read
-// and every way of telling Update what changed, with and without a length
+// boundary lengths and random ones, read before the update and not, for
+// every way of telling Update what changed, with and without a length
 // change.
 func TestDerivedPageMatchesColdEncode(t *testing.T) {
 	check := func(seed int64) bool {
@@ -528,7 +505,7 @@ func TestDerivedPageMatchesColdEncode(t *testing.T) {
 		}
 		grow := []int{0, 0, 0, 3, -3, pageSize}[rng.Intn(6)]
 		for _, data := range genViews(rng, n) {
-			if err := checkDerived(t, rng, data, rng.Intn(1<<numForms), writtenMode(rng.Intn(int(numWrittenModes))), grow); err != nil {
+			if err := checkDerived(t, rng, data, rng.Intn(2) == 0, writtenMode(rng.Intn(int(numWrittenModes))), grow); err != nil {
 				t.Errorf("seed %d n=%d: %v", seed, n, err)
 				return false
 			}
@@ -561,22 +538,18 @@ func TestDerivedPageWidthChanges(t *testing.T) {
 				cur := slices.Clone(prev)
 				cur[at] = step[1]
 				p := pagedOf(prev)
-				for f := wireForm(0); f < numForms; f++ {
-					if _, _, err := p.appendRange(nil, f, 3, 0, n); err != nil {
-						t.Fatal(err)
-					}
+				if _, _, err := p.appendRange(nil, 0, n); err != nil {
+					t.Fatal(err)
 				}
 				q := p.Update(cur, []int32{int32(at)})
 				// A second update on top of the derived page reads the offsets
 				// the first one wrote.
 				cur[n-1-at%2] += 1000
 				r := q.Update(cur, nil)
-				for f := wireForm(0); f < numForms; f++ {
-					got, encoded, _ := r.appendRange(nil, f, 3, 0, n)
-					want, _, _ := pagedOf(cur).appendRange(nil, f, 3, 0, n)
-					if !bytes.Equal(got, want) || encoded != 0 {
-						t.Fatalf("n=%d %d→%d at %d form %d: %d pages encoded; %s", n, step[0], step[1], at, f, encoded, firstDiff(got, want, want))
-					}
+				got, encoded, _ := r.appendRange(nil, 0, n)
+				want, _, _ := pagedOf(cur).appendRange(nil, 0, n)
+				if !bytes.Equal(got, want) || encoded != 0 {
+					t.Fatalf("n=%d %d→%d at %d: %d pages encoded; %s", n, step[0], step[1], at, encoded, firstDiff(got, want, want))
 				}
 				if c := r.costSince(p); c.spliced == 0 {
 					t.Fatalf("n=%d at %d: nothing counted as spliced: %+v", n, at, c)
@@ -593,20 +566,20 @@ func TestDerivedPageWidthChanges(t *testing.T) {
 func TestDerivedPageCatchesMissedShift(t *testing.T) {
 	prev := []int64{9, 1, 2, 3, 4, 5}
 	p := pagedOf(prev)
-	if _, _, err := p.appendRange(nil, formCompact, 0, 0, len(prev)); err != nil {
+	if _, _, err := p.appendRange(nil, 0, len(prev)); err != nil {
 		t.Fatal(err)
 	}
 	cur := slices.Clone(prev)
 	cur[0] = 10
 	q := p.Update(cur, []int32{0})
-	good := q.page(0).enc[formCompact].Load()
+	good := q.page(0).enc.Load()
 	if string(good.b) != "10,1,2,3,4,5" {
 		t.Fatalf("derived bytes %q", good.b)
 	}
 	// The mutant: same bytes, the offsets of before the width change.
-	q.page(0).enc[formCompact].Store(&encodedPage{depth: good.depth, b: good.b, end: p.page(0).enc[formCompact].Load().end})
+	q.page(0).enc.Store(&encodedPage{b: good.b, end: p.page(0).enc.Load().end})
 	cur[4] = 77
-	got, _, _ := q.Update(cur, []int32{4}).appendRange(nil, formCompact, 0, 0, len(cur))
+	got, _, _ := q.Update(cur, []int32{4}).appendRange(nil, 0, len(cur))
 	if want := "10,1,2,3,77,5"; string(got) == want {
 		t.Fatalf("unshifted offsets still spliced to %q: the comparison cannot see a missed shift", got)
 	}

@@ -77,8 +77,8 @@ type Serveable interface {
 
 // ApplyResult is what a maintainer reports back from one Apply call: the
 // affected-area measure the paper's boundedness analysis is about, plus
-// — for maintainers built on the fixpoint engine — the per-apply delta
-// of the engine's cost counters (reads, pops, the h/resume time split of
+// — for maintainers that keep fixpoint.Stats — the per-apply delta of
+// their cost counters (reads, pops, the h/resume time split of
 // Exp-2(2)). Adapters must report the delta attributable to this Apply,
 // not the maintainer's cumulative totals.
 type ApplyResult struct {
@@ -87,16 +87,16 @@ type ApplyResult struct {
 	// Stats is the per-apply fixpoint counter delta; meaningful only when
 	// HasStats is set.
 	Stats fixpoint.Stats
-	// HasStats reports whether the maintainer exposes fixpoint counters.
-	// DFS, LCC, and BC use specialized repair machinery without the
-	// generic engine and report only Affected.
+	// HasStats reports whether the maintainer exposes fixpoint counters:
+	// SSSP, CC, Sim and LCC do; DFS and BC repair with specialized
+	// machinery that counts nothing and report only Affected.
 	HasStats bool
 	// Ledger is the per-apply work ledger: |ΔG|, |CHANGED|, |AFF|, ‖AFF‖,
 	// rounds, and the recompute estimate Theorem 3's boundedness quotient
-	// is computed from. Engine-based adapters report the engine's ledger
-	// delta with Delta and RecomputeEst filled in; the specialized classes
-	// (DFS, LCC, BC) synthesize one from their affected-area measure.
-	// Meaningful only when HasLedger is set.
+	// is computed from. SSSP, CC, Sim and LCC report their own ledger's
+	// delta with Delta and RecomputeEst filled in; DFS and BC synthesize
+	// one from their affected-area measure (syntheticLedger). Meaningful
+	// only when HasLedger is set.
 	Ledger fixpoint.WorkLedger
 	// HasLedger reports whether Ledger carries work accounting.
 	HasLedger bool
@@ -262,8 +262,8 @@ type Stats struct {
 	PagesCopied   uint64 `json:"pages_copied"`
 	EntriesCopied uint64 `json:"entries_copied"`
 	// PagesEncoded counts the view pages GET /query encoded from scratch:
-	// pages nobody had read in that wire form, neither themselves nor the
-	// page they were copied from. A cached page is not counted.
+	// pages nobody had read, neither themselves nor the page they were
+	// copied from. A cached page is not counted.
 	PagesEncoded uint64 `json:"pages_encoded"`
 	// EntriesSpliced counts the entries publication re-encoded into the
 	// cached bytes a replaced page inherited from its predecessor (the
@@ -360,7 +360,7 @@ type submission struct {
 type tracerSetter interface{ SetTracer(fixpoint.Tracer) }
 
 // flatViewer is the optional Serveable extension exposing the
-// maintainer's flat adjacency view (SSSP, CC, DFS, BC keep one), read
+// maintainer's flat adjacency view (SSSP, CC, DFS, LCC, BC keep one), read
 // after each Apply for the compaction and overlay metrics. Called only
 // from the apply loop, honoring the maintainers' single-writer contract.
 type flatViewer interface{ Flat() *graph.Flat }

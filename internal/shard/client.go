@@ -212,7 +212,7 @@ func (c *Client) View(ctx context.Context, algo string) (ShardView, error) {
 	if algo != "sssp" && algo != "cc" {
 		return sv, fmt.Errorf("shard: no view decoder for algo %q", algo)
 	}
-	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/query/"+algo+"?compact=1", nil)
+	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/query/"+algo, nil)
 	if err != nil {
 		return sv, err
 	}

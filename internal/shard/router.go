@@ -713,7 +713,7 @@ func writeQuery(w http.ResponseWriter, res *QueryResult) {
 	} else {
 		b = append(b, `,"data":{"labels":[`...)
 	}
-	b = append(serve.AppendInts(b, vec, ","), "]}}\n"...)
+	b = append(serve.AppendInts(b, vec), "]}}\n"...)
 	*bp = b
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)

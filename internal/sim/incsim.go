@@ -26,12 +26,10 @@ import (
 // maintainer one apply loop and publishes immutable snapshots to readers.
 type Inc struct {
 	*simState
-	hq      *pq.Heap
-	inH0    []int64
-	affMark []int64 // epoch marks: AFF membership (work ledger)
-	chMark  []int64 // epoch marks: written this repair (work ledger)
-	chOld   []bool  // repair-start match bits of written pairs (work ledger)
-	chList  []int32 // written pairs, swept at end of Repair
+	hq *pq.Heap
+	// led is the work ledger's bookkeeping; a pair's AFF membership is also
+	// its membership of H⁰, whose members are the area's first entrants.
+	led fixpoint.Tracker[bool]
 	// Repair-scope arena, reused across Repairs (the counter-cascade
 	// analogue of fixpoint.ScopeArena): vmark/vpos dedupe touched data
 	// nodes by epoch, touched/infeasible/h0buf/seedBuf accumulate the
@@ -52,57 +50,35 @@ type Inc struct {
 // and returns the algorithm.
 func NewInc(g, q *graph.Graph) *Inc {
 	s := newSimState(g, q, true)
-	i := &Inc{simState: s, inH0: make([]int64, len(s.r)),
-		affMark: make([]int64, len(s.r)), chMark: make([]int64, len(s.r)),
-		chOld: make([]bool, len(s.r)), chList: make([]int32, 0, len(s.r))}
+	i := &Inc{simState: s}
+	i.led.Grow(len(s.r))
 	i.hq = pq.New(len(s.r), func(a, b int32) bool { return i.ts[a] < i.ts[b] })
 	// Record cascade retractions in the ledger (a retracted pair was true
 	// before the write); installed after the initial batch cascade above,
 	// so only incremental repairs count.
-	s.onFalse = func(v, u int32) { i.ledgerWrite(int(v)*i.nq+int(u), true) }
+	s.onFalse = func(v, u int32) { i.led.Write(v*int32(i.nq)+u, true) }
 	return i
 }
 
-// ledgerAff records pair x's first entry into this repair's affected
-// area: |AFF| grows by one and ‖AFF‖ by the pair's dependency degree —
-// the dependent pairs over in-neighbors of its data node and pattern
-// node, |In(v)|·|In(u)|.
-func (i *Inc) ledgerAff(x int) {
-	if i.affMark[x] == i.epoch {
-		return
+// ledgerAff enters pair x into this repair's affected area and reports
+// whether it was new there, in which case |AFF| grows by one and ‖AFF‖ by
+// the pair's dependency degree — the dependent pairs over in-neighbors of
+// its data node and pattern node, |In(v)|·|In(u)|.
+func (i *Inc) ledgerAff(x int32) bool {
+	if !i.led.Aff(x) {
+		return false
 	}
-	i.affMark[x] = i.epoch
 	i.stats.Ledger.Aff++
-	v := graph.NodeID(x / i.nq)
-	u := graph.NodeID(x % i.nq)
+	v := graph.NodeID(int(x) / i.nq)
+	u := graph.NodeID(int(x) % i.nq)
 	i.stats.Ledger.AffEdges += int64(len(i.g.In(v))) * int64(len(i.q.In(u)))
+	return true
 }
 
-// ledgerWrite records a write of pair x's match bit, capturing the
-// pre-write value on the first write of this repair. The settle sweep at
-// the end of Repair counts CHANGED as {x : r_final ≠ r_start}, so a pair
-// raised by h and retracted back by the resumed cascade — a transient —
-// is not charged.
-func (i *Inc) ledgerWrite(x int, old bool) {
-	if i.chMark[x] == i.epoch {
-		return
-	}
-	i.chMark[x] = i.epoch
-	i.chOld[x] = old
-	i.chList = append(i.chList, int32(x))
-}
-
-// ledgerSettle sweeps the repair's written pairs into CHANGED (and AFF)
-// where the final match bit differs from the repair-start one.
-func (i *Inc) ledgerSettle() {
-	for _, x := range i.chList {
-		if i.r[x] != i.chOld[x] {
-			i.stats.Ledger.Changed++
-			i.ledgerAff(int(x))
-		}
-	}
-	i.chList = i.chList[:0]
-}
+// Written lists the pairs (v·|V_Q| + u) whose match bit the last Repair
+// wrote, each once: a superset of the bits that changed. It aliases
+// internal state and is valid until the next Repair.
+func (i *Inc) Written() []int32 { return i.led.Written() }
 
 // Graph returns the maintained data graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
@@ -162,19 +138,7 @@ func (i *Inc) Apply(b graph.Batch) int {
 func (i *Inc) Stage(b graph.Batch) {
 	i.pending = append(i.pending, i.g.Apply(b.Net(i.g.Directed()))...)
 	i.grow()
-	for len(i.inH0) < len(i.r) {
-		i.inH0 = append(i.inH0, 0)
-	}
-	for len(i.affMark) < len(i.r) {
-		i.affMark = append(i.affMark, 0)
-		i.chMark = append(i.chMark, 0)
-		i.chOld = append(i.chOld, false)
-	}
-	if cap(i.chList) < len(i.r) {
-		cl := make([]int32, len(i.chList), len(i.r))
-		copy(cl, i.chList)
-		i.chList = cl
-	}
+	i.led.Grow(len(i.r))
 	for len(i.vmark) < i.g.NumNodes() {
 		i.vmark = append(i.vmark, 0)
 		i.vpos = append(i.vpos, 0)
@@ -189,7 +153,7 @@ func (i *Inc) Repair() int {
 	touched := i.touched[:0]
 	infeasible := i.infeasible[:0]
 	i.epoch++
-	i.chList = i.chList[:0]
+	i.led.Begin()
 	// Insertions can raise pairs (more support, the infeasible direction
 	// for Sim, where false ≺ true); deletions only retract and are left
 	// to the resumed cascade.
@@ -207,8 +171,7 @@ func (i *Inc) Repair() int {
 		i.vpos[v] = int32(len(touched))
 		for u := 0; u < i.nq; u++ {
 			x := int32(int(v)*i.nq + u)
-			i.inH0[x] = i.epoch
-			i.ledgerAff(int(x))
+			i.ledgerAff(x)
 			touched = append(touched, x)
 			infeasible = append(infeasible, mayRaise)
 		}
@@ -255,7 +218,14 @@ func (i *Inc) Repair() int {
 		i.tracer.ScopeDone(i.stats.HPops-st0.HPops, i.stats.HResets-st0.HResets, int64(len(h0)))
 	}
 	i.resume(h0)
-	i.ledgerSettle()
+	// A pair raised by h and retracted again by the cascade is not CHANGED.
+	i.stats.Ledger.Changed += i.led.Settle(func(x int32, start bool) bool {
+		if i.r[x] == start {
+			return false
+		}
+		i.ledgerAff(x)
+		return true
+	})
 	i.stats.ScopeSize = int64(len(h0))
 	i.stats.HSeconds += mid.Sub(start).Seconds()
 	i.stats.ResumeSeconds += time.Since(mid).Seconds()
@@ -299,13 +269,11 @@ func (i *Inc) scopeFunction(touched []int32, infeasible []bool) []int32 {
 			continue
 		}
 		// Potentially infeasible: raise the pair back to true.
-		i.ledgerWrite(int(x), false)
+		i.led.Write(x, false)
 		i.r[x] = true
 		i.ts[x] = tsTrue
 		i.stats.HResets++
-		if i.inH0[x] != i.epoch {
-			i.inH0[x] = i.epoch
-			i.ledgerAff(int(x))
+		if i.ledgerAff(x) {
 			h0 = append(h0, x)
 		}
 		for _, ge := range i.g.In(v) {

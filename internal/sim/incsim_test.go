@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"incgraph/internal/gen"
@@ -112,5 +113,43 @@ func TestTunedVertexInsertion(t *testing.T) {
 	})
 	if !inc.Relation().Equal(Simfp(inc.Graph(), q)) {
 		t.Fatal("relation wrong after vertex insertion")
+	}
+}
+
+// TestLedgerZeroAlloc extends fixpoint's guarantee of the same name to
+// IncSim: a Repair that raises a pair in h, and one that retracts it in the
+// cascade — both written to the ledger's tracker, both settled as CHANGED —
+// allocate nothing.
+func TestLedgerZeroAlloc(t *testing.T) {
+	g := graph.New(2, true)
+	g.SetLabel(0, 'a')
+	g.SetLabel(1, 'b')
+	q := graph.New(2, true)
+	q.SetLabel(0, 'a')
+	q.SetLabel(1, 'b')
+	q.InsertEdge(0, 1, 1)
+	inc := NewInc(g, q)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var mallocs uint64
+	for round := 0; round < 40; round++ {
+		b := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}
+		if round%2 == 1 {
+			b[0].Kind = graph.DeleteEdge
+		}
+		inc.Stage(b)
+		before := inc.Stats().Ledger.Changed
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		inc.Repair()
+		runtime.ReadMemStats(&m1)
+		if round >= 2 { // the first raise and the first retraction size the scope buffers
+			mallocs += m1.Mallocs - m0.Mallocs
+		}
+		if inc.Relation().Match(0, 0) != (round%2 == 0) || inc.Stats().Ledger.Changed != before+1 || len(inc.Written()) != 1 {
+			t.Fatalf("round %d: match(0,0) %v, CHANGED +%d, written %v", round, inc.Relation().Match(0, 0), inc.Stats().Ledger.Changed-before, inc.Written())
+		}
+	}
+	if mallocs != 0 {
+		t.Errorf("38 repairs: %d allocs, want 0", mallocs)
 	}
 }

@@ -39,15 +39,12 @@ type Inc struct {
 	dist []int64
 	wq   *pq.Heap // step-function queue, keyed by current distance
 
-	hq      *pq.Heap // h's queue, keyed by old distance
-	hkey    []int64
-	oldVal  []int64 // pre-revision distances of this round's revised nodes
-	mark    []int64 // epoch marks: revised this round
-	affMark []int64 // epoch marks: AFF membership (work ledger)
-	chMark  []int64 // epoch marks: written this repair (work ledger)
-	chOld   []int64 // repair-start distances of written nodes (work ledger)
-	chList  []int32 // written nodes (first writes), kept until the next Repair
-	epoch   int64
+	hq     *pq.Heap // h's queue, keyed by old distance
+	hkey   []int64
+	oldVal []int64 // pre-revision distances of this round's revised nodes
+	mark   []int64 // epoch marks: revised this round
+	epoch  int64
+	led    fixpoint.Tracker[int64] // work ledger: AFF membership, first writes
 
 	pending graph.Batch
 	stats   fixpoint.Stats
@@ -64,10 +61,7 @@ func NewInc(g *graph.Graph, src graph.NodeID) *Inc {
 	i.hkey = make([]int64, n)
 	i.oldVal = make([]int64, n)
 	i.mark = make([]int64, n)
-	i.affMark = make([]int64, n)
-	i.chMark = make([]int64, n)
-	i.chOld = make([]int64, n)
-	i.chList = make([]int32, 0, n)
+	i.led.Grow(n)
 	return i
 }
 
@@ -86,7 +80,7 @@ func (i *Inc) Dist() []int64 { return i.dist }
 // wrote, each once: a superset of the entries of Dist that changed,
 // kept for the work ledger's settle sweep. It aliases internal state,
 // is never nil, allocates nothing, and is valid until the next Apply.
-func (i *Inc) Written() []int32 { return i.chList }
+func (i *Inc) Written() []int32 { return i.led.Written() }
 
 // Stats exposes inspection counters and the h/resume time split.
 func (i *Inc) Stats() fixpoint.Stats { return i.stats }
@@ -129,58 +123,25 @@ func (i *Inc) Stage(b graph.Batch) {
 		i.hkey = append(i.hkey, 0)
 		i.oldVal = append(i.oldVal, 0)
 		i.mark = append(i.mark, 0)
-		i.affMark = append(i.affMark, 0)
-		i.chMark = append(i.chMark, 0)
-		i.chOld = append(i.chOld, 0)
 	}
-	if cap(i.chList) < len(i.dist) {
-		cl := make([]int32, len(i.chList), len(i.dist))
-		copy(cl, i.chList)
-		i.chList = cl
-	}
+	i.led.Grow(len(i.dist))
 	i.wq.Grow(len(i.dist))
 	i.hq.Grow(len(i.dist))
 }
 
-// ledgerAff records v's first entry into this repair's affected area:
-// |AFF| grows by one and ‖AFF‖ by v's incident edges. Allocation-free:
-// membership is an epoch mark, degrees are adjacency-slice lengths.
+// ledgerAff charges v's first entry into this repair's affected area:
+// |AFF| grows by one and ‖AFF‖ by v's incident edges (adjacency-slice
+// lengths, so allocation-free like the tracker).
 func (i *Inc) ledgerAff(v graph.NodeID) {
-	if i.affMark[v] == i.epoch {
+	if !i.led.Aff(int32(v)) {
 		return
 	}
-	i.affMark[v] = i.epoch
 	i.stats.Ledger.Aff++
 	deg := int64(len(i.g.Out(v)))
 	if i.g.Directed() {
 		deg += int64(len(i.g.In(v)))
 	}
 	i.stats.Ledger.AffEdges += deg
-}
-
-// ledgerWrite records a distance write at v, capturing the pre-write value
-// on the first write of this repair — v's repair-start distance. The
-// settle sweep at the end of Repair compares it against the fixpoint:
-// CHANGED is {v : dist_final ≠ dist_start}, which — unlike "installed at
-// least once" — does not count transient moves that revert.
-func (i *Inc) ledgerWrite(v graph.NodeID, old int64) {
-	if i.chMark[v] == i.epoch {
-		return
-	}
-	i.chMark[v] = i.epoch
-	i.chOld[v] = old
-	i.chList = append(i.chList, int32(v))
-}
-
-// ledgerSettle sweeps the repair's written nodes into CHANGED (and AFF)
-// where the final distance differs from the repair-start one.
-func (i *Inc) ledgerSettle() {
-	for _, v := range i.chList {
-		if i.dist[v] != i.chOld[v] {
-			i.stats.Ledger.Changed++
-			i.ledgerAff(graph.NodeID(v))
-		}
-	}
 }
 
 // oldDist returns v's distance as of the start of this round.
@@ -195,7 +156,7 @@ func (i *Inc) oldDist(v graph.NodeID) int64 {
 func (i *Inc) Repair() int {
 	applied := i.pending
 	i.pending = nil
-	i.chList = i.chList[:0]
+	i.led.Begin()
 	if len(applied) == 0 {
 		return 0
 	}
@@ -248,7 +209,7 @@ func (i *Inc) Repair() int {
 				i.mark[v] = i.epoch
 				i.oldVal[v] = i.dist[v]
 			}
-			i.ledgerWrite(v, i.dist[v])
+			i.led.Write(int32(v), i.dist[v])
 			i.dist[v] = newv
 			i.stats.HResets++
 			revised = append(revised, v)
@@ -268,7 +229,7 @@ func (i *Inc) Repair() int {
 	// status, then run Dijkstra's loop (lines 4-10 of Fig. 1).
 	for _, v := range revised {
 		if nb := i.best(v); nb != i.dist[v] {
-			i.ledgerWrite(v, i.dist[v])
+			i.led.Write(int32(v), i.dist[v])
 			i.dist[v] = nb
 		}
 		i.wq.AddOrAdjust(int32(v))
@@ -276,7 +237,7 @@ func (i *Inc) Repair() int {
 	relax := func(u, v graph.NodeID, w int64) {
 		i.ledgerAff(u) // push-seed analog: the tail re-propagates
 		if i.dist[u] < Infinity && i.dist[u]+w < i.dist[v] {
-			i.ledgerWrite(v, i.dist[v])
+			i.led.Write(int32(v), i.dist[v])
 			i.dist[v] = i.dist[u] + w
 			i.wq.AddOrAdjust(int32(v))
 		}
@@ -310,7 +271,13 @@ func (i *Inc) Repair() int {
 			i.relaxOut(v, dv)
 		}
 	}
-	i.ledgerSettle()
+	i.stats.Ledger.Changed += i.led.Settle(func(v int32, start int64) bool {
+		if i.dist[v] == start {
+			return false
+		}
+		i.ledgerAff(graph.NodeID(v))
+		return true
+	})
 	i.stats.ScopeSize = int64(h0)
 	i.stats.HSeconds += mid.Sub(start).Seconds()
 	i.stats.ResumeSeconds += time.Since(mid).Seconds()
@@ -363,7 +330,7 @@ func (i *Inc) relaxOut(v graph.NodeID, dv int64) {
 		for k, t := range ts {
 			i.stats.Updates++
 			if alt := dv + ws[k]; alt < i.dist[t] {
-				i.ledgerWrite(t, i.dist[t])
+				i.led.Write(int32(t), i.dist[t])
 				i.dist[t] = alt
 				i.wq.AddOrAdjust(int32(t))
 			}
@@ -375,7 +342,7 @@ func (i *Inc) relaxOut(v graph.NodeID, dv int64) {
 			}
 			i.stats.Updates++
 			if alt := dv + ws[k]; alt < i.dist[t] {
-				i.ledgerWrite(t, i.dist[t])
+				i.led.Write(int32(t), i.dist[t])
 				i.dist[t] = alt
 				i.wq.AddOrAdjust(int32(t))
 			}
@@ -384,7 +351,7 @@ func (i *Inc) relaxOut(v graph.NodeID, dv int64) {
 	for _, e := range extra {
 		i.stats.Updates++
 		if alt := dv + e.W; alt < i.dist[e.To] {
-			i.ledgerWrite(e.To, i.dist[e.To])
+			i.led.Write(int32(e.To), i.dist[e.To])
 			i.dist[e.To] = alt
 			i.wq.AddOrAdjust(int32(e.To))
 		}

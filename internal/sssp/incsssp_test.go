@@ -3,6 +3,7 @@ package sssp
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"incgraph/internal/gen"
@@ -128,5 +129,40 @@ func TestTunedUndirected(t *testing.T) {
 				t.Fatalf("seed %d round %d: undirected diverged", seed, round)
 			}
 		}
+	}
+}
+
+// TestLedgerZeroAlloc extends fixpoint's guarantee of the same name to
+// IncSSSP: a Repair that lowers distances — every one written to the
+// ledger's tracker and settled as CHANGED — allocates nothing. (The Repair
+// that undoes it revises nodes in h and appends them to a per-call list,
+// which is not the ledger's; it is not measured.)
+func TestLedgerZeroAlloc(t *testing.T) {
+	const n = 12
+	g := graph.New(n, true)
+	for v := graph.NodeID(1); v < n; v++ {
+		g.InsertEdge(v-1, v, 10)
+	}
+	inc := NewInc(g, 0)
+	shortcut := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 6, W: 1}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var mallocs uint64
+	for round := 0; round < 20; round++ {
+		inc.Stage(shortcut)
+		before := inc.Stats().Ledger.Changed
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		inc.Repair()
+		runtime.ReadMemStats(&m1)
+		if round > 0 { // the first repair sizes the step-function queue
+			mallocs += m1.Mallocs - m0.Mallocs
+		}
+		if got := inc.Stats().Ledger.Changed - before; got != n-6 || len(inc.Written()) != n-6 || inc.Dist()[n-1] != 1+10*(n-7) {
+			t.Fatalf("round %d: CHANGED +%d, written %v, dist %v", round, got, inc.Written(), inc.Dist())
+		}
+		inc.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: 0, To: 6}})
+	}
+	if mallocs != 0 {
+		t.Errorf("19 repairs: %d allocs, want 0", mallocs)
 	}
 }
