@@ -83,7 +83,7 @@ func TestRelativeBoundednessAcrossClasses(t *testing.T) {
 		if got > n+1 {
 			t.Errorf("IncBC: unit update revisited %d nodes across component boundary", got)
 		}
-		if !inc.Result().Equivalent(bc.Run(inc.Graph())) {
+		if !inc.Result().Equivalent(bc.Run(inc.Graph()), inc.Graph()) {
 			t.Error("IncBC result wrong")
 		}
 	}

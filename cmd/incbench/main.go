@@ -45,7 +45,7 @@ import (
 func main() {
 	var (
 		exp       = flag.String("exp", "all", "experiment, or a comma-separated list: table1|exp1|exp2|exp2types|exp3|exp4|aff|ablation|datasets|extensions|exchange|publish|all")
-		class     = flag.String("class", "all", "query class for exp2: sssp|cc|sim|lcc|dfs|all")
+		class     = flag.String("class", "all", "query class for exp2: sssp|cc|sim|lcc|dfs|bc|all")
 		scale     = flag.Float64("scale", 1.0, "dataset scale multiplier")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		jsonOut   = flag.String("json", "", "write machine-readable results to this file")
@@ -95,20 +95,16 @@ func main() {
 		fmt.Printf("-- %s done in %.1fs --\n", name, time.Since(start).Seconds())
 	}
 	exp2 := func() {
-		if *class == "sssp" || *class == "all" {
-			run("exp2-sssp", bench.Exp2SSSP)
-		}
-		if *class == "cc" || *class == "all" {
-			run("exp2-cc", bench.Exp2CC)
-		}
-		if *class == "sim" || *class == "all" {
-			run("exp2-sim", bench.Exp2Sim)
-		}
-		if *class == "lcc" || *class == "all" {
-			run("exp2-lcc", bench.Exp2LCC)
-		}
-		if *class == "dfs" || *class == "all" {
-			run("exp2-dfs", bench.Exp2DFS)
+		for _, c := range []struct {
+			class string
+			f     func(bench.Config)
+		}{
+			{"sssp", bench.Exp2SSSP}, {"cc", bench.Exp2CC}, {"sim", bench.Exp2Sim},
+			{"lcc", bench.Exp2LCC}, {"dfs", bench.Exp2DFS}, {"bc", bench.Exp2BC},
+		} {
+			if *class == c.class || *class == "all" {
+				run("exp2-"+c.class, c.f)
+			}
 		}
 	}
 	// "all" runs the experiments in this order; a list runs the named ones

@@ -55,7 +55,7 @@ func main() {
 		t0 = time.Now()
 		want := incgraph.Biconnectivity(inc.Graph())
 		batchTotal += time.Since(t0)
-		if !inc.Result().Equivalent(want) {
+		if !inc.Result().Equivalent(want, inc.Graph()) {
 			panic("biconnectivity diverged from batch recomputation")
 		}
 

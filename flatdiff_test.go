@@ -52,38 +52,48 @@ var flatThresholds = []float64{0, 0.05, graph.DefaultCompactThreshold, math.Inf(
 
 // flatLedgers is what one run of the differential hands back for
 // comparison across thresholds and against flatGolden.
-type flatLedgers struct{ sssp, cc, lcc fixpoint.WorkLedger }
+type flatLedgers struct{ sssp, cc, lcc, dfs, bc fixpoint.WorkLedger }
 
-// flatGolden pins the work accounting of the flat-backed SSSP, CC and LCC
-// maintainers: their cumulative Portable ledgers after the whole stream of
-// the given seed. SSSP's and CC's were recorded at commit b3499a2, the last
+// flatGolden pins the work accounting of the five flat-backed maintainers:
+// their cumulative Portable ledgers after the whole stream of the given
+// seed. SSSP's and CC's were recorded at commit b3499a2, the last
 // one that still carried adjacency-list copies of the maintainer loops and
 // asserted flat ≡ legacy ledgers bit for bit, so a change in what the
 // maintainers count as CHANGED / AFF / ‖AFF‖ shows here even though no
 // second implementation is left to compare against; LCC's when its scope
 // became the input-set rule, which internal/lcc's TestScopeIsInputSet holds
-// against the definition. (Portable zeroes Rounds, which depends on row
+// against the definition; DFS's and BC's when they began to keep one, and
+// their packages' differentials hold Changed against the vectors before and
+// after. (Portable zeroes Rounds, which depends on row
 // scan order and so on when the view last compacted.)
 var flatGolden = map[int64]flatLedgers{
 	1: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 229, Seeds: 149, Changed: 312, Aff: 413, AffEdges: 1748, RecomputeEst: 160},
 		cc:   fixpoint.WorkLedger{Runs: 6, Touched: 145, Seeds: 266, Changed: 6, Aff: 380, AffEdges: 2027, RecomputeEst: 160},
 		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 233, Changed: 389, Aff: 408, RecomputeEst: 160},
+		dfs:  fixpoint.WorkLedger{Runs: 6, Touched: 233, Changed: 903, Aff: 960, AffEdges: 4352, RecomputeEst: 160},
+		bc:   fixpoint.WorkLedger{Runs: 6, Touched: 233, Changed: 30, Aff: 953, AffEdges: 4352, RecomputeEst: 160},
 	},
 	2: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 239, Seeds: 157, Changed: 436, Aff: 517, AffEdges: 2423, RecomputeEst: 160},
 		cc:   fixpoint.WorkLedger{Runs: 6, Touched: 153, Seeds: 260, Changed: 11, Aff: 377, AffEdges: 1811, RecomputeEst: 160},
 		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 373, Aff: 393, RecomputeEst: 160},
+		dfs:  fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 931, Aff: 960, AffEdges: 4212, RecomputeEst: 160},
+		bc:   fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 34, Aff: 950, AffEdges: 4212, RecomputeEst: 160},
 	},
 	3: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 235, Seeds: 167, Changed: 265, Aff: 378, AffEdges: 1911, RecomputeEst: 160},
 		cc:   fixpoint.WorkLedger{Runs: 6, Touched: 132, Seeds: 267, Changed: 3, Aff: 366, AffEdges: 2016, RecomputeEst: 160},
 		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 364, Aff: 383, RecomputeEst: 160},
+		dfs:  fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 916, Aff: 959, AffEdges: 4480, RecomputeEst: 160},
+		bc:   fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 24, Aff: 958, AffEdges: 4482, RecomputeEst: 160},
 	},
 	20210620: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 238, Seeds: 161, Changed: 431, Aff: 508, AffEdges: 2355, RecomputeEst: 160},
 		cc:   fixpoint.WorkLedger{Runs: 6, Touched: 151, Seeds: 262, Changed: 5, Aff: 366, AffEdges: 1980, RecomputeEst: 160},
 		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 236, Changed: 354, Aff: 379, RecomputeEst: 160},
+		dfs:  fixpoint.WorkLedger{Runs: 6, Touched: 236, Changed: 899, Aff: 960, AffEdges: 4358, RecomputeEst: 160},
+		bc:   fixpoint.WorkLedger{Runs: 6, Touched: 236, Changed: 23, Aff: 958, AffEdges: 4358, RecomputeEst: 160},
 	},
 }
 
@@ -125,7 +135,7 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 			return fail(i, "cc labels diverged from CCfp")
 		}
 		b.Apply(uStream)
-		if !b.Result().Equivalent(bc.Run(b.Graph())) {
+		if !b.Result().Equivalent(bc.Run(b.Graph()), b.Graph()) {
 			return fail(i, "bc result diverged from bc.Run")
 		}
 		d.Apply(uStream)
@@ -152,7 +162,8 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 			return fail(flatChunks, "view never compacted at threshold 0.05")
 		}
 	}
-	ledgers := flatLedgers{s.Stats().Ledger.Portable(), c.Stats().Ledger.Portable(), l.Stats().Ledger.Portable()}
+	ledgers := flatLedgers{s.Stats().Ledger.Portable(), c.Stats().Ledger.Portable(), l.Stats().Ledger.Portable(),
+		d.Stats().Ledger.Portable(), b.Stats().Ledger.Portable()}
 	// Compaction rebuilds into the arrays it replaces: once a view has
 	// compacted at this size, compacting again allocates only the
 	// row-sorting scratch, one per direction — not three arrays of |E|.

@@ -83,7 +83,7 @@ func TestFacadeBCAndIO(t *testing.T) {
 	g := PowerLawGraph(6, 300, 6, false)
 	inc := NewIncBC(g)
 	inc.Apply(RandomUpdates(7, g, 20, 0.5))
-	if !inc.Result().Equivalent(Biconnectivity(g)) {
+	if !inc.Result().Equivalent(Biconnectivity(g), g) {
 		t.Fatal("incremental BC != batch")
 	}
 

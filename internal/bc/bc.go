@@ -3,56 +3,97 @@
 // biconnected components of an undirected graph.
 //
 // The batch algorithm is the classic lowpoint DFS (Hopcroft–Tarjan). The
-// deduced incremental algorithm Inc follows the framework's PE discipline
-// at connected-component granularity: a batch ΔG marks the components it
-// touches as potentially affected and re-derives lowpoints only there,
-// reusing every other component's results. This is the coarse deducible
-// incrementalization of Theorem 1 — biconnectivity is globally brittle
-// within a component (one inserted edge can clear articulation points
-// along an entire cycle), so the touched component is the natural affected
-// area for BC.
+// structure it leaves is per node, not per edge: the articulation flag,
+// the DFS number, and the block of the tree edge into the node. The block
+// of any edge is then a lookup — a non-tree edge lies in the block of the
+// tree edge into its deeper endpoint — so closing a block labels the nodes
+// popped off a node stack, and no map keyed by edge exists.
+//
+// The deduced incremental algorithm Inc follows the framework's PE
+// discipline at connected-component granularity: a batch ΔG marks the
+// components it touches as potentially affected and re-derives lowpoints
+// only there, reusing every other component's results. This is the coarse
+// deducible incrementalization of Theorem 1 — biconnectivity is globally
+// brittle within a component (one inserted edge can clear articulation
+// points along an entire cycle), so the touched component is the natural
+// affected area for BC.
+//
+// A finer affected area — the blocks an update can split or merge, kept
+// in a block-cut forest — was sized against the repository benchmark's
+// burst workload before any of it was written, and not built: that graph
+// (6,000 nodes, degree 27, power law) is one biconnected block after every
+// batch, so a block-local repair revisits the same 6,000 nodes as this
+// one. EXPERIMENTS.md has the measurement.
 package bc
 
 import (
 	"fmt"
 
+	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
 )
 
 // Result describes the biconnectivity structure: per-node articulation
-// flags and a biconnected-component id per edge. Ids are opaque: distinct
-// ids mean distinct components, but their numeric values depend on the
-// computation history — compare results with Equivalent.
+// flags and, through EdgeComp, a biconnected-component id per edge. Ids
+// are opaque: distinct ids mean distinct components, but their values
+// depend on where the traversal started — compare results with Equivalent.
 type Result struct {
 	// Articulation[v] reports whether removing v disconnects its
 	// connected component.
 	Articulation []bool
-	// EdgeComp maps each edge (canonical min,max endpoints) to its
-	// biconnected component id.
-	EdgeComp map[[2]graph.NodeID]int32
+	// Block[v] is the id of the block holding the tree edge into v, -1 for
+	// a node without one (the root of its component's traversal, or an
+	// isolated node). A block's id is the node at which the traversal
+	// closed it, the block's topmost non-root node: Block[v] == v says v
+	// heads a block, and every block has exactly one head.
+	Block []graph.NodeID
+	// Num[v] is v's DFS number. Numbers are comparable between nodes of one
+	// connected component only: every traversal starts counting anew.
+	Num []int32
+
+	comps int // the number of heads
 }
 
-func key(u, v graph.NodeID) [2]graph.NodeID {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]graph.NodeID{u, v}
+func newResult(n int) *Result {
+	r := &Result{}
+	r.grow(n)
+	return r
 }
 
-// NumComps returns the number of biconnected components.
-func (r *Result) NumComps() int {
-	seen := make(map[int32]bool)
-	for _, c := range r.EdgeComp {
-		seen[c] = true
+// grow extends the arrays to n nodes, the new ones isolated.
+func (r *Result) grow(n int) {
+	was := len(r.Block)
+	if n <= was {
+		return
 	}
-	return len(seen)
+	r.Articulation = append(r.Articulation, make([]bool, n-was)...)
+	r.Num = append(r.Num, make([]int32, n-was)...)
+	r.Block = append(r.Block, make([]graph.NodeID, n-was)...)
+	for v := was; v < n; v++ {
+		r.Block[v] = -1
+	}
 }
+
+// EdgeComp returns the biconnected-component id of the edge {u, v}, which
+// must be an edge of the graph the result describes: the block of the tree
+// edge into whichever endpoint the traversal reached later.
+func (r *Result) EdgeComp(u, v graph.NodeID) int32 {
+	if r.Num[u] > r.Num[v] {
+		return int32(r.Block[u])
+	}
+	return int32(r.Block[v])
+}
+
+// NumComps returns the number of biconnected components, a count kept as
+// blocks close and dissolve.
+func (r *Result) NumComps() int { return r.comps }
 
 // Equivalent reports whether two results describe the same biconnectivity
-// structure: identical articulation flags and edge partitions (up to a
-// bijective renaming of component ids).
-func (r *Result) Equivalent(o *Result) bool {
-	if len(r.Articulation) != len(o.Articulation) || len(r.EdgeComp) != len(o.EdgeComp) {
+// structure of g: identical articulation flags and the same partition of
+// g's edges (up to a bijective renaming of component ids).
+func (r *Result) Equivalent(o *Result, g *graph.Graph) bool {
+	n := g.NumNodes()
+	if len(r.Articulation) != n || len(o.Articulation) != n || r.comps != o.comps {
 		return false
 	}
 	for i := range r.Articulation {
@@ -60,136 +101,180 @@ func (r *Result) Equivalent(o *Result) bool {
 			return false
 		}
 	}
-	fwd := make(map[int32]int32)
-	bwd := make(map[int32]int32)
-	for k, a := range r.EdgeComp {
-		b, ok := o.EdgeComp[k]
-		if !ok {
-			return false
-		}
-		if m, seen := fwd[a]; seen && m != b {
-			return false
-		}
-		if m, seen := bwd[b]; seen && m != a {
-			return false
-		}
-		fwd[a] = b
-		bwd[b] = a
+	// Ids are node ids, so the renaming and its inverse are arrays.
+	fwd, bwd := make([]int32, n), make([]int32, n)
+	for i := range fwd {
+		fwd[i], bwd[i] = -1, -1
 	}
-	return true
+	same := true
+	g.Edges(func(u, v graph.NodeID, _ int64) {
+		a, b := r.EdgeComp(u, v), o.EdgeComp(u, v)
+		if a < 0 || b < 0 || (fwd[a] >= 0 && fwd[a] != b) || (bwd[b] >= 0 && bwd[b] != a) {
+			same = false
+			return
+		}
+		fwd[a], bwd[b] = b, a
+	})
+	return same
 }
 
 // Run computes the biconnectivity structure of an undirected graph with
-// an iterative lowpoint DFS in canonical order (smallest-id roots and
-// neighbors first).
+// an iterative lowpoint DFS from the smallest-id node of every component.
 func Run(g *graph.Graph) *Result {
-	n := g.NumNodes()
-	r := &Result{
-		Articulation: make([]bool, n),
-		EdgeComp:     make(map[[2]graph.NodeID]int32, g.NumEdges()),
-	}
-	st := newLowpointState(n)
-	st.epoch = 1
-	for s := 0; s < n; s++ {
-		if !st.visited(graph.NodeID(s)) {
-			st.runComponent(g.AppendOutSorted, graph.NodeID(s), r)
-		}
-	}
+	r := newResult(g.NumNodes())
+	st := newLowpointState(g.NumNodes(), func(v graph.NodeID) ([]graph.NodeID, []bool, []graph.Edge) {
+		return nil, nil, g.Out(v)
+	})
+	st.runAll(r)
 	return r
 }
+
+// rowFunc returns v's adjacency as graph.Flat hands it out: sorted base
+// targets, their tombstones (nil when none are set) and the overlay tail —
+// the DFS's only adjacency dependency. Biconnectivity does not depend on
+// the order neighbors are visited in, so the rows are read in place. The
+// maintainer Inc passes its flat view's OutSpans, the batch Run the graph's
+// adjacency list as an all-overlay row: batch algorithms read the Graph,
+// maintainers the Flat.
+type rowFunc func(v graph.NodeID) (ts []graph.NodeID, dead []bool, extra []graph.Edge)
 
 // lowpointState carries the DFS bookkeeping. It is reusable across rounds
 // via epoch stamping, so the incremental algorithm re-runs single
 // components without clearing global arrays.
 type lowpointState struct {
-	num, low []int32
-	stamp    []int64
-	epoch    int64
-	clock    int32
-	comp     int32 // monotonic component-id allocator
-	estack   [][2]graph.NodeID
-	// arena holds the sorted neighbor lists of every frame on the DFS
-	// stack, stacked end to end; frames reference [lo, hi) windows and the
-	// window is truncated when its frame pops. One growable backing array
-	// thus replaces a per-visited-node allocate-and-sort.
-	arena  []graph.NodeID
+	rows  rowFunc
+	low   []int32
+	stamp []int64
+	epoch int64
+	clock int32
+	// nodes holds the discovered non-root nodes whose block is still open,
+	// in discovery order; closing a block pops its members.
+	nodes  []graph.NodeID
 	fstack []bcFrame
+	// seen lists every node discovered since begin with the articulation
+	// flag it had then — each node once, so no set is needed to settle
+	// what changed — and scanned counts the live row entries read.
+	seen    []seenNode
+	scanned int64
 }
 
-func newLowpointState(n int) *lowpointState {
-	return &lowpointState{
-		num:   make([]int32, n),
-		low:   make([]int32, n),
-		stamp: make([]int64, n),
+type seenNode struct {
+	v   graph.NodeID
+	was bool
+}
+
+func newLowpointState(n int, rows rowFunc) *lowpointState {
+	st := &lowpointState{rows: rows}
+	st.grow(n)
+	return st
+}
+
+func (st *lowpointState) grow(n int) {
+	if more := n - len(st.low); more > 0 {
+		st.low = append(st.low, make([]int32, more)...)
+		st.stamp = append(st.stamp, make([]int64, more)...)
+	}
+}
+
+// begin starts a round of traversals: nothing visited, nothing seen, and
+// the clock back at zero. DFS numbers are only ever compared inside one
+// component, which one traversal numbers whole, so a round need not count
+// on from the last — and a clock that did would wrap after 2³¹ discoveries.
+func (st *lowpointState) begin() {
+	st.epoch++
+	st.clock = 0
+	st.seen = st.seen[:0]
+	st.scanned = 0
+}
+
+// runAll traverses every component.
+func (st *lowpointState) runAll(r *Result) {
+	st.begin()
+	for s := range st.low {
+		if !st.visited(graph.NodeID(s)) {
+			st.runComponent(graph.NodeID(s), r)
+		}
 	}
 }
 
 func (st *lowpointState) visited(v graph.NodeID) bool { return st.stamp[v] == st.epoch }
 
+// discover numbers v and takes it out of the structure it was in: a head
+// rediscovered is a block dissolved.
 func (st *lowpointState) discover(v graph.NodeID, r *Result) {
 	st.clock++
 	st.stamp[v] = st.epoch
-	st.num[v] = st.clock
+	r.Num[v] = st.clock
 	st.low[v] = st.clock
+	if r.Block[v] == v {
+		r.comps--
+	}
+	r.Block[v] = -1
+	st.seen = append(st.seen, seenNode{v, r.Articulation[v]})
 	r.Articulation[v] = false
 }
 
-func (st *lowpointState) grow(n int) {
-	for len(st.num) < n {
-		st.num = append(st.num, 0)
-		st.low = append(st.low, 0)
-		st.stamp = append(st.stamp, 0)
-	}
-}
-
-// nbrFunc appends v's neighbors to buf in ascending id order and returns
-// the extended slice — the DFS's only adjacency dependency. The batch Run
-// passes graph.Graph.AppendOutSorted, the maintainer Inc its flat view's
-// AppendOutSorted: batch algorithms read the Graph, maintainers the Flat.
-type nbrFunc func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID
-
-// bcFrame is one DFS stack frame; [lo, hi) windows the state's neighbor
-// arena, i is the cursor within that window.
+// bcFrame is one DFS stack frame: the node, its row, and the cursor i over
+// the row's base entries and then its overlay tail. The row spans are the
+// Flat's own and die with the next Stage; by then every frame has popped.
 type bcFrame struct {
 	v, parent graph.NodeID
-	lo, i, hi int32
-	children  int
+	i         int32
+	children  int32
+	ts        []graph.NodeID
+	dead      []bool
+	extra     []graph.Edge
+}
+
+func (st *lowpointState) push(v, parent graph.NodeID) {
+	ts, dead, extra := st.rows(v)
+	st.fstack = append(st.fstack, bcFrame{v: v, parent: parent, ts: ts, dead: dead, extra: extra})
+}
+
+// next returns the live neighbor under the cursor and advances past it.
+func (f *bcFrame) next() (graph.NodeID, bool) {
+	for int(f.i) < len(f.ts) {
+		k := f.i
+		f.i++
+		if f.dead == nil || !f.dead[k] {
+			return f.ts[k], true
+		}
+	}
+	if k := int(f.i) - len(f.ts); k < len(f.extra) {
+		f.i++
+		return f.extra[k].To, true
+	}
+	return 0, false
 }
 
 // runComponent explores the connected component of s, filling r's
-// articulation flags and edge components for exactly that component.
-func (st *lowpointState) runComponent(nb nbrFunc, s graph.NodeID, r *Result) {
+// articulation flags, numbers and blocks for exactly that component.
+func (st *lowpointState) runComponent(s graph.NodeID, r *Result) {
 	st.discover(s, r)
-	st.estack = st.estack[:0]
-	st.arena = nb(s, st.arena[:0])
-	st.fstack = append(st.fstack[:0], bcFrame{v: s, parent: -1, lo: 0, i: 0, hi: int32(len(st.arena))})
+	st.nodes = st.nodes[:0]
+	st.fstack = st.fstack[:0]
+	st.push(s, -1)
 	for len(st.fstack) > 0 {
 		f := &st.fstack[len(st.fstack)-1]
-		if f.i < f.hi {
-			w := st.arena[f.i]
-			f.i++
+		if w, ok := f.next(); ok {
+			st.scanned++
 			if w == f.parent {
 				f.parent = -1 // skip the tree edge back to the parent once
 				continue
 			}
 			if !st.visited(w) {
-				st.estack = append(st.estack, key(f.v, w))
 				st.discover(w, r)
+				st.nodes = append(st.nodes, w)
 				f.children++
-				lo := int32(len(st.arena))
-				st.arena = nb(w, st.arena)
-				st.fstack = append(st.fstack, bcFrame{v: w, parent: f.v, lo: lo, i: lo, hi: int32(len(st.arena))})
-			} else if st.num[w] < st.num[f.v] {
-				// Back edge to an ancestor.
-				st.estack = append(st.estack, key(f.v, w))
-				if st.num[w] < st.low[f.v] {
-					st.low[f.v] = st.num[w]
-				}
+				st.push(w, f.v)
+			} else if r.Num[w] < st.low[f.v] {
+				// Back edge to an ancestor (a descendant's number is above
+				// Num[f.v], so above low[f.v] too).
+				st.low[f.v] = r.Num[w]
 			}
 			continue
 		}
 		v := f.v
-		st.arena = st.arena[:f.lo]
 		st.fstack = st.fstack[:len(st.fstack)-1]
 		if len(st.fstack) == 0 {
 			break
@@ -198,23 +283,22 @@ func (st *lowpointState) runComponent(nb nbrFunc, s graph.NodeID, r *Result) {
 		if st.low[v] < st.low[p.v] {
 			st.low[p.v] = st.low[v]
 		}
-		if st.low[v] >= st.num[p.v] {
-			// p.v separates v's subtree: one biconnected component closes.
-			// Non-root parents become articulation points; the root does
-			// when it has a second child.
+		if st.low[v] >= r.Num[p.v] {
+			// p.v separates v's subtree: one biconnected component closes,
+			// headed by v. Non-root parents become articulation points; the
+			// root does when it has a second child.
 			if len(st.fstack) > 1 || p.children > 1 {
 				r.Articulation[p.v] = true
 			}
-			e := key(p.v, v)
-			for len(st.estack) > 0 {
-				top := st.estack[len(st.estack)-1]
-				st.estack = st.estack[:len(st.estack)-1]
-				r.EdgeComp[top] = st.comp
-				if top == e {
+			for {
+				w := st.nodes[len(st.nodes)-1]
+				st.nodes = st.nodes[:len(st.nodes)-1]
+				r.Block[w] = v
+				if w == v {
 					break
 				}
 			}
-			st.comp++
+			r.comps++
 		}
 	}
 }
@@ -222,7 +306,10 @@ func (st *lowpointState) runComponent(nb nbrFunc, s graph.NodeID, r *Result) {
 // Inc is the deducible incremental BC algorithm: Apply re-derives the
 // biconnectivity structure of exactly the connected components touched by
 // ΔG (in G ⊕ ΔG), discovered by traversal from the update endpoints — no
-// global scan.
+// global scan. Every node of a component ΔG touched in G lies in one it
+// touches in G ⊕ ΔG (a part split off by deletions holds an endpoint of
+// one of them), so the traversals rediscover every head of a block that
+// may have dissolved, and the component count needs no other repair.
 //
 // An Inc is not goroutine-safe: it (and the graph it owns) must be
 // driven by a single writer goroutine making every call, reads included —
@@ -235,21 +322,18 @@ type Inc struct {
 	res     *Result
 	st      *lowpointState
 	pending graph.Batch
+	written []int32
+	stats   fixpoint.Stats
 }
 
 // NewInc runs the batch algorithm and returns the incremental one.
 func NewInc(g *graph.Graph) *Inc {
-	i := &Inc{g: g, flat: graph.NewFlat(g), st: newLowpointState(g.NumNodes())}
-	i.res = &Result{
-		Articulation: make([]bool, g.NumNodes()),
-		EdgeComp:     make(map[[2]graph.NodeID]int32, g.NumEdges()),
-	}
-	i.st.epoch = 1
-	for s := 0; s < g.NumNodes(); s++ {
-		if !i.st.visited(graph.NodeID(s)) {
-			i.st.runComponent(i.flat.AppendOutSorted, graph.NodeID(s), i.res)
-		}
-	}
+	i := &Inc{g: g, flat: graph.NewFlat(g), res: newResult(g.NumNodes())}
+	i.st = newLowpointState(g.NumNodes(), func(v graph.NodeID) ([]graph.NodeID, []bool, []graph.Edge) {
+		ts, _, dead, extra := i.flat.OutSpans(v)
+		return ts, dead, extra
+	})
+	i.st.runAll(i.res)
 	return i
 }
 
@@ -264,29 +348,38 @@ func (i *Inc) Flat() *graph.Flat { return i.flat }
 // Result returns the maintained structure (aliased).
 func (i *Inc) Result() *Result { return i.res }
 
+// Written lists the nodes whose articulation flag the last Repair (or
+// Apply) changed, each once. It aliases internal state, allocates nothing,
+// and is valid until the next Repair.
+func (i *Inc) Written() []int32 { return i.written }
+
+// Stats exposes the work account: per Repair the ledger gains the applied
+// updates (Touched), the nodes revisited (Aff), the live row entries
+// scanned on the way (AffEdges) and the revisited nodes whose articulation
+// flag came out different (Changed).
+func (i *Inc) Stats() fixpoint.Stats { return i.stats }
+
 // RestoreState overwrites the maintained structure with one exported
-// from a checkpoint of the same graph: the articulation flags and the
-// per-edge component ids. The component-id allocator is advanced past
-// every restored id so components re-derived after the restart can never
-// collide with restored ones. The inputs are copied.
-func (i *Inc) RestoreState(articulation []bool, edgeComp map[[2]graph.NodeID]int32) error {
+// from a checkpoint of the same graph: the three per-node arrays of
+// Result. The block count is recounted from the heads. The inputs are
+// copied.
+func (i *Inc) RestoreState(articulation []bool, block []graph.NodeID, num []int32) error {
 	n := i.g.NumNodes()
-	if len(articulation) != n {
-		return fmt.Errorf("bc: restore of %d articulation flags into graph with %d nodes", len(articulation), n)
+	if len(articulation) != n || len(block) != n || len(num) != n {
+		return fmt.Errorf("bc: restore of %d/%d/%d flags, blocks and numbers into graph with %d nodes",
+			len(articulation), len(block), len(num), n)
 	}
 	res := &Result{
 		Articulation: append([]bool(nil), articulation...),
-		EdgeComp:     make(map[[2]graph.NodeID]int32, len(edgeComp)),
+		Block:        append([]graph.NodeID(nil), block...),
+		Num:          append([]int32(nil), num...),
 	}
-	maxComp := i.st.comp
-	for k, c := range edgeComp {
-		res.EdgeComp[k] = c
-		if c >= maxComp {
-			maxComp = c + 1
+	for v, b := range res.Block {
+		if b == graph.NodeID(v) {
+			res.comps++
 		}
 	}
 	i.res = res
-	i.st.comp = maxComp
 	return nil
 }
 
@@ -304,34 +397,36 @@ func (i *Inc) Stage(b graph.Batch) {
 	i.flat.Stage(i.g, applied)
 	i.flat.MaybeCompact(i.g)
 	i.st.grow(i.g.NumNodes())
-	for len(i.res.Articulation) < i.g.NumNodes() {
-		i.res.Articulation = append(i.res.Articulation, false)
-	}
+	i.res.grow(i.g.NumNodes())
 }
 
 // Repair re-runs the lowpoint DFS over the touched components.
 func (i *Inc) Repair() int {
 	applied := i.pending
-	i.pending = nil
+	i.pending = i.pending[:0]
+	i.written = i.written[:0]
 	if len(applied) == 0 {
 		return 0
 	}
-	for _, u := range applied {
-		if u.Kind == graph.DeleteEdge {
-			delete(i.res.EdgeComp, key(u.From, u.To))
-		}
-	}
-	i.st.epoch++
-	visitedNodes := 0
+	i.st.begin()
 	for _, u := range applied {
 		for _, v := range [2]graph.NodeID{u.From, u.To} {
-			if !i.g.Alive(v) || i.st.visited(v) {
-				continue
+			if i.g.Alive(v) && !i.st.visited(v) {
+				i.st.runComponent(v, i.res)
 			}
-			pre := i.st.clock
-			i.st.runComponent(i.flat.AppendOutSorted, v, i.res)
-			visitedNodes += int(i.st.clock - pre)
 		}
 	}
-	return visitedNodes
+	for _, s := range i.st.seen {
+		if i.res.Articulation[s.v] != s.was {
+			i.written = append(i.written, int32(s.v))
+		}
+	}
+	led := &i.stats.Ledger
+	led.Runs++
+	led.Touched += int64(len(applied))
+	led.Aff += int64(len(i.st.seen))
+	led.AffEdges += i.st.scanned
+	led.Changed += int64(len(i.written))
+	led.RecomputeEst = int64(i.g.NumNodes())
+	return len(i.st.seen)
 }

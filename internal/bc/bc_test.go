@@ -87,7 +87,7 @@ func TestRunKnownShapes(t *testing.T) {
 	if r.NumComps() != 2 {
 		t.Fatalf("NumComps = %d, want 2", r.NumComps())
 	}
-	if r.EdgeComp[key(0, 1)] != r.EdgeComp[key(1, 2)] || r.EdgeComp[key(0, 1)] == r.EdgeComp[key(3, 4)] {
+	if r.EdgeComp(0, 1) != r.EdgeComp(1, 2) || r.EdgeComp(0, 1) == r.EdgeComp(3, 4) {
 		t.Fatal("edge partition wrong")
 	}
 }
@@ -135,9 +135,14 @@ func TestRunMatchesBruteForce(t *testing.T) {
 				t.Fatalf("seed %d: Articulation[%d] = %v, want %v", seed, v, r.Articulation[v], want[v])
 			}
 		}
-		// Every edge must be assigned to exactly one component.
-		if len(r.EdgeComp) != g.NumEdges() {
-			t.Fatalf("seed %d: %d edges labeled, graph has %d", seed, len(r.EdgeComp), g.NumEdges())
+		// Every edge must be assigned to a component: an id that heads a block.
+		g.Edges(func(u, v graph.NodeID, _ int64) {
+			if c := r.EdgeComp(u, v); c < 0 || r.Block[c] != graph.NodeID(c) {
+				t.Fatalf("seed %d: edge {%d, %d} labeled %d, which heads no block", seed, u, v, c)
+			}
+		})
+		if got, want := r.NumComps(), countLabels(g, r); got != want {
+			t.Fatalf("seed %d: NumComps = %d, the edges carry %d labels", seed, got, want)
 		}
 	}
 }
@@ -151,7 +156,7 @@ func TestIncAgainstBatch(t *testing.T) {
 			b := gen.RandomUpdates(rng, inc.Graph(), 12, 0.5)
 			inc.Apply(b)
 			want := Run(inc.Graph())
-			if !inc.Result().Equivalent(want) {
+			if !inc.Result().Equivalent(want, inc.Graph()) {
 				t.Fatalf("seed %d round %d: incremental BC != batch", seed, round)
 			}
 		}
@@ -172,7 +177,7 @@ func TestIncTouchesOnlyAffectedComponents(t *testing.T) {
 	if visited > 2100 {
 		t.Fatalf("unit update in component A revisited %d nodes", visited)
 	}
-	if !inc.Result().Equivalent(Run(inc.Graph())) {
+	if !inc.Result().Equivalent(Run(inc.Graph()), inc.Graph()) {
 		t.Fatal("result wrong")
 	}
 }
@@ -188,7 +193,7 @@ func TestIncVertexUpdates(t *testing.T) {
 		{Kind: graph.InsertEdge, From: 0, To: v, W: 1},
 	})
 	want := Run(inc.Graph())
-	if !inc.Result().Equivalent(want) {
+	if !inc.Result().Equivalent(want, inc.Graph()) {
 		t.Fatal("result wrong after vertex insertion")
 	}
 	// The new edges close a cycle 0-1-2-v: no articulation points remain.
@@ -214,16 +219,27 @@ func TestEquivalentDetectsDifferences(t *testing.T) {
 	g.InsertEdge(2, 3, 1)
 	a := Run(g)
 	b := Run(g)
-	if !a.Equivalent(b) {
+	if !a.Equivalent(b, g) {
 		t.Fatal("identical runs not equivalent")
 	}
 	b.Articulation[1] = false
-	if a.Equivalent(b) {
+	if a.Equivalent(b, g) {
 		t.Fatal("articulation difference not detected")
 	}
 	c := Run(g)
-	c.EdgeComp[key(0, 1)] = c.EdgeComp[key(1, 2)]
-	if a.Equivalent(c) {
+	// Merge the blocks of {0, 1} and {1, 2}: relabel the node whose tree
+	// edge is {1, 2}, and retire the head that leaves without members.
+	c.Block[2] = c.Block[1]
+	c.comps--
+	if a.Equivalent(c, g) {
 		t.Fatal("partition difference not detected")
 	}
+}
+
+// countLabels is the brute-force block count: the distinct EdgeComp labels
+// over the graph's edges.
+func countLabels(g *graph.Graph, r *Result) int {
+	labels := map[int32]bool{}
+	g.Edges(func(u, v graph.NodeID, _ int64) { labels[r.EdgeComp(u, v)] = true })
+	return len(labels)
 }

@@ -54,10 +54,8 @@ type Result struct {
 	// Workers is the shard count of an exchange measurement (the key
 	// that tells its topologies apart in -diff); 0 everywhere else.
 	Workers int `json:"workers,omitempty"`
-	// Work is the repair's work-ledger measure (touched + |AFF| + ‖AFF‖)
-	// when the maintainer exposes the engine ledger, or the synthesized
-	// |ΔG| + |AFF| equivalent for the specialized classes; 0 when the
-	// experiment did not collect it. Unlike the timings, Work is
+	// Work is the repair's work-ledger measure (touched + |AFF| + ‖AFF‖);
+	// 0 when the experiment did not collect it. Unlike the timings, Work is
 	// deterministic for a fixed seed and scale, so report diffs can hold
 	// it to a tight tolerance.
 	Work int64 `json:"work,omitempty"`

@@ -47,42 +47,22 @@ func timeRepairAff(m applier, delta graph.Batch) (float64, int) {
 	return stopwatch(func() { aff = m.Apply(delta) }), aff
 }
 
-// audited is implemented by the maintainers that keep a work ledger
-// (SSSP, CC, Sim, LCC): they expose it and the graph it is denominated
-// against.
+// audited is an applier that keeps a work ledger, as all six maintainers
+// do.
 type audited interface {
+	applier
 	Stats() fixpoint.Stats
-	Graph() *graph.Graph
 }
 
-// grapher covers the specialized maintainers (DFS, BC) that expose
-// their graph but no ledger.
-type grapher interface{ Graph() *graph.Graph }
-
 // timeRepairLedger is timeRepairAff plus the work aggregates of the
-// repair: the ledger's Work() when the maintainer exposes one, or the
-// |ΔG| + |AFF| synthesis the serve layer uses for DFS and BC. The ratio
-// is work / |ΔG|, the boundedness quotient the perf gate holds across
-// commits.
-func timeRepairLedger(m applier, delta graph.Batch) (sec float64, aff int, work int64, ratio float64) {
-	am, isAudited := m.(audited)
-	var before fixpoint.Stats
-	if isAudited {
-		before = am.Stats()
-	}
+// repair: the ledger's Work() and work / |ΔG|, the boundedness quotient
+// the perf gate holds across commits.
+func timeRepairLedger(m audited, delta graph.Batch) (sec float64, aff int, work int64, ratio float64) {
+	before := m.Stats()
 	sec, aff = timeRepairAff(m, delta)
-	if isAudited {
-		led := am.Stats().Sub(before).Ledger
-		led.Delta = int64(len(delta))
-		work = led.Work()
-		ratio = led.BoundedRatio()
-		return sec, aff, work, ratio
-	}
-	if _, ok := m.(grapher); ok && len(delta) > 0 {
-		work = int64(len(delta) + aff)
-		ratio = float64(work) / float64(len(delta))
-	}
-	return sec, aff, work, ratio
+	led := m.Stats().Sub(before).Ledger
+	led.Delta = int64(len(delta))
+	return sec, aff, led.Work(), led.BoundedRatio()
 }
 
 // avgUnit feeds the updates one at a time and returns the mean seconds

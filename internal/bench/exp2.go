@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"incgraph/internal/bc"
 	"incgraph/internal/cc"
 	"incgraph/internal/dfs"
 	"incgraph/internal/gen"
@@ -164,6 +165,29 @@ func Exp2DFS(cfg Config) {
 		dynT := stopwatch(func() { dyn.Apply(delta) })
 		t.row(fmt.Sprintf("%g%%", p), batch, incT, dynT)
 		cfg.report(Result{Experiment: "exp2-dfs", Dataset: "OKT", Algo: "IncDFS",
+			Workload:     fmt.Sprintf("|ΔG|=%g%%", p),
+			BatchSeconds: batch, IncSeconds: incT, Affected: aff,
+			Work: work, BoundedRatio: ratio})
+	}
+	t.flush()
+}
+
+// Exp2BC is the batch-update table of biconnectivity, the class §3 names
+// beyond the five of Exp-2: IncBC vs the lowpoint run BC_fp on the OKT
+// stand-in. IncBC revisits every connected component ΔG touches, so on a
+// graph that is one component its time stays near BC_fp's at any |ΔG|.
+func Exp2BC(cfg Config) {
+	d, _ := gen.ByName("OKT")
+	g := buildUndirected(d, cfg.Seed, cfg.Scale)
+	t := newTable(cfg.Out, "Exp-2 BC on OKT: batch updates", "|ΔG|", "BC_fp", "IncBC")
+	for _, p := range []float64{0.25, 0.5, 1, 2, 4, 8} {
+		delta := gen.RandomUpdates(newRNG(cfg.Seed), g, deltaSize(g, p), 0.5)
+		updated := g.Clone()
+		updated.Apply(delta)
+		batch := stopwatch(func() { bc.Run(updated) })
+		incT, aff, work, ratio := timeRepairLedger(bc.NewInc(g.Clone()), delta)
+		t.row(fmt.Sprintf("%g%%", p), batch, incT)
+		cfg.report(Result{Experiment: "exp2-bc", Dataset: "OKT", Algo: "IncBC",
 			Workload:     fmt.Sprintf("|ΔG|=%g%%", p),
 			BatchSeconds: batch, IncSeconds: incT, Affected: aff,
 			Work: work, BoundedRatio: ratio})

@@ -1,4 +1,4 @@
-package lcc
+package dfs
 
 import (
 	"testing"
@@ -7,7 +7,7 @@ import (
 	"incgraph/internal/graph"
 )
 
-// BenchmarkIncBurst times one IncLCC apply of a burst-shaped batch.
+// BenchmarkIncBurst times one IncDFS apply of a burst-shaped batch.
 func BenchmarkIncBurst(b *testing.B) {
 	g := gen.BurstGraph()
 	s := gen.NewBurstStream(1, g)
@@ -16,13 +16,13 @@ func BenchmarkIncBurst(b *testing.B) {
 	for k := range batches {
 		batches[k] = s.Next(gen.BurstBatch)
 	}
-	pe := 0
+	aff := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, batch := range batches {
-		pe += inc.Apply(batch)
+		aff += inc.Apply(batch)
 	}
-	b.ReportMetric(float64(pe)/float64(b.N), "recounted/op")
+	b.ReportMetric(float64(aff)/float64(b.N), "replayed/op")
 }
 
 // BenchmarkRunBurst times the batch algorithm on the burst graph.
@@ -34,4 +34,4 @@ func BenchmarkRunBurst(b *testing.B) {
 	}
 }
 
-var sink *Result
+var sink *Tree

@@ -21,9 +21,11 @@
 package dfs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
 )
 
@@ -103,7 +105,7 @@ func Run(g *graph.Graph) *Tree {
 	for i := range t.Parent {
 		t.Parent[i] = -1
 	}
-	replayFrom(g, g.AppendOutSorted, t, 1)
+	replayFrom(g, g.AppendOutSorted, t, 1, new(replay))
 	return t
 }
 
@@ -123,11 +125,69 @@ type frame struct {
 // tail): batch algorithms read the Graph, maintainers the Flat.
 type nbrFunc func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID
 
+// replay is the scratch of replayFrom, and what a call leaves behind for
+// the ledger. A maintainer keeps one, so that a replay allocates only
+// while the scratch is still growing to the graph's size; a batch run
+// passes a fresh one.
+type replay struct {
+	open  []graph.NodeID // the stack at tstar, bottom first
+	stack []frame
+	// arena holds every open frame's neighbor window; frames pop in LIFO
+	// order, so truncating to f.lo on pop reclaims the window.
+	arena []graph.NodeID
+	// prior lists every node the call reopened or reset with the triple it
+	// had before — each node once — and scanned counts the row entries
+	// enumerated.
+	prior   []priorNode
+	scanned int64
+}
+
+type priorNode struct {
+	v           graph.NodeID
+	first, last int32
+	parent      graph.NodeID
+}
+
+func (sc *replay) push(nb nbrFunc, v graph.NodeID) {
+	lo := len(sc.arena)
+	sc.arena = nb(v, sc.arena)
+	sc.scanned += int64(len(sc.arena) - lo)
+	sc.stack = append(sc.stack, frame{v: v, lo: int32(lo), i: int32(lo), hi: int32(len(sc.arena))})
+}
+
+// run continues the traversal until the stack is empty and returns the
+// advanced clock.
+func (sc *replay) run(nb nbrFunc, t *Tree, clock int32) int32 {
+	for len(sc.stack) > 0 {
+		f := &sc.stack[len(sc.stack)-1]
+		descended := false
+		for f.i < f.hi {
+			w := sc.arena[f.i]
+			f.i++
+			if t.First[w] == 0 {
+				clock++
+				t.First[w] = clock
+				t.Parent[w] = f.v
+				sc.push(nb, w)
+				descended = true
+				break
+			}
+		}
+		if !descended {
+			clock++
+			t.Last[f.v] = clock
+			sc.arena = sc.arena[:f.lo]
+			sc.stack = sc.stack[:len(sc.stack)-1]
+		}
+	}
+	return clock
+}
+
 // replayFrom discards every event at time >= tstar and re-runs the
 // traversal from the stack state at tstar, reading neighbors through nb.
-// replayFrom(g, nb, t, 1) is a full batch run. It returns the number of
+// replayFrom(g, nb, t, 1, sc) is a full batch run. It returns the number of
 // nodes whose intervals were (re)computed, the affected-area measure.
-func replayFrom(g *graph.Graph, nb nbrFunc, t *Tree, tstar int32) int {
+func replayFrom(g *graph.Graph, nb nbrFunc, t *Tree, tstar int32, sc *replay) int {
 	n := g.NumNodes()
 	// Grow state for vertex insertions.
 	for len(t.First) < n {
@@ -135,68 +195,35 @@ func replayFrom(g *graph.Graph, nb nbrFunc, t *Tree, tstar int32) int {
 		t.Last = append(t.Last, 0)
 		t.Parent = append(t.Parent, -1)
 	}
+	sc.open, sc.stack, sc.arena, sc.prior, sc.scanned = sc.open[:0], sc.stack[:0], sc.arena[:0], sc.prior[:0], 0
 	// Classify nodes: closed prefix (kept), open stack (first kept, last
 	// recomputed), affected suffix (reset).
-	var open []graph.NodeID
 	affected := 0
 	for v := 0; v < n; v++ {
 		switch {
 		case t.First[v] > 0 && t.First[v] < tstar && t.Last[v] >= tstar:
-			open = append(open, graph.NodeID(v))
+			sc.prior = append(sc.prior, priorNode{graph.NodeID(v), t.First[v], t.Last[v], t.Parent[v]})
+			sc.open = append(sc.open, graph.NodeID(v))
 			t.Last[v] = 0
 		case t.First[v] >= tstar || t.First[v] == 0:
+			sc.prior = append(sc.prior, priorNode{graph.NodeID(v), t.First[v], t.Last[v], t.Parent[v]})
 			t.First[v], t.Last[v], t.Parent[v] = 0, 0, -1
 			affected++
 		}
 	}
-	sort.Slice(open, func(i, j int) bool { return t.First[open[i]] < t.First[open[j]] })
-
-	clock := tstar - 1
-	// One arena holds every open frame's neighbor window; frames pop in
-	// LIFO order, so truncating to f.lo on pop reclaims the window.
-	var stack []frame
-	arena := make([]graph.NodeID, 0, 64)
-	push := func(v graph.NodeID) {
-		lo := int32(len(arena))
-		arena = nb(v, arena)
-		stack = append(stack, frame{v: v, lo: lo, i: lo, hi: int32(len(arena))})
+	slices.SortFunc(sc.open, func(a, b graph.NodeID) int { return cmp.Compare(t.First[a], t.First[b]) })
+	for _, w := range sc.open {
+		sc.push(nb, w)
 	}
-	for _, w := range open {
-		push(w)
-	}
-	step := func() {
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			descended := false
-			for f.i < f.hi {
-				w := arena[f.i]
-				f.i++
-				if t.First[w] == 0 {
-					clock++
-					t.First[w] = clock
-					t.Parent[w] = f.v
-					push(w)
-					descended = true
-					break
-				}
-			}
-			if !descended {
-				clock++
-				t.Last[f.v] = clock
-				arena = arena[:f.lo]
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	step()
+	clock := sc.run(nb, t, tstar-1)
 	// Virtual root enumerates remaining nodes in id order.
 	for s := 0; s < n; s++ {
 		if t.First[s] == 0 {
 			clock++
 			t.First[s] = clock
 			t.Parent[s] = -1
-			push(graph.NodeID(s))
-			step()
+			sc.push(nb, graph.NodeID(s))
+			clock = sc.run(nb, t, clock)
 		}
 	}
 	return affected
@@ -216,6 +243,9 @@ type Inc struct {
 	flat    *graph.Flat
 	tree    *Tree
 	pending graph.Batch
+	sc      replay
+	written []int32
+	stats   fixpoint.Stats
 }
 
 // NewInc runs the batch DFS and returns the incremental algorithm.
@@ -233,6 +263,19 @@ func (i *Inc) Graph() *graph.Graph { return i.g }
 
 // Tree returns the maintained DFS tree (aliased, do not mutate).
 func (i *Inc) Tree() *Tree { return i.tree }
+
+// Written lists the nodes whose (first, last, parent) triple the last
+// Repair (or Apply) changed, each once: a replay that reproduces a node's
+// old triple does not write it. It aliases internal state, allocates
+// nothing, and is valid until the next Repair.
+func (i *Inc) Written() []int32 { return i.written }
+
+// Stats exposes the work account: per Repair the ledger gains the applied
+// updates (Touched), the nodes whose interval was recomputed — replayed
+// whole, or reopened at the replay point to get a new last — (Aff), the
+// neighbor row entries enumerated for them (AffEdges), and those of them
+// whose triple came out different (Changed).
+func (i *Inc) Stats() fixpoint.Stats { return i.stats }
 
 // RestoreState overwrites the maintained tree with one exported from a
 // checkpoint of the same graph. The interval variables are IncDFS's
@@ -273,7 +316,8 @@ func (i *Inc) Stage(b graph.Batch) {
 // Repair replays the traversal suffix for the staged updates.
 func (i *Inc) Repair() int {
 	applied := i.pending
-	i.pending = nil
+	i.pending = i.pending[:0]
+	i.written = i.written[:0]
 	oldN := len(i.tree.First)
 	if len(applied) == 0 && i.g.NumNodes() == oldN {
 		return 0
@@ -321,7 +365,21 @@ func (i *Inc) Repair() int {
 			}
 		}
 	}
-	return replayFrom(i.g, i.flat.AppendOutSorted, i.tree, tstar)
+	affected := replayFrom(i.g, i.flat.AppendOutSorted, i.tree, tstar, &i.sc)
+	t := i.tree
+	for _, p := range i.sc.prior {
+		if t.First[p.v] != p.first || t.Last[p.v] != p.last || t.Parent[p.v] != p.parent {
+			i.written = append(i.written, int32(p.v))
+		}
+	}
+	led := &i.stats.Ledger
+	led.Runs++
+	led.Touched += int64(len(applied))
+	led.Aff += int64(affected + len(i.sc.open))
+	led.AffEdges += i.sc.scanned
+	led.Changed += int64(len(i.written))
+	led.RecomputeEst = int64(i.g.NumNodes())
+	return affected
 }
 
 // IncUnit is IncDFS_n: the unit-update variant.

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"incgraph/internal/gen"
@@ -79,12 +80,53 @@ func TestIncAgainstBatch(t *testing.T) {
 		inc := NewInc(g)
 		for round := 0; round < 8; round++ {
 			b := gen.RandomUpdates(rng, inc.Graph(), 12, 0.5)
-			inc.Apply(b)
+			before, led := inc.Tree().clone(), inc.Stats().Ledger
+			replayed := inc.Apply(b)
 			want := Run(inc.Graph())
 			if !inc.Tree().Equal(want) {
 				t.Fatalf("seed %d round %d: IncDFS != batch DFS", seed, round)
 			}
+			// Written() is the set of nodes whose triple differs, each once,
+			// and the ledger counts this repair and nothing else.
+			var changed []int32
+			for v := range want.First {
+				if want.First[v] != before.First[v] || want.Last[v] != before.Last[v] || want.Parent[v] != before.Parent[v] {
+					changed = append(changed, int32(v))
+				}
+			}
+			written := slices.Clone(inc.Written())
+			slices.Sort(written)
+			if !slices.Equal(written, changed) {
+				t.Fatalf("seed %d round %d: Written() = %v, the changed triples are %v", seed, round, written, changed)
+			}
+			got := inc.Stats().Ledger.Sub(led)
+			if got.Runs != 1 || got.Aff != int64(replayed+len(inc.sc.open)) || got.Changed != int64(len(changed)) || got.Changed > got.Aff || (replayed > 0 && got.AffEdges == 0) {
+				t.Fatalf("seed %d round %d: ledger %+v for %d replayed, %d changed", seed, round, got, replayed, len(changed))
+			}
 		}
+	}
+}
+
+// TestRepairZeroAlloc: once the replay scratch has grown to the graph, a
+// repair allocates nothing (staging, which nets and applies the batch,
+// does).
+func TestRepairZeroAlloc(t *testing.T) {
+	g := gen.PowerLaw(rand.New(rand.NewSource(5)), 2000, 8, false)
+	s := gen.NewBurstStream(5, g)
+	inc := NewInc(g)
+	inc.Apply(s.Next(50)) // warm-up: the scratch, the written list and the stage buffer
+	up := graph.Update{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}
+	allocs := testing.AllocsPerRun(20, func() {
+		inc.pending = append(inc.pending, up) // what a Stage leaves; present or not, the edge puts tstar at node 0's visit
+		if inc.Repair() == 0 {
+			t.Fatal("nothing replayed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Repair allocates %.0f objects per run", allocs)
+	}
+	if !inc.Tree().Equal(Run(g)) {
+		t.Fatal("tree differs from Run")
 	}
 }
 

@@ -95,7 +95,7 @@ func (d *DynDFS) replayChecked(up graph.Update) int {
 	if !d.g.Directed() {
 		consider(up.To)
 	}
-	affected := replayFrom(d.g, d.g.AppendOutSorted, d.tree, tstar)
+	affected := replayFrom(d.g, d.g.AppendOutSorted, d.tree, tstar, new(replay))
 	if !d.valid() {
 		d.tree = Run(d.g)
 		return d.g.NumNodes()

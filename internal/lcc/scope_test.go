@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 )
 
@@ -264,11 +265,11 @@ func TestScopeHardCases(t *testing.T) {
 // its edges, a small part of the graph — where the one-hop rule this
 // replaced recounted 5,600 of the 6,000 nodes.
 func TestScopeBoundedOnBurst(t *testing.T) {
-	g := burstGraph()
-	s := newBurstStream(7, g)
+	g := gen.BurstGraph()
+	s := gen.NewBurstStream(7, g)
 	inc := NewInc(g)
 	for round := 0; round < 5; round++ {
-		b := s.next(burstBatch)
+		b := s.Next(gen.BurstBatch)
 		pre := inc.Graph().Clone()
 		pe := inc.Apply(b)
 		post := inc.Graph()
@@ -284,8 +285,8 @@ func TestScopeBoundedOnBurst(t *testing.T) {
 				}
 			}
 		}
-		if pe > bound || pe >= burstNodes/4 {
-			t.Fatalf("round %d: %d nodes recounted; bound 2·|applied| + Σ|common| = %d, |V|/4 = %d", round, pe, bound, burstNodes/4)
+		if pe > bound || pe >= gen.BurstNodes/4 {
+			t.Fatalf("round %d: %d nodes recounted; bound 2·|applied| + Σ|common| = %d, |V|/4 = %d", round, pe, bound, gen.BurstNodes/4)
 		}
 		if !inc.Result().Equal(Run(post)) {
 			t.Fatalf("round %d: result differs from Run", round)

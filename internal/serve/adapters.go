@@ -22,25 +22,27 @@ import (
 // view holds its vectors as Paged values instead: each adapter keeps the
 // vectors it last published, and Snapshot builds the next ones with
 // Paged.Update, which copies the pages whose content changed and shares
-// the rest with the previous epoch. SSSP, CC and LCC hand Update the
-// maintainer's written list, so publishing costs what the apply wrote;
-// the other classes (and any adapter after Recompute or RestoreState)
-// pass nil and pay one comparison pass over the vector.
+// the rest with the previous epoch. SSSP, CC, LCC, DFS and BC hand Update
+// the maintainer's written list, so publishing costs what the apply wrote;
+// Sim, whose view is gathered match lists and not the maintainer's own
+// vector (and any adapter after Recompute or RestoreState), passes nil and
+// pays one comparison pass over the vector.
 //
-// Apply returns an ApplyResult instead of the bare affected count: SSSP,
-// CC, Sim and LCC expose cumulative fixpoint.Stats, so each adapter
-// snapshots the counters around Apply and reports the per-apply delta —
-// the numbers Theorem 3 is about — rather than discarding them. DFS and
-// BC repair with specialized machinery and report only the affected-area
-// measure.
+// Apply returns an ApplyResult instead of the bare affected count: all six
+// maintainers expose cumulative fixpoint.Stats, so each adapter snapshots
+// the counters around Apply and reports the per-apply delta — the numbers
+// Theorem 3 is about — rather than discarding them. The engine-backed
+// classes count what the engine counts; LCC, DFS and BC, which repair with
+// their own machinery, keep the same ledger by hand (Touched, Aff,
+// AffEdges, Changed: see each maintainer's Stats).
 //
 // PersistState/RestoreState serialize the maintainer's incremental state
 // as a gob blob for durability checkpoints. What each class persists is
 // exactly what Theorem 1's weak deducibility says it must keep beyond
 // the answer itself: the engine-backed classes persist their timestamps
 // and clock (the anchor order <_C), sim its falsification timestamps,
-// dfs/lcc nothing beyond the interval/status variables, and bc the
-// component-id map. Recompute rebuilds the maintainer by re-running the
+// dfs/lcc nothing beyond the interval/status variables, and bc its three
+// per-node arrays (flags, blocks, DFS numbers). Recompute rebuilds the maintainer by re-running the
 // batch algorithm over the current graph — the self-healing and
 // recovery-verification path.
 
@@ -58,14 +60,15 @@ func (p *pubState) applied() { p.applies++ }
 func (p *pubState) unknown() { p.applies = 2 }
 
 // written returns what to pass Update given the maintainer's list w, and
-// starts the next publication interval.
+// starts the next publication interval. An apply that wrote nothing may
+// leave w nil, which Update would read as unknown.
 func (p *pubState) written(w []int32) []int32 {
 	n := p.applies
 	p.applies = 0
-	switch n {
-	case 0:
+	switch {
+	case n == 0 || (n == 1 && len(w) == 0):
 		return nothingWritten
-	case 1:
+	case n == 1:
 		return w
 	}
 	return nil
@@ -153,23 +156,6 @@ func statsDelta(m statser, g *graph.Graph, delta int, apply func() int) ApplyRes
 	res.Ledger.RecomputeEst = int64(g.NumNodes() + g.NumEdges())
 	res.HasLedger = true
 	return res
-}
-
-// syntheticLedger builds the work ledger for the specialized classes
-// (DFS, BC) that repair without counting their own work: the batch size
-// stands in for the touched set, the affected-area measure for both
-// |CHANGED| and |AFF| (their repair machinery reports only the combined
-// measure), and ‖AFF‖/rounds stay zero — Work degrades to touched+|AFF|,
-// which is still the quantity Theorem 3 bounds for these classes.
-func syntheticLedger(g *graph.Graph, delta, affected int) fixpoint.WorkLedger {
-	return fixpoint.WorkLedger{
-		Runs:         1,
-		Delta:        int64(delta),
-		Touched:      int64(delta),
-		Changed:      int64(affected),
-		Aff:          int64(affected),
-		RecomputeEst: int64(g.NumNodes() + g.NumEdges()),
-	}
 }
 
 // CCView is the published snapshot of a connected-components maintainer.
@@ -333,6 +319,7 @@ func (v DFSView) viewFields(lo, hi int) []viewField {
 type dfsServeable struct {
 	inc  *dfs.Inc
 	last DFSView // last published
+	pub  pubState
 }
 
 // DFS adapts an IncDFS maintainer.
@@ -341,16 +328,16 @@ func DFS(inc *dfs.Inc) Serveable { return &dfsServeable{inc: inc} }
 func (s *dfsServeable) Algo() string        { return "dfs" }
 func (s *dfsServeable) Graph() *graph.Graph { return s.inc.Graph() }
 func (s *dfsServeable) Apply(b graph.Batch) ApplyResult {
-	aff := s.inc.Apply(b)
-	return ApplyResult{Affected: aff,
-		Ledger: syntheticLedger(s.inc.Graph(), len(b), aff), HasLedger: true}
+	s.pub.applied()
+	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
 }
 func (s *dfsServeable) Snapshot() any {
 	t := s.inc.Tree()
+	written := s.pub.written(s.inc.Written())
 	s.last = DFSView{
-		First:  s.last.First.Update(t.First, nil),
-		Last:   s.last.Last.Update(t.Last, nil),
-		Parent: s.last.Parent.Update(t.Parent, nil),
+		First:  s.last.First.Update(t.First, written),
+		Last:   s.last.Last.Update(t.Last, written),
+		Parent: s.last.Parent.Update(t.Parent, written),
 	}
 	return s.last
 }
@@ -372,9 +359,13 @@ func (s *dfsServeable) RestoreState(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return err
 	}
+	s.pub.unknown()
 	return s.inc.RestoreState(st.First, st.Last, st.Parent)
 }
-func (s *dfsServeable) Recompute() { s.inc = dfs.NewInc(s.inc.Graph()) }
+func (s *dfsServeable) Recompute() {
+	s.pub.unknown()
+	s.inc = dfs.NewInc(s.inc.Graph())
+}
 
 // Flat exposes the current inner maintainer's flat adjacency view to the
 // host's compaction and overlay metrics.
@@ -484,6 +475,7 @@ func (v BCView) viewFields(lo, hi int) []viewField {
 type bcServeable struct {
 	inc  *bc.Inc
 	arts Paged[bool] // last published
+	pub  pubState
 }
 
 // BC adapts an IncBC maintainer.
@@ -496,34 +488,43 @@ func (s *bcServeable) Graph() *graph.Graph { return s.inc.Graph() }
 // host's compaction and overlay metrics.
 func (s *bcServeable) Flat() *graph.Flat { return s.inc.Flat() }
 func (s *bcServeable) Apply(b graph.Batch) ApplyResult {
-	aff := s.inc.Apply(b)
-	return ApplyResult{Affected: aff,
-		Ledger: syntheticLedger(s.inc.Graph(), len(b), aff), HasLedger: true}
+	s.pub.applied()
+	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
 }
 func (s *bcServeable) Snapshot() any {
 	r := s.inc.Result()
-	s.arts = s.arts.Update(r.Articulation, nil)
+	s.arts = s.arts.Update(r.Articulation, s.pub.written(s.inc.Written()))
 	return BCView{Articulation: s.arts, NumComps: r.NumComps()}
 }
 
-// bcState is the gob envelope of PersistState: the articulation flags
-// and the edge partition. Component ids survive the round trip so
-// incremental repair after a restart keeps distinguishing restored
-// components from freshly derived ones.
+// bcState is the gob envelope of PersistState: the articulation flags and
+// the two per-node arrays the edge partition is read off (Result.EdgeComp).
+// A checkpoint written before the partition was per node carries the flags
+// and an edge-keyed map instead; gob drops the field it does not know, and
+// Block comes back nil.
 type bcState struct {
 	Articulation []bool
-	EdgeComp     map[[2]graph.NodeID]int32
+	Block        []graph.NodeID
+	Num          []int32
 }
 
 func (s *bcServeable) PersistState(w io.Writer) error {
 	r := s.inc.Result()
-	return gob.NewEncoder(w).Encode(bcState{Articulation: r.Articulation, EdgeComp: r.EdgeComp})
+	return gob.NewEncoder(w).Encode(bcState{Articulation: r.Articulation, Block: r.Block, Num: r.Num})
 }
 func (s *bcServeable) RestoreState(r io.Reader) error {
 	var st bcState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return err
 	}
-	return s.inc.RestoreState(st.Articulation, st.EdgeComp)
+	if st.Block == nil { // the older shape: nothing to restore the partition from, so derive it
+		s.Recompute()
+		return nil
+	}
+	s.pub.unknown()
+	return s.inc.RestoreState(st.Articulation, st.Block, st.Num)
 }
-func (s *bcServeable) Recompute() { s.inc = bc.NewInc(s.inc.Graph()) }
+func (s *bcServeable) Recompute() {
+	s.pub.unknown()
+	s.inc = bc.NewInc(s.inc.Graph())
+}

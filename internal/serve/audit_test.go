@@ -51,8 +51,8 @@ func checkLedger(t *testing.T, algo string, res ApplyResult, g *graph.Graph, bat
 // TestAdapterLedgersAllClasses drives every class adapter through one
 // Apply and checks the work ledger each reports: the engine-backed
 // classes (SSSP, CC, Sim) surface the engine's schedule-independent
-// counters, LCC its own count of what it recounted and what changed, the
-// other specialized classes (DFS, BC) a synthesized ledger.
+// counters, the specialized classes (DFS, LCC, BC) their own count of what
+// they recomputed and what changed.
 func TestAdapterLedgersAllClasses(t *testing.T) {
 	undirected := func() *graph.Graph {
 		g := graph.New(6, false)
@@ -109,8 +109,13 @@ func TestAdapterLedgersAllClasses(t *testing.T) {
 		s := DFS(dfs.NewInc(g))
 		res := s.Apply(batch)
 		checkLedger(t, "dfs", res, g, len(batch))
-		if res.Ledger.Aff != int64(res.Affected) {
-			t.Errorf("dfs: synthetic Aff %d != Affected %d", res.Ledger.Aff, res.Affected)
+		// The path 0→1→2→3 is replayed from just after node 0's visit: 1, 2
+		// and 3 come out as they were, 4 and 5 move under 0, and 0, still
+		// open, gets a later last. Rows enumerated: 0's two entries and one
+		// each for 1, 2 and 4.
+		if led := res.Ledger; led.Touched != 2 || led.Aff != 6 || led.AffEdges != 5 || led.Changed != 3 || res.Affected != 5 || !res.HasStats {
+			t.Errorf("dfs: touched/aff/aff_edges/changed = %d/%d/%d/%d, affected %d, stats %v; want 2/6/5/3, 5, true",
+				led.Touched, led.Aff, led.AffEdges, led.Changed, res.Affected, res.HasStats)
 		}
 	})
 	t.Run("lcc", func(t *testing.T) {
@@ -130,6 +135,16 @@ func TestAdapterLedgersAllClasses(t *testing.T) {
 		s := BC(bc.NewInc(g))
 		res := s.Apply(batch)
 		checkLedger(t, "bc", res, g, len(batch))
+		// The path 0-1-2-3-4 closes into a cycle with 5 hanging off 4: all
+		// six nodes are revisited over their 12 row entries, 1, 2 and 3 stop
+		// being articulation points and 4 becomes one.
+		if led := res.Ledger; led.Touched != 2 || led.Aff != 6 || led.AffEdges != 12 || led.Changed != 4 || res.Affected != 6 || !res.HasStats {
+			t.Errorf("bc: touched/aff/aff_edges/changed = %d/%d/%d/%d, affected %d, stats %v; want 2/6/12/4, 6, true",
+				led.Touched, led.Aff, led.AffEdges, led.Changed, res.Affected, res.HasStats)
+		}
+		if v := s.Snapshot().(BCView); v.NumComps != 2 {
+			t.Errorf("bc: %d blocks published, want the cycle and the bridge", v.NumComps)
+		}
 	})
 }
 

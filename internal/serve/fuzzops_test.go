@@ -141,15 +141,14 @@ type opsRig struct {
 	svc    *Service
 	dur    *Durable
 	api    http.Handler
-	// prev is, per class with a written list, what the last check saw
-	// published and at which batch count; dropped at a recovery, which
-	// rebuilds the maintainers.
+	// prev is, per class, what the last check saw published and at which
+	// batch count; dropped at a recovery, which rebuilds the maintainers.
 	prev map[string]opsSeen
 }
 
 type opsSeen struct {
 	batches uint64
-	vals    []int64
+	vecs    [][]int64
 }
 
 // boot runs the daemon's start-up: load the newest checkpoint, restore,
@@ -252,15 +251,16 @@ func (r *opsRig) post(wait bool, arg [3]byte) {
 	r.epoch += uint64(len(batch))
 }
 
-// published flattens what a class with a written list publishes to one
-// vector indexed the way the list is: distances, labels, or sim's match
-// bits at v·|V_Q| + u. nil for the other classes.
-func published(data any) []int64 {
+// published flattens what a class publishes to vectors indexed the way
+// its maintainer's written list is: distances, labels, sim's match bits at
+// v·|V_Q| + u, or the per-node vectors of dfs, lcc (γ is a function of the
+// two) and bc.
+func published(data any) [][]int64 {
 	switch d := data.(type) {
 	case SSSPView:
-		return d.Dist.Slice()
+		return [][]int64{d.Dist.Slice()}
 	case CCView:
-		return d.Labels.Slice()
+		return [][]int64{d.Labels.Slice()}
 	case SimView:
 		bits := make([]int64, opsNodes*d.NQ)
 		for u, m := range d.Matches {
@@ -268,9 +268,29 @@ func published(data any) []int64 {
 				bits[int(v)*d.NQ+u] = 1
 			}
 		}
-		return bits
+		return [][]int64{bits}
+	case DFSView:
+		return [][]int64{widen(d.First), widen(d.Last), widen(d.Parent)}
+	case LCCView:
+		return [][]int64{widen(d.Deg), d.Tri.Slice()}
+	case BCView:
+		flags := make([]int64, d.Articulation.Len())
+		for i, a := range d.Articulation.Slice() {
+			if a {
+				flags[i] = 1
+			}
+		}
+		return [][]int64{flags}
 	}
 	return nil
+}
+
+func widen[T int32 | graph.NodeID](p Paged[T]) []int64 {
+	out := make([]int64, 0, p.Len())
+	for _, x := range p.Slice() {
+		out = append(out, int64(x))
+	}
+	return out
 }
 
 func writtenBy(m Serveable) []int32 {
@@ -280,6 +300,12 @@ func writtenBy(m Serveable) []int32 {
 	case *ccServeable:
 		return s.inc.Written()
 	case *simServeable:
+		return s.inc.Written()
+	case *dfsServeable:
+		return s.inc.Written()
+	case *lccServeable:
+		return s.inc.Written()
+	case *bcServeable:
 		return s.inc.Written()
 	}
 	return nil
@@ -311,13 +337,12 @@ func (r *opsRig) check(step int) {
 		r.get("/query/"+c.algo, v, nil)
 
 		cur := published(v.Data)
-		if cur == nil {
-			continue
-		}
 		if was, ok := r.prev[c.algo]; ok && v.Batches-was.batches == 1 {
-			for i := range cur {
-				if cur[i] != was.vals[i] && !slices.Contains(written, int32(i)) {
-					t.Fatalf("step %d %s: published entry %d went %d → %d and is not in Written() %v", step, c.algo, i, was.vals[i], cur[i], written)
+			for k, vec := range cur {
+				for i := range vec {
+					if vec[i] != was.vecs[k][i] && !slices.Contains(written, int32(i)) {
+						t.Fatalf("step %d %s: published entry %d of vector %d went %d → %d and is not in Written() %v", step, c.algo, i, k, was.vecs[k][i], vec[i], written)
+					}
 				}
 			}
 		}

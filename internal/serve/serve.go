@@ -87,16 +87,13 @@ type ApplyResult struct {
 	// Stats is the per-apply fixpoint counter delta; meaningful only when
 	// HasStats is set.
 	Stats fixpoint.Stats
-	// HasStats reports whether the maintainer exposes fixpoint counters:
-	// SSSP, CC, Sim and LCC do; DFS and BC repair with specialized
-	// machinery that counts nothing and report only Affected.
+	// HasStats reports whether the maintainer exposes fixpoint counters;
+	// all six classes of this repository do.
 	HasStats bool
 	// Ledger is the per-apply work ledger: |ΔG|, |CHANGED|, |AFF|, ‖AFF‖,
 	// rounds, and the recompute estimate Theorem 3's boundedness quotient
-	// is computed from. SSSP, CC, Sim and LCC report their own ledger's
-	// delta with Delta and RecomputeEst filled in; DFS and BC synthesize
-	// one from their affected-area measure (syntheticLedger). Meaningful
-	// only when HasLedger is set.
+	// is computed from: the maintainer's own ledger's delta with Delta and
+	// RecomputeEst filled in. Meaningful only when HasLedger is set.
 	Ledger fixpoint.WorkLedger
 	// HasLedger reports whether Ledger carries work accounting.
 	HasLedger bool

@@ -85,7 +85,7 @@ func TestStressBC(t *testing.T) {
 	inc := NewIncBC(g)
 	for round := 0; round < stressRounds; round++ {
 		inc.Apply(RandomUpdates(int64(500+round), inc.Graph(), stressBatch, 0.5))
-		if !inc.Result().Equivalent(bc.Run(inc.Graph())) {
+		if !inc.Result().Equivalent(bc.Run(inc.Graph()), inc.Graph()) {
 			t.Fatalf("round %d: biconnectivity diverged", round)
 		}
 	}
