@@ -11,8 +11,133 @@ import (
 	"testing"
 )
 
-// FuzzRead exercises the graph parser: it must never panic, and anything
-// it accepts must re-serialize and re-parse to an equal graph.
+// readSscanf is Read as it was while it went through strings.Fields and
+// fmt.Sscanf, kept as the reference FuzzRead compares the parser against.
+// Like Read it scans the node count and the labels at their types' width,
+// so a value past 2³¹ − 1 is an error, not a narrowed number.
+func readSscanf(r io.Reader) (*Graph, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	var g *Graph
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Fields(text)
+		switch fields[0] {
+		case "graph":
+			if g != nil {
+				return nil, fmt.Errorf("graph: line %d: duplicate header", line)
+			}
+			if len(fields) != 3 {
+				return nil, fmt.Errorf("graph: line %d: malformed header", line)
+			}
+			var n int32
+			if _, err := fmt.Sscanf(fields[2], "%d", &n); err != nil || n < 0 {
+				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[2])
+			}
+			switch fields[1] {
+			case "directed":
+				g = New(int(n), true)
+			case "undirected":
+				g = New(int(n), false)
+			default:
+				return nil, fmt.Errorf("graph: line %d: bad kind %q", line, fields[1])
+			}
+		case "v":
+			if g == nil {
+				return nil, fmt.Errorf("graph: line %d: v before header", line)
+			}
+			var id int64
+			var label int32
+			if len(fields) != 3 {
+				return nil, fmt.Errorf("graph: line %d: malformed v line", line)
+			}
+			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &id, &label); err != nil {
+				return nil, fmt.Errorf("graph: line %d: %v", line, err)
+			}
+			if id < 0 || id >= int64(g.NumNodes()) {
+				return nil, fmt.Errorf("graph: line %d: node %d out of range", line, id)
+			}
+			g.SetLabel(NodeID(id), Label(label))
+		case "e":
+			if g == nil {
+				return nil, fmt.Errorf("graph: line %d: e before header", line)
+			}
+			var u, v, wgt int64
+			if len(fields) != 4 {
+				return nil, fmt.Errorf("graph: line %d: malformed e line", line)
+			}
+			if _, err := fmt.Sscanf(strings.Join(fields[1:], " "), "%d %d %d", &u, &v, &wgt); err != nil {
+				return nil, fmt.Errorf("graph: line %d: %v", line, err)
+			}
+			if u < 0 || u >= int64(g.NumNodes()) || v < 0 || v >= int64(g.NumNodes()) {
+				return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range", line, u, v)
+			}
+			if err := checkWeight(wgt); err != nil {
+				return nil, fmt.Errorf("graph: line %d: edge (%d,%d): %v", line, u, v, err)
+			}
+			if !g.InsertEdge(NodeID(u), NodeID(v), wgt) {
+				return nil, fmt.Errorf("graph: line %d: duplicate or degenerate edge (%d,%d)", line, u, v)
+			}
+		default:
+			return nil, fmt.Errorf("graph: line %d: unknown record %q", line, fields[0])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if g == nil {
+		return nil, fmt.Errorf("graph: missing header")
+	}
+	return g, nil
+}
+
+// gluedLast reports whether the last field of the given 1-based line of in
+// is a decimal with something glued to it ("3x", "1_0", "0x10"): the one
+// field Sscanf read the prefix of, since nothing had to follow it, and the
+// one input the reference accepts and Read refuses.
+func gluedLast(in string, line int) bool {
+	lines := strings.Split(in, "\n")
+	if line < 1 || line > len(lines) {
+		return false
+	}
+	fields := strings.Fields(lines[line-1])
+	if len(fields) < 2 {
+		return false
+	}
+	last := fields[len(fields)-1]
+	if _, err := strconv.ParseInt(last, 10, 64); err == nil {
+		return false
+	}
+	digits := strings.TrimLeft(last, "+-")
+	return len(last)-len(digits) <= 1 && digits != "" && digits[0] >= '0' && digits[0] <= '9'
+}
+
+// sameGraph reports whether a and b are the same graph held the same way:
+// kind, labels, and every row in order.
+func sameGraph(a, b *Graph) bool {
+	if a.Directed() != b.Directed() || a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
+		return false
+	}
+	for v := 0; v < a.NumNodes(); v++ {
+		id := NodeID(v)
+		if a.Label(id) != b.Label(id) || !slices.Equal(a.Out(id), b.Out(id)) || !slices.Equal(a.In(id), b.In(id)) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzRead exercises the graph parser differentially and by round trip: it
+// never panics, it accepts what the Sscanf-based reference accepts, as an
+// equal graph, and names the same line in its errors — except a number
+// with garbage glued to it, which the reference read the prefix of when it
+// stood last on its line and Read refuses — and anything accepted
+// re-serializes and re-parses to an equal graph.
 func FuzzRead(f *testing.F) {
 	f.Add("graph directed 3\nv 1 7\ne 0 1 5\ne 1 2 2\n")
 	f.Add("graph undirected 2\ne 0 1 1\n")
@@ -20,6 +145,35 @@ func FuzzRead(f *testing.F) {
 	f.Add("graph directed 2\ne 0 1 -5\n")
 	f.Add("e 0 1 1")
 	f.Add("graph directed 999999\n")
+	// Where the two parsers could part: signs, underscores, other bases,
+	// glued garbage in every position of every record, ids and values at and
+	// past 2³¹ and 2⁶³, a second header, Unicode white space, carriage
+	// returns, a comment glued to a record.
+	f.Add("graph directed +5\nv +1 +7\ne +0 +1 +5\ne 1 2 -0\n")
+	f.Add("graph directed 1_0\n")
+	f.Add("graph directed 4\ne 1_0 2 3\n")
+	f.Add("graph directed 4\ne 1 2 1_0\n")
+	f.Add("graph directed 4\ne 0x1 2 3\ne 1 2 0x10\n")
+	f.Add("graph directed 4x\n")
+	f.Add("graph directed 4\ne 1 2 3x\n")
+	f.Add("graph directed 4\ne 1x 2 3\n")
+	f.Add("graph directed 4\ne 1 2x 3\n")
+	f.Add("graph directed 4\nv 1 7x\n")
+	f.Add("graph directed 4\nv 1x 7\n")
+	f.Add("graph directed 4\ne 2147483648 1 7\n")
+	f.Add("graph directed 4\ne 4294967296 4294967301 7\n")
+	f.Add("graph directed 4\ne 1 2 9223372036854775808\n")
+	f.Add("graph directed 4\nv 4294967297 1\n")
+	f.Add("graph directed 4\nv 1 2147483648\nv 1 4294967301\n")
+	f.Add("graph directed 2147483648\n")
+	f.Add("graph directed 4\ngraph directed 4\n")
+	f.Add("graph directed 4\ngraph undirected 9 9\n")
+	f.Add("graph directed 4\ne 1 2 2305843009213693950\ne 2 3 2305843009213693951\n")
+	f.Add("graph undirected 4\ne 1 2 3\ne 2 1 3\n")
+	f.Add("graph undirected 4\ne 2 2 3\n")
+	f.Add("\u00a0graph\u2003directed\u20284\u0085\n \te 1 2 3 \r\n")
+	f.Add("graph directed 4 # c\n")
+	f.Add("graph directed 4\ne 1 2 3#c\n#e 1 2 3\ne 1 2 \xff\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		if len(in) > 1<<16 {
 			return
@@ -33,8 +187,22 @@ func FuzzRead(f *testing.F) {
 			}
 		}
 		g, err := Read(strings.NewReader(in))
+		ref, refErr := readSscanf(strings.NewReader(in))
+		switch {
+		case err == nil && (refErr != nil || !sameGraph(g, ref)):
+			t.Fatalf("Read accepted %q; the reference gives %v", in, refErr)
+		case err != nil && errLine("graph", err) != errLine("graph", refErr):
+			// Refusing a line the reference read on past is right only for
+			// glued garbage.
+			if at := errLine("graph", refErr); (at != 0 && at < errLine("graph", err)) || !gluedLast(in, errLine("graph", err)) {
+				t.Fatalf("Read refused %q with %q; the reference gives %v", in, err, refErr)
+			}
+		}
 		if err != nil {
 			return
+		}
+		if err := g.CheckConsistent(); err != nil {
+			t.Fatalf("accepted graph inconsistent: %v", err)
 		}
 		var buf bytes.Buffer
 		if _, err := g.WriteTo(&buf); err != nil {
@@ -46,9 +214,6 @@ func FuzzRead(f *testing.F) {
 		}
 		if h.NumNodes() != g.NumNodes() || h.NumEdges() != g.NumEdges() || h.Directed() != g.Directed() {
 			t.Fatal("round trip changed the graph")
-		}
-		if err := g.CheckConsistent(); err != nil {
-			t.Fatalf("accepted graph inconsistent: %v", err)
 		}
 	})
 }
@@ -101,10 +266,11 @@ func readBatchSscanf(r io.Reader) (Batch, error) {
 	return b, sc.Err()
 }
 
-// errLine extracts the line number of a ReadBatch error (0 if none).
-func errLine(err error) (line int) {
+// errLine extracts the line number of a "<format>: line N:" error of Read
+// ("graph") or ReadBatch ("batch"), 0 if it carries none.
+func errLine(format string, err error) (line int) {
 	if err != nil {
-		fmt.Sscanf(err.Error(), "batch: line %d:", &line)
+		fmt.Sscanf(err.Error(), format+": line %d:", &line)
 	}
 	return line
 }
@@ -172,10 +338,10 @@ func FuzzReadBatch(f *testing.F) {
 		switch {
 		case err == nil && (refErr != nil || !slices.Equal(b, ref)):
 			t.Fatalf("ReadBatch accepted %q as %v; the reference gives %v, %v", in, b, ref, refErr)
-		case err != nil && errLine(err) != errLine(refErr):
+		case err != nil && errLine("batch", err) != errLine("batch", refErr):
 			// Refusing a line the reference read on past is right only for
 			// glued garbage.
-			if at := errLine(refErr); (at != 0 && at < errLine(err)) || !gluedGarbage(in, errLine(err)) {
+			if at := errLine("batch", refErr); (at != 0 && at < errLine("batch", err)) || !gluedGarbage(in, errLine("batch", err)) {
 				t.Fatalf("ReadBatch refused %q with %q; the reference gives %v, %v", in, err, ref, refErr)
 			}
 		}

@@ -1,7 +1,9 @@
 // Package graph provides the mutable labeled graph substrate used by every
 // algorithm in this repository: directed or undirected graphs with weighted
-// edges, O(1)-amortized edge insertion and deletion, batch update
-// application (G ⊕ ΔG), temporal graphs, and read-optimized CSR snapshots.
+// edges held as unordered adjacency rows and nothing else (an edge is found
+// by scanning a row: presence O(min(d_u, d_v)), deletion O(d_u + d_v), see
+// Graph), batch update application (G ⊕ ΔG), temporal graphs, and the
+// read-optimized Flat view the maintainers traverse.
 package graph
 
 import (
@@ -48,18 +50,34 @@ func checkWeight(w int64) error {
 // in-adjacency; undirected graphs store each edge in both endpoint lists
 // and expose them through the out-adjacency only.
 //
-// Edge insertion and deletion are O(1) amortized via a position index keyed
-// by the (from, to) pair. The graph is a simple graph: at most one edge per
-// ordered pair (per unordered pair when undirected); self-loops are
-// rejected.
+// The rows are the whole representation: 16 B per half-edge and no index
+// beside them. An edge is found by scanning a row — for presence (HasEdge,
+// Weight, the duplicate check of InsertEdge) the shorter of the two rows
+// that hold it, O(min(d_u, d_v)); DeleteEdge and SetWeight need its
+// position in both, O(d_u + d_v). A scan reads 16 B per entry, four
+// entries to a cache line. Deleting and reinserting one edge at a hub of
+// degree d, rows cold (BenchmarkEdgeOpsByDegree; "map" is the position
+// index keyed by (from, to) this type used to carry, which cost as much
+// memory again as the rows themselves):
+//
+//	d      10     10²    10³    10⁴    10⁵
+//	scan   0.22   0.37   1.04   5.8    55 µs
+//	map    0.68   0.72   0.86   0.65   1.04 µs
+//
+// The scan loses past d ≈ 700; an index for rows beyond some degree is to
+// be weighed only against a workload that has such hubs on its update path.
+//
+// Insertion appends and deletion swaps the last entry into the hole, so a
+// row's order is a function of the edit sequence alone; generated streams
+// and golden ledgers depend on it. The graph is a simple graph: at most one
+// edge per ordered pair (per unordered pair when undirected); self-loops
+// are rejected.
 type Graph struct {
 	directed bool
 	labels   []Label
 	alive    []bool
 	out      [][]Edge
 	in       [][]Edge // nil when undirected
-	outPos   map[uint64]int32
-	inPos    map[uint64]int32 // nil when undirected
 	numEdges int
 	numAlive int
 }
@@ -71,7 +89,6 @@ func New(n int, directed bool) *Graph {
 		labels:   make([]Label, n),
 		alive:    make([]bool, n),
 		out:      make([][]Edge, n),
-		outPos:   make(map[uint64]int32),
 		numAlive: n,
 	}
 	for i := range g.alive {
@@ -79,7 +96,6 @@ func New(n int, directed bool) *Graph {
 	}
 	if directed {
 		g.in = make([][]Edge, n)
-		g.inPos = make(map[uint64]int32)
 	}
 	return g
 }
@@ -134,35 +150,93 @@ func (g *Graph) DeleteNode(v NodeID) []Update {
 	if !g.Alive(v) {
 		return nil
 	}
+	// v's own rows go whole, last entry first; only the far half of each
+	// edge is searched for.
 	var removed []Update
-	for len(g.out[v]) > 0 {
-		e := g.out[v][len(g.out[v])-1]
+	for i := len(g.out[v]) - 1; i >= 0; i-- {
+		e := g.out[v][i]
 		removed = append(removed, Update{Kind: DeleteEdge, From: v, To: e.To, W: e.W})
-		g.DeleteEdge(v, e.To)
-	}
-	if g.directed {
-		for len(g.in[v]) > 0 {
-			e := g.in[v][len(g.in[v])-1]
-			removed = append(removed, Update{Kind: DeleteEdge, From: e.To, To: v, W: e.W})
-			g.DeleteEdge(e.To, v)
+		far := &g.out[e.To]
+		if g.directed {
+			far = &g.in[e.To]
 		}
+		removeAt(far, find(*far, v))
+	}
+	g.numEdges -= len(g.out[v])
+	g.out[v] = g.out[v][:0]
+	if g.directed {
+		for i := len(g.in[v]) - 1; i >= 0; i-- {
+			e := g.in[v][i]
+			removed = append(removed, Update{Kind: DeleteEdge, From: e.To, To: v, W: e.W})
+			removeAt(&g.out[e.To], find(g.out[e.To], v))
+		}
+		g.numEdges -= len(g.in[v])
+		g.in[v] = g.in[v][:0]
 	}
 	g.alive[v] = false
 	g.numAlive--
 	return removed
 }
 
+// find returns the position of the entry for v in row, or -1.
+func find(row []Edge, v NodeID) int {
+	for i := range row {
+		if row[i].To == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// removeAt deletes entry i of *row by moving the last entry into its place:
+// the one deletion order every row in the repository has ever had.
+func removeAt(row *[]Edge, i int) {
+	r := *row
+	last := len(r) - 1
+	r[i] = r[last]
+	*row = r[:last]
+}
+
+// rows returns the two rows that hold edge (u, v): u's, where v is listed,
+// and v's, where u is. ok is false when either id is no node of the graph,
+// so arbitrary ids read as "no such edge" instead of indexing out of range.
+func (g *Graph) rows(u, v NodeID) (atU, atV *[]Edge, ok bool) {
+	if n := len(g.out); u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+		return nil, nil, false
+	}
+	if g.directed {
+		return &g.out[u], &g.in[v], true
+	}
+	return &g.out[u], &g.out[v], true
+}
+
+// lookup returns the entry of edge (u, v) from the shorter of its two rows.
+func (g *Graph) lookup(u, v NodeID) (Edge, bool) {
+	atU, atV, ok := g.rows(u, v)
+	if !ok {
+		return Edge{}, false
+	}
+	row, far := *atU, v
+	if len(*atV) < len(row) {
+		row, far = *atV, u
+	}
+	if i := find(row, far); i >= 0 {
+		return row[i], true
+	}
+	return Edge{}, false
+}
+
 // HasEdge reports whether edge (u, v) exists. For undirected graphs the
-// pair is unordered.
+// pair is unordered. Ids outside the graph name no edge.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	_, ok := g.outPos[pack(u, v)]
+	_, ok := g.lookup(u, v)
 	return ok
 }
 
 // Weight returns the weight of edge (u, v), or Infinity if absent.
 func (g *Graph) Weight(u, v NodeID) int64 {
-	if i, ok := g.outPos[pack(u, v)]; ok {
-		return g.out[u][i].W
+	if e, ok := g.lookup(u, v); ok {
+		return e.W
 	}
 	return Infinity
 }
@@ -174,76 +248,65 @@ func (g *Graph) InsertEdge(u, v NodeID, w int64) bool {
 	if u == v || !g.Alive(u) || !g.Alive(v) || g.HasEdge(u, v) {
 		return false
 	}
-	g.addHalf(u, v, w)
+	g.out[u] = append(g.out[u], Edge{To: v, W: w})
 	if g.directed {
-		g.inPos[pack(u, v)] = int32(len(g.in[v]))
 		g.in[v] = append(g.in[v], Edge{To: u, W: w})
 	} else {
-		g.addHalf(v, u, w)
+		g.out[v] = append(g.out[v], Edge{To: u, W: w})
 	}
 	g.numEdges++
 	return true
 }
 
-func (g *Graph) addHalf(u, v NodeID, w int64) {
-	g.outPos[pack(u, v)] = int32(len(g.out[u]))
-	g.out[u] = append(g.out[u], Edge{To: v, W: w})
+// positions locates edge (u, v) in both of its rows, the shorter first so
+// that an absent edge costs O(min(d_u, d_v)).
+func (g *Graph) positions(u, v NodeID) (atU, atV *[]Edge, i, j int) {
+	atU, atV, ok := g.rows(u, v)
+	if !ok {
+		return nil, nil, -1, -1
+	}
+	if len(*atV) < len(*atU) {
+		if j = find(*atV, u); j < 0 {
+			return nil, nil, -1, -1
+		}
+		return atU, atV, find(*atU, v), j
+	}
+	if i = find(*atU, v); i < 0 {
+		return nil, nil, -1, -1
+	}
+	return atU, atV, i, find(*atV, u)
 }
 
 // DeleteEdge removes edge (u, v). It reports whether the edge existed.
 func (g *Graph) DeleteEdge(u, v NodeID) bool {
-	if !g.HasEdge(u, v) {
-		return false
+	_, ok := g.RemoveEdge(u, v)
+	return ok
+}
+
+// RemoveEdge removes edge (u, v) and returns the weight it had: one search
+// where Weight followed by DeleteEdge makes two. ok is false, and the graph
+// unchanged, when the edge does not exist.
+func (g *Graph) RemoveEdge(u, v NodeID) (w int64, ok bool) {
+	atU, atV, i, j := g.positions(u, v)
+	if i < 0 {
+		return 0, false
 	}
-	g.delHalfOut(u, v)
-	if g.directed {
-		g.delHalfIn(u, v)
-	} else {
-		g.delHalfOut(v, u)
-	}
+	w = (*atU)[i].W
+	removeAt(atU, i)
+	removeAt(atV, j)
 	g.numEdges--
-	return true
-}
-
-func (g *Graph) delHalfOut(u, v NodeID) {
-	k := pack(u, v)
-	i := g.outPos[k]
-	last := int32(len(g.out[u]) - 1)
-	if i != last {
-		moved := g.out[u][last]
-		g.out[u][i] = moved
-		g.outPos[pack(u, moved.To)] = i
-	}
-	g.out[u] = g.out[u][:last]
-	delete(g.outPos, k)
-}
-
-func (g *Graph) delHalfIn(u, v NodeID) {
-	k := pack(u, v)
-	i := g.inPos[k]
-	last := int32(len(g.in[v]) - 1)
-	if i != last {
-		moved := g.in[v][last]
-		g.in[v][i] = moved
-		g.inPos[pack(moved.To, v)] = i
-	}
-	g.in[v] = g.in[v][:last]
-	delete(g.inPos, k)
+	return w, true
 }
 
 // SetWeight updates the weight of an existing edge (u, v). It reports
 // whether the edge existed.
 func (g *Graph) SetWeight(u, v NodeID, w int64) bool {
-	i, ok := g.outPos[pack(u, v)]
-	if !ok {
+	atU, atV, i, j := g.positions(u, v)
+	if i < 0 {
 		return false
 	}
-	g.out[u][i].W = w
-	if g.directed {
-		g.in[v][g.inPos[pack(u, v)]].W = w
-	} else {
-		g.out[v][g.outPos[pack(v, u)]].W = w
-	}
+	(*atU)[i].W = w
+	(*atV)[j].W = w
 	return true
 }
 
@@ -300,32 +363,26 @@ func (g *Graph) InDegree(u NodeID) int { return len(g.In(u)) }
 // Degree returns the degree of u in an undirected graph.
 func (g *Graph) Degree(u NodeID) int { return len(g.out[u]) }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph, rows in the same order.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
+	return &Graph{
 		directed: g.directed,
-		labels:   append([]Label(nil), g.labels...),
-		alive:    append([]bool(nil), g.alive...),
-		out:      make([][]Edge, len(g.out)),
-		outPos:   make(map[uint64]int32, len(g.outPos)),
+		labels:   slices.Clone(g.labels),
+		alive:    slices.Clone(g.alive),
+		out:      cloneRows(g.out),
+		in:       cloneRows(g.in),
 		numEdges: g.numEdges,
 		numAlive: g.numAlive,
 	}
-	for i, es := range g.out {
-		c.out[i] = append([]Edge(nil), es...)
+}
+
+func cloneRows(rows [][]Edge) [][]Edge {
+	if rows == nil {
+		return nil
 	}
-	for k, v := range g.outPos {
-		c.outPos[k] = v
-	}
-	if g.directed {
-		c.in = make([][]Edge, len(g.in))
-		for i, es := range g.in {
-			c.in[i] = append([]Edge(nil), es...)
-		}
-		c.inPos = make(map[uint64]int32, len(g.inPos))
-		for k, v := range g.inPos {
-			c.inPos[k] = v
-		}
+	c := make([][]Edge, len(rows))
+	for i, es := range rows {
+		c[i] = append([]Edge(nil), es...)
 	}
 	return c
 }
@@ -342,61 +399,74 @@ func (g *Graph) Edges(fn func(u, v NodeID, w int64)) {
 	}
 }
 
-// CheckConsistent verifies internal invariants (index integrity, mirror
-// edges, edge counts). It is used by tests and costs O(|V| + |E|).
+// CheckConsistent verifies the invariants the row scans rely on: every
+// entry names a live node other than its owner, no row lists a node twice,
+// every half-edge has its other half (the in-entry of a directed edge, the
+// mirror of an undirected one) with the same weight, and the counts agree.
+// It is used by tests and costs O(|V| + |E|) with a map of its own.
 func (g *Graph) CheckConsistent() error {
-	count := 0
-	for u := range g.out {
-		for i, e := range g.out[u] {
-			k := pack(NodeID(u), e.To)
-			j, ok := g.outPos[k]
-			if !ok || int(j) != i {
-				return fmt.Errorf("out index broken for (%d,%d): have %d want %d", u, e.To, j, i)
-			}
+	if len(g.labels) != len(g.out) || len(g.alive) != len(g.out) || (g.directed && len(g.in) != len(g.out)) || (!g.directed && g.in != nil) {
+		return fmt.Errorf("per-node arrays disagree: %d labels, %d alive, %d out, %d in", len(g.labels), len(g.alive), len(g.out), len(g.in))
+	}
+	alive := 0
+	for _, a := range g.alive {
+		if a {
+			alive++
+		}
+	}
+	if alive != g.numAlive {
+		return fmt.Errorf("numAlive %d != actual %d", g.numAlive, alive)
+	}
+	// halves collects every out-entry by (owner, neighbor); matching an
+	// in-entry or a mirror consumes it, so a second match fails.
+	halves := make(map[uint64]int64)
+	for u, row := range g.out {
+		for _, e := range row {
 			if NodeID(u) == e.To {
 				return fmt.Errorf("self-loop at %d", u)
 			}
-			count++
-		}
-	}
-	if len(g.outPos) != count {
-		return fmt.Errorf("outPos has %d entries, adjacency has %d", len(g.outPos), count)
-	}
-	if g.directed {
-		inCount := 0
-		for v := range g.in {
-			for i, e := range g.in[v] {
-				k := pack(e.To, NodeID(v))
-				j, ok := g.inPos[k]
-				if !ok || int(j) != i {
-					return fmt.Errorf("in index broken for (%d,%d)", e.To, v)
-				}
-				if !g.HasEdge(e.To, NodeID(v)) {
-					return fmt.Errorf("in edge (%d,%d) missing from out", e.To, v)
-				}
-				inCount++
+			if !g.Alive(NodeID(u)) || !g.Alive(e.To) {
+				return fmt.Errorf("edge (%d,%d) at a dead or unknown node", u, e.To)
 			}
+			k := pack(NodeID(u), e.To)
+			if _, dup := halves[k]; dup {
+				return fmt.Errorf("row %d lists %d twice", u, e.To)
+			}
+			halves[k] = e.W
 		}
-		if inCount != count {
-			return fmt.Errorf("in count %d != out count %d", inCount, count)
-		}
-		if count != g.numEdges {
-			return fmt.Errorf("numEdges %d != actual %d", g.numEdges, count)
-		}
-	} else {
+	}
+	count := len(halves)
+	if !g.directed {
 		if count != 2*g.numEdges {
 			return fmt.Errorf("numEdges %d != half of %d", g.numEdges, count)
 		}
-		for u := range g.out {
-			for _, e := range g.out[u] {
-				if !g.HasEdge(e.To, NodeID(u)) {
+		for u, row := range g.out {
+			for _, e := range row {
+				if w, ok := halves[pack(e.To, NodeID(u))]; !ok {
 					return fmt.Errorf("undirected edge (%d,%d) has no mirror", u, e.To)
-				}
-				if g.Weight(e.To, NodeID(u)) != e.W {
+				} else if w != e.W {
 					return fmt.Errorf("mirror weight mismatch on (%d,%d)", u, e.To)
 				}
 			}
 		}
+		return nil
+	}
+	if count != g.numEdges {
+		return fmt.Errorf("numEdges %d != actual %d", g.numEdges, count)
+	}
+	for v, row := range g.in {
+		for _, e := range row {
+			k := pack(e.To, NodeID(v))
+			if w, ok := halves[k]; !ok {
+				return fmt.Errorf("in edge (%d,%d) missing from out, or listed twice", e.To, v)
+			} else if w != e.W {
+				return fmt.Errorf("in/out weight mismatch on (%d,%d)", e.To, v)
+			}
+			delete(halves, k)
+		}
+	}
+	if len(halves) != 0 {
+		return fmt.Errorf("%d out edge(s) missing from in", len(halves))
 	}
 	return nil
 }

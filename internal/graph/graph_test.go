@@ -106,8 +106,8 @@ func TestSetWeight(t *testing.T) {
 }
 
 func TestSwapRemoveKeepsIndex(t *testing.T) {
-	// Deleting from the middle of an adjacency list must fix up the moved
-	// entry's position index.
+	// Deleting from the middle of an adjacency list moves the last entry into
+	// the hole; the moved edge must still be found.
 	g := New(5, true)
 	g.InsertEdge(0, 1, 1)
 	g.InsertEdge(0, 2, 1)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -97,17 +96,7 @@ func ReadBatch(r io.Reader) (Batch, error) {
 	var b Batch
 	for line := 1; sc.Scan(); line++ {
 		var fields [4][]byte
-		n, rest := 0, sc.Bytes()
-		for {
-			var f []byte
-			if f, rest = nextField(rest); len(f) == 0 {
-				break
-			}
-			if n < len(fields) {
-				fields[n] = f
-			}
-			n++
-		}
+		n := splitFields(sc.Bytes(), &fields)
 		if n == 0 || fields[0][0] == '#' {
 			continue
 		}
@@ -141,6 +130,21 @@ func ReadBatch(r io.Reader) (Batch, error) {
 	return b, sc.Err()
 }
 
+// splitFields stores the first four fields of s (see nextField) and returns
+// how many s holds in all: no record of either text format has more.
+func splitFields(s []byte, fields *[4][]byte) (n int) {
+	for {
+		var f []byte
+		if f, s = nextField(s); len(f) == 0 {
+			return n
+		}
+		if n < len(fields) {
+			fields[n] = f
+		}
+		n++
+	}
+}
+
 // nextField returns the first field of s — a run of bytes holding no
 // Unicode white space, as strings.Fields splits — and what follows it;
 // the field is empty when s holds nothing but white space.
@@ -165,36 +169,38 @@ func nextField(s []byte) (field, rest []byte) {
 	return s[start:], nil
 }
 
-// Read parses a graph in the text format.
+// Read parses a graph in the text format. Like ReadBatch it works on the
+// scanner's bytes — it is the cold start of every daemon — and takes
+// numbers as plain decimals: a field with anything glued to the number is
+// an error wherever it stands, and a node count or label that does not fit
+// its type is refused instead of narrowed.
 func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	var g *Graph
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+	for line := 1; sc.Scan(); line++ {
+		var fields [4][]byte
+		n := splitFields(sc.Bytes(), &fields)
+		if n == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
+		switch string(fields[0]) {
 		case "graph":
 			if g != nil {
 				return nil, fmt.Errorf("graph: line %d: duplicate header", line)
 			}
-			if len(fields) != 3 {
+			if n != 3 {
 				return nil, fmt.Errorf("graph: line %d: malformed header", line)
 			}
-			var n int
-			if _, err := fmt.Sscanf(fields[2], "%d", &n); err != nil || n < 0 {
+			nodes, err := strconv.ParseInt(string(fields[2]), 10, 32)
+			if err != nil || nodes < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[2])
 			}
-			switch fields[1] {
+			switch string(fields[1]) {
 			case "directed":
-				g = New(n, true)
+				g = New(int(nodes), true)
 			case "undirected":
-				g = New(n, false)
+				g = New(int(nodes), false)
 			default:
 				return nil, fmt.Errorf("graph: line %d: bad kind %q", line, fields[1])
 			}
@@ -202,11 +208,15 @@ func Read(r io.Reader) (*Graph, error) {
 			if g == nil {
 				return nil, fmt.Errorf("graph: line %d: v before header", line)
 			}
-			var id, label int64
-			if len(fields) != 3 {
+			if n != 3 {
 				return nil, fmt.Errorf("graph: line %d: malformed v line", line)
 			}
-			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &id, &label); err != nil {
+			id, err := strconv.ParseInt(string(fields[1]), 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("graph: line %d: %v", line, err)
+			}
+			label, err := strconv.ParseInt(string(fields[2]), 10, 32)
+			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %v", line, err)
 			}
 			if id < 0 || id >= int64(g.NumNodes()) {
@@ -217,13 +227,17 @@ func Read(r io.Reader) (*Graph, error) {
 			if g == nil {
 				return nil, fmt.Errorf("graph: line %d: e before header", line)
 			}
-			var u, v, wgt int64
-			if len(fields) != 4 {
+			if n != 4 {
 				return nil, fmt.Errorf("graph: line %d: malformed e line", line)
 			}
-			if _, err := fmt.Sscanf(strings.Join(fields[1:], " "), "%d %d %d", &u, &v, &wgt); err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", line, err)
+			var nums [3]int64 // u, v, w
+			for k := range nums {
+				var err error
+				if nums[k], err = strconv.ParseInt(string(fields[k+1]), 10, 64); err != nil {
+					return nil, fmt.Errorf("graph: line %d: %v", line, err)
+				}
 			}
+			u, v, wgt := nums[0], nums[1], nums[2]
 			if u < 0 || u >= int64(g.NumNodes()) || v < 0 || v >= int64(g.NumNodes()) {
 				return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range", line, u, v)
 			}

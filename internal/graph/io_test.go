@@ -80,14 +80,27 @@ func TestReadErrors(t *testing.T) {
 		"graph directed 2\ne 0 1 -5",         // negative weight
 		fmt.Sprintf("graph directed 2\ne 0 1 %d", Infinity),             // weight at Infinity
 		fmt.Sprintf("graph directed 2\ne 0 1 %d", int64(math.MaxInt64)), // d + w would wrap
+		// A number with anything glued to it, in every position: Sscanf read
+		// "3x" as 3 when it stood last on its line.
+		"graph directed 2x", "graph directed 1_0", "graph directed 0x2",
+		"graph directed 2\ne 0 1 3x", "graph directed 2\ne 0x 1 3", "graph directed 2\ne 0 1x 3", "graph directed 2\ne 0 1 1_0",
+		"graph directed 2\nv 1 7x", "graph directed 2\nv 1x 7",
+		// Values their type cannot hold: a count or a label past 2³¹ − 1
+		// (read at 64 bits they were narrowed), an id past 2⁶³ − 1.
+		"graph directed 2147483648", "graph directed 2\nv 1 4294967301", "graph directed 2\ne 0 9223372036854775808 1",
 	}
 	for _, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Fatalf("no error for %q", in)
 		}
 	}
+	// What stays accepted: signs, any Unicode white space, \r\n, comments.
+	g, err := Read(strings.NewReader("\u00a0graph\u2003directed +3 \r\n#x\nv +1 -7\ne +0 +1 -0\n"))
+	if err != nil || g.NumNodes() != 3 || g.Label(1) != -7 || g.Weight(0, 1) != 0 {
+		t.Fatalf("signed, oddly spaced file: %v", err)
+	}
 	// A rejected weight names its line and edge; the largest legal one loads.
-	_, err := Read(strings.NewReader(fmt.Sprintf("graph directed 3\ne 0 1 %d\ne 1 2 %d\n", Infinity-1, Infinity)))
+	_, err = Read(strings.NewReader(fmt.Sprintf("graph directed 3\ne 0 1 %d\ne 1 2 %d\n", Infinity-1, Infinity)))
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "(1,2)") {
 		t.Fatalf("want positioned weight error, got %v", err)
 	}

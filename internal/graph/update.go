@@ -105,8 +105,7 @@ func (g *Graph) ApplyCounted(b Batch) ApplySummary {
 				s.DupInserts++
 			}
 		case DeleteEdge:
-			w := g.Weight(u.From, u.To)
-			if g.DeleteEdge(u.From, u.To) {
+			if w, ok := g.RemoveEdge(u.From, u.To); ok {
 				s.Applied = append(s.Applied, Update{Kind: DeleteEdge, From: u.From, To: u.To, W: w})
 				s.Deleted++
 			} else {
@@ -192,9 +191,9 @@ func (b Batch) Net(directed bool) Batch {
 		present
 	)
 	type pairFx struct {
-		st   state
-		w    int64
-		last int // index of last op, for stable output order
+		key uint64
+		w   int64
+		st  state
 	}
 	key := func(u, v NodeID) uint64 {
 		if !directed && u > v {
@@ -202,17 +201,19 @@ func (b Batch) Net(directed bool) Batch {
 		}
 		return pack(u, v)
 	}
-	fx := make(map[uint64]*pairFx, len(b))
-	order := make([]uint64, 0, len(b))
-	for i, u := range b {
+	// One state per distinct edge, by value and in first-seen order, which
+	// is the output order; the map only finds an edge's state again.
+	fx := make([]pairFx, 0, len(b))
+	at := make(map[uint64]int32, len(b))
+	for _, u := range b {
 		k := key(u.From, u.To)
-		p := fx[k]
-		if p == nil {
-			p = &pairFx{}
-			fx[k] = p
-			order = append(order, k)
+		i, seen := at[k]
+		if !seen {
+			i = int32(len(fx))
+			at[k] = i
+			fx = append(fx, pairFx{key: k})
 		}
-		p.last = i
+		p := &fx[i]
 		switch u.Kind {
 		case InsertEdge:
 			switch p.st {
@@ -227,9 +228,8 @@ func (b Batch) Net(directed bool) Batch {
 		}
 	}
 	out := make(Batch, 0, len(fx))
-	for _, k := range order {
-		p := fx[k]
-		u, v := NodeID(k>>32), NodeID(uint32(k))
+	for _, p := range fx {
+		u, v := NodeID(p.key>>32), NodeID(uint32(p.key))
 		switch p.st {
 		case insIfAbsent:
 			out = append(out, Update{Kind: InsertEdge, From: u, To: v, W: p.w})

@@ -232,11 +232,10 @@ func (i *Inc) Stage(b graph.Batch) {
 				continue
 			}
 		case graph.DeleteEdge:
-			if !i.g.HasEdge(u.From, u.To) {
+			if !i.g.DeleteEdge(u.From, u.To) {
 				continue
 			}
-			i.addCommon(u.From, u.To)
-			i.g.DeleteEdge(u.From, u.To)
+			i.addCommon(u.From, u.To) // read from the flat view, not from i.g
 		default:
 			continue
 		}
@@ -425,18 +424,17 @@ func (d *DynLCC) applyUnit(u graph.Update) {
 		d.r.Deg[u.To]++
 		d.delta(u.From, u.To, 1)
 	case graph.DeleteEdge:
-		if !d.g.HasEdge(u.From, u.To) {
+		if !d.g.DeleteEdge(u.From, u.To) {
 			return
 		}
 		d.delta(u.From, u.To, -1)
-		d.g.DeleteEdge(u.From, u.To)
 		d.r.Deg[u.From]--
 		d.r.Deg[u.To]--
 	}
 }
 
-// delta adjusts triangle counts for the (present) edge (a, b) by sgn per
-// common neighbor.
+// delta adjusts triangle counts for the edge (a, b), just inserted or just
+// deleted, by sgn per common neighbor.
 func (d *DynLCC) delta(a, b graph.NodeID, sgn int64) {
 	d.epoch++
 	for _, e := range d.g.Out(a) {

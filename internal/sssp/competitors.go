@@ -46,8 +46,8 @@ func (r *RR) applyUnit(u graph.Update) {
 			r.relaxFrom(u.To, u.From, u.W)
 		}
 	case graph.DeleteEdge:
-		w := r.g.Weight(u.From, u.To)
-		if !r.g.DeleteEdge(u.From, u.To) {
+		w, ok := r.g.RemoveEdge(u.From, u.To)
+		if !ok {
 			return
 		}
 		r.deleteRepair(u.From, u.To, w)
