@@ -21,7 +21,10 @@ import (
 // Client is the router's HTTP handle on one shard daemon (or replica).
 // It speaks the serve.Service API plus the shard-side endpoints mounted
 // by MountShardAPI, translating wire shapes back into values the
-// exchange layer consumes. A Client is safe for concurrent use.
+// exchange layer consumes. The two calls a routed query makes — a View
+// per shard, an Eval per frontier — read and write their JSON by hand
+// (wire.go); everything else goes through encoding/json (do). A Client
+// is safe for concurrent use.
 type Client struct {
 	// Base is the daemon's base URL, e.g. "http://127.0.0.1:9001".
 	Base string
@@ -123,15 +126,41 @@ func (c *Client) newRequest(ctx context.Context, method, url string, body io.Rea
 	return req, nil
 }
 
-func (c *Client) do(req *http.Request, out any) error {
+// send runs req and returns its response when the status is 2xx; any
+// other status is drained into a StatusError. The caller closes the body.
+func (c *Client) send(req *http.Request) (*http.Response, error) {
 	resp, err := c.http().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		defer resp.Body.Close()
+		return nil, newStatusError(resp)
+	}
+	return resp, nil
+}
+
+// fetch runs req and returns a 2xx response's body, read whole through
+// the maxEvalBody cap: View and Eval scan their answers by hand (wire.go)
+// instead of handing the stream to encoding/json.
+func (c *Client) fetch(req *http.Request) ([]byte, error) {
+	resp, err := c.send(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return readBody(resp.Body, resp.ContentLength, maxEvalBody)
+}
+
+// do runs req and decodes a 2xx response into out with encoding/json: the
+// path of the small and the rare answers (Info, Update's outcome, scrapes,
+// replica status), not of a routed query's views and evals.
+func (c *Client) do(req *http.Request, out any) error {
+	resp, err := c.send(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return newStatusError(resp)
-	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil
@@ -206,34 +235,25 @@ type ShardView struct {
 }
 
 // View fetches the shard's published view for algo ("sssp" or "cc") and
-// extracts its value vector, decoding the response in one typed pass.
+// extracts its value vector. The answer — the one wire form of a view,
+// serve.WriteQuery's — is read whole and scanned by hand (scanView): one
+// is decoded per shard per routed query, and encoding/json spent more on
+// each than the shard spent answering.
 func (c *Client) View(ctx context.Context, algo string) (ShardView, error) {
-	var sv ShardView
 	if algo != "sssp" && algo != "cc" {
-		return sv, fmt.Errorf("shard: no view decoder for algo %q", algo)
+		return ShardView{}, fmt.Errorf("shard: no view decoder for algo %q", algo)
 	}
 	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/query/"+algo, nil)
 	if err != nil {
-		return sv, err
+		return ShardView{}, err
 	}
-	// The union of serve.SSSPView and serve.CCView under serve.View's
-	// envelope: each algo fills its own vector and leaves the other nil.
-	var wire struct {
-		Epoch    uint64 `json:"epoch"`
-		Degraded bool   `json:"degraded"`
-		Data     struct {
-			Src    graph.NodeID `json:"src"`
-			Dist   []int64      `json:"dist"`
-			Labels []int64      `json:"labels"`
-		} `json:"data"`
+	body, err := c.fetch(req)
+	if err != nil {
+		return ShardView{}, err
 	}
-	if err := c.do(req, &wire); err != nil {
-		return sv, err
-	}
-	sv.Epoch, sv.Degraded, sv.Src = wire.Epoch, wire.Degraded, wire.Data.Src
-	sv.Values = wire.Data.Dist
-	if algo == "cc" {
-		sv.Values = wire.Data.Labels
+	sv, err := scanView(body, algo)
+	if err != nil {
+		return ShardView{}, fmt.Errorf("shard: %s view from %s: %w", algo, c.Base, err)
 	}
 	return sv, nil
 }
@@ -244,19 +264,23 @@ func (c *Client) View(ctx context.Context, algo string) (ShardView, error) {
 // with a dense "values" vector this client does not read, and taking
 // its empty "improved" for "nothing improved" would silently return
 // wrong distances.
+//
+// Request and answer are written and scanned by hand (wire.go), to the
+// bytes encoding/json writes for EvalRequest and reads into EvalResponse.
 func (c *Client) Eval(ctx context.Context, algo string, seeds [][2]int64) (EvalResponse, error) {
-	var out EvalResponse
-	body, err := json.Marshal(EvalRequest{Seeds: seeds})
-	if err != nil {
-		return out, err
-	}
+	body := appendEvalRequest(nil, seeds)
 	req, err := c.newRequest(ctx, http.MethodPost, c.Base+"/shard/eval/"+algo, bytes.NewReader(body))
 	if err != nil {
-		return out, err
+		return EvalResponse{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if err := c.do(req, &out); err != nil {
-		return out, err
+	answer, err := c.fetch(req)
+	if err != nil {
+		return EvalResponse{}, err
+	}
+	out, err := scanEvalResponse(answer)
+	if err != nil {
+		return EvalResponse{}, fmt.Errorf("shard: eval answer from %s: %w", c.Base, err)
 	}
 	if out.Proto != EvalProto {
 		return out, fmt.Errorf("shard: %s speaks eval protocol %d, this router %d (mixed versions?)", c.Base, out.Proto, EvalProto)
@@ -301,14 +325,11 @@ func (c *Client) TraceDump(ctx context.Context, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http().Do(req)
+	resp, err := c.send(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, newStatusError(resp)
-	}
 	return io.ReadAll(resp.Body)
 }
 

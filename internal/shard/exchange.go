@@ -57,6 +57,13 @@ import (
 //     shard report a pair dist already beats (the router drops it),
 //     never miss one.
 //
+//     What a query pays beyond the relaxations is the hops: a view fetch
+//     per shard and a round trip per eval, one after another. Both ends
+//     of both read and write their bodies by hand (wire.go: Client.View,
+//     Client.Eval, the eval handler) — the same JSON, byte for byte, that
+//     encoding/json wrote and read there, at a tenth of its cost; the
+//     wire, and EvalProto with it, did not change.
+//
 //   - CC: a shard's maintained labels already encode "connected within
 //     my fragment" (including across its cut edges, which it stores).
 //     Global components are the transitive closure of the per-shard
@@ -234,8 +241,9 @@ func (r *seedRelaxer) lower(v int32, d, told int64) {
 // distance view (not modified), seeds the router's frontier. It returns
 // the pairs whose value a fragment edge lowered below both base and the
 // seeds — what the router does not know yet. Seeds out of range,
-// negative or not finite are an error; duplicates keep the smaller
-// value; a seed no better than base is a no-op.
+// negative or not finite are an errBadEval (the handler's 400);
+// duplicates keep the smaller value; a seed no better than base is a
+// no-op.
 func (r *seedRelaxer) relax(g *graph.Graph, base serve.Paged[int64], seeds [][2]int64) ([][2]int64, error) {
 	n := base.Len()
 	if g.NumNodes() != n {
@@ -243,9 +251,9 @@ func (r *seedRelaxer) relax(g *graph.Graph, base serve.Paged[int64], seeds [][2]
 	}
 	for _, p := range seeds {
 		if v, d := p[0], p[1]; v < 0 || v >= int64(n) {
-			return nil, fmt.Errorf("seed vertex %d out of range [0,%d)", v, n)
+			return nil, fmt.Errorf("%w: seed vertex %d out of range [0,%d)", errBadEval, v, n)
 		} else if d < 0 || d >= graph.Infinity {
-			return nil, fmt.Errorf("seed value %d for vertex %d is not a finite distance", d, v)
+			return nil, fmt.Errorf("%w: seed value %d for vertex %d is not a finite distance", errBadEval, d, v)
 		}
 	}
 	r.base = base

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -26,6 +27,14 @@ import (
 // the maintainer's graph without breaking the single-writer contract,
 // and the reported epoch states exactly which stream prefix the
 // returned pairs answer for.
+//
+// The eval handler reads its request and writes its answer by hand
+// (wire.go: scanEvalRequest, appendEvalResponse) — the bytes are what
+// encoding/json reads into EvalRequest and writes for EvalResponse, so
+// the wire is the one an older router speaks; a routed query makes one
+// per frontier, one after another, and reflection was most of what each
+// cost. /shard/info, asked once per topology probe, stays on
+// encoding/json.
 
 // Info is the JSON body of GET /shard/info: the daemon's shard identity.
 type Info struct {
@@ -75,9 +84,15 @@ type EvalResponse struct {
 	Improved [][2]int64 `json:"improved"`
 }
 
-// maxEvalBody bounds the eval request body (a frontier is at most one
+// maxEvalBody bounds an eval request body as the shard reads it and a
+// view or eval answer as the router reads it (a frontier is at most one
 // pair per vertex; 32 MiB covers millions of entries).
 const maxEvalBody = 32 << 20
+
+// errBadEval marks an eval that failed on what the caller sent — an algo
+// with no seeded evaluation, seeds relax refuses — and is answered 400;
+// any other failure is the shard's.
+var errBadEval = errors.New("bad eval request")
 
 // MountShardAPI grafts the shard-side endpoints onto svc's API. id is
 // this daemon's slot; nodes and directed describe the global graph;
@@ -108,18 +123,33 @@ func MountShardAPI(svc *serve.Service, p Partitioner, id, nodes int, directed bo
 			http.Error(w, fmt.Sprintf("unknown algo %q", algo), http.StatusNotFound)
 			return
 		}
-		var req EvalRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEvalBody)).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := evalHost(h, &relaxer, req.Seeds)
+		body, err := readBody(http.MaxBytesReader(w, r.Body, maxEvalBody), r.ContentLength, maxEvalBody)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
+		req, err := scanEvalRequest(body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		resp, err := evalHost(h, &relaxer, req.Seeds)
+		switch {
+		case err == nil:
+			w.Header().Set("Content-Type", "application/json")
+			out := appendEvalResponse(nil, &resp)
+			w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+			w.Write(out) // a failed write is the router gone
+		case errors.Is(err, errBadEval):
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		case errors.Is(err, serve.ErrClosed):
+			// Draining, or about to be replaced: by the time the router
+			// retries, the slot's active member may be another process.
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		default:
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	}))
 }
 
@@ -129,11 +159,13 @@ func MountShardAPI(svc *serve.Service, p Partitioner, id, nodes int, directed bo
 // maintainer's current state, immutable, and read without a copy. Only
 // sssp has a seeded evaluation — CC's exchange is a single label union
 // the router computes from published views, needing no shard
-// round-trip.
+// round-trip. An error is an errBadEval when the request was at fault,
+// serve.ErrClosed when the host is shutting down, and otherwise a broken
+// invariant of the shard's own; the handler answers 400, 503 and 500.
 func evalHost(h *serve.Host, r *seedRelaxer, seeds [][2]int64) (EvalResponse, error) {
 	resp := EvalResponse{Proto: EvalProto, Algo: h.Algo()}
 	if resp.Algo != "sssp" {
-		return resp, fmt.Errorf("algo %q has no seeded evaluation (exchange uses published views)", resp.Algo)
+		return resp, fmt.Errorf("%w: algo %q has no seeded evaluation (exchange uses published views)", errBadEval, resp.Algo)
 	}
 	err := h.WithState(func(m serve.Serveable) error {
 		view := h.View()
