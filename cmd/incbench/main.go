@@ -22,10 +22,12 @@
 //
 // With -diff, no experiments run: the two reports (a committed baseline
 // such as BENCH_baseline.json, and a freshly generated one) are compared
-// measurement by measurement, and the process exits 1 when any repair's
-// throughput dropped — or its work-ledger boundedness quotient inflated —
-// by more than -tolerance (default 15%). CI wires this as the
-// perf-regression smoke gate; see EXPERIMENTS.md for regenerating the
+// measurement by measurement, and the process exits 1 when any count a
+// measurement carries — |AFF|, work, the boundedness quotient, the
+// publish and exchange counts — differs from the baseline's, or a
+// measurement is missing. Those repeat exactly for a fixed seed and
+// scale; throughput changes are printed and fail nothing. CI wires this
+// as the perf-regression gate; see EXPERIMENTS.md for regenerating the
 // baseline.
 package main
 
@@ -44,18 +46,17 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment, or a comma-separated list: table1|exp1|exp2|exp2types|exp3|exp4|aff|ablation|datasets|extensions|exchange|publish|all")
-		class     = flag.String("class", "all", "query class for exp2: sssp|cc|sim|lcc|dfs|bc|all")
-		scale     = flag.Float64("scale", 1.0, "dataset scale multiplier")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		jsonOut   = flag.String("json", "", "write machine-readable results to this file")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event recording of the run to this file")
-		diffBase  = flag.String("diff", "", "compare this baseline report against the report named by the positional arg and exit")
-		tolerance = flag.Float64("tolerance", 0.15, "relative regression tolerance for -diff (0.15 = 15%)")
+		exp      = flag.String("exp", "all", "experiment, or a comma-separated list: table1|exp1|exp2|exp2types|exp3|exp4|aff|ablation|datasets|extensions|exchange|publish|all")
+		class    = flag.String("class", "all", "query class for exp2: sssp|cc|sim|lcc|dfs|bc|all")
+		scale    = flag.Float64("scale", 1.0, "dataset scale multiplier")
+		seed     = flag.Int64("seed", 1, "workload seed")
+		jsonOut  = flag.String("json", "", "write machine-readable results to this file")
+		traceOut = flag.String("trace", "", "write a Chrome trace_event recording of the run to this file")
+		diffBase = flag.String("diff", "", "compare this baseline report against the report named by the positional arg and exit")
 	)
 	flag.Parse()
 	if *diffBase != "" {
-		os.Exit(runDiff(*diffBase, flag.Args(), *tolerance))
+		os.Exit(runDiff(*diffBase, flag.Args()))
 	}
 	cfg := bench.Config{Seed: *seed, Scale: *scale, Out: os.Stdout}
 
@@ -157,7 +158,7 @@ func main() {
 // runDiff implements -diff: parse both reports, compare, render, and
 // translate the outcome into an exit code (0 pass, 1 regression, 2
 // usage or parse error).
-func runDiff(basePath string, args []string, tolerance float64) int {
+func runDiff(basePath string, args []string) int {
 	if len(args) != 1 {
 		fmt.Fprintln(os.Stderr, "usage: incbench -diff baseline.json current.json")
 		return 2
@@ -172,7 +173,7 @@ func runDiff(basePath string, args []string, tolerance float64) int {
 		fmt.Fprintf(os.Stderr, "incbench: %v\n", err)
 		return 2
 	}
-	d, err := bench.Diff(base, cur, tolerance)
+	d, err := bench.Diff(base, cur)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "incbench: %v\n", err)
 		return 2

@@ -122,21 +122,16 @@ func (r *Result) Equivalent(o *Result, g *graph.Graph) bool {
 // an iterative lowpoint DFS from the smallest-id node of every component.
 func Run(g *graph.Graph) *Result {
 	r := newResult(g.NumNodes())
-	st := newLowpointState(g.NumNodes(), func(v graph.NodeID) ([]graph.NodeID, []bool, []graph.Edge) {
-		return nil, nil, g.Out(v)
-	})
-	st.runAll(r)
+	newLowpointState(g.NumNodes(), graph.Snapshot(g).Neighbors).runAll(r)
 	return r
 }
 
-// rowFunc returns v's adjacency as graph.Flat hands it out: sorted base
-// targets, their tombstones (nil when none are set) and the overlay tail —
-// the DFS's only adjacency dependency. Biconnectivity does not depend on
-// the order neighbors are visited in, so the rows are read in place. The
-// maintainer Inc passes its flat view's OutSpans, the batch Run the graph's
-// adjacency list as an all-overlay row: batch algorithms read the Graph,
-// maintainers the Flat.
-type rowFunc func(v graph.NodeID) (ts []graph.NodeID, dead []bool, extra []graph.Edge)
+// rowFunc returns v's neighbors, the DFS's only adjacency dependency.
+// Biconnectivity does not depend on the order neighbors are visited in, so
+// the rows are read in place: the maintainer Inc passes its flat view's
+// rows, the batch Run those of a sorted snapshot of the graph — batch
+// algorithms read the Graph, maintainers the Flat.
+type rowFunc func(v graph.NodeID) []graph.NodeID
 
 // lowpointState carries the DFS bookkeeping. It is reusable across rounds
 // via epoch stamping, so the incremental algorithm re-runs single
@@ -214,37 +209,18 @@ func (st *lowpointState) discover(v graph.NodeID, r *Result) {
 	r.Articulation[v] = false
 }
 
-// bcFrame is one DFS stack frame: the node, its row, and the cursor i over
-// the row's base entries and then its overlay tail. The row spans are the
-// Flat's own and die with the next Stage; by then every frame has popped.
+// bcFrame is one DFS stack frame: the node, its row, and the cursor i
+// over the row. The row is the Flat's own and dies with the next Stage; by
+// then every frame has popped.
 type bcFrame struct {
 	v, parent graph.NodeID
 	i         int32
 	children  int32
 	ts        []graph.NodeID
-	dead      []bool
-	extra     []graph.Edge
 }
 
 func (st *lowpointState) push(v, parent graph.NodeID) {
-	ts, dead, extra := st.rows(v)
-	st.fstack = append(st.fstack, bcFrame{v: v, parent: parent, ts: ts, dead: dead, extra: extra})
-}
-
-// next returns the live neighbor under the cursor and advances past it.
-func (f *bcFrame) next() (graph.NodeID, bool) {
-	for int(f.i) < len(f.ts) {
-		k := f.i
-		f.i++
-		if f.dead == nil || !f.dead[k] {
-			return f.ts[k], true
-		}
-	}
-	if k := int(f.i) - len(f.ts); k < len(f.extra) {
-		f.i++
-		return f.extra[k].To, true
-	}
-	return 0, false
+	st.fstack = append(st.fstack, bcFrame{v: v, parent: parent, ts: st.rows(v)})
 }
 
 // runComponent explores the connected component of s, filling r's
@@ -256,7 +232,9 @@ func (st *lowpointState) runComponent(s graph.NodeID, r *Result) {
 	st.push(s, -1)
 	for len(st.fstack) > 0 {
 		f := &st.fstack[len(st.fstack)-1]
-		if w, ok := f.next(); ok {
+		if int(f.i) < len(f.ts) {
+			w := f.ts[f.i]
+			f.i++
 			st.scanned++
 			if w == f.parent {
 				f.parent = -1 // skip the tree edge back to the parent once
@@ -329,9 +307,9 @@ type Inc struct {
 // NewInc runs the batch algorithm and returns the incremental one.
 func NewInc(g *graph.Graph) *Inc {
 	i := &Inc{g: g, flat: graph.NewFlat(g), res: newResult(g.NumNodes())}
-	i.st = newLowpointState(g.NumNodes(), func(v graph.NodeID) ([]graph.NodeID, []bool, []graph.Edge) {
-		ts, _, dead, extra := i.flat.OutSpans(v)
-		return ts, dead, extra
+	i.st = newLowpointState(g.NumNodes(), func(v graph.NodeID) []graph.NodeID {
+		ts, _, _, _ := i.flat.OutSpans(v)
+		return ts
 	})
 	i.st.runAll(i.res)
 	return i
@@ -340,7 +318,7 @@ func NewInc(g *graph.Graph) *Inc {
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
 
-// Flat returns the maintainer's flat adjacency view: overlay size and
+// Flat returns the maintainer's flat adjacency view: dead space and
 // compaction counts for observability, SetCompactThreshold for tests that
 // force a compaction regime.
 func (i *Inc) Flat() *graph.Flat { return i.flat }

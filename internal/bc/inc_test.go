@@ -13,7 +13,7 @@ import (
 
 // regimes are the compaction regimes a maintainer's Flat can be in:
 // rebuilt after every batch, the production default, and never rebuilt
-// (every staged edge read through tombstones and overlay tails).
+// on dead space (rows read as Stage edited and moved them).
 var regimes = []struct {
 	name      string
 	threshold float64

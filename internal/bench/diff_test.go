@@ -26,7 +26,7 @@ func TestDiffIdenticalPasses(t *testing.T) {
 		res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 3.5),
 		res("exp2-cc", "OKT", "|ΔG|=1%", 0.020, 2.0),
 	)
-	d, err := Diff(rep, rep, 0.15)
+	d, err := Diff(rep, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,23 +34,24 @@ func TestDiffIdenticalPasses(t *testing.T) {
 		t.Fatalf("diff failed on identical reports: %+v", d)
 	}
 	for _, e := range d.Entries {
-		if e.Verdict != "ok" || e.OpsChange != 0 || e.RatioChange != 0 {
+		if e.Verdict != "ok" || e.OpsChange != 0 || e.BaseRatio != e.CurRatio {
 			t.Errorf("entry not clean: %+v", e)
 		}
 	}
 	if len(d.Experiments) != 2 {
-		t.Fatalf("experiment gates: %+v", d.Experiments)
+		t.Fatalf("experiment rows: %+v", d.Experiments)
 	}
 	for _, ed := range d.Experiments {
-		if ed.Verdict != "ok" || ed.OpsChange != 0 {
-			t.Errorf("experiment gate not clean: %+v", ed)
+		if ed.OpsChange != 0 {
+			t.Errorf("experiment row not clean: %+v", ed)
 		}
 	}
 }
 
-// TestDiffThroughputRegression slows every cell of one experiment past
-// the tolerance and checks that experiment — and only it — trips the
-// per-experiment geomean gate.
+// TestDiffThroughputRegression slows every cell of one experiment by a
+// third: the per-experiment geomean reports it, and the diff still
+// passes — at CI scale one binary's cells spread 2–3× between runs, so
+// throughput is read, not gated.
 func TestDiffThroughputRegression(t *testing.T) {
 	base := mkReport(
 		res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 3.5),
@@ -60,24 +61,22 @@ func TestDiffThroughputRegression(t *testing.T) {
 	cur := mkReport(
 		res("exp2-sssp", "FS", "|ΔG|=2%", 0.015, 3.5), // -33% throughput
 		res("exp2-sssp", "FS", "|ΔG|=4%", 0.017, 3.0), // -29%
-		res("exp2-cc", "OKT", "|ΔG|=1%", 0.021, 2.0),  // -4.8%, within 15%
+		res("exp2-cc", "OKT", "|ΔG|=1%", 0.021, 2.0),  // -4.8%
 	)
-	d, err := Diff(base, cur, 0.15)
+	d, err := Diff(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Failed() || len(d.Regressions) != 1 {
-		t.Fatalf("want exactly one regression, got %v", d.Regressions)
+	if d.Failed() {
+		t.Fatalf("a throughput change failed the diff: %v", d.Regressions)
 	}
-	if !strings.Contains(d.Regressions[0], "exp2-sssp") ||
-		!strings.Contains(d.Regressions[0], "throughput") {
-		t.Fatalf("regression names wrong experiment: %s", d.Regressions[0])
+	if len(d.Experiments) != 2 || d.Experiments[1].Experiment != "exp2-sssp" || d.Experiments[1].OpsChange > -0.3 {
+		t.Fatalf("want exp2-sssp's geomean reported near -31%%: %+v", d.Experiments)
 	}
 }
 
 // TestDiffPerCellNoiseTolerated: one cell 25% slower amid flat
-// neighbors is scheduler noise, not a regression — the geomean gate
-// absorbs it where a per-cell gate would flake.
+// neighbors is scheduler noise, not a regression.
 func TestDiffPerCellNoiseTolerated(t *testing.T) {
 	base := mkReport(
 		res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 3.5),
@@ -89,7 +88,7 @@ func TestDiffPerCellNoiseTolerated(t *testing.T) {
 		res("exp2-sssp", "FS", "|ΔG|=4%", 0.0091, 3.0), // +10%
 		res("exp2-sssp", "FS", "|ΔG|=8%", 0.0091, 2.5), // +10%
 	)
-	d, err := Diff(base, cur, 0.15)
+	d, err := Diff(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +96,18 @@ func TestDiffPerCellNoiseTolerated(t *testing.T) {
 		t.Fatalf("noise flagged as regression: %v", d.Regressions)
 	}
 	if len(d.Experiments) != 1 || d.Experiments[0].Cells != 3 {
-		t.Fatalf("experiment gate: %+v", d.Experiments)
+		t.Fatalf("experiment row: %+v", d.Experiments)
 	}
 }
 
 // TestDiffBoundedRatioInflation inflates one boundedness quotient;
-// timings are unchanged, so only the ledger side can catch it.
+// timings are unchanged, so only the counts can catch it. The counts are
+// exact: any change fails, deflation included — an intended one comes
+// with a regenerated baseline row.
 func TestDiffBoundedRatioInflation(t *testing.T) {
 	base := mkReport(res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 3.0))
 	cur := mkReport(res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 4.0)) // +33%
-	d, err := Diff(base, cur, 0.15)
+	d, err := Diff(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,23 +118,29 @@ func TestDiffBoundedRatioInflation(t *testing.T) {
 		t.Fatalf("regression text: %s", d.Regressions[0])
 	}
 
-	// Deflation (improvement) and inflation within tolerance both pass.
-	for _, ratio := range []float64{2.0, 3.3} {
-		cur := mkReport(res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, ratio))
-		d, err := Diff(base, cur, 0.15)
+	// Deflation and a change the old 15% tolerance let through fail too,
+	// and so do work or |AFF| moving under an equal quotient.
+	moved := []Result{
+		res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 2.0),
+		res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 3.3),
+		{Experiment: "exp2-sssp", Dataset: "FS", Algo: "IncX", Workload: "|ΔG|=2%", IncSeconds: 0.010, Work: 301, BoundedRatio: 3.0},
+		{Experiment: "exp2-sssp", Dataset: "FS", Algo: "IncX", Workload: "|ΔG|=2%", IncSeconds: 0.010, Work: 300, BoundedRatio: 3.0, Affected: 7},
+	}
+	for _, r := range moved {
+		d, err := Diff(base, mkReport(r))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Failed() {
-			t.Fatalf("ratio %v flagged: %v", ratio, d.Regressions)
+		if !d.Failed() {
+			t.Fatalf("%+v passed against %+v", r, base.Results[0])
 		}
 	}
 }
 
-// TestDiffZeroCountHeld: in an experiment that reports quotients, a cell
-// whose baseline quotient is exactly zero (publish: no page encoded per
-// GET) fails when it rises, by however little; staying zero passes, and
-// an experiment that reports no quotients at all is not held to any.
+// TestDiffZeroCountHeld: a cell whose baseline count is exactly zero
+// (publish: no page encoded per GET) fails when it rises, by however
+// little, and so does one of an experiment that reported no counts at
+// all; staying zero passes.
 func TestDiffZeroCountHeld(t *testing.T) {
 	base := mkReport(
 		res("publish", "PL", "pages_copied/apply", 0, 3.3),
@@ -145,14 +152,15 @@ func TestDiffZeroCountHeld(t *testing.T) {
 		res("publish", "PL", "pages_encoded/get@200", 0, 0.5),
 		res("exp1", "FS", "unit", 0.010, 2),
 	)
-	d, err := Diff(base, cur, 0.15)
+	d, err := Diff(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Regressions) != 1 || !strings.Contains(d.Regressions[0], "pages_encoded/get@200") || !strings.Contains(d.Regressions[0], "0 -> 0.5") {
-		t.Fatalf("want the one zero count that rose, got %v", d.Regressions)
+	if len(d.Regressions) != 2 || !strings.Contains(d.Regressions[0], "exp1/FS") ||
+		!strings.Contains(d.Regressions[1], "pages_encoded/get@200") || !strings.Contains(d.Regressions[1], "0 -> 0.5") {
+		t.Fatalf("want the two zero counts that rose, got %v", d.Regressions)
 	}
-	if d, _ := Diff(base, base, 0.15); d.Failed() {
+	if d, _ := Diff(base, base); d.Failed() {
 		t.Fatalf("a zero that stayed zero flagged: %v", d.Regressions)
 	}
 }
@@ -168,7 +176,7 @@ func TestDiffMissingAndNew(t *testing.T) {
 		res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 3.0),
 		res("exp2-lcc", "LJ", "|ΔG|=2%", 0.030, 5.0),
 	)
-	d, err := Diff(base, cur, 0.15)
+	d, err := Diff(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +207,7 @@ func TestDiffDuplicateKeysAveraged(t *testing.T) {
 		res("exp2-sssp", "FS", "|ΔG|=2%", 0.030, 5.0),
 		res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 3.0),
 	)
-	d, err := Diff(base, cur, 0.15)
+	d, err := Diff(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,22 +219,19 @@ func TestDiffDuplicateKeysAveraged(t *testing.T) {
 	}
 }
 
-// TestDiffRejectsIncomparable: schema mismatches, seed/scale drift and
-// non-positive tolerances are errors, not silent passes.
+// TestDiffRejectsIncomparable: schema mismatches and seed/scale drift
+// are errors, not silent passes.
 func TestDiffRejectsIncomparable(t *testing.T) {
 	good := mkReport(res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 3.0))
 	bad := good
 	bad.Schema = "incgraph-bench/v0"
-	if _, err := Diff(good, bad, 0.15); err == nil {
+	if _, err := Diff(good, bad); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 	drift := good
 	drift.Scale = 1.0
-	if _, err := Diff(good, drift, 0.15); err == nil {
+	if _, err := Diff(good, drift); err == nil {
 		t.Error("scale drift accepted")
-	}
-	if _, err := Diff(good, good, 0); err == nil {
-		t.Error("zero tolerance accepted")
 	}
 }
 
@@ -263,8 +268,8 @@ func TestReadReportRoundTrip(t *testing.T) {
 // and the FAIL trailer CI greps for.
 func TestDiffTextOutput(t *testing.T) {
 	base := mkReport(res("exp2-sssp", "FS", "|ΔG|=2%", 0.010, 3.0))
-	cur := mkReport(res("exp2-sssp", "FS", "|ΔG|=2%", 0.020, 3.0))
-	d, err := Diff(base, cur, 0.15)
+	cur := mkReport(res("exp2-sssp", "FS", "|ΔG|=2%", 0.020, 3.5))
+	d, err := Diff(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +282,7 @@ func TestDiffTextOutput(t *testing.T) {
 		}
 	}
 
-	d, _ = Diff(base, base, 0.15)
+	d, _ = Diff(base, base)
 	sb.Reset()
 	d.WriteText(&sb)
 	if !strings.Contains(sb.String(), "PASS:") {

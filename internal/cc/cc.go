@@ -91,8 +91,8 @@ func UnionFind(g *graph.Graph) []int64 {
 // variable per node holding a component id, f_xv = min({id_v} ∪ Y_xv) over
 // the neighbors. It is contracting and monotonic under the order on ids.
 //
-// When Flat is set, all adjacency reads go through the flat CSR+overlay
-// view instead of G's pointer-rich lists: that is how the incremental
+// When Flat is set, all adjacency reads go through the flat view's sorted
+// spans instead of G's pointer-rich lists: that is how the incremental
 // maintainer Inc runs it, keeping Flat in sync with G. With Flat nil the
 // instance reads the bare graph — the mode of the batch algorithm CCfp
 // (the recompute oracle, which must not share Flat staging with what it
@@ -160,32 +160,12 @@ func (c *Instance) Update(x fixpoint.Var, get func(fixpoint.Var) int64) int64 {
 
 // flatMeet folds get over one direction of v's flat adjacency.
 func (c *Instance) flatMeet(v graph.NodeID, best int64, get func(fixpoint.Var) int64, in bool) int64 {
-	var ts []graph.NodeID
-	var dead []bool
-	var extra []graph.Edge
+	ts, _, _, _ := c.Flat.OutSpans(v)
 	if in {
-		ts, _, dead, extra = c.Flat.InSpans(v)
-	} else {
-		ts, _, dead, extra = c.Flat.OutSpans(v)
+		ts, _, _, _ = c.Flat.InSpans(v)
 	}
-	if dead == nil {
-		for _, u := range ts {
-			if l := get(fixpoint.Var(u)); l < best {
-				best = l
-			}
-		}
-	} else {
-		for k, u := range ts {
-			if dead[k] {
-				continue
-			}
-			if l := get(fixpoint.Var(u)); l < best {
-				best = l
-			}
-		}
-	}
-	for _, e := range extra {
-		if l := get(fixpoint.Var(e.To)); l < best {
+	for _, u := range ts {
+		if l := get(fixpoint.Var(u)); l < best {
 			best = l
 		}
 	}
@@ -223,30 +203,19 @@ func (c *Instance) DependentRow(x fixpoint.Var, buf []fixpoint.Var) []fixpoint.V
 		}
 		return buf
 	}
-	ts, ws, dead, extra := c.Flat.OutSpans(v)
-	buf = appendRow(buf, ts, ws, dead, extra)
+	ts, _, _, _ := c.Flat.OutSpans(v)
+	buf = appendRow(buf, ts)
 	if c.G.Directed() {
-		ts, ws, dead, extra = c.Flat.InSpans(v)
-		buf = appendRow(buf, ts, ws, dead, extra)
+		ts, _, _, _ = c.Flat.InSpans(v)
+		buf = appendRow(buf, ts)
 	}
 	return buf
 }
 
-// appendRow appends the live targets of one flat span set to buf.
-func appendRow(buf []fixpoint.Var, ts []graph.NodeID, _ []int64, dead []bool, extra []graph.Edge) []fixpoint.Var {
-	if dead == nil {
-		for _, u := range ts {
-			buf = append(buf, fixpoint.Var(u))
-		}
-	} else {
-		for k, u := range ts {
-			if !dead[k] {
-				buf = append(buf, fixpoint.Var(u))
-			}
-		}
-	}
-	for _, e := range extra {
-		buf = append(buf, fixpoint.Var(e.To))
+// appendRow appends the targets of one flat span to buf.
+func appendRow(buf []fixpoint.Var, ts []graph.NodeID) []fixpoint.Var {
+	for _, u := range ts {
+		buf = append(buf, fixpoint.Var(u))
 	}
 	return buf
 }
@@ -355,7 +324,7 @@ func (i *Inc) Stage(b graph.Batch) {
 	i.flat.MaybeCompact(i.g)
 }
 
-// Flat returns the maintainer's flat adjacency view: overlay size and
+// Flat returns the maintainer's flat adjacency view: dead space and
 // compaction counts for observability, SetCompactThreshold for tests that
 // force a compaction regime.
 func (i *Inc) Flat() *graph.Flat { return i.flat }

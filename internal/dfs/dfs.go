@@ -120,9 +120,10 @@ type frame struct {
 
 // nbrFunc appends v's neighbor ids to buf in ascending order and returns
 // the extended slice — the canonical enumeration order of §5.2. The batch
-// algorithms (Run, DynDFS) pass graph.Graph.AppendOutSorted, the
-// maintainer Inc its flat view's AppendOutSorted (CSR base + overlay
-// tail): batch algorithms read the Graph, maintainers the Flat.
+// algorithms (Run, DynDFS) pass graph.Graph.AppendOutSorted, which sorts
+// the graph's unordered row, the maintainer Inc its flat view's
+// AppendOutSorted, a copy of a row already sorted: batch algorithms read
+// the Graph, maintainers the Flat.
 type nbrFunc func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID
 
 // replay is the scratch of replayFrom, and what a call leaves behind for
@@ -253,7 +254,7 @@ func NewInc(g *graph.Graph) *Inc {
 	return &Inc{g: g, flat: graph.NewFlat(g), tree: Run(g)}
 }
 
-// Flat returns the maintainer's flat adjacency view: overlay size and
+// Flat returns the maintainer's flat adjacency view: dead space and
 // compaction counts for observability, SetCompactThreshold for tests that
 // force a compaction regime.
 func (i *Inc) Flat() *graph.Flat { return i.flat }

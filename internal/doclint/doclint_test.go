@@ -13,7 +13,7 @@ import (
 // job; adding an undocumented exported symbol to any of them fails it.
 var audited = []string{
 	".",                   // root facade (incgraph.go)
-	"internal/graph",      // graph substrate + flat CSR/overlay core
+	"internal/graph",      // graph substrate + flat sorted-span core
 	"internal/fixpoint",   // generic engine
 	"internal/serve",      // serving layer
 	"internal/wal",        // durability substrate

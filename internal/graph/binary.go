@@ -74,8 +74,10 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 }
 
 // ReadBinary parses a graph in the binary durability format, validating
-// every id against the declared node count so corrupted input yields an
-// error, never a panic or an inconsistent graph.
+// every id against the declared node count and every weight against
+// checkWeight, so corrupted or hostile input (a checkpoint fetched from a
+// primary) yields an error, never a panic, an inconsistent graph or a
+// weight a relaxation would overflow on.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binaryMagic))
@@ -160,6 +162,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph binary: reading edge weight: %w", err)
 		}
+		if err := checkWeight(w); err != nil {
+			return nil, fmt.Errorf("graph binary: edge (%d,%d): %w", u, v, err)
+		}
 		if !g.InsertEdge(u, v, w) {
 			return nil, fmt.Errorf("graph binary: duplicate or degenerate edge (%d,%d)", u, v)
 		}
@@ -190,7 +195,10 @@ func AppendBatchBinary(dst []byte, b Batch) []byte {
 
 // DecodeBatchBinary parses a batch encoded by AppendBatchBinary from the
 // front of data, returning the batch and the unconsumed tail. Corrupted
-// input yields an error, never a panic.
+// input yields an error, never a panic. Every weight, a deletion's too,
+// must pass checkWeight, as Update.Validate requires of every batch the
+// log is written from: a deletion's weight is replaced by the removed
+// edge's when applied, but out of range it can only be corruption.
 func DecodeBatchBinary(data []byte) (Batch, []byte, error) {
 	count, n := binary.Uvarint(data)
 	if n <= 0 {
@@ -225,6 +233,9 @@ func DecodeBatchBinary(data []byte) (Batch, []byte, error) {
 		w, n := binary.Varint(data)
 		if n <= 0 {
 			return nil, nil, fmt.Errorf("batch binary: bad weight at update %d", i)
+		}
+		if err := checkWeight(w); err != nil {
+			return nil, nil, fmt.Errorf("batch binary: update %d: %w", i, err)
 		}
 		data = data[n:]
 		b = append(b, Update{Kind: kind, From: NodeID(int32(uint32(from))), To: NodeID(int32(uint32(to))), W: w})

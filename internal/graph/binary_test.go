@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -126,5 +128,30 @@ func TestBatchBinaryRejectsCorruption(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
 		DecodeBatchBinary(mut) // must not panic
+	}
+}
+
+// TestBinaryRejectsWeightsOutOfRange: the two decoders of what the log
+// and checkpoints hold gate weights as Update.Validate does. A CRC-valid
+// record or checkpoint carrying −1 (Dijkstra is wrong with it) or
+// MaxInt64 (d + w wraps) used to decode and be applied.
+func TestBinaryRejectsWeightsOutOfRange(t *testing.T) {
+	for _, w := range []int64{-1, Infinity, math.MaxInt64} {
+		g := New(3, true)
+		g.InsertEdge(0, 1, 2)
+		g.InsertEdge(1, 2, w) // InsertEdge takes what it is given
+		var buf bytes.Buffer
+		if err := g.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBinary(&buf); err == nil || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("ReadBinary with an edge of weight %d: err = %v, want a weight error", w, err)
+		}
+		for _, kind := range []UpdateKind{InsertEdge, DeleteEdge} {
+			data := AppendBatchBinary(nil, Batch{{Kind: InsertEdge, From: 0, To: 1, W: 1}, {Kind: kind, From: 1, To: 2, W: w}})
+			if _, _, err := DecodeBatchBinary(data); err == nil || !strings.Contains(err.Error(), "update 1") {
+				t.Errorf("DecodeBatchBinary with a kind-%d weight %d: err = %v, want one naming update 1", kind, w, err)
+			}
+		}
 	}
 }

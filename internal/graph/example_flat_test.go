@@ -6,44 +6,48 @@ import (
 	"incgraph/internal/graph"
 )
 
-// ExampleFlat shows the life of a flat adjacency view: snapshot, staged
-// overlay edits, and threshold-driven compaction back into the CSR base.
+// ExampleFlat shows the life of a flat adjacency view: rows laid out
+// sorted with one free slot each, a batch edited into them in place, and
+// compaction reclaiming the space the edits opened.
 func ExampleFlat() {
 	g := graph.New(4, false)
 	g.InsertEdge(0, 1, 5)
 	g.InsertEdge(0, 2, 7)
+	g.InsertEdge(1, 2, 1)
 
-	f := graph.NewFlat(g) // CSR base of the current adjacency
+	f := graph.NewFlat(g) // every row sorted, with one free slot
 	f.SetCompactThreshold(1e9)
 
 	// Mutate the graph through a batch and stage exactly the applied
-	// updates into the overlay.
+	// updates: the insert fills row 0's free slot, the deletes shift rows
+	// 0, 1 and 2 left.
 	b := graph.Batch{
 		{Kind: graph.InsertEdge, From: 0, To: 3, W: 9},
 		{Kind: graph.DeleteEdge, From: 0, To: 1},
+		{Kind: graph.DeleteEdge, From: 1, To: 2},
 	}
 	f.Stage(g, g.Apply(b))
 
-	// Reads merge the base row (0→1 now tombstoned) with the overlay tail.
+	// A row is one sorted span.
 	f.EachOut(0, func(v graph.NodeID, w int64) {
 		fmt.Printf("0 -> %d (w=%d)\n", v, w)
 	})
-	fmt.Println("overlay ops:", f.OverlayOps())
+	fmt.Printf("dead space: %.2f of the live entries\n", f.OverlayRatio())
 
-	// Compaction rebuilds the base and clears the overlay.
+	// Compaction lays the rows out again and reclaims it.
 	f.Compact(g)
-	fmt.Println("after compact:", f.OverlayOps(), "ops,", f.Compactions(), "compaction")
+	fmt.Printf("after compact: %.2f, %d compaction\n", f.OverlayRatio(), f.Compactions())
 
 	// Output:
 	// 0 -> 2 (w=7)
 	// 0 -> 3 (w=9)
-	// overlay ops: 4
-	// after compact: 0 ops, 1 compaction
+	// dead space: 0.40 of the live entries
+	// after compact: 0.00, 1 compaction
 }
 
 // ExampleFlat_appendOutSorted shows the arena-friendly sorted neighbor
-// read the biconnectivity DFS uses: base row and overlay tail merged in
-// ascending order, appended to a caller-owned buffer.
+// read the depth-first traversal uses: the row, already in ascending
+// order, appended to a caller-owned buffer.
 func ExampleFlat_appendOutSorted() {
 	g := graph.New(5, false)
 	g.InsertEdge(2, 4, 1)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -377,14 +378,18 @@ func FuzzReadBatch(f *testing.F) {
 }
 
 // FuzzDecodeBatchBinary exercises the binary batch decoder used by the
-// WAL frame payloads: arbitrary bytes must never panic, and an accepted
-// batch must re-encode to a decodable equal batch.
+// WAL frame payloads: arbitrary bytes must never panic, every accepted
+// weight must be one checkWeight accepts, and an accepted batch must
+// re-encode to a decodable equal batch.
 func FuzzDecodeBatchBinary(f *testing.F) {
 	seed := AppendBatchBinary(nil, Batch{
 		{Kind: InsertEdge, From: 1, To: 2, W: 3},
-		{Kind: DeleteEdge, From: 4, To: 5, W: -6},
+		{Kind: DeleteEdge, From: 4, To: 5, W: 6},
 	})
 	f.Add(seed)
+	for _, w := range []int64{-1, Infinity, math.MaxInt64} {
+		f.Add(AppendBatchBinary(nil, Batch{{Kind: InsertEdge, From: 1, To: 2, W: w}}))
+	}
 	for cut := 0; cut < len(seed); cut++ {
 		f.Add(append([]byte(nil), seed[:cut]...))
 	}
@@ -399,6 +404,11 @@ func FuzzDecodeBatchBinary(f *testing.F) {
 			return
 		}
 		_ = rest
+		for i, u := range b {
+			if u.W < 0 || u.W >= Infinity {
+				t.Fatalf("update %d accepted with weight %d outside [0, Infinity)", i, u.W)
+			}
+		}
 		enc := AppendBatchBinary(nil, b)
 		b2, rest2, err := DecodeBatchBinary(enc)
 		if err != nil || len(rest2) != 0 {

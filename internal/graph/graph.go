@@ -3,7 +3,8 @@
 // edges held as unordered adjacency rows and nothing else (an edge is found
 // by scanning a row: presence O(min(d_u, d_v)), deletion O(d_u + d_v), see
 // Graph), batch update application (G ⊕ ΔG), temporal graphs, and the
-// read-optimized Flat view the maintainers traverse.
+// read-optimized Flat view the maintainers traverse: every row one sorted
+// span of two parallel arrays, edited in place as batches are staged.
 package graph
 
 import (
@@ -33,9 +34,10 @@ type Edge struct {
 const Infinity int64 = math.MaxInt64 / 4
 
 // checkWeight is the one gate on edge weights arriving from outside the
-// program (Update.Validate, Read): 0 ≤ w < Infinity. Every relaxation
-// computes d + w on a finite d < Infinity = MaxInt64/4, so the upper bound
-// is what keeps that sum from overflowing.
+// program (Update.Validate, Read, and the decoders of the log and of
+// checkpoints, DecodeBatchBinary and ReadBinary): 0 ≤ w < Infinity. Every
+// relaxation computes d + w on a finite d < Infinity = MaxInt64/4, so the
+// upper bound is what keeps that sum from overflowing.
 func checkWeight(w int64) error {
 	if w < 0 {
 		return fmt.Errorf("negative weight %d", w)
@@ -326,32 +328,26 @@ func (g *Graph) In(u NodeID) []Edge {
 
 // AppendOutSorted appends u's out-neighbor ids to buf in ascending order
 // and returns the extended slice: the canonical enumeration order of the
-// batch depth-first traversals (dfs.Run, bc.Run), which read the graph's
-// own lists rather than a Flat view. Short rows are insertion-sorted in
-// place; rows past the cut-off go through slices.Sort, so a power-law hub
-// never costs quadratic time.
+// batch depth-first traversals (dfs.Run, dfs.DynDFS), which read the
+// graph's own lists rather than a Flat view. Short rows are
+// insertion-sorted in place; rows past the cut-off go through slices.Sort,
+// so a power-law hub never costs quadratic time.
 func (g *Graph) AppendOutSorted(u NodeID, buf []NodeID) []NodeID {
 	base := len(buf)
 	for _, e := range g.out[u] {
 		buf = append(buf, e.To)
 	}
-	if row := buf[base:]; len(row) > 32 {
+	row := buf[base:]
+	if len(row) > 32 {
 		slices.Sort(row)
 		return buf
 	}
-	insertionSortFrom(buf, base)
-	return buf
-}
-
-// insertionSortFrom sorts buf[base:] in place, leaving buf[:base] alone:
-// linear on an already sorted region with a short unsorted tail, which is
-// what a Flat row (sorted base + overlay tail) looks like.
-func insertionSortFrom(buf []NodeID, base int) {
-	for i := base + 1; i < len(buf); i++ {
-		for j := i; j > base && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
+	for i := 1; i < len(row); i++ {
+		for j := i; j > 0 && row[j] < row[j-1]; j-- {
+			row[j], row[j-1] = row[j-1], row[j]
 		}
 	}
+	return buf
 }
 
 // OutDegree returns the number of outgoing edges of u.

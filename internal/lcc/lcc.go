@@ -132,7 +132,7 @@ func Run(g *graph.Graph) *Result {
 // auxiliary structure at all (§5.3).
 //
 // Adjacency is read through a graph.Flat kept in step with the graph, as
-// in dfs and bc: sorted struct-of-arrays base rows let a recount stop each
+// in dfs and bc: sorted struct-of-arrays rows let a recount stop each
 // neighbor row at the neighbor's own id, which visits every triangle once.
 //
 // An Inc is not goroutine-safe: it (and the graph it owns) must be
@@ -173,7 +173,7 @@ func NewInc(g *graph.Graph) *Inc {
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
 
-// Flat returns the maintainer's flat adjacency view: overlay size and
+// Flat returns the maintainer's flat adjacency view: dead space and
 // compaction counts for observability, SetCompactThreshold for tests that
 // force a compaction regime.
 func (i *Inc) Flat() *graph.Flat { return i.flat }
@@ -265,18 +265,13 @@ func (i *Inc) add(v graph.NodeID) {
 	}
 }
 
-// stamp marks v's live neighbors in the flat view with a fresh epoch.
+// stamp marks v's neighbors in the flat view with a fresh epoch.
 func (i *Inc) stamp(v graph.NodeID) {
 	i.epoch++
-	ts, _, dead, extra := i.flat.OutSpans(v)
-	i.stats.Reads += int64(len(ts) + len(extra))
-	for k, x := range ts {
-		if dead == nil || !dead[k] {
-			i.mark[x] = i.epoch
-		}
-	}
-	for _, e := range extra {
-		i.mark[e.To] = i.epoch
+	ts, _, _, _ := i.flat.OutSpans(v)
+	i.stats.Reads += int64(len(ts))
+	for _, x := range ts {
+		i.mark[x] = i.epoch
 	}
 }
 
@@ -284,16 +279,11 @@ func (i *Inc) stamp(v graph.NodeID) {
 // the scope, in O(d_u + d_v).
 func (i *Inc) addCommon(u, v graph.NodeID) {
 	i.stamp(u)
-	ts, _, dead, extra := i.flat.OutSpans(v)
-	i.stats.Reads += int64(len(ts) + len(extra))
-	for k, x := range ts {
-		if i.mark[x] == i.epoch && (dead == nil || !dead[k]) {
+	ts, _, _, _ := i.flat.OutSpans(v)
+	i.stats.Reads += int64(len(ts))
+	for _, x := range ts {
+		if i.mark[x] == i.epoch {
 			i.add(x)
-		}
-	}
-	for _, e := range extra {
-		if i.mark[e.To] == i.epoch {
-			i.add(e.To)
 		}
 	}
 }
@@ -332,37 +322,27 @@ func (i *Inc) Repair() int {
 // {v, x, y} is seen once, from its larger corner.
 func (i *Inc) countTriangles(v graph.NodeID) int64 {
 	i.stamp(v)
-	ts, _, dead, extra := i.flat.OutSpans(v)
+	ts, _, _, _ := i.flat.OutSpans(v)
 	var cnt int64
-	for k, x := range ts {
-		if dead == nil || !dead[k] {
-			cnt += i.stampedBelow(x)
-		}
-	}
-	for _, e := range extra {
-		cnt += i.stampedBelow(e.To)
+	for _, x := range ts {
+		cnt += i.stampedBelow(x)
 	}
 	return cnt
 }
 
-// stampedBelow counts x's live neighbors y < x that carry the current
-// stamp: the sorted base row up to x's own position, and the overlay tail.
+// stampedBelow counts x's neighbors y < x that carry the current stamp:
+// x's sorted row up to x's own position.
 func (i *Inc) stampedBelow(x graph.NodeID) int64 {
-	ts, _, dead, extra := i.flat.OutSpans(x)
+	ts, _, _, _ := i.flat.OutSpans(x)
 	mark, epoch := i.mark, i.epoch
 	var cnt int64
 	k := 0
 	for ; k < len(ts) && ts[k] < x; k++ {
-		if mark[ts[k]] == epoch && (dead == nil || !dead[k]) {
+		if mark[ts[k]] == epoch {
 			cnt++
 		}
 	}
-	i.stats.Reads += int64(k + len(extra))
-	for _, e := range extra {
-		if e.To < x && mark[e.To] == epoch {
-			cnt++
-		}
-	}
+	i.stats.Reads += int64(k)
 	return cnt
 }
 

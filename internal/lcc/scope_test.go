@@ -150,8 +150,8 @@ func rawBatch(rng *rand.Rand, n, size int) graph.Batch {
 }
 
 // TestScopeIsInputSet is the scope property test: on small triangle-dense
-// graphs, under every compaction regime (so base rows, dead bits and
-// overlay tails all carry edges), one to three Stages before each Repair.
+// graphs, under every compaction regime (so rows are read freshly laid
+// out, edited in place and moved), one to three Stages before each Repair.
 func TestScopeIsInputSet(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

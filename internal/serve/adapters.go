@@ -112,7 +112,7 @@ func (s *ssspServeable) Snapshot() any {
 func (s *ssspServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
 
 // Flat exposes the current inner maintainer's flat adjacency view to the
-// host's compaction and overlay metrics.
+// host's compaction and dead-space metrics.
 func (s *ssspServeable) Flat() *graph.Flat { return s.inc.Flat() }
 
 // ssspState is the gob envelope of PersistState: the distances are
@@ -191,7 +191,7 @@ func (s *ccServeable) Snapshot() any {
 func (s *ccServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
 
 // Flat exposes the current inner maintainer's flat adjacency view to the
-// host's compaction and overlay metrics.
+// host's compaction and dead-space metrics.
 func (s *ccServeable) Flat() *graph.Flat { return s.inc.Flat() }
 
 // ccState is the gob envelope of PersistState: labels plus the engine's
@@ -368,7 +368,7 @@ func (s *dfsServeable) Recompute() {
 }
 
 // Flat exposes the current inner maintainer's flat adjacency view to the
-// host's compaction and overlay metrics.
+// host's compaction and dead-space metrics.
 func (s *dfsServeable) Flat() *graph.Flat { return s.inc.Flat() }
 
 // LCCView is the published snapshot of a local-clustering-coefficient
@@ -430,7 +430,7 @@ func (s *lccServeable) Snapshot() any {
 }
 
 // Flat exposes the current inner maintainer's flat adjacency view to the
-// host's compaction and overlay metrics.
+// host's compaction and dead-space metrics.
 func (s *lccServeable) Flat() *graph.Flat { return s.inc.Flat() }
 
 // lccState is the gob envelope of PersistState: d_v and λ_v are IncLCC's
@@ -485,7 +485,7 @@ func (s *bcServeable) Algo() string        { return "bc" }
 func (s *bcServeable) Graph() *graph.Graph { return s.inc.Graph() }
 
 // Flat exposes the current inner maintainer's flat adjacency view to the
-// host's compaction and overlay metrics.
+// host's compaction and dead-space metrics.
 func (s *bcServeable) Flat() *graph.Flat { return s.inc.Flat() }
 func (s *bcServeable) Apply(b graph.Batch) ApplyResult {
 	s.pub.applied()

@@ -131,26 +131,29 @@ func (r *Recovery) Restore(algo string, m Serveable) error {
 // reach every serveable, targeted records only their algo. Called before
 // the hosts start, so it drives Apply directly — single-threaded, which
 // honors the one-writer contract. Batches are coalesced with Net exactly
-// as the serving path would have.
+// as the serving path would have, and validated as it would have: a
+// record that fails Batch.Validate against a target it reaches stops the
+// replay with an error naming its segment and record, and reaches no
+// target.
 func (r *Recovery) Replay(targets map[string]Serveable, rec *trace.Recorder) (int, error) {
 	var span trace.Span
 	if rec != nil {
 		span = rec.Begin("recovery_replay", "serve", rec.Track("recovery"))
 	}
 	n, err := wal.Replay(r.dir, r.ReplayFrom, func(record wal.Record) error {
-		route := func(name string, m Serveable) {
-			m.Apply(record.Batch.Net(m.Graph().Directed()))
-			r.replayedRaw[name] += uint64(len(record.Batch))
-			r.replayedRecords[name]++
-		}
-		if record.Algo == "" {
-			for name, m := range targets {
-				route(name, m)
+		for name, m := range targets {
+			if record.Algo == "" || record.Algo == name {
+				if err := record.Batch.Validate(m.Graph().NumNodes()); err != nil {
+					return fmt.Errorf("for %s: %w", name, err)
+				}
 			}
-			return nil
 		}
-		if m, ok := targets[record.Algo]; ok {
-			route(record.Algo, m)
+		for name, m := range targets {
+			if record.Algo == "" || record.Algo == name {
+				m.Apply(record.Batch.Net(m.Graph().Directed()))
+				r.replayedRaw[name] += uint64(len(record.Batch))
+				r.replayedRecords[name]++
+			}
 		}
 		return nil
 	})

@@ -254,7 +254,7 @@ func (s *Service) Handler() http.Handler {
 		}
 		// ?n= caps the entries returned per host; the response is bounded
 		// either way — by n, or by the hosts' ring capacities.
-		n, err := queryN(r, maxAppliesPerHost)
+		n, err := obs.QueryN(r, maxAppliesPerHost)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -623,24 +623,6 @@ func viewEpochs(targets []*Host) map[string]uint64 {
 // ?n= asks for more — the response stays bounded regardless of how large
 // the rings were configured.
 const maxAppliesPerHost = 4096
-
-// queryN parses the ?n= cap of a debug endpoint: absent means max,
-// anything non-numeric or negative is a client error, and the result is
-// clamped to max.
-func queryN(r *http.Request, max int) (int, error) {
-	raw := r.URL.Query().Get("n")
-	if raw == "" {
-		return max, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad n %q: want a non-negative integer", raw)
-	}
-	if n > max {
-		n = max
-	}
-	return n, nil
-}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

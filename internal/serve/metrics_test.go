@@ -108,17 +108,21 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if v := promValue(t, expo, `incgraph_graph_nodes{algo="cc"}`); v != 6 {
 		t.Errorf("graph nodes = %g, want 6", v)
 	}
-	// The flat view: the two updates that take effect stage 4 half-edge
-	// ops against a base of 4, far past the 0.25 threshold, so the apply
-	// compacted exactly once and left an empty overlay.
-	for _, algo := range []string{"cc", "sssp"} {
-		if c := promValue(t, expo, `incgraph_flat_compactions_total{algo="`+algo+`"}`); c != 1 {
-			t.Errorf("%s flat compactions %g, want 1", algo, c)
-		}
-		if r := promValue(t, expo, `incgraph_flat_overlay_ratio{algo="`+algo+`"}`); r != 0 {
-			t.Errorf("%s flat overlay ratio %g after compacting, want 0", algo, r)
+	// The flat view: the insert takes the free slots of rows 2 and 3 and
+	// the delete opens one in rows 1 and 2 — nothing a compaction would
+	// reclaim, so none ran (the end of the test makes one).
+	flat := func(expo string, compactions float64) {
+		t.Helper()
+		for _, algo := range []string{"cc", "sssp"} {
+			if c := promValue(t, expo, `incgraph_flat_compactions_total{algo="`+algo+`"}`); c != compactions {
+				t.Errorf("%s flat compactions %g, want %g", algo, c, compactions)
+			}
+			if r := promValue(t, expo, `incgraph_flat_overlay_ratio{algo="`+algo+`"}`); r != 0 {
+				t.Errorf("%s flat dead space %g after %g compactions, want 0", algo, r, compactions)
+			}
 		}
 	}
+	flat(expo, 0)
 	// The retired parallel mode left no series behind.
 	for _, name := range []string{"incgraph_fixpoint_workers", "incgraph_par_rounds_total",
 		"incgraph_par_seq_rounds_total", "incgraph_worker_utilization", "incgraph_worker_imbalance"} {
@@ -216,6 +220,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 				algo, rep.EntriesCopied, rep.PublishRatio, rep.BoundedRatio)
 		}
 	}
+	// Deleting 0-1 and 1-2 as well leaves two live half-edges (per
+	// direction) where a fresh layout would hold them and a free slot per
+	// row in two slots fewer: dead space 2/3 of the live entries, far past
+	// the 0.25 threshold, so that apply compacts exactly once and leaves
+	// none.
+	if code, body := postUpdate(t, ts.URL+"/update?wait=1", "- 0 1\n- 1 2\n"); code != http.StatusOK {
+		t.Fatalf("update status %d: %s", code, body)
+	}
+	flat(scrape(), 1)
 }
 
 // TestDebugApplies checks the recent-applies trace ring over HTTP: the

@@ -358,7 +358,7 @@ type tracerSetter interface{ SetTracer(fixpoint.Tracer) }
 
 // flatViewer is the optional Serveable extension exposing the
 // maintainer's flat adjacency view (SSSP, CC, DFS, LCC, BC keep one), read
-// after each Apply for the compaction and overlay metrics. Called only
+// after each Apply for the compaction and dead-space metrics. Called only
 // from the apply loop, honoring the maintainers' single-writer contract.
 type flatViewer interface{ Flat() *graph.Flat }
 
@@ -443,8 +443,8 @@ func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 		offenderCount:   r.Gauge("incgraph_offender_count", "Entries retained in the top-K worst-boundedness ring.", l),
 		offenderWorst:   r.Gauge("incgraph_offender_worst_ratio", "Highest boundedness quotient ever retained by the offender ring.", l),
 		offenderMin:     r.Gauge("incgraph_offender_min_ratio", "Lowest retained offender quotient — the ring's admission threshold.", l),
-		flatCompactions: r.Counter("incgraph_flat_compactions_total", "CSR base rebuilds of the maintainer's flat adjacency view.", l),
-		flatOverlay:     r.Gauge("incgraph_flat_overlay_ratio", "Staged overlay operations as a fraction of the flat view's base after the last apply.", l),
+		flatCompactions: r.Counter("incgraph_flat_compactions_total", "Compactions (row layouts from the graph) of the maintainer's flat adjacency view.", l),
+		flatOverlay:     r.Gauge("incgraph_flat_overlay_ratio", "Dead space (array slots a compaction would reclaim) as a fraction of the flat view's live entries after the last apply.", l),
 		pagesCopied:     r.Counter("incgraph_view_pages_copied_total", "View pages copied by publication (the rest are shared with the previous epoch).", l),
 		pagesEncoded:    r.Counter("incgraph_view_pages_encoded_total", "View pages GET /query encoded from scratch (cached pages, and pages born cached from the page they replaced, are not).", l),
 		entriesSpliced:  r.Counter("incgraph_view_entries_spliced_total", "Changed entries publication re-encoded into the cached bytes a replaced page inherited.", l),

@@ -315,12 +315,9 @@ func (c *Client) Offenders(ctx context.Context) (map[string][]serve.Offender, er
 
 // TraceDump fetches the member's raw /debug/trace document for merging
 // into a cluster timeline. n limits the dump to the newest n events
-// (0 = everything the member retained).
+// (math.MaxInt: everything the member retained).
 func (c *Client) TraceDump(ctx context.Context, n int) ([]byte, error) {
-	url := c.Base + "/debug/trace"
-	if n > 0 {
-		url += fmt.Sprintf("?n=%d", n)
-	}
+	url := c.Base + fmt.Sprintf("/debug/trace?n=%d", n)
 	req, err := c.newRequest(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -80,7 +81,7 @@ func scrapeCtx(r *http.Request) (context.Context, context.CancelFunc) {
 // one Chrome trace_event document with one pid per process (router is
 // always pid 1) and wall-clock-rebased timestamps. ?trace=<32 hex>
 // keeps only the spans of one distributed request; ?n= caps how many
-// events each member contributes. Unreachable members are skipped — a
+// events each member contributes (obs.QueryN). Unreachable members are skipped — a
 // partial timeline from the live cluster beats a 502.
 func (rt *Router) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 	var filter trace.TraceID
@@ -95,11 +96,10 @@ func (rt *Router) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		filter = tid
 	}
-	n := 0
-	if q := r.URL.Query().Get("n"); q != "" {
-		if v, err := strconv.Atoi(q); err == nil && v > 0 {
-			n = v
-		}
+	n, err := obs.QueryN(r, math.MaxInt)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 
 	var self bytes.Buffer
@@ -253,23 +253,15 @@ const clusterOffenderCap = 256
 // handleClusterOffenders serves GET /cluster/offenders: every reachable
 // member's /debug/offenders dump merged into one cluster-wide top-K by
 // boundedness quotient, worst first. ?algo= keeps one query class, ?n=
-// caps the merged size (default 32). Unreachable members are skipped and
+// caps the merged size (obs.QueryN: absent, the cap). Unreachable members are skipped and
 // reported in the scrape counts — a partial answer from the live cluster
 // beats a 502.
 func (rt *Router) handleClusterOffenders(w http.ResponseWriter, r *http.Request) {
 	algoFilter := r.URL.Query().Get("algo")
-	n := 32
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			writeError(w, http.StatusBadRequest,
-				errors.New("shard: n must be a positive integer"))
-			return
-		}
-		n = v
-	}
-	if n > clusterOffenderCap {
-		n = clusterOffenderCap
+	n, err := obs.QueryN(r, clusterOffenderCap)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 
 	top := obs.NewTopK[ClusterOffender](n)
@@ -373,13 +365,16 @@ func (rt *Router) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterEvents serves GET /cluster/events: the supervisor's
 // bounded topology-event ring (spawns, probe failures, restarts,
-// promotions), newest last. ?n= keeps only the newest n.
+// promotions), newest last. ?n= keeps only the newest n (obs.QueryN).
 func (rt *Router) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
+	n, err := obs.QueryN(r, math.MaxInt)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	evs := rt.events.Snapshot()
-	if q := r.URL.Query().Get("n"); q != "" {
-		if v, err := strconv.Atoi(q); err == nil && v >= 0 && v < len(evs) {
-			evs = evs[len(evs)-v:]
-		}
+	if n < len(evs) {
+		evs = evs[len(evs)-n:]
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"events": evs})
 }

@@ -554,3 +554,35 @@ func TestClusterEventsEndpoint(t *testing.T) {
 		t.Fatalf("events tail = %+v, want newest two", out.Events)
 	}
 }
+
+// TestQueryNRoutes holds the five debug routes that take ?n= to the one
+// rule of obs.QueryN: absent, or a non-negative integer (clamped to the
+// route's cap), is answered; anything else is a 400. The cluster trace and
+// events routes used to drop the parse error and answer everything.
+func TestQueryNRoutes(t *testing.T) {
+	rt, table := startCluster(t, gen.PowerLaw(rand.New(rand.NewSource(7)), 40, 3, true), 1, 0)
+	member := table.Snapshot()[0].Primary
+	fetch := func(route string) int {
+		if strings.HasPrefix(route, "/debug/applies") { // a member's route
+			resp, err := http.Get(member + route)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
+		}
+		return get(t, rt.Handler(), route).Code
+	}
+	routes := []string{"/debug/trace", "/debug/applies", "/cluster/offenders", "/debug/cluster/trace", "/cluster/events"}
+	for _, route := range routes {
+		for q, want := range map[string]int{
+			"": http.StatusOK, "?n=0": http.StatusOK, "?n=3": http.StatusOK, "?n=99999": http.StatusOK,
+			"?n=abc": http.StatusBadRequest, "?n=-1": http.StatusBadRequest, "?n=1.5": http.StatusBadRequest,
+			"?n=99999999999999999999": http.StatusBadRequest,
+		} {
+			if got := fetch(route + q); got != want {
+				t.Errorf("GET %s%s = %d, want %d", route, q, got, want)
+			}
+		}
+	}
+}

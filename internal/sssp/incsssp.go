@@ -33,7 +33,7 @@ import (
 // loop and publishes immutable snapshots to readers.
 type Inc struct {
 	g    *graph.Graph
-	flat *graph.Flat // CSR+overlay adjacency every Repair loop reads
+	flat *graph.Flat // sorted-span adjacency every Repair loop reads
 	src  graph.NodeID
 
 	dist []int64
@@ -68,7 +68,7 @@ func NewInc(g *graph.Graph, src graph.NodeID) *Inc {
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
 
-// Flat returns the maintainer's flat adjacency view: overlay size and
+// Flat returns the maintainer's flat adjacency view: dead space and
 // compaction counts for observability, SetCompactThreshold for tests that
 // force a compaction regime.
 func (i *Inc) Flat() *graph.Flat { return i.flat }
@@ -300,60 +300,25 @@ func (i *Inc) hAnchors(v graph.NodeID, dv int64) {
 	if dv >= Infinity {
 		return
 	}
-	ts, ws, dead, extra := i.flat.OutSpans(v)
-	if dead == nil {
-		for k, t := range ts {
-			if dv+ws[k] == i.oldDist(t) {
-				i.hEnqueue(t)
-			}
-		}
-	} else {
-		for k, t := range ts {
-			if !dead[k] && dv+ws[k] == i.oldDist(t) {
-				i.hEnqueue(t)
-			}
-		}
-	}
-	for _, e := range extra {
-		if dv+e.W == i.oldDist(e.To) {
-			i.hEnqueue(e.To)
+	ts, ws, _, _ := i.flat.OutSpans(v)
+	for k, t := range ts {
+		if dv+ws[k] == i.oldDist(t) {
+			i.hEnqueue(t)
 		}
 	}
 }
 
-// relaxOut relaxes every live out-edge of v at distance dv: the
+// relaxOut relaxes every out-edge of v at distance dv: the
 // struct-of-arrays inner loop of the resumed Dijkstra, scanning contiguous
 // target and weight arrays instead of chasing []Edge pointers.
 func (i *Inc) relaxOut(v graph.NodeID, dv int64) {
-	ts, ws, dead, extra := i.flat.OutSpans(v)
-	if dead == nil {
-		for k, t := range ts {
-			i.stats.Updates++
-			if alt := dv + ws[k]; alt < i.dist[t] {
-				i.led.Write(int32(t), i.dist[t])
-				i.dist[t] = alt
-				i.wq.AddOrAdjust(int32(t))
-			}
-		}
-	} else {
-		for k, t := range ts {
-			if dead[k] {
-				continue
-			}
-			i.stats.Updates++
-			if alt := dv + ws[k]; alt < i.dist[t] {
-				i.led.Write(int32(t), i.dist[t])
-				i.dist[t] = alt
-				i.wq.AddOrAdjust(int32(t))
-			}
-		}
-	}
-	for _, e := range extra {
+	ts, ws, _, _ := i.flat.OutSpans(v)
+	for k, t := range ts {
 		i.stats.Updates++
-		if alt := dv + e.W; alt < i.dist[e.To] {
-			i.led.Write(int32(e.To), i.dist[e.To])
-			i.dist[e.To] = alt
-			i.wq.AddOrAdjust(int32(e.To))
+		if alt := dv + ws[k]; alt < i.dist[t] {
+			i.led.Write(int32(t), i.dist[t])
+			i.dist[t] = alt
+			i.wq.AddOrAdjust(int32(t))
 		}
 	}
 }
@@ -366,26 +331,14 @@ func (i *Inc) feasibleValue(v graph.NodeID, dv int64) int64 {
 		return 0
 	}
 	best := Infinity
-	ts, ws, dead, extra := i.flat.InSpans(v)
+	ts, ws, _, _ := i.flat.InSpans(v)
 	for k, u := range ts {
-		if dead != nil && dead[k] {
-			continue
-		}
 		i.stats.Reads++
 		if i.oldDist(u) >= dv {
 			continue // determined later: its feasible stand-in is ∞
 		}
 		if d := i.dist[u]; d < Infinity && d+ws[k] < best {
 			best = d + ws[k]
-		}
-	}
-	for _, e := range extra {
-		i.stats.Reads++
-		if i.oldDist(e.To) >= dv {
-			continue
-		}
-		if d := i.dist[e.To]; d < Infinity && d+e.W < best {
-			best = d + e.W
 		}
 	}
 	return best
@@ -398,20 +351,11 @@ func (i *Inc) best(v graph.NodeID) int64 {
 		return 0
 	}
 	best := Infinity
-	ts, ws, dead, extra := i.flat.InSpans(v)
+	ts, ws, _, _ := i.flat.InSpans(v)
 	for k, u := range ts {
-		if dead != nil && dead[k] {
-			continue
-		}
 		i.stats.Reads++
 		if d := i.dist[u]; d < Infinity && d+ws[k] < best {
 			best = d + ws[k]
-		}
-	}
-	for _, e := range extra {
-		i.stats.Reads++
-		if d := i.dist[e.To]; d < Infinity && d+e.W < best {
-			best = d + e.W
 		}
 	}
 	return best

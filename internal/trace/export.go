@@ -3,9 +3,12 @@ package trace
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
+
+	"incgraph/internal/obs"
 )
 
 // Chrome trace_event JSON export. The "JSON Object Format" emitted here
@@ -53,11 +56,11 @@ func micros(ns int64) float64 { return float64(ns) / 1e3 }
 // oldest-first with their integer args and, when present, the W3C trace
 // ID under args.traceparent_id.
 func (r *Recorder) WriteTraceEvents(w io.Writer) error {
-	return r.WriteTraceEventsN(w, 0)
+	return r.WriteTraceEventsN(w, math.MaxInt)
 }
 
-// WriteTraceEventsN is WriteTraceEvents limited to the newest n events
-// (n <= 0 means everything retained) — the ?n= cap of GET /debug/trace.
+// WriteTraceEventsN is WriteTraceEvents limited to the newest n events —
+// the ?n= cap of GET /debug/trace (see obs.QueryN).
 func (r *Recorder) WriteTraceEventsN(w io.Writer, n int) error {
 	r.mu.Lock()
 	tracks := append([]string(nil), r.tracks...)
@@ -67,7 +70,7 @@ func (r *Recorder) WriteTraceEventsN(w io.Writer, n int) error {
 		process = "incgraph"
 	}
 	events := r.Events()
-	if n > 0 && len(events) > n {
+	if len(events) > n {
 		events = events[len(events)-n:]
 	}
 
@@ -140,17 +143,14 @@ func (r *Recorder) WriteTraceEventsN(w io.Writer, n int) error {
 
 // Handler returns an HTTP handler that dumps the flight recording, for
 // mounting at GET /debug/trace. ?n= limits the dump to the newest n
-// events; the recording ring bounds the response size either way.
+// events (obs.QueryN); the recording ring bounds the response size either
+// way.
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		n := 0
-		if raw := req.URL.Query().Get("n"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n: want a non-negative integer", http.StatusBadRequest)
-				return
-			}
-			n = v
+		n, err := obs.QueryN(req, math.MaxInt)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="incgraph-trace.json"`)

@@ -502,7 +502,11 @@ func Segments(dir string) ([]uint64, error) {
 // for each decodable record. It returns the byte offset of the end of the
 // last whole, CRC-valid frame — the durable prefix — and the record
 // count. A torn or corrupt tail is not an error; it is where the prefix
-// ends.
+// ends, and so is an empty frame (a zero-filled tail). A whole, CRC-valid
+// frame that does not decode is an error naming the record: no crash
+// writes one, so it is a foreign or hostile record — a weight outside
+// [0, Infinity), say — and ending the prefix there would drop it and
+// every record after it without a word. So is an error from fn.
 func scanSegment(path string, fn func(Record) error) (good int64, n int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -528,15 +532,18 @@ func scanSegment(path string, fn func(Record) error) (good int64, n int, err err
 		if crc32.Checksum(payload, castagnoli) != want {
 			return off, n, nil // corrupt frame
 		}
+		if plen == 0 {
+			return off, n, nil // a zero-filled tail, not a record
+		}
 		rec, derr := DecodeRecord(payload)
 		if derr != nil {
-			return off, n, nil // framed garbage: stop the prefix here
+			return off, n, fmt.Errorf("record %d at offset %d: %w", n+1, off, derr)
 		}
 		off += int64(frameHeader) + int64(plen)
 		n++
 		if fn != nil {
 			if err := fn(rec); err != nil {
-				return off, n, err
+				return off, n, fmt.Errorf("record %d: %w", n, err)
 			}
 		}
 	}

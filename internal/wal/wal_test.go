@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,6 +145,42 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	if n != 4 || algos[3] != "post" {
 		t.Fatalf("after torn-tail reopen: %d records, algos %v", n, algos)
+	}
+}
+
+// TestZeroFilledTailIsTorn: a crash can leave a segment extended by zeros,
+// and a zero header reads as a CRC-valid empty frame. No append writes an
+// empty frame, so replay stops there cleanly — while a CRC-valid frame
+// holding something that is no record is an error naming it.
+func TestZeroFilledTailIsTorn(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(Record{Batch: mkBatch(2)}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	seg := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, append(data, make([]byte, 64)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := Replay(dir, 0, nil); err != nil || n != 1 {
+		t.Fatalf("zero-filled tail: replayed %d, err %v; want 1, nil", n, err)
+	}
+	payload := []byte{0xff} // an algo tag longer than the payload
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	if err := os.WriteFile(seg, append(append(data, frame...), payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(dir, 0, nil); err == nil || !strings.Contains(err.Error(), "segment 1: record 2") {
+		t.Fatalf("CRC-valid undecodable frame: err = %v, want one naming segment 1, record 2", err)
 	}
 }
 
