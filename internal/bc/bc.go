@@ -361,16 +361,17 @@ func (i *Inc) RestoreState(articulation []bool, block []graph.NodeID, num []int3
 	return nil
 }
 
-// Apply computes G ⊕ ΔG and repairs the structure; it returns the number
-// of nodes revisited (the affected-area measure).
+// Apply computes G ⊕ ΔG for any sequence of unit updates b — netted or
+// not — and repairs the structure; it returns the number of nodes
+// revisited (the affected-area measure).
 func (i *Inc) Apply(b graph.Batch) int {
 	i.Stage(b)
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG without repairing.
+// Stage materializes G ⊕ ΔG for any sequence b without repairing.
 func (i *Inc) Stage(b graph.Batch) {
-	applied := i.g.Apply(b.Net(false))
+	applied := i.g.Apply(b)
 	i.pending = append(i.pending, applied...)
 	i.flat.Stage(i.g, applied)
 	i.flat.MaybeCompact(i.g)

@@ -38,8 +38,8 @@ func Exp2SSSP(cfg Config) {
 			batch := stopwatch(func() { sssp.Dijkstra(updated, 0) })
 			inc := sssp.NewInc(g.Clone(), 0)
 			incT, aff, work, ratio := timeRepairLedger(inc, delta)
-			incN := sssp.NewIncUnit(g.Clone(), 0)
-			incNT := stopwatch(func() { incN.Apply(delta) })
+			incN := sssp.NewInc(g.Clone(), 0)
+			incNT := stopwatch(func() { applyUnits(incN, delta) })
 			dd := sssp.NewDynDij(g.Clone(), 0)
 			ddT := timeRepair(dd, delta)
 			t.row(fmt.Sprintf("%g%%", p), batch, incT, incNT, ddT)
@@ -69,11 +69,7 @@ func Exp2CC(cfg Config) {
 			inc := cc.NewInc(g.Clone())
 			incT, aff, work, ratio := timeRepairLedger(inc, delta)
 			incN := cc.NewInc(g.Clone())
-			incNT := stopwatch(func() {
-				for _, u := range delta {
-					incN.Apply(graph.Batch{u})
-				}
-			})
+			incNT := stopwatch(func() { applyUnits(incN, delta) })
 			dyn := cc.NewDynCC(g.Clone())
 			dynT := stopwatch(func() { dyn.Apply(delta) })
 			t.row(fmt.Sprintf("%g%%", p), batch, incT, incNT, dynT)
@@ -103,8 +99,8 @@ func Exp2Sim(cfg Config) {
 			batch := stopwatch(func() { sim.Simfp(updated, q) })
 			inc := sim.NewInc(g.Clone(), q)
 			incT, aff, work, ratio := timeRepairLedger(inc, delta)
-			incN := sim.NewIncUnit(g.Clone(), q)
-			incNT := stopwatch(func() { incN.Apply(delta) })
+			incN := sim.NewInc(g.Clone(), q)
+			incNT := stopwatch(func() { applyUnits(incN, delta) })
 			im := sim.NewIncMatch(g.Clone(), q)
 			imT := timeRepair(im, delta)
 			t.row(fmt.Sprintf("%g%%", p), batch, incT, incNT, imT)
@@ -133,8 +129,8 @@ func Exp2LCC(cfg Config) {
 			batch := stopwatch(func() { lcc.Run(updated) })
 			inc := lcc.NewInc(g.Clone())
 			incT, aff, work, ratio := timeRepairLedger(inc, delta)
-			incN := lcc.NewIncUnit(g.Clone())
-			incNT := stopwatch(func() { incN.Apply(delta) })
+			incN := lcc.NewInc(g.Clone())
+			incNT := stopwatch(func() { applyUnits(incN, delta) })
 			dyn := lcc.NewDynLCC(g.Clone())
 			dynT := stopwatch(func() { dyn.Apply(delta) })
 			t.row(fmt.Sprintf("%g%%", p), batch, incT, incNT, dynT)
@@ -207,7 +203,7 @@ func Exp2Types(cfg Config) {
 	q := gen.Pattern(newRNG(cfg.Seed+2), 4, 6, gen.Alphabet)
 
 	incS := sssp.NewInc(g0.Clone(), 0)
-	incSN := sssp.NewIncUnit(g0.Clone(), 0)
+	incSN := sssp.NewInc(g0.Clone(), 0)
 	dynS := sssp.NewDynDij(g0.Clone(), 0)
 	incC := cc.NewInc(g0.Clone())
 	dynC := cc.NewDynCC(g0.Clone())
@@ -217,14 +213,17 @@ func Exp2Types(cfg Config) {
 	var rowsS, rowsC, rowsM [][]any
 	cur := g0.Clone()
 	for w := int64(1); w <= windows; w++ {
-		delta := tp.Window(w-1, w)
+		// Netted once here, so every column of a row sees one ΔG: the
+		// deduced algorithms take the window as it comes, while DynDij and
+		// IncMatch net whatever they are given.
+		delta := tp.Window(w-1, w).Net(cur.Directed())
 		cur.Apply(delta)
 
 		batchS := stopwatch(func() { sssp.Dijkstra(cur, 0) })
 		s0 := incS.Stats()
 		iS, affS, workS, ratioS := timeRepairLedger(incS, delta)
 		s1 := incS.Stats()
-		iSN := stopwatch(func() { incSN.Apply(delta) })
+		iSN := stopwatch(func() { applyUnits(incSN, delta) })
 		dS := timeRepair(dynS, delta)
 		hfrac := "-"
 		if dt := (s1.HSeconds + s1.ResumeSeconds) - (s0.HSeconds + s0.ResumeSeconds); dt > 0 {

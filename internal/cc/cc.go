@@ -187,9 +187,9 @@ func (c *Instance) RelaxOut(x fixpoint.Var, xv int64, emit func(fixpoint.Var, in
 
 // DependentRow appends x's neighbors to buf (fixpoint.UniformRelaxer):
 // min-label propagation emits the same candidate everywhere, so the
-// engine's sequential drain installs it along this row with no per-edge
-// closure. The row visits exactly what RelaxOut emits to, in the same
-// order, in both the flat and the bare-graph mode.
+// engine's drain installs it along this row with no per-edge closure.
+// The row visits exactly what RelaxOut emits to, in the same order, in
+// both the flat and the bare-graph mode.
 func (c *Instance) DependentRow(x fixpoint.Var, buf []fixpoint.Var) []fixpoint.Var {
 	v := graph.NodeID(x)
 	if c.Flat == nil {
@@ -299,8 +299,8 @@ func (i *Inc) RestoreState(labels, ts []int64, clock int64) error {
 // must be called from the single writer goroutine that drives Apply.
 func (i *Inc) SetTracer(t fixpoint.Tracer) { i.eng.SetTracer(t) }
 
-// Apply computes G ⊕ ΔG and incrementally repairs the labels. It returns
-// |H⁰|.
+// Apply computes G ⊕ ΔG for any sequence of unit updates b — netted or
+// not — and incrementally repairs the labels. It returns |H⁰|.
 //
 // Per-update feasibility analysis (§4): inserted edges only improve
 // labels, so their endpoints keep feasible values and skip h's revision
@@ -313,11 +313,11 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG without repairing the labels, letting
-// benchmarks time Repair separately from the graph mutation every method
-// needs.
+// Stage materializes G ⊕ ΔG for any sequence b without repairing the
+// labels, letting benchmarks time Repair separately from the graph
+// mutation every method needs.
 func (i *Inc) Stage(b graph.Batch) {
-	applied := i.g.Apply(b.Net(i.g.Directed()))
+	applied := i.g.Apply(b)
 	i.pending = append(i.pending, applied...)
 	i.eng.Grow()
 	i.flat.Stage(i.g, applied)
@@ -376,10 +376,11 @@ func (i *IncNaive) Graph() *graph.Graph { return i.g }
 // Labels returns the current component labels.
 func (i *IncNaive) Labels() []int64 { return i.eng.State().Val }
 
-// Apply computes G ⊕ ΔG, expands the PE closure, resets it, and resumes
-// the step function. It returns the number of PE variables.
+// Apply computes G ⊕ ΔG for any sequence of unit updates b, expands the
+// PE closure, resets it, and resumes the step function. It returns the
+// number of PE variables.
 func (i *IncNaive) Apply(b graph.Batch) int {
-	applied := i.g.Apply(b.Net(i.g.Directed()))
+	applied := i.g.Apply(b)
 	i.eng.Grow()
 	st := i.eng.State()
 	inst := &Instance{G: i.g}

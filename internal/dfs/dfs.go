@@ -296,19 +296,19 @@ func (i *Inc) RestoreState(first, last []int32, parent []graph.NodeID) error {
 	return nil
 }
 
-// Apply computes G ⊕ ΔG and repairs the DFS tree by replaying the
-// traversal from the earliest affected anchor. It returns the number of
-// recomputed intervals.
+// Apply computes G ⊕ ΔG for any sequence of unit updates b — netted or
+// not — and repairs the DFS tree by replaying the traversal from the
+// earliest affected anchor. It returns the number of recomputed intervals.
 func (i *Inc) Apply(b graph.Batch) int {
 	i.Stage(b)
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG without repairing the tree, letting
-// benchmarks time Repair separately from the graph mutation every method
-// needs.
+// Stage materializes G ⊕ ΔG for any sequence b without repairing the
+// tree, letting benchmarks time Repair separately from the graph mutation
+// every method needs.
 func (i *Inc) Stage(b graph.Batch) {
-	applied := i.g.Apply(b.Net(i.g.Directed()))
+	applied := i.g.Apply(b)
 	i.pending = append(i.pending, applied...)
 	i.flat.Stage(i.g, applied)
 	i.flat.MaybeCompact(i.g)
@@ -381,19 +381,4 @@ func (i *Inc) Repair() int {
 	led.Changed += int64(len(i.written))
 	led.RecomputeEst = int64(i.g.NumNodes())
 	return affected
-}
-
-// IncUnit is IncDFS_n: the unit-update variant.
-type IncUnit struct{ *Inc }
-
-// NewIncUnit builds the unit-update variant.
-func NewIncUnit(g *graph.Graph) *IncUnit { return &IncUnit{NewInc(g)} }
-
-// Apply processes each unit update as its own batch.
-func (i *IncUnit) Apply(b graph.Batch) int {
-	total := 0
-	for _, u := range b {
-		total += i.Inc.Apply(graph.Batch{u})
-	}
-	return total
 }

@@ -108,8 +108,7 @@ func TestIncAgainstBatch(t *testing.T) {
 }
 
 // TestRepairZeroAlloc: once the replay scratch has grown to the graph, a
-// repair allocates nothing (staging, which nets and applies the batch,
-// does).
+// repair allocates nothing (staging, which applies the batch, does).
 func TestRepairZeroAlloc(t *testing.T) {
 	g := gen.PowerLaw(rand.New(rand.NewSource(5)), 2000, 8, false)
 	s := gen.NewBurstStream(5, g)
@@ -133,10 +132,12 @@ func TestRepairZeroAlloc(t *testing.T) {
 func TestIncUnitAgainstBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.ErdosRenyi(rng, 50, 150, true)
-	inc := NewIncUnit(g)
+	inc := NewInc(g)
 	for round := 0; round < 5; round++ {
 		b := gen.RandomUpdates(rng, inc.Graph(), 8, 0.5)
-		inc.Apply(b)
+		for k := range b {
+			inc.Apply(b[k : k+1])
+		}
 		if !inc.Tree().Equal(Run(inc.Graph())) {
 			t.Fatalf("round %d: IncDFS_n != batch DFS", round)
 		}

@@ -108,9 +108,9 @@ type ParStats struct{ Workers int }
 // span hook: internal/trace implements it (structurally — the methods use
 // only builtin types, so neither package imports the other) to record
 // h-phase and resume spans plus per-round propagation events into a
-// flight recorder. A nil tracer costs nothing: the engine takes the
-// untraced code path and performs zero extra allocations (guarded by
-// TestNilTracerZeroAlloc).
+// flight recorder. Traced and untraced runs take the same drain, which
+// only skips the calls when the tracer is nil; an untraced run performs
+// zero allocations (guarded by TestNilTracerZeroAlloc).
 //
 // All methods are called from the goroutine driving the engine, in the
 // order BeginRun, ScopeDone, Round*, EndRun.
@@ -195,10 +195,10 @@ type Relaxer[V any] interface {
 
 // UniformRelaxer is an optional refinement of Relaxer for instances whose
 // relaxation emits the same candidate — x's own value — to every dependent
-// (label propagation: CC's min-label flood). The sequential drain then
-// skips the per-edge emit closure entirely: it fetches the dependent row
-// into a reused arena buffer and installs the one candidate along it,
-// keeping the inner loop free of interface calls. DependentRow must visit
+// (label propagation: CC's min-label flood). The drain then skips the
+// per-edge emit closure entirely: it fetches the dependent row into a
+// reused arena buffer and installs the one candidate along it, keeping
+// the inner loop free of interface calls. DependentRow must visit
 // exactly the variables RelaxOut would emit to, in the same order, so the
 // two paths stay counter-for-counter identical.
 type UniformRelaxer[V any] interface {
@@ -234,7 +234,7 @@ type Engine[V any] struct {
 	hEnqFn func(Var)
 	hx     Var
 
-	tracer Tracer // optional span hook; nil ⇒ untraced path, zero cost
+	tracer Tracer // optional span hook; nil ⇒ no calls
 
 	wl  worklist   // step-function scope
 	hq  *pq.Heap   // h's queue, ordered by old timestamps (the order <_C)
@@ -411,40 +411,32 @@ func (e *Engine[V]) Run() {
 		e.recompute(x)
 		e.wl.AddOrAdjust(x)
 	})
-	e.dispatchDrain()
-}
-
-// dispatchDrain routes a drain to the traced rounds when a tracer is
-// installed and to the tight loop otherwise, which stays free of any
-// tracing bookkeeping (the zero-allocation guarantee).
-func (e *Engine[V]) dispatchDrain() {
-	if e.tracer != nil {
-		e.drainRounds()
-	} else {
-		e.drain()
-	}
+	e.drain()
 }
 
 // drain is the step function f_A iterated to the fixpoint: it pops a
 // variable from the scope and propagates its value to its dependents —
-// by pushing per-edge candidates when the instance is meet-form, by full
-// re-evaluation otherwise — extending the scope with every dependent
-// whose value changed. The outer loop counts BFS-level rounds into the
-// ledger (the scope size at round start bounds the inner pops) without
-// changing the pop order or allocating.
+// along the dependent row for a label-propagating instance, by per-edge
+// candidates for a meet-form one (the same pops and installs in the same
+// order), by full re-evaluation otherwise — extending the scope with every
+// dependent whose value changed. The variables in the scope when a round
+// begins are its frontier; rounds (BFS levels, without changing the pop
+// order) are counted into the ledger and, when a tracer is set, reported
+// to it with the frontier size, the round's pops and changes, and the
+// next frontier's size.
 func (e *Engine[V]) drain() {
-	if e.uniform != nil {
-		// Row path: one candidate per popped variable, installed along a
-		// flat dependent row. Same pops, same installs, same order as the
-		// RelaxOut path below — only the per-edge emit closure is gone.
-		for e.wl.Len() > 0 {
-			e.st.Stats.Ledger.Rounds++
-			for n := e.wl.Len(); n > 0; n-- {
-				x, ok := e.wl.Pop()
-				if !ok {
-					break
-				}
-				e.st.Stats.Pops++
+	for round := 1; e.wl.Len() > 0; round++ {
+		frontier := e.wl.Len()
+		e.st.Stats.Ledger.Rounds++
+		pops0, changes0 := e.st.Stats.Pops, e.st.Stats.Changes
+		for n := frontier; n > 0; n-- {
+			x, ok := e.wl.Pop()
+			if !ok {
+				break
+			}
+			e.st.Stats.Pops++
+			switch {
+			case e.uniform != nil:
 				xv := e.st.Val[x]
 				e.rowBuf = e.uniform.DependentRow(x, e.rowBuf[:0])
 				for _, z := range e.rowBuf {
@@ -452,65 +444,16 @@ func (e *Engine[V]) drain() {
 						e.wl.AddOrAdjust(z)
 					}
 				}
-			}
-		}
-		return
-	}
-	if e.relaxer != nil {
-		for e.wl.Len() > 0 {
-			e.st.Stats.Ledger.Rounds++
-			for n := e.wl.Len(); n > 0; n-- {
-				x, ok := e.wl.Pop()
-				if !ok {
-					break
-				}
-				e.st.Stats.Pops++
+			case e.relaxer != nil:
 				e.relaxer.RelaxOut(x, e.st.Val[x], e.emitFn)
-			}
-		}
-		return
-	}
-	for e.wl.Len() > 0 {
-		e.st.Stats.Ledger.Rounds++
-		for n := e.wl.Len(); n > 0; n-- {
-			x, ok := e.wl.Pop()
-			if !ok {
-				break
-			}
-			e.st.Stats.Pops++
-			e.inst.Dependents(x, e.visitFn)
-		}
-	}
-}
-
-// drainRounds is drain with per-round observation for the tracer: the
-// variables in the scope when a round begins form its frontier; whatever
-// their propagation adds to the scope is processed in the next round
-// (BFS-level structure). After each round the tracer receives the
-// frontier size, the pops and value changes of the round, and the
-// affected-area growth — the size of the next frontier. Used only when a
-// tracer is installed, keeping the nil path on the tight loop above.
-func (e *Engine[V]) drainRounds() {
-	round := 0
-	for e.wl.Len() > 0 {
-		frontier := e.wl.Len()
-		round++
-		e.st.Stats.Ledger.Rounds++
-		pops0, changes0 := e.st.Stats.Pops, e.st.Stats.Changes
-		for n := 0; n < frontier; n++ {
-			x, ok := e.wl.Pop()
-			if !ok {
-				break
-			}
-			e.st.Stats.Pops++
-			if e.relaxer != nil {
-				e.relaxer.RelaxOut(x, e.st.Val[x], e.emitFn)
-			} else {
+			default:
 				e.inst.Dependents(x, e.visitFn)
 			}
 		}
-		e.tracer.Round(round, int64(frontier),
-			e.st.Stats.Pops-pops0, e.st.Stats.Changes-changes0, int64(e.wl.Len()))
+		if e.tracer != nil {
+			e.tracer.Round(round, int64(frontier),
+				e.st.Stats.Pops-pops0, e.st.Stats.Changes-changes0, int64(e.wl.Len()))
+		}
 	}
 }
 
@@ -524,7 +467,7 @@ func (e *Engine[V]) ResumeFrom(scope []Var) {
 		e.recompute(x)
 		e.wl.AddOrAdjust(x)
 	}
-	e.dispatchDrain()
+	e.drain()
 }
 
 // Touched describes one variable whose input set evolved under ΔG.
@@ -590,7 +533,7 @@ func (e *Engine[V]) IncrementalRunDelta(touched []Touched, pushSeeds []Var) []Va
 		e.ledgerAff(x)
 		e.wl.AddOrAdjust(x)
 	}
-	e.dispatchDrain()
+	e.drain()
 	led.Changed += e.led.Settle(func(x int32, start V) bool {
 		if e.inst.Equal(e.st.Val[x], start) {
 			return false

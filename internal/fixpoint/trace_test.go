@@ -100,8 +100,8 @@ func TestTracerObservesIncrementalRun(t *testing.T) {
 }
 
 func TestTracedRunMatchesUntraced(t *testing.T) {
-	// drainRounds restructures the worklist drain into frontier rounds;
-	// the fixpoint reached must be identical to the untraced drain's on
+	// A tracer only observes the drain's frontier rounds: the fixpoint
+	// reached and every counter must be identical to an untraced run's on
 	// random graphs and update batches.
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,6 +154,11 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 		eU.IncrementalRun(tl)
 		if !reflect.DeepEqual(eT.State().Val, eU.State().Val) {
 			t.Fatalf("seed %d: traced values %v != untraced %v", seed, eT.State().Val, eU.State().Val)
+		}
+		sT, sU := eT.State().Stats, eU.State().Stats
+		sT.HSeconds, sT.ResumeSeconds, sU.HSeconds, sU.ResumeSeconds = 0, 0, 0, 0
+		if sT != sU {
+			t.Fatalf("seed %d: traced counters %+v != untraced %+v", seed, sT, sU)
 		}
 	}
 }

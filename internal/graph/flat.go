@@ -15,11 +15,6 @@ type CSR struct {
 // Snapshot builds a CSR from the graph's current out-adjacency.
 func Snapshot(g *Graph) *CSR { return buildCSR(g.NumNodes(), g.Out, g.In) }
 
-// SnapshotIn builds a CSR over the graph's in-adjacency: row u holds the
-// sources of u's incoming edges, sorted by id. For undirected graphs this
-// equals Snapshot.
-func SnapshotIn(g *Graph) *CSR { return buildCSR(g.NumNodes(), g.In, g.Out) }
-
 // buildCSR lays the n rows out end to end. No row is sorted: walking the
 // other direction's rows (transposed, which lists u in row v for every
 // entry v of row u) in ascending id order writes every row's entries in

@@ -239,24 +239,6 @@ func TestSnapshotMatchesGraph(t *testing.T) {
 	}
 }
 
-func TestSnapshotIn(t *testing.T) {
-	g := New(4, true)
-	g.InsertEdge(0, 2, 3)
-	g.InsertEdge(1, 2, 4)
-	g.InsertEdge(3, 2, 5)
-	g.InsertEdge(2, 0, 6)
-	c := SnapshotIn(g)
-	if got := c.Neighbors(2); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
-		t.Fatalf("in-neighbors of 2 = %v", got)
-	}
-	if got := c.Neighbors(0); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("in-neighbors of 0 = %v", got)
-	}
-	if got := c.Neighbors(1); len(got) != 0 {
-		t.Fatalf("in-neighbors of 1 = %v", got)
-	}
-}
-
 // TestFlatGrow covers nodes added after the view was built: they get a row
 // without room, which moves to the end of the arrays on its first insert.
 func TestFlatGrow(t *testing.T) {

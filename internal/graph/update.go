@@ -158,30 +158,13 @@ func (b Batch) Validate(n int) error {
 	return nil
 }
 
-// TouchedNodes returns the distinct nodes incident to any update in b, the
-// starting points for initial scope functions.
-func (b Batch) TouchedNodes() []NodeID {
-	seen := make(map[NodeID]struct{}, 2*len(b))
-	var out []NodeID
-	for _, u := range b {
-		if _, ok := seen[u.From]; !ok {
-			seen[u.From] = struct{}{}
-			out = append(out, u.From)
-		}
-		if _, ok := seen[u.To]; !ok {
-			seen[u.To] = struct{}{}
-			out = append(out, u.To)
-		}
-	}
-	return out
-}
-
 // Net reduces the batch to its net effect per edge: G ⊕ Net(ΔG) equals
 // G ⊕ ΔG for every graph G of the stated directedness, but churn
 // (insert-then-delete, repeated operations) collapses to at most two
-// updates per edge. Incremental algorithms process Net(ΔG) to avoid wasted
-// work on churn. For undirected graphs, updates on (u, v) and (v, u)
-// address the same edge and are collapsed together.
+// updates per edge. The serving host nets each coalesced batch once, so
+// its maintainers do no work on churn; the maintainers themselves take
+// any sequence, netted or not. For undirected graphs, updates on (u, v)
+// and (v, u) address the same edge and are collapsed together.
 func (b Batch) Net(directed bool) Batch {
 	type state uint8
 	const (

@@ -167,17 +167,6 @@ func TestBatchValidate(t *testing.T) {
 	}
 }
 
-func TestTouchedNodes(t *testing.T) {
-	b := Batch{
-		{Kind: InsertEdge, From: 1, To: 2},
-		{Kind: DeleteEdge, From: 2, To: 3},
-	}
-	got := b.TouchedNodes()
-	if len(got) != 3 {
-		t.Fatalf("TouchedNodes = %v", got)
-	}
-}
-
 func TestUpdateString(t *testing.T) {
 	u := Update{Kind: InsertEdge, From: 1, To: 2, W: 3}
 	if u.String() != "+(1,2,3)" {

@@ -4,8 +4,8 @@
 // deducible incremental algorithm IncLCC that recomputes exactly the
 // potentially-affected variables (the endpoints of each changed edge and
 // their common neighbors: the variables with that edge in their input
-// set), its unit-update variant, and the streaming competitor DynLCC
-// (Ediger et al. style exact per-edge delta maintenance).
+// set), and the streaming competitor DynLCC (Ediger et al. style exact
+// per-edge delta maintenance).
 //
 // γ_v = 2·λ_v / (d_v·(d_v − 1)); nodes of degree < 2 have γ_v = 0.
 package lcc
@@ -205,8 +205,9 @@ func (i *Inc) RestoreState(deg []int32, tri []int64) error {
 	return nil
 }
 
-// Apply computes G ⊕ ΔG and recomputes the scope. It returns the number
-// of λ recomputations, the affected-area measure.
+// Apply computes G ⊕ ΔG for any sequence of unit updates b and recomputes
+// the scope. It returns the number of λ recomputations, the
+// affected-area measure.
 func (i *Inc) Apply(b graph.Batch) int {
 	i.Stage(b)
 	return i.Repair()
@@ -344,21 +345,6 @@ func (i *Inc) stampedBelow(x graph.NodeID) int64 {
 	}
 	i.stats.Reads += int64(k)
 	return cnt
-}
-
-// IncUnit is IncLCC_n: the unit-update variant.
-type IncUnit struct{ *Inc }
-
-// NewIncUnit builds the unit-update variant.
-func NewIncUnit(g *graph.Graph) *IncUnit { return &IncUnit{NewInc(g)} }
-
-// Apply processes each unit update as its own batch.
-func (i *IncUnit) Apply(b graph.Batch) int {
-	total := 0
-	for k := range b {
-		total += i.Inc.Apply(b[k : k+1])
-	}
-	return total
 }
 
 // DynLCC is the streaming competitor (Ediger et al.): every unit update

@@ -84,8 +84,19 @@ func TestIncAgainstBatch(t *testing.T) {
 	checkMaintainer(t, "IncLCC", func(g *graph.Graph) maintainer { return NewInc(g) })
 }
 
+// unitFed is IncLCC_n: Inc fed each batch one unit update at a time.
+type unitFed struct{ *Inc }
+
+func (u unitFed) Apply(b graph.Batch) int {
+	n := 0
+	for k := range b {
+		n += u.Inc.Apply(b[k : k+1])
+	}
+	return n
+}
+
 func TestIncUnitAgainstBatch(t *testing.T) {
-	checkMaintainer(t, "IncLCC_n", func(g *graph.Graph) maintainer { return NewIncUnit(g) })
+	checkMaintainer(t, "IncLCC_n", func(g *graph.Graph) maintainer { return unitFed{NewInc(g)} })
 }
 
 func TestDynLCCAgainstBatch(t *testing.T) {

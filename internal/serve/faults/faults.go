@@ -10,8 +10,8 @@
 //   - lying disks: DropFsyncs makes every fsync after the Nth a silent
 //     no-op, so acknowledged updates evaporate on kill -9 exactly as
 //     they would on a volatile write cache;
-//   - torn writes: TruncateTail and CorruptAt damage segment files on
-//     disk the way a crash mid-write (or bit rot) does;
+//   - torn writes: TruncateTail chops the end off a segment file the way
+//     a crash mid-write does;
 //   - poisoned applies: PanicOn makes the Nth apply on a chosen algo
 //     panic, driving the host's isolation/heal/quarantine path.
 package faults
@@ -85,13 +85,6 @@ func (i *Injector) BeforeApply(algo string, b graph.Batch) {
 	}
 }
 
-// Applies reports how many applies the injector has observed for algo.
-func (i *Injector) Applies(algo string) int64 {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.applies[algo]
-}
-
 // TruncateTail chops n bytes off the end of a file — a torn write, the
 // signature a crash mid-append leaves in a WAL segment.
 func TruncateTail(path string, n int64) error {
@@ -103,21 +96,4 @@ func TruncateTail(path string, n int64) error {
 		n = fi.Size()
 	}
 	return os.Truncate(path, fi.Size()-n)
-}
-
-// CorruptAt flips every bit of the byte at offset off — in-place
-// corruption that a CRC must catch.
-func CorruptAt(path string, off int64) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], off); err != nil {
-		return err
-	}
-	b[0] ^= 0xff
-	_, err = f.WriteAt(b[:], off)
-	return err
 }

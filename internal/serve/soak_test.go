@@ -106,4 +106,3 @@ func TestAuditSoak(t *testing.T) {
 	}
 	waitForGoroutines(t, before)
 }
-

@@ -108,9 +108,10 @@ func (i *IncDual) Relation() Relation {
 	return Relation{NQ: i.q.NumNodes(), Bits: append([]bool(nil), i.eng.State().Val...)}
 }
 
-// Apply computes G ⊕ ΔG and incrementally maintains the relation.
+// Apply computes G ⊕ ΔG for any sequence of unit updates b — netted or
+// not — and incrementally maintains the relation.
 func (i *IncDual) Apply(b graph.Batch) int {
-	applied := i.g.Apply(b.Net(i.g.Directed()))
+	applied := i.g.Apply(b)
 	i.eng.Grow()
 	nq := i.q.NumNodes()
 	i.seen.Begin(i.inst.NumVars())

@@ -123,20 +123,21 @@ func (i *Inc) RestoreState(r []bool, cnt []int32, ts []int64, clock int64) error
 // from the single writer goroutine.
 func (i *Inc) SetTracer(t fixpoint.Tracer) { i.tracer = t }
 
-// Apply computes G ⊕ ΔG and incrementally maintains the relation: it
-// adjusts the counters for the structural changes, runs the initial scope
-// function h over the touched pairs in the order <_C, and resumes the
-// counter cascade of Sim_fp on the produced scope H⁰. It returns |H⁰|.
+// Apply computes G ⊕ ΔG for any sequence of unit updates b — netted or
+// not — and incrementally maintains the relation: it adjusts the counters
+// for the structural changes, runs the initial scope function h over the
+// touched pairs in the order <_C, and resumes the counter cascade of
+// Sim_fp on the produced scope H⁰. It returns |H⁰|.
 func (i *Inc) Apply(b graph.Batch) int {
 	i.Stage(b)
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG without repairing the relation, letting
-// benchmarks time Repair separately from the graph mutation every method
-// needs.
+// Stage materializes G ⊕ ΔG for any sequence b without repairing the
+// relation, letting benchmarks time Repair separately from the graph
+// mutation every method needs.
 func (i *Inc) Stage(b graph.Batch) {
-	i.pending = append(i.pending, i.g.Apply(b.Net(i.g.Directed()))...)
+	i.pending = append(i.pending, i.g.Apply(b)...)
 	i.grow()
 	i.led.Grow(len(i.r))
 	for len(i.vmark) < i.g.NumNodes() {

@@ -1,8 +1,8 @@
 // Package sim implements graph pattern matching via graph simulation
 // (§5.1 of the paper): the counter-based batch fixpoint algorithm Sim_fp
 // (Henzinger–Henzinger–Kopke style), the weakly deducible incremental
-// algorithm IncSim whose timestamps resolve cyclic patterns, the
-// unit-update variant, and the IncMatch competitor (Fan–Wang–Wu style).
+// algorithm IncSim whose timestamps resolve cyclic patterns, and the
+// IncMatch competitor (Fan–Wang–Wu style).
 //
 // A simulation relation R ⊆ V × V_Q requires label equality and, for every
 // pattern edge (u, u'), a data edge (v, v') with ⟨v', u'⟩ ∈ R. Q(G) is the
@@ -279,10 +279,10 @@ func (i *IncEngine) Relation() Relation {
 // Stats exposes the engine's inspection counters.
 func (i *IncEngine) Stats() fixpoint.Stats { return i.eng.State().Stats }
 
-// Apply computes G ⊕ ΔG and incrementally maintains the relation. It
-// returns |H⁰|.
+// Apply computes G ⊕ ΔG for any sequence of unit updates b — netted or
+// not — and incrementally maintains the relation. It returns |H⁰|.
 func (i *IncEngine) Apply(b graph.Batch) int {
-	applied := i.g.Apply(b.Net(i.g.Directed()))
+	applied := i.g.Apply(b)
 	i.eng.Grow()
 	i.seen.Begin(i.inst.NumVars())
 	i.touched = i.touched[:0]
@@ -303,20 +303,4 @@ func (i *IncEngine) Apply(b graph.Batch) int {
 		}
 	}
 	return len(i.eng.IncrementalRun(i.touched))
-}
-
-// IncUnit is IncSim_n: the same machinery driven one unit update at a
-// time.
-type IncUnit struct{ *Inc }
-
-// NewIncUnit builds the unit-update variant.
-func NewIncUnit(g, q *graph.Graph) *IncUnit { return &IncUnit{NewInc(g, q)} }
-
-// Apply processes each unit update as its own batch.
-func (i *IncUnit) Apply(b graph.Batch) int {
-	total := 0
-	for _, u := range b {
-		total += i.Inc.Apply(graph.Batch{u})
-	}
-	return total
 }

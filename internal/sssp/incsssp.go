@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"incgraph/internal/fixpoint"
@@ -104,17 +105,20 @@ func (i *Inc) RestoreState(dist []int64) error {
 // has no BFS-level structure. Call from the single writer goroutine.
 func (i *Inc) SetTracer(t fixpoint.Tracer) { i.tracer = t }
 
-// Apply computes G ⊕ ΔG and incrementally repairs the distances,
+// Apply computes G ⊕ ΔG for any sequence of unit updates b — netted or
+// not, with repeats, an insert the batch deletes again, a delete and
+// re-insert at a new weight — and incrementally repairs the distances,
 // returning |H⁰|.
 func (i *Inc) Apply(b graph.Batch) int {
 	i.Stage(b)
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG without repairing, so benchmarks can time
-// Repair — the algorithm proper — separately from graph mutation.
+// Stage materializes G ⊕ ΔG for any sequence b without repairing, so
+// benchmarks can time Repair — the algorithm proper — separately from
+// graph mutation.
 func (i *Inc) Stage(b graph.Batch) {
-	applied := i.g.Apply(b.Net(i.g.Directed()))
+	applied := i.g.Apply(b)
 	i.pending = append(i.pending, applied...)
 	i.flat.Stage(i.g, applied)
 	i.flat.MaybeCompact(i.g)
@@ -236,7 +240,7 @@ func (i *Inc) Repair() int {
 	}
 	relax := func(u, v graph.NodeID, w int64) {
 		i.ledgerAff(u) // push-seed analog: the tail re-propagates
-		if i.dist[u] < Infinity && i.dist[u]+w < i.dist[v] {
+		if i.dist[u] < Infinity && i.dist[u]+w < i.dist[v] && i.holds(u, v, w) {
 			i.led.Write(int32(v), i.dist[v])
 			i.dist[v] = i.dist[u] + w
 			i.wq.AddOrAdjust(int32(v))
@@ -287,6 +291,16 @@ func (i *Inc) Repair() int {
 		i.tracer.EndRun(i.stats.Pops-st0.Pops, 0)
 	}
 	return h0
+}
+
+// holds reports whether u's row holds v at weight w. An insert the same
+// batch deletes again, or replaces at another weight, is in the applied
+// list too, and relaxing it would lower dist[v] along an edge G ⊕ ΔG
+// does not have.
+func (i *Inc) holds(u, v graph.NodeID, w int64) bool {
+	ts, ws, _, _ := i.flat.OutSpans(u)
+	k, ok := slices.BinarySearch(ts, v)
+	return ok && ws[k] == w
 }
 
 func (i *Inc) hEnqueue(v graph.NodeID) {

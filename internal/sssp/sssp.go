@@ -1,7 +1,6 @@
 // Package sssp implements single-source shortest paths: the batch fixpoint
 // algorithm (Dijkstra, Fig. 1 of the paper), the deduced incremental
-// algorithm IncSSSP (Fig. 5), its unit-update variant, and the dynamic
-// competitors RR (Ramalingam–Reps) and DynDij (Chan–Yang style) used as
+// algorithm IncSSSP (Fig. 5), and the dynamic competitors RR (Ramalingam–Reps) and DynDij (Chan–Yang style) used as
 // baselines in the paper's experiments.
 package sssp
 
@@ -169,19 +168,23 @@ func (i *IncEngine) Dist() []int64 { return i.eng.State().Val }
 // Stats exposes the engine's inspection counters.
 func (i *IncEngine) Stats() fixpoint.Stats { return i.eng.State().Stats }
 
-// Apply computes G ⊕ ΔG and incrementally updates the distances, running
-// the initial scope function h and resuming the batch step function. It
-// returns |H⁰|, the size of the initial scope found by h.
+// Apply computes G ⊕ ΔG for any sequence of unit updates b and
+// incrementally updates the distances, running the initial scope function
+// h and resuming the batch step function. It returns |H⁰|, the size of
+// the initial scope found by h.
 func (i *IncEngine) Apply(b graph.Batch) int {
 	i.Stage(b)
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG without repairing the distances, so that
-// benchmarks can time Repair — the algorithm A_Δ proper — separately from
-// the graph mutation that every method (including a batch re-run) needs.
+// Stage materializes G ⊕ ΔG for any sequence b without repairing the
+// distances, so that benchmarks can time Repair — the algorithm A_Δ
+// proper — separately from the graph mutation that every method
+// (including a batch re-run) needs. Re-propagating from an insert's tail
+// reads the graph as it is now, so an insert the batch deletes again
+// relaxes nothing.
 func (i *IncEngine) Stage(b graph.Batch) {
-	i.pending = append(i.pending, i.g.Apply(b.Net(i.g.Directed()))...)
+	i.pending = append(i.pending, i.g.Apply(b)...)
 	i.eng.Grow()
 }
 
@@ -236,23 +239,4 @@ func (i *IncEngine) Repair() int {
 	}
 	h0 := i.eng.IncrementalRunDelta(touched, seeds)
 	return len(h0)
-}
-
-// IncUnit is IncSSSP_n: it processes a batch as a sequence of unit updates
-// through the same incrementalization machinery, the paper's one-by-one
-// variant used to quantify the value of batch handling.
-type IncUnit struct{ *Inc }
-
-// NewIncUnit builds the unit-update variant.
-func NewIncUnit(g *graph.Graph, src graph.NodeID) *IncUnit {
-	return &IncUnit{NewInc(g, src)}
-}
-
-// Apply processes each unit update as its own one-element batch.
-func (i *IncUnit) Apply(b graph.Batch) int {
-	total := 0
-	for _, u := range b {
-		total += i.Inc.Apply(graph.Batch{u})
-	}
-	return total
 }

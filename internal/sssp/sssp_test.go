@@ -136,14 +136,55 @@ func TestTunedMatchesEngine(t *testing.T) {
 	}
 }
 
+// unitFed is IncSSSP_n: Inc fed each batch one unit update at a time.
+type unitFed struct{ *Inc }
+
+func (u unitFed) Apply(b graph.Batch) int {
+	n := 0
+	for k := range b {
+		n += u.Inc.Apply(b[k : k+1])
+	}
+	return n
+}
+
 func TestIncUnitAgainstBatch(t *testing.T) {
 	checkMaintainer(t, "IncSSSP_n", func(g *graph.Graph, s graph.NodeID) interface {
 		Apply(graph.Batch) int
 		Dist() []int64
 		Graph() *graph.Graph
 	} {
-		return NewIncUnit(g, s)
+		return unitFed{NewInc(g, s)}
 	})
+}
+
+// TestIncInsertThenDelete feeds a batch that is not netted: on the path
+// 0→1→2→3, [+(0,3,1), −(0,3)] inserts a shortcut and deletes it again,
+// and both updates change the graph, so both are in the applied list.
+// The shortcut must not lower dist[3]; nor may the first weight of an
+// edge the batch re-inserts at another.
+func TestIncInsertThenDelete(t *testing.T) {
+	batches := []graph.Batch{
+		{{Kind: graph.InsertEdge, From: 0, To: 3, W: 1}, {Kind: graph.DeleteEdge, From: 0, To: 3}},
+		{{Kind: graph.InsertEdge, From: 0, To: 3, W: 1}, {Kind: graph.DeleteEdge, From: 0, To: 3},
+			{Kind: graph.InsertEdge, From: 0, To: 3, W: 5}},
+	}
+	for _, directed := range []bool{true, false} {
+		for k, b := range batches {
+			g := graph.New(4, directed)
+			for v := graph.NodeID(0); v < 3; v++ {
+				g.InsertEdge(v, v+1, 1)
+			}
+			for _, m := range []interface {
+				Apply(graph.Batch) int
+				Dist() []int64
+			}{NewInc(g.Clone(), 0), NewIncEngine(g.Clone(), 0)} {
+				m.Apply(b)
+				if want := []int64{0, 1, 2, 3}; !reflect.DeepEqual(m.Dist(), want) {
+					t.Errorf("%T directed=%v batch %d: dist %v, want %v", m, directed, k, m.Dist(), want)
+				}
+			}
+		}
+	}
 }
 
 func TestRRAgainstBatch(t *testing.T) {
