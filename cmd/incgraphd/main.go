@@ -19,15 +19,10 @@
 // reference"); a test diffs that table against the flag definitions here,
 // so the two cannot drift.
 //
-// API:
-//
-//	POST /update[?algo=<name>][&wait=1]  batch text body ("+ u v w" / "- u v [w]")
-//	GET  /query/{algo}                   current snapshot view (JSON)
-//	GET  /stats                          per-maintainer serving counters (JSON)
-//	GET  /metrics                        Prometheus text exposition
-//	GET  /debug/applies[?algo=<name>]    recent apply trace events (JSON)
-//	GET  /debug/trace                    flight recording, Chrome trace_event JSON
-//	GET  /healthz                        liveness
+// The HTTP API is serve.Service's: its Handler's doc comment lists every
+// route (a test holds that list to the routes registered). Every POST
+// /update reaches every hosted class. Shard mode and a replica add the
+// routes below.
 //
 // The daemon keeps a bounded flight recorder of spans — batch lifecycle
 // (queue wait, coalesce, apply, publish) plus the fixpoint engine's h and

@@ -122,16 +122,23 @@ func (r *Result) Equivalent(o *Result, g *graph.Graph) bool {
 // an iterative lowpoint DFS from the smallest-id node of every component.
 func Run(g *graph.Graph) *Result {
 	r := newResult(g.NumNodes())
-	newLowpointState(g.NumNodes(), graph.Snapshot(g).Neighbors).runAll(r)
+	newLowpointState(g.NumNodes(), outRows(graph.NewFlat(g))).runAll(r)
 	return r
 }
 
 // rowFunc returns v's neighbors, the DFS's only adjacency dependency.
 // Biconnectivity does not depend on the order neighbors are visited in, so
-// the rows are read in place: the maintainer Inc passes its flat view's
-// rows, the batch Run those of a sorted snapshot of the graph — batch
-// algorithms read the Graph, maintainers the Flat.
+// the rows are read in place.
 type rowFunc func(v graph.NodeID) []graph.NodeID
+
+// outRows reads f's rows: those of the maintainer Inc's flat view, or of a
+// fresh one for the batch Run.
+func outRows(f *graph.Flat) rowFunc {
+	return func(v graph.NodeID) []graph.NodeID {
+		ts, _, _, _ := f.OutSpans(v)
+		return ts
+	}
+}
 
 // lowpointState carries the DFS bookkeeping. It is reusable across rounds
 // via epoch stamping, so the incremental algorithm re-runs single
@@ -307,10 +314,7 @@ type Inc struct {
 // NewInc runs the batch algorithm and returns the incremental one.
 func NewInc(g *graph.Graph) *Inc {
 	i := &Inc{g: g, flat: graph.NewFlat(g), res: newResult(g.NumNodes())}
-	i.st = newLowpointState(g.NumNodes(), func(v graph.NodeID) []graph.NodeID {
-		ts, _, _, _ := i.flat.OutSpans(v)
-		return ts
-	})
+	i.st = newLowpointState(g.NumNodes(), outRows(i.flat))
 	i.st.runAll(i.res)
 	return i
 }

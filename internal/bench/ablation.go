@@ -47,7 +47,7 @@ func ExpAblation(cfg Config) {
 		t.row("IncSSSP", tunedS, engS, speedup(engS, tunedS))
 		q := gen.Pattern(newRNG(cfg.Seed+2), 4, 6, gen.Alphabet)
 		tunedM := timeRepair(sim.NewInc(g.Clone(), q), delta)
-		engM := stopwatch(func() { sim.NewIncEngine(g.Clone(), q).Apply(delta) })
+		engM := timeRepair(sim.NewIncEngine(g.Clone(), q), delta)
 		t.row("IncSim", tunedM, engM, speedup(engM, tunedM))
 		t.flush()
 	}

@@ -19,6 +19,7 @@ import (
 	"incgraph/internal/lcc"
 	"incgraph/internal/serve"
 	"incgraph/internal/sssp"
+	"incgraph/internal/trace"
 )
 
 // publishPerApply is the batch size of the publish experiment: the
@@ -204,7 +205,7 @@ func measurePublish(seed int64, core, n int, class string) (m publishCost, err e
 	timer := &snapshotTimer{Serveable: inner}
 	svc := serve.NewService()
 	defer svc.Close()
-	h, err := svc.Host(timer, serve.Options{}) // every SubmitWait finds the host idle: one apply each
+	h, err := svc.Host(timer, serve.Options{}) // every waited submission finds the host idle: one apply each
 	if err != nil {
 		return m, err
 	}
@@ -254,9 +255,11 @@ func measurePublish(seed int64, core, n int, class string) (m publishCost, err e
 		before := h.Stats()
 		for r := 0; r < gap.reads; r++ {
 			for a := 0; a < gap.applies; a++ {
-				if err := h.SubmitWait(stream.next()); err != nil {
+				ack, err := h.Submit(stream.next(), trace.TraceID{})
+				if err != nil {
 					return m, err
 				}
+				<-ack
 				m.applies++
 			}
 			sec, err := get()

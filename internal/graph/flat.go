@@ -2,41 +2,6 @@ package graph
 
 import "slices"
 
-// CSR is an immutable compressed-sparse-row snapshot of one direction of a
-// graph's adjacency, each row sorted by neighbor id: what the batch
-// algorithms that want sorted rows (lcc.Run, bc.Run) read instead of the
-// graph's unordered lists.
-type CSR struct {
-	Offsets []int32
-	Targets []NodeID
-	Weights []int64
-}
-
-// Snapshot builds a CSR from the graph's current out-adjacency.
-func Snapshot(g *Graph) *CSR { return buildCSR(g.NumNodes(), g.Out, g.In) }
-
-// buildCSR lays the n rows out end to end. No row is sorted: walking the
-// other direction's rows (transposed, which lists u in row v for every
-// entry v of row u) in ascending id order writes every row's entries in
-// ascending order.
-func buildCSR(n int, row, transposed func(NodeID) []Edge) *CSR {
-	c := &CSR{Offsets: make([]int32, n+1)}
-	for u := 0; u < n; u++ {
-		c.Offsets[u+1] = c.Offsets[u] + int32(len(row(NodeID(u))))
-	}
-	c.Targets = make([]NodeID, c.Offsets[n])
-	c.Weights = make([]int64, c.Offsets[n])
-	next := slices.Clone(c.Offsets[:n])
-	for v := 0; v < n; v++ {
-		for _, e := range transposed(NodeID(v)) {
-			k := next[e.To]
-			next[e.To]++
-			c.Targets[k], c.Weights[k] = NodeID(v), e.W
-		}
-	}
-	return c
-}
-
 // fit returns s emptied, with room for n entries. When it has to allocate
 // it allows a sixteenth more: the room a Flat's moved rows take, and what
 // lets a graph that gains a few edges between two compactions refill the
@@ -49,14 +14,6 @@ func fit[S ~[]E, E any](s S, n int) S {
 	return make(S, 0, n+n/16)
 }
 
-// NumNodes returns the number of rows in the snapshot.
-func (c *CSR) NumNodes() int { return len(c.Offsets) - 1 }
-
-// Neighbors returns u's sorted neighbor ids.
-func (c *CSR) Neighbors(u NodeID) []NodeID {
-	return c.Targets[c.Offsets[u]:c.Offsets[u+1]]
-}
-
 // DefaultCompactThreshold is the dead-space-to-live ratio (OverlayRatio)
 // above which MaybeCompact lays a Flat view's rows out again.
 const DefaultCompactThreshold = 0.25
@@ -64,7 +21,9 @@ const DefaultCompactThreshold = 0.25
 // Flat is a read-optimized adjacency view: every row is one span of two
 // parallel arrays, targets and weights, sorted by target, so hot loops
 // read a row as a dense struct-of-arrays span instead of chasing the
-// graph's pointer-rich [][]Edge lists.
+// graph's pointer-rich [][]Edge lists. It is the one sorted-row layout:
+// the batch algorithms that want sorted rows (lcc.Run, bc.Run) read a
+// fresh NewFlat's.
 //
 // A Flat is maintained alongside a Graph by the incremental maintainers:
 // after g.Apply(batch) returns the effectively-applied updates, Stage

@@ -203,42 +203,6 @@ func TestFlatAppendOutSortedQuick(t *testing.T) {
 	}
 }
 
-func TestSnapshotBasic(t *testing.T) {
-	g := New(4, false)
-	g.InsertEdge(0, 2, 1)
-	g.InsertEdge(0, 1, 1)
-	g.InsertEdge(1, 2, 1)
-	c := Snapshot(g)
-	if c.NumNodes() != 4 {
-		t.Fatalf("NumNodes = %d", c.NumNodes())
-	}
-	if got := c.Neighbors(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Neighbors(0) = %v, want sorted [1 2]", got)
-	}
-	if len(c.Neighbors(3)) != 0 || len(c.Neighbors(2)) != 2 {
-		t.Fatal("degrees wrong")
-	}
-}
-
-func TestSnapshotMatchesGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := New(30, true)
-	g.Apply(randomBatch(rng, 30, 400))
-	c := Snapshot(g)
-	for u := 0; u < 30; u++ {
-		want := graphEdges(g, NodeID(u), false)
-		got := c.Neighbors(NodeID(u))
-		if len(got) != len(want) {
-			t.Fatalf("node %d: degree %d vs %d", u, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i].To || c.Weights[int(c.Offsets[u])+i] != want[i].W {
-				t.Fatalf("node %d: row %v vs %v", u, got, want)
-			}
-		}
-	}
-}
-
 // TestFlatGrow covers nodes added after the view was built: they get a row
 // without room, which moves to the end of the arrays on its first insert.
 func TestFlatGrow(t *testing.T) {

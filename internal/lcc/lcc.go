@@ -80,25 +80,25 @@ func Brute(g *graph.Graph) *Result {
 	return r
 }
 
-// Run is the batch fixpoint algorithm LCC_fp: one pass setting every d_v,
-// plus a triangle pass over a sorted CSR snapshot that finds each triangle
-// {w < v < u} once, from its two largest corners — for each edge (u, v)
-// with v < u, the rows of u and v are merged below v only, and every common
-// neighbor w credits all three corners.
-func Run(g *graph.Graph) *Result {
-	n := g.NumNodes()
+// Run is the batch fixpoint algorithm LCC_fp over the sorted rows of
+// graph.NewFlat(g): d_v is a row's length, and a triangle pass finds each
+// triangle {w < v < u} once, from its two largest corners — for each edge
+// (u, v) with v < u, the rows of u and v are merged below v only, and
+// every common neighbor w credits all three corners.
+func Run(g *graph.Graph) *Result { return run(graph.NewFlat(g), g.NumNodes()) }
+
+// run is Run over f, the flat view of a graph of n nodes.
+func run(f *graph.Flat, n int) *Result {
 	r := NewResult(n)
-	for v := 0; v < n; v++ {
-		r.Deg[v] = int32(g.Degree(graph.NodeID(v)))
-	}
-	c := graph.Snapshot(g)
 	for u := 0; u < n; u++ {
-		row := c.Neighbors(graph.NodeID(u))
+		row, _, _, _ := f.OutSpans(graph.NodeID(u))
+		r.Deg[u] = int32(len(row))
 		for k, v := range row {
 			if v >= graph.NodeID(u) {
 				break
 			}
-			a, b := row[:k], c.Neighbors(v) // a: u's neighbors below v
+			b, _, _, _ := f.OutSpans(v)
+			a := row[:k] // u's neighbors below v
 			i, j := 0, 0
 			for i < len(a) && j < len(b) {
 				switch {
@@ -162,9 +162,9 @@ type Inc struct {
 
 // NewInc runs the batch algorithm and returns the incremental one.
 func NewInc(g *graph.Graph) *Inc {
-	n := g.NumNodes()
+	n, f := g.NumNodes(), graph.NewFlat(g)
 	return &Inc{
-		g: g, flat: graph.NewFlat(g), r: Run(g),
+		g: g, flat: f, r: run(f, n),
 		mark:      make([]int64, n),
 		scopeMark: make([]int64, n), scopeEpoch: 1,
 	}

@@ -105,15 +105,9 @@ func ParseSnapshot(data []byte) ([]FamilySnapshot, error) {
 	return fams, nil
 }
 
-type fedSeries struct {
-	labels []Label
-	value  float64
-	hist   *HistogramSnapshot
-}
-
 type fedFamily struct {
 	name, help, kind string
-	series           map[string]*fedSeries
+	series           map[string]SeriesSnapshot // by label key
 }
 
 // Federation accumulates family snapshots scraped from many member
@@ -138,16 +132,22 @@ func NewFederation() *Federation {
 // name was already federated under a different metric kind.
 func (f *Federation) Dropped() int { return f.dropped }
 
-func (f *Federation) fam(name, help, kind string) *fedFamily {
+// put stores s in family name, replacing the series with the same labels.
+// A family already federated under another kind drops s and counts it.
+func (f *Federation) put(name, help, kind string, s SeriesSnapshot) {
 	ff, ok := f.fams[name]
 	if !ok {
-		ff = &fedFamily{name: name, help: help, kind: kind, series: make(map[string]*fedSeries)}
+		ff = &fedFamily{name: name, help: help, kind: kind, series: make(map[string]SeriesSnapshot)}
 		f.fams[name] = ff
+	}
+	if ff.kind != kind {
+		f.dropped++
+		return
 	}
 	if ff.help == "" {
 		ff.help = help
 	}
-	return ff
+	ff.series[labelKey(s.Labels)] = s
 }
 
 // Ingest folds a member's family snapshots into the federation,
@@ -157,20 +157,14 @@ func (f *Federation) fam(name, help, kind string) *fedFamily {
 // under a different kind are dropped and counted, not mixed.
 func (f *Federation) Ingest(fams []FamilySnapshot, extra ...Label) {
 	for _, in := range fams {
-		ff := f.fam(in.Name, in.Help, in.Kind)
-		if ff.kind != in.Kind {
-			f.dropped += len(in.Series)
-			continue
-		}
 		for _, s := range in.Series {
-			labels := mergeLabels(s.Labels, extra)
-			fs := &fedSeries{labels: labels, value: s.Value}
+			fs := SeriesSnapshot{Labels: mergeLabels(s.Labels, extra), Value: s.Value}
 			if s.Hist != nil {
 				h := *s.Hist
 				h.Buckets = append([]BucketCount(nil), s.Hist.Buckets...)
-				fs.hist = &h
+				fs.Hist = &h
 			}
-			ff.series[labelKey(labels)] = fs
+			f.put(in.Name, in.Help, in.Kind, fs)
 		}
 	}
 }
@@ -197,24 +191,12 @@ func mergeLabels(base, extra []Label) []Label {
 // Add injects a computed scalar rollup series (kind "counter" or
 // "gauge"), replacing any existing series with the same labels.
 func (f *Federation) Add(name, help, kind string, v float64, labels ...Label) {
-	ff := f.fam(name, help, kind)
-	if ff.kind != kind {
-		f.dropped++
-		return
-	}
-	ls := append([]Label(nil), labels...)
-	ff.series[labelKey(ls)] = &fedSeries{labels: ls, value: v}
+	f.put(name, help, kind, SeriesSnapshot{Labels: append([]Label(nil), labels...), Value: v})
 }
 
 // AddHistogram injects a computed summary rollup series.
 func (f *Federation) AddHistogram(name, help string, h HistogramSnapshot, labels ...Label) {
-	ff := f.fam(name, help, "summary")
-	if ff.kind != "summary" {
-		f.dropped++
-		return
-	}
-	ls := append([]Label(nil), labels...)
-	ff.series[labelKey(ls)] = &fedSeries{labels: ls, hist: &h}
+	f.put(name, help, "summary", SeriesSnapshot{Labels: append([]Label(nil), labels...), Hist: &h})
 }
 
 // SumValues sums the scalar values of every series in a family — the
@@ -226,7 +208,7 @@ func (f *Federation) SumValues(name string) float64 {
 	}
 	var sum float64
 	for _, s := range ff.series {
-		sum += s.value
+		sum += s.Value
 	}
 	return sum
 }
@@ -251,8 +233,8 @@ func (f *Federation) Values(name string, match ...Label) []SeriesSnapshot {
 	}
 	out := make([]SeriesSnapshot, 0, len(ff.series))
 	for _, s := range ff.series {
-		if hasLabels(s.labels, match) {
-			out = append(out, SeriesSnapshot{Labels: append([]Label(nil), s.labels...), Value: s.value})
+		if hasLabels(s.Labels, match) {
+			out = append(out, SeriesSnapshot{Labels: append([]Label(nil), s.Labels...), Value: s.Value})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return labelKey(out[i].Labels) < labelKey(out[j].Labels) })
@@ -270,23 +252,23 @@ func (f *Federation) MergedHistogram(name string, match ...Label) HistogramSnaps
 		return m
 	}
 	for _, s := range ff.series {
-		if s.hist != nil && hasLabels(s.labels, match) {
-			m.Merge(*s.hist)
+		if s.Hist != nil && hasLabels(s.Labels, match) {
+			m.Merge(*s.Hist)
 		}
 	}
 	return m
 }
 
-// WritePrometheus writes the federated set in the same text exposition
-// format as Registry.WritePrometheus: families sorted by name, one HELP
-// and TYPE line per family, series sorted by label key, histograms as
-// summaries with quantile children plus _sum and _count.
-func (f *Federation) WritePrometheus(w io.Writer) {
+// snapshot returns the federated set as family snapshots, families sorted
+// by name and series by label key, as Registry.Snapshot orders a
+// registry's.
+func (f *Federation) snapshot() []FamilySnapshot {
 	names := make([]string, 0, len(f.fams))
 	for n := range f.fams {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	out := make([]FamilySnapshot, 0, len(names))
 	for _, n := range names {
 		ff := f.fams[n]
 		keys := make([]string, 0, len(ff.series))
@@ -294,21 +276,15 @@ func (f *Federation) WritePrometheus(w io.Writer) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-
-		fmt.Fprintf(w, "# HELP %s %s\n", ff.name, escapeHelp(ff.help))
-		fmt.Fprintf(w, "# TYPE %s %s\n", ff.name, ff.kind)
+		fs := FamilySnapshot{Name: ff.name, Help: ff.help, Kind: ff.kind}
 		for _, k := range keys {
-			s := ff.series[k]
-			if ff.kind == "summary" && s.hist != nil {
-				for _, q := range quantiles {
-					ql := `quantile="` + formatValue(q) + `"`
-					writeSample(w, ff.name, k, ql, s.hist.Quantile(q))
-				}
-				writeSample(w, ff.name+"_sum", k, "", s.hist.Sum)
-				writeSample(w, ff.name+"_count", k, "", float64(s.hist.Count))
-				continue
-			}
-			writeSample(w, ff.name, k, "", s.value)
+			fs.Series = append(fs.Series, ff.series[k])
 		}
+		out = append(out, fs)
 	}
+	return out
 }
+
+// WritePrometheus writes the federated set in the text exposition format
+// Registry.WritePrometheus writes, with the same writer.
+func (f *Federation) WritePrometheus(w io.Writer) { writePrometheus(w, f.snapshot()) }

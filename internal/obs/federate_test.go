@@ -2,9 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 // TestFederationDedupSameName is the regression for federating two
@@ -179,5 +182,67 @@ func TestMergedHistogramEmptyZero(t *testing.T) {
 		if v := m.Quantile(q); v != 0 {
 			t.Fatalf("empty merged Quantile(%v) = %v, want 0", q, v)
 		}
+	}
+}
+
+// TestFederationWritesRegistryBytes: the text exposition has one writer,
+// so a Federation fed one registry's snapshot, with no extra labels, must
+// write exactly the bytes the registry writes — over random registries of
+// every metric kind, with labels registered in any order and values,
+// help texts and label values that need escaping.
+func TestFederationWritesRegistryBytes(t *testing.T) {
+	kinds := []func(r *Registry, rng *rand.Rand, name, help string, ls []Label){
+		func(r *Registry, rng *rand.Rand, name, help string, ls []Label) {
+			r.Counter(name, help, ls...).Add(float64(rng.Intn(1000)))
+		},
+		func(r *Registry, rng *rand.Rand, name, help string, ls []Label) {
+			r.Gauge(name, help, ls...).Set(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6)))
+		},
+		func(r *Registry, rng *rand.Rand, name, help string, ls []Label) {
+			v := rng.Float64()
+			r.GaugeFunc(name, help, func() float64 { return v }, ls...)
+		},
+		func(r *Registry, rng *rand.Rand, name, help string, ls []Label) {
+			h := r.Histogram(name, help, ls...)
+			for i := rng.Intn(40); i > 0; i-- {
+				h.Observe(rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(16)-8)))
+			}
+			if rng.Intn(4) == 0 {
+				h.Observe(0)
+			}
+		},
+	}
+	values := []string{"cc", "sssp", `a"b`, `back\slash`, "new\nline", "", "0"}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRegistry()
+		for f := rng.Intn(6); f > 0; f-- {
+			name := fmt.Sprintf("fam_%d", rng.Intn(8))
+			help := values[rng.Intn(len(values))] + " help"
+			kind := kinds[rng.Intn(len(kinds))]
+			func() {
+				defer func() { recover() }() // a name drawn again under another kind panics
+				for s := rng.Intn(4) + 1; s > 0; s-- {
+					var ls []Label
+					for _, k := range rng.Perm(4)[:rng.Intn(4)] {
+						ls = append(ls, L(fmt.Sprintf("k%d", k), values[rng.Intn(len(values))]))
+					}
+					kind(r, rng, name, help, ls)
+				}
+			}()
+		}
+		var want, got strings.Builder
+		r.WritePrometheus(&want)
+		fed := NewFederation()
+		fed.Ingest(r.Snapshot())
+		fed.WritePrometheus(&got)
+		if want.String() != got.String() {
+			t.Logf("seed %d:\n--- registry ---\n%s--- federation ---\n%s", seed, want.String(), got.String())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

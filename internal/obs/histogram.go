@@ -110,32 +110,9 @@ func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
 // 0 rather than the Prometheus-conventional NaN: quantiles of empty
 // histograms flow into JSON endpoints and federation rollups, where a
 // NaN either fails encoding or propagates through downstream arithmetic.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q >= 1 {
-		return h.Max()
-	}
-	if q < 0 {
-		q = 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := 0; i < numBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			return bucketMid(i)
-		}
-	}
-	// Concurrent writers raced count ahead of buckets; the max is the
-	// honest answer for the tail.
-	return h.Max()
-}
+// It reads the histogram's Snapshot; a caller wanting several quantiles
+// takes one snapshot and reads them all off it.
+func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
 // BucketCount is one occupied bucket in a HistogramSnapshot: the bucket
 // index (in this package's fixed log-bucket geometry) and its count.
@@ -203,10 +180,12 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
 	sort.Slice(s.Buckets, func(i, j int) bool { return s.Buckets[i].Index < s.Buckets[j].Index })
 }
 
-// Quantile estimates the q-quantile of the snapshot, with the same
-// contract as Histogram.Quantile: bucket-midpoint estimates, exact max
-// at q = 1, 0 when empty (never NaN — snapshots feed federation
-// rollups and JSON responses).
+// Quantile estimates the q-quantile of the snapshot, the contract
+// Histogram.Quantile states: bucket-midpoint estimates, exact max at
+// q = 1, 0 when empty (never NaN — snapshots feed federation rollups and
+// JSON responses). A rank past the bucketed mass — concurrent writers
+// raced Count ahead of the buckets — answers the max, the honest answer
+// for the tail.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0

@@ -129,53 +129,30 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 // quantiles exposed for every histogram; 1 is the exact max.
 var quantiles = []float64{0.5, 0.95, 0.99, 1}
 
-// WritePrometheus writes the registry in Prometheus text exposition
-// format (version 0.0.4): families sorted by name, series by label set,
-// histograms as summaries with quantile children plus _sum and _count.
-func (r *Registry) WritePrometheus(w io.Writer) {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.fams))
-	for n := range r.fams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.fams[n]
-	}
-	r.mu.RUnlock()
+// WritePrometheus writes the registry's Snapshot in Prometheus text
+// exposition format (writePrometheus).
+func (r *Registry) WritePrometheus(w io.Writer) { writePrometheus(w, r.Snapshot()) }
 
+// writePrometheus is the one text exposition writer (format version
+// 0.0.4), for a registry and a federation alike: fams in the order given —
+// both sort families by name and series by label set — with one HELP and
+// TYPE line per family, and each summary (histogram) series as quantile
+// children plus _sum and _count.
+func writePrometheus(w io.Writer, fams []FamilySnapshot) {
 	for _, f := range fams {
-		f.mu.Lock()
-		ss := make([]*series, 0, len(f.series))
-		for _, s := range f.series {
-			ss = append(ss, s)
-		}
-		f.mu.Unlock()
-		sort.Slice(ss, func(i, j int) bool { return ss[i].key < ss[j].key })
-
-		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range ss {
-			switch f.kind {
-			case counterKind:
-				writeSample(w, f.name, s.key, "", s.counter.Value())
-			case gaugeKind:
-				writeSample(w, f.name, s.key, "", s.gauge.Value())
-			case gaugeFuncKind:
-				v := 0.0
-				if s.fn != nil {
-					v = s.fn()
-				}
-				writeSample(w, f.name, s.key, "", v)
-			case histogramKind:
-				for _, q := range quantiles {
-					ql := `quantile="` + strconv.FormatFloat(q, 'g', -1, 64) + `"`
-					writeSample(w, f.name, s.key, ql, s.hist.Quantile(q))
-				}
-				writeSample(w, f.name+"_sum", s.key, "", s.hist.Sum())
-				writeSample(w, f.name+"_count", s.key, "", float64(s.hist.Count()))
+		fmt.Fprintf(w, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+		fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Kind)
+		for _, s := range f.Series {
+			key := labelKey(s.Labels)
+			if f.Kind != "summary" || s.Hist == nil {
+				writeSample(w, f.Name, key, "", s.Value)
+				continue
 			}
+			for _, q := range quantiles {
+				writeSample(w, f.Name, key, `quantile="`+formatValue(q)+`"`, s.Hist.Quantile(q))
+			}
+			writeSample(w, f.Name+"_sum", key, "", s.Hist.Sum)
+			writeSample(w, f.Name+"_count", key, "", float64(s.Hist.Count))
 		}
 	}
 }

@@ -166,7 +166,7 @@ func TestHostAuditAggregation(t *testing.T) {
 		{{Kind: graph.DeleteEdge, From: 1, To: 2}},
 	}
 	for _, b := range batches {
-		if err := h.SubmitWait(b); err != nil {
+		if err := submitWait(h, b); err != nil {
 			t.Fatal(err)
 		}
 	}

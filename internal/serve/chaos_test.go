@@ -119,13 +119,13 @@ func TestChaosServeDifferential(t *testing.T) {
 		return b
 	}
 
-	// One SubmitWait per round per class keeps apply ordinals aligned
+	// One waited submission per round per class keeps apply ordinals aligned
 	// with the injector's plan: apply k carries round k's batch, so the
 	// poisoned round is known exactly and excluded from that mirror.
 	for round := int64(1); round <= int64(rounds); round++ {
 		b := randomBatch()
 		for name, c := range classes {
-			if err := c.host.SubmitWait(b); err != nil {
+			if err := submitWait(c.host, b); err != nil {
 				t.Fatalf("%s: round %d: %v", name, round, err)
 			}
 			if round != c.panicAt {

@@ -127,33 +127,43 @@ func (r *Recovery) Restore(algo string, m Serveable) error {
 	return m.RestoreState(bytes.NewReader(ra.State))
 }
 
-// Replay streams the WAL tail into the targets: broadcast records ("")
-// reach every serveable, targeted records only their algo. Called before
-// the hosts start, so it drives Apply directly — single-threaded, which
-// honors the one-writer contract. Batches are coalesced with Net exactly
-// as the serving path would have, and validated as it would have: a
-// record that fails Batch.Validate against a target it reaches stops the
+// Replay streams the WAL tail into the targets: every record reaches
+// every serveable. Called before the hosts start, so it drives Apply
+// directly — single-threaded, which honors the one-writer contract. Each
+// record is coalesced with Net once, as the serving path would have (the
+// targets must agree on directedness, which is checked up front), and
+// validated as it would have been: a record that fails Batch.Validate
+// against a target, or that is targeted at one class (wal.Record.Algo, which
+// only logs from before updates stopped being targeted can hold), stops the
 // replay with an error naming its segment and record, and reaches no
 // target.
 func (r *Recovery) Replay(targets map[string]Serveable, rec *trace.Recorder) (int, error) {
+	kinds := make(map[bool]bool, 2) // the directedness values among the targets
+	for _, m := range targets {
+		kinds[m.Graph().Directed()] = true
+	}
+	if len(kinds) > 1 {
+		return 0, fmt.Errorf("serve: replay targets mix directed and undirected graphs")
+	}
+	directed := kinds[true]
 	var span trace.Span
 	if rec != nil {
 		span = rec.Begin("recovery_replay", "serve", rec.Track("recovery"))
 	}
 	n, err := wal.Replay(r.dir, r.ReplayFrom, func(record wal.Record) error {
-		for name, m := range targets {
-			if record.Algo == "" || record.Algo == name {
-				if err := record.Batch.Validate(m.Graph().NumNodes()); err != nil {
-					return fmt.Errorf("for %s: %w", name, err)
-				}
-			}
+		if err := record.CheckBroadcast(); err != nil {
+			return err
 		}
 		for name, m := range targets {
-			if record.Algo == "" || record.Algo == name {
-				m.Apply(record.Batch.Net(m.Graph().Directed()))
-				r.replayedRaw[name] += uint64(len(record.Batch))
-				r.replayedRecords[name]++
+			if err := record.Batch.Validate(m.Graph().NumNodes()); err != nil {
+				return fmt.Errorf("for %s: %w", name, err)
 			}
+		}
+		net := record.Batch.Net(directed)
+		for name, m := range targets {
+			m.Apply(net)
+			r.replayedRaw[name] += uint64(len(record.Batch))
+			r.replayedRecords[name]++
 		}
 		return nil
 	})
@@ -240,9 +250,9 @@ type Durable struct {
 	// them instead of closing the log out from under one.
 	ckptWG sync.WaitGroup
 
-	// replayFroms tracks the ReplayFrom of recent checkpoints so segment
+	// kept lists the retained checkpoints, oldest first, so segment
 	// pruning never removes a segment a kept checkpoint still needs.
-	replayFroms []uint64
+	kept []keptCheckpoint
 
 	checkpoints   *obs.Counter
 	ckptErrors    *obs.Counter
@@ -251,6 +261,10 @@ type Durable struct {
 	divergence    *obs.Gauge
 	replayedGauge *obs.Gauge
 }
+
+// keptCheckpoint is a retained checkpoint: the epoch sum its file is
+// named by, and the first segment it replays from.
+type keptCheckpoint struct{ epoch, replayFrom uint64 }
 
 // OpenDurable opens (or creates) the WAL in dir, installs the durable
 // ingest path on svc, and registers the durability metrics. Recovery
@@ -265,7 +279,7 @@ func OpenDurable(svc *Service, dir string, opt DurableOptions) (*Durable, error)
 	if ck, err := wal.LatestCheckpoint(dir); err == nil && ck != nil {
 		// Seed the pruning window so segments needed by the pre-restart
 		// checkpoint survive until enough new checkpoints supersede it.
-		d.replayFroms = append(d.replayFroms, ck.ReplayFrom)
+		d.kept = append(d.kept, keptCheckpoint{ck.Epoch, ck.ReplayFrom})
 	}
 	reg := svc.Registry()
 	reg.GaugeFunc("incgraph_wal_appends_total", "Records appended to the write-ahead log.",
@@ -298,19 +312,24 @@ func (d *Durable) Log() *wal.Log { return d.log }
 // acknowledged, under fsync=always), then submit it to every target. The
 // read lock spans both, so a checkpoint cut can never fall between them.
 // Waiting for application happens after the lock is released — a
-// checkpoint may proceed while callers wait on their acks.
+// checkpoint may proceed while callers wait on their acks. A non-empty
+// algo is refused before anything is logged: every update reaches every
+// class.
 func (d *Durable) Ingest(targets []*Host, algo string, b graph.Batch, tid trace.TraceID, wait bool) error {
+	if algo != "" {
+		return fmt.Errorf("serve: update targeted at %q: every update reaches every class", algo)
+	}
 	d.mu.RLock()
 	// The record carries the request's trace ID and a wall-clock stamp,
 	// so a replica replaying this log can join the request's timeline and
 	// report seconds-behind-primary.
-	if err := d.log.Append(wal.Record{Algo: algo, Batch: b, Trace: tid, Nanos: time.Now().UnixNano()}); err != nil {
+	if err := d.log.Append(wal.Record{Batch: b, Trace: tid, Nanos: time.Now().UnixNano()}); err != nil {
 		d.mu.RUnlock()
 		return err
 	}
 	acks := make([]<-chan struct{}, 0, len(targets))
 	for _, h := range targets {
-		ack, err := h.SubmitTracedAck(b, tid)
+		ack, err := h.Submit(b, tid)
 		if err != nil {
 			d.mu.RUnlock()
 			return err
@@ -397,14 +416,21 @@ func (d *Durable) Checkpoint() error {
 	if err := wal.PruneCheckpoints(d.dir, keepCheckpoints); err != nil {
 		return err
 	}
-	d.replayFroms = append(d.replayFroms, replayFrom)
-	if len(d.replayFroms) > keepCheckpoints {
-		d.replayFroms = d.replayFroms[len(d.replayFroms)-keepCheckpoints:]
+	if n := len(d.kept); n > 0 && d.kept[n-1].epoch == ck.Epoch {
+		// Nothing was ingested since the last checkpoint: this one has its
+		// name and replaced its file, so it replaces its entry too, and
+		// the older kept checkpoint keeps the segments it replays from.
+		d.kept[n-1].replayFrom = replayFrom
+	} else {
+		d.kept = append(d.kept, keptCheckpoint{ck.Epoch, replayFrom})
 	}
-	if len(d.replayFroms) >= keepCheckpoints {
-		// Every kept checkpoint replays from d.replayFroms[0] or later;
+	if len(d.kept) > keepCheckpoints {
+		d.kept = d.kept[len(d.kept)-keepCheckpoints:]
+	}
+	if len(d.kept) >= keepCheckpoints {
+		// Every kept checkpoint replays from d.kept[0].replayFrom or later;
 		// older segments are dead weight.
-		if err := d.log.RemoveBefore(d.replayFroms[0]); err != nil {
+		if err := d.log.RemoveBefore(d.kept[0].replayFrom); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -234,13 +235,13 @@ func TestPanicIsolationHeals(t *testing.T) {
 	b1 := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 7, W: 1}}
 	b2 := graph.Batch{{Kind: graph.InsertEdge, From: 1, To: 8, W: 1}}
 	b3 := graph.Batch{{Kind: graph.InsertEdge, From: 2, To: 9, W: 1}}
-	if err := h.SubmitWait(b1); err != nil {
+	if err := submitWait(h, b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.SubmitWait(b2); err != nil { // poisoned: panics before Apply
+	if err := submitWait(h, b2); err != nil { // poisoned: panics before Apply
 		t.Fatal(err)
 	}
-	if err := h.SubmitWait(b3); err != nil {
+	if err := submitWait(h, b3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -291,11 +292,11 @@ func TestQuarantineServesStale(t *testing.T) {
 	defer h.Close()
 
 	b := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 5, W: 1}}
-	if err := h.SubmitWait(b); err != nil { // consumes the one good apply
+	if err := submitWait(h, b); err != nil { // consumes the one good apply
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // panic → heal panics → quarantined; then drained
-		if err := h.SubmitWait(b); err != nil {
+		if err := submitWait(h, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -343,7 +344,7 @@ func newSlowReleased(n int) *slowServeable {
 // inside the maintainer applying it.
 func (s *slowServeable) park(t *testing.T, h *Host) {
 	t.Helper()
-	if err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != nil {
+	if err := submit(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -393,7 +394,7 @@ func TestShed503(t *testing.T) {
 	// saturation is stable until release.
 	slow.park(t, h)
 	for !h.Saturated() {
-		if err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
+		if err := submit(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -444,7 +445,7 @@ func TestDebugAppliesCap(t *testing.T) {
 
 	h := svc.Get("sssp")
 	for i := 0; i < 5; i++ {
-		if err := h.SubmitWait(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: graph.NodeID(10 + i), W: 1}}); err != nil {
+		if err := submitWait(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: graph.NodeID(10 + i), W: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -516,4 +517,89 @@ func TestCheckpointEvery(t *testing.T) {
 	}
 	svc.Close()
 	d.Close()
+}
+
+// TestSameEpochCheckpointKeepsFallbackSegments: a checkpoint taken with
+// nothing ingested since the last one has the same epoch sum, so the same
+// file name, and replaces that file — as the checkpoint-on-drain does
+// right after a -checkpoint-every one. It must take over that file's place
+// in the pruning window rather than push the older kept checkpoint's
+// segments out: with the newest checkpoint corrupt, recovery falls back to
+// the older one and must replay every record since it.
+func TestSameEpochCheckpointKeepsFallbackSegments(t *testing.T) {
+	const nodes, chunks, chunkLen = 120, 30, 8
+	dir := t.TempDir()
+	base := gen.Synthetic(7, nodes, 5, true)
+	stream := makeStream(29, nodes, chunks*chunkLen)
+
+	svc, d := openDurableService(t, base, dir, DurableOptions{})
+	hosts := svc.Hosts()
+	checkpoint := func() {
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < chunks; i++ {
+		if err := d.Ingest(hosts, "", stream[i*chunkLen:(i+1)*chunkLen], trace.TraceID{}, true); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 == 10 || i+1 == 20 {
+			checkpoint()
+		}
+	}
+	checkpoint()
+	checkpoint() // same epoch: replaces the file the one before wrote
+	svc.Close()
+	d.Close()
+
+	// Two classes: the epoch sum counts every update twice.
+	newest := filepath.Join(dir, wal.CheckpointName(2*chunks*chunkLen))
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	targets, rec, replayed := recoverAlgos(t, base, dir)
+	if want := uint64(2 * 20 * chunkLen); rec.CheckpointEpoch != want {
+		t.Fatalf("recovered from the checkpoint at epoch %d, want the fallback at %d", rec.CheckpointEpoch, want)
+	}
+	if replayed != chunks-20 {
+		t.Fatalf("replayed %d records after the fallback checkpoint, want %d", replayed, chunks-20)
+	}
+	for algo, m := range targets {
+		og := base.Clone()
+		for i := 0; i < chunks; i++ {
+			og.Apply(stream[i*chunkLen : (i+1)*chunkLen].Net(og.Directed()))
+		}
+		oracle := map[string]Serveable{"sssp": SSSP(sssp.NewInc(og, 0), 0), "cc": CC(cc.NewInc(og))}[algo]
+		if !snapshotEqual(m.Snapshot(), oracle.Snapshot()) {
+			t.Fatalf("%s: recovered answer differs from the acknowledged stream's", algo)
+		}
+	}
+}
+
+// TestIngestRefusesTarget: the journal takes every update for every class;
+// an update targeted at one is refused before anything is logged or
+// submitted.
+func TestIngestRefusesTarget(t *testing.T) {
+	base := gen.Synthetic(3, 20, 3, true)
+	svc, d := openDurableService(t, base, t.TempDir(), DurableOptions{})
+	defer d.Close()
+	defer svc.Close()
+	b := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 5, W: 1}}
+	if err := d.Ingest(svc.Hosts(), "cc", b, trace.TraceID{}, true); err == nil || !strings.Contains(err.Error(), `"cc"`) {
+		t.Fatalf("targeted ingest: err = %v, want a refusal naming cc", err)
+	}
+	if appends, _ := d.Log().Stats(); appends != 0 {
+		t.Fatalf("targeted ingest logged %d records", appends)
+	}
+	for _, h := range svc.Hosts() {
+		if st := h.Stats(); st.UpdatesReceived != 0 {
+			t.Fatalf("%s received %d updates from a refused ingest", h.Algo(), st.UpdatesReceived)
+		}
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"incgraph/internal/graph"
 	"incgraph/internal/serve"
 	"incgraph/internal/sssp"
+	"incgraph/internal/trace"
 )
 
 func ExampleNewHost() {
@@ -21,10 +22,14 @@ func ExampleNewHost() {
 	h := serve.NewHost(serve.SSSP(sssp.NewInc(g, 0), 0), serve.Options{})
 	defer h.Close()
 
-	if err := h.SubmitWait(graph.Batch{{Kind: graph.InsertEdge, From: 1, To: 2, W: 4}}); err != nil {
+	// Submit returns once the batch is accepted; the channel closes once
+	// its view is published.
+	published, err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 1, To: 2, W: 4}}, trace.TraceID{})
+	if err != nil {
 		fmt.Println("submit:", err)
 		return
 	}
+	<-published
 	v := h.View()
 	fmt.Println("epoch:", v.Epoch)
 	fmt.Println("dist:", v.Data.(serve.SSSPView).Dist.Slice())

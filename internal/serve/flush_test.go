@@ -25,14 +25,14 @@ func TestHostFlushIdleDoesNotWait(t *testing.T) {
 	h := NewHost(newSlowReleased(8), Options{MaxBatch: 1 << 20, MaxWait: time.Hour})
 	defer h.Close()
 	done := make(chan error, 1)
-	go func() { done <- h.SubmitWait(edge(0, 1)) }()
+	go func() { done <- submitWait(h, edge(0, 1)) }()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("SubmitWait on an idle host waited for MaxWait")
+		t.Fatal("a waited submission on an idle host waited for MaxWait")
 	}
 	if tr := h.RecentApplies(); len(tr) != 1 || tr[0].FlushReason != "drain" {
 		t.Fatalf("applies %+v, want one flushed by drain", tr)
@@ -44,7 +44,7 @@ func TestHostFlushIdleDoesNotWait(t *testing.T) {
 	trips := make([]time.Duration, 200)
 	for i := range trips {
 		start := time.Now()
-		if err := q.SubmitWait(edge(i%7, 7)); err != nil {
+		if err := submitWait(q, edge(i%7, 7)); err != nil {
 			t.Fatal(err)
 		}
 		trips[i] = time.Since(start)
@@ -72,12 +72,12 @@ func TestHostFlushCoalescesUnderLoad(t *testing.T) {
 		if i%2 == 1 {
 			b[0].Kind = graph.DeleteEdge
 		}
-		if err := h.Submit(b); err != nil {
+		if err := submit(h, b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(slow.release)
-	if err := h.SubmitWait(nil); err != nil { // queued behind the ten: acked by the flush that takes them, or the next
+	if err := submitWait(h, nil); err != nil { // queued behind the ten: acked by the flush that takes them, or the next
 		t.Fatal(err)
 	}
 	st := h.Stats()
@@ -102,7 +102,7 @@ func TestHostFlushFullAndTimer(t *testing.T) {
 	h := NewHost(slow, Options{MaxBatch: 4, MaxWait: time.Hour})
 	slow.park(t, h)
 	for i := 0; i < 6; i++ {
-		if err := h.Submit(edge(i, 7)); err != nil {
+		if err := submit(h, edge(i, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,12 +127,12 @@ func TestHostFlushFullAndTimer(t *testing.T) {
 	h = NewHost(slow, Options{MaxBatch: 1 << 30, MaxWait: time.Nanosecond, Queue: queued})
 	slow.park(t, h)
 	for i := 0; i < queued; i++ {
-		if err := h.Submit(edge(1, 2)); err != nil {
+		if err := submit(h, edge(1, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(slow.release)
-	if err := h.SubmitWait(nil); err != nil { // acked once everything ahead of it is applied
+	if err := submitWait(h, nil); err != nil { // acked once everything ahead of it is applied
 		t.Fatal(err)
 	}
 	h.Close()
@@ -153,7 +153,7 @@ func TestHostFlushStateJobSeesEarlierSubmissions(t *testing.T) {
 	defer h.Close()
 	slow.park(t, h)
 	for i := 0; i < 5; i++ {
-		if err := h.Submit(edge(i, 7)); err != nil {
+		if err := submit(h, edge(i, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}

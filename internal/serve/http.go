@@ -18,26 +18,14 @@ import (
 	"incgraph/internal/trace"
 )
 
-// Service is a set of named hosts behind one HTTP API:
+// Service is a set of named hosts behind one HTTP API, whose routes
+// Handler lists.
 //
-//	POST /update[?algo=<name>][&wait=1]  body: batch text ("+ u v w" / "- u v [w]")
-//	GET  /query/{algo}[?range=lo:hi]     current snapshot view, one line of JSON (range:
-//	                                     per-node vectors cut to nodes lo ≤ v < hi)
-//	GET  /stats                          per-host serving counters, JSON
-//	GET  /metrics                        Prometheus text exposition
-//	GET  /metrics.json                   registry snapshot with raw histogram buckets
-//	GET  /debug/applies[?algo=<name>]    recent apply trace events, JSON
-//	GET  /debug/trace                    flight recording, Chrome trace_event JSON
-//	GET  /debug/boundedness              per-host work-ledger audit reports, JSON
-//	GET  /debug/offenders[?algo=<name>]  worst-boundedness applies (top-K), JSON
-//	GET  /healthz                        liveness
-//
-// The control-plane answers (/stats, /debug/*, errors) are small and
-// indented for reading; a view is O(|V|) and has one form, json.Marshal's.
-//
-// An update with no algo parameter is broadcast to every host: each
-// maintainer owns a private copy of the graph, so the same ΔG must reach
-// all of them to keep their answers describing the same logical graph.
+// Every update reaches every class: a POST /update is submitted to every
+// host (an ?algo= parameter is refused), and so is every record a
+// recovery or a replica replays. Each maintainer owns a private copy of
+// the graph, and its answer describes the same logical graph as every
+// other's only because all of them consume the one stream.
 // The same handler serves a warm replica behind shard.Standby's gate,
 // which answers /query from Host.WriteStale until promotion.
 //
@@ -71,7 +59,9 @@ type Service struct {
 // (serve.Durable) must make the batch durable and then submit it to every
 // target, such that no checkpoint cut can separate the two: a batch that
 // reached any maintainer is either in a checkpoint's state or in the WAL
-// tail a recovery replays.
+// tail a recovery replays. The targets are every host, and algo is
+// always "": updates are not targeted (the benchmark harness still
+// passes the parameter, so it stays until the harness drops it).
 type Journal interface {
 	Ingest(targets []*Host, algo string, b graph.Batch, tid trace.TraceID, wait bool) error
 }
@@ -221,7 +211,23 @@ func requestTraceID(r *http.Request) trace.TraceID {
 	return trace.NewTraceID()
 }
 
-// Handler returns the HTTP API handler.
+// Handler returns the HTTP API handler:
+//
+//	POST /update[?wait=1]                body: batch text ("+ u v w" / "- u v [w]")
+//	GET  /query/{algo}[?range=lo:hi]     current snapshot view, one line of JSON (range:
+//	                                     per-node vectors cut to nodes lo ≤ v < hi)
+//	GET  /stats                          per-host serving counters, JSON
+//	GET  /metrics                        Prometheus text exposition
+//	GET  /metrics.json                   registry snapshot with raw histogram buckets
+//	GET  /debug/applies[?algo=<name>]    recent apply trace events, JSON (?n= caps)
+//	GET  /debug/trace                    flight recording, Chrome trace_event JSON (?n= caps)
+//	GET  /debug/boundedness              per-host work-ledger audit reports, JSON
+//	GET  /debug/offenders[?algo=<name>]  worst-boundedness applies (top-K), JSON
+//	GET  /healthz                        liveness
+//
+// plus the routes Mount added. The control-plane answers (/stats,
+// /debug/*, errors) are small and indented for reading; a view is O(|V|)
+// and has one form, json.Marshal's.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -508,17 +514,11 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	var targets []*Host
-	if algo := r.URL.Query().Get("algo"); algo != "" {
-		h := s.Get(algo)
-		if h == nil {
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown algo %q", algo))
-			return
-		}
-		targets = []*Host{h}
-	} else {
-		targets = s.Hosts()
+	if r.URL.Query().Has("algo") {
+		httpError(w, http.StatusBadRequest, errors.New("algo: every update reaches every class; an update cannot target one"))
+		return
 	}
+	targets := s.Hosts()
 	if len(targets) == 0 {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("no hosted maintainers"))
 		return
@@ -555,7 +555,7 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		res.Targets = append(res.Targets, h.Algo())
 	}
 	if j := s.getJournal(); j != nil {
-		if err := j.Ingest(targets, r.URL.Query().Get("algo"), b, tid, wait); err != nil {
+		if err := j.Ingest(targets, "", b, tid, wait); err != nil {
 			httpError(w, http.StatusServiceUnavailable, err)
 			return
 		}
@@ -573,9 +573,13 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// both cores are busy applying. Trading read latency for write
 	// throughput is a decision for alternating pairs, not a default.
 	for _, h := range targets {
-		if err := h.SubmitTraced(b, tid, wait); err != nil {
+		ack, err := h.Submit(b, tid)
+		if err != nil {
 			httpError(w, http.StatusServiceUnavailable, err)
 			return
+		}
+		if wait {
+			<-ack
 		}
 	}
 	res.Epochs = viewEpochs(targets)

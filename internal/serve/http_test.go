@@ -164,16 +164,24 @@ func TestHTTPUpdateQueryStats(t *testing.T) {
 		}
 	}
 
-	// Targeted update only reaches the named host.
-	code, _ = postUpdate(t, ts.URL+"/update?algo=sssp&wait=1", "+ 0 3 4\n")
+	// Every update reaches every host; one naming a class is refused and
+	// reaches none.
+	code, _ = postUpdate(t, ts.URL+"/update?wait=1", "+ 0 3 4\n")
 	if code != http.StatusOK {
-		t.Fatalf("targeted update status %d", code)
+		t.Fatalf("second update status %d", code)
 	}
-	if e := svc.Get("sssp").View().Epoch; e != 4 {
-		t.Fatalf("sssp epoch %d, want 4", e)
+	for _, url := range []string{"/update?algo=sssp&wait=1", "/update?algo=&wait=1", "/update?wait=1&algo=nope"} {
+		if code, body := postUpdate(t, ts.URL+url, "+ 1 4 4\n"); code != http.StatusBadRequest {
+			t.Fatalf("POST %s: status %d, want 400 (%s)", url, code, body)
+		}
 	}
-	if e := svc.Get("cc").View().Epoch; e != 3 {
-		t.Fatalf("cc epoch %d, want 3", e)
+	for _, algo := range []string{"sssp", "cc"} {
+		if e := svc.Get(algo).View().Epoch; e != 4 {
+			t.Fatalf("%s epoch %d, want 4", algo, e)
+		}
+		if st := svc.Get(algo).Stats(); st.UpdatesReceived != 4 {
+			t.Fatalf("%s received %d updates, want 4", algo, st.UpdatesReceived)
+		}
 	}
 }
 
@@ -190,7 +198,8 @@ func TestHTTPErrors(t *testing.T) {
 		{"out of range", "/update", "+ 0 99 1\n", http.StatusBadRequest},
 		{"ids past 2^32 that alias nodes 0 and 5", "/update?wait=1", "+ 4294967296 4294967301 7\n", http.StatusBadRequest},
 		{"id 2^31", "/update?wait=1", "+ 2147483648 1 7\n", http.StatusBadRequest},
-		{"unknown target", "/update?algo=nope", "+ 0 1 1\n", http.StatusNotFound},
+		{"targeted at a class", "/update?algo=cc", "+ 0 1 1\n", http.StatusBadRequest},
+		{"targeted at an unknown class", "/update?algo=nope", "+ 0 1 1\n", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, body := postUpdate(t, ts.URL+tc.url, tc.body)

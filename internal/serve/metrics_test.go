@@ -336,7 +336,7 @@ func TestTraceRingBounded(t *testing.T) {
 		if i%2 == 1 {
 			b = graph.Batch{{Kind: graph.DeleteEdge, From: 0, To: 1}}
 		}
-		if err := h.SubmitWait(b); err != nil {
+		if err := submitWait(h, b); err != nil {
 			t.Fatal(err)
 		}
 	}

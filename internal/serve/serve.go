@@ -616,14 +616,11 @@ func (h *Host) Boundedness() BoundednessReport {
 		OffenderCount:  h.offenders.Len(),
 		WorstRatio:     h.offenders.Max(),
 	}
-	if hist := h.met.boundedRatio; hist.Count() > 0 {
-		rep.RatioP50 = hist.Quantile(0.5)
-		rep.RatioP95 = hist.Quantile(0.95)
-		rep.RatioMax = hist.Quantile(1)
-	}
-	if hist := h.met.roundsHist; hist.Count() > 0 {
-		rep.RoundsP95 = hist.Quantile(0.95)
-	}
+	ratios := h.met.boundedRatio.Snapshot()
+	rep.RatioP50 = ratios.Quantile(0.5)
+	rep.RatioP95 = ratios.Quantile(0.95)
+	rep.RatioMax = ratios.Quantile(1)
+	rep.RoundsP95 = h.met.roundsHist.Snapshot().Quantile(0.95)
 	if audit.Delta > 0 {
 		rep.PublishRatio = float64(entries) / float64(audit.Delta)
 	}
@@ -650,57 +647,43 @@ func (h *Host) Stats() Stats {
 	if s.BatchesApplied > 0 {
 		s.MeanApplyNanos = s.TotalApplyNanos / int64(s.BatchesApplied)
 	}
-	if hist := h.met.applyLatency; hist.Count() > 0 {
-		// Quantiles come from the same histogram /metrics exposes; the
-		// zero-sample guard keeps NaN out of the JSON encoder.
-		s.ApplyP50Nanos = int64(hist.Quantile(0.5) * 1e9)
-		s.ApplyP95Nanos = int64(hist.Quantile(0.95) * 1e9)
-		s.ApplyP99Nanos = int64(hist.Quantile(0.99) * 1e9)
-	}
+	// Quantiles come from the same histogram /metrics exposes, all three
+	// off one snapshot; an empty one answers 0, never NaN.
+	lat := h.met.applyLatency.Snapshot()
+	s.ApplyP50Nanos = int64(lat.Quantile(0.5) * 1e9)
+	s.ApplyP95Nanos = int64(lat.Quantile(0.95) * 1e9)
+	s.ApplyP99Nanos = int64(lat.Quantile(0.99) * 1e9)
 	s.PagesEncoded = uint64(h.met.pagesEncoded.Value())
 	s.UptimeSeconds = time.Since(h.start).Seconds()
 	return s
 }
 
 // Submit validates b and enqueues it for the apply loop, returning once
-// the batch is accepted (not yet applied). It blocks when the queue is
-// full — backpressure, not loss.
-func (h *Host) Submit(b graph.Batch) error {
-	_, err := h.submit(b, trace.TraceID{}, false)
-	return err
-}
-
-// SubmitWait is Submit, but also waits until the batch has been applied
-// and its view published.
-func (h *Host) SubmitWait(b graph.Batch) error {
-	ack, err := h.submit(b, trace.TraceID{}, true)
-	if err != nil {
-		return err
-	}
-	<-ack
-	return nil
-}
-
-// SubmitTraced is Submit/SubmitWait with a request trace ID: the ID is
+// the batch is accepted (not yet applied); it blocks while the queue is
+// full — backpressure, not loss. The returned channel closes once the
+// batch's view is published: a caller that needs the batch applied
+// receives from it. tid, the request's trace ID (zero for none), is
 // carried through the queue into the apply that incorporates the batch,
-// stamped on its spans, its ApplyTrace entry, and the OnApply hook —
-// the handle for following one request through the flight recording.
-func (h *Host) SubmitTraced(b graph.Batch, tid trace.TraceID, wait bool) error {
-	ack, err := h.submit(b, tid, wait)
-	if err != nil {
-		return err
+// stamped on its spans, its ApplyTrace entry and the OnApply hook — the
+// handle for following one request through the flight recording.
+func (h *Host) Submit(b graph.Batch, tid trace.TraceID) (<-chan struct{}, error) {
+	if err := b.Validate(h.n); err != nil {
+		return nil, err
 	}
-	if wait {
-		<-ack
+	// Copy: the caller may reuse its slice after Submit returns.
+	owned := append(graph.Batch(nil), b...)
+	ack := make(chan struct{})
+	h.submitMu.RLock()
+	defer h.submitMu.RUnlock()
+	if h.closed {
+		return nil, ErrClosed
 	}
-	return nil
-}
-
-// SubmitTracedAck enqueues like SubmitTraced and returns a channel that
-// closes once the batch's view is published, letting callers (the
-// durability layer) separate enqueueing from waiting.
-func (h *Host) SubmitTracedAck(b graph.Batch, tid trace.TraceID) (<-chan struct{}, error) {
-	return h.submit(b, tid, true)
+	h.statMu.Lock()
+	h.stats.UpdatesReceived += uint64(len(owned))
+	h.statMu.Unlock()
+	h.met.updatesReceived.Add(float64(len(owned)))
+	h.in <- submission{b: owned, ack: ack, at: time.Now(), tid: tid}
+	return ack, nil
 }
 
 // Saturated reports whether the submission queue is full: a Submit now
@@ -729,29 +712,6 @@ func (h *Host) WithState(fn func(m Serveable) error) error {
 	h.submitMu.RUnlock()
 	<-ack
 	return err
-}
-
-func (h *Host) submit(b graph.Batch, tid trace.TraceID, wait bool) (chan struct{}, error) {
-	if err := b.Validate(h.n); err != nil {
-		return nil, err
-	}
-	// Copy: the caller may reuse its slice after Submit returns.
-	owned := append(graph.Batch(nil), b...)
-	var ack chan struct{}
-	if wait {
-		ack = make(chan struct{})
-	}
-	h.submitMu.RLock()
-	defer h.submitMu.RUnlock()
-	if h.closed {
-		return nil, ErrClosed
-	}
-	h.statMu.Lock()
-	h.stats.UpdatesReceived += uint64(len(owned))
-	h.statMu.Unlock()
-	h.met.updatesReceived.Add(float64(len(owned)))
-	h.in <- submission{b: owned, ack: ack, at: time.Now(), tid: tid}
-	return ack, nil
 }
 
 // Close stops accepting submissions, drains and applies everything
@@ -821,9 +781,7 @@ func (h *Host) loop() {
 			// submission (channel order), then hand it the loop's turn.
 			flush(flushState)
 			s.fn()
-			if s.ack != nil {
-				close(s.ack)
-			}
+			close(s.ack)
 			return
 		}
 		if len(pending) == 0 {
@@ -833,9 +791,7 @@ func (h *Host) loop() {
 		if pendTID.IsZero() {
 			pendTID = s.tid
 		}
-		if s.ack != nil {
-			acks = append(acks, s.ack)
-		}
+		acks = append(acks, s.ack)
 	}
 	for {
 		select {

@@ -12,7 +12,23 @@ import (
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 	"incgraph/internal/sssp"
+	"incgraph/internal/trace"
 )
+
+// submit hands b to h untraced and returns once it is accepted.
+func submit(h *Host, b graph.Batch) error {
+	_, err := h.Submit(b, trace.TraceID{})
+	return err
+}
+
+// submitWait hands b to h untraced and returns once its view is published.
+func submitWait(h *Host, b graph.Batch) error {
+	ack, err := h.Submit(b, trace.TraceID{})
+	if err == nil {
+		<-ack
+	}
+	return err
+}
 
 // makeStream builds a deterministic update stream that deliberately
 // contains churn: adjacent insert/delete pairs of the same edge, which
@@ -125,7 +141,7 @@ func TestLoadConcurrentReaders(t *testing.T) {
 			end = len(stream)
 		}
 		// One publish per chunk: 300 epochs pile up on the first views held.
-		if err := h.SubmitWait(stream[i:end]); err != nil {
+		if err := submitWait(h, stream[i:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +160,7 @@ func TestLoadConcurrentReaders(t *testing.T) {
 		t.Fatal("coalescer never fired on a churn-heavy stream")
 	}
 	if st.BatchesApplied != total/chunk {
-		t.Fatalf("%d batches, want one per SubmitWait (%d)", st.BatchesApplied, total/chunk)
+		t.Fatalf("%d batches, want one per waited submission (%d)", st.BatchesApplied, total/chunk)
 	}
 	if st.EntriesSpliced == 0 {
 		t.Fatal("no replaced page inherited cached bytes although every view was read")
@@ -208,7 +224,7 @@ func TestCoalescingCancelsChurn(t *testing.T) {
 		{Kind: graph.DeleteEdge, From: 2, To: 3},
 		{Kind: graph.InsertEdge, From: 1, To: 2, W: 1}, // duplicate
 	}
-	if err := h.SubmitWait(b); err != nil {
+	if err := submitWait(h, b); err != nil {
 		t.Fatal(err)
 	}
 	st := h.Stats()
@@ -235,7 +251,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	stream := makeStream(3, 50, 200)
 	slow.park(t, h)
 	for i := 0; i < len(stream); i += 4 {
-		if err := h.Submit(stream[i : i+4]); err != nil {
+		if err := submit(h, stream[i:i+4]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +262,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if v := h.View(); v.Epoch != uint64(1+len(stream)) {
 		t.Fatalf("close did not drain: epoch %d, want %d", v.Epoch, 1+len(stream))
 	}
-	if err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != ErrClosed {
+	if err := submit(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != ErrClosed {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)
 	}
 	h.Close() // idempotent
@@ -256,10 +272,10 @@ func TestSubmitValidates(t *testing.T) {
 	g := graph.New(5, true)
 	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{})
 	defer h.Close()
-	if err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 99, W: 1}}); err == nil {
+	if err := submit(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 99, W: 1}}); err == nil {
 		t.Fatal("out-of-range update accepted")
 	}
-	if err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: -1}}); err == nil {
+	if err := submit(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: -1}}); err == nil {
 		t.Fatal("negative weight accepted")
 	}
 }
@@ -273,7 +289,7 @@ func TestViewImmutability(t *testing.T) {
 	defer h.Close()
 	before := h.View()
 	snap := before.Data.(SSSPView).Dist.Slice()
-	if err := h.SubmitWait(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
+	if err := submitWait(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before.Data.(SSSPView).Dist.Slice(), snap) {

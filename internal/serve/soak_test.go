@@ -65,7 +65,7 @@ func TestAuditSoak(t *testing.T) {
 	prevRuns := map[string]int64{}
 	for time.Now().Before(deadline) {
 		for name, h := range hosts {
-			if err := h.SubmitWait(randomBatch()); err != nil {
+			if err := submitWait(h, randomBatch()); err != nil {
 				t.Fatalf("%s: apply %d: %v", name, applies, err)
 			}
 			applies++

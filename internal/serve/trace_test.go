@@ -109,7 +109,7 @@ func TestUpdateTraceEndToEnd(t *testing.T) {
 
 func TestUpdateWithoutTraceparentMintsID(t *testing.T) {
 	_, ts := newTestService(t)
-	resp, err := http.Post(ts.URL+"/update?algo=cc&wait=1", "text/plain", strings.NewReader("+ 3 4 1\n"))
+	resp, err := http.Post(ts.URL+"/update?wait=1", "text/plain", strings.NewReader("+ 3 4 1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

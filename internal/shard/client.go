@@ -168,23 +168,35 @@ func (c *Client) do(req *http.Request, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Healthz probes the daemon's liveness endpoint.
-func (c *Client) Healthz(ctx context.Context) error {
-	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/healthz", nil)
+// call sends a bodiless request for path and decodes the 2xx answer into
+// out (see do): the one path of the small control calls below.
+func (c *Client) call(ctx context.Context, method, path string, out any) error {
+	req, err := c.newRequest(ctx, method, c.Base+path, nil)
 	if err != nil {
 		return err
 	}
-	return c.do(req, nil)
+	return c.do(req, out)
+}
+
+// get sends GET path and returns the 2xx response, whose body the caller
+// closes; any other status comes back as a StatusError.
+func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
+	req, err := c.newRequest(ctx, http.MethodGet, c.Base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.send(req)
+}
+
+// Healthz probes the daemon's liveness endpoint.
+func (c *Client) Healthz(ctx context.Context) error {
+	return c.call(ctx, http.MethodGet, "/healthz", nil)
 }
 
 // Info fetches the daemon's shard identity.
 func (c *Client) Info(ctx context.Context) (Info, error) {
 	var info Info
-	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/shard/info", nil)
-	if err != nil {
-		return info, err
-	}
-	err = c.do(req, &info)
+	err := c.call(ctx, http.MethodGet, "/shard/info", &info)
 	return info, err
 }
 
@@ -292,11 +304,7 @@ func (c *Client) Eval(ctx context.Context, algo string, seeds [][2]int64) (EvalR
 // the federation source, with raw histogram buckets intact.
 func (c *Client) MetricsSnapshot(ctx context.Context) ([]obs.FamilySnapshot, error) {
 	var fams []obs.FamilySnapshot
-	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/metrics.json", nil)
-	if err != nil {
-		return nil, err
-	}
-	err = c.do(req, &fams)
+	err := c.call(ctx, http.MethodGet, "/metrics.json", &fams)
 	return fams, err
 }
 
@@ -305,11 +313,7 @@ func (c *Client) MetricsSnapshot(ctx context.Context) ([]obs.FamilySnapshot, err
 // cluster offender merge.
 func (c *Client) Offenders(ctx context.Context) (map[string][]serve.Offender, error) {
 	var offs map[string][]serve.Offender
-	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/debug/offenders", nil)
-	if err != nil {
-		return nil, err
-	}
-	err = c.do(req, &offs)
+	err := c.call(ctx, http.MethodGet, "/debug/offenders", &offs)
 	return offs, err
 }
 
@@ -317,12 +321,7 @@ func (c *Client) Offenders(ctx context.Context) (map[string][]serve.Offender, er
 // into a cluster timeline. n limits the dump to the newest n events
 // (math.MaxInt: everything the member retained).
 func (c *Client) TraceDump(ctx context.Context, n int) ([]byte, error) {
-	url := c.Base + fmt.Sprintf("/debug/trace?n=%d", n)
-	req, err := c.newRequest(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.send(req)
+	resp, err := c.get(ctx, fmt.Sprintf("/debug/trace?n=%d", n))
 	if err != nil {
 		return nil, err
 	}
@@ -333,11 +332,7 @@ func (c *Client) TraceDump(ctx context.Context, n int) ([]byte, error) {
 // ReplicaStatus fetches a replica's /replica/status lag document.
 func (c *Client) ReplicaStatus(ctx context.Context) (FollowerStatus, error) {
 	var st FollowerStatus
-	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/replica/status", nil)
-	if err != nil {
-		return st, err
-	}
-	err = c.do(req, &st)
+	err := c.call(ctx, http.MethodGet, "/replica/status", &st)
 	return st, err
 }
 
@@ -345,15 +340,9 @@ func (c *Client) ReplicaStatus(ctx context.Context) (FollowerStatus, error) {
 // serving as the shard primary. The response reports the promoted
 // epoch per algo.
 func (c *Client) Promote(ctx context.Context) (map[string]uint64, error) {
-	req, err := c.newRequest(ctx, http.MethodPost, c.Base+"/replica/promote", nil)
-	if err != nil {
-		return nil, err
-	}
 	var out struct {
 		Epochs map[string]uint64 `json:"epochs"`
 	}
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return out.Epochs, nil
+	err := c.call(ctx, http.MethodPost, "/replica/promote", &out)
+	return out.Epochs, err
 }

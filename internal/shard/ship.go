@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -51,17 +50,15 @@ type ShipProgress struct {
 // into gauges. Safe to call repeatedly; each call ships only what is new.
 func PullWAL(ctx context.Context, hc *http.Client, src, dir string) (ShipProgress, error) {
 	var p ShipProgress
-	if hc == nil {
-		hc = defaultShardClient
-	}
+	c := &Client{Base: src + "/wal", HTTP: hc}
 	var lst wal.StreamListing
-	if err := getJSON(ctx, hc, src+"/wal/segments", &lst); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/segments", &lst); err != nil {
 		return p, fmt.Errorf("shard: list segments: %w", err)
 	}
 	if lst.CheckpointSeq > 0 {
 		name := wal.CheckpointName(lst.CheckpointSeq)
 		if _, err := os.Stat(filepath.Join(dir, name)); os.IsNotExist(err) {
-			if err := fetchToFile(ctx, hc, src+"/wal/checkpoint", filepath.Join(dir, name)); err != nil {
+			if err := fetchToFile(ctx, c, "/checkpoint", filepath.Join(dir, name)); err != nil {
 				return p, fmt.Errorf("shard: fetch checkpoint: %w", err)
 			}
 		}
@@ -70,7 +67,7 @@ func PullWAL(ctx context.Context, hc *http.Client, src, dir string) (ShipProgres
 	for _, seg := range lst.Segments {
 		p.RemoteBytes += seg.Size
 		if pullErr == nil {
-			n, err := pullSegment(ctx, hc, src, dir, seg)
+			n, err := pullSegment(ctx, c, dir, seg)
 			p.Shipped += n
 			pullErr = err
 		}
@@ -87,17 +84,25 @@ func PullWAL(ctx context.Context, hc *http.Client, src, dir string) (ShipProgres
 }
 
 // pullSegment ships the missing suffix of one segment, chunk by chunk,
-// up to the size the listing reported (later bytes arrive next cycle).
-func pullSegment(ctx context.Context, hc *http.Client, src, dir string, seg wal.SegmentInfo) (int64, error) {
+// up to the size the listing reported (later bytes arrive next cycle). An
+// empty segment is mirrored too: right after a rotation it is the one the
+// newest checkpoint replays from, which a recovery must find, and the one
+// a promoted replica appends to.
+func pullSegment(ctx context.Context, c *Client, dir string, seg wal.SegmentInfo) (int64, error) {
 	path := filepath.Join(dir, wal.SegmentName(seg.Seq))
 	var local int64
 	if fi, err := os.Stat(path); err == nil {
 		local = fi.Size()
+	} else if seg.Size == 0 {
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			return 0, err
+		}
+		return 0, f.Close()
 	}
 	var shipped int64
 	for local < seg.Size {
-		url := fmt.Sprintf("%s/wal/segment/%d?off=%d", src, seg.Seq, local)
-		n, err := appendToFile(ctx, hc, url, path)
+		n, err := appendToFile(ctx, c, fmt.Sprintf("/segment/%d?off=%d", seg.Seq, local), path)
 		shipped += n
 		if err != nil {
 			return shipped, fmt.Errorf("shard: ship %s: %w", wal.SegmentName(seg.Seq), err)
@@ -110,36 +115,10 @@ func pullSegment(ctx context.Context, hc *http.Client, src, dir string, seg wal.
 	return shipped, nil
 }
 
-// httpGet issues a GET and returns the response if it is a 200.
-func httpGet(ctx context.Context, hc *http.Client, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return resp, nil
-}
-
-func getJSON(ctx context.Context, hc *http.Client, url string, out any) error {
-	resp, err := httpGet(ctx, hc, url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// fetchToFile downloads url into path atomically (tmp + rename), so a
-// crashed fetch never leaves a torn checkpoint with a valid name.
-func fetchToFile(ctx context.Context, hc *http.Client, url, path string) error {
-	resp, err := httpGet(ctx, hc, url)
+// fetchToFile downloads c's route into path atomically (tmp + rename), so
+// a crashed fetch never leaves a torn checkpoint with a valid name.
+func fetchToFile(ctx context.Context, c *Client, route, path string) error {
+	resp, err := c.get(ctx, route)
 	if err != nil {
 		return err
 	}
@@ -159,11 +138,11 @@ func fetchToFile(ctx context.Context, hc *http.Client, url, path string) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// appendToFile streams url's body onto the end of path, returning the
-// byte count. Segments are append-only on both sides, so plain O_APPEND
-// is exact.
-func appendToFile(ctx context.Context, hc *http.Client, url, path string) (int64, error) {
-	resp, err := httpGet(ctx, hc, url)
+// appendToFile streams the body of c's route onto the end of path,
+// returning the byte count. Segments are append-only on both sides, so
+// plain O_APPEND is exact.
+func appendToFile(ctx context.Context, c *Client, route, path string) (int64, error) {
+	resp, err := c.get(ctx, route)
 	if err != nil {
 		return 0, err
 	}
@@ -206,7 +185,7 @@ type FollowerOptions struct {
 // bytes from the primary, submit newly complete records to the hosts of
 // its service, repeat. It submits one record at a time and waits for each
 // host's apply loop to publish it, so a record is one applied batch on
-// every host it targets and the hosts' published epochs are the replica's
+// every host and the hosts' published epochs are the replica's
 // stream position. The apply loop does the applying: coalescing, panic
 // isolation, accounting and spans are the ones a primary has.
 type Follower struct {
@@ -327,11 +306,14 @@ func (f *Follower) cycle() {
 }
 
 // replayLocal advances the tail over shipped bytes, submitting each
-// record to the hosts it targets — all of them for a broadcast record —
-// host by host under the trace ID it was logged with, as POST /update
-// does, and waiting for each to publish it.
+// record to every host, host by host under the trace ID it was logged
+// with, as POST /update does, and waiting for each to publish it. A record
+// targeted at one class is refused, naming it, and reaches no host.
 func (f *Follower) replayLocal() {
 	emitted, err := f.tail.Advance(func(rec wal.Record) error {
+		if err := rec.CheckBroadcast(); err != nil {
+			return err
+		}
 		span := f.opt.Service.Recorder().Begin("replay", "ship", f.track)
 		span.SetTrace(trace.TraceID(rec.Trace))
 		span.Arg("updates", int64(len(rec.Batch)))
@@ -339,17 +321,12 @@ func (f *Follower) replayLocal() {
 			span.Arg("record_age_ns", time.Now().UnixNano()-rec.Nanos)
 		}
 		defer span.End()
-		targets := f.opt.Service.Hosts()
-		if rec.Algo != "" {
-			targets = nil
-			if h := f.opt.Service.Get(rec.Algo); h != nil {
-				targets = []*serve.Host{h}
+		for _, h := range f.opt.Service.Hosts() {
+			ack, err := h.Submit(rec.Batch, trace.TraceID(rec.Trace))
+			if err != nil {
+				return fmt.Errorf("for %s: %w", h.Algo(), err)
 			}
-		}
-		for _, h := range targets {
-			if err := h.SubmitTraced(rec.Batch, trace.TraceID(rec.Trace), true); err != nil {
-				return fmt.Errorf("record for %s: %w", h.Algo(), err)
-			}
+			<-ack
 		}
 		if rec.Nanos > 0 {
 			f.mu.Lock()

@@ -2,10 +2,14 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,7 +58,7 @@ func TestPullWALIncremental(t *testing.T) {
 	if _, err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(wal.Record{Algo: "sssp", Batch: b}); err != nil {
+	if err := l.Append(wal.Record{Batch: b}); err != nil {
 		t.Fatal(err)
 	}
 	p3, err := PullWAL(ctx, nil, srv.URL, dir)
@@ -74,6 +78,18 @@ func TestPullWALIncremental(t *testing.T) {
 		if fi.Size() == 0 {
 			t.Fatalf("shipped segment %s is empty", e.Name())
 		}
+	}
+	// A rotation with nothing appended yet leaves an empty segment — the
+	// one a checkpoint taken then replays from — and it is mirrored too.
+	seq, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PullWAL(ctx, nil, srv.URL, dir); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, wal.SegmentName(seq))); err != nil || fi.Size() != 0 {
+		t.Fatalf("empty segment %d not mirrored: %v", seq, err)
 	}
 }
 
@@ -259,4 +275,64 @@ func TestFollowerIsolatesReplayPanic(t *testing.T) {
 		t.Fatalf("follower did not keep running past the panic: %+v", fs)
 	}
 	checkReplicaViews(t, svc, primary, 0)
+}
+
+// TestFollowerRefusesTargetedRecord: every update reaches every class, so
+// a replica refuses a record targeted at one, as recovery does: the error
+// names the record, and neither the class it names nor any other applies
+// it. The records around it replay as usual.
+func TestFollowerRefusesTargetedRecord(t *testing.T) {
+	base := graph.New(8, true)
+	l, srv := startWALPrimary(t)
+	svc := serve.NewService()
+	defer svc.Close()
+	for _, m := range []serve.Serveable{serve.SSSP(sssp.NewInc(base.Clone(), 0), 0), serve.CC(cc.NewInc(base.Clone()))} {
+		if _, err := svc.Host(m, serve.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []wal.Record{
+		{Batch: graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}},
+		{Algo: "sssp", Batch: graph.Batch{{Kind: graph.InsertEdge, From: 1, To: 2, W: 1}}},
+		{Batch: graph.Batch{{Kind: graph.InsertEdge, From: 2, To: 3, W: 1}}},
+	} {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	var logged []string
+	f := NewFollower(FollowerOptions{
+		Source: srv.URL, Dir: t.TempDir(), Service: svc, Interval: 5 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	go f.Run()
+	deadline := time.Now().Add(10 * time.Second)
+	for ep := f.Epochs(); ep["sssp"] != 2 || ep["cc"] != 2; ep = f.Epochs() {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at epochs %v, want 2 each (status %+v)", ep, f.Status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	f.Stop()
+
+	mu.Lock()
+	refused := strings.Join(logged, "\n")
+	mu.Unlock()
+	if !strings.Contains(refused, wal.SegmentName(1)) || !strings.Contains(refused, `"sssp"`) {
+		t.Fatalf("no refusal naming the record and its target in the follower's log:\n%s", refused)
+	}
+	for _, h := range svc.Hosts() {
+		h.WithState(func(m serve.Serveable) error {
+			if g := m.Graph(); !g.HasEdge(0, 1) || g.HasEdge(1, 2) || !g.HasEdge(2, 3) {
+				t.Errorf("%s holds edges 0-1 %v, 1-2 %v, 2-3 %v; want the two untargeted records only",
+					h.Algo(), g.HasEdge(0, 1), g.HasEdge(1, 2), g.HasEdge(2, 3))
+			}
+			return nil
+		})
+	}
 }

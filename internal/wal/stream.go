@@ -168,7 +168,8 @@ func NewTail(dir string, seq uint64) *Tail { return &Tail{dir: dir, Seq: seq} }
 // whole, CRC-valid frame, and stops at the first incomplete frame (more
 // bytes may arrive) or at the end of the newest segment. It returns the
 // number of records emitted. A fn error aborts the scan with the
-// position already advanced past the consumed frame.
+// position already advanced past the consumed frame, and comes back
+// naming the record's segment and offset.
 func (t *Tail) Advance(fn func(Record) error) (int, error) {
 	segs, err := Segments(t.dir)
 	if err != nil {
@@ -235,12 +236,13 @@ func (t *Tail) scanFrom(fn func(Record) error, emitted *int) (partial bool, err 
 		if derr != nil {
 			return false, fmt.Errorf("wal: tail: %s:%d: %w", segName(t.Seq), t.Off, derr)
 		}
+		at := t.Off
 		t.Off += int64(frameHeader) + int64(plen)
 		t.Records++
 		*emitted++
 		if fn != nil {
 			if err := fn(rec); err != nil {
-				return false, err
+				return false, fmt.Errorf("wal: tail: record at %s:%d: %w", segName(t.Seq), at, err)
 			}
 		}
 	}

@@ -15,7 +15,8 @@
 //	checkpoint-00000000000012c8.ckpt
 //
 // Each frame is [len u32][crc32c u32][payload]; the payload is one
-// Record (an algo routing tag plus a binary-encoded batch). Appends are
+// Record (an algo tag, empty in every record written now, plus a
+// binary-encoded batch). Appends are
 // group-committed: concurrent appenders coalesce onto one fsync, so a
 // burst of small updates pays one disk flush, not one each. On open, a
 // torn tail frame — the signature of a crash mid-write — is truncated
@@ -78,10 +79,13 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always|interval|never)", s)
 }
 
-// Record is one logged unit: an update batch plus the algo it was
-// targeted at ("" = broadcast to every hosted maintainer, the common
-// case).
+// Record is one logged unit: an update batch, which reaches every hosted
+// class.
 type Record struct {
+	// Algo is the class a record was once targeted at. Nothing writes one
+	// now, since every update reaches every class; it stays in the format
+	// so that older logs still decode, and replay refuses a record that
+	// carries one (CheckBroadcast).
 	Algo  string
 	Batch graph.Batch
 	// Trace is the W3C trace ID of the request that logged this record
@@ -92,6 +96,16 @@ type Record struct {
 	// unstamped legacy record). Followers subtract it from their own
 	// clock to report seconds-behind-primary.
 	Nanos int64
+}
+
+// CheckBroadcast returns an error naming r's target if r has one. Every
+// update reaches every class, so a replay refuses a targeted record rather
+// than broadcast it, or apply it to one class only.
+func (r Record) CheckBroadcast() error {
+	if r.Algo != "" {
+		return fmt.Errorf("wal: record targets class %q, but every update reaches every class", r.Algo)
+	}
+	return nil
 }
 
 // recordTailLen is the fixed optional suffix carrying Trace and Nanos.
@@ -550,7 +564,10 @@ func scanSegment(path string, fn func(Record) error) (good int64, n int, err err
 }
 
 // Replay streams every record in segments with sequence number >= from,
-// in order, to fn. Replay stops at the first torn or corrupt frame: if
+// in order, to fn. The segments must run consecutively from segment from
+// (from the first segment present when from is 0): a missing one is an
+// error naming it, before any record is replayed, because the records it
+// held would otherwise be skipped without a word. Replay stops at the first torn or corrupt frame: if
 // that happens in the final segment it is the expected crash signature
 // and replay ends cleanly; anywhere earlier it means later segments hold
 // records beyond a corruption hole, and Replay returns both the count
@@ -561,11 +578,22 @@ func Replay(dir string, from uint64, fn func(Record) error) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	segs = segs[sort.Search(len(segs), func(i int) bool { return segs[i] >= from }):]
+	if from == 0 && len(segs) > 0 {
+		from = segs[0]
+	}
+	want := from // then the first segment of the run from from not present
+	for _, seq := range segs {
+		if seq != want {
+			break
+		}
+		want++
+	}
+	if from > 0 && (len(segs) == 0 || want != from+uint64(len(segs))) {
+		return 0, fmt.Errorf("wal: segment %d missing: a replay from segment %d reads every segment after it", want, from)
+	}
 	total := 0
 	for i, seq := range segs {
-		if seq < from {
-			continue
-		}
 		path := filepath.Join(dir, segName(seq))
 		fi, err := os.Stat(path)
 		if err != nil {

@@ -274,6 +274,52 @@ func TestRotateAndRemoveBefore(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesGap: the segments a replay reads must run on from its
+// first one without a hole. A missing segment is an error naming it,
+// before any record is replayed — whether it is the one replay starts
+// from, one in the middle, or the one a from-0 replay would have
+// continued in — never records skipped without a word.
+func TestReplayRefusesGap(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 1}) // rotate after every record
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := l.Append(Record{Batch: mkBatch(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	if segs, _ := Segments(dir); !reflect.DeepEqual(segs, []uint64{1, 2, 3, 4, 5}) {
+		t.Fatalf("segments %v, want 1..5", segs)
+	}
+	if n, err := Replay(dir, 2, nil); err != nil || n != 4 {
+		t.Fatalf("replay from 2 of an intact log: %d records, err %v", n, err)
+	}
+	if err := os.Remove(filepath.Join(dir, segName(3))); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		from    uint64
+		missing string
+		n       int
+	}{
+		{0, "segment 3 missing", 0},
+		{2, "segment 3 missing", 0},
+		{3, "segment 3 missing", 0},
+		{6, "segment 6 missing", 0},
+	} {
+		n, err := Replay(dir, tc.from, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.missing) || n != tc.n {
+			t.Errorf("replay from %d: %d records, err %v; want %d and %q", tc.from, n, err, tc.n, tc.missing)
+		}
+	}
+	if n, err := Replay(dir, 4, nil); err != nil || n != 2 {
+		t.Fatalf("replay from 4, past the hole: %d records, err %v", n, err)
+	}
+}
+
 func TestSyncHookSkipsFsync(t *testing.T) {
 	dir := t.TempDir()
 	drop := false
