@@ -2,8 +2,8 @@
 // CC_fp (min-label propagation, Example 2 of the paper), the weakly
 // deducible incremental algorithm IncCC (Example 5, timestamps via the
 // fixpoint engine), the naive deducible variant of Example 2 used as an
-// ablation, a union-find batch baseline, and the DynCC competitor built on
-// fully dynamic connectivity (Holm et al.).
+// ablation, and the DynCC competitor built on fully dynamic connectivity
+// (Holm et al.).
 //
 // Directed graphs are treated as their underlying undirected graphs
 // (weakly connected components). Components are identified by the minimum
@@ -52,41 +52,6 @@ func Components(g *graph.Graph) []int64 {
 	return lab
 }
 
-// UnionFind computes components with a weighted union-find, the fastest
-// batch baseline.
-func UnionFind(g *graph.Graph) []int64 {
-	n := g.NumNodes()
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	g.Edges(func(u, v graph.NodeID, w int64) {
-		ru, rv := find(int32(u)), find(int32(v))
-		if ru != rv {
-			if ru < rv {
-				parent[rv] = ru
-			} else {
-				parent[ru] = rv
-			}
-		}
-	})
-	lab := make([]int64, n)
-	// With min-id union direction, each root is already its component's
-	// minimum id.
-	for i := range lab {
-		lab[i] = int64(find(int32(i)))
-	}
-	return lab
-}
-
 // Instance is the CC instantiation of the fixpoint model (Example 2): one
 // variable per node holding a component id, f_xv = min({id_v} ∪ Y_xv) over
 // the neighbors. It is contracting and monotonic under the order on ids.
@@ -94,9 +59,9 @@ func UnionFind(g *graph.Graph) []int64 {
 // When Flat is set, all adjacency reads go through the flat view's sorted
 // spans instead of G's pointer-rich lists: that is how the incremental
 // maintainer Inc runs it, keeping Flat in sync with G. With Flat nil the
-// instance reads the bare graph — the mode of the batch algorithm CCfp
-// (the recompute oracle, which must not share Flat staging with what it
-// checks) and of the IncNaive ablation.
+// instance reads the bare graph — the mode of the batch algorithm CCfp and
+// of the IncNaive ablation. No batch run reads a staged Flat, so the
+// recompute oracle shares no staging with what it checks.
 type Instance struct {
 	G    *graph.Graph
 	Flat *graph.Flat
@@ -114,12 +79,25 @@ func (c *Instance) Less(a, b int64) bool { return a < b }
 // Equal reports label equality.
 func (c *Instance) Equal(a, b int64) bool { return a == b }
 
+// rows returns v's flat out-row and, on a directed graph, its in-row:
+// together its (undirected) neighbors.
+func (c *Instance) rows(v graph.NodeID) (out, in []graph.NodeID) {
+	out, _, _, _ = c.Flat.OutSpans(v)
+	if c.G.Directed() {
+		in, _, _, _ = c.Flat.InSpans(v)
+	}
+	return out, in
+}
+
 func (c *Instance) neighbors(x fixpoint.Var, yield func(fixpoint.Var)) {
 	v := graph.NodeID(x)
 	if c.Flat != nil {
-		c.Flat.EachOut(v, func(u graph.NodeID, _ int64) { yield(fixpoint.Var(u)) })
-		if c.G.Directed() {
-			c.Flat.EachIn(v, func(u graph.NodeID, _ int64) { yield(fixpoint.Var(u)) })
+		out, in := c.rows(v)
+		for _, u := range out {
+			yield(fixpoint.Var(u))
+		}
+		for _, u := range in {
+			yield(fixpoint.Var(u))
 		}
 		return
 	}
@@ -143,12 +121,8 @@ func (c *Instance) Dependents(x fixpoint.Var, yield func(fixpoint.Var)) { c.neig
 func (c *Instance) Update(x fixpoint.Var, get func(fixpoint.Var) int64) int64 {
 	best := int64(x)
 	if c.Flat != nil {
-		v := graph.NodeID(x)
-		best = c.flatMeet(v, best, get, false)
-		if c.G.Directed() {
-			best = c.flatMeet(v, best, get, true)
-		}
-		return best
+		out, in := c.rows(graph.NodeID(x))
+		return meet(meet(best, out, get), in, get)
 	}
 	c.neighbors(x, func(y fixpoint.Var) {
 		if v := get(y); v < best {
@@ -158,13 +132,9 @@ func (c *Instance) Update(x fixpoint.Var, get func(fixpoint.Var) int64) int64 {
 	return best
 }
 
-// flatMeet folds get over one direction of v's flat adjacency.
-func (c *Instance) flatMeet(v graph.NodeID, best int64, get func(fixpoint.Var) int64, in bool) int64 {
-	ts, _, _, _ := c.Flat.OutSpans(v)
-	if in {
-		ts, _, _, _ = c.Flat.InSpans(v)
-	}
-	for _, u := range ts {
+// meet folds get over one flat row.
+func meet(best int64, row []graph.NodeID, get func(fixpoint.Var) int64) int64 {
+	for _, u := range row {
 		if l := get(fixpoint.Var(u)); l < best {
 			best = l
 		}
@@ -203,13 +173,8 @@ func (c *Instance) DependentRow(x fixpoint.Var, buf []fixpoint.Var) []fixpoint.V
 		}
 		return buf
 	}
-	ts, _, _, _ := c.Flat.OutSpans(v)
-	buf = appendRow(buf, ts)
-	if c.G.Directed() {
-		ts, _, _, _ = c.Flat.InSpans(v)
-		buf = appendRow(buf, ts)
-	}
-	return buf
+	out, in := c.rows(v)
+	return appendRow(appendRow(buf, out), in)
 }
 
 // appendRow appends the targets of one flat span to buf.

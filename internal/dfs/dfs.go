@@ -122,8 +122,8 @@ type frame struct {
 // the extended slice — the canonical enumeration order of §5.2. The batch
 // algorithms (Run, DynDFS) pass graph.Graph.AppendOutSorted, which sorts
 // the graph's unordered row, the maintainer Inc its flat view's
-// AppendOutSorted, a copy of a row already sorted: batch algorithms read
-// the Graph, maintainers the Flat.
+// AppendOutSorted, a copy of a row already sorted: no batch run reads a
+// staged Flat, so the recompute oracle shares no staging with Inc.
 type nbrFunc func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID
 
 // replay is the scratch of replayFrom, and what a call leaves behind for

@@ -28,10 +28,11 @@ func ExampleFlat() {
 	}
 	f.Stage(g, g.Apply(b))
 
-	// A row is one sorted span.
-	f.EachOut(0, func(v graph.NodeID, w int64) {
-		fmt.Printf("0 -> %d (w=%d)\n", v, w)
-	})
+	// A row is one sorted span: targets and their weights, side by side.
+	ts, ws, _, _ := f.OutSpans(0)
+	for k, v := range ts {
+		fmt.Printf("0 -> %d (w=%d)\n", v, ws[k])
+	}
 	fmt.Printf("dead space: %.2f of the live entries\n", f.OverlayRatio())
 
 	// Compaction lays the rows out again and reclaims it.

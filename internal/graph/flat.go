@@ -279,23 +279,6 @@ func (f *Flat) InSpans(u NodeID) (ts []NodeID, ws []int64, dead []bool, extra []
 	return ts, ws, nil, nil
 }
 
-// EachOut calls fn for every out-edge of u in ascending target order.
-func (f *Flat) EachOut(u NodeID, fn func(v NodeID, w int64)) {
-	ts, ws, _, _ := f.OutSpans(u)
-	for k, v := range ts {
-		fn(v, ws[k])
-	}
-}
-
-// EachIn calls fn for every in-edge of u, passing the source node and
-// weight (same as EachOut for undirected graphs).
-func (f *Flat) EachIn(u NodeID, fn func(v NodeID, w int64)) {
-	ts, ws, _, _ := f.InSpans(u)
-	for k, v := range ts {
-		fn(v, ws[k])
-	}
-}
-
 // AppendOutSorted appends u's out-neighbor ids to buf in ascending order
 // and returns the extended slice. Depth-first traversals use this with a
 // shared arena to visit neighbors in deterministic order without per-node

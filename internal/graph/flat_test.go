@@ -12,15 +12,20 @@ import (
 
 // flatEdges collects u's live out-edges from the flat view, sorted.
 func flatEdges(f *Flat, u NodeID) []Edge {
-	var es []Edge
-	f.EachOut(u, func(v NodeID, w int64) { es = append(es, Edge{To: v, W: w}) })
-	sort.Slice(es, func(i, j int) bool { return es[i].To < es[j].To })
-	return es
+	ts, ws, _, _ := f.OutSpans(u)
+	return spanEdges(ts, ws)
 }
 
 func flatInEdges(f *Flat, u NodeID) []Edge {
+	ts, ws, _, _ := f.InSpans(u)
+	return spanEdges(ts, ws)
+}
+
+func spanEdges(ts []NodeID, ws []int64) []Edge {
 	var es []Edge
-	f.EachIn(u, func(v NodeID, w int64) { es = append(es, Edge{To: v, W: w}) })
+	for k, v := range ts {
+		es = append(es, Edge{To: v, W: ws[k]})
+	}
 	sort.Slice(es, func(i, j int) bool { return es[i].To < es[j].To })
 	return es
 }

@@ -210,9 +210,10 @@ type UpdateOutcome struct {
 	Epochs map[string]uint64 `json:"epochs,omitempty"`
 }
 
-// Update posts a sub-batch to the shard in the binary batch format.
-// wait asks the shard to confirm application (and WAL logging, when the
-// shard is durable) before responding.
+// Update posts a sub-batch to the shard in the text batch format
+// (graph.WriteBatch, what POST /update reads). wait asks the shard to
+// confirm application (and WAL logging, when the shard is durable) before
+// responding.
 func (c *Client) Update(ctx context.Context, b graph.Batch, wait bool) (UpdateOutcome, error) {
 	var out UpdateOutcome
 	var buf bytes.Buffer
@@ -227,7 +228,7 @@ func (c *Client) Update(ctx context.Context, b graph.Batch, wait bool) (UpdateOu
 	if err != nil {
 		return out, err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("Content-Type", "text/plain; charset=utf-8")
 	err = c.do(req, &out)
 	return out, err
 }

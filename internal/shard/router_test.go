@@ -2,8 +2,10 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -97,6 +99,50 @@ func queryRouter(t *testing.T, h http.Handler, algo, minEpochs string) (*httptes
 		}
 	}
 	return w, res
+}
+
+// TestClientUpdateSendsTextBatch: what a shard's handler receives from
+// Client.Update is the batch in the text format POST /update reads,
+// labelled text/plain, and the shard accepts and applies all of it.
+func TestClientUpdateSendsTextBatch(t *testing.T) {
+	g := graph.New(8, false)
+	g.InsertEdge(0, 1, 2)
+	g.InsertEdge(1, 2, 3)
+	b := graph.Batch{
+		{Kind: graph.InsertEdge, From: 3, To: 4, W: 5},
+		{Kind: graph.DeleteEdge, From: 1, To: 2},
+		{Kind: graph.InsertEdge, From: 0, To: 7, W: 1},
+	}
+	var contentType string
+	var body []byte
+	srv := startWrappedShard(t, g, NewHashPartitioner(1), 0, 0, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/update" {
+				contentType = r.Header.Get("Content-Type")
+				body, _ = io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	out, err := (&Client{Base: srv.URL}).Update(context.Background(), b, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if contentType != "text/plain; charset=utf-8" {
+		t.Errorf("Content-Type %q, want text/plain", contentType)
+	}
+	var want bytes.Buffer
+	graph.WriteBatch(&want, b)
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("body %q, want graph.WriteBatch's %q", body, want.Bytes())
+	}
+	if got, err := graph.ReadBatch(bytes.NewReader(body)); err != nil || !reflect.DeepEqual(got, b) {
+		t.Errorf("ReadBatch of the body: %v, %v; want %v", got, err, b)
+	}
+	if out.Accepted != len(b) || !out.Applied {
+		t.Errorf("outcome %+v, want %d accepted and applied", out, len(b))
+	}
 }
 
 // TestRouterDifferential is the end-to-end half of the sharded ≡

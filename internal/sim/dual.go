@@ -77,58 +77,3 @@ func DualSim(g, q *graph.Graph) Relation {
 	eng.Run()
 	return Relation{NQ: q.NumNodes(), Bits: append([]bool(nil), eng.State().Val...)}
 }
-
-// IncDual incrementally maintains the maximum dual simulation through the
-// generic engine — the whole incremental algorithm is the touched-pair
-// bookkeeping below; h and the resumed step function come from the
-// framework.
-type IncDual struct {
-	g, q *graph.Graph
-	inst *DualInstance
-	eng  *fixpoint.Engine[bool]
-	// seen/touched: reusable touched-set arena (fixpoint.VarSet) replacing
-	// the per-Apply map[Var]bool.
-	seen    fixpoint.VarSet
-	touched []fixpoint.Var
-}
-
-// NewIncDual computes the initial relation and returns the maintainer.
-func NewIncDual(g, q *graph.Graph) *IncDual {
-	inst := NewDualInstance(g, q)
-	eng := fixpoint.New[bool](inst, fixpoint.FIFOOrder)
-	eng.Run()
-	return &IncDual{g: g, q: q, inst: inst, eng: eng}
-}
-
-// Graph returns the maintained data graph.
-func (i *IncDual) Graph() *graph.Graph { return i.g }
-
-// Relation returns the current match relation.
-func (i *IncDual) Relation() Relation {
-	return Relation{NQ: i.q.NumNodes(), Bits: append([]bool(nil), i.eng.State().Val...)}
-}
-
-// Apply computes G ⊕ ΔG for any sequence of unit updates b — netted or
-// not — and incrementally maintains the relation.
-func (i *IncDual) Apply(b graph.Batch) int {
-	applied := i.g.Apply(b)
-	i.eng.Grow()
-	nq := i.q.NumNodes()
-	i.seen.Begin(i.inst.NumVars())
-	i.touched = i.touched[:0]
-	touch := func(v graph.NodeID) {
-		for u := 0; u < nq; u++ {
-			x := i.inst.PairVar(v, graph.NodeID(u))
-			if i.seen.Add(x) {
-				i.touched = append(i.touched, x)
-			}
-		}
-	}
-	for _, up := range applied {
-		// Both endpoints' input sets evolve: the source's child condition
-		// and the target's parent condition.
-		touch(up.From)
-		touch(up.To)
-	}
-	return len(i.eng.IncrementalRun(i.touched))
-}

@@ -112,6 +112,37 @@ func TestIncDualAgainstBatch(t *testing.T) {
 	}
 }
 
+// TestIncDualRepairsTargetParent: on a directed graph an inserted edge can
+// change nothing at its source and still satisfy its target's parent
+// condition. Pattern A(a) -> B(b) -> C(c); data 0(a) -> 2(b) -> 3(c), which
+// matches already, and 1(b) -> 4(c), which lacks an a-parent. Inserting
+// 0 -> 1 must raise (1, B) and (4, C) together: each needs the other, so
+// re-evaluating the source's dependents raises neither. Only h, reached
+// by touching the target's pairs, raises them.
+func TestIncDualRepairsTargetParent(t *testing.T) {
+	g := graph.New(5, true)
+	for v, l := range "abbcc" {
+		g.SetLabel(graph.NodeID(v), graph.Label(l))
+	}
+	g.InsertEdge(0, 2, 1)
+	g.InsertEdge(2, 3, 1)
+	g.InsertEdge(1, 4, 1)
+	q := graph.New(3, true)
+	for u, l := range "abc" {
+		q.SetLabel(graph.NodeID(u), graph.Label(l))
+	}
+	q.InsertEdge(0, 1, 1)
+	q.InsertEdge(1, 2, 1)
+	inc := NewIncDual(g, q)
+	if r := inc.Relation(); r.Match(1, 1) || r.Match(4, 2) || !r.Match(0, 0) {
+		t.Fatalf("initial dual relation wrong: %v", r.Bits)
+	}
+	inc.Apply(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}})
+	if want := naiveDual(inc.Graph(), q); !want.Match(1, 1) || !want.Match(4, 2) || !inc.Relation().Equal(want) {
+		t.Fatalf("insertion 0 -> 1: relation %v, want %v", inc.Relation().Bits, want.Bits)
+	}
+}
+
 func TestDualConditionC2(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g, q := randomInputs(seed, 30, 100)

@@ -2,7 +2,7 @@ package sim
 
 import "incgraph/internal/graph"
 
-// simState is the shared counter machinery of Sim_fp and IncMatch: the
+// simState is the counter machinery Sim_fp, IncSim and IncMatch share: the
 // relation bitmap plus cnt(v, u') = number of v's out-neighbors matching
 // u', with the violation cascade that retracts unsupported matches.
 type simState struct {

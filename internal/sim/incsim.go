@@ -30,20 +30,15 @@ type Inc struct {
 	// led is the work ledger's bookkeeping; a pair's AFF membership is also
 	// its membership of H⁰, whose members are the area's first entrants.
 	led fixpoint.Tracker[bool]
-	// Repair-scope arena, reused across Repairs (the counter-cascade
-	// analogue of fixpoint.ScopeArena): vmark/vpos dedupe touched data
-	// nodes by epoch, touched/infeasible/h0buf/seedBuf accumulate the
-	// per-Repair scope without allocating at steady state.
-	vmark      []int64
-	vpos       []int32
-	touched    []int32
-	infeasible []bool
-	h0buf      []int32
-	seedBuf    [][2]int32
-	epoch      int64
-	stats      fixpoint.Stats
-	tracer     fixpoint.Tracer
-	pending    graph.Batch
+	// Repair-scope buffers, reused across Repairs so that a Repair at
+	// steady state allocates nothing: arena dedupes the touched pairs and
+	// keeps a pair potentially infeasible once any update says so.
+	arena   fixpoint.ScopeArena
+	h0buf   []int32
+	seedBuf [][2]int32
+	stats   fixpoint.Stats
+	tracer  fixpoint.Tracer
+	pending graph.Batch
 }
 
 // NewInc computes the initial maximum simulation with timestamp recording
@@ -140,10 +135,6 @@ func (i *Inc) Stage(b graph.Batch) {
 	i.pending = append(i.pending, i.g.Apply(b)...)
 	i.grow()
 	i.led.Grow(len(i.r))
-	for len(i.vmark) < i.g.NumNodes() {
-		i.vmark = append(i.vmark, 0)
-		i.vpos = append(i.vpos, 0)
-	}
 	i.hq.Grow(len(i.r))
 }
 
@@ -151,30 +142,15 @@ func (i *Inc) Stage(b graph.Batch) {
 func (i *Inc) Repair() int {
 	applied := i.pending
 	i.pending = nil
-	touched := i.touched[:0]
-	infeasible := i.infeasible[:0]
-	i.epoch++
+	a := &i.arena
+	a.Begin(len(i.r))
 	i.led.Begin()
 	// Insertions can raise pairs (more support, the infeasible direction
 	// for Sim, where false ≺ true); deletions only retract and are left
 	// to the resumed cascade.
 	touch := func(v graph.NodeID, mayRaise bool) {
-		if i.vmark[v] == i.epoch {
-			if mayRaise {
-				p := int(i.vpos[v])
-				for u := 0; u < i.nq; u++ {
-					infeasible[p+u] = true
-				}
-			}
-			return
-		}
-		i.vmark[v] = i.epoch
-		i.vpos[v] = int32(len(touched))
 		for u := 0; u < i.nq; u++ {
-			x := int32(int(v)*i.nq + u)
-			i.ledgerAff(x)
-			touched = append(touched, x)
-			infeasible = append(infeasible, mayRaise)
+			a.Touch(fixpoint.Var(int(v)*i.nq+u), mayRaise)
 		}
 	}
 	adjust := func(from, to graph.NodeID, delta int32) {
@@ -201,7 +177,7 @@ func (i *Inc) Repair() int {
 			touch(up.To, mayRaise)
 		}
 	}
-	i.touched, i.infeasible = touched, infeasible
+	touched := a.Touched()
 	if len(touched) == 0 {
 		return 0
 	}
@@ -213,7 +189,7 @@ func (i *Inc) Repair() int {
 		i.tracer.BeginRun(len(touched), 0)
 	}
 	start := time.Now()
-	h0 := i.scopeFunction(touched, infeasible)
+	h0 := i.scopeFunction(touched)
 	mid := time.Now()
 	if i.tracer != nil {
 		i.tracer.ScopeDone(i.stats.HPops-st0.HPops, i.stats.HResets-st0.HResets, int64(len(h0)))
@@ -242,12 +218,16 @@ func (i *Inc) Repair() int {
 // ascending turn-off time; a popped false pair whose simulation condition
 // holds on its feasible input set — later-determined inputs replaced by
 // their label-match bottoms — is potentially infeasible and is raised back
-// to true, propagating to the dependent pairs it may anchor.
-func (i *Inc) scopeFunction(touched []int32, infeasible []bool) []int32 {
-	h0 := append(i.h0buf[:0], touched...)
+// to true, propagating to the dependent pairs it may anchor. Every touched
+// pair enters AFF and H⁰.
+func (i *Inc) scopeFunction(touched []fixpoint.Touched) []int32 {
+	h0 := i.h0buf[:0]
 	defer func() { i.h0buf = h0[:0] }()
-	for j, x := range touched {
-		if infeasible[j] && !i.r[x] {
+	for _, t := range touched {
+		x := int32(t.X)
+		i.ledgerAff(x)
+		h0 = append(h0, x)
+		if t.MaybeInfeasible && !i.r[x] {
 			i.hq.AddOrAdjust(x)
 		}
 	}

@@ -116,6 +116,34 @@ func TestTunedVertexInsertion(t *testing.T) {
 	}
 }
 
+// TestIncDeleteThenInsertAtOneNode: a batch that first deletes and then
+// inserts at node 0 touches 0's pairs twice, the first time as
+// retraction-only. The insertion must keep them potentially infeasible —
+// the scope's flag is sticky — or (0, A), which the new edge 0 -> 1 now
+// supports, is never revised and stays false.
+func TestIncDeleteThenInsertAtOneNode(t *testing.T) {
+	g := graph.New(4, true)
+	g.SetLabel(0, 'a')
+	g.SetLabel(1, 'b')
+	g.SetLabel(3, 'c')
+	g.InsertEdge(0, 3, 1)
+	q := graph.New(2, true)
+	q.SetLabel(0, 'a')
+	q.SetLabel(1, 'b')
+	q.InsertEdge(0, 1, 1)
+	inc := NewInc(g, q)
+	if inc.Relation().Match(0, 0) {
+		t.Fatal("0 matches A before it has a b-successor")
+	}
+	inc.Apply(graph.Batch{
+		{Kind: graph.DeleteEdge, From: 0, To: 3},
+		{Kind: graph.InsertEdge, From: 0, To: 1, W: 1},
+	})
+	if want := Naive(inc.Graph(), q); !want.Match(0, 0) || !inc.Relation().Equal(want) {
+		t.Fatalf("relation %v, want %v", inc.Relation().Bits, want.Bits)
+	}
+}
+
 // TestLedgerZeroAlloc extends fixpoint's guarantee of the same name to
 // IncSim: a Repair that raises a pair in h, and one that retracts it in the
 // cascade — both written to the ledger's tracker, both settled as CHANGED —

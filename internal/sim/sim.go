@@ -99,59 +99,10 @@ func Naive(g, q *graph.Graph) Relation {
 // Simfp is the paper's batch fixpoint algorithm for Sim: it maintains
 // counters cnt(v, u') of v's out-neighbors matching u', seeds a worklist
 // with exhausted counters, and cascades violations. It returns the maximum
-// simulation.
-func Simfp(g, q *graph.Graph) Relation {
-	n, nq := g.NumNodes(), q.NumNodes()
-	r := NewRelation(n, nq)
-	cnt := make([]int32, n*nq)
-	for v := 0; v < n; v++ {
-		for u := 0; u < nq; u++ {
-			r.Bits[v*nq+u] = g.Label(graph.NodeID(v)) == q.Label(graph.NodeID(u))
-		}
-	}
-	for v := 0; v < n; v++ {
-		for _, ge := range g.Out(graph.NodeID(v)) {
-			for u := 0; u < nq; u++ {
-				if r.Bits[int(ge.To)*nq+u] {
-					cnt[v*nq+u]++
-				}
-			}
-		}
-	}
-	// Worklist of pairs (v, u') whose counter is exhausted.
-	var p [][2]int32
-	for v := 0; v < n; v++ {
-		for u := 0; u < nq; u++ {
-			if cnt[v*nq+u] == 0 {
-				p = append(p, [2]int32{int32(v), int32(u)})
-			}
-		}
-	}
-	turnOff := func(v, u int32) [][2]int32 {
-		var out [][2]int32
-		r.Bits[int(v)*nq+int(u)] = false
-		for _, ge := range g.In(graph.NodeID(v)) {
-			i := int(ge.To)*nq + int(u)
-			cnt[i]--
-			if cnt[i] == 0 {
-				out = append(out, [2]int32{int32(ge.To), u})
-			}
-		}
-		return out
-	}
-	for len(p) > 0 {
-		pair := p[len(p)-1]
-		p = p[:len(p)-1]
-		v, uPrime := pair[0], pair[1]
-		for _, qe := range q.In(graph.NodeID(uPrime)) {
-			u := int32(qe.To)
-			if r.Bits[int(v)*nq+int(u)] {
-				p = append(p, turnOff(v, u)...)
-			}
-		}
-	}
-	return r
-}
+// simulation. It is the counter core IncSim and IncMatch are built on
+// (simState), run once from the label-match bottoms; tests hold it to the
+// independent Naive.
+func Simfp(g, q *graph.Graph) Relation { return newSimState(g, q, false).relation() }
 
 // Instance is the Sim instantiation of the fixpoint model: one Boolean
 // variable per pair ⟨v, u⟩, f_x true iff labels match and every pattern
@@ -248,24 +199,44 @@ func (s *Instance) Seeds(yield func(fixpoint.Var)) {
 // timestamps record when each pair turned false, providing the anchor
 // order <_C that makes insertions on cyclic patterns repairable (Example
 // 6). The counter-based Inc in incsim.go is the tuned equivalent used by
-// the benchmarks; both compute the same relation.
+// the benchmarks; both compute the same relation. Run over a
+// DualInstance it maintains dual simulation instead (NewIncDual): the
+// whole incremental algorithm is the touched-pair bookkeeping in Apply;
+// h and the resumed step function come from the framework.
 type IncEngine struct {
-	g, q *graph.Graph
+	g    *graph.Graph
 	inst *Instance
 	eng  *fixpoint.Engine[bool]
-	// seen/touched are the reusable touched-set arena: one epoch-marked
-	// dense set instead of a per-Apply map[Var]bool (see fixpoint.VarSet).
-	seen    fixpoint.VarSet
-	touched []fixpoint.Var
+	// dual also touches an edge's target pairs on directed graphs: dual
+	// simulation's parent condition reads the target's in-edges.
+	dual  bool
+	arena fixpoint.ScopeArena
 }
+
+// IncDual incrementally maintains the maximum dual simulation: an
+// IncEngine over a DualInstance.
+type IncDual = IncEngine
 
 // NewIncEngine computes the initial maximum simulation and returns the
 // algorithm.
 func NewIncEngine(g, q *graph.Graph) *IncEngine {
 	inst := NewInstance(g, q)
-	eng := fixpoint.New[bool](inst, fixpoint.FIFOOrder)
+	return newIncEngine(g, inst, inst, false)
+}
+
+// NewIncDual computes the initial maximum dual simulation and returns the
+// maintainer.
+func NewIncDual(g, q *graph.Graph) *IncDual {
+	inst := NewDualInstance(g, q)
+	return newIncEngine(g, inst.Instance, inst, true)
+}
+
+// newIncEngine runs the engine over run — inst itself, or the dual
+// instance wrapping it — to the initial fixpoint.
+func newIncEngine(g *graph.Graph, inst *Instance, run fixpoint.Instance[bool], dual bool) *IncEngine {
+	eng := fixpoint.New[bool](run, fixpoint.FIFOOrder)
 	eng.Run()
-	return &IncEngine{g: g, q: q, inst: inst, eng: eng}
+	return &IncEngine{g: g, inst: inst, eng: eng, dual: dual}
 }
 
 // Graph returns the maintained data graph.
@@ -284,23 +255,21 @@ func (i *IncEngine) Stats() fixpoint.Stats { return i.eng.State().Stats }
 func (i *IncEngine) Apply(b graph.Batch) int {
 	applied := i.g.Apply(b)
 	i.eng.Grow()
-	i.seen.Begin(i.inst.NumVars())
-	i.touched = i.touched[:0]
+	a := &i.arena
+	a.Begin(i.inst.NumVars())
 	touch := func(v graph.NodeID) {
 		for u := 0; u < i.inst.nq; u++ {
-			x := i.inst.PairVar(v, graph.NodeID(u))
-			if i.seen.Add(x) {
-				i.touched = append(i.touched, x)
-			}
+			a.Touch(i.inst.PairVar(v, graph.NodeID(u)), true)
 		}
 	}
 	for _, up := range applied {
 		// The input sets of all pairs on the edge's source evolved; for
-		// undirected data graphs the target's pairs evolve too.
+		// undirected data graphs, and for dual simulation's parent
+		// condition, the target's pairs evolve too.
 		touch(up.From)
-		if !i.g.Directed() {
+		if i.dual || !i.g.Directed() {
 			touch(up.To)
 		}
 	}
-	return len(i.eng.IncrementalRun(i.touched))
+	return len(i.eng.IncrementalRunDelta(a.Touched(), nil))
 }

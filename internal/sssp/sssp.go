@@ -147,6 +147,7 @@ type IncEngine struct {
 	g       *graph.Graph
 	inst    *Instance
 	eng     *fixpoint.Engine[int64]
+	arena   fixpoint.ScopeArena
 	pending graph.Batch
 }
 
@@ -198,24 +199,8 @@ func (i *IncEngine) Repair() int {
 	applied := i.pending
 	i.pending = nil
 	dist := i.eng.State().Val
-	idx := make(map[fixpoint.Var]bool, len(applied))
-	var touched []fixpoint.Touched
-	var seeds []fixpoint.Var
-	addTouched := func(v graph.NodeID) {
-		x := fixpoint.Var(v)
-		if !idx[x] {
-			idx[x] = true
-			touched = append(touched, fixpoint.Touched{X: x, MaybeInfeasible: true})
-		}
-	}
-	seen := make(map[fixpoint.Var]bool, len(applied))
-	addSeed := func(v graph.NodeID) {
-		x := fixpoint.Var(v)
-		if !seen[x] {
-			seen[x] = true
-			seeds = append(seeds, x)
-		}
-	}
+	a := &i.arena
+	a.Begin(i.g.NumNodes())
 	tight := func(u, v graph.NodeID, w int64) bool {
 		return int(u) < len(dist) && int(v) < len(dist) &&
 			dist[u] < Infinity && dist[u]+w == dist[v]
@@ -224,19 +209,18 @@ func (i *IncEngine) Repair() int {
 		switch up.Kind {
 		case graph.InsertEdge:
 			// The tail's contributions strengthened: re-propagate from it.
-			addSeed(up.From)
+			a.Seed(fixpoint.Var(up.From))
 			if !i.g.Directed() {
-				addSeed(up.To)
+				a.Seed(fixpoint.Var(up.To))
 			}
 		case graph.DeleteEdge:
 			if tight(up.From, up.To, up.W) {
-				addTouched(up.To)
+				a.Touch(fixpoint.Var(up.To), true)
 			}
 			if !i.g.Directed() && tight(up.To, up.From, up.W) {
-				addTouched(up.From)
+				a.Touch(fixpoint.Var(up.From), true)
 			}
 		}
 	}
-	h0 := i.eng.IncrementalRunDelta(touched, seeds)
-	return len(h0)
+	return len(i.eng.IncrementalRunDelta(a.Touched(), a.Seeds()))
 }
