@@ -65,8 +65,8 @@
 // With -replica-of URL the daemon is a warm replica — the same daemon,
 // with a follower in place of the WAL replay: it hosts its maintainers
 // from the checkpoint it pulled, ships the primary's WAL segments into
-// its own -data-dir (required) and submits every record to its hosts'
-// apply loops, staying one poll interval behind. Until POST
+// its own -data-dir (required) and submits every record to its service's
+// apply loop, staying one poll interval behind. Until POST
 // /replica/promote it serves the whole API behind a gate: POST /update
 // and POST /shard/eval/{algo} answer 503, GET /query/{algo} answers from
 // the published views stamped degraded (the router's fallback while a
@@ -318,7 +318,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 	// each maintainer from the latest checkpoint (falling back to a fresh
 	// batch run on the input graph), replay the WAL tail through the
 	// incremental Apply path, verify against batch recompute, and only
-	// then start the apply loops at the recovered stream position. A
+	// then start the apply loop at the recovered stream position. A
 	// replica first mirrors its primary's checkpoint and segments, so it
 	// starts from the newest durable cut, and hosts at the checkpoint: the
 	// tail reaches its hosts through the follower, record by record.
@@ -411,7 +411,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		logger.Info("following", "primary", c.replicaOf, "dir", c.dataDir,
 			"replay_from", rec.ReplayFrom, "checkpoint_epoch", rec.CheckpointEpoch)
 		// Promotion, run with the follower stopped and every shipped record
-		// applied: verify the replayed answers inside the hosts' apply loops,
+		// applied: verify the replayed answers inside the service's apply loop,
 		// then open the shipped log — now the authoritative continuation.
 		standby := shard.NewStandby(svc, follower, func() error {
 			divergent := 0
@@ -471,7 +471,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		// Graceful shutdown: stop taking requests first, then checkpoint
 		// at the drained cut (the checkpoint job queues behind every
 		// accepted submission, so it covers exactly what was
-		// acknowledged), then drain and stop the apply loops.
+		// acknowledged), then drain and stop the apply loop.
 		logger.Info("shutting down: draining apply queues")
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -512,7 +512,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 }
 
 // verifyHosts checks every host's replayed answer against a batch
-// recompute from inside its apply loop, keeping the recomputed one, and
+// recompute from inside the apply loop, keeping the recomputed one, and
 // returns how many had diverged.
 func verifyHosts(logger *slog.Logger, svc *incgraph.Service) (divergent int) {
 	for _, h := range svc.Hosts() {

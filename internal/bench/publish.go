@@ -255,7 +255,7 @@ func measurePublish(seed int64, core, n int, class string) (m publishCost, err e
 		before := h.Stats()
 		for r := 0; r < gap.reads; r++ {
 			for a := 0; a < gap.applies; a++ {
-				ack, err := h.Submit(stream.next(), trace.TraceID{})
+				ack, err := svc.Submit(stream.next(), trace.TraceID{})
 				if err != nil {
 					return m, err
 				}

@@ -157,8 +157,7 @@ func TestHostAuditAggregation(t *testing.T) {
 	g := graph.New(8, false)
 	g.InsertEdge(0, 1, 1)
 	g.InsertEdge(1, 2, 1)
-	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{})
-	defer h.Close()
+	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0), 0), Options{})
 
 	batches := []graph.Batch{
 		{{Kind: graph.InsertEdge, From: 2, To: 3, W: 1}},
@@ -166,7 +165,7 @@ func TestHostAuditAggregation(t *testing.T) {
 		{{Kind: graph.DeleteEdge, From: 1, To: 2}},
 	}
 	for _, b := range batches {
-		if err := submitWait(h, b); err != nil {
+		if err := submitWait(s, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -217,9 +217,9 @@ func TestDroppedFsyncStillRecoversPrefix(t *testing.T) {
 }
 
 // TestPanicIsolationHeals drives the poisoned-apply fault: the second cc
-// apply panics. The host must not crash, must keep sssp unaffected, and
-// must heal cc by batch recompute so the final answers match an oracle
-// that never saw the poisoned batch applied incrementally.
+// apply panics. The host must not crash, and must heal cc by batch
+// recompute over the graph with the poisoned batch in it, so the final
+// answer matches an oracle over the whole stream.
 func TestPanicIsolationHeals(t *testing.T) {
 	leakCheck(t)
 	const nodes = 60
@@ -227,21 +227,20 @@ func TestPanicIsolationHeals(t *testing.T) {
 	inj := faults.New()
 	inj.PanicOn("cc", 2)
 
-	h := NewHost(CC(cc.NewInc(base.Clone())), Options{
+	s, h := soloHost(t, CC(cc.NewInc(base.Clone())), Options{
 		MaxBatch: 4, BeforeApply: inj.BeforeApply,
 	})
-	defer h.Close()
 
 	b1 := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 7, W: 1}}
 	b2 := graph.Batch{{Kind: graph.InsertEdge, From: 1, To: 8, W: 1}}
 	b3 := graph.Batch{{Kind: graph.InsertEdge, From: 2, To: 9, W: 1}}
-	if err := submitWait(h, b1); err != nil {
+	if err := submitWait(s, b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := submitWait(h, b2); err != nil { // poisoned: panics before Apply
+	if err := submitWait(s, b2); err != nil { // poisoned: panics before Apply
 		t.Fatal(err)
 	}
-	if err := submitWait(h, b3); err != nil {
+	if err := submitWait(s, b3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -249,11 +248,18 @@ func TestPanicIsolationHeals(t *testing.T) {
 	if st.Panics != 1 || st.Heals != 1 || st.Degraded {
 		t.Fatalf("stats after poisoned apply: panics=%d heals=%d degraded=%v", st.Panics, st.Heals, st.Degraded)
 	}
-	// The poisoned batch panicked before reaching the maintainer, so the
-	// healed answer is the oracle over b1+b3 only.
+	h.WithState(func(m Serveable) error {
+		if !m.Graph().HasEdge(1, 8) {
+			t.Error("the heal dropped the poisoned batch's edge 1-8")
+		}
+		return nil
+	})
+	// The poisoned batch panicked before reaching the maintainer; the heal
+	// applied it to the graph before recomputing, so nothing is lost.
 	og := base.Clone()
-	og.Apply(b1.Net(og.Directed()))
-	og.Apply(b3.Net(og.Directed()))
+	for _, b := range []graph.Batch{b1, b2, b3} {
+		og.Apply(b)
+	}
 	oracle := CC(cc.NewInc(og))
 	v := h.View()
 	if v.Degraded {
@@ -288,15 +294,14 @@ func (b *brokenServeable) Recompute()                     { panic("broken recomp
 
 func TestQuarantineServesStale(t *testing.T) {
 	g := gen.Synthetic(1, 10, 2, true)
-	h := NewHost(&brokenServeable{g: g, good: true}, Options{MaxBatch: 1})
-	defer h.Close()
+	s, h := soloHost(t, &brokenServeable{g: g, good: true}, Options{MaxBatch: 1})
 
 	b := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 5, W: 1}}
-	if err := submitWait(h, b); err != nil { // consumes the one good apply
+	if err := submitWait(s, b); err != nil { // consumes the one good apply
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // panic → heal panics → quarantined; then drained
-		if err := submitWait(h, b); err != nil {
+		if err := submitWait(s, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,11 +345,11 @@ func newSlowReleased(n int) *slowServeable {
 	return s
 }
 
-// park submits one update and returns once the apply loop is blocked
-// inside the maintainer applying it.
-func (s *slowServeable) park(t *testing.T, h *Host) {
+// park submits one update to svc and returns once the apply loop is
+// blocked inside the maintainer applying it.
+func (s *slowServeable) park(t *testing.T, svc *Service) {
 	t.Helper()
-	if err := submit(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != nil {
+	if err := submit(svc, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -373,8 +378,7 @@ func (s *slowServeable) Recompute()                     {}
 func TestShed503(t *testing.T) {
 	slow := newSlow(10)
 	svc := NewService()
-	h, err := svc.Host(slow, Options{MaxBatch: 1, Queue: 1})
-	if err != nil {
+	if _, err := svc.Host(slow, Options{MaxBatch: 1, Queue: 1}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(svc.Handler())
@@ -392,9 +396,9 @@ func TestShed503(t *testing.T) {
 	// Park the apply loop inside a blocked Apply, then fill the
 	// submission channel: with the loop parked, nothing can drain it, so
 	// saturation is stable until release.
-	slow.park(t, h)
-	for !h.Saturated() {
-		if err := submit(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
+	slow.park(t, svc)
+	for !svc.Saturated() {
+		if err := submit(svc, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -443,9 +447,8 @@ func TestDebugAppliesCap(t *testing.T) {
 	defer srv.Close()
 	defer svc.Close()
 
-	h := svc.Get("sssp")
 	for i := 0; i < 5; i++ {
-		if err := submitWait(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: graph.NodeID(10 + i), W: 1}}); err != nil {
+		if err := submitWait(svc, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: graph.NodeID(10 + i), W: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,18 +13,24 @@ import (
 	"incgraph/internal/trace"
 )
 
-func ExampleNewHost() {
+func ExampleService_Submit() {
 	g := graph.New(3, true)
 	g.Apply(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 4}})
 
-	// The host owns the maintainer: its apply loop is the only caller of
-	// Apply, and readers get immutable epoch-stamped snapshot views.
-	h := serve.NewHost(serve.SSSP(sssp.NewInc(g, 0), 0), serve.Options{})
-	defer h.Close()
+	// The service owns the maintainer: its apply loop is the only caller
+	// of Apply, and readers get immutable epoch-stamped snapshot views. A
+	// lone maintainer is a service of one.
+	svc := serve.NewService()
+	defer svc.Close()
+	h, err := svc.Host(serve.SSSP(sssp.NewInc(g, 0), 0), serve.Options{})
+	if err != nil {
+		fmt.Println("host:", err)
+		return
+	}
 
 	// Submit returns once the batch is accepted; the channel closes once
-	// its view is published.
-	published, err := h.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 1, To: 2, W: 4}}, trace.TraceID{})
+	// every host has published its view.
+	published, err := svc.Submit(graph.Batch{{Kind: graph.InsertEdge, From: 1, To: 2, W: 4}}, trace.TraceID{})
 	if err != nil {
 		fmt.Println("submit:", err)
 		return

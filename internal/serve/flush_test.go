@@ -8,24 +8,23 @@ import (
 	"incgraph/internal/graph"
 )
 
-// The tests below pin the apply loop's batching policy — group commit:
+// The tests below pin the service's batching policy — group commit:
 // flush when the queue drains, coalesce what queued while an apply ran —
-// without a sleep as synchronisation: the busy host is a slowServeable
-// parked inside Apply.
+// without a sleep as synchronisation: the busy loop is parked inside a
+// slowServeable's Apply.
 
 func edge(from, to int) graph.Batch {
 	return graph.Batch{{Kind: graph.InsertEdge, From: graph.NodeID(from), To: graph.NodeID(to), W: 1}}
 }
 
-// TestHostFlushIdleDoesNotWait: on an idle host a submission is applied at
-// once, whatever MaxWait says. With an hour's MaxWait and a MaxBatch out
-// of reach a timer-armed loop would hang here; with 20 ms it would put
-// the median round trip at 20 ms.
+// TestHostFlushIdleDoesNotWait: on an idle service a submission is
+// applied at once, whatever MaxWait says. With an hour's MaxWait and a
+// MaxBatch out of reach a timer-armed loop would hang here; with 20 ms it
+// would put the median round trip at 20 ms.
 func TestHostFlushIdleDoesNotWait(t *testing.T) {
-	h := NewHost(newSlowReleased(8), Options{MaxBatch: 1 << 20, MaxWait: time.Hour})
-	defer h.Close()
+	s, h := soloHost(t, newSlowReleased(8), Options{MaxBatch: 1 << 20, MaxWait: time.Hour})
 	done := make(chan error, 1)
-	go func() { done <- submitWait(h, edge(0, 1)) }()
+	go func() { done <- submitWait(s, edge(0, 1)) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -39,12 +38,11 @@ func TestHostFlushIdleDoesNotWait(t *testing.T) {
 	}
 
 	const maxWait = 20 * time.Millisecond
-	q := NewHost(newSlowReleased(8), Options{MaxBatch: 1 << 20, MaxWait: maxWait})
-	defer q.Close()
+	qs, q := soloHost(t, newSlowReleased(8), Options{MaxBatch: 1 << 20, MaxWait: maxWait})
 	trips := make([]time.Duration, 200)
 	for i := range trips {
 		start := time.Now()
-		if err := submitWait(q, edge(i%7, 7)); err != nil {
+		if err := submitWait(qs, edge(i%7, 7)); err != nil {
 			t.Fatal(err)
 		}
 		trips[i] = time.Since(start)
@@ -65,19 +63,19 @@ func TestHostFlushIdleDoesNotWait(t *testing.T) {
 // all ten — coalescing under load is what it was with a timer.
 func TestHostFlushCoalescesUnderLoad(t *testing.T) {
 	slow := newSlow(8)
-	h := NewHost(slow, Options{MaxBatch: 1 << 20, MaxWait: time.Hour})
-	slow.park(t, h)
+	s, h := soloHost(t, slow, Options{MaxBatch: 1 << 20, MaxWait: time.Hour})
+	slow.park(t, s)
 	for i := 0; i < 10; i++ {
 		b := edge(2, 3)
 		if i%2 == 1 {
 			b[0].Kind = graph.DeleteEdge
 		}
-		if err := submit(h, b); err != nil {
+		if err := submit(s, b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(slow.release)
-	if err := submitWait(h, nil); err != nil { // queued behind the ten: acked by the flush that takes them, or the next
+	if err := submitWait(s, nil); err != nil { // queued behind the ten: acked by the flush that takes them, or the next
 		t.Fatal(err)
 	}
 	st := h.Stats()
@@ -88,7 +86,7 @@ func TestHostFlushCoalescesUnderLoad(t *testing.T) {
 	if len(tr) != 2 || tr[1].RawUpdates != 10 || tr[1].NetUpdates != 1 || tr[1].FlushReason != "drain" {
 		t.Fatalf("applies %+v, want a second one of 10 raw, 1 net, flushed by drain", tr)
 	}
-	h.Close()
+	s.Close()
 	if !slices.Equal(slow.sizes, []int{1, 1}) {
 		t.Fatalf("maintainer saw batches of %v, want [1 1]", slow.sizes)
 	}
@@ -99,15 +97,15 @@ func TestHostFlushCoalescesUnderLoad(t *testing.T) {
 // empties below MaxBatch, MaxWait does.
 func TestHostFlushFullAndTimer(t *testing.T) {
 	slow := newSlow(8)
-	h := NewHost(slow, Options{MaxBatch: 4, MaxWait: time.Hour})
-	slow.park(t, h)
+	s, h := soloHost(t, slow, Options{MaxBatch: 4, MaxWait: time.Hour})
+	slow.park(t, s)
 	for i := 0; i < 6; i++ {
-		if err := submit(h, edge(i, 7)); err != nil {
+		if err := submit(s, edge(i, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(slow.release)
-	h.Close()
+	s.Close()
 	var reasons []string
 	for _, tr := range h.RecentApplies() {
 		reasons = append(reasons, tr.FlushReason)
@@ -124,18 +122,18 @@ func TestHostFlushFullAndTimer(t *testing.T) {
 	// loop, so the timer is due on every pass through the loop's select.
 	const queued = 20000
 	slow = newSlow(8)
-	h = NewHost(slow, Options{MaxBatch: 1 << 30, MaxWait: time.Nanosecond, Queue: queued})
-	slow.park(t, h)
+	s, h = soloHost(t, slow, Options{MaxBatch: 1 << 30, MaxWait: time.Nanosecond, Queue: queued})
+	slow.park(t, s)
 	for i := 0; i < queued; i++ {
-		if err := submit(h, edge(1, 2)); err != nil {
+		if err := submit(s, edge(1, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(slow.release)
-	if err := submitWait(h, nil); err != nil { // acked once everything ahead of it is applied
+	if err := submitWait(s, nil); err != nil { // acked once everything ahead of it is applied
 		t.Fatal(err)
 	}
-	h.Close()
+	s.Close()
 	if h.met.flushes[flushTimer].Value() == 0 {
 		t.Fatalf("%d queued submissions and a 1 ns MaxWait, and no batch was closed by the timer: %d batches", queued, h.Stats().BatchesApplied)
 	}
@@ -149,11 +147,10 @@ func TestHostFlushFullAndTimer(t *testing.T) {
 // are still an open batch.
 func TestHostFlushStateJobSeesEarlierSubmissions(t *testing.T) {
 	slow := newSlow(8)
-	h := NewHost(slow, Options{MaxBatch: 1 << 20, MaxWait: time.Hour})
-	defer h.Close()
-	slow.park(t, h)
+	s, h := soloHost(t, slow, Options{MaxBatch: 1 << 20, MaxWait: time.Hour})
+	slow.park(t, s)
 	for i := 0; i < 5; i++ {
-		if err := submit(h, edge(i, 7)); err != nil {
+		if err := submit(s, edge(i, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +167,7 @@ func TestHostFlushStateJobSeesEarlierSubmissions(t *testing.T) {
 	}()
 	// Release the loop only once the job is queued behind the five (the
 	// wait is for that event; no timing decides the outcome).
-	for len(h.in) < 6 {
+	for len(s.in) < 6 {
 		time.Sleep(time.Millisecond)
 	}
 	close(slow.release)

@@ -246,7 +246,7 @@ func (*unencodable) Snapshot() any { return map[string]any{"f": func() {}} }
 // encoder gave up — and every answer that does go out says how long it is.
 func TestHTTPQueryEncodeFailureIs500(t *testing.T) {
 	svc, ts := newTestService(t)
-	if _, err := svc.Host(&unencodable{slowServeable{g: graph.New(2, false)}}, Options{}); err != nil {
+	if _, err := svc.Host(&unencodable{slowServeable{g: graph.New(6, false)}}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/query/broken")

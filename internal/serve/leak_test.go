@@ -11,7 +11,7 @@ import (
 // finishes, fails it if the count has not fallen back to that baseline.
 // Call it first thing in a test, before any hosts or servers are
 // created: t.Cleanup runs LIFO, so the check executes after every
-// later-registered teardown has closed its apply loops and listeners.
+// later-registered teardown has closed its services and listeners.
 func leakCheck(t *testing.T) {
 	t.Helper()
 	baseline := runtime.NumGoroutine()

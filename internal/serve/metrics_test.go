@@ -329,14 +329,13 @@ func TestStatsDerivedFields(t *testing.T) {
 // Trace applies.
 func TestTraceRingBounded(t *testing.T) {
 	g := graph.New(4, false)
-	h := NewHost(CC(cc.NewInc(g)), Options{MaxBatch: 1, Trace: 4})
-	defer h.Close()
+	s, h := soloHost(t, CC(cc.NewInc(g)), Options{MaxBatch: 1, Trace: 4})
 	for i := 0; i < 10; i++ {
 		b := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}
 		if i%2 == 1 {
 			b = graph.Batch{{Kind: graph.DeleteEdge, From: 0, To: 1}}
 		}
-		if err := submitWait(h, b); err != nil {
+		if err := submitWait(s, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,15 +15,29 @@ import (
 	"incgraph/internal/trace"
 )
 
-// submit hands b to h untraced and returns once it is accepted.
-func submit(h *Host, b graph.Batch) error {
-	_, err := h.Submit(b, trace.TraceID{})
+// soloHost hosts m alone on a new service — a standalone host is a
+// service of one — which is closed when the test ends.
+func soloHost(t testing.TB, m Serveable, opt Options) (*Service, *Host) {
+	t.Helper()
+	s := NewService()
+	t.Cleanup(s.Close)
+	h, err := s.Host(m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, h
+}
+
+// submit hands b to s untraced and returns once it is accepted.
+func submit(s *Service, b graph.Batch) error {
+	_, err := s.Submit(b, trace.TraceID{})
 	return err
 }
 
-// submitWait hands b to h untraced and returns once its view is published.
-func submitWait(h *Host, b graph.Batch) error {
-	ack, err := h.Submit(b, trace.TraceID{})
+// submitWait hands b to s untraced and returns once every host has
+// published it.
+func submitWait(s *Service, b graph.Batch) error {
+	ack, err := s.Submit(b, trace.TraceID{})
 	if err == nil {
 		<-ack
 	}
@@ -84,7 +98,7 @@ func TestLoadConcurrentReaders(t *testing.T) {
 	base := g.Clone()
 	stream := makeStream(11, nodes, total)
 
-	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{MaxBatch: 64})
+	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0), 0), Options{MaxBatch: 64})
 
 	type obs struct {
 		epoch uint64
@@ -141,11 +155,11 @@ func TestLoadConcurrentReaders(t *testing.T) {
 			end = len(stream)
 		}
 		// One publish per chunk: 300 epochs pile up on the first views held.
-		if err := submitWait(h, stream[i:end]); err != nil {
+		if err := submitWait(s, stream[i:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h.Close()
+	s.Close()
 	close(stop)
 	wg.Wait()
 
@@ -217,14 +231,14 @@ func TestLoadConcurrentReaders(t *testing.T) {
 func TestCoalescingCancelsChurn(t *testing.T) {
 	g := graph.New(4, false)
 	g.InsertEdge(0, 1, 1)
-	h := NewHost(CC(cc.NewInc(g)), Options{})
+	s, h := soloHost(t, CC(cc.NewInc(g)), Options{})
 	b := graph.Batch{
 		{Kind: graph.InsertEdge, From: 1, To: 2, W: 1},
 		{Kind: graph.InsertEdge, From: 2, To: 3, W: 1},
 		{Kind: graph.DeleteEdge, From: 2, To: 3},
 		{Kind: graph.InsertEdge, From: 1, To: 2, W: 1}, // duplicate
 	}
-	if err := submitWait(h, b); err != nil {
+	if err := submitWait(s, b); err != nil {
 		t.Fatal(err)
 	}
 	st := h.Stats()
@@ -239,44 +253,54 @@ func TestCoalescingCancelsChurn(t *testing.T) {
 	if !reflect.DeepEqual(labels, want) {
 		t.Fatalf("labels %v, want %v", labels, want)
 	}
-	h.Close()
 }
 
 // TestCloseDrainsAndRejects: Close applies everything accepted before it
-// — here 49 submissions queued behind a parked apply loop — and Submit
-// fails afterwards.
+// — here 49 submissions queued behind a parked apply loop — and Submit,
+// WithState and Host fail afterwards.
 func TestCloseDrainsAndRejects(t *testing.T) {
 	slow := newSlow(50)
-	h := NewHost(slow, Options{MaxBatch: 8})
+	s, h := soloHost(t, slow, Options{MaxBatch: 8})
 	stream := makeStream(3, 50, 200)
-	slow.park(t, h)
+	slow.park(t, s)
 	for i := 0; i < len(stream); i += 4 {
-		if err := submit(h, stream[i:i+4]); err != nil {
+		if err := submit(s, stream[i:i+4]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	closed := make(chan struct{})
-	go func() { h.Close(); close(closed) }()
+	go func() { s.Close(); close(closed) }()
 	close(slow.release)
 	<-closed
 	if v := h.View(); v.Epoch != uint64(1+len(stream)) {
 		t.Fatalf("close did not drain: epoch %d, want %d", v.Epoch, 1+len(stream))
 	}
-	if err := submit(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != ErrClosed {
+	if err := submit(s, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != ErrClosed {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)
 	}
-	h.Close() // idempotent
+	if err := h.WithState(func(Serveable) error { return nil }); err != ErrClosed {
+		t.Fatalf("state job after close = %v, want ErrClosed", err)
+	}
+	if _, err := s.Host(CC(cc.NewInc(graph.New(50, true))), Options{MaxBatch: 8}); err != ErrClosed {
+		t.Fatalf("host after close = %v, want ErrClosed", err)
+	}
+	s.Close() // idempotent
 }
 
 func TestSubmitValidates(t *testing.T) {
 	g := graph.New(5, true)
-	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{})
-	defer h.Close()
-	if err := submit(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 99, W: 1}}); err == nil {
+	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0), 0), Options{})
+	if err := submit(s, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 99, W: 1}}); err == nil {
 		t.Fatal("out-of-range update accepted")
 	}
-	if err := submit(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: -1}}); err == nil {
+	if err := submit(s, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: -1}}); err == nil {
 		t.Fatal("negative weight accepted")
+	}
+	if st := h.Stats(); st.UpdatesReceived != 0 {
+		t.Fatalf("refused batches counted as received: %d", st.UpdatesReceived)
+	}
+	if err := submit(NewService(), graph.Batch{}); err == nil {
+		t.Fatal("a service with no hosts accepted a batch")
 	}
 }
 
@@ -285,11 +309,10 @@ func TestSubmitValidates(t *testing.T) {
 func TestViewImmutability(t *testing.T) {
 	g := graph.New(3, true)
 	g.InsertEdge(0, 1, 5)
-	h := NewHost(SSSP(sssp.NewInc(g, 0), 0), Options{})
-	defer h.Close()
+	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0), 0), Options{})
 	before := h.View()
 	snap := before.Data.(SSSPView).Dist.Slice()
-	if err := submitWait(h, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
+	if err := submitWait(s, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before.Data.(SSSPView).Dist.Slice(), snap) {

@@ -41,9 +41,11 @@ func TestAuditSoak(t *testing.T) {
 		}
 		return g
 	}
-	hosts := map[string]*Host{
-		"sssp": NewHost(SSSP(sssp.NewInc(build(false), 0), 0), Options{}),
-		"cc":   NewHost(CC(cc.NewInc(build(false))), Options{}),
+	svc := NewService()
+	for _, m := range []Serveable{SSSP(sssp.NewInc(build(false), 0), 0), CC(cc.NewInc(build(false)))} {
+		if _, err := svc.Host(m, Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(11))
@@ -64,14 +66,15 @@ func TestAuditSoak(t *testing.T) {
 	var applies int64
 	prevRuns := map[string]int64{}
 	for time.Now().Before(deadline) {
-		for name, h := range hosts {
-			if err := submitWait(h, randomBatch()); err != nil {
-				t.Fatalf("%s: apply %d: %v", name, applies, err)
-			}
-			applies++
-			if applies%512 != 0 {
-				continue
-			}
+		if err := submitWait(svc, randomBatch()); err != nil {
+			t.Fatalf("apply %d: %v", applies, err)
+		}
+		applies++
+		if applies%512 != 0 {
+			continue
+		}
+		for _, h := range svc.Hosts() {
+			name := h.Algo()
 			// Periodic invariant sweep, cheap enough to not skew the soak.
 			st := h.Stats()
 			if st.Audit.Runs <= prevRuns[name] {
@@ -98,11 +101,11 @@ func TestAuditSoak(t *testing.T) {
 	}
 	t.Logf("soak: %d applies over %ds", applies, secs)
 
-	for name, h := range hosts {
+	for _, h := range svc.Hosts() {
 		if st := h.Stats(); st.Audit.Runs == 0 || st.Audit.Work() <= 0 {
-			t.Errorf("%s: audit ledger empty after soak: %+v", name, st.Audit)
+			t.Errorf("%s: audit ledger empty after soak: %+v", h.Algo(), st.Audit)
 		}
-		h.Close()
 	}
+	svc.Close()
 	waitForGoroutines(t, before)
 }

@@ -207,7 +207,7 @@ func minCombine(dst, src []int64) {
 // published view, so an eval costs O(vertices improved × degree), not
 // O(|V|). The scratch is epoch-marked (the fixpoint.ScopeArena idiom)
 // and reused: after warm-up an eval allocates only its result. It is
-// used only from its host's apply loop, which serializes it.
+// used only from its service's apply loop, which serializes it.
 type seedRelaxer struct {
 	base    serve.Paged[int64] // the published view this eval relaxes on top of
 	touched fixpoint.VarSet    // vertices this eval lowered below base
