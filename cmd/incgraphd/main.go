@@ -37,10 +37,11 @@
 // and expvar counters (/debug/pprof/, /debug/vars) — kept off the main
 // listener so profiling endpoints are never exposed on the service port.
 //
-// Each hosted maintainer owns a private copy of the graph behind a
-// single-writer apply loop; updates are validated, coalesced and batched
-// before one Apply call. On SIGINT/SIGTERM the daemon stops accepting
-// requests, drains every apply queue, and exits.
+// Each hosted maintainer owns a private copy of the graph. One apply loop
+// per service writes to all of them: updates are validated into one
+// queue, coalesced and netted once, and every class applies the same
+// batch. On SIGINT/SIGTERM the daemon stops accepting requests, drains
+// the queue, and exits.
 //
 // With -data-dir set the daemon is durable: every accepted update batch
 // is write-ahead-logged (fsync policy per -fsync) before it is
@@ -49,10 +50,14 @@
 // (checkpoint-on-drain). On startup the daemon recovers: it restores the
 // latest checkpoint, replays the WAL tail through the incremental Apply
 // path, and (unless -verify-recovery=false) verifies the replayed answers
-// against a batch recompute, repairing and counting any divergence. A
-// kill -9 at any moment therefore loses nothing acknowledged under
-// -fsync always, and restart reproduces exactly the from-scratch answers
-// over the durable prefix.
+// against a batch recompute, repairing and counting any divergence. The
+// graph comes from the checkpoint whenever one exists — a class added
+// since takes a covered class's — so -graph (or -gen) is read only on a
+// start without one. A kill -9 at any moment therefore loses nothing
+// acknowledged under -fsync always, and restart reproduces exactly the
+// from-scratch answers over the durable prefix. How long each phase of
+// the start took is logged once ("started") and exported as
+// incgraph_startup_seconds{phase}.
 //
 // With -shard-id i -shards n the daemon serves one fragment of a
 // partitioned deployment: it keeps only the edges the hash partitioner
@@ -153,7 +158,7 @@ func newFlags(fs *flag.FlagSet) *cliFlags {
 
 	fs.IntVar(&c.maxBatch, "max-batch", 256, "apply a batch once it holds this many updates")
 	fs.DurationVar(&c.maxWait, "max-wait", 2*time.Millisecond, "upper bound on how long a batch stays open while submissions keep arriving; an idle host applies at once")
-	fs.IntVar(&c.queue, "queue", 1024, "per-maintainer submission queue depth")
+	fs.IntVar(&c.queue, "queue", 1024, "submission queue depth (one queue for every hosted class)")
 
 	fs.StringVar(&c.logLevel, "log-level", "info", "log verbosity: debug|info|warn|error (debug logs every apply)")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "optional second listener for pprof and expvar (e.g. :6060)")
@@ -267,37 +272,17 @@ func serveOptions(logger *slog.Logger, c *cliFlags) incgraph.ServeOptions {
 // WAL tail and verifies it, a replica pulls its primary's and leaves the
 // tail to a follower — host them, serve, and drain on a signal.
 func run(logger *slog.Logger, c *cliFlags) error {
+	began := time.Now()
 	algoList, err := parseAlgos(c.algos)
 	if err != nil {
 		return err
 	}
-	base, err := loadGraph(c.graphPath, c.genKind, c.genSeed, c.genNodes, c.genDeg, c.genDirect)
-	if err != nil {
-		return err
-	}
-	var pat *incgraph.Graph
-	if c.pattern != "" {
-		if pat, err = loadGraph(c.pattern, "", 0, 0, 0, false); err != nil {
-			return err
-		}
-	}
-
-	// Shard mode: the daemon serves one fragment. Filtering keeps every
-	// node id valid (views stay globally indexed) but drops edges owned
-	// by other shards; the partitioner here must match the router's.
 	var part shard.Partitioner
 	if c.shards > 0 {
 		if part, err = shard.NewPartitioner("hash", c.shards); err != nil {
 			return err
 		}
-		full := base.NumEdges()
-		base = shard.FilterGraph(base, part, c.shardID)
-		logger.Info("sharded", "shard", c.shardID, "shards", c.shards,
-			"fragment_edges", base.NumEdges(), "full_edges", full)
 	}
-	// The maintainers take the graph over below, and the serving log line
-	// runs on another goroutine: what is reported of it is read here.
-	nodes, edges, directed := base.NumNodes(), base.NumEdges(), base.Directed()
 	replica := c.replicaOf != ""
 
 	svc := incgraph.NewService()
@@ -322,39 +307,78 @@ func run(logger *slog.Logger, c *cliFlags) error {
 	// replica first mirrors its primary's checkpoint and segments, so it
 	// starts from the newest durable cut, and hosts at the checkpoint: the
 	// tail reaches its hosts through the follower, record by record.
+	if replica {
+		if err := bootstrapPull(logger, c); err != nil {
+			return err
+		}
+	}
+	// phases times the start, for incgraph_startup_seconds and the started
+	// log line.
+	phases := []incgraph.StartupPhase{{Name: "graph"}, {Name: "build"}, {Name: "restore"}, {Name: "replay"}, {Name: "verify"}}
+	const graphPhase, buildPhase, restorePhase, replayPhase, verifyPhase = 0, 1, 2, 3, 4
+	t0 := time.Now()
 	var rec *incgraph.Recovery
 	if c.dataDir != "" {
-		if replica {
-			if err := bootstrapPull(logger, c); err != nil {
-				return err
-			}
-		}
 		if rec, err = incgraph.LoadRecovery(c.dataDir); err != nil {
 			return fmt.Errorf("recovery: %w", err)
 		}
 	}
+	graphs, restored, err := classGraphs(algoList, rec, func() (*incgraph.Graph, error) {
+		base, err := loadGraph(c.graphPath, c.genKind, c.genSeed, c.genNodes, c.genDeg, c.genDirect)
+		if err != nil || part == nil {
+			return base, err
+		}
+		// Shard mode: the daemon serves one fragment. Filtering keeps every
+		// node id valid (views stay globally indexed) but drops edges owned
+		// by other shards; the partitioner here must match the router's. A
+		// checkpoint holds the fragment already.
+		full := base.NumEdges()
+		base = shard.FilterGraph(base, part, c.shardID)
+		logger.Info("sharded", "shard", c.shardID, "shards", c.shards,
+			"fragment_edges", base.NumEdges(), "full_edges", full)
+		return base, nil
+	})
+	if err != nil {
+		return err
+	}
+	var pat *incgraph.Graph
+	if c.pattern != "" {
+		if pat, err = loadGraph(c.pattern, "", 0, 0, 0, false); err != nil {
+			return err
+		}
+	}
+	phases[graphPhase].Took = time.Since(t0)
+	// The maintainers take the graphs over below, and the serving log line
+	// runs on another goroutine: what is reported of them is read here.
+	nodes, edges, directed := graphs[0].NumNodes(), graphs[0].NumEdges(), graphs[0].Directed()
+
 	targets := make(map[string]incgraph.Serveable, len(algoList))
-	graphs, restored := classGraphs(algoList, base, rec)
 	for i, algo := range algoList {
 		t0 := time.Now()
 		m, err := buildServeable(algo, graphs[i], incgraph.NodeID(c.src), pat)
 		if err != nil {
 			return err
 		}
+		t1 := time.Now()
+		phases[buildPhase].Took += t1.Sub(t0)
 		if rec != nil {
 			if err := rec.Restore(algo, m); err != nil {
 				return fmt.Errorf("recovery: restore %s: %w", algo, err)
 			}
 		}
+		phases[restorePhase].Took += time.Since(t1)
 		targets[algo] = m
-		logger.Info("hosted", "host", algo, "batch_init", time.Since(t0).Round(time.Microsecond),
+		logger.Info("hosted", "host", algo, "batch_init", t1.Sub(t0).Round(time.Microsecond),
 			"from_checkpoint", restored[i])
 	}
 	var replayed, divergent int
 	if rec != nil && !replica {
+		t0 := time.Now()
 		if replayed, err = rec.Replay(targets, svc.Recorder()); err != nil {
 			return fmt.Errorf("recovery: replay: %w", err)
 		}
+		t1 := time.Now()
+		phases[replayPhase].Took = t1.Sub(t0)
 		if c.verifyRec {
 			diverged := incgraph.VerifyRecovered(targets, svc.Recorder())
 			if divergent = len(diverged); divergent > 0 {
@@ -362,6 +386,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 					"algos", strings.Join(diverged, ","))
 			}
 		}
+		phases[verifyPhase].Took = time.Since(t1)
 		logger.Info("recovered", "dir", c.dataDir,
 			"checkpoint_epoch", rec.CheckpointEpoch, "replayed_records", replayed,
 			"divergent", divergent)
@@ -448,6 +473,13 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		}()
 	}
 
+	svc.RecordStartup(phases)
+	started := []any{"took", time.Since(began).Round(time.Microsecond), "from_checkpoint", rec != nil && len(rec.Algos) > 0}
+	for _, p := range phases {
+		started = append(started, p.Name, p.Took.Round(time.Microsecond))
+	}
+	logger.Info("started", started...)
+
 	api := handler()
 	if c.accessLog {
 		api = incgraph.AccessLog(logger, api)
@@ -472,7 +504,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		// at the drained cut (the checkpoint job queues behind every
 		// accepted submission, so it covers exactly what was
 		// acknowledged), then drain and stop the apply loop.
-		logger.Info("shutting down: draining apply queues")
+		logger.Info("shutting down: draining the apply queue")
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shutCtx); err != nil {
@@ -551,28 +583,33 @@ func bootstrapPull(logger *slog.Logger, c *cliFlags) error {
 
 // classGraphs returns, for each class of algoList, the graph its
 // maintainer will own — maintainers mutate their graph in Apply and are
-// single-writer objects, so no two share one — and whether it came from
-// the checkpoint. A class rec (which may be nil) covers takes the
-// checkpoint's graph; the others take a private copy of base, the last of
-// them base itself, which the caller must not touch afterwards.
-func classGraphs(algoList []string, base *incgraph.Graph, rec *incgraph.Recovery) (graphs []*incgraph.Graph, restored []bool) {
+// single-writer objects, so no two share one — and whether the checkpoint
+// covered the class. The graph comes from the checkpoint whenever rec
+// (which may be nil) holds one, a class the checkpoint does not cover
+// included (Recovery.ClassGraph), and the input graph is not read at all.
+// Only without a checkpoint does load read it; then every class takes a
+// private copy of it, the last the input itself.
+func classGraphs(algoList []string, rec *incgraph.Recovery, load func() (*incgraph.Graph, error)) (graphs []*incgraph.Graph, restored []bool, err error) {
 	graphs = make([]*incgraph.Graph, len(algoList))
 	restored = make([]bool, len(algoList))
-	handedOver := false
-	for i := len(algoList) - 1; i >= 0; i-- {
-		if rec != nil {
-			if ra, ok := rec.Algos[algoList[i]]; ok {
-				graphs[i], restored[i] = ra.Graph, true
-				continue
-			}
+	if rec != nil && len(rec.Algos) > 0 {
+		for i, algo := range algoList {
+			graphs[i], restored[i] = rec.ClassGraph(algo)
 		}
-		if handedOver {
+		return graphs, restored, nil
+	}
+	base, err := load()
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range graphs {
+		if i < len(graphs)-1 {
 			graphs[i] = base.Clone()
 		} else {
-			graphs[i], handedOver = base, true
+			graphs[i] = base
 		}
 	}
-	return graphs, restored
+	return graphs, restored, nil
 }
 
 func loadGraph(path, genKind string, seed int64, nodes, deg int, directed bool) (*incgraph.Graph, error) {

@@ -249,6 +249,9 @@ type (
 	Recovery = serve.Recovery
 	// RecoveredAlgo is one algo's checkpointed graph and state.
 	RecoveredAlgo = serve.RecoveredAlgo
+	// StartupPhase is how long one phase of a daemon's start took
+	// (Service.RecordStartup).
+	StartupPhase = serve.StartupPhase
 	// WALOptions configure the write-ahead log (segment size, fsync
 	// policy and interval, fault hooks).
 	WALOptions = wal.Options

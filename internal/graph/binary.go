@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -77,42 +78,45 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 // every id against the declared node count and every weight against
 // checkWeight, so corrupted or hostile input (a checkpoint fetched from a
 // primary) yields an error, never a panic, an inconsistent graph or a
-// weight a relaxation would overflow on.
+// weight a relaxation would overflow on. It reads r whole and decodes the
+// bytes in memory; the rows are built in one pass (Graph.build), as
+// inserting the edges in turn would have laid them out, and the first
+// error in blob order is the one reported, a repeated edge or self-loop
+// included.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("graph binary: %w", err)
+	}
+	if len(data) < len(binaryMagic) {
+		err := io.ErrUnexpectedEOF
+		if len(data) == 0 {
+			err = io.EOF
+		}
 		return nil, fmt.Errorf("graph binary: reading magic: %w", err)
 	}
-	if string(magic) != binaryMagic {
+	if magic := data[:len(binaryMagic)]; string(magic) != binaryMagic {
 		return nil, fmt.Errorf("graph binary: bad magic %q", magic)
 	}
-	dirByte, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("graph binary: reading kind: %w", err)
+	data = data[len(binaryMagic):]
+	if len(data) == 0 {
+		return nil, fmt.Errorf("graph binary: reading kind: %w", io.EOF)
 	}
+	dirByte := data[0]
 	if dirByte > 1 {
 		return nil, fmt.Errorf("graph binary: bad kind byte %d", dirByte)
 	}
-	n, err := binary.ReadUvarint(br)
+	d := blob{buf: data[1:]}
+	n, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("graph binary: reading node count: %w", err)
 	}
 	if n > maxBinaryNodes {
 		return nil, fmt.Errorf("graph binary: node count %d too large", n)
 	}
+	d.nodes = n
 	g := New(int(n), dirByte == 1)
-	readID := func(what string) (NodeID, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("graph binary: reading %s: %w", what, err)
-		}
-		if v >= n {
-			return 0, fmt.Errorf("graph binary: %s %d out of range [0,%d)", what, v, n)
-		}
-		return NodeID(v), nil
-	}
-	labeled, err := binary.ReadUvarint(br)
+	labeled, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("graph binary: reading label count: %w", err)
 	}
@@ -120,17 +124,17 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph binary: label count %d exceeds nodes %d", labeled, n)
 	}
 	for i := uint64(0); i < labeled; i++ {
-		v, err := readID("label id")
+		v, err := d.id("label id")
 		if err != nil {
 			return nil, err
 		}
-		l, err := binary.ReadVarint(br)
+		l, err := d.varint()
 		if err != nil {
 			return nil, fmt.Errorf("graph binary: reading label: %w", err)
 		}
 		g.SetLabel(v, Label(l))
 	}
-	dead, err := binary.ReadUvarint(br)
+	dead, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("graph binary: reading tombstone count: %w", err)
 	}
@@ -139,38 +143,51 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	tombs := make([]NodeID, 0, dead)
 	for i := uint64(0); i < dead; i++ {
-		v, err := readID("tombstone id")
+		v, err := d.id("tombstone id")
 		if err != nil {
 			return nil, err
 		}
 		tombs = append(tombs, v)
 	}
-	edges, err := binary.ReadUvarint(br)
+	count, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("graph binary: reading edge count: %w", err)
 	}
-	for i := uint64(0); i < edges; i++ {
-		u, err := readID("edge tail")
-		if err != nil {
-			return nil, err
+	// An edge takes at least three bytes, so a corrupted count cannot size
+	// the list past what the blob holds.
+	edges := make([]rawEdge, 0, min(count, uint64(len(d.buf)/3)))
+	// fail returns err unless an edge decoded before it is one InsertEdge
+	// would have refused: then that edge's error, which came first.
+	fail := func(err error) error {
+		if i := g.build(edges); i >= 0 {
+			return fmt.Errorf("graph binary: duplicate or degenerate edge (%d,%d)", edges[i].u, edges[i].v)
 		}
-		v, err := readID("edge head")
+		return err
+	}
+	for i := uint64(0); i < count; i++ {
+		u, err := d.id("edge tail")
 		if err != nil {
-			return nil, err
+			return nil, fail(err)
 		}
-		w, err := binary.ReadVarint(br)
+		v, err := d.id("edge head")
 		if err != nil {
-			return nil, fmt.Errorf("graph binary: reading edge weight: %w", err)
+			return nil, fail(err)
+		}
+		w, err := d.varint()
+		if err != nil {
+			return nil, fail(fmt.Errorf("graph binary: reading edge weight: %w", err))
 		}
 		if err := checkWeight(w); err != nil {
-			return nil, fmt.Errorf("graph binary: edge (%d,%d): %w", u, v, err)
+			return nil, fail(fmt.Errorf("graph binary: edge (%d,%d): %w", u, v, err))
 		}
-		if !g.InsertEdge(u, v, w) {
-			return nil, fmt.Errorf("graph binary: duplicate or degenerate edge (%d,%d)", u, v)
-		}
+		edges = append(edges, rawEdge{u, v, w})
+	}
+	// Every edge is decoded: build the rows, unless one of them is refused.
+	if err := fail(nil); err != nil {
+		return nil, err
 	}
 	// Tombstone last: dead nodes carry no edges in a well-formed blob, so
-	// the insertions above never referenced them.
+	// the edges above never referenced them.
 	for _, v := range tombs {
 		if g.OutDegree(v) != 0 || (g.directed && g.InDegree(v) != 0) {
 			return nil, fmt.Errorf("graph binary: tombstoned node %d has edges", v)
@@ -178,6 +195,78 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		g.DeleteNode(v)
 	}
 	return g, nil
+}
+
+// readAll reads r to its end, in one piece when r knows how much it holds
+// (a checkpoint's blob in a bytes.Reader): io.ReadAll grows its buffer a
+// quarter at a time, a third more bytes and 25 more allocations for a
+// blob of the durable workload's size.
+func readAll(r io.Reader) ([]byte, error) {
+	sized, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, sized.Len())
+	_, err := io.ReadFull(r, data)
+	return data, err
+}
+
+// errVarintOverflow is the error encoding/binary's ReadUvarint gives for a
+// varint past 64 bits; the blob decoder keeps its text.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// blob decodes varints from a graph blob in memory. Its errors are the
+// ones binary.ReadUvarint gives reading the same bytes from a stream, so
+// a refusal reads the same whatever the blob came from.
+type blob struct {
+	buf   []byte
+	nodes uint64 // the declared node count, which every id must be below
+}
+
+func (d *blob) uvarint() (uint64, error) {
+	x, k := binary.Uvarint(d.buf)
+	if k <= 0 {
+		return 0, d.uvarintErr(k)
+	}
+	d.buf = d.buf[k:]
+	return x, nil
+}
+
+// uvarintErr is the error of a varint binary.Uvarint refused with k ≤ 0.
+func (d *blob) uvarintErr(k int) error {
+	switch {
+	case k < 0 || len(d.buf) >= binary.MaxVarintLen64:
+		return errVarintOverflow
+	case len(d.buf) == 0:
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
+}
+
+func (d *blob) varint() (int64, error) {
+	x, k := binary.Varint(d.buf)
+	if k <= 0 {
+		return 0, d.uvarintErr(k)
+	}
+	d.buf = d.buf[k:]
+	return x, nil
+}
+
+// id decodes a node id; what names it in an error.
+func (d *blob) id(what string) (NodeID, error) {
+	v, k := binary.Uvarint(d.buf)
+	if k <= 0 || v >= d.nodes {
+		return 0, d.idErr(what, v, k)
+	}
+	d.buf = d.buf[k:]
+	return NodeID(v), nil
+}
+
+func (d *blob) idErr(what string, v uint64, k int) error {
+	if k <= 0 {
+		return fmt.Errorf("graph binary: reading %s: %w", what, d.uvarintErr(k))
+	}
+	return fmt.Errorf("graph binary: %s %d out of range [0,%d)", what, v, d.nodes)
 }
 
 // AppendBatchBinary appends the binary encoding of b to dst and returns

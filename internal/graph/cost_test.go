@@ -126,6 +126,33 @@ func BenchmarkRead(b *testing.B) {
 	}
 }
 
+// BenchmarkReadBinary decodes a checkpoint's graph blob of the durable
+// workload's shape (20k nodes, degree 16), the half of a kill -9 recovery
+// that is not the WAL tail; "stream" is the decoder ReadBinary replaced,
+// FuzzReadBinary's reference.
+func BenchmarkReadBinary(b *testing.B) {
+	var blob bytes.Buffer
+	want := trickleShaped(20000, 16)
+	if err := want.WriteBinary(&blob); err != nil {
+		b.Fatal(err)
+	}
+	for _, impl := range []struct {
+		name string
+		read func(io.Reader) (*Graph, error)
+	}{{"blob", ReadBinary}, {"stream", readBinaryStream}} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(blob.Len()))
+			for i := 0; i < b.N; i++ {
+				g, err := impl.read(bytes.NewReader(blob.Bytes()))
+				if err != nil || g.NumEdges() != want.NumEdges() {
+					b.Fatalf("%v", err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkNet nets a batch of burst's size (400 updates over 6,000 nodes,
 // a few of them churn on one edge): a POST pays it once for the host and
 // once per maintainer.

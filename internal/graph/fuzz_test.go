@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -175,6 +176,28 @@ func FuzzRead(f *testing.F) {
 	f.Add("\u00a0graph\u2003directed\u20284\u0085\n \te 1 2 3 \r\n")
 	f.Add("graph directed 4 # c\n")
 	f.Add("graph directed 4\ne 1 2 3#c\n#e 1 2 3\ne 1 2 \xff\n")
+	// Where the table tokenizer and the digit loop could part from
+	// unicode.IsSpace and strconv: CRLF, U+00A0 and U+0085 between fields,
+	// a stray byte at or past 0x80 alone or glued on, explicit signs,
+	// leading zeros, and numbers of 18, 19 and 20 digits at every width.
+	f.Add("graph directed 3\r\nv 1 7\r\ne 0 1 5\r\ne 1 2 2\r\n")
+	f.Add("graph directed\u00853\ne 0\u00851 5\n\u0085v 1 7 \n")
+	f.Add("graph directed 3\ne 0 1 5\x80\n")
+	f.Add("graph directed 3\ne\x80 0 1 5\n")
+	f.Add("graph directed 3\n\xc2 e 0 1 5\n\xc2\xa0e 1 2 3\n")
+	f.Add("graph directed +7\ne +0 +6 +7\nv +6 +7\ne -0 +5 -0\n")
+	f.Add("graph directed 0007\ne 0006 00 0000000000000000000007\nv 000000000000000000001 -0000000000000000002\n")
+	f.Add("graph directed 4\ne 1 2 999999999999999999\ne 2 3 1000000000000000000\ne 3 1 2305843009213693950\n")
+	f.Add("graph directed 4\ne 1 2 10000000000000000000\n")
+	f.Add("graph directed 4\ne 1 2 -9223372036854775808\n")
+	f.Add("graph directed 4\ne 0000000000000000001 0000000000000000002 3\n")
+	f.Add("graph directed 4\nv 1 2147483647\nv 2 -2147483648\nv 3 0002147483648\n")
+	// A refused edge before a later error: the first in file order wins.
+	f.Add("graph directed 4\ne 0 1 1\ne 0 1 2\ne 1 2 x\n")
+	f.Add("graph undirected 4\ne 0 1 1\ne 1 0 1\ne 2 2 1\n")
+	f.Add("graph undirected 4\ne 2 2 1\ne 0 1 1\ne 1 0 1\n")
+	f.Add("graph directed 4\ne 0 1 1\ne 0 1 1\ngraph directed 4\n")
+	f.Add("graph directed 4\ne 0 1 1\ne 0 1 1\nv 9 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		if len(in) > 1<<16 {
 			return
@@ -330,6 +353,18 @@ func FuzzReadBatch(f *testing.F) {
 	// 64-bit parse narrowed them to nodes −2³¹, 0 and 5.
 	f.Add("+ 2147483648 1 7\n")
 	f.Add("+ 4294967296 4294967301 7\n")
+	// The tokenizer and digit loop Read shares: CRLF, U+00A0 and U+0085
+	// between fields, a stray byte at or past 0x80, explicit signs, leading
+	// zeros, and numbers of 18, 19 and 20 digits.
+	f.Add("+ 1 2 3\r\n- 4 5\r\n")
+	f.Add("+ 1\u00852 3\n\u0085- 4 5 \n")
+	f.Add("+ 1 2 3\x80\n")
+	f.Add("+\x80 1 2 3\n\xc2 - 4 5\n")
+	f.Add("+ +7 +8 +9\n- +7 +8 -0\n")
+	f.Add("+ 007 0008 0000000000000000009\n- 0000000000000000001 2\n")
+	f.Add("+ 1 2 999999999999999999\n+ 2 3 1000000000000000000\n")
+	f.Add("+ 1 2 10000000000000000000\n")
+	f.Add("+ 2147483647 0002147483647 1\n+ 1 -2147483648 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		if len(in) > 1<<16 {
 			return
@@ -373,6 +408,210 @@ func FuzzReadBatch(f *testing.F) {
 		}
 		if len(b2) != len(b) {
 			t.Fatal("round trip changed the batch length")
+		}
+	})
+}
+
+// readBinaryStream is ReadBinary as it was while it decoded varint by
+// varint through a bufio.Reader and inserted every edge with InsertEdge,
+// kept as the reference FuzzReadBinary compares the decoder against.
+func readBinaryStream(r io.Reader) (*Graph, error) {
+	br := bufio.NewReader(r)
+	magic := make([]byte, len(binaryMagic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return nil, fmt.Errorf("graph binary: reading magic: %w", err)
+	}
+	if string(magic) != binaryMagic {
+		return nil, fmt.Errorf("graph binary: bad magic %q", magic)
+	}
+	dirByte, err := br.ReadByte()
+	if err != nil {
+		return nil, fmt.Errorf("graph binary: reading kind: %w", err)
+	}
+	if dirByte > 1 {
+		return nil, fmt.Errorf("graph binary: bad kind byte %d", dirByte)
+	}
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("graph binary: reading node count: %w", err)
+	}
+	if n > maxBinaryNodes {
+		return nil, fmt.Errorf("graph binary: node count %d too large", n)
+	}
+	g := New(int(n), dirByte == 1)
+	readID := func(what string) (NodeID, error) {
+		v, err := binary.ReadUvarint(br)
+		if err != nil {
+			return 0, fmt.Errorf("graph binary: reading %s: %w", what, err)
+		}
+		if v >= n {
+			return 0, fmt.Errorf("graph binary: %s %d out of range [0,%d)", what, v, n)
+		}
+		return NodeID(v), nil
+	}
+	labeled, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("graph binary: reading label count: %w", err)
+	}
+	if labeled > n {
+		return nil, fmt.Errorf("graph binary: label count %d exceeds nodes %d", labeled, n)
+	}
+	for i := uint64(0); i < labeled; i++ {
+		v, err := readID("label id")
+		if err != nil {
+			return nil, err
+		}
+		l, err := binary.ReadVarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("graph binary: reading label: %w", err)
+		}
+		g.SetLabel(v, Label(l))
+	}
+	dead, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("graph binary: reading tombstone count: %w", err)
+	}
+	if dead > n {
+		return nil, fmt.Errorf("graph binary: tombstone count %d exceeds nodes %d", dead, n)
+	}
+	tombs := make([]NodeID, 0, dead)
+	for i := uint64(0); i < dead; i++ {
+		v, err := readID("tombstone id")
+		if err != nil {
+			return nil, err
+		}
+		tombs = append(tombs, v)
+	}
+	edges, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("graph binary: reading edge count: %w", err)
+	}
+	for i := uint64(0); i < edges; i++ {
+		u, err := readID("edge tail")
+		if err != nil {
+			return nil, err
+		}
+		v, err := readID("edge head")
+		if err != nil {
+			return nil, err
+		}
+		w, err := binary.ReadVarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("graph binary: reading edge weight: %w", err)
+		}
+		if err := checkWeight(w); err != nil {
+			return nil, fmt.Errorf("graph binary: edge (%d,%d): %w", u, v, err)
+		}
+		if !g.InsertEdge(u, v, w) {
+			return nil, fmt.Errorf("graph binary: duplicate or degenerate edge (%d,%d)", u, v)
+		}
+	}
+	for _, v := range tombs {
+		if g.OutDegree(v) != 0 || (g.directed && g.InDegree(v) != 0) {
+			return nil, fmt.Errorf("graph binary: tombstoned node %d has edges", v)
+		}
+		g.DeleteNode(v)
+	}
+	return g, nil
+}
+
+// blobOf encodes a binary graph field by field, whether or not the fields
+// make a graph: the blobs WriteBinary cannot write (a repeated edge, a
+// self-loop, an id past the node count, a tombstone with edges).
+func blobOf(directed bool, n uint64, labels [][2]int64, tombs []uint64, edges [][3]int64) []byte {
+	b := []byte(binaryMagic)
+	if directed {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = binary.AppendUvarint(b, n)
+	b = binary.AppendUvarint(b, uint64(len(labels)))
+	for _, l := range labels {
+		b = binary.AppendUvarint(b, uint64(l[0]))
+		b = binary.AppendVarint(b, l[1])
+	}
+	b = binary.AppendUvarint(b, uint64(len(tombs)))
+	for _, v := range tombs {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = binary.AppendUvarint(b, uint64(len(edges)))
+	for _, e := range edges {
+		b = binary.AppendUvarint(b, uint64(e[0]))
+		b = binary.AppendUvarint(b, uint64(e[1]))
+		b = binary.AppendVarint(b, e[2])
+	}
+	return b
+}
+
+// FuzzReadBinary holds the in-memory decoder and its one-pass row build
+// to the per-edge decoder it replaced: the same graph, row for row, tombstones
+// and labels included, or the same error, word for word.
+func FuzzReadBinary(f *testing.F) {
+	for _, directed := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := buildBinaryFixture(directed).WriteBinary(&buf); err != nil {
+			f.Fatal(err)
+		}
+		whole := buf.Bytes()
+		f.Add(whole)
+		for cut := 0; cut < len(whole); cut++ {
+			f.Add(append([]byte(nil), whole[:cut]...))
+		}
+		labels := [][2]int64{{1, 7}, {3, -2}, {1, 9}}
+		f.Add(blobOf(directed, 4, labels, []uint64{3}, [][3]int64{{0, 1, 5}, {1, 2, 3}}))
+		// Repeats, either orientation, self-loops, and each before or
+		// after another refusal, so the first in blob order must win.
+		f.Add(blobOf(directed, 4, nil, nil, [][3]int64{{0, 1, 5}, {1, 2, 3}, {0, 1, 7}}))
+		f.Add(blobOf(directed, 4, nil, nil, [][3]int64{{1, 2, 3}, {2, 1, 3}}))
+		f.Add(blobOf(directed, 4, nil, nil, [][3]int64{{0, 1, 1}, {2, 2, 1}, {0, 1, 1}}))
+		f.Add(blobOf(directed, 4, nil, nil, [][3]int64{{0, 1, 1}, {0, 1, 1}, {2, 2, 1}}))
+		f.Add(blobOf(directed, 4, nil, nil, [][3]int64{{0, 1, 1}, {0, 1, 1}, {0, 9, 1}}))
+		f.Add(blobOf(directed, 4, nil, nil, [][3]int64{{0, 1, 1}, {0, 1, -1}}))
+		f.Add(blobOf(directed, 4, nil, nil, [][3]int64{{0, 1, Infinity}, {0, 1, 1}}))
+		f.Add(blobOf(directed, 4, [][2]int64{{4, 1}}, nil, nil))
+		f.Add(blobOf(directed, 4, nil, []uint64{1}, [][3]int64{{0, 1, 1}}))
+		f.Add(blobOf(directed, 4, nil, []uint64{1, 1}, [][3]int64{{0, 2, 1}}))
+		// A repeat, then a blob cut off: the repeat came first.
+		dup := blobOf(directed, 4, nil, nil, [][3]int64{{0, 1, 1}, {0, 1, 2}, {2, 3, 1}})
+		f.Add(dup[:len(dup)-2])
+	}
+	// Counts past the blob, and varints of ten and eleven continuation bytes.
+	f.Add(binary.AppendUvarint([]byte(binaryMagic+"\x00\x04\x00\x00"), 1<<40))
+	f.Add([]byte(binaryMagic + "\x00\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80"))
+	f.Add([]byte(binaryMagic + "\x00\x80\x80\x80\x80\x80\x80\x80\x80\x80"))
+	f.Add([]byte(binaryMagic + "\x00\x80\x80\x80\x80\x80\x80\x80\x80\x80\x02"))
+	f.Add([]byte("IGB2\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			return
+		}
+		// Node counts allocate proportionally: keep what the fuzzer asks for small.
+		if len(data) > len(binaryMagic)+1 {
+			if n, k := binary.Uvarint(data[len(binaryMagic)+1:]); k > 0 && n > 1<<16 {
+				return
+			}
+		}
+		g, err := ReadBinary(bytes.NewReader(data))
+		ref, refErr := readBinaryStream(bytes.NewReader(data))
+		switch {
+		case (err == nil) != (refErr == nil):
+			t.Fatalf("ReadBinary gives %v; the reference gives %v", err, refErr)
+		case err != nil && err.Error() != refErr.Error():
+			t.Fatalf("ReadBinary refused with %q; the reference with %q", err, refErr)
+		case err != nil:
+			return
+		}
+		if !sameGraph(g, ref) || g.NumAlive() != ref.NumAlive() {
+			t.Fatal("ReadBinary and the reference built different graphs")
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			if g.Alive(NodeID(v)) != ref.Alive(NodeID(v)) {
+				t.Fatalf("node %d alive %v, the reference's %v", v, g.Alive(NodeID(v)), ref.Alive(NodeID(v)))
+			}
+		}
+		if err := g.CheckConsistent(); err != nil {
+			t.Fatalf("accepted graph inconsistent: %v", err)
 		}
 	})
 }

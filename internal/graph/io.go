@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -117,7 +118,7 @@ func ReadBatch(r io.Reader) (Batch, error) {
 				bits = 64
 			}
 			var err error
-			if nums[k], err = strconv.ParseInt(string(fields[k+1]), 10, bits); err != nil {
+			if nums[k], err = parseInt(fields[k+1], bits); err != nil {
 				return nil, fmt.Errorf("batch: line %d: %v", line, err)
 			}
 		}
@@ -130,54 +131,125 @@ func ReadBatch(r io.Reader) (Batch, error) {
 	return b, sc.Err()
 }
 
-// splitFields stores the first four fields of s (see nextField) and returns
-// how many s holds in all: no record of either text format has more.
+// splitFields stores the first four fields of s — runs of bytes holding no
+// Unicode white space, as strings.Fields splits — and returns how many s
+// holds in all: no record of either text format has more.
 func splitFields(s []byte, fields *[4][]byte) (n int) {
-	for {
-		var f []byte
-		if f, s = nextField(s); len(f) == 0 {
+	for i := 0; ; {
+		for i < len(s) {
+			c := byteClass[s[i]]
+			if c == fieldByte {
+				break
+			}
+			w := 1
+			if c == runeByte {
+				if w = spaceWidth(s[i:]); w == 0 {
+					break
+				}
+			}
+			i += w
+		}
+		if i == len(s) {
 			return n
 		}
+		start := i
+		// Byte by byte: the bytes inside a rune cannot start one, let alone
+		// white space.
+		for i < len(s) {
+			c := byteClass[s[i]]
+			if c == asciiSpace || (c == runeByte && spaceWidth(s[i:]) > 0) {
+				break
+			}
+			i++
+		}
 		if n < len(fields) {
-			fields[n] = f
+			fields[n] = s[start:i]
 		}
 		n++
 	}
 }
 
-// nextField returns the first field of s — a run of bytes holding no
-// Unicode white space, as strings.Fields splits — and what follows it;
-// the field is empty when s holds nothing but white space.
-func nextField(s []byte) (field, rest []byte) {
-	start := -1
-	for i := 0; i < len(s); {
-		r, w := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
-			r, w = utf8.DecodeRune(s[i:])
-		}
-		switch space := unicode.IsSpace(r); {
-		case space && start >= 0:
-			return s[start:i], s[i:]
-		case !space && start < 0:
-			start = i
-		}
-		i += w
+// The classes of byteClass.
+const (
+	fieldByte  = iota // no white space
+	asciiSpace        // what unicode.IsSpace calls white space below utf8.RuneSelf
+	runeByte          // at or past utf8.RuneSelf: only the rune it starts can tell
+)
+
+// byteClass sorts the bytes for splitFields, so an ASCII byte costs one
+// lookup and only a byte at or past utf8.RuneSelf a rune to decode and
+// ask unicode.IsSpace about.
+var byteClass = func() (class [256]uint8) {
+	for _, c := range "\t\n\v\f\r " {
+		class[c] = asciiSpace
 	}
-	if start < 0 {
-		return nil, nil
+	for c := utf8.RuneSelf; c < len(class); c++ {
+		class[c] = runeByte
 	}
-	return s[start:], nil
+	return class
+}()
+
+// spaceWidth returns the width of the white space rune s starts with, 0
+// when it starts with none.
+func spaceWidth(s []byte) int {
+	if r, w := utf8.DecodeRune(s); unicode.IsSpace(r) {
+		return w
+	}
+	return 0
+}
+
+// parseInt is strconv.ParseInt(string(s), 10, bits) read straight from the
+// bytes: a sign and up to 18 digits, which cannot overflow an int64, are
+// summed here, and anything else (another byte, more digits, a value past
+// bits) is left to strconv for its verdict and its error text.
+func parseInt(s []byte, bits int) (int64, error) {
+	digits := s
+	if len(digits) > 0 && (digits[0] == '+' || digits[0] == '-') {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return strconv.ParseInt(string(s), 10, bits)
+	}
+	var x int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(s), 10, bits)
+		}
+		x = x*10 + int64(c-'0')
+	}
+	if s[0] == '-' {
+		x = -x
+	}
+	if bits == 32 && x != int64(int32(x)) {
+		return strconv.ParseInt(string(s), 10, bits)
+	}
+	return x, nil
 }
 
 // Read parses a graph in the text format. Like ReadBatch it works on the
 // scanner's bytes — it is the cold start of every daemon — and takes
 // numbers as plain decimals: a field with anything glued to the number is
 // an error wherever it stands, and a node count or label that does not fit
-// its type is refused instead of narrowed.
+// its type is refused instead of narrowed. The edges are collected as they
+// are read and the rows built from them at the end (Graph.build), exactly
+// as inserting them line by line would; the first error in file order is
+// the one reported, a repeated edge or self-loop included.
 func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<24)
 	var g *Graph
+	var edges []rawEdge
+	var lines []int32 // the line of every edge
+	// fail returns err unless an edge read before it is one InsertEdge
+	// would have refused: then that edge's error, which came first.
+	fail := func(err error) error {
+		if g != nil {
+			if i := g.build(edges); i >= 0 {
+				return fmt.Errorf("graph: line %d: duplicate or degenerate edge (%d,%d)", lines[i], edges[i].u, edges[i].v)
+			}
+		}
+		return err
+	}
 	for line := 1; sc.Scan(); line++ {
 		var fields [4][]byte
 		n := splitFields(sc.Bytes(), &fields)
@@ -187,12 +259,12 @@ func Read(r io.Reader) (*Graph, error) {
 		switch string(fields[0]) {
 		case "graph":
 			if g != nil {
-				return nil, fmt.Errorf("graph: line %d: duplicate header", line)
+				return nil, fail(fmt.Errorf("graph: line %d: duplicate header", line))
 			}
 			if n != 3 {
 				return nil, fmt.Errorf("graph: line %d: malformed header", line)
 			}
-			nodes, err := strconv.ParseInt(string(fields[2]), 10, 32)
+			nodes, err := parseInt(fields[2], 32)
 			if err != nil || nodes < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[2])
 			}
@@ -209,18 +281,18 @@ func Read(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: v before header", line)
 			}
 			if n != 3 {
-				return nil, fmt.Errorf("graph: line %d: malformed v line", line)
+				return nil, fail(fmt.Errorf("graph: line %d: malformed v line", line))
 			}
-			id, err := strconv.ParseInt(string(fields[1]), 10, 64)
+			id, err := parseInt(fields[1], 64)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", line, err)
+				return nil, fail(fmt.Errorf("graph: line %d: %v", line, err))
 			}
-			label, err := strconv.ParseInt(string(fields[2]), 10, 32)
+			label, err := parseInt(fields[2], 32)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", line, err)
+				return nil, fail(fmt.Errorf("graph: line %d: %v", line, err))
 			}
 			if id < 0 || id >= int64(g.NumNodes()) {
-				return nil, fmt.Errorf("graph: line %d: node %d out of range", line, id)
+				return nil, fail(fmt.Errorf("graph: line %d: node %d out of range", line, id))
 			}
 			g.SetLabel(NodeID(id), Label(label))
 		case "e":
@@ -228,34 +300,42 @@ func Read(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: e before header", line)
 			}
 			if n != 4 {
-				return nil, fmt.Errorf("graph: line %d: malformed e line", line)
+				return nil, fail(fmt.Errorf("graph: line %d: malformed e line", line))
 			}
 			var nums [3]int64 // u, v, w
 			for k := range nums {
 				var err error
-				if nums[k], err = strconv.ParseInt(string(fields[k+1]), 10, 64); err != nil {
-					return nil, fmt.Errorf("graph: line %d: %v", line, err)
+				if nums[k], err = parseInt(fields[k+1], 64); err != nil {
+					return nil, fail(fmt.Errorf("graph: line %d: %v", line, err))
 				}
 			}
 			u, v, wgt := nums[0], nums[1], nums[2]
 			if u < 0 || u >= int64(g.NumNodes()) || v < 0 || v >= int64(g.NumNodes()) {
-				return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range", line, u, v)
+				return nil, fail(fmt.Errorf("graph: line %d: edge (%d,%d) out of range", line, u, v))
 			}
 			if err := checkWeight(wgt); err != nil {
-				return nil, fmt.Errorf("graph: line %d: edge (%d,%d): %v", line, u, v, err)
+				return nil, fail(fmt.Errorf("graph: line %d: edge (%d,%d): %v", line, u, v, err))
 			}
-			if !g.InsertEdge(NodeID(u), NodeID(v), wgt) {
-				return nil, fmt.Errorf("graph: line %d: duplicate or degenerate edge (%d,%d)", line, u, v)
+			if len(edges) == cap(edges) {
+				// Double: append grows a long slice by a quarter at a time,
+				// copying it five times over on the way to its length.
+				edges, lines = slices.Grow(edges, len(edges)), slices.Grow(lines, len(lines))
 			}
+			edges = append(edges, rawEdge{NodeID(u), NodeID(v), wgt})
+			lines = append(lines, int32(line))
 		default:
-			return nil, fmt.Errorf("graph: line %d: unknown record %q", line, fields[0])
+			return nil, fail(fmt.Errorf("graph: line %d: unknown record %q", line, fields[0]))
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fail(err)
 	}
 	if g == nil {
 		return nil, fmt.Errorf("graph: missing header")
+	}
+	// Every edge is read: build the rows, unless one of them is refused.
+	if err := fail(nil); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

@@ -74,6 +74,10 @@ type Recovery struct {
 	// CheckpointEpoch is the loaded checkpoint's epoch sum, 0 if none.
 	CheckpointEpoch uint64
 
+	// sibling is the first class the checkpoint covers: a class it does not
+	// cover starts from that class's graph and stream position.
+	sibling string
+
 	replayedRaw     map[string]uint64
 	replayedRecords map[string]uint64
 	// Replayed is the total WAL records re-applied by Replay.
@@ -82,8 +86,10 @@ type Recovery struct {
 
 // LoadRecovery loads the newest valid checkpoint in dir (scanning past
 // corrupt ones) and decodes each algorithm's graph and state envelope.
-// With no usable checkpoint it returns an empty Recovery that replays
-// the WAL from the beginning.
+// Every class takes every update, so the classes' graph blobs are
+// normally byte-identical: each distinct blob is decoded once, and every
+// further class holding it gets its own Clone. With no usable checkpoint
+// it returns an empty Recovery that replays the WAL from the beginning.
 func LoadRecovery(dir string) (*Recovery, error) {
 	r := &Recovery{
 		dir:             dir,
@@ -100,10 +106,20 @@ func LoadRecovery(dir string) (*Recovery, error) {
 	}
 	r.ReplayFrom = ck.ReplayFrom
 	r.CheckpointEpoch = ck.Epoch
+	var decoded []wal.AlgoState // the classes whose blob was decoded, not cloned
 	for _, a := range ck.Algos {
-		g, err := graph.ReadBinary(bytes.NewReader(a.Graph))
-		if err != nil {
-			return nil, fmt.Errorf("serve: checkpoint graph for %s: %w", a.Name, err)
+		var g *graph.Graph
+		for _, d := range decoded {
+			if bytes.Equal(d.Graph, a.Graph) {
+				g = r.Algos[d.Name].Graph.Clone()
+				break
+			}
+		}
+		if g == nil {
+			if g, err = graph.ReadBinary(bytes.NewReader(a.Graph)); err != nil {
+				return nil, fmt.Errorf("serve: checkpoint graph for %s: %w", a.Name, err)
+			}
+			decoded = append(decoded, a)
 		}
 		var env stateEnvelope
 		if err := gob.NewDecoder(bytes.NewReader(a.State)).Decode(&env); err != nil {
@@ -113,8 +129,30 @@ func LoadRecovery(dir string) (*Recovery, error) {
 			Name: a.Name, Graph: g, State: env.State,
 			Epoch: env.Epoch, Batches: env.Batches,
 		}
+		if r.sibling == "" {
+			r.sibling = a.Name
+		}
 	}
 	return r, nil
+}
+
+// ClassGraph returns the graph class algo's maintainer is to be built on
+// when a checkpoint was loaded, and whether the checkpoint covers algo.
+// A covered class takes its own recovered graph. A class added since the
+// checkpoint was written takes a Clone of a covered sibling's — the graph
+// at the checkpoint's cut, which the WAL tail then replays onto as onto
+// every other — and Base starts it at that sibling's stream position.
+// Call it for every class before any maintainer is built or replayed
+// into. It returns nil when there is no checkpoint: then every class
+// starts from the input graph.
+func (r *Recovery) ClassGraph(algo string) (g *graph.Graph, covered bool) {
+	if ra, ok := r.Algos[algo]; ok {
+		return ra.Graph, true
+	}
+	if r.sibling == "" {
+		return nil, false
+	}
+	return r.Algos[r.sibling].Graph.Clone(), false
 }
 
 // Restore installs the recovered state into a serveable built on the
@@ -177,9 +215,14 @@ func (r *Recovery) Replay(targets map[string]Serveable, rec *trace.Recorder) (in
 }
 
 // Base returns the stream position a recovered host should resume from:
-// the checkpoint's accounting plus what Replay re-applied.
+// the checkpoint's accounting plus what Replay re-applied. A class the
+// checkpoint does not cover starts where the sibling whose graph
+// ClassGraph cloned for it stood.
 func (r *Recovery) Base(algo string) (epoch, batches uint64) {
-	ra := r.Algos[algo]
+	ra, ok := r.Algos[algo]
+	if !ok {
+		ra = r.Algos[r.sibling]
+	}
 	return ra.Epoch + r.replayedRaw[algo], ra.Batches + r.replayedRecords[algo]
 }
 
