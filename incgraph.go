@@ -25,6 +25,7 @@
 package incgraph
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -303,9 +304,15 @@ func AccessLog(logger *slog.Logger, next http.Handler) http.Handler {
 	return serve.AccessLog(logger, next)
 }
 
-// ServeSSSP adapts an SSSP maintainer for serving; src must be the source
-// the maintainer was built with.
-func ServeSSSP(inc *IncSSSP, src NodeID) Serveable { return serve.SSSP(inc, src) }
+// ServeSSSP adapts an SSSP maintainer for serving. The view, and every
+// recompute, uses the maintainer's own source; src must be that source
+// (inc.Source()), and ServeSSSP panics if it is not.
+func ServeSSSP(inc *IncSSSP, src NodeID) Serveable {
+	if src != inc.Source() {
+		panic(fmt.Sprintf("incgraph: ServeSSSP given source %d for a maintainer built on %d", src, inc.Source()))
+	}
+	return serve.SSSP(inc)
+}
 
 // ServeCC adapts a connected-components maintainer for serving.
 func ServeCC(inc *IncCC) Serveable { return serve.CC(inc) }

@@ -116,3 +116,29 @@ func TestFacadeGenerators(t *testing.T) {
 		t.Fatal("temporal snapshot wrong")
 	}
 }
+
+// TestServeSSSPSource: the source ServeSSSP is given must be the
+// maintainer's; built on 0 and given 3 it panics instead of publishing
+// distances from 0 as distances from 3 (and recomputing from 3 at the next
+// heal). Given 0, the view and the view after a recompute are from 0.
+func TestServeSSSPSource(t *testing.T) {
+	g := PowerLawGraph(12, 200, 6, true)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ServeSSSP took source 3 for a maintainer built on source 0")
+			}
+		}()
+		ServeSSSP(NewIncSSSP(g.Clone(), 0), 3)
+	}()
+	s := ServeSSSP(NewIncSSSP(g, 0), 0)
+	for _, when := range []string{"as built", "after Recompute"} {
+		if when == "after Recompute" {
+			s.Recompute()
+		}
+		v := s.Snapshot().(ServeSSSPView)
+		if v.Src != 0 || !reflect.DeepEqual(v.Dist.Slice(), SSSP(g, 0)) {
+			t.Fatalf("%s: view of source %d, want the distances from source 0", when, v.Src)
+		}
+	}
+}

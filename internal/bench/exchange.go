@@ -123,7 +123,7 @@ func measureExchange(seed int64, n, shards int) (m exchangeCost, err error) {
 		frag := shard.FilterGraph(g, part, id)
 		svc := serve.NewService()
 		defer svc.Close()
-		if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src), src), serve.Options{}); err != nil {
+		if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src)), serve.Options{}); err != nil {
 			return m, err
 		}
 		if _, err := svc.Host(serve.CC(cc.NewInc(frag.Clone())), serve.Options{}); err != nil {

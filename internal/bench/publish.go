@@ -192,7 +192,7 @@ func measurePublish(seed int64, core, n int, class string) (m publishCost, err e
 	var inner serve.Serveable
 	switch class {
 	case "sssp":
-		inner = serve.SSSP(sssp.NewInc(g, 0), 0)
+		inner = serve.SSSP(sssp.NewInc(g, 0))
 	case "cc":
 		inner = serve.CC(cc.NewInc(g))
 	case "dfs":

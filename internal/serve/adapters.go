@@ -16,39 +16,76 @@ import (
 	"incgraph/internal/sssp"
 )
 
-// The adapters below wrap each incremental maintainer as a Serveable.
-// The maintainers alias internal state from their accessors (Dist,
-// Labels, …) and keep mutating it across Apply calls, so a published
-// view holds its vectors as Paged values instead: each adapter keeps the
-// vectors it last published, and Snapshot builds the next ones with
+// Every class is served by one adapter over a narrow maintainer interface
+// (Graph, Apply, Stats, Written), the way the paper builds every class: a
+// batch fixpoint algorithm, its incremental form, and the auxiliary state
+// a restart must keep. A class supplies a descriptor of four parts — its
+// name, its batch constructor, a view builder, and its state envelope's
+// export and restore — and the adapter owns the rest.
+//
+// Publication: the maintainers alias internal state from their accessors
+// (Dist, Labels, …) and keep mutating it across Apply calls, so a published
+// view holds its vectors as Paged values instead. The adapter keeps the
+// view it last published, and the view builder derives the next one with
 // Paged.Update, which copies the pages whose content changed and shares
-// the rest with the previous epoch. SSSP, CC, LCC, DFS and BC hand Update
-// the maintainer's written list, so publishing costs what the apply wrote;
-// Sim, whose view is gathered match lists and not the maintainer's own
-// vector (and any adapter after Recompute or RestoreState), passes nil and
-// pays one comparison pass over the vector.
+// the rest with the previous epoch. The builder gets the maintainer's
+// written list when that list covers everything since the last Snapshot,
+// so publishing costs what the apply wrote; after Recompute or
+// RestoreState, or several applies, it gets nil (unknown) and pays one
+// comparison pass. Sim's list holds pairs v·|V_Q| + u: its builder
+// re-gathers the match lists of the pattern nodes u written and shares
+// every other list with the previous epoch.
 //
 // Apply returns an ApplyResult instead of the bare affected count: all six
-// maintainers expose cumulative fixpoint.Stats, so each adapter snapshots
+// maintainers expose cumulative fixpoint.Stats, so the adapter snapshots
 // the counters around Apply and reports the per-apply delta — the numbers
-// Theorem 3 is about — rather than discarding them. The engine-backed
-// classes count what the engine counts; LCC, DFS and BC, which repair with
-// their own machinery, keep the same ledger by hand (Touched, Aff,
-// AffEdges, Changed: see each maintainer's Stats).
+// Theorem 3 is about. The engine-backed classes count what the engine
+// counts; LCC, DFS and BC, which repair with their own machinery, keep the
+// same ledger by hand (Touched, Aff, AffEdges, Changed: see each
+// maintainer's Stats).
 //
-// PersistState/RestoreState serialize the maintainer's incremental state
-// as a gob blob for durability checkpoints. What each class persists is
-// exactly what Theorem 1's weak deducibility says it must keep beyond
-// the answer itself: the engine-backed classes persist their timestamps
-// and clock (the anchor order <_C), sim its falsification timestamps,
-// dfs/lcc nothing beyond the interval/status variables, and bc its three
-// per-node arrays (flags, blocks, DFS numbers). Recompute rebuilds the maintainer by re-running the
-// batch algorithm over the current graph — the self-healing and
+// PersistState/RestoreState serialize the class's state envelope as a gob
+// blob for durability checkpoints. What each class persists is exactly what
+// Theorem 1's weak deducibility says it must keep beyond the answer itself:
+// the engine-backed classes persist their timestamps and clock (the anchor
+// order <_C), sim its falsification timestamps, dfs/lcc nothing beyond the
+// interval/status variables, and bc its three per-node arrays (flags,
+// blocks, DFS numbers). The envelope types' names and fields are the
+// checkpoint format. Recompute rebuilds the maintainer with the batch
+// constructor over the current graph — the self-healing and
 // recovery-verification path.
 
-// pubState tells an adapter with a written list what Snapshot may hand
-// Paged.Update: the maintainer's list describes exactly one apply, so it
-// is the truth only when exactly one happened since the last Snapshot.
+// maintainer is what the adapter needs of an incremental maintainer.
+// Written lists the indices (nodes, or sim's pairs) the last Apply wrote,
+// a superset of those whose value changed.
+type maintainer interface {
+	Graph() *graph.Graph
+	Apply(graph.Batch) int
+	Stats() fixpoint.Stats
+	Written() []int32
+}
+
+// adapter serves one class: M is its maintainer, V its published view and
+// S its checkpoint envelope.
+type adapter[M maintainer, V, S any] struct {
+	// The class's descriptor.
+	name string
+	// batch runs the batch algorithm over m's graph.
+	batch func(m M) M
+	// view builds the next view from the last published one and the
+	// indices written since (nil: unknown).
+	view    func(m M, last V, written []int32) V
+	export  func(m M) S
+	restore func(m M, st S) (M, error)
+
+	m    M
+	last V // last published
+	pub  pubState
+}
+
+// pubState tells the adapter what to hand the view builder: the
+// maintainer's list describes exactly one apply, so it is the truth only
+// when exactly one happened since the last Snapshot.
 type pubState struct{ applies int }
 
 // nothingWritten is the written list of a maintainer nobody applied to.
@@ -59,9 +96,9 @@ var nothingWritten = []int32{}
 func (p *pubState) applied() { p.applies++ }
 func (p *pubState) unknown() { p.applies = 2 }
 
-// written returns what to pass Update given the maintainer's list w, and
-// starts the next publication interval. An apply that wrote nothing may
-// leave w nil, which Update would read as unknown.
+// written returns what to pass the view builder given the maintainer's
+// list w, and starts the next publication interval. An apply that wrote
+// nothing may leave w nil, which would read as unknown.
 func (p *pubState) written(w []int32) []int32 {
 	n := p.applies
 	p.applies = 0
@@ -70,6 +107,72 @@ func (p *pubState) written(w []int32) []int32 {
 		return nothingWritten
 	case n == 1:
 		return w
+	}
+	return nil
+}
+
+func (a *adapter[M, V, S]) Algo() string        { return a.name }
+func (a *adapter[M, V, S]) Graph() *graph.Graph { return a.m.Graph() }
+
+// Written is the maintainer's written list of its last Apply.
+func (a *adapter[M, V, S]) Written() []int32 { return a.m.Written() }
+
+// Apply runs one Apply and packages the affected count with the counter
+// delta attributable to it. The per-apply work ledger rides the same Stats
+// snapshot: the maintainer fills |CHANGED|, |AFF|, ‖AFF‖ and rounds, and
+// the adapter completes the cost model with the two quantities only the
+// serving layer knows — |ΔG| (the net batch size) and the recompute
+// estimate (nodes + edges of the graph after the apply).
+func (a *adapter[M, V, S]) Apply(b graph.Batch) ApplyResult {
+	a.pub.applied()
+	before := a.m.Stats()
+	aff := a.m.Apply(b)
+	res := ApplyResult{Affected: aff, Stats: a.m.Stats().Sub(before), HasStats: true, HasLedger: true}
+	g := a.m.Graph()
+	res.Ledger = res.Stats.Ledger
+	res.Ledger.Delta = int64(len(b))
+	res.Ledger.RecomputeEst = int64(g.NumNodes() + g.NumEdges())
+	return res
+}
+
+func (a *adapter[M, V, S]) Snapshot() any {
+	a.last = a.view(a.m, a.last, a.pub.written(a.m.Written()))
+	return a.last
+}
+
+func (a *adapter[M, V, S]) PersistState(w io.Writer) error {
+	return gob.NewEncoder(w).Encode(a.export(a.m))
+}
+
+func (a *adapter[M, V, S]) RestoreState(r io.Reader) error {
+	var st S
+	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+		return err
+	}
+	a.pub.unknown()
+	m, err := a.restore(a.m, st)
+	a.m = m
+	return err
+}
+
+func (a *adapter[M, V, S]) Recompute() {
+	a.pub.unknown()
+	a.m = a.batch(a.m)
+}
+
+// SetTracer forwards the engine's span hook to a maintainer that takes one
+// (sssp, cc, sim); for the others it is a no-op.
+func (a *adapter[M, V, S]) SetTracer(t fixpoint.Tracer) {
+	if ts, ok := any(a.m).(tracerSetter); ok {
+		ts.SetTracer(t)
+	}
+}
+
+// Flat exposes the current maintainer's flat adjacency view to the host's
+// compaction and dead-space metrics; nil for sim, which keeps none.
+func (a *adapter[M, V, S]) Flat() *graph.Flat {
+	if fv, ok := any(a.m).(flatViewer); ok {
+		return fv.Flat()
 	}
 	return nil
 }
@@ -87,75 +190,23 @@ func (v SSSPView) viewFields(lo, hi int) []viewField {
 	return []viewField{{name: "src", num: int64(v.Src)}, {name: "dist", vec: cutOf(v.Dist, lo, hi)}}
 }
 
-type ssspServeable struct {
-	inc  *sssp.Inc
-	src  graph.NodeID
-	dist Paged[int64] // last published
-	pub  pubState
-}
-
-// SSSP adapts an IncSSSP maintainer.
-func SSSP(inc *sssp.Inc, src graph.NodeID) Serveable {
-	return &ssspServeable{inc: inc, src: src}
-}
-
-func (s *ssspServeable) Algo() string        { return "sssp" }
-func (s *ssspServeable) Graph() *graph.Graph { return s.inc.Graph() }
-func (s *ssspServeable) Apply(b graph.Batch) ApplyResult {
-	s.pub.applied()
-	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
-}
-func (s *ssspServeable) Snapshot() any {
-	s.dist = s.dist.Update(s.inc.Dist(), s.pub.written(s.inc.Written()))
-	return SSSPView{Src: s.src, Dist: s.dist}
-}
-func (s *ssspServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
-
-// Flat exposes the current inner maintainer's flat adjacency view to the
-// host's compaction and dead-space metrics.
-func (s *ssspServeable) Flat() *graph.Flat { return s.inc.Flat() }
-
 // ssspState is the gob envelope of PersistState: the distances are
 // IncSSSP's complete incremental state (deducible; <_C is distance
 // order).
 type ssspState struct{ Dist []int64 }
 
-func (s *ssspServeable) PersistState(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(ssspState{Dist: s.inc.Dist()})
-}
-func (s *ssspServeable) RestoreState(r io.Reader) error {
-	var st ssspState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
+// SSSP adapts an IncSSSP maintainer; the view's source is the maintainer's.
+func SSSP(inc *sssp.Inc) Serveable {
+	return &adapter[*sssp.Inc, SSSPView, ssspState]{
+		name:  "sssp",
+		m:     inc,
+		batch: func(m *sssp.Inc) *sssp.Inc { return sssp.NewInc(m.Graph(), m.Source()) },
+		view: func(m *sssp.Inc, last SSSPView, written []int32) SSSPView {
+			return SSSPView{Src: m.Source(), Dist: last.Dist.Update(m.Dist(), written)}
+		},
+		export:  func(m *sssp.Inc) ssspState { return ssspState{Dist: m.Dist()} },
+		restore: func(m *sssp.Inc, st ssspState) (*sssp.Inc, error) { return m, m.RestoreState(st.Dist) },
 	}
-	s.pub.unknown()
-	return s.inc.RestoreState(st.Dist)
-}
-func (s *ssspServeable) Recompute() {
-	s.pub.unknown()
-	s.inc = sssp.NewInc(s.inc.Graph(), s.src)
-}
-
-// statser is the slice of the maintainer API the stats plumbing needs.
-type statser interface{ Stats() fixpoint.Stats }
-
-// statsDelta runs one Apply on a stats-exposing maintainer and packages
-// the affected count with the counter delta attributable to that apply.
-//
-// The per-apply work ledger rides the same Stats snapshot: the engine
-// fills |CHANGED|, |AFF|, ‖AFF‖, and rounds, and the adapter completes
-// the cost model with the two quantities only the serving layer knows —
-// |ΔG| (the net batch size) and the recompute estimate (nodes + edges of
-// the graph after the apply).
-func statsDelta(m statser, g *graph.Graph, delta int, apply func() int) ApplyResult {
-	before := m.Stats()
-	aff := apply()
-	res := ApplyResult{Affected: aff, Stats: m.Stats().Sub(before), HasStats: true}
-	res.Ledger = res.Stats.Ledger
-	res.Ledger.Delta = int64(delta)
-	res.Ledger.RecomputeEst = int64(g.NumNodes() + g.NumEdges())
-	res.HasLedger = true
-	return res
 }
 
 // CCView is the published snapshot of a connected-components maintainer.
@@ -169,31 +220,6 @@ func (v CCView) viewFields(lo, hi int) []viewField {
 	return []viewField{{name: "labels", vec: cutOf(v.Labels, lo, hi)}}
 }
 
-type ccServeable struct {
-	inc    *cc.Inc
-	labels Paged[int64] // last published
-	pub    pubState
-}
-
-// CC adapts an IncCC maintainer.
-func CC(inc *cc.Inc) Serveable { return &ccServeable{inc: inc} }
-
-func (s *ccServeable) Algo() string        { return "cc" }
-func (s *ccServeable) Graph() *graph.Graph { return s.inc.Graph() }
-func (s *ccServeable) Apply(b graph.Batch) ApplyResult {
-	s.pub.applied()
-	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
-}
-func (s *ccServeable) Snapshot() any {
-	s.labels = s.labels.Update(s.inc.Labels(), s.pub.written(s.inc.Written()))
-	return CCView{Labels: s.labels}
-}
-func (s *ccServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
-
-// Flat exposes the current inner maintainer's flat adjacency view to the
-// host's compaction and dead-space metrics.
-func (s *ccServeable) Flat() *graph.Flat { return s.inc.Flat() }
-
 // ccState is the gob envelope of PersistState: labels plus the engine's
 // timestamps and clock, which carry the anchor order <_C across a
 // restart.
@@ -202,21 +228,23 @@ type ccState struct {
 	Clock      int64
 }
 
-func (s *ccServeable) PersistState(w io.Writer) error {
-	labels, ts, clock := s.inc.ExportState()
-	return gob.NewEncoder(w).Encode(ccState{Labels: labels, TS: ts, Clock: clock})
-}
-func (s *ccServeable) RestoreState(r io.Reader) error {
-	var st ccState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
+// CC adapts an IncCC maintainer.
+func CC(inc *cc.Inc) Serveable {
+	return &adapter[*cc.Inc, CCView, ccState]{
+		name:  "cc",
+		m:     inc,
+		batch: func(m *cc.Inc) *cc.Inc { return cc.NewInc(m.Graph()) },
+		view: func(m *cc.Inc, last CCView, written []int32) CCView {
+			return CCView{Labels: last.Labels.Update(m.Labels(), written)}
+		},
+		export: func(m *cc.Inc) ccState {
+			labels, ts, clock := m.ExportState()
+			return ccState{Labels: labels, TS: ts, Clock: clock}
+		},
+		restore: func(m *cc.Inc, st ccState) (*cc.Inc, error) {
+			return m, m.RestoreState(st.Labels, st.TS, st.Clock)
+		},
 	}
-	s.pub.unknown()
-	return s.inc.RestoreState(st.Labels, st.TS, st.Clock)
-}
-func (s *ccServeable) Recompute() {
-	s.pub.unknown()
-	s.inc = cc.NewInc(s.inc.Graph())
 }
 
 // SimView is the published snapshot of a graph-simulation maintainer.
@@ -243,39 +271,6 @@ func (v SimView) viewFields(lo, hi int) []viewField {
 	return []viewField{{name: "nq", num: int64(v.NQ)}, {name: "count", num: int64(v.Count)}, {name: "matches", list: list}}
 }
 
-type simServeable struct {
-	inc     *sim.Inc
-	matches []Paged[graph.NodeID] // last published
-	scratch []graph.NodeID        // one match list being gathered
-}
-
-// Sim adapts an IncSim maintainer.
-func Sim(inc *sim.Inc) Serveable { return &simServeable{inc: inc} }
-
-func (s *simServeable) Algo() string                { return "sim" }
-func (s *simServeable) Graph() *graph.Graph         { return s.inc.Graph() }
-func (s *simServeable) SetTracer(t fixpoint.Tracer) { s.inc.SetTracer(t) }
-func (s *simServeable) Apply(b graph.Batch) ApplyResult {
-	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
-}
-func (s *simServeable) Snapshot() any {
-	r := s.inc.Relation()
-	n := len(r.Bits) / r.NQ
-	if s.matches == nil {
-		s.matches = make([]Paged[graph.NodeID], r.NQ)
-	}
-	for u := 0; u < r.NQ; u++ {
-		s.scratch = s.scratch[:0]
-		for d := 0; d < n; d++ {
-			if r.Match(graph.NodeID(d), graph.NodeID(u)) {
-				s.scratch = append(s.scratch, graph.NodeID(d))
-			}
-		}
-		s.matches[u] = s.matches[u].Update(s.scratch, nil)
-	}
-	return SimView{NQ: r.NQ, Count: r.Count(), Matches: slices.Clone(s.matches)}
-}
-
 // simState is the gob envelope of PersistState: the match relation, the
 // support counters, and the falsification timestamps — IncSim's
 // auxiliary structure, which is what makes it only weakly deducible
@@ -287,18 +282,48 @@ type simState struct {
 	Clock int64
 }
 
-func (s *simServeable) PersistState(w io.Writer) error {
-	r, cnt, ts, clock := s.inc.ExportState()
-	return gob.NewEncoder(w).Encode(simState{R: r, Cnt: cnt, TS: ts, Clock: clock})
-}
-func (s *simServeable) RestoreState(r io.Reader) error {
-	var st simState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
+// Sim adapts an IncSim maintainer. A written pair v·|V_Q| + u names the
+// match list of pattern node u; only those lists are gathered again.
+func Sim(inc *sim.Inc) Serveable {
+	var (
+		scratch []graph.NodeID // one match list being gathered
+		touched []bool         // per pattern node: written since the last view
+	)
+	return &adapter[*sim.Inc, SimView, simState]{
+		name:  "sim",
+		m:     inc,
+		batch: func(m *sim.Inc) *sim.Inc { return sim.NewInc(m.Graph(), m.Pattern()) },
+		view: func(m *sim.Inc, last SimView, written []int32) SimView {
+			nq := m.Pattern().NumNodes()
+			v := SimView{NQ: nq, Matches: slices.Clone(last.Matches)}
+			if v.Matches == nil { // the first view
+				v.Matches, written = make([]Paged[graph.NodeID], nq), nil
+			}
+			touched = slices.Grow(touched[:0], nq)[:nq]
+			for u := range touched {
+				touched[u] = written == nil
+			}
+			for _, x := range written {
+				touched[int(x)%nq] = true
+			}
+			for u := range v.Matches {
+				if touched[u] {
+					scratch = m.AppendMatches(scratch[:0], graph.NodeID(u))
+					v.Matches[u] = v.Matches[u].Update(scratch, nil)
+				}
+				v.Count += v.Matches[u].Len()
+			}
+			return v
+		},
+		export: func(m *sim.Inc) simState {
+			r, cnt, ts, clock := m.ExportState()
+			return simState{R: r, Cnt: cnt, TS: ts, Clock: clock}
+		},
+		restore: func(m *sim.Inc, st simState) (*sim.Inc, error) {
+			return m, m.RestoreState(st.R, st.Cnt, st.TS, st.Clock)
+		},
 	}
-	return s.inc.RestoreState(st.R, st.Cnt, st.TS, st.Clock)
 }
-func (s *simServeable) Recompute() { s.inc = sim.NewInc(s.inc.Graph(), s.inc.Pattern()) }
 
 // DFSView is the published snapshot of a DFS maintainer: the canonical
 // forest as preorder/postorder intervals plus parent pointers.
@@ -316,32 +341,6 @@ func (v DFSView) viewFields(lo, hi int) []viewField {
 	}
 }
 
-type dfsServeable struct {
-	inc  *dfs.Inc
-	last DFSView // last published
-	pub  pubState
-}
-
-// DFS adapts an IncDFS maintainer.
-func DFS(inc *dfs.Inc) Serveable { return &dfsServeable{inc: inc} }
-
-func (s *dfsServeable) Algo() string        { return "dfs" }
-func (s *dfsServeable) Graph() *graph.Graph { return s.inc.Graph() }
-func (s *dfsServeable) Apply(b graph.Batch) ApplyResult {
-	s.pub.applied()
-	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
-}
-func (s *dfsServeable) Snapshot() any {
-	t := s.inc.Tree()
-	written := s.pub.written(s.inc.Written())
-	s.last = DFSView{
-		First:  s.last.First.Update(t.First, written),
-		Last:   s.last.Last.Update(t.Last, written),
-		Parent: s.last.Parent.Update(t.Parent, written),
-	}
-	return s.last
-}
-
 // dfsState is the gob envelope of PersistState: the interval variables
 // are IncDFS's complete incremental state — anchors and <_C are read off
 // them directly (§5.2).
@@ -350,26 +349,29 @@ type dfsState struct {
 	Parent      []graph.NodeID
 }
 
-func (s *dfsServeable) PersistState(w io.Writer) error {
-	t := s.inc.Tree()
-	return gob.NewEncoder(w).Encode(dfsState{First: t.First, Last: t.Last, Parent: t.Parent})
-}
-func (s *dfsServeable) RestoreState(r io.Reader) error {
-	var st dfsState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
+// DFS adapts an IncDFS maintainer.
+func DFS(inc *dfs.Inc) Serveable {
+	return &adapter[*dfs.Inc, DFSView, dfsState]{
+		name:  "dfs",
+		m:     inc,
+		batch: func(m *dfs.Inc) *dfs.Inc { return dfs.NewInc(m.Graph()) },
+		view: func(m *dfs.Inc, last DFSView, written []int32) DFSView {
+			t := m.Tree()
+			return DFSView{
+				First:  last.First.Update(t.First, written),
+				Last:   last.Last.Update(t.Last, written),
+				Parent: last.Parent.Update(t.Parent, written),
+			}
+		},
+		export: func(m *dfs.Inc) dfsState {
+			t := m.Tree()
+			return dfsState{First: t.First, Last: t.Last, Parent: t.Parent}
+		},
+		restore: func(m *dfs.Inc, st dfsState) (*dfs.Inc, error) {
+			return m, m.RestoreState(st.First, st.Last, st.Parent)
+		},
 	}
-	s.pub.unknown()
-	return s.inc.RestoreState(st.First, st.Last, st.Parent)
 }
-func (s *dfsServeable) Recompute() {
-	s.pub.unknown()
-	s.inc = dfs.NewInc(s.inc.Graph())
-}
-
-// Flat exposes the current inner maintainer's flat adjacency view to the
-// host's compaction and dead-space metrics.
-func (s *dfsServeable) Flat() *graph.Flat { return s.inc.Flat() }
 
 // LCCView is the published snapshot of a local-clustering-coefficient
 // maintainer.
@@ -388,51 +390,6 @@ func (v LCCView) viewFields(lo, hi int) []viewField {
 	}
 }
 
-type lccServeable struct {
-	inc   *lcc.Inc
-	last  LCCView   // last published
-	gamma []float64 // the coefficients of the last published status, refreshed where it was written
-	pub   pubState
-}
-
-// LCC adapts an IncLCC maintainer.
-func LCC(inc *lcc.Inc) Serveable { return &lccServeable{inc: inc} }
-
-func (s *lccServeable) Algo() string        { return "lcc" }
-func (s *lccServeable) Graph() *graph.Graph { return s.inc.Graph() }
-func (s *lccServeable) Apply(b graph.Batch) ApplyResult {
-	s.pub.applied()
-	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
-}
-
-// Snapshot derives γ from d and λ at the written nodes only — the rest of
-// s.gamma is what the last Snapshot derived from values that have not
-// changed since — unless the change is unknown or the graph has grown.
-func (s *lccServeable) Snapshot() any {
-	r := s.inc.Result()
-	written := s.pub.written(s.inc.Written())
-	if written == nil || len(s.gamma) != len(r.Deg) {
-		written = nil
-		s.gamma = s.gamma[:0]
-		for i := range r.Deg {
-			s.gamma = append(s.gamma, r.Gamma(graph.NodeID(i)))
-		}
-	}
-	for _, i := range written {
-		s.gamma[i] = r.Gamma(graph.NodeID(i))
-	}
-	s.last = LCCView{
-		Deg:   s.last.Deg.Update(r.Deg, written),
-		Tri:   s.last.Tri.Update(r.Tri, written),
-		Gamma: s.last.Gamma.Update(s.gamma, written),
-	}
-	return s.last
-}
-
-// Flat exposes the current inner maintainer's flat adjacency view to the
-// host's compaction and dead-space metrics.
-func (s *lccServeable) Flat() *graph.Flat { return s.inc.Flat() }
-
 // lccState is the gob envelope of PersistState: d_v and λ_v are IncLCC's
 // complete state — it keeps no auxiliary structure (§5.3).
 type lccState struct {
@@ -440,21 +397,40 @@ type lccState struct {
 	Tri []int64
 }
 
-func (s *lccServeable) PersistState(w io.Writer) error {
-	r := s.inc.Result()
-	return gob.NewEncoder(w).Encode(lccState{Deg: r.Deg, Tri: r.Tri})
-}
-func (s *lccServeable) RestoreState(r io.Reader) error {
-	var st lccState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
+// LCC adapts an IncLCC maintainer. Its view derives γ from d and λ at the
+// written nodes only — the rest of gamma is what the last view derived
+// from values that have not changed since — unless the change is unknown
+// or the graph has grown.
+func LCC(inc *lcc.Inc) Serveable {
+	var gamma []float64 // the coefficients of the last published view
+	return &adapter[*lcc.Inc, LCCView, lccState]{
+		name:  "lcc",
+		m:     inc,
+		batch: func(m *lcc.Inc) *lcc.Inc { return lcc.NewInc(m.Graph()) },
+		view: func(m *lcc.Inc, last LCCView, written []int32) LCCView {
+			r := m.Result()
+			if written == nil || len(gamma) != len(r.Deg) {
+				written = nil
+				gamma = gamma[:0]
+				for i := range r.Deg {
+					gamma = append(gamma, r.Gamma(graph.NodeID(i)))
+				}
+			}
+			for _, i := range written {
+				gamma[i] = r.Gamma(graph.NodeID(i))
+			}
+			return LCCView{
+				Deg:   last.Deg.Update(r.Deg, written),
+				Tri:   last.Tri.Update(r.Tri, written),
+				Gamma: last.Gamma.Update(gamma, written),
+			}
+		},
+		export: func(m *lcc.Inc) lccState {
+			r := m.Result()
+			return lccState{Deg: r.Deg, Tri: r.Tri}
+		},
+		restore: func(m *lcc.Inc, st lccState) (*lcc.Inc, error) { return m, m.RestoreState(st.Deg, st.Tri) },
 	}
-	s.pub.unknown()
-	return s.inc.RestoreState(st.Deg, st.Tri)
-}
-func (s *lccServeable) Recompute() {
-	s.pub.unknown()
-	s.inc = lcc.NewInc(s.inc.Graph())
 }
 
 // BCView is the published snapshot of a biconnectivity maintainer.
@@ -472,31 +448,6 @@ func (v BCView) viewFields(lo, hi int) []viewField {
 	}
 }
 
-type bcServeable struct {
-	inc  *bc.Inc
-	arts Paged[bool] // last published
-	pub  pubState
-}
-
-// BC adapts an IncBC maintainer.
-func BC(inc *bc.Inc) Serveable { return &bcServeable{inc: inc} }
-
-func (s *bcServeable) Algo() string        { return "bc" }
-func (s *bcServeable) Graph() *graph.Graph { return s.inc.Graph() }
-
-// Flat exposes the current inner maintainer's flat adjacency view to the
-// host's compaction and dead-space metrics.
-func (s *bcServeable) Flat() *graph.Flat { return s.inc.Flat() }
-func (s *bcServeable) Apply(b graph.Batch) ApplyResult {
-	s.pub.applied()
-	return statsDelta(s.inc, s.inc.Graph(), len(b), func() int { return s.inc.Apply(b) })
-}
-func (s *bcServeable) Snapshot() any {
-	r := s.inc.Result()
-	s.arts = s.arts.Update(r.Articulation, s.pub.written(s.inc.Written()))
-	return BCView{Articulation: s.arts, NumComps: r.NumComps()}
-}
-
 // bcState is the gob envelope of PersistState: the articulation flags and
 // the two per-node arrays the edge partition is read off (Result.EdgeComp).
 // A checkpoint written before the partition was per node carries the flags
@@ -508,23 +459,25 @@ type bcState struct {
 	Num          []int32
 }
 
-func (s *bcServeable) PersistState(w io.Writer) error {
-	r := s.inc.Result()
-	return gob.NewEncoder(w).Encode(bcState{Articulation: r.Articulation, Block: r.Block, Num: r.Num})
-}
-func (s *bcServeable) RestoreState(r io.Reader) error {
-	var st bcState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
+// BC adapts an IncBC maintainer.
+func BC(inc *bc.Inc) Serveable {
+	return &adapter[*bc.Inc, BCView, bcState]{
+		name:  "bc",
+		m:     inc,
+		batch: func(m *bc.Inc) *bc.Inc { return bc.NewInc(m.Graph()) },
+		view: func(m *bc.Inc, last BCView, written []int32) BCView {
+			r := m.Result()
+			return BCView{Articulation: last.Articulation.Update(r.Articulation, written), NumComps: r.NumComps()}
+		},
+		export: func(m *bc.Inc) bcState {
+			r := m.Result()
+			return bcState{Articulation: r.Articulation, Block: r.Block, Num: r.Num}
+		},
+		restore: func(m *bc.Inc, st bcState) (*bc.Inc, error) {
+			if st.Block == nil { // the older shape: nothing to restore the partition from, so derive it
+				return bc.NewInc(m.Graph()), nil
+			}
+			return m, m.RestoreState(st.Articulation, st.Block, st.Num)
+		},
 	}
-	if st.Block == nil { // the older shape: nothing to restore the partition from, so derive it
-		s.Recompute()
-		return nil
-	}
-	s.pub.unknown()
-	return s.inc.RestoreState(st.Articulation, st.Block, st.Num)
-}
-func (s *bcServeable) Recompute() {
-	s.pub.unknown()
-	s.inc = bc.NewInc(s.inc.Graph())
 }

@@ -3,12 +3,20 @@ package serve
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"incgraph/internal/bc"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
+	"incgraph/internal/sim"
+	"incgraph/internal/sssp"
+	"incgraph/internal/wal"
 )
 
 // TestBCRestoreOlderCheckpoint: a checkpoint written before the edge
@@ -34,17 +42,18 @@ func TestBCRestoreOlderCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(when string, s *bcServeable) {
+	type bcAdapter = adapter[*bc.Inc, BCView, bcState]
+	check := func(when string, s *bcAdapter) {
 		t.Helper()
-		g := s.inc.Graph()
-		if !s.inc.Result().Equivalent(bc.Run(g), g) {
+		g := s.m.Graph()
+		if !s.m.Result().Equivalent(bc.Run(g), g) {
 			t.Fatalf("%s: structure differs from Run", when)
 		}
 		if !snapshotEqual(s.Snapshot(), BC(bc.NewInc(g.Clone())).Snapshot()) {
 			t.Fatalf("%s: published view differs from a fresh maintainer's", when)
 		}
 	}
-	s := BC(bc.NewInc(g.Clone())).(*bcServeable)
+	s := BC(bc.NewInc(g.Clone())).(*bcAdapter)
 	s.Snapshot()
 	if err := s.RestoreState(&blob); err != nil {
 		t.Fatalf("restore of the older shape: %v", err)
@@ -59,15 +68,15 @@ func TestBCRestoreOlderCheckpoint(t *testing.T) {
 	if err := s.PersistState(&blob); err != nil {
 		t.Fatal(err)
 	}
-	r := BC(bc.NewInc(s.Graph().Clone())).(*bcServeable)
-	built := r.inc
+	r := BC(bc.NewInc(s.Graph().Clone())).(*bcAdapter)
+	built := r.m
 	if err := r.RestoreState(&blob); err != nil {
 		t.Fatal(err)
 	}
-	if r.inc != built {
+	if r.m != built {
 		t.Fatal("restoring the current shape rebuilt the maintainer")
 	}
-	if got, want := r.inc.Result().NumComps(), s.inc.Result().NumComps(); got != want {
+	if got, want := r.m.Result().NumComps(), s.m.Result().NumComps(); got != want {
 		t.Fatalf("restored %d blocks, persisted %d", got, want)
 	}
 	check("after a round trip", r)
@@ -105,4 +114,252 @@ func TestPubStateWritten(t *testing.T) {
 			t.Errorf("%s: a second Snapshot with no apply between gets %v, want nothing written", c.name, again)
 		}
 	}
+}
+
+// TestSSSPSource: the view reports the maintainer's source, and a
+// recompute (the heal, VerifyRecovered) keeps it.
+func TestSSSPSource(t *testing.T) {
+	g := gen.ErdosRenyi(rand.New(rand.NewSource(3)), 60, 180, true)
+	s := SSSP(sssp.NewInc(g, 3))
+	for _, when := range []string{"as built", "after Recompute"} {
+		if when == "after Recompute" {
+			s.Recompute()
+		}
+		v := s.Snapshot().(SSSPView)
+		if v.Src != 3 || !slices.Equal(v.Dist.Slice(), sssp.Dijkstra(g, 3)) {
+			t.Fatalf("%s: view of source %d, want the distances from the maintainer's source 3", when, v.Src)
+		}
+	}
+}
+
+// TestSimPublishWritten: Sim's view re-gathers the match lists of the
+// pattern nodes its written pairs name and shares every other list, pages
+// and all, with the previous epoch; over random applies, a RestoreState
+// into a maintainer that fell behind and a Recompute, it equals a full
+// re-gather of the relation.
+func TestSimPublishWritten(t *testing.T) {
+	type simAdapter = adapter[*sim.Inc, SimView, simState]
+	rng := rand.New(rand.NewSource(9))
+	g := gen.ErdosRenyi(rng, pageSize+40, pageSize, true)
+	for v := 0; v < g.NumNodes(); v++ {
+		g.SetLabel(graph.NodeID(v), graph.Label('a'+rng.Intn(3)))
+	}
+	// a → b ← c: an edge's update can change the matches of a or of c
+	// alone, and b's never change.
+	q := graph.New(3, true)
+	for u := range 3 {
+		q.SetLabel(graph.NodeID(u), graph.Label('a'+u))
+	}
+	q.InsertEdge(0, 1, 1)
+	q.InsertEdge(2, 1, 1)
+	a := Sim(sim.NewInc(g.Clone(), q)).(*simAdapter)
+	behind := Sim(sim.NewInc(g.Clone(), q)).(*simAdapter) // takes no apply until it is restored
+	behind.Snapshot()
+	var missed []graph.Batch // the batches a took since behind was built
+	check := func(when string, v SimView) {
+		t.Helper()
+		r := a.m.Relation()
+		count := 0
+		for u := range q.NumNodes() {
+			var want []graph.NodeID
+			for d := 0; d < g.NumNodes(); d++ {
+				if r.Match(graph.NodeID(d), graph.NodeID(u)) {
+					want = append(want, graph.NodeID(d))
+				}
+			}
+			if !slices.Equal(v.Matches[u].Slice(), want) {
+				t.Fatalf("%s: pattern node %d publishes %v, the relation holds %v", when, u, v.Matches[u].Slice(), want)
+			}
+			count += len(want)
+		}
+		if v.NQ != q.NumNodes() || v.Count != count {
+			t.Fatalf("%s: nq %d, count %d; want %d and %d", when, v.NQ, v.Count, q.NumNodes(), count)
+		}
+	}
+	prev := a.Snapshot().(SimView)
+	check("first", prev)
+	partial := 0
+	for round := 1; round <= 120; round++ {
+		switch round % 40 {
+		case 20: // restore a's state into the maintainer that fell behind, and carry on with it
+			for _, b := range missed {
+				behind.Graph().Apply(b)
+			}
+			var blob bytes.Buffer
+			if err := a.PersistState(&blob); err != nil {
+				t.Fatal(err)
+			}
+			if err := behind.RestoreState(&blob); err != nil {
+				t.Fatal(err)
+			}
+			a, behind, missed = behind, Sim(sim.NewInc(a.Graph().Clone(), q)).(*simAdapter), nil
+			behind.Snapshot()
+			prev = a.Snapshot().(SimView)
+			check("after RestoreState", prev)
+			continue
+		case 0:
+			a.Recompute()
+			prev = a.Snapshot().(SimView)
+			check("after Recompute", prev)
+			continue
+		}
+		b := gen.RandomUpdates(rng, a.Graph(), 1+rng.Intn(3), 0.5)
+		a.Apply(b)
+		missed = append(missed, b)
+		touched := make([]bool, q.NumNodes())
+		n := 0
+		for _, x := range a.Written() {
+			if u := int(x) % q.NumNodes(); !touched[u] {
+				touched[u] = true
+				n++
+			}
+		}
+		cur := a.Snapshot().(SimView)
+		check("after an apply", cur)
+		for u, was := range prev.Matches {
+			if !touched[u] && !sharesPages(was, cur.Matches[u]) {
+				t.Fatalf("round %d: pattern node %d was not written and its list was rebuilt", round, u)
+			}
+		}
+		if n > 0 && n < q.NumNodes() {
+			partial++
+		}
+		prev = cur
+	}
+	if partial == 0 {
+		t.Fatal("no apply wrote the pairs of some pattern nodes but not all: sharing was never put to the test")
+	}
+
+	// Unwritten lists are not even gathered again: a pair flipped behind
+	// the adapter's back, in no written list, stays unpublished.
+	r, cnt, ts, clock := a.m.ExportState()
+	r[0] = !r[0] // data node 0, pattern node 0
+	if err := a.m.RestoreState(r, cnt, ts, clock); err != nil {
+		t.Fatal(err)
+	}
+	a.Apply(nil)
+	if cur := a.Snapshot().(SimView); !sharesPages(prev.Matches[0], cur.Matches[0]) {
+		t.Fatal("an apply that wrote nothing gathered pattern node 0's list again")
+	}
+}
+
+// sharesPages reports whether q is p: the same length over the same pages.
+func sharesPages[T PageElem](p, q Paged[T]) bool {
+	if p.Len() != q.Len() {
+		return false
+	}
+	for k := 0; k < p.numPages(); k++ {
+		if p.page(k) != q.page(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCheckpointFixture: testdata/sixclass holds a six-class checkpoint
+// and a WAL tail of three records, written before the classes shared one
+// adapter (testdata/sixclass/README.md). Every class must restore from it,
+// persist exactly the blob it restored, and replay the tail to the views
+// saved beside it with no divergence from a recompute. gob numbers types
+// per process in order of first use, and a daemon's first gob encode is its
+// first checkpoint, so the test runs in a child process whose first encode
+// is a checkpoint too: its bytes are comparable with the fixture's.
+func TestCheckpointFixture(t *testing.T) {
+	if os.Getenv("SERVE_CHECKPOINT_FIXTURE_CHILD") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointFixture$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "SERVE_CHECKPOINT_FIXTURE_CHILD=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		return
+	}
+	dir := fixtureDir(t, "testdata/sixclass/data")
+	restore := func() (map[string]Serveable, *Recovery) {
+		rec, err := LoadRecovery(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := map[string]Serveable{}
+		for _, c := range opsClasses {
+			g, covered := rec.ClassGraph(c.algo)
+			if !covered {
+				t.Fatalf("the fixture's checkpoint does not cover %s", c.algo)
+			}
+			targets[c.algo] = c.build(g)
+			if err := rec.Restore(c.algo, targets[c.algo]); err != nil {
+				t.Fatalf("restore %s: %v", c.algo, err)
+			}
+		}
+		return targets, rec
+	}
+
+	// Restore, then checkpoint again at once: every state blob as it was.
+	targets, rec := restore()
+	svc, again := NewService(), t.TempDir()
+	dur, err := OpenDurable(svc, again, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range targets {
+		if _, err := svc.Host(m, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dur.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	dur.Close()
+	svc.Close()
+	persisted, err := LoadRecovery(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range opsClasses {
+		if got, want := persisted.Algos[c.algo].State, rec.Algos[c.algo].State; !bytes.Equal(got, want) {
+			t.Errorf("%s: persisted %d bytes straight after restoring, differing from the checkpoint's %d", c.algo, len(got), len(want))
+		}
+	}
+
+	// Restore again and replay the tail: the saved views, and no divergence.
+	targets, rec = restore()
+	if n, err := rec.Replay(targets, nil); err != nil || n != 3 {
+		t.Fatalf("replayed %d records (%v), want the tail's 3", n, err)
+	}
+	for _, c := range opsClasses {
+		want, err := os.ReadFile(filepath.Join("testdata/sixclass/views", c.algo+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(targets[c.algo].Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(got, '\n'), want) {
+			t.Errorf("%s: replayed view %s, saved %s", c.algo, got, want)
+		}
+	}
+	if div := VerifyRecovered(targets, nil); len(div) != 0 {
+		t.Fatalf("replayed state diverged from a recompute: %v", div)
+	}
+}
+
+// fixtureDir copies the files of the data directory src into a fresh
+// directory, which recovery may write to.
+func fixtureDir(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }

@@ -76,7 +76,7 @@ func TestAdapterLedgersAllClasses(t *testing.T) {
 
 	t.Run("sssp", func(t *testing.T) {
 		g := undirected()
-		s := SSSP(sssp.NewInc(g, 0), 0)
+		s := SSSP(sssp.NewInc(g, 0))
 		res := s.Apply(batch)
 		checkLedger(t, "sssp", res, g, len(batch))
 		if res.Ledger.Changed == 0 {
@@ -157,7 +157,7 @@ func TestHostAuditAggregation(t *testing.T) {
 	g := graph.New(8, false)
 	g.InsertEdge(0, 1, 1)
 	g.InsertEdge(1, 2, 1)
-	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0), 0), Options{})
+	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0)), Options{})
 
 	batches := []graph.Batch{
 		{{Kind: graph.InsertEdge, From: 2, To: 3, W: 1}},

@@ -89,7 +89,7 @@ func testChaosServe(t *testing.T, afterGraph bool) {
 	}
 	classes := map[string]*class{
 		"sssp": {directed: false, panicAt: 2,
-			rebuild: func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0), 0) }},
+			rebuild: func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) }},
 		"cc": {directed: false, panicAt: 3,
 			rebuild: func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) }},
 		"sim": {directed: true, panicAt: 4,

@@ -44,7 +44,7 @@ func openDurableService(t *testing.T, base *graph.Graph, dir string, dopt Durabl
 		t.Fatal(err)
 	}
 	opt := Options{MaxBatch: 16}
-	if _, err := svc.Host(SSSP(sssp.NewInc(base.Clone(), 0), 0), opt); err != nil {
+	if _, err := svc.Host(SSSP(sssp.NewInc(base.Clone(), 0)), opt); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Host(CC(cc.NewInc(base.Clone())), opt); err != nil {
@@ -68,7 +68,7 @@ func recoverAlgos(t *testing.T, base *graph.Graph, dir string) (map[string]Serve
 		return base.Clone()
 	}
 	targets := map[string]Serveable{
-		"sssp": SSSP(sssp.NewInc(graphFor("sssp"), 0), 0),
+		"sssp": SSSP(sssp.NewInc(graphFor("sssp"), 0)),
 		"cc":   CC(cc.NewInc(graphFor("cc"))),
 	}
 	for name, m := range targets {
@@ -131,7 +131,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		var oracle Serveable
 		switch algo {
 		case "sssp":
-			oracle = SSSP(sssp.NewInc(og, 0), 0)
+			oracle = SSSP(sssp.NewInc(og, 0))
 		case "cc":
 			oracle = CC(cc.NewInc(og))
 		}
@@ -176,7 +176,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	for _, u := range stream[:updates-1] {
 		og.Apply(graph.Batch{u}.Net(og.Directed()))
 	}
-	oracle := SSSP(sssp.NewInc(og, 0), 0)
+	oracle := SSSP(sssp.NewInc(og, 0))
 	if !snapshotEqual(targets["sssp"].Snapshot(), oracle.Snapshot()) {
 		t.Fatal("recovered sssp differs from recompute over the durable prefix")
 	}
@@ -440,7 +440,7 @@ func TestShed503(t *testing.T) {
 func TestDebugAppliesCap(t *testing.T) {
 	base := gen.Synthetic(4, 30, 3, true)
 	svc := NewService()
-	if _, err := svc.Host(SSSP(sssp.NewInc(base.Clone(), 0), 0), Options{MaxBatch: 1}); err != nil {
+	if _, err := svc.Host(SSSP(sssp.NewInc(base.Clone(), 0)), Options{MaxBatch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(svc.Handler())
@@ -578,7 +578,7 @@ func TestSameEpochCheckpointKeepsFallbackSegments(t *testing.T) {
 		for i := 0; i < chunks; i++ {
 			og.Apply(stream[i*chunkLen : (i+1)*chunkLen].Net(og.Directed()))
 		}
-		oracle := map[string]Serveable{"sssp": SSSP(sssp.NewInc(og, 0), 0), "cc": CC(cc.NewInc(og))}[algo]
+		oracle := map[string]Serveable{"sssp": SSSP(sssp.NewInc(og, 0)), "cc": CC(cc.NewInc(og))}[algo]
 		if !snapshotEqual(m.Snapshot(), oracle.Snapshot()) {
 			t.Fatalf("%s: recovered answer differs from the acknowledged stream's", algo)
 		}

@@ -22,7 +22,7 @@ func ExampleService_Submit() {
 	// lone maintainer is a service of one.
 	svc := serve.NewService()
 	defer svc.Close()
-	h, err := svc.Host(serve.SSSP(sssp.NewInc(g, 0), 0), serve.Options{})
+	h, err := svc.Host(serve.SSSP(sssp.NewInc(g, 0)), serve.Options{})
 	if err != nil {
 		fmt.Println("host:", err)
 		return
@@ -50,7 +50,7 @@ func ExampleNewService() {
 
 	svc := serve.NewService()
 	defer svc.Close()
-	if _, err := svc.Host(serve.SSSP(sssp.NewInc(g, 0), 0), serve.Options{}); err != nil {
+	if _, err := svc.Host(serve.SSSP(sssp.NewInc(g, 0)), serve.Options{}); err != nil {
 		fmt.Println("host:", err)
 		return
 	}

@@ -57,7 +57,7 @@ var opsClasses = []struct {
 	algo  string
 	build func(g *graph.Graph) Serveable
 }{
-	{"sssp", func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0), 0) }},
+	{"sssp", func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) }},
 	{"cc", func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) }},
 	{"sim", func(g *graph.Graph) Serveable { return Sim(sim.NewInc(g, opsPattern())) }},
 	{"dfs", func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) }},
@@ -319,24 +319,6 @@ func widen[T int32 | graph.NodeID](p Paged[T]) []int64 {
 	return out
 }
 
-func writtenBy(m Serveable) []int32 {
-	switch s := m.(type) {
-	case *ssspServeable:
-		return s.inc.Written()
-	case *ccServeable:
-		return s.inc.Written()
-	case *simServeable:
-		return s.inc.Written()
-	case *dfsServeable:
-		return s.inc.Written()
-	case *lccServeable:
-		return s.inc.Written()
-	case *bcServeable:
-		return s.inc.Written()
-	}
-	return nil
-}
-
 // check is the oracle, run after every step.
 func (r *opsRig) check(step int) {
 	t := r.t
@@ -346,7 +328,7 @@ func (r *opsRig) check(step int) {
 		// first, and the maintainer may be read.
 		var written []int32
 		if err := h.WithState(func(m Serveable) error {
-			written = slices.Clone(writtenBy(m))
+			written = slices.Clone(m.(interface{ Written() []int32 }).Written())
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -407,8 +389,8 @@ func (r *opsRig) run(prog []byte) {
 		case 5: // compact every Flat where it stands
 			for _, h := range r.svc.Hosts() {
 				if err := h.WithState(func(m Serveable) error {
-					if fv, ok := m.(flatViewer); ok {
-						fv.Flat().Compact(m.Graph())
+					if f := m.(flatViewer).Flat(); f != nil {
+						f.Compact(m.Graph())
 					}
 					return nil
 				}); err != nil {

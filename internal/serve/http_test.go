@@ -30,7 +30,7 @@ func newTestService(t *testing.T) (*Service, *httptest.Server) {
 	if _, err := svc.Host(CC(cc.NewInc(mk())), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Host(SSSP(sssp.NewInc(mk(), 0), 0), Options{}); err != nil {
+	if _, err := svc.Host(SSSP(sssp.NewInc(mk(), 0)), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(svc.Handler())

@@ -47,7 +47,7 @@ func TestLoopSameBatchesOnEveryHost(t *testing.T) {
 	const nodes = 50
 	slow := newSlow(nodes)
 	svc, _ := soloHost(t, slow, Options{MaxBatch: 16, MaxWait: time.Hour})
-	for _, m := range []Serveable{SSSP(sssp.NewInc(graph.New(nodes, true), 0), 0), CC(cc.NewInc(graph.New(nodes, true)))} {
+	for _, m := range []Serveable{SSSP(sssp.NewInc(graph.New(nodes, true), 0)), CC(cc.NewInc(graph.New(nodes, true)))} {
 		if _, err := svc.Host(m, Options{MaxBatch: 16, MaxWait: time.Hour}); err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestLoopSameBatchesOnEveryHost(t *testing.T) {
 func TestServiceHostRefusals(t *testing.T) {
 	const nodes = 10
 	opt := Options{MaxBatch: 8}
-	svc, _ := soloHost(t, SSSP(sssp.NewInc(graph.New(nodes, true), 0), 0), opt)
+	svc, _ := soloHost(t, SSSP(sssp.NewInc(graph.New(nodes, true), 0)), opt)
 	cases := []struct {
 		g     *graph.Graph
 		opt   Options
@@ -145,7 +145,7 @@ func testCloseDuringBroadcast(t *testing.T, journal bool) {
 	const nodes, posters = 40, 4
 	svc := NewService()
 	for _, m := range []Serveable{
-		SSSP(sssp.NewInc(graph.New(nodes, true), 0), 0),
+		SSSP(sssp.NewInc(graph.New(nodes, true), 0)),
 		CC(cc.NewInc(graph.New(nodes, true))),
 		DFS(dfs.NewInc(graph.New(nodes, true))),
 	} {

@@ -595,7 +595,7 @@ func TestPublishGuards(t *testing.T) {
 		g.InsertEdge(graph.NodeID(v-1), graph.NodeID(v), 1)
 	}
 	sInc, cInc := sssp.NewInc(g.Clone(), 0), cc.NewInc(g.Clone())
-	for _, m := range []Serveable{SSSP(sInc, 0), CC(cInc)} {
+	for _, m := range []Serveable{SSSP(sInc), CC(cInc)} {
 		first := m.Snapshot()
 		// Re-inserting an existing edge at its weight changes no answer.
 		noop := graph.Batch{{Kind: graph.InsertEdge, From: 3, To: 4, W: 1}}
@@ -757,7 +757,7 @@ func TestDerivedPageLCCWrittenList(t *testing.T) {
 
 	// RestoreState: the restored status is what must be published, even
 	// where it is not what the graph says.
-	r := m.(*lccServeable).inc.Result()
+	r := m.(*adapter[*lcc.Inc, LCCView, lccState]).m.Result()
 	st := lccState{Deg: slices.Clone(r.Deg), Tri: slices.Clone(r.Tri)}
 	st.Tri[4*pageSize+7] += 5
 	var buf bytes.Buffer

@@ -45,7 +45,7 @@ func TestRecoveryRefusesOutOfRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		targets := map[string]Serveable{
-			"sssp": SSSP(sssp.NewInc(graph.New(6, true), 0), 0),
+			"sssp": SSSP(sssp.NewInc(graph.New(6, true), 0)),
 			"cc":   CC(cc.NewInc(graph.New(6, true))),
 		}
 		_, err = rec.Replay(targets, nil)
@@ -107,7 +107,7 @@ func TestReplayRefusesTargetedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := map[string]Serveable{
-		"sssp": SSSP(sssp.NewInc(graph.New(6, true), 0), 0),
+		"sssp": SSSP(sssp.NewInc(graph.New(6, true), 0)),
 		"cc":   CC(cc.NewInc(graph.New(6, true))),
 	}
 	_, err = rec.Replay(targets, nil)
@@ -121,7 +121,7 @@ func TestReplayRefusesTargetedRecord(t *testing.T) {
 	}
 
 	mixed := map[string]Serveable{
-		"sssp": SSSP(sssp.NewInc(graph.New(6, true), 0), 0),
+		"sssp": SSSP(sssp.NewInc(graph.New(6, true), 0)),
 		"cc":   CC(cc.NewInc(graph.New(6, false))),
 	}
 	if _, err := rec.Replay(mixed, nil); err == nil || !strings.Contains(err.Error(), "directed") {

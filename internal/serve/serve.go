@@ -186,9 +186,10 @@ func (o Options) withDefaults() Options {
 type tracerSetter interface{ SetTracer(fixpoint.Tracer) }
 
 // flatViewer is the optional Serveable extension exposing the
-// maintainer's flat adjacency view (SSSP, CC, DFS, LCC, BC keep one), read
-// after each Apply for the compaction and dead-space metrics. Called only
-// from the apply loop, honoring the maintainers' single-writer contract.
+// maintainer's flat adjacency view (SSSP, CC, DFS, LCC, BC keep one; Sim's
+// is nil), read after each Apply for the compaction and dead-space
+// metrics. Called only from the apply loop, honoring the maintainers'
+// single-writer contract.
 type flatViewer interface{ Flat() *graph.Flat }
 
 // Host is one class of a Service: its maintainer, published view, stats,
@@ -418,8 +419,11 @@ func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, 
 		tr.ResumeNanos = int64(res.Stats.ResumeSeconds * 1e9)
 		tr.Inspected = res.Stats.Inspected()
 	}
+	var f *graph.Flat
 	if fv, ok := h.m.(flatViewer); ok {
-		f := fv.Flat()
+		f = fv.Flat()
+	}
+	if f != nil {
 		c := f.Compactions()
 		if c < h.flatSeen {
 			h.flatSeen = 0 // a heal rebuilt the maintainer with a fresh view

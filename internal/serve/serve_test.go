@@ -98,7 +98,7 @@ func TestLoadConcurrentReaders(t *testing.T) {
 	base := g.Clone()
 	stream := makeStream(11, nodes, total)
 
-	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0), 0), Options{MaxBatch: 64})
+	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0)), Options{MaxBatch: 64})
 
 	type obs struct {
 		epoch uint64
@@ -289,7 +289,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 
 func TestSubmitValidates(t *testing.T) {
 	g := graph.New(5, true)
-	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0), 0), Options{})
+	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0)), Options{})
 	if err := submit(s, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 99, W: 1}}); err == nil {
 		t.Fatal("out-of-range update accepted")
 	}
@@ -309,7 +309,7 @@ func TestSubmitValidates(t *testing.T) {
 func TestViewImmutability(t *testing.T) {
 	g := graph.New(3, true)
 	g.InsertEdge(0, 1, 5)
-	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0), 0), Options{})
+	s, h := soloHost(t, SSSP(sssp.NewInc(g, 0)), Options{})
 	before := h.View()
 	snap := before.Data.(SSSPView).Dist.Slice()
 	if err := submitWait(s, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {

@@ -42,7 +42,7 @@ func TestAuditSoak(t *testing.T) {
 		return g
 	}
 	svc := NewService()
-	for _, m := range []Serveable{SSSP(sssp.NewInc(build(false), 0), 0), CC(cc.NewInc(build(false)))} {
+	for _, m := range []Serveable{SSSP(sssp.NewInc(build(false), 0)), CC(cc.NewInc(build(false)))} {
 		if _, err := svc.Host(m, Options{}); err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func startDurableShard(t *testing.T, g *graph.Graph, p Partitioner, id int, src 
 	t.Helper()
 	frag := FilterGraph(g, p, id)
 	svc := serve.NewService()
-	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src), src), serve.Options{}); err != nil {
+	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src)), serve.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Host(serve.CC(cc.NewInc(frag.Clone())), serve.Options{}); err != nil {
@@ -71,7 +71,7 @@ func startObservedReplica(t *testing.T, g *graph.Graph, p Partitioner, id int, s
 	t.Helper()
 	frag := FilterGraph(g, p, id)
 	svc := serve.NewService()
-	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src), src), serve.Options{}); err != nil {
+	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src)), serve.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Host(serve.CC(cc.NewInc(frag.Clone())), serve.Options{}); err != nil {

@@ -108,7 +108,7 @@ func TestFollowerReplaysLiveStream(t *testing.T) {
 
 	svc := serve.NewService()
 	defer svc.Close()
-	ssspHost, err := svc.Host(serve.SSSP(sssp.NewInc(base.Clone(), 0), 0), serve.Options{})
+	ssspHost, err := svc.Host(serve.SSSP(sssp.NewInc(base.Clone(), 0)), serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func testFollowerReplayPanic(t *testing.T, afterGraph bool) {
 	ssspGraph, applies := base.Clone(), 0
 	svc := serve.NewService()
 	defer svc.Close()
-	ssspHost, err := svc.Host(serve.SSSP(sssp.NewInc(ssspGraph, 0), 0), serve.Options{
+	ssspHost, err := svc.Host(serve.SSSP(sssp.NewInc(ssspGraph, 0)), serve.Options{
 		BeforeApply: func(algo string, b graph.Batch) {
 			if applies++; applies == panicAt {
 				if afterGraph {
@@ -319,7 +319,7 @@ func TestFollowerRefusesTargetedRecord(t *testing.T) {
 	l, srv := startWALPrimary(t)
 	svc := serve.NewService()
 	defer svc.Close()
-	for _, m := range []serve.Serveable{serve.SSSP(sssp.NewInc(base.Clone(), 0), 0), serve.CC(cc.NewInc(base.Clone()))} {
+	for _, m := range []serve.Serveable{serve.SSSP(sssp.NewInc(base.Clone(), 0)), serve.CC(cc.NewInc(base.Clone()))} {
 		if _, err := svc.Host(m, serve.Options{}); err != nil {
 			t.Fatal(err)
 		}

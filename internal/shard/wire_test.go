@@ -178,7 +178,7 @@ func evalBodies(t testing.TB) (requests, answers [][]byte) {
 	frag := FilterGraph(g, p, 0)
 	svc := serve.NewService()
 	defer svc.Close()
-	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, 0), 0), serve.Options{}); err != nil {
+	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, 0)), serve.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	MountShardAPI(svc, p, 0, g.NumNodes(), false, nil)
@@ -643,7 +643,7 @@ func TestEvalHandlerStatus(t *testing.T) {
 	}
 
 	closed := serve.NewService()
-	if _, err := closed.Host(serve.SSSP(sssp.NewInc(g.Clone(), 0), 0), serve.Options{}); err != nil {
+	if _, err := closed.Host(serve.SSSP(sssp.NewInc(g.Clone(), 0)), serve.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	MountShardAPI(closed, p, 0, g.NumNodes(), false, nil)
@@ -682,7 +682,7 @@ func TestRouterRetriesEvalOnClosingShard(t *testing.T) {
 	next := startShardDaemon(t, g, p, 1, src) // shard 1's successor, same fragment, same epoch
 
 	svc := serve.NewService()
-	if _, err := svc.Host(serve.SSSP(sssp.NewInc(FilterGraph(g, p, 1), src), src), serve.Options{}); err != nil {
+	if _, err := svc.Host(serve.SSSP(sssp.NewInc(FilterGraph(g, p, 1), src)), serve.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	MountShardAPI(svc, p, 1, g.NumNodes(), false, nil)
@@ -808,7 +808,7 @@ func TestExchangeMixedVersions(t *testing.T) {
 			addrs := make([]string, shards)
 			for id := range addrs {
 				svc := serve.NewService()
-				if _, err := svc.Host(serve.SSSP(sssp.NewInc(FilterGraph(g, p, id), src), src), serve.Options{}); err != nil {
+				if _, err := svc.Host(serve.SSSP(sssp.NewInc(FilterGraph(g, p, id), src)), serve.Options{}); err != nil {
 					t.Fatal(err)
 				}
 				MountShardAPI(svc, p, id, g.NumNodes(), directed, nil)

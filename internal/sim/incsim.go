@@ -81,6 +81,17 @@ func (i *Inc) Graph() *graph.Graph { return i.g }
 // Relation returns the current match relation.
 func (i *Inc) Relation() Relation { return i.relation() }
 
+// AppendMatches appends to dst the data nodes matching pattern node u,
+// ascending, and returns the extended slice.
+func (i *Inc) AppendMatches(dst []graph.NodeID, u graph.NodeID) []graph.NodeID {
+	for x := int(u); x < len(i.r); x += i.nq {
+		if i.r[x] {
+			dst = append(dst, graph.NodeID(x/i.nq))
+		}
+	}
+	return dst
+}
+
 // Stats exposes inspection counters and the h/resume time split.
 func (i *Inc) Stats() fixpoint.Stats { return i.stats }
 

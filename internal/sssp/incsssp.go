@@ -74,6 +74,9 @@ func (i *Inc) Graph() *graph.Graph { return i.g }
 // force a compaction regime.
 func (i *Inc) Flat() *graph.Flat { return i.flat }
 
+// Source returns the node distances are measured from.
+func (i *Inc) Source() graph.NodeID { return i.src }
+
 // Dist returns the current distance vector, aliased to internal state.
 func (i *Inc) Dist() []int64 { return i.dist }
 
