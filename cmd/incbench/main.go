@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -45,9 +46,10 @@ import (
 )
 
 func main() {
+	classes := bench.Classes()
 	var (
 		exp      = flag.String("exp", "all", "experiment, or a comma-separated list: table1|exp1|exp2|exp2types|exp3|exp4|aff|ablation|datasets|extensions|exchange|publish|all")
-		class    = flag.String("class", "all", "query class for exp2: sssp|cc|sim|lcc|dfs|bc|all")
+		class    = flag.String("class", "all", "query class for exp2: "+strings.Join(classes, "|")+"|all")
 		scale    = flag.Float64("scale", 1.0, "dataset scale multiplier")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		jsonOut  = flag.String("json", "", "write machine-readable results to this file")
@@ -57,6 +59,10 @@ func main() {
 	flag.Parse()
 	if *diffBase != "" {
 		os.Exit(runDiff(*diffBase, flag.Args()))
+	}
+	if *class != "all" && !slices.Contains(classes, *class) {
+		fmt.Fprintf(os.Stderr, "unknown class %q\n", *class)
+		os.Exit(2)
 	}
 	cfg := bench.Config{Seed: *seed, Scale: *scale, Out: os.Stdout}
 
@@ -96,15 +102,9 @@ func main() {
 		fmt.Printf("-- %s done in %.1fs --\n", name, time.Since(start).Seconds())
 	}
 	exp2 := func() {
-		for _, c := range []struct {
-			class string
-			f     func(bench.Config)
-		}{
-			{"sssp", bench.Exp2SSSP}, {"cc", bench.Exp2CC}, {"sim", bench.Exp2Sim},
-			{"lcc", bench.Exp2LCC}, {"dfs", bench.Exp2DFS}, {"bc", bench.Exp2BC},
-		} {
-			if *class == c.class || *class == "all" {
-				run("exp2-"+c.class, c.f)
+		for _, c := range classes {
+			if *class == c || *class == "all" {
+				run("exp2-"+c, func(cfg bench.Config) { bench.Exp2(cfg, c) })
 			}
 		}
 	}

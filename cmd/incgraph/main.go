@@ -99,6 +99,11 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(err)
 	}
+	// Checked as an int: NodeID is 32 bits, and -src 4294967296 would
+	// otherwise wrap to node 0.
+	if *algo == "sssp" && (*src < 0 || *src >= g.NumNodes()) {
+		return fatal(fmt.Errorf("sssp: source %d out of range", *src))
+	}
 	var delta incgraph.Batch
 	if *updates != "" {
 		f, err := os.Open(*updates)
@@ -150,21 +155,40 @@ func emitGraph(w io.Writer, kind string, seed int64, nodes, deg int, directed bo
 	return err
 }
 
+// maintainer is what every class's incremental algorithm offers run.
+type maintainer interface {
+	Apply(incgraph.Batch) int
+	Stats() incgraph.FixpointStats
+}
+
 // run executes one query class end to end, printing the initial answer,
 // applying the updates incrementally, and printing the maintained answer.
 func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src incgraph.NodeID, delta incgraph.Batch, quiet, stats bool) error {
 	report := func(phase string, d time.Duration) {
 		fmt.Fprintf(w, "%-12s %v\n", phase+":", d.Round(time.Microsecond))
 	}
-	// reportCost prints the counters the paper's boundedness claim is
-	// about: |AFF| against |ΔG|, and — for classes on the fixpoint
-	// engine — the inspection count and the h/resume time split.
-	reportCost := func(aff int, st *incgraph.FixpointStats) {
-		if !stats || len(delta) == 0 {
+	// applyDelta applies the updates to m and, with -stats, prints the
+	// counters the paper's boundedness claim is about: |AFF| and the
+	// apply's work-ledger measure (touched + |AFF| + ‖AFF‖) against |ΔG|
+	// for every class, and — for classes on the fixpoint engine — the
+	// inspection count and the h/resume time split.
+	applyDelta := func(m maintainer, engine bool) {
+		if len(delta) == 0 {
 			return
 		}
+		before := m.Stats()
+		t0 := time.Now()
+		aff := m.Apply(delta)
+		report("incremental", time.Since(t0))
+		if !stats {
+			return
+		}
+		st := m.Stats().Sub(before)
+		led := st.Ledger
+		led.Delta = int64(len(delta))
 		fmt.Fprintf(w, "%-12s |AFF|=%d |ΔG|=%d ratio=%.3f\n", "affected:", aff, len(delta), float64(aff)/float64(len(delta)))
-		if st != nil {
+		fmt.Fprintf(w, "%-12s %d (%.1f per update)\n", "work:", led.Work(), led.BoundedRatio())
+		if engine {
 			fmt.Fprintf(w, "%-12s %d (%.1f per update)\n", "inspected:", st.Inspected(), float64(st.Inspected())/float64(len(delta)))
 			fmt.Fprintf(w, "%-12s %v / %v\n", "h/resume:",
 				time.Duration(st.HSeconds*float64(time.Second)).Round(time.Microsecond),
@@ -176,13 +200,7 @@ func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src in
 		t0 := time.Now()
 		inc := incgraph.NewIncSSSP(g, src)
 		report("batch", time.Since(t0))
-		if len(delta) > 0 {
-			t0 = time.Now()
-			aff := inc.Apply(delta)
-			report("incremental", time.Since(t0))
-			st := inc.Stats()
-			reportCost(aff, &st)
-		}
+		applyDelta(inc, true)
 		if !quiet {
 			for v, d := range inc.Dist() {
 				if d >= incgraph.Infinity {
@@ -196,13 +214,7 @@ func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src in
 		t0 := time.Now()
 		inc := incgraph.NewIncCC(g)
 		report("batch", time.Since(t0))
-		if len(delta) > 0 {
-			t0 = time.Now()
-			aff := inc.Apply(delta)
-			report("incremental", time.Since(t0))
-			st := inc.Stats()
-			reportCost(aff, &st)
-		}
+		applyDelta(inc, true)
 		if !quiet {
 			for v, l := range inc.Labels() {
 				fmt.Fprintf(w, "%d %d\n", v, l)
@@ -224,13 +236,7 @@ func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src in
 		t0 := time.Now()
 		inc := incgraph.NewIncSim(g, q)
 		report("batch", time.Since(t0))
-		if len(delta) > 0 {
-			t0 = time.Now()
-			aff := inc.Apply(delta)
-			report("incremental", time.Since(t0))
-			st := inc.Stats()
-			reportCost(aff, &st)
-		}
+		applyDelta(inc, true)
 		r := inc.Relation()
 		fmt.Fprintf(w, "matches: %d\n", r.Count())
 		if !quiet {
@@ -246,12 +252,7 @@ func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src in
 		t0 := time.Now()
 		inc := incgraph.NewIncDFS(g)
 		report("batch", time.Since(t0))
-		if len(delta) > 0 {
-			t0 = time.Now()
-			aff := inc.Apply(delta)
-			report("incremental", time.Since(t0))
-			reportCost(aff, nil)
-		}
+		applyDelta(inc, false)
 		if !quiet {
 			tr := inc.Tree()
 			for v := range tr.First {
@@ -265,12 +266,7 @@ func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src in
 		t0 := time.Now()
 		inc := incgraph.NewIncLCC(g)
 		report("batch", time.Since(t0))
-		if len(delta) > 0 {
-			t0 = time.Now()
-			aff := inc.Apply(delta)
-			report("incremental", time.Since(t0))
-			reportCost(aff, nil)
-		}
+		applyDelta(inc, false)
 		if !quiet {
 			for v := 0; v < g.NumNodes(); v++ {
 				fmt.Fprintf(w, "%d %.6f\n", v, inc.Result().Gamma(incgraph.NodeID(v)))
@@ -283,12 +279,7 @@ func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src in
 		t0 := time.Now()
 		inc := incgraph.NewIncBC(g)
 		report("batch", time.Since(t0))
-		if len(delta) > 0 {
-			t0 = time.Now()
-			aff := inc.Apply(delta)
-			report("incremental", time.Since(t0))
-			reportCost(aff, nil)
-		}
+		applyDelta(inc, false)
 		fmt.Fprintf(w, "biconnected components: %d\n", inc.Result().NumComps())
 		if !quiet {
 			for v, a := range inc.Result().Articulation {

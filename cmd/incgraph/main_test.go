@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -58,6 +59,36 @@ func TestRunSSSPWithUpdates(t *testing.T) {
 	for _, want := range []string{"affected:", "|ΔG|=1", "inspected:", "h/resume:"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("missing %q in -stats output:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestRunStats: -stats prints the apply's work ledger for every class,
+// and the inspection count and h/resume split only for classes on the
+// fixpoint engine.
+func TestRunStats(t *testing.T) {
+	g := demoGraph(false)
+	delta := incgraph.Batch{{Kind: incgraph.InsertEdge, From: 0, To: 3, W: 1}}
+	for _, tc := range []struct {
+		algo   string
+		engine bool
+	}{{"cc", true}, {"lcc", false}} {
+		var buf bytes.Buffer
+		if err := run(&buf, tc.algo, g.Clone(), "", 0, delta, true, true); err != nil {
+			t.Fatalf("%s: %v", tc.algo, err)
+		}
+		out := buf.String()
+		var work int
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0] == "work:" {
+				work, _ = strconv.Atoi(f[1])
+			}
+		}
+		if !strings.Contains(out, "affected:") || work <= 0 {
+			t.Fatalf("%s: no work ledger in -stats output:\n%s", tc.algo, out)
+		}
+		if strings.Contains(out, "inspected:") != tc.engine || strings.Contains(out, "h/resume:") != tc.engine {
+			t.Fatalf("%s: engine counters shown = %v, want %v:\n%s", tc.algo, !tc.engine, tc.engine, out)
 		}
 	}
 }
@@ -181,6 +212,25 @@ func TestCLI(t *testing.T) {
 			args:     []string{"-algo", "sssp", "-graph", graphPath, "-updates", goodUpdates},
 			exit:     0,
 			inStdout: "incremental",
+		},
+		{
+			name:     "sssp source past the graph",
+			args:     []string{"-algo", "sssp", "-graph", graphPath, "-src", "999"},
+			exit:     1,
+			inStderr: "source 999 out of range",
+		},
+		{
+			name:     "negative sssp source",
+			args:     []string{"-algo", "sssp", "-graph", graphPath, "-src", "-1"},
+			exit:     1,
+			inStderr: "source -1 out of range",
+		},
+		{
+			// 2³² wraps to node 0 as a NodeID.
+			name:     "sssp source past 32 bits",
+			args:     []string{"-algo", "sssp", "-graph", graphPath, "-src", "4294967296"},
+			exit:     1,
+			inStderr: "source 4294967296 out of range",
 		},
 		{
 			name:     "missing graph",

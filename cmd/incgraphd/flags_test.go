@@ -1,12 +1,14 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
 )
 
 // renderFlagTable renders the daemon's flag definitions as the markdown
@@ -77,6 +79,30 @@ func TestWorkersFlagRejected(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "flag provided but not defined: -workers") {
 		t.Fatalf("incgraphd -workers 2 did not name the unknown flag:\n%s", out)
+	}
+}
+
+// TestSourceOutOfRange: an -src outside [0, |V|) stops the daemon with exit
+// 1 before it serves, including 2³², which a 32-bit NodeID would wrap to
+// node 0.
+func TestSourceOutOfRange(t *testing.T) {
+	bin := buildDaemon(t)
+	for _, src := range []string{"4294967296", "-1", "16"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-gen", "grid", "-nodes", "16", "-algos", "sssp",
+			"-src", src, "-listen", "127.0.0.1:0").CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if timedOut {
+			t.Fatalf("-src %s on 16 nodes started serving:\n%s", src, out)
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("-src %s: err = %v, want exit status 1\n%s", src, err, out)
+		}
+		if !strings.Contains(string(out), "source "+src+" out of range") {
+			t.Fatalf("-src %s: no range error:\n%s", src, out)
+		}
 	}
 }
 

@@ -355,7 +355,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 	targets := make(map[string]incgraph.Serveable, len(algoList))
 	for i, algo := range algoList {
 		t0 := time.Now()
-		m, err := buildServeable(algo, graphs[i], incgraph.NodeID(c.src), pat)
+		m, err := buildServeable(algo, graphs[i], c.src, pat)
 		if err != nil {
 			return err
 		}
@@ -635,13 +635,16 @@ func loadGraph(path, genKind string, seed int64, nodes, deg int, directed bool) 
 	return incgraph.ReadGraph(f)
 }
 
-func buildServeable(algo string, g *incgraph.Graph, src incgraph.NodeID, pat *incgraph.Graph) (incgraph.Serveable, error) {
+// buildServeable builds algo's maintainer on g. src is -src as parsed: it
+// is range-checked before it narrows to a 32-bit NodeID.
+func buildServeable(algo string, g *incgraph.Graph, src int, pat *incgraph.Graph) (incgraph.Serveable, error) {
 	switch algo {
 	case "sssp":
-		if int(src) < 0 || int(src) >= g.NumNodes() {
+		if src < 0 || src >= g.NumNodes() {
 			return nil, fmt.Errorf("sssp: source %d out of range", src)
 		}
-		return incgraph.ServeSSSP(incgraph.NewIncSSSP(g, src), src), nil
+		s := incgraph.NodeID(src)
+		return incgraph.ServeSSSP(incgraph.NewIncSSSP(g, s), s), nil
 	case "cc":
 		return incgraph.ServeCC(incgraph.NewIncCC(g)), nil
 	case "sim":

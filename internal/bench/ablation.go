@@ -25,7 +25,7 @@ func ExpAblation(cfg Config) {
 
 	// (1) Timestamps vs PE reset, on unit deletions in one big component.
 	{
-		g := buildUndirected(d, cfg.Seed, cfg.Scale)
+		g := undirected.build(d, cfg.Seed, cfg.Scale)
 		dels := gen.UnitDeletions(newRNG(cfg.Seed), g, unitUpdateCount)
 		incT := avgUnit(cc.NewInc(g.Clone()), dels)
 		naiveT := avgUnit(cc.NewIncNaive(g.Clone()), dels)
@@ -54,7 +54,7 @@ func ExpAblation(cfg Config) {
 
 	// (3) Push vs pull step function, batch CC_fp over the whole graph.
 	{
-		g := buildUndirected(d, cfg.Seed, cfg.Scale)
+		g := undirected.build(d, cfg.Seed, cfg.Scale)
 		inst := &cc.Instance{G: g}
 		push := stopwatch(func() {
 			e := fixpoint.New[int64](inst, fixpoint.PriorityOrder)

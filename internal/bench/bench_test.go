@@ -27,37 +27,26 @@ func runAndCheck(t *testing.T, name string, f func(Config), wantSnippets ...stri
 	}
 }
 
-func TestTable1Smoke(t *testing.T) {
-	runAndCheck(t, "Table1", Table1, "Table 1", "SSSP", "Sim", "LCC", "Deduced")
-}
+func TestTable1Smoke(t *testing.T) { checkGolden(t, "table1", Table1) }
 
-func TestExp1Smoke(t *testing.T) {
-	runAndCheck(t, "Exp1", Exp1, "Fig 6(a,b)", "Fig 6(i,j)", "OKT", "WD", "Comp del")
-}
+func TestExp1Smoke(t *testing.T) { checkGolden(t, "exp1", Exp1) }
 
 func TestExp2Smoke(t *testing.T) {
-	runAndCheck(t, "Exp2SSSP", Exp2SSSP, "Fig 7(a/b)", "IncSSSP_n", "32%")
-	runAndCheck(t, "Exp2CC", Exp2CC, "Fig 7(c)", "DynCC", "64%")
-	runAndCheck(t, "Exp2Sim", Exp2Sim, "Fig 7(d/e)", "IncMatch")
-	runAndCheck(t, "Exp2LCC", Exp2LCC, "Fig 7(f)", "DynLCC")
-	runAndCheck(t, "Exp2DFS", Exp2DFS, "DFS on OKT", "DynDFS")
+	if got := strings.Join(Classes(), ","); got != "sssp,cc,sim,lcc,dfs,bc" {
+		t.Fatalf("Classes() = %s", got)
+	}
+	for _, c := range Classes() {
+		t.Run(c, func(t *testing.T) { checkGolden(t, "exp2-"+c, func(cfg Config) { Exp2(cfg, c) }) })
+	}
 }
 
-func TestExp2TypesSmoke(t *testing.T) {
-	runAndCheck(t, "Exp2Types", Exp2Types, "Fig 7(g)", "Fig 7(h)", "Fig 7(i)", "M5", "h-fraction")
-}
+func TestExp2TypesSmoke(t *testing.T) { checkGolden(t, "exp2types", Exp2Types) }
 
-func TestExp3Smoke(t *testing.T) {
-	runAndCheck(t, "Exp3", Exp3, "Fig 7(j)", "Fig 7(k)", "Fig 7(l)")
-}
+func TestExp3Smoke(t *testing.T) { checkGolden(t, "exp3", Exp3) }
 
-func TestExp4Smoke(t *testing.T) {
-	runAndCheck(t, "Exp4", Exp4, "Fig 8", "MiB")
-}
+func TestExp4Smoke(t *testing.T) { checkGolden(t, "exp4", Exp4) }
 
-func TestExpAffSmoke(t *testing.T) {
-	runAndCheck(t, "ExpAff", ExpAff, "AFF", "IncSSSP", "IncLCC", "%")
-}
+func TestExpAffSmoke(t *testing.T) { checkGolden(t, "aff", ExpAff) }
 
 func TestExpAblationSmoke(t *testing.T) {
 	runAndCheck(t, "ExpAblation", ExpAblation, "Ablation 1", "Ablation 2", "Ablation 3", "IncCCNaive", "push")

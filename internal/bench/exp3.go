@@ -1,10 +1,9 @@
 package bench
 
 import (
-	"incgraph/internal/cc"
+	"fmt"
+
 	"incgraph/internal/gen"
-	"incgraph/internal/sim"
-	"incgraph/internal/sssp"
 )
 
 // Exp3 regenerates Fig. 7(j,k,l): scalability with |G| at |ΔG| = 1%|G|
@@ -12,56 +11,20 @@ import (
 func Exp3(cfg Config) {
 	sizes := []int{25_000, 50_000, 100_000, 200_000}
 	const avgDeg = 10
-
-	tj := newTable(cfg.Out, "Fig 7(j) SSSP scalability (|ΔG| = 1%|G|)",
-		"|V|", "|G|", "Dijkstra", "IncSSSP", "DynDij")
-	for _, n := range sizes {
-		nodes := int(float64(n) * cfg.Scale)
-		g := gen.Synthetic(cfg.Seed, nodes, avgDeg, true)
-		delta := gen.RandomUpdates(newRNG(cfg.Seed), g, deltaSize(g, 1), 0.5)
-		updated := g.Clone()
-		updated.Apply(delta)
-		batch := stopwatch(func() { sssp.Dijkstra(updated, 0) })
-		inc := sssp.NewInc(g.Clone(), 0)
-		incT := timeRepair(inc, delta)
-		dyn := sssp.NewDynDij(g.Clone(), 0)
-		dynT := timeRepair(dyn, delta)
-		tj.row(nodes, g.Size(), batch, incT, dynT)
+	for _, c := range classes {
+		if c.scaling == "" {
+			continue
+		}
+		t := newTable(cfg.Out, fmt.Sprintf("%s %s scalability (|ΔG| = 1%%|G|)", c.scaling, c.name),
+			append([]string{"|V|", "|G|"}, c.columns(false)...)...)
+		in := c.inst(cfg)
+		for _, n := range sizes {
+			nodes := int(float64(n) * cfg.Scale)
+			g := gen.Synthetic(cfg.Seed, nodes, avgDeg, c.twin != undirected)
+			delta, updated := batchUpdate(cfg, g, deltaSize(g, 1))
+			cells, _, _ := c.row(updated, delta, in, false, c.fresh(g, in))
+			t.row(append([]any{nodes, g.Size()}, cells...)...)
+		}
+		t.flush()
 	}
-	tj.flush()
-
-	tk := newTable(cfg.Out, "Fig 7(k) CC scalability (|ΔG| = 1%|G|)",
-		"|V|", "|G|", "CC_fp", "IncCC", "DynCC")
-	for _, n := range sizes {
-		nodes := int(float64(n) * cfg.Scale)
-		g := gen.Synthetic(cfg.Seed, nodes, avgDeg, false)
-		delta := gen.RandomUpdates(newRNG(cfg.Seed), g, deltaSize(g, 1), 0.5)
-		updated := g.Clone()
-		updated.Apply(delta)
-		batch := stopwatch(func() { cc.CCfp(updated) })
-		inc := cc.NewInc(g.Clone())
-		incT := timeRepair(inc, delta)
-		dyn := cc.NewDynCC(g.Clone())
-		dynT := stopwatch(func() { dyn.Apply(delta) })
-		tk.row(nodes, g.Size(), batch, incT, dynT)
-	}
-	tk.flush()
-
-	tl := newTable(cfg.Out, "Fig 7(l) Sim scalability (|ΔG| = 1%|G|)",
-		"|V|", "|G|", "Sim_fp", "IncSim", "IncMatch")
-	q := gen.Pattern(newRNG(cfg.Seed+2), 4, 6, gen.Alphabet)
-	for _, n := range sizes {
-		nodes := int(float64(n) * cfg.Scale)
-		g := gen.Synthetic(cfg.Seed, nodes, avgDeg, true)
-		delta := gen.RandomUpdates(newRNG(cfg.Seed), g, deltaSize(g, 1), 0.5)
-		updated := g.Clone()
-		updated.Apply(delta)
-		batch := stopwatch(func() { sim.Simfp(updated, q) })
-		inc := sim.NewInc(g.Clone(), q)
-		incT := timeRepair(inc, delta)
-		im := sim.NewIncMatch(g.Clone(), q)
-		imT := timeRepair(im, delta)
-		tl.row(nodes, g.Size(), batch, incT, imT)
-	}
-	tl.flush()
 }

@@ -1,27 +1,16 @@
 package bench
 
-import (
-	"incgraph/internal/cc"
-	"incgraph/internal/dfs"
-	"incgraph/internal/gen"
-	"incgraph/internal/lcc"
-	"incgraph/internal/sim"
-	"incgraph/internal/sssp"
-)
+import "incgraph/internal/gen"
 
 // Exp4 regenerates Fig. 8: live-heap cost of each algorithm's maintained
 // structures on the OKT stand-in, measured as heap growth while building
-// the maintainer (graph excluded — every algorithm shares it). The
-// expected shape: deducible algorithms (IncSSSP, IncDFS, IncLCC) cost no
-// more than their batch counterparts, weakly deducible ones (IncCC,
+// the maintainer (graph excluded — every algorithm of a class shares it).
+// The expected shape: deducible algorithms (IncSSSP, IncDFS, IncLCC) cost
+// no more than their batch counterparts, weakly deducible ones (IncCC,
 // IncSim) add only timestamps, and DynCC's forest hierarchy dominates
 // everything.
 func Exp4(cfg Config) {
 	d, _ := gen.ByName("OKT")
-	gd := d.Build(cfg.Seed, cfg.Scale)            // directed build for SSSP/Sim/DFS
-	gu := buildUndirected(d, cfg.Seed, cfg.Scale) // undirected twin for CC/LCC
-	q := gen.Pattern(newRNG(cfg.Seed+2), 4, 6, gen.Alphabet)
-
 	t := newTable(cfg.Out, "Fig 8: memory of maintained structures on OKT (graph excluded)",
 		"Class", "Batch result", "Deduced", "Competitor")
 
@@ -31,32 +20,15 @@ func Exp4(cfg Config) {
 		keep = append(keep, x)
 		return mib(delta)
 	}
-
-	t.row("SSSP",
-		probe(func() any { return sssp.Dijkstra(gd, 0) }),
-		probe(func() any { return sssp.NewInc(gd, 0) }),
-		probe(func() any { return sssp.NewDynDij(gd, 0) }),
-	)
-	t.row("CC",
-		probe(func() any { return cc.CCfp(gu) }),
-		probe(func() any { return cc.NewInc(gu) }),
-		probe(func() any { return cc.NewDynCC(gu) }),
-	)
-	t.row("Sim",
-		probe(func() any { return sim.Simfp(gd, q) }),
-		probe(func() any { return sim.NewInc(gd, q) }),
-		probe(func() any { return sim.NewIncMatch(gd, q) }),
-	)
-	t.row("DFS",
-		probe(func() any { return dfs.Run(gd) }),
-		probe(func() any { return dfs.NewInc(gd) }),
-		probe(func() any { return dfs.NewDynDFS(gd) }),
-	)
-	t.row("LCC",
-		probe(func() any { return lcc.Run(gu) }),
-		probe(func() any { return lcc.NewInc(gu) }),
-		probe(func() any { return lcc.NewDynLCC(gu) }),
-	)
+	for _, c := range fig6Classes() {
+		g := c.twin.build(d, cfg.Seed, cfg.Scale)
+		in := c.inst(cfg)
+		t.row(c.name,
+			probe(func() any { return c.batch(g, in) }),
+			probe(func() any { return c.deduced(g, in) }),
+			probe(func() any { return c.comp(g, in) }),
+		)
+	}
 	t.flush()
 	_ = keep
 }

@@ -1,31 +1,10 @@
 package bench
 
-import (
-	"incgraph/internal/gen"
-	"incgraph/internal/graph"
-	"incgraph/internal/lcc"
-	"incgraph/internal/sim"
-	"incgraph/internal/sssp"
-)
-
-// buildUndirected builds a dataset's undirected twin, used by CC and LCC.
-func buildUndirected(d gen.Dataset, seed int64, scale float64) *graph.Graph {
-	d.Directed = false
-	return d.Build(seed, scale)
-}
-
-// buildDirected builds a dataset's directed twin, used by DFS (§5.2
-// defines DFS on directed graphs).
-func buildDirected(d gen.Dataset, seed int64, scale float64) *graph.Graph {
-	d.Directed = true
-	return d.Build(seed, scale)
-}
+import "incgraph/internal/gen"
 
 // Table1 regenerates the paper's Table 1: batch vs. fine-tuned competitor
 // vs. deduced incremental algorithm for SSSP, Sim and LCC with
-// |ΔG| = 4%|G|. As in the paper's setup, SSSP averages over sampled
-// source nodes and Sim over sampled patterns (the paper uses 20 and 5; we
-// use 5 and 3 at this scale).
+// |ΔG| = 4%|G|, averaged over each class's sampled instances.
 func Table1(cfg Config) {
 	t := newTable(cfg.Out, "Table 1: incrementalized algorithms at |ΔG| = 4%|G|",
 		"Problem", "Batch A", "Competitor", "Deduced A_Δ", "A/A_Δ")
@@ -33,58 +12,22 @@ func Table1(cfg Config) {
 	// SSSP and Sim run on the directed TW stand-in; LCC on its undirected
 	// twin (the paper's graph is a single 73.7M-element graph).
 	d, _ := gen.ByName("TW")
-	{
-		const sources = 5
-		g := d.Build(cfg.Seed, cfg.Scale)
-		delta := gen.RandomUpdates(newRNG(cfg.Seed), g, 4*g.Size()/100, 0.5)
-		updated := g.Clone()
-		updated.Apply(delta)
-		rng := newRNG(cfg.Seed + 3)
-		var batch, compT, incT float64
-		for s := 0; s < sources; s++ {
-			src := graph.NodeID(rng.Intn(g.NumNodes()))
-			batch += stopwatch(func() { sssp.Dijkstra(updated, src) })
-			comp := sssp.NewDynDij(g.Clone(), src)
-			compT += timeRepair(comp, delta)
-			inc := sssp.NewInc(g.Clone(), src)
-			incT += timeRepair(inc, delta)
+	for _, c := range classes {
+		if !c.table1 {
+			continue
 		}
-		batch /= sources
-		compT /= sources
-		incT /= sources
-		t.row("SSSP", batch, compT, incT, speedup(batch, incT))
-	}
-	{
-		const patterns = 3
-		g := d.Build(cfg.Seed, cfg.Scale)
-		delta := gen.RandomUpdates(newRNG(cfg.Seed), g, 4*g.Size()/100, 0.5)
-		updated := g.Clone()
-		updated.Apply(delta)
+		g := c.twin.build(d, cfg.Seed, cfg.Scale)
+		delta, updated := batchUpdate(cfg, g, 4*g.Size()/100)
+		ins := c.sample(cfg, g)
 		var batch, compT, incT float64
-		for p := 0; p < patterns; p++ {
-			q := gen.Pattern(newRNG(cfg.Seed+1+int64(p)), 4, 6, gen.Alphabet)
-			batch += stopwatch(func() { sim.Simfp(updated, q) })
-			comp := sim.NewIncMatch(g.Clone(), q)
-			compT += timeRepair(comp, delta)
-			inc := sim.NewInc(g.Clone(), q)
-			incT += timeRepair(inc, delta)
+		for _, in := range ins {
+			batch += stopwatch(func() { c.batch(updated, in) })
+			compT += timeRepair(c.comp(g.Clone(), in), delta)
+			incT += timeRepair(c.deduced(g.Clone(), in), delta)
 		}
-		batch /= patterns
-		compT /= patterns
-		incT /= patterns
-		t.row("Sim", batch, compT, incT, speedup(batch, incT))
-	}
-	{
-		g := buildUndirected(d, cfg.Seed, cfg.Scale)
-		delta := gen.RandomUpdates(newRNG(cfg.Seed), g, 4*g.Size()/100, 0.5)
-		updated := g.Clone()
-		updated.Apply(delta)
-		batch := stopwatch(func() { lcc.Run(updated) })
-		comp := lcc.NewDynLCC(g.Clone())
-		compT := stopwatch(func() { comp.Apply(delta) })
-		inc := lcc.NewInc(g.Clone())
-		incT := timeRepair(inc, delta)
-		t.row("LCC", batch, compT, incT, speedup(batch, incT))
+		n := float64(len(ins))
+		batch, compT, incT = batch/n, compT/n, incT/n
+		t.row(c.name, batch, compT, incT, speedup(batch, incT))
 	}
 	t.flush()
 }

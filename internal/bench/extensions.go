@@ -19,7 +19,7 @@ func ExpExtensions(cfg Config) {
 		"Class", "Batch", "Incremental", "Speedup")
 	d, _ := gen.ByName("OKT")
 	{
-		g := buildUndirected(d, cfg.Seed, cfg.Scale)
+		g := undirected.build(d, cfg.Seed, cfg.Scale)
 		delta := gen.RandomUpdates(newRNG(cfg.Seed), g, deltaSize(g, 0.25), 0.5)
 		updated := g.Clone()
 		updated.Apply(delta)
@@ -49,7 +49,7 @@ func ExpExtensions(cfg Config) {
 	t2 := newTable(cfg.Out, "Update locality: uniform vs hotspot ΔG (IncLCC on LJ, 200 updates)",
 		"Workload", "|ΔG|", "LCC_fp", "IncLCC", "Speedup", "|PE|")
 	dl, _ := gen.ByName("LJ")
-	g := buildUndirected(dl, cfg.Seed, cfg.Scale)
+	g := undirected.build(dl, cfg.Seed, cfg.Scale)
 	count := 200
 	if c := deltaSize(g, 1); c < count {
 		count = c // keep tiny scales sane in smoke tests
