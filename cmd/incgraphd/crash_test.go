@@ -147,7 +147,7 @@ func durableOracle(t *testing.T, dataDir string) (dist, labels []int64, rawUpdat
 	gs, gc := gFor("sssp"), gFor("cc")
 	// The epoch a recovered host reports is the checkpoint's stream
 	// position plus the replayed tail.
-	rawUpdates = rec.Algos["sssp"].Epoch
+	rawUpdates = rec.CheckpointEpoch
 	if _, err := wal.Replay(dataDir, rec.ReplayFrom, func(r wal.Record) error {
 		gs.Apply(r.Batch.Net(true))
 		gc.Apply(r.Batch.Net(true))
@@ -233,7 +233,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	}
 	var haveCkpt bool
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".ckpt") {
+		if strings.HasSuffix(e.Name(), ".ckpt2") {
 			haveCkpt = true
 		}
 	}

@@ -45,15 +45,15 @@
 //
 // With -data-dir set the daemon is durable: every accepted update batch
 // is write-ahead-logged (fsync policy per -fsync) before it is
-// acknowledged, and checkpoints of each maintainer's graph + incremental
-// state are taken every -checkpoint-every ingests and on SIGTERM
-// (checkpoint-on-drain). On startup the daemon recovers: it restores the
-// latest checkpoint, replays the WAL tail through the incremental Apply
-// path, and (unless -verify-recovery=false) verifies the replayed answers
-// against a batch recompute, repairing and counting any divergence. The
-// graph comes from the checkpoint whenever one exists — a class added
-// since takes a covered class's — so -graph (or -gen) is read only on a
-// start without one. A kill -9 at any moment therefore loses nothing
+// acknowledged, and checkpoints of the one graph, the stream position and
+// each class's incremental state are taken every -checkpoint-every ingests
+// and on SIGTERM (checkpoint-on-drain). On startup the daemon recovers: it
+// restores the latest checkpoint, replays the WAL tail through the
+// incremental Apply path, and (unless -verify-recovery=false) verifies the
+// replayed answers against a batch recompute, repairing and counting any
+// divergence. Every class's graph is a copy of the checkpoint's whenever
+// one exists, so -graph (or -gen) is read only on a start without one.
+// A kill -9 at any moment therefore loses nothing
 // acknowledged under -fsync always, and restart reproduces exactly the
 // from-scratch answers over the durable prefix. How long each phase of
 // the start took is logged once ("started") and exported as
@@ -323,7 +323,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 			return fmt.Errorf("recovery: %w", err)
 		}
 	}
-	graphs, restored, err := classGraphs(algoList, rec, func() (*incgraph.Graph, error) {
+	graphs, err := classGraphs(algoList, rec, func() (*incgraph.Graph, error) {
 		base, err := loadGraph(c.graphPath, c.genKind, c.genSeed, c.genNodes, c.genDeg, c.genDirect)
 		if err != nil || part == nil {
 			return base, err
@@ -369,7 +369,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		phases[restorePhase].Took += time.Since(t1)
 		targets[algo] = m
 		logger.Info("hosted", "host", algo, "batch_init", t1.Sub(t0).Round(time.Microsecond),
-			"from_checkpoint", restored[i])
+			"from_checkpoint", rec != nil && len(rec.Algos[algo].State) > 0)
 	}
 	var replayed, divergent int
 	if rec != nil && !replica {
@@ -583,33 +583,31 @@ func bootstrapPull(logger *slog.Logger, c *cliFlags) error {
 
 // classGraphs returns, for each class of algoList, the graph its
 // maintainer will own — maintainers mutate their graph in Apply and are
-// single-writer objects, so no two share one — and whether the checkpoint
-// covered the class. The graph comes from the checkpoint whenever rec
-// (which may be nil) holds one, a class the checkpoint does not cover
-// included (Recovery.ClassGraph), and the input graph is not read at all.
-// Only without a checkpoint does load read it; then every class takes a
-// private copy of it, the last the input itself.
-func classGraphs(algoList []string, rec *incgraph.Recovery, load func() (*incgraph.Graph, error)) (graphs []*incgraph.Graph, restored []bool, err error) {
-	graphs = make([]*incgraph.Graph, len(algoList))
-	restored = make([]bool, len(algoList))
-	if rec != nil && len(rec.Algos) > 0 {
-		for i, algo := range algoList {
-			graphs[i], restored[i] = rec.ClassGraph(algo)
+// single-writer objects, so no two share one. Each is a copy of the cut's
+// graph whenever rec (which may be nil) holds a checkpoint
+// (Recovery.ClassGraph), and the input graph is not read at all. Only
+// without a checkpoint does load read it; then every class takes a private
+// copy of it, the last the input itself.
+func classGraphs(algoList []string, rec *incgraph.Recovery, load func() (*incgraph.Graph, error)) ([]*incgraph.Graph, error) {
+	graphs := make([]*incgraph.Graph, len(algoList))
+	for i, algo := range algoList {
+		if rec != nil {
+			graphs[i] = rec.ClassGraph(algo)
 		}
-		return graphs, restored, nil
+	}
+	if graphs[0] != nil {
+		return graphs, nil
 	}
 	base, err := load()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i := range graphs {
-		if i < len(graphs)-1 {
+		if graphs[i] = base; i < len(graphs)-1 {
 			graphs[i] = base.Clone()
-		} else {
-			graphs[i] = base
 		}
 	}
-	return graphs, restored, nil
+	return graphs, nil
 }
 
 func loadGraph(path, genKind string, seed int64, nodes, deg int, directed bool) (*incgraph.Graph, error) {

@@ -66,7 +66,7 @@ func TestRestartWithAddedClass(t *testing.T) {
 		t.Fatalf("checkpoint covers %d classes, lcc among them: %v", len(rec.Algos), ok)
 	}
 	g := rec.Algos["cc"].Graph
-	epoch := rec.Algos["cc"].Epoch
+	epoch := rec.CheckpointEpoch
 	records, err := wal.Replay(dataDir, rec.ReplayFrom, func(r wal.Record) error {
 		g.Apply(r.Batch.Net(false))
 		epoch += uint64(len(r.Batch))

@@ -81,23 +81,32 @@ func (s *Service) Saturated() bool {
 }
 
 // WithState runs fn against the maintainer from inside the service's
-// apply loop, after every previously accepted submission has been applied
-// — the mechanism checkpoints use to serialize state at a consistent cut.
+// apply loop, after every previously accepted submission has been applied.
 // It blocks until fn returns (or the service is closed) and returns fn's
 // error.
 func (h *Host) WithState(fn func(m Serveable) error) error {
-	s := h.svc
-	ack := make(chan struct{})
+	return h.svc.withState(func() error { return fn(h.m) })
+}
+
+// withState runs fn from inside the apply loop, after every previously
+// accepted submission has been applied, with every maintainer to itself —
+// the mechanism a checkpoint takes its cut by. It blocks until fn returns
+// (or the service is closed) and returns fn's error.
+func (s *Service) withState(fn func() error) error {
 	var err error
-	job := submission{at: time.Now(), ack: ack, fn: func() { err = fn(h.m) }}
+	job := submission{at: time.Now(), ack: make(chan struct{}), fn: func() { err = fn() }}
 	s.submitMu.RLock()
-	if s.closed {
+	switch {
+	case s.closed:
 		s.submitMu.RUnlock()
 		return ErrClosed
+	case s.in == nil:
+		s.submitMu.RUnlock()
+		return errNoHosts
 	}
 	s.in <- job
 	s.submitMu.RUnlock()
-	<-ack
+	<-job.ack
 	return err
 }
 

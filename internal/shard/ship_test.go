@@ -18,6 +18,7 @@ import (
 	"incgraph/internal/graph"
 	"incgraph/internal/serve"
 	"incgraph/internal/sssp"
+	"incgraph/internal/trace"
 	"incgraph/internal/wal"
 )
 
@@ -367,5 +368,112 @@ func TestFollowerRefusesTargetedRecord(t *testing.T) {
 			}
 			return nil
 		})
+	}
+}
+
+// TestMixedVersionCheckpointDir: a v1 checkpoint file is named by the sum
+// of the class epochs, so it can carry a larger number than a later v2
+// file. Recovery loads the v2 file, a replica bootstraps from it, and the
+// next checkpoint's prune removes the v1 file. A directory holding only a
+// v1 checkpoint (testdata written by bc4d615) gets a v2 copy of it when
+// its log is opened, and a replica bootstraps from that.
+func TestMixedVersionCheckpointDir(t *testing.T) {
+	ctx := context.Background()
+	// serveDir opens the durable service of sssp and cc over dir, whose
+	// WAL a replica pulls from srv.
+	serveDir := func(dir string, base *graph.Graph) (*serve.Service, *serve.Durable, *httptest.Server) {
+		rec, err := serve.LoadRecovery(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := serve.NewService()
+		d, err := serve.OpenDurable(svc, dir, serve.DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphOf := func(algo string) *graph.Graph {
+			if g := rec.ClassGraph(algo); g != nil {
+				return g
+			}
+			return base.Clone()
+		}
+		for _, m := range []serve.Serveable{serve.SSSP(sssp.NewInc(graphOf("sssp"), 0)), serve.CC(cc.NewInc(graphOf("cc")))} {
+			if _, err := svc.Host(m, serve.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mux := http.NewServeMux()
+		mux.Handle("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
+		srv := httptest.NewServer(mux)
+		t.Cleanup(func() { srv.Close(); svc.Close(); d.Close() })
+		return svc, d, srv
+	}
+	// bootstrap pulls srv's WAL into a fresh directory and checks that the
+	// replica recovers from the v2 checkpoint at epoch.
+	bootstrap := func(srv *httptest.Server, epoch uint64) {
+		dir := t.TempDir()
+		if _, err := PullWAL(ctx, nil, srv.URL, dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, wal.CheckpointName(epoch))); err != nil {
+			t.Fatalf("replica holds no v2 checkpoint at %d: %v", epoch, err)
+		}
+		if rec, err := serve.LoadRecovery(dir); err != nil || rec.CheckpointEpoch != epoch {
+			t.Fatalf("replica recovers from epoch %v (%v), want %d", rec, err, epoch)
+		}
+	}
+	const fixture = "../serve/testdata/twoclass-bc4d615/data/"
+	copyFile := func(from, to string) {
+		b, err := os.ReadFile(from)
+		if err == nil {
+			err = os.WriteFile(to, b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	v1Files := func(dir string) []string {
+		names, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+		return names
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	base := gen.PowerLaw(rng, 80, 4, true)
+	dir := t.TempDir()
+	_, d, srv := serveDir(dir, base)
+	post := func() {
+		if err := d.Ingest(nil, "", gen.RandomUpdates(rng, base, 20, 0.7), trace.TraceID{}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post()
+	post()
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// A valid v1 checkpoint (the fixture's, at stream epoch 60) under a
+	// number above the v2 file's.
+	copyFile(fixture+"checkpoint-0000000000000120.ckpt", filepath.Join(dir, "checkpoint-0000000001048576.ckpt"))
+	if rec, err := serve.LoadRecovery(dir); err != nil || rec.CheckpointEpoch != 40 {
+		t.Fatalf("recovers from %v (%v), want the v2 checkpoint at 40", rec, err)
+	}
+	bootstrap(srv, 40)
+	post()
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if v1 := v1Files(dir); len(v1) != 0 {
+		t.Fatalf("v1 files left after the prune: %v", v1)
+	}
+	bootstrap(srv, 60)
+
+	dir = t.TempDir()
+	for _, name := range []string{"checkpoint-0000000000000060.ckpt", "checkpoint-0000000000000120.ckpt", "wal-0000000000000002.seg", "wal-0000000000000003.seg"} {
+		copyFile(fixture+name, filepath.Join(dir, name))
+	}
+	_, _, srv = serveDir(dir, nil)
+	bootstrap(srv, 60)
+	if v1 := v1Files(dir); len(v1) != 2 {
+		t.Fatalf("v1 files %v: opening the log must keep them as fallbacks", v1)
 	}
 }
