@@ -12,7 +12,7 @@
 //
 //	wal-0000000000000001.seg    frame stream, rotated by size
 //	wal-0000000000000002.seg    the active segment
-//	checkpoint-00000000000012c8.ckpt
+//	checkpoint-0000000000004808.ckpt2 the cut at stream epoch 4808
 //
 // Each frame is [len u32][crc32c u32][payload]; the payload is one
 // Record (an algo tag, empty in every record written now, plus a
