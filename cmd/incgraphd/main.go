@@ -529,14 +529,18 @@ func run(logger *slog.Logger, c *cliFlags) error {
 			logger.Warn("wal close", "err", err)
 		}
 	}
-	for _, h := range svc.Hosts() {
+	for i, h := range svc.Hosts() {
 		st := h.Stats()
+		if i == 0 {
+			// The stream fields are the service's, the same on every host.
+			logger.Info("drained",
+				"updates", st.UpdatesApplied,
+				"batches", st.BatchesApplied,
+				"coalesced", st.UpdatesCoalesced)
+		}
 		logger.Info("drained",
 			"host", st.Algo,
 			"epoch", st.Epoch,
-			"updates", st.UpdatesApplied,
-			"batches", st.BatchesApplied,
-			"coalesced", st.UpdatesCoalesced,
 			"mean_apply", time.Duration(st.MeanApplyNanos).Round(time.Microsecond),
 			"last_apply", time.Duration(st.LastApplyNanos).Round(time.Microsecond))
 	}

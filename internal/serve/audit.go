@@ -86,33 +86,44 @@ type Offender struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// Stats are per-host serving counters, exposed on /stats.
+// Stats are a host's serving counters, exposed on /stats. The stream
+// fields — UpdatesReceived, UpdatesApplied, UpdatesCoalesced,
+// BatchesApplied, QueueDepth and UptimeSeconds — are the service's one
+// account of the stream, the same for every host; the rest are the
+// class's own.
 type Stats struct {
 	Algo string `json:"algo"`
 	// Epoch mirrors the published view's epoch.
 	Epoch uint64 `json:"epoch"`
-	// UpdatesReceived counts raw unit updates the service accepted.
+	// UpdatesReceived is the stream position of the last accepted raw
+	// unit update: it continues across a restart.
 	UpdatesReceived uint64 `json:"updates_received"`
-	// UpdatesApplied counts raw unit updates incorporated into the view.
+	// UpdatesApplied is the stream position the apply loop has reached,
+	// in raw unit updates: it continues across a restart.
 	UpdatesApplied uint64 `json:"updates_applied"`
-	// UpdatesCoalesced counts updates cancelled before reaching the
-	// maintainer: raw minus net, summed over batches. Nonzero whenever
-	// the stream contained churn inside one batching window.
+	// UpdatesCoalesced counts the updates this process's batching
+	// cancelled before reaching the maintainers: raw minus net, summed
+	// over batches. Nonzero whenever the stream contained churn inside
+	// one batching window.
 	UpdatesCoalesced uint64 `json:"updates_coalesced"`
-	// BatchesApplied counts Apply calls on the maintainer.
+	// BatchesApplied is the stream position in batches: it continues
+	// across a restart.
 	BatchesApplied uint64 `json:"batches_applied"`
 	// AffectedTotal sums the maintainer's per-Apply affected-area
 	// measure (|H⁰| or equivalent).
 	AffectedTotal int64 `json:"affected_total"`
 	// QueueDepth is the number of received-but-not-yet-applied updates.
 	QueueDepth uint64 `json:"queue_depth"`
-	// Apply latency, nanoseconds.
+	// Apply latency of this process's maintainer applies, nanoseconds.
 	LastApplyNanos  int64 `json:"last_apply_nanos"`
 	MaxApplyNanos   int64 `json:"max_apply_nanos"`
 	TotalApplyNanos int64 `json:"total_apply_nanos"`
-	// MeanApplyNanos is TotalApplyNanos/BatchesApplied, precomputed so
-	// clients don't have to divide raw totals.
+	// MeanApplyNanos is TotalApplyNanos over the applies behind it,
+	// precomputed so clients don't have to divide raw totals.
 	MeanApplyNanos int64 `json:"mean_apply_nanos"`
+	// applies counts this process's maintainer applies, MeanApplyNanos's
+	// divisor.
+	applies int64
 	// Apply-latency quantiles, estimated from the host's log-bucketed
 	// histogram (≤6.25% relative error; see internal/obs). Zero until the
 	// first apply. Present so operators get percentiles from one GET
@@ -128,7 +139,7 @@ type Stats struct {
 	Degraded bool   `json:"degraded,omitempty"`
 	Panics   uint64 `json:"panics,omitempty"`
 	Heals    uint64 `json:"heals,omitempty"`
-	// UptimeSeconds is the time since the host started serving.
+	// UptimeSeconds is the time since the service was created.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Fixpoint aggregates the maintainer's per-apply cost-counter deltas
 	// (engine-based maintainers only; ScopeSize is the last apply's |H⁰|).
@@ -160,19 +171,13 @@ const offenderRing = 32
 // hostMetrics are a host's registry handles, resolved once at
 // construction so the apply loop only touches lock-free atomics.
 type hostMetrics struct {
-	updatesReceived *obs.Counter
-	updatesApplied  *obs.Counter
-	updatesCoal     *obs.Counter
-	batchesApplied  *obs.Counter
-	affectedTotal   *obs.Counter
-	hSecondsTotal   *obs.Counter
-	resumeSeconds   *obs.Counter
-	inspectedTotal  *obs.Counter
+	affectedTotal  *obs.Counter
+	hSecondsTotal  *obs.Counter
+	resumeSeconds  *obs.Counter
+	inspectedTotal *obs.Counter
 
-	applyLatency  *obs.Histogram
-	batchSize     *obs.Histogram
-	queueWait     *obs.Histogram
-	coalesceRatio *obs.Histogram
+	applyLatency *obs.Histogram
+	queueWait    *obs.Histogram
 
 	affRatio     *obs.Gauge
 	inspectedPer *obs.Gauge
@@ -199,30 +204,17 @@ type hostMetrics struct {
 	pagesEncoded   *obs.Counter
 	entriesSpliced *obs.Counter
 	viewPages      *obs.Gauge
-
-	flushes [numFlushReasons]*obs.Counter
 }
 
 func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 	l := obs.L("algo", algo)
-	var flushes [numFlushReasons]*obs.Counter
-	for why, name := range flushReasonNames {
-		flushes[why] = r.Counter("incgraph_apply_flushes_total", "Batches the apply loop closed, by what closed them: drain (queue empty), full (MaxBatch), timer (MaxWait), state (WithState job), close.", l, obs.L("reason", name))
-	}
 	return hostMetrics{
-		flushes:         flushes,
-		updatesReceived: r.Counter("incgraph_updates_received_total", "Raw unit updates accepted by Submit.", l),
-		updatesApplied:  r.Counter("incgraph_updates_applied_total", "Raw unit updates incorporated into the published view.", l),
-		updatesCoal:     r.Counter("incgraph_updates_coalesced_total", "Updates cancelled by batch coalescing before reaching the maintainer.", l),
-		batchesApplied:  r.Counter("incgraph_batches_applied_total", "Apply calls on the maintainer.", l),
 		affectedTotal:   r.Counter("incgraph_affected_total", "Sum of per-apply affected-area measures (|AFF|).", l),
 		hSecondsTotal:   r.Counter("incgraph_fixpoint_h_seconds_total", "Wall seconds spent in the initial scope function h.", l),
 		resumeSeconds:   r.Counter("incgraph_fixpoint_resume_seconds_total", "Wall seconds spent in the resumed step function.", l),
 		inspectedTotal:  r.Counter("incgraph_fixpoint_inspected_total", "Status-variable inspections (reads+updates+pops) by incremental runs.", l),
 		applyLatency:    r.Histogram("incgraph_apply_latency_seconds", "Wall time of one maintainer Apply call.", l),
-		batchSize:       r.Histogram("incgraph_batch_size_updates", "Raw unit updates merged into one Apply call.", l),
 		queueWait:       r.Histogram("incgraph_queue_wait_seconds", "Wait of the oldest submission merged into each batch until this class's Apply: queued, then behind the classes applied first.", l),
-		coalesceRatio:   r.Histogram("incgraph_coalesce_ratio", "Fraction of each batch cancelled by coalescing (raw-net)/raw.", l),
 		affRatio:        r.Gauge("incgraph_aff_per_delta_ratio", "Last apply's |AFF|/|ΔG| — the observed relative-boundedness ratio.", l),
 		inspectedPer:    r.Gauge("incgraph_inspected_per_update", "Last apply's fixpoint inspections per net update.", l),
 		scopeSize:       r.Gauge("incgraph_fixpoint_scope_size", "Last apply's initial scope size |H⁰|.", l),
@@ -314,15 +306,19 @@ func (h *Host) Boundedness() BoundednessReport {
 	return rep
 }
 
-// Stats returns a copy of the serving counters, with the derived fields
-// (queue depth, mean latency, uptime) filled in.
+// Stats returns a copy of the serving counters, with the stream fields
+// taken from the service's account and the derived fields (epoch, mean
+// latency, latency quantiles, uptime) filled in.
 func (h *Host) Stats() Stats {
 	h.statMu.Lock()
 	s := h.stats
 	h.statMu.Unlock()
-	s.QueueDepth = s.UpdatesReceived - s.UpdatesApplied
-	if s.BatchesApplied > 0 {
-		s.MeanApplyNanos = s.TotalApplyNanos / int64(s.BatchesApplied)
+	at := h.svc.stream.pos()
+	s.UpdatesReceived, s.UpdatesApplied, s.BatchesApplied = at.recv, at.epoch, at.batches
+	s.UpdatesCoalesced, s.QueueDepth = at.coalesced, at.recv-at.epoch
+	s.Epoch = h.View().Epoch
+	if s.applies > 0 {
+		s.MeanApplyNanos = s.TotalApplyNanos / s.applies
 	}
 	// Quantiles come from the same histogram /metrics exposes, all three
 	// off one snapshot; an empty one answers 0, never NaN.
@@ -331,6 +327,6 @@ func (h *Host) Stats() Stats {
 	s.ApplyP95Nanos = int64(lat.Quantile(0.95) * 1e9)
 	s.ApplyP99Nanos = int64(lat.Quantile(0.99) * 1e9)
 	s.PagesEncoded = uint64(h.met.pagesEncoded.Value())
-	s.UptimeSeconds = time.Since(h.start).Seconds()
+	s.UptimeSeconds = time.Since(h.svc.start).Seconds()
 	return s
 }

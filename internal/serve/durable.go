@@ -415,8 +415,7 @@ func (d *Durable) Checkpoint() (err error) {
 				if err := h.m.Graph().WriteBinary(&g); err != nil {
 					return fmt.Errorf("serve: checkpointing the graph: %w", err)
 				}
-				st := h.Stats()
-				ck.Graph, ck.Epoch, ck.Batches = g.Bytes(), st.UpdatesApplied, st.BatchesApplied
+				ck.Graph = g.Bytes()
 			}
 			var state bytes.Buffer
 			if err := h.m.PersistState(&state); err != nil {
@@ -427,6 +426,8 @@ func (d *Durable) Checkpoint() (err error) {
 		if ck.Graph == nil {
 			return errors.New("serve: no checkpoint: every class is quarantined")
 		}
+		at := d.svc.stream.pos()
+		ck.Epoch, ck.Batches = at.epoch, at.batches
 		return nil
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -435,6 +436,56 @@ func TestShed503(t *testing.T) {
 			t.Fatalf("update path did not recover after drain: last status %d", code)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestShedRetryAfterAfterRecovery: the shed Retry-After is the queue depth
+// times the apply time this process spent per update it applied — not per
+// update of the whole stream a recovery resumed at, which would round any
+// backlog down to the 1 s floor.
+func TestShedRetryAfterAfterRecovery(t *testing.T) {
+	const queue = 32
+	slow := newSlow(10)
+	svc := NewService()
+	if _, err := svc.Host(slow, Options{MaxBatch: 1, Queue: queue, BaseEpoch: 100000, BaseBatches: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	defer svc.Close()
+	defer close(slow.release) // before svc.Close, which waits for the parked Apply
+
+	// One update applied in ≥ 200 ms, one more parked in Apply, and a full
+	// queue behind it: ≥ 100 ms an update this process applied, 32 queued.
+	slow.park(t, svc)
+	time.Sleep(200 * time.Millisecond)
+	slow.release <- struct{}{}
+	if err := submit(svc, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	// With MaxBatch 1 the loop applies what it takes at once: once the
+	// queue is empty it is parked in the second Apply.
+	for deadline := time.Now().Add(2 * time.Second); len(svc.in) > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("apply loop never took the second update")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for !svc.Saturated() {
+		if err := submit(svc, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 2, W: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Post(srv.URL+"/update", "text/plain", strings.NewReader("+ 3 4 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503", resp.StatusCode)
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 3 {
+		t.Fatalf("Retry-After %q for %d queued updates at ≥ 100 ms each, want ≥ 3", resp.Header.Get("Retry-After"), queue)
 	}
 }
 

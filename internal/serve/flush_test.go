@@ -134,7 +134,7 @@ func TestHostFlushFullAndTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if h.met.flushes[flushTimer].Value() == 0 {
+	if s.stream.flushes[flushTimer].Value() == 0 {
 		t.Fatalf("%d queued submissions and a 1 ns MaxWait, and no batch was closed by the timer: %d batches", queued, h.Stats().BatchesApplied)
 	}
 	if st := h.Stats(); st.UpdatesApplied != queued+1 {

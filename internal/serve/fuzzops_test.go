@@ -29,9 +29,11 @@ import (
 // 4-byte ops (opsRig.run), with Theorem 1 as the oracle after every step —
 // each published view equals the batch answer on a mirror graph that took
 // the same accepted updates, and the bytes served are encoding/json's of
-// that view. One op arms an injected panic in a class's next apply, before
-// or after its graph takes the batch, which the host must heal without
-// losing the batch or applying it twice. Updates are drawn from a boundary
+// that view — and every host's /stats reports the service's one account
+// of the stream, at the mirror's count of accepted updates. One op arms an
+// injected panic in a class's next apply, before or after its graph takes
+// the batch, which the host must heal without losing the batch or applying
+// it twice; another has a host verify itself against a recompute in place. Updates are drawn from a boundary
 // dictionary (opsBatch), so the fuzzer spends its mutations on the order of
 // operations, not on finding the interesting edges.
 
@@ -357,6 +359,26 @@ func (r *opsRig) check(step int) {
 		}
 		r.prev[c.algo] = opsSeen{v.Batches, st.Heals, cur}
 	}
+
+	// The stream is the service's: every host reports one account of it,
+	// which has applied every accepted update, across recoveries too.
+	rec := r.do(http.MethodGet, "/stats", "")
+	var stats map[string]Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); rec.Code != http.StatusOK || err != nil || len(stats) != len(opsClasses) {
+		t.Fatalf("step %d: GET /stats: status %d %v %s", step, rec.Code, err, rec.Body)
+	}
+	stream := func(st Stats) [5]uint64 {
+		return [5]uint64{st.UpdatesReceived, st.UpdatesApplied, st.UpdatesCoalesced, st.BatchesApplied, st.QueueDepth}
+	}
+	first := stats[opsClasses[0].algo]
+	if first.UpdatesApplied != r.epoch || first.QueueDepth != 0 {
+		t.Fatalf("step %d: /stats applied %d with %d queued, %d updates accepted", step, first.UpdatesApplied, first.QueueDepth, r.epoch)
+	}
+	for algo, st := range stats {
+		if stream(st) != stream(first) {
+			t.Fatalf("step %d: %s's stream fields %v differ from %s's %v", step, algo, stream(st), opsClasses[0].algo, stream(first))
+		}
+	}
 }
 
 // run interprets prog, four bytes an op: the op and three arguments.
@@ -365,7 +387,7 @@ func (r *opsRig) run(prog []byte) {
 		var arg [3]byte
 		op := prog[0]
 		prog = prog[1+copy(arg[:], prog[1:]):]
-		switch op % 9 {
+		switch op % 10 {
 		case 0, 1, 2:
 			r.post(true, arg)
 		case 3:
@@ -407,6 +429,15 @@ func (r *opsRig) run(prog []byte) {
 		case 8: // one class's next apply panics, before its graph takes the batch or after
 			r.midRepair.Store(arg[1]&1 != 0)
 			r.inj.PanicOn(opsClasses[int(arg[0])%len(opsClasses)].algo, r.applies+1)
+		case 9: // a recompute in place finds nothing to correct and keeps the view's position
+			h := r.svc.Get(opsClasses[int(arg[0])%len(opsClasses)].algo)
+			before := h.View()
+			if diverged, err := h.Verify(); diverged || err != nil {
+				r.t.Fatalf("step %d: %s.Verify: diverged %v, err %v", step, h.Algo(), diverged, err)
+			}
+			if v := h.View(); v.Epoch != before.Epoch || v.Batches != before.Batches {
+				r.t.Fatalf("step %d: %s.Verify moved the view from epoch %d, batch %d to %d, %d", step, h.Algo(), before.Epoch, before.Batches, v.Epoch, v.Batches)
+			}
 		}
 		r.check(step)
 	}
@@ -418,12 +449,15 @@ func FuzzOps(f *testing.F) {
 		f.Add([]byte{0, byte(sel), 1, 4, 1, byte(sel), 4, 1, 3, byte(sel), 2, 7})
 	}
 	// …and the ops around them: ranged reads on the page boundary, a
-	// compaction, a checkpoint, a recovery with and without a WAL tail.
+	// compaction, a checkpoint, a recovery with and without a WAL tail, a
+	// verify of each class between updates, and across a recovery.
 	f.Add([]byte{4, 0, 2, 3, 4, 0x81, 3, 4, 4, 2, 2, 2, 4, 3, 0, 7, 4, 5, 6, 7})
 	f.Add([]byte{0, 8, 0, 1, 5, 0, 0, 0, 0, 9, 0, 1, 4, 4, 0, 6})
 	f.Add([]byte{0, 7, 5, 6, 6, 0, 0, 0, 3, 5, 5, 6, 7, 0, 0, 0, 0, 1, 5, 6})
 	f.Add([]byte{3, 0, 9, 10, 3, 1, 9, 10, 3, 0, 9, 10, 7, 0, 0, 0, 7, 0, 0, 0})
 	f.Add([]byte{0, 45, 0, 7, 0, 45, 7, 3, 0, 52, 0, 7, 6, 0, 0, 0, 0, 1, 0, 7, 7, 0, 0, 0})
+	f.Add([]byte{0, 8, 0, 1, 9, 0, 0, 0, 9, 1, 0, 0, 0, 5, 5, 6, 9, 2, 0, 0, 9, 3, 0, 0,
+		0, 45, 2, 9, 9, 4, 0, 0, 9, 5, 0, 0, 0, 1, 2, 3, 7, 0, 0, 0, 9, 0, 0, 0, 0, 35, 1, 3, 9, 2, 0, 0})
 	// An injected panic on each class, healed by a recompute that must keep
 	// the batch; the second is armed across a recovery and an empty POST.
 	f.Add([]byte{8, 0, 0, 0, 0, 0, 1, 4, 8, 1, 0, 0, 3, 5, 5, 6, 8, 2, 0, 0, 0, 7, 5, 6,

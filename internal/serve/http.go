@@ -43,6 +43,8 @@ type Service struct {
 	rec   *trace.Recorder
 	start time.Time
 	shed  *obs.Counter
+	// stream is the one account of the update stream every host consumes.
+	stream *streamAccount
 
 	// The apply loop (loop.go). submitMu serializes Submit and WithState
 	// (read side) against Close and a host joining (write side).
@@ -113,6 +115,7 @@ func NewService() *Service {
 		func() float64 { return time.Since(s.start).Seconds() })
 	s.shed = s.reg.Counter("incgraph_shed_total",
 		"Updates rejected with 503 because a submission queue was saturated.")
+	s.stream = newStreamAccount(s.reg)
 	return s
 }
 
@@ -154,20 +157,14 @@ func (s *Service) Mount(pattern string, h http.Handler) {
 // behind GET /debug/trace that every host's spans land in.
 func (s *Service) Recorder() *trace.Recorder { return s.rec }
 
-// Host wraps m in a new Host and registers it under its Algo name. The
-// host's metrics land in the service registry unless opt.Registry
-// overrides it, and its spans in the service flight recorder unless
-// opt.Recorder overrides it. The first host starts the apply loop; a later
-// one whose node count, directedness, MaxBatch, MaxWait or Queue differ is
-// refused, naming the field, and so is a host after the first Submit (it
-// would miss the stream's prefix) or after Close.
+// Host wraps m in a new Host and registers it under its Algo name; its
+// metrics land in the service registry and its spans in the service flight
+// recorder. The first host starts the apply loop and the stream at its
+// BaseEpoch/BaseBatches; a later one whose node count, directedness,
+// MaxBatch, MaxWait, Queue, BaseEpoch or BaseBatches differ is refused,
+// naming the field, and so is a host after the first Submit (it would miss
+// the stream's prefix) or after Close.
 func (s *Service) Host(m Serveable, opt Options) (*Host, error) {
-	if opt.Registry == nil {
-		opt.Registry = s.reg
-	}
-	if opt.Recorder == nil {
-		opt.Recorder = s.rec
-	}
 	opt = opt.withDefaults()
 	algo, g := m.Algo(), m.Graph()
 	s.submitMu.Lock()
@@ -194,6 +191,8 @@ func (s *Service) Host(m Serveable, opt Options) (*Host, error) {
 			{"MaxBatch", opt.MaxBatch, first.opt.MaxBatch},
 			{"MaxWait", opt.MaxWait, first.opt.MaxWait},
 			{"Queue", opt.Queue, first.opt.Queue},
+			{"BaseEpoch", opt.BaseEpoch, first.opt.BaseEpoch},
+			{"BaseBatches", opt.BaseBatches, first.opt.BaseBatches},
 		} {
 			if f.got != f.want {
 				return nil, fmt.Errorf("serve: host %q: %s %v differs from the service's %v; one loop applies one stream to every host", algo, f.name, f.got, f.want)
@@ -202,6 +201,8 @@ func (s *Service) Host(m Serveable, opt Options) (*Host, error) {
 	}
 	h := newHost(s, m, opt)
 	if s.in == nil {
+		s.stream.seed(opt.BaseEpoch, opt.BaseBatches)
+		s.reg.Gauge("incgraph_graph_nodes", "Node count of the maintained graph.").Set(float64(h.n))
 		s.in = make(chan submission, opt.Queue)
 		s.track = s.rec.Track("apply_loop")
 		go s.loop(opt, h.dir)
@@ -593,7 +594,7 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// already queued.
 	if s.Saturated() {
 		s.shed.Inc()
-		w.Header().Set("Retry-After", retryAfterEstimate(targets))
+		w.Header().Set("Retry-After", s.retryAfter(targets))
 		httpError(w, http.StatusServiceUnavailable, errors.New("submission queue saturated"))
 		return
 	}
@@ -631,18 +632,22 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// retryAfterEstimate derives a shed response's Retry-After from live
-// serving stats: the loop applies every batch to every host in turn, so
-// the queue drains in the sum over the hosts of the queued updates times
-// the host's mean apply time per update. Clamped to [1s, 30s] — honest
-// enough to spread retries by actual backlog, padded up so clients never
-// busy-loop on a zero estimate.
-func retryAfterEstimate(hosts []*Host) string {
+// retryAfter derives a shed response's Retry-After from live serving
+// stats: the loop applies every batch to every host in turn, so the queue
+// drains in its depth times the sum over the hosts of the apply time per
+// update this process has spent. Clamped to [1s, 30s] — honest enough to
+// spread retries by actual backlog, padded up so clients never busy-loop
+// on a zero estimate.
+func (s *Service) retryAfter(hosts []*Host) string {
 	var secs float64
-	for _, h := range hosts {
-		if st := h.Stats(); st.UpdatesApplied > 0 {
-			secs += float64(st.QueueDepth) * float64(st.TotalApplyNanos) / float64(st.UpdatesApplied) / 1e9
+	if at := s.stream.pos(); at.epoch > at.base {
+		var nanos int64
+		for _, h := range hosts {
+			h.statMu.Lock()
+			nanos += h.stats.TotalApplyNanos
+			h.statMu.Unlock()
 		}
+		secs = float64(at.recv-at.epoch) * float64(nanos) / float64(at.epoch-at.base) / 1e9
 	}
 	return strconv.Itoa(min(max(int(math.Ceil(secs)), 1), 30))
 }

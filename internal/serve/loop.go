@@ -2,9 +2,11 @@ package serve
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"incgraph/internal/graph"
+	"incgraph/internal/obs"
 	"incgraph/internal/trace"
 )
 
@@ -60,12 +62,7 @@ func (s *Service) submit(b graph.Batch, tid trace.TraceID, log func() error) (<-
 	owned := append(graph.Batch(nil), b...)
 	ack := make(chan struct{})
 	s.started.Store(true)
-	for _, h := range s.hosts {
-		h.statMu.Lock()
-		h.stats.UpdatesReceived += uint64(len(owned))
-		h.statMu.Unlock()
-		h.met.updatesReceived.Add(float64(len(owned)))
-	}
+	s.stream.received(len(owned))
 	s.in <- submission{b: owned, ack: ack, at: time.Now(), tid: tid}
 	return ack, nil
 }
@@ -228,8 +225,9 @@ func (s *Service) loop(opt Options, directed bool) {
 }
 
 // apply nets one accumulated batch once, in a "coalesce" span on the
-// loop's own track, and applies it to every host in name order. Called
-// only from loop.
+// loop's own track, moves the stream past it, and applies it to every
+// host in name order; each stamps its view with the stream's new
+// position. Called only from loop.
 func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid trace.TraceID, why flushReason) {
 	span := s.rec.Begin("coalesce", "serve", s.track)
 	span.SetTrace(tid)
@@ -237,10 +235,91 @@ func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid tr
 	span.Arg("raw", int64(len(raw)))
 	span.Arg("net", int64(len(net)))
 	span.End()
+	s.stream.applied(len(raw), len(net), why)
 	s.mu.RLock()
 	hosts := s.hosts
 	s.mu.RUnlock()
 	for _, h := range hosts {
 		h.apply(raw, net, oldest, tid, why)
 	}
+}
+
+// streamAccount is a service's one account of its update stream, which
+// every host consumes whole. submit and the loop are its writers, each
+// once per submission or batch.
+type streamAccount struct {
+	mu sync.Mutex
+	at streamPos
+
+	mRecv, mApplied, mCoalesced, mBatches *obs.Counter
+	batchSize, coalesceRatio              *obs.Histogram
+	flushes                               [numFlushReasons]*obs.Counter
+}
+
+// streamPos is where a stream stands. recv, epoch and batches continue
+// across restarts from the first host's BaseEpoch/BaseBatches; base and
+// coalesced are this process's.
+type streamPos struct {
+	recv      uint64 // raw updates accepted
+	epoch     uint64 // raw updates applied: every host's view reaches it
+	batches   uint64 // batches applied
+	base      uint64 // epoch when this process started
+	coalesced uint64 // updates this process's nets cancelled
+}
+
+// newStreamAccount registers the stream's series on r: one each, with no
+// algo label, since every class consumes the one stream.
+func newStreamAccount(r *obs.Registry) *streamAccount {
+	a := &streamAccount{
+		mRecv:         r.Counter("incgraph_updates_received_total", "Raw unit updates accepted by Submit."),
+		mApplied:      r.Counter("incgraph_updates_applied_total", "Raw unit updates the apply loop applied to every host."),
+		mCoalesced:    r.Counter("incgraph_updates_coalesced_total", "Updates cancelled by batch coalescing before reaching the maintainers."),
+		mBatches:      r.Counter("incgraph_batches_applied_total", "Batches the apply loop applied to every host."),
+		batchSize:     r.Histogram("incgraph_batch_size_updates", "Raw unit updates merged into one batch."),
+		coalesceRatio: r.Histogram("incgraph_coalesce_ratio", "Fraction of each batch cancelled by coalescing (raw-net)/raw."),
+	}
+	for why, name := range flushReasonNames {
+		a.flushes[why] = r.Counter("incgraph_apply_flushes_total", "Batches the apply loop closed, by what closed them: drain (queue empty), full (MaxBatch), timer (MaxWait), state (WithState job), close.", obs.L("reason", name))
+	}
+	r.GaugeFunc("incgraph_queue_depth", "Received-but-not-yet-applied unit updates.",
+		func() float64 { p := a.pos(); return float64(p.recv - p.epoch) })
+	return a
+}
+
+// seed starts the stream at a recovered position. Called by the first
+// host, before any submission.
+func (a *streamAccount) seed(epoch, batches uint64) {
+	a.mu.Lock()
+	a.at = streamPos{recv: epoch, epoch: epoch, batches: batches, base: epoch}
+	a.mu.Unlock()
+}
+
+// received counts n raw updates accepted by submit.
+func (a *streamAccount) received(n int) {
+	a.mu.Lock()
+	a.at.recv += uint64(n)
+	a.mu.Unlock()
+	a.mRecv.Add(float64(n))
+}
+
+// applied moves the stream past a batch of raw updates netted to net.
+func (a *streamAccount) applied(raw, net int, why flushReason) {
+	a.mu.Lock()
+	a.at.epoch += uint64(raw)
+	a.at.batches++
+	a.at.coalesced += uint64(raw - net)
+	a.mu.Unlock()
+	a.mApplied.Add(float64(raw))
+	a.mCoalesced.Add(float64(raw - net))
+	a.mBatches.Inc()
+	a.flushes[why].Inc()
+	a.batchSize.Observe(float64(raw))
+	a.coalesceRatio.Observe(float64(raw-net) / float64(raw))
+}
+
+// pos returns where the stream stands.
+func (a *streamAccount) pos() streamPos {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.at
 }

@@ -90,8 +90,9 @@ func TestLoopSameBatchesOnEveryHost(t *testing.T) {
 
 // TestServiceHostRefusals: one loop nets one stream for every host, so a
 // host that would read it differently — another node count, the other
-// directedness — or batch it differently is refused, naming the field; so
-// is a host after the first Submit, which would miss the stream's prefix.
+// directedness — or batch it differently, or start it at another
+// position, is refused, naming the field; so is a host after the first
+// Submit, which would miss the stream's prefix.
 // A refused host is not registered.
 func TestServiceHostRefusals(t *testing.T) {
 	const nodes = 10
@@ -107,6 +108,9 @@ func TestServiceHostRefusals(t *testing.T) {
 		{graph.New(nodes, true), Options{}, "MaxBatch"},
 		{graph.New(nodes, true), Options{MaxBatch: 8, MaxWait: time.Second}, "MaxWait"},
 		{graph.New(nodes, true), Options{MaxBatch: 8, Queue: 7}, "Queue"},
+		// One stream, one position: a host recovered elsewhere is refused.
+		{graph.New(nodes, true), Options{MaxBatch: 8, BaseEpoch: 7}, "BaseEpoch"},
+		{graph.New(nodes, true), Options{MaxBatch: 8, BaseBatches: 7}, "BaseBatches"},
 	}
 	for _, tc := range cases {
 		if _, err := svc.Host(CC(cc.NewInc(tc.g)), tc.opt); err == nil || !strings.Contains(err.Error(), tc.field) {

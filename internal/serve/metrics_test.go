@@ -3,6 +3,7 @@ package serve
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -82,15 +83,29 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if n := promValue(t, expo, `incgraph_apply_latency_seconds_count{algo="`+algo+`"}`); n != 1 {
 			t.Errorf("%s apply count %g, want 1", algo, n)
 		}
-		// The churn pair's insert must show up as a coalesced update.
-		if c := promValue(t, expo, `incgraph_updates_coalesced_total{algo="`+algo+`"}`); c != 1 {
-			t.Errorf("%s coalesced %g, want 1", algo, c)
+	}
+	// The stream's series are one each, with no algo label: the churn
+	// pair's insert shows up as one coalesced update, not one per class.
+	for series, want := range map[string]float64{
+		`incgraph_updates_received_total`:   4,
+		`incgraph_updates_applied_total`:    4,
+		`incgraph_updates_coalesced_total`:  1,
+		`incgraph_batches_applied_total`:    1,
+		`incgraph_queue_depth`:              0,
+		`incgraph_batch_size_updates_count`: 1,
+	} {
+		if v := promValue(t, expo, series); v != want {
+			t.Errorf("%s = %g, want %g", series, v, want)
 		}
-		if r := promValue(t, expo, `incgraph_coalesce_ratio{algo="`+algo+`",quantile="0.5"}`); r < 0.2 || r > 0.3 {
-			t.Errorf("%s coalesce ratio %g, want ~1/4", algo, r)
-		}
-		if d := promValue(t, expo, `incgraph_queue_depth{algo="`+algo+`"}`); d != 0 {
-			t.Errorf("%s queue depth %g after wait=1", algo, d)
+	}
+	if r := promValue(t, expo, `incgraph_coalesce_ratio{quantile="0.5"}`); r < 0.2 || r > 0.3 {
+		t.Errorf("coalesce ratio %g, want ~1/4", r)
+	}
+	for _, family := range []string{"incgraph_updates_received_total", "incgraph_updates_applied_total",
+		"incgraph_updates_coalesced_total", "incgraph_batches_applied_total", "incgraph_batch_size_updates",
+		"incgraph_coalesce_ratio", "incgraph_apply_flushes_total", "incgraph_queue_depth", "incgraph_graph_nodes"} {
+		if strings.Contains(expo, family+`{algo=`) {
+			t.Errorf("stream series %s carries an algo label", family)
 		}
 	}
 
@@ -105,7 +120,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if v := promValue(t, expo, `incgraph_uptime_seconds`); v <= 0 {
 		t.Errorf("uptime = %g, want > 0", v)
 	}
-	if v := promValue(t, expo, `incgraph_graph_nodes{algo="cc"}`); v != 6 {
+	if v := promValue(t, expo, `incgraph_graph_nodes`); v != 6 {
 		t.Errorf("graph nodes = %g, want 6", v)
 	}
 	// The flat view: the insert takes the free slots of rows 2 and 3 and
@@ -168,14 +183,14 @@ func TestMetricsEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	// The POST found an idle host, so its one batch was closed by the
+	// The POST found an idle loop, so its one batch was closed by the
 	// empty queue; the other reasons are exported at 0.
-	for _, algo := range []string{"cc", "sssp"} {
-		for reason, want := range map[string]float64{"drain": 1, "full": 0, "timer": 0, "state": 0, "close": 0} {
-			if v := promValue(t, expo, `incgraph_apply_flushes_total{algo="`+algo+`",reason="`+reason+`"}`); v != want {
-				t.Errorf("%s flushes by %s = %g, want %g", algo, reason, v, want)
-			}
+	for reason, want := range map[string]float64{"drain": 1, "full": 0, "timer": 0, "state": 0, "close": 0} {
+		if v := promValue(t, expo, `incgraph_apply_flushes_total{reason="`+reason+`"}`); v != want {
+			t.Errorf("flushes by %s = %g, want %g", reason, v, want)
 		}
+	}
+	for _, algo := range []string{"cc", "sssp"} {
 		if v := promValue(t, expo, `incgraph_view_entries_spliced_total{algo="`+algo+`"}`); v != 0 {
 			t.Errorf("%s entries spliced %g before any read", algo, v)
 		}
@@ -325,12 +340,37 @@ func TestStatsDerivedFields(t *testing.T) {
 	}
 }
 
+// TestStatsMeanAfterRecovery: a service resumed at a recovered stream
+// position that has applied one batch since reports that batch's latency
+// as its mean, not the latency spread over the batches of every earlier
+// process, while its stream fields continue from the position.
+func TestStatsMeanAfterRecovery(t *testing.T) {
+	s, _ := soloHost(t, CC(cc.NewInc(graph.New(6, false))), Options{BaseEpoch: 100000, BaseBatches: 1000})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if err := submitWait(s, graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]Stats
+	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats status %d", code)
+	}
+	st := stats["cc"]
+	if st.TotalApplyNanos <= 0 || st.MeanApplyNanos != st.TotalApplyNanos {
+		t.Errorf("one apply of %d ns reported as a mean of %d ns", st.TotalApplyNanos, st.MeanApplyNanos)
+	}
+	if st.Epoch != 100001 || st.UpdatesReceived != 100001 || st.UpdatesApplied != 100001 || st.BatchesApplied != 1001 || st.QueueDepth != 0 {
+		t.Errorf("stream fields do not continue from the recovered position: %+v", st)
+	}
+}
+
 // TestTraceRingBounded proves the per-host ring keeps only the last
-// Trace applies.
+// applyRing applies.
 func TestTraceRingBounded(t *testing.T) {
 	g := graph.New(4, false)
-	s, h := soloHost(t, CC(cc.NewInc(g)), Options{MaxBatch: 1, Trace: 4})
-	for i := 0; i < 10; i++ {
+	s, h := soloHost(t, CC(cc.NewInc(g)), Options{MaxBatch: 1})
+	const applies = applyRing + 2
+	for i := 0; i < applies; i++ {
 		b := graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}
 		if i%2 == 1 {
 			b = graph.Batch{{Kind: graph.DeleteEdge, From: 0, To: 1}}
@@ -340,11 +380,11 @@ func TestTraceRingBounded(t *testing.T) {
 		}
 	}
 	trs := h.RecentApplies()
-	if len(trs) != 4 {
-		t.Fatalf("ring kept %d traces, want 4", len(trs))
+	if len(trs) != applyRing {
+		t.Fatalf("ring kept %d traces, want %d", len(trs), applyRing)
 	}
-	if trs[len(trs)-1].Batch != 10 {
-		t.Fatalf("newest trace is batch %d, want 10", trs[len(trs)-1].Batch)
+	if trs[len(trs)-1].Batch != applies {
+		t.Fatalf("newest trace is batch %d, want %d", trs[len(trs)-1].Batch, applies)
 	}
 	for i := 1; i < len(trs); i++ {
 		if trs[i].Batch != trs[i-1].Batch+1 {

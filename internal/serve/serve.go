@@ -120,8 +120,9 @@ type View struct {
 	Data any `json:"data"`
 }
 
-// Options tune a host. MaxBatch, MaxWait and Queue are the service's
-// loop's: every host must pass the first one's (Service.Host).
+// Options tune a host. MaxBatch, MaxWait, Queue, BaseEpoch and
+// BaseBatches are the service's loop's and stream's: every host must pass
+// the first one's (Service.Host).
 type Options struct {
 	// MaxBatch flushes the pending batch once it holds this many raw
 	// updates. Default 256.
@@ -135,19 +136,6 @@ type Options struct {
 	// Queue is the submission channel's buffer (backpressure beyond it:
 	// Submit blocks). Default 1024.
 	Queue int
-	// Registry receives the host's metrics (apply-latency histograms,
-	// coalescing counters, the live boundedness-ratio gauge); nil means
-	// the service's registry, so /metrics covers every host.
-	Registry *obs.Registry
-	// Trace is the capacity of the recent-applies ring buffer behind
-	// GET /debug/applies. Default 128.
-	Trace int
-	// Recorder receives span/flight-recorder events: one root span per
-	// applied batch (queue wait → apply → publish) and, for maintainers
-	// exposing the fixpoint tracer hook, h-phase/resume spans with
-	// per-round propagation events; nil means the service's recorder, so
-	// GET /debug/trace covers every host.
-	Recorder *trace.Recorder
 	// OnApply, when set, is invoked synchronously from the apply loop
 	// after each published batch — the hook structured logging hangs off.
 	// It must be fast and must not call back into the Host.
@@ -157,12 +145,16 @@ type Options struct {
 	// drives (it may panic to exercise the isolation path). Production
 	// leaves it nil.
 	BeforeApply func(algo string, b graph.Batch)
-	// BaseEpoch and BaseBatches seed the host's epoch accounting, so a
-	// host recovered from a checkpoint + WAL replay resumes its counters
-	// instead of restarting the stream at zero.
+	// BaseEpoch and BaseBatches are the stream position the service
+	// starts at, so a service recovered from a checkpoint + WAL replay
+	// resumes the stream instead of restarting it at zero.
 	BaseEpoch   uint64
 	BaseBatches uint64
 }
+
+// applyRing is the capacity of a host's recent-applies ring buffer behind
+// GET /debug/applies.
+const applyRing = 128
 
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
@@ -173,9 +165,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Queue <= 0 {
 		o.Queue = 1024
-	}
-	if o.Trace <= 0 {
-		o.Trace = 128
 	}
 	return o
 }
@@ -194,7 +183,7 @@ type flatViewer interface{ Flat() *graph.Flat }
 
 // Host is one class of a Service: its maintainer, published view, stats,
 // metrics, trace ring and offenders. Only the service's apply loop touches
-// the maintainer.
+// the maintainer. The stream it consumes is the service's to account for.
 type Host struct {
 	svc  *Service
 	m    Serveable
@@ -210,10 +199,11 @@ type Host struct {
 	// batch.
 	view atomic.Pointer[View]
 
+	// stats holds the class's own facts; its stream fields stay zero, and
+	// Stats fills them from the service's account.
 	statMu sync.Mutex
 	stats  Stats
 
-	start     time.Time
 	met       hostMetrics
 	traces    *obs.Ring[ApplyTrace]
 	offenders *obs.TopK[Offender]
@@ -246,19 +236,12 @@ func newHost(s *Service, m Serveable, opt Options) *Host {
 		n:    m.Graph().NumNodes(),
 		dir:  m.Graph().Directed(),
 		opt:  opt,
-		rec:  opt.Recorder,
+		rec:  s.rec,
 	}
-	h.view.Store(&View{Algo: h.algo, Epoch: h.opt.BaseEpoch, Batches: h.opt.BaseBatches, Data: m.Snapshot()})
+	h.view.Store(&View{Algo: h.algo, Epoch: opt.BaseEpoch, Batches: opt.BaseBatches, Data: m.Snapshot()})
 	h.stats.Algo = h.algo
-	// A recovered host resumes its stream accounting where the durable
-	// prefix left off.
-	h.stats.Epoch = h.opt.BaseEpoch
-	h.stats.UpdatesReceived = h.opt.BaseEpoch
-	h.stats.UpdatesApplied = h.opt.BaseEpoch
-	h.stats.BatchesApplied = h.opt.BaseBatches
-	h.start = time.Now()
-	h.met = newHostMetrics(h.opt.Registry, h.algo)
-	h.traces = obs.NewRing[ApplyTrace](h.opt.Trace)
+	h.met = newHostMetrics(s.reg, h.algo)
+	h.traces = obs.NewRing[ApplyTrace](applyRing)
 	h.offenders = obs.NewTopK[Offender](offenderRing)
 	h.track = h.rec.Track(h.algo)
 	if ts, ok := m.(tracerSetter); ok {
@@ -267,19 +250,12 @@ func newHost(s *Service, m Serveable, opt Options) *Host {
 		h.engTracer = trace.NewEngineTracerOnTrack(h.rec, h.track)
 		ts.SetTracer(h.engTracer)
 	}
-	h.opt.Registry.GaugeFunc("incgraph_queue_depth",
-		"Received-but-not-yet-applied unit updates.",
-		func() float64 { return float64(h.Stats().QueueDepth) },
-		obs.L("algo", h.algo))
 	// The published view epoch as a gauge: a federating router compares
 	// this series across shards to compute the cluster's epoch skew.
-	h.opt.Registry.GaugeFunc("incgraph_view_epoch",
+	s.reg.GaugeFunc("incgraph_view_epoch",
 		"Raw-update epoch of the currently published view.",
 		func() float64 { return float64(h.View().Epoch) },
 		obs.L("algo", h.algo))
-	h.opt.Registry.Gauge("incgraph_graph_nodes",
-		"Node count of the maintained graph at registration.",
-		obs.L("algo", h.algo)).Set(float64(h.n))
 	return h
 }
 
@@ -299,9 +275,9 @@ func (h *Host) View() *View { return h.view.Load() }
 // inside which the maintainer's own h/resume spans nest — and "publish",
 // plus a "queue_wait" span from the oldest merged submission's enqueue to
 // this class's turn. raw is the batch as submitted, net what the loop
-// netted it to. Called only from the service's apply.
+// netted it to; the view is stamped with the stream position the loop
+// moved to past it. Called only from the service's apply.
 func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, why flushReason) {
-	h.met.flushes[why].Inc()
 	h.rec.Emit(trace.Event{
 		Name: "queue_wait", Cat: "serve", Phase: trace.PhaseComplete,
 		Track: h.track, TS: h.rec.At(oldest), Dur: h.rec.Now() - h.rec.At(oldest),
@@ -320,7 +296,7 @@ func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, 
 		sub.Arg("quarantined", 1)
 		sub.End()
 		root.End()
-		h.absorbPanic(raw, net, nil)
+		h.absorbPanic(net, nil)
 		return
 	}
 	res, data, pval, ok := h.runMaintainer(net)
@@ -329,7 +305,7 @@ func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, 
 		sub.Arg("panicked", 1)
 		sub.End()
 		root.End()
-		h.absorbPanic(raw, net, pval)
+		h.absorbPanic(net, pval)
 		return
 	}
 	sub.Arg("affected", int64(res.Affected))
@@ -337,12 +313,11 @@ func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, 
 	sub = h.rec.Begin("publish", "serve", h.track)
 	pub := publishDelta(h.view.Load().Data, data)
 
+	at := h.svc.stream.pos()
+	epoch, batches := at.epoch, at.batches // the loop moved the stream past this batch
 	h.statMu.Lock()
-	h.stats.BatchesApplied++
-	h.stats.UpdatesApplied += uint64(len(raw))
-	h.stats.UpdatesCoalesced += uint64(len(raw) - len(net))
+	h.stats.applies++
 	h.stats.AffectedTotal += int64(res.Affected)
-	h.stats.Epoch = h.stats.UpdatesApplied
 	h.stats.LastApplyNanos = lat
 	h.stats.TotalApplyNanos += lat
 	if lat > h.stats.MaxApplyNanos {
@@ -357,7 +332,6 @@ func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, 
 	h.stats.PagesCopied += uint64(pub.pages)
 	h.stats.EntriesCopied += uint64(pub.entries)
 	h.stats.EntriesSpliced += uint64(pub.spliced)
-	epoch, batches := h.stats.Epoch, h.stats.BatchesApplied
 	h.statMu.Unlock()
 
 	h.view.Store(&View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data})
@@ -373,14 +347,9 @@ func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, 
 	root.End()
 
 	m := &h.met
-	m.updatesApplied.Add(float64(len(raw)))
-	m.updatesCoal.Add(float64(len(raw) - len(net)))
-	m.batchesApplied.Inc()
 	m.affectedTotal.Add(float64(res.Affected))
 	m.applyLatency.Observe(float64(lat) / 1e9)
-	m.batchSize.Observe(float64(len(raw)))
 	m.queueWait.Observe(float64(queueWait) / 1e9)
-	m.coalesceRatio.Observe(float64(len(raw)-len(net)) / float64(len(raw)))
 	if len(net) > 0 {
 		// The live boundedness ratio: the paper's Theorem 3 bounds the
 		// incremental cost by a function of |ΔG| and |AFF|, so a ratio
@@ -492,15 +461,15 @@ func (h *Host) runMaintainer(net graph.Batch) (res ApplyResult, data any, pval a
 }
 
 // absorbPanic handles a recovered maintainer panic (pval non-nil), or a
-// batch arriving while the host is quarantined (pval nil). The raw
-// updates are counted as consumed, so queue accounting does not wedge;
-// the last good view is republished with the degraded flag so readers get
-// stale answers instead of 500s, and then the host heals by batch
-// recompute over its graph ⊕ net, the batch it failed on. A panic during
+// batch arriving while the host is quarantined (pval nil). The stream has
+// moved past the batch all the same; the last good view is republished
+// with the degraded flag so readers get stale answers instead of 500s,
+// and then the host heals by batch recompute over its graph ⊕ net, the
+// batch it failed on. A panic during
 // the heal itself quarantines the host permanently: it keeps draining,
 // acknowledging, and serving the stale view, but never touches the
 // maintainer again. Called only from the apply loop.
-func (h *Host) absorbPanic(raw, net graph.Batch, pval any) {
+func (h *Host) absorbPanic(net graph.Batch, pval any) {
 	panicked := pval != nil
 	if panicked {
 		h.met.panics.Inc()
@@ -513,15 +482,11 @@ func (h *Host) absorbPanic(raw, net graph.Batch, pval any) {
 	}
 
 	h.statMu.Lock()
-	h.stats.UpdatesApplied += uint64(len(raw))
-	h.stats.BatchesApplied++
 	if panicked {
 		h.stats.Panics++
 	}
 	h.stats.Degraded = true
 	h.statMu.Unlock()
-	h.met.updatesApplied.Add(float64(len(raw)))
-	h.met.batchesApplied.Inc()
 	h.publishDegraded()
 
 	if h.quarantined {
@@ -535,24 +500,22 @@ func (h *Host) absorbPanic(raw, net graph.Batch, pval any) {
 	h.statMu.Lock()
 	h.stats.Heals++
 	h.stats.Degraded = false
-	h.stats.Epoch = h.stats.UpdatesApplied
-	epoch, batches := h.stats.Epoch, h.stats.BatchesApplied
 	h.statMu.Unlock()
 	h.met.heals.Inc()
 	h.met.degraded.Set(0)
 
-	h.view.Store(&View{Algo: h.algo, Epoch: epoch, Batches: batches, Data: data})
+	at := h.svc.stream.pos()
+	h.view.Store(&View{Algo: h.algo, Epoch: at.epoch, Batches: at.batches, Data: data})
 }
 
-// publishDegraded republishes the last good data under the degraded flag.
-// The epoch is the stale view's: it honestly describes which prefix the
-// data answers for. Called only from the apply loop, which is the only
-// writer of the batch count it reads.
+// publishDegraded republishes the last good data under the degraded flag,
+// at the stream's batch count. The epoch is the stale view's: it honestly
+// describes which prefix the data answers for. Called only from the apply
+// loop.
 func (h *Host) publishDegraded() {
-	batches := h.stats.BatchesApplied
 	h.met.degraded.Set(1)
 	old := h.view.Load()
-	h.view.Store(&View{Algo: h.algo, Epoch: old.Epoch, Batches: batches, Degraded: true, Data: old.Data})
+	h.view.Store(&View{Algo: h.algo, Epoch: old.Epoch, Batches: h.svc.stream.pos().batches, Degraded: true, Data: old.Data})
 }
 
 // rebuild discards the maintained answer for a batch rerun over the
