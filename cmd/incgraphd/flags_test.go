@@ -107,26 +107,34 @@ func TestSourceOutOfRange(t *testing.T) {
 }
 
 // TestValidateFlags is the table-driven contract for conflicting-mode
-// rejection: combinations that parse but cannot mean anything must be
-// refused before any graph is loaded or listener bound.
+// rejection: combinations that parse but cannot mean anything — an -algos
+// list that names no class, an unknown one or one twice, sim without
+// -pattern among them — must be refused before any graph is loaded or
+// listener bound.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want string // "" means valid
 	}{
-		{"defaults", nil, ""},
+		{"defaults", []string{"-algos", "cc"}, ""},
 		{"negative shards", []string{"-shards", "-2"}, "-shards"},
 		{"shard-id without shards", []string{"-shard-id", "0"}, "set together"},
 		{"shards without shard-id", []string{"-shards", "2"}, "set together"},
 		{"shard-id out of range", []string{"-shard-id", "2", "-shards", "2"}, "out of range"},
-		{"valid shard mode", []string{"-shard-id", "1", "-shards", "2"}, ""},
+		{"valid shard mode", []string{"-algos", "cc", "-shard-id", "1", "-shards", "2"}, ""},
 		{"replica without data-dir", []string{"-replica-of", "http://primary:8356"}, "-data-dir"},
-		{"valid replica", []string{"-replica-of", "http://primary:8356", "-data-dir", "/tmp/r"}, ""},
-		{"sharded replica", []string{"-replica-of", "http://p:1", "-data-dir", "/tmp/r", "-shard-id", "0", "-shards", "2"}, ""},
+		{"valid replica", []string{"-algos", "cc", "-replica-of", "http://primary:8356", "-data-dir", "/tmp/r"}, ""},
+		{"sharded replica", []string{"-algos", "cc", "-replica-of", "http://p:1", "-data-dir", "/tmp/r", "-shard-id", "0", "-shards", "2"}, ""},
 		{"bad fsync", []string{"-data-dir", "/tmp/d", "-fsync", "sometimes"}, "-fsync"},
 		{"bad fsync on a replica", []string{"-replica-of", "http://p:1", "-data-dir", "/tmp/r", "-fsync", "sometimes"}, "-fsync"},
-		{"fsync interval", []string{"-data-dir", "/tmp/d", "-fsync", "interval"}, ""},
+		{"fsync interval", []string{"-algos", "cc", "-data-dir", "/tmp/d", "-fsync", "interval"}, ""},
+		{"no algos", nil, "missing -algos"},
+		{"empty algos", []string{"-algos", " , "}, "missing -algos"},
+		{"unknown algo", []string{"-algos", "sssp,ssp"}, `unknown algo "ssp"`},
+		{"duplicate algo", []string{"-algos", "cc,sssp,cc"}, "cc twice"},
+		{"sim without pattern", []string{"-algos", "cc,sim"}, "sim needs -pattern"},
+		{"sim with pattern", []string{"-algos", "cc,sim", "-pattern", "q.txt"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

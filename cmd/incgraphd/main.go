@@ -45,18 +45,14 @@
 //
 // With -data-dir set the daemon is durable: every accepted update batch
 // is write-ahead-logged (fsync policy per -fsync) before it is
-// acknowledged, and checkpoints of the one graph, the stream position and
-// each class's incremental state are taken every -checkpoint-every ingests
-// and on SIGTERM (checkpoint-on-drain). On startup the daemon recovers: it
-// restores the latest checkpoint, replays the WAL tail through the
-// incremental Apply path, and (unless -verify-recovery=false) verifies the
-// replayed answers against a batch recompute, repairing and counting any
-// divergence. Every class's graph is a copy of the checkpoint's whenever
-// one exists, so -graph (or -gen) is read only on a start without one.
-// A kill -9 at any moment therefore loses nothing
-// acknowledged under -fsync always, and restart reproduces exactly the
-// from-scratch answers over the durable prefix. How long each phase of
-// the start took is logged once ("started") and exported as
+// acknowledged, and the one graph, the stream position and each class's
+// incremental state are checkpointed every -checkpoint-every ingests and
+// on SIGTERM. Every start is incgraph.Start (internal/serve/start.go): each
+// class is built on the checkpoint's graph (-graph or -gen is read only
+// without one), restored, replayed to the end of the WAL and, unless
+// -verify-recovery=false, verified against a batch recompute. A kill -9
+// therefore loses nothing acknowledged under -fsync always. How long each
+// phase of the start took is logged once ("started") and exported as
 // incgraph_startup_seconds{phase}.
 //
 // With -shard-id i -shards n the daemon serves one fragment of a
@@ -94,6 +90,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr listener
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -111,6 +108,7 @@ type cliFlags struct {
 	listen    string
 	graphPath string
 	algos     string
+	algoList  []string // -algos, parsed by validateFlags
 	src       int
 	pattern   string
 
@@ -199,6 +197,24 @@ func validateFlags(c *cliFlags) error {
 	if c.syncPolicy, err = incgraph.ParseSyncPolicy(c.fsync); err != nil {
 		return fmt.Errorf("bad -fsync: %w", err)
 	}
+	// -algos is checked against the class table run hands Start.
+	for _, algo := range strings.Split(c.algos, ",") {
+		switch algo = strings.TrimSpace(algo); {
+		case algo == "":
+		case classes[algo] == nil:
+			return fmt.Errorf("unknown algo %q in -algos (want sssp|cc|sim|dfs|lcc|bc)", algo)
+		case slices.Contains(c.algoList, algo):
+			return fmt.Errorf("-algos names %s twice", algo)
+		default:
+			c.algoList = append(c.algoList, algo)
+		}
+	}
+	switch {
+	case len(c.algoList) == 0:
+		return fmt.Errorf("missing -algos (e.g. -algos sssp,cc)")
+	case slices.Contains(c.algoList, "sim") && c.pattern == "":
+		return fmt.Errorf("sim needs -pattern")
+	}
 	return nil
 }
 
@@ -231,57 +247,13 @@ func newLogger(level string) (*slog.Logger, error) {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
 }
 
-// parseAlgos splits the -algos list, dropping empty entries.
-func parseAlgos(algos string) ([]string, error) {
-	var out []string
-	for _, algo := range strings.Split(algos, ",") {
-		if algo = strings.TrimSpace(algo); algo != "" {
-			out = append(out, algo)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("missing -algos (e.g. -algos sssp,cc)")
-	}
-	return out, nil
-}
-
-// serveOptions assembles the host options from the flags, wiring the
-// apply debug log.
-func serveOptions(logger *slog.Logger, c *cliFlags) incgraph.ServeOptions {
-	opt := incgraph.ServeOptions{MaxBatch: c.maxBatch, MaxWait: c.maxWait, Queue: c.queue}
-	// Every apply is traced through this hook at debug level: host, epoch,
-	// batch size, coalescing, |AFF|, and the latency split — the same
-	// fields /debug/applies retains.
-	opt.OnApply = func(t incgraph.ServeApplyTrace) {
-		logger.Debug("apply",
-			"host", t.Algo,
-			"epoch", t.Epoch,
-			"batch_size", t.RawUpdates,
-			"net_size", t.NetUpdates,
-			"affected", t.Affected,
-			"apply_latency", time.Duration(t.ApplyNanos),
-			"queue_wait", time.Duration(t.QueueWaitNanos),
-			"trace", t.TraceID)
-	}
-	return opt
-}
-
 // run is the daemon's one lifecycle, for a primary and a warm replica
-// alike: build the maintainers, restore them from the data directory's
-// checkpoint, bring them to the end of the log — a primary replays its own
-// WAL tail and verifies it, a replica pulls its primary's and leaves the
-// tail to a follower — host them, serve, and drain on a signal.
+// alike: start the service (incgraph.Start), serve, and drain on a signal.
 func run(logger *slog.Logger, c *cliFlags) error {
 	began := time.Now()
-	algoList, err := parseAlgos(c.algos)
-	if err != nil {
-		return err
-	}
 	var part shard.Partitioner
 	if c.shards > 0 {
-		if part, err = shard.NewPartitioner("hash", c.shards); err != nil {
-			return err
-		}
+		part = shard.NewHashPartitioner(c.shards)
 	}
 	replica := c.replicaOf != ""
 
@@ -299,108 +271,68 @@ func run(logger *slog.Logger, c *cliFlags) error {
 	}
 	svc.Recorder().SetProcess(process)
 
-	// With a data directory, recovery runs before any host starts: restore
-	// each maintainer from the latest checkpoint (falling back to a fresh
-	// batch run on the input graph), replay the WAL tail through the
-	// incremental Apply path, verify against batch recompute, and only
-	// then start the apply loop at the recovered stream position. A
-	// replica first mirrors its primary's checkpoint and segments, so it
-	// starts from the newest durable cut, and hosts at the checkpoint: the
-	// tail reaches its hosts through the follower, record by record.
+	// A replica first mirrors its primary's checkpoint and segments, so it
+	// starts from the newest durable cut.
 	if replica {
 		if err := bootstrapPull(logger, c); err != nil {
 			return err
 		}
 	}
-	// phases times the start, for incgraph_startup_seconds and the started
-	// log line.
-	phases := []incgraph.StartupPhase{{Name: "graph"}, {Name: "build"}, {Name: "restore"}, {Name: "replay"}, {Name: "verify"}}
-	const graphPhase, buildPhase, restorePhase, replayPhase, verifyPhase = 0, 1, 2, 3, 4
-	t0 := time.Now()
-	var rec *incgraph.Recovery
-	if c.dataDir != "" {
-		if rec, err = incgraph.LoadRecovery(c.dataDir); err != nil {
-			return fmt.Errorf("recovery: %w", err)
-		}
+	opt := incgraph.ServeOptions{MaxBatch: c.maxBatch, MaxWait: c.maxWait, Queue: c.queue}
+	// Every apply is traced through this hook at debug level: host, epoch,
+	// batch size, coalescing, |AFF|, and the latency split — the same
+	// fields /debug/applies retains.
+	opt.OnApply = func(t incgraph.ServeApplyTrace) {
+		logger.Debug("apply",
+			"host", t.Algo,
+			"epoch", t.Epoch,
+			"batch_size", t.RawUpdates,
+			"net_size", t.NetUpdates,
+			"affected", t.Affected,
+			"apply_latency", time.Duration(t.ApplyNanos),
+			"queue_wait", time.Duration(t.QueueWaitNanos),
+			"trace", t.TraceID)
 	}
-	graphs, err := classGraphs(algoList, rec, func() (*incgraph.Graph, error) {
-		base, err := loadGraph(c.graphPath, c.genKind, c.genSeed, c.genNodes, c.genDeg, c.genDirect)
-		if err != nil || part == nil {
-			return base, err
-		}
-		// Shard mode: the daemon serves one fragment. Filtering keeps every
-		// node id valid (views stay globally indexed) but drops edges owned
-		// by other shards; the partitioner here must match the router's. A
-		// checkpoint holds the fragment already.
-		full := base.NumEdges()
-		base = shard.FilterGraph(base, part, c.shardID)
-		logger.Info("sharded", "shard", c.shardID, "shards", c.shards,
-			"fragment_edges", base.NumEdges(), "full_edges", full)
-		return base, nil
-	})
+	// What the serving line and the shard API report of the graph, read as
+	// each class is built on it: its maintainer owns it from then on.
+	var nodes, edges int
+	var directed bool
+	rec, st, err := incgraph.Start(svc, c.dataDir, c.algoList,
+		func(algo string, g *incgraph.Graph) (incgraph.Serveable, error) {
+			nodes, edges, directed = g.NumNodes(), g.NumEdges(), g.Directed()
+			return classes[algo](g, c)
+		},
+		func() (*incgraph.Graph, error) {
+			base, err := loadGraph(c.graphPath, c.genKind, c.genSeed, c.genNodes, c.genDeg, c.genDirect)
+			if err != nil || part == nil {
+				return base, err
+			}
+			// Shard mode: the daemon serves one fragment. Filtering keeps
+			// every node id valid (views stay globally indexed) but drops
+			// edges owned by other shards; the partitioner here must match
+			// the router's. A checkpoint holds the fragment already.
+			full := base.NumEdges()
+			base = shard.FilterGraph(base, part, c.shardID)
+			logger.Info("sharded", "shard", c.shardID, "shards", c.shards,
+				"fragment_edges", base.NumEdges(), "full_edges", full)
+			return base, nil
+		},
+		opt, replica, c.verifyRec)
 	if err != nil {
+		svc.Close()
 		return err
 	}
-	var pat *incgraph.Graph
-	if c.pattern != "" {
-		if pat, err = loadGraph(c.pattern, "", 0, 0, 0, false); err != nil {
-			return err
-		}
+	for i, algo := range c.algoList {
+		logger.Info("hosted", "host", algo, "batch_init", st.Build[i].Round(time.Microsecond),
+			"from_checkpoint", len(rec.Algos[algo].State) > 0)
 	}
-	phases[graphPhase].Took = time.Since(t0)
-	// The maintainers take the graphs over below, and the serving log line
-	// runs on another goroutine: what is reported of them is read here.
-	nodes, edges, directed := graphs[0].NumNodes(), graphs[0].NumEdges(), graphs[0].Directed()
-
-	targets := make(map[string]incgraph.Serveable, len(algoList))
-	for i, algo := range algoList {
-		t0 := time.Now()
-		m, err := buildServeable(algo, graphs[i], c.src, pat)
-		if err != nil {
-			return err
-		}
-		t1 := time.Now()
-		phases[buildPhase].Took += t1.Sub(t0)
-		if rec != nil {
-			if err := rec.Restore(algo, m); err != nil {
-				return fmt.Errorf("recovery: restore %s: %w", algo, err)
-			}
-		}
-		phases[restorePhase].Took += time.Since(t1)
-		targets[algo] = m
-		logger.Info("hosted", "host", algo, "batch_init", t1.Sub(t0).Round(time.Microsecond),
-			"from_checkpoint", rec != nil && len(rec.Algos[algo].State) > 0)
+	if len(st.Diverged) > 0 {
+		logger.Warn("recovery: replayed state diverged from batch recompute; repaired",
+			"algos", strings.Join(st.Diverged, ","))
 	}
-	var replayed, divergent int
-	if rec != nil && !replica {
-		t0 := time.Now()
-		if replayed, err = rec.Replay(targets, svc.Recorder()); err != nil {
-			return fmt.Errorf("recovery: replay: %w", err)
-		}
-		t1 := time.Now()
-		phases[replayPhase].Took = t1.Sub(t0)
-		if c.verifyRec {
-			diverged := incgraph.VerifyRecovered(targets, svc.Recorder())
-			if divergent = len(diverged); divergent > 0 {
-				logger.Warn("recovery: replayed state diverged from batch recompute; repaired",
-					"algos", strings.Join(diverged, ","))
-			}
-		}
-		phases[verifyPhase].Took = time.Since(t1)
-		logger.Info("recovered", "dir", c.dataDir,
-			"checkpoint_epoch", rec.CheckpointEpoch, "replayed_records", replayed,
-			"divergent", divergent)
-	}
-	opt := serveOptions(logger, c)
-	for _, algo := range algoList {
-		o := opt
-		if rec != nil {
-			o.BaseEpoch, o.BaseBatches = rec.Base(algo)
-		}
-		if _, err := svc.Host(targets[algo], o); err != nil {
-			svc.Close()
-			return err
-		}
+	if c.dataDir != "" && !replica {
+		logger.Info("recovered", "dir", c.dataDir, "checkpoint_epoch", rec.CheckpointEpoch,
+			"replayed_records", rec.Replayed, "divergent", len(st.Diverged))
 	}
 
 	// durable is set once the local WAL is open for writing, and served
@@ -440,8 +372,16 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		// then open the shipped log — now the authoritative continuation.
 		standby := shard.NewStandby(svc, follower, func() error {
 			divergent := 0
-			if c.verifyRec {
-				divergent = verifyHosts(logger, svc)
+			for _, h := range svc.Hosts() {
+				if !c.verifyRec {
+					break
+				}
+				if diverged, err := h.Verify(); err != nil {
+					logger.Warn("promotion: verification failed; host keeps its last good view", "err", err)
+				} else if diverged {
+					divergent++
+					logger.Warn("promotion: replayed state diverged from batch recompute; repaired", "algo", h.Algo())
+				}
 			}
 			if err := openDurable(int(follower.Status().Records), divergent); err != nil {
 				logger.Error("promotion failed", "err", err)
@@ -451,8 +391,8 @@ func run(logger *slog.Logger, c *cliFlags) error {
 			return nil
 		})
 		following, handler = standby.Following, standby.Handler
-	case rec != nil:
-		if err := openDurable(replayed, divergent); err != nil {
+	case c.dataDir != "":
+		if err := openDurable(rec.Replayed, len(st.Diverged)); err != nil {
 			svc.Close()
 			return err
 		}
@@ -473,9 +413,8 @@ func run(logger *slog.Logger, c *cliFlags) error {
 		}()
 	}
 
-	svc.RecordStartup(phases)
-	started := []any{"took", time.Since(began).Round(time.Microsecond), "from_checkpoint", rec != nil && len(rec.Algos) > 0}
-	for _, p := range phases {
+	started := []any{"took", time.Since(began).Round(time.Microsecond), "from_checkpoint", len(rec.Algos) > 0}
+	for _, p := range st.Phases {
 		started = append(started, p.Name, p.Took.Round(time.Microsecond))
 	}
 	logger.Info("started", started...)
@@ -547,21 +486,6 @@ func run(logger *slog.Logger, c *cliFlags) error {
 	return serveErr
 }
 
-// verifyHosts checks every host's replayed answer against a batch
-// recompute from inside the apply loop, keeping the recomputed one, and
-// returns how many had diverged.
-func verifyHosts(logger *slog.Logger, svc *incgraph.Service) (divergent int) {
-	for _, h := range svc.Hosts() {
-		if diverged, err := h.Verify(); err != nil {
-			logger.Warn("promotion: verification failed; host keeps its last good view", "err", err)
-		} else if diverged {
-			divergent++
-			logger.Warn("promotion: replayed state diverged from batch recompute; repaired", "algo", h.Algo())
-		}
-	}
-	return divergent
-}
-
 // bootstrapPull mirrors the primary's checkpoint and segment bytes into
 // the replica's data directory before recovery, so a replica started late
 // begins from the newest durable cut instead of replaying from genesis.
@@ -583,35 +507,6 @@ func bootstrapPull(logger *slog.Logger, c *cliFlags) error {
 	}
 	logger.Warn("replica bootstrap: primary unreachable; starting from local state", "err", err)
 	return nil
-}
-
-// classGraphs returns, for each class of algoList, the graph its
-// maintainer will own — maintainers mutate their graph in Apply and are
-// single-writer objects, so no two share one. Each is a copy of the cut's
-// graph whenever rec (which may be nil) holds a checkpoint
-// (Recovery.ClassGraph), and the input graph is not read at all. Only
-// without a checkpoint does load read it; then every class takes a private
-// copy of it, the last the input itself.
-func classGraphs(algoList []string, rec *incgraph.Recovery, load func() (*incgraph.Graph, error)) ([]*incgraph.Graph, error) {
-	graphs := make([]*incgraph.Graph, len(algoList))
-	for i, algo := range algoList {
-		if rec != nil {
-			graphs[i] = rec.ClassGraph(algo)
-		}
-	}
-	if graphs[0] != nil {
-		return graphs, nil
-	}
-	base, err := load()
-	if err != nil {
-		return nil, err
-	}
-	for i := range graphs {
-		if graphs[i] = base; i < len(graphs)-1 {
-			graphs[i] = base.Clone()
-		}
-	}
-	return graphs, nil
 }
 
 func loadGraph(path, genKind string, seed int64, nodes, deg int, directed bool) (*incgraph.Graph, error) {
@@ -637,36 +532,41 @@ func loadGraph(path, genKind string, seed int64, nodes, deg int, directed bool) 
 	return incgraph.ReadGraph(f)
 }
 
-// buildServeable builds algo's maintainer on g. src is -src as parsed: it
-// is range-checked before it narrows to a 32-bit NodeID.
-func buildServeable(algo string, g *incgraph.Graph, src int, pat *incgraph.Graph) (incgraph.Serveable, error) {
-	switch algo {
-	case "sssp":
-		if src < 0 || src >= g.NumNodes() {
-			return nil, fmt.Errorf("sssp: source %d out of range", src)
+// classes are the query classes incgraphd hosts, by -algos name: each
+// builds its maintainer on g from the flags (-src is range-checked before
+// it narrows to a 32-bit NodeID). validateFlags holds -algos to these
+// names, and run hands Start the ones it names.
+var classes = map[string]func(g *incgraph.Graph, c *cliFlags) (incgraph.Serveable, error){
+	"sssp": func(g *incgraph.Graph, c *cliFlags) (incgraph.Serveable, error) {
+		if c.src < 0 || c.src >= g.NumNodes() {
+			return nil, fmt.Errorf("sssp: source %d out of range", c.src)
 		}
-		s := incgraph.NodeID(src)
+		s := incgraph.NodeID(c.src)
 		return incgraph.ServeSSSP(incgraph.NewIncSSSP(g, s), s), nil
-	case "cc":
+	},
+	"cc": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
 		return incgraph.ServeCC(incgraph.NewIncCC(g)), nil
-	case "sim":
-		if pat == nil {
-			return nil, fmt.Errorf("sim needs -pattern")
+	},
+	"sim": func(g *incgraph.Graph, c *cliFlags) (incgraph.Serveable, error) {
+		pat, err := loadGraph(c.pattern, "", 0, 0, 0, false)
+		if err != nil {
+			return nil, err
 		}
 		return incgraph.ServeSim(incgraph.NewIncSim(g, pat)), nil
-	case "dfs":
+	},
+	"dfs": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
 		return incgraph.ServeDFS(incgraph.NewIncDFS(g)), nil
-	case "lcc":
+	},
+	"lcc": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
 		if g.Directed() {
 			return nil, fmt.Errorf("lcc needs an undirected graph")
 		}
 		return incgraph.ServeLCC(incgraph.NewIncLCC(g)), nil
-	case "bc":
+	},
+	"bc": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
 		if g.Directed() {
 			return nil, fmt.Errorf("bc needs an undirected graph")
 		}
 		return incgraph.ServeBC(incgraph.NewIncBC(g)), nil
-	default:
-		return nil, fmt.Errorf("unknown algo %q (want sssp|cc|sim|dfs|lcc|bc)", algo)
-	}
+	},
 }

@@ -250,9 +250,10 @@ type (
 	Recovery = serve.Recovery
 	// RecoveredAlgo is one algo's checkpointed graph and state.
 	RecoveredAlgo = serve.RecoveredAlgo
-	// StartupPhase is how long one phase of a daemon's start took
-	// (Service.RecordStartup).
+	// StartupPhase is how long one phase of a service's start took.
 	StartupPhase = serve.StartupPhase
+	// Started is what Start reports of a start, for the caller's logs.
+	Started = serve.Started
 	// WALOptions configure the write-ahead log (segment size, fsync
 	// policy and interval, fault hooks).
 	WALOptions = wal.Options
@@ -286,10 +287,16 @@ func VerifyRecovered(targets map[string]Serveable, rec *TraceRecorder) []string 
 	return serve.VerifyRecovered(targets, rec)
 }
 
+// Start is a service's one start sequence: it builds, restores, replays,
+// verifies and hosts every class of algos. See serve.Start.
+func Start(svc *Service, dir string, algos []string, build func(algo string, g *Graph) (Serveable, error),
+	input func() (*Graph, error), opt ServeOptions, replica, verify bool) (*Recovery, Started, error) {
+	return serve.Start(svc, dir, algos, build, input, opt, replica, verify)
+}
+
 // OpenDurable opens (or creates) the WAL in dir and installs the durable
-// ingest path on svc. Run recovery (LoadRecovery / Replay /
-// VerifyRecovered) first: Open truncates the torn tail of the last
-// segment and appends after it.
+// ingest path on svc. Run Start first: Open truncates the torn tail of the
+// last segment and appends after it.
 func OpenDurable(svc *Service, dir string, opt DurableOptions) (*Durable, error) {
 	return serve.OpenDurable(svc, dir, opt)
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"incgraph/internal/bc"
-	"incgraph/internal/cc"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 	"incgraph/internal/sim"
@@ -288,7 +287,7 @@ func TestCheckpointFixture(t *testing.T) {
 			if _, ok := rec.Algos[c.algo]; !ok {
 				t.Fatalf("the checkpoint in %s holds no state for %s", dir, c.algo)
 			}
-			targets[c.algo] = c.build(rec.ClassGraph(c.algo))
+			targets[c.algo] = c.build(rec.Algos[c.algo].Graph)
 			if err := rec.Restore(c.algo, targets[c.algo]); err != nil {
 				t.Fatalf("restore %s: %v", c.algo, err)
 			}
@@ -346,11 +345,11 @@ func TestCheckpointFixture(t *testing.T) {
 		}
 	}
 
-	// Restore the v1 checkpoint again and replay the tail: the saved views,
-	// and no divergence.
-	targets, rec = restore(dir)
-	if n, err := rec.Replay(targets, nil); err != nil || n != 3 {
-		t.Fatalf("replayed %d records (%v), want the tail's 3", n, err)
+	// Start on the v1 checkpoint and replay the tail: the saved views, and
+	// no divergence.
+	targets, rec = startClosed(t, dir, nil, opsBuild, opsAlgos()...)
+	if n := rec.Replayed; n != 3 {
+		t.Fatalf("replayed %d records, want the tail's 3", n)
 	}
 	for _, c := range opsClasses {
 		want, err := os.ReadFile(filepath.Join("testdata/sixclass/views", c.algo+".json"))
@@ -377,24 +376,12 @@ func TestCheckpointFixture(t *testing.T) {
 // checkpoint restores, and the tail replays to those views and epochs.
 func TestCheckpointFixtureBC4D615(t *testing.T) {
 	const fixture = "testdata/twoclass-bc4d615"
-	rec, err := LoadRecovery(fixtureDir(t, fixture+"/data"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := map[string]Serveable{
-		"sssp": SSSP(sssp.NewInc(rec.ClassGraph("sssp"), 0)),
-		"cc":   CC(cc.NewInc(rec.ClassGraph("cc"))),
-	}
-	for algo, m := range targets {
-		if err := rec.Restore(algo, m); err != nil {
-			t.Fatalf("restore %s: %v", algo, err)
-		}
-	}
+	targets, rec := startClosed(t, fixtureDir(t, fixture+"/data"), nil, buildFrom(ssspCC), "sssp", "cc")
 	if rec.CheckpointEpoch != 60 {
 		t.Fatalf("checkpoint epoch %d, want the stream's 60 (the v1 file is named by the sum, 120)", rec.CheckpointEpoch)
 	}
-	if n, err := rec.Replay(targets, nil); err != nil || n != 2 {
-		t.Fatalf("replayed %d records (%v), want the tail's 2", n, err)
+	if n := rec.Replayed; n != 2 {
+		t.Fatalf("replayed %d records, want the tail's 2", n)
 	}
 	if div := VerifyRecovered(targets, nil); len(div) != 0 {
 		t.Fatalf("replayed state diverged from a recompute: %v", div)

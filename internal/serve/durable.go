@@ -26,8 +26,8 @@ import (
 // fsync=always), and recovery reconstructs exactly the state a
 // from-scratch batch run over the durable prefix would produce.
 //
-// Recovery is three phases, in LoadRecovery / Recovery.Replay /
-// VerifyRecovered:
+// Recovery is three phases, all run by Start (start.go), which builds
+// each class on the cut's graph and hosts the classes after the last:
 //
 //  1. restore: the latest valid checkpoint supplies the cut's graph
 //     (binary codec), its stream position, and each class's incremental
@@ -66,8 +66,8 @@ type Recovery struct {
 	// CheckpointEpoch is the loaded checkpoint's stream epoch, 0 if none.
 	CheckpointEpoch uint64
 	batches         uint64
-	// cut is the checkpoint's graph, held by one class of Algos; ClassGraph
-	// copies it for a class the checkpoint holds no state for.
+	// cut is the checkpoint's graph, held by one class of Algos; Start
+	// copies it for a class the checkpoint does not name.
 	cut *graph.Graph
 
 	replayedRaw uint64
@@ -130,17 +130,6 @@ func LoadRecovery(dir string) (*Recovery, error) {
 		r.Algos[a.Name] = RecoveredAlgo{Graph: g, State: a.State}
 	}
 	return r, nil
-}
-
-// ClassGraph returns the private graph class algo's maintainer is to be
-// built on: its Algos entry's, or a copy of the cut's for a class added
-// since, nil without a checkpoint (every class starts from the input
-// graph). Call it for every class before any maintainer is replayed into.
-func (r *Recovery) ClassGraph(algo string) *graph.Graph {
-	if ra, ok := r.Algos[algo]; ok || r.cut == nil {
-		return ra.Graph
-	}
-	return r.cut.Clone()
 }
 
 // Restore installs the recovered state into a serveable built on the
@@ -292,9 +281,9 @@ type Durable struct {
 type keptCheckpoint struct{ epoch, replayFrom uint64 }
 
 // OpenDurable opens (or creates) the WAL in dir, installs the durable
-// ingest path on svc, and registers the durability metrics. Recovery
-// (LoadRecovery / Replay / VerifyRecovered) must have happened first:
-// Open truncates the torn tail of the last segment and appends after it.
+// ingest path on svc, and registers the durability metrics. Start must
+// have run first: Open truncates the torn tail of the last segment and
+// appends after it.
 func OpenDurable(svc *Service, dir string, opt DurableOptions) (*Durable, error) {
 	log, err := wal.Open(dir, opt.WAL)
 	if err != nil {

@@ -56,34 +56,20 @@ func openDurableService(t *testing.T, base *graph.Graph, dir string, dopt Durabl
 	return svc, d
 }
 
-// recoverAlgos reruns the startup recovery against fresh serveables and
-// returns them keyed by algo, plus the replayed-record count.
+// ssspCC builds the two classes the durability tests host.
+var ssspCC = map[string]func(*graph.Graph) Serveable{
+	"sssp": func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) },
+	"cc":   func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) },
+}
+
+// recoverAlgos runs the start of a service of sssp and cc on dir (on
+// copies of base without a checkpoint), verification left to the caller,
+// and returns its maintainers keyed by algo once the service is closed,
+// plus the replayed-record count.
 func recoverAlgos(t *testing.T, base *graph.Graph, dir string) (map[string]Serveable, *Recovery, int) {
 	t.Helper()
-	rec, err := LoadRecovery(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphFor := func(algo string) *graph.Graph {
-		if ra, ok := rec.Algos[algo]; ok {
-			return ra.Graph
-		}
-		return base.Clone()
-	}
-	targets := map[string]Serveable{
-		"sssp": SSSP(sssp.NewInc(graphFor("sssp"), 0)),
-		"cc":   CC(cc.NewInc(graphFor("cc"))),
-	}
-	for name, m := range targets {
-		if err := rec.Restore(name, m); err != nil {
-			t.Fatalf("restore %s: %v", name, err)
-		}
-	}
-	n, err := rec.Replay(targets, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return targets, rec, n
+	targets, rec := startClosed(t, dir, base, buildFrom(ssspCC), "sssp", "cc")
+	return targets, rec, rec.Replayed
 }
 
 // TestCrashRecoveryEquivalence is the in-process half of the acceptance
@@ -800,22 +786,9 @@ func TestCheckpointFixtureQuarantine12a5985(t *testing.T) {
 		"dfs":  func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) },
 	}
 	recoverDir := func(dir string, ssspState bool, algos ...string) (epoch uint64) {
-		rec, err := LoadRecovery(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		targets, rec := startClosed(t, dir, nil, buildFrom(build), algos...)
 		if ra, ok := rec.Algos["sssp"]; !ok || (len(ra.State) > 0) != ssspState {
 			t.Fatalf("sssp recovered %+v (in the checkpoint: %v), want state %v", ra, ok, ssspState)
-		}
-		targets := map[string]Serveable{}
-		for _, algo := range algos {
-			targets[algo] = build[algo](rec.ClassGraph(algo))
-			if err := rec.Restore(algo, targets[algo]); err != nil {
-				t.Fatalf("restore %s: %v", algo, err)
-			}
-		}
-		if _, err := rec.Replay(targets, nil); err != nil {
-			t.Fatal(err)
 		}
 		if div := VerifyRecovered(targets, nil); len(div) != 0 {
 			t.Errorf("recovered state diverged from batch recompute: %v", div)

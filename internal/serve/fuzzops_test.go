@@ -16,6 +16,7 @@ import (
 	"incgraph/internal/bc"
 	"incgraph/internal/cc"
 	"incgraph/internal/dfs"
+	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
 	"incgraph/internal/lcc"
 	"incgraph/internal/serve/faults"
@@ -33,9 +34,13 @@ import (
 // of the stream, at the mirror's count of accepted updates. One op arms an
 // injected panic in a class's next apply, before or after its graph takes
 // the batch, which the host must heal without losing the batch or applying
-// it twice; another has a host verify itself against a recompute in place. Updates are drawn from a boundary
-// dictionary (opsBatch), so the fuzzer spends its mutations on the order of
-// operations, not on finding the interesting edges.
+// it twice; another has a host verify itself against a recompute in place;
+// another arms a class so that its apply and its heal's recompute both
+// panic, which quarantines it on its last good view until a recovery
+// rebuilds it — from the cut a checkpoint took of a healthy class's graph.
+// Every start, the first and each recovery's, is Start. Updates are drawn
+// from a boundary dictionary (opsBatch), so the fuzzer spends its mutations
+// on the order of operations, not on finding the interesting edges.
 
 // opsNodes gives every per-node vector two pages, the second ragged, so
 // the ranges at 255/256/257 straddle a page boundary.
@@ -66,6 +71,36 @@ var opsClasses = []struct {
 	{"lcc", func(g *graph.Graph) Serveable { return LCC(lcc.NewInc(g)) }},
 	{"bc", func(g *graph.Graph) Serveable { return BC(bc.NewInc(g)) }},
 }
+
+// opsAlgos lists the classes' names in opsClasses' order.
+func opsAlgos() []string {
+	var algos []string
+	for _, c := range opsClasses {
+		algos = append(algos, c.algo)
+	}
+	return algos
+}
+
+// opsBuild is Start's constructor for opsClasses.
+func opsBuild(algo string, g *graph.Graph) (Serveable, error) {
+	for _, c := range opsClasses {
+		if c.algo == algo {
+			return c.build(g), nil
+		}
+	}
+	return nil, fmt.Errorf("no class %q", algo)
+}
+
+// opsMaintainer is a class as the rig hosts it: an armedPanic, which the
+// quarantine op arms, that forwards the adapter's extensions, so its host
+// keeps the flat metrics and engine spans and the check its written lists.
+type opsMaintainer struct{ armedPanic }
+
+func (m opsMaintainer) Written() []int32 {
+	return m.Serveable.(interface{ Written() []int32 }).Written()
+}
+func (m opsMaintainer) Flat() *graph.Flat           { return m.Serveable.(flatViewer).Flat() }
+func (m opsMaintainer) SetTracer(t fixpoint.Tracer) { m.Serveable.(tracerSetter).SetTracer(t) }
 
 // opsBase is the graph every program starts from: undirected (LCC and BC
 // need that), labeled for sim, sparse enough that single edges matter.
@@ -157,10 +192,15 @@ type opsRig struct {
 	// maintainer's graph took the batch (panicMidRepair), not before.
 	inj       *faults.Injector
 	midRepair atomic.Bool
-	// prev is, per class, what the last check saw published, at which
-	// batch count and after how many heals; dropped at a recovery, which
-	// rebuilds the maintainers.
-	prev map[string]opsSeen
+	// The rest is per class, and dropped at a recovery, which rebuilds the
+	// maintainers. built is the maintainer, armed makes its apply and
+	// recompute panic (the quarantine op), stale is what a quarantined
+	// class still answers for, and prev is what the last check saw
+	// published, at which batch count and after how many heals.
+	built map[string]Serveable
+	armed map[string]*atomic.Bool
+	stale map[string]opsStale
+	prev  map[string]opsSeen
 }
 
 type opsSeen struct {
@@ -168,52 +208,52 @@ type opsSeen struct {
 	vecs           [][]int64
 }
 
-// boot runs the daemon's start-up: load the newest checkpoint, restore,
-// replay the WAL tail, verify against a recompute (no divergence allowed),
-// host the six classes where the durable prefix left off.
+// opsStale is a quarantined class's last good view: the epoch it is at and
+// the mirror graph then.
+type opsStale struct {
+	epoch uint64
+	g     *graph.Graph
+}
+
+// quarantine notes that an armed class is quarantined on the view it
+// published at the current epoch, unless it already was.
+func (r *opsRig) quarantine(algo string) {
+	if _, ok := r.stale[algo]; !ok {
+		r.stale[algo] = opsStale{r.epoch, r.mirror.Clone()}
+	}
+}
+
+// boot is the daemon's start-up, Start: load the newest checkpoint,
+// restore, replay the WAL tail, verify against a recompute (no divergence
+// allowed), host the six classes where the durable prefix left off.
 func (r *opsRig) boot() {
 	t := r.t
-	rec, err := LoadRecovery(r.dir)
+	r.svc = NewService()
+	r.built, r.armed = map[string]Serveable{}, map[string]*atomic.Bool{}
+	r.stale, r.prev = map[string]opsStale{}, map[string]opsSeen{}
+	hook := func(algo string, b graph.Batch) {
+		if r.midRepair.Load() {
+			panicMidRepair(r.built[algo], r.inj.BeforeApply)(algo, b)
+		} else {
+			r.inj.BeforeApply(algo, b)
+		}
+	}
+	_, st, err := Start(r.svc, r.dir, opsAlgos(), func(algo string, g *graph.Graph) (Serveable, error) {
+		m, err := opsBuild(algo, g)
+		r.armed[algo] = new(atomic.Bool)
+		r.built[algo] = opsMaintainer{armedPanic{m, r.armed[algo]}}
+		return r.built[algo], err
+	}, func() (*graph.Graph, error) { return opsBase(), nil }, Options{BeforeApply: hook}, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := map[string]Serveable{}
-	for _, c := range opsClasses {
-		g := opsBase()
-		if ra, ok := rec.Algos[c.algo]; ok {
-			g = ra.Graph
-		}
-		targets[c.algo] = c.build(g)
-		if err := rec.Restore(c.algo, targets[c.algo]); err != nil {
-			t.Fatalf("restore %s: %v", c.algo, err)
-		}
+	if len(st.Diverged) != 0 {
+		t.Fatalf("recovered state diverged from batch recompute: %v", st.Diverged)
 	}
-	if _, err := rec.Replay(targets, nil); err != nil {
-		t.Fatal(err)
-	}
-	if div := VerifyRecovered(targets, nil); len(div) != 0 {
-		t.Fatalf("recovered state diverged from batch recompute: %v", div)
-	}
-	r.svc = NewService()
 	if r.dur, err = OpenDurable(r.svc, r.dir, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}}); err != nil {
 		t.Fatal(err)
 	}
-	for algo, m := range targets {
-		epoch, batches := rec.Base(algo)
-		mid := panicMidRepair(m, r.inj.BeforeApply)
-		hook := func(algo string, b graph.Batch) {
-			if r.midRepair.Load() {
-				mid(algo, b)
-			} else {
-				r.inj.BeforeApply(algo, b)
-			}
-		}
-		if _, err := r.svc.Host(m, Options{BaseEpoch: epoch, BaseBatches: batches, BeforeApply: hook}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	r.api = r.svc.Handler()
-	r.prev = map[string]opsSeen{}
 }
 
 func (r *opsRig) shutdown() {
@@ -272,11 +312,16 @@ func (r *opsRig) post(wait bool, arg [3]byte) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &res); rec.Code != http.StatusOK || err != nil || res.Accepted != len(batch) || res.Applied != wait {
 		r.t.Fatalf("POST %s %q: status %d %s", url, body.String(), rec.Code, rec.Body)
 	}
-	r.mirror.Apply(batch)
-	r.epoch += uint64(len(batch))
 	if len(batch) > 0 {
 		r.applies++
+		for algo, armed := range r.armed {
+			if armed.Load() {
+				r.quarantine(algo)
+			}
+		}
 	}
+	r.mirror.Apply(batch)
+	r.epoch += uint64(len(batch))
 }
 
 // published flattens what a class publishes to vectors indexed the way
@@ -336,6 +381,15 @@ func (r *opsRig) check(step int) {
 			t.Fatal(err)
 		}
 		v, st := h.View(), h.Stats()
+		if s, ok := r.stale[c.algo]; ok {
+			// Quarantined: its last good view, degraded, until a recovery.
+			if v.Epoch != s.epoch || !v.Degraded || !snapshotEqual(v.Data, c.build(s.g.Clone()).Snapshot()) {
+				t.Fatalf("step %d %s: quarantined at epoch %d, serves epoch %d (degraded %v)", step, c.algo, s.epoch, v.Epoch, v.Degraded)
+			}
+			r.get("/query/"+c.algo, v, nil)
+			delete(r.prev, c.algo)
+			continue
+		}
 		if v.Epoch != r.epoch || v.Degraded || st.Panics != st.Heals {
 			t.Fatalf("step %d %s: view at epoch %d (degraded %v, %d panics, %d heals), %d updates accepted", step, c.algo, v.Epoch, v.Degraded, st.Panics, st.Heals, r.epoch)
 		}
@@ -387,7 +441,7 @@ func (r *opsRig) run(prog []byte) {
 		var arg [3]byte
 		op := prog[0]
 		prog = prog[1+copy(arg[:], prog[1:]):]
-		switch op % 10 {
+		switch op % 11 {
 		case 0, 1, 2:
 			r.post(true, arg)
 		case 3:
@@ -419,9 +473,9 @@ func (r *opsRig) run(prog []byte) {
 					r.t.Fatal(err)
 				}
 			}
-		case 6:
-			if err := r.dur.Checkpoint(); err != nil {
-				r.t.Fatal(err)
+		case 6: // refused only with every class quarantined: there is no graph to cut
+			if err := r.dur.Checkpoint(); (err != nil) != (len(r.stale) == len(opsClasses)) {
+				r.t.Fatalf("step %d: checkpoint with %d classes quarantined: %v", step, len(r.stale), err)
 			}
 		case 7: // stop without a checkpoint, start from what is on disk
 			r.shutdown()
@@ -432,12 +486,23 @@ func (r *opsRig) run(prog []byte) {
 		case 9: // a recompute in place finds nothing to correct and keeps the view's position
 			h := r.svc.Get(opsClasses[int(arg[0])%len(opsClasses)].algo)
 			before := h.View()
-			if diverged, err := h.Verify(); diverged || err != nil {
+			diverged, err := h.Verify()
+			if r.armed[h.Algo()].Load() {
+				// Its recompute panics: quarantined on the view it had.
+				if err == nil {
+					r.t.Fatalf("step %d: %s.Verify of an armed class: no error", step, h.Algo())
+				}
+				r.quarantine(h.Algo())
+				break
+			}
+			if diverged || err != nil {
 				r.t.Fatalf("step %d: %s.Verify: diverged %v, err %v", step, h.Algo(), diverged, err)
 			}
 			if v := h.View(); v.Epoch != before.Epoch || v.Batches != before.Batches {
 				r.t.Fatalf("step %d: %s.Verify moved the view from epoch %d, batch %d to %d, %d", step, h.Algo(), before.Epoch, before.Batches, v.Epoch, v.Batches)
 			}
+		case 10: // one class's apply and heal both panic from now on: its next batch quarantines it
+			r.armed[opsClasses[int(arg[0])%len(opsClasses)].algo].Store(true)
 		}
 		r.check(step)
 	}
@@ -469,6 +534,11 @@ func FuzzOps(f *testing.F) {
 		mid = append(mid, 0, 15, 1, c+3, 8, c, 1, 0, 0, 35, 1, c+3)
 	}
 	f.Add(mid)
+	// bc, first by name, quarantined by a batch and cc by a verify, a
+	// checkpoint (of dfs's graph), a tail, a recovery that rebuilds both on
+	// the cut, and a checkpoint and recovery after it.
+	f.Add([]byte{10, 5, 0, 0, 0, 0, 1, 4, 10, 1, 0, 0, 9, 1, 0, 0, 0, 8, 0, 1, 4, 5, 3, 7,
+		6, 0, 0, 0, 0, 45, 2, 9, 7, 0, 0, 0, 0, 1, 2, 3, 6, 0, 0, 0, 7, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		r := &opsRig{t: t, dir: t.TempDir(), mirror: opsBase(), inj: faults.New()}
 		r.boot()

@@ -123,23 +123,6 @@ func NewService() *Service {
 // process-level metrics next to the per-host ones.
 func (s *Service) Registry() *obs.Registry { return s.reg }
 
-// StartupPhase is how long one phase of a daemon's start took.
-type StartupPhase struct {
-	Name string
-	Took time.Duration
-}
-
-// RecordStartup publishes the phases of the daemon's start as
-// incgraph_startup_seconds{phase}, so the time a start takes can be
-// reconciled with what it was spent on.
-func (s *Service) RecordStartup(phases []StartupPhase) {
-	for _, p := range phases {
-		s.reg.Gauge("incgraph_startup_seconds",
-			"Wall time of each phase of the daemon's start: graph (read or decode), build, restore, replay, verify.",
-			obs.L("phase", p.Name)).Set(p.Took.Seconds())
-	}
-}
-
 // Mount registers an extra route on the service API under the given
 // ServeMux pattern (e.g. "POST /shard/eval/{algo}", "/wal/"). Call
 // before Handler; later Mount calls do not affect handlers already

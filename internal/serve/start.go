@@ -1,0 +1,115 @@
+package serve
+
+import (
+	"fmt"
+	"time"
+
+	"incgraph/internal/graph"
+	"incgraph/internal/obs"
+)
+
+// StartupPhase is how long one phase of a service's start took.
+type StartupPhase struct {
+	Name string
+	Took time.Duration
+}
+
+// Started is what Start reports of a start, for the caller's log lines:
+// its phases (graph, build, restore, replay, verify), each class's build
+// time in class-list order, and the classes a batch recompute corrected.
+type Started struct {
+	Phases   []StartupPhase
+	Build    []time.Duration
+	Diverged []string
+}
+
+// Start is the one start sequence of a service, over the classes algos in
+// order: each gets a copy of the cut of the newest checkpoint in dir, or
+// without one a copy of input's (input is called only then), is built with
+// build and restored; the WAL tail is replayed into every class — not on a
+// replica, hosted at the checkpoint for its follower to submit the tail —
+// and, with verify, each is held to a batch recompute. Every class is then
+// hosted on svc with opt at the recovered stream position, and the phases
+// set incgraph_startup_seconds{phase}. OpenDurable comes after Start; on an
+// error svc may hold some of the classes, and is the caller's to close.
+func Start(svc *Service, dir string, algos []string, build func(algo string, g *graph.Graph) (Serveable, error),
+	input func() (*graph.Graph, error), opt Options, replica, verify bool) (*Recovery, Started, error) {
+	var st Started
+	var graphT, buildT, restoreT, replayT, verifyT time.Duration
+	t := time.Now()
+	// lap adds the time since the last lap to *phase.
+	lap := func(phase *time.Duration) time.Duration {
+		took := time.Since(t)
+		*phase += took
+		t = t.Add(took)
+		return took
+	}
+
+	rec := &Recovery{}
+	if dir != "" {
+		var err error
+		if rec, err = LoadRecovery(dir); err != nil {
+			return nil, st, fmt.Errorf("recovery: %w", err)
+		}
+	}
+	graphs := make([]*graph.Graph, len(algos))
+	for i, algo := range algos {
+		if ra, ok := rec.Algos[algo]; ok {
+			graphs[i] = ra.Graph
+		} else if rec.cut != nil {
+			// A class added since the checkpoint. The cut may be another
+			// class's graph, copied here before any class is built.
+			graphs[i] = rec.cut.Clone()
+		}
+	}
+	if rec.cut == nil {
+		g, err := input()
+		if err != nil {
+			return nil, st, err
+		}
+		for i := range graphs {
+			if graphs[i] = g; i < len(graphs)-1 {
+				graphs[i] = g.Clone()
+			}
+		}
+	}
+	lap(&graphT)
+
+	targets := make(map[string]Serveable, len(algos))
+	for i, algo := range algos {
+		m, err := build(algo, graphs[i])
+		if err != nil {
+			return nil, st, err
+		}
+		st.Build = append(st.Build, lap(&buildT))
+		if err := rec.Restore(algo, m); err != nil {
+			return nil, st, fmt.Errorf("recovery: restore %s: %w", algo, err)
+		}
+		lap(&restoreT)
+		targets[algo] = m
+	}
+	if dir != "" && !replica {
+		if _, err := rec.Replay(targets, svc.Recorder()); err != nil {
+			return nil, st, fmt.Errorf("recovery: replay: %w", err)
+		}
+		lap(&replayT)
+		if verify {
+			st.Diverged = VerifyRecovered(targets, svc.Recorder())
+			lap(&verifyT)
+		}
+	}
+
+	opt.BaseEpoch, opt.BaseBatches = rec.Base("")
+	for _, algo := range algos {
+		if _, err := svc.Host(targets[algo], opt); err != nil {
+			return nil, st, err
+		}
+	}
+	st.Phases = []StartupPhase{{"graph", graphT}, {"build", buildT}, {"restore", restoreT}, {"replay", replayT}, {"verify", verifyT}}
+	for _, p := range st.Phases {
+		svc.reg.Gauge("incgraph_startup_seconds",
+			"Wall time of each phase of the daemon's start: graph (read or decode), build, restore, replay, verify.",
+			obs.L("phase", p.Name)).Set(p.Took.Seconds())
+	}
+	return rec, st, nil
+}

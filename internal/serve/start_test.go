@@ -1,0 +1,211 @@
+package serve
+
+import (
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"incgraph/internal/cc"
+	"incgraph/internal/dfs"
+	"incgraph/internal/gen"
+	"incgraph/internal/graph"
+	"incgraph/internal/sssp"
+	"incgraph/internal/trace"
+	"incgraph/internal/wal"
+)
+
+// buildFrom turns per-class builders into Start's constructor.
+func buildFrom(build map[string]func(*graph.Graph) Serveable) func(string, *graph.Graph) (Serveable, error) {
+	return func(algo string, g *graph.Graph) (Serveable, error) { return build[algo](g), nil }
+}
+
+// startClosed runs Start over dir for algos with verification left to the
+// caller, starting on copies of base without a checkpoint, and returns the
+// maintainers it built, keyed by class, once the service is closed — with
+// the recovery it started from.
+func startClosed(t *testing.T, dir string, base *graph.Graph, build func(string, *graph.Graph) (Serveable, error), algos ...string) (map[string]Serveable, *Recovery) {
+	t.Helper()
+	targets := map[string]Serveable{}
+	svc := NewService()
+	defer svc.Close()
+	rec, _, err := Start(svc, dir, algos, func(algo string, g *graph.Graph) (Serveable, error) {
+		m, err := build(algo, g)
+		targets[algo] = m
+		return m, err
+	}, func() (*graph.Graph, error) {
+		if base == nil {
+			return nil, errors.New("no checkpoint to start from")
+		}
+		return base.Clone(), nil
+	}, Options{}, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return targets, rec
+}
+
+// TestStart runs the one start sequence over each way a service starts:
+// with no directory, from a checkpoint and a WAL tail, with a class the
+// checkpoint does not name, with a class quarantined at the cut, as a
+// replica, and with verification off. Every class must answer for the
+// graph the stream built up to the epoch it is hosted at — its siblings'
+// — /stats must report the recovery's stream position, and the five
+// startup phases must be on /metrics.
+func TestStart(t *testing.T) {
+	const nodes, chunkLen = 60, 24
+	base := gen.Synthetic(11, nodes, 3, false)
+	stream := makeStream(43, nodes, 3*chunkLen)
+	chunk := func(i int) graph.Batch { return stream[i*chunkLen : (i+1)*chunkLen] }
+	// graphAt is the stream's graph at each epoch a row hosts at.
+	graphAt := map[uint64]*graph.Graph{0: base}
+	g := base.Clone()
+	for i := 0; i < 3; i++ {
+		g.Apply(chunk(i).Net(false))
+		graphAt[uint64((i+1)*chunkLen)] = g.Clone()
+	}
+	build := map[string]func(*graph.Graph) Serveable{
+		"sssp": func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) },
+		"cc":   func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) },
+		"dfs":  func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) },
+	}
+
+	// write leaves a directory as a service of sssp and cc that took two
+	// chunks, a checkpoint and a third chunk dies: quarantined's apply and
+	// recompute panic on the second chunk, so it is quarantined at the cut.
+	write := func(quarantined string) string {
+		dir := t.TempDir()
+		svc := NewService()
+		armed := new(atomic.Bool)
+		_, _, err := Start(svc, dir, []string{"sssp", "cc"}, func(algo string, g *graph.Graph) (Serveable, error) {
+			m := build[algo](g)
+			if algo == quarantined {
+				m = armedPanic{m, armed}
+			}
+			return m, nil
+		}, func() (*graph.Graph, error) { return base.Clone(), nil }, Options{}, false, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDurable(svc, dir, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			armed.Store(i == 1)
+			if err := d.Ingest(nil, "", chunk(i), trace.TraceID{}, true); err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				if err := d.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		svc.Close()
+		d.Close()
+		return dir
+	}
+
+	for _, tc := range []struct {
+		name string
+		// dir says whether the service starts on a directory a service
+		// wrote, and quarantined which class it had quarantined.
+		dir             bool
+		quarantined     string
+		algos           []string
+		replica, verify bool
+		epoch           uint64 // where every class is hosted
+	}{
+		{"no directory", false, "", []string{"sssp", "cc"}, false, true, 0},
+		{"checkpoint and tail", true, "", []string{"sssp", "cc"}, false, true, 3 * chunkLen},
+		{"class added since the checkpoint", true, "", []string{"sssp", "cc", "dfs"}, false, true, 3 * chunkLen},
+		{"class quarantined at the cut", true, "cc", []string{"sssp", "cc"}, false, true, 3 * chunkLen},
+		{"replica", true, "", []string{"sssp", "cc", "dfs"}, true, true, 2 * chunkLen},
+		{"verification off", true, "", []string{"sssp", "cc"}, false, false, 3 * chunkLen},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, reads := "", 0
+			if tc.dir {
+				dir = write(tc.quarantined)
+			}
+			svc := NewService()
+			defer svc.Close()
+			rec, st, err := Start(svc, dir, tc.algos, buildFrom(build), func() (*graph.Graph, error) {
+				reads++
+				return base.Clone(), nil
+			}, Options{}, tc.replica, tc.verify)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.dir && reads != 0 || !tc.dir && reads != 1 {
+				t.Errorf("the graph source was read %d times (a start on a checkpoint: %v)", reads, tc.dir)
+			}
+			if tc.quarantined != "" {
+				if ra, ok := rec.Algos[tc.quarantined]; !ok || len(ra.State) > 0 {
+					t.Fatalf("the checkpoint holds %s (%v) with %d bytes of state, want it named without state", tc.quarantined, ok, len(ra.State))
+				}
+			}
+			if len(st.Diverged) != 0 || len(st.Build) != len(tc.algos) {
+				t.Errorf("diverged %v, %d build times for %d classes", st.Diverged, len(st.Build), len(tc.algos))
+			}
+
+			want := graphAt[tc.epoch]
+			for _, algo := range tc.algos {
+				v := svc.Get(algo).View()
+				if v.Epoch != tc.epoch || v.Degraded {
+					t.Errorf("%s: hosted at epoch %d (degraded %v), want %d", algo, v.Epoch, v.Degraded, tc.epoch)
+				}
+				if !snapshotEqual(v.Data, build[algo](want.Clone()).Snapshot()) {
+					t.Errorf("%s: view differs from a recompute on the stream's graph at epoch %d", algo, tc.epoch)
+				}
+			}
+
+			api := svc.Handler()
+			get := func(url string) []byte {
+				rr := httptest.NewRecorder()
+				api.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, url, nil))
+				if rr.Code != http.StatusOK {
+					t.Fatalf("GET %s: status %d", url, rr.Code)
+				}
+				return rr.Body.Bytes()
+			}
+			var stats map[string]Stats
+			if err := json.Unmarshal(get("/stats"), &stats); err != nil || len(stats) != len(tc.algos) {
+				t.Fatalf("GET /stats: %v, %d classes", err, len(stats))
+			}
+			epoch, batches := rec.Base("")
+			if epoch != tc.epoch || batches != tc.epoch/chunkLen {
+				t.Errorf("recovery resumes at epoch %d, batch %d; want %d, %d", epoch, batches, tc.epoch, tc.epoch/chunkLen)
+			}
+			for algo, s := range stats {
+				if s.UpdatesApplied != epoch || s.BatchesApplied != batches {
+					t.Errorf("%s: /stats at %d updates, %d batches; the recovery at %d, %d", algo, s.UpdatesApplied, s.BatchesApplied, epoch, batches)
+				}
+			}
+
+			metrics := string(get("/metrics"))
+			var names []string
+			for _, p := range st.Phases {
+				names = append(names, p.Name)
+				if !strings.Contains(metrics, `incgraph_startup_seconds{phase="`+p.Name+`"}`) {
+					t.Errorf("no incgraph_startup_seconds for phase %s on /metrics", p.Name)
+				}
+			}
+			if !slices.Equal(names, []string{"graph", "build", "restore", "replay", "verify"}) {
+				t.Errorf("phases %v", names)
+			}
+			replay, verify := st.Phases[3].Took, st.Phases[4].Took
+			if skipped := !tc.dir || tc.replica; skipped && replay != 0 {
+				t.Errorf("replay took %v with nothing to replay", replay)
+			}
+			if off := !tc.dir || tc.replica || !tc.verify; off != (verify == 0) {
+				t.Errorf("verify took %v (verification on: %v)", verify, !off)
+			}
+		})
+	}
+}

@@ -382,25 +382,19 @@ func TestMixedVersionCheckpointDir(t *testing.T) {
 	// serveDir opens the durable service of sssp and cc over dir, whose
 	// WAL a replica pulls from srv.
 	serveDir := func(dir string, base *graph.Graph) (*serve.Service, *serve.Durable, *httptest.Server) {
-		rec, err := serve.LoadRecovery(dir)
+		svc := serve.NewService()
+		_, _, err := serve.Start(svc, dir, []string{"sssp", "cc"}, func(algo string, g *graph.Graph) (serve.Serveable, error) {
+			if algo == "sssp" {
+				return serve.SSSP(sssp.NewInc(g, 0)), nil
+			}
+			return serve.CC(cc.NewInc(g)), nil
+		}, func() (*graph.Graph, error) { return base.Clone(), nil }, serve.Options{}, false, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc := serve.NewService()
 		d, err := serve.OpenDurable(svc, dir, serve.DurableOptions{})
 		if err != nil {
 			t.Fatal(err)
-		}
-		graphOf := func(algo string) *graph.Graph {
-			if g := rec.ClassGraph(algo); g != nil {
-				return g
-			}
-			return base.Clone()
-		}
-		for _, m := range []serve.Serveable{serve.SSSP(sssp.NewInc(graphOf("sssp"), 0)), serve.CC(cc.NewInc(graphOf("cc")))} {
-			if _, err := svc.Host(m, serve.Options{}); err != nil {
-				t.Fatal(err)
-			}
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
