@@ -37,11 +37,12 @@
 // and expvar counters (/debug/pprof/, /debug/vars) — kept off the main
 // listener so profiling endpoints are never exposed on the service port.
 //
-// Each hosted maintainer owns a private copy of the graph. One apply loop
-// per service writes to all of them: updates are validated into one
-// queue, coalesced and netted once, and every class applies the same
-// batch. On SIGINT/SIGTERM the daemon stops accepting requests, drains
-// the queue, and exits.
+// The hosted maintainers share one graph and its one flat view, each
+// keeping only its own state. One apply loop per service writes to all of
+// them: updates are validated into one queue, coalesced and netted once,
+// the first class to apply a batch applies and stages it on the graph, and
+// the others repair from its list of applied updates. On SIGINT/SIGTERM
+// the daemon stops accepting requests, drains the queue, and exits.
 //
 // With -data-dir set the daemon is durable: every accepted update batch
 // is write-ahead-logged (fsync policy per -fsync) before it is
@@ -294,7 +295,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 			"trace", t.TraceID)
 	}
 	// What the serving line and the shard API report of the graph, read as
-	// each class is built on it: its maintainer owns it from then on.
+	// each class is built on it: the classes own it from then on.
 	var nodes, edges int
 	var directed bool
 	rec, st, err := incgraph.Start(svc, c.dataDir, c.algoList,

@@ -116,7 +116,7 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 	b := bc.NewInc(gu.Clone())
 	d := dfs.NewInc(gu.Clone())
 	l := lcc.NewInc(gu.Clone())
-	flats := []*graph.Flat{s.Flat(), c.Flat(), b.Flat(), d.Flat(), l.Flat()}
+	flats := []*graph.Flat{s.Graph().Flat(), c.Graph().Flat(), b.Graph().Flat(), d.Graph().Flat(), l.Graph().Flat()}
 	for _, f := range flats {
 		f.SetCompactThreshold(threshold)
 	}

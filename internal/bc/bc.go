@@ -303,7 +303,7 @@ func (st *lowpointState) runComponent(s graph.NodeID, r *Result) {
 // publishes immutable snapshots to readers.
 type Inc struct {
 	g       *graph.Graph
-	flat    *graph.Flat
+	round   uint64 // the last round of g this maintainer took
 	res     *Result
 	st      *lowpointState
 	pending graph.Batch
@@ -313,19 +313,14 @@ type Inc struct {
 
 // NewInc runs the batch algorithm and returns the incremental one.
 func NewInc(g *graph.Graph) *Inc {
-	i := &Inc{g: g, flat: graph.NewFlat(g), res: newResult(g.NumNodes())}
-	i.st = newLowpointState(g.NumNodes(), outRows(i.flat))
+	i := &Inc{g: g, round: g.Round(), res: newResult(g.NumNodes())}
+	i.st = newLowpointState(g.NumNodes(), outRows(g.Flat()))
 	i.st.runAll(i.res)
 	return i
 }
 
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
-
-// Flat returns the maintainer's flat adjacency view: dead space and
-// compaction counts for observability, SetCompactThreshold for tests that
-// force a compaction regime.
-func (i *Inc) Flat() *graph.Flat { return i.flat }
 
 // Result returns the maintained structure (aliased).
 func (i *Inc) Result() *Result { return i.res }
@@ -373,12 +368,10 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG for any sequence b without repairing.
+// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// graph.Graph.Advance) without repairing.
 func (i *Inc) Stage(b graph.Batch) {
-	applied := i.g.Apply(b)
-	i.pending = append(i.pending, applied...)
-	i.flat.Stage(i.g, applied)
-	i.flat.MaybeCompact(i.g)
+	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
 	i.st.grow(i.g.NumNodes())
 	i.res.grow(i.g.NumNodes())
 }

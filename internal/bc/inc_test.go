@@ -195,7 +195,7 @@ func TestIncHardCases(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", c.name, reg.name), func(t *testing.T) {
 				c.run(t, func(g *graph.Graph) *Inc {
 					inc := NewInc(g)
-					inc.Flat().SetCompactThreshold(reg.threshold)
+					inc.Graph().Flat().SetCompactThreshold(reg.threshold)
 					return inc
 				})
 			})
@@ -211,7 +211,7 @@ func TestIncDifferentialRegimes(t *testing.T) {
 		for seed := int64(0); seed < 40; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			inc := NewInc(gen.ErdosRenyi(rng, 60, 40+int(seed%3)*30, false))
-			inc.Flat().SetCompactThreshold(reg.threshold)
+			inc.Graph().Flat().SetCompactThreshold(reg.threshold)
 			for round := 0; round < 10; round++ {
 				applyChecked(t, inc, gen.RandomUpdates(rng, inc.Graph(), 12, 0.5))
 			}

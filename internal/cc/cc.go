@@ -216,7 +216,7 @@ func CCfp(g *graph.Graph) []int64 {
 // loop and publishes immutable snapshots to readers.
 type Inc struct {
 	g       *graph.Graph
-	flat    *graph.Flat
+	round   uint64 // the last round of g this maintainer took
 	eng     *fixpoint.Engine[int64]
 	arena   fixpoint.ScopeArena
 	pending graph.Batch
@@ -224,10 +224,9 @@ type Inc struct {
 
 // NewInc computes the initial fixpoint and returns the algorithm.
 func NewInc(g *graph.Graph) *Inc {
-	fl := graph.NewFlat(g)
-	eng := fixpoint.New[int64](&Instance{G: g, Flat: fl}, fixpoint.PriorityOrder)
+	eng := fixpoint.New[int64](&Instance{G: g, Flat: g.Flat()}, fixpoint.PriorityOrder)
 	eng.Run()
-	return &Inc{g: g, flat: fl, eng: eng}
+	return &Inc{g: g, round: g.Round(), eng: eng}
 }
 
 // Graph returns the maintained graph.
@@ -278,21 +277,13 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG for any sequence b without repairing the
-// labels, letting benchmarks time Repair separately from the graph
-// mutation every method needs.
+// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// graph.Graph.Advance) without repairing the labels, letting benchmarks
+// time Repair separately from the graph mutation every method needs.
 func (i *Inc) Stage(b graph.Batch) {
-	applied := i.g.Apply(b)
-	i.pending = append(i.pending, applied...)
+	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
 	i.eng.Grow()
-	i.flat.Stage(i.g, applied)
-	i.flat.MaybeCompact(i.g)
 }
-
-// Flat returns the maintainer's flat adjacency view: dead space and
-// compaction counts for observability, SetCompactThreshold for tests that
-// force a compaction regime.
-func (i *Inc) Flat() *graph.Flat { return i.flat }
 
 // Repair runs the incremental algorithm over the staged updates.
 func (i *Inc) Repair() int {

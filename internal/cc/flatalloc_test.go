@@ -19,7 +19,7 @@ func TestFlatRowZeroAlloc(t *testing.T) {
 		g.InsertEdge(graph.NodeID(v), graph.NodeID((v*7)%64), 1)
 	}
 	i := NewInc(g)
-	if i.Flat() == nil {
+	if i.g.Staged() == nil {
 		t.Fatal("flat view not built")
 	}
 

@@ -242,6 +242,7 @@ func replayFrom(g *graph.Graph, nb nbrFunc, t *Tree, tstar int32, sc *replay) in
 type Inc struct {
 	g       *graph.Graph
 	flat    *graph.Flat
+	round   uint64 // the last round of g this maintainer took
 	tree    *Tree
 	pending graph.Batch
 	sc      replay
@@ -251,13 +252,8 @@ type Inc struct {
 
 // NewInc runs the batch DFS and returns the incremental algorithm.
 func NewInc(g *graph.Graph) *Inc {
-	return &Inc{g: g, flat: graph.NewFlat(g), tree: Run(g)}
+	return &Inc{g: g, flat: g.Flat(), round: g.Round(), tree: Run(g)}
 }
-
-// Flat returns the maintainer's flat adjacency view: dead space and
-// compaction counts for observability, SetCompactThreshold for tests that
-// force a compaction regime.
-func (i *Inc) Flat() *graph.Flat { return i.flat }
 
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
@@ -304,14 +300,11 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG for any sequence b without repairing the
-// tree, letting benchmarks time Repair separately from the graph mutation
-// every method needs.
+// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// graph.Graph.Advance) without repairing the tree, letting benchmarks time
+// Repair separately from the graph mutation every method needs.
 func (i *Inc) Stage(b graph.Batch) {
-	applied := i.g.Apply(b)
-	i.pending = append(i.pending, applied...)
-	i.flat.Stage(i.g, applied)
-	i.flat.MaybeCompact(i.g)
+	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
 }
 
 // Repair replays the traversal suffix for the staged updates.

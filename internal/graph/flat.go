@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // fit returns s emptied, with room for n entries. When it has to allocate
 // it allows a sixteenth more: the room a Flat's moved rows take, and what
@@ -25,9 +28,10 @@ const DefaultCompactThreshold = 0.25
 // the batch algorithms that want sorted rows (lcc.Run, bc.Run) read a
 // fresh NewFlat's.
 //
-// A Flat is maintained alongside a Graph by the incremental maintainers:
-// after g.Apply(batch) returns the effectively-applied updates, Stage
-// edits exactly those updates into the rows in place. A deletion
+// Every Graph keeps one Flat for the maintainers built on it (Graph.Flat):
+// after g.Apply(batch) returns the effectively-applied updates,
+// Graph.Advance has Stage edit exactly those updates into the rows in
+// place. A deletion
 // binary-searches its row and shifts the rest of the row left; an
 // insertion shifts right into the row's free room. A row without room
 // first moves to the end of the arrays, with room for as many entries
@@ -172,10 +176,11 @@ func (f *Flat) MaybeCompact(g *Graph) bool {
 
 // Stage edits an effectively-applied batch into the rows. The batch must
 // be exactly what g.Apply returned for updates already applied to g:
-// every insert was absent before and every delete was present, so Stage
-// never sees redundant updates. When a row must move and the arrays have
-// no room left for it, Stage compacts from g, which already holds the
-// whole batch, and is done.
+// every insert was absent before and every delete was present. An insert
+// of an entry its row holds, or a delete of one it lacks, means the view
+// is out of step with the graph, and Stage panics. When a row must move
+// and the arrays have no room left for it, Stage compacts from g, which
+// already holds the whole batch, and is done.
 func (f *Flat) Stage(g *Graph, applied Batch) {
 	f.grow(g.NumNodes())
 	rev := f.rev()
@@ -212,7 +217,10 @@ func (d *flatDir) insert(u, v NodeID, w int64) bool {
 	if r.hi == r.end && !d.move(r) {
 		return false
 	}
-	k, _ := slices.BinarySearch(d.ts[r.lo:r.hi], v)
+	k, ok := slices.BinarySearch(d.ts[r.lo:r.hi], v)
+	if ok {
+		panic(fmt.Sprintf("graph: staged insert of %d→%d, which the flat row holds", u, v))
+	}
 	i := int(r.lo) + k
 	copy(d.ts[i+1:r.hi+1], d.ts[i:r.hi])
 	copy(d.ws[i+1:r.hi+1], d.ws[i:r.hi])
@@ -243,7 +251,7 @@ func (d *flatDir) remove(u, v NodeID) {
 	r := &d.rows[u]
 	k, ok := slices.BinarySearch(d.ts[r.lo:r.hi], v)
 	if !ok {
-		return
+		panic(fmt.Sprintf("graph: staged delete of %d→%d, which the flat row lacks", u, v))
 	}
 	i := int(r.lo) + k
 	copy(d.ts[i:r.hi-1], d.ts[i+1:r.hi])

@@ -82,6 +82,14 @@ type Graph struct {
 	in       [][]Edge // nil when undirected
 	numEdges int
 	numAlive int
+
+	// The store its maintainers share (store.go): the Flat view they
+	// read, the rounds Advance applied, the last round's applied updates,
+	// and whether the Flat missed part of that round to a panic.
+	flat    *Flat
+	round   uint64
+	applied Batch
+	torn    bool
 }
 
 // New returns an empty graph with n nodes, all labeled 0.
@@ -359,7 +367,8 @@ func (g *Graph) InDegree(u NodeID) int { return len(g.In(u)) }
 // Degree returns the degree of u in an undirected graph.
 func (g *Graph) Degree(u NodeID) int { return len(g.out[u]) }
 
-// Clone returns a deep copy of the graph, rows in the same order.
+// Clone returns a deep copy of the graph, rows in the same order. The
+// copy is a store of its own, at round 0 and without a Flat view.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		directed: g.directed,

@@ -123,17 +123,19 @@ func run(f *graph.Flat, n int) *Result {
 // the input-set rule of Fig. 4: an edge (u, v) is in the input set of d_u,
 // d_v, λ_u, λ_v and of λ_w for exactly the common neighbors w of u and v,
 // so those are the variables a changed edge makes potentially affected.
-// The common neighbors of a deleted edge are taken on the graph before the
-// Stage that deletes it, those of an inserted edge on the graph at Repair:
-// a triangle that exists on one side of the update only has a changed edge,
-// and its third corner is a common neighbor of that edge on the side where
-// the triangle exists (or an endpoint of another changed edge). The scope
-// is recomputed with the original update functions and nothing else — no
-// auxiliary structure at all (§5.3).
+// A triangle that exists on one side of an update only has a changed
+// edge, and its third corner is a common neighbor of that edge on the side
+// where the triangle exists: before the Stage for a deletion, after it for
+// an insertion. Repair takes the common neighbors of every changed edge on
+// the graph as it is then, after the batch, for deletions too: a node that
+// is a common neighbor on one of the two graphs only has a changed edge to
+// one of the endpoints, so it is in the scope as an endpoint of that
+// update either way. The scope is recomputed with the original update
+// functions and nothing else — no auxiliary structure at all (§5.3).
 //
-// Adjacency is read through a graph.Flat kept in step with the graph, as
-// in dfs and bc: sorted struct-of-arrays rows let a recount stop each
-// neighbor row at the neighbor's own id, which visits every triangle once.
+// Adjacency is read through the graph's Flat view, as in dfs and bc:
+// sorted struct-of-arrays rows let a recount stop each neighbor row at the
+// neighbor's own id, which visits every triangle once.
 //
 // An Inc is not goroutine-safe: it (and the graph it owns) must be
 // driven by a single writer goroutine making every call, reads included —
@@ -141,9 +143,10 @@ func run(f *graph.Flat, n int) *Result {
 // through internal/serve, which gives each maintainer one apply loop and
 // publishes immutable snapshots to readers.
 type Inc struct {
-	g    *graph.Graph
-	flat *graph.Flat
-	r    *Result
+	g     *graph.Graph
+	flat  *graph.Flat
+	round uint64 // the last round of g this maintainer took
+	r     *Result
 	// mark/epoch stamp one neighborhood at a time: the row a common-
 	// neighbor scan or a recount tests membership in.
 	mark  []int64
@@ -151,9 +154,8 @@ type Inc struct {
 	// pending holds the applied updates of the Stages since the last
 	// Repair.
 	pending graph.Batch
-	// The scope is an epoch-marked dense set (mark array + list) that Stage
-	// and Repair both add to. It is emptied by the next Stage, not by
-	// Repair, so that Written can hand it out in between.
+	// The scope is an epoch-marked dense set (mark array + list) that
+	// Repair builds, and Written hands out until the next Repair.
 	scopeMark  []int64
 	scopeEpoch int64
 	scope      []int32
@@ -162,9 +164,9 @@ type Inc struct {
 
 // NewInc runs the batch algorithm and returns the incremental one.
 func NewInc(g *graph.Graph) *Inc {
-	n, f := g.NumNodes(), graph.NewFlat(g)
+	n, f := g.NumNodes(), g.Flat()
 	return &Inc{
-		g: g, flat: f, r: run(f, n),
+		g: g, flat: f, round: g.Round(), r: run(f, n),
 		mark:      make([]int64, n),
 		scopeMark: make([]int64, n), scopeEpoch: 1,
 	}
@@ -172,11 +174,6 @@ func NewInc(g *graph.Graph) *Inc {
 
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
-
-// Flat returns the maintainer's flat adjacency view: dead space and
-// compaction counts for observability, SetCompactThreshold for tests that
-// force a compaction regime.
-func (i *Inc) Flat() *graph.Flat { return i.flat }
 
 // Result returns the maintained status (aliased).
 func (i *Inc) Result() *Result { return i.r }
@@ -213,39 +210,13 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG update by update, adding to the scope the
-// endpoints of every update that changes the graph and, for a deletion,
-// the common neighbors the endpoints had when the Stage began (the flat
-// view is staged last, so it still shows that graph). Updates that change
-// nothing — deleting an absent edge, inserting a present one — add nothing.
-// The batch needs no netting: the rule holds for any sequence.
+// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// graph.Graph.Advance) without recounting. Updates that change nothing —
+// deleting an absent edge, inserting a present one — are not in the
+// round's applied list and add nothing to the scope. The batch needs no
+// netting: the rule holds for any sequence.
 func (i *Inc) Stage(b graph.Batch) {
-	if len(i.pending) == 0 { // nothing staged since the last Repair: its scope is still here
-		i.scopeEpoch++
-		i.scope = i.scope[:0]
-	}
-	i.grow()
-	from := len(i.pending)
-	for _, u := range b {
-		switch u.Kind {
-		case graph.InsertEdge:
-			if !i.g.InsertEdge(u.From, u.To, u.W) {
-				continue
-			}
-		case graph.DeleteEdge:
-			if !i.g.DeleteEdge(u.From, u.To) {
-				continue
-			}
-			i.addCommon(u.From, u.To) // read from the flat view, not from i.g
-		default:
-			continue
-		}
-		i.add(u.From)
-		i.add(u.To)
-		i.pending = append(i.pending, u)
-	}
-	i.flat.Stage(i.g, i.pending[from:])
-	i.flat.MaybeCompact(i.g)
+	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
 }
 
 // grow extends the per-node arrays to the graph's current node count.
@@ -289,19 +260,22 @@ func (i *Inc) addCommon(u, v graph.NodeID) {
 	}
 }
 
-// Repair completes the scope with the common neighbors of the inserted
-// edges on the graph as it is now, and recomputes d_v and λ_v over it.
+// Repair puts into the scope the endpoints and the common neighbors of
+// every staged update, on the graph as it is now, and recomputes d_v and
+// λ_v over it.
 func (i *Inc) Repair() int {
 	applied := i.pending
 	i.pending = i.pending[:0]
-	i.grow() // nodes added since the last Stage
+	i.grow() // nodes added since the last Repair
+	i.scopeEpoch++
+	i.scope = i.scope[:0]
 	if len(applied) == 0 {
 		return 0
 	}
 	for _, u := range applied {
-		if u.Kind == graph.InsertEdge {
-			i.addCommon(u.From, u.To)
-		}
+		i.add(u.From)
+		i.add(u.To)
+		i.addCommon(u.From, u.To)
 	}
 	led := &i.stats.Ledger
 	led.Runs++

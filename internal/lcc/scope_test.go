@@ -157,7 +157,7 @@ func TestScopeIsInputSet(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(14)
 		inc := NewInc(denseGraph(rng, n, 0.2+0.4*rng.Float64()))
-		inc.Flat().SetCompactThreshold([]float64{0, 0.05, graph.DefaultCompactThreshold, math.Inf(1)}[rng.Intn(4)])
+		inc.Graph().Flat().SetCompactThreshold([]float64{0, 0.05, graph.DefaultCompactThreshold, math.Inf(1)}[rng.Intn(4)])
 		for step := 0; step < 12; step++ {
 			if rng.Intn(8) == 0 {
 				inc.Graph().AddNode(0)
@@ -212,6 +212,10 @@ func TestScopeHardCases(t *testing.T) {
 		{"duplicate insert, either orientation", []graph.Batch{{ins(0, 1), ins(2, 1)}}, nil},
 		{"self-loop and out-of-range ids", []graph.Batch{{ins(2, 2), del(3, 3), ins(0, 77), del(-1, 2)}}, nil},
 		{"pendant edge: no triangle either side", []graph.Batch{{del(3, 4)}}, []int32{3, 4}},
+		// The common neighbors of (1,2) are {0,3} before the batch and
+		// {0,4} after it: 3 and 4 are each an endpoint of another update,
+		// so reading them after the batch changes no scope.
+		{"deletes and inserts at one node, one batch", []graph.Batch{{del(1, 2), del(1, 3), ins(2, 4), ins(1, 4)}}, []int32{0, 1, 2, 3, 4}},
 	}
 	for _, c := range cases {
 		g := graph.New(6, false)

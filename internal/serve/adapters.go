@@ -53,7 +53,9 @@ import (
 // blocks, DFS numbers). The envelope types' names and fields are the
 // checkpoint format. Recompute rebuilds the maintainer with the batch
 // constructor over the current graph — the self-healing and
-// recovery-verification path.
+// recovery-verification path — after laying the graph's Flat view out
+// again from its rows, so the rerun does not read what the repairs it
+// checks read.
 
 // maintainer is what the adapter needs of an incremental maintainer.
 // Written lists the indices (nodes, or sim's pairs) the last Apply wrote,
@@ -157,6 +159,7 @@ func (a *adapter[M, V, S]) RestoreState(r io.Reader) error {
 
 func (a *adapter[M, V, S]) Recompute() {
 	a.pub.unknown()
+	a.m.Graph().Relayout()
 	a.m = a.batch(a.m)
 }
 
@@ -166,15 +169,6 @@ func (a *adapter[M, V, S]) SetTracer(t fixpoint.Tracer) {
 	if ts, ok := any(a.m).(tracerSetter); ok {
 		ts.SetTracer(t)
 	}
-}
-
-// Flat exposes the current maintainer's flat adjacency view to the host's
-// compaction and dead-space metrics; nil for sim, which keeps none.
-func (a *adapter[M, V, S]) Flat() *graph.Flat {
-	if fv, ok := any(a.m).(flatViewer); ok {
-		return fv.Flat()
-	}
-	return nil
 }
 
 // SSSPView is the published snapshot of an SSSP maintainer.

@@ -431,3 +431,29 @@ func fixtureDir(t *testing.T, src string) string {
 	}
 	return dir
 }
+
+// TestRecomputeReadsTheRows: a recompute — here a Host.Verify's — lays the
+// shared Flat view out again from the graph's rows before the batch
+// constructor reads it, so a view out of step with the rows (an edge 3–4
+// the rows lack) is neither certified by nor published from it.
+func TestRecomputeReadsTheRows(t *testing.T) {
+	svc, _ := newTestService(t)
+	h := svc.Get("cc")
+	h.WithState(func(m Serveable) error {
+		g := m.Graph()
+		g.Flat().Stage(g, graph.Batch{{Kind: graph.InsertEdge, From: 3, To: 4, W: 1}})
+		return nil
+	})
+	if diverged, err := h.Verify(); diverged || err != nil {
+		t.Fatalf("Verify: diverged %v, %v", diverged, err)
+	}
+	if got := h.View().Data.(CCView).Labels.Slice(); got[4] != 4 {
+		t.Errorf("labels %v: node 4 joined 3 over an edge the rows lack", got)
+	}
+	h.WithState(func(m Serveable) error {
+		if err := checkFlatRows(m.Graph()); err != nil {
+			t.Error(err)
+		}
+		return nil
+	})
+}

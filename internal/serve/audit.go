@@ -197,9 +197,6 @@ type hostMetrics struct {
 	offenderWorst  *obs.Gauge
 	offenderMin    *obs.Gauge
 
-	flatCompactions *obs.Counter
-	flatOverlay     *obs.Gauge
-
 	pagesCopied    *obs.Counter
 	pagesEncoded   *obs.Counter
 	entriesSpliced *obs.Counter
@@ -209,33 +206,31 @@ type hostMetrics struct {
 func newHostMetrics(r *obs.Registry, algo string) hostMetrics {
 	l := obs.L("algo", algo)
 	return hostMetrics{
-		affectedTotal:   r.Counter("incgraph_affected_total", "Sum of per-apply affected-area measures (|AFF|).", l),
-		hSecondsTotal:   r.Counter("incgraph_fixpoint_h_seconds_total", "Wall seconds spent in the initial scope function h.", l),
-		resumeSeconds:   r.Counter("incgraph_fixpoint_resume_seconds_total", "Wall seconds spent in the resumed step function.", l),
-		inspectedTotal:  r.Counter("incgraph_fixpoint_inspected_total", "Status-variable inspections (reads+updates+pops) by incremental runs.", l),
-		applyLatency:    r.Histogram("incgraph_apply_latency_seconds", "Wall time of one maintainer Apply call.", l),
-		queueWait:       r.Histogram("incgraph_queue_wait_seconds", "Wait of the oldest submission merged into each batch until this class's Apply: queued, then behind the classes applied first.", l),
-		affRatio:        r.Gauge("incgraph_aff_per_delta_ratio", "Last apply's |AFF|/|ΔG| — the observed relative-boundedness ratio.", l),
-		inspectedPer:    r.Gauge("incgraph_inspected_per_update", "Last apply's fixpoint inspections per net update.", l),
-		scopeSize:       r.Gauge("incgraph_fixpoint_scope_size", "Last apply's initial scope size |H⁰|.", l),
-		panics:          r.Counter("incgraph_apply_panics_total", "Maintainer panics recovered by the apply loop.", l),
-		heals:           r.Counter("incgraph_heals_total", "Successful batch-recompute heals after a recovered panic.", l),
-		degraded:        r.Gauge("incgraph_degraded", "1 while the host serves a stale snapshot after a panic.", l),
-		workTotal:       r.Counter("incgraph_work_total", "Ledger work units (touched+|AFF|+‖AFF‖) charged by applies.", l),
-		changedTotal:    r.Counter("incgraph_changed_total", "Variables whose value changed across applies (|CHANGED|).", l),
-		boundedRatio:    r.Histogram("incgraph_bounded_ratio", "Per-apply work/|ΔG| — the relative-boundedness quotient distribution.", l),
-		recomputeRatio:  r.Histogram("incgraph_recompute_ratio", "Per-apply work/recompute-estimate — fraction of a from-scratch run.", l),
-		roundsHist:      r.Histogram("incgraph_rounds_to_fixpoint", "Per-apply propagation rounds until the resumed drain reached fixpoint.", l),
-		boundedLast:     r.Gauge("incgraph_bounded_ratio_last", "Most recent apply's work/|ΔG| boundedness quotient.", l),
-		offenderCount:   r.Gauge("incgraph_offender_count", "Entries retained in the top-K worst-boundedness ring.", l),
-		offenderWorst:   r.Gauge("incgraph_offender_worst_ratio", "Highest boundedness quotient ever retained by the offender ring.", l),
-		offenderMin:     r.Gauge("incgraph_offender_min_ratio", "Lowest retained offender quotient — the ring's admission threshold.", l),
-		flatCompactions: r.Counter("incgraph_flat_compactions_total", "Compactions (row layouts from the graph) of the maintainer's flat adjacency view.", l),
-		flatOverlay:     r.Gauge("incgraph_flat_overlay_ratio", "Dead space (array slots a compaction would reclaim) as a fraction of the flat view's live entries after the last apply.", l),
-		pagesCopied:     r.Counter("incgraph_view_pages_copied_total", "View pages copied by publication (the rest are shared with the previous epoch).", l),
-		pagesEncoded:    r.Counter("incgraph_view_pages_encoded_total", "View pages GET /query encoded from scratch (cached pages, and pages born cached from the page they replaced, are not).", l),
-		entriesSpliced:  r.Counter("incgraph_view_entries_spliced_total", "Changed entries publication re-encoded into the cached bytes a replaced page inherited.", l),
-		viewPages:       r.Gauge("incgraph_view_pages", "Pages in the published view's vectors.", l),
+		affectedTotal:  r.Counter("incgraph_affected_total", "Sum of per-apply affected-area measures (|AFF|).", l),
+		hSecondsTotal:  r.Counter("incgraph_fixpoint_h_seconds_total", "Wall seconds spent in the initial scope function h.", l),
+		resumeSeconds:  r.Counter("incgraph_fixpoint_resume_seconds_total", "Wall seconds spent in the resumed step function.", l),
+		inspectedTotal: r.Counter("incgraph_fixpoint_inspected_total", "Status-variable inspections (reads+updates+pops) by incremental runs.", l),
+		applyLatency:   r.Histogram("incgraph_apply_latency_seconds", "Wall time of one maintainer Apply call.", l),
+		queueWait:      r.Histogram("incgraph_queue_wait_seconds", "Wait of the oldest submission merged into each batch until this class's Apply: queued, then behind the classes applied first.", l),
+		affRatio:       r.Gauge("incgraph_aff_per_delta_ratio", "Last apply's |AFF|/|ΔG| — the observed relative-boundedness ratio.", l),
+		inspectedPer:   r.Gauge("incgraph_inspected_per_update", "Last apply's fixpoint inspections per net update.", l),
+		scopeSize:      r.Gauge("incgraph_fixpoint_scope_size", "Last apply's initial scope size |H⁰|.", l),
+		panics:         r.Counter("incgraph_apply_panics_total", "Maintainer panics recovered by the apply loop.", l),
+		heals:          r.Counter("incgraph_heals_total", "Successful batch-recompute heals after a recovered panic.", l),
+		degraded:       r.Gauge("incgraph_degraded", "1 while the host serves a stale snapshot after a panic.", l),
+		workTotal:      r.Counter("incgraph_work_total", "Ledger work units (touched+|AFF|+‖AFF‖) charged by applies.", l),
+		changedTotal:   r.Counter("incgraph_changed_total", "Variables whose value changed across applies (|CHANGED|).", l),
+		boundedRatio:   r.Histogram("incgraph_bounded_ratio", "Per-apply work/|ΔG| — the relative-boundedness quotient distribution.", l),
+		recomputeRatio: r.Histogram("incgraph_recompute_ratio", "Per-apply work/recompute-estimate — fraction of a from-scratch run.", l),
+		roundsHist:     r.Histogram("incgraph_rounds_to_fixpoint", "Per-apply propagation rounds until the resumed drain reached fixpoint.", l),
+		boundedLast:    r.Gauge("incgraph_bounded_ratio_last", "Most recent apply's work/|ΔG| boundedness quotient.", l),
+		offenderCount:  r.Gauge("incgraph_offender_count", "Entries retained in the top-K worst-boundedness ring.", l),
+		offenderWorst:  r.Gauge("incgraph_offender_worst_ratio", "Highest boundedness quotient ever retained by the offender ring.", l),
+		offenderMin:    r.Gauge("incgraph_offender_min_ratio", "Lowest retained offender quotient — the ring's admission threshold.", l),
+		pagesCopied:    r.Counter("incgraph_view_pages_copied_total", "View pages copied by publication (the rest are shared with the previous epoch).", l),
+		pagesEncoded:   r.Counter("incgraph_view_pages_encoded_total", "View pages GET /query encoded from scratch (cached pages, and pages born cached from the page they replaced, are not).", l),
+		entriesSpliced: r.Counter("incgraph_view_entries_spliced_total", "Changed entries publication re-encoded into the cached bytes a replaced page inherited.", l),
+		viewPages:      r.Gauge("incgraph_view_pages", "Pages in the published view's vectors.", l),
 	}
 }
 

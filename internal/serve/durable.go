@@ -44,9 +44,10 @@ import (
 //     exposed as a gauge, and self-corrected by keeping the recomputed
 //     answer.
 
-// RecoveredAlgo is one class's slice of a loaded checkpoint: a private copy
-// of the cut's graph to build the maintainer on and the state blob to
-// restore into it.
+// RecoveredAlgo is one class's slice of a loaded checkpoint: the graph to
+// build the maintainer on — from LoadRecovery a private copy of the cut's,
+// for a caller that builds each class on a graph of its own — and the
+// state blob to restore into it.
 type RecoveredAlgo struct {
 	Graph *graph.Graph
 	State []byte
@@ -66,8 +67,7 @@ type Recovery struct {
 	// CheckpointEpoch is the loaded checkpoint's stream epoch, 0 if none.
 	CheckpointEpoch uint64
 	batches         uint64
-	// cut is the checkpoint's graph, held by one class of Algos; Start
-	// copies it for a class the checkpoint does not name.
+	// cut is the checkpoint's graph, which Start builds every class on.
 	cut *graph.Graph
 
 	replayedRaw uint64
@@ -106,10 +106,28 @@ func upgradeV1(ck *wal.Checkpoint) error {
 
 // LoadRecovery loads the newest valid checkpoint in dir (scanning past
 // corrupt ones) and decodes its graph once: each class it holds state for
-// gets a private copy, the last the decoded graph itself. With no usable
-// checkpoint it returns an empty Recovery that replays the WAL from the
-// beginning.
+// gets a private copy, the last the decoded graph itself, for a caller
+// that builds every class on a graph of its own (Start shares the one
+// graph instead). With no usable checkpoint it returns an empty Recovery
+// that replays the WAL from the beginning.
 func LoadRecovery(dir string) (*Recovery, error) {
+	r, err := loadRecovery(dir)
+	if err != nil {
+		return r, err
+	}
+	k := 0
+	for name, a := range r.Algos {
+		if k++; k < len(r.Algos) {
+			a.Graph = a.Graph.Clone()
+			r.Algos[name] = a
+		}
+	}
+	return r, nil
+}
+
+// loadRecovery is LoadRecovery with the cut's graph shared: every class of
+// Algos holds the decoded graph itself.
+func loadRecovery(dir string) (*Recovery, error) {
 	r := &Recovery{dir: dir, Algos: make(map[string]RecoveredAlgo)}
 	ck, err := wal.LatestCheckpoint(dir)
 	if err != nil || ck == nil {
@@ -122,12 +140,8 @@ func LoadRecovery(dir string) (*Recovery, error) {
 		return nil, fmt.Errorf("serve: checkpoint graph: %w", err)
 	}
 	r.ReplayFrom, r.CheckpointEpoch, r.batches = ck.ReplayFrom, ck.Epoch, ck.Batches
-	for i, a := range ck.Algos {
-		g := r.cut
-		if i < len(ck.Algos)-1 {
-			g = g.Clone()
-		}
-		r.Algos[a.Name] = RecoveredAlgo{Graph: g, State: a.State}
+	for _, a := range ck.Algos {
+		r.Algos[a.Name] = RecoveredAlgo{Graph: r.cut, State: a.State}
 	}
 	return r, nil
 }

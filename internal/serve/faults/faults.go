@@ -34,8 +34,8 @@ type Injector struct {
 	dropAfter int64 // fsyncs after this ordinal are dropped; <0 disabled
 	fsyncs    int64
 
-	panicAlgo string
-	panicAt   int64 // apply ordinal (1-based) on panicAlgo that panics; 0 disabled
+	panicAlgo string // "" for every algo
+	panicAt   int64  // apply ordinal (1-based) on panicAlgo that panics; 0 disabled
 	applies   map[string]int64
 }
 
@@ -65,7 +65,8 @@ func (i *Injector) SyncHook() bool {
 }
 
 // PanicOn arms the poisoned-apply fault: the nth (1-based) apply on algo
-// panics. A second call re-arms (the counter keeps running).
+// panics, or with algo "" the nth apply on every algo. A second call
+// re-arms (the counter keeps running).
 func (i *Injector) PanicOn(algo string, nth int64) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -77,7 +78,7 @@ func (i *Injector) PanicOn(algo string, nth int64) {
 func (i *Injector) BeforeApply(algo string, b graph.Batch) {
 	i.mu.Lock()
 	i.applies[algo]++
-	boom := algo == i.panicAlgo && i.panicAt > 0 && i.applies[algo] == i.panicAt
+	boom := (i.panicAlgo == "" || algo == i.panicAlgo) && i.panicAt > 0 && i.applies[algo] == i.panicAt
 	n := i.applies[algo]
 	i.mu.Unlock()
 	if boom {

@@ -93,13 +93,12 @@ func opsBuild(algo string, g *graph.Graph) (Serveable, error) {
 
 // opsMaintainer is a class as the rig hosts it: an armedPanic, which the
 // quarantine op arms, that forwards the adapter's extensions, so its host
-// keeps the flat metrics and engine spans and the check its written lists.
+// keeps the engine spans and the check its written lists.
 type opsMaintainer struct{ armedPanic }
 
 func (m opsMaintainer) Written() []int32 {
 	return m.Serveable.(interface{ Written() []int32 }).Written()
 }
-func (m opsMaintainer) Flat() *graph.Flat           { return m.Serveable.(flatViewer).Flat() }
 func (m opsMaintainer) SetTracer(t fixpoint.Tracer) { m.Serveable.(tracerSetter).SetTracer(t) }
 
 // opsBase is the graph every program starts from: undirected (LCC and BC
@@ -184,12 +183,17 @@ type opsRig struct {
 	// batch (the check after it flushes the loop), it reaches every class,
 	// and a recovery's replay bypasses BeforeApply.
 	applies int64
-	svc     *Service
-	dur     *Durable
-	api     http.Handler
+	// rounds is the round the classes' one graph must be at: the records
+	// the last start replayed, then one per batch that reached a class not
+	// quarantined before it, however many classes panicked on it.
+	rounds uint64
+	svc    *Service
+	dur    *Durable
+	api    http.Handler
 	// inj poisons applies on the panic op; it is every host's BeforeApply,
 	// across recoveries. midRepair says the armed panic strikes after the
-	// maintainer's graph took the batch (panicMidRepair), not before.
+	// shared graph took the batch's round (panicMidRepair), not before the
+	// class took it.
 	inj       *faults.Injector
 	midRepair atomic.Bool
 	// The rest is per class, and dropped at a recovery, which rebuilds the
@@ -233,12 +237,12 @@ func (r *opsRig) boot() {
 	r.stale, r.prev = map[string]opsStale{}, map[string]opsSeen{}
 	hook := func(algo string, b graph.Batch) {
 		if r.midRepair.Load() {
-			panicMidRepair(r.built[algo], r.inj.BeforeApply)(algo, b)
+			panicMidRepair(func() *Host { return r.svc.Get(algo) }, r.inj.BeforeApply)(algo, b)
 		} else {
 			r.inj.BeforeApply(algo, b)
 		}
 	}
-	_, st, err := Start(r.svc, r.dir, opsAlgos(), func(algo string, g *graph.Graph) (Serveable, error) {
+	rec, st, err := Start(r.svc, r.dir, opsAlgos(), func(algo string, g *graph.Graph) (Serveable, error) {
 		m, err := opsBuild(algo, g)
 		r.armed[algo] = new(atomic.Bool)
 		r.built[algo] = opsMaintainer{armedPanic{m, r.armed[algo]}}
@@ -250,6 +254,7 @@ func (r *opsRig) boot() {
 	if len(st.Diverged) != 0 {
 		t.Fatalf("recovered state diverged from batch recompute: %v", st.Diverged)
 	}
+	r.rounds = uint64(rec.Replayed)
 	if r.dur, err = OpenDurable(r.svc, r.dir, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}}); err != nil {
 		t.Fatal(err)
 	}
@@ -314,6 +319,9 @@ func (r *opsRig) post(wait bool, arg [3]byte) {
 	}
 	if len(batch) > 0 {
 		r.applies++
+		if len(r.stale) < len(opsClasses) {
+			r.rounds++
+		}
 		for algo, armed := range r.armed {
 			if armed.Load() {
 				r.quarantine(algo)
@@ -414,6 +422,25 @@ func (r *opsRig) check(step int) {
 		r.prev[c.algo] = opsSeen{v.Batches, st.Heals, cur}
 	}
 
+	// The classes share one graph, which took each batch once.
+	var shared *graph.Graph
+	for _, h := range r.svc.Hosts() {
+		var g *graph.Graph
+		var round uint64
+		if err := h.WithState(func(m Serveable) error {
+			g, round = m.Graph(), m.Graph().Round()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if shared == nil {
+			shared = g
+		}
+		if g != shared || round != r.rounds {
+			t.Fatalf("step %d %s: graph %p at round %d, the first class's %p, %d rounds taken", step, h.Algo(), g, round, shared, r.rounds)
+		}
+	}
+
 	// The stream is the service's: every host reports one account of it,
 	// which has applied every accepted update, across recoveries too.
 	rec := r.do(http.MethodGet, "/stats", "")
@@ -462,16 +489,12 @@ func (r *opsRig) run(prog []byte) {
 			}
 			// Nothing is in flight: the last step's check went through every apply loop.
 			r.get(url, r.svc.Get(c.algo).View(), &[2]int{lo, hi})
-		case 5: // compact every Flat where it stands
-			for _, h := range r.svc.Hosts() {
-				if err := h.WithState(func(m Serveable) error {
-					if f := m.(flatViewer).Flat(); f != nil {
-						f.Compact(m.Graph())
-					}
-					return nil
-				}); err != nil {
-					r.t.Fatal(err)
-				}
+		case 5: // compact the classes' one Flat where it stands
+			if err := r.svc.Hosts()[0].WithState(func(m Serveable) error {
+				m.Graph().Flat().Compact(m.Graph())
+				return nil
+			}); err != nil {
+				r.t.Fatal(err)
 			}
 		case 6: // refused only with every class quarantined: there is no graph to cut
 			if err := r.dur.Checkpoint(); (err != nil) != (len(r.stale) == len(opsClasses)) {
@@ -480,9 +503,13 @@ func (r *opsRig) run(prog []byte) {
 		case 7: // stop without a checkpoint, start from what is on disk
 			r.shutdown()
 			r.boot()
-		case 8: // one class's next apply panics, before its graph takes the batch or after
+		case 8: // one class's next apply panics — or every class's, with an odd third argument — before it takes the batch's round or after the graph took it
+			algo := opsClasses[int(arg[0])%len(opsClasses)].algo
+			if arg[2]&1 != 0 {
+				algo = ""
+			}
 			r.midRepair.Store(arg[1]&1 != 0)
-			r.inj.PanicOn(opsClasses[int(arg[0])%len(opsClasses)].algo, r.applies+1)
+			r.inj.PanicOn(algo, r.applies+1)
 		case 9: // a recompute in place finds nothing to correct and keeps the view's position
 			h := r.svc.Get(opsClasses[int(arg[0])%len(opsClasses)].algo)
 			before := h.View()
@@ -527,13 +554,16 @@ func FuzzOps(f *testing.F) {
 	// the batch; the second is armed across a recovery and an empty POST.
 	f.Add([]byte{8, 0, 0, 0, 0, 0, 1, 4, 8, 1, 0, 0, 3, 5, 5, 6, 8, 2, 0, 0, 0, 7, 5, 6,
 		8, 3, 0, 0, 0, 8, 0, 7, 8, 4, 0, 0, 0, 45, 2, 9, 8, 5, 0, 0, 7, 0, 0, 0, 0, 10, 0, 0, 0, 1, 2, 3})
-	// A panic on each class after its graph took an edge's delete and
+	// A panic on each class after the graph took an edge's delete and
 	// reinsert at a new weight.
 	var mid []byte
 	for c := byte(0); c < 6; c++ {
 		mid = append(mid, 0, 15, 1, c+3, 8, c, 1, 0, 0, 35, 1, c+3)
 	}
 	f.Add(mid)
+	// Every class panics before it takes the round, on a reweight and on a
+	// triangle: the heals advance the graph once between them.
+	f.Add([]byte{0, 15, 1, 4, 8, 0, 0, 1, 0, 35, 1, 4, 8, 0, 0, 1, 0, 8, 1, 4, 3, 0, 0, 0})
 	// bc, first by name, quarantined by a batch and cc by a verify, a
 	// checkpoint (of dfs's graph), a tail, a recovery that rebuilds both on
 	// the cut, and a checkpoint and recovery after it.

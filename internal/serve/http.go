@@ -25,9 +25,10 @@ import (
 // Every update reaches every class by construction: Submit is the one way
 // in (a POST /update, with ?algo= refused, a durable ingest and a
 // replica's replayed record each submit once), and the loop applies each
-// coalesced batch to every host. Each maintainer owns a private copy of
-// the graph, and its answer describes the same logical graph as every
-// other's only because all of them consume the one stream.
+// coalesced batch to every host. The maintainers Start builds share one
+// graph, which the first host to apply a batch advances for all of them
+// (graph.Graph.Advance); hosts built on graphs of their own describe the
+// same logical graph only because all of them consume the one stream.
 // The same handler serves a warm replica behind shard.Standby's gate,
 // which answers /query from Host.WriteStale until promotion.
 //
@@ -45,6 +46,11 @@ type Service struct {
 	shed  *obs.Counter
 	// stream is the one account of the update stream every host consumes.
 	stream *streamAccount
+	// The Flat view of the graph the hosts share: its series, and its
+	// compaction count at the last batch (apply loop only).
+	flatCompactions *obs.Counter
+	flatOverlay     *obs.Gauge
+	flatSeen        int64
 
 	// The apply loop (loop.go). submitMu serializes Submit and WithState
 	// (read side) against Close and a host joining (write side).
@@ -116,6 +122,8 @@ func NewService() *Service {
 	s.shed = s.reg.Counter("incgraph_shed_total",
 		"Updates rejected with 503 because a submission queue was saturated.")
 	s.stream = newStreamAccount(s.reg)
+	s.flatCompactions = s.reg.Counter("incgraph_flat_compactions_total", "Compactions (row layouts from the graph) of the shared graph's flat adjacency view.")
+	s.flatOverlay = s.reg.Gauge("incgraph_flat_overlay_ratio", "Dead space (array slots a compaction would reclaim) as a fraction of the shared flat view's live entries after the last batch.")
 	return s
 }
 

@@ -21,16 +21,13 @@ import (
 func newTestService(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
 	svc := NewService()
-	mk := func() *graph.Graph {
-		g := graph.New(6, false)
-		g.InsertEdge(0, 1, 2)
-		g.InsertEdge(1, 2, 2)
-		return g
-	}
-	if _, err := svc.Host(CC(cc.NewInc(mk())), Options{}); err != nil {
+	g := graph.New(6, false) // the one graph both classes share, as the daemon's do
+	g.InsertEdge(0, 1, 2)
+	g.InsertEdge(1, 2, 2)
+	if _, err := svc.Host(CC(cc.NewInc(g)), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Host(SSSP(sssp.NewInc(mk(), 0)), Options{}); err != nil {
+	if _, err := svc.Host(SSSP(sssp.NewInc(g, 0)), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(svc.Handler())

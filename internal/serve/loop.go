@@ -227,7 +227,10 @@ func (s *Service) loop(opt Options, directed bool) {
 // apply nets one accumulated batch once, in a "coalesce" span on the
 // loop's own track, moves the stream past it, and applies it to every
 // host in name order; each stamps its view with the stream's new
-// position. Called only from loop.
+// position. The graph the hosts share takes the batch as its next round
+// with the first host's Apply; the rest take the round's applied list.
+// The graph's Flat view is observed once, after the last host. Called
+// only from loop.
 func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid trace.TraceID, why flushReason) {
 	span := s.rec.Begin("coalesce", "serve", s.track)
 	span.SetTrace(tid)
@@ -240,7 +243,16 @@ func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid tr
 	hosts := s.hosts
 	s.mu.RUnlock()
 	for _, h := range hosts {
+		h.round = h.m.Graph().Round()
+	}
+	for _, h := range hosts {
 		h.apply(raw, net, oldest, tid, why)
+	}
+	if f := hosts[0].m.Graph().Staged(); f != nil {
+		c := f.Compactions()
+		s.flatCompactions.Add(float64(c - s.flatSeen))
+		s.flatSeen = c
+		s.flatOverlay.Set(f.OverlayRatio())
 	}
 }
 

@@ -103,9 +103,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	for _, family := range []string{"incgraph_updates_received_total", "incgraph_updates_applied_total",
 		"incgraph_updates_coalesced_total", "incgraph_batches_applied_total", "incgraph_batch_size_updates",
-		"incgraph_coalesce_ratio", "incgraph_apply_flushes_total", "incgraph_queue_depth", "incgraph_graph_nodes"} {
+		"incgraph_coalesce_ratio", "incgraph_apply_flushes_total", "incgraph_queue_depth", "incgraph_graph_nodes",
+		"incgraph_flat_compactions_total", "incgraph_flat_overlay_ratio"} {
 		if strings.Contains(expo, family+`{algo=`) {
-			t.Errorf("stream series %s carries an algo label", family)
+			t.Errorf("stream or store series %s carries an algo label", family)
 		}
 	}
 
@@ -123,18 +124,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if v := promValue(t, expo, `incgraph_graph_nodes`); v != 6 {
 		t.Errorf("graph nodes = %g, want 6", v)
 	}
-	// The flat view: the insert takes the free slots of rows 2 and 3 and
-	// the delete opens one in rows 1 and 2 — nothing a compaction would
-	// reclaim, so none ran (the end of the test makes one).
+	// The one flat view both classes read: the insert takes the free slots
+	// of rows 2 and 3 and the delete opens one in rows 1 and 2 — nothing a
+	// compaction would reclaim, so none ran (the end of the test makes one).
 	flat := func(expo string, compactions float64) {
 		t.Helper()
-		for _, algo := range []string{"cc", "sssp"} {
-			if c := promValue(t, expo, `incgraph_flat_compactions_total{algo="`+algo+`"}`); c != compactions {
-				t.Errorf("%s flat compactions %g, want %g", algo, c, compactions)
-			}
-			if r := promValue(t, expo, `incgraph_flat_overlay_ratio{algo="`+algo+`"}`); r != 0 {
-				t.Errorf("%s flat dead space %g after %g compactions, want 0", algo, r, compactions)
-			}
+		if c := promValue(t, expo, `incgraph_flat_compactions_total`); c != compactions {
+			t.Errorf("flat compactions %g, want %g", c, compactions)
+		}
+		if r := promValue(t, expo, `incgraph_flat_overlay_ratio`); r != 0 {
+			t.Errorf("flat dead space %g after %g compactions, want 0", r, compactions)
 		}
 	}
 	flat(expo, 0)

@@ -43,9 +43,11 @@ type Serveable interface {
 	// Algo names the hosted query class ("sssp", "cc", …); it is the
 	// routing key of the HTTP API.
 	Algo() string
-	// Graph returns the maintained graph, used at registration to learn
-	// the node count (for batch validation) and directedness (for
-	// coalescing); after a panic, the heal applies the failed batch to it.
+	// Graph returns the maintained graph — the store the service's classes
+	// share, which Apply advances a round per batch (graph.Graph.Advance)
+	// — used at registration to learn the node count (for batch
+	// validation) and directedness (for coalescing); after a panic, the
+	// heal advances it past the failed batch if no class has yet.
 	Graph() *graph.Graph
 	// Apply incorporates a (pre-coalesced) batch, returning the
 	// maintainer's affected-area measure and cost counters.
@@ -174,13 +176,6 @@ func (o Options) withDefaults() Options {
 // accept a span hook, driven from the service's apply loop.
 type tracerSetter interface{ SetTracer(fixpoint.Tracer) }
 
-// flatViewer is the optional Serveable extension exposing the
-// maintainer's flat adjacency view (SSSP, CC, DFS, LCC, BC keep one; Sim's
-// is nil), read after each Apply for the compaction and dead-space
-// metrics. Called only from the apply loop, honoring the maintainers'
-// single-writer contract.
-type flatViewer interface{ Flat() *graph.Flat }
-
 // Host is one class of a Service: its maintainer, published view, stats,
 // metrics, trace ring and offenders. Only the service's apply loop touches
 // the maintainer. The stream it consumes is the service's to account for.
@@ -215,9 +210,10 @@ type Host struct {
 	track     int32
 	engTracer *trace.EngineTracer
 
-	// flatSeen is the flat view's compaction count as of the last apply
-	// (apply loop only), so the counter metric advances by the difference.
-	flatSeen int64
+	// round is the round its graph was at before the batch in flight
+	// (apply loop only): the heal advances the graph past it unless a
+	// class has.
+	round uint64
 
 	// quarantined is set (apply loop only) when a heal recompute itself
 	// panicked: the maintainer is permanently sidelined, batches are
@@ -388,19 +384,6 @@ func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, 
 		tr.ResumeNanos = int64(res.Stats.ResumeSeconds * 1e9)
 		tr.Inspected = res.Stats.Inspected()
 	}
-	var f *graph.Flat
-	if fv, ok := h.m.(flatViewer); ok {
-		f = fv.Flat()
-	}
-	if f != nil {
-		c := f.Compactions()
-		if c < h.flatSeen {
-			h.flatSeen = 0 // a heal rebuilt the maintainer with a fresh view
-		}
-		m.flatCompactions.Add(float64(c - h.flatSeen))
-		h.flatSeen = c
-		m.flatOverlay.Set(f.OverlayRatio())
-	}
 	if res.HasLedger {
 		led := res.Ledger
 		m.workTotal.Add(float64(led.Work()))
@@ -464,8 +447,8 @@ func (h *Host) runMaintainer(net graph.Batch) (res ApplyResult, data any, pval a
 // batch arriving while the host is quarantined (pval nil). The stream has
 // moved past the batch all the same; the last good view is republished
 // with the degraded flag so readers get stale answers instead of 500s,
-// and then the host heals by batch recompute over its graph ⊕ net, the
-// batch it failed on. A panic during
+// and then the host heals by batch recompute over its graph at the round
+// of net, the batch it failed on. A panic during
 // the heal itself quarantines the host permanently: it keeps draining,
 // acknowledging, and serving the stale view, but never touches the
 // maintainer again. Called only from the apply loop.
@@ -519,14 +502,15 @@ func (h *Host) publishDegraded() {
 }
 
 // rebuild discards the maintained answer for a batch rerun over the
-// current graph ⊕ net (the heal after a panic, with the failed batch; the
-// verification at a promotion, with none) and returns the fresh snapshot,
-// in a span called name. A netted batch holds at most a delete-then-insert
-// per edge, and Graph.Apply skips inserts of present edges and deletes of
-// absent ones, so the graph ends at G ⊕ net however much of it the panic
-// left applied. Recompute may have rebuilt the inner maintainer, so the
-// engine tracer is re-installed under the same fence; a panic anywhere
-// quarantines the host. Called only from the apply loop.
+// graph and returns the fresh snapshot, in a span called name. The heal
+// after a panic passes the failed batch, net: the graph advances to this
+// round with it unless a class (this one, before its panic, or one
+// applied before it) already took the round, so it takes the batch once
+// however many classes fail on it. The verification at a promotion passes
+// none. Recompute builds the maintainer again at the graph's round and may
+// have replaced the inner maintainer, so the engine tracer is re-installed
+// under the same fence; a panic anywhere quarantines the host. Called
+// only from the apply loop.
 func (h *Host) rebuild(name string, net graph.Batch) (data any, ok bool) {
 	span := h.rec.Begin(name, "serve", h.track)
 	defer func() {
@@ -537,7 +521,10 @@ func (h *Host) rebuild(name string, net graph.Batch) (data any, ok bool) {
 		span.Arg("ok", boolArg(ok))
 		span.End()
 	}()
-	h.m.Graph().Apply(net)
+	if net != nil {
+		seen := h.round
+		h.m.Graph().Advance(&seen, net)
+	}
 	h.m.Recompute()
 	if h.engTracer != nil {
 		if ts, tok := h.m.(tracerSetter); tok {

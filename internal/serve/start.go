@@ -24,13 +24,15 @@ type Started struct {
 }
 
 // Start is the one start sequence of a service, over the classes algos in
-// order: each gets a copy of the cut of the newest checkpoint in dir, or
-// without one a copy of input's (input is called only then), is built with
-// build and restored; the WAL tail is replayed into every class — not on a
-// replica, hosted at the checkpoint for its follower to submit the tail —
-// and, with verify, each is held to a batch recompute. Every class is then
-// hosted on svc with opt at the recovered stream position, and the phases
-// set incgraph_startup_seconds{phase}. OpenDurable comes after Start; on an
+// order: the cut of the newest checkpoint in dir, or without one input's
+// graph (input is called only then), is the one graph every class is built
+// on with build and restored into — the store they share, which each batch
+// advances once for all of them (graph.Graph.Advance). The WAL tail is
+// replayed into every class — not on a replica, hosted at the checkpoint
+// for its follower to submit the tail — and, with verify, each is held to
+// a batch recompute. Every class is then hosted on svc with opt at the
+// recovered stream position, and the phases set
+// incgraph_startup_seconds{phase}. OpenDurable comes after Start; on an
 // error svc may hold some of the classes, and is the caller's to close.
 func Start(svc *Service, dir string, algos []string, build func(algo string, g *graph.Graph) (Serveable, error),
 	input func() (*graph.Graph, error), opt Options, replica, verify bool) (*Recovery, Started, error) {
@@ -48,36 +50,22 @@ func Start(svc *Service, dir string, algos []string, build func(algo string, g *
 	rec := &Recovery{}
 	if dir != "" {
 		var err error
-		if rec, err = LoadRecovery(dir); err != nil {
+		if rec, err = loadRecovery(dir); err != nil {
 			return nil, st, fmt.Errorf("recovery: %w", err)
 		}
 	}
-	graphs := make([]*graph.Graph, len(algos))
-	for i, algo := range algos {
-		if ra, ok := rec.Algos[algo]; ok {
-			graphs[i] = ra.Graph
-		} else if rec.cut != nil {
-			// A class added since the checkpoint. The cut may be another
-			// class's graph, copied here before any class is built.
-			graphs[i] = rec.cut.Clone()
-		}
-	}
-	if rec.cut == nil {
-		g, err := input()
-		if err != nil {
+	g := rec.cut
+	if g == nil {
+		var err error
+		if g, err = input(); err != nil {
 			return nil, st, err
-		}
-		for i := range graphs {
-			if graphs[i] = g; i < len(graphs)-1 {
-				graphs[i] = g.Clone()
-			}
 		}
 	}
 	lap(&graphT)
 
 	targets := make(map[string]Serveable, len(algos))
-	for i, algo := range algos {
-		m, err := build(algo, graphs[i])
+	for _, algo := range algos {
+		m, err := build(algo, g)
 		if err != nil {
 			return nil, st, err
 		}

@@ -3,8 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"incgraph/internal/dfs"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
+	"incgraph/internal/serve/faults"
 	"incgraph/internal/sssp"
 	"incgraph/internal/trace"
 	"incgraph/internal/wal"
@@ -207,5 +210,169 @@ func TestStart(t *testing.T) {
 				t.Errorf("verify took %v (verification on: %v)", verify, !off)
 			}
 		})
+	}
+}
+
+// TestStartSharesOneStore runs the six classes through each way Start
+// starts a service — cold, from a checkpoint and a WAL tail, with a class
+// added since the checkpoint, with a class quarantined at the cut, as a
+// replica — and then through a heal and a Host.Verify. After each, every
+// host's maintainer holds the same *graph.Graph and reads the same
+// *graph.Flat, and every view equals the batch answer on a mirror.
+func TestStartSharesOneStore(t *testing.T) {
+	const chunkLen = 40
+	stream := makeStream(61, opsNodes, 4*chunkLen)
+	chunk := func(i int) graph.Batch { return stream[i*chunkLen : (i+1)*chunkLen] }
+	mirrorAt := func(chunks int) *graph.Graph {
+		g := opsBase()
+		for i := 0; i < chunks; i++ {
+			g.Apply(chunk(i).Net(false))
+		}
+		return g
+	}
+
+	// write leaves a directory as a service of algos that took two
+	// chunks, a checkpoint and a third chunk dies: quarantined's apply and
+	// recompute panic on the second chunk.
+	write := func(quarantined string, algos []string) string {
+		dir := t.TempDir()
+		svc := NewService()
+		armed := new(atomic.Bool)
+		_, _, err := Start(svc, dir, algos, func(algo string, g *graph.Graph) (Serveable, error) {
+			m, err := opsBuild(algo, g)
+			if algo == quarantined {
+				m = armedPanic{m, armed}
+			}
+			return m, err
+		}, func() (*graph.Graph, error) { return opsBase(), nil }, Options{}, false, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDurable(svc, dir, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			armed.Store(i == 1)
+			if err := d.Ingest(nil, "", chunk(i), trace.TraceID{}, true); err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				if err := d.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		svc.Close()
+		d.Close()
+		return dir
+	}
+
+	// shared checks that every host reads one graph and one Flat, and
+	// answers for the mirror.
+	shared := func(t *testing.T, what string, svc *Service, mirror *graph.Graph) {
+		t.Helper()
+		var g *graph.Graph
+		var f *graph.Flat
+		for _, h := range svc.Hosts() {
+			var hg *graph.Graph
+			var hf *graph.Flat
+			h.WithState(func(m Serveable) error {
+				hg, hf = m.Graph(), m.Graph().Staged()
+				return nil
+			})
+			if g == nil {
+				g, f = hg, hf
+			}
+			if hg != g || hf != f || f == nil {
+				t.Errorf("%s: %s reads graph %p and Flat %p, %s graph %p and Flat %p", what, h.Algo(), hg, hf, svc.Hosts()[0].Algo(), g, f)
+			}
+			want, _ := opsBuild(h.Algo(), mirror.Clone())
+			if v := h.View(); v.Degraded || !snapshotEqual(v.Data, want.Snapshot()) {
+				t.Errorf("%s: %s's view (degraded %v) differs from the batch answer on the mirror", what, h.Algo(), v.Degraded)
+			}
+		}
+	}
+
+	noLCC := slices.DeleteFunc(opsAlgos(), func(a string) bool { return a == "lcc" })
+	for _, tc := range []struct {
+		name    string
+		dir     func() string
+		replica bool
+		chunks  int // the chunks the mirror of a started service holds
+	}{
+		{"cold", func() string { return "" }, false, 0},
+		{"checkpoint and tail", func() string { return write("", opsAlgos()) }, false, 3},
+		{"class added since the checkpoint", func() string { return write("", noLCC) }, false, 3},
+		{"class quarantined at the cut", func() string { return write("cc", opsAlgos()) }, false, 3},
+		{"replica", func() string { return write("", opsAlgos()) }, true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := NewService()
+			defer svc.Close()
+			inj := faults.New()
+			if _, _, err := Start(svc, tc.dir(), opsAlgos(), opsBuild, func() (*graph.Graph, error) { return opsBase(), nil },
+				Options{BeforeApply: inj.BeforeApply}, tc.replica, true); err != nil {
+				t.Fatal(err)
+			}
+			shared(t, "started", svc, mirrorAt(tc.chunks))
+
+			// bc, the first class by name, panics before it takes the
+			// next chunk's round; sssp verifies itself after it.
+			inj.PanicOn("bc", 1)
+			if err := submitWait(svc, chunk(tc.chunks)); err != nil {
+				t.Fatal(err)
+			}
+			if st := svc.Get("bc").Stats(); st.Panics != 1 || st.Heals != 1 {
+				t.Errorf("bc: %d panics, %d heals; want 1, 1", st.Panics, st.Heals)
+			}
+			if diverged, err := svc.Get("sssp").Verify(); diverged || err != nil {
+				t.Errorf("sssp.Verify: diverged %v, %v", diverged, err)
+			}
+			shared(t, "healed and verified", svc, mirrorAt(tc.chunks+1))
+		})
+	}
+}
+
+// TestStartHeapOneStore is the memory half of TestStartSharesOneStore:
+// the five classes a six-class start holds beyond a one-class start's
+// take less live heap between them than one more copy of the graph and
+// its Flat view would.
+func TestStartHeapOneStore(t *testing.T) {
+	generate := func() *graph.Graph {
+		g := gen.PowerLaw(rand.New(rand.NewSource(3)), 8000, 32, false)
+		for v := 0; v < g.NumNodes(); v++ {
+			g.SetLabel(graph.NodeID(v), graph.Label('a'+v%3))
+		}
+		return g
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// held returns the live heap what make returns holds.
+	held := func(make func() any) int64 {
+		before := liveHeap()
+		v := make()
+		after := liveHeap()
+		runtime.KeepAlive(v)
+		return after - before
+	}
+	start := func(algos []string) any {
+		svc := NewService()
+		t.Cleanup(svc.Close)
+		if _, _, err := Start(svc, "", algos, opsBuild, func() (*graph.Graph, error) { return generate(), nil }, Options{}, false, false); err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	copyHeap := held(func() any { g := generate(); return []any{g, graph.NewFlat(g)} })
+	one := held(func() any { return start([]string{"sssp"}) })
+	six := held(func() any { return start(opsAlgos()) })
+	t.Logf("one class %d KB, six classes %d KB, a Graph and its Flat %d KB", one>>10, six>>10, copyHeap>>10)
+	if six-one >= copyHeap {
+		t.Errorf("five more classes hold %d KB, more than the %d KB of a Graph and its Flat", (six-one)>>10, copyHeap>>10)
 	}
 }

@@ -218,9 +218,10 @@ func TestFollowerSurvivesDeadPrimary(t *testing.T) {
 // fence absorbs the panic and heals by batch recompute over the graph with
 // that record applied, the follower keeps submitting, and the replica ends
 // at the primary's epoch with the primary's answers. The injected panic
-// strikes either before the record reaches the maintainer's graph, so the
-// heal must apply it, or after the graph took it, as a panic inside
-// Apply's repair does, so re-applying it must change nothing.
+// strikes either before the maintainer takes the record's round of its
+// graph, so the heal must advance the graph, or after the graph took the
+// round, as a panic inside Apply's repair does, so the heal must not
+// advance it again.
 func TestFollowerIsolatesReplayPanic(t *testing.T) {
 	t.Run("before-graph", func(t *testing.T) { testFollowerReplayPanic(t, false) })
 	t.Run("after-graph", func(t *testing.T) { testFollowerReplayPanic(t, true) })
@@ -240,7 +241,8 @@ func testFollowerReplayPanic(t *testing.T, afterGraph bool) {
 		BeforeApply: func(algo string, b graph.Batch) {
 			if applies++; applies == panicAt {
 				if afterGraph {
-					ssspGraph.Apply(b) // in the apply loop, the graph's one writer
+					seen := ssspGraph.Round()
+					ssspGraph.Advance(&seen, b) // in the apply loop, the graph's one writer
 				}
 				panic("injected: sssp repair")
 			}

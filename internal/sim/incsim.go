@@ -39,13 +39,14 @@ type Inc struct {
 	stats   fixpoint.Stats
 	tracer  fixpoint.Tracer
 	pending graph.Batch
+	round   uint64 // the last round of the data graph this maintainer took
 }
 
 // NewInc computes the initial maximum simulation with timestamp recording
 // and returns the algorithm.
 func NewInc(g, q *graph.Graph) *Inc {
 	s := newSimState(g, q, true)
-	i := &Inc{simState: s}
+	i := &Inc{simState: s, round: g.Round()}
 	i.led.Grow(len(s.r))
 	i.hq = pq.New(len(s.r), func(a, b int32) bool { return i.ts[a] < i.ts[b] })
 	// Record cascade retractions in the ledger (a retracted pair was true
@@ -139,11 +140,11 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG for any sequence b without repairing the
-// relation, letting benchmarks time Repair separately from the graph
-// mutation every method needs.
+// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// graph.Graph.Advance) without repairing the relation, letting benchmarks
+// time Repair separately from the graph mutation every method needs.
 func (i *Inc) Stage(b graph.Batch) {
-	i.pending = append(i.pending, i.g.Apply(b)...)
+	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
 	i.grow()
 	i.led.Grow(len(i.r))
 	i.hq.Grow(len(i.r))

@@ -33,9 +33,10 @@ import (
 // goes through internal/serve, which gives each maintainer one apply
 // loop and publishes immutable snapshots to readers.
 type Inc struct {
-	g    *graph.Graph
-	flat *graph.Flat // sorted-span adjacency every Repair loop reads
-	src  graph.NodeID
+	g     *graph.Graph
+	flat  *graph.Flat // g's sorted-span adjacency, which every Repair loop reads
+	round uint64      // the last round of g this maintainer took
+	src   graph.NodeID
 
 	dist []int64
 	wq   *pq.Heap // step-function queue, keyed by current distance
@@ -55,7 +56,7 @@ type Inc struct {
 // NewInc runs Dijkstra and returns the incremental algorithm positioned
 // at its fixpoint.
 func NewInc(g *graph.Graph, src graph.NodeID) *Inc {
-	i := &Inc{g: g, flat: graph.NewFlat(g), src: src, dist: Dijkstra(g, src)}
+	i := &Inc{g: g, flat: g.Flat(), round: g.Round(), src: src, dist: Dijkstra(g, src)}
 	n := g.NumNodes()
 	i.wq = pq.New(n, func(a, b int32) bool { return i.dist[a] < i.dist[b] })
 	i.hq = pq.New(n, func(a, b int32) bool { return i.hkey[a] < i.hkey[b] })
@@ -68,11 +69,6 @@ func NewInc(g *graph.Graph, src graph.NodeID) *Inc {
 
 // Graph returns the maintained graph.
 func (i *Inc) Graph() *graph.Graph { return i.g }
-
-// Flat returns the maintainer's flat adjacency view: dead space and
-// compaction counts for observability, SetCompactThreshold for tests that
-// force a compaction regime.
-func (i *Inc) Flat() *graph.Flat { return i.flat }
 
 // Source returns the node distances are measured from.
 func (i *Inc) Source() graph.NodeID { return i.src }
@@ -117,14 +113,11 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG for any sequence b without repairing, so
-// benchmarks can time Repair — the algorithm proper — separately from
-// graph mutation.
+// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// graph.Graph.Advance) without repairing, so benchmarks can time Repair —
+// the algorithm proper — separately from graph mutation.
 func (i *Inc) Stage(b graph.Batch) {
-	applied := i.g.Apply(b)
-	i.pending = append(i.pending, applied...)
-	i.flat.Stage(i.g, applied)
-	i.flat.MaybeCompact(i.g)
+	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
 	for len(i.dist) < i.g.NumNodes() {
 		i.dist = append(i.dist, Infinity)
 		i.hkey = append(i.hkey, 0)
