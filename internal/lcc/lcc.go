@@ -1,17 +1,20 @@
 // Package lcc implements local clustering coefficients (§5.3 of the
 // paper) on undirected graphs: the batch fixpoint algorithm LCC_fp over
 // the status variables d_v (degree) and λ_v (incident triangles), the
-// deducible incremental algorithm IncLCC that recomputes exactly the
-// potentially-affected variables (the endpoints of each changed edge and
-// their common neighbors: the variables with that edge in their input
-// set), and the streaming competitor DynLCC (Ediger et al. style exact
-// per-edge delta maintenance).
+// deducible incremental algorithm IncLCC, and the streaming competitor
+// DynLCC (Ediger et al. style exact per-edge delta maintenance). IncLCC's
+// scope is the potentially-affected variables — the endpoints of each
+// changed edge and their common neighbors: the variables with that edge in
+// their input set — and it repairs them by the derivative of the count:
+// a changed edge (a, b) moves λ_a and λ_b by ±|N(a) ∩ N(b)| and each common
+// neighbor's λ by ±1.
 //
 // γ_v = 2·λ_v / (d_v·(d_v − 1)); nodes of degree < 2 have γ_v = 0.
 package lcc
 
 import (
 	"fmt"
+	"slices"
 
 	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
@@ -123,19 +126,26 @@ func run(f *graph.Flat, n int) *Result {
 // the input-set rule of Fig. 4: an edge (u, v) is in the input set of d_u,
 // d_v, λ_u, λ_v and of λ_w for exactly the common neighbors w of u and v,
 // so those are the variables a changed edge makes potentially affected.
-// A triangle that exists on one side of an update only has a changed
-// edge, and its third corner is a common neighbor of that edge on the side
-// where the triangle exists: before the Stage for a deletion, after it for
-// an insertion. Repair takes the common neighbors of every changed edge on
-// the graph as it is then, after the batch, for deletions too: a node that
-// is a common neighbor on one of the two graphs only has a changed edge to
-// one of the endpoints, so it is in the scope as an endpoint of that
-// update either way. The scope is recomputed with the original update
-// functions and nothing else — no auxiliary structure at all (§5.3).
 //
-// Adjacency is read through the graph's Flat view, as in dfs and bc:
-// sorted struct-of-arrays rows let a recount stop each neighbor row at the
-// neighbor's own id, which visits every triangle once.
+// Repair does not recount λ over that scope: it applies the derivative of
+// the count. A triangle that exists on one side of an update (a, b) only
+// contains the edge (a, b), and its third corner is a common neighbor w
+// of a and b — the same set on both sides, since the update changes no
+// edge between w and a or b. So the update moves λ_a and λ_b by
+// ±|N(a) ∩ N(b)| and each λ_w by ±1, insertions up and deletions down.
+// Repair walks the applied updates of its Stages in reverse over the
+// graph as it is after them (the shared Flat) and an overlay of the
+// updates it has walked, so update k reads the rows of G_k, the graph
+// right after it: the raw sequence stays exact, churn included, with no
+// netting. d_v is read from the graph.
+//
+// The nodes credited that way are the scope of the input-set rule taken
+// on the graph after the batch: a node that is a common neighbor of an
+// update's endpoints in G_k and not after the batch (or the other way
+// round) has a later update on an edge to one of them, so it is in the
+// scope as an endpoint of that update either way. The maintained state is
+// d_v and λ_v and nothing else — no auxiliary structure (§5.3); the
+// overlay lives for one Repair.
 //
 // An Inc is not goroutine-safe: it (and the graph it owns) must be
 // driven by a single writer goroutine making every call, reads included —
@@ -147,19 +157,27 @@ type Inc struct {
 	flat  *graph.Flat
 	round uint64 // the last round of g this maintainer took
 	r     *Result
-	// mark/epoch stamp one neighborhood at a time: the row a common-
-	// neighbor scan or a recount tests membership in.
+	// mark/epoch stamp one neighborhood at a time: that of an update's
+	// first endpoint in G_k.
 	mark  []int64
 	epoch int64
 	// pending holds the applied updates of the Stages since the last
 	// Repair.
 	pending graph.Batch
 	// The scope is an epoch-marked dense set (mark array + list) that
-	// Repair builds, and Written hands out until the next Repair.
+	// Repair builds, and Written hands out until the next Repair. dtri and
+	// head hold Repair's scratch for the nodes in it: λ_v's change so far,
+	// and v's overlay — the entry of its last-walked update, or -1.
 	scopeMark  []int64
 	scopeEpoch int64
 	scope      []int32
-	stats      fixpoint.Stats
+	dtri       []int64
+	head       []int32
+	// next links the overlay: entry 2k (2k+1) stands for update k at its
+	// From (To) endpoint, and next[e] is the entry of the update walked
+	// before it at the same node, or -1.
+	next  []int32
+	stats fixpoint.Stats
 }
 
 // NewInc runs the batch algorithm and returns the incremental one.
@@ -169,6 +187,7 @@ func NewInc(g *graph.Graph) *Inc {
 		g: g, flat: f, round: g.Round(), r: run(f, n),
 		mark:      make([]int64, n),
 		scopeMark: make([]int64, n), scopeEpoch: 1,
+		dtri: make([]int64, n), head: make([]int32, n),
 	}
 }
 
@@ -178,15 +197,16 @@ func (i *Inc) Graph() *graph.Graph { return i.g }
 // Result returns the maintained status (aliased).
 func (i *Inc) Result() *Result { return i.r }
 
-// Written lists the nodes the last Apply (or Repair) recounted, each once:
-// its scope, a superset of the nodes whose d_v or λ_v changed. It aliases
-// internal state, allocates nothing, and is valid until the next Apply.
+// Written lists the scope of the last Apply (or Repair), each node once:
+// the endpoints of its updates and their common neighbors, a superset of
+// the nodes whose d_v or λ_v changed. It aliases internal state,
+// allocates nothing, and is valid until the next Apply.
 func (i *Inc) Written() []int32 { return i.scope }
 
 // Stats exposes the work account: per Repair the ledger gains the applied
-// updates (Touched), the recounted nodes (Aff) and those of them whose d_v
-// or λ_v came out different (Changed); Reads counts the adjacency row
-// entries scanned.
+// updates (Touched), the scope (Aff) and the nodes of it whose d_v or λ_v
+// came out different (Changed); Reads counts the Flat row entries
+// scanned, the rows of both endpoints once per applied update.
 func (i *Inc) Stats() fixpoint.Stats { return i.stats }
 
 // RestoreState overwrites the maintained status with one exported from a
@@ -202,19 +222,19 @@ func (i *Inc) RestoreState(deg []int32, tri []int64) error {
 	return nil
 }
 
-// Apply computes G ⊕ ΔG for any sequence of unit updates b and recomputes
-// the scope. It returns the number of λ recomputations, the
-// affected-area measure.
+// Apply computes G ⊕ ΔG for any sequence of unit updates b and repairs
+// the status. It returns the size of the scope, the affected-area
+// measure.
 func (i *Inc) Apply(b graph.Batch) int {
 	i.Stage(b)
 	return i.Repair()
 }
 
 // Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
-// graph.Graph.Advance) without recounting. Updates that change nothing —
+// graph.Graph.Advance) without repairing. Updates that change nothing —
 // deleting an absent edge, inserting a present one — are not in the
 // round's applied list and add nothing to the scope. The batch needs no
-// netting: the rule holds for any sequence.
+// netting: the derivative holds for any sequence.
 func (i *Inc) Stage(b graph.Batch) {
 	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
 }
@@ -226,6 +246,8 @@ func (i *Inc) grow() {
 	for len(i.mark) < n {
 		i.mark = append(i.mark, 0)
 		i.scopeMark = append(i.scopeMark, 0)
+		i.dtri = append(i.dtri, 0)
+		i.head = append(i.head, 0)
 	}
 }
 
@@ -234,35 +256,41 @@ func (i *Inc) add(v graph.NodeID) {
 	if i.scopeMark[v] != i.scopeEpoch {
 		i.scopeMark[v] = i.scopeEpoch
 		i.scope = append(i.scope, int32(v))
+		i.dtri[v], i.head[v] = 0, -1
 	}
 }
 
-// stamp marks v's neighbors in the flat view with a fresh epoch.
-func (i *Inc) stamp(v graph.NodeID) {
-	i.epoch++
-	ts, _, _, _ := i.flat.OutSpans(v)
-	i.stats.Reads += int64(len(ts))
-	for _, x := range ts {
-		i.mark[x] = i.epoch
-	}
+// credit puts v in the scope and adds d to λ_v's change.
+func (i *Inc) credit(v graph.NodeID, d int64) {
+	i.add(v)
+	i.dtri[v] += d
 }
 
-// addCommon puts the common neighbors of u and v in the flat view into
-// the scope, in O(d_u + d_v).
-func (i *Inc) addCommon(u, v graph.NodeID) {
-	i.stamp(u)
-	ts, _, _, _ := i.flat.OutSpans(v)
-	i.stats.Reads += int64(len(ts))
-	for _, x := range ts {
-		if i.mark[x] == i.epoch {
-			i.add(x)
-		}
+// other returns the endpoint of overlay entry e's update that is not the
+// node whose overlay holds e.
+func other(applied graph.Batch, e int32) graph.NodeID {
+	u := applied[e>>1]
+	if e&1 == 0 {
+		return u.To
 	}
+	return u.From
 }
 
-// Repair puts into the scope the endpoints and the common neighbors of
-// every staged update, on the graph as it is now, and recomputes d_v and
-// λ_v over it.
+// sign is +1 for an insertion and -1 for a deletion.
+func sign(u graph.Update) int64 {
+	if u.Kind == graph.InsertEdge {
+		return 1
+	}
+	return -1
+}
+
+// Repair walks the applied updates of the Stages since the last Repair
+// from the last to the first. Before update k = (a, b) is walked, the
+// overlay holds the updates after it, so a row of the Flat corrected by
+// its node's overlay is the row in G_k. Update k then credits ±1 to every
+// common neighbor w of a and b there and ±|N(a) ∩ N(b)| to a and b, and
+// joins the overlay. Finally d_v is read from the graph for every node in
+// the scope, and λ_v takes its accumulated change.
 func (i *Inc) Repair() int {
 	applied := i.pending
 	i.pending = i.pending[:0]
@@ -272,10 +300,18 @@ func (i *Inc) Repair() int {
 	if len(applied) == 0 {
 		return 0
 	}
-	for _, u := range applied {
-		i.add(u.From)
-		i.add(u.To)
-		i.addCommon(u.From, u.To)
+	i.next = slices.Grow(i.next[:0], 2*len(applied))[:2*len(applied)]
+	for k := len(applied) - 1; k >= 0; k-- {
+		u := applied[k]
+		a, b, sgn := u.From, u.To, sign(u)
+		i.add(a) // before common reads their overlays
+		i.add(b)
+		c := i.common(applied, a, b, sgn)
+		i.dtri[a] += sgn * c
+		i.dtri[b] += sgn * c
+		e := int32(2 * k)
+		i.next[e], i.head[a] = i.head[a], e
+		i.next[e+1], i.head[b] = i.head[b], e+1
 	}
 	led := &i.stats.Ledger
 	led.Runs++
@@ -283,42 +319,55 @@ func (i *Inc) Repair() int {
 	led.Aff += int64(len(i.scope))
 	led.RecomputeEst = int64(i.g.NumNodes())
 	for _, v := range i.scope {
-		d, tri := int32(i.g.Degree(graph.NodeID(v))), i.countTriangles(graph.NodeID(v))
-		if d != i.r.Deg[v] || tri != i.r.Tri[v] {
-			i.r.Deg[v], i.r.Tri[v] = d, tri
+		d, dt := int32(i.g.Degree(graph.NodeID(v))), i.dtri[v]
+		if d != i.r.Deg[v] || dt != 0 {
+			i.r.Deg[v] = d
+			i.r.Tri[v] += dt
 			led.Changed++
 		}
 	}
 	return len(i.scope)
 }
 
-// countTriangles recomputes λ_v: with v's neighbors stamped, every
-// neighbor x contributes its stamped neighbors below x, so each triangle
-// {v, x, y} is seen once, from its larger corner.
-func (i *Inc) countTriangles(v graph.NodeID) int64 {
-	i.stamp(v)
-	ts, _, _, _ := i.flat.OutSpans(v)
-	var cnt int64
-	for _, x := range ts {
-		cnt += i.stampedBelow(x)
-	}
-	return cnt
-}
-
-// stampedBelow counts x's neighbors y < x that carry the current stamp:
-// x's sorted row up to x's own position.
-func (i *Inc) stampedBelow(x graph.NodeID) int64 {
-	ts, _, _, _ := i.flat.OutSpans(x)
+// common returns |N(a) ∩ N(b)| in the graph the overlay describes and
+// credits sgn to each node of the intersection. N(a) is stamped exactly:
+// a's row, each overlay entry at a toggling its neighbor (the updates of
+// one edge alternate between insertion and deletion). N(b) is counted
+// linearly instead — membership in b's row, less the sign of every
+// overlay entry at b — so a node may be credited and debited the same
+// amount, and it is then an endpoint of that entry's update, in the scope
+// either way.
+func (i *Inc) common(applied graph.Batch, a, b graph.NodeID, sgn int64) int64 {
+	i.epoch++
 	mark, epoch := i.mark, i.epoch
-	var cnt int64
-	k := 0
-	for ; k < len(ts) && ts[k] < x; k++ {
-		if mark[ts[k]] == epoch {
-			cnt++
+	ts, _, _, _ := i.flat.OutSpans(a)
+	for _, x := range ts {
+		mark[x] = epoch
+	}
+	for e := i.head[a]; e >= 0; e = i.next[e] {
+		if x := other(applied, e); mark[x] == epoch {
+			mark[x] = 0
+		} else {
+			mark[x] = epoch
 		}
 	}
-	i.stats.Reads += int64(k)
-	return cnt
+	var c int64
+	rs, _, _, _ := i.flat.OutSpans(b)
+	i.stats.Reads += int64(len(ts) + len(rs))
+	for _, x := range rs {
+		if mark[x] == epoch {
+			i.credit(x, sgn)
+			c++
+		}
+	}
+	for e := i.head[b]; e >= 0; e = i.next[e] {
+		if x := other(applied, e); mark[x] == epoch {
+			s := sign(applied[e>>1])
+			i.credit(x, -s*sgn)
+			c -= s
+		}
+	}
+	return c
 }
 
 // DynLCC is the streaming competitor (Ediger et al.): every unit update

@@ -57,7 +57,7 @@ func sorted(s []int32) []int32 {
 
 // checkRepair stages the batches on inc one by one, repairs once, and
 // holds the outcome against the definitions: the status against Run and
-// Brute, the recounted set against inputSetScope, the ledger against a
+// Brute, the written scope against inputSetScope, the ledger against a
 // before/after comparison of the status.
 func checkRepair(inc *Inc, batches ...graph.Batch) error {
 	before := inc.Result().clone()
@@ -82,7 +82,7 @@ func checkRepair(inc *Inc, batches ...graph.Batch) error {
 	}
 	want := inputSetScope(stages, g)
 	if got := sorted(inc.Written()); !slices.Equal(got, want) {
-		return fmt.Errorf("recounted %v, the input-set rule gives %v", got, want)
+		return fmt.Errorf("scope %v, the input-set rule gives %v", got, want)
 	}
 	if pe != len(want) {
 		return fmt.Errorf("Repair returned %d for a scope of %d", pe, len(want))
@@ -99,7 +99,7 @@ func checkRepair(inc *Inc, batches ...graph.Batch) error {
 		if before.Deg[v] != inc.Result().Deg[v] || before.Tri[v] != inc.Result().Tri[v] {
 			changed++
 			if !inScope[int32(v)] {
-				return fmt.Errorf("node %d changed outside the recounted set", v)
+				return fmt.Errorf("node %d changed outside the scope", v)
 			}
 		}
 	}
@@ -195,7 +195,7 @@ func TestScopeHardCases(t *testing.T) {
 	cases := []struct {
 		name   string
 		stages []graph.Batch
-		want   []int32 // the recounted set
+		want   []int32 // the scope
 	}{
 		{"one edge of two triangles", []graph.Batch{{del(1, 2)}}, []int32{0, 1, 2, 3}},
 		{"two edges of one triangle, one batch", []graph.Batch{{del(0, 1), del(0, 2)}}, []int32{0, 1, 2}},
@@ -227,7 +227,7 @@ func TestScopeHardCases(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 		}
 		if got := sorted(inc.Written()); !slices.Equal(got, c.want) {
-			t.Errorf("%s: recounted %v, want %v", c.name, got, c.want)
+			t.Errorf("%s: scope %v, want %v", c.name, got, c.want)
 		}
 	}
 
@@ -238,7 +238,7 @@ func TestScopeHardCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := sorted(inc.Written()); !slices.Equal(got, []int32{0, 1, int32(v)}) {
-			t.Fatalf("recounted %v", got)
+			t.Fatalf("scope %v", got)
 		}
 	})
 
@@ -258,15 +258,15 @@ func TestScopeHardCases(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := len(inc.Written()); got != leaves+2 {
-				t.Fatalf("%v recounted %d nodes, want the hubs and their %d common leaves", b, got, leaves)
+				t.Fatalf("%v has a scope of %d nodes, want the hubs and their %d common leaves", b, got, leaves)
 			}
 		}
 	})
 }
 
 // TestScopeBoundedOnBurst is the boundedness guard on the benchmark's
-// burst shape: a batch recounts its endpoints and the common neighbors of
-// its edges, a small part of the graph — where the one-hop rule this
+// burst shape: a batch's scope is its endpoints and the common neighbors
+// of its edges, a small part of the graph — where the one-hop rule this
 // replaced recounted 5,600 of the 6,000 nodes.
 func TestScopeBoundedOnBurst(t *testing.T) {
 	g := gen.BurstGraph()
@@ -290,7 +290,7 @@ func TestScopeBoundedOnBurst(t *testing.T) {
 			}
 		}
 		if pe > bound || pe >= gen.BurstNodes/4 {
-			t.Fatalf("round %d: %d nodes recounted; bound 2·|applied| + Σ|common| = %d, |V|/4 = %d", round, pe, bound, gen.BurstNodes/4)
+			t.Fatalf("round %d: a scope of %d nodes; bound 2·|applied| + Σ|common| = %d, |V|/4 = %d", round, pe, bound, gen.BurstNodes/4)
 		}
 		if !inc.Result().Equal(Run(post)) {
 			t.Fatalf("round %d: result differs from Run", round)

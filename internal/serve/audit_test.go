@@ -124,7 +124,7 @@ func TestAdapterLedgersAllClasses(t *testing.T) {
 		res := s.Apply(batch)
 		checkLedger(t, "lcc", res, g, len(batch))
 		// Both inserts apply; no two of their endpoints 0, 4, 5 share a
-		// neighbor, so those three are recounted, and each gained a degree.
+		// neighbor, so those three are the scope, and each gained a degree.
 		if led := res.Ledger; led.Touched != 2 || led.Aff != 3 || led.Changed != 3 || res.Affected != 3 || !res.HasStats {
 			t.Errorf("lcc: touched/aff/changed = %d/%d/%d, affected %d, stats %v; want 2/3/3, 3, true",
 				led.Touched, led.Aff, led.Changed, res.Affected, res.HasStats)

@@ -696,9 +696,9 @@ func BenchmarkViewWrite(b *testing.B) {
 }
 
 // TestDerivedPageLCCWrittenList: the LCC adapter publishes from the
-// maintainer's recounted set. After one apply, Snapshot replaces only
-// pages that hold a recounted node — in all three vectors, γ included,
-// which is derived at the recounted nodes alone — and the view is the one a
+// maintainer's written scope. After one apply, Snapshot replaces only
+// pages that hold a written node — in all three vectors, γ included,
+// which is derived at the written nodes alone — and the view is the one a
 // maintainer freshly built on the same graph publishes. When no list
 // describes the change (two applies between snapshots, Recompute,
 // RestoreState) the adapter compares instead, and the view is still that.
@@ -726,7 +726,7 @@ func TestDerivedPageLCCWrittenList(t *testing.T) {
 	}
 	prev := checkFresh("initially")
 
-	// One apply inside page 3: the recounted nodes sit in that page.
+	// One apply inside page 3: the written nodes sit in that page.
 	at := graph.NodeID(3*pageSize + 100)
 	m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: at, To: at + 1}, {Kind: graph.InsertEdge, From: at, To: at + 5, W: 1}})
 	holds := map[int]bool{}
@@ -734,13 +734,13 @@ func TestDerivedPageLCCWrittenList(t *testing.T) {
 		holds[int(v)>>pageShift] = true
 	}
 	if len(inc.Written()) == 0 || len(holds) != 1 {
-		t.Fatalf("recounted %v: want a non-empty set within page 3", inc.Written())
+		t.Fatalf("written %v: want a non-empty set within page 3", inc.Written())
 	}
 	cur := checkFresh("after one apply")
 	for k := 0; k < cur.Deg.numPages(); k++ {
 		copied := cur.Deg.page(k) != prev.Deg.page(k) || cur.Tri.page(k) != prev.Tri.page(k) || cur.Gamma.page(k) != prev.Gamma.page(k)
 		if copied && !holds[k] {
-			t.Errorf("page %d was copied and holds no recounted node", k)
+			t.Errorf("page %d was copied and holds no written node", k)
 		}
 	}
 	if c := publishDelta(prev, cur); c.pages != 3 || c.total != 3*n/pageSize {
