@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/gob"
 	"io"
 	"slices"
 	"sort"
@@ -20,8 +19,8 @@ import (
 // (Graph, Apply, Stats, Written), the way the paper builds every class: a
 // batch fixpoint algorithm, its incremental form, and the auxiliary state
 // a restart must keep. A class supplies a descriptor of four parts — its
-// name, its batch constructor, a view builder, and its state envelope's
-// export and restore — and the adapter owns the rest.
+// name, its batch constructor, a view builder, and the export and restore
+// of its state vectors — and the adapter owns the rest.
 //
 // Publication: the maintainers alias internal state from their accessors
 // (Dist, Labels, …) and keep mutating it across Apply calls, so a published
@@ -44,18 +43,18 @@ import (
 // same ledger by hand (Touched, Aff, AffEdges, Changed: see each
 // maintainer's Stats).
 //
-// PersistState/RestoreState serialize the class's state envelope as a gob
-// blob for durability checkpoints. What each class persists is exactly what
-// Theorem 1's weak deducibility says it must keep beyond the answer itself:
-// the engine-backed classes persist their timestamps and clock (the anchor
-// order <_C), sim its falsification timestamps, dfs/lcc nothing beyond the
-// interval/status variables, and bc its three per-node arrays (flags,
-// blocks, DFS numbers). The envelope types' names and fields are the
-// checkpoint format. Recompute rebuilds the maintainer with the batch
-// constructor over the current graph — the self-healing and
-// recovery-verification path — after laying the graph's Flat view out
-// again from its rows, so the rerun does not read what the repairs it
-// checks read.
+// PersistState/RestoreState write and read the class's state for
+// durability checkpoints in the state codec (state.go). What each class
+// persists is exactly what Theorem 1's weak deducibility says it must keep
+// beyond the answer itself: cc its timestamps and clock (the anchor order
+// <_C), sim its support counters, falsification timestamps and clock
+// (§5.1), sssp, dfs and lcc nothing beyond the distance, interval and
+// status variables (§5.2, §5.3), and bc its three per-node arrays (flags,
+// and the blocks and DFS numbers the edge partition is read off).
+// Recompute rebuilds the maintainer with the batch constructor over the
+// current graph — the self-healing and recovery-verification path — after
+// laying the graph's Flat view out again from its rows, so the rerun does
+// not read what the repairs it checks read.
 
 // maintainer is what the adapter needs of an incremental maintainer.
 // Written lists the indices (nodes, or sim's pairs) the last Apply wrote,
@@ -67,18 +66,18 @@ type maintainer interface {
 	Written() []int32
 }
 
-// adapter serves one class: M is its maintainer, V its published view and
-// S its checkpoint envelope.
-type adapter[M maintainer, V, S any] struct {
+// adapter serves one class: M is its maintainer and V its published view.
+type adapter[M maintainer, V any] struct {
 	// The class's descriptor.
 	name string
 	// batch runs the batch algorithm over m's graph.
 	batch func(m M) M
 	// view builds the next view from the last published one and the
 	// indices written since (nil: unknown).
-	view    func(m M, last V, written []int32) V
-	export  func(m M) S
-	restore func(m M, st S) (M, error)
+	view func(m M, last V, written []int32) V
+	// export and restore: the class's fields of a classState.
+	export  func(m M) *classState
+	restore func(m M, st *classState) error
 
 	m    M
 	last V // last published
@@ -113,11 +112,11 @@ func (p *pubState) written(w []int32) []int32 {
 	return nil
 }
 
-func (a *adapter[M, V, S]) Algo() string        { return a.name }
-func (a *adapter[M, V, S]) Graph() *graph.Graph { return a.m.Graph() }
+func (a *adapter[M, V]) Algo() string        { return a.name }
+func (a *adapter[M, V]) Graph() *graph.Graph { return a.m.Graph() }
 
 // Written is the maintainer's written list of its last Apply.
-func (a *adapter[M, V, S]) Written() []int32 { return a.m.Written() }
+func (a *adapter[M, V]) Written() []int32 { return a.m.Written() }
 
 // Apply runs one Apply and packages the affected count with the counter
 // delta attributable to it. The per-apply work ledger rides the same Stats
@@ -125,7 +124,7 @@ func (a *adapter[M, V, S]) Written() []int32 { return a.m.Written() }
 // the adapter completes the cost model with the two quantities only the
 // serving layer knows — |ΔG| (the net batch size) and the recompute
 // estimate (nodes + edges of the graph after the apply).
-func (a *adapter[M, V, S]) Apply(b graph.Batch) ApplyResult {
+func (a *adapter[M, V]) Apply(b graph.Batch) ApplyResult {
 	a.pub.applied()
 	before := a.m.Stats()
 	aff := a.m.Apply(b)
@@ -137,27 +136,30 @@ func (a *adapter[M, V, S]) Apply(b graph.Batch) ApplyResult {
 	return res
 }
 
-func (a *adapter[M, V, S]) Snapshot() any {
+func (a *adapter[M, V]) Snapshot() any {
 	a.last = a.view(a.m, a.last, a.pub.written(a.m.Written()))
 	return a.last
 }
 
-func (a *adapter[M, V, S]) PersistState(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(a.export(a.m))
-}
-
-func (a *adapter[M, V, S]) RestoreState(r io.Reader) error {
-	var st S
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
-	}
-	a.pub.unknown()
-	m, err := a.restore(a.m, st)
-	a.m = m
+func (a *adapter[M, V]) PersistState(w io.Writer) error {
+	_, err := w.Write(appendState(nil, classVecs[a.name], a.export(a.m)))
 	return err
 }
 
-func (a *adapter[M, V, S]) Recompute() {
+func (a *adapter[M, V]) RestoreState(r io.Reader) error {
+	var st classState
+	data, err := io.ReadAll(r)
+	if err == nil {
+		err = decodeState(data, classVecs[a.name], &st)
+	}
+	if err != nil {
+		return err
+	}
+	a.pub.unknown()
+	return a.restore(a.m, &st)
+}
+
+func (a *adapter[M, V]) Recompute() {
 	a.pub.unknown()
 	a.m.Graph().Relayout()
 	a.m = a.batch(a.m)
@@ -165,7 +167,7 @@ func (a *adapter[M, V, S]) Recompute() {
 
 // SetTracer forwards the engine's span hook to a maintainer that takes one
 // (sssp, cc, sim); for the others it is a no-op.
-func (a *adapter[M, V, S]) SetTracer(t fixpoint.Tracer) {
+func (a *adapter[M, V]) SetTracer(t fixpoint.Tracer) {
 	if ts, ok := any(a.m).(tracerSetter); ok {
 		ts.SetTracer(t)
 	}
@@ -184,22 +186,17 @@ func (v SSSPView) viewFields(lo, hi int) []viewField {
 	return []viewField{{name: "src", num: int64(v.Src)}, {name: "dist", vec: cutOf(v.Dist, lo, hi)}}
 }
 
-// ssspState is the gob envelope of PersistState: the distances are
-// IncSSSP's complete incremental state (deducible; <_C is distance
-// order).
-type ssspState struct{ Dist []int64 }
-
 // SSSP adapts an IncSSSP maintainer; the view's source is the maintainer's.
 func SSSP(inc *sssp.Inc) Serveable {
-	return &adapter[*sssp.Inc, SSSPView, ssspState]{
+	return &adapter[*sssp.Inc, SSSPView]{
 		name:  "sssp",
 		m:     inc,
 		batch: func(m *sssp.Inc) *sssp.Inc { return sssp.NewInc(m.Graph(), m.Source()) },
 		view: func(m *sssp.Inc, last SSSPView, written []int32) SSSPView {
 			return SSSPView{Src: m.Source(), Dist: last.Dist.Update(m.Dist(), written)}
 		},
-		export:  func(m *sssp.Inc) ssspState { return ssspState{Dist: m.Dist()} },
-		restore: func(m *sssp.Inc, st ssspState) (*sssp.Inc, error) { return m, m.RestoreState(st.Dist) },
+		export:  func(m *sssp.Inc) *classState { return &classState{Dist: m.Dist()} },
+		restore: func(m *sssp.Inc, st *classState) error { return m.RestoreState(st.Dist) },
 	}
 }
 
@@ -214,30 +211,20 @@ func (v CCView) viewFields(lo, hi int) []viewField {
 	return []viewField{{name: "labels", vec: cutOf(v.Labels, lo, hi)}}
 }
 
-// ccState is the gob envelope of PersistState: labels plus the engine's
-// timestamps and clock, which carry the anchor order <_C across a
-// restart.
-type ccState struct {
-	Labels, TS []int64
-	Clock      int64
-}
-
 // CC adapts an IncCC maintainer.
 func CC(inc *cc.Inc) Serveable {
-	return &adapter[*cc.Inc, CCView, ccState]{
+	return &adapter[*cc.Inc, CCView]{
 		name:  "cc",
 		m:     inc,
 		batch: func(m *cc.Inc) *cc.Inc { return cc.NewInc(m.Graph()) },
 		view: func(m *cc.Inc, last CCView, written []int32) CCView {
 			return CCView{Labels: last.Labels.Update(m.Labels(), written)}
 		},
-		export: func(m *cc.Inc) ccState {
+		export: func(m *cc.Inc) *classState {
 			labels, ts, clock := m.ExportState()
-			return ccState{Labels: labels, TS: ts, Clock: clock}
+			return &classState{Labels: labels, TS: ts, Clock: clock}
 		},
-		restore: func(m *cc.Inc, st ccState) (*cc.Inc, error) {
-			return m, m.RestoreState(st.Labels, st.TS, st.Clock)
-		},
+		restore: func(m *cc.Inc, st *classState) error { return m.RestoreState(st.Labels, st.TS, st.Clock) },
 	}
 }
 
@@ -265,17 +252,6 @@ func (v SimView) viewFields(lo, hi int) []viewField {
 	return []viewField{{name: "nq", num: int64(v.NQ)}, {name: "count", num: int64(v.Count)}, {name: "matches", list: list}}
 }
 
-// simState is the gob envelope of PersistState: the match relation, the
-// support counters, and the falsification timestamps — IncSim's
-// auxiliary structure, which is what makes it only weakly deducible
-// (§5.1).
-type simState struct {
-	R     []bool
-	Cnt   []int32
-	TS    []int64
-	Clock int64
-}
-
 // Sim adapts an IncSim maintainer. A written pair v·|V_Q| + u names the
 // match list of pattern node u; only those lists are gathered again.
 func Sim(inc *sim.Inc) Serveable {
@@ -283,7 +259,7 @@ func Sim(inc *sim.Inc) Serveable {
 		scratch []graph.NodeID // one match list being gathered
 		touched []bool         // per pattern node: written since the last view
 	)
-	return &adapter[*sim.Inc, SimView, simState]{
+	return &adapter[*sim.Inc, SimView]{
 		name:  "sim",
 		m:     inc,
 		batch: func(m *sim.Inc) *sim.Inc { return sim.NewInc(m.Graph(), m.Pattern()) },
@@ -309,13 +285,11 @@ func Sim(inc *sim.Inc) Serveable {
 			}
 			return v
 		},
-		export: func(m *sim.Inc) simState {
+		export: func(m *sim.Inc) *classState {
 			r, cnt, ts, clock := m.ExportState()
-			return simState{R: r, Cnt: cnt, TS: ts, Clock: clock}
+			return &classState{R: r, Cnt: cnt, TS: ts, Clock: clock}
 		},
-		restore: func(m *sim.Inc, st simState) (*sim.Inc, error) {
-			return m, m.RestoreState(st.R, st.Cnt, st.TS, st.Clock)
-		},
+		restore: func(m *sim.Inc, st *classState) error { return m.RestoreState(st.R, st.Cnt, st.TS, st.Clock) },
 	}
 }
 
@@ -335,17 +309,9 @@ func (v DFSView) viewFields(lo, hi int) []viewField {
 	}
 }
 
-// dfsState is the gob envelope of PersistState: the interval variables
-// are IncDFS's complete incremental state — anchors and <_C are read off
-// them directly (§5.2).
-type dfsState struct {
-	First, Last []int32
-	Parent      []graph.NodeID
-}
-
 // DFS adapts an IncDFS maintainer.
 func DFS(inc *dfs.Inc) Serveable {
-	return &adapter[*dfs.Inc, DFSView, dfsState]{
+	return &adapter[*dfs.Inc, DFSView]{
 		name:  "dfs",
 		m:     inc,
 		batch: func(m *dfs.Inc) *dfs.Inc { return dfs.NewInc(m.Graph()) },
@@ -357,13 +323,10 @@ func DFS(inc *dfs.Inc) Serveable {
 				Parent: last.Parent.Update(t.Parent, written),
 			}
 		},
-		export: func(m *dfs.Inc) dfsState {
-			t := m.Tree()
-			return dfsState{First: t.First, Last: t.Last, Parent: t.Parent}
+		export: func(m *dfs.Inc) *classState {
+			return &classState{First: m.Tree().First, Last: m.Tree().Last, Parent: m.Tree().Parent}
 		},
-		restore: func(m *dfs.Inc, st dfsState) (*dfs.Inc, error) {
-			return m, m.RestoreState(st.First, st.Last, st.Parent)
-		},
+		restore: func(m *dfs.Inc, st *classState) error { return m.RestoreState(st.First, st.Last, st.Parent) },
 	}
 }
 
@@ -384,20 +347,13 @@ func (v LCCView) viewFields(lo, hi int) []viewField {
 	}
 }
 
-// lccState is the gob envelope of PersistState: d_v and λ_v are IncLCC's
-// complete state — it keeps no auxiliary structure (§5.3).
-type lccState struct {
-	Deg []int32
-	Tri []int64
-}
-
 // LCC adapts an IncLCC maintainer. Its view derives γ from d and λ at the
 // written nodes only — the rest of gamma is what the last view derived
 // from values that have not changed since — unless the change is unknown
 // or the graph has grown.
 func LCC(inc *lcc.Inc) Serveable {
 	var gamma []float64 // the coefficients of the last published view
-	return &adapter[*lcc.Inc, LCCView, lccState]{
+	return &adapter[*lcc.Inc, LCCView]{
 		name:  "lcc",
 		m:     inc,
 		batch: func(m *lcc.Inc) *lcc.Inc { return lcc.NewInc(m.Graph()) },
@@ -419,11 +375,8 @@ func LCC(inc *lcc.Inc) Serveable {
 				Gamma: last.Gamma.Update(gamma, written),
 			}
 		},
-		export: func(m *lcc.Inc) lccState {
-			r := m.Result()
-			return lccState{Deg: r.Deg, Tri: r.Tri}
-		},
-		restore: func(m *lcc.Inc, st lccState) (*lcc.Inc, error) { return m, m.RestoreState(st.Deg, st.Tri) },
+		export:  func(m *lcc.Inc) *classState { return &classState{Deg: m.Result().Deg, Tri: m.Result().Tri} },
+		restore: func(m *lcc.Inc, st *classState) error { return m.RestoreState(st.Deg, st.Tri) },
 	}
 }
 
@@ -442,20 +395,9 @@ func (v BCView) viewFields(lo, hi int) []viewField {
 	}
 }
 
-// bcState is the gob envelope of PersistState: the articulation flags and
-// the two per-node arrays the edge partition is read off (Result.EdgeComp).
-// A checkpoint written before the partition was per node carries the flags
-// and an edge-keyed map instead; gob drops the field it does not know, and
-// Block comes back nil.
-type bcState struct {
-	Articulation []bool
-	Block        []graph.NodeID
-	Num          []int32
-}
-
 // BC adapts an IncBC maintainer.
 func BC(inc *bc.Inc) Serveable {
-	return &adapter[*bc.Inc, BCView, bcState]{
+	return &adapter[*bc.Inc, BCView]{
 		name:  "bc",
 		m:     inc,
 		batch: func(m *bc.Inc) *bc.Inc { return bc.NewInc(m.Graph()) },
@@ -463,15 +405,10 @@ func BC(inc *bc.Inc) Serveable {
 			r := m.Result()
 			return BCView{Articulation: last.Articulation.Update(r.Articulation, written), NumComps: r.NumComps()}
 		},
-		export: func(m *bc.Inc) bcState {
+		export: func(m *bc.Inc) *classState {
 			r := m.Result()
-			return bcState{Articulation: r.Articulation, Block: r.Block, Num: r.Num}
+			return &classState{Articulation: r.Articulation, Block: r.Block, Num: r.Num}
 		},
-		restore: func(m *bc.Inc, st bcState) (*bc.Inc, error) {
-			if st.Block == nil { // the older shape: nothing to restore the partition from, so derive it
-				return bc.NewInc(m.Graph()), nil
-			}
-			return m, m.RestoreState(st.Articulation, st.Block, st.Num)
-		},
+		restore: func(m *bc.Inc, st *classState) error { return m.RestoreState(st.Articulation, st.Block, st.Num) },
 	}
 }

@@ -2,12 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -19,17 +20,17 @@ import (
 	"incgraph/internal/wal"
 )
 
-// TestBCRestoreOlderCheckpoint: a checkpoint written before the edge
-// partition became per-node arrays carries the flags and a map keyed by
-// edge. It must still restore — to the structure of the graph it was taken
-// of — and the maintainer must repair on from there; the shape written now
-// must round-trip without a recompute.
+// TestBCRestoreOlderCheckpoint: a v2 checkpoint written before bc's edge
+// partition became per-node arrays holds the flags and a map keyed by edge.
+// Its bc state loads empty, so Start rebuilds the class by a batch run —
+// to the structure of the cut's graph — and the maintainer repairs on from
+// there.
 func TestBCRestoreOlderCheckpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := gen.ErdosRenyi(rng, 80, 90, false)
 	want := bc.Run(g)
 
-	// The envelope as the older adapter encoded it.
+	// The gob struct as the older adapter encoded it.
 	older := struct {
 		Articulation []bool
 		EdgeComp     map[[2]graph.NodeID]int32
@@ -37,51 +38,53 @@ func TestBCRestoreOlderCheckpoint(t *testing.T) {
 	g.Edges(func(u, v graph.NodeID, _ int64) {
 		older.EdgeComp[[2]graph.NodeID{min(u, v), max(u, v)}] = want.EdgeComp(u, v)
 	})
-	var blob bytes.Buffer
+	var blob, cut bytes.Buffer
 	if err := gob.NewEncoder(&blob).Encode(older); err != nil {
 		t.Fatal(err)
 	}
+	if err := g.WriteBinary(&cut); err != nil {
+		t.Fatal(err)
+	}
+	// A v2 file is a v3 one under v2's magic, with its CRC32C made again.
+	dir := t.TempDir()
+	ck := &wal.Checkpoint{Epoch: 5, Batches: 1, ReplayFrom: 1, Graph: cut.Bytes(),
+		Algos: []wal.AlgoState{{Name: "bc", State: blob.Bytes()}}}
+	l, err := wal.Open(dir, wal.Options{})
+	if err == nil {
+		err = l.Close()
+	}
+	path, werr := wal.WriteCheckpoint(dir, ck)
+	file, rerr := os.ReadFile(path)
+	if err != nil || werr != nil || rerr != nil {
+		t.Fatal(err, werr, rerr)
+	}
+	file = append([]byte("IGK2"), file[4:len(file)-4]...)
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(file, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := LoadRecovery(dir); err != nil || len(rec.Algos["bc"].State) != 0 {
+		t.Fatalf("loaded %v (%v), want bc without state", rec, err)
+	}
 
-	type bcAdapter = adapter[*bc.Inc, BCView, bcState]
-	check := func(when string, s *bcAdapter) {
-		t.Helper()
+	targets, rec := startClosed(t, dir, nil, buildFrom(map[string]func(*graph.Graph) Serveable{
+		"bc": func(g *graph.Graph) Serveable { return BC(bc.NewInc(g)) }}), "bc")
+	if rec.CheckpointEpoch != 5 {
+		t.Fatalf("started from epoch %d, want the checkpoint's 5", rec.CheckpointEpoch)
+	}
+	s := targets["bc"].(*adapter[*bc.Inc, BCView])
+	for round := 0; round <= 5; round++ {
+		if round > 0 {
+			s.Apply(gen.RandomUpdates(rng, s.Graph(), 12, 0.5))
+		}
 		g := s.m.Graph()
 		if !s.m.Result().Equivalent(bc.Run(g), g) {
-			t.Fatalf("%s: structure differs from Run", when)
+			t.Fatalf("round %d: structure differs from Run", round)
 		}
 		if !snapshotEqual(s.Snapshot(), BC(bc.NewInc(g.Clone())).Snapshot()) {
-			t.Fatalf("%s: published view differs from a fresh maintainer's", when)
+			t.Fatalf("round %d: published view differs from a fresh maintainer's", round)
 		}
 	}
-	s := BC(bc.NewInc(g.Clone())).(*bcAdapter)
-	s.Snapshot()
-	if err := s.RestoreState(&blob); err != nil {
-		t.Fatalf("restore of the older shape: %v", err)
-	}
-	check("after restoring the older shape", s)
-	for round := 0; round < 5; round++ {
-		s.Apply(gen.RandomUpdates(rng, s.Graph(), 12, 0.5))
-		check("repairing after it", s)
-	}
-
-	blob.Reset()
-	if err := s.PersistState(&blob); err != nil {
-		t.Fatal(err)
-	}
-	r := BC(bc.NewInc(s.Graph().Clone())).(*bcAdapter)
-	built := r.m
-	if err := r.RestoreState(&blob); err != nil {
-		t.Fatal(err)
-	}
-	if r.m != built {
-		t.Fatal("restoring the current shape rebuilt the maintainer")
-	}
-	if got, want := r.m.Result().NumComps(), s.m.Result().NumComps(); got != want {
-		t.Fatalf("restored %d blocks, persisted %d", got, want)
-	}
-	check("after a round trip", r)
-	r.Apply(gen.RandomUpdates(rng, r.Graph(), 12, 0.5))
-	check("repairing after a round trip", r)
 }
 
 // TestPubStateWritten: the list Snapshot hands Paged.Update is the
@@ -138,7 +141,7 @@ func TestSSSPSource(t *testing.T) {
 // into a maintainer that fell behind and a Recompute, it equals a full
 // re-gather of the relation.
 func TestSimPublishWritten(t *testing.T) {
-	type simAdapter = adapter[*sim.Inc, SimView, simState]
+	type simAdapter = adapter[*sim.Inc, SimView]
 	rng := rand.New(rand.NewSource(9))
 	g := gen.ErdosRenyi(rng, pageSize+40, pageSize, true)
 	for v := 0; v < g.NumNodes(); v++ {
@@ -256,26 +259,15 @@ func sharesPages[T PageElem](p, q Paged[T]) bool {
 	return true
 }
 
-// stateValue gob-decodes a state blob of a's class into its envelope type:
-// two blobs compare by value there even when gob, which numbers types per
-// process in order of first use, wrote them with different bytes.
-func (a *adapter[M, V, S]) stateValue(blob []byte) (any, error) {
-	var st S
-	err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st)
-	return st, err
-}
-
-// TestCheckpointFixture: testdata/sixclass holds a six-class v1
-// checkpoint, a graph blob and a stream position per class, and a WAL tail
-// of three records, written before the classes shared one adapter
-// (testdata/sixclass/README.md). Every class must restore from it, and
-// replay the tail to the views saved beside it with no divergence from a
-// recompute. Re-persisted straight after restoring, into a v2 checkpoint
-// that holds the graph once, every class's state must equal the fixture's
-// by value — a restore that drops a timestamp or an interval changes no
-// view, but fails here — and restore and persist again to the same bytes.
-// (The v1 blobs are not comparable byte for byte: gob's type numbers
-// shifted when a v1 writer encoded an envelope between two classes' blobs.)
+// TestCheckpointFixture: testdata/sixclass holds a six-class v2
+// checkpoint and a WAL tail of three records (testdata/sixclass/README.md).
+// Every class must restore from it, and replay the tail to the views saved
+// beside it with no divergence from a recompute. Re-persisted straight
+// after restoring, every class's state must be the bytes its v2 state was
+// converted to — a restore that drops a timestamp or an interval changes no
+// view, but fails here — and the v3 checkpoint must equal the committed
+// golden v3.ckpt2, written in another process; restored and persisted
+// again, it is the same bytes.
 func TestCheckpointFixture(t *testing.T) {
 	restore := func(dir string) (map[string]Serveable, *Recovery) {
 		rec, err := LoadRecovery(dir)
@@ -295,8 +287,8 @@ func TestCheckpointFixture(t *testing.T) {
 		return targets, rec
 	}
 	// persist checkpoints the restored targets into a fresh directory and
-	// loads it back.
-	persist := func(targets map[string]Serveable, rec *Recovery) *Recovery {
+	// returns the checkpoint file's bytes and the recovery it loads.
+	persist := func(targets map[string]Serveable, rec *Recovery) ([]byte, *Recovery) {
 		svc, dir := NewService(), t.TempDir()
 		dur, err := OpenDurable(svc, dir, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 		if err != nil {
@@ -313,39 +305,33 @@ func TestCheckpointFixture(t *testing.T) {
 		}
 		dur.Close()
 		svc.Close()
+		file, err := os.ReadFile(filepath.Join(dir, wal.CheckpointName(rec.CheckpointEpoch)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		persisted, err := LoadRecovery(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if persisted.CheckpointEpoch != rec.CheckpointEpoch || persisted.cut.NumEdges() != rec.cut.NumEdges() {
-			t.Errorf("re-persisted cut: epoch %d, %d edges; restored %d, %d edges",
-				persisted.CheckpointEpoch, persisted.cut.NumEdges(), rec.CheckpointEpoch, rec.cut.NumEdges())
-		}
-		return persisted
+		return file, persisted
 	}
 
 	dir := fixtureDir(t, "testdata/sixclass/data")
 	targets, rec := restore(dir)
-	v2 := persist(targets, rec)
+	v3, persisted := persist(targets, rec)
 	for _, c := range opsClasses {
-		m := targets[c.algo].(interface{ stateValue([]byte) (any, error) })
-		want, err := m.stateValue(rec.Algos[c.algo].State)
-		if err != nil {
-			t.Fatalf("%s: the fixture's state: %v", c.algo, err)
-		}
-		got, err := m.stateValue(v2.Algos[c.algo].State)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: re-persisted state (%v) differs from the fixture's", c.algo, err)
+		if got, want := persisted.Algos[c.algo].State, rec.Algos[c.algo].State; !bytes.Equal(got, want) {
+			t.Errorf("%s: re-persisted %d bytes, differing from the fixture's %d converted", c.algo, len(got), len(want))
 		}
 	}
-	again := persist(restore(v2.dir))
-	for _, c := range opsClasses {
-		if got, want := again.Algos[c.algo].State, v2.Algos[c.algo].State; !bytes.Equal(got, want) {
-			t.Errorf("%s: persisted %d bytes straight after restoring, differing from the checkpoint's %d", c.algo, len(got), len(want))
-		}
+	if golden, err := os.ReadFile("testdata/sixclass/v3.ckpt2"); err != nil || !bytes.Equal(v3, golden) {
+		t.Errorf("re-persisted checkpoint of %d bytes differs from the golden v3.ckpt2 (%v)", len(v3), err)
+	}
+	if again, _ := persist(restore(persisted.dir)); !bytes.Equal(again, v3) {
+		t.Errorf("persisted %d bytes straight after restoring, differing from the checkpoint's %d", len(again), len(v3))
 	}
 
-	// Start on the v1 checkpoint and replay the tail: the saved views, and
+	// Start on the v2 checkpoint and replay the tail: the saved views, and
 	// no divergence.
 	targets, rec = startClosed(t, dir, nil, opsBuild, opsAlgos()...)
 	if n := rec.Replayed; n != 3 {
@@ -366,48 +352,6 @@ func TestCheckpointFixture(t *testing.T) {
 	}
 	if div := VerifyRecovered(targets, nil); len(div) != 0 {
 		t.Fatalf("replayed state diverged from a recompute: %v", div)
-	}
-}
-
-// TestCheckpointFixtureBC4D615: testdata/twoclass-bc4d615 is the data
-// directory of a two-class daemon built from bc4d615, killed -9 with two v1
-// checkpoints and a WAL tail of two records, and the /query bodies it
-// served just before (testdata/twoclass-bc4d615/README.md). The newest
-// checkpoint restores, and the tail replays to those views and epochs.
-func TestCheckpointFixtureBC4D615(t *testing.T) {
-	const fixture = "testdata/twoclass-bc4d615"
-	targets, rec := startClosed(t, fixtureDir(t, fixture+"/data"), nil, buildFrom(ssspCC), "sssp", "cc")
-	if rec.CheckpointEpoch != 60 {
-		t.Fatalf("checkpoint epoch %d, want the stream's 60 (the v1 file is named by the sum, 120)", rec.CheckpointEpoch)
-	}
-	if n := rec.Replayed; n != 2 {
-		t.Fatalf("replayed %d records, want the tail's 2", n)
-	}
-	if div := VerifyRecovered(targets, nil); len(div) != 0 {
-		t.Fatalf("replayed state diverged from a recompute: %v", div)
-	}
-	for algo, m := range targets {
-		raw, err := os.ReadFile(filepath.Join(fixture, "views", algo+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var saved struct {
-			Epoch, Batches uint64
-			Data           json.RawMessage
-		}
-		if err := json.Unmarshal(raw, &saved); err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(m.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, saved.Data) {
-			t.Errorf("%s: replayed view %s, saved %s", algo, got, saved.Data)
-		}
-		if epoch, batches := rec.Base(algo); epoch != saved.Epoch || batches != saved.Batches {
-			t.Errorf("%s: resumes at epoch %d, batch %d; the daemon served %d, %d", algo, epoch, batches, saved.Epoch, saved.Batches)
-		}
 	}
 }
 

@@ -31,10 +31,10 @@ import (
 //
 //  1. restore: the latest valid checkpoint supplies the cut's graph
 //     (binary codec), its stream position, and each class's incremental
-//     state (the adapter's gob blob) — timestamps, intervals, and
-//     component ids survive, so the restored maintainer repairs future
-//     batches with the same anchor order <_C it would have had without
-//     the restart;
+//     state (state.go's codec; upgradeV2 converts a v2 file's gob) —
+//     timestamps, intervals, and component ids survive, so the restored
+//     maintainer repairs future batches with the same anchor order <_C it
+//     would have had without the restart;
 //  2. replay: the WAL tail (segments at or after the checkpoint's
 //     ReplayFrom) re-applies every update the checkpoint had not
 //     absorbed, through the normal incremental Apply path;
@@ -75,33 +75,19 @@ type Recovery struct {
 	Replayed int
 }
 
-// stateEnvelope is how a v1 checkpoint wrapped each class's PersistState
-// blob with the class's own stream position.
-type stateEnvelope struct {
-	Epoch   uint64
-	Batches uint64
-	State   []byte
-}
-
-// upgradeV1 rewrites a v1 checkpoint as the one cut v2 holds: the stream
-// position out of the classes' envelopes (every class counted every batch)
-// and their bare state blobs; a class the decoder left no envelope, since
-// its graph was not the cut's, stays without state. No other serve code
-// reads the v1 format.
-func upgradeV1(ck *wal.Checkpoint) error {
-	for i := 0; ck.V1 && i < len(ck.Algos); i++ {
-		a := &ck.Algos[i]
-		if len(a.State) == 0 {
-			continue
-		}
-		var env stateEnvelope
-		if err := gob.NewDecoder(bytes.NewReader(a.State)).Decode(&env); err != nil {
-			return fmt.Errorf("serve: checkpoint state for %s: %w", a.Name, err)
-		}
-		ck.Epoch, ck.Batches, a.State = env.Epoch, env.Batches, env.State
+// upgradeV2 converts class algo's state in a v2 checkpoint, a gob struct of
+// classState's fields, to the state codec once, on load; the next
+// checkpoint is v3 and its prune retires the v2 file. No other serve code
+// reads gob. A bc state from before the per-node partition has no Block:
+// it comes back empty, and Start rebuilds bc by a batch run.
+func upgradeV2(algo string, blob []byte) ([]byte, error) {
+	var st classState
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+		return nil, fmt.Errorf("serve: v2 checkpoint state for %s: %w", algo, err)
+	} else if algo == "bc" && st.Block == nil {
+		return nil, nil
 	}
-	ck.V1 = false
-	return nil
+	return appendState(nil, classVecs[algo], &st), nil
 }
 
 // LoadRecovery loads the newest valid checkpoint in dir (scanning past
@@ -133,14 +119,16 @@ func loadRecovery(dir string) (*Recovery, error) {
 	if err != nil || ck == nil {
 		return r, err
 	}
-	if err := upgradeV1(ck); err != nil {
-		return nil, err
-	}
 	if r.cut, err = graph.ReadBinary(bytes.NewReader(ck.Graph)); err != nil {
 		return nil, fmt.Errorf("serve: checkpoint graph: %w", err)
 	}
 	r.ReplayFrom, r.CheckpointEpoch, r.batches = ck.ReplayFrom, ck.Epoch, ck.Batches
 	for _, a := range ck.Algos {
+		if ck.V2 && len(a.State) > 0 {
+			if a.State, err = upgradeV2(a.Name, a.State); err != nil {
+				return nil, err
+			}
+		}
 		r.Algos[a.Name] = RecoveredAlgo{Graph: r.cut, State: a.State}
 	}
 	return r, nil
@@ -305,17 +293,6 @@ func OpenDurable(svc *Service, dir string, opt DurableOptions) (*Durable, error)
 	}
 	d := &Durable{dir: dir, log: log, svc: svc, opt: opt}
 	if ck, err := wal.LatestCheckpoint(dir); err == nil && ck != nil {
-		if ck.V1 {
-			// Rewritten as v2, it can be shipped to a replica; the v1 file
-			// stays a fallback until the next checkpoint prunes it.
-			if err = upgradeV1(ck); err == nil {
-				_, err = wal.WriteCheckpoint(dir, ck)
-			}
-			if err != nil {
-				log.Close()
-				return nil, err
-			}
-		}
 		// Seed the pruning window so segments needed by the pre-restart
 		// checkpoint survive until enough new checkpoints supersede it.
 		d.kept = append(d.kept, keptCheckpoint{ck.Epoch, ck.ReplayFrom})

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"incgraph/internal/cc"
-	"incgraph/internal/dfs"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 	"incgraph/internal/serve/faults"
@@ -624,6 +623,45 @@ func TestSameEpochCheckpointKeepsFallbackSegments(t *testing.T) {
 	}
 }
 
+// TestStartRefusesPrunedHead: two checkpoints let the log prune its first
+// segment. With both checkpoint files corrupt, nothing covers the records
+// that segment held, so Start must refuse naming it — not replay the
+// surviving suffix onto the input graph, which VerifyRecovered, recomputing
+// over that same graph, could not tell from the stream.
+func TestStartRefusesPrunedHead(t *testing.T) {
+	dir := t.TempDir()
+	base := gen.Synthetic(7, 40, 4, true)
+	stream := makeStream(31, 40, 3*8)
+	svc, d := openDurableService(t, base, dir, DurableOptions{})
+	for i := 0; i < 3; i++ {
+		if err := d.Ingest(nil, "", stream[i*8:(i+1)*8], trace.TraceID{}, true); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	svc.Close()
+	d.Close()
+	if _, err := os.Stat(filepath.Join(dir, wal.SegmentName(1))); !os.IsNotExist(err) {
+		t.Fatalf("segment 1 not pruned after two checkpoints: %v", err)
+	}
+	for _, epoch := range []uint64{8, 16} {
+		if err := os.WriteFile(filepath.Join(dir, wal.CheckpointName(epoch)), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc = NewService()
+	defer svc.Close()
+	_, _, err := Start(svc, dir, []string{"sssp", "cc"}, buildFrom(ssspCC),
+		func() (*graph.Graph, error) { return base.Clone(), nil }, Options{}, false, true)
+	if err == nil || !strings.Contains(err.Error(), "segment 1 missing") {
+		t.Fatalf("Start on a pruned head with no checkpoint: err = %v, want segment 1 missing", err)
+	}
+}
+
 // TestIngestRefusesTarget: the journal takes every update for every class;
 // an update targeted at one is refused before anything is logged or
 // submitted.
@@ -760,66 +798,5 @@ func TestCheckpointAfterQuarantine(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCheckpointFixtureQuarantine12a5985: testdata/quarantine-12a5985 holds
-// the data directories of two services at 12a5985 run through
-// TestCheckpointAfterQuarantine's stream (README.md there). Their sssp was
-// quarantined, stopped taking batches and kept counting them, so their
-// last v1 checkpoint holds a stale sssp graph. With cc and dfs beside it,
-// theirs is most classes' graph: sssp is rebuilt on it, and every class
-// recovers the stream's graph and the answer on it. With cc alone nothing
-// tells which graph is the stream's: recovery refuses, naming the file and
-// both classes, and once that file is moved aside it recovers exactly from
-// the checkpoint before it and the WAL.
-func TestCheckpointFixtureQuarantine12a5985(t *testing.T) {
-	const nodes, chunkLen = 60, 40
-	og := gen.Synthetic(13, nodes, 3, true)
-	stream := makeStream(37, nodes, 4*chunkLen)
-	for i := 0; i < 4; i++ {
-		og.Apply(stream[i*chunkLen : (i+1)*chunkLen].Net(true))
-	}
-	build := map[string]func(g *graph.Graph) Serveable{
-		"sssp": func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) },
-		"cc":   func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) },
-		"dfs":  func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) },
-	}
-	recoverDir := func(dir string, ssspState bool, algos ...string) (epoch uint64) {
-		targets, rec := startClosed(t, dir, nil, buildFrom(build), algos...)
-		if ra, ok := rec.Algos["sssp"]; !ok || (len(ra.State) > 0) != ssspState {
-			t.Fatalf("sssp recovered %+v (in the checkpoint: %v), want state %v", ra, ok, ssspState)
-		}
-		if div := VerifyRecovered(targets, nil); len(div) != 0 {
-			t.Errorf("recovered state diverged from batch recompute: %v", div)
-		}
-		for algo, m := range targets {
-			if got, want := m.Graph().NumEdges(), og.NumEdges(); got != want {
-				t.Errorf("%s: recovered graph has %d edges, the stream's has %d", algo, got, want)
-			}
-			if !snapshotEqual(m.Snapshot(), build[algo](og.Clone()).Snapshot()) {
-				t.Errorf("%s: recovered answer differs from a recompute on the stream's graph", algo)
-			}
-			if epoch, _ := rec.Base(algo); epoch != uint64(4*chunkLen) {
-				t.Errorf("%s: resumes at epoch %d, want %d", algo, epoch, 4*chunkLen)
-			}
-		}
-		return rec.CheckpointEpoch
-	}
-
-	if epoch := recoverDir(fixtureDir(t, "testdata/quarantine-12a5985/three"), false, "cc", "dfs", "sssp"); epoch != 3*chunkLen {
-		t.Errorf("three classes: recovered from epoch %d, want the last checkpoint's %d", epoch, 3*chunkLen)
-	}
-
-	dir := fixtureDir(t, "testdata/quarantine-12a5985/two")
-	const last = "checkpoint-0000000000000240.ckpt"
-	if _, err := LoadRecovery(dir); err == nil || !strings.Contains(err.Error(), last) || !strings.Contains(err.Error(), "(cc, sssp)") {
-		t.Fatalf("two classes: err = %v, want a refusal naming %s, cc and sssp", err, last)
-	}
-	if err := os.Rename(filepath.Join(dir, last), filepath.Join(t.TempDir(), last)); err != nil {
-		t.Fatal(err)
-	}
-	if epoch := recoverDir(dir, true, "cc", "sssp"); epoch != chunkLen {
-		t.Errorf("two classes: recovered from epoch %d, want the first checkpoint's %d", epoch, chunkLen)
 	}
 }

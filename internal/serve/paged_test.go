@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -757,21 +756,17 @@ func TestDerivedPageLCCWrittenList(t *testing.T) {
 
 	// RestoreState: the restored status is what must be published, even
 	// where it is not what the graph says.
-	r := m.(*adapter[*lcc.Inc, LCCView, lccState]).m.Result()
-	st := lccState{Deg: slices.Clone(r.Deg), Tri: slices.Clone(r.Tri)}
-	st.Tri[4*pageSize+7] += 5
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RestoreState(&buf); err != nil {
+	r := m.(*adapter[*lcc.Inc, LCCView]).m.Result()
+	restored := lcc.Result{Deg: slices.Clone(r.Deg), Tri: slices.Clone(r.Tri)}
+	restored.Tri[4*pageSize+7] += 5
+	blob := appendState(nil, classVecs["lcc"], &classState{Deg: restored.Deg, Tri: restored.Tri})
+	if err := m.RestoreState(bytes.NewReader(blob)); err != nil {
 		t.Fatal(err)
 	}
 	view := m.Snapshot().(LCCView)
-	if got := view.Tri.At(4*pageSize + 7); got != st.Tri[4*pageSize+7] {
-		t.Errorf("after RestoreState the view holds λ = %d, the restored state %d", got, st.Tri[4*pageSize+7])
+	if got := view.Tri.At(4*pageSize + 7); got != restored.Tri[4*pageSize+7] {
+		t.Errorf("after RestoreState the view holds λ = %d, the restored state %d", got, restored.Tri[4*pageSize+7])
 	}
-	restored := lcc.Result{Deg: st.Deg, Tri: st.Tri}
 	if got, want := view.Gamma.At(4*pageSize+7), restored.Gamma(4*pageSize+7); got != want {
 		t.Errorf("after RestoreState the view holds γ = %v, the restored state gives %v", got, want)
 	}

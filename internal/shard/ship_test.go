@@ -373,103 +373,92 @@ func TestFollowerRefusesTargetedRecord(t *testing.T) {
 	}
 }
 
-// TestMixedVersionCheckpointDir: a v1 checkpoint file is named by the sum
-// of the class epochs, so it can carry a larger number than a later v2
-// file. Recovery loads the v2 file, a replica bootstraps from it, and the
-// next checkpoint's prune removes the v1 file. A directory holding only a
-// v1 checkpoint (testdata written by bc4d615) gets a v2 copy of it when
-// its log is opened, and a replica bootstraps from that.
+// TestMixedVersionCheckpointDir: a directory whose checkpoint is v2
+// (testdata/sixclass, written before the state codec) recovers from it
+// and ships it unchanged — opening the log rewrites nothing. The next
+// checkpoint is v3, under the same kind of name; the v2 file stays the
+// fallback until a later checkpoint's prune removes it, and a replica
+// bootstraps from whichever file is newest.
 func TestMixedVersionCheckpointDir(t *testing.T) {
 	ctx := context.Background()
-	// serveDir opens the durable service of sssp and cc over dir, whose
-	// WAL a replica pulls from srv.
-	serveDir := func(dir string, base *graph.Graph) (*serve.Service, *serve.Durable, *httptest.Server) {
-		svc := serve.NewService()
-		_, _, err := serve.Start(svc, dir, []string{"sssp", "cc"}, func(algo string, g *graph.Graph) (serve.Serveable, error) {
-			if algo == "sssp" {
-				return serve.SSSP(sssp.NewInc(g, 0)), nil
-			}
-			return serve.CC(cc.NewInc(g)), nil
-		}, func() (*graph.Graph, error) { return base.Clone(), nil }, serve.Options{}, false, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := serve.OpenDurable(svc, dir, serve.DurableOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
-		srv := httptest.NewServer(mux)
-		t.Cleanup(func() { srv.Close(); svc.Close(); d.Close() })
-		return svc, d, srv
+	dir := t.TempDir()
+	const fixture = "../serve/testdata/sixclass/data/"
+	ents, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// bootstrap pulls srv's WAL into a fresh directory and checks that the
-	// replica recovers from the v2 checkpoint at epoch.
-	bootstrap := func(srv *httptest.Server, epoch uint64) {
-		dir := t.TempDir()
-		if _, err := PullWAL(ctx, nil, srv.URL, dir); err != nil {
+	for _, e := range ents {
+		b, err := os.ReadFile(fixture + e.Name())
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, wal.CheckpointName(epoch))); err != nil {
-			t.Fatalf("replica holds no v2 checkpoint at %d: %v", epoch, err)
+	}
+	svc := serve.NewService()
+	_, _, err = serve.Start(svc, dir, []string{"sssp", "cc"}, func(algo string, g *graph.Graph) (serve.Serveable, error) {
+		if algo == "sssp" {
+			return serve.SSSP(sssp.NewInc(g, 0)), nil
 		}
-		if rec, err := serve.LoadRecovery(dir); err != nil || rec.CheckpointEpoch != epoch {
+		return serve.CC(cc.NewInc(g)), nil
+	}, nil, serve.Options{}, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := serve.OpenDurable(svc, dir, serve.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
+	srv := httptest.NewServer(mux)
+	t.Cleanup(func() { srv.Close(); svc.Close(); d.Close() })
+
+	// bootstrap pulls srv's WAL into a fresh directory and checks that the
+	// replica recovers from the checkpoint at epoch, in the format magic.
+	bootstrap := func(epoch uint64, magic string) {
+		t.Helper()
+		rdir := t.TempDir()
+		if _, err := PullWAL(ctx, nil, srv.URL, rdir); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := os.ReadFile(filepath.Join(rdir, wal.CheckpointName(epoch))); err != nil || !strings.HasPrefix(string(b), magic) {
+			t.Fatalf("replica's checkpoint at %d: %.4q (%v), want %s", epoch, b, err, magic)
+		}
+		if rec, err := serve.LoadRecovery(rdir); err != nil || rec.CheckpointEpoch != epoch {
 			t.Fatalf("replica recovers from epoch %v (%v), want %d", rec, err, epoch)
 		}
 	}
-	const fixture = "../serve/testdata/twoclass-bc4d615/data/"
-	copyFile := func(from, to string) {
-		b, err := os.ReadFile(from)
-		if err == nil {
-			err = os.WriteFile(to, b, 0o644)
+	checkpoints := func() []string {
+		names, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
+		for i, n := range names {
+			names[i] = filepath.Base(n)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1Files := func(dir string) []string {
-		names, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
 		return names
 	}
-
 	rng := rand.New(rand.NewSource(5))
-	base := gen.PowerLaw(rng, 80, 4, true)
-	dir := t.TempDir()
-	_, d, srv := serveDir(dir, base)
-	post := func() {
-		if err := d.Ingest(nil, "", gen.RandomUpdates(rng, base, 20, 0.7), trace.TraceID{}, true); err != nil {
+	checkpoint := func() {
+		if err := d.Ingest(nil, "", gen.RandomUpdates(rng, graph.New(48, false), 6, 1), trace.TraceID{}, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	post()
-	post()
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// A valid v1 checkpoint (the fixture's, at stream epoch 60) under a
-	// number above the v2 file's.
-	copyFile(fixture+"checkpoint-0000000000000120.ckpt", filepath.Join(dir, "checkpoint-0000000001048576.ckpt"))
-	if rec, err := serve.LoadRecovery(dir); err != nil || rec.CheckpointEpoch != 40 {
-		t.Fatalf("recovers from %v (%v), want the v2 checkpoint at 40", rec, err)
-	}
-	bootstrap(srv, 40)
-	post()
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if v1 := v1Files(dir); len(v1) != 0 {
-		t.Fatalf("v1 files left after the prune: %v", v1)
-	}
-	bootstrap(srv, 60)
 
-	dir = t.TempDir()
-	for _, name := range []string{"checkpoint-0000000000000060.ckpt", "checkpoint-0000000000000120.ckpt", "wal-0000000000000002.seg", "wal-0000000000000003.seg"} {
-		copyFile(fixture+name, filepath.Join(dir, name))
+	if names := checkpoints(); len(names) != 1 || names[0] != wal.CheckpointName(30) {
+		t.Fatalf("checkpoints after opening the log: %v, want the fixture's alone", names)
 	}
-	_, _, srv = serveDir(dir, nil)
-	bootstrap(srv, 60)
-	if v1 := v1Files(dir); len(v1) != 2 {
-		t.Fatalf("v1 files %v: opening the log must keep them as fallbacks", v1)
+	bootstrap(30, "IGK2")
+	checkpoint() // the fixture's 30, its tail's 18, and 6
+	if rec, err := serve.LoadRecovery(dir); err != nil || rec.CheckpointEpoch != 54 {
+		t.Fatalf("recovers from %v (%v), want the v3 checkpoint at 54", rec, err)
 	}
+	bootstrap(54, "IGK3")
+	checkpoint()
+	if names := checkpoints(); len(names) != 2 || names[0] != wal.CheckpointName(54) {
+		t.Fatalf("checkpoints %v: the prune keeps the two v3 files", names)
+	}
+	bootstrap(60, "IGK3")
 }

@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -25,34 +23,21 @@ type Checkpoint struct {
 	ReplayFrom uint64
 	Graph      []byte // graph.WriteBinary encoding of the cut's graph
 	Algos      []AlgoState
-	// V1 marks a checkpoint decoded from the format that held a graph
-	// and a stream position per class, for migration only: Epoch is then
-	// the sum of the classes' epochs, Batches is 0, and each State is the
-	// class's envelope of its position and blob (see internal/serve), or
-	// empty for a class whose graph was not most classes' (majorityV1).
-	V1 bool
+	V2         bool // read from v2: this layout, gob class states (internal/serve converts them)
 }
 
 // AlgoState is one algorithm's persisted slice of a checkpoint.
 type AlgoState struct {
 	Name  string
-	State []byte // maintainer state blob (gob, see internal/serve)
+	State []byte // maintainer state blob (the state codec, see internal/serve)
 }
 
 const (
-	ckptPrefix   = "checkpoint-"
-	ckptSuffix   = ".ckpt2"
-	ckptSuffixV1 = ".ckpt"
-	ckptMagic    = "IGK2"
-	ckptMagicV1  = "IGK1"
-	// maxCkptBlob bounds any single length field read from a checkpoint so
-	// a corrupt file cannot force a giant allocation.
-	maxCkptBlob = 1 << 32
+	ckptPrefix  = "checkpoint-"
+	ckptSuffix  = ".ckpt2" // v2 and v3 alike
+	ckptMagic   = "IGK3"
+	ckptMagicV2 = "IGK2"
 )
-
-// errSplitCut marks a v1 checkpoint with no graph most of its classes hold:
-// not corrupt, so recovery must not fall back past it on its own.
-var errSplitCut = errors.New("wal: v1 checkpoint holds more than one graph")
 
 func ckptName(seq uint64) string { return fmt.Sprintf("%s%016d%s", ckptPrefix, seq, ckptSuffix) }
 
@@ -60,7 +45,7 @@ func appendField(buf, f []byte) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(f))), f...)
 }
 
-// encode serializes the checkpoint in the v2 format: magic, the stream
+// encode serializes the checkpoint in the v3 format: magic, the stream
 // position, the graph, the class states, and one trailing CRC32C over
 // everything before it. A single whole-file checksum is enough because a
 // checkpoint is written once and read once, atomically.
@@ -78,8 +63,7 @@ func (c *Checkpoint) encode() []byte {
 
 // decodeCheckpoint parses and verifies an encoded checkpoint of either
 // format. Corruption anywhere — including a truncated write — yields an
-// error, never a panic, and what decodes re-encodes to the same bytes
-// (but for the class states majorityV1 drops from a v1 checkpoint).
+// error, never a panic, and what decodes re-encodes to the same bytes.
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < len(ckptMagic)+4 {
 		return nil, fmt.Errorf("wal: checkpoint too short (%d bytes)", len(data))
@@ -88,8 +72,8 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if crc32.Checksum(body, castagnoli) != crc {
 		return nil, fmt.Errorf("wal: checkpoint checksum mismatch")
 	}
-	c := &Checkpoint{V1: string(body[:len(ckptMagic)]) == ckptMagicV1}
-	if !c.V1 && string(body[:len(ckptMagic)]) != ckptMagic {
+	c := &Checkpoint{V2: string(body[:len(ckptMagic)]) == ckptMagicV2}
+	if !c.V2 && string(body[:len(ckptMagic)]) != ckptMagic {
 		return nil, fmt.Errorf("wal: bad checkpoint magic")
 	}
 	body = body[len(ckptMagic):]
@@ -109,7 +93,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	// the blobs without pinning the whole file; an empty one is not nil.
 	field := func() []byte {
 		ln := next()
-		if err == nil && (ln > maxCkptBlob || ln > uint64(len(body))) {
+		if err == nil && ln > uint64(len(body)) {
 			err = fmt.Errorf("wal: checkpoint field length %d exceeds remaining %d bytes", ln, len(body))
 		}
 		if err != nil {
@@ -119,61 +103,21 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		body = body[ln:]
 		return f
 	}
-	c.Epoch = next()
-	if !c.V1 {
-		c.Batches = next()
-	}
-	c.ReplayFrom = next()
-	if !c.V1 {
-		c.Graph = field()
-	}
-	var graphs [][]byte // v1: each class's graph
-	nalgos := next()    // each class takes two bytes at least, so err ends the loop
+	c.Epoch, c.Batches, c.ReplayFrom = next(), next(), next()
+	c.Graph = field()
+	nalgos := next() // each class takes two bytes at least, so err ends the loop
 	for i := uint64(0); i < nalgos && err == nil; i++ {
-		a := AlgoState{Name: string(field())}
-		if c.V1 {
-			graphs = append(graphs, field())
-		}
-		a.State = field()
-		c.Algos = append(c.Algos, a)
+		c.Algos = append(c.Algos, AlgoState{Name: string(field()), State: field()})
 	}
 	if err != nil {
 		return nil, err
 	} else if len(body) != 0 {
 		return nil, fmt.Errorf("wal: %d trailing bytes after checkpoint", len(body))
-	} else if err = c.majorityV1(graphs); err != nil {
-		return nil, err
 	}
 	return c, nil
 }
 
-// majorityV1 takes the graph a strict majority of a v1 checkpoint's classes
-// hold as the cut's and drops every other class's state (a v1 writer
-// checkpointed a quarantined class's stale graph; targeted updates once let
-// graphs differ): recovery rebuilds such a class by a batch run, as it does
-// one quarantined at a v2 cut. With no majority the file is refused.
-func (c *Checkpoint) majorityV1(graphs [][]byte) error {
-	held, names := map[string]int{}, []string{}
-	for i, g := range graphs {
-		if held[string(g)]++; 2*held[string(g)] > len(graphs) {
-			c.Graph = g
-		}
-		names = append(names, c.Algos[i].Name)
-	}
-	if len(graphs) > 0 && c.Graph == nil {
-		return fmt.Errorf("%w and no graph is most classes' (%s): written while a class was quarantined or "+
-			"could take targeted updates; move the file aside to recover from the checkpoint before it",
-			errSplitCut, strings.Join(names, ", "))
-	}
-	for i, g := range graphs {
-		if !bytes.Equal(g, c.Graph) {
-			c.Algos[i].State = []byte{}
-		}
-	}
-	return nil
-}
-
-// WriteCheckpoint atomically persists c into dir in the v2 format, named by
+// WriteCheckpoint atomically persists c into dir in the v3 format, named by
 // its epoch: write to a temp file, fsync it, rename into place, fsync the
 // directory. A crash at any point leaves either the complete new checkpoint
 // or no trace of it — never a half-written one under the final name.
@@ -208,20 +152,17 @@ func WriteCheckpoint(dir string, c *Checkpoint) (string, error) {
 	return final, nil
 }
 
-// checkpointFiles lists the checkpoint files in dir, oldest first: every v1
-// file (numbered by the sum of the class epochs, which says nothing about
-// its age) before every v2 one, each format by its zero-padded number.
+// checkpointFiles lists the checkpoint files in dir, oldest first: by
+// their zero-padded stream epochs, whatever their format.
 func checkpointFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir) // sorted by name
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
 	var names []string
-	for _, suffix := range []string{ckptSuffixV1, ckptSuffix} {
-		for _, e := range ents {
-			if ok, _ := filepath.Match(ckptPrefix+strings.Repeat("[0-9]", 16)+suffix, e.Name()); ok {
-				names = append(names, e.Name())
-			}
+	for _, e := range ents {
+		if ok, _ := filepath.Match(ckptPrefix+strings.Repeat("[0-9]", 16)+ckptSuffix, e.Name()); ok {
+			names = append(names, e.Name())
 		}
 	}
 	return names, nil
@@ -229,10 +170,9 @@ func checkpointFiles(dir string) ([]string, error) {
 
 // LatestCheckpoint loads the newest valid checkpoint in dir, scanning
 // backwards past any corrupt or torn ones (a crash during checkpointing
-// must not take recovery down with it) and reading a v1 file only when no
-// v2 file decodes. It returns (nil, nil) when no valid checkpoint exists —
-// recovery then replays the WAL from the beginning — and an error naming
-// a v1 checkpoint with no graph most classes hold, which is not corrupt.
+// must not take recovery down with it). It returns (nil, nil) when no
+// valid checkpoint exists — recovery then replays the WAL from the
+// beginning.
 func LatestCheckpoint(dir string) (*Checkpoint, error) {
 	names, err := checkpointFiles(dir)
 	if err != nil {
@@ -245,17 +185,15 @@ func LatestCheckpoint(dir string) (*Checkpoint, error) {
 		}
 		if c, err := decodeCheckpoint(data); err == nil {
 			return c, nil
-		} else if errors.Is(err, errSplitCut) {
-			return nil, fmt.Errorf("%s: %w", names[i], err)
 		}
 		// Corrupt: fall back to the previous checkpoint.
 	}
 	return nil, nil
 }
 
-// PruneCheckpoints removes all but the newest keep checkpoints, v1 files
-// counting as older than every v2 file. Keeping at least two means a
-// checkpoint corrupted in place still leaves a recovery path.
+// PruneCheckpoints removes all but the newest keep checkpoints. Keeping at
+// least two means a checkpoint corrupted in place still leaves a recovery
+// path.
 func PruneCheckpoints(dir string, keep int) error {
 	names, err := checkpointFiles(dir)
 	if err != nil {

@@ -3,12 +3,9 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
-	"slices"
 	"testing"
 
 	"incgraph/internal/graph"
@@ -62,24 +59,23 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // FuzzDecodeCheckpoint feeds the checkpoint decoder arbitrary bytes: it
-// returns an error or a checkpoint that re-encodes to exactly the input (a
-// v1 split cut to what decodes to the same checkpoint) — never a panic, and no allocation past what a length field inside the
+// returns an error or a checkpoint that re-encodes to exactly the input —
+// never a panic, and no allocation past what a length field inside the
 // input can justify (each is checked against the bytes left, and against
 // maxCkptBlob). Each input is also tried with its CRC made valid, so the
-// fuzzer reaches the fields behind the checksum. Seeds: a v1 and a v2
-// encoding, their truncations, and a length field longer than the body.
+// fuzzer reaches the fields behind the checksum. Seeds: a v2 and a v3
+// encoding, an empty v3 one, their truncations, and a length field longer
+// than the body.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	v2 := (&Checkpoint{Epoch: 300, Batches: 7, ReplayFrom: 3, Graph: []byte("graph"),
-		Algos: []AlgoState{{Name: "cc", State: []byte{1, 2}}, {Name: "sssp", State: []byte{3}}}}).encode()
-	v1 := encodeV1(&Checkpoint{Epoch: 600, ReplayFrom: 3, Graph: []byte("graph"),
-		Algos: []AlgoState{{Name: "cc", State: []byte{1, 2}}, {Name: "sssp", State: []byte{3}}}})
-	split := encodeV1(&Checkpoint{Epoch: 900, ReplayFrom: 3, Graph: []byte("graph"),
-		Algos: []AlgoState{{Name: "cc", State: []byte{1}}, {Name: "lcc", State: []byte{2}}, {Name: "sssp", State: []byte{3}}}})
-	split = bytes.Replace(split, []byte("graph\x01\x02"), []byte("grapH\x01\x02"), 1) // lcc's graph
-	split = binary.LittleEndian.AppendUint32(split[:len(split)-4], crc32.Checksum(split[:len(split)-4], castagnoli))
-	for _, enc := range [][]byte{v1, v2, split} {
+	algos := []AlgoState{{Name: "cc", State: []byte{1, 2}}, {Name: "sssp", State: []byte{3}}, {Name: "lcc"}}
+	for _, c := range []*Checkpoint{
+		{Epoch: 300, Batches: 7, ReplayFrom: 3, Graph: []byte("graph"), V2: true, Algos: algos},
+		{Epoch: 300, Batches: 7, ReplayFrom: 3, Graph: []byte("graph"), Algos: algos},
+		{},
+	} {
+		enc := encodeAs(c)
 		f.Add(enc)
-		for cut := 0; cut < len(enc); cut += 3 {
+		for cut := 0; cut < len(enc); cut += 2 {
 			f.Add(append([]byte(nil), enc[:cut]...))
 		}
 	}
@@ -91,45 +87,31 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		// the fields behind the checksum too.
 		sealed := binary.LittleEndian.AppendUint32(append([]byte(nil), data...), crc32.Checksum(data, castagnoli))
 		for _, in := range [][]byte{data, sealed} {
-			c, err := decodeCheckpoint(in)
-			if err != nil {
-				continue
-			}
-			enc := c.encode()
-			if c.V1 {
-				enc = encodeV1(c)
-			}
-			if bytes.Equal(enc, in) {
-				continue
-			}
-			// A v1 split cut loses the states of the classes whose graph
-			// was not most classes' (majorityV1): the rest must survive.
-			again, err := decodeCheckpoint(enc)
-			dropped := slices.ContainsFunc(c.Algos, func(a AlgoState) bool { return len(a.State) == 0 })
-			if !c.V1 || !dropped || err != nil || !reflect.DeepEqual(again, c) {
-				t.Fatalf("decoded %+v re-encodes to %x, not %x", c, enc, in)
+			if c, err := decodeCheckpoint(in); err == nil && !bytes.Equal(encodeAs(c), in) {
+				t.Fatalf("decoded %+v re-encodes to %x, not %x", c, encodeAs(c), in)
 			}
 		}
 	})
 }
 
-// encodeV1 encodes c in the v1 format, which nothing writes any more: the
-// epoch and ReplayFrom, then per class its name, c.Graph and its state.
-func encodeV1(c *Checkpoint) []byte {
-	buf := binary.AppendUvarint([]byte(ckptMagicV1), c.Epoch)
-	buf = binary.AppendUvarint(buf, c.ReplayFrom)
-	buf = binary.AppendUvarint(buf, uint64(len(c.Algos)))
-	for _, a := range c.Algos {
-		buf = appendField(appendField(appendField(buf, []byte(a.Name)), c.Graph), a.State)
+// encodeAs encodes c in its format: v2, which nothing writes any more, is
+// v3's layout under v2's magic.
+func encodeAs(c *Checkpoint) []byte {
+	enc := c.encode()
+	if !c.V2 {
+		return enc
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	body := append([]byte(ckptMagicV2), enc[len(ckptMagic):len(enc)-4]...)
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
-// writeV1 writes c into dir as a v1 file, named by its epoch.
-func writeV1(t testing.TB, dir string, c *Checkpoint) {
+// writeCheckpoints writes each of cs into dir in its format, named by its
+// epoch.
+func writeCheckpoints(t testing.TB, dir string, cs ...*Checkpoint) {
 	t.Helper()
-	name := fmt.Sprintf("%s%016d%s", ckptPrefix, c.Epoch, ckptSuffixV1)
-	if err := os.WriteFile(filepath.Join(dir, name), encodeV1(c), 0o644); err != nil {
-		t.Fatal(err)
+	for _, c := range cs {
+		if err := os.WriteFile(filepath.Join(dir, ckptName(c.Epoch)), encodeAs(c), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

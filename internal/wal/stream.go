@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -54,11 +53,10 @@ type StreamListing struct {
 	Active uint64 `json:"active"`
 	// Segments lists every on-disk segment, ascending.
 	Segments []SegmentInfo `json:"segments"`
-	// CheckpointSeq numbers the newest v2 checkpoint that decodes, the one
-	// LatestCheckpoint loads once a v2 file exists (OpenDurable writes one),
-	// 0 when there is none. Followers fetch it once at bootstrap so they can start from segment
-	// Checkpoint.ReplayFrom instead of needing the (possibly pruned)
-	// genesis segments.
+	// CheckpointSeq numbers the newest checkpoint that decodes, the one
+	// LatestCheckpoint loads, 0 when there is none. Followers fetch it once
+	// at bootstrap so they can start from segment Checkpoint.ReplayFrom
+	// instead of needing the (possibly pruned) genesis segments.
 	CheckpointSeq uint64 `json:"checkpoint_seq"`
 }
 
@@ -140,7 +138,7 @@ func (l *Log) StreamHandler() http.Handler {
 }
 
 // shipped caches which checkpoint StreamHandler ships, keyed by the newest
-// v2 file's name, size and modification time: a follower polls the listing
+// file's name, size and modification time: a follower polls the listing
 // every 100 ms, and the primary reads its checkpoints only when that changes.
 type shipped struct {
 	mu   sync.Mutex
@@ -149,8 +147,8 @@ type shipped struct {
 	path string
 }
 
-// latest returns the number and path of the newest v2 checkpoint in dir
-// that decodes, or 0 and "" when there is none.
+// latest returns the number and path of the newest checkpoint in dir that
+// decodes, or 0 and "" when there is none.
 func (s *shipped) latest(dir string) (uint64, string) {
 	names, _ := checkpointFiles(dir)
 	s.mu.Lock()
@@ -163,7 +161,7 @@ func (s *shipped) latest(dir string) (uint64, string) {
 	}
 	if key != s.key {
 		s.key, s.seq, s.path = key, 0, ""
-		for i := len(names) - 1; i >= 0 && s.path == "" && strings.HasSuffix(names[i], ckptSuffix); i-- {
+		for i := len(names) - 1; i >= 0 && s.path == ""; i-- {
 			data, _ := os.ReadFile(filepath.Join(dir, names[i]))
 			if c, err := decodeCheckpoint(data); err == nil {
 				s.seq, s.path = c.Epoch, filepath.Join(dir, names[i])

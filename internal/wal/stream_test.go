@@ -12,9 +12,9 @@ import (
 )
 
 // TestStreamHandlerCheckpoint: the listing advertises, and GET /checkpoint
-// ships, the newest v2 checkpoint that decodes. A corrupt newest file is
-// passed over, a v1 file is never shipped whatever its number, and a file
-// rewritten under a name the handler has already read is read again.
+// ships, the newest checkpoint that decodes, v2 or v3. A corrupt newest
+// file is passed over, and a file rewritten under a name the handler has
+// already read is read again.
 func TestStreamHandlerCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Policy: SyncNever})
@@ -60,8 +60,8 @@ func TestStreamHandlerCheckpoint(t *testing.T) {
 	}
 
 	check("empty", 0)
-	writeV1(t, dir, &Checkpoint{Epoch: 900, Graph: []byte("g"), Algos: []AlgoState{{Name: "cc"}}})
-	check("v1 only", 0)
+	writeCheckpoints(t, dir, &Checkpoint{Epoch: 2, Graph: []byte("g"), V2: true})
+	check("v2 only", 2)
 	for _, e := range []uint64{5, 9} {
 		if _, err := WriteCheckpoint(dir, &Checkpoint{Epoch: e, Graph: []byte("cut")}); err != nil {
 			t.Fatal(err)

@@ -565,9 +565,9 @@ func scanSegment(path string, fn func(Record) error) (good int64, n int, err err
 
 // Replay streams every record in segments with sequence number >= from,
 // in order, to fn. The segments must run consecutively from segment from
-// (from the first segment present when from is 0): a missing one is an
-// error naming it, before any record is replayed, because the records it
-// held would otherwise be skipped without a word. Replay stops at the first torn or corrupt frame: if
+// (from segment 1 when from is 0, even if the head was pruned): a missing
+// one is an error naming it, before any record is replayed, because the
+// records it held would otherwise be skipped without a word. Replay stops at the first torn or corrupt frame: if
 // that happens in the final segment it is the expected crash signature
 // and replay ends cleanly; anywhere earlier it means later segments hold
 // records beyond a corruption hole, and Replay returns both the count
@@ -580,7 +580,7 @@ func Replay(dir string, from uint64, fn func(Record) error) (int, error) {
 	}
 	segs = segs[sort.Search(len(segs), func(i int) bool { return segs[i] >= from }):]
 	if from == 0 && len(segs) > 0 {
-		from = segs[0]
+		from = 1
 	}
 	want := from // then the first segment of the run from from not present
 	for _, seq := range segs {

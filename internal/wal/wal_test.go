@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -319,6 +318,16 @@ func TestReplayRefusesGap(t *testing.T) {
 	if n, err := Replay(dir, 4, nil); err != nil || n != 2 {
 		t.Fatalf("replay from 4, past the hole: %d records, err %v", n, err)
 	}
+	// With the head pruned too, a replay from 0 (no checkpoint decodes)
+	// would start mid-stream: segment 1 is missing, whatever follows.
+	for _, seq := range []uint64{1, 2} {
+		if err := os.Remove(filepath.Join(dir, segName(seq))); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := Replay(dir, 0, nil); err == nil || !strings.Contains(err.Error(), "segment 1 missing") || n != 0 {
+			t.Errorf("replay from 0 without segments 1..%d: %d records, err %v; want 0 and segment 1 missing", seq, n, err)
+		}
+	}
 }
 
 func TestSyncHookSkipsFsync(t *testing.T) {
@@ -388,7 +397,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.V1 || got.Epoch != 42 || got.Batches != 5 || got.ReplayFrom != 7 || string(got.Graph) != "graphbytes" || len(got.Algos) != 2 {
+	if got == nil || got.V2 || got.Epoch != 42 || got.Batches != 5 || got.ReplayFrom != 7 || string(got.Graph) != "graphbytes" || len(got.Algos) != 2 {
 		t.Fatalf("got %+v", got)
 	}
 	if got.Algos[0].Name != "sssp" || string(got.Algos[0].State) != "\x01\x02\x03" {
@@ -396,71 +405,30 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1SplitCut: a v1 checkpoint whose classes hold different
-// graphs — a v1 writer checkpointed a quarantined class's stale graph, and
-// targeted updates, gone since, let graphs differ — takes the graph most
-// classes hold and drops every other class's state. With no such graph it
-// is refused with an error naming the file and the classes, not skipped as
-// corrupt for an older checkpoint.
-func TestCheckpointV1SplitCut(t *testing.T) {
-	splitV1 := func(dir string, epoch int, graphs ...string) string {
-		buf := binary.AppendUvarint([]byte(ckptMagicV1), uint64(epoch)) // epoch sum
-		buf = binary.AppendUvarint(buf, 3)                              // replay from
-		buf = binary.AppendUvarint(buf, uint64(len(graphs)))            // classes
-		for i, g := range graphs {
-			name := []string{"cc", "lcc", "sssp"}[i]
-			buf = appendField(appendField(appendField(buf, []byte(name)), []byte(g)), []byte(name+" state"))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-		name := fmt.Sprintf("%s%016d%s", ckptPrefix, epoch, ckptSuffixV1)
-		if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return name
-	}
-
-	dir := t.TempDir()
-	splitV1(dir, 12, "g1", "g2", "g1")
-	got, err := LatestCheckpoint(dir)
-	if err != nil || got == nil || string(got.Graph) != "g1" {
-		t.Fatalf("loaded %+v (%v), want the graph cc and sssp hold", got, err)
-	}
-	for _, a := range got.Algos {
-		if want := map[string]string{"cc": "cc state", "sssp": "sssp state"}[a.Name]; string(a.State) != want {
-			t.Errorf("%s: state %q, want %q", a.Name, a.State, want)
-		}
-	}
-
-	dir = t.TempDir()
-	writeV1(t, dir, &Checkpoint{Epoch: 2, Graph: []byte("g"), Algos: []AlgoState{{Name: "cc"}}})
-	name := splitV1(dir, 8, "g1", "g2")
-	if _, err = LatestCheckpoint(dir); err == nil || !strings.Contains(err.Error(), name) ||
-		!strings.Contains(err.Error(), "(cc, lcc)") || !strings.Contains(err.Error(), "quarantined") {
-		t.Fatalf("err = %v, want a refusal naming %s, cc and lcc", err, name)
-	}
-}
-
-// TestCheckpointMixedVersions: a v1 file is named by the sum of the class
-// epochs, so it can carry a larger number than a later v2 file. The v2
-// file is the one loaded, and pruning drops the v1 file first.
+// TestCheckpointMixedVersions: v2 and v3 files are both named by stream
+// epoch, so they are one list. The newest file that decodes is loaded
+// whatever its format, a v2 one marked V2, and pruning drops the oldest
+// by epoch.
 func TestCheckpointMixedVersions(t *testing.T) {
 	dir := t.TempDir()
-	writeV1(t, dir, &Checkpoint{Epoch: 600, Graph: []byte("old"), Algos: []AlgoState{{Name: "cc"}, {Name: "sssp"}}})
-	for _, c := range []*Checkpoint{{Epoch: 300, Graph: []byte("cut")}, {Epoch: 100, Graph: []byte("older cut")}} {
-		if _, err := WriteCheckpoint(dir, c); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeCheckpoints(t, dir, &Checkpoint{Epoch: 100, Graph: []byte("v2 cut"), V2: true}, &Checkpoint{Epoch: 300, Graph: []byte("cut")},
+		&Checkpoint{Epoch: 200, Graph: []byte("older v2 cut"), V2: true})
 	got, err := LatestCheckpoint(dir)
-	if err != nil || got == nil || got.V1 || got.Epoch != 300 {
-		t.Fatalf("loaded %+v (%v), want the v2 checkpoint at 300", got, err)
+	if err != nil || got == nil || got.V2 || got.Epoch != 300 {
+		t.Fatalf("loaded %+v (%v), want the v3 checkpoint at 300", got, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ckptName(300)), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = LatestCheckpoint(dir); err != nil || got == nil || !got.V2 || got.Epoch != 200 {
+		t.Fatalf("loaded %+v (%v), want the v2 checkpoint at 200", got, err)
 	}
 	if err := PruneCheckpoints(dir, 2); err != nil {
 		t.Fatal(err)
 	}
 	names, err := checkpointFiles(dir)
-	if err != nil || len(names) != 2 || names[0] != ckptName(100) || names[1] != ckptName(300) {
-		t.Fatalf("after prune: %v (%v), want the two v2 files", names, err)
+	if err != nil || len(names) != 2 || names[0] != ckptName(200) || names[1] != ckptName(300) {
+		t.Fatalf("after prune: %v (%v), want the files at 200 and 300", names, err)
 	}
 }
 
