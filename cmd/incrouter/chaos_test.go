@@ -73,12 +73,10 @@ func TestChaosDifferential(t *testing.T) {
 	table := shard.NewTable(primaries)
 	events := obs.NewRing[shard.TopologyEvent](128)
 	sup, err := shard.NewSupervisor(shard.SupervisorOptions{
-		Table:         table,
-		Specs:         specs,
-		ProbeInterval: 100 * time.Millisecond,
-		Events:        events,
-		JitterSeed:    seed,
-		Logf:          t.Logf,
+		Table:  table,
+		Specs:  specs,
+		Events: events,
+		Logf:   t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +113,6 @@ func TestChaosDifferential(t *testing.T) {
 		Part: part, Table: table, Directed: true, NumNodes: nodes,
 		Events: events,
 		Client: &http.Client{Transport: ft},
-		Resilience: shard.ResilienceOptions{
-			Seed:           seed,
-			BreakerOpenFor: 500 * time.Millisecond,
-			HedgeAfter:     50 * time.Millisecond,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,11 +63,10 @@ func TestShardedE2E(t *testing.T) {
 	table := shard.NewTable(primaries)
 	events := obs.NewRing[shard.TopologyEvent](64)
 	sup, err := shard.NewSupervisor(shard.SupervisorOptions{
-		Table:         table,
-		Specs:         specs,
-		ProbeInterval: 100 * time.Millisecond,
-		Events:        events,
-		Logf:          t.Logf,
+		Table:  table,
+		Specs:  specs,
+		Events: events,
+		Logf:   t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

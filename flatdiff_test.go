@@ -290,7 +290,9 @@ func churnMaintainers(g, pattern *graph.Graph) []churnMaintainer {
 	si, sie, sd := sim.NewInc(g.Clone(), pattern), sim.NewIncEngine(g.Clone(), pattern), sim.NewIncDual(g.Clone(), pattern)
 	ms := []churnMaintainer{
 		{"sssp.Inc", s.Apply, func() bool { return reflect.DeepEqual(s.Dist(), sssp.Dijkstra(s.Graph(), 0)) }},
-		{"sssp.IncEngine", se.Apply, func() bool { return reflect.DeepEqual(se.Dist(), sssp.Dijkstra(se.Graph(), 0)) }},
+		{"sssp.IncEngine", se.Apply, func() bool {
+			return reflect.DeepEqual(se.Dist(), sssp.Dijkstra(se.Graph(), 0)) && ssspAnchored(se.Graph(), se.State(), 0)
+		}},
 		{"cc.Inc", c.Apply, func() bool { return reflect.DeepEqual(c.Labels(), cc.CCfp(c.Graph())) }},
 		{"cc.IncNaive", cn.Apply, func() bool { return reflect.DeepEqual(cn.Labels(), cc.CCfp(cn.Graph())) }},
 		{"dfs.Inc", d.Apply, func() bool { return d.Tree().Equal(dfs.Run(d.Graph())) }},
@@ -307,10 +309,36 @@ func churnMaintainers(g, pattern *graph.Graph) []churnMaintainer {
 	return ms
 }
 
+// ssspAnchored reports whether st keeps the order the next h relies on:
+// every reached node other than src has a tight in-edge (u, v),
+// dist_u + w = dist_v, from a node u stamped before it (u <_C v). h
+// enqueues only the dependents stamped after a node it revises, so a node
+// without such an anchor keeps a distance its lost anchor set.
+func ssspAnchored(g *graph.Graph, st *fixpoint.State[int64], src graph.NodeID) bool {
+	for v, dv := range st.Val {
+		if graph.NodeID(v) == src || dv >= sssp.Infinity {
+			continue
+		}
+		ok := false
+		for _, e := range g.In(graph.NodeID(v)) {
+			if du := st.Val[e.To]; du < sssp.Infinity && du+e.W == dv && st.TS[e.To] < st.TS[v] {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // churnSeed feeds seed's churn streams, un-netted, to every maintainer on
 // a directed and an undirected graph, and requires Theorem 1 after every
 // chunk: each maintainer computes G ⊕ b for any sequence b, as the host's
 // single Net leaves it to (a facade user's batch reaches Apply as it is).
+// sssp.IncEngine must also keep the order its next h relies on: every
+// reached node anchored by a tight in-edge from a node stamped before it.
 func churnSeed(t *testing.T, seed int64) bool {
 	rng := rand.New(rand.NewSource(seed))
 	pattern := RandomPattern(seed+3, 4, 5, 3)
@@ -332,11 +360,21 @@ func churnSeed(t *testing.T, seed int64) bool {
 	return true
 }
 
+// churnPinned are testing/quick draws on which sssp.IncEngine, on the
+// undirected graph, once ended a chunk with a node 1 below Dijkstra's: h
+// stamped the variables it revised afresh, after a dependent it had
+// evaluated and left alone, so a later h no longer reached that
+// dependent when its one remaining anchor rose.
+var churnPinned = []int64{1321383146672136240, 334275395848371562, 7869847668571611342, 2256872818531065710}
+
 // TestChurnDifferential is the differential test of the any-sequence rule:
 // the stream of TestFlatDifferentialSixClass plus churn, given to every
 // maintainer without netting.
 func TestChurnDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
+		churnSeed(t, seed)
+	}
+	for _, seed := range churnPinned {
 		churnSeed(t, seed)
 	}
 	if err := quick.Check(func(seed int64) bool { return churnSeed(t, seed) }, &quick.Config{MaxCount: 8}); err != nil {

@@ -68,27 +68,63 @@ func TestGrowMidStream(t *testing.T) {
 	}
 }
 
-func TestHRevisionRestampsForNextRound(t *testing.T) {
-	// After a deletion raises a variable, its timestamp must be fresher
-	// than untouched variables', so the next round's anchor analysis sees
-	// the revised derivation order. This is the regression test for the
-	// staleness bug where h revised values without stamping.
-	m := newMinPlus(4, 0)
-	m.addEdge(0, 1, 1)
-	m.addEdge(1, 2, 1)
-	m.addEdge(0, 3, 5)
-	m.addEdge(3, 2, 5)
+// anchoredMinPlus reports the first variable of e's min-plus state that
+// has a finite value but no tight input stamped before it: the order h
+// relies on to find every dependent a revision can strand.
+func anchoredMinPlus(m *minPlus, e *Engine[int64]) (Var, bool) {
+	st := e.State()
+	for v := range st.Val {
+		x := Var(v)
+		if x == m.src || st.Val[x] >= inf {
+			continue
+		}
+		ok := false
+		for _, a := range m.in[x] {
+			if st.Val[a.to] < inf && st.Val[a.to]+a.w == st.Val[x] && st.TS[a.to] < st.TS[x] {
+				ok = true
+			}
+		}
+		if !ok {
+			return x, false
+		}
+	}
+	return 0, true
+}
+
+// TestHRevisionKeepsAnchorOrder: a variable h revises keeps its stamp,
+// because h derives the new value from inputs stamped before it. Stamping
+// it afresh would put it after a dependent h evaluated but did not revise
+// — one whose old value an inserted edge from the revised variable still
+// matches — and the next round's h would not reach that dependent.
+//
+// 0→1 (5), 1→2 (6), 1→3 (9), 3→4 (1) give 1=5, 2=11, 3=14, 4=15. The first
+// round re-weights 0→1 to 6 and inserts 2→4 (3): h raises 1, 2 and 3 by
+// one and finds 4's 15 matched by 2's 12 + 3. The second round re-weights
+// 0→1 to 7: 2 rises to 13 and 4 must follow it to 16.
+func TestHRevisionKeepsAnchorOrder(t *testing.T) {
+	m := newMinPlus(5, 0)
+	m.addEdge(0, 1, 5)
+	m.addEdge(1, 2, 6)
+	m.addEdge(1, 3, 9)
+	m.addEdge(3, 4, 1)
 	e := New[int64](m, PriorityOrder)
 	e.Run()
-	tsBefore := e.State().TS[2]
-
-	// Delete (1,2): node 2 re-derives via 3 (dist 10), revised by h.
-	m.delEdge(1, 2)
-	e.IncrementalRun([]Var{2})
-	if e.State().Val[2] != 10 {
-		t.Fatalf("dist[2] = %d, want 10", e.State().Val[2])
-	}
-	if e.State().TS[2] <= tsBefore {
-		t.Fatal("revised variable kept a stale timestamp")
+	for round, w := range []int64{6, 7} {
+		m.delEdge(0, 1)
+		m.addEdge(0, 1, w)
+		seeds := []Var{0}
+		if round == 0 {
+			m.addEdge(2, 4, 3)
+			seeds = append(seeds, 2)
+		}
+		e.IncrementalRunDelta([]Touched{{X: 1, MaybeInfeasible: true}}, seeds)
+		fresh := New[int64](m, PriorityOrder)
+		fresh.Run()
+		if !reflect.DeepEqual(e.State().Val, fresh.State().Val) {
+			t.Fatalf("round %d: %v, want %v", round, e.State().Val, fresh.State().Val)
+		}
+		if x, ok := anchoredMinPlus(m, e); !ok {
+			t.Fatalf("round %d: variable %d has no tight input stamped before it (stamps %v)", round, x, e.State().TS)
+		}
 	}
 }

@@ -283,9 +283,8 @@ func New[V any](inst Instance[V], policy Policy) *Engine[V] {
 	// h evaluates f_x on the feasible input set Ȳ_x: inputs determined
 	// after x in <_C are reset to their initial values (always feasible);
 	// earlier inputs keep their current — already revised, hence feasible
-	// — values. h defers its own timestamp writes until after the queue
-	// drains, so e.st.TS still carries the previous run's order while
-	// these closures read it.
+	// — values. h writes no timestamps, so e.st.TS carries the previous
+	// run's order while these closures read it.
 	e.hGetFn = func(y Var) V {
 		e.st.Stats.Reads++
 		if e.st.TS[e.hx] < e.st.TS[y] {
@@ -556,10 +555,17 @@ func (e *Engine[V]) IncrementalRunDelta(touched []Touched, pushSeeds []Var) []Va
 // yields on a feasible version of its input set, and propagating along
 // anchor edges (contributors), which always point from smaller to larger
 // timestamps.
+//
+// A revised variable keeps its timestamp: its new value is derived from
+// inputs stamped before it, so its place in <_C still holds. A fresh stamp
+// would move it after dependents h evaluated but left alone — one whose
+// old value an inserted edge from the revised variable still matches
+// would then have no anchor before it, and the next run's h, which
+// enqueues only dependents stamped after a revised variable, would leave
+// it at a value its lost anchor set. Only the resumed step function
+// stamps, on every value it changes.
 func (e *Engine[V]) scopeFunction(touched []Touched) []Var {
 	st := e.st
-	// st.TS is frozen while the queue drains — h defers its stamps to the
-	// loop below — so <_C read by hGetFn/hEnqFn is the previous run's.
 	que := e.hq
 	e.led.Begin()
 	h0 := make([]Var, 0, len(touched)*2)
@@ -576,7 +582,6 @@ func (e *Engine[V]) scopeFunction(touched []Touched) []Var {
 			que.AddOrAdjust(int32(t.X))
 		}
 	}
-	var revised []Var
 	for {
 		top, ok := que.Pop()
 		if !ok {
@@ -594,17 +599,8 @@ func (e *Engine[V]) scopeFunction(touched []Touched) []Var {
 			st.Val[x] = newv
 			st.Stats.HResets++
 			addH0(x)
-			revised = append(revised, x)
 			e.inst.Dependents(x, e.hEnqFn)
 		}
-	}
-	// Stamp the revised variables now, in revision order: their values
-	// were re-determined by h, and later rounds' anchor analysis must see
-	// them as the youngest determinations. Stamping after the loop keeps
-	// the order <_C frozen while h runs.
-	for _, x := range revised {
-		st.clock++
-		st.TS[x] = st.clock
 	}
 	return h0
 }

@@ -31,36 +31,19 @@ func (s State) String() string {
 	}
 }
 
-// BreakerOptions tunes a Breaker. Zero values take the documented
-// defaults.
+// The breaker's policy, the same for every target: threshold consecutive
+// failures trip it Open, it refuses traffic for openFor, and
+// probeSuccesses consecutive half-open successes close it again.
+const (
+	threshold      = 5
+	openFor        = time.Second
+	probeSuccesses = 1
+)
+
+// BreakerOptions tunes a Breaker.
 type BreakerOptions struct {
-	// Threshold is the number of consecutive failures that trips the
-	// breaker from Closed to Open. Default 5.
-	Threshold int
-	// OpenFor is how long the breaker refuses traffic before allowing
-	// half-open probes. Default 1s.
-	OpenFor time.Duration
-	// ProbeSuccesses is how many consecutive half-open successes close
-	// the breaker again. Default 1.
-	ProbeSuccesses int
 	// Now overrides the clock for tests. Default time.Now.
 	Now func() time.Time
-}
-
-func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.Threshold <= 0 {
-		o.Threshold = 5
-	}
-	if o.OpenFor <= 0 {
-		o.OpenFor = time.Second
-	}
-	if o.ProbeSuccesses <= 0 {
-		o.ProbeSuccesses = 1
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
-	return o
 }
 
 // Breaker is a per-target circuit breaker. Callers ask Allow before a
@@ -80,7 +63,10 @@ type Breaker struct {
 
 // NewBreaker returns a Breaker in the Closed state.
 func NewBreaker(opt BreakerOptions) *Breaker {
-	return &Breaker{opt: opt.withDefaults()}
+	if opt.Now == nil {
+		opt.Now = time.Now
+	}
+	return &Breaker{opt: opt}
 }
 
 // Allow reports whether a request may proceed. While Open it returns
@@ -112,7 +98,7 @@ func (b *Breaker) Success() {
 		b.fails = 0
 	case HalfOpen:
 		b.probes++
-		if b.probes >= b.opt.ProbeSuccesses {
+		if b.probes >= probeSuccesses {
 			b.state = Closed
 			b.fails = 0
 		}
@@ -122,7 +108,7 @@ func (b *Breaker) Success() {
 }
 
 // Failure records a failed request. In Closed it extends the streak and
-// trips the breaker at Threshold; in HalfOpen a single failed probe
+// trips the breaker at the threshold; in HalfOpen a single failed probe
 // re-opens immediately.
 func (b *Breaker) Failure() {
 	b.mu.Lock()
@@ -130,7 +116,7 @@ func (b *Breaker) Failure() {
 	switch b.state {
 	case Closed:
 		b.fails++
-		if b.fails >= b.opt.Threshold {
+		if b.fails >= threshold {
 			b.trip()
 		}
 	case HalfOpen:
@@ -142,7 +128,7 @@ func (b *Breaker) Failure() {
 func (b *Breaker) trip() {
 	b.state = Open
 	b.fails = 0
-	b.until = b.opt.Now().Add(b.opt.OpenFor)
+	b.until = b.opt.Now().Add(openFor)
 	b.opens++
 }
 

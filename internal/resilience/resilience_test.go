@@ -16,27 +16,27 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
-func newTestBreaker(c *fakeClock, threshold int, openFor time.Duration, probes int) *Breaker {
-	return NewBreaker(BreakerOptions{Threshold: threshold, OpenFor: openFor, ProbeSuccesses: probes, Now: c.now})
-}
+func newTestBreaker(c *fakeClock) *Breaker   { return NewBreaker(BreakerOptions{Now: c.now}) }
 
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	clock := newFakeClock()
-	b := newTestBreaker(clock, 3, time.Second, 1)
+	b := newTestBreaker(clock)
 	if got := b.State(); got != Closed {
 		t.Fatalf("initial state = %v, want Closed", got)
 	}
-	b.Failure()
-	b.Failure()
+	for i := 0; i < threshold-1; i++ {
+		b.Failure()
+	}
 	b.Success() // resets the streak
-	b.Failure()
-	b.Failure()
+	for i := 0; i < threshold-1; i++ {
+		b.Failure()
+	}
 	if got := b.State(); got != Closed {
 		t.Fatalf("after interrupted streak state = %v, want Closed", got)
 	}
 	b.Failure()
 	if got := b.State(); got != Open {
-		t.Fatalf("after 3 consecutive failures state = %v, want Open", got)
+		t.Fatalf("after %d consecutive failures state = %v, want Open", threshold, got)
 	}
 	if b.Allow() {
 		t.Fatal("Allow() = true while Open within cool-down")
@@ -44,21 +44,23 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	if got := b.Opens(); got != 1 {
 		t.Fatalf("Opens() = %d, want 1", got)
 	}
-	if r := b.RemainingOpen(); r <= 0 || r > time.Second {
-		t.Fatalf("RemainingOpen() = %v, want (0, 1s]", r)
+	if r := b.RemainingOpen(); r <= 0 || r > openFor {
+		t.Fatalf("RemainingOpen() = %v, want (0, %v]", r, openFor)
 	}
 }
 
 func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 	clock := newFakeClock()
-	b := newTestBreaker(clock, 1, time.Second, 2)
-	b.Failure()
+	b := newTestBreaker(clock)
+	for i := 0; i < threshold; i++ {
+		b.Failure()
+	}
 	if got := b.State(); got != Open {
 		t.Fatalf("state = %v, want Open", got)
 	}
 
 	// Cool-down elapses: the next Allow admits a probe.
-	clock.advance(time.Second + time.Millisecond)
+	clock.advance(openFor + time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("Allow() = false after cool-down")
 	}
@@ -72,18 +74,14 @@ func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 		t.Fatalf("after failed probe state = %v, want Open", got)
 	}
 
-	// Two successful probes close it (ProbeSuccesses = 2).
-	clock.advance(time.Second + time.Millisecond)
+	// One successful probe closes it.
+	clock.advance(openFor + time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("Allow() = false after second cool-down")
 	}
 	b.Success()
-	if got := b.State(); got != HalfOpen {
-		t.Fatalf("after 1 of 2 probe successes state = %v, want HalfOpen", got)
-	}
-	b.Success()
 	if got := b.State(); got != Closed {
-		t.Fatalf("after 2 probe successes state = %v, want Closed", got)
+		t.Fatalf("after a probe success state = %v, want Closed", got)
 	}
 	if r := b.RemainingOpen(); r != 0 {
 		t.Fatalf("RemainingOpen() on closed breaker = %v, want 0", r)
@@ -92,8 +90,10 @@ func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 
 func TestBreakerResetClearsHistory(t *testing.T) {
 	clock := newFakeClock()
-	b := newTestBreaker(clock, 1, time.Minute, 1)
-	b.Failure()
+	b := newTestBreaker(clock)
+	for i := 0; i < threshold; i++ {
+		b.Failure()
+	}
 	if b.Allow() {
 		t.Fatal("Allow() = true while freshly Open")
 	}

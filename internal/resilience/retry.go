@@ -21,18 +21,9 @@ type Backoff struct {
 }
 
 // NewBackoff returns a Backoff growing from base to at most max, with
-// jitter drawn from a generator seeded with seed. Non-positive base and
-// max default to 25ms and 1s.
+// jitter drawn from a generator seeded with seed. Both bounds must be
+// positive.
 func NewBackoff(base, max time.Duration, seed int64) *Backoff {
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
-	if max <= 0 {
-		max = time.Second
-	}
-	if max < base {
-		max = base
-	}
 	return &Backoff{base: base, max: max, rng: rand.New(rand.NewSource(seed))}
 }
 
@@ -72,13 +63,14 @@ func (b *Backoff) ceiling(attempt int) time.Duration {
 	return ceil
 }
 
-// RetryOptions configures Do. The zero value retries twice with a
-// default backoff and treats every error as retryable.
+// RetryOptions configures Do. It stays an options struct because its two
+// callers, the router's shard calls and its cluster scrapes, make
+// different numbers of attempts.
 type RetryOptions struct {
-	// Attempts is the total number of tries, including the first.
-	// Default 3.
+	// Attempts is the total number of tries, including the first; Do
+	// always makes one.
 	Attempts int
-	// Backoff supplies inter-attempt delays. Default NewBackoff(0,0,1).
+	// Backoff supplies inter-attempt delays; it must be set.
 	Backoff *Backoff
 	// Retryable, when non-nil, filters which errors are worth another
 	// attempt; a false verdict returns the error immediately. Permanent
@@ -101,16 +93,8 @@ type RetryOptions struct {
 // context passed to op is ctx itself, so op's own I/O is equally
 // bounded.
 func Do(ctx context.Context, opt RetryOptions, op func(context.Context) error) error {
-	attempts := opt.Attempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	bo := opt.Backoff
-	if bo == nil {
-		bo = NewBackoff(0, 0, 1)
-	}
 	var err error
-	for i := 0; i < attempts; i++ {
+	for i := 0; ; i++ {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			if err == nil {
 				err = ctxErr
@@ -123,10 +107,10 @@ func Do(ctx context.Context, opt RetryOptions, op func(context.Context) error) e
 		if opt.Retryable != nil && !opt.Retryable(err) {
 			return err
 		}
-		if i == attempts-1 {
-			break
+		if i >= opt.Attempts-1 {
+			return err
 		}
-		delay := bo.Delay(i)
+		delay := opt.Backoff.Delay(i)
 		if opt.RetryAfter != nil {
 			if hint, ok := opt.RetryAfter(err); ok && hint > delay {
 				delay = hint
@@ -146,5 +130,4 @@ func Do(ctx context.Context, opt RetryOptions, op func(context.Context) error) e
 		case <-timer.C:
 		}
 	}
-	return err
 }

@@ -79,10 +79,9 @@ func startObservedReplica(t *testing.T, g *graph.Graph, p Partitioner, id int, s
 	}
 	dir := t.TempDir()
 	f := NewFollower(FollowerOptions{
-		Source:   primaryURL,
-		Dir:      dir,
-		Service:  svc,
-		Interval: 10 * time.Millisecond,
+		Source:  primaryURL,
+		Dir:     dir,
+		Service: svc,
 	})
 	go f.Run()
 	var d *serve.Durable

@@ -19,67 +19,25 @@ import (
 // replica-backed stale reads for degraded queries. The mechanisms live
 // in internal/resilience; this file binds them to shards.
 
-// ResilienceOptions tune the router's retry/breaker/deadline behavior.
-// The zero value takes all defaults, which are safe for production and
-// deterministic enough for tests that pin Seed.
-type ResilienceOptions struct {
-	// DefaultTimeout is the budget attached to requests that arrive with
-	// neither a context deadline nor an X-Incgraph-Deadline header
-	// (default 30s).
-	DefaultTimeout time.Duration
-	// Attempts is the total tries per shard call, including the first
-	// (default 3).
-	Attempts int
-	// RetryBase and RetryMax bound the full-jitter backoff between
-	// retries (defaults 25ms and 1s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// shard's breaker (default 5).
-	BreakerThreshold int
-	// BreakerOpenFor is the cool-down before half-open probes
-	// (default 1s).
-	BreakerOpenFor time.Duration
-	// BreakerProbes is the half-open successes needed to close again
-	// (default 1).
-	BreakerProbes int
-	// HedgeAfter is how long a view fetch waits on the primary before
-	// racing the shard's replica; <= 0 disables hedging (default 100ms).
-	HedgeAfter time.Duration
-	// Seed drives the retry jitter (default 1).
-	Seed int64
-}
-
-func (o ResilienceOptions) withDefaults() ResilienceOptions {
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 30 * time.Second
-	}
-	if o.Attempts <= 0 {
-		o.Attempts = 3
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 25 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerOpenFor <= 0 {
-		o.BreakerOpenFor = time.Second
-	}
-	if o.BreakerProbes <= 0 {
-		o.BreakerProbes = 1
-	}
-	if o.HedgeAfter == 0 {
-		o.HedgeAfter = 100 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The router's resilience policy. Each number is written here once; a
+// slot's breaker runs internal/resilience's one policy.
+const (
+	// defaultBudget bounds a request that arrives with neither a context
+	// deadline nor an X-Incgraph-Deadline header.
+	defaultBudget = 30 * time.Second
+	// shardAttempts is the tries per shard call, the first included, and
+	// scrapeAttempts the tries per cluster scrape.
+	shardAttempts  = 3
+	scrapeAttempts = 2
+	// retryBase and retryMax bound the full-jitter backoff between
+	// retries; retrySeed seeds its jitter.
+	retryBase = 25 * time.Millisecond
+	retryMax  = time.Second
+	retrySeed = 1
+	// hedgeAfter is how long a view fetch waits on the primary before
+	// racing the shard's replica.
+	hedgeAfter = 100 * time.Millisecond
+)
 
 // slotGuard pairs a slot's breaker with the table generation it was
 // built for, so a promotion resets the failure history.
@@ -90,16 +48,11 @@ type slotGuard struct {
 
 // initResilience builds the per-slot breakers, the shared backoff, and
 // the resilience metric series. Called from NewRouter.
-func (rt *Router) initResilience(opt ResilienceOptions, reg *obs.Registry) {
-	rt.res = opt.withDefaults()
-	rt.backoff = resilience.NewBackoff(rt.res.RetryBase, rt.res.RetryMax, rt.res.Seed)
+func (rt *Router) initResilience(reg *obs.Registry) {
+	rt.backoff = resilience.NewBackoff(retryBase, retryMax, retrySeed)
 	rt.guards = make([]*slotGuard, rt.part.Shards())
 	for i := range rt.guards {
-		rt.guards[i] = &slotGuard{breaker: resilience.NewBreaker(resilience.BreakerOptions{
-			Threshold:      rt.res.BreakerThreshold,
-			OpenFor:        rt.res.BreakerOpenFor,
-			ProbeSuccesses: rt.res.BreakerProbes,
-		})}
+		rt.guards[i] = &slotGuard{breaker: resilience.NewBreaker(resilience.BreakerOptions{})}
 	}
 	rt.retriesTotal = reg.Counter("incrouter_retries_total", "Shard calls retried after a transient failure.")
 	rt.breakerOpens = reg.Counter("incrouter_breaker_opens_total", "Per-shard circuit breaker trips to open.")
@@ -195,7 +148,7 @@ func retryableShardErr(err error) bool {
 // no-ops).
 func (rt *Router) callShard(ctx context.Context, i int, op func(context.Context, *Client) error) error {
 	return resilience.Do(ctx, resilience.RetryOptions{
-		Attempts:   rt.res.Attempts,
+		Attempts:   shardAttempts,
 		Backoff:    rt.backoff,
 		Retryable:  retryableShardErr,
 		RetryAfter: RetryAfterHint,
@@ -286,8 +239,8 @@ func (rt *Router) fetchView(ctx context.Context, i int, algo string) (ShardView,
 		}()
 		inflight := 1
 		var hedgeC <-chan time.Time
-		if raddr != "" && rt.res.HedgeAfter > 0 {
-			tm := time.NewTimer(rt.res.HedgeAfter)
+		if raddr != "" {
+			tm := time.NewTimer(hedgeAfter)
 			defer tm.Stop()
 			hedgeC = tm.C
 		}
@@ -345,11 +298,11 @@ func (rt *Router) fetchView(ctx context.Context, i int, algo string) (ShardView,
 }
 
 // retryScrape wraps cluster observability scrapes (metrics, traces,
-// offenders, health probes) in a light two-attempt retry — scrapes are
-// read-only and retry freely.
+// offenders, health probes) in a light retry of scrapeAttempts — scrapes
+// are read-only and retry freely.
 func (rt *Router) retryScrape(ctx context.Context, op func(context.Context) error) error {
 	return resilience.Do(ctx, resilience.RetryOptions{
-		Attempts: 2,
+		Attempts: scrapeAttempts,
 		Backoff:  rt.backoff,
 		OnRetry:  func(int, time.Duration, error) { rt.retriesTotal.Inc() },
 	}, op)

@@ -51,7 +51,6 @@ type Router struct {
 	// Resilience plane (see resilient.go): per-slot breakers keyed to
 	// table generations, shared jittered backoff, and the counters the
 	// chaos campaign asserts on.
-	res             ResilienceOptions
 	backoff         *resilience.Backoff
 	guardMu         sync.Mutex
 	guards          []*slotGuard
@@ -86,18 +85,10 @@ type RouterOptions struct {
 	NumNodes int
 	// Client overrides the HTTP client used for shard requests.
 	Client *http.Client
-	// Registry receives router metrics; nil means a private registry.
-	Registry *obs.Registry
-	// Recorder receives router spans; nil means a private recorder. Its
-	// process name is set to "router" when unset.
-	Recorder *trace.Recorder
 	// Events is the topology event ring surfaced at /cluster/events;
 	// share it with the Supervisor so its actions are visible. Nil means
 	// a private (empty unless the router writes) ring.
 	Events *obs.Ring[TopologyEvent]
-	// Resilience tunes deadline budgets, retries, circuit breakers, and
-	// hedged reads; the zero value takes all defaults.
-	Resilience ResilienceOptions
 }
 
 // NewRouter validates the options and builds a router.
@@ -115,10 +106,7 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 	if opt.NumNodes <= 0 {
 		return nil, fmt.Errorf("shard: router needs the node count, got %d", opt.NumNodes)
 	}
-	reg := opt.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	rt := &Router{
 		part:     opt.Part,
 		table:    opt.Table,
@@ -128,19 +116,14 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 		floor:    make(EpochVector, opt.Part.Shards()),
 		reg:      reg,
 	}
-	rt.rec = opt.Recorder
-	if rt.rec == nil {
-		rt.rec = trace.NewRecorder(4096)
-	}
-	if rt.rec.Process() == "" {
-		rt.rec.SetProcess("router")
-	}
+	rt.rec = trace.NewRecorder(4096)
+	rt.rec.SetProcess("router")
 	rt.track = rt.rec.Track("router")
 	rt.events = opt.Events
 	if rt.events == nil {
 		rt.events = obs.NewRing[TopologyEvent](256)
 	}
-	rt.initResilience(opt.Resilience, reg)
+	rt.initResilience(reg)
 	rt.updatesRouted = reg.Counter("incrouter_updates_routed_total", "Unit updates fanned out to shards.")
 	rt.updatesShed = reg.Counter("incrouter_updates_shed_total", "Update requests refused with 503.")
 	rt.updatesSplit = reg.Counter("incrouter_batches_split_total", "Update batches split and routed.")
@@ -367,7 +350,7 @@ func (rt *Router) requestTrace(w http.ResponseWriter, r *http.Request) (context.
 
 func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	ctx, tid := rt.requestTrace(w, r)
-	ctx, cancel := resilience.EnsureBudget(ctx, rt.res.DefaultTimeout)
+	ctx, cancel := resilience.EnsureBudget(ctx, defaultBudget)
 	defer cancel()
 	root := rt.rec.Begin("update", "router", rt.track)
 	root.SetTrace(tid)
@@ -523,7 +506,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, tid := rt.requestTrace(w, r)
-	ctx, cancel := resilience.EnsureBudget(ctx, rt.res.DefaultTimeout)
+	ctx, cancel := resilience.EnsureBudget(ctx, defaultBudget)
 	defer cancel()
 	span := rt.rec.Begin("query", "router", rt.track)
 	span.SetTrace(tid)

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"incgraph/internal/cc"
 	"incgraph/internal/gen"
@@ -356,10 +355,7 @@ func TestRouterCrashMidFanOut(t *testing.T) {
 	good := startShardDaemon(t, g, p, 0, src)
 	crashed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	table := NewTable([]string{good.URL, crashed.URL})
-	rt, err := NewRouter(RouterOptions{Part: p, Table: table, Directed: true, NumNodes: g.NumNodes(),
-		// Tight retry budget: the crashed shard fails fast instead of
-		// riding three full backoff cycles per call.
-		Resilience: ResilienceOptions{Attempts: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond}})
+	rt, err := NewRouter(RouterOptions{Part: p, Table: table, Directed: true, NumNodes: g.NumNodes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,8 +446,7 @@ func interferingCluster(t *testing.T, g *graph.Graph, src graph.NodeID, wrap fun
 	s0 := startShardDaemon(t, g, p, 0, src)
 	s1 := startWrappedShard(t, g, p, 1, src, wrap)
 	rt, err := NewRouter(RouterOptions{Part: p, Table: NewTable([]string{s0.URL, s1.URL}),
-		Directed: g.Directed(), NumNodes: g.NumNodes(),
-		Resilience: ResilienceOptions{Attempts: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond}})
+		Directed: g.Directed(), NumNodes: g.NumNodes()})
 	if err != nil {
 		t.Fatal(err)
 	}

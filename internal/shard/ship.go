@@ -174,12 +174,13 @@ type FollowerOptions struct {
 	// ReplayFrom is the first WAL segment to tail (a recovered
 	// checkpoint's ReplayFrom; 0 tails from the oldest shipped segment).
 	ReplayFrom uint64
-	// Interval is the poll cadence (default 100ms — replication lag is
-	// bounded by this plus transfer time).
-	Interval time.Duration
 	// Logf receives follower progress lines; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// followInterval is the follower's poll cadence: replication lag is
+// bounded by it plus transfer time.
+const followInterval = 100 * time.Millisecond
 
 // Follower runs continuous log shipping for one replica: pull new WAL
 // bytes from the primary, submit newly complete records to its service,
@@ -219,9 +220,6 @@ type Follower struct {
 // NewFollower builds a follower; call Run (usually in a goroutine) to
 // start shipping.
 func NewFollower(opt FollowerOptions) *Follower {
-	if opt.Interval <= 0 {
-		opt.Interval = 100 * time.Millisecond
-	}
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
 	}
@@ -257,7 +255,7 @@ func NewFollower(opt FollowerOptions) *Follower {
 func (f *Follower) Run() {
 	f.startOnce.Do(func() {
 		defer close(f.done)
-		tick := time.NewTicker(f.opt.Interval)
+		tick := time.NewTicker(followInterval)
 		defer tick.Stop()
 		for {
 			f.cycle()

@@ -118,10 +118,9 @@ func TestFollowerReplaysLiveStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := NewFollower(FollowerOptions{
-		Source:   srv.URL,
-		Dir:      dir,
-		Service:  svc,
-		Interval: 10 * time.Millisecond,
+		Source:  srv.URL,
+		Dir:     dir,
+		Service: svc,
 	})
 	go f.Run()
 
@@ -197,10 +196,9 @@ func checkReplicaViews(t *testing.T, svc *serve.Service, g *graph.Graph, src gra
 // Status, and Stop still drains cleanly.
 func TestFollowerSurvivesDeadPrimary(t *testing.T) {
 	f := NewFollower(FollowerOptions{
-		Source:   "http://127.0.0.1:1", // nothing listens here
-		Dir:      t.TempDir(),
-		Service:  serve.NewService(),
-		Interval: 5 * time.Millisecond,
+		Source:  "http://127.0.0.1:1", // nothing listens here
+		Dir:     t.TempDir(),
+		Service: serve.NewService(),
 	})
 	go f.Run()
 	deadline := time.Now().Add(5 * time.Second)
@@ -254,7 +252,7 @@ func testFollowerReplayPanic(t *testing.T, afterGraph bool) {
 	if _, err := svc.Host(serve.CC(cc.NewInc(base.Clone())), serve.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	f := NewFollower(FollowerOptions{Source: srv.URL, Dir: t.TempDir(), Service: svc, Interval: 10 * time.Millisecond})
+	f := NewFollower(FollowerOptions{Source: srv.URL, Dir: t.TempDir(), Service: svc})
 	go f.Run()
 	defer f.Stop()
 
@@ -339,7 +337,7 @@ func TestFollowerRefusesTargetedRecord(t *testing.T) {
 	var mu sync.Mutex
 	var logged []string
 	f := NewFollower(FollowerOptions{
-		Source: srv.URL, Dir: t.TempDir(), Service: svc, Interval: 5 * time.Millisecond,
+		Source: srv.URL, Dir: t.TempDir(), Service: svc,
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			logged = append(logged, fmt.Sprintf(format, args...))

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"os"
 	"os/exec"
 	"sync"
@@ -21,7 +20,7 @@ import (
 // Table. The router never learns any of this happened except through
 // the table: health-gated routing and promotion are table writes.
 //
-// Failover policy: a primary that exits (or fails ProbeFailures
+// Failover policy: a primary that exits (or fails probeFailures
 // consecutive probes) while its slot has a live replica is replaced by
 // that replica, once; the dead primary is not restarted — its data
 // directory is behind the promoted replica's, and restarting it as
@@ -52,25 +51,6 @@ type SupervisorOptions struct {
 	Table *Table
 	// Specs lists every child to manage.
 	Specs []ProcSpec
-	// ProbeInterval is the health-probe cadence (default 250ms).
-	ProbeInterval time.Duration
-	// ProbeFailures is how many consecutive failed probes demote a
-	// member (default 3).
-	ProbeFailures int
-	// RestartBackoff is the initial delay before restarting a crashed
-	// child; it doubles per consecutive crash up to RestartBackoffMax,
-	// with equal jitter (uniform over the upper half of the current
-	// ceiling) so members crash-looping on a shared cause don't
-	// synchronize their restarts into restorms (default 250ms).
-	RestartBackoff time.Duration
-	// RestartBackoffMax caps the restart backoff (default
-	// 16 × RestartBackoff).
-	RestartBackoffMax time.Duration
-	// JitterSeed seeds the restart jitter; 0 derives a seed from the
-	// wall clock. Tests pin it for reproducible schedules.
-	JitterSeed int64
-	// Client overrides the HTTP client used for probes and promotion.
-	Client *http.Client
 	// Logf receives supervisor events; nil discards them.
 	Logf func(format string, args ...any)
 	// Events, when set, receives every topology action (spawn, exit,
@@ -94,27 +74,22 @@ type TopologyEvent struct {
 	Detail string `json:"detail"`
 }
 
-func (o SupervisorOptions) withDefaults() SupervisorOptions {
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 250 * time.Millisecond
-	}
-	if o.ProbeFailures <= 0 {
-		o.ProbeFailures = 3
-	}
-	if o.RestartBackoff <= 0 {
-		o.RestartBackoff = 250 * time.Millisecond
-	}
-	if o.RestartBackoffMax <= 0 {
-		o.RestartBackoffMax = 16 * o.RestartBackoff
-	}
-	if o.JitterSeed == 0 {
-		o.JitterSeed = time.Now().UnixNano()
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
-	return o
-}
+// The supervisor's policy. Each number is written here once.
+const (
+	// probeInterval is the health-probe cadence, and each probe's
+	// timeout.
+	probeInterval = 250 * time.Millisecond
+	// probeFailures is how many consecutive failed probes demote a
+	// member.
+	probeFailures = 3
+	// restartBase is the delay before restarting a crashed child; it
+	// doubles per consecutive crash up to restartMax, with equal jitter
+	// (uniform over the upper half of the current ceiling) so members
+	// crash-looping on a shared cause don't synchronize their restarts
+	// into restorms. The jitter is seeded from the clock.
+	restartBase = 250 * time.Millisecond
+	restartMax  = 16 * restartBase
+)
 
 // Supervisor spawns and monitors the children described by its specs.
 type Supervisor struct {
@@ -145,13 +120,15 @@ type managedProc struct {
 // NewSupervisor validates the specs against the table and builds a
 // supervisor; Start launches the children.
 func NewSupervisor(opt SupervisorOptions) (*Supervisor, error) {
-	opt = opt.withDefaults()
 	if opt.Table == nil {
 		return nil, fmt.Errorf("shard: supervisor needs a routing table")
 	}
+	if opt.Logf == nil {
+		opt.Logf = func(string, ...any) {}
+	}
 	s := &Supervisor{
 		opt:            opt,
-		restartBackoff: resilience.NewBackoff(opt.RestartBackoff, opt.RestartBackoffMax, opt.JitterSeed),
+		restartBackoff: resilience.NewBackoff(restartBase, restartMax, time.Now().UnixNano()),
 		procs:          make(map[string]*managedProc),
 		promoted:       make(map[int]bool),
 		stop:           make(chan struct{}),
@@ -173,8 +150,6 @@ func NewSupervisor(opt SupervisorOptions) (*Supervisor, error) {
 	}
 	return s, nil
 }
-
-func (s *Supervisor) client() *Client { return &Client{HTTP: s.opt.Client} }
 
 // record pushes a topology event when an event ring is configured.
 func (s *Supervisor) record(kind, member string, shard int, detail string) {
@@ -290,8 +265,7 @@ func (s *Supervisor) failover(shard int, cause string) bool {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	c := s.client()
-	c.Base = replica
+	c := &Client{Base: replica}
 	epochs, err := c.Promote(ctx)
 	if err != nil {
 		s.opt.Logf("supervisor: promote replica %s for shard %d: %v", replica, shard, err)
@@ -318,7 +292,7 @@ func (s *Supervisor) failover(shard int, cause string) bool {
 func (s *Supervisor) probeLoop() {
 	defer s.wg.Done()
 	fails := make(map[int]int)
-	tick := time.NewTicker(s.opt.ProbeInterval)
+	tick := time.NewTicker(probeInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -331,9 +305,8 @@ func (s *Supervisor) probeLoop() {
 			if addr == "" {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), s.opt.ProbeInterval)
-			c := s.client()
-			c.Base = addr
+			ctx, cancel := context.WithTimeout(context.Background(), probeInterval)
+			c := &Client{Base: addr}
 			err := c.Healthz(ctx)
 			cancel()
 			if err == nil {
@@ -342,7 +315,7 @@ func (s *Supervisor) probeLoop() {
 				continue
 			}
 			fails[i]++
-			if fails[i] < s.opt.ProbeFailures {
+			if fails[i] < probeFailures {
 				continue
 			}
 			s.opt.Table.SetHealth(i, false)
@@ -389,14 +362,13 @@ func (s *Supervisor) isStopping() bool {
 // is seen within a few milliseconds instead of at the next 50ms tick.
 func (s *Supervisor) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	poll := resilience.NewBackoff(2*time.Millisecond, 50*time.Millisecond, s.opt.JitterSeed)
+	poll := resilience.NewBackoff(2*time.Millisecond, 50*time.Millisecond, time.Now().UnixNano())
 	for attempt := 0; ; attempt++ {
 		ready := 0
 		for i := 0; i < s.opt.Table.Shards(); i++ {
 			addr, _ := s.opt.Table.Active(i)
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			c := s.client()
-			c.Base = addr
+			c := &Client{Base: addr}
 			err := c.Healthz(ctx)
 			cancel()
 			if err == nil {

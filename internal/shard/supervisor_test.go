@@ -82,10 +82,8 @@ func TestSupervisorProbeFailover(t *testing.T) {
 	table.SetReplica(0, replica.URL)
 	events := obs.NewRing[TopologyEvent](32)
 	sup, err := NewSupervisor(SupervisorOptions{
-		Table:         table,
-		ProbeInterval: 10 * time.Millisecond,
-		ProbeFailures: 2,
-		Events:        events,
+		Table:  table,
+		Events: events,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -679,7 +679,20 @@ func TestRouterRetriesEvalOnClosingShard(t *testing.T) {
 	src := graph.NodeID(0)
 	p := NewHashPartitioner(2)
 	s0 := startShardDaemon(t, g, p, 0, src)
-	next := startShardDaemon(t, g, p, 1, src) // shard 1's successor, same fragment, same epoch
+	var evals atomic.Int32
+	// shard 1's successor, same fragment, same epoch. Until the promotion
+	// it is the slot's replica, and a view read hedged to it would answer
+	// for the slot and degrade the query: such a read waits until the
+	// primary's answer cancels it.
+	next := startWrappedShard(t, g, p, 1, src, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/query/") && evals.Load() == 0 {
+				<-r.Context().Done()
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 
 	svc := serve.NewService()
 	if _, err := svc.Host(serve.SSSP(sssp.NewInc(FilterGraph(g, p, 1), src)), serve.Options{}); err != nil {
@@ -688,7 +701,6 @@ func TestRouterRetriesEvalOnClosingShard(t *testing.T) {
 	MountShardAPI(svc, p, 1, g.NumNodes(), false, nil)
 	inner := svc.Handler()
 	var table *Table
-	var evals atomic.Int32
 	leaving := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/shard/eval/") {
 			// The shard drains under the eval; its supervisor points the
@@ -705,8 +717,7 @@ func TestRouterRetriesEvalOnClosingShard(t *testing.T) {
 
 	table = NewTable([]string{s0.URL, leaving.URL})
 	table.SetReplica(1, next.URL)
-	rt, err := NewRouter(RouterOptions{Part: p, Table: table, NumNodes: g.NumNodes(),
-		Resilience: ResilienceOptions{HedgeAfter: -1}})
+	rt, err := NewRouter(RouterOptions{Part: p, Table: table, NumNodes: g.NumNodes()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,6 +169,10 @@ func (i *IncEngine) Dist() []int64 { return i.eng.State().Val }
 // Stats exposes the engine's inspection counters.
 func (i *IncEngine) Stats() fixpoint.Stats { return i.eng.State().Stats }
 
+// State exposes the engine's status — distances, the timestamps that
+// order them (<_C) and the counters — aliased to internal state.
+func (i *IncEngine) State() *fixpoint.State[int64] { return i.eng.State() }
+
 // Apply computes G ⊕ ΔG for any sequence of unit updates b and
 // incrementally updates the distances, running the initial scope function
 // h and resuming the batch step function. It returns |H⁰|, the size of

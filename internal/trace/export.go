@@ -121,21 +121,8 @@ func (r *Recorder) WriteTraceEventsN(w io.Writer, n int) error {
 	}
 	// Viewers tolerate unsorted input, but a sorted dump diffs cleanly
 	// and makes the golden test deterministic under ring wrap-around.
-	sort.SliceStable(out.TraceEvents[1+len(tracks):], func(i, j int) bool {
-		a, b := out.TraceEvents[1+len(tracks)+i], out.TraceEvents[1+len(tracks)+j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		// Equal starts: longer span first so children nest inside parents.
-		ad, bd := 0.0, 0.0
-		if a.Dur != nil {
-			ad = *a.Dur
-		}
-		if b.Dur != nil {
-			bd = *b.Dur
-		}
-		return ad > bd
-	})
+	timeline := out.TraceEvents[1+len(tracks):]
+	sort.SliceStable(timeline, func(i, j int) bool { return eventBefore(&timeline[i], &timeline[j]) })
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
@@ -156,4 +143,21 @@ func (r *Recorder) Handler() http.Handler {
 		w.Header().Set("Content-Disposition", `attachment; filename="incgraph-trace.json"`)
 		r.WriteTraceEventsN(w, n)
 	})
+}
+
+// eventBefore is the one order of timeline events in every dump, single
+// process or merged: start time ascending, and at equal starts the longer
+// span first, so children nest inside their parents.
+func eventBefore(a, b *jsonEvent) bool {
+	if a.TS != b.TS {
+		return a.TS < b.TS
+	}
+	ad, bd := 0.0, 0.0
+	if a.Dur != nil {
+		ad = *a.Dur
+	}
+	if b.Dur != nil {
+		bd = *b.Dur
+	}
+	return ad > bd
 }

@@ -108,7 +108,7 @@ func MergeTraceEvents(w io.Writer, dumps []ProcessDump, filter TraceID) error {
 	// start order with longer spans first at ties, as in single-process
 	// dumps — deterministic output for the golden test.
 	sort.SliceStable(out.TraceEvents, func(i, j int) bool {
-		a, b := out.TraceEvents[i], out.TraceEvents[j]
+		a, b := &out.TraceEvents[i], &out.TraceEvents[j]
 		am, bm := a.Ph == "M", b.Ph == "M"
 		if am != bm {
 			return am
@@ -116,17 +116,7 @@ func MergeTraceEvents(w io.Writer, dumps []ProcessDump, filter TraceID) error {
 		if am {
 			return false // metadata keeps input order: pid, then tracks
 		}
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		ad, bd := 0.0, 0.0
-		if a.Dur != nil {
-			ad = *a.Dur
-		}
-		if b.Dur != nil {
-			bd = *b.Dur
-		}
-		return ad > bd
+		return eventBefore(a, b)
 	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
