@@ -50,10 +50,12 @@
 // incremental state are checkpointed every -checkpoint-every ingests and
 // on SIGTERM. Every start is incgraph.Start (internal/serve/start.go): each
 // class is built on the checkpoint's graph (-graph or -gen is read only
-// without one), restored, replayed to the end of the WAL and, unless
-// -verify-recovery=false, verified against a batch recompute. A kill -9
-// therefore loses nothing acknowledged under -fsync always. How long each
-// phase of the start took is logged once ("started") and exported as
+// without one), restored — a class the checkpoint holds state for runs no
+// batch algorithm — replayed to the end of the WAL and, unless
+// -verify-recovery=false, verified: sssp and cc by certificate, the other
+// classes against a batch recompute. A kill -9 therefore loses nothing
+// acknowledged under -fsync always. How long each phase of the start took
+// is logged once ("started") and exported as
 // incgraph_startup_seconds{phase}.
 //
 // With -shard-id i -shards n the daemon serves one fragment of a
@@ -167,7 +169,7 @@ func newFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&c.fsync, "fsync", "always", "WAL fsync policy: always|interval|never")
 	fs.DurationVar(&c.fsyncInterval, "fsync-interval", 5*time.Millisecond, "fsync cadence under -fsync interval")
 	fs.IntVar(&c.ckptEvery, "checkpoint-every", 1024, "checkpoint after this many ingested batches (0: only on shutdown)")
-	fs.BoolVar(&c.verifyRec, "verify-recovery", true, "verify recovered answers against a batch recompute on startup")
+	fs.BoolVar(&c.verifyRec, "verify-recovery", true, "verify recovered state on startup: sssp and cc by certificate, the other classes against a batch recompute")
 
 	fs.IntVar(&c.shardID, "shard-id", -1, "serve one fragment of a partitioned deployment: this daemon's shard id (requires -shards)")
 	fs.IntVar(&c.shards, "shards", 0, "total shard count of the partitioned deployment (with -shard-id)")
@@ -325,11 +327,18 @@ func run(logger *slog.Logger, c *cliFlags) error {
 	}
 	for i, algo := range c.algoList {
 		logger.Info("hosted", "host", algo, "batch_init", st.Build[i].Round(time.Microsecond),
-			"from_checkpoint", len(rec.Algos[algo].State) > 0)
+			"from_checkpoint", len(rec.Algos[algo].State) > 0,
+			"verified_by", st.Verify[i].By, "verify", st.Verify[i].Took.Round(time.Microsecond))
 	}
 	if len(st.Diverged) > 0 {
+		var faults []string
+		for i, algo := range c.algoList {
+			if err := st.Verify[i].Err; err != nil {
+				faults = append(faults, algo+": "+err.Error())
+			}
+		}
 		logger.Warn("recovery: replayed state diverged from batch recompute; repaired",
-			"algos", strings.Join(st.Diverged, ","))
+			"algos", strings.Join(st.Diverged, ","), "certificates", strings.Join(faults, "; "))
 	}
 	if c.dataDir != "" && !replica {
 		logger.Info("recovered", "dir", c.dataDir, "checkpoint_epoch", rec.CheckpointEpoch,
@@ -543,31 +552,31 @@ var classes = map[string]func(g *incgraph.Graph, c *cliFlags) (incgraph.Serveabl
 			return nil, fmt.Errorf("sssp: source %d out of range", c.src)
 		}
 		s := incgraph.NodeID(c.src)
-		return incgraph.ServeSSSP(incgraph.NewIncSSSP(g, s), s), nil
+		return incgraph.ServeSSSP(incgraph.BlankSSSP(g, s), s), nil
 	},
 	"cc": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
-		return incgraph.ServeCC(incgraph.NewIncCC(g)), nil
+		return incgraph.ServeCC(incgraph.BlankCC(g)), nil
 	},
 	"sim": func(g *incgraph.Graph, c *cliFlags) (incgraph.Serveable, error) {
 		pat, err := loadGraph(c.pattern, "", 0, 0, 0, false)
 		if err != nil {
 			return nil, err
 		}
-		return incgraph.ServeSim(incgraph.NewIncSim(g, pat)), nil
+		return incgraph.ServeSim(incgraph.BlankSim(g, pat)), nil
 	},
 	"dfs": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
-		return incgraph.ServeDFS(incgraph.NewIncDFS(g)), nil
+		return incgraph.ServeDFS(incgraph.BlankDFS(g)), nil
 	},
 	"lcc": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
 		if g.Directed() {
 			return nil, fmt.Errorf("lcc needs an undirected graph")
 		}
-		return incgraph.ServeLCC(incgraph.NewIncLCC(g)), nil
+		return incgraph.ServeLCC(incgraph.BlankLCC(g)), nil
 	},
 	"bc": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
 		if g.Directed() {
 			return nil, fmt.Errorf("bc needs an undirected graph")
 		}
-		return incgraph.ServeBC(incgraph.NewIncBC(g)), nil
+		return incgraph.ServeBC(incgraph.BlankBC(g)), nil
 	},
 }

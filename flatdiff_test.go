@@ -289,16 +289,25 @@ func churnMaintainers(g, pattern *graph.Graph) []churnMaintainer {
 	d := dfs.NewInc(g.Clone())
 	si, sie, sd := sim.NewInc(g.Clone(), pattern), sim.NewIncEngine(g.Clone(), pattern), sim.NewIncDual(g.Clone(), pattern)
 	ms := []churnMaintainer{
-		{"sssp.Inc", s.Apply, func() bool { return reflect.DeepEqual(s.Dist(), sssp.Dijkstra(s.Graph(), 0)) }},
-		{"sssp.IncEngine", se.Apply, func() bool {
-			return reflect.DeepEqual(se.Dist(), sssp.Dijkstra(se.Graph(), 0)) && ssspAnchored(se.Graph(), se.State(), 0)
+		{"sssp.Inc", s.Apply, func() bool {
+			return reflect.DeepEqual(s.Dist(), sssp.Dijkstra(s.Graph(), 0)) && s.Certify() == nil
 		}},
-		{"cc.Inc", c.Apply, func() bool { return reflect.DeepEqual(c.Labels(), cc.CCfp(c.Graph())) }},
+		{"sssp.IncEngine", se.Apply, func() bool {
+			return reflect.DeepEqual(se.Dist(), sssp.Dijkstra(se.Graph(), 0)) &&
+				fixpoint.CheckOrder[int64](&sssp.Instance{G: se.Graph(), Src: 0}, se.State()) == nil
+		}},
+		{"cc.Inc", c.Apply, func() bool { return reflect.DeepEqual(c.Labels(), cc.CCfp(c.Graph())) && c.Certify() == nil }},
 		{"cc.IncNaive", cn.Apply, func() bool { return reflect.DeepEqual(cn.Labels(), cc.CCfp(cn.Graph())) }},
 		{"dfs.Inc", d.Apply, func() bool { return d.Tree().Equal(dfs.Run(d.Graph())) }},
 		{"sim.Inc", si.Apply, func() bool { return simRecomputes(si.Relation(), si.Graph(), pattern) }},
-		{"sim.IncEngine", sie.Apply, func() bool { return simRecomputes(sie.Relation(), sie.Graph(), pattern) }},
-		{"sim.IncDual", sd.Apply, func() bool { return sd.Relation().Equal(sim.DualSim(sd.Graph(), pattern)) }},
+		{"sim.IncEngine", sie.Apply, func() bool {
+			return simRecomputes(sie.Relation(), sie.Graph(), pattern) &&
+				fixpoint.CheckOrder[bool](sim.NewInstance(sie.Graph(), pattern), sie.State()) == nil
+		}},
+		{"sim.IncDual", sd.Apply, func() bool {
+			return sd.Relation().Equal(sim.DualSim(sd.Graph(), pattern)) &&
+				fixpoint.CheckOrder[bool](sim.NewDualInstance(sd.Graph(), pattern), sd.State()) == nil
+		}},
 	}
 	if !g.Directed() {
 		b, l := bc.NewInc(g.Clone()), lcc.NewInc(g.Clone())
@@ -309,36 +318,14 @@ func churnMaintainers(g, pattern *graph.Graph) []churnMaintainer {
 	return ms
 }
 
-// ssspAnchored reports whether st keeps the order the next h relies on:
-// every reached node other than src has a tight in-edge (u, v),
-// dist_u + w = dist_v, from a node u stamped before it (u <_C v). h
-// enqueues only the dependents stamped after a node it revises, so a node
-// without such an anchor keeps a distance its lost anchor set.
-func ssspAnchored(g *graph.Graph, st *fixpoint.State[int64], src graph.NodeID) bool {
-	for v, dv := range st.Val {
-		if graph.NodeID(v) == src || dv >= sssp.Infinity {
-			continue
-		}
-		ok := false
-		for _, e := range g.In(graph.NodeID(v)) {
-			if du := st.Val[e.To]; du < sssp.Infinity && du+e.W == dv && st.TS[e.To] < st.TS[v] {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // churnSeed feeds seed's churn streams, un-netted, to every maintainer on
 // a directed and an undirected graph, and requires Theorem 1 after every
 // chunk: each maintainer computes G ⊕ b for any sequence b, as the host's
 // single Net leaves it to (a facade user's batch reaches Apply as it is).
-// sssp.IncEngine must also keep the order its next h relies on: every
-// reached node anchored by a tight in-edge from a node stamped before it.
+// The engine maintainers that keep their stamps for the next h
+// (sssp.IncEngine, cc.Inc, sim.IncEngine and sim.IncDual) must also pass
+// fixpoint.CheckOrder — keep the order <_C that h relies on — and
+// sssp.Inc its certificate.
 func churnSeed(t *testing.T, seed int64) bool {
 	rng := rand.New(rand.NewSource(seed))
 	pattern := RandomPattern(seed+3, 4, 5, 3)

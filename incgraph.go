@@ -93,6 +93,10 @@ type IncSSSP = sssp.Inc
 // NewIncSSSP computes the initial distances and returns the maintainer.
 func NewIncSSSP(g *Graph, src NodeID) *IncSSSP { return sssp.NewInc(g, src) }
 
+// BlankSSSP returns the maintainer before its batch run, for Start to
+// restore a checkpointed state into or run.
+func BlankSSSP(g *Graph, src NodeID) *IncSSSP { return sssp.Blank(g, src) }
+
 // ConnectedComponents labels every node with the minimum node id of its
 // (weakly) connected component, using the batch fixpoint algorithm CC_fp.
 func ConnectedComponents(g *Graph) []int64 { return cc.CCfp(g) }
@@ -103,6 +107,10 @@ type IncCC = cc.Inc
 
 // NewIncCC computes the initial labels and returns the maintainer.
 func NewIncCC(g *Graph) *IncCC { return cc.NewInc(g) }
+
+// BlankCC returns the maintainer before its batch run, for Start to
+// restore a checkpointed state into or run.
+func BlankCC(g *Graph) *IncCC { return cc.Blank(g) }
 
 // Relation is a graph-simulation match relation over V × V_Q.
 type Relation = sim.Relation
@@ -117,6 +125,10 @@ type IncSim = sim.Inc
 
 // NewIncSim computes the initial relation and returns the maintainer.
 func NewIncSim(g, q *Graph) *IncSim { return sim.NewInc(g, q) }
+
+// BlankSim returns the maintainer before its batch run, for Start to
+// restore a checkpointed state into or run.
+func BlankSim(g, q *Graph) *IncSim { return sim.Blank(g, q) }
 
 // DFSTree is a depth-first-search forest with preorder/postorder
 // intervals.
@@ -133,6 +145,10 @@ type IncDFS = dfs.Inc
 // NewIncDFS computes the initial forest and returns the maintainer.
 func NewIncDFS(g *Graph) *IncDFS { return dfs.NewInc(g) }
 
+// BlankDFS returns the maintainer before its batch run, for Start to
+// restore a checkpointed state into or run.
+func BlankDFS(g *Graph) *IncDFS { return dfs.Blank(g) }
+
 // LCCResult holds per-node degrees and triangle counts; Gamma(v) derives
 // the local clustering coefficient.
 type LCCResult = lcc.Result
@@ -147,6 +163,10 @@ type IncLCC = lcc.Inc
 
 // NewIncLCC computes the initial coefficients and returns the maintainer.
 func NewIncLCC(g *Graph) *IncLCC { return lcc.NewInc(g) }
+
+// BlankLCC returns the maintainer before its batch run, for Start to
+// restore a checkpointed state into or run.
+func BlankLCC(g *Graph) *IncLCC { return lcc.Blank(g) }
 
 // DualSimulation computes the maximum dual simulation — plain simulation
 // plus the symmetric parent condition — an extension query class built
@@ -173,6 +193,10 @@ type IncBC = bc.Inc
 
 // NewIncBC computes the initial structure and returns the maintainer.
 func NewIncBC(g *Graph) *IncBC { return bc.NewInc(g) }
+
+// BlankBC returns the maintainer before its batch run, for Start to
+// restore a checkpointed state into or run.
+func BlankBC(g *Graph) *IncBC { return bc.Blank(g) }
 
 // Serving layer, re-exported from internal/serve: host maintainers as a
 // resident concurrent service with one single-writer apply loop for every
@@ -287,8 +311,9 @@ func VerifyRecovered(targets map[string]Serveable, rec *TraceRecorder) []string 
 	return serve.VerifyRecovered(targets, rec)
 }
 
-// Start is a service's one start sequence: it builds, restores, replays,
-// verifies and hosts every class of algos. See serve.Start.
+// Start is a service's one start sequence: it builds every class of algos
+// unrun (over a Blank maintainer), restores or runs it, replays, verifies
+// and hosts it. See serve.Start.
 func Start(svc *Service, dir string, algos []string, build func(algo string, g *Graph) (Serveable, error),
 	input func() (*Graph, error), opt ServeOptions, replica, verify bool) (*Recovery, Started, error) {
 	return serve.Start(svc, dir, algos, build, input, opt, replica, verify)

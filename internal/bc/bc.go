@@ -313,9 +313,17 @@ type Inc struct {
 
 // NewInc runs the batch algorithm and returns the incremental one.
 func NewInc(g *graph.Graph) *Inc {
+	i := Blank(g)
+	i.st.runAll(i.res)
+	return i
+}
+
+// Blank returns the incremental algorithm over g before the batch run,
+// every node its own block: the maintainer a checkpointed structure is
+// restored into (RestoreState), which must come before Apply.
+func Blank(g *graph.Graph) *Inc {
 	i := &Inc{g: g, round: g.Round(), res: newResult(g.NumNodes())}
 	i.st = newLowpointState(g.NumNodes(), outRows(g.Flat()))
-	i.st.runAll(i.res)
 	return i
 }
 

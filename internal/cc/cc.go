@@ -119,16 +119,15 @@ func (c *Instance) Dependents(x fixpoint.Var, yield func(fixpoint.Var)) { c.neig
 
 // Update evaluates f_x: the minimum of the node's id and neighbor labels.
 func (c *Instance) Update(x fixpoint.Var, get func(fixpoint.Var) int64) int64 {
-	best := int64(x)
+	best, v := int64(x), graph.NodeID(x)
 	if c.Flat != nil {
-		out, in := c.rows(graph.NodeID(x))
+		out, in := c.rows(v)
 		return meet(meet(best, out, get), in, get)
 	}
-	c.neighbors(x, func(y fixpoint.Var) {
-		if v := get(y); v < best {
-			best = v
-		}
-	})
+	best = meetEdges(best, c.G.Out(v), get)
+	if c.G.Directed() {
+		best = meetEdges(best, c.G.In(v), get)
+	}
 	return best
 }
 
@@ -136,6 +135,16 @@ func (c *Instance) Update(x fixpoint.Var, get func(fixpoint.Var) int64) int64 {
 func meet(best int64, row []graph.NodeID, get func(fixpoint.Var) int64) int64 {
 	for _, u := range row {
 		if l := get(fixpoint.Var(u)); l < best {
+			best = l
+		}
+	}
+	return best
+}
+
+// meetEdges folds get over the targets of one of the graph's rows.
+func meetEdges(best int64, row []graph.Edge, get func(fixpoint.Var) int64) int64 {
+	for _, e := range row {
+		if l := get(fixpoint.Var(e.To)); l < best {
 			best = l
 		}
 	}
@@ -224,8 +233,16 @@ type Inc struct {
 
 // NewInc computes the initial fixpoint and returns the algorithm.
 func NewInc(g *graph.Graph) *Inc {
+	i := Blank(g)
+	i.eng.Run()
+	return i
+}
+
+// Blank returns IncCC over g before the batch run, every label its node's
+// id and every stamp 0: the maintainer a checkpointed state is restored
+// into (RestoreState), which must come before Apply.
+func Blank(g *graph.Graph) *Inc {
 	eng := fixpoint.New[int64](&Instance{G: g, Flat: g.Flat()}, fixpoint.PriorityOrder)
-	eng.Run()
 	return &Inc{g: g, round: g.Round(), eng: eng}
 }
 
@@ -257,6 +274,14 @@ func (i *Inc) ExportState() (labels, ts []int64, clock int64) {
 // graph.
 func (i *Inc) RestoreState(labels, ts []int64, clock int64) error {
 	return i.eng.Restore(labels, ts, clock)
+}
+
+// Certify checks the labels, stamps and clock by fixpoint.CheckOrder:
+// the labels are the components and the stamps the order <_C the next
+// Apply's h relies on. It reads the graph's rows, not the Flat view the
+// repairs read.
+func (i *Inc) Certify() error {
+	return fixpoint.CheckOrder[int64](&Instance{G: i.g}, i.eng.State())
 }
 
 // SetTracer installs the engine's span hook (see fixpoint.Tracer); it

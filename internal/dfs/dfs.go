@@ -252,7 +252,16 @@ type Inc struct {
 
 // NewInc runs the batch DFS and returns the incremental algorithm.
 func NewInc(g *graph.Graph) *Inc {
-	return &Inc{g: g, flat: g.Flat(), round: g.Round(), tree: Run(g)}
+	i := Blank(g)
+	i.tree = Run(g)
+	return i
+}
+
+// Blank returns the incremental algorithm over g before the batch run,
+// with an empty forest: the maintainer a checkpointed forest is restored
+// into (RestoreState), which must come before Apply.
+func Blank(g *graph.Graph) *Inc {
+	return &Inc{g: g, flat: g.Flat(), round: g.Round(), tree: &Tree{}}
 }
 
 // Graph returns the maintained graph.

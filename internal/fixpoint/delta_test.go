@@ -68,29 +68,6 @@ func TestGrowMidStream(t *testing.T) {
 	}
 }
 
-// anchoredMinPlus reports the first variable of e's min-plus state that
-// has a finite value but no tight input stamped before it: the order h
-// relies on to find every dependent a revision can strand.
-func anchoredMinPlus(m *minPlus, e *Engine[int64]) (Var, bool) {
-	st := e.State()
-	for v := range st.Val {
-		x := Var(v)
-		if x == m.src || st.Val[x] >= inf {
-			continue
-		}
-		ok := false
-		for _, a := range m.in[x] {
-			if st.Val[a.to] < inf && st.Val[a.to]+a.w == st.Val[x] && st.TS[a.to] < st.TS[x] {
-				ok = true
-			}
-		}
-		if !ok {
-			return x, false
-		}
-	}
-	return 0, true
-}
-
 // TestHRevisionKeepsAnchorOrder: a variable h revises keeps its stamp,
 // because h derives the new value from inputs stamped before it. Stamping
 // it afresh would put it after a dependent h evaluated but did not revise
@@ -123,8 +100,8 @@ func TestHRevisionKeepsAnchorOrder(t *testing.T) {
 		if !reflect.DeepEqual(e.State().Val, fresh.State().Val) {
 			t.Fatalf("round %d: %v, want %v", round, e.State().Val, fresh.State().Val)
 		}
-		if x, ok := anchoredMinPlus(m, e); !ok {
-			t.Fatalf("round %d: variable %d has no tight input stamped before it (stamps %v)", round, x, e.State().TS)
+		if err := CheckOrder[int64](m, e.State()); err != nil {
+			t.Fatalf("round %d: %v (stamps %v)", round, err, e.State().TS)
 		}
 	}
 }

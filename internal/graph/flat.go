@@ -56,6 +56,8 @@ type Flat struct {
 	out       flatDir
 	in        flatDir // unused when undirected; see rev
 	threshold float64
+	// laidOut: the rows are as rebuild laid them out, nothing staged since.
+	laidOut bool
 
 	compactions int64 // total rebuilds, for observability
 }
@@ -91,6 +93,7 @@ func (f *Flat) rev() *flatDir {
 }
 
 func (f *Flat) rebuild(g *Graph) {
+	f.laidOut = true
 	n := g.NumNodes()
 	if !f.directed {
 		f.out.rebuild(n, g.Out, g.Out)
@@ -182,6 +185,7 @@ func (f *Flat) MaybeCompact(g *Graph) bool {
 // and the arrays have no room left for it, Stage compacts from g, which
 // already holds the whole batch, and is done.
 func (f *Flat) Stage(g *Graph, applied Batch) {
+	f.laidOut = false
 	f.grow(g.NumNodes())
 	rev := f.rev()
 	for _, u := range applied {

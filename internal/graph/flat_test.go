@@ -388,3 +388,30 @@ func TestFlatStageAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRelayoutOnlyAfterStage: Relayout lays the Flat out again only when
+// something was staged into it since it was last laid out, so the classes
+// a recovery recomputes one after another pay for one layout between
+// them; a view as NewFlat or a compaction left it is what the rows hold.
+func TestRelayoutOnlyAfterStage(t *testing.T) {
+	g := New(4, false)
+	g.InsertEdge(0, 1, 1)
+	g.InsertEdge(1, 2, 1)
+	f := g.Flat()
+	g.Relayout()
+	if c := f.Compactions(); c != 0 {
+		t.Fatalf("a view nothing was staged into was laid out %d times", c)
+	}
+	var seen uint64
+	g.Advance(&seen, Batch{{Kind: InsertEdge, From: 2, To: 3, W: 1}})
+	staged := f.Compactions()
+	for i := 0; i < 3; i++ {
+		g.Relayout()
+		if c := f.Compactions(); c != staged+1 {
+			t.Fatalf("relayout %d after a stage: %d layouts, want %d", i, c-staged, 1)
+		}
+	}
+	if got := f.AppendOutSorted(2, nil); !slices.Equal(got, []NodeID{1, 3}) {
+		t.Errorf("row 2 after the relayout: %v", got)
+	}
+}

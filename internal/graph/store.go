@@ -27,9 +27,12 @@ func (g *Graph) Flat() *Flat {
 
 // Relayout lays the Flat view out again from the rows, if a reader has
 // one, so that a batch rerun over it reads what the rows hold rather than
-// what staging made of them.
+// what staging made of them. A view nothing was staged into since it was
+// last laid out already is what the rows hold, and is left as it is: the
+// classes a recovery or a start reruns one after another pay for one
+// layout between them.
 func (g *Graph) Relayout() {
-	if g.flat != nil {
+	if g.flat != nil && !g.flat.laidOut {
 		g.flat.Compact(g)
 		g.torn = false
 	}

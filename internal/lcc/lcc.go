@@ -182,9 +182,18 @@ type Inc struct {
 
 // NewInc runs the batch algorithm and returns the incremental one.
 func NewInc(g *graph.Graph) *Inc {
-	n, f := g.NumNodes(), g.Flat()
+	i := Blank(g)
+	i.r = run(i.flat, g.NumNodes())
+	return i
+}
+
+// Blank returns the incremental algorithm over g before the batch run,
+// with no status: the maintainer a checkpointed status is restored into
+// (RestoreState), which must come before Apply.
+func Blank(g *graph.Graph) *Inc {
+	n := g.NumNodes()
 	return &Inc{
-		g: g, flat: f, round: g.Round(), r: run(f, n),
+		g: g, flat: g.Flat(), round: g.Round(), r: &Result{},
 		mark:      make([]int64, n),
 		scopeMark: make([]int64, n), scopeEpoch: 1,
 		dtri: make([]int64, n), head: make([]int32, n),

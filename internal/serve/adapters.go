@@ -165,6 +165,15 @@ func (a *adapter[M, V]) Recompute() {
 	a.m = a.batch(a.m)
 }
 
+// Certify checks the maintainer's state by its certificate, for a
+// maintainer that has one (sssp, cc); see certifier.
+func (a *adapter[M, V]) Certify() (has bool, err error) {
+	if c, ok := any(a.m).(interface{ Certify() error }); ok {
+		return true, c.Certify()
+	}
+	return false, nil
+}
+
 // SetTracer forwards the engine's span hook to a maintainer that takes one
 // (sssp, cc, sim); for the others it is a no-op.
 func (a *adapter[M, V]) SetTracer(t fixpoint.Tracer) {

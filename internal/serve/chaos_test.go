@@ -156,7 +156,7 @@ func TestChaosStoreStage(t *testing.T) {
 		if st := h.Stats(); st.Panics != want || st.Heals != want || st.Degraded {
 			t.Errorf("%s: panics=%d heals=%d degraded=%v, want %d/%d/false", h.Algo(), st.Panics, st.Heals, st.Degraded, want, want)
 		}
-		m, _ := opsBuild(h.Algo(), mirror.Clone())
+		m := opsBatchRun(h.Algo(), mirror.Clone())
 		if !snapshotEqual(h.View().Data, m.Snapshot()) {
 			t.Errorf("%s: the view differs from the batch answer on the mirror", h.Algo())
 		}

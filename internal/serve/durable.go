@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,11 +39,13 @@ import (
 //  2. replay: the WAL tail (segments at or after the checkpoint's
 //     ReplayFrom) re-applies every update the checkpoint had not
 //     absorbed, through the normal incremental Apply path;
-//  3. verify: each maintainer's replayed answer is compared against a
-//     batch recompute over the recovered graph. Divergence — which the
-//     design treats as a bug, not an expected state — is counted,
-//     exposed as a gauge, and self-corrected by keeping the recomputed
-//     answer.
+//  3. verify: each maintainer's replayed state is checked — by its
+//     certificate where the class has one (sssp, cc: see certifier),
+//     which reads the graph's rows and runs no batch algorithm, and
+//     otherwise by comparing its answer with a batch recompute over the
+//     recovered graph. Divergence — which the design treats as a bug,
+//     not an expected state — is counted, exposed as a gauge, and
+//     self-corrected by keeping the recomputed answer.
 
 // RecoveredAlgo is one class's slice of a loaded checkpoint: the graph to
 // build the maintainer on — from LoadRecovery a private copy of the cut's,
@@ -199,36 +202,79 @@ func (r *Recovery) Base(algo string) (epoch, batches uint64) {
 	return r.CheckpointEpoch + r.replayedRaw, r.batches + uint64(r.Replayed)
 }
 
-// VerifyRecovered checks each recovered maintainer against a batch
-// recompute over its recovered graph — the recompute-equality oracle of
-// the crash-recovery acceptance test, run on every startup because it is
-// cheap relative to the initial batch run the maintainers already paid.
-// The recomputed answer is kept (self-correcting), and the names of
-// divergent algos are returned for the divergence gauge. Call after
-// Replay, before hosting.
+// Check is how a start verified one recovered class: By "certificate",
+// "recompute" or "none" (verification off, a replica, or nothing
+// recovered), how long it Took, and whether the class Diverged — and was
+// recomputed. Err is the certificate's failure.
+type Check struct {
+	By       string
+	Took     time.Duration
+	Diverged bool
+	Err      error
+}
+
+// VerifyRecovered checks each recovered maintainer, in name order: a class
+// with a certificate (certifier) by it, keeping the restored state when it
+// holds, and every other class — or one whose certificate fails — against
+// a batch recompute over its recovered graph, the recompute-equality
+// oracle of the crash-recovery acceptance test. The recomputed answer is
+// kept (self-correcting), and the names of divergent algos are returned
+// for the divergence gauge. Call after Replay, before hosting.
 func VerifyRecovered(targets map[string]Serveable, rec *trace.Recorder) []string {
+	_, divergent := verifyRecovered(targets, rec)
+	return divergent
+}
+
+// verifyRecovered is VerifyRecovered, with each class's Check.
+func verifyRecovered(targets map[string]Serveable, rec *trace.Recorder) (map[string]Check, []string) {
+	names := make([]string, 0, len(targets))
+	for name := range targets {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	checks := make(map[string]Check, len(names))
 	var divergent []string
-	for name, m := range targets {
-		var span trace.Span
-		if rec != nil {
-			span = rec.Begin("recovery_verify", "serve", rec.Track("recovery"))
+	for _, name := range names {
+		c := verifyClass(targets[name], rec)
+		if c.Diverged {
+			divergent = append(divergent, name)
 		}
+		checks[name] = c
+	}
+	return checks, divergent
+}
+
+// verifyClass checks one recovered class (see VerifyRecovered).
+func verifyClass(m Serveable, rec *trace.Recorder) Check {
+	start := time.Now()
+	var span trace.Span
+	if rec != nil {
+		span = rec.Begin("recovery_verify", "serve", rec.Track("recovery"))
+	}
+	c := Check{By: "recompute"}
+	if ct, ok := m.(certifier); ok {
+		if has, err := ct.Certify(); has {
+			c.By, c.Err, c.Diverged = "certificate", err, err != nil
+			if c.Diverged {
+				m.Recompute()
+			}
+		}
+	}
+	if c.By == "recompute" {
 		before := m.Snapshot()
 		m.Recompute()
-		after := m.Snapshot()
 		// Paged vectors make this cheap and exact: Update shares every
 		// page the recompute left equal (pointer-equal, which DeepEqual
 		// short-circuits on) and copies a page only where content differs.
-		ok := reflect.DeepEqual(before, after)
-		if !ok {
-			divergent = append(divergent, name)
-		}
-		if rec != nil {
-			span.Arg("diverged", boolArg(!ok))
-			span.End()
-		}
+		c.Diverged = !reflect.DeepEqual(before, m.Snapshot())
 	}
-	return divergent
+	c.Took = time.Since(start)
+	if rec != nil {
+		span.Arg("diverged", boolArg(c.Diverged))
+		span.Arg("certificate", boolArg(c.By == "certificate"))
+		span.End()
+	}
+	return c
 }
 
 // DurableOptions tune the durability layer.

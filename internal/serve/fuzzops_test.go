@@ -58,18 +58,28 @@ var (
 	opsBounds  = []int{0, 1, pageSize - 1, pageSize, pageSize + 1, opsNodes - 1, opsNodes, opsNodes + 1}
 )
 
+// opsClass is one hosted class of the rig.
+type opsClass struct {
+	algo         string
+	build, blank func(g *graph.Graph) Serveable
+}
+
 // opsClasses are the six hosted classes, each built over a graph of its
-// own as the daemon builds them.
-var opsClasses = []struct {
-	algo  string
-	build func(g *graph.Graph) Serveable
-}{
-	{"sssp", func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) }},
-	{"cc", func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) }},
-	{"sim", func(g *graph.Graph) Serveable { return Sim(sim.NewInc(g, opsPattern())) }},
-	{"dfs", func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) }},
-	{"lcc", func(g *graph.Graph) Serveable { return LCC(lcc.NewInc(g)) }},
-	{"bc", func(g *graph.Graph) Serveable { return BC(bc.NewInc(g)) }},
+// own: by its batch run (build), and unrun, as the daemon builds them for
+// Start to restore or run (blank).
+var opsClasses = []opsClass{
+	{"sssp", func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) },
+		func(g *graph.Graph) Serveable { return SSSP(sssp.Blank(g, 0)) }},
+	{"cc", func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) },
+		func(g *graph.Graph) Serveable { return CC(cc.Blank(g)) }},
+	{"sim", func(g *graph.Graph) Serveable { return Sim(sim.NewInc(g, opsPattern())) },
+		func(g *graph.Graph) Serveable { return Sim(sim.Blank(g, opsPattern())) }},
+	{"dfs", func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) },
+		func(g *graph.Graph) Serveable { return DFS(dfs.Blank(g)) }},
+	{"lcc", func(g *graph.Graph) Serveable { return LCC(lcc.NewInc(g)) },
+		func(g *graph.Graph) Serveable { return LCC(lcc.Blank(g)) }},
+	{"bc", func(g *graph.Graph) Serveable { return BC(bc.NewInc(g)) },
+		func(g *graph.Graph) Serveable { return BC(bc.Blank(g)) }},
 }
 
 // opsAlgos lists the classes' names in opsClasses' order.
@@ -81,25 +91,34 @@ func opsAlgos() []string {
 	return algos
 }
 
-// opsBuild is Start's constructor for opsClasses.
+// opsBuild is Start's constructor for opsClasses: the class unrun.
 func opsBuild(algo string, g *graph.Graph) (Serveable, error) {
 	for _, c := range opsClasses {
 		if c.algo == algo {
-			return c.build(g), nil
+			return c.blank(g), nil
 		}
 	}
 	return nil, fmt.Errorf("no class %q", algo)
 }
 
+// opsBatchRun is class algo built by its batch run over g: the answer a
+// served view is held to.
+func opsBatchRun(algo string, g *graph.Graph) Serveable {
+	i := slices.IndexFunc(opsClasses, func(c opsClass) bool { return c.algo == algo })
+	return opsClasses[i].build(g)
+}
+
 // opsMaintainer is a class as the rig hosts it: an armedPanic, which the
 // quarantine op arms, that forwards the adapter's extensions, so its host
-// keeps the engine spans and the check its written lists.
+// keeps the engine spans, the check its written lists and a recovery the
+// sssp and cc certificates.
 type opsMaintainer struct{ armedPanic }
 
 func (m opsMaintainer) Written() []int32 {
 	return m.Serveable.(interface{ Written() []int32 }).Written()
 }
-func (m opsMaintainer) SetTracer(t fixpoint.Tracer) { m.Serveable.(tracerSetter).SetTracer(t) }
+func (m opsMaintainer) SetTracer(t fixpoint.Tracer)    { m.Serveable.(tracerSetter).SetTracer(t) }
+func (m opsMaintainer) Certify() (has bool, err error) { return m.Serveable.(certifier).Certify() }
 
 // opsBase is the graph every program starts from: undirected (LCC and BC
 // need that), labeled for sim, sparse enough that single edges matter.

@@ -176,6 +176,12 @@ func (o Options) withDefaults() Options {
 // accept a span hook, driven from the service's apply loop.
 type tracerSetter interface{ SetTracer(fixpoint.Tracer) }
 
+// certifier is the optional Serveable extension recovery verification
+// checks a restored class through: has reports whether the class has a
+// certificate (sssp, cc), a check of its state against the graph's rows
+// that runs no batch algorithm; err is its outcome.
+type certifier interface{ Certify() (has bool, err error) }
+
 // Host is one class of a Service: its maintainer, published view, stats,
 // metrics, trace ring and offenders. Only the service's apply loop touches
 // the maintainer. The stream it consumes is the service's to account for.

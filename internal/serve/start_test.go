@@ -287,7 +287,7 @@ func TestStartSharesOneStore(t *testing.T) {
 			if hg != g || hf != f || f == nil {
 				t.Errorf("%s: %s reads graph %p and Flat %p, %s graph %p and Flat %p", what, h.Algo(), hg, hf, svc.Hosts()[0].Algo(), g, f)
 			}
-			want, _ := opsBuild(h.Algo(), mirror.Clone())
+			want := opsBatchRun(h.Algo(), mirror.Clone())
 			if v := h.View(); v.Degraded || !snapshotEqual(v.Data, want.Snapshot()) {
 				t.Errorf("%s: %s's view (degraded %v) differs from the batch answer on the mirror", what, h.Algo(), v.Degraded)
 			}

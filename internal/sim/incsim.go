@@ -44,9 +44,21 @@ type Inc struct {
 
 // NewInc computes the initial maximum simulation with timestamp recording
 // and returns the algorithm.
-func NewInc(g, q *graph.Graph) *Inc {
-	s := newSimState(g, q, true)
-	i := &Inc{simState: s, round: g.Round()}
+func NewInc(g, q *graph.Graph) *Inc { return newInc(newSimState(g, q, true)) }
+
+// Blank returns IncSim over g and pattern q before the batch run, every
+// pair false: the maintainer a checkpointed state is restored into
+// (RestoreState), which must come before Apply.
+func Blank(g, q *graph.Graph) *Inc {
+	s := &simState{g: g, q: q, nq: q.NumNodes()}
+	pairs := g.NumNodes() * s.nq
+	s.r, s.cnt, s.ts = make([]bool, pairs), make([]int32, pairs), make([]int64, pairs)
+	return newInc(s)
+}
+
+// newInc positions IncSim at the relation, counters and stamps of s.
+func newInc(s *simState) *Inc {
+	i := &Inc{simState: s, round: s.g.Round()}
 	i.led.Grow(len(s.r))
 	i.hq = pq.New(len(s.r), func(a, b int32) bool { return i.ts[a] < i.ts[b] })
 	// Record cascade retractions in the ledger (a retracted pair was true

@@ -250,6 +250,10 @@ func (i *IncEngine) Relation() Relation {
 // Stats exposes the engine's inspection counters.
 func (i *IncEngine) Stats() fixpoint.Stats { return i.eng.State().Stats }
 
+// State exposes the engine's status — the relation, the stamps that order
+// its retractions (<_C) and the counters — aliased to internal state.
+func (i *IncEngine) State() *fixpoint.State[bool] { return i.eng.State() }
+
 // Apply computes G ⊕ ΔG for any sequence of unit updates b — netted or
 // not — and incrementally maintains the relation. It returns |H⁰|.
 func (i *IncEngine) Apply(b graph.Batch) int {

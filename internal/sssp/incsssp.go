@@ -55,8 +55,22 @@ type Inc struct {
 
 // NewInc runs Dijkstra and returns the incremental algorithm positioned
 // at its fixpoint.
-func NewInc(g *graph.Graph, src graph.NodeID) *Inc {
-	i := &Inc{g: g, flat: g.Flat(), round: g.Round(), src: src, dist: Dijkstra(g, src)}
+func NewInc(g *graph.Graph, src graph.NodeID) *Inc { return newInc(g, src, Dijkstra(g, src)) }
+
+// Blank returns the incremental algorithm over g before any batch run,
+// every distance Infinity: the maintainer a checkpointed vector is
+// restored into (RestoreState), which must come before Apply.
+func Blank(g *graph.Graph, src graph.NodeID) *Inc {
+	dist := make([]int64, g.NumNodes())
+	for v := range dist {
+		dist[v] = Infinity
+	}
+	return newInc(g, src, dist)
+}
+
+// newInc positions the incremental algorithm at the distances dist.
+func newInc(g *graph.Graph, src graph.NodeID, dist []int64) *Inc {
+	i := &Inc{g: g, flat: g.Flat(), round: g.Round(), src: src, dist: dist}
 	n := g.NumNodes()
 	i.wq = pq.New(n, func(a, b int32) bool { return i.dist[a] < i.dist[b] })
 	i.hq = pq.New(n, func(a, b int32) bool { return i.hkey[a] < i.hkey[b] })
@@ -96,6 +110,10 @@ func (i *Inc) RestoreState(dist []int64) error {
 	copy(i.dist, dist)
 	return nil
 }
+
+// Certify checks the distances by certificate (see Certify), reading the
+// graph's rows rather than the Flat view the repairs read.
+func (i *Inc) Certify() error { return Certify(i.g, i.src, i.dist) }
 
 // SetTracer installs the span hook observing Repair's h and resume
 // phases (see fixpoint.Tracer). Inc is not engine-based, so it drives
