@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	incgraph -algo sssp -graph g.txt -src 0 [-updates u.txt] [-after]
+//	incgraph -algo sssp -graph g.txt -src 0 [-updates u.txt]
 //	incgraph -algo cc|dfs|lcc|bc -graph g.txt [-updates u.txt]
 //	incgraph -algo sim -graph g.txt -pattern q.txt [-updates u.txt]
 //	incgraph -gen powerlaw -nodes 1000 -deg 8 [-directed] > g.txt
@@ -21,15 +21,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"incgraph"
 )
-
-// validAlgos names the supported query classes, the values -algo accepts.
-var validAlgos = map[string]bool{
-	"sssp": true, "cc": true, "sim": true, "dfs": true, "lcc": true, "bc": true,
-}
 
 func main() {
 	os.Exit(cliMain(os.Args[1:], os.Stdout, os.Stderr))
@@ -41,7 +37,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("incgraph", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		algo      = fs.String("algo", "", "query class: sssp|cc|sim|dfs|lcc|bc")
+		algo      = fs.String("algo", "", "query class: "+incgraph.ClassNames())
 		graphPath = fs.String("graph", "", "graph file (labeled edge-list format)")
 		pattern   = fs.String("pattern", "", "pattern graph file (sim only)")
 		updates   = fs.String("updates", "", "update batch file to apply incrementally")
@@ -84,13 +80,13 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 
 	// Fail fast on a missing or unknown query class, before any input is
 	// loaded: this is a usage error, not a runtime one.
-	if !validAlgos[*algo] {
+	if _, ok := incgraph.LookupClass(*algo); !ok {
 		if *algo == "" {
 			fmt.Fprintln(stderr, "incgraph: missing -algo")
 		} else {
 			fmt.Fprintf(stderr, "incgraph: unknown -algo %q\n", *algo)
 		}
-		fmt.Fprintln(stderr, "usage: incgraph -algo sssp|cc|sim|dfs|lcc|bc -graph g.txt [-updates u.txt] [options]")
+		fmt.Fprintf(stderr, "usage: incgraph -algo %s -graph g.txt [-updates u.txt] [options]\n", incgraph.ClassNames())
 		fs.PrintDefaults()
 		return 2
 	}
@@ -98,11 +94,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	g, err := loadGraph(*graphPath)
 	if err != nil {
 		return fatal(err)
-	}
-	// Checked as an int: NodeID is 32 bits, and -src 4294967296 would
-	// otherwise wrap to node 0.
-	if *algo == "sssp" && (*src < 0 || *src >= g.NumNodes()) {
-		return fatal(fmt.Errorf("sssp: source %d out of range", *src))
 	}
 	var delta incgraph.Batch
 	if *updates != "" {
@@ -119,7 +110,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 			return fatal(fmt.Errorf("%s: %v", *updates, err))
 		}
 	}
-	if err := run(stdout, *algo, g, *pattern, incgraph.NodeID(*src), delta, *quiet, *stats); err != nil {
+	if err := run(stdout, *algo, g, *pattern, *src, delta, *quiet, *stats); err != nil {
 		return fatal(err)
 	}
 	return 0
@@ -155,141 +146,106 @@ func emitGraph(w io.Writer, kind string, seed int64, nodes, deg int, directed bo
 	return err
 }
 
-// maintainer is what every class's incremental algorithm offers run.
-type maintainer interface {
-	Apply(incgraph.Batch) int
-	Stats() incgraph.FixpointStats
-}
-
-// run executes one query class end to end, printing the initial answer,
-// applying the updates incrementally, and printing the maintained answer.
-func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src incgraph.NodeID, delta incgraph.Batch, quiet, stats bool) error {
+// run executes one query class end to end: it builds the class through
+// the registry, runs its batch algorithm, applies the updates
+// incrementally and prints the maintained answer from the published view.
+// src is checked as an int: NodeID is 32 bits, and -src 4294967296 would
+// otherwise wrap to node 0.
+func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src int, delta incgraph.Batch, quiet, stats bool) error {
+	class, ok := incgraph.LookupClass(algo)
+	if !ok {
+		return fmt.Errorf("unknown or missing -algo %q", algo)
+	}
+	p := incgraph.ClassParams{Src: src}
+	if class.Pattern && patternPath != "" {
+		var err error
+		if p.Pattern, err = loadGraph(patternPath); err != nil {
+			return err
+		}
+	}
+	m, err := class.New(g, p)
+	if err != nil {
+		return err
+	}
 	report := func(phase string, d time.Duration) {
 		fmt.Fprintf(w, "%-12s %v\n", phase+":", d.Round(time.Microsecond))
 	}
-	// applyDelta applies the updates to m and, with -stats, prints the
-	// counters the paper's boundedness claim is about: |AFF| and the
-	// apply's work-ledger measure (touched + |AFF| + ‖AFF‖) against |ΔG|
-	// for every class, and — for classes on the fixpoint engine — the
-	// inspection count and the h/resume time split.
-	applyDelta := func(m maintainer, engine bool) {
-		if len(delta) == 0 {
-			return
-		}
-		before := m.Stats()
+	t0 := time.Now()
+	m.Recompute()
+	report("batch", time.Since(t0))
+	if len(delta) > 0 {
 		t0 := time.Now()
-		aff := m.Apply(delta)
+		res := m.Apply(delta)
 		report("incremental", time.Since(t0))
-		if !stats {
+		if stats {
+			printStats(w, res, len(delta), class.Engine)
+		}
+	}
+	printView(w, m.Snapshot(), quiet)
+	return nil
+}
+
+// printStats prints the counters the paper's boundedness claim is about:
+// |AFF| and the apply's work-ledger measure (touched + |AFF| + ‖AFF‖)
+// against |ΔG| for every class, and — for classes on the fixpoint engine —
+// the inspection count and the h/resume time split.
+func printStats(w io.Writer, res incgraph.ServeApplyResult, delta int, engine bool) {
+	st, led := res.Stats, res.Ledger
+	fmt.Fprintf(w, "%-12s |AFF|=%d |ΔG|=%d ratio=%.3f\n", "affected:", res.Affected, delta, float64(res.Affected)/float64(delta))
+	fmt.Fprintf(w, "%-12s %d (%.1f per update)\n", "work:", led.Work(), led.BoundedRatio())
+	if engine {
+		fmt.Fprintf(w, "%-12s %d (%.1f per update)\n", "inspected:", st.Inspected(), float64(st.Inspected())/float64(delta))
+		fmt.Fprintf(w, "%-12s %v / %v\n", "h/resume:",
+			time.Duration(st.HSeconds*float64(time.Second)).Round(time.Microsecond),
+			time.Duration(st.ResumeSeconds*float64(time.Second)).Round(time.Microsecond))
+	}
+}
+
+// printView prints a class's answer from its published view; with quiet,
+// only the summary line of the classes that have one.
+func printView(w io.Writer, view any, quiet bool) {
+	switch v := view.(type) {
+	case incgraph.ServeSSSPView:
+		for i := 0; i < v.Dist.Len() && !quiet; i++ {
+			if d := v.Dist.At(i); d >= incgraph.Infinity {
+				fmt.Fprintf(w, "%d inf\n", i)
+			} else {
+				fmt.Fprintf(w, "%d %d\n", i, d)
+			}
+		}
+	case incgraph.ServeCCView:
+		for i := 0; i < v.Labels.Len() && !quiet; i++ {
+			fmt.Fprintf(w, "%d %d\n", i, v.Labels.At(i))
+		}
+	case incgraph.ServeSimView:
+		fmt.Fprintf(w, "matches: %d\n", v.Count)
+		if quiet {
 			return
 		}
-		st := m.Stats().Sub(before)
-		led := st.Ledger
-		led.Delta = int64(len(delta))
-		fmt.Fprintf(w, "%-12s |AFF|=%d |ΔG|=%d ratio=%.3f\n", "affected:", aff, len(delta), float64(aff)/float64(len(delta)))
-		fmt.Fprintf(w, "%-12s %d (%.1f per update)\n", "work:", led.Work(), led.BoundedRatio())
-		if engine {
-			fmt.Fprintf(w, "%-12s %d (%.1f per update)\n", "inspected:", st.Inspected(), float64(st.Inspected())/float64(len(delta)))
-			fmt.Fprintf(w, "%-12s %v / %v\n", "h/resume:",
-				time.Duration(st.HSeconds*float64(time.Second)).Round(time.Microsecond),
-				time.Duration(st.ResumeSeconds*float64(time.Second)).Round(time.Microsecond))
+		var pairs []int // data node · |V_Q| + pattern node, printed in that order
+		for u, m := range v.Matches {
+			for _, x := range m.Slice() {
+				pairs = append(pairs, int(x)*v.NQ+u)
+			}
+		}
+		slices.Sort(pairs)
+		for _, p := range pairs {
+			fmt.Fprintf(w, "%d ~ %d\n", p/v.NQ, p%v.NQ)
+		}
+	case incgraph.ServeDFSView:
+		for i := 0; i < v.First.Len() && !quiet; i++ {
+			fmt.Fprintf(w, "%d [%d,%d] parent %d\n", i, v.First.At(i), v.Last.At(i), v.Parent.At(i))
+		}
+	case incgraph.ServeLCCView:
+		for i := 0; i < v.Gamma.Len() && !quiet; i++ {
+			fmt.Fprintf(w, "%d %.6f\n", i, v.Gamma.At(i))
+		}
+	case incgraph.ServeBCView:
+		fmt.Fprintf(w, "biconnected components: %d\n", v.NumComps)
+		for i := 0; i < v.Articulation.Len() && !quiet; i++ {
+			if v.Articulation.At(i) {
+				fmt.Fprintf(w, "articulation %d\n", i)
+			}
 		}
 	}
-	switch algo {
-	case "sssp":
-		t0 := time.Now()
-		inc := incgraph.NewIncSSSP(g, src)
-		report("batch", time.Since(t0))
-		applyDelta(inc, true)
-		if !quiet {
-			for v, d := range inc.Dist() {
-				if d >= incgraph.Infinity {
-					fmt.Fprintf(w, "%d inf\n", v)
-				} else {
-					fmt.Fprintf(w, "%d %d\n", v, d)
-				}
-			}
-		}
-	case "cc":
-		t0 := time.Now()
-		inc := incgraph.NewIncCC(g)
-		report("batch", time.Since(t0))
-		applyDelta(inc, true)
-		if !quiet {
-			for v, l := range inc.Labels() {
-				fmt.Fprintf(w, "%d %d\n", v, l)
-			}
-		}
-	case "sim":
-		if patternPath == "" {
-			return fmt.Errorf("sim needs -pattern")
-		}
-		f, err := os.Open(patternPath)
-		if err != nil {
-			return err
-		}
-		q, err := incgraph.ReadGraph(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		inc := incgraph.NewIncSim(g, q)
-		report("batch", time.Since(t0))
-		applyDelta(inc, true)
-		r := inc.Relation()
-		fmt.Fprintf(w, "matches: %d\n", r.Count())
-		if !quiet {
-			for v := 0; v < g.NumNodes(); v++ {
-				for u := 0; u < q.NumNodes(); u++ {
-					if r.Match(incgraph.NodeID(v), incgraph.NodeID(u)) {
-						fmt.Fprintf(w, "%d ~ %d\n", v, u)
-					}
-				}
-			}
-		}
-	case "dfs":
-		t0 := time.Now()
-		inc := incgraph.NewIncDFS(g)
-		report("batch", time.Since(t0))
-		applyDelta(inc, false)
-		if !quiet {
-			tr := inc.Tree()
-			for v := range tr.First {
-				fmt.Fprintf(w, "%d [%d,%d] parent %d\n", v, tr.First[v], tr.Last[v], tr.Parent[v])
-			}
-		}
-	case "lcc":
-		if g.Directed() {
-			return fmt.Errorf("lcc needs an undirected graph")
-		}
-		t0 := time.Now()
-		inc := incgraph.NewIncLCC(g)
-		report("batch", time.Since(t0))
-		applyDelta(inc, false)
-		if !quiet {
-			for v := 0; v < g.NumNodes(); v++ {
-				fmt.Fprintf(w, "%d %.6f\n", v, inc.Result().Gamma(incgraph.NodeID(v)))
-			}
-		}
-	case "bc":
-		if g.Directed() {
-			return fmt.Errorf("bc needs an undirected graph")
-		}
-		t0 := time.Now()
-		inc := incgraph.NewIncBC(g)
-		report("batch", time.Since(t0))
-		applyDelta(inc, false)
-		fmt.Fprintf(w, "biconnected components: %d\n", inc.Result().NumComps())
-		if !quiet {
-			for v, a := range inc.Result().Articulation {
-				if a {
-					fmt.Fprintf(w, "articulation %d\n", v)
-				}
-			}
-		}
-	default:
-		return fmt.Errorf("unknown or missing -algo %q", algo)
-	}
-	return nil
 }

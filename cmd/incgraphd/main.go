@@ -147,7 +147,7 @@ func newFlags(fs *flag.FlagSet) *cliFlags {
 	c := &cliFlags{}
 	fs.StringVar(&c.listen, "listen", ":8356", "HTTP listen address")
 	fs.StringVar(&c.graphPath, "graph", "", "graph file (labeled edge-list format)")
-	fs.StringVar(&c.algos, "algos", "", "comma-separated query classes to host: sssp|cc|sim|dfs|lcc|bc")
+	fs.StringVar(&c.algos, "algos", "", "comma-separated query classes to host: "+incgraph.ClassNames())
 	fs.IntVar(&c.src, "src", 0, "source node (sssp)")
 	fs.StringVar(&c.pattern, "pattern", "", "pattern graph file (sim)")
 
@@ -200,23 +200,27 @@ func validateFlags(c *cliFlags) error {
 	if c.syncPolicy, err = incgraph.ParseSyncPolicy(c.fsync); err != nil {
 		return fmt.Errorf("bad -fsync: %w", err)
 	}
-	// -algos is checked against the class table run hands Start.
+	// -algos is checked against the class registry, which builds them.
 	for _, algo := range strings.Split(c.algos, ",") {
-		switch algo = strings.TrimSpace(algo); {
+		algo = strings.TrimSpace(algo)
+		_, known := incgraph.LookupClass(algo)
+		switch {
 		case algo == "":
-		case classes[algo] == nil:
-			return fmt.Errorf("unknown algo %q in -algos (want sssp|cc|sim|dfs|lcc|bc)", algo)
+		case !known:
+			return fmt.Errorf("unknown algo %q in -algos (want %s)", algo, incgraph.ClassNames())
 		case slices.Contains(c.algoList, algo):
 			return fmt.Errorf("-algos names %s twice", algo)
 		default:
 			c.algoList = append(c.algoList, algo)
 		}
 	}
-	switch {
-	case len(c.algoList) == 0:
+	if len(c.algoList) == 0 {
 		return fmt.Errorf("missing -algos (e.g. -algos sssp,cc)")
-	case slices.Contains(c.algoList, "sim") && c.pattern == "":
-		return fmt.Errorf("sim needs -pattern")
+	}
+	for _, algo := range c.algoList {
+		if class, _ := incgraph.LookupClass(algo); class.Pattern && c.pattern == "" {
+			return fmt.Errorf("%s needs -pattern", algo)
+		}
 	}
 	return nil
 }
@@ -303,7 +307,15 @@ func run(logger *slog.Logger, c *cliFlags) error {
 	rec, st, err := incgraph.Start(svc, c.dataDir, c.algoList,
 		func(algo string, g *incgraph.Graph) (incgraph.Serveable, error) {
 			nodes, edges, directed = g.NumNodes(), g.NumEdges(), g.Directed()
-			return classes[algo](g, c)
+			class, _ := incgraph.LookupClass(algo)
+			p := incgraph.ClassParams{Src: c.src}
+			if class.Pattern {
+				var err error
+				if p.Pattern, err = loadGraph(c.pattern, "", 0, 0, 0, false); err != nil {
+					return nil, err
+				}
+			}
+			return class.New(g, p)
 		},
 		func() (*incgraph.Graph, error) {
 			base, err := loadGraph(c.graphPath, c.genKind, c.genSeed, c.genNodes, c.genDeg, c.genDirect)
@@ -540,43 +552,4 @@ func loadGraph(path, genKind string, seed int64, nodes, deg int, directed bool) 
 	}
 	defer f.Close()
 	return incgraph.ReadGraph(f)
-}
-
-// classes are the query classes incgraphd hosts, by -algos name: each
-// builds its maintainer on g from the flags (-src is range-checked before
-// it narrows to a 32-bit NodeID). validateFlags holds -algos to these
-// names, and run hands Start the ones it names.
-var classes = map[string]func(g *incgraph.Graph, c *cliFlags) (incgraph.Serveable, error){
-	"sssp": func(g *incgraph.Graph, c *cliFlags) (incgraph.Serveable, error) {
-		if c.src < 0 || c.src >= g.NumNodes() {
-			return nil, fmt.Errorf("sssp: source %d out of range", c.src)
-		}
-		s := incgraph.NodeID(c.src)
-		return incgraph.ServeSSSP(incgraph.BlankSSSP(g, s), s), nil
-	},
-	"cc": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
-		return incgraph.ServeCC(incgraph.BlankCC(g)), nil
-	},
-	"sim": func(g *incgraph.Graph, c *cliFlags) (incgraph.Serveable, error) {
-		pat, err := loadGraph(c.pattern, "", 0, 0, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		return incgraph.ServeSim(incgraph.BlankSim(g, pat)), nil
-	},
-	"dfs": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
-		return incgraph.ServeDFS(incgraph.BlankDFS(g)), nil
-	},
-	"lcc": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
-		if g.Directed() {
-			return nil, fmt.Errorf("lcc needs an undirected graph")
-		}
-		return incgraph.ServeLCC(incgraph.BlankLCC(g)), nil
-	},
-	"bc": func(g *incgraph.Graph, _ *cliFlags) (incgraph.Serveable, error) {
-		if g.Directed() {
-			return nil, fmt.Errorf("bc needs an undirected graph")
-		}
-		return incgraph.ServeBC(incgraph.BlankBC(g)), nil
-	},
 }

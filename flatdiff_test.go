@@ -384,29 +384,26 @@ const publishNodes = 3*256 + 40
 func publishSeed(t *testing.T, seed int64) bool {
 	rng := rand.New(rand.NewSource(seed))
 	pattern := RandomPattern(seed+3, 4, 5, 3)
-	classes := []struct {
-		name     string
-		directed bool
-		build    func(g *Graph) Serveable
-	}{
-		{"sssp", true, func(g *Graph) Serveable { return ServeSSSP(NewIncSSSP(g, 0), 0) }},
-		{"cc", false, func(g *Graph) Serveable { return ServeCC(NewIncCC(g)) }},
-		{"sim", true, func(g *Graph) Serveable { return ServeSim(NewIncSim(g, pattern)) }},
-		{"dfs", false, func(g *Graph) Serveable { return ServeDFS(NewIncDFS(g)) }},
-		{"lcc", false, func(g *Graph) Serveable { return ServeLCC(NewIncLCC(g)) }},
-		{"bc", false, func(g *Graph) Serveable { return ServeBC(NewIncBC(g)) }},
-	}
-	for _, c := range classes {
-		m := c.build(PowerLawGraph(seed+1, publishNodes, 4, c.directed))
+	for _, c := range Classes {
+		// The registry's class by its batch run: unrun, then Recompute.
+		build := func(g *Graph) Serveable {
+			m, err := c.New(g, ClassParams{Pattern: pattern})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Recompute()
+			return m
+		}
+		m := build(PowerLawGraph(seed+1, publishNodes, 4, c.Name == "sssp" || c.Name == "sim"))
 		check := func(when string) bool {
 			got, err := json.Marshal(m.Snapshot())
 			if err != nil {
-				t.Errorf("seed %d %s %s: %v", seed, c.name, when, err)
+				t.Errorf("seed %d %s %s: %v", seed, c.Name, when, err)
 				return false
 			}
-			want, _ := json.Marshal(c.build(m.Graph().Clone()).Snapshot())
+			want, _ := json.Marshal(build(m.Graph().Clone()).Snapshot())
 			if !bytes.Equal(got, want) {
-				t.Errorf("seed %d %s %s: published view differs from a fresh maintainer's on the same graph", seed, c.name, when)
+				t.Errorf("seed %d %s %s: published view differs from a fresh maintainer's on the same graph", seed, c.Name, when)
 				return false
 			}
 			return true
@@ -430,7 +427,7 @@ func publishSeed(t *testing.T, seed int64) bool {
 				if err := m.PersistState(&state); err != nil {
 					t.Fatal(err)
 				}
-				m = c.build(m.Graph().Clone())
+				m = build(m.Graph().Clone())
 				m.Snapshot() // publish the rebuilt state first: the restore must not hide behind it
 				if err := m.RestoreState(&state); err != nil {
 					t.Fatal(err)

@@ -93,10 +93,6 @@ type IncSSSP = sssp.Inc
 // NewIncSSSP computes the initial distances and returns the maintainer.
 func NewIncSSSP(g *Graph, src NodeID) *IncSSSP { return sssp.NewInc(g, src) }
 
-// BlankSSSP returns the maintainer before its batch run, for Start to
-// restore a checkpointed state into or run.
-func BlankSSSP(g *Graph, src NodeID) *IncSSSP { return sssp.Blank(g, src) }
-
 // ConnectedComponents labels every node with the minimum node id of its
 // (weakly) connected component, using the batch fixpoint algorithm CC_fp.
 func ConnectedComponents(g *Graph) []int64 { return cc.CCfp(g) }
@@ -107,10 +103,6 @@ type IncCC = cc.Inc
 
 // NewIncCC computes the initial labels and returns the maintainer.
 func NewIncCC(g *Graph) *IncCC { return cc.NewInc(g) }
-
-// BlankCC returns the maintainer before its batch run, for Start to
-// restore a checkpointed state into or run.
-func BlankCC(g *Graph) *IncCC { return cc.Blank(g) }
 
 // Relation is a graph-simulation match relation over V × V_Q.
 type Relation = sim.Relation
@@ -125,10 +117,6 @@ type IncSim = sim.Inc
 
 // NewIncSim computes the initial relation and returns the maintainer.
 func NewIncSim(g, q *Graph) *IncSim { return sim.NewInc(g, q) }
-
-// BlankSim returns the maintainer before its batch run, for Start to
-// restore a checkpointed state into or run.
-func BlankSim(g, q *Graph) *IncSim { return sim.Blank(g, q) }
 
 // DFSTree is a depth-first-search forest with preorder/postorder
 // intervals.
@@ -145,10 +133,6 @@ type IncDFS = dfs.Inc
 // NewIncDFS computes the initial forest and returns the maintainer.
 func NewIncDFS(g *Graph) *IncDFS { return dfs.NewInc(g) }
 
-// BlankDFS returns the maintainer before its batch run, for Start to
-// restore a checkpointed state into or run.
-func BlankDFS(g *Graph) *IncDFS { return dfs.Blank(g) }
-
 // LCCResult holds per-node degrees and triangle counts; Gamma(v) derives
 // the local clustering coefficient.
 type LCCResult = lcc.Result
@@ -163,10 +147,6 @@ type IncLCC = lcc.Inc
 
 // NewIncLCC computes the initial coefficients and returns the maintainer.
 func NewIncLCC(g *Graph) *IncLCC { return lcc.NewInc(g) }
-
-// BlankLCC returns the maintainer before its batch run, for Start to
-// restore a checkpointed state into or run.
-func BlankLCC(g *Graph) *IncLCC { return lcc.Blank(g) }
 
 // DualSimulation computes the maximum dual simulation — plain simulation
 // plus the symmetric parent condition — an extension query class built
@@ -193,10 +173,6 @@ type IncBC = bc.Inc
 
 // NewIncBC computes the initial structure and returns the maintainer.
 func NewIncBC(g *Graph) *IncBC { return bc.NewInc(g) }
-
-// BlankBC returns the maintainer before its batch run, for Start to
-// restore a checkpointed state into or run.
-func BlankBC(g *Graph) *IncBC { return bc.Blank(g) }
 
 // Serving layer, re-exported from internal/serve: host maintainers as a
 // resident concurrent service with one single-writer apply loop for every
@@ -260,8 +236,9 @@ type (
 // Durability layer, re-exported from internal/serve and internal/wal:
 // write-ahead logging of every ingested batch, periodic checkpoints of
 // graph + incremental state at consistent cuts, and crash recovery
-// (checkpoint restore + WAL-tail replay, verified against batch
-// recompute). See cmd/incgraphd's -data-dir.
+// (checkpoint restore + WAL-tail replay, verified by certificate for sssp
+// and cc and against a batch recompute for the other classes). See
+// cmd/incgraphd's -data-dir.
 type (
 	// Durable owns a service's WAL and checkpoints; installed on a
 	// Service it write-ahead-logs every update before submission.
@@ -304,16 +281,17 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 // Returns an empty recovery (no error) for a fresh directory.
 func LoadRecovery(dir string) (*Recovery, error) { return serve.LoadRecovery(dir) }
 
-// VerifyRecovered checks every recovered maintainer against a batch
-// recompute on its recovered graph, repairing (and reporting) any that
-// diverged. The returned slice names the diverged algos.
+// VerifyRecovered checks every recovered maintainer on its recovered
+// graph — sssp and cc by their certificates, the other classes against a
+// batch recompute — repairing (and reporting) any that diverged. The
+// returned slice names the diverged algos.
 func VerifyRecovered(targets map[string]Serveable, rec *TraceRecorder) []string {
 	return serve.VerifyRecovered(targets, rec)
 }
 
 // Start is a service's one start sequence: it builds every class of algos
-// unrun (over a Blank maintainer), restores or runs it, replays, verifies
-// and hosts it. See serve.Start.
+// unrun (build, usually a registry Class's New), restores or runs it,
+// replays, verifies and hosts it. See serve.Start.
 func Start(svc *Service, dir string, algos []string, build func(algo string, g *Graph) (Serveable, error),
 	input func() (*Graph, error), opt ServeOptions, replica, verify bool) (*Recovery, Started, error) {
 	return serve.Start(svc, dir, algos, build, input, opt, replica, verify)
@@ -335,6 +313,25 @@ func NewService() *Service { return serve.NewService() }
 func AccessLog(logger *slog.Logger, next http.Handler) http.Handler {
 	return serve.AccessLog(logger, next)
 }
+
+// The class registry, re-exported from internal/serve: every query class
+// the service hosts, by name, with its constraints and its constructor.
+type (
+	// Class is one query class of the registry.
+	Class = serve.Class
+	// ClassParams are what a class's constructor reads besides the graph:
+	// the source and the pattern.
+	ClassParams = serve.Params
+)
+
+// Classes is the registry: sssp, cc, sim, dfs, lcc, bc.
+var Classes = serve.Classes
+
+// LookupClass returns the registry's class named name.
+func LookupClass(name string) (Class, bool) { return serve.LookupClass(name) }
+
+// ClassNames is the registry's names joined by "|".
+func ClassNames() string { return serve.ClassNames() }
 
 // ServeSSSP adapts an SSSP maintainer for serving. The view, and every
 // recompute, uses the maintainer's own source; src must be that source

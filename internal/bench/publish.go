@@ -11,14 +11,9 @@ import (
 	"strings"
 	"time"
 
-	"incgraph/internal/bc"
-	"incgraph/internal/cc"
-	"incgraph/internal/dfs"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
-	"incgraph/internal/lcc"
 	"incgraph/internal/serve"
-	"incgraph/internal/sssp"
 	"incgraph/internal/trace"
 )
 
@@ -189,19 +184,12 @@ func (s *trickleStream) next() graph.Batch {
 func measurePublish(seed int64, core, n int, class string) (m publishCost, err error) {
 	g := paddedGraph(seed, core, n)
 	stream := newTrickleStream(seed+2, g, core)
-	var inner serve.Serveable
-	switch class {
-	case "sssp":
-		inner = serve.SSSP(sssp.NewInc(g, 0))
-	case "cc":
-		inner = serve.CC(cc.NewInc(g))
-	case "dfs":
-		inner = serve.DFS(dfs.NewInc(g))
-	case "lcc":
-		inner = serve.LCC(lcc.NewInc(g))
-	case "bc":
-		inner = serve.BC(bc.NewInc(g))
+	c, _ := serve.LookupClass(class)
+	inner, err := c.New(g, serve.Params{})
+	if err != nil {
+		return m, err
 	}
+	inner.Recompute()
 	timer := &snapshotTimer{Serveable: inner}
 	svc := serve.NewService()
 	defer svc.Close()

@@ -49,7 +49,7 @@ const DefaultCompactThreshold = 0.25
 // burst workload's stream that runs out a few times in 8,000 batches.
 //
 // Flat tracks staged edge batches only. Callers that mutate the Graph
-// through other entry points (DeleteNode, SetWeight) must Compact before
+// through other entry points (DeleteNode) must Compact before
 // the next read.
 type Flat struct {
 	directed  bool

@@ -55,12 +55,12 @@ func checkWeight(w int64) error {
 // The rows are the whole representation: 16 B per half-edge and no index
 // beside them. An edge is found by scanning a row — for presence (HasEdge,
 // Weight, the duplicate check of InsertEdge) the shorter of the two rows
-// that hold it, O(min(d_u, d_v)); DeleteEdge and SetWeight need its
-// position in both, O(d_u + d_v). A scan reads 16 B per entry, four
-// entries to a cache line. Deleting and reinserting one edge at a hub of
-// degree d, rows cold (BenchmarkEdgeOpsByDegree; "map" is the position
-// index keyed by (from, to) this type used to carry, which cost as much
-// memory again as the rows themselves):
+// that hold it, O(min(d_u, d_v)); DeleteEdge needs its position in both,
+// O(d_u + d_v). A scan reads 16 B per entry, four entries to a cache
+// line. Deleting and reinserting one edge at a hub of degree d, rows cold
+// (BenchmarkEdgeOpsByDegree; "map" is the position index keyed by (from,
+// to) this type used to carry, which cost as much memory again as the
+// rows themselves):
 //
 //	d      10     10²    10³    10⁴    10⁵
 //	scan   0.22   0.37   1.04   5.8    55 µs
@@ -306,18 +306,6 @@ func (g *Graph) RemoveEdge(u, v NodeID) (w int64, ok bool) {
 	removeAt(atV, j)
 	g.numEdges--
 	return w, true
-}
-
-// SetWeight updates the weight of an existing edge (u, v). It reports
-// whether the edge existed.
-func (g *Graph) SetWeight(u, v NodeID, w int64) bool {
-	atU, atV, i, j := g.positions(u, v)
-	if i < 0 {
-		return false
-	}
-	(*atU)[i].W = w
-	(*atV)[j].W = w
-	return true
 }
 
 // Out returns the out-adjacency of u (all neighbors when undirected).

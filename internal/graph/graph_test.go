@@ -85,26 +85,6 @@ func TestInsertDeleteUndirected(t *testing.T) {
 	}
 }
 
-func TestSetWeight(t *testing.T) {
-	g := New(3, false)
-	g.InsertEdge(0, 1, 2)
-	if !g.SetWeight(1, 0, 7) {
-		t.Fatal("SetWeight failed")
-	}
-	if g.Weight(0, 1) != 7 || g.Weight(1, 0) != 7 {
-		t.Fatal("weights not mirrored")
-	}
-	if g.SetWeight(0, 2, 1) {
-		t.Fatal("SetWeight on absent edge succeeded")
-	}
-	d := New(3, true)
-	d.InsertEdge(0, 1, 2)
-	d.SetWeight(0, 1, 9)
-	if d.In(1)[0].W != 9 {
-		t.Fatal("directed in-list weight not updated")
-	}
-}
-
 func TestSwapRemoveKeepsIndex(t *testing.T) {
 	// Deleting from the middle of an adjacency list moves the last entry into
 	// the hole; the moved edge must still be found.

@@ -34,8 +34,8 @@ func diffModel(g *Graph, m *mapGraph) error {
 
 // TestGraphAgainstMapModel drives Graph and the map-indexed reference
 // through the same random programs over the whole mutating surface —
-// InsertEdge, DeleteEdge, SetWeight, DeleteNode, AddNode, ApplyCounted,
-// Clone — with ids that are no node of the graph mixed in, and requires
+// InsertEdge, DeleteEdge, DeleteNode, AddNode, ApplyCounted, Clone —
+// with ids that are no node of the graph mixed in, and requires
 // equal answers from every call and, after every step, equal rows in equal
 // order and a consistent graph.
 func TestGraphAgainstMapModel(t *testing.T) {
@@ -63,9 +63,6 @@ func TestGraphAgainstMapModel(t *testing.T) {
 			case k < 12:
 				op = fmt.Sprintf("DeleteEdge(%d,%d)", u, v)
 				got, want = g.DeleteEdge(u, v), m.DeleteEdge(u, v)
-			case k < 14:
-				op = fmt.Sprintf("SetWeight(%d,%d,%d)", u, v, w)
-				got, want = g.SetWeight(u, v, w), m.SetWeight(u, v, w)
 			case k == 14:
 				op = fmt.Sprintf("DeleteNode(%d)", u)
 				got, want = fmt.Sprint(g.DeleteNode(u)), fmt.Sprint(m.DeleteNode(u))
@@ -126,7 +123,7 @@ func TestEdgeLookupsOutOfRange(t *testing.T) {
 			for _, ok := range []NodeID{0, 1, bad} {
 				for _, p := range [][2]NodeID{{bad, ok}, {ok, bad}} {
 					u, v := p[0], p[1]
-					if g.HasEdge(u, v) || g.Weight(u, v) != Infinity || g.SetWeight(u, v, 1) || g.DeleteEdge(u, v) || g.InsertEdge(u, v, 1) {
+					if g.HasEdge(u, v) || g.Weight(u, v) != Infinity || g.DeleteEdge(u, v) || g.InsertEdge(u, v, 1) {
 						t.Fatalf("directed=%v: (%d,%d) read as an edge", directed, u, v)
 					}
 					if _, removed := g.RemoveEdge(u, v); removed {

@@ -143,20 +143,6 @@ func (g *mapGraph) delHalfIn(u, v NodeID) {
 	delete(g.inPos, k)
 }
 
-func (g *mapGraph) SetWeight(u, v NodeID, w int64) bool {
-	i, ok := g.outPos[pack(u, v)]
-	if !ok {
-		return false
-	}
-	g.out[u][i].W = w
-	if g.directed {
-		g.in[v][g.inPos[pack(u, v)]].W = w
-	} else {
-		g.out[v][g.outPos[pack(v, u)]].W = w
-	}
-	return true
-}
-
 func (g *mapGraph) Clone() *mapGraph {
 	c := &mapGraph{
 		directed: g.directed,

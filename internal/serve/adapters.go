@@ -20,7 +20,8 @@ import (
 // batch fixpoint algorithm, its incremental form, and the auxiliary state
 // a restart must keep. A class supplies a descriptor of four parts — its
 // name, its batch constructor, a view builder, and the export and restore
-// of its state vectors — and the adapter owns the rest.
+// of its state vectors, which its registry entry (registry.go) names — and
+// the adapter owns the rest.
 //
 // Publication: the maintainers alias internal state from their accessors
 // (Dist, Labels, …) and keep mutating it across Apply calls, so a published
@@ -142,7 +143,7 @@ func (a *adapter[M, V]) Snapshot() any {
 }
 
 func (a *adapter[M, V]) PersistState(w io.Writer) error {
-	_, err := w.Write(appendState(nil, classVecs[a.name], a.export(a.m)))
+	_, err := w.Write(appendState(nil, stateVecs(a.name), a.export(a.m)))
 	return err
 }
 
@@ -150,7 +151,7 @@ func (a *adapter[M, V]) RestoreState(r io.Reader) error {
 	var st classState
 	data, err := io.ReadAll(r)
 	if err == nil {
-		err = decodeState(data, classVecs[a.name], &st)
+		err = decodeState(data, stateVecs(a.name), &st)
 	}
 	if err != nil {
 		return err

@@ -275,13 +275,13 @@ func TestCheckpointFixture(t *testing.T) {
 			t.Fatal(err)
 		}
 		targets := map[string]Serveable{}
-		for _, c := range opsClasses {
-			if _, ok := rec.Algos[c.algo]; !ok {
-				t.Fatalf("the checkpoint in %s holds no state for %s", dir, c.algo)
+		for _, c := range Classes {
+			if _, ok := rec.Algos[c.Name]; !ok {
+				t.Fatalf("the checkpoint in %s holds no state for %s", dir, c.Name)
 			}
-			targets[c.algo] = c.build(rec.Algos[c.algo].Graph)
-			if err := rec.Restore(c.algo, targets[c.algo]); err != nil {
-				t.Fatalf("restore %s: %v", c.algo, err)
+			targets[c.Name] = opsBatchRun(c.Name, rec.Algos[c.Name].Graph)
+			if err := rec.Restore(c.Name, targets[c.Name]); err != nil {
+				t.Fatalf("restore %s: %v", c.Name, err)
 			}
 		}
 		return targets, rec
@@ -319,9 +319,9 @@ func TestCheckpointFixture(t *testing.T) {
 	dir := fixtureDir(t, "testdata/sixclass/data")
 	targets, rec := restore(dir)
 	v3, persisted := persist(targets, rec)
-	for _, c := range opsClasses {
-		if got, want := persisted.Algos[c.algo].State, rec.Algos[c.algo].State; !bytes.Equal(got, want) {
-			t.Errorf("%s: re-persisted %d bytes, differing from the fixture's %d converted", c.algo, len(got), len(want))
+	for _, c := range Classes {
+		if got, want := persisted.Algos[c.Name].State, rec.Algos[c.Name].State; !bytes.Equal(got, want) {
+			t.Errorf("%s: re-persisted %d bytes, differing from the fixture's %d converted", c.Name, len(got), len(want))
 		}
 	}
 	if golden, err := os.ReadFile("testdata/sixclass/v3.ckpt2"); err != nil || !bytes.Equal(v3, golden) {
@@ -337,17 +337,17 @@ func TestCheckpointFixture(t *testing.T) {
 	if n := rec.Replayed; n != 3 {
 		t.Fatalf("replayed %d records, want the tail's 3", n)
 	}
-	for _, c := range opsClasses {
-		want, err := os.ReadFile(filepath.Join("testdata/sixclass/views", c.algo+".json"))
+	for _, c := range Classes {
+		want, err := os.ReadFile(filepath.Join("testdata/sixclass/views", c.Name+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := json.Marshal(targets[c.algo].Snapshot())
+		got, err := json.Marshal(targets[c.Name].Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(append(got, '\n'), want) {
-			t.Errorf("%s: replayed view %s, saved %s", c.algo, got, want)
+			t.Errorf("%s: replayed view %s, saved %s", c.Name, got, want)
 		}
 	}
 	if div := VerifyRecovered(targets, nil); len(div) != 0 {

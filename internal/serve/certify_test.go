@@ -60,11 +60,11 @@ func TestStartRepairsWrongRestoredState(t *testing.T) {
 		for i, a := range ck.Algos {
 			if a.Name == algo {
 				var st classState
-				if err := decodeState(a.State, classVecs[algo], &st); err != nil {
+				if err := decodeState(a.State, stateVecs(algo), &st); err != nil {
 					t.Fatal(err)
 				}
 				edit(g, &st)
-				ck.Algos[i].State = appendState(nil, classVecs[algo], &st)
+				ck.Algos[i].State = appendState(nil, stateVecs(algo), &st)
 			}
 		}
 		if _, err := wal.WriteCheckpoint(dir, ck); err != nil {
@@ -156,11 +156,11 @@ func TestStartRepairsWrongRestoredState(t *testing.T) {
 // equal views, written lists and ledgers.
 func TestBlankRestoreIsNewIncRestore(t *testing.T) {
 	stream := makeStream(3, opsNodes, 320)
-	for _, c := range opsClasses {
-		t.Run(c.algo, func(t *testing.T) {
+	for _, c := range Classes {
+		t.Run(c.Name, func(t *testing.T) {
 			// The state to restore: the class after half the stream.
 			g := opsBase()
-			ref := c.build(g)
+			ref := opsBatchRun(c.Name, g)
 			for i := 0; i < 160; i += 40 {
 				ref.Apply(stream[i : i+40].Net(false))
 			}
@@ -171,7 +171,11 @@ func TestBlankRestoreIsNewIncRestore(t *testing.T) {
 				}
 				return m
 			}
-			blank, built := restore(c.blank(g.Clone())), restore(c.build(g.Clone()))
+			blank, err := opsBuild(c.Name, g.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			blank, built := restore(blank), restore(opsBatchRun(c.Name, g.Clone()))
 			if !bytes.Equal(persisted(t, blank), persisted(t, built)) {
 				t.Fatal("restored states persist differently")
 			}

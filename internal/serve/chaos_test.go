@@ -10,14 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"incgraph/internal/bc"
-	"incgraph/internal/cc"
-	"incgraph/internal/dfs"
 	"incgraph/internal/graph"
-	"incgraph/internal/lcc"
 	"incgraph/internal/serve/faults"
-	"incgraph/internal/sim"
-	"incgraph/internal/sssp"
 )
 
 // TestChaosServeDifferential is the single-process half of the chaos
@@ -197,10 +191,11 @@ func testChaosServe(t *testing.T, mode panicMode) {
 		return q
 	}
 
-	// Each class owns a service of one (the classes differ in
-	// directedness), a mirror graph accumulating every submitted batch,
-	// and a rebuild function that answers the class from scratch over a
-	// mirror clone.
+	// Each class of the registry owns a service of one (sim and dfs on a
+	// directed graph, the others on an undirected one), a mirror graph
+	// accumulating every submitted batch, and a panic on its apply
+	// ordinal i+2; rebuild answers a class by its batch run over a mirror
+	// clone.
 	type class struct {
 		directed bool
 		panicAt  int64 // 1-based apply ordinal the injector poisons
@@ -208,21 +203,19 @@ func testChaosServe(t *testing.T, mode panicMode) {
 		host     *Host
 		inj      *faults.Injector
 		mirror   *graph.Graph
-		rebuild  func(*graph.Graph) Serveable
 	}
-	classes := map[string]*class{
-		"sssp": {directed: false, panicAt: 2,
-			rebuild: func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) }},
-		"cc": {directed: false, panicAt: 3,
-			rebuild: func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) }},
-		"sim": {directed: true, panicAt: 4,
-			rebuild: func(g *graph.Graph) Serveable { return Sim(sim.NewInc(g, pattern())) }},
-		"dfs": {directed: true, panicAt: 5,
-			rebuild: func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) }},
-		"lcc": {directed: false, panicAt: 6,
-			rebuild: func(g *graph.Graph) Serveable { return LCC(lcc.NewInc(g)) }},
-		"bc": {directed: false, panicAt: 7,
-			rebuild: func(g *graph.Graph) Serveable { return BC(bc.NewInc(g)) }},
+	classes := map[string]*class{}
+	for i, c := range Classes {
+		classes[c.Name] = &class{directed: c.Name == "sim" || c.Name == "dfs", panicAt: int64(i + 2)}
+	}
+	rebuild := func(name string, g *graph.Graph) Serveable {
+		c, _ := LookupClass(name)
+		m, err := c.New(g, Params{Pattern: pattern()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Recompute()
+		return m
 	}
 	for name, c := range classes {
 		seed := int64(len(name)) // distinct but deterministic per geometry use below
@@ -235,7 +228,7 @@ func testChaosServe(t *testing.T, mode panicMode) {
 		c.inj = faults.New()
 		c.inj.PanicOn(name, c.panicAt)
 		hook := mode(func() *Host { return c.host }, c.inj.BeforeApply)
-		c.svc, c.host = soloHost(t, c.rebuild(g), Options{BeforeApply: hook})
+		c.svc, c.host = soloHost(t, rebuild(name, g), Options{BeforeApply: hook})
 	}
 
 	rounds, longEnd := 24, time.Time{}
@@ -316,7 +309,7 @@ func testChaosServe(t *testing.T, mode panicMode) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := json.Marshal(c.rebuild(c.mirror.Clone()).Snapshot())
+		want, err := json.Marshal(rebuild(name, c.mirror.Clone()).Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,7 +90,7 @@ func upgradeV2(algo string, blob []byte) ([]byte, error) {
 	} else if algo == "bc" && st.Block == nil {
 		return nil, nil
 	}
-	return appendState(nil, classVecs[algo], &st), nil
+	return appendState(nil, stateVecs(algo), &st), nil
 }
 
 // LoadRecovery loads the newest valid checkpoint in dir (scanning past

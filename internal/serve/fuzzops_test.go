@@ -13,15 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"incgraph/internal/bc"
-	"incgraph/internal/cc"
-	"incgraph/internal/dfs"
 	"incgraph/internal/fixpoint"
 	"incgraph/internal/graph"
-	"incgraph/internal/lcc"
 	"incgraph/internal/serve/faults"
-	"incgraph/internal/sim"
-	"incgraph/internal/sssp"
 	"incgraph/internal/wal"
 )
 
@@ -30,8 +24,9 @@ import (
 // 4-byte ops (opsRig.run), with Theorem 1 as the oracle after every step —
 // each published view equals the batch answer on a mirror graph that took
 // the same accepted updates, and the bytes served are encoding/json's of
-// that view — and every host's /stats reports the service's one account
-// of the stream, at the mirror's count of accepted updates. One op arms an
+// that view, and sssp's and cc's certificates hold — and every host's
+// /stats reports the service's one account of the stream, at the mirror's
+// count of accepted updates. The classes are the registry's. One op arms an
 // injected panic in a class's next apply, before or after its graph takes
 // the batch, which the host must heal without losing the batch or applying
 // it twice; another has a host verify itself against a recompute in place;
@@ -58,54 +53,34 @@ var (
 	opsBounds  = []int{0, 1, pageSize - 1, pageSize, pageSize + 1, opsNodes - 1, opsNodes, opsNodes + 1}
 )
 
-// opsClass is one hosted class of the rig.
-type opsClass struct {
-	algo         string
-	build, blank func(g *graph.Graph) Serveable
-}
-
-// opsClasses are the six hosted classes, each built over a graph of its
-// own: by its batch run (build), and unrun, as the daemon builds them for
-// Start to restore or run (blank).
-var opsClasses = []opsClass{
-	{"sssp", func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) },
-		func(g *graph.Graph) Serveable { return SSSP(sssp.Blank(g, 0)) }},
-	{"cc", func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) },
-		func(g *graph.Graph) Serveable { return CC(cc.Blank(g)) }},
-	{"sim", func(g *graph.Graph) Serveable { return Sim(sim.NewInc(g, opsPattern())) },
-		func(g *graph.Graph) Serveable { return Sim(sim.Blank(g, opsPattern())) }},
-	{"dfs", func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) },
-		func(g *graph.Graph) Serveable { return DFS(dfs.Blank(g)) }},
-	{"lcc", func(g *graph.Graph) Serveable { return LCC(lcc.NewInc(g)) },
-		func(g *graph.Graph) Serveable { return LCC(lcc.Blank(g)) }},
-	{"bc", func(g *graph.Graph) Serveable { return BC(bc.NewInc(g)) },
-		func(g *graph.Graph) Serveable { return BC(bc.Blank(g)) }},
-}
-
-// opsAlgos lists the classes' names in opsClasses' order.
+// opsAlgos lists the registry's names, in its order.
 func opsAlgos() []string {
 	var algos []string
-	for _, c := range opsClasses {
-		algos = append(algos, c.algo)
+	for _, c := range Classes {
+		algos = append(algos, c.Name)
 	}
 	return algos
 }
 
-// opsBuild is Start's constructor for opsClasses: the class unrun.
+// opsBuild is Start's constructor for the rig: the registry's class algo,
+// unrun, on g, with source 0 and opsPattern.
 func opsBuild(algo string, g *graph.Graph) (Serveable, error) {
-	for _, c := range opsClasses {
-		if c.algo == algo {
-			return c.blank(g), nil
-		}
+	c, ok := LookupClass(algo)
+	if !ok {
+		return nil, fmt.Errorf("no class %q", algo)
 	}
-	return nil, fmt.Errorf("no class %q", algo)
+	return c.New(g, Params{Pattern: opsPattern()})
 }
 
 // opsBatchRun is class algo built by its batch run over g: the answer a
 // served view is held to.
 func opsBatchRun(algo string, g *graph.Graph) Serveable {
-	i := slices.IndexFunc(opsClasses, func(c opsClass) bool { return c.algo == algo })
-	return opsClasses[i].build(g)
+	m, err := opsBuild(algo, g)
+	if err != nil {
+		panic(err)
+	}
+	m.Recompute()
+	return m
 }
 
 // opsMaintainer is a class as the rig hosts it: an armedPanic, which the
@@ -338,7 +313,7 @@ func (r *opsRig) post(wait bool, arg [3]byte) {
 	}
 	if len(batch) > 0 {
 		r.applies++
-		if len(r.stale) < len(opsClasses) {
+		if len(r.stale) < len(Classes) {
 			r.rounds++
 		}
 		for algo, armed := range r.armed {
@@ -396,8 +371,8 @@ func widen[T int32 | graph.NodeID](p Paged[T]) []int64 {
 // check is the oracle, run after every step.
 func (r *opsRig) check(step int) {
 	t := r.t
-	for _, c := range opsClasses {
-		h := r.svc.Get(c.algo)
+	for _, c := range Classes {
+		h := r.svc.Get(c.Name)
 		// Through the apply loop: every accepted submission is applied
 		// first, and the maintainer may be read.
 		var written []int32
@@ -408,37 +383,45 @@ func (r *opsRig) check(step int) {
 			t.Fatal(err)
 		}
 		v, st := h.View(), h.Stats()
-		if s, ok := r.stale[c.algo]; ok {
+		if s, ok := r.stale[c.Name]; ok {
 			// Quarantined: its last good view, degraded, until a recovery.
-			if v.Epoch != s.epoch || !v.Degraded || !snapshotEqual(v.Data, c.build(s.g.Clone()).Snapshot()) {
-				t.Fatalf("step %d %s: quarantined at epoch %d, serves epoch %d (degraded %v)", step, c.algo, s.epoch, v.Epoch, v.Degraded)
+			if v.Epoch != s.epoch || !v.Degraded || !snapshotEqual(v.Data, opsBatchRun(c.Name, s.g.Clone()).Snapshot()) {
+				t.Fatalf("step %d %s: quarantined at epoch %d, serves epoch %d (degraded %v)", step, c.Name, s.epoch, v.Epoch, v.Degraded)
 			}
-			r.get("/query/"+c.algo, v, nil)
-			delete(r.prev, c.algo)
+			r.get("/query/"+c.Name, v, nil)
+			delete(r.prev, c.Name)
 			continue
 		}
 		if v.Epoch != r.epoch || v.Degraded || st.Panics != st.Heals {
-			t.Fatalf("step %d %s: view at epoch %d (degraded %v, %d panics, %d heals), %d updates accepted", step, c.algo, v.Epoch, v.Degraded, st.Panics, st.Heals, r.epoch)
+			t.Fatalf("step %d %s: view at epoch %d (degraded %v, %d panics, %d heals), %d updates accepted", step, c.Name, v.Epoch, v.Degraded, st.Panics, st.Heals, r.epoch)
 		}
-		if want := c.build(r.mirror.Clone()).Snapshot(); !snapshotEqual(v.Data, want) {
+		// The certificates hold after every op: sssp's (sssp.Certify) and
+		// cc's order <_C (fixpoint.CheckOrder), each without a batch run.
+		if err := h.WithState(func(m Serveable) error {
+			_, err := m.(certifier).Certify()
+			return err
+		}); err != nil {
+			t.Fatalf("step %d %s: certificate: %v", step, c.Name, err)
+		}
+		if want := opsBatchRun(c.Name, r.mirror.Clone()).Snapshot(); !snapshotEqual(v.Data, want) {
 			got, _ := json.Marshal(v.Data)
 			exp, _ := json.Marshal(want)
-			t.Fatalf("step %d %s: view differs from the batch answer on the mirror graph: %s", step, c.algo, firstDiff(got, exp, exp))
+			t.Fatalf("step %d %s: view differs from the batch answer on the mirror graph: %s", step, c.Name, firstDiff(got, exp, exp))
 		}
-		r.get("/query/"+c.algo, v, nil)
+		r.get("/query/"+c.Name, v, nil)
 
 		// A heal recomputes: what it changed is in no written list.
 		cur := published(v.Data)
-		if was, ok := r.prev[c.algo]; ok && v.Batches-was.batches == 1 && st.Heals == was.heals {
+		if was, ok := r.prev[c.Name]; ok && v.Batches-was.batches == 1 && st.Heals == was.heals {
 			for k, vec := range cur {
 				for i := range vec {
 					if vec[i] != was.vecs[k][i] && !slices.Contains(written, int32(i)) {
-						t.Fatalf("step %d %s: published entry %d of vector %d went %d → %d and is not in Written() %v", step, c.algo, i, k, was.vecs[k][i], vec[i], written)
+						t.Fatalf("step %d %s: published entry %d of vector %d went %d → %d and is not in Written() %v", step, c.Name, i, k, was.vecs[k][i], vec[i], written)
 					}
 				}
 			}
 		}
-		r.prev[c.algo] = opsSeen{v.Batches, st.Heals, cur}
+		r.prev[c.Name] = opsSeen{v.Batches, st.Heals, cur}
 	}
 
 	// The classes share one graph, which took each batch once.
@@ -464,19 +447,19 @@ func (r *opsRig) check(step int) {
 	// which has applied every accepted update, across recoveries too.
 	rec := r.do(http.MethodGet, "/stats", "")
 	var stats map[string]Stats
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); rec.Code != http.StatusOK || err != nil || len(stats) != len(opsClasses) {
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); rec.Code != http.StatusOK || err != nil || len(stats) != len(Classes) {
 		t.Fatalf("step %d: GET /stats: status %d %v %s", step, rec.Code, err, rec.Body)
 	}
 	stream := func(st Stats) [5]uint64 {
 		return [5]uint64{st.UpdatesReceived, st.UpdatesApplied, st.UpdatesCoalesced, st.BatchesApplied, st.QueueDepth}
 	}
-	first := stats[opsClasses[0].algo]
+	first := stats[Classes[0].Name]
 	if first.UpdatesApplied != r.epoch || first.QueueDepth != 0 {
 		t.Fatalf("step %d: /stats applied %d with %d queued, %d updates accepted", step, first.UpdatesApplied, first.QueueDepth, r.epoch)
 	}
 	for algo, st := range stats {
 		if stream(st) != stream(first) {
-			t.Fatalf("step %d: %s's stream fields %v differ from %s's %v", step, algo, stream(st), opsClasses[0].algo, stream(first))
+			t.Fatalf("step %d: %s's stream fields %v differ from %s's %v", step, algo, stream(st), Classes[0].Name, stream(first))
 		}
 	}
 }
@@ -493,10 +476,10 @@ func (r *opsRig) run(prog []byte) {
 		case 3:
 			r.post(false, arg)
 		case 4: // a ranged read, ?compact=1 (an unread parameter) on every other one
-			c := opsClasses[int(arg[0])%len(opsClasses)]
+			c := Classes[int(arg[0])%len(Classes)]
 			lo, hi := opsBounds[int(arg[1])%len(opsBounds)], opsBounds[int(arg[2])%len(opsBounds)]
 			lo, hi = min(lo, hi), max(lo, hi)
-			url := fmt.Sprintf("/query/%s?range=%d:%d", c.algo, lo, hi)
+			url := fmt.Sprintf("/query/%s?range=%d:%d", c.Name, lo, hi)
 			if arg[0]&0x80 != 0 {
 				url += "&compact=1"
 			}
@@ -507,7 +490,7 @@ func (r *opsRig) run(prog []byte) {
 				break
 			}
 			// Nothing is in flight: the last step's check went through every apply loop.
-			r.get(url, r.svc.Get(c.algo).View(), &[2]int{lo, hi})
+			r.get(url, r.svc.Get(c.Name).View(), &[2]int{lo, hi})
 		case 5: // compact the classes' one Flat where it stands
 			if err := r.svc.Hosts()[0].WithState(func(m Serveable) error {
 				m.Graph().Flat().Compact(m.Graph())
@@ -516,21 +499,21 @@ func (r *opsRig) run(prog []byte) {
 				r.t.Fatal(err)
 			}
 		case 6: // refused only with every class quarantined: there is no graph to cut
-			if err := r.dur.Checkpoint(); (err != nil) != (len(r.stale) == len(opsClasses)) {
+			if err := r.dur.Checkpoint(); (err != nil) != (len(r.stale) == len(Classes)) {
 				r.t.Fatalf("step %d: checkpoint with %d classes quarantined: %v", step, len(r.stale), err)
 			}
 		case 7: // stop without a checkpoint, start from what is on disk
 			r.shutdown()
 			r.boot()
 		case 8: // one class's next apply panics — or every class's, with an odd third argument — before it takes the batch's round or after the graph took it
-			algo := opsClasses[int(arg[0])%len(opsClasses)].algo
+			algo := Classes[int(arg[0])%len(Classes)].Name
 			if arg[2]&1 != 0 {
 				algo = ""
 			}
 			r.midRepair.Store(arg[1]&1 != 0)
 			r.inj.PanicOn(algo, r.applies+1)
 		case 9: // a recompute in place finds nothing to correct and keeps the view's position
-			h := r.svc.Get(opsClasses[int(arg[0])%len(opsClasses)].algo)
+			h := r.svc.Get(Classes[int(arg[0])%len(Classes)].Name)
 			before := h.View()
 			diverged, err := h.Verify()
 			if r.armed[h.Algo()].Load() {
@@ -548,7 +531,7 @@ func (r *opsRig) run(prog []byte) {
 				r.t.Fatalf("step %d: %s.Verify moved the view from epoch %d, batch %d to %d, %d", step, h.Algo(), before.Epoch, before.Batches, v.Epoch, v.Batches)
 			}
 		case 10: // one class's apply and heal both panic from now on: its next batch quarantines it
-			r.armed[opsClasses[int(arg[0])%len(opsClasses)].algo].Store(true)
+			r.armed[Classes[int(arg[0])%len(Classes)].Name].Store(true)
 		}
 		r.check(step)
 	}

@@ -759,7 +759,7 @@ func TestDerivedPageLCCWrittenList(t *testing.T) {
 	r := m.(*adapter[*lcc.Inc, LCCView]).m.Result()
 	restored := lcc.Result{Deg: slices.Clone(r.Deg), Tri: slices.Clone(r.Tri)}
 	restored.Tri[4*pageSize+7] += 5
-	blob := appendState(nil, classVecs["lcc"], &classState{Deg: restored.Deg, Tri: restored.Tri})
+	blob := appendState(nil, stateVecs("lcc"), &classState{Deg: restored.Deg, Tri: restored.Tri})
 	if err := m.RestoreState(bytes.NewReader(blob)); err != nil {
 		t.Fatal(err)
 	}

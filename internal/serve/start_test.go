@@ -12,12 +12,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"incgraph/internal/cc"
-	"incgraph/internal/dfs"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 	"incgraph/internal/serve/faults"
-	"incgraph/internal/sssp"
 	"incgraph/internal/trace"
 	"incgraph/internal/wal"
 )
@@ -71,12 +68,6 @@ func TestStart(t *testing.T) {
 		g.Apply(chunk(i).Net(false))
 		graphAt[uint64((i+1)*chunkLen)] = g.Clone()
 	}
-	build := map[string]func(*graph.Graph) Serveable{
-		"sssp": func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) },
-		"cc":   func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) },
-		"dfs":  func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) },
-	}
-
 	// write leaves a directory as a service of sssp and cc that took two
 	// chunks, a checkpoint and a third chunk dies: quarantined's apply and
 	// recompute panic on the second chunk, so it is quarantined at the cut.
@@ -85,11 +76,11 @@ func TestStart(t *testing.T) {
 		svc := NewService()
 		armed := new(atomic.Bool)
 		_, _, err := Start(svc, dir, []string{"sssp", "cc"}, func(algo string, g *graph.Graph) (Serveable, error) {
-			m := build[algo](g)
+			m, err := opsBuild(algo, g)
 			if algo == quarantined {
 				m = armedPanic{m, armed}
 			}
-			return m, nil
+			return m, err
 		}, func() (*graph.Graph, error) { return base.Clone(), nil }, Options{}, false, true)
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +129,7 @@ func TestStart(t *testing.T) {
 			}
 			svc := NewService()
 			defer svc.Close()
-			rec, st, err := Start(svc, dir, tc.algos, buildFrom(build), func() (*graph.Graph, error) {
+			rec, st, err := Start(svc, dir, tc.algos, opsBuild, func() (*graph.Graph, error) {
 				reads++
 				return base.Clone(), nil
 			}, Options{}, tc.replica, tc.verify)
@@ -163,7 +154,7 @@ func TestStart(t *testing.T) {
 				if v.Epoch != tc.epoch || v.Degraded {
 					t.Errorf("%s: hosted at epoch %d (degraded %v), want %d", algo, v.Epoch, v.Degraded, tc.epoch)
 				}
-				if !snapshotEqual(v.Data, build[algo](want.Clone()).Snapshot()) {
+				if !snapshotEqual(v.Data, opsBatchRun(algo, want.Clone()).Snapshot()) {
 					t.Errorf("%s: view differs from a recompute on the stream's graph at epoch %d", algo, tc.epoch)
 				}
 			}

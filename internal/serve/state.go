@@ -9,8 +9,8 @@ import (
 )
 
 // classState holds any class's checkpoint state: the class's vectors are
-// the fields classVecs names, as the v2 format's gob structs named them.
-// The state codec writes them in that order, each as its name (uvarint
+// the fields its registry entry's Vecs name, as the v2 format's gob structs
+// named them. The state codec writes them in that order, each as its name (uvarint
 // length, bytes), a kind byte (1 int64, 2 int32, 3 bool), a uvarint entry
 // count and the entries — minimal zigzag varints, or flags packed eight a
 // byte, lowest first, padding zero; a clock is an int64 vector of one
@@ -21,15 +21,6 @@ type classState struct {
 	R, Articulation            []bool
 	Cnt, First, Last, Deg, Num []int32
 	Parent, Block              []graph.NodeID
-}
-
-var classVecs = map[string][]string{
-	"sssp": {"Dist"},
-	"cc":   {"Labels", "TS", "Clock"},
-	"sim":  {"R", "Cnt", "TS", "Clock"},
-	"dfs":  {"First", "Last", "Parent"},
-	"lcc":  {"Deg", "Tri"},
-	"bc":   {"Articulation", "Block", "Num"},
 }
 
 func (st *classState) fields() map[string]any {

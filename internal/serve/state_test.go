@@ -29,21 +29,21 @@ func persisted(t testing.TB, m Serveable) []byte {
 // those bytes and persists them again unchanged, and one more batch gives
 // both the same view.
 func TestStateRoundTrip(t *testing.T) {
-	for _, c := range opsClasses {
-		t.Run(c.algo, func(t *testing.T) {
+	for _, c := range Classes {
+		t.Run(c.Name, func(t *testing.T) {
 			prop := func(seed int64, directed bool) bool {
 				rng := rand.New(rand.NewSource(seed))
 				n := 6 + rng.Intn(60)
-				g := gen.ErdosRenyi(rng, n, rng.Intn(2*n), directed && c.algo != "lcc" && c.algo != "bc")
+				g := gen.ErdosRenyi(rng, n, rng.Intn(2*n), directed && c.Name != "lcc" && c.Name != "bc")
 				for v := range n {
 					g.SetLabel(graph.NodeID(v), graph.Label('a'+rng.Intn(3)))
 				}
-				a := c.build(g)
+				a := opsBatchRun(c.Name, g)
 				for range 1 + rng.Intn(4) {
 					a.Apply(gen.RandomUpdates(rng, g, 1+rng.Intn(8), 0.5))
 				}
 				first := persisted(t, a)
-				b := c.build(g)
+				b := opsBatchRun(c.Name, g)
 				if err := b.RestoreState(bytes.NewReader(first)); err != nil {
 					t.Errorf("seed %d: restore: %v", seed, err)
 					return false
@@ -66,7 +66,7 @@ func TestStateRoundTrip(t *testing.T) {
 
 // TestStateCodecRefuses: the decoder takes only what appendState writes.
 func TestStateCodecRefuses(t *testing.T) {
-	cc := classVecs["cc"]
+	cc := stateVecs("cc")
 	st := &classState{Labels: []int64{0, 0, 2}, TS: []int64{1, 2, 3}, Clock: 7}
 	good := appendState(nil, cc, st)
 	if err := decodeState(good, cc, &classState{}); err != nil {
@@ -114,8 +114,8 @@ func FuzzStateCodec(f *testing.F) {
 	for v := range 12 {
 		g.SetLabel(graph.NodeID(v), graph.Label('a'+v%3))
 	}
-	for i, c := range opsClasses {
-		m := c.build(g.Clone())
+	for i, c := range Classes {
+		m := opsBatchRun(c.Name, g.Clone())
 		m.Apply(gen.RandomUpdates(rng, m.Graph(), 4, 0.5))
 		f.Add(uint8(i), persisted(f, m))
 	}
@@ -123,7 +123,7 @@ func FuzzStateCodec(f *testing.F) {
 	ids := []graph.NodeID{math.MinInt32, -1, 0, 1, math.MaxInt32}
 	i64 := []int64{math.MinInt64, -1, 0, graph.Infinity, math.MaxInt64}
 	add := func(algo string, st classState) {
-		f.Add(uint8(slices.Index(algos, algo)), appendState(nil, classVecs[algo], &st))
+		f.Add(uint8(slices.Index(algos, algo)), appendState(nil, stateVecs(algo), &st))
 	}
 	add("sssp", classState{Dist: []int64{0, graph.Infinity, 3}})
 	for _, clock := range []int64{math.MinInt64, -1, math.MaxInt64} {
@@ -140,7 +140,7 @@ func FuzzStateCodec(f *testing.F) {
 		add("bc", classState{Articulation: flags, Block: ids, Num: i32})
 	}
 	f.Fuzz(func(t *testing.T, class uint8, data []byte) {
-		names := classVecs[algos[int(class)%len(algos)]]
+		names := stateVecs(algos[int(class)%len(algos)])
 		var st classState
 		if decodeState(data, names, &st) != nil {
 			return
@@ -159,9 +159,9 @@ func FuzzStateCodec(f *testing.F) {
 // BenchmarkPersistState and BenchmarkRestoreState time each class's state
 // codec on the burst workload's graph after a few of its batches.
 func BenchmarkPersistState(b *testing.B) {
-	for _, c := range opsClasses {
-		m := burstClass(c.build)
-		b.Run(c.algo, func(b *testing.B) {
+	for _, c := range Classes {
+		m := burstClass(c.Name)
+		b.Run(c.Name, func(b *testing.B) {
 			var buf bytes.Buffer
 			for range b.N {
 				buf.Reset()
@@ -175,10 +175,10 @@ func BenchmarkPersistState(b *testing.B) {
 }
 
 func BenchmarkRestoreState(b *testing.B) {
-	for _, c := range opsClasses {
-		m := burstClass(c.build)
+	for _, c := range Classes {
+		m := burstClass(c.Name)
 		blob := persisted(b, m)
-		b.Run(c.algo, func(b *testing.B) {
+		b.Run(c.Name, func(b *testing.B) {
 			b.SetBytes(int64(len(blob)))
 			for range b.N {
 				if err := m.RestoreState(bytes.NewReader(blob)); err != nil {
@@ -191,12 +191,12 @@ func BenchmarkRestoreState(b *testing.B) {
 
 // burstClass builds a class on the burst graph, labelled a, b, c by node
 // id, and applies three of the burst stream's batches.
-func burstClass(build func(*graph.Graph) Serveable) Serveable {
+func burstClass(algo string) Serveable {
 	g := gen.BurstGraph()
 	for v := range g.NumNodes() {
 		g.SetLabel(graph.NodeID(v), graph.Label('a'+v%3))
 	}
-	m := build(g)
+	m := opsBatchRun(algo, g)
 	s := gen.NewBurstStream(1, g)
 	for range 3 {
 		m.Apply(s.Next(gen.BurstBatch))
