@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 )
 
 // Binary codecs for graphs and batches. The text format (io.go) is the
@@ -159,7 +160,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	// fail returns err unless an edge decoded before it is one InsertEdge
 	// would have refused: then that edge's error, which came first.
 	fail := func(err error) error {
-		if i := g.build(edges); i >= 0 {
+		if i := g.build([][]rawEdge{edges}); i >= 0 {
 			return fmt.Errorf("graph binary: duplicate or degenerate edge (%d,%d)", edges[i].u, edges[i].v)
 		}
 		return err
@@ -180,6 +181,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if err := checkWeight(w); err != nil {
 			return nil, fail(fmt.Errorf("graph binary: edge (%d,%d): %w", u, v, err))
 		}
+		if u == v {
+			return nil, fail(fmt.Errorf("graph binary: duplicate or degenerate edge (%d,%d)", u, v))
+		}
 		edges = append(edges, rawEdge{u, v, w})
 	}
 	// Every edge is decoded: build the rows, unless one of them is refused.
@@ -197,18 +201,39 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// readAll reads r to its end, in one piece when r knows how much it holds
-// (a checkpoint's blob in a bytes.Reader): io.ReadAll grows its buffer a
-// quarter at a time, a third more bytes and 25 more allocations for a
-// blob of the durable workload's size.
+// readAll reads r to its end, into one buffer sized up front when r
+// knows how much it holds: a checkpoint's blob in a bytes.Reader, or a
+// file, by Stat. io.ReadAll grows its buffer a quarter at a time, a third
+// more bytes and 25 more allocations for a blob of the durable workload's
+// size. What was read before an error is returned with it.
 func readAll(r io.Reader) ([]byte, error) {
-	sized, ok := r.(interface{ Len() int })
-	if !ok {
+	size := -1
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil {
+			size = int(fi.Size())
+		}
+	}
+	if size < 0 {
 		return io.ReadAll(r)
 	}
-	data := make([]byte, sized.Len())
-	_, err := io.ReadFull(r, data)
-	return data, err
+	// One byte more than the size: the read that meets the end needs room.
+	data := make([]byte, 0, size+1)
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		} else if err != nil {
+			return data, err
+		}
+		if len(data) == cap(data) {
+			// The file grew since its Stat: let append size the rest.
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 // errVarintOverflow is the error encoding/binary's ReadUvarint gives for a

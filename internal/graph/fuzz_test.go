@@ -135,8 +135,10 @@ func sameGraph(a, b *Graph) bool {
 }
 
 // FuzzRead exercises the graph parser differentially and by round trip: it
-// never panics, it accepts what the Sscanf-based reference accepts, as an
-// equal graph, and names the same line in its errors — except a number
+// never panics, it reads the same graph or gives the same error text at
+// one, two, three and four chunks, it accepts what the Sscanf-based
+// reference accepts, as an equal graph, and names the same line in its
+// errors — except a number
 // with garbage glued to it, which the reference read the prefix of when it
 // stood last on its line and Read refuses — and anything accepted
 // re-serializes and re-parses to an equal graph.
@@ -210,17 +212,28 @@ func FuzzRead(f *testing.F) {
 				return
 			}
 		}
-		g, err := Read(strings.NewReader(in))
 		ref, refErr := readSscanf(strings.NewReader(in))
-		switch {
-		case err == nil && (refErr != nil || !sameGraph(g, ref)):
-			t.Fatalf("Read accepted %q; the reference gives %v", in, refErr)
-		case err != nil && errLine("graph", err) != errLine("graph", refErr):
-			// Refusing a line the reference read on past is right only for
-			// glued garbage.
-			if at := errLine("graph", refErr); (at != 0 && at < errLine("graph", err)) || !gluedLast(in, errLine("graph", err)) {
-				t.Fatalf("Read refused %q with %q; the reference gives %v", in, err, refErr)
+		// The chunked parse at every chunk count up to four, each held to
+		// the reference and all to one another: the same graph, or the same
+		// error text, line included.
+		g, err := readText([]byte(in), nil, 1)
+		for parts := 1; parts <= 4; parts++ {
+			h, herr := readText([]byte(in), nil, parts)
+			switch {
+			case fmt.Sprint(herr) != fmt.Sprint(err) || herr == nil && !sameGraph(g, h):
+				t.Fatalf("%d chunks read %q as %v; one chunk as %v", parts, in, herr, err)
+			case herr == nil && (refErr != nil || !sameGraph(h, ref)):
+				t.Fatalf("Read accepted %q; the reference gives %v", in, refErr)
+			case herr != nil && errLine("graph", herr) != errLine("graph", refErr):
+				// Refusing a line the reference read on past is right only
+				// for glued garbage.
+				if at := errLine("graph", refErr); (at != 0 && at < errLine("graph", herr)) || !gluedLast(in, errLine("graph", herr)) {
+					t.Fatalf("Read refused %q with %q; the reference gives %v", in, herr, refErr)
+				}
 			}
+		}
+		if r, rerr := Read(strings.NewReader(in)); fmt.Sprint(rerr) != fmt.Sprint(err) || rerr == nil && !sameGraph(g, r) {
+			t.Fatalf("Read gives %v for %q; the chunked parse %v", rerr, in, err)
 		}
 		if err != nil {
 			return

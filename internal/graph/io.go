@@ -5,8 +5,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"slices"
+	"runtime"
 	"strconv"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -226,116 +227,254 @@ func parseInt(s []byte, bits int) (int64, error) {
 	return x, nil
 }
 
-// Read parses a graph in the text format. Like ReadBatch it works on the
-// scanner's bytes — it is the cold start of every daemon — and takes
-// numbers as plain decimals: a field with anything glued to the number is
-// an error wherever it stands, and a node count or label that does not fit
-// its type is refused instead of narrowed. The edges are collected as they
-// are read and the rows built from them at the end (Graph.build), exactly
-// as inserting them line by line would; the first error in file order is
-// the one reported, a repeated edge or self-loop included.
+// Read parses a graph in the text format. Like ReadBatch it works on
+// bytes — it is the cold start of every daemon — and takes numbers as
+// plain decimals: a field with anything glued to the number is an error
+// wherever it stands, and a node count or label that does not fit its
+// type is refused instead of narrowed.
+//
+// It reads r whole into one buffer (sized up front for a file or a
+// bytes.Reader), parses the header, and cuts the lines after it into
+// GOMAXPROCS chunks of whole lines that are parsed side by side. The rows
+// are built from the chunks' edge lists in file order (Graph.build),
+// exactly as inserting the edges line by line would, and the labels set
+// in file order. Errors, their texts and their line numbers are those of
+// a line-by-line read: the first error in file order is the one
+// reported, a repeated edge or self-loop included.
 func Read(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, 1<<24)
-	var g *Graph
-	var edges []rawEdge
-	var lines []int32 // the line of every edge
-	// fail returns err unless an edge read before it is one InsertEdge
-	// would have refused: then that edge's error, which came first.
-	fail := func(err error) error {
-		if g != nil {
-			if i := g.build(edges); i >= 0 {
-				return fmt.Errorf("graph: line %d: duplicate or degenerate edge (%d,%d)", lines[i], edges[i].u, edges[i].v)
-			}
-		}
-		return err
+	data, err := readAll(r)
+	return readText(data, err, runtime.GOMAXPROCS(0))
+}
+
+// maxLine is the length of the shortest line Read refuses, with
+// bufio.ErrTooLong: ReadBatch's scanner's limit, so that the two text
+// formats take the same lines.
+const maxLine = 1 << 24
+
+// readText is Read of data, which reading ended with readErr, in at most
+// parts chunks.
+func readText(data []byte, readErr error, parts int) (*Graph, error) {
+	g, rest, line, err := readHeader(data)
+	switch {
+	case err != nil:
+		return nil, err
+	case g == nil && readErr != nil:
+		return nil, readErr
+	case g == nil:
+		return nil, fmt.Errorf("graph: missing header")
 	}
-	for line := 1; sc.Scan(); line++ {
+	chunks := splitLines(rest, parts, line)
+	var wg sync.WaitGroup
+	for i := range chunks {
+		wg.Add(1)
+		go func(c *textChunk) {
+			defer wg.Done()
+			c.parse(g)
+		}(&chunks[i])
+	}
+	wg.Wait()
+	// The first error in file order, and the edges read before it: a
+	// refused edge among those comes first.
+	lists := make([][]rawEdge, 0, len(chunks))
+	for i := range chunks {
+		lists = append(lists, chunks[i].edges)
+		if err = chunks[i].err; err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = readErr
+	}
+	if i := g.build(lists); i >= 0 {
+		for c := range lists {
+			if i < len(lists[c]) {
+				e := lists[c][i]
+				return nil, fmt.Errorf("graph: line %d: duplicate or degenerate edge (%d,%d)", chunks[c].edgeLine(i), e.u, e.v)
+			}
+			i -= len(lists[c])
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range chunks {
+		for _, l := range c.labels {
+			g.SetLabel(l.v, l.label)
+		}
+	}
+	return g, nil
+}
+
+// cutLine returns the first line of text, without its newline, and the
+// lines after it.
+func cutLine(text []byte) (line, rest []byte) {
+	line, rest, _ = bytes.Cut(text, []byte{'\n'})
+	return line, rest
+}
+
+// readHeader parses the lines of text up to and including the header and
+// returns the graph it declares, the lines after it and the number of the
+// first of those; no graph and no error when text holds no record.
+func readHeader(text []byte) (g *Graph, rest []byte, line int, err error) {
+	for line = 1; len(text) > 0; line++ {
+		var s []byte
+		if s, text = cutLine(text); len(s) >= maxLine {
+			return nil, nil, 0, bufio.ErrTooLong
+		}
 		var fields [4][]byte
-		n := splitFields(sc.Bytes(), &fields)
+		n := splitFields(s, &fields)
 		if n == 0 || fields[0][0] == '#' {
 			continue
 		}
 		switch string(fields[0]) {
 		case "graph":
-			if g != nil {
-				return nil, fail(fmt.Errorf("graph: line %d: duplicate header", line))
-			}
-			if n != 3 {
-				return nil, fmt.Errorf("graph: line %d: malformed header", line)
-			}
-			nodes, err := parseInt(fields[2], 32)
-			if err != nil || nodes < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[2])
-			}
-			switch string(fields[1]) {
-			case "directed":
-				g = New(int(nodes), true)
-			case "undirected":
-				g = New(int(nodes), false)
-			default:
-				return nil, fmt.Errorf("graph: line %d: bad kind %q", line, fields[1])
-			}
-		case "v":
-			if g == nil {
-				return nil, fmt.Errorf("graph: line %d: v before header", line)
-			}
-			if n != 3 {
-				return nil, fail(fmt.Errorf("graph: line %d: malformed v line", line))
-			}
-			id, err := parseInt(fields[1], 64)
-			if err != nil {
-				return nil, fail(fmt.Errorf("graph: line %d: %v", line, err))
-			}
-			label, err := parseInt(fields[2], 32)
-			if err != nil {
-				return nil, fail(fmt.Errorf("graph: line %d: %v", line, err))
-			}
-			if id < 0 || id >= int64(g.NumNodes()) {
-				return nil, fail(fmt.Errorf("graph: line %d: node %d out of range", line, id))
-			}
-			g.SetLabel(NodeID(id), Label(label))
-		case "e":
-			if g == nil {
-				return nil, fmt.Errorf("graph: line %d: e before header", line)
-			}
-			if n != 4 {
-				return nil, fail(fmt.Errorf("graph: line %d: malformed e line", line))
-			}
-			var nums [3]int64 // u, v, w
-			for k := range nums {
-				var err error
-				if nums[k], err = parseInt(fields[k+1], 64); err != nil {
-					return nil, fail(fmt.Errorf("graph: line %d: %v", line, err))
-				}
-			}
-			u, v, wgt := nums[0], nums[1], nums[2]
-			if u < 0 || u >= int64(g.NumNodes()) || v < 0 || v >= int64(g.NumNodes()) {
-				return nil, fail(fmt.Errorf("graph: line %d: edge (%d,%d) out of range", line, u, v))
-			}
-			if err := checkWeight(wgt); err != nil {
-				return nil, fail(fmt.Errorf("graph: line %d: edge (%d,%d): %v", line, u, v, err))
-			}
-			if len(edges) == cap(edges) {
-				// Double: append grows a long slice by a quarter at a time,
-				// copying it five times over on the way to its length.
-				edges, lines = slices.Grow(edges, len(edges)), slices.Grow(lines, len(lines))
-			}
-			edges = append(edges, rawEdge{NodeID(u), NodeID(v), wgt})
-			lines = append(lines, int32(line))
+		case "v", "e":
+			return nil, nil, 0, fmt.Errorf("graph: line %d: %s before header", line, fields[0])
 		default:
-			return nil, fail(fmt.Errorf("graph: line %d: unknown record %q", line, fields[0]))
+			return nil, nil, 0, fmt.Errorf("graph: line %d: unknown record %q", line, fields[0])
+		}
+		if n != 3 {
+			return nil, nil, 0, fmt.Errorf("graph: line %d: malformed header", line)
+		}
+		nodes, err := parseInt(fields[2], 32)
+		if err != nil || nodes < 0 {
+			return nil, nil, 0, fmt.Errorf("graph: line %d: bad node count %q", line, fields[2])
+		}
+		switch string(fields[1]) {
+		case "directed":
+			return New(int(nodes), true), text, line + 1, nil
+		case "undirected":
+			return New(int(nodes), false), text, line + 1, nil
+		}
+		return nil, nil, 0, fmt.Errorf("graph: line %d: bad kind %q", line, fields[1])
+	}
+	return nil, nil, 0, nil
+}
+
+// textChunk is a run of whole lines of a text graph after its header, and
+// what parsing it found: its edges and labels in file order, up to its
+// first error.
+type textChunk struct {
+	text   []byte
+	line   int // the number of its first line
+	edges  []rawEdge
+	labels []rawLabel
+	err    error
+}
+
+// rawLabel is one v record as the reader decoded it.
+type rawLabel struct {
+	v     NodeID
+	label Label
+}
+
+// splitLines cuts text, whose first line is numbered line, into at most
+// parts chunks of whole lines, of about equal size.
+func splitLines(text []byte, parts, line int) []textChunk {
+	chunks := make([]textChunk, 0, parts)
+	for len(text) > 0 {
+		end := len(text)
+		if left := parts - len(chunks); left > 1 {
+			end /= left
+			if i := bytes.IndexByte(text[end:], '\n'); i >= 0 {
+				end += i + 1
+			} else {
+				end = len(text)
+			}
+		}
+		// Every line is at most one record, so its lines size the edge
+		// list once.
+		lines := bytes.Count(text[:end], []byte{'\n'})
+		chunks = append(chunks, textChunk{text: text[:end], line: line, edges: make([]rawEdge, 0, lines+1)})
+		text, line = text[end:], line+lines
+	}
+	return chunks
+}
+
+// parse parses c's lines as records of g, whose header came before them,
+// up to the first error. It reads g and writes only c.
+func (c *textChunk) parse(g *Graph) {
+	text := c.text
+	for line := c.line; len(text) > 0; line++ {
+		var s []byte
+		if s, text = cutLine(text); len(s) >= maxLine {
+			c.err = bufio.ErrTooLong
+			return
+		}
+		var fields [4][]byte
+		n := splitFields(s, &fields)
+		if n == 0 || fields[0][0] == '#' {
+			continue
+		}
+		if c.err = c.record(g, &fields, n, line); c.err != nil {
+			return
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fail(err)
+}
+
+// record parses one record of n fields at line.
+func (c *textChunk) record(g *Graph, fields *[4][]byte, n, line int) error {
+	switch string(fields[0]) {
+	case "graph":
+		return fmt.Errorf("graph: line %d: duplicate header", line)
+	case "v":
+		if n != 3 {
+			return fmt.Errorf("graph: line %d: malformed v line", line)
+		}
+		id, err := parseInt(fields[1], 64)
+		if err != nil {
+			return fmt.Errorf("graph: line %d: %v", line, err)
+		}
+		label, err := parseInt(fields[2], 32)
+		if err != nil {
+			return fmt.Errorf("graph: line %d: %v", line, err)
+		}
+		if id < 0 || id >= int64(g.NumNodes()) {
+			return fmt.Errorf("graph: line %d: node %d out of range", line, id)
+		}
+		c.labels = append(c.labels, rawLabel{NodeID(id), Label(label)})
+	case "e":
+		if n != 4 {
+			return fmt.Errorf("graph: line %d: malformed e line", line)
+		}
+		var nums [3]int64 // u, v, w
+		for k := range nums {
+			var err error
+			if nums[k], err = parseInt(fields[k+1], 64); err != nil {
+				return fmt.Errorf("graph: line %d: %v", line, err)
+			}
+		}
+		u, v, wgt := nums[0], nums[1], nums[2]
+		if u < 0 || u >= int64(g.NumNodes()) || v < 0 || v >= int64(g.NumNodes()) {
+			return fmt.Errorf("graph: line %d: edge (%d,%d) out of range", line, u, v)
+		}
+		if err := checkWeight(wgt); err != nil {
+			return fmt.Errorf("graph: line %d: edge (%d,%d): %v", line, u, v, err)
+		}
+		if u == v {
+			return fmt.Errorf("graph: line %d: duplicate or degenerate edge (%d,%d)", line, u, v)
+		}
+		c.edges = append(c.edges, rawEdge{NodeID(u), NodeID(v), wgt})
+	default:
+		return fmt.Errorf("graph: line %d: unknown record %q", line, fields[0])
 	}
-	if g == nil {
-		return nil, fmt.Errorf("graph: missing header")
+	return nil
+}
+
+// edgeLine returns the line of c's k-th edge: its k-th e record, as every
+// e record before c's error added one edge. Only an error needs it, so no
+// edge carries its line.
+func (c *textChunk) edgeLine(k int) int {
+	text := c.text
+	for line := c.line; ; line++ {
+		var s []byte
+		s, text = cutLine(text)
+		var fields [4][]byte
+		if splitFields(s, &fields) > 0 && string(fields[0]) == "e" {
+			if k == 0 {
+				return line
+			}
+			k--
+		}
 	}
-	// Every edge is read: build the rows, unless one of them is refused.
-	if err := fail(nil); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

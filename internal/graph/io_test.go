@@ -1,13 +1,17 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -336,5 +340,116 @@ func BenchmarkReadBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadChunks pins the cases where a chunked parse could part from a
+// line-by-line read, each at one to four chunks: every chunk count must
+// give the same graph or the same error text, and that the line-by-line
+// reference's graph or line. For two chunks each case first checks that
+// its lines fall where it says: a repeat in a later chunk than the edge it
+// repeats; a repeat in the first chunk before a syntax error in the
+// second, and the other way round; a comment and CRLF endings at the
+// boundary; a last line without its newline.
+func TestReadChunks(t *testing.T) {
+	pad := strings.Repeat("# padding\n", 10)
+	for _, tc := range []struct {
+		name string
+		in   string
+		// at[i] is a line that must fall in chunk i of two, and opens what
+		// the second must start with.
+		at    [2]int
+		opens string
+		want  string // the error, "" to accept
+	}{
+		{"repeat in a later chunk", "graph undirected 4\ne 0 1 1\n" + pad + "e 2 3 1\ne 1 0 1\ne 1 2 x\n",
+			[2]int{2, 14}, "", "graph: line 14: duplicate or degenerate edge (1,0)"},
+		{"first chunk repeat before second chunk syntax error", "graph directed 4\ne 0 1 1\ne 0 1 2\n" + pad + "e 1 2 x\n",
+			[2]int{3, 14}, "", "graph: line 3: duplicate or degenerate edge (0,1)"},
+		{"first chunk syntax error before second chunk repeat", "graph directed 4\ne 0 1 1\ne 1 2 x\n" + pad + "e 0 1 1\n",
+			[2]int{3, 14}, "", `graph: line 3: strconv.ParseInt: parsing "x": invalid syntax`},
+		{"self-loop in a later chunk after a repeat", "graph directed 4\ne 0 1 1\n" + pad + "e 0 1 1\ne 2 2 1\n",
+			[2]int{2, 13}, "", "graph: line 13: duplicate or degenerate edge (0,1)"},
+		{"comment and CRLF at the boundary", "graph directed 4\r\ne 0 1 1\r\nv 1 7\r\n" + strings.ReplaceAll(pad, "\n", "\r\n") + "e 1 2 3\r\ne 0 9 1\r\n",
+			[2]int{3, 14}, "# padding\r\n", "graph: line 15: edge (0,9) out of range"},
+		{"no trailing newline", "graph directed 4\ne 0 1 1\n" + pad + "v 3 -2\ne 1 2 5",
+			[2]int{2, 14}, "", ""},
+		{"no trailing newline, an error on the last line", "graph directed 4\ne 0 1 1\n" + pad + "e 1 2",
+			[2]int{2, 13}, "", "graph: line 13: malformed e line"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, rest, first, err := readHeader([]byte(tc.in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := splitLines(rest, 2, first)
+			if len(chunks) != 2 {
+				t.Fatalf("%d chunks of two", len(chunks))
+			}
+			if !bytes.HasPrefix(chunks[1].text, []byte(tc.opens)) {
+				t.Fatalf("the second chunk opens %q, want %q", chunks[1].text[:min(len(chunks[1].text), 12)], tc.opens)
+			}
+			for i, line := range tc.at {
+				if end := chunks[i].line + bytes.Count(chunks[i].text, []byte{'\n'}); line < chunks[i].line || line > end {
+					t.Fatalf("line %d is not in chunk %d (lines %d to %d)", line, i, chunks[i].line, end)
+				}
+			}
+			ref, refErr := readSscanf(strings.NewReader(tc.in))
+			for parts := 1; parts <= 4; parts++ {
+				g, err := readText([]byte(tc.in), nil, parts)
+				switch {
+				case tc.want == "" && (err != nil || refErr != nil || !sameGraph(g, ref)):
+					t.Fatalf("%d chunks: %v; the reference %v", parts, err, refErr)
+				case tc.want != "" && (err == nil || err.Error() != tc.want):
+					t.Fatalf("%d chunks: %v, want %s", parts, err, tc.want)
+				case tc.want != "" && errLine("graph", err) != errLine("graph", refErr):
+					t.Fatalf("%d chunks: %v; the reference %v", parts, err, refErr)
+				}
+			}
+		})
+	}
+}
+
+// TestReadLongLineAndReadError: Read keeps the two errors the scanner it
+// used to read through gave. A line of maxLine bytes or more is refused
+// with bufio.ErrTooLong unless an error comes before it, and one byte
+// shorter is read; a reader's error comes after every error in what it
+// delivered — a line it cut short included — and a graph whose reader
+// failed is refused.
+func TestReadLongLineAndReadError(t *testing.T) {
+	long := "#" + strings.Repeat("x", maxLine-1)
+	for _, tc := range []struct {
+		name, in string
+		want     error
+	}{
+		{"line one byte short of the limit", "graph directed 2\n" + long[:maxLine-1] + "\ne 0 1 1\n", nil},
+		{"line at the limit", "graph directed 2\ne 0 1 1\n" + long + "\n", bufio.ErrTooLong},
+		{"line at the limit before the header", long, bufio.ErrTooLong},
+		{"line at the limit after a repeat", "graph directed 2\ne 0 1 1\ne 0 1 1\n" + long, errors.New("graph: line 3: duplicate or degenerate edge (0,1)")},
+	} {
+		_, refErr := readSscanf(strings.NewReader(tc.in))
+		for parts := 1; parts <= 2; parts++ {
+			if _, err := readText([]byte(tc.in), nil, parts); fmt.Sprint(err) != fmt.Sprint(tc.want) || fmt.Sprint(refErr) != fmt.Sprint(tc.want) {
+				t.Fatalf("%s, %d chunks: %v; the reference %v; want %v", tc.name, parts, err, refErr, tc.want)
+			}
+		}
+	}
+
+	failing := errors.New("disk on fire")
+	for _, tc := range []struct {
+		name, in string
+		want     string
+	}{
+		{"clean prefix", "graph directed 3\ne 0 1 1\ne 1 2 1", failing.Error()},
+		{"cut mid-record", "graph directed 3\ne 0 1 1\ne 1", "graph: line 3: malformed e line"},
+		{"repeat in the prefix", "graph directed 3\ne 0 1 1\ne 0 1 1\n", "graph: line 3: duplicate or degenerate edge (0,1)"},
+		{"no header yet", "# c\n", failing.Error()},
+	} {
+		read := func() io.Reader { return io.MultiReader(strings.NewReader(tc.in), iotest.ErrReader(failing)) }
+		_, err := Read(read())
+		_, refErr := readSscanf(read())
+		if fmt.Sprint(err) != tc.want || fmt.Sprint(refErr) != tc.want {
+			t.Fatalf("%s: %v; the reference %v; want %s", tc.name, err, refErr, tc.want)
+		}
 	}
 }

@@ -14,14 +14,15 @@ import "fmt"
 // Flat returns the view every maintainer of g reads, building it on the
 // first call; every later Advance stages its round into it. The view is
 // whole even after a stage that panicked: it is laid out again from the
-// rows first.
+// rows first. Once the view is built and whole, Flat only reads g, so the
+// batch runs of a start may call it side by side.
 func (g *Graph) Flat() *Flat {
 	if g.flat == nil {
 		g.flat = NewFlat(g)
 	} else if g.torn {
 		g.flat.Compact(g)
+		g.torn = false
 	}
-	g.torn = false
 	return g.flat
 }
 

@@ -1,6 +1,8 @@
-// Package pq provides an indexed binary min-heap over dense int32 handles
-// with O(log n) add-or-adjust (decrease/increase-key), the priority queue
-// behind Dijkstra-style algorithms throughout this repository.
+// Package pq provides the priority queues of this repository: an indexed
+// binary min-heap over dense int32 handles with O(log n) add-or-adjust
+// (decrease/increase-key), behind the incremental algorithms and the
+// fixpoint engine, and a monotone radix heap (Radix), behind sssp's batch
+// Dijkstra.
 package pq
 
 // Heap is an indexed min-heap over handles 0..n-1 ordered by an external

@@ -104,3 +104,93 @@ func TestHeapSortProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRadixPopsNonDecreasing drains a Radix fed the way Dijkstra feeds it
+// — each push at or above the last key popped, some keys repeated, some
+// handles pushed again lower — interleaved with pops, on draws from the
+// clock-seeded testing/quick: the keys come out non-decreasing, and every
+// pushed pair comes out once.
+func TestRadixPopsNonDecreasing(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var r Radix
+		pushed := map[[2]int64]int{}
+		last := int64(0)
+		pop := func() bool {
+			key, x, ok := r.Pop()
+			if !ok || key < last || pushed[[2]int64{key, int64(x)}] == 0 {
+				return false
+			}
+			pushed[[2]int64{key, int64(x)}]--
+			last = key
+			return true
+		}
+		for op := 0; op < 400; op++ {
+			if r.Len() > 0 && rng.Intn(3) == 0 {
+				if !pop() {
+					return false
+				}
+				continue
+			}
+			// Offsets at every scale, 0 included: a key equal to the last
+			// popped, near it, and up to 2⁶¹ past it, the keys kept below
+			// 2⁶² as Dijkstra's are.
+			off := rng.Int63n(int64(1) << uint(rng.Intn(62)))
+			key := last + min(off, 1<<62-last)
+			x := int32(rng.Intn(50))
+			r.Push(key, x)
+			pushed[[2]int64{key, int64(x)}]++
+		}
+		for r.Len() > 0 {
+			if !pop() {
+				return false
+			}
+		}
+		_, _, ok := r.Pop()
+		return !ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRadixRefusesKeyBelowLast: a key below the last popped would break
+// the bucket invariant, so Push panics rather than lose the order.
+func TestRadixRefusesKeyBelowLast(t *testing.T) {
+	var r Radix
+	r.Push(5, 0)
+	if _, _, ok := r.Pop(); !ok {
+		t.Fatal("pop from a heap of one failed")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a push below the last popped key was taken")
+		}
+	}()
+	r.Push(4, 1)
+}
+
+// BenchmarkRadix pushes and pops a million pairs the way a Dijkstra run
+// does: each key at or above the last popped, spread over a range of a
+// few thousand above it.
+func BenchmarkRadix(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	steps := make([]int64, 1<<20)
+	for i := range steps {
+		steps[i] = rng.Int63n(4096)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var r Radix
+		last := int64(0)
+		for k, s := range steps {
+			r.Push(last+s, int32(k))
+			if k%2 == 1 {
+				last, _, _ = r.Pop()
+			}
+		}
+		for r.Len() > 0 {
+			r.Pop()
+		}
+	}
+}

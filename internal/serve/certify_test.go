@@ -46,32 +46,6 @@ func TestStartRepairsWrongRestoredState(t *testing.T) {
 		d.Close()
 		return dir
 	}
-	// corrupt rewrites class algo's state in dir's checkpoint through edit,
-	// which gets the cut's graph too.
-	corrupt := func(dir, algo string, edit func(g *graph.Graph, st *classState)) {
-		ck, err := wal.LatestCheckpoint(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := graph.ReadBinary(bytes.NewReader(ck.Graph))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, a := range ck.Algos {
-			if a.Name == algo {
-				var st classState
-				if err := decodeState(a.State, stateVecs(algo), &st); err != nil {
-					t.Fatal(err)
-				}
-				edit(g, &st)
-				ck.Algos[i].State = appendState(nil, stateVecs(algo), &st)
-			}
-		}
-		if _, err := wal.WriteCheckpoint(dir, ck); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	for _, tc := range []struct {
 		algo string
 		edit func(g *graph.Graph, st *classState)
@@ -113,7 +87,7 @@ func TestStartRepairsWrongRestoredState(t *testing.T) {
 			for algo, m := range targets {
 				before[algo] = persisted(t, m)
 			}
-			corrupt(dir, tc.algo, tc.edit)
+			corrupt(t, dir, tc.algo, tc.edit)
 
 			svc := NewService()
 			defer svc.Close()
@@ -194,6 +168,33 @@ func TestBlankRestoreIsNewIncRestore(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// corrupt rewrites class algo's state in dir's checkpoint through edit,
+// which gets the cut's graph too.
+func corrupt(t *testing.T, dir, algo string, edit func(g *graph.Graph, st *classState)) {
+	t.Helper()
+	ck, err := wal.LatestCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadBinary(bytes.NewReader(ck.Graph))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range ck.Algos {
+		if a.Name == algo {
+			var st classState
+			if err := decodeState(a.State, stateVecs(algo), &st); err != nil {
+				t.Fatal(err)
+			}
+			edit(g, &st)
+			ck.Algos[i].State = appendState(nil, stateVecs(algo), &st)
+		}
+	}
+	if _, err := wal.WriteCheckpoint(dir, ck); err != nil {
+		t.Fatal(err)
 	}
 }
 

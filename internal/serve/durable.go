@@ -213,39 +213,47 @@ type Check struct {
 	Err      error
 }
 
-// VerifyRecovered checks each recovered maintainer, in name order: a class
-// with a certificate (certifier) by it, keeping the restored state when it
-// holds, and every other class — or one whose certificate fails — against
-// a batch recompute over its recovered graph, the recompute-equality
-// oracle of the crash-recovery acceptance test. The recomputed answer is
-// kept (self-correcting), and the names of divergent algos are returned
-// for the divergence gauge. Call after Replay, before hosting.
+// VerifyRecovered checks each recovered maintainer, one at a time, in name
+// order: a class with a certificate (certifier) by it, keeping the
+// restored state when it holds, and every other class — or one whose
+// certificate fails — against a batch recompute over its recovered graph,
+// the recompute-equality oracle of the crash-recovery acceptance test.
+// The recomputed answer is kept (self-correcting), and the names of
+// divergent algos are returned, in name order, for the divergence gauge.
+// Call after Replay, before hosting.
 func VerifyRecovered(targets map[string]Serveable, rec *trace.Recorder) []string {
-	_, divergent := verifyRecovered(targets, rec)
+	_, divergent := verifyRecovered(targets, rec, 1, func() {})
 	return divergent
 }
 
-// verifyRecovered is VerifyRecovered, with each class's Check.
-func verifyRecovered(targets map[string]Serveable, rec *trace.Recorder) (map[string]Check, []string) {
+// verifyRecovered is VerifyRecovered, on up to workers goroutines, with
+// each class's Check; a check calls layOut before it recomputes. Side by
+// side, classes that share a graph share its Flat, which a recompute lays
+// out again when something was staged into it: layOut must do that once,
+// before any of them reads it (Start's does). A certificate reads the
+// graph's rows, not the Flat, so it needs no layout.
+func verifyRecovered(targets map[string]Serveable, rec *trace.Recorder, workers int, layOut func()) (map[string]Check, []string) {
 	names := make([]string, 0, len(targets))
 	for name := range targets {
 		names = append(names, name)
 	}
 	slices.Sort(names)
-	checks := make(map[string]Check, len(names))
+	checks := make([]Check, len(names))
+	fanOut(len(names), workers, func(i int) { checks[i] = verifyClass(targets[names[i]], rec, layOut) })
+	byName := make(map[string]Check, len(names))
 	var divergent []string
-	for _, name := range names {
-		c := verifyClass(targets[name], rec)
-		if c.Diverged {
+	for i, name := range names {
+		if checks[i].Diverged {
 			divergent = append(divergent, name)
 		}
-		checks[name] = c
+		byName[name] = checks[i]
 	}
-	return checks, divergent
+	return byName, divergent
 }
 
-// verifyClass checks one recovered class (see VerifyRecovered).
-func verifyClass(m Serveable, rec *trace.Recorder) Check {
+// verifyClass checks one recovered class (see VerifyRecovered), calling
+// layOut before any recompute.
+func verifyClass(m Serveable, rec *trace.Recorder, layOut func()) Check {
 	start := time.Now()
 	var span trace.Span
 	if rec != nil {
@@ -256,12 +264,14 @@ func verifyClass(m Serveable, rec *trace.Recorder) Check {
 		if has, err := ct.Certify(); has {
 			c.By, c.Err, c.Diverged = "certificate", err, err != nil
 			if c.Diverged {
+				layOut()
 				m.Recompute()
 			}
 		}
 	}
 	if c.By == "recompute" {
 		before := m.Snapshot()
+		layOut()
 		m.Recompute()
 		// Paged vectors make this cheap and exact: Update shares every
 		// page the recompute left equal (pointer-equal, which DeepEqual

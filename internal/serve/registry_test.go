@@ -17,6 +17,17 @@ import (
 	"incgraph/internal/sssp"
 )
 
+// newIncs builds each class by its package's batch constructor, the
+// maintainer a class the registry builds must equal once run.
+var newIncs = map[string]func(g, q *graph.Graph, src graph.NodeID) Serveable{
+	"sssp": func(g, _ *graph.Graph, src graph.NodeID) Serveable { return SSSP(sssp.NewInc(g, src)) },
+	"cc":   func(g, _ *graph.Graph, _ graph.NodeID) Serveable { return CC(cc.NewInc(g)) },
+	"sim":  func(g, q *graph.Graph, _ graph.NodeID) Serveable { return Sim(sim.NewInc(g, q)) },
+	"dfs":  func(g, _ *graph.Graph, _ graph.NodeID) Serveable { return DFS(dfs.NewInc(g)) },
+	"lcc":  func(g, _ *graph.Graph, _ graph.NodeID) Serveable { return LCC(lcc.NewInc(g)) },
+	"bc":   func(g, _ *graph.Graph, _ graph.NodeID) Serveable { return BC(bc.NewInc(g)) },
+}
+
 // TestClassRegistry holds every registry entry to the class it names: the
 // unrun class after Recompute is the maintainer its package's batch run
 // builds (equal state bytes, equal view JSON), PersistState writes exactly
@@ -28,16 +39,8 @@ func TestClassRegistry(t *testing.T) {
 	if got, want := ClassNames(), "sssp|cc|sim|dfs|lcc|bc"; got != want {
 		t.Fatalf("ClassNames() = %q, want %q", got, want)
 	}
-	batchRun := map[string]func(g, q *graph.Graph) Serveable{
-		"sssp": func(g, _ *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 3)) },
-		"cc":   func(g, _ *graph.Graph) Serveable { return CC(cc.NewInc(g)) },
-		"sim":  func(g, q *graph.Graph) Serveable { return Sim(sim.NewInc(g, q)) },
-		"dfs":  func(g, _ *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) },
-		"lcc":  func(g, _ *graph.Graph) Serveable { return LCC(lcc.NewInc(g)) },
-		"bc":   func(g, _ *graph.Graph) Serveable { return BC(bc.NewInc(g)) },
-	}
-	if len(batchRun) != len(Classes) {
-		t.Fatalf("%d classes registered, %d checked", len(Classes), len(batchRun))
+	if len(newIncs) != len(Classes) {
+		t.Fatalf("%d classes registered, %d checked", len(Classes), len(newIncs))
 	}
 	labeled := func(directed bool) *graph.Graph {
 		g := gen.ErdosRenyi(rand.New(rand.NewSource(7)), 80, 200, directed)
@@ -55,7 +58,7 @@ func TestClassRegistry(t *testing.T) {
 	}
 	for _, c := range Classes {
 		t.Run(c.Name, func(t *testing.T) {
-			ref := batchRun[c.Name]
+			ref := newIncs[c.Name]
 			if ref == nil {
 				t.Fatalf("no batch run for %s", c.Name)
 			}
@@ -69,7 +72,7 @@ func TestClassRegistry(t *testing.T) {
 				t.Fatalf("the entry builds class %q", m.Algo())
 			}
 			m.Recompute()
-			want := ref(g.Clone(), opsPattern())
+			want := ref(g.Clone(), opsPattern(), 3)
 			state := persisted(t, m)
 			if !bytes.Equal(state, persisted(t, want)) {
 				t.Error("the state differs from the batch run's")

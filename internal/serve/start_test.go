@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
@@ -365,5 +368,158 @@ func TestStartHeapOneStore(t *testing.T) {
 	t.Logf("one class %d KB, six classes %d KB, a Graph and its Flat %d KB", one>>10, six>>10, copyHeap>>10)
 	if six-one >= copyHeap {
 		t.Errorf("five more classes hold %d KB, more than the %d KB of a Graph and its Flat", (six-one)>>10, copyHeap>>10)
+	}
+}
+
+// timedClass is a class that adds the time each Recompute takes to *took,
+// forwarding the certificate so that verification is unchanged.
+type timedClass struct {
+	Serveable
+	took *time.Duration
+}
+
+func (c timedClass) Recompute() {
+	t := time.Now()
+	c.Serveable.Recompute()
+	*c.took += time.Since(t)
+}
+
+func (c timedClass) Certify() (has bool, err error) { return c.Serveable.(certifier).Certify() }
+
+// TestStartSideBySide: Start runs the batch runs of the classes a start
+// builds, and the checks of a verified recovery, side by side. Through a
+// cold start, a start with a class added since the checkpoint, and a start
+// whose restored sssp state diverges — six classes, listed out of registry
+// order — every class at GOMAXPROCS 1 and 2 holds the same state bytes and
+// view JSON, each view is that of a serial NewInc build on the stream's
+// graph and each class built by a batch run holds that build's state
+// bytes too, and Started reports each class in the list's order: its
+// build time covers its own batch run, its check is its class's.
+func TestStartSideBySide(t *testing.T) {
+	const chunkLen = 40
+	algos := []string{"bc", "sssp", "lcc", "cc", "dfs", "sim"}
+	stream := makeStream(71, opsNodes, 3*chunkLen)
+	chunk := func(i int) graph.Batch { return stream[i*chunkLen : (i+1)*chunkLen] }
+	mirror := opsBase()
+	for i := 0; i < 3; i++ {
+		mirror.Apply(chunk(i).Net(false))
+	}
+	// write leaves a directory as a service of algos that took the three
+	// chunks, with a checkpoint after the first ckpt of them.
+	write := func(algos []string, ckpt int) string {
+		dir := t.TempDir()
+		svc := NewService()
+		if _, _, err := Start(svc, dir, algos, opsBuild, func() (*graph.Graph, error) { return opsBase(), nil }, Options{}, false, true); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDurable(svc, dir, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := d.Ingest(nil, "", chunk(i), trace.TraceID{}, true); err != nil {
+				t.Fatal(err)
+			}
+			if i+1 == ckpt {
+				if err := d.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		svc.Close()
+		d.Close()
+		return dir
+	}
+	lowerDist := func(_ *graph.Graph, st *classState) {
+		for v, d := range st.Dist {
+			if d > 0 && d < graph.Infinity {
+				st.Dist[v]--
+				return
+			}
+		}
+		t.Fatal("no finite distance to lower")
+	}
+	noLCC := slices.DeleteFunc(slices.Clone(algos), func(a string) bool { return a == "lcc" })
+	diverging := write(algos, 3)
+	corrupt(t, diverging, "sssp", lowerDist)
+
+	certified := map[string]string{"sssp": "certificate", "cc": "certificate"}
+	for _, tc := range []struct {
+		name string
+		dir  string
+		// answer is the graph the classes answer for, by how each class is
+		// verified, built the classes a batch run builds on that graph, and
+		// diverged those verification corrects.
+		answer   *graph.Graph
+		by       map[string]string
+		built    []string
+		diverged []string
+	}{
+		{"cold", "", opsBase(), nil, algos, nil},
+		{"class added since the checkpoint", write(noLCC, 2), mirror, certified, []string{"lcc"}, nil},
+		{"restored class diverges", diverging, mirror, certified, []string{"sssp"}, []string{"sssp"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// start returns each class's state bytes and view JSON.
+			start := func(procs int) (state, view map[string][]byte) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				svc := NewService()
+				defer svc.Close()
+				took := map[string]*time.Duration{}
+				_, st, err := Start(svc, tc.dir, algos, func(algo string, g *graph.Graph) (Serveable, error) {
+					m, err := opsBuild(algo, g)
+					took[algo] = new(time.Duration)
+					return timedClass{m, took[algo]}, err
+				}, func() (*graph.Graph, error) { return opsBase(), nil }, Options{}, false, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(st.Diverged, tc.diverged) || len(st.Build) != len(algos) || len(st.Verify) != len(algos) {
+					t.Fatalf("GOMAXPROCS %d: diverged %v, %d build times and %d checks for %d classes", procs, st.Diverged, len(st.Build), len(st.Verify), len(algos))
+				}
+				state, view = map[string][]byte{}, map[string][]byte{}
+				for i, algo := range algos {
+					by := "none"
+					if tc.dir != "" {
+						by = cmp.Or(tc.by[algo], "recompute")
+					}
+					if c := st.Verify[i]; c.By != by || c.Diverged != slices.Contains(tc.diverged, algo) {
+						t.Errorf("GOMAXPROCS %d: %s checked by %s (diverged %v), want %s", procs, algo, c.By, c.Diverged, by)
+					}
+					// A batch run at build or by verification.
+					ran := *took[algo] > 0
+					if ran != (slices.Contains(tc.built, algo) || by == "recompute") || st.Build[i]+st.Verify[i].Took < *took[algo] {
+						t.Errorf("GOMAXPROCS %d: %s built in %v and checked in %v, its batch runs took %v", procs, algo, st.Build[i], st.Verify[i].Took, *took[algo])
+					}
+					h := svc.Get(algo)
+					h.WithState(func(m Serveable) error {
+						state[algo] = persisted(t, m)
+						return nil
+					})
+					var err error
+					if view[algo], err = json.Marshal(h.View().Data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return state, view
+			}
+			state1, view1 := start(1)
+			state2, view2 := start(2)
+			for _, algo := range algos {
+				want := newIncs[algo](tc.answer.Clone(), opsPattern(), 0)
+				wantView, err := json.Marshal(want.Snapshot())
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case !bytes.Equal(state1[algo], state2[algo]) || !bytes.Equal(view1[algo], view2[algo]):
+					t.Errorf("%s: GOMAXPROCS 1 and 2 hold different classes", algo)
+				case !bytes.Equal(view2[algo], wantView):
+					t.Errorf("%s: the view is not a serial NewInc build's", algo)
+				case slices.Contains(tc.built, algo) && !bytes.Equal(state2[algo], persisted(t, want)):
+					t.Errorf("%s: the state is not a serial NewInc build's", algo)
+				}
+			}
+		})
 	}
 }

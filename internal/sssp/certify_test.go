@@ -103,12 +103,24 @@ func durableShape() *graph.Graph { return gen.Synthetic(1, 20000, 16, false) }
 var distSink []int64
 
 // BenchmarkDijkstra is SSSP's batch run on the durable workload's graph,
-// what a recovery verified by recompute pays for sssp.
+// what a recovery verified by recompute pays for sssp, and on a graph of
+// the trickle workload's shape (100,000 nodes of average degree 8), what
+// a cold start of that size pays.
 func BenchmarkDijkstra(b *testing.B) {
-	g := durableShape()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		distSink = Dijkstra(g, 0)
+	for _, shape := range []struct {
+		name string
+		g    func() *graph.Graph
+	}{
+		{"durable", durableShape},
+		{"trickle", func() *graph.Graph { return gen.Synthetic(1, 100000, 8, false) }},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			g := shape.g()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				distSink = Dijkstra(g, 0)
+			}
+		})
 	}
 }
 

@@ -10,9 +10,12 @@ import (
 	"incgraph/internal/pq"
 )
 
-// Inc is the deduced incremental algorithm IncSSSP of Fig. 5, sharing
-// Dijkstra's data structures verbatim: the distance array and an indexed
-// priority queue. IncSSSP is *deducible* — it needs no timestamps, because
+// Inc is the deduced incremental algorithm IncSSSP of Fig. 5, over
+// Dijkstra's data structures: the distance array, and a priority queue
+// keyed by distance — here indexed binary heaps (pq.Heap), whose
+// decrease-key the repair's bounded scopes use, where the batch Dijkstra
+// pops a radix heap with lazy deletion. IncSSSP is *deducible* — it needs
+// no timestamps, because
 // the order <_C is the distance order already present in the fixpoint
 // (with positive weights, every anchor's distance is strictly smaller than
 // its dependent's).

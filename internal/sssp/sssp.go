@@ -13,8 +13,13 @@ import (
 // Infinity marks unreachable nodes in distance vectors.
 const Infinity = graph.Infinity
 
-// Dijkstra computes shortest distances from src with a binary-heap
-// label-setting run, the paper's batch algorithm A for SSSP.
+// Dijkstra computes shortest distances from src, the paper's batch
+// algorithm A for SSSP: a label-setting run over a monotone radix heap
+// (pq.Radix) of (distance, node) pairs. A node is pushed again whenever
+// its distance falls, and a popped pair whose distance is no longer the
+// node's is skipped. The heap's keys are sound because the graph refuses
+// a weight outside [0, Infinity): every distance popped is below
+// Infinity, every push at or above it and below 2·Infinity.
 func Dijkstra(g *graph.Graph, src graph.NodeID) []int64 {
 	n := g.NumNodes()
 	dist := make([]int64, n)
@@ -22,18 +27,20 @@ func Dijkstra(g *graph.Graph, src graph.NodeID) []int64 {
 		dist[i] = Infinity
 	}
 	dist[src] = 0
-	que := pq.New(n, func(a, b int32) bool { return dist[a] < dist[b] })
-	que.AddOrAdjust(int32(src))
+	var que pq.Radix
+	que.Push(0, int32(src))
 	for {
-		x, ok := que.Pop()
+		d, x, ok := que.Pop()
 		if !ok {
 			return dist
 		}
-		v := graph.NodeID(x)
-		for _, e := range g.Out(v) {
-			if alt := dist[v] + e.W; alt < dist[e.To] {
+		if d != dist[x] {
+			continue // reached more cheaply since the push
+		}
+		for _, e := range g.Out(graph.NodeID(x)) {
+			if alt := d + e.W; alt < dist[e.To] {
 				dist[e.To] = alt
-				que.AddOrAdjust(int32(e.To))
+				que.Push(alt, int32(e.To))
 			}
 		}
 	}

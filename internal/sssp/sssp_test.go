@@ -54,6 +54,33 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 	}
 }
 
+// TestDijkstraBoundaryWeights holds the radix-heap Dijkstra to the
+// Bellman–Ford reference on graphs drawn from the clock-seeded
+// testing/quick, directed and undirected, from a drawn source, with half
+// the weights at the boundaries a graph admits: 0 (ties and keys equal to
+// the last popped), 1, and Infinity−1 (a key in the heap's top bucket, and
+// sums past Infinity that must stay unreached).
+func TestDijkstraBoundaryWeights(t *testing.T) {
+	boundary := []int64{0, 1, Infinity - 1}
+	f := func(seed int64, directed bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		g := graph.New(n, directed)
+		for k := rng.Intn(4 * n); k > 0; k-- {
+			w := rng.Int63n(1000)
+			if rng.Intn(2) == 0 {
+				w = boundary[rng.Intn(len(boundary))]
+			}
+			g.InsertEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), w)
+		}
+		src := graph.NodeID(rng.Intn(n))
+		return reflect.DeepEqual(Dijkstra(g, src), BellmanFord(g, src))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIncPaperExample(t *testing.T) {
 	inc := NewInc(paperGraph(), 0)
 	h0 := inc.Apply(graph.Batch{
