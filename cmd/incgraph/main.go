@@ -147,8 +147,8 @@ func emitGraph(w io.Writer, kind string, seed int64, nodes, deg int, directed bo
 }
 
 // run executes one query class end to end: it builds the class through
-// the registry, runs its batch algorithm, applies the updates
-// incrementally and prints the maintained answer from the published view.
+// the registry, runs its batch algorithm, applies the updates to the graph
+// and the class and prints the maintained answer from the published view.
 // src is checked as an int: NodeID is 32 bits, and -src 4294967296 would
 // otherwise wrap to node 0.
 func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src int, delta incgraph.Batch, quiet, stats bool) error {
@@ -175,6 +175,7 @@ func run(w io.Writer, algo string, g *incgraph.Graph, patternPath string, src in
 	report("batch", time.Since(t0))
 	if len(delta) > 0 {
 		t0 := time.Now()
+		g.Advance(delta) // the class is used alone: the run is its graph's one writer
 		res := m.Apply(delta)
 		report("incremental", time.Since(t0))
 		if stats {

@@ -40,8 +40,8 @@
 // The hosted maintainers share one graph and its one flat view, each
 // keeping only its own state. One apply loop per service writes to all of
 // them: updates are validated into one queue, coalesced and netted once,
-// the first class to apply a batch applies and stages it on the graph, and
-// the others repair from its list of applied updates. On SIGINT/SIGTERM
+// applied to the graph and staged into its flat view once, and every class
+// then repairs from the round's list of applied updates. On SIGINT/SIGTERM
 // the daemon stops accepting requests, drains the queue, and exits.
 //
 // With -data-dir set the daemon is durable: every accepted update batch

@@ -412,7 +412,9 @@ func publishSeed(t *testing.T, seed int64) bool {
 			return false
 		}
 		for i := 0; i < flatChunks; i++ {
-			m.Apply(flatStream(rng, m.Graph(), flatChunkLen))
+			b := flatStream(rng, m.Graph(), flatChunkLen)
+			m.Graph().Advance(b) // the test is the graph's one writer
+			m.Apply(b)
 			if !check(fmt.Sprintf("after chunk %d", i)) {
 				return false
 			}

@@ -306,7 +306,6 @@ type Inc struct {
 	round   uint64 // the last round of g this maintainer took
 	res     *Result
 	st      *lowpointState
-	pending graph.Batch
 	written []int32
 	stats   fixpoint.Stats
 }
@@ -320,11 +319,21 @@ func NewInc(g *graph.Graph) *Inc {
 
 // Blank returns the incremental algorithm over g before the batch run,
 // every node its own block: the maintainer a checkpointed structure is
-// restored into (RestoreState), which must come before Apply.
+// restored into (RestoreState) or Recompute fills, before Apply.
 func Blank(g *graph.Graph) *Inc {
 	i := &Inc{g: g, round: g.Round(), res: newResult(g.NumNodes())}
 	i.st = newLowpointState(g.NumNodes(), outRows(g.Flat()))
 	return i
+}
+
+// Recompute reruns the batch traversal in place, at the graph's round: it
+// rewrites every flag, block and number, leaving what NewInc builds.
+func (i *Inc) Recompute() {
+	i.round = i.g.Round()
+	i.st.grow(i.g.NumNodes())
+	i.res.grow(i.g.NumNodes())
+	i.st.runAll(i.res)
+	i.written = i.written[:0]
 }
 
 // Graph returns the maintained graph.
@@ -376,18 +385,15 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// Stage applies any sequence b to the graph as its next round (see
 // graph.Graph.Advance) without repairing.
-func (i *Inc) Stage(b graph.Batch) {
-	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
+func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
+
+// Repair re-runs the lowpoint DFS over the components the newest round touched.
+func (i *Inc) Repair() int {
+	applied := i.g.Take(&i.round)
 	i.st.grow(i.g.NumNodes())
 	i.res.grow(i.g.NumNodes())
-}
-
-// Repair re-runs the lowpoint DFS over the touched components.
-func (i *Inc) Repair() int {
-	applied := i.pending
-	i.pending = i.pending[:0]
 	i.written = i.written[:0]
 	if len(applied) == 0 {
 		return 0
@@ -395,7 +401,7 @@ func (i *Inc) Repair() int {
 	i.st.begin()
 	for _, u := range applied {
 		for _, v := range [2]graph.NodeID{u.From, u.To} {
-			if i.g.Alive(v) && !i.st.visited(v) {
+			if !i.st.visited(v) {
 				i.st.runComponent(v, i.res)
 			}
 		}

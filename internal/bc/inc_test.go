@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -233,20 +234,33 @@ func TestClockDoesNotWrap(t *testing.T) {
 }
 
 // TestRepairZeroAlloc: once the scratch has grown to the graph, a repair
-// allocates nothing (staging, which nets and applies the batch, does).
+// allocates nothing (staging, which applies the batch, does).
 func TestRepairZeroAlloc(t *testing.T) {
 	g := gen.PowerLaw(rand.New(rand.NewSource(5)), 2000, 8, false)
 	s := gen.NewBurstStream(5, g)
 	inc := NewInc(g)
-	inc.Apply(s.Next(50)) // warm-up: the written list and the stage buffer
-	allocs := testing.AllocsPerRun(20, func() {
-		inc.pending = append(inc.pending, ins(0, 1)) // what a Stage leaves; the edge is there or not, the component is revisited
-		if inc.Repair() == 0 {
+	inc.Apply(s.Next(50)) // warm-up: the written list
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var mallocs uint64
+	for round := 0; round < 20; round++ {
+		b := graph.Batch{ins(0, 1)} // the edge in or out, the component is revisited
+		if g.HasEdge(0, 1) {
+			b = graph.Batch{del(0, 1)}
+		}
+		inc.Stage(b)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		revisited := inc.Repair()
+		runtime.ReadMemStats(&m1)
+		if round >= 2 {
+			mallocs += m1.Mallocs - m0.Mallocs
+		}
+		if revisited == 0 {
 			t.Fatal("nothing revisited")
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Repair allocates %.0f objects per run", allocs)
+	}
+	if mallocs != 0 {
+		t.Fatalf("Repair allocates %d objects in 18 runs", mallocs)
 	}
 	if !inc.Result().Equivalent(Run(g), g) {
 		t.Fatal("structure differs from Run")

@@ -224,11 +224,10 @@ func CCfp(g *graph.Graph) []int64 {
 // goes through internal/serve, which gives each maintainer one apply
 // loop and publishes immutable snapshots to readers.
 type Inc struct {
-	g       *graph.Graph
-	round   uint64 // the last round of g this maintainer took
-	eng     *fixpoint.Engine[int64]
-	arena   fixpoint.ScopeArena
-	pending graph.Batch
+	g     *graph.Graph
+	round uint64 // the last round of g this maintainer took
+	eng   *fixpoint.Engine[int64]
+	arena fixpoint.ScopeArena
 }
 
 // NewInc computes the initial fixpoint and returns the algorithm.
@@ -240,10 +239,19 @@ func NewInc(g *graph.Graph) *Inc {
 
 // Blank returns IncCC over g before the batch run, every label its node's
 // id and every stamp 0: the maintainer a checkpointed state is restored
-// into (RestoreState), which must come before Apply.
+// into (RestoreState) or Recompute fills, before Apply.
 func Blank(g *graph.Graph) *Inc {
 	eng := fixpoint.New[int64](&Instance{G: g, Flat: g.Flat()}, fixpoint.PriorityOrder)
 	return &Inc{g: g, round: g.Round(), eng: eng}
+}
+
+// Recompute reruns the batch fixpoint in place, at the graph's round,
+// leaving what NewInc builds.
+func (i *Inc) Recompute() {
+	i.round = i.g.Round()
+	i.eng.Grow()
+	i.eng.Reset()
+	i.eng.Run()
 }
 
 // Graph returns the maintained graph.
@@ -302,18 +310,15 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// Stage applies any sequence b to the graph as its next round (see
 // graph.Graph.Advance) without repairing the labels, letting benchmarks
 // time Repair separately from the graph mutation every method needs.
-func (i *Inc) Stage(b graph.Batch) {
-	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
-	i.eng.Grow()
-}
+func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
 
-// Repair runs the incremental algorithm over the staged updates.
+// Repair runs the incremental algorithm over the graph's newest round.
 func (i *Inc) Repair() int {
-	applied := i.pending
-	i.pending = i.pending[:0]
+	applied := i.g.Take(&i.round)
+	i.eng.Grow()
 	a := &i.arena
 	a.Begin(i.g.NumNodes())
 	for _, u := range applied {

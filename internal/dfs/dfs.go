@@ -244,7 +244,6 @@ type Inc struct {
 	flat    *graph.Flat
 	round   uint64 // the last round of g this maintainer took
 	tree    *Tree
-	pending graph.Batch
 	sc      replay
 	written []int32
 	stats   fixpoint.Stats
@@ -259,9 +258,17 @@ func NewInc(g *graph.Graph) *Inc {
 
 // Blank returns the incremental algorithm over g before the batch run,
 // with an empty forest: the maintainer a checkpointed forest is restored
-// into (RestoreState), which must come before Apply.
+// into (RestoreState) or Recompute fills, before Apply.
 func Blank(g *graph.Graph) *Inc {
 	return &Inc{g: g, flat: g.Flat(), round: g.Round(), tree: &Tree{}}
+}
+
+// Recompute reruns the batch DFS at the graph's round, leaving what NewInc
+// builds.
+func (i *Inc) Recompute() {
+	i.round = i.g.Round()
+	i.tree = Run(i.g)
+	i.written = i.written[:0]
 }
 
 // Graph returns the maintained graph.
@@ -309,17 +316,14 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// Stage applies any sequence b to the graph as its next round (see
 // graph.Graph.Advance) without repairing the tree, letting benchmarks time
 // Repair separately from the graph mutation every method needs.
-func (i *Inc) Stage(b graph.Batch) {
-	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
-}
+func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
 
-// Repair replays the traversal suffix for the staged updates.
+// Repair replays the traversal suffix for the graph's newest round.
 func (i *Inc) Repair() int {
-	applied := i.pending
-	i.pending = i.pending[:0]
+	applied := i.g.Take(&i.round)
 	i.written = i.written[:0]
 	oldN := len(i.tree.First)
 	if len(applied) == 0 && i.g.NumNodes() == oldN {

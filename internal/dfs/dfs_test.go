@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -113,16 +114,29 @@ func TestRepairZeroAlloc(t *testing.T) {
 	g := gen.PowerLaw(rand.New(rand.NewSource(5)), 2000, 8, false)
 	s := gen.NewBurstStream(5, g)
 	inc := NewInc(g)
-	inc.Apply(s.Next(50)) // warm-up: the scratch, the written list and the stage buffer
-	up := graph.Update{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}
-	allocs := testing.AllocsPerRun(20, func() {
-		inc.pending = append(inc.pending, up) // what a Stage leaves; present or not, the edge puts tstar at node 0's visit
-		if inc.Repair() == 0 {
+	inc.Apply(s.Next(50)) // warm-up: the scratch and the written list
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var mallocs uint64
+	for round := 0; round < 20; round++ {
+		// Edge 0–1 in or out: either way tstar is at node 0's visit.
+		up := graph.Update{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}
+		if g.HasEdge(0, 1) {
+			up.Kind = graph.DeleteEdge
+		}
+		inc.Stage(graph.Batch{up})
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		replayed := inc.Repair()
+		runtime.ReadMemStats(&m1)
+		if round >= 2 {
+			mallocs += m1.Mallocs - m0.Mallocs
+		}
+		if replayed == 0 {
 			t.Fatal("nothing replayed")
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Repair allocates %.0f objects per run", allocs)
+	}
+	if mallocs != 0 {
+		t.Fatalf("Repair allocates %d objects in 18 runs", mallocs)
 	}
 	if !inc.Tree().Equal(Run(g)) {
 		t.Fatal("tree differs from Run")

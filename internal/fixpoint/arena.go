@@ -29,6 +29,12 @@ func (s *VarSet) grow(n int) {
 	}
 }
 
+// reset returns the set to generation 0, where Add adds nothing.
+func (s *VarSet) reset() {
+	clear(s.mark)
+	s.epoch = 0
+}
+
 // Add inserts x and reports whether it was newly added.
 func (s *VarSet) Add(x Var) bool {
 	if s.mark[x] == s.epoch {

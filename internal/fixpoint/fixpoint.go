@@ -247,11 +247,8 @@ type Engine[V any] struct {
 // goroutine at a time.
 func New[V any](inst Instance[V], policy Policy) *Engine[V] {
 	n := inst.NumVars()
-	st := &State[V]{Val: make([]V, n), TS: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		st.Val[i] = inst.Bottom(Var(i))
-	}
-	e := &Engine[V]{inst: inst, policy: policy, st: st}
+	e := &Engine[V]{inst: inst, policy: policy, st: &State[V]{Val: make([]V, n), TS: make([]int64, n)}}
+	e.Reset()
 	e.relaxer, _ = inst.(Relaxer[V])
 	e.uniform, _ = inst.(UniformRelaxer[V])
 	e.deg, _ = inst.(OutDegreer)
@@ -400,6 +397,17 @@ func (e *Engine[V]) install(z Var, cand V) bool {
 	e.st.TS[z] = e.st.clock
 	e.st.Stats.Changes++
 	return true
+}
+
+// Reset returns the status to New's in place — every variable Bottom,
+// every timestamp and the clock 0, the ledger empty — for a rerun of Run.
+func (e *Engine[V]) Reset() {
+	for x := range e.st.Val {
+		e.st.Val[x] = e.inst.Bottom(Var(x))
+	}
+	clear(e.st.TS)
+	e.st.clock = 0
+	e.led.Reset()
 }
 
 // Run executes the batch fixpoint algorithm from the initial status: it

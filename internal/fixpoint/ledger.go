@@ -180,6 +180,14 @@ func (t *Tracker[V]) Begin() {
 	t.written = t.written[:0]
 }
 
+// Reset empties the tracker and stops its recording until the next Begin,
+// as after its first Grow: a batch rerun's writes go unrecorded.
+func (t *Tracker[V]) Reset() {
+	t.aff.reset()
+	t.wrote.reset()
+	t.written = t.written[:0]
+}
+
 // Aff enters x into the run's affected area and reports whether this was
 // its first entry — the moment the caller charges |AFF| and ‖AFF‖.
 func (t *Tracker[V]) Aff(x int32) bool { return t.aff.Add(Var(x)) }

@@ -12,14 +12,18 @@ import (
 // Binary codecs for graphs and batches. The text format (io.go) is the
 // human-facing interchange format; the binary format is the durability
 // format: it is what checkpoints and the write-ahead log store, so it
-// must round-trip *everything* — including node tombstones, which the
-// text writer cannot express. Varint-encoded throughout; a power-law
-// graph serializes to roughly 3 bytes per edge.
+// must round-trip everything a graph holds. Varint-encoded throughout; a
+// power-law graph serializes to roughly 3 bytes per edge.
 
 // binaryMagic heads a binary graph blob. The trailing version digit is
 // bumped on incompatible changes so recovery fails loudly on a format it
 // does not understand instead of reconstructing a wrong graph.
 const binaryMagic = "IGB1"
+
+// ErrTombstones refuses a blob that lists deleted nodes: the format still
+// carries their count, but a graph has no deleted nodes since node
+// deletion went, so a writer only ever puts 0 there.
+var ErrTombstones = errors.New("graph binary: tombstoned nodes are not supported")
 
 // maxBinaryNodes bounds the node count accepted by ReadBinary, so a
 // corrupted header cannot make recovery attempt a multi-terabyte
@@ -57,13 +61,8 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 			putVarint(int64(l))
 		}
 	}
-	// Tombstones: the ids the text format loses.
-	putUvarint(uint64(g.NumNodes() - g.NumAlive()))
-	for v, a := range g.alive {
-		if !a {
-			putUvarint(uint64(v))
-		}
-	}
+	// The tombstone count, from when nodes could be deleted: always 0.
+	putUvarint(0)
 	putUvarint(uint64(g.NumEdges()))
 	g.Edges(func(u, v NodeID, wgt int64) {
 		putUvarint(uint64(u))
@@ -139,16 +138,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph binary: reading tombstone count: %w", err)
 	}
-	if dead > n {
-		return nil, fmt.Errorf("graph binary: tombstone count %d exceeds nodes %d", dead, n)
-	}
-	tombs := make([]NodeID, 0, dead)
-	for i := uint64(0); i < dead; i++ {
-		v, err := d.id("tombstone id")
-		if err != nil {
-			return nil, err
-		}
-		tombs = append(tombs, v)
+	if dead != 0 {
+		return nil, fmt.Errorf("%w: %d", ErrTombstones, dead)
 	}
 	count, err := d.uvarint()
 	if err != nil {
@@ -189,14 +180,6 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	// Every edge is decoded: build the rows, unless one of them is refused.
 	if err := fail(nil); err != nil {
 		return nil, err
-	}
-	// Tombstone last: dead nodes carry no edges in a well-formed blob, so
-	// the edges above never referenced them.
-	for _, v := range tombs {
-		if g.OutDegree(v) != 0 || (g.directed && g.InDegree(v) != 0) {
-			return nil, fmt.Errorf("graph binary: tombstoned node %d has edges", v)
-		}
-		g.DeleteNode(v)
 	}
 	return g, nil
 }

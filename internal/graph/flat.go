@@ -47,10 +47,6 @@ const DefaultCompactThreshold = 0.25
 // and every span handed out earlier is invalid after it, as after a Stage.
 // The arrays are built with a sixteenth of headroom for moved rows; on the
 // burst workload's stream that runs out a few times in 8,000 batches.
-//
-// Flat tracks staged edge batches only. Callers that mutate the Graph
-// through other entry points (DeleteNode) must Compact before
-// the next read.
 type Flat struct {
 	directed  bool
 	out       flatDir

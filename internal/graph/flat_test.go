@@ -402,8 +402,7 @@ func TestRelayoutOnlyAfterStage(t *testing.T) {
 	if c := f.Compactions(); c != 0 {
 		t.Fatalf("a view nothing was staged into was laid out %d times", c)
 	}
-	var seen uint64
-	g.Advance(&seen, Batch{{Kind: InsertEdge, From: 2, To: 3, W: 1}})
+	g.Advance(Batch{{Kind: InsertEdge, From: 2, To: 3, W: 1}})
 	staged := f.Compactions()
 	for i := 0; i < 3; i++ {
 		g.Relayout()

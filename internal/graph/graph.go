@@ -14,8 +14,8 @@ import (
 )
 
 // NodeID identifies a node. Node ids are dense: a graph with n nodes uses
-// ids 0..n-1. Deleted nodes keep their id (tombstoned) so that ids held by
-// callers never dangle.
+// ids 0..n-1, and nodes are only ever added, so an id held by a caller
+// never dangles.
 type NodeID int32
 
 // Label is a node label drawn from a small alphabet, as in property graphs.
@@ -77,11 +77,9 @@ func checkWeight(w int64) error {
 type Graph struct {
 	directed bool
 	labels   []Label
-	alive    []bool
 	out      [][]Edge
 	in       [][]Edge // nil when undirected
 	numEdges int
-	numAlive int
 
 	// The store its maintainers share (store.go): the Flat view they
 	// read, the rounds Advance applied, the last round's applied updates,
@@ -97,12 +95,7 @@ func New(n int, directed bool) *Graph {
 	g := &Graph{
 		directed: directed,
 		labels:   make([]Label, n),
-		alive:    make([]bool, n),
 		out:      make([][]Edge, n),
-		numAlive: n,
-	}
-	for i := range g.alive {
-		g.alive[i] = true
 	}
 	if directed {
 		g.in = make([][]Edge, n)
@@ -115,23 +108,14 @@ func pack(u, v NodeID) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v))
 // Directed reports whether the graph is directed.
 func (g *Graph) Directed() bool { return g.directed }
 
-// NumNodes returns the number of node ids ever allocated, including
-// tombstoned (deleted) nodes. Use it to size per-node arrays.
+// NumNodes returns the number of nodes. Use it to size per-node arrays.
 func (g *Graph) NumNodes() int { return len(g.out) }
-
-// NumAlive returns the number of nodes that have not been deleted.
-func (g *Graph) NumAlive() int { return g.numAlive }
 
 // NumEdges returns the number of edges. Each undirected edge counts once.
 func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Size returns |V| + |E|, the measure of |G| used throughout the paper.
-func (g *Graph) Size() int { return g.numAlive + g.numEdges }
-
-// Alive reports whether node v exists (has not been deleted).
-func (g *Graph) Alive(v NodeID) bool {
-	return v >= 0 && int(v) < len(g.alive) && g.alive[v]
-}
+func (g *Graph) Size() int { return g.NumNodes() + g.numEdges }
 
 // Label returns the label of node v.
 func (g *Graph) Label(v NodeID) Label { return g.labels[v] }
@@ -143,49 +127,11 @@ func (g *Graph) SetLabel(v NodeID, l Label) { g.labels[v] = l }
 func (g *Graph) AddNode(l Label) NodeID {
 	id := NodeID(len(g.out))
 	g.labels = append(g.labels, l)
-	g.alive = append(g.alive, true)
 	g.out = append(g.out, nil)
 	if g.directed {
 		g.in = append(g.in, nil)
 	}
-	g.numAlive++
 	return id
-}
-
-// DeleteNode removes node v and all its incident edges. It returns the
-// deleted incident edges as updates (inserts of the removed edges), which
-// callers can use to express the deletion as edge updates, the dual view
-// used by the paper (§4, vertex updates).
-func (g *Graph) DeleteNode(v NodeID) []Update {
-	if !g.Alive(v) {
-		return nil
-	}
-	// v's own rows go whole, last entry first; only the far half of each
-	// edge is searched for.
-	var removed []Update
-	for i := len(g.out[v]) - 1; i >= 0; i-- {
-		e := g.out[v][i]
-		removed = append(removed, Update{Kind: DeleteEdge, From: v, To: e.To, W: e.W})
-		far := &g.out[e.To]
-		if g.directed {
-			far = &g.in[e.To]
-		}
-		removeAt(far, find(*far, v))
-	}
-	g.numEdges -= len(g.out[v])
-	g.out[v] = g.out[v][:0]
-	if g.directed {
-		for i := len(g.in[v]) - 1; i >= 0; i-- {
-			e := g.in[v][i]
-			removed = append(removed, Update{Kind: DeleteEdge, From: e.To, To: v, W: e.W})
-			removeAt(&g.out[e.To], find(g.out[e.To], v))
-		}
-		g.numEdges -= len(g.in[v])
-		g.in[v] = g.in[v][:0]
-	}
-	g.alive[v] = false
-	g.numAlive--
-	return removed
 }
 
 // find returns the position of the entry for v in row, or -1.
@@ -255,7 +201,7 @@ func (g *Graph) Weight(u, v NodeID) int64 {
 // was inserted; inserting an existing edge or a self-loop is a no-op that
 // returns false.
 func (g *Graph) InsertEdge(u, v NodeID, w int64) bool {
-	if u == v || !g.Alive(u) || !g.Alive(v) || g.HasEdge(u, v) {
+	if _, _, ok := g.rows(u, v); !ok || u == v || g.HasEdge(u, v) {
 		return false
 	}
 	g.out[u] = append(g.out[u], Edge{To: v, W: w})
@@ -361,11 +307,9 @@ func (g *Graph) Clone() *Graph {
 	return &Graph{
 		directed: g.directed,
 		labels:   slices.Clone(g.labels),
-		alive:    slices.Clone(g.alive),
 		out:      cloneRows(g.out),
 		in:       cloneRows(g.in),
 		numEdges: g.numEdges,
-		numAlive: g.numAlive,
 	}
 }
 
@@ -393,22 +337,14 @@ func (g *Graph) Edges(fn func(u, v NodeID, w int64)) {
 }
 
 // CheckConsistent verifies the invariants the row scans rely on: every
-// entry names a live node other than its owner, no row lists a node twice,
-// every half-edge has its other half (the in-entry of a directed edge, the
-// mirror of an undirected one) with the same weight, and the counts agree.
+// entry names a node of the graph other than its owner, no row lists a
+// node twice, every half-edge has its other half (the in-entry of a
+// directed edge, the mirror of an undirected one) with the same weight,
+// and the counts agree.
 // It is used by tests and costs O(|V| + |E|) with a map of its own.
 func (g *Graph) CheckConsistent() error {
-	if len(g.labels) != len(g.out) || len(g.alive) != len(g.out) || (g.directed && len(g.in) != len(g.out)) || (!g.directed && g.in != nil) {
-		return fmt.Errorf("per-node arrays disagree: %d labels, %d alive, %d out, %d in", len(g.labels), len(g.alive), len(g.out), len(g.in))
-	}
-	alive := 0
-	for _, a := range g.alive {
-		if a {
-			alive++
-		}
-	}
-	if alive != g.numAlive {
-		return fmt.Errorf("numAlive %d != actual %d", g.numAlive, alive)
+	if len(g.labels) != len(g.out) || (g.directed && len(g.in) != len(g.out)) || (!g.directed && g.in != nil) {
+		return fmt.Errorf("per-node arrays disagree: %d labels, %d out, %d in", len(g.labels), len(g.out), len(g.in))
 	}
 	// halves collects every out-entry by (owner, neighbor); matching an
 	// in-entry or a mirror consumes it, so a second match fails.
@@ -418,8 +354,8 @@ func (g *Graph) CheckConsistent() error {
 			if NodeID(u) == e.To {
 				return fmt.Errorf("self-loop at %d", u)
 			}
-			if !g.Alive(NodeID(u)) || !g.Alive(e.To) {
-				return fmt.Errorf("edge (%d,%d) at a dead or unknown node", u, e.To)
+			if e.To < 0 || int(e.To) >= len(g.out) {
+				return fmt.Errorf("edge (%d,%d) at an unknown node", u, e.To)
 			}
 			k := pack(NodeID(u), e.To)
 			if _, dup := halves[k]; dup {

@@ -8,8 +8,8 @@ import (
 
 func TestNewEmpty(t *testing.T) {
 	g := New(5, true)
-	if g.NumNodes() != 5 || g.NumEdges() != 0 || g.NumAlive() != 5 {
-		t.Fatalf("got nodes=%d edges=%d alive=%d", g.NumNodes(), g.NumEdges(), g.NumAlive())
+	if g.NumNodes() != 5 || g.NumEdges() != 0 {
+		t.Fatalf("got nodes=%d edges=%d", g.NumNodes(), g.NumEdges())
 	}
 	if !g.Directed() {
 		t.Fatal("expected directed")
@@ -105,27 +105,21 @@ func TestSwapRemoveKeepsIndex(t *testing.T) {
 	}
 }
 
-func TestAddDeleteNode(t *testing.T) {
+func TestAddNode(t *testing.T) {
 	g := New(2, true)
 	g.InsertEdge(0, 1, 1)
 	v := g.AddNode(3)
-	if v != 2 || g.Label(v) != 3 {
-		t.Fatalf("AddNode gave id=%d label=%d", v, g.Label(v))
+	if v != 2 || g.Label(v) != 3 || g.NumNodes() != 3 || g.Size() != 4 {
+		t.Fatalf("AddNode gave id=%d label=%d, %d nodes, size %d", v, g.Label(v), g.NumNodes(), g.Size())
 	}
-	g.InsertEdge(v, 0, 1)
-	g.InsertEdge(1, v, 1)
-	removed := g.DeleteNode(v)
-	if len(removed) != 2 {
-		t.Fatalf("DeleteNode removed %d edges, want 2", len(removed))
+	if !g.InsertEdge(v, 0, 1) || !g.InsertEdge(1, v, 1) {
+		t.Fatal("insert touching the added node failed")
 	}
-	if g.Alive(v) || g.NumAlive() != 2 {
-		t.Fatal("node still alive")
+	if g.InsertEdge(0, v+1, 1) {
+		t.Fatal("insert touching a node past the graph succeeded")
 	}
-	if g.InsertEdge(0, v, 1) {
-		t.Fatal("insert touching dead node succeeded")
-	}
-	if g.DeleteNode(v) != nil {
-		t.Fatal("double node delete returned edges")
+	if g.OutDegree(v) != 1 || g.InDegree(v) != 1 {
+		t.Fatalf("added node has out %d in %d, want 1 1", g.OutDegree(v), g.InDegree(v))
 	}
 	if err := g.CheckConsistent(); err != nil {
 		t.Fatal(err)

@@ -19,8 +19,7 @@ import (
 //	e <from> <to> <weight>
 //
 // Lines starting with '#' and blank lines are ignored. It round-trips
-// everything except node tombstones (deleted node ids are compacted away
-// by the writer only if they are trailing).
+// every graph.
 
 // WriteTo serializes the graph. It returns the number of bytes written.
 func (g *Graph) WriteTo(w io.Writer) (int64, error) {

@@ -7,25 +7,18 @@ package graph
 // exists in tests only.
 type mapGraph struct {
 	directed bool
-	alive    []bool
 	out      [][]Edge
 	in       [][]Edge // nil when undirected
 	outPos   map[uint64]int32
 	inPos    map[uint64]int32 // nil when undirected
 	numEdges int
-	numAlive int
 }
 
 func newMapGraph(n int, directed bool) *mapGraph {
 	g := &mapGraph{
 		directed: directed,
-		alive:    make([]bool, n),
 		out:      make([][]Edge, n),
 		outPos:   make(map[uint64]int32),
-		numAlive: n,
-	}
-	for i := range g.alive {
-		g.alive[i] = true
 	}
 	if directed {
 		g.in = make([][]Edge, n)
@@ -34,41 +27,16 @@ func newMapGraph(n int, directed bool) *mapGraph {
 	return g
 }
 
-func (g *mapGraph) Alive(v NodeID) bool {
-	return v >= 0 && int(v) < len(g.alive) && g.alive[v]
-}
+// has reports whether v is a node of the graph.
+func (g *mapGraph) has(v NodeID) bool { return v >= 0 && int(v) < len(g.out) }
 
 func (g *mapGraph) AddNode() NodeID {
 	id := NodeID(len(g.out))
-	g.alive = append(g.alive, true)
 	g.out = append(g.out, nil)
 	if g.directed {
 		g.in = append(g.in, nil)
 	}
-	g.numAlive++
 	return id
-}
-
-func (g *mapGraph) DeleteNode(v NodeID) []Update {
-	if !g.Alive(v) {
-		return nil
-	}
-	var removed []Update
-	for len(g.out[v]) > 0 {
-		e := g.out[v][len(g.out[v])-1]
-		removed = append(removed, Update{Kind: DeleteEdge, From: v, To: e.To, W: e.W})
-		g.DeleteEdge(v, e.To)
-	}
-	if g.directed {
-		for len(g.in[v]) > 0 {
-			e := g.in[v][len(g.in[v])-1]
-			removed = append(removed, Update{Kind: DeleteEdge, From: e.To, To: v, W: e.W})
-			g.DeleteEdge(e.To, v)
-		}
-	}
-	g.alive[v] = false
-	g.numAlive--
-	return removed
 }
 
 func (g *mapGraph) HasEdge(u, v NodeID) bool {
@@ -84,7 +52,7 @@ func (g *mapGraph) Weight(u, v NodeID) int64 {
 }
 
 func (g *mapGraph) InsertEdge(u, v NodeID, w int64) bool {
-	if u == v || !g.Alive(u) || !g.Alive(v) || g.HasEdge(u, v) {
+	if u == v || !g.has(u) || !g.has(v) || g.HasEdge(u, v) {
 		return false
 	}
 	g.addHalf(u, v, w)
@@ -146,12 +114,10 @@ func (g *mapGraph) delHalfIn(u, v NodeID) {
 func (g *mapGraph) Clone() *mapGraph {
 	c := &mapGraph{
 		directed: g.directed,
-		alive:    append([]bool(nil), g.alive...),
 		out:      cloneRows(g.out),
 		in:       cloneRows(g.in),
 		outPos:   make(map[uint64]int32, len(g.outPos)),
 		numEdges: g.numEdges,
-		numAlive: g.numAlive,
 	}
 	for k, v := range g.outPos {
 		c.outPos[k] = v
@@ -172,8 +138,7 @@ func (g *mapGraph) ApplyCounted(b Batch) ApplySummary {
 	s.Applied = make(Batch, 0, len(b))
 	n := NodeID(len(g.out))
 	for _, u := range b {
-		if u.From < 0 || u.From >= n || u.To < 0 || u.To >= n ||
-			u.From == u.To || !g.Alive(u.From) || !g.Alive(u.To) {
+		if u.From < 0 || u.From >= n || u.To < 0 || u.To >= n || u.From == u.To {
 			s.Malformed++
 			continue
 		}

@@ -3,12 +3,12 @@ package graph
 import "fmt"
 
 // A Graph is the one store every maintainer built on it shares: beside the
-// rows it keeps one Flat view and a round counter, so that each batch is
-// applied to the rows, staged into the Flat and maybe compacted once, by
-// whichever maintainer reaches it first, and the others take that
-// maintainer's applied list. A maintainer keeps its own state and the last
-// round it took; a lone one advances its own graph on the same path. A
-// Graph nobody advances (an oracle, a batch run's input, a clone) pays for
+// rows it keeps one Flat view and a round counter. Each round has one
+// writer — the service's apply loop, a recovery's replay, or a maintainer
+// used alone — which applies the batch to the rows and stages it into the
+// Flat once (Advance); every maintainer, keeping its own state and the
+// last round it took, then takes the round's applied list (Take). A Graph
+// nobody advances (an oracle, a batch run's input, a clone) pays for
 // neither: the Flat is built by the first call to Flat.
 
 // Flat returns the view every maintainer of g reads, building it on the
@@ -46,36 +46,31 @@ func (g *Graph) Staged() *Flat { return g.flat }
 // Round returns the number of batches Advance has applied to g.
 func (g *Graph) Round() uint64 { return g.round }
 
-// Advance moves a reader that has taken round *seen of g on to the next
-// round, and returns that round's applied updates: what Apply returned for
-// its batch, valid until the round after. If g is at round *seen, the
-// reader is the first to get there: g applies b as the next round and
-// stages the applied updates into its Flat, compacting it when due. If g
-// is one round ahead, it took the round already, and b — which must be the
-// round's batch — is not read. Anything else panics: a reader is never
-// more than one round behind its graph.
-//
-// A stage that panics leaves the round taken — the rows and the applied
-// list are whole, since Apply never panics — and the Flat torn; it is laid
-// out again from the rows before anyone reads it (Flat, or the next
-// reader's Advance).
-func (g *Graph) Advance(seen *uint64, b Batch) Batch {
-	switch *seen {
-	case g.round:
-		g.applied = g.Apply(b)
-		g.round++
-		if g.flat != nil {
-			g.torn = true
-			g.flat.Stage(g, g.applied)
-			g.flat.MaybeCompact(g)
-			g.torn = false
-		}
-	case g.round - 1:
-		if g.torn {
-			g.Flat()
-		}
-	default:
-		panic(fmt.Sprintf("graph: a reader at round %d cannot advance a graph at round %d", *seen, g.round))
+// Advance applies b to g as its next round, stages the applied updates
+// into the Flat view if one is built, compacting it when due, and returns
+// them: what Apply returned for b, valid until the next round. A stage
+// that panics leaves the round taken — the rows and the applied list are
+// whole, since Apply never panics — and the Flat torn; it is laid out
+// again from the rows before anyone reads it through Flat.
+func (g *Graph) Advance(b Batch) Batch {
+	g.applied = g.Apply(b)
+	g.round++
+	if g.flat != nil {
+		g.torn = true
+		g.flat.Stage(g, g.applied)
+		g.flat.MaybeCompact(g)
+		g.torn = false
+	}
+	return g.applied
+}
+
+// Take moves a reader that has taken round *seen of g on to g's newest
+// round and returns its applied updates. It panics unless the reader is
+// exactly one round behind: one that skipped a round, or takes one twice,
+// would repair from the wrong updates.
+func (g *Graph) Take(seen *uint64) Batch {
+	if *seen+1 != g.round {
+		panic(fmt.Sprintf("graph: a reader at round %d cannot take the round of a graph at round %d", *seen, g.round))
 	}
 	*seen = g.round
 	return g.applied

@@ -3,8 +3,9 @@ package graph
 import "fmt"
 
 // UpdateKind distinguishes the unit update types of the paper: edge
-// insertions and deletions. Vertex updates are expressed as their duals
-// (AddNode/DeleteNode plus edge updates), per §4 of the paper.
+// insertions and deletions. A vertex deletion is expressed as its dual,
+// the deletions of its incident edges (§4 of the paper); a vertex
+// insertion is AddNode followed by edge insertions.
 type UpdateKind uint8
 
 const (
@@ -57,9 +58,9 @@ func (b Batch) Inverse() Batch {
 // absent one are idempotent no-ops — identically so for directed and
 // undirected graphs, where the mirrored half-edge representation used to
 // make the accounting easy to get subtly wrong — and malformed updates
-// (out-of-range ids, self-loops, dead endpoints, unknown kinds) are
-// counted and skipped instead of panicking, so arbitrary input reaching
-// batch application is safe.
+// (out-of-range ids, self-loops, unknown kinds) are counted and skipped
+// instead of panicking, so arbitrary input reaching batch application is
+// safe.
 type ApplySummary struct {
 	// Applied is the sub-batch that changed the graph, in order; its
 	// Inverse reverts the application. Deletions carry the weight of the
@@ -73,7 +74,7 @@ type ApplySummary struct {
 	// AbsentDeletes counts deletions of edges that do not exist.
 	AbsentDeletes int
 	// Malformed counts updates no graph state could apply: endpoints out
-	// of [0, NumNodes), self-loops, tombstoned endpoints, unknown kinds.
+	// of [0, NumNodes), self-loops, unknown kinds.
 	Malformed int
 }
 
@@ -91,8 +92,7 @@ func (g *Graph) ApplyCounted(b Batch) ApplySummary {
 	s.Applied = make(Batch, 0, len(b))
 	n := NodeID(g.NumNodes())
 	for _, u := range b {
-		if u.From < 0 || u.From >= n || u.To < 0 || u.To >= n ||
-			u.From == u.To || !g.Alive(u.From) || !g.Alive(u.To) {
+		if u.From < 0 || u.From >= n || u.To < 0 || u.To >= n || u.From == u.To {
 			s.Malformed++
 			continue
 		}

@@ -1,7 +1,7 @@
 package lcc
 
 import (
-	"slices"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -11,8 +11,8 @@ import (
 
 // TestDerivativeAgainstBrute is the property that the derivative of the
 // count is exact on raw update sequences — no-ops, repeats and churn on
-// one edge kept, nothing netted — cut into one to three Stages per
-// Repair, on small graphs quick draws edge by edge: after every Repair
+// one edge kept, nothing netted — cut into rounds of one to three pieces,
+// on small graphs quick draws edge by edge: after every Repair
 // the status is Brute's (and Run's), and the nodes whose d_v or λ_v
 // changed are in Written(), which is the input-set scope (checkRepair).
 func TestDerivativeAgainstBrute(t *testing.T) {
@@ -25,8 +25,9 @@ func TestDerivativeAgainstBrute(t *testing.T) {
 		}
 		inc := NewInc(g)
 		// An op is an update (bit 0 the kind, bits 1–7 and 8–14 the
-		// endpoints) and, in bit 15, whether its Stage ends with it; a
-		// Repair follows every third Stage, and the last.
+		// endpoints) and, in bit 15, whether its piece ends with it; every
+		// third piece, and the last, closes a round that checkRepair
+		// stages whole and repairs.
 		var stages []graph.Batch
 		var cur graph.Batch
 		for k, op := range ops {
@@ -113,20 +114,28 @@ func TestRepairZeroAlloc(t *testing.T) {
 	g := gen.BurstGraph()
 	s := gen.NewBurstStream(5, g)
 	inc := NewInc(g)
-	inc.Stage(s.Next(gen.BurstBatch))
-	applied := slices.Clone(inc.pending)
-	inc.Repair()
-	// Back to the graph before the batch and forward again: what Stages
-	// that end on the graph as it is leave.
+	b := s.Next(gen.BurstBatch)
+	applied := g.Clone().Apply(b)
+	inc.Apply(b)
+	// Back to the graph before the batch and forward again, as one round.
 	trip := append(applied.Inverse(), applied...)
-	allocs := testing.AllocsPerRun(20, func() {
-		inc.pending = append(inc.pending, trip...)
-		if inc.Repair() == 0 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var mallocs uint64
+	for round := 0; round < 20; round++ {
+		inc.Stage(trip)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		scope := inc.Repair()
+		runtime.ReadMemStats(&m1)
+		if round >= 1 {
+			mallocs += m1.Mallocs - m0.Mallocs
+		}
+		if scope == 0 {
 			t.Fatal("empty scope")
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Repair allocates %.0f objects per run", allocs)
+	}
+	if mallocs != 0 {
+		t.Fatalf("Repair allocates %d objects in 19 runs", mallocs)
 	}
 	if !inc.Result().Equal(Run(g)) {
 		t.Fatal("result differs from Run")

@@ -161,9 +161,6 @@ type Inc struct {
 	// first endpoint in G_k.
 	mark  []int64
 	epoch int64
-	// pending holds the applied updates of the Stages since the last
-	// Repair.
-	pending graph.Batch
 	// The scope is an epoch-marked dense set (mark array + list) that
 	// Repair builds, and Written hands out until the next Repair. dtri and
 	// head hold Repair's scratch for the nodes in it: λ_v's change so far,
@@ -187,9 +184,18 @@ func NewInc(g *graph.Graph) *Inc {
 	return i
 }
 
+// Recompute reruns the batch algorithm at the graph's round, leaving what
+// NewInc builds.
+func (i *Inc) Recompute() {
+	i.round = i.g.Round()
+	i.r = run(i.flat, i.g.NumNodes())
+	i.grow()
+	i.scope = i.scope[:0]
+}
+
 // Blank returns the incremental algorithm over g before the batch run,
 // with no status: the maintainer a checkpointed status is restored into
-// (RestoreState), which must come before Apply.
+// (RestoreState) or Recompute fills, before Apply.
 func Blank(g *graph.Graph) *Inc {
 	n := g.NumNodes()
 	return &Inc{
@@ -239,14 +245,12 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// Stage applies any sequence b to the graph as its next round (see
 // graph.Graph.Advance) without repairing. Updates that change nothing —
 // deleting an absent edge, inserting a present one — are not in the
 // round's applied list and add nothing to the scope. The batch needs no
 // netting: the derivative holds for any sequence.
-func (i *Inc) Stage(b graph.Batch) {
-	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
-}
+func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
 
 // grow extends the per-node arrays to the graph's current node count.
 func (i *Inc) grow() {
@@ -293,16 +297,15 @@ func sign(u graph.Update) int64 {
 	return -1
 }
 
-// Repair walks the applied updates of the Stages since the last Repair
-// from the last to the first. Before update k = (a, b) is walked, the
+// Repair walks the applied updates of the graph's newest round from the
+// last to the first. Before update k = (a, b) is walked, the
 // overlay holds the updates after it, so a row of the Flat corrected by
 // its node's overlay is the row in G_k. Update k then credits ±1 to every
 // common neighbor w of a and b there and ±|N(a) ∩ N(b)| to a and b, and
 // joins the overlay. Finally d_v is read from the graph for every node in
 // the scope, and λ_v takes its accumulated change.
 func (i *Inc) Repair() int {
-	applied := i.pending
-	i.pending = i.pending[:0]
+	applied := i.g.Take(&i.round)
 	i.grow() // nodes added since the last Repair
 	i.scopeEpoch++
 	i.scope = i.scope[:0]

@@ -12,9 +12,9 @@ import (
 	"incgraph/internal/graph"
 )
 
-// stageRef is one Stage as the reference sees it: the graph before it and
-// the updates that changed that graph, found by applying the batch to a
-// copy.
+// stageRef is one piece of a staged round as the reference sees it: the
+// graph before the piece and the updates of it that changed that graph,
+// found by applying the piece to a copy.
 type stageRef struct {
 	pre     *graph.Graph
 	applied graph.Batch
@@ -25,7 +25,7 @@ type stageRef struct {
 // (u, v) is in the input set of one of w's variables — w is u or v (d_w,
 // and λ_w through the edges at w), or u and v are both neighbors of w
 // (λ_w through the edges among w's neighbors), neighbors as of the graph
-// before the Stage for a deletion and as of the final graph for an
+// before the piece for a deletion and as of the final graph for an
 // insertion.
 func inputSetScope(stages []stageRef, final *graph.Graph) []int32 {
 	var scope []int32
@@ -55,22 +55,25 @@ func sorted(s []int32) []int32 {
 	return s
 }
 
-// checkRepair stages the batches on inc one by one, repairs once, and
-// holds the outcome against the definitions: the status against Run and
-// Brute, the written scope against inputSetScope, the ledger against a
+// checkRepair stages the batches on inc as one round, their
+// concatenation, repairs once, and holds the outcome against the
+// definitions: the status against Run and Brute, the written scope
+// against inputSetScope over the batches one by one, the ledger against a
 // before/after comparison of the status.
 func checkRepair(inc *Inc, batches ...graph.Batch) error {
 	before := inc.Result().clone()
 	st0 := inc.Stats()
 	var stages []stageRef
+	var round graph.Batch
 	applied := 0
+	ref := inc.Graph().Clone()
 	for _, b := range batches {
-		pre := inc.Graph().Clone()
-		ref := pre.Clone()
+		pre := ref.Clone()
 		stages = append(stages, stageRef{pre, ref.Apply(b)})
 		applied += len(stages[len(stages)-1].applied)
-		inc.Stage(b)
+		round = append(round, b...)
 	}
+	inc.Stage(round)
 	pe := inc.Repair()
 	g := inc.Graph()
 

@@ -16,12 +16,13 @@ import (
 )
 
 // Every class is served by one adapter over a narrow maintainer interface
-// (Graph, Apply, Stats, Written), the way the paper builds every class: a
-// batch fixpoint algorithm, its incremental form, and the auxiliary state
-// a restart must keep. A class supplies a descriptor of four parts — its
-// name, its batch constructor, a view builder, and the export and restore
-// of its state vectors, which its registry entry (registry.go) names — and
-// the adapter owns the rest.
+// (Graph, Repair, Recompute, Stats, Written), the way the paper builds
+// every class: a batch fixpoint algorithm, its incremental form, and the
+// auxiliary state a restart must keep. A class supplies a descriptor of
+// three parts — its name, a view builder, and the export and restore of
+// its state vectors, which its registry entry (registry.go) names — and
+// the adapter owns the rest. Apply only repairs: the round's one writer
+// advanced the graph before it.
 //
 // Publication: the maintainers alias internal state from their accessors
 // (Dist, Labels, …) and keep mutating it across Apply calls, so a published
@@ -38,7 +39,7 @@ import (
 //
 // Apply returns an ApplyResult instead of the bare affected count: all six
 // maintainers expose cumulative fixpoint.Stats, so the adapter snapshots
-// the counters around Apply and reports the per-apply delta — the numbers
+// the counters around Repair and reports the per-apply delta — the numbers
 // Theorem 3 is about. The engine-backed classes count what the engine
 // counts; LCC, DFS and BC, which repair with their own machinery, keep the
 // same ledger by hand (Touched, Aff, AffEdges, Changed: see each
@@ -52,17 +53,18 @@ import (
 // (§5.1), sssp, dfs and lcc nothing beyond the distance, interval and
 // status variables (§5.2, §5.3), and bc its three per-node arrays (flags,
 // and the blocks and DFS numbers the edge partition is read off).
-// Recompute rebuilds the maintainer with the batch constructor over the
-// current graph — the self-healing and recovery-verification path — after
+// Recompute reruns the maintainer's batch algorithm in place — a start's
+// batch run, the self-healing and recovery-verification path — after
 // laying the graph's Flat view out again from its rows, so the rerun does
 // not read what the repairs it checks read.
 
 // maintainer is what the adapter needs of an incremental maintainer.
-// Written lists the indices (nodes, or sim's pairs) the last Apply wrote,
-// a superset of those whose value changed.
+// Written lists the indices (nodes, or sim's pairs) the last Repair
+// wrote, a superset of those whose value changed.
 type maintainer interface {
 	Graph() *graph.Graph
-	Apply(graph.Batch) int
+	Repair() int
+	Recompute()
 	Stats() fixpoint.Stats
 	Written() []int32
 }
@@ -71,8 +73,6 @@ type maintainer interface {
 type adapter[M maintainer, V any] struct {
 	// The class's descriptor.
 	name string
-	// batch runs the batch algorithm over m's graph.
-	batch func(m M) M
 	// view builds the next view from the last published one and the
 	// indices written since (nil: unknown).
 	view func(m M, last V, written []int32) V
@@ -119,16 +119,17 @@ func (a *adapter[M, V]) Graph() *graph.Graph { return a.m.Graph() }
 // Written is the maintainer's written list of its last Apply.
 func (a *adapter[M, V]) Written() []int32 { return a.m.Written() }
 
-// Apply runs one Apply and packages the affected count with the counter
-// delta attributable to it. The per-apply work ledger rides the same Stats
-// snapshot: the maintainer fills |CHANGED|, |AFF|, ‖AFF‖ and rounds, and
-// the adapter completes the cost model with the two quantities only the
-// serving layer knows — |ΔG| (the net batch size) and the recompute
-// estimate (nodes + edges of the graph after the apply).
+// Apply repairs for b, which the graph took as its newest round, and
+// packages the affected count with the counter delta attributable to it.
+// The per-apply work ledger rides the same Stats snapshot: the maintainer
+// fills |CHANGED|, |AFF|, ‖AFF‖ and rounds, and the adapter completes the
+// cost model with the two quantities only the serving layer knows — |ΔG|
+// (the net batch size) and the recompute estimate (nodes + edges of the
+// graph after the apply).
 func (a *adapter[M, V]) Apply(b graph.Batch) ApplyResult {
 	a.pub.applied()
 	before := a.m.Stats()
-	aff := a.m.Apply(b)
+	aff := a.m.Repair()
 	res := ApplyResult{Affected: aff, Stats: a.m.Stats().Sub(before), HasStats: true, HasLedger: true}
 	g := a.m.Graph()
 	res.Ledger = res.Stats.Ledger
@@ -163,7 +164,7 @@ func (a *adapter[M, V]) RestoreState(r io.Reader) error {
 func (a *adapter[M, V]) Recompute() {
 	a.pub.unknown()
 	a.m.Graph().Relayout()
-	a.m = a.batch(a.m)
+	a.m.Recompute()
 }
 
 // Certify checks the maintainer's state by its certificate, for a
@@ -199,9 +200,8 @@ func (v SSSPView) viewFields(lo, hi int) []viewField {
 // SSSP adapts an IncSSSP maintainer; the view's source is the maintainer's.
 func SSSP(inc *sssp.Inc) Serveable {
 	return &adapter[*sssp.Inc, SSSPView]{
-		name:  "sssp",
-		m:     inc,
-		batch: func(m *sssp.Inc) *sssp.Inc { return sssp.NewInc(m.Graph(), m.Source()) },
+		name: "sssp",
+		m:    inc,
 		view: func(m *sssp.Inc, last SSSPView, written []int32) SSSPView {
 			return SSSPView{Src: m.Source(), Dist: last.Dist.Update(m.Dist(), written)}
 		},
@@ -224,9 +224,8 @@ func (v CCView) viewFields(lo, hi int) []viewField {
 // CC adapts an IncCC maintainer.
 func CC(inc *cc.Inc) Serveable {
 	return &adapter[*cc.Inc, CCView]{
-		name:  "cc",
-		m:     inc,
-		batch: func(m *cc.Inc) *cc.Inc { return cc.NewInc(m.Graph()) },
+		name: "cc",
+		m:    inc,
 		view: func(m *cc.Inc, last CCView, written []int32) CCView {
 			return CCView{Labels: last.Labels.Update(m.Labels(), written)}
 		},
@@ -270,9 +269,8 @@ func Sim(inc *sim.Inc) Serveable {
 		touched []bool         // per pattern node: written since the last view
 	)
 	return &adapter[*sim.Inc, SimView]{
-		name:  "sim",
-		m:     inc,
-		batch: func(m *sim.Inc) *sim.Inc { return sim.NewInc(m.Graph(), m.Pattern()) },
+		name: "sim",
+		m:    inc,
 		view: func(m *sim.Inc, last SimView, written []int32) SimView {
 			nq := m.Pattern().NumNodes()
 			v := SimView{NQ: nq, Matches: slices.Clone(last.Matches)}
@@ -322,9 +320,8 @@ func (v DFSView) viewFields(lo, hi int) []viewField {
 // DFS adapts an IncDFS maintainer.
 func DFS(inc *dfs.Inc) Serveable {
 	return &adapter[*dfs.Inc, DFSView]{
-		name:  "dfs",
-		m:     inc,
-		batch: func(m *dfs.Inc) *dfs.Inc { return dfs.NewInc(m.Graph()) },
+		name: "dfs",
+		m:    inc,
 		view: func(m *dfs.Inc, last DFSView, written []int32) DFSView {
 			t := m.Tree()
 			return DFSView{
@@ -364,9 +361,8 @@ func (v LCCView) viewFields(lo, hi int) []viewField {
 func LCC(inc *lcc.Inc) Serveable {
 	var gamma []float64 // the coefficients of the last published view
 	return &adapter[*lcc.Inc, LCCView]{
-		name:  "lcc",
-		m:     inc,
-		batch: func(m *lcc.Inc) *lcc.Inc { return lcc.NewInc(m.Graph()) },
+		name: "lcc",
+		m:    inc,
 		view: func(m *lcc.Inc, last LCCView, written []int32) LCCView {
 			r := m.Result()
 			if written == nil || len(gamma) != len(r.Deg) {
@@ -408,9 +404,8 @@ func (v BCView) viewFields(lo, hi int) []viewField {
 // BC adapts an IncBC maintainer.
 func BC(inc *bc.Inc) Serveable {
 	return &adapter[*bc.Inc, BCView]{
-		name:  "bc",
-		m:     inc,
-		batch: func(m *bc.Inc) *bc.Inc { return bc.NewInc(m.Graph()) },
+		name: "bc",
+		m:    inc,
 		view: func(m *bc.Inc, last BCView, written []int32) BCView {
 			r := m.Result()
 			return BCView{Articulation: last.Articulation.Update(r.Articulation, written), NumComps: r.NumComps()}

@@ -13,8 +13,11 @@ import (
 	"testing"
 
 	"incgraph/internal/bc"
+	"incgraph/internal/cc"
+	"incgraph/internal/dfs"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
+	"incgraph/internal/lcc"
 	"incgraph/internal/sim"
 	"incgraph/internal/sssp"
 	"incgraph/internal/wal"
@@ -75,7 +78,7 @@ func TestBCRestoreOlderCheckpoint(t *testing.T) {
 	s := targets["bc"].(*adapter[*bc.Inc, BCView])
 	for round := 0; round <= 5; round++ {
 		if round > 0 {
-			s.Apply(gen.RandomUpdates(rng, s.Graph(), 12, 0.5))
+			applyAlone(s, gen.RandomUpdates(rng, s.Graph(), 12, 0.5))
 		}
 		g := s.m.Graph()
 		if !s.m.Result().Equivalent(bc.Run(g), g) {
@@ -207,7 +210,7 @@ func TestSimPublishWritten(t *testing.T) {
 			continue
 		}
 		b := gen.RandomUpdates(rng, a.Graph(), 1+rng.Intn(3), 0.5)
-		a.Apply(b)
+		applyAlone(a, b)
 		missed = append(missed, b)
 		touched := make([]bool, q.NumNodes())
 		n := 0
@@ -240,7 +243,7 @@ func TestSimPublishWritten(t *testing.T) {
 	if err := a.m.RestoreState(r, cnt, ts, clock); err != nil {
 		t.Fatal(err)
 	}
-	a.Apply(nil)
+	applyAlone(a, nil)
 	if cur := a.Snapshot().(SimView); !sharesPages(prev.Matches[0], cur.Matches[0]) {
 		t.Fatal("an apply that wrote nothing gathered pattern node 0's list again")
 	}
@@ -400,4 +403,51 @@ func TestRecomputeReadsTheRows(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestRecomputeInPlaceIsNewInc: Recompute reruns a class's batch algorithm
+// in the maintainer it has, and Start relies on that to build each class
+// once. After raw churn has grown the maintainer's scratch and written its
+// ledger, the rerun must leave what the package's NewInc builds on a copy
+// of the graph: the same state bytes, view and written list — and a next
+// round repaired alike, from the graph's round.
+func TestRecomputeInPlaceIsNewInc(t *testing.T) {
+	newInc := map[string]func(g *graph.Graph) Serveable{
+		"sssp": func(g *graph.Graph) Serveable { return SSSP(sssp.NewInc(g, 0)) },
+		"cc":   func(g *graph.Graph) Serveable { return CC(cc.NewInc(g)) },
+		"sim":  func(g *graph.Graph) Serveable { return Sim(sim.NewInc(g, opsPattern())) },
+		"dfs":  func(g *graph.Graph) Serveable { return DFS(dfs.NewInc(g)) },
+		"lcc":  func(g *graph.Graph) Serveable { return LCC(lcc.NewInc(g)) },
+		"bc":   func(g *graph.Graph) Serveable { return BC(bc.NewInc(g)) },
+	}
+	stream := makeStream(5, opsNodes, 400)
+	for _, c := range Classes {
+		t.Run(c.Name, func(t *testing.T) {
+			same := func(when string, m, fresh Serveable) {
+				t.Helper()
+				if !bytes.Equal(persisted(t, m), persisted(t, fresh)) {
+					t.Errorf("%s: state bytes differ from NewInc's", when)
+				}
+				got, _ := json.Marshal(m.Snapshot())
+				want, _ := json.Marshal(fresh.Snapshot())
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: view differs from NewInc's: %s", when, firstDiff(got, want, want))
+				}
+				written := func(m Serveable) []int32 { return m.(interface{ Written() []int32 }).Written() }
+				if !slices.Equal(written(m), written(fresh)) {
+					t.Errorf("%s: written %v, NewInc's %v", when, written(m), written(fresh))
+				}
+			}
+			m := newInc[c.Name](opsBase())
+			for i := 0; i < 300; i += 50 {
+				applyAlone(m, stream[i:i+50])
+			}
+			m.Recompute()
+			fresh := newInc[c.Name](m.Graph().Clone())
+			same("after Recompute", m, fresh)
+			applyAlone(m, stream[300:])
+			applyAlone(fresh, stream[300:])
+			same("a round after it", m, fresh)
+		})
+	}
 }

@@ -77,7 +77,7 @@ func TestAdapterLedgersAllClasses(t *testing.T) {
 	t.Run("sssp", func(t *testing.T) {
 		g := undirected()
 		s := SSSP(sssp.NewInc(g, 0))
-		res := s.Apply(batch)
+		res := applyAlone(s, batch)
 		checkLedger(t, "sssp", res, g, len(batch))
 		if res.Ledger.Changed == 0 {
 			t.Error("sssp: shortening inserts must change distances")
@@ -86,7 +86,7 @@ func TestAdapterLedgersAllClasses(t *testing.T) {
 	t.Run("cc", func(t *testing.T) {
 		g := undirected()
 		s := CC(cc.NewInc(g))
-		res := s.Apply(batch)
+		res := applyAlone(s, batch)
 		checkLedger(t, "cc", res, g, len(batch))
 		if res.Ledger.Aff == 0 {
 			t.Error("cc: connecting node 5 must affect labels")
@@ -101,13 +101,13 @@ func TestAdapterLedgersAllClasses(t *testing.T) {
 		q.SetLabel(1, 'b')
 		q.InsertEdge(0, 1, 1)
 		s := Sim(sim.NewInc(g, q))
-		res := s.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: 0, To: 1}})
+		res := applyAlone(s, graph.Batch{{Kind: graph.DeleteEdge, From: 0, To: 1}})
 		checkLedger(t, "sim", res, g, 1)
 	})
 	t.Run("dfs", func(t *testing.T) {
 		g := directed()
 		s := DFS(dfs.NewInc(g))
-		res := s.Apply(batch)
+		res := applyAlone(s, batch)
 		checkLedger(t, "dfs", res, g, len(batch))
 		// The path 0→1→2→3 is replayed from just after node 0's visit: 1, 2
 		// and 3 come out as they were, 4 and 5 move under 0, and 0, still
@@ -121,7 +121,7 @@ func TestAdapterLedgersAllClasses(t *testing.T) {
 	t.Run("lcc", func(t *testing.T) {
 		g := undirected()
 		s := LCC(lcc.NewInc(g))
-		res := s.Apply(batch)
+		res := applyAlone(s, batch)
 		checkLedger(t, "lcc", res, g, len(batch))
 		// Both inserts apply; no two of their endpoints 0, 4, 5 share a
 		// neighbor, so those three are the scope, and each gained a degree.
@@ -133,7 +133,7 @@ func TestAdapterLedgersAllClasses(t *testing.T) {
 	t.Run("bc", func(t *testing.T) {
 		g := undirected()
 		s := BC(bc.NewInc(g))
-		res := s.Apply(batch)
+		res := applyAlone(s, batch)
 		checkLedger(t, "bc", res, g, len(batch))
 		// The path 0-1-2-3-4 closes into a cycle with 5 hanging off 4: all
 		// six nodes are revisited over their 12 row entries, 1, 2 and 3 stop

@@ -136,7 +136,7 @@ func TestBlankRestoreIsNewIncRestore(t *testing.T) {
 			g := opsBase()
 			ref := opsBatchRun(c.Name, g)
 			for i := 0; i < 160; i += 40 {
-				ref.Apply(stream[i : i+40].Net(false))
+				applyAlone(ref, stream[i:i+40].Net(false))
 			}
 			state := persisted(t, ref)
 			restore := func(m Serveable) Serveable {
@@ -155,7 +155,7 @@ func TestBlankRestoreIsNewIncRestore(t *testing.T) {
 			}
 			for i := 160; i < len(stream); i += 40 {
 				b := stream[i : i+40].Net(false)
-				rb, rn := blank.Apply(b), built.Apply(b)
+				rb, rn := applyAlone(blank, b), applyAlone(built, b)
 				if rb.Ledger != rn.Ledger || rb.Affected != rn.Affected {
 					t.Errorf("batch %d: ledgers %+v and %+v", i/40, rb.Ledger, rn.Ledger)
 				}

@@ -16,69 +16,50 @@ import (
 
 // TestChaosServeDifferential is the single-process half of the chaos
 // campaign: all six query classes ingest the same seeded update streams
-// while a deterministic injector poisons one apply per class mid-stream
-// (panic → isolate → heal by batch recompute). The invariant is the
-// paper's: after the stream drains, every class's incrementally
+// while a fault strikes one round per class mid-stream. The invariant is
+// the paper's: after the stream drains, every class's incrementally
 // maintained answer must equal a from-scratch recompute over every batch
-// submitted, so no round is lost. The panic strikes either before the
-// maintainer takes the batch's round of its graph (the heal must advance
-// the graph), after the graph took the round, as a bug inside Apply's
-// repair does (the heal must not advance it again), or inside the graph's
-// own stage of the round, which leaves its Flat view half staged (the heal
-// must lay it out again); every round carries a delete-then-reinsert at a
-// new weight, the netted pair a re-apply could undo. Set
-// INCGRAPH_CHAOS_SECONDS to stretch the stream into the long-form campaign.
+// submitted, so no round is lost and none is taken twice. The loop has
+// advanced the class's graph by the round before any fault strikes. In
+// before-graph the class panics before it takes that round of its graph,
+// so its own record of the rounds it took is one behind (the heal must
+// bring it up to the graph's without advancing the graph); in after-graph
+// it panics after its repair took the round, as a bug late in its repair
+// does (the heal must not take the round again). Either way it is
+// panic → isolate → heal by batch recompute over the graph as it stands.
+// In store-stage the graph's own stage of the round panics, which leaves
+// its Flat view half staged: the loop lays the view out again and the
+// class repairs as usual, neither panicking nor healing. Every round
+// carries a delete-then-reinsert at a new weight, the netted pair a
+// re-apply could undo. Set INCGRAPH_CHAOS_SECONDS to stretch the stream
+// into the long-form campaign.
 func TestChaosServeDifferential(t *testing.T) {
-	t.Run("before-graph", func(t *testing.T) { testChaosServe(t, panicBefore) })
-	t.Run("after-graph", func(t *testing.T) { testChaosServe(t, panicMidRepair) })
-	t.Run("store-stage", func(t *testing.T) { testChaosServe(t, panicInStage) })
+	t.Run("before-graph", func(t *testing.T) { testChaosServe(t, chaosBeforeGraph) })
+	t.Run("after-graph", func(t *testing.T) { testChaosServe(t, chaosAfterGraph) })
+	t.Run("store-stage", func(t *testing.T) { testChaosServe(t, chaosStoreStage) })
 }
 
-// A panic mode wraps hook, a BeforeApply that panics on the apply it is
-// armed for, into the BeforeApply of the class host() serves.
-type panicMode func(host func() *Host, hook func(string, graph.Batch)) func(string, graph.Batch)
+// A chaosMode is where testChaosServe's one fault per class strikes.
+type chaosMode int
 
-// panicBefore is hook itself: the panic strikes before the class takes the
-// batch's round of its graph.
-func panicBefore(_ func() *Host, hook func(string, graph.Batch)) func(string, graph.Batch) {
-	return hook
-}
+const (
+	chaosBeforeGraph chaosMode = iota // a panic before the class takes its round
+	chaosAfterGraph                   // a panic after the class's repair took its round
+	chaosStoreStage                   // a panic in the graph's stage of the round
+)
 
-// panicMidRepair makes hook's panic strike where a bug in the class's
-// repair would: after its graph took the batch's round — advanced here,
-// unless a class applied before this one already had.
-func panicMidRepair(host func() *Host, hook func(string, graph.Batch)) func(string, graph.Batch) {
-	return func(algo string, b graph.Batch) {
-		defer func() {
-			if p := recover(); p != nil {
-				seen := host().round
-				host().m.Graph().Advance(&seen, b) // in the apply loop, the graph's one writer
-				panic(p)
-			}
-		}()
-		hook(algo, b)
+// tearStage stages the edge of b's last update into g's Flat view the
+// other way round from the rows: the view is then out of step with the
+// graph on an edge b changes, and the stage of b panics in Flat.Stage half
+// way through the batch. It writes the graph's view, so it runs where the
+// graph's one writer does: in a WithState job of the apply loop.
+func tearStage(g *graph.Graph, b graph.Batch) {
+	u := b[len(b)-1]
+	flip := graph.Update{Kind: graph.InsertEdge, From: u.From, To: u.To, W: u.W}
+	if g.HasEdge(u.From, u.To) {
+		flip.Kind = graph.DeleteEdge
 	}
-}
-
-// panicInStage turns hook's panic into one inside the graph's own stage of
-// the round: it stages the edge of b's last update into the graph's Flat
-// view the other way round from the rows, so the view is out of step with
-// the graph on an edge the round changes, and the class's Apply, the first
-// to take the round, panics in Flat.Stage half way through the batch.
-func panicInStage(host func() *Host, hook func(string, graph.Batch)) func(string, graph.Batch) {
-	return func(algo string, b graph.Batch) {
-		defer func() {
-			if recover() != nil {
-				g, u := host().m.Graph(), b[len(b)-1]
-				flip := graph.Update{Kind: graph.InsertEdge, From: u.From, To: u.To, W: u.W}
-				if g.HasEdge(u.From, u.To) {
-					flip.Kind = graph.DeleteEdge
-				}
-				g.Flat().Stage(g, graph.Batch{flip})
-			}
-		}()
-		hook(algo, b)
-	}
+	g.Flat().Stage(g, graph.Batch{flip})
 }
 
 // checkFlatRows reports the first row of g's Flat view that differs from
@@ -103,23 +84,17 @@ func checkFlatRows(g *graph.Graph) error {
 	return nil
 }
 
-// TestChaosStoreStage: six classes share one graph, and a panic strikes
-// inside its own stage of a round, taken by bc, the first class by name.
-// bc heals; every class after it takes the round's applied list and
-// repairs over the Flat view laid out again from the rows, never over the
-// half-staged one. After that round and three more every view equals the
-// batch answer on a mirror, no other class panicked, and the view's rows
-// equal the graph's.
+// TestChaosStoreStage: six classes share one graph, and the stage of a
+// round into its Flat view panics half way (tearStage). The panic is the
+// store's: the service counts it once, lays the view out again from the
+// rows, and every class repairs the round over it, none panicking or
+// healing. After that round and three more every view equals the batch
+// answer on a mirror, and the view's rows equal the graph's.
 func TestChaosStoreStage(t *testing.T) {
 	svc := NewService()
 	defer svc.Close()
-	inj := faults.New()
-	inj.PanicOn("bc", 2)
-	hook := func(algo string, b graph.Batch) {
-		panicInStage(func() *Host { return svc.Get(algo) }, inj.BeforeApply)(algo, b)
-	}
 	if _, _, err := Start(svc, "", opsAlgos(), opsBuild, func() (*graph.Graph, error) { return opsBase(), nil },
-		Options{BeforeApply: hook}, false, false); err != nil {
+		Options{}, false, false); err != nil {
 		t.Fatal(err)
 	}
 	mirror, rng := opsBase(), rand.New(rand.NewSource(9))
@@ -137,18 +112,20 @@ func TestChaosStoreStage(t *testing.T) {
 		v = mirror.Out(u)[0].To
 		b = append(b, graph.Update{Kind: graph.DeleteEdge, From: u, To: v},
 			graph.Update{Kind: graph.InsertEdge, From: u, To: v, W: 9})
+		if round == 1 {
+			svc.Hosts()[0].WithState(func(m Serveable) error { tearStage(m.Graph(), b); return nil })
+		}
 		if err := submitWait(svc, b); err != nil {
 			t.Fatal(err)
 		}
 		mirror.Apply(b)
 	}
+	if n := svc.stagePanics.Value(); n != 1 {
+		t.Errorf("the service counted %v stage panics, want 1", n)
+	}
 	for _, h := range svc.Hosts() {
-		want := uint64(0)
-		if h.Algo() == "bc" {
-			want = 1
-		}
-		if st := h.Stats(); st.Panics != want || st.Heals != want || st.Degraded {
-			t.Errorf("%s: panics=%d heals=%d degraded=%v, want %d/%d/false", h.Algo(), st.Panics, st.Heals, st.Degraded, want, want)
+		if st := h.Stats(); st.Panics != 0 || st.Heals != 0 || st.Degraded {
+			t.Errorf("%s: panics=%d heals=%d degraded=%v, want 0/0/false", h.Algo(), st.Panics, st.Heals, st.Degraded)
 		}
 		m := opsBatchRun(h.Algo(), mirror.Clone())
 		if !snapshotEqual(h.View().Data, m.Snapshot()) {
@@ -166,7 +143,7 @@ func TestChaosStoreStage(t *testing.T) {
 	})
 }
 
-func testChaosServe(t *testing.T, mode panicMode) {
+func testChaosServe(t *testing.T, mode chaosMode) {
 	const n = 120
 	seedGraph := func(seed int64, directed bool) *graph.Graph {
 		g := graph.New(n, directed)
@@ -193,12 +170,11 @@ func testChaosServe(t *testing.T, mode panicMode) {
 
 	// Each class of the registry owns a service of one (sim and dfs on a
 	// directed graph, the others on an undirected one), a mirror graph
-	// accumulating every submitted batch, and a panic on its apply
-	// ordinal i+2; rebuild answers a class by its batch run over a mirror
-	// clone.
+	// accumulating every submitted batch, and a fault on its round i+2;
+	// rebuild answers a class by its batch run over a mirror clone.
 	type class struct {
 		directed bool
-		panicAt  int64 // 1-based apply ordinal the injector poisons
+		panicAt  int64 // 1-based round the fault strikes
 		svc      *Service
 		host     *Host
 		inj      *faults.Injector
@@ -225,10 +201,27 @@ func testChaosServe(t *testing.T, mode panicMode) {
 			labeled(g)
 			labeled(c.mirror)
 		}
-		c.inj = faults.New()
-		c.inj.PanicOn(name, c.panicAt)
-		hook := mode(func() *Host { return c.host }, c.inj.BeforeApply)
-		c.svc, c.host = soloHost(t, rebuild(name, g), Options{BeforeApply: hook})
+		var opt Options
+		if mode != chaosStoreStage {
+			c.inj = faults.New()
+			c.inj.PanicOn(name, c.panicAt)
+			opt.BeforeApply = c.inj.BeforeApply
+		}
+		if mode == chaosAfterGraph {
+			// The class's repair takes the round before the injected panic
+			// goes on: the hook runs in the apply loop, the maintainer's
+			// one caller.
+			opt.BeforeApply = func(algo string, b graph.Batch) {
+				defer func() {
+					if p := recover(); p != nil {
+						c.host.m.Apply(b)
+						panic(p)
+					}
+				}()
+				c.inj.BeforeApply(algo, b)
+			}
+		}
+		c.svc, c.host = soloHost(t, rebuild(name, g), opt)
 	}
 
 	rounds, longEnd := 24, time.Time{}
@@ -272,6 +265,9 @@ func testChaosServe(t *testing.T, mode panicMode) {
 	for round := int64(1); round <= int64(rounds); round++ {
 		b := randomBatch()
 		for name, c := range classes {
+			if mode == chaosStoreStage && round == c.panicAt {
+				c.host.WithState(func(m Serveable) error { tearStage(m.Graph(), b); return nil })
+			}
 			if err := submitWait(c.svc, b); err != nil {
 				t.Fatalf("%s: round %d: %v", name, round, err)
 			}
@@ -283,9 +279,12 @@ func testChaosServe(t *testing.T, mode panicMode) {
 	}
 
 	for name, c := range classes {
-		st := c.host.Stats()
-		if st.Panics != 1 || st.Heals != 1 {
-			t.Errorf("%s: panics=%d heals=%d, want 1/1", name, st.Panics, st.Heals)
+		st, faults, stagePanics := c.host.Stats(), uint64(1), 0.0
+		if mode == chaosStoreStage {
+			faults, stagePanics = 0, 1
+		}
+		if st.Panics != faults || st.Heals != faults || c.svc.stagePanics.Value() != stagePanics {
+			t.Errorf("%s: panics=%d heals=%d stage panics=%v, want %d/%d/%v", name, st.Panics, st.Heals, c.svc.stagePanics.Value(), faults, faults, stagePanics)
 		}
 		if st.Degraded {
 			t.Errorf("%s: still degraded after heal", name)

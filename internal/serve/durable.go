@@ -38,7 +38,7 @@ import (
 //     would have had without the restart;
 //  2. replay: the WAL tail (segments at or after the checkpoint's
 //     ReplayFrom) re-applies every update the checkpoint had not
-//     absorbed, through the normal incremental Apply path;
+//     absorbed, through the serving path's step (Advance, then Apply);
 //  3. verify: each maintainer's replayed state is checked — by its
 //     certificate where the class has one (sssp, cc: see certifier),
 //     which reads the graph's rows and runs no batch algorithm, and
@@ -148,24 +148,27 @@ func (r *Recovery) Restore(algo string, m Serveable) error {
 }
 
 // Replay streams the WAL tail into the targets: every record reaches
-// every serveable. Called before the hosts start, so it drives Apply
-// directly — single-threaded, which honors the one-writer contract. Each
-// record is coalesced with Net once, as the serving path would have (the
-// targets must agree on directedness, which is checked up front), and
-// validated as it would have been: a record that fails Batch.Validate
-// against a target, or that is targeted at one class (wal.Record.Algo, which
-// only logs from before updates stopped being targeted can hold), stops the
+// every serveable. Called before the hosts start, so it is the rounds' one
+// writer, as the loop is later: a record advances each distinct graph of
+// the targets once, and then every target repairs (Apply). Each record
+// is coalesced with Net once, as the serving path would have (the targets
+// must agree on directedness, which is checked up front), and validated
+// as it would have been: a record that fails Batch.Validate against a
+// target, or that is targeted at one class (wal.Record.Algo, which only
+// logs from before updates stopped being targeted can hold), stops the
 // replay with an error naming its segment and record, and reaches no
 // target.
 func (r *Recovery) Replay(targets map[string]Serveable, rec *trace.Recorder) (int, error) {
-	kinds := make(map[bool]bool, 2) // the directedness values among the targets
+	var graphs []*graph.Graph // the targets' graphs, each once
 	for _, m := range targets {
-		kinds[m.Graph().Directed()] = true
+		if g := m.Graph(); !slices.Contains(graphs, g) {
+			if len(graphs) > 0 && g.Directed() != graphs[0].Directed() {
+				return 0, fmt.Errorf("serve: replay targets mix directed and undirected graphs")
+			}
+			graphs = append(graphs, g)
+		}
 	}
-	if len(kinds) > 1 {
-		return 0, fmt.Errorf("serve: replay targets mix directed and undirected graphs")
-	}
-	directed := kinds[true]
+	directed := len(graphs) > 0 && graphs[0].Directed()
 	var span trace.Span
 	if rec != nil {
 		span = rec.Begin("recovery_replay", "serve", rec.Track("recovery"))
@@ -180,6 +183,9 @@ func (r *Recovery) Replay(targets map[string]Serveable, rec *trace.Recorder) (in
 			}
 		}
 		net := record.Batch.Net(directed)
+		for _, g := range graphs {
+			g.Advance(net)
+		}
 		for _, m := range targets {
 			m.Apply(net)
 		}
@@ -425,11 +431,10 @@ func (d *Durable) Ingest(targets []*Host, algo string, b graph.Batch, tid trace.
 // the cut covers exactly the records appended so far), rotate the WAL, and
 // atomically write the checkpoint whose ReplayFrom is the fresh segment.
 // Old checkpoints and fully-covered segments are pruned afterwards. The
-// graph is the first non-quarantined host's by name: a quarantined host's
-// graph trails the stream, so neither it nor that host's state is written
-// (recovery rebuilds the class by a batch run), and with every host
-// quarantined Checkpoint refuses. Failures count on
-// incgraph_checkpoint_errors_total.
+// graph is the first non-quarantined host's by name; a quarantined host's
+// state trails the stream and is not written (recovery rebuilds the class
+// by a batch run), and with every host quarantined Checkpoint refuses.
+// Failures count on incgraph_checkpoint_errors_total.
 func (d *Durable) Checkpoint() (err error) {
 	defer func() {
 		if err != nil {

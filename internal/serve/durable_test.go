@@ -800,3 +800,71 @@ func TestCheckpointAfterQuarantine(t *testing.T) {
 		})
 	}
 }
+
+// TestDistinctGraphsTakeEachBatchOnce: hosts may sit on graphs of their
+// own — the benchmark harness builds each class on a copy — and then the
+// apply loop, and a recovery's replay, advance each distinct graph once
+// per batch: sssp and cc share one graph here, lcc has another. Every
+// graph ends at one round per batch, and every view at the batch answer.
+func TestDistinctGraphsTakeEachBatchOnce(t *testing.T) {
+	dir := t.TempDir()
+	const chunk, rounds = 30, 8
+	stream := makeStream(7, opsNodes, chunk*rounds)
+	build := func() (map[string]Serveable, [2]*graph.Graph) {
+		shared, own := opsBase(), opsBase()
+		ms := map[string]Serveable{
+			"sssp": opsBatchRun("sssp", shared),
+			"cc":   opsBatchRun("cc", shared),
+			"lcc":  opsBatchRun("lcc", own),
+		}
+		return ms, [2]*graph.Graph{shared, own}
+	}
+	check := func(when string, ms map[string]Serveable, graphs [2]*graph.Graph, views func(string) any) {
+		t.Helper()
+		mirror := opsBase()
+		mirror.Apply(stream)
+		for i, g := range graphs {
+			if g.Round() != rounds || g.NumEdges() != mirror.NumEdges() {
+				t.Errorf("%s: graph %d at round %d with %d edges, want %d and the mirror's %d", when, i, g.Round(), g.NumEdges(), rounds, mirror.NumEdges())
+			}
+		}
+		for algo := range ms {
+			if !snapshotEqual(views(algo), opsBatchRun(algo, mirror.Clone()).Snapshot()) {
+				t.Errorf("%s: %s's view differs from the batch answer on the mirror", when, algo)
+			}
+		}
+	}
+
+	svc := NewService()
+	ms, graphs := build()
+	for _, m := range ms {
+		if _, err := svc.Host(m, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := OpenDurable(svc, dir, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(stream); i += chunk {
+		if err := d.Ingest(nil, "", stream[i:i+chunk], trace.TraceID{}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.Hosts()[0].WithState(func(Serveable) error {
+		check("served", ms, graphs, func(algo string) any { return svc.Get(algo).View().Data })
+		return nil
+	})
+	svc.Close()
+	d.Close()
+
+	rec, err := LoadRecovery(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, graphs = build()
+	if n, err := rec.Replay(ms, nil); err != nil || n != rounds {
+		t.Fatalf("replayed %d records (%v), want %d", n, err, rounds)
+	}
+	check("replayed", ms, graphs, func(algo string) any { return ms[algo].Snapshot() })
+}

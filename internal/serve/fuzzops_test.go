@@ -26,10 +26,11 @@ import (
 // the same accepted updates, and the bytes served are encoding/json's of
 // that view, and sssp's and cc's certificates hold — and every host's
 // /stats reports the service's one account of the stream, at the mirror's
-// count of accepted updates. The classes are the registry's. One op arms an
-// injected panic in a class's next apply, before or after its graph takes
-// the batch, which the host must heal without losing the batch or applying
-// it twice; another has a host verify itself against a recompute in place;
+// count of accepted updates. The classes are the registry's, on one graph
+// that must take each batch once, quarantined classes or not. One op arms
+// an injected panic in a class's next apply, after the loop advanced the
+// graph by the batch, which the host must heal without losing the batch or
+// applying it twice; another has a host verify itself against a recompute in place;
 // another arms a class so that its apply and its heal's recompute both
 // panic, which quarantines it on its last good view until a recovery
 // rebuilds it — from the cut a checkpoint took of a healthy class's graph.
@@ -178,18 +179,15 @@ type opsRig struct {
 	// and a recovery's replay bypasses BeforeApply.
 	applies int64
 	// rounds is the round the classes' one graph must be at: the records
-	// the last start replayed, then one per batch that reached a class not
-	// quarantined before it, however many classes panicked on it.
+	// the last start replayed, then one per batch, however many classes
+	// panicked on it or were quarantined.
 	rounds uint64
 	svc    *Service
 	dur    *Durable
 	api    http.Handler
 	// inj poisons applies on the panic op; it is every host's BeforeApply,
-	// across recoveries. midRepair says the armed panic strikes after the
-	// shared graph took the batch's round (panicMidRepair), not before the
-	// class took it.
-	inj       *faults.Injector
-	midRepair atomic.Bool
+	// across recoveries.
+	inj *faults.Injector
 	// The rest is per class, and dropped at a recovery, which rebuilds the
 	// maintainers. built is the maintainer, armed makes its apply and
 	// recompute panic (the quarantine op), stale is what a quarantined
@@ -229,19 +227,12 @@ func (r *opsRig) boot() {
 	r.svc = NewService()
 	r.built, r.armed = map[string]Serveable{}, map[string]*atomic.Bool{}
 	r.stale, r.prev = map[string]opsStale{}, map[string]opsSeen{}
-	hook := func(algo string, b graph.Batch) {
-		if r.midRepair.Load() {
-			panicMidRepair(func() *Host { return r.svc.Get(algo) }, r.inj.BeforeApply)(algo, b)
-		} else {
-			r.inj.BeforeApply(algo, b)
-		}
-	}
 	rec, st, err := Start(r.svc, r.dir, opsAlgos(), func(algo string, g *graph.Graph) (Serveable, error) {
 		m, err := opsBuild(algo, g)
 		r.armed[algo] = new(atomic.Bool)
 		r.built[algo] = opsMaintainer{armedPanic{m, r.armed[algo]}}
 		return r.built[algo], err
-	}, func() (*graph.Graph, error) { return opsBase(), nil }, Options{BeforeApply: hook}, false, true)
+	}, func() (*graph.Graph, error) { return opsBase(), nil }, Options{BeforeApply: r.inj.BeforeApply}, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,9 +304,7 @@ func (r *opsRig) post(wait bool, arg [3]byte) {
 	}
 	if len(batch) > 0 {
 		r.applies++
-		if len(r.stale) < len(Classes) {
-			r.rounds++
-		}
+		r.rounds++
 		for algo, armed := range r.armed {
 			if armed.Load() {
 				r.quarantine(algo)
@@ -505,12 +494,11 @@ func (r *opsRig) run(prog []byte) {
 		case 7: // stop without a checkpoint, start from what is on disk
 			r.shutdown()
 			r.boot()
-		case 8: // one class's next apply panics — or every class's, with an odd third argument — before it takes the batch's round or after the graph took it
+		case 8: // one class's next apply panics — or every class's, with an odd third argument — after the graph took the batch
 			algo := Classes[int(arg[0])%len(Classes)].Name
 			if arg[2]&1 != 0 {
 				algo = ""
 			}
-			r.midRepair.Store(arg[1]&1 != 0)
 			r.inj.PanicOn(algo, r.applies+1)
 		case 9: // a recompute in place finds nothing to correct and keeps the view's position
 			h := r.svc.Get(Classes[int(arg[0])%len(Classes)].Name)
@@ -557,20 +545,27 @@ func FuzzOps(f *testing.F) {
 	f.Add([]byte{8, 0, 0, 0, 0, 0, 1, 4, 8, 1, 0, 0, 3, 5, 5, 6, 8, 2, 0, 0, 0, 7, 5, 6,
 		8, 3, 0, 0, 0, 8, 0, 7, 8, 4, 0, 0, 0, 45, 2, 9, 8, 5, 0, 0, 7, 0, 0, 0, 0, 10, 0, 0, 0, 1, 2, 3})
 	// A panic on each class after the graph took an edge's delete and
-	// reinsert at a new weight.
+	// reinsert at a new weight (op 8's second argument, which once chose
+	// between a panic before and after the graph took the batch, is read
+	// by no op any more: both are the one state the loop leaves).
 	var mid []byte
 	for c := byte(0); c < 6; c++ {
 		mid = append(mid, 0, 15, 1, c+3, 8, c, 1, 0, 0, 35, 1, c+3)
 	}
 	f.Add(mid)
-	// Every class panics before it takes the round, on a reweight and on a
-	// triangle: the heals advance the graph once between them.
+	// Every class panics on a reweight and on a triangle: the loop advanced
+	// the graph once for each, and every heal recomputes over it.
 	f.Add([]byte{0, 15, 1, 4, 8, 0, 0, 1, 0, 35, 1, 4, 8, 0, 0, 1, 0, 8, 1, 4, 3, 0, 0, 0})
 	// bc, first by name, quarantined by a batch and cc by a verify, a
 	// checkpoint (of dfs's graph), a tail, a recovery that rebuilds both on
 	// the cut, and a checkpoint and recovery after it.
 	f.Add([]byte{10, 5, 0, 0, 0, 0, 1, 4, 10, 1, 0, 0, 9, 1, 0, 0, 0, 8, 0, 1, 4, 5, 3, 7,
 		6, 0, 0, 0, 0, 45, 2, 9, 7, 0, 0, 0, 0, 1, 2, 3, 6, 0, 0, 0, 7, 0, 0, 0})
+	// Every class quarantined by one batch, and then two more batches: the
+	// loop advances the classes' graph by each all the same, so that the
+	// recovery after them finds the graph the stream describes.
+	f.Add([]byte{10, 0, 0, 0, 10, 1, 0, 0, 10, 2, 0, 0, 10, 3, 0, 0, 10, 4, 0, 0, 10, 5, 0, 0,
+		0, 0, 1, 4, 0, 7, 5, 6, 0, 45, 2, 9, 6, 0, 0, 0, 7, 0, 0, 0, 0, 1, 1, 4})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		r := &opsRig{t: t, dir: t.TempDir(), mirror: opsBase(), inj: faults.New()}
 		r.boot()

@@ -25,10 +25,10 @@ import (
 // Every update reaches every class by construction: Submit is the one way
 // in (a POST /update, with ?algo= refused, a durable ingest and a
 // replica's replayed record each submit once), and the loop applies each
-// coalesced batch to every host. The maintainers Start builds share one
-// graph, which the first host to apply a batch advances for all of them
-// (graph.Graph.Advance); hosts built on graphs of their own describe the
-// same logical graph only because all of them consume the one stream.
+// coalesced batch to every host, advancing each of their graphs by it
+// once first (graph.Graph.Advance). The maintainers Start builds share one
+// graph; hosts built on graphs of their own describe the same logical
+// graph only because all of them take the one stream.
 // The same handler serves a warm replica behind shard.Standby's gate,
 // which answers /query from Host.WriteStale until promotion.
 //
@@ -51,6 +51,7 @@ type Service struct {
 	flatCompactions *obs.Counter
 	flatOverlay     *obs.Gauge
 	flatSeen        int64
+	stagePanics     *obs.Counter // batches whose stage into a Flat panicked
 
 	// The apply loop (loop.go). submitMu serializes Submit and WithState
 	// (read side) against Close and a host joining (write side).
@@ -124,6 +125,7 @@ func NewService() *Service {
 	s.stream = newStreamAccount(s.reg)
 	s.flatCompactions = s.reg.Counter("incgraph_flat_compactions_total", "Compactions (row layouts from the graph) of the shared graph's flat adjacency view.")
 	s.flatOverlay = s.reg.Gauge("incgraph_flat_overlay_ratio", "Dead space (array slots a compaction would reclaim) as a fraction of the shared flat view's live entries after the last batch.")
+	s.stagePanics = s.reg.Counter("incgraph_stage_panics_total", "Batches whose stage into the shared flat adjacency view panicked; the view was laid out again from the graph and every class repaired as usual.")
 	return s
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -225,12 +226,11 @@ func (s *Service) loop(opt Options, directed bool) {
 }
 
 // apply nets one accumulated batch once, in a "coalesce" span on the
-// loop's own track, moves the stream past it, and applies it to every
-// host in name order; each stamps its view with the stream's new
-// position. The graph the hosts share takes the batch as its next round
-// with the first host's Apply; the rest take the round's applied list.
-// The graph's Flat view is observed once, after the last host. Called
-// only from loop.
+// loop's own track, moves the stream past it, advances each graph of the
+// hosts by it once, in a "stage" span beside it, and has every host repair
+// in name order; each stamps its view with the stream's new position. The
+// graph's Flat view is observed once, after the last host. Called only
+// from loop.
 func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid trace.TraceID, why flushReason) {
 	span := s.rec.Begin("coalesce", "serve", s.track)
 	span.SetTrace(tid)
@@ -242,9 +242,14 @@ func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid tr
 	s.mu.RLock()
 	hosts := s.hosts
 	s.mu.RUnlock()
-	for _, h := range hosts {
-		h.round = h.m.Graph().Round()
+	span = s.rec.Begin("stage", "serve", s.track)
+	span.SetTrace(tid)
+	for i, h := range hosts {
+		if g := h.m.Graph(); !slices.ContainsFunc(hosts[:i], func(o *Host) bool { return o.m.Graph() == g }) {
+			s.advance(g, net)
+		}
 	}
+	span.End()
 	for _, h := range hosts {
 		h.apply(raw, net, oldest, tid, why)
 	}
@@ -254,6 +259,21 @@ func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid tr
 		s.flatSeen = c
 		s.flatOverlay.Set(f.OverlayRatio())
 	}
+}
+
+// advance takes net as g's next round. A panic in the stage is the
+// store's, not a class's: it is counted once, on the loop's track, and
+// the Flat it tore is laid out again from the rows (graph.Graph.Flat), so
+// every class then repairs the round as usual. Called only from apply.
+func (s *Service) advance(g *graph.Graph, net graph.Batch) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.stagePanics.Inc()
+			panicEvent(s.rec, s.track, p)
+			g.Flat()
+		}
+	}()
+	g.Advance(net)
 }
 
 // streamAccount is a service's one account of its update stream, which

@@ -600,7 +600,7 @@ func TestPublishGuards(t *testing.T) {
 		noop := graph.Batch{{Kind: graph.InsertEdge, From: 3, To: 4, W: 1}}
 		var snap any
 		allocs := testing.AllocsPerRun(20, func() {
-			m.Apply(noop)
+			applyAlone(m, noop)
 			snap = m.Snapshot()
 		})
 		if c := publishDelta(first, snap); c.pages != 0 || c.total == 0 {
@@ -612,14 +612,14 @@ func TestPublishGuards(t *testing.T) {
 			t.Errorf("%s: no-op apply+publish allocates %.0f objects", m.Algo(), allocs)
 		}
 		// A real change copies the pages it touched and no others.
-		m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: n - 2, To: n - 1}})
+		applyAlone(m, graph.Batch{{Kind: graph.DeleteEdge, From: n - 2, To: n - 1}})
 		if c := publishDelta(snap, m.Snapshot()); c.pages != 1 || c.total != n/pageSize {
 			t.Errorf("%s: cutting off the last node copied %d of %d pages, want 1", m.Algo(), c.pages, c.total)
 		}
 		// Two applies between snapshots: the written list covers only the
 		// second, so the adapter must fall back to comparing.
-		m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: 0, To: 1}})
-		m.Apply(noop)
+		applyAlone(m, graph.Batch{{Kind: graph.DeleteEdge, From: 0, To: 1}})
+		applyAlone(m, noop)
 		want, _ := json.Marshal(m.Snapshot())
 		m.Recompute()
 		if got, _ := json.Marshal(m.Snapshot()); !bytes.Equal(got, want) {
@@ -727,7 +727,7 @@ func TestDerivedPageLCCWrittenList(t *testing.T) {
 
 	// One apply inside page 3: the written nodes sit in that page.
 	at := graph.NodeID(3*pageSize + 100)
-	m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: at, To: at + 1}, {Kind: graph.InsertEdge, From: at, To: at + 5, W: 1}})
+	applyAlone(m, graph.Batch{{Kind: graph.DeleteEdge, From: at, To: at + 1}, {Kind: graph.InsertEdge, From: at, To: at + 5, W: 1}})
 	holds := map[int]bool{}
 	for _, v := range inc.Written() {
 		holds[int(v)>>pageShift] = true
@@ -750,8 +750,8 @@ func TestDerivedPageLCCWrittenList(t *testing.T) {
 	}
 
 	// Two applies, in pages 0 and 5: the list covers the second only.
-	m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: 10, To: 11}})
-	m.Apply(graph.Batch{{Kind: graph.DeleteEdge, From: 5*pageSize + 10, To: 5*pageSize + 11}})
+	applyAlone(m, graph.Batch{{Kind: graph.DeleteEdge, From: 10, To: 11}})
+	applyAlone(m, graph.Batch{{Kind: graph.DeleteEdge, From: 5*pageSize + 10, To: 5*pageSize + 11}})
 	checkFresh("after two applies")
 
 	// RestoreState: the restored status is what must be published, even

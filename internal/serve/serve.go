@@ -44,13 +44,12 @@ type Serveable interface {
 	// routing key of the HTTP API.
 	Algo() string
 	// Graph returns the maintained graph — the store the service's classes
-	// share, which Apply advances a round per batch (graph.Graph.Advance)
+	// share, which the apply loop advances once per batch before any Apply
 	// — used at registration to learn the node count (for batch
-	// validation) and directedness (for coalescing); after a panic, the
-	// heal advances it past the failed batch if no class has yet.
+	// validation) and directedness (for coalescing).
 	Graph() *graph.Graph
-	// Apply incorporates a (pre-coalesced) batch, returning the
-	// maintainer's affected-area measure and cost counters.
+	// Apply repairs for a (pre-coalesced) batch its graph already took,
+	// returning the maintainer's affected-area measure and cost counters.
 	Apply(b graph.Batch) ApplyResult
 	// Snapshot returns the current result view. The value must remain
 	// valid — and must never be mutated by anyone — after further Apply
@@ -69,9 +68,9 @@ type Serveable interface {
 	// apply loop starts.
 	RestoreState(r io.Reader) error
 	// Recompute discards the maintained answer and re-runs the batch
-	// algorithm over the current graph — the self-healing path after a
-	// recovered panic, and the recovery-verification oracle. Called only
-	// from the apply-loop goroutine (or single-threaded recovery).
+	// algorithm over the current graph — a start's batch run, the heal after
+	// a recovered panic, the recovery-verification oracle. Called only from
+	// the apply-loop goroutine (or a start, before hosting).
 	Recompute()
 }
 
@@ -143,9 +142,9 @@ type Options struct {
 	// It must be fast and must not call back into the Host.
 	OnApply func(ApplyTrace)
 	// BeforeApply, when set, runs in the apply loop just before each
-	// maintainer Apply — the fault-injection point internal/serve/faults
-	// drives (it may panic to exercise the isolation path). Production
-	// leaves it nil.
+	// maintainer Apply, after the graph took the batch — the
+	// fault-injection point internal/serve/faults drives (it may panic to
+	// exercise the isolation path). Production leaves it nil.
 	BeforeApply func(algo string, b graph.Batch)
 	// BaseEpoch and BaseBatches are the stream position the service
 	// starts at, so a service recovered from a checkpoint + WAL replay
@@ -216,11 +215,6 @@ type Host struct {
 	track     int32
 	engTracer *trace.EngineTracer
 
-	// round is the round its graph was at before the batch in flight
-	// (apply loop only): the heal advances the graph past it unless a
-	// class has.
-	round uint64
-
 	// quarantined is set (apply loop only) when a heal recompute itself
 	// panicked: the maintainer is permanently sidelined, batches are
 	// drained and acknowledged without touching it, and reads keep being
@@ -271,14 +265,15 @@ func (h *Host) NumNodes() int { return h.n }
 // immutable and safe to retain across further updates.
 func (h *Host) View() *View { return h.view.Load() }
 
-// apply feeds one netted batch to the maintainer, publishes the new view,
-// and records the apply in counters, histograms, gauges, the trace ring,
-// and the flight recording: a root "batch" span containing "apply" —
-// inside which the maintainer's own h/resume spans nest — and "publish",
-// plus a "queue_wait" span from the oldest merged submission's enqueue to
-// this class's turn. raw is the batch as submitted, net what the loop
-// netted it to; the view is stamped with the stream position the loop
-// moved to past it. Called only from the service's apply.
+// apply has the maintainer repair for one netted batch its graph took,
+// publishes the new view, and records the apply in counters, histograms,
+// gauges, the trace ring, and the flight recording: a root "batch" span
+// containing "apply" — inside which the maintainer's own h/resume spans
+// nest — and "publish", plus a "queue_wait" span from the oldest merged
+// submission's enqueue to this class's turn. raw is the batch as
+// submitted, net what the loop netted it to; the view is stamped with the
+// stream position the loop moved to past it. Called only from the
+// service's apply.
 func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, why flushReason) {
 	h.rec.Emit(trace.Event{
 		Name: "queue_wait", Cat: "serve", Phase: trace.PhaseComplete,
@@ -298,7 +293,7 @@ func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, 
 		sub.Arg("quarantined", 1)
 		sub.End()
 		root.End()
-		h.absorbPanic(net, nil)
+		h.absorbPanic(nil)
 		return
 	}
 	res, data, pval, ok := h.runMaintainer(net)
@@ -307,7 +302,7 @@ func (h *Host) apply(raw, net graph.Batch, oldest time.Time, tid trace.TraceID, 
 		sub.Arg("panicked", 1)
 		sub.End()
 		root.End()
-		h.absorbPanic(net, pval)
+		h.absorbPanic(pval)
 		return
 	}
 	sub.Arg("affected", int64(res.Affected))
@@ -450,24 +445,18 @@ func (h *Host) runMaintainer(net graph.Batch) (res ApplyResult, data any, pval a
 }
 
 // absorbPanic handles a recovered maintainer panic (pval non-nil), or a
-// batch arriving while the host is quarantined (pval nil). The stream has
-// moved past the batch all the same; the last good view is republished
-// with the degraded flag so readers get stale answers instead of 500s,
-// and then the host heals by batch recompute over its graph at the round
-// of net, the batch it failed on. A panic during
-// the heal itself quarantines the host permanently: it keeps draining,
-// acknowledging, and serving the stale view, but never touches the
-// maintainer again. Called only from the apply loop.
-func (h *Host) absorbPanic(net graph.Batch, pval any) {
+// batch arriving while the host is quarantined (pval nil). The stream and
+// the graph have moved past the batch all the same; the last good view is
+// republished with the degraded flag so readers get stale answers instead
+// of 500s, and then the host heals by batch recompute over its graph. A
+// panic during the heal itself quarantines the host permanently: it keeps
+// draining, acknowledging, and serving the stale view, but never touches
+// the maintainer again. Called only from the apply loop.
+func (h *Host) absorbPanic(pval any) {
 	panicked := pval != nil
 	if panicked {
 		h.met.panics.Inc()
-		ev := trace.Event{
-			Name: "panic", Cat: "serve", Phase: trace.PhaseInstant,
-			Track: h.track, TS: h.rec.Now(),
-		}
-		ev.AddArg("value", int64(len(fmt.Sprint(pval)))) // length only: arg values are integers
-		h.rec.Emit(ev)
+		panicEvent(h.rec, h.track, pval)
 	}
 
 	h.statMu.Lock()
@@ -481,7 +470,7 @@ func (h *Host) absorbPanic(net graph.Batch, pval any) {
 	if h.quarantined {
 		return
 	}
-	data, healed := h.rebuild("heal", net)
+	data, healed := h.rebuild("heal")
 	if !healed {
 		return
 	}
@@ -508,16 +497,10 @@ func (h *Host) publishDegraded() {
 }
 
 // rebuild discards the maintained answer for a batch rerun over the
-// graph and returns the fresh snapshot, in a span called name. The heal
-// after a panic passes the failed batch, net: the graph advances to this
-// round with it unless a class (this one, before its panic, or one
-// applied before it) already took the round, so it takes the batch once
-// however many classes fail on it. The verification at a promotion passes
-// none. Recompute builds the maintainer again at the graph's round and may
-// have replaced the inner maintainer, so the engine tracer is re-installed
-// under the same fence; a panic anywhere quarantines the host. Called
-// only from the apply loop.
-func (h *Host) rebuild(name string, net graph.Batch) (data any, ok bool) {
+// graph and returns the fresh snapshot, in a span called name: the heal
+// after a panic, and the verification at a promotion. A panic anywhere
+// quarantines the host. Called only from the apply loop.
+func (h *Host) rebuild(name string) (data any, ok bool) {
 	span := h.rec.Begin(name, "serve", h.track)
 	defer func() {
 		if recover() != nil {
@@ -527,16 +510,7 @@ func (h *Host) rebuild(name string, net graph.Batch) (data any, ok bool) {
 		span.Arg("ok", boolArg(ok))
 		span.End()
 	}()
-	if net != nil {
-		seen := h.round
-		h.m.Graph().Advance(&seen, net)
-	}
 	h.m.Recompute()
-	if h.engTracer != nil {
-		if ts, tok := h.m.(tracerSetter); tok {
-			ts.SetTracer(h.engTracer)
-		}
-	}
 	return h.m.Snapshot(), true
 }
 
@@ -551,7 +525,7 @@ func (h *Host) Verify() (diverged bool, err error) {
 		if h.quarantined {
 			return fmt.Errorf("serve: %s is quarantined", h.algo)
 		}
-		data, ok := h.rebuild("verify", nil)
+		data, ok := h.rebuild("verify")
 		if !ok {
 			h.statMu.Lock()
 			h.stats.Degraded = true
@@ -565,6 +539,13 @@ func (h *Host) Verify() (diverged bool, err error) {
 		return nil
 	})
 	return diverged, err
+}
+
+// panicEvent records a recovered panic as an instant event on track.
+func panicEvent(rec *trace.Recorder, track int32, pval any) {
+	ev := trace.Event{Name: "panic", Cat: "serve", Phase: trace.PhaseInstant, Track: track, TS: rec.Now()}
+	ev.AddArg("value", int64(len(fmt.Sprint(pval)))) // length only: arg values are integers
+	rec.Emit(ev)
 }
 
 func boolArg(b bool) int64 {

@@ -28,6 +28,14 @@ func soloHost(t testing.TB, m Serveable, opt Options) (*Service, *Host) {
 	return s, h
 }
 
+// applyAlone is one round of a class used alone, outside a service: the
+// test, its graph's one writer, advances the graph by b, and the class
+// repairs for the round.
+func applyAlone(m Serveable, b graph.Batch) ApplyResult {
+	m.Graph().Advance(b)
+	return m.Apply(b)
+}
+
 // submit hands b to s untraced and returns once it is accepted.
 func submit(s *Service, b graph.Batch) error {
 	_, err := s.Submit(b, trace.TraceID{})

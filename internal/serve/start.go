@@ -34,12 +34,13 @@ type Started struct {
 // Start is the one start sequence of a service, over the classes algos in
 // order: the cut of the newest checkpoint in dir, or without one input's
 // graph (input is called only then), is the one graph every class is built
-// on — the store they share, which each batch advances once for all of
-// them (graph.Graph.Advance). build returns a class before any batch run
-// (over a Blank maintainer); Start restores the cut's state into it or,
-// where the cut holds none, runs its batch algorithm (Recompute) — one of
-// the two, never both. build and the restores run one class at a time, in
-// class-list order, so the first error is the first class's; the batch
+// on — the store they share, which the replay and then the apply loop
+// advance once per batch (graph.Graph.Advance). build returns a class
+// before any batch run (over a Blank maintainer); Start restores the cut's
+// state into it or, where the cut holds none, runs its batch algorithm in
+// place (Recompute) — one of the two, never both. build and the restores
+// run one class at a time, in class-list order, so the first error is the
+// first class's; the batch
 // runs then run side by side, on up to GOMAXPROCS goroutines, over the
 // graph's Flat laid out once before them. The WAL tail is replayed into
 // every class — not on a replica, hosted at the checkpoint for its

@@ -311,8 +311,9 @@ func TestStartSharesOneStore(t *testing.T) {
 			}
 			shared(t, "started", svc, mirrorAt(tc.chunks))
 
-			// bc, the first class by name, panics before it takes the
-			// next chunk's round; sssp verifies itself after it.
+			// bc, the first class by name, panics on the next chunk,
+			// which the loop advanced the graph by; sssp verifies itself
+			// after it.
 			inj.PanicOn("bc", 1)
 			if err := submitWait(svc, chunk(tc.chunks)); err != nil {
 				t.Fatal(err)

@@ -40,7 +40,7 @@ func TestStateRoundTrip(t *testing.T) {
 				}
 				a := opsBatchRun(c.Name, g)
 				for range 1 + rng.Intn(4) {
-					a.Apply(gen.RandomUpdates(rng, g, 1+rng.Intn(8), 0.5))
+					applyAlone(a, gen.RandomUpdates(rng, g, 1+rng.Intn(8), 0.5))
 				}
 				first := persisted(t, a)
 				b := opsBatchRun(c.Name, g)
@@ -53,6 +53,7 @@ func TestStateRoundTrip(t *testing.T) {
 					return false
 				}
 				batch := gen.RandomUpdates(rng, g, 1+rng.Intn(8), 0.5)
+				g.Advance(batch) // a and b share g
 				a.Apply(batch)
 				b.Apply(batch)
 				return snapshotEqual(a.Snapshot(), b.Snapshot())
@@ -116,7 +117,7 @@ func FuzzStateCodec(f *testing.F) {
 	}
 	for i, c := range Classes {
 		m := opsBatchRun(c.Name, g.Clone())
-		m.Apply(gen.RandomUpdates(rng, m.Graph(), 4, 0.5))
+		applyAlone(m, gen.RandomUpdates(rng, m.Graph(), 4, 0.5))
 		f.Add(uint8(i), persisted(f, m))
 	}
 	i32 := []int32{math.MinInt32, -1, 0, 1, math.MaxInt32}
@@ -199,7 +200,7 @@ func burstClass(algo string) Serveable {
 	m := opsBatchRun(algo, g)
 	s := gen.NewBurstStream(1, g)
 	for range 3 {
-		m.Apply(s.Next(gen.BurstBatch))
+		applyAlone(m, s.Next(gen.BurstBatch))
 	}
 	return m
 }

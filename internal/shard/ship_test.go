@@ -212,14 +212,16 @@ func TestFollowerSurvivesDeadPrimary(t *testing.T) {
 }
 
 // TestFollowerIsolatesReplayPanic: a maintainer that panics on a replayed
-// record degrades its host, not the replica. The apply loop's recover
-// fence absorbs the panic and heals by batch recompute over the graph with
-// that record applied, the follower keeps submitting, and the replica ends
-// at the primary's epoch with the primary's answers. The injected panic
-// strikes either before the maintainer takes the record's round of its
-// graph, so the heal must advance the graph, or after the graph took the
-// round, as a panic inside Apply's repair does, so the heal must not
-// advance it again.
+// record degrades its host, not the replica. The apply loop advanced the
+// maintainer's graph by the record before the class's apply, as it does
+// every graph of its hosts; its recover fence absorbs the panic and the
+// host heals by batch recompute over the graph as it stands, without
+// advancing it again. The injected panic strikes either before the
+// maintainer takes the record's round of its graph, so the heal must bring
+// the maintainer up to the graph's round, or after its repair took the
+// round, as a panic late in a repair does, so the heal must not take it
+// again. The follower keeps submitting, and the replica ends at the
+// primary's epoch with the primary's answers.
 func TestFollowerIsolatesReplayPanic(t *testing.T) {
 	t.Run("before-graph", func(t *testing.T) { testFollowerReplayPanic(t, false) })
 	t.Run("after-graph", func(t *testing.T) { testFollowerReplayPanic(t, true) })
@@ -235,12 +237,12 @@ func testFollowerReplayPanic(t *testing.T, afterGraph bool) {
 	ssspGraph, applies := base.Clone(), 0
 	svc := serve.NewService()
 	defer svc.Close()
-	ssspHost, err := svc.Host(serve.SSSP(sssp.NewInc(ssspGraph, 0)), serve.Options{
+	ssspInc := sssp.NewInc(ssspGraph, 0)
+	ssspHost, err := svc.Host(serve.SSSP(ssspInc), serve.Options{
 		BeforeApply: func(algo string, b graph.Batch) {
 			if applies++; applies == panicAt {
 				if afterGraph {
-					seen := ssspGraph.Round()
-					ssspGraph.Advance(&seen, b) // in the apply loop, the graph's one writer
+					ssspInc.Repair() // in the apply loop, the maintainer's one caller
 				}
 				panic("injected: sssp repair")
 			}

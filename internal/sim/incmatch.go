@@ -29,24 +29,35 @@ const tsTrue = int64(1) << 62
 
 func newSimState(g, q *graph.Graph, withTS bool) *simState {
 	s := &simState{g: g, q: q, nq: q.NumNodes()}
-	n := g.NumNodes()
-	s.r = make([]bool, n*s.nq)
-	s.cnt = make([]int32, n*s.nq)
+	pairs := g.NumNodes() * s.nq
+	s.r, s.cnt = make([]bool, pairs), make([]int32, pairs)
+	if withTS {
+		s.ts = make([]int64, pairs)
+	}
+	s.run()
+	return s
+}
+
+// run computes the maximum simulation from scratch into s's tables, which
+// have a pair per node of the data graph, the clock starting at 0.
+func (s *simState) run() {
+	n := s.g.NumNodes()
+	s.clock = 0
 	for v := 0; v < n; v++ {
 		for u := 0; u < s.nq; u++ {
-			s.r[v*s.nq+u] = g.Label(graph.NodeID(v)) == q.Label(graph.NodeID(u))
-		}
-	}
-	if withTS {
-		s.ts = make([]int64, n*s.nq)
-		for i, b := range s.r {
-			if b {
-				s.ts[i] = tsTrue
+			x := v*s.nq + u
+			s.r[x] = s.g.Label(graph.NodeID(v)) == s.q.Label(graph.NodeID(u))
+			s.cnt[x] = 0
+			if s.ts != nil {
+				s.ts[x] = 0
+				if s.r[x] {
+					s.ts[x] = tsTrue
+				}
 			}
 		}
 	}
 	for v := 0; v < n; v++ {
-		for _, ge := range g.Out(graph.NodeID(v)) {
+		for _, ge := range s.g.Out(graph.NodeID(v)) {
 			for u := 0; u < s.nq; u++ {
 				if s.r[int(ge.To)*s.nq+u] {
 					s.cnt[v*s.nq+u]++
@@ -63,7 +74,6 @@ func newSimState(g, q *graph.Graph, withTS bool) *simState {
 		}
 	}
 	s.cascade(p)
-	return s
 }
 
 // grow extends the pair tables after vertex insertions.

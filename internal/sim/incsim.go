@@ -38,7 +38,6 @@ type Inc struct {
 	seedBuf [][2]int32
 	stats   fixpoint.Stats
 	tracer  fixpoint.Tracer
-	pending graph.Batch
 	round   uint64 // the last round of the data graph this maintainer took
 }
 
@@ -48,7 +47,7 @@ func NewInc(g, q *graph.Graph) *Inc { return newInc(newSimState(g, q, true)) }
 
 // Blank returns IncSim over g and pattern q before the batch run, every
 // pair false: the maintainer a checkpointed state is restored into
-// (RestoreState), which must come before Apply.
+// (RestoreState) or Recompute fills, before Apply.
 func Blank(g, q *graph.Graph) *Inc {
 	s := &simState{g: g, q: q, nq: q.NumNodes()}
 	pairs := g.NumNodes() * s.nq
@@ -66,6 +65,17 @@ func newInc(s *simState) *Inc {
 	// so only incremental repairs count.
 	s.onFalse = func(v, u int32) { i.led.Write(v*int32(i.nq)+u, true) }
 	return i
+}
+
+// Recompute reruns the batch computation in place, at the data graph's
+// round, leaving what NewInc builds; the ledger records none of it.
+func (i *Inc) Recompute() {
+	i.round = i.g.Round()
+	i.grow()
+	i.led.Grow(len(i.r))
+	i.hq.Grow(len(i.r))
+	i.led.Reset()
+	i.run()
 }
 
 // ledgerAff enters pair x into this repair's affected area and reports
@@ -152,20 +162,17 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// Stage takes G ⊕ ΔG for any sequence b as the graph's next round (see
+// Stage applies any sequence b to the data graph as its next round (see
 // graph.Graph.Advance) without repairing the relation, letting benchmarks
 // time Repair separately from the graph mutation every method needs.
-func (i *Inc) Stage(b graph.Batch) {
-	i.pending = append(i.pending, i.g.Advance(&i.round, b)...)
+func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
+
+// Repair runs the incremental algorithm over the data graph's newest round.
+func (i *Inc) Repair() int {
+	applied := i.g.Take(&i.round)
 	i.grow()
 	i.led.Grow(len(i.r))
 	i.hq.Grow(len(i.r))
-}
-
-// Repair runs the incremental algorithm over the staged updates.
-func (i *Inc) Repair() int {
-	applied := i.pending
-	i.pending = nil
 	a := &i.arena
 	a.Begin(len(i.r))
 	i.led.Begin()

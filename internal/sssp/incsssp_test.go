@@ -103,17 +103,32 @@ func TestTunedMixedStormAgainstBellmanFord(t *testing.T) {
 	}
 }
 
-func TestTunedStageAccumulates(t *testing.T) {
-	// Multiple Stage calls before one Repair behave like one big batch.
+// TestTunedRepairTakesOneRound: a Repair repairs for exactly the round
+// after the last it took. Two Stages before one Repair skip a round, and
+// a second Repair takes one twice; either would repair from the wrong
+// updates, so the graph's guard panics instead.
+func TestTunedRepairTakesOneRound(t *testing.T) {
 	g := graph.New(4, true)
 	g.InsertEdge(0, 1, 1)
 	g.InsertEdge(1, 2, 1)
 	inc := NewInc(g, 0)
+	mustPanic := func(what string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		inc.Repair()
+	}
 	inc.Stage(graph.Batch{{Kind: graph.DeleteEdge, From: 1, To: 2}})
 	inc.Stage(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 3, W: 4}})
-	inc.Repair()
-	want := Dijkstra(inc.Graph(), 0)
-	if !reflect.DeepEqual(inc.Dist(), want) {
+	mustPanic("a Repair two rounds behind")
+
+	inc = NewInc(g, 0)
+	inc.Apply(graph.Batch{{Kind: graph.InsertEdge, From: 1, To: 2, W: 1}})
+	mustPanic("a second Repair of one round")
+	if want := Dijkstra(g, 0); !reflect.DeepEqual(inc.Dist(), want) {
 		t.Fatalf("dist = %v, want %v", inc.Dist(), want)
 	}
 }

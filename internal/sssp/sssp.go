@@ -21,8 +21,13 @@ const Infinity = graph.Infinity
 // a weight outside [0, Infinity): every distance popped is below
 // Infinity, every push at or above it and below 2·Infinity.
 func Dijkstra(g *graph.Graph, src graph.NodeID) []int64 {
-	n := g.NumNodes()
-	dist := make([]int64, n)
+	dist := make([]int64, g.NumNodes())
+	dijkstra(g, src, dist)
+	return dist
+}
+
+// dijkstra is Dijkstra into dist, which has a slot per node of g.
+func dijkstra(g *graph.Graph, src graph.NodeID, dist []int64) {
 	for i := range dist {
 		dist[i] = Infinity
 	}
@@ -32,7 +37,7 @@ func Dijkstra(g *graph.Graph, src graph.NodeID) []int64 {
 	for {
 		d, x, ok := que.Pop()
 		if !ok {
-			return dist
+			return
 		}
 		if d != dist[x] {
 			continue // reached more cheaply since the push
