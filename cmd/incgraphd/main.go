@@ -402,7 +402,7 @@ func run(logger *slog.Logger, c *cliFlags) error {
 					logger.Warn("promotion: verification failed; host keeps its last good view", "err", err)
 				} else if diverged {
 					divergent++
-					logger.Warn("promotion: replayed state diverged from batch recompute; repaired", "algo", h.Algo())
+					logger.Warn("promotion: replayed state failed its certificate or differed from batch recompute; repaired", "algo", h.Algo())
 				}
 			}
 			if err := openDurable(int(follower.Status().Records), divergent); err != nil {

@@ -280,14 +280,16 @@ type churnMaintainer struct {
 	ok    func() bool
 }
 
-// churnMaintainers builds, each on its own copy of g, every maintainer
-// that takes any update sequence: the sssp, cc, dfs and sim ones on any
+// churnMaintainers builds, each on its own copy of g, every batch
+// maintainer — each takes any update sequence, the competitors DynDij and
+// IncMatch by netting it first: the sssp, cc, dfs and sim ones on any
 // graph, bc and lcc on undirected ones.
 func churnMaintainers(g, pattern *graph.Graph) []churnMaintainer {
-	s, se := sssp.NewInc(g.Clone(), 0), sssp.NewIncEngine(g.Clone(), 0)
+	s, se, sdd := sssp.NewInc(g.Clone(), 0), sssp.NewIncEngine(g.Clone(), 0), sssp.NewDynDij(g.Clone(), 0)
 	c, cn := cc.NewInc(g.Clone()), cc.NewIncNaive(g.Clone())
 	d := dfs.NewInc(g.Clone())
 	si, sie, sd := sim.NewInc(g.Clone(), pattern), sim.NewIncEngine(g.Clone(), pattern), sim.NewIncDual(g.Clone(), pattern)
+	sm := sim.NewIncMatch(g.Clone(), pattern)
 	ms := []churnMaintainer{
 		{"sssp.Inc", s.Apply, func() bool {
 			return reflect.DeepEqual(s.Dist(), sssp.Dijkstra(s.Graph(), 0)) && s.Certify() == nil
@@ -296,6 +298,7 @@ func churnMaintainers(g, pattern *graph.Graph) []churnMaintainer {
 			return reflect.DeepEqual(se.Dist(), sssp.Dijkstra(se.Graph(), 0)) &&
 				fixpoint.CheckOrder[int64](&sssp.Instance{G: se.Graph(), Src: 0}, se.State()) == nil
 		}},
+		{"sssp.DynDij", sdd.Apply, func() bool { return reflect.DeepEqual(sdd.Dist(), sssp.Dijkstra(sdd.Graph(), 0)) }},
 		{"cc.Inc", c.Apply, func() bool { return reflect.DeepEqual(c.Labels(), cc.CCfp(c.Graph())) && c.Certify() == nil }},
 		{"cc.IncNaive", cn.Apply, func() bool { return reflect.DeepEqual(cn.Labels(), cc.CCfp(cn.Graph())) }},
 		{"dfs.Inc", d.Apply, func() bool { return d.Tree().Equal(dfs.Run(d.Graph())) }},
@@ -308,6 +311,7 @@ func churnMaintainers(g, pattern *graph.Graph) []churnMaintainer {
 			return sd.Relation().Equal(sim.DualSim(sd.Graph(), pattern)) &&
 				fixpoint.CheckOrder[bool](sim.NewDualInstance(sd.Graph(), pattern), sd.State()) == nil
 		}},
+		{"sim.IncMatch", sm.Apply, func() bool { return simRecomputes(sm.Relation(), sm.Graph(), pattern) }},
 	}
 	if !g.Directed() {
 		b, l := bc.NewInc(g.Clone()), lcc.NewInc(g.Clone())
@@ -345,6 +349,59 @@ func churnSeed(t *testing.T, seed int64) bool {
 		}
 	}
 	return true
+}
+
+// roundTaker is a batch maintainer as its graph's rounds reach it: Repair
+// repairs for the graph's newest round (graph.Graph.Take), and Apply
+// advances the graph by a batch and repairs.
+type roundTaker interface {
+	Graph() *graph.Graph
+	Apply(graph.Batch) int
+	Repair() int
+}
+
+// TestRepairTakesOneRound: every batch maintainer — the six served ones,
+// the engine forms and the competitors that repair a batch at once —
+// repairs for exactly the round after the last it took. Two rounds
+// advanced before one Repair skip a round, and a second Repair takes one
+// twice; either would repair from the wrong updates, so both panic.
+func TestRepairTakesOneRound(t *testing.T) {
+	pattern := RandomPattern(3, 3, 3, 2)
+	g := PowerLawGraph(5, 40, 3, false)
+	for _, m := range []struct {
+		name string
+		new  func(g *graph.Graph) roundTaker
+	}{
+		{"sssp.Inc", func(g *graph.Graph) roundTaker { return sssp.NewInc(g, 0) }},
+		{"sssp.IncEngine", func(g *graph.Graph) roundTaker { return sssp.NewIncEngine(g, 0) }},
+		{"sssp.DynDij", func(g *graph.Graph) roundTaker { return sssp.NewDynDij(g, 0) }},
+		{"cc.Inc", func(g *graph.Graph) roundTaker { return cc.NewInc(g) }},
+		{"cc.IncNaive", func(g *graph.Graph) roundTaker { return cc.NewIncNaive(g) }},
+		{"sim.Inc", func(g *graph.Graph) roundTaker { return sim.NewInc(g, pattern) }},
+		{"sim.IncEngine", func(g *graph.Graph) roundTaker { return sim.NewIncEngine(g, pattern) }},
+		{"sim.IncDual", func(g *graph.Graph) roundTaker { return sim.NewIncDual(g, pattern) }},
+		{"sim.IncMatch", func(g *graph.Graph) roundTaker { return sim.NewIncMatch(g, pattern) }},
+		{"dfs.Inc", func(g *graph.Graph) roundTaker { return dfs.NewInc(g) }},
+		{"lcc.Inc", func(g *graph.Graph) roundTaker { return lcc.NewInc(g) }},
+		{"bc.Inc", func(g *graph.Graph) roundTaker { return bc.NewInc(g) }},
+	} {
+		mustPanic := func(what string, r roundTaker) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: %s did not panic", m.name, what)
+				}
+			}()
+			r.Repair()
+		}
+		r := m.new(g.Clone())
+		r.Graph().Advance(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 39, W: 1}})
+		r.Graph().Advance(graph.Batch{{Kind: graph.DeleteEdge, From: 0, To: 39}})
+		mustPanic("a Repair two rounds behind", r)
+		r = m.new(g.Clone())
+		r.Apply(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 39, W: 1}})
+		mustPanic("a second Repair of one round", r)
+	}
 }
 
 // churnPinned are testing/quick draws on which sssp.IncEngine, on the

@@ -381,13 +381,9 @@ func (i *Inc) RestoreState(articulation []bool, block []graph.NodeID, num []int3
 // not — and repairs the structure; it returns the number of nodes
 // revisited (the affected-area measure).
 func (i *Inc) Apply(b graph.Batch) int {
-	i.Stage(b)
+	i.g.Advance(b)
 	return i.Repair()
 }
-
-// Stage applies any sequence b to the graph as its next round (see
-// graph.Graph.Advance) without repairing.
-func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
 
 // Repair re-runs the lowpoint DFS over the components the newest round touched.
 func (i *Inc) Repair() int {

@@ -14,7 +14,7 @@ import (
 
 // regimes are the compaction regimes a maintainer's Flat can be in:
 // rebuilt after every batch, the production default, and never rebuilt
-// on dead space (rows read as Stage edited and moved them).
+// on dead space (rows read as Flat.Stage edited and moved them).
 var regimes = []struct {
 	name      string
 	threshold float64
@@ -247,7 +247,7 @@ func TestRepairZeroAlloc(t *testing.T) {
 		if g.HasEdge(0, 1) {
 			b = graph.Batch{del(0, 1)}
 		}
-		inc.Stage(b)
+		inc.Graph().Advance(b)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		revisited := inc.Repair()

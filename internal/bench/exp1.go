@@ -15,17 +15,18 @@ const unitUpdateCount = 200
 // applier is any maintainer fed through update batches.
 type applier interface{ Apply(graph.Batch) int }
 
-// staged is implemented by maintainers that separate materializing G ⊕ ΔG
-// (Stage) from the incremental computation (Repair). Batch-update cells
-// time Repair only, matching the batch baselines, which are handed the
-// already-updated graph.
+// staged is implemented by maintainers that take G ⊕ ΔG as their graph's
+// newest round (graph.Graph.Advance) and compute only the change
+// (Repair). Batch-update cells time Repair only, matching the batch
+// baselines, which are handed the already-updated graph.
 type staged interface {
-	Stage(graph.Batch)
+	Graph() *graph.Graph
 	Repair() int
 }
 
-// timeRepair stages delta (untimed) when the maintainer supports it and
-// returns the seconds spent in the repair; otherwise it times Apply.
+// timeRepair advances the maintainer's graph by delta (untimed; the
+// generators' deltas are net already) when the maintainer repairs apart
+// and returns the seconds spent in the repair; otherwise it times Apply.
 func timeRepair(m applier, delta graph.Batch) float64 {
 	sec, _ := timeRepairAff(m, delta)
 	return sec
@@ -36,7 +37,7 @@ func timeRepair(m applier, delta graph.Batch) float64 {
 func timeRepairAff(m applier, delta graph.Batch) (float64, int) {
 	var aff int
 	if s, ok := m.(staged); ok {
-		s.Stage(delta)
+		s.Graph().Advance(delta)
 		return stopwatch(func() { aff = s.Repair() }), aff
 	}
 	return stopwatch(func() { aff = m.Apply(delta) }), aff

@@ -35,8 +35,7 @@ func ExpExtensions(cfg Config) {
 		updated := g.Clone()
 		updated.Apply(delta)
 		batch := stopwatch(func() { sim.DualSim(updated, q) })
-		inc := sim.NewIncDual(g.Clone(), q)
-		incT := stopwatch(func() { inc.Apply(delta) })
+		incT := timeRepair(sim.NewIncDual(g.Clone(), q), delta)
 		t.row("DualSim", batch, incT, speedup(batch, incT))
 	}
 	t.flush()
@@ -65,7 +64,7 @@ func ExpExtensions(cfg Config) {
 		updated.Apply(delta)
 		batch := stopwatch(func() { lcc.Run(updated) })
 		inc := lcc.NewInc(g.Clone())
-		inc.Stage(delta)
+		inc.Graph().Advance(delta)
 		var pe int
 		incT := stopwatch(func() { pe = inc.Repair() })
 		t2.row(kind, len(delta), batch, incT, speedup(batch, incT), pe)

@@ -306,14 +306,9 @@ func (i *Inc) SetTracer(t fixpoint.Tracer) { i.eng.SetTracer(t) }
 // establishes that usually only the later-determined endpoint is truly
 // reset (Example 5).
 func (i *Inc) Apply(b graph.Batch) int {
-	i.Stage(b)
+	i.g.Advance(b)
 	return i.Repair()
 }
-
-// Stage applies any sequence b to the graph as its next round (see
-// graph.Graph.Advance) without repairing the labels, letting benchmarks
-// time Repair separately from the graph mutation every method needs.
-func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
 
 // Repair runs the incremental algorithm over the graph's newest round.
 func (i *Inc) Repair() int {
@@ -345,15 +340,16 @@ func (i *Inc) Repair() int {
 // deletion inside a large component recomputes the whole component — it
 // serves as the ablation quantifying what timestamps buy.
 type IncNaive struct {
-	g   *graph.Graph
-	eng *fixpoint.Engine[int64]
+	g     *graph.Graph
+	round uint64 // the last round of g this algorithm took
+	eng   *fixpoint.Engine[int64]
 }
 
 // NewIncNaive computes the initial fixpoint and returns the algorithm.
 func NewIncNaive(g *graph.Graph) *IncNaive {
 	eng := fixpoint.New[int64](&Instance{G: g}, fixpoint.PriorityOrder)
 	eng.Run()
-	return &IncNaive{g: g, eng: eng}
+	return &IncNaive{g: g, round: g.Round(), eng: eng}
 }
 
 // Graph returns the maintained graph.
@@ -362,11 +358,17 @@ func (i *IncNaive) Graph() *graph.Graph { return i.g }
 // Labels returns the current component labels.
 func (i *IncNaive) Labels() []int64 { return i.eng.State().Val }
 
-// Apply computes G ⊕ ΔG for any sequence of unit updates b, expands the
-// PE closure, resets it, and resumes the step function. It returns the
-// number of PE variables.
+// Apply computes G ⊕ ΔG for any sequence of unit updates b and repairs
+// the labels. It returns the number of PE variables.
 func (i *IncNaive) Apply(b graph.Batch) int {
-	applied := i.g.Apply(b)
+	i.g.Advance(b)
+	return i.Repair()
+}
+
+// Repair expands the PE closure of the graph's newest round, resets it,
+// and resumes the step function.
+func (i *IncNaive) Repair() int {
+	applied := i.g.Take(&i.round)
 	i.eng.Grow()
 	st := i.eng.State()
 	inst := &Instance{G: i.g}

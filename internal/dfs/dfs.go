@@ -312,14 +312,9 @@ func (i *Inc) RestoreState(first, last []int32, parent []graph.NodeID) error {
 // not — and repairs the DFS tree by replaying the traversal from the
 // earliest affected anchor. It returns the number of recomputed intervals.
 func (i *Inc) Apply(b graph.Batch) int {
-	i.Stage(b)
+	i.g.Advance(b)
 	return i.Repair()
 }
-
-// Stage applies any sequence b to the graph as its next round (see
-// graph.Graph.Advance) without repairing the tree, letting benchmarks time
-// Repair separately from the graph mutation every method needs.
-func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
 
 // Repair replays the traversal suffix for the graph's newest round.
 func (i *Inc) Repair() int {

@@ -123,7 +123,7 @@ func TestRepairZeroAlloc(t *testing.T) {
 		if g.HasEdge(0, 1) {
 			up.Kind = graph.DeleteEdge
 		}
-		inc.Stage(graph.Batch{up})
+		inc.Graph().Advance(graph.Batch{up})
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		replayed := inc.Repair()

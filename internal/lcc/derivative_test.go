@@ -122,7 +122,7 @@ func TestRepairZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var mallocs uint64
 	for round := 0; round < 20; round++ {
-		inc.Stage(trip)
+		inc.Graph().Advance(trip)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		scope := inc.Repair()

@@ -133,7 +133,7 @@ func run(f *graph.Flat, n int) *Result {
 // of a and b — the same set on both sides, since the update changes no
 // edge between w and a or b. So the update moves λ_a and λ_b by
 // ±|N(a) ∩ N(b)| and each λ_w by ±1, insertions up and deletions down.
-// Repair walks the applied updates of its Stages in reverse over the
+// Repair walks the applied updates of its round in reverse over the
 // graph as it is after them (the shared Flat) and an overlay of the
 // updates it has walked, so update k reads the rows of G_k, the graph
 // right after it: the raw sequence stays exact, churn included, with no
@@ -239,18 +239,13 @@ func (i *Inc) RestoreState(deg []int32, tri []int64) error {
 
 // Apply computes G ⊕ ΔG for any sequence of unit updates b and repairs
 // the status. It returns the size of the scope, the affected-area
-// measure.
+// measure. Updates that change nothing — deleting an absent edge, inserting a present one — are
+// not in the round's applied list and add nothing to the scope. The batch
+// needs no netting: the derivative holds for any sequence.
 func (i *Inc) Apply(b graph.Batch) int {
-	i.Stage(b)
+	i.g.Advance(b)
 	return i.Repair()
 }
-
-// Stage applies any sequence b to the graph as its next round (see
-// graph.Graph.Advance) without repairing. Updates that change nothing —
-// deleting an absent edge, inserting a present one — are not in the
-// round's applied list and add nothing to the scope. The batch needs no
-// netting: the derivative holds for any sequence.
-func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
 
 // grow extends the per-node arrays to the graph's current node count.
 func (i *Inc) grow() {

@@ -55,7 +55,7 @@ func sorted(s []int32) []int32 {
 	return s
 }
 
-// checkRepair stages the batches on inc as one round, their
+// checkRepair advances inc's graph by the batches as one round, their
 // concatenation, repairs once, and holds the outcome against the
 // definitions: the status against Run and Brute, the written scope
 // against inputSetScope over the batches one by one, the ledger against a
@@ -73,7 +73,7 @@ func checkRepair(inc *Inc, batches ...graph.Batch) error {
 		applied += len(stages[len(stages)-1].applied)
 		round = append(round, b...)
 	}
-	inc.Stage(round)
+	inc.Graph().Advance(round)
 	pe := inc.Repair()
 	g := inc.Graph()
 
@@ -154,7 +154,7 @@ func rawBatch(rng *rand.Rand, n, size int) graph.Batch {
 
 // TestScopeIsInputSet is the scope property test: on small triangle-dense
 // graphs, under every compaction regime (so rows are read freshly laid
-// out, edited in place and moved), one to three Stages before each Repair.
+// out, edited in place and moved), one to three batches in each round.
 func TestScopeIsInputSet(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

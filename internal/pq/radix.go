@@ -17,6 +17,7 @@ type Radix struct {
 	last    uint64 // the last key popped; every queued key is at or above it
 	n       int
 	buckets [65][]radixItem
+	spare   [][]radixItem // arrays buckets outgrew, for another bucket to fill
 }
 
 type radixItem struct {
@@ -34,8 +35,29 @@ func (r *Radix) Push(key int64, x int32) {
 		panic("pq: radix heap key below the last key popped")
 	}
 	b := bits.Len64(uint64(key) ^ r.last)
+	if len(r.buckets[b]) == cap(r.buckets[b]) {
+		r.grow(b)
+	}
 	r.buckets[b] = append(r.buckets[b], radixItem{uint64(key), x})
 	r.n++
+}
+
+// grow moves full bucket b into the array a bucket outgrew last, if that
+// is larger, or else into a new one twice its size, and gives up its own:
+// the buckets fill what others outgrew instead of each growing its own.
+func (r *Radix) grow(b int) {
+	s := r.buckets[b]
+	var t []radixItem
+	if k := len(r.spare) - 1; k >= 0 && cap(r.spare[k]) > len(s) {
+		t, r.spare = r.spare[k][:len(s)], r.spare[:k]
+	} else {
+		t = make([]radixItem, len(s), max(64, 2*cap(s)))
+	}
+	copy(t, s)
+	if cap(s) > 0 {
+		r.spare = append(r.spare, s[:0])
+	}
+	r.buckets[b] = t
 }
 
 // Pop removes and returns a pair of least key.
@@ -59,6 +81,9 @@ func (r *Radix) Pop() (key int64, x int32, ok bool) {
 		r.last = least
 		for _, it := range items {
 			c := bits.Len64(it.key ^ least)
+			if len(r.buckets[c]) == cap(r.buckets[c]) {
+				r.grow(c)
+			}
 			r.buckets[c] = append(r.buckets[c], it)
 		}
 		r.buckets[b] = items[:0]

@@ -379,13 +379,21 @@ func fixtureDir(t *testing.T, src string) string {
 	return dir
 }
 
-// TestRecomputeReadsTheRows: a recompute — here a Host.Verify's — lays the
-// shared Flat view out again from the graph's rows before the batch
-// constructor reads it, so a view out of step with the rows (an edge 3–4
-// the rows lack) is neither certified by nor published from it.
+// TestRecomputeReadsTheRows: a recompute — here a Host.Verify's, of lcc,
+// which has no certificate and is checked by one — lays the shared Flat
+// view out again from the graph's rows before the batch run reads it, so
+// a view out of step with the rows (an edge 3–4 the rows lack) is not
+// published from it.
 func TestRecomputeReadsTheRows(t *testing.T) {
-	svc, _ := newTestService(t)
-	h := svc.Get("cc")
+	svc := NewService()
+	defer svc.Close()
+	g := graph.New(6, false)
+	g.InsertEdge(0, 1, 2)
+	g.InsertEdge(1, 2, 2)
+	h, err := svc.Host(LCC(lcc.NewInc(g)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h.WithState(func(m Serveable) error {
 		g := m.Graph()
 		g.Flat().Stage(g, graph.Batch{{Kind: graph.InsertEdge, From: 3, To: 4, W: 1}})
@@ -394,8 +402,8 @@ func TestRecomputeReadsTheRows(t *testing.T) {
 	if diverged, err := h.Verify(); diverged || err != nil {
 		t.Fatalf("Verify: diverged %v, %v", diverged, err)
 	}
-	if got := h.View().Data.(CCView).Labels.Slice(); got[4] != 4 {
-		t.Errorf("labels %v: node 4 joined 3 over an edge the rows lack", got)
+	if got := h.View().Data.(LCCView).Deg.Slice(); got[3] != 0 || got[4] != 0 {
+		t.Errorf("degrees %v: nodes 3 and 4 counted an edge the rows lack", got)
 	}
 	h.WithState(func(m Serveable) error {
 		if err := checkFlatRows(m.Graph()); err != nil {

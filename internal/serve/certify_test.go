@@ -7,6 +7,7 @@ import (
 
 	"incgraph/internal/cc"
 	"incgraph/internal/graph"
+	"incgraph/internal/sssp"
 	"incgraph/internal/trace"
 	"incgraph/internal/wal"
 )
@@ -230,5 +231,72 @@ func TestVerifyRecoveredNameOrder(t *testing.T) {
 		if spans != len(names) {
 			t.Fatalf("%d recovery_verify spans, want %d", spans, len(names))
 		}
+	}
+}
+
+// countingClass is a class whose recomputes are counted; it forwards the
+// certificate of the class it wraps.
+type countingClass struct {
+	Serveable
+	recomputes *int
+}
+
+func (c countingClass) Recompute()                     { *c.recomputes++; c.Serveable.Recompute() }
+func (c countingClass) Certify() (has bool, err error) { return c.Serveable.(certifier).Certify() }
+
+// TestHostVerifyByCertificate: a hosted class with a certificate (sssp,
+// cc) is verified by it, as a recovered one is: while the certificates
+// hold, Host.Verify recomputes nothing and republishes the view at its
+// epoch. A distance lowered by 1 in place fails sssp's certificate: Verify
+// reports the divergence and repairs it by one recompute, to the batch
+// answer.
+func TestHostVerifyByCertificate(t *testing.T) {
+	svc := NewService()
+	defer svc.Close()
+	g, mirror := opsBase(), opsBase()
+	recomputes := map[string]*int{}
+	for _, algo := range []string{"sssp", "cc"} {
+		recomputes[algo] = new(int)
+		if _, err := svc.Host(countingClass{opsBatchRun(algo, g), recomputes[algo]}, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := makeStream(3, opsNodes, 120)
+	if err := submitWait(svc, b); err != nil {
+		t.Fatal(err)
+	}
+	mirror.Apply(b)
+	for _, h := range svc.Hosts() {
+		before := h.View()
+		if diverged, err := h.Verify(); diverged || err != nil {
+			t.Fatalf("%s: Verify: diverged %v, %v", h.Algo(), diverged, err)
+		}
+		if n := *recomputes[h.Algo()]; n != 0 {
+			t.Errorf("%s: Verify recomputed %d times; its certificate holds", h.Algo(), n)
+		}
+		if v := h.View(); v.Epoch != before.Epoch || v.Batches != before.Batches || !snapshotEqual(v.Data, before.Data) {
+			t.Errorf("%s: Verify moved the view from epoch %d to %d, or changed it", h.Algo(), before.Epoch, v.Epoch)
+		}
+	}
+	h := svc.Get("sssp")
+	h.WithState(func(m Serveable) error {
+		dist := m.(countingClass).Serveable.(*adapter[*sssp.Inc, SSSPView]).m.Dist()
+		for v, d := range dist {
+			if d > 0 && d < graph.Infinity {
+				dist[v]--
+				return nil
+			}
+		}
+		t.Fatal("no finite distance to lower")
+		return nil
+	})
+	if diverged, err := h.Verify(); !diverged || err != nil {
+		t.Fatalf("Verify of a lowered distance: diverged %v, %v", diverged, err)
+	}
+	if n := *recomputes["sssp"]; n != 1 {
+		t.Errorf("the lowered distance was repaired by %d recomputes, want 1", n)
+	}
+	if !snapshotEqual(h.View().Data, opsBatchRun("sssp", mirror).Snapshot()) {
+		t.Error("the repaired view differs from the batch answer")
 	}
 }

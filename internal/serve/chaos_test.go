@@ -12,6 +12,8 @@ import (
 
 	"incgraph/internal/graph"
 	"incgraph/internal/serve/faults"
+	"incgraph/internal/trace"
+	"incgraph/internal/wal"
 )
 
 // TestChaosServeDifferential is the single-process half of the chaos
@@ -62,6 +64,24 @@ func tearStage(g *graph.Graph, b graph.Batch) {
 	g.Flat().Stage(g, graph.Batch{flip})
 }
 
+// tearableBatch draws eight updates on opsBase's nodes and then moves an
+// edge mirror holds to a new weight, last, so that tearStage of the batch
+// tears its stage.
+func tearableBatch(rng *rand.Rand, mirror *graph.Graph) graph.Batch {
+	var b graph.Batch
+	for k := 0; k < 8; k++ {
+		u, v := graph.NodeID(rng.Intn(opsNodes)), graph.NodeID(rng.Intn(opsNodes))
+		b = append(b, graph.Update{Kind: graph.UpdateKind(rng.Intn(2)), From: u, To: v, W: int64(1 + rng.Intn(8))})
+	}
+	var u graph.NodeID
+	for len(mirror.Out(u)) == 0 {
+		u = graph.NodeID(rng.Intn(opsNodes))
+	}
+	v := mirror.Out(u)[0].To
+	return append(b, graph.Update{Kind: graph.DeleteEdge, From: u, To: v},
+		graph.Update{Kind: graph.InsertEdge, From: u, To: v, W: 9})
+}
+
 // checkFlatRows reports the first row of g's Flat view that differs from
 // g's own, if g has a view.
 func checkFlatRows(g *graph.Graph) error {
@@ -99,19 +119,7 @@ func TestChaosStoreStage(t *testing.T) {
 	}
 	mirror, rng := opsBase(), rand.New(rand.NewSource(9))
 	for round := 0; round < 5; round++ {
-		var b graph.Batch
-		for k := 0; k < 8; k++ {
-			u, v := graph.NodeID(rng.Intn(opsNodes)), graph.NodeID(rng.Intn(opsNodes))
-			b = append(b, graph.Update{Kind: graph.UpdateKind(rng.Intn(2)), From: u, To: v, W: int64(1 + rng.Intn(8))})
-		}
-		// Last, an edge the mirror holds moves to a new weight.
-		var u, v graph.NodeID
-		for len(mirror.Out(u)) == 0 {
-			u = graph.NodeID(rng.Intn(opsNodes))
-		}
-		v = mirror.Out(u)[0].To
-		b = append(b, graph.Update{Kind: graph.DeleteEdge, From: u, To: v},
-			graph.Update{Kind: graph.InsertEdge, From: u, To: v, W: 9})
+		b := tearableBatch(rng, mirror)
 		if round == 1 {
 			svc.Hosts()[0].WithState(func(m Serveable) error { tearStage(m.Graph(), b); return nil })
 		}
@@ -141,6 +149,68 @@ func TestChaosStoreStage(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestChaosReplayStage: a recovery's replay stages each record as the apply
+// loop stages a batch, so a stage that panics there is the store's too.
+// Six classes share one graph, whose Flat is torn (tearStage) before the
+// WAL tail is replayed into them: the replay counts one stage panic, lays
+// the Flat out again and goes on, and every class ends at the batch answer
+// on a mirror, the Flat's rows at the graph's.
+func TestChaosReplayStage(t *testing.T) {
+	dir := t.TempDir()
+	svc := NewService()
+	if _, _, err := Start(svc, dir, opsAlgos(), opsBuild, func() (*graph.Graph, error) { return opsBase(), nil },
+		Options{}, false, false); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDurable(svc, dir, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 4
+	mirror, rng := opsBase(), rand.New(rand.NewSource(9))
+	var first graph.Batch
+	for i := 0; i < records; i++ {
+		b := tearableBatch(rng, mirror)
+		if i == 0 {
+			first = b
+		}
+		if err := d.Ingest(nil, "", b, trace.TraceID{}, true); err != nil {
+			t.Fatal(err)
+		}
+		mirror.Apply(b)
+	}
+	svc.Close()
+	d.Close()
+
+	rec, err := loadRecovery(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := opsBase()
+	targets := map[string]Serveable{}
+	for _, algo := range opsAlgos() {
+		targets[algo] = opsBatchRun(algo, g)
+	}
+	tearStage(g, first)
+	if n, err := rec.Replay(targets, trace.NewRecorder(64)); n != records || err != nil {
+		t.Fatalf("replayed %d records (%v), want %d", n, err, records)
+	}
+	if rec.StagePanics != 1 {
+		t.Errorf("the replay counted %d stage panics, want 1", rec.StagePanics)
+	}
+	for algo, m := range targets {
+		if !snapshotEqual(m.Snapshot(), opsBatchRun(algo, mirror.Clone()).Snapshot()) {
+			t.Errorf("%s: the replayed view differs from the batch answer on the mirror", algo)
+		}
+	}
+	if g.Round() != records || g.NumEdges() != mirror.NumEdges() {
+		t.Errorf("the graph is at round %d with %d edges, want %d and the mirror's %d", g.Round(), g.NumEdges(), records, mirror.NumEdges())
+	}
+	if err := checkFlatRows(g); err != nil {
+		t.Error(err)
+	}
 }
 
 func testChaosServe(t *testing.T, mode chaosMode) {

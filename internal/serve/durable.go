@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -76,6 +75,8 @@ type Recovery struct {
 	replayedRaw uint64
 	// Replayed is the total WAL records re-applied by Replay.
 	Replayed int
+	// StagePanics counts the replayed records whose stage panicked (stage).
+	StagePanics int
 }
 
 // upgradeV2 converts class algo's state in a v2 checkpoint, a gob struct of
@@ -149,29 +150,29 @@ func (r *Recovery) Restore(algo string, m Serveable) error {
 
 // Replay streams the WAL tail into the targets: every record reaches
 // every serveable. Called before the hosts start, so it is the rounds' one
-// writer, as the loop is later: a record advances each distinct graph of
-// the targets once, and then every target repairs (Apply). Each record
-// is coalesced with Net once, as the serving path would have (the targets
-// must agree on directedness, which is checked up front), and validated
-// as it would have been: a record that fails Batch.Validate against a
-// target, or that is targeted at one class (wal.Record.Algo, which only
-// logs from before updates stopped being targeted can hold), stops the
-// replay with an error naming its segment and record, and reaches no
-// target.
+// writer, as the loop is later, and stages each record as the loop does
+// (stage: each distinct graph of the targets advanced once, a stage that
+// panics recorded in StagePanics and its Flat laid out again); then every
+// target repairs (Apply). Each record is coalesced with Net once, as the
+// serving path would have (the targets must agree on directedness, which
+// is checked up front), and validated as it would have been: a record
+// that fails Batch.Validate against a target, or that is targeted at one
+// class (wal.Record.Algo, which only logs from before updates stopped
+// being targeted can hold), stops the replay with an error naming its
+// segment and record, and reaches no target.
 func (r *Recovery) Replay(targets map[string]Serveable, rec *trace.Recorder) (int, error) {
-	var graphs []*graph.Graph // the targets' graphs, each once
+	var ms []Serveable
 	for _, m := range targets {
-		if g := m.Graph(); !slices.Contains(graphs, g) {
-			if len(graphs) > 0 && g.Directed() != graphs[0].Directed() {
-				return 0, fmt.Errorf("serve: replay targets mix directed and undirected graphs")
-			}
-			graphs = append(graphs, g)
+		if ms = append(ms, m); m.Graph().Directed() != ms[0].Graph().Directed() {
+			return 0, fmt.Errorf("serve: replay targets mix directed and undirected graphs")
 		}
 	}
-	directed := len(graphs) > 0 && graphs[0].Directed()
+	directed := len(ms) > 0 && ms[0].Graph().Directed()
 	var span trace.Span
+	var track int32
 	if rec != nil {
-		span = rec.Begin("recovery_replay", "serve", rec.Track("recovery"))
+		track = rec.Track("recovery")
+		span = rec.Begin("recovery_replay", "serve", track)
 	}
 	n, err := wal.Replay(r.dir, r.ReplayFrom, func(record wal.Record) error {
 		if err := record.CheckBroadcast(); err != nil {
@@ -183,10 +184,8 @@ func (r *Recovery) Replay(targets map[string]Serveable, rec *trace.Recorder) (in
 			}
 		}
 		net := record.Batch.Net(directed)
-		for _, g := range graphs {
-			g.Advance(net)
-		}
-		for _, m := range targets {
+		r.StagePanics += stage(ms, Serveable.Graph, net, rec, track)
+		for _, m := range ms {
 			m.Apply(net)
 		}
 		r.replayedRaw += uint64(len(record.Batch))
@@ -257,8 +256,8 @@ func verifyRecovered(targets map[string]Serveable, rec *trace.Recorder, workers 
 	return byName, divergent
 }
 
-// verifyClass checks one recovered class (see VerifyRecovered), calling
-// layOut before any recompute.
+// verifyClass checks one class (see VerifyRecovered and Host.Verify),
+// calling layOut before any recompute, in a span on rec if it is not nil.
 func verifyClass(m Serveable, rec *trace.Recorder, layOut func()) Check {
 	start := time.Now()
 	var span trace.Span
@@ -431,10 +430,11 @@ func (d *Durable) Ingest(targets []*Host, algo string, b graph.Batch, tid trace.
 // the cut covers exactly the records appended so far), rotate the WAL, and
 // atomically write the checkpoint whose ReplayFrom is the fresh segment.
 // Old checkpoints and fully-covered segments are pruned afterwards. The
-// graph is the first non-quarantined host's by name; a quarantined host's
-// state trails the stream and is not written (recovery rebuilds the class
-// by a batch run), and with every host quarantined Checkpoint refuses.
-// Failures count on incgraph_checkpoint_errors_total.
+// graph is written once, before the classes, whatever their state: the
+// loop advances it by every batch, quarantined classes or not. A
+// quarantined host's state trails the stream and is not written (recovery
+// rebuilds the class by a batch run). Failures count on
+// incgraph_checkpoint_errors_total.
 func (d *Durable) Checkpoint() (err error) {
 	defer func() {
 		if err != nil {
@@ -446,26 +446,22 @@ func (d *Durable) Checkpoint() (err error) {
 	start := time.Now()
 	ck := &wal.Checkpoint{}
 	err = d.svc.withState(func() error {
-		for _, h := range d.svc.Hosts() {
+		hosts := d.svc.Hosts()
+		var g bytes.Buffer
+		if err := hosts[0].m.Graph().WriteBinary(&g); err != nil {
+			return fmt.Errorf("serve: checkpointing the graph: %w", err)
+		}
+		ck.Graph = g.Bytes()
+		for _, h := range hosts {
 			if h.quarantined {
 				ck.Algos = append(ck.Algos, wal.AlgoState{Name: h.algo})
 				continue
-			}
-			if ck.Graph == nil {
-				var g bytes.Buffer
-				if err := h.m.Graph().WriteBinary(&g); err != nil {
-					return fmt.Errorf("serve: checkpointing the graph: %w", err)
-				}
-				ck.Graph = g.Bytes()
 			}
 			var state bytes.Buffer
 			if err := h.m.PersistState(&state); err != nil {
 				return fmt.Errorf("serve: checkpointing %s: %w", h.algo, err)
 			}
 			ck.Algos = append(ck.Algos, wal.AlgoState{Name: h.algo, State: state.Bytes()})
-		}
-		if ck.Graph == nil {
-			return errors.New("serve: no checkpoint: every class is quarantined")
 		}
 		at := d.svc.stream.pos()
 		ck.Epoch, ck.Batches = at.epoch, at.batches

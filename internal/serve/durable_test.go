@@ -711,8 +711,10 @@ func (a armedPanic) Recompute() {
 // holds one graph, a healthy class's, and no state for the quarantined
 // one; recovery rebuilds that one by a batch run on the cut's graph, so
 // every recovered class holds the stream's graph and the answer on it.
-// With every class quarantined there is no cut: Checkpoint refuses and
-// counts the failure, and recovery falls back to the checkpoint before.
+// With every class quarantined the loop has still advanced the graph by
+// every batch, so the cut is taken all the same — the graph and no class
+// state — and the second checkpoint prunes the segments only the first
+// replayed; recovery rebuilds both classes by batch runs on it.
 func TestCheckpointAfterQuarantine(t *testing.T) {
 	const nodes, chunkLen = 60, 40
 	base := gen.Synthetic(13, nodes, 3, true)
@@ -759,12 +761,14 @@ func TestCheckpointAfterQuarantine(t *testing.T) {
 					t.Fatalf("%s: degraded %v, want %v", h.Algo(), st.Degraded, tc.quarantine[h.Algo()])
 				}
 			}
-			err = d.Checkpoint()
-			if every := len(tc.quarantine) == len(svc.Hosts()); every != (err != nil) {
-				t.Fatalf("checkpoint with %v quarantined: err = %v", tc.quarantine, err)
+			if err := d.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint with %v quarantined: %v", tc.quarantine, err)
 			}
-			if got, want := d.ckptErrors.Value(), float64(len(tc.quarantine)-1); got != want {
-				t.Fatalf("incgraph_checkpoint_errors_total = %v, want %v", got, want)
+			if got := d.ckptErrors.Value(); got != 0 {
+				t.Fatalf("incgraph_checkpoint_errors_total = %v, want 0", got)
+			}
+			if segs, err := wal.Segments(dir); err != nil || len(d.kept) != keepCheckpoints || segs[0] != d.kept[0].replayFrom {
+				t.Fatalf("segments %v (%v) after checkpoints replaying from %v: the first checkpoint's prefix is not pruned", segs, err, d.kept)
 			}
 			post(3)
 			svc.Close()
@@ -775,11 +779,7 @@ func TestCheckpointAfterQuarantine(t *testing.T) {
 				og.Apply(chunk(i).Net(og.Directed()))
 			}
 			targets, rec, _ := recoverAlgos(t, base, dir)
-			want := uint64(3 * chunkLen) // the second checkpoint's, or the first's if refused
-			if err != nil {
-				want = chunkLen
-			}
-			if rec.CheckpointEpoch != want {
+			if want := uint64(3 * chunkLen); rec.CheckpointEpoch != want {
 				t.Errorf("recovered from epoch %d, want %d", rec.CheckpointEpoch, want)
 			}
 			if div := VerifyRecovered(targets, nil); len(div) != 0 {

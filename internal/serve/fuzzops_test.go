@@ -30,10 +30,11 @@ import (
 // that must take each batch once, quarantined classes or not. One op arms
 // an injected panic in a class's next apply, after the loop advanced the
 // graph by the batch, which the host must heal without losing the batch or
-// applying it twice; another has a host verify itself against a recompute in place;
-// another arms a class so that its apply and its heal's recompute both
-// panic, which quarantines it on its last good view until a recovery
-// rebuilds it — from the cut a checkpoint took of a healthy class's graph.
+// applying it twice; another has a host verify itself, by its certificate
+// or a recompute in place; another arms a class so that its apply and its
+// heal's recompute both panic, which quarantines it on its last good view
+// until a recovery rebuilds it — from the cut a checkpoint took of the
+// classes' one graph, which it takes whatever their state.
 // Every start, the first and each recovery's, is Start. Updates are drawn
 // from a boundary dictionary (opsBatch), so the fuzzer spends its mutations
 // on the order of operations, not on finding the interesting edges.
@@ -487,9 +488,12 @@ func (r *opsRig) run(prog []byte) {
 			}); err != nil {
 				r.t.Fatal(err)
 			}
-		case 6: // refused only with every class quarantined: there is no graph to cut
-			if err := r.dur.Checkpoint(); (err != nil) != (len(r.stale) == len(Classes)) {
+		case 6: // a cut whatever the classes' state, pruning what no kept checkpoint replays
+			if err := r.dur.Checkpoint(); err != nil {
 				r.t.Fatalf("step %d: checkpoint with %d classes quarantined: %v", step, len(r.stale), err)
+			}
+			if segs, err := wal.Segments(r.dir); err != nil || len(r.dur.kept) == keepCheckpoints && segs[0] != r.dur.kept[0].replayFrom {
+				r.t.Fatalf("step %d: segments %v (%v) after checkpoints replaying from %v", step, segs, err, r.dur.kept)
 			}
 		case 7: // stop without a checkpoint, start from what is on disk
 			r.shutdown()
@@ -500,12 +504,21 @@ func (r *opsRig) run(prog []byte) {
 				algo = ""
 			}
 			r.inj.PanicOn(algo, r.applies+1)
-		case 9: // a recompute in place finds nothing to correct and keeps the view's position
+		case 9: // a check finds nothing to correct and keeps the view's position
 			h := r.svc.Get(Classes[int(arg[0])%len(Classes)].Name)
+			var certified bool
+			if err := h.WithState(func(m Serveable) error {
+				certified, _ = m.(certifier).Certify()
+				return nil
+			}); err != nil {
+				r.t.Fatal(err)
+			}
 			before := h.View()
 			diverged, err := h.Verify()
-			if r.armed[h.Algo()].Load() {
-				// Its recompute panics: quarantined on the view it had.
+			if r.armed[h.Algo()].Load() && !certified {
+				// Its recompute panics: quarantined on the view it had. A
+				// class with a certificate is checked by it and recomputes
+				// nothing; its next batch quarantines it.
 				if err == nil {
 					r.t.Fatalf("step %d: %s.Verify of an armed class: no error", step, h.Algo())
 				}
@@ -556,16 +569,21 @@ func FuzzOps(f *testing.F) {
 	// Every class panics on a reweight and on a triangle: the loop advanced
 	// the graph once for each, and every heal recomputes over it.
 	f.Add([]byte{0, 15, 1, 4, 8, 0, 0, 1, 0, 35, 1, 4, 8, 0, 0, 1, 0, 8, 1, 4, 3, 0, 0, 0})
-	// bc, first by name, quarantined by a batch and cc by a verify, a
-	// checkpoint (of dfs's graph), a tail, a recovery that rebuilds both on
-	// the cut, and a checkpoint and recovery after it.
+	// bc, first by name, quarantined by a batch and cc by the batch after a
+	// verify (which its certificate passes, recomputing nothing), a
+	// checkpoint, a tail, a recovery that rebuilds both on the cut, and a
+	// checkpoint and recovery after it.
 	f.Add([]byte{10, 5, 0, 0, 0, 0, 1, 4, 10, 1, 0, 0, 9, 1, 0, 0, 0, 8, 0, 1, 4, 5, 3, 7,
 		6, 0, 0, 0, 0, 45, 2, 9, 7, 0, 0, 0, 0, 1, 2, 3, 6, 0, 0, 0, 7, 0, 0, 0})
+	// sim, which has no certificate, quarantined by a verify's recompute,
+	// then cut and rebuilt by a recovery.
+	f.Add([]byte{10, 2, 0, 0, 9, 2, 0, 0, 0, 0, 1, 4, 6, 0, 0, 0, 7, 0, 0, 0})
 	// Every class quarantined by one batch, and then two more batches: the
-	// loop advances the classes' graph by each all the same, so that the
-	// recovery after them finds the graph the stream describes.
+	// loop advances the classes' graph by each all the same, so that two
+	// checkpoints cut it, the second pruning what only the first replayed,
+	// and the recovery after them finds the graph the stream describes.
 	f.Add([]byte{10, 0, 0, 0, 10, 1, 0, 0, 10, 2, 0, 0, 10, 3, 0, 0, 10, 4, 0, 0, 10, 5, 0, 0,
-		0, 0, 1, 4, 0, 7, 5, 6, 0, 45, 2, 9, 6, 0, 0, 0, 7, 0, 0, 0, 0, 1, 1, 4})
+		0, 0, 1, 4, 0, 7, 5, 6, 0, 45, 2, 9, 6, 0, 0, 0, 0, 8, 1, 4, 6, 0, 0, 0, 7, 0, 0, 0, 0, 1, 1, 4})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		r := &opsRig{t: t, dir: t.TempDir(), mirror: opsBase(), inj: faults.New()}
 		r.boot()

@@ -125,7 +125,7 @@ func NewService() *Service {
 	s.stream = newStreamAccount(s.reg)
 	s.flatCompactions = s.reg.Counter("incgraph_flat_compactions_total", "Compactions (row layouts from the graph) of the shared graph's flat adjacency view.")
 	s.flatOverlay = s.reg.Gauge("incgraph_flat_overlay_ratio", "Dead space (array slots a compaction would reclaim) as a fraction of the shared flat view's live entries after the last batch.")
-	s.stagePanics = s.reg.Counter("incgraph_stage_panics_total", "Batches whose stage into the shared flat adjacency view panicked; the view was laid out again from the graph and every class repaired as usual.")
+	s.stagePanics = s.reg.Counter("incgraph_stage_panics_total", "Batches, served or replayed at a recovery, whose stage into the shared flat adjacency view panicked; the view was laid out again from the graph and every class repaired as usual.")
 	return s
 }
 

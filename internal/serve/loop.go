@@ -226,11 +226,11 @@ func (s *Service) loop(opt Options, directed bool) {
 }
 
 // apply nets one accumulated batch once, in a "coalesce" span on the
-// loop's own track, moves the stream past it, advances each graph of the
-// hosts by it once, in a "stage" span beside it, and has every host repair
-// in name order; each stamps its view with the stream's new position. The
-// graph's Flat view is observed once, after the last host. Called only
-// from loop.
+// loop's own track, moves the stream past it, stages it (each graph of the
+// hosts advanced by it once), in a "stage" span beside it, and has every
+// host repair in name order; each stamps its view with the stream's new
+// position. The graph's Flat view is observed once, after the last host.
+// Called only from loop.
 func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid trace.TraceID, why flushReason) {
 	span := s.rec.Begin("coalesce", "serve", s.track)
 	span.SetTrace(tid)
@@ -244,11 +244,7 @@ func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid tr
 	s.mu.RUnlock()
 	span = s.rec.Begin("stage", "serve", s.track)
 	span.SetTrace(tid)
-	for i, h := range hosts {
-		if g := h.m.Graph(); !slices.ContainsFunc(hosts[:i], func(o *Host) bool { return o.m.Graph() == g }) {
-			s.advance(g, net)
-		}
-	}
+	s.stagePanics.Add(float64(stage(hosts, func(h *Host) *graph.Graph { return h.m.Graph() }, net, s.rec, s.track)))
 	span.End()
 	for _, h := range hosts {
 		h.apply(raw, net, oldest, tid, why)
@@ -261,19 +257,32 @@ func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid tr
 	}
 }
 
-// advance takes net as g's next round. A panic in the stage is the
-// store's, not a class's: it is counted once, on the loop's track, and
-// the Flat it tore is laid out again from the rows (graph.Graph.Flat), so
-// every class then repairs the round as usual. Called only from apply.
-func (s *Service) advance(g *graph.Graph, net graph.Batch) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.stagePanics.Inc()
-			panicEvent(s.rec, s.track, p)
-			g.Flat()
+// stage takes net as the next round of each distinct graph of the classes
+// cs (graph.Graph.Advance): the round's one write, which the apply loop
+// and a recovery's replay both make here. A panic in a stage is the
+// store's, not a class's: it is counted, recorded on rec's track (if rec
+// is not nil), and the Flat it tore is laid out again from the rows
+// (graph.Graph.Flat), so every class then repairs the round as usual.
+func stage[C any](cs []C, graphOf func(C) *graph.Graph, net graph.Batch, rec *trace.Recorder, track int32) (panics int) {
+	for i, c := range cs {
+		g := graphOf(c)
+		if slices.ContainsFunc(cs[:i], func(o C) bool { return graphOf(o) == g }) {
+			continue
 		}
-	}()
-	g.Advance(net)
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					panics++
+					if rec != nil {
+						panicEvent(rec, track, p)
+					}
+					g.Flat()
+				}
+			}()
+			g.Advance(net)
+		}()
+	}
+	return panics
 }
 
 // streamAccount is a service's one account of its update stream, which

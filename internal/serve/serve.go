@@ -24,7 +24,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -470,7 +469,7 @@ func (h *Host) absorbPanic(pval any) {
 	if h.quarantined {
 		return
 	}
-	data, healed := h.rebuild("heal")
+	data, healed := h.rebuild("heal", h.m.Recompute)
 	if !healed {
 		return
 	}
@@ -496,11 +495,11 @@ func (h *Host) publishDegraded() {
 	h.view.Store(&View{Algo: h.algo, Epoch: old.Epoch, Batches: h.svc.stream.pos().batches, Degraded: true, Data: old.Data})
 }
 
-// rebuild discards the maintained answer for a batch rerun over the
-// graph and returns the fresh snapshot, in a span called name: the heal
-// after a panic, and the verification at a promotion. A panic anywhere
-// quarantines the host. Called only from the apply loop.
-func (h *Host) rebuild(name string) (data any, ok bool) {
+// rebuild runs redo — the heal's batch rerun over the graph after a
+// panic, or the verification at a promotion — and returns the fresh
+// snapshot, in a span called name. A panic anywhere quarantines the host.
+// Called only from the apply loop.
+func (h *Host) rebuild(name string, redo func()) (data any, ok bool) {
 	span := h.rec.Begin(name, "serve", h.track)
 	defer func() {
 		if recover() != nil {
@@ -510,22 +509,23 @@ func (h *Host) rebuild(name string) (data any, ok bool) {
 		span.Arg("ok", boolArg(ok))
 		span.End()
 	}()
-	h.m.Recompute()
+	redo()
 	return h.m.Snapshot(), true
 }
 
 // Verify is VerifyRecovered for a maintainer that is already hosted (a
 // warm replica at promotion): from inside the apply loop, after every
-// accepted submission, it recomputes the answer over the maintainer's
-// graph, publishes it at the same epoch and reports whether it differed —
-// which the design treats as a bug. An error means the recompute panicked
-// and the host is quarantined on its last good view.
+// accepted submission, it checks the class by its certificate or a
+// recompute in place (verifyClass), publishes the answer at the same epoch
+// and reports whether it differed — which the design treats as a bug. An
+// error means the recompute panicked and the host is quarantined on its
+// last good view.
 func (h *Host) Verify() (diverged bool, err error) {
 	err = h.WithState(func(Serveable) error {
 		if h.quarantined {
 			return fmt.Errorf("serve: %s is quarantined", h.algo)
 		}
-		data, ok := h.rebuild("verify")
+		data, ok := h.rebuild("verify", func() { diverged = verifyClass(h.m, nil, func() {}).Diverged })
 		if !ok {
 			h.statMu.Lock()
 			h.stats.Degraded = true
@@ -534,7 +534,6 @@ func (h *Host) Verify() (diverged bool, err error) {
 			return fmt.Errorf("serve: %s: recompute panicked", h.algo)
 		}
 		old := h.view.Load()
-		diverged = !reflect.DeepEqual(old.Data, data)
 		h.view.Store(&View{Algo: h.algo, Epoch: old.Epoch, Batches: old.Batches, Data: data})
 		return nil
 	})

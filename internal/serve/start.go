@@ -110,7 +110,9 @@ func Start(svc *Service, dir string, algos []string, build func(algo string, g *
 	lap(&buildT)
 	st.Verify = make([]Check, len(algos))
 	if dir != "" && !replica {
-		if _, err := rec.Replay(targets, svc.Recorder()); err != nil {
+		_, err := rec.Replay(targets, svc.Recorder())
+		svc.stagePanics.Add(float64(rec.StagePanics))
+		if err != nil {
 			return nil, st, fmt.Errorf("recovery: replay: %w", err)
 		}
 		lap(&replayT)

@@ -141,13 +141,13 @@ func (s *simState) relation() Relation {
 // closure — the weakness that IncSim's timestamps avoid (§5.1).
 type IncMatch struct {
 	*simState
+	round   uint64 // the last round of the data graph this algorithm took
 	acyclic bool
-	pending graph.Batch
 }
 
 // NewIncMatch computes the initial maximum simulation.
 func NewIncMatch(g, q *graph.Graph) *IncMatch {
-	return &IncMatch{simState: newSimState(g, q, false), acyclic: isDAG(q)}
+	return &IncMatch{simState: newSimState(g, q, false), round: g.Round(), acyclic: isDAG(q)}
 }
 
 // isDAG reports whether the pattern has no directed cycle.
@@ -184,23 +184,19 @@ func (m *IncMatch) Graph() *graph.Graph { return m.g }
 // Relation returns the current match relation.
 func (m *IncMatch) Relation() Relation { return m.relation() }
 
-// Apply computes G ⊕ ΔG and repairs the relation: counter cascades for
-// deletions, affected-ball recomputation for insertions.
+// Apply nets b and advances the data graph by it (G ⊕ ΔG), then repairs
+// the relation: counter cascades for deletions, affected-ball
+// recomputation for insertions.
 func (m *IncMatch) Apply(b graph.Batch) int {
-	m.Stage(b)
+	m.g.Advance(b.Net(m.g.Directed()))
 	return m.Repair()
 }
 
-// Stage materializes G ⊕ ΔG; see the incremental maintainers' Stage.
-func (m *IncMatch) Stage(b graph.Batch) {
-	m.pending = append(m.pending, m.g.Apply(b.Net(m.g.Directed()))...)
-	m.grow()
-}
-
-// Repair processes the staged updates.
+// Repair processes the data graph's newest round, which must be net: the
+// counters count each applied update once.
 func (m *IncMatch) Repair() int {
-	applied := m.pending
-	m.pending = nil
+	applied := m.g.Take(&m.round)
+	m.grow()
 	var offSeeds [][2]int32
 	var inserted []graph.NodeID
 	adjust := func(from, to graph.NodeID, delta int32) {

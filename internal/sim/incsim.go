@@ -158,14 +158,9 @@ func (i *Inc) SetTracer(t fixpoint.Tracer) { i.tracer = t }
 // touched pairs in the order <_C, and resumes the counter cascade of
 // Sim_fp on the produced scope H⁰. It returns |H⁰|.
 func (i *Inc) Apply(b graph.Batch) int {
-	i.Stage(b)
+	i.g.Advance(b)
 	return i.Repair()
 }
-
-// Stage applies any sequence b to the data graph as its next round (see
-// graph.Graph.Advance) without repairing the relation, letting benchmarks
-// time Repair separately from the graph mutation every method needs.
-func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
 
 // Repair runs the incremental algorithm over the data graph's newest round.
 func (i *Inc) Repair() int {

@@ -164,7 +164,7 @@ func TestLedgerZeroAlloc(t *testing.T) {
 		if round%2 == 1 {
 			b[0].Kind = graph.DeleteEdge
 		}
-		inc.Stage(b)
+		inc.Graph().Advance(b)
 		before := inc.Stats().Ledger.Changed
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

@@ -201,12 +201,13 @@ func (s *Instance) Seeds(yield func(fixpoint.Var)) {
 // 6). The counter-based Inc in incsim.go is the tuned equivalent used by
 // the benchmarks; both compute the same relation. Run over a
 // DualInstance it maintains dual simulation instead (NewIncDual): the
-// whole incremental algorithm is the touched-pair bookkeeping in Apply;
+// whole incremental algorithm is the touched-pair bookkeeping in Repair;
 // h and the resumed step function come from the framework.
 type IncEngine struct {
-	g    *graph.Graph
-	inst *Instance
-	eng  *fixpoint.Engine[bool]
+	g     *graph.Graph
+	round uint64 // the last round of g this algorithm took
+	inst  *Instance
+	eng   *fixpoint.Engine[bool]
 	// dual also touches an edge's target pairs on directed graphs: dual
 	// simulation's parent condition reads the target's in-edges.
 	dual  bool
@@ -236,7 +237,7 @@ func NewIncDual(g, q *graph.Graph) *IncDual {
 func newIncEngine(g *graph.Graph, inst *Instance, run fixpoint.Instance[bool], dual bool) *IncEngine {
 	eng := fixpoint.New[bool](run, fixpoint.FIFOOrder)
 	eng.Run()
-	return &IncEngine{g: g, inst: inst, eng: eng, dual: dual}
+	return &IncEngine{g: g, round: g.Round(), inst: inst, eng: eng, dual: dual}
 }
 
 // Graph returns the maintained data graph.
@@ -257,7 +258,13 @@ func (i *IncEngine) State() *fixpoint.State[bool] { return i.eng.State() }
 // Apply computes G ⊕ ΔG for any sequence of unit updates b — netted or
 // not — and incrementally maintains the relation. It returns |H⁰|.
 func (i *IncEngine) Apply(b graph.Batch) int {
-	applied := i.g.Apply(b)
+	i.g.Advance(b)
+	return i.Repair()
+}
+
+// Repair maintains the relation over the data graph's newest round.
+func (i *IncEngine) Repair() int {
+	applied := i.g.Take(&i.round)
 	i.eng.Grow()
 	a := &i.arena
 	a.Begin(i.inst.NumVars())

@@ -165,16 +165,16 @@ func (r *RR) hasUnaffectedTightEdge(y graph.NodeID, affected map[graph.NodeID]bo
 // subtrees hanging below deleted or worsened tree edges, and re-runs
 // Dijkstra from the valid boundary plus the inserted edges.
 type DynDij struct {
-	g       *graph.Graph
-	src     graph.NodeID
-	dist    []int64
-	parent  []graph.NodeID
-	pending graph.Batch
+	g      *graph.Graph
+	round  uint64 // the last round of g this algorithm took
+	src    graph.NodeID
+	dist   []int64
+	parent []graph.NodeID
 }
 
 // NewDynDij computes the initial tree and returns the algorithm.
 func NewDynDij(g *graph.Graph, src graph.NodeID) *DynDij {
-	d := &DynDij{g: g, src: src}
+	d := &DynDij{g: g, round: g.Round(), src: src}
 	d.rebuild()
 	return d
 }
@@ -204,26 +204,22 @@ func (d *DynDij) Dist() []int64 { return d.dist }
 // Graph returns the maintained graph.
 func (d *DynDij) Graph() *graph.Graph { return d.g }
 
-// Apply processes the whole batch: apply ΔG, invalidate affected subtrees,
-// then one Dijkstra pass over the invalidated region and insertion seeds.
+// Apply processes the whole batch: net it and advance the graph by it
+// (G ⊕ ΔG), invalidate affected subtrees, then one Dijkstra pass over the
+// invalidated region and insertion seeds.
 func (d *DynDij) Apply(b graph.Batch) int {
-	d.Stage(b)
+	d.g.Advance(b.Net(d.g.Directed()))
 	return d.Repair()
 }
 
-// Stage materializes G ⊕ ΔG; see (*Inc).Stage.
-func (d *DynDij) Stage(b graph.Batch) {
-	d.pending = append(d.pending, d.g.Apply(b.Net(d.g.Directed()))...)
+// Repair processes the graph's newest round, which must be net: the
+// insertion seeds are relaxed without checking the edge survived.
+func (d *DynDij) Repair() int {
+	applied := d.g.Take(&d.round)
 	for len(d.dist) < d.g.NumNodes() {
 		d.dist = append(d.dist, Infinity)
 		d.parent = append(d.parent, -1)
 	}
-}
-
-// Repair processes the staged updates.
-func (d *DynDij) Repair() int {
-	applied := d.pending
-	d.pending = nil
 	if len(applied) == 0 {
 		return 0
 	}

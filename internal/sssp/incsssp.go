@@ -20,7 +20,7 @@ import (
 // (with positive weights, every anchor's distance is strictly smaller than
 // its dependent's).
 //
-// Apply = Stage (materialize G ⊕ ΔG) + Repair:
+// Apply = the graph's Advance (materialize G ⊕ ΔG) + Repair:
 //
 //  1. the initial scope function h revises potentially infeasible
 //     distances in ascending old-distance order, substituting ∞ for
@@ -136,14 +136,9 @@ func (i *Inc) SetTracer(t fixpoint.Tracer) { i.tracer = t }
 // re-insert at a new weight — and incrementally repairs the distances,
 // returning |H⁰|.
 func (i *Inc) Apply(b graph.Batch) int {
-	i.Stage(b)
+	i.g.Advance(b)
 	return i.Repair()
 }
-
-// Stage applies any sequence b to the graph as its next round (see
-// graph.Graph.Advance) without repairing, so benchmarks can time Repair —
-// the algorithm proper — separately from graph mutation.
-func (i *Inc) Stage(b graph.Batch) { i.g.Advance(b) }
 
 // grow extends the per-node arrays to the graph's node count.
 func (i *Inc) grow() {

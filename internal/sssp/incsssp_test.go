@@ -104,7 +104,7 @@ func TestTunedMixedStormAgainstBellmanFord(t *testing.T) {
 }
 
 // TestTunedRepairTakesOneRound: a Repair repairs for exactly the round
-// after the last it took. Two Stages before one Repair skip a round, and
+// after the last it took. Two Advances before one Repair skip a round, and
 // a second Repair takes one twice; either would repair from the wrong
 // updates, so the graph's guard panics instead.
 func TestTunedRepairTakesOneRound(t *testing.T) {
@@ -121,8 +121,8 @@ func TestTunedRepairTakesOneRound(t *testing.T) {
 		}()
 		inc.Repair()
 	}
-	inc.Stage(graph.Batch{{Kind: graph.DeleteEdge, From: 1, To: 2}})
-	inc.Stage(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 3, W: 4}})
+	inc.Graph().Advance(graph.Batch{{Kind: graph.DeleteEdge, From: 1, To: 2}})
+	inc.Graph().Advance(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 3, W: 4}})
 	mustPanic("a Repair two rounds behind")
 
 	inc = NewInc(g, 0)
@@ -163,7 +163,7 @@ func TestLedgerZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var mallocs uint64
 	for round := 0; round < 20; round++ {
-		inc.Stage(shortcut)
+		inc.Graph().Advance(shortcut)
 		before := inc.Stats().Ledger.Changed
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

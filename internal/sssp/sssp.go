@@ -156,11 +156,11 @@ func (s *Instance) RelaxOut(x fixpoint.Var, xv int64, emit func(fixpoint.Var, in
 // the paper's Fig. 5 and is what the benchmarks exercise. Both compute
 // the same distances (tests cross-check them).
 type IncEngine struct {
-	g       *graph.Graph
-	inst    *Instance
-	eng     *fixpoint.Engine[int64]
-	arena   fixpoint.ScopeArena
-	pending graph.Batch
+	g     *graph.Graph
+	round uint64 // the last round of g this algorithm took
+	inst  *Instance
+	eng   *fixpoint.Engine[int64]
+	arena fixpoint.ScopeArena
 }
 
 // NewIncEngine computes the initial fixpoint over g and returns the
@@ -169,7 +169,7 @@ func NewIncEngine(g *graph.Graph, src graph.NodeID) *IncEngine {
 	inst := &Instance{G: g, Src: src}
 	eng := fixpoint.New[int64](inst, fixpoint.PriorityOrder)
 	eng.Run()
-	return &IncEngine{g: g, inst: inst, eng: eng}
+	return &IncEngine{g: g, round: g.Round(), inst: inst, eng: eng}
 }
 
 // Graph returns the graph the algorithm maintains.
@@ -190,30 +190,21 @@ func (i *IncEngine) State() *fixpoint.State[int64] { return i.eng.State() }
 // h and resuming the batch step function. It returns |H⁰|, the size of
 // the initial scope found by h.
 func (i *IncEngine) Apply(b graph.Batch) int {
-	i.Stage(b)
+	i.g.Advance(b)
 	return i.Repair()
 }
 
-// Stage materializes G ⊕ ΔG for any sequence b without repairing the
-// distances, so that benchmarks can time Repair — the algorithm A_Δ
-// proper — separately from the graph mutation that every method
-// (including a batch re-run) needs. Re-propagating from an insert's tail
-// reads the graph as it is now, so an insert the batch deletes again
-// relaxes nothing.
-func (i *IncEngine) Stage(b graph.Batch) {
-	i.pending = append(i.pending, i.g.Apply(b)...)
-	i.eng.Grow()
-}
-
-// Repair runs the incremental algorithm over the staged updates.
+// Repair runs the incremental algorithm over the graph's newest round.
+// Re-propagating from an insert's tail reads the graph as it is now, so
+// an insert the batch deletes again relaxes nothing.
 //
 // Per-update anchor analysis (§4) keeps the scope tight: an inserted edge
 // can only improve its head, so the head skips h's revision queue; a
 // deleted edge matters only if it was tight (on a shortest path), i.e. in
 // the head's anchor set — other deletions touch nothing at all.
 func (i *IncEngine) Repair() int {
-	applied := i.pending
-	i.pending = nil
+	applied := i.g.Take(&i.round)
+	i.eng.Grow()
 	dist := i.eng.State().Val
 	a := &i.arena
 	a.Begin(i.g.NumNodes())
