@@ -53,9 +53,9 @@ var flatThresholds = []float64{0, 0.05, graph.DefaultCompactThreshold, math.Inf(
 
 // flatLedgers is what one run of the differential hands back for
 // comparison across thresholds and against flatGolden.
-type flatLedgers struct{ sssp, cc, lcc, dfs, bc fixpoint.WorkLedger }
+type flatLedgers struct{ sssp, cc, lcc, dfs, bc, sim fixpoint.WorkLedger }
 
-// flatGolden pins the work accounting of the five flat-backed maintainers:
+// flatGolden pins the work accounting of the six flat-backed maintainers:
 // their cumulative Portable ledgers after the whole stream of the given
 // seed. SSSP's and CC's were recorded at commit b3499a2, the last
 // one that still carried adjacency-list copies of the maintainer loops and
@@ -65,8 +65,8 @@ type flatLedgers struct{ sssp, cc, lcc, dfs, bc fixpoint.WorkLedger }
 // became the input-set rule, which internal/lcc's TestScopeIsInputSet holds
 // against the definition; DFS's and BC's when they began to keep one, and
 // their packages' differentials hold Changed against the vectors before and
-// after. (Portable zeroes Rounds, which depends on row
-// scan order.)
+// after; Sim's at commit ae2e7f6, the last whose IncSim read the graph's
+// rows. (Portable zeroes Rounds, which depends on row scan order.)
 var flatGolden = map[int64]flatLedgers{
 	1: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 229, Seeds: 149, Changed: 312, Aff: 413, AffEdges: 1748, RecomputeEst: 160},
@@ -74,6 +74,7 @@ var flatGolden = map[int64]flatLedgers{
 		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 233, Changed: 389, Aff: 408, RecomputeEst: 160},
 		dfs:  fixpoint.WorkLedger{Runs: 6, Touched: 233, Changed: 903, Aff: 960, AffEdges: 4352, RecomputeEst: 160},
 		bc:   fixpoint.WorkLedger{Runs: 6, Touched: 233, Changed: 30, Aff: 953, AffEdges: 4352, RecomputeEst: 160},
+		sim:  fixpoint.WorkLedger{Runs: 6, Touched: 848, Changed: 10, Aff: 886, AffEdges: 2329, RecomputeEst: 640},
 	},
 	2: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 239, Seeds: 157, Changed: 436, Aff: 517, AffEdges: 2423, RecomputeEst: 160},
@@ -81,6 +82,7 @@ var flatGolden = map[int64]flatLedgers{
 		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 373, Aff: 393, RecomputeEst: 160},
 		dfs:  fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 931, Aff: 960, AffEdges: 4212, RecomputeEst: 160},
 		bc:   fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 34, Aff: 950, AffEdges: 4212, RecomputeEst: 160},
+		sim:  fixpoint.WorkLedger{Runs: 6, Touched: 864, Aff: 866, AffEdges: 2330, RecomputeEst: 640},
 	},
 	3: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 235, Seeds: 167, Changed: 265, Aff: 378, AffEdges: 1911, RecomputeEst: 160},
@@ -88,6 +90,7 @@ var flatGolden = map[int64]flatLedgers{
 		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 364, Aff: 383, RecomputeEst: 160},
 		dfs:  fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 916, Aff: 959, AffEdges: 4480, RecomputeEst: 160},
 		bc:   fixpoint.WorkLedger{Runs: 6, Touched: 232, Changed: 24, Aff: 958, AffEdges: 4482, RecomputeEst: 160},
+		sim:  fixpoint.WorkLedger{Runs: 6, Touched: 840, Changed: 7, Aff: 840, AffEdges: 2500, RecomputeEst: 640},
 	},
 	20210620: {
 		sssp: fixpoint.WorkLedger{Runs: 6, Touched: 238, Seeds: 161, Changed: 431, Aff: 508, AffEdges: 2355, RecomputeEst: 160},
@@ -95,28 +98,32 @@ var flatGolden = map[int64]flatLedgers{
 		lcc:  fixpoint.WorkLedger{Runs: 6, Touched: 236, Changed: 354, Aff: 379, RecomputeEst: 160},
 		dfs:  fixpoint.WorkLedger{Runs: 6, Touched: 236, Changed: 899, Aff: 960, AffEdges: 4358, RecomputeEst: 160},
 		bc:   fixpoint.WorkLedger{Runs: 6, Touched: 236, Changed: 23, Aff: 958, AffEdges: 4358, RecomputeEst: 160},
+		sim:  fixpoint.WorkLedger{Runs: 6, Touched: 812, Aff: 812, AffEdges: 2080, RecomputeEst: 640},
 	},
 }
 
-// runFlatDifferential drives the five flat-backed maintainers (SSSP, CC,
-// BC, DFS, LCC) over seed's update stream at one compaction threshold and
-// requires Theorem 1 after every chunk: the maintained state equals the
-// batch algorithm's on G ⊕ ΔG. No batch run reads a staged Flat:
-// Dijkstra, CCfp and dfs.Run read the graph.Graph, bc.Run and lcc.Run a
-// fresh graph.NewFlat of it — rows laid out by the code a compaction runs,
-// which TestFlatAgainstGraphModel holds to the Graph's — so a staging bug
-// cannot cancel out on both sides of the comparison.
+// runFlatDifferential drives the six flat-backed maintainers (SSSP, Sim,
+// CC, BC, DFS, LCC) over seed's update stream at one compaction threshold
+// and requires Theorem 1 after every chunk: the maintained state equals the
+// batch algorithm's on G ⊕ ΔG. No batch run reads a staged Flat (the rule
+// graph/store.go states): Dijkstra, CCfp and sim.Naive read the
+// graph.Graph, Simfp, dfs.Run, bc.Run and lcc.Run a fresh graph.NewFlat of
+// it — rows laid out by the code a compaction runs, which
+// TestFlatAgainstGraphModel holds to the Graph's — so a staging bug cannot
+// cancel out on both sides of the comparison.
 func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedgers, bool) {
 	rng := rand.New(rand.NewSource(seed))
 	gd := PowerLawGraph(seed+1, flatNodes, 4, true)
 	gu := PowerLawGraph(seed+2, flatNodes, 4, false)
+	pattern := RandomPattern(seed+3, 4, 5, 3)
 
 	s := sssp.NewInc(gd, 0)
+	si := sim.NewInc(gd.Clone(), pattern)
 	c := cc.NewInc(gu.Clone())
 	b := bc.NewInc(gu.Clone())
 	d := dfs.NewInc(gu.Clone())
 	l := lcc.NewInc(gu.Clone())
-	flats := []*graph.Flat{s.Graph().Flat(), c.Graph().Flat(), b.Graph().Flat(), d.Graph().Flat(), l.Graph().Flat()}
+	flats := []*graph.Flat{s.Graph().Flat(), si.Graph().Flat(), c.Graph().Flat(), b.Graph().Flat(), d.Graph().Flat(), l.Graph().Flat()}
 	for _, f := range flats {
 		f.SetCompactThreshold(threshold)
 	}
@@ -132,6 +139,10 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 		s.Apply(dStream)
 		if !reflect.DeepEqual(s.Dist(), sssp.Dijkstra(s.Graph(), 0)) {
 			return fail(i, "sssp distances diverged from Dijkstra")
+		}
+		si.Apply(dStream)
+		if !simRecomputes(si.Relation(), si.Graph(), pattern) {
+			return fail(i, "sim relation diverged from Simfp or Naive")
 		}
 		c.Apply(uStream)
 		if !reflect.DeepEqual(c.Labels(), cc.CCfp(c.Graph())) {
@@ -155,7 +166,7 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 			return fail(i, "lcc result diverged from lcc.Run")
 		}
 	}
-	graphs := []*graph.Graph{s.Graph(), c.Graph(), b.Graph(), d.Graph(), l.Graph()}
+	graphs := []*graph.Graph{s.Graph(), si.Graph(), c.Graph(), b.Graph(), d.Graph(), l.Graph()}
 	for k, f := range flats {
 		switch {
 		case threshold <= 0 && f.OverlayRatio() != 0:
@@ -167,7 +178,7 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 		}
 	}
 	ledgers := flatLedgers{s.Stats().Ledger.Portable(), c.Stats().Ledger.Portable(), l.Stats().Ledger.Portable(),
-		d.Stats().Ledger.Portable(), b.Stats().Ledger.Portable()}
+		d.Stats().Ledger.Portable(), b.Stats().Ledger.Portable(), si.Stats().Ledger.Portable()}
 	// Compaction rebuilds into the arrays it replaces, and writes every row
 	// in order without sorting: once a view has compacted at this size,
 	// compacting again allocates nothing.
@@ -188,8 +199,8 @@ func runFlatDifferential(t *testing.T, seed int64, threshold float64) (flatLedge
 // flatSeed runs one seed under every threshold. Rows are sorted in every
 // regime, and what differs — where the rows sit in the arrays, and when
 // they are laid out again — must not change what a maintainer counts: the
-// Portable ledgers are equal across the regimes. Sim does not read a Flat;
-// it is checked against both its batch runs once per seed.
+// Portable ledgers are equal across the regimes. sim.IncEngine, which reads
+// the graph's rows, is checked against both Sim batch runs once per seed.
 func flatSeed(t *testing.T, seed int64) bool {
 	var first flatLedgers
 	for k, th := range flatThresholds {
@@ -282,14 +293,16 @@ type churnMaintainer struct {
 
 // churnMaintainers builds, each on its own copy of g, every batch
 // maintainer — each takes any update sequence, the competitors DynDij and
-// IncMatch by netting it first: the sssp, cc, dfs and sim ones on any
-// graph, bc and lcc on undirected ones.
+// IncMatch by netting it first — and DynDFS, held to a valid tree rather
+// than the canonical one: the sssp, cc, dfs and sim ones on any graph, bc
+// and lcc on undirected ones.
 func churnMaintainers(g, pattern *graph.Graph) []churnMaintainer {
 	s, se, sdd := sssp.NewInc(g.Clone(), 0), sssp.NewIncEngine(g.Clone(), 0), sssp.NewDynDij(g.Clone(), 0)
 	c, cn := cc.NewInc(g.Clone()), cc.NewIncNaive(g.Clone())
 	d := dfs.NewInc(g.Clone())
 	si, sie, sd := sim.NewInc(g.Clone(), pattern), sim.NewIncEngine(g.Clone(), pattern), sim.NewIncDual(g.Clone(), pattern)
 	sm := sim.NewIncMatch(g.Clone(), pattern)
+	dd := dfs.NewDynDFS(g.Clone())
 	ms := []churnMaintainer{
 		{"sssp.Inc", s.Apply, func() bool {
 			return reflect.DeepEqual(s.Dist(), sssp.Dijkstra(s.Graph(), 0)) && s.Certify() == nil
@@ -302,6 +315,7 @@ func churnMaintainers(g, pattern *graph.Graph) []churnMaintainer {
 		{"cc.Inc", c.Apply, func() bool { return reflect.DeepEqual(c.Labels(), cc.CCfp(c.Graph())) && c.Certify() == nil }},
 		{"cc.IncNaive", cn.Apply, func() bool { return reflect.DeepEqual(cn.Labels(), cc.CCfp(cn.Graph())) }},
 		{"dfs.Inc", d.Apply, func() bool { return d.Tree().Equal(dfs.Run(d.Graph())) }},
+		{"dfs.DynDFS", dd.Apply, func() bool { return dd.Tree().IsValid(dd.Graph()) }},
 		{"sim.Inc", si.Apply, func() bool { return simRecomputes(si.Relation(), si.Graph(), pattern) }},
 		{"sim.IncEngine", sie.Apply, func() bool {
 			return simRecomputes(sie.Relation(), sie.Graph(), pattern) &&
@@ -361,10 +375,11 @@ type roundTaker interface {
 }
 
 // TestRepairTakesOneRound: every batch maintainer — the six served ones,
-// the engine forms and the competitors that repair a batch at once —
-// repairs for exactly the round after the last it took. Two rounds
-// advanced before one Repair skip a round, and a second Repair takes one
-// twice; either would repair from the wrong updates, so both panic.
+// the engine forms and the competitors that repair a batch at once, and
+// DynDFS, which takes each unit update as a round — repairs for exactly
+// the round after the last it took. Two rounds advanced before one Repair
+// skip a round, and a second Repair takes one twice; either would repair
+// from the wrong updates, so both panic.
 func TestRepairTakesOneRound(t *testing.T) {
 	pattern := RandomPattern(3, 3, 3, 2)
 	g := PowerLawGraph(5, 40, 3, false)
@@ -382,6 +397,7 @@ func TestRepairTakesOneRound(t *testing.T) {
 		{"sim.IncDual", func(g *graph.Graph) roundTaker { return sim.NewIncDual(g, pattern) }},
 		{"sim.IncMatch", func(g *graph.Graph) roundTaker { return sim.NewIncMatch(g, pattern) }},
 		{"dfs.Inc", func(g *graph.Graph) roundTaker { return dfs.NewInc(g) }},
+		{"dfs.DynDFS", func(g *graph.Graph) roundTaker { return dfs.NewDynDFS(g) }},
 		{"lcc.Inc", func(g *graph.Graph) roundTaker { return lcc.NewInc(g) }},
 		{"bc.Inc", func(g *graph.Graph) roundTaker { return bc.NewInc(g) }},
 	} {
@@ -401,6 +417,78 @@ func TestRepairTakesOneRound(t *testing.T) {
 		r = m.new(g.Clone())
 		r.Apply(graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 39, W: 1}})
 		mustPanic("a second Repair of one round", r)
+	}
+}
+
+// rowBehindTheStore inserts one edge into g's rows that g's Flat does not
+// get: into the source of the round's first applied update, from the first
+// node with no edge to it. A repair that reads a row then repairs over a
+// graph the round never made.
+func rowBehindTheStore(g *graph.Graph, applied graph.Batch) {
+	a := applied[0].From
+	for x := range graph.NodeID(g.NumNodes()) {
+		if x != a && !g.HasEdge(x, a) {
+			g.InsertEdge(x, a, 1)
+			return
+		}
+	}
+}
+
+// TestRepairReadsNoRow holds the rule graph/store.go states, repairs read
+// a Flat: for each served class, sim.IncMatch and dfs.DynDFS, a round is
+// advanced, one edge is then inserted into the rows behind the store
+// (rowBehindTheStore), and the repair must give the answer and the ledger
+// of a twin repairing the same round on an untouched clone.
+func TestRepairReadsNoRow(t *testing.T) {
+	pattern := RandomPattern(3, 4, 5, 3)
+	for seed := int64(1); seed <= 4; seed++ {
+		round := func(g *graph.Graph) graph.Batch {
+			return flatStream(rand.New(rand.NewSource(seed)), g, flatChunkLen).Net(g.Directed())
+		}
+		for _, c := range Classes {
+			build := func(g *Graph) Serveable {
+				m, err := c.New(g, ClassParams{Pattern: pattern})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Recompute()
+				return m
+			}
+			m := build(PowerLawGraph(seed, flatNodes, 4, !c.Undirected))
+			twin := build(m.Graph().Clone())
+			b := round(m.Graph())
+			rowBehindTheStore(m.Graph(), m.Graph().Advance(b))
+			twin.Graph().Advance(b)
+			got, want := m.Apply(b), twin.Apply(b)
+			if got.Stats.Ledger != want.Stats.Ledger {
+				t.Errorf("seed %d %s: ledger %+v, the twin's %+v", seed, c.Name, got.Stats.Ledger, want.Stats.Ledger)
+			}
+			gv, _ := json.Marshal(m.Snapshot())
+			wv, _ := json.Marshal(twin.Snapshot())
+			if !bytes.Equal(gv, wv) {
+				t.Errorf("seed %d %s: view differs from the twin's", seed, c.Name)
+			}
+		}
+
+		g := PowerLawGraph(seed, flatNodes, 4, true)
+		im, imTwin := sim.NewIncMatch(g, pattern), sim.NewIncMatch(g.Clone(), pattern)
+		b := round(g)
+		rowBehindTheStore(g, g.Advance(b))
+		imTwin.Graph().Advance(b)
+		if got, want := im.Repair(), imTwin.Repair(); got != want || !im.Relation().Equal(imTwin.Relation()) {
+			t.Errorf("seed %d sim.IncMatch: %d raised, the twin %d, or relations differ", seed, got, want)
+		}
+
+		for _, directed := range []bool{true, false} {
+			g := PowerLawGraph(seed, flatNodes, 4, directed)
+			d, dTwin := dfs.NewDynDFS(g), dfs.NewDynDFS(g.Clone())
+			b := round(g)
+			rowBehindTheStore(g, g.Advance(b))
+			dTwin.Graph().Advance(b)
+			if got, want := d.Repair(), dTwin.Repair(); got != want || !d.Tree().Equal(dTwin.Tree()) {
+				t.Errorf("seed %d directed=%v dfs.DynDFS: %d recomputed, the twin %d, or trees differ", seed, directed, got, want)
+			}
+		}
 	}
 }
 

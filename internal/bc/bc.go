@@ -122,29 +122,17 @@ func (r *Result) Equivalent(o *Result, g *graph.Graph) bool {
 // an iterative lowpoint DFS from the smallest-id node of every component.
 func Run(g *graph.Graph) *Result {
 	r := newResult(g.NumNodes())
-	newLowpointState(g.NumNodes(), outRows(graph.NewFlat(g))).runAll(r)
+	newLowpointState(g.NumNodes(), graph.NewFlat(g)).runAll(r)
 	return r
-}
-
-// rowFunc returns v's neighbors, the DFS's only adjacency dependency.
-// Biconnectivity does not depend on the order neighbors are visited in, so
-// the rows are read in place.
-type rowFunc func(v graph.NodeID) []graph.NodeID
-
-// outRows reads f's rows: those of the maintainer Inc's flat view, or of a
-// fresh one for the batch Run.
-func outRows(f *graph.Flat) rowFunc {
-	return func(v graph.NodeID) []graph.NodeID {
-		ts, _, _, _ := f.OutSpans(v)
-		return ts
-	}
 }
 
 // lowpointState carries the DFS bookkeeping. It is reusable across rounds
 // via epoch stamping, so the incremental algorithm re-runs single
 // components without clearing global arrays.
 type lowpointState struct {
-	rows  rowFunc
+	// flat's rows are read in place: biconnectivity does not depend on the
+	// order neighbors are visited in.
+	flat  *graph.Flat
 	low   []int32
 	stamp []int64
 	epoch int64
@@ -165,8 +153,8 @@ type seenNode struct {
 	was bool
 }
 
-func newLowpointState(n int, rows rowFunc) *lowpointState {
-	st := &lowpointState{rows: rows}
+func newLowpointState(n int, f *graph.Flat) *lowpointState {
+	st := &lowpointState{flat: f}
 	st.grow(n)
 	return st
 }
@@ -227,7 +215,8 @@ type bcFrame struct {
 }
 
 func (st *lowpointState) push(v, parent graph.NodeID) {
-	st.fstack = append(st.fstack, bcFrame{v: v, parent: parent, ts: st.rows(v)})
+	ts, _, _, _ := st.flat.OutSpans(v)
+	st.fstack = append(st.fstack, bcFrame{v: v, parent: parent, ts: ts})
 }
 
 // runComponent explores the connected component of s, filling r's
@@ -322,7 +311,7 @@ func NewInc(g *graph.Graph) *Inc {
 // restored into (RestoreState) or Recompute fills, before Apply.
 func Blank(g *graph.Graph) *Inc {
 	i := &Inc{g: g, round: g.Round(), res: newResult(g.NumNodes())}
-	i.st = newLowpointState(g.NumNodes(), outRows(g.Flat()))
+	i.st = newLowpointState(g.NumNodes(), g.Flat())
 	return i
 }
 

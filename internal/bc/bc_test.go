@@ -55,7 +55,7 @@ func bruteArticulation(g *graph.Graph) []bool {
 	baseCount := count(base, -1)
 	out := make([]bool, n)
 	for v := 0; v < n; v++ {
-		if g.Degree(graph.NodeID(v)) == 0 {
+		if len(g.Out(graph.NodeID(v))) == 0 {
 			continue
 		}
 		lab := comps(graph.NodeID(v))

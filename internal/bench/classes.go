@@ -167,7 +167,7 @@ var classes = []*class{
 		batchName: "DFS_fp", incName: "IncDFS", compName: "DynDFS",
 		batch:    func(g *graph.Graph, in inst) any { return dfs.Run(g) },
 		deduced:  func(g *graph.Graph, in inst) audited { return dfs.NewInc(g) },
-		comp:     func(g *graph.Graph, in inst) applier { return dfs.NewDynDFS(g) },
+		comp:     func(g *graph.Graph, in inst) applier { return unitOnly{dfs.NewDynDFS(g)} },
 		unitComp: func(g *graph.Graph, in inst) applier { return dfs.NewDynDFS(g) },
 		vars:     func(g *graph.Graph, in inst) int { return g.NumNodes() },
 		fig6:     "Fig 6(g,h)",

@@ -19,9 +19,9 @@ func ExpDatasets(cfg Config) {
 		g := d.Build(cfg.Seed, cfg.Scale)
 		degs := make([]int, g.NumNodes())
 		for v := range degs {
-			degs[v] = g.OutDegree(graph.NodeID(v))
+			degs[v] = len(g.Out(graph.NodeID(v)))
 			if g.Directed() {
-				degs[v] += g.InDegree(graph.NodeID(v))
+				degs[v] += len(g.In(graph.NodeID(v)))
 			}
 		}
 		sort.Ints(degs)

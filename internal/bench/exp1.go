@@ -24,6 +24,12 @@ type staged interface {
 	Repair() int
 }
 
+// unitOnly hides a unit-update competitor's Repair (DynDFS takes each
+// unit update as a round of its own), so that a batch cell times its
+// native interface — Apply, one unit update after another — rather than
+// one repair of the whole batch.
+type unitOnly struct{ applier }
+
 // timeRepair advances the maintainer's graph by delta (untimed; the
 // generators' deltas are net already) when the maintainer repairs apart
 // and returns the seconds spent in the repair; otherwise it times Apply.

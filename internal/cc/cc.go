@@ -57,11 +57,10 @@ func Components(g *graph.Graph) []int64 {
 // the neighbors. It is contracting and monotonic under the order on ids.
 //
 // When Flat is set, all adjacency reads go through the flat view's sorted
-// spans instead of G's pointer-rich lists: that is how the incremental
-// maintainer Inc runs it, keeping Flat in sync with G. With Flat nil the
-// instance reads the bare graph — the mode of the batch algorithm CCfp and
-// of the IncNaive ablation. No batch run reads a staged Flat, so the
-// recompute oracle shares no staging with what it checks.
+// spans: that is how the incremental maintainer Inc runs it. With Flat nil
+// the instance reads the graph's rows — the mode of the batch oracle CCfp,
+// of Certify and of the IncNaive ablation (graph/store.go states which
+// reader reads which copy).
 type Instance struct {
 	G    *graph.Graph
 	Flat *graph.Flat
@@ -196,14 +195,12 @@ func appendRow(buf []fixpoint.Var, ts []graph.NodeID) []fixpoint.Var {
 
 // OutDegree reports the number of dependency edges leaving x — its
 // (undirected) neighbor count — feeding ‖AFF‖ in the engine's work ledger
-// (see fixpoint.OutDegreer). O(1): adjacency slice lengths.
+// (see fixpoint.OutDegreer). O(1): the lengths of x's Flat spans. Only an
+// incremental run charges the ledger, and only Inc runs one, in the Flat
+// mode.
 func (c *Instance) OutDegree(x fixpoint.Var) int64 {
-	v := graph.NodeID(x)
-	d := int64(len(c.G.Out(v)))
-	if c.G.Directed() {
-		d += int64(len(c.G.In(v)))
-	}
-	return d
+	out, in := c.rows(graph.NodeID(x))
+	return int64(len(out) + len(in))
 }
 
 // CCfp runs the batch fixpoint algorithm and returns the labels.

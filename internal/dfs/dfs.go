@@ -95,36 +95,26 @@ func (t *Tree) IsValid(g *graph.Graph) bool {
 	return ok
 }
 
-// Run computes the canonical DFS of g, the batch algorithm DFS_fp.
-func Run(g *graph.Graph) *Tree {
-	t := &Tree{
-		First:  make([]int32, g.NumNodes()),
-		Last:   make([]int32, g.NumNodes()),
-		Parent: make([]graph.NodeID, g.NumNodes()),
-	}
-	for i := range t.Parent {
-		t.Parent[i] = -1
-	}
-	replayFrom(g, g.AppendOutSorted, t, 1, new(replay))
+// Run computes the canonical DFS of g, the batch algorithm DFS_fp, over
+// the sorted rows of graph.NewFlat(g).
+func Run(g *graph.Graph) *Tree { return run(graph.NewFlat(g), g.NumNodes()) }
+
+// run is a full traversal of the n nodes whose rows f holds.
+func run(f *graph.Flat, n int) *Tree {
+	t := &Tree{}
+	replayFrom(f, n, t, 1, new(replay))
 	return t
 }
 
-// frame is one open node on the DFS stack. Its canonical neighbor
-// enumeration lives in the replay arena: the window arena[lo:hi], with i
-// the cursor. Indices are absolute so the arena may be reallocated while
-// frames are open.
+// frame is one open node on the DFS stack: its row of the Flat, whose
+// ascending order is the canonical neighbor enumeration of §5.2, and the
+// cursor i over it. The row dies with the next Stage; by then every frame
+// has popped.
 type frame struct {
-	v         graph.NodeID
-	lo, i, hi int32
+	v  graph.NodeID
+	i  int32
+	ts []graph.NodeID
 }
-
-// nbrFunc appends v's neighbor ids to buf in ascending order and returns
-// the extended slice — the canonical enumeration order of §5.2. The batch
-// algorithms (Run, DynDFS) pass graph.Graph.AppendOutSorted, which sorts
-// the graph's unordered row, the maintainer Inc its flat view's
-// AppendOutSorted, a copy of a row already sorted: no batch run reads a
-// staged Flat, so the recompute oracle shares no staging with Inc.
-type nbrFunc func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID
 
 // replay is the scratch of replayFrom, and what a call leaves behind for
 // the ledger. A maintainer keeps one, so that a replay allocates only
@@ -133,9 +123,6 @@ type nbrFunc func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID
 type replay struct {
 	open  []graph.NodeID // the stack at tstar, bottom first
 	stack []frame
-	// arena holds every open frame's neighbor window; frames pop in LIFO
-	// order, so truncating to f.lo on pop reclaims the window.
-	arena []graph.NodeID
 	// prior lists every node the call reopened or reset with the triple it
 	// had before — each node once — and scanned counts the row entries
 	// enumerated.
@@ -149,35 +136,33 @@ type priorNode struct {
 	parent      graph.NodeID
 }
 
-func (sc *replay) push(nb nbrFunc, v graph.NodeID) {
-	lo := len(sc.arena)
-	sc.arena = nb(v, sc.arena)
-	sc.scanned += int64(len(sc.arena) - lo)
-	sc.stack = append(sc.stack, frame{v: v, lo: int32(lo), i: int32(lo), hi: int32(len(sc.arena))})
+func (sc *replay) push(f *graph.Flat, v graph.NodeID) {
+	ts, _, _, _ := f.OutSpans(v)
+	sc.scanned += int64(len(ts))
+	sc.stack = append(sc.stack, frame{v: v, ts: ts})
 }
 
 // run continues the traversal until the stack is empty and returns the
 // advanced clock.
-func (sc *replay) run(nb nbrFunc, t *Tree, clock int32) int32 {
+func (sc *replay) run(f *graph.Flat, t *Tree, clock int32) int32 {
 	for len(sc.stack) > 0 {
-		f := &sc.stack[len(sc.stack)-1]
+		fr := &sc.stack[len(sc.stack)-1]
 		descended := false
-		for f.i < f.hi {
-			w := sc.arena[f.i]
-			f.i++
+		for int(fr.i) < len(fr.ts) {
+			w := fr.ts[fr.i]
+			fr.i++
 			if t.First[w] == 0 {
 				clock++
 				t.First[w] = clock
-				t.Parent[w] = f.v
-				sc.push(nb, w)
+				t.Parent[w] = fr.v
+				sc.push(f, w)
 				descended = true
 				break
 			}
 		}
 		if !descended {
 			clock++
-			t.Last[f.v] = clock
-			sc.arena = sc.arena[:f.lo]
+			t.Last[fr.v] = clock
 			sc.stack = sc.stack[:len(sc.stack)-1]
 		}
 	}
@@ -185,18 +170,18 @@ func (sc *replay) run(nb nbrFunc, t *Tree, clock int32) int32 {
 }
 
 // replayFrom discards every event at time >= tstar and re-runs the
-// traversal from the stack state at tstar, reading neighbors through nb.
-// replayFrom(g, nb, t, 1, sc) is a full batch run. It returns the number of
-// nodes whose intervals were (re)computed, the affected-area measure.
-func replayFrom(g *graph.Graph, nb nbrFunc, t *Tree, tstar int32, sc *replay) int {
-	n := g.NumNodes()
+// traversal of the n nodes whose rows f holds from the stack state at
+// tstar. replayFrom(f, n, t, 1, sc) is a full batch run. It returns the
+// number of nodes whose intervals were (re)computed, the affected-area
+// measure.
+func replayFrom(f *graph.Flat, n int, t *Tree, tstar int32, sc *replay) int {
 	// Grow state for vertex insertions.
 	for len(t.First) < n {
 		t.First = append(t.First, 0)
 		t.Last = append(t.Last, 0)
 		t.Parent = append(t.Parent, -1)
 	}
-	sc.open, sc.stack, sc.arena, sc.prior, sc.scanned = sc.open[:0], sc.stack[:0], sc.arena[:0], sc.prior[:0], 0
+	sc.open, sc.stack, sc.prior, sc.scanned = sc.open[:0], sc.stack[:0], sc.prior[:0], 0
 	// Classify nodes: closed prefix (kept), open stack (first kept, last
 	// recomputed), affected suffix (reset).
 	affected := 0
@@ -214,17 +199,17 @@ func replayFrom(g *graph.Graph, nb nbrFunc, t *Tree, tstar int32, sc *replay) in
 	}
 	slices.SortFunc(sc.open, func(a, b graph.NodeID) int { return cmp.Compare(t.First[a], t.First[b]) })
 	for _, w := range sc.open {
-		sc.push(nb, w)
+		sc.push(f, w)
 	}
-	clock := sc.run(nb, t, tstar-1)
+	clock := sc.run(f, t, tstar-1)
 	// Virtual root enumerates remaining nodes in id order.
 	for s := 0; s < n; s++ {
 		if t.First[s] == 0 {
 			clock++
 			t.First[s] = clock
 			t.Parent[s] = -1
-			sc.push(nb, graph.NodeID(s))
-			clock = sc.run(nb, t, clock)
+			sc.push(f, graph.NodeID(s))
+			clock = sc.run(f, t, clock)
 		}
 	}
 	return affected
@@ -252,7 +237,7 @@ type Inc struct {
 // NewInc runs the batch DFS and returns the incremental algorithm.
 func NewInc(g *graph.Graph) *Inc {
 	i := Blank(g)
-	i.tree = Run(g)
+	i.tree = run(i.flat, g.NumNodes())
 	return i
 }
 
@@ -263,11 +248,11 @@ func Blank(g *graph.Graph) *Inc {
 	return &Inc{g: g, flat: g.Flat(), round: g.Round(), tree: &Tree{}}
 }
 
-// Recompute reruns the batch DFS at the graph's round, leaving what NewInc
-// builds.
+// Recompute reruns the batch DFS over the graph's Flat at its round,
+// leaving what NewInc builds.
 func (i *Inc) Recompute() {
 	i.round = i.g.Round()
-	i.tree = Run(i.g)
+	i.tree = run(i.flat, i.g.NumNodes())
 	i.written = i.written[:0]
 }
 
@@ -367,7 +352,7 @@ func (i *Inc) Repair() int {
 			}
 		}
 	}
-	affected := replayFrom(i.g, i.flat.AppendOutSorted, i.tree, tstar, &i.sc)
+	affected := replayFrom(i.flat, i.g.NumNodes(), i.tree, tstar, &i.sc)
 	t := i.tree
 	for _, p := range i.sc.prior {
 		if t.First[p.v] != p.first || t.Last[p.v] != p.last || t.Parent[p.v] != p.parent {

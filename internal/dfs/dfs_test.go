@@ -11,7 +11,8 @@ import (
 )
 
 // recursiveRef is an independent recursive implementation of the canonical
-// DFS used to validate Run.
+// DFS used to validate Run: it sorts the graph's own rows, where Run reads
+// a Flat's.
 func recursiveRef(g *graph.Graph) *Tree {
 	n := g.NumNodes()
 	t := &Tree{First: make([]int32, n), Last: make([]int32, n), Parent: make([]graph.NodeID, n)}
@@ -23,7 +24,12 @@ func recursiveRef(g *graph.Graph) *Tree {
 	visit = func(v graph.NodeID) {
 		clock++
 		t.First[v] = clock
-		for _, w := range g.AppendOutSorted(v, nil) {
+		var row []graph.NodeID
+		for _, e := range g.Out(v) {
+			row = append(row, e.To)
+		}
+		slices.Sort(row)
+		for _, w := range row {
 			if t.First[w] == 0 {
 				t.Parent[w] = v
 				visit(w)

@@ -16,15 +16,19 @@ import "incgraph/internal/graph"
 // from scratch when a previously absorbed edge has become violating. This
 // makes DynDFS competitive on insertion-heavy unit streams but weak on
 // batches — the shape the paper reports (IncDFS 4.4× faster at 1%
-// updates).
+// updates). Each unit update is a round of its graph, and the replays and
+// the validity scan read the graph's Flat.
 type DynDFS struct {
-	g    *graph.Graph
-	tree *Tree
+	g     *graph.Graph
+	flat  *graph.Flat
+	round uint64 // the last round of g this competitor took
+	tree  *Tree
 }
 
 // NewDynDFS runs the batch DFS and returns the competitor.
 func NewDynDFS(g *graph.Graph) *DynDFS {
-	return &DynDFS{g: g, tree: Run(g)}
+	f := g.Flat()
+	return &DynDFS{g: g, flat: f, round: g.Round(), tree: run(f, g.NumNodes())}
 }
 
 // Graph returns the maintained graph.
@@ -34,40 +38,33 @@ func (d *DynDFS) Graph() *graph.Graph { return d.g }
 func (d *DynDFS) Tree() *Tree { return d.tree }
 
 // Apply processes the batch one unit update at a time, DynDFS's native
-// interface. It returns the total number of recomputed intervals.
+// interface: each is a round of the graph, repaired before the next. It
+// returns the total number of recomputed intervals.
 func (d *DynDFS) Apply(b graph.Batch) int {
 	total := 0
 	for _, u := range b {
-		total += d.applyUnit(u)
+		d.g.Advance(graph.Batch{u})
+		total += d.Repair()
 	}
 	return total
 }
 
-func (d *DynDFS) applyUnit(up graph.Update) int {
-	oldN := len(d.tree.First)
-	switch up.Kind {
-	case graph.InsertEdge:
-		if !d.g.InsertEdge(up.From, up.To, up.W) {
-			return 0
+// Repair takes the graph's newest round and absorbs or replays its
+// applied updates one at a time. It returns the number of recomputed
+// intervals.
+func (d *DynDFS) Repair() int {
+	total := 0
+	for _, up := range d.g.Take(&d.round) {
+		if up.Kind == graph.InsertEdge && d.g.NumNodes() == len(d.tree.First) && d.absorbable(up.From, up.To) {
+			continue // an edge the tree tolerates
 		}
-		if d.g.NumNodes() == oldN && d.absorbable(up.From, up.To) {
-			return 0
+		if up.Kind == graph.DeleteEdge && d.tree.Parent[up.To] != up.From &&
+			(d.g.Directed() || d.tree.Parent[up.From] != up.To) {
+			continue // deleting a non-tree edge never breaks validity
 		}
-		return d.replayChecked(up)
-	case graph.DeleteEdge:
-		if !d.g.DeleteEdge(up.From, up.To) {
-			return 0
-		}
-		tree := d.tree.Parent[up.To] == up.From
-		if !d.g.Directed() {
-			tree = tree || d.tree.Parent[up.From] == up.To
-		}
-		if !tree {
-			return 0 // deleting a non-tree edge never breaks validity
-		}
-		return d.replayChecked(up)
+		total += d.replayChecked(up)
 	}
-	return 0
+	return total
 }
 
 // absorbable reports whether the new edge (and its mirror for undirected
@@ -95,9 +92,9 @@ func (d *DynDFS) replayChecked(up graph.Update) int {
 	if !d.g.Directed() {
 		consider(up.To)
 	}
-	affected := replayFrom(d.g, d.g.AppendOutSorted, d.tree, tstar, new(replay))
+	affected := replayFrom(d.flat, d.g.NumNodes(), d.tree, tstar, new(replay))
 	if !d.valid() {
-		d.tree = Run(d.g)
+		d.tree = run(d.flat, d.g.NumNodes())
 		return d.g.NumNodes()
 	}
 	return affected
@@ -108,8 +105,9 @@ func (d *DynDFS) replayChecked(up graph.Update) int {
 // edge, so the scan cannot be restricted to the suffix.
 func (d *DynDFS) valid() bool {
 	for v := 0; v < d.g.NumNodes(); v++ {
-		for _, e := range d.g.Out(graph.NodeID(v)) {
-			if d.tree.Last[v] < d.tree.First[e.To] {
+		ts, _, _, _ := d.flat.OutSpans(graph.NodeID(v))
+		for _, w := range ts {
+			if d.tree.Last[v] < d.tree.First[w] {
 				return false
 			}
 		}

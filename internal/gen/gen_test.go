@@ -45,7 +45,7 @@ func TestPowerLawShape(t *testing.T) {
 	// Heavy tail: the max degree should far exceed the average.
 	maxDeg := 0
 	for v := 0; v < g.NumNodes(); v++ {
-		if d := g.Degree(graph.NodeID(v)); d > maxDeg {
+		if d := len(g.Out(graph.NodeID(v))); d > maxDeg {
 			maxDeg = d
 		}
 	}

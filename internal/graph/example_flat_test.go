@@ -45,22 +45,3 @@ func ExampleFlat() {
 	// dead space: 0.40 of the live entries
 	// after compact: 0.00, 1 compaction
 }
-
-// ExampleFlat_appendOutSorted shows the arena-friendly sorted neighbor
-// read the depth-first traversal uses: the row, already in ascending
-// order, appended to a caller-owned buffer.
-func ExampleFlat_appendOutSorted() {
-	g := graph.New(5, false)
-	g.InsertEdge(2, 4, 1)
-	g.InsertEdge(2, 0, 1)
-	f := graph.NewFlat(g)
-	f.SetCompactThreshold(1e9)
-	b := graph.Batch{{Kind: graph.InsertEdge, From: 2, To: 3, W: 1}}
-	f.Stage(g, g.Apply(b))
-
-	buf := make([]graph.NodeID, 0, 8)
-	buf = f.AppendOutSorted(2, buf)
-	fmt.Println(buf)
-	// Output:
-	// [0 3 4]
-}

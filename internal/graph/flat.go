@@ -286,12 +286,3 @@ func (f *Flat) InSpans(u NodeID) (ts []NodeID, ws []int64, dead []bool, extra []
 	ts, ws = f.rev().row(u)
 	return ts, ws, nil, nil
 }
-
-// AppendOutSorted appends u's out-neighbor ids to buf in ascending order
-// and returns the extended slice. Depth-first traversals use this with a
-// shared arena to visit neighbors in deterministic order without per-node
-// allocation.
-func (f *Flat) AppendOutSorted(u NodeID, buf []NodeID) []NodeID {
-	ts, _, _, _ := f.OutSpans(u)
-	return append(buf, ts...)
-}

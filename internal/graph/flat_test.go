@@ -161,9 +161,9 @@ func TestFlatCompactionBound(t *testing.T) {
 	}
 }
 
-// TestFlatAppendOutSortedQuick quick-checks that AppendOutSorted returns
-// exactly the graph's sorted neighbor set under random churn.
-func TestFlatAppendOutSortedQuick(t *testing.T) {
+// TestFlatOutSpansQuick quick-checks that OutSpans returns exactly the
+// graph's sorted neighbor set under random churn.
+func TestFlatOutSpansQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 16
@@ -185,9 +185,8 @@ func TestFlatAppendOutSortedQuick(t *testing.T) {
 			}
 			f.Stage(g, g.Apply(b.Net(false)))
 		}
-		buf := make([]NodeID, 0, n)
 		for u := 0; u < n; u++ {
-			buf = f.AppendOutSorted(NodeID(u), buf[:0])
+			buf, _, _, _ := f.OutSpans(NodeID(u))
 			want := graphEdges(g, NodeID(u), false)
 			if len(buf) != len(want) {
 				return false
@@ -410,7 +409,7 @@ func TestRelayoutOnlyAfterStage(t *testing.T) {
 			t.Fatalf("relayout %d after a stage: %d layouts, want %d", i, c-staged, 1)
 		}
 	}
-	if got := f.AppendOutSorted(2, nil); !slices.Equal(got, []NodeID{1, 3}) {
+	if got, _, _, _ := f.OutSpans(2); !slices.Equal(got, []NodeID{1, 3}) {
 		t.Errorf("row 2 after the relayout: %v", got)
 	}
 }

@@ -268,39 +268,6 @@ func (g *Graph) In(u NodeID) []Edge {
 	return g.out[u]
 }
 
-// AppendOutSorted appends u's out-neighbor ids to buf in ascending order
-// and returns the extended slice: the canonical enumeration order of the
-// batch depth-first traversals (dfs.Run, dfs.DynDFS), which read the
-// graph's own lists rather than a Flat view. Short rows are
-// insertion-sorted in place; rows past the cut-off go through slices.Sort,
-// so a power-law hub never costs quadratic time.
-func (g *Graph) AppendOutSorted(u NodeID, buf []NodeID) []NodeID {
-	base := len(buf)
-	for _, e := range g.out[u] {
-		buf = append(buf, e.To)
-	}
-	row := buf[base:]
-	if len(row) > 32 {
-		slices.Sort(row)
-		return buf
-	}
-	for i := 1; i < len(row); i++ {
-		for j := i; j > 0 && row[j] < row[j-1]; j-- {
-			row[j], row[j-1] = row[j-1], row[j]
-		}
-	}
-	return buf
-}
-
-// OutDegree returns the number of outgoing edges of u.
-func (g *Graph) OutDegree(u NodeID) int { return len(g.out[u]) }
-
-// InDegree returns the number of incoming edges of u.
-func (g *Graph) InDegree(u NodeID) int { return len(g.In(u)) }
-
-// Degree returns the degree of u in an undirected graph.
-func (g *Graph) Degree(u NodeID) int { return len(g.out[u]) }
-
 // Clone returns a deep copy of the graph, rows in the same order. The
 // copy is a store of its own, at round 0 and without a Flat view.
 func (g *Graph) Clone() *Graph {

@@ -10,6 +10,16 @@ import "fmt"
 // last round it took, then takes the round's applied list (Take). A Graph
 // nobody advances (an oracle, a batch run's input, a clone) pays for
 // neither: the Flat is built by the first call to Flat.
+//
+// Which copy a reader reads: repairs read a Flat, checks read the rows.
+// Every maintainer that repairs a served class's round (the six Incs,
+// sim.IncMatch, dfs.DynDFS) and the shard eval read only their store's
+// Flat, degrees and ‖AFF‖ charges included, and the batch runs that order
+// rows (Simfp, dfs.Run, lcc.Run, bc.Run) a fresh NewFlat. The batch
+// oracles (Dijkstra, CCfp), certificates and references read the rows: a
+// certificate reading a Flat a recovery staged would share its layout with
+// what it checks. So do the generators, whose streams follow row order,
+// the codecs, and the engine forms and competitors no service holds.
 
 // Flat returns the view every maintainer of g reads, building it on the
 // first call; every later Advance stages its round into it. The view is

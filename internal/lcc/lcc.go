@@ -137,7 +137,7 @@ func run(f *graph.Flat, n int) *Result {
 // graph as it is after them (the shared Flat) and an overlay of the
 // updates it has walked, so update k reads the rows of G_k, the graph
 // right after it: the raw sequence stays exact, churn included, with no
-// netting. d_v is read from the graph.
+// netting. d_v is the length of v's row of the Flat.
 //
 // The nodes credited that way are the scope of the input-set rule taken
 // on the graph after the batch: a node that is a common neighbor of an
@@ -297,7 +297,7 @@ func sign(u graph.Update) int64 {
 // overlay holds the updates after it, so a row of the Flat corrected by
 // its node's overlay is the row in G_k. Update k then credits ±1 to every
 // common neighbor w of a and b there and ±|N(a) ∩ N(b)| to a and b, and
-// joins the overlay. Finally d_v is read from the graph for every node in
+// joins the overlay. Finally d_v is read off the Flat for every node in
 // the scope, and λ_v takes its accumulated change.
 func (i *Inc) Repair() int {
 	applied := i.g.Take(&i.round)
@@ -326,7 +326,8 @@ func (i *Inc) Repair() int {
 	led.Aff += int64(len(i.scope))
 	led.RecomputeEst = int64(i.g.NumNodes())
 	for _, v := range i.scope {
-		d, dt := int32(i.g.Degree(graph.NodeID(v))), i.dtri[v]
+		ts, _, _, _ := i.flat.OutSpans(graph.NodeID(v))
+		d, dt := int32(len(ts)), i.dtri[v]
 		if d != i.r.Deg[v] || dt != 0 {
 			i.r.Deg[v] = d
 			i.r.Tri[v] += dt

@@ -106,24 +106,33 @@ func TestHeapSortProperty(t *testing.T) {
 }
 
 // TestRadixPopsNonDecreasing drains a Radix fed the way Dijkstra feeds it
-// — each push at or above the last key popped, some keys repeated, some
-// handles pushed again lower — interleaved with pops, on draws from the
-// clock-seeded testing/quick: the keys come out non-decreasing, and every
-// pushed pair comes out once.
+// — each push at or above the last key popped, some keys repeated, queued
+// handles pushed again, lower (Dijkstra's decrease-key) or higher —
+// interleaved with pops, on draws from the clock-seeded testing/quick,
+// against a map of the queued keys: every pop is a least queued key, at or
+// above the last, with the handle's newest key, and each handle comes out
+// once per time it was queued.
 func TestRadixPopsNonDecreasing(t *testing.T) {
+	const handles = 50
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var r Radix
-		pushed := map[[2]int64]int{}
+		r := NewRadix(handles)
+		queued := map[int32]int64{}
 		last := int64(0)
 		pop := func() bool {
 			key, x, ok := r.Pop()
-			if !ok || key < last || pushed[[2]int64{key, int64(x)}] == 0 {
+			want, in := queued[x]
+			if !ok || !in || key != want || key < last {
 				return false
 			}
-			pushed[[2]int64{key, int64(x)}]--
+			for _, k := range queued {
+				if k < key {
+					return false
+				}
+			}
+			delete(queued, x)
 			last = key
-			return true
+			return r.Len() == len(queued)
 		}
 		for op := 0; op < 400; op++ {
 			if r.Len() > 0 && rng.Intn(3) == 0 {
@@ -134,12 +143,19 @@ func TestRadixPopsNonDecreasing(t *testing.T) {
 			}
 			// Offsets at every scale, 0 included: a key equal to the last
 			// popped, near it, and up to 2⁶¹ past it, the keys kept below
-			// 2⁶² as Dijkstra's are.
+			// 2⁶² as Dijkstra's are. A queued handle moves: down, as a
+			// decrease-key does, half the time.
+			x := int32(rng.Intn(handles))
 			off := rng.Int63n(int64(1) << uint(rng.Intn(62)))
 			key := last + min(off, 1<<62-last)
-			x := int32(rng.Intn(50))
+			if k, in := queued[x]; in && rng.Intn(2) == 0 {
+				key = last + rng.Int63n(k-last+1)
+			}
 			r.Push(key, x)
-			pushed[[2]int64{key, int64(x)}]++
+			queued[x] = key
+			if r.Len() != len(queued) {
+				return false
+			}
 		}
 		for r.Len() > 0 {
 			if !pop() {
@@ -147,7 +163,7 @@ func TestRadixPopsNonDecreasing(t *testing.T) {
 			}
 		}
 		_, _, ok := r.Pop()
-		return !ok
+		return !ok && len(queued) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -157,7 +173,7 @@ func TestRadixPopsNonDecreasing(t *testing.T) {
 // TestRadixRefusesKeyBelowLast: a key below the last popped would break
 // the bucket invariant, so Push panics rather than lose the order.
 func TestRadixRefusesKeyBelowLast(t *testing.T) {
-	var r Radix
+	r := NewRadix(2)
 	r.Push(5, 0)
 	if _, _, ok := r.Pop(); !ok {
 		t.Fatal("pop from a heap of one failed")
@@ -170,9 +186,9 @@ func TestRadixRefusesKeyBelowLast(t *testing.T) {
 	r.Push(4, 1)
 }
 
-// BenchmarkRadix pushes and pops a million pairs the way a Dijkstra run
-// does: each key at or above the last popped, spread over a range of a
-// few thousand above it.
+// BenchmarkRadix pushes a million handles and pops them the way a
+// Dijkstra run does: each key at or above the last popped, spread over a
+// range of a few thousand above it.
 func BenchmarkRadix(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	steps := make([]int64, 1<<20)
@@ -181,7 +197,7 @@ func BenchmarkRadix(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var r Radix
+		r := NewRadix(len(steps))
 		last := int64(0)
 		for k, s := range steps {
 			r.Push(last+s, int32(k))

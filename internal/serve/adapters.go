@@ -55,8 +55,10 @@ import (
 // and the blocks and DFS numbers the edge partition is read off).
 // Recompute reruns the maintainer's batch algorithm in place — a start's
 // batch run, the self-healing and recovery-verification path — after
-// laying the graph's Flat view out again from its rows, so the rerun does
-// not read what the repairs it checks read.
+// laying the graph's Flat view out again from its rows: every class's
+// repairs and batch rerun read the Flat and its certificates the rows
+// (the rule internal/graph/store.go states), so the rerun does not read
+// what staging made of the rows.
 
 // maintainer is what the adapter needs of an incremental maintainer.
 // Written lists the indices (nodes, or sim's pairs) the last Repair

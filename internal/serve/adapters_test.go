@@ -189,7 +189,7 @@ func TestSimPublishWritten(t *testing.T) {
 		switch round % 40 {
 		case 20: // restore a's state into the maintainer that fell behind, and carry on with it
 			for _, b := range missed {
-				behind.Graph().Apply(b)
+				behind.Graph().Advance(b)
 			}
 			var blob bytes.Buffer
 			if err := a.PersistState(&blob); err != nil {

@@ -237,7 +237,8 @@ func (r *seedRelaxer) lower(v int32, d, told int64) {
 	r.heap.AddOrAdjust(v)
 }
 
-// relax runs one eval over fragment g: base is the shard's published
+// relax runs one eval over fragment g, reading its store's Flat (the eval
+// is a repair, not a check: graph/store.go): base is the shard's published
 // distance view (not modified), seeds the router's frontier. It returns
 // the pairs whose value a fragment edge lowered below both base and the
 // seeds — what the router does not know yet. Seeds out of range,
@@ -269,12 +270,14 @@ func (r *seedRelaxer) relax(g *graph.Graph, base serve.Paged[int64], seeds [][2]
 			r.lower(v, d, d)
 		}
 	}
+	f := g.Flat()
 	for r.heap.Len() > 0 {
 		u, _ := r.heap.Pop()
 		du := r.val[u]
-		for _, e := range g.Out(graph.NodeID(u)) {
-			if nd := du + e.W; nd < r.dist(int32(e.To)) {
-				r.lower(int32(e.To), nd, graph.Infinity)
+		ts, ws, _, _ := f.OutSpans(graph.NodeID(u))
+		for k, v := range ts {
+			if nd := du + ws[k]; nd < r.dist(int32(v)) {
+				r.lower(int32(v), nd, graph.Infinity)
 			}
 		}
 	}

@@ -235,7 +235,7 @@ func TestExchangeDifferential(t *testing.T) {
 				for round := 1; round <= 5; round++ {
 					b := gen.RandomUpdates(rng, g, 60, 0.5)
 					for id, sb := range SplitBatch(p, directed, b) {
-						fs[id].g.Apply(sb)
+						fs[id].g.Advance(sb) // as a shard's apply loop does
 					}
 					g.Apply(b)
 					refresh(fs, src)

@@ -373,6 +373,54 @@ func TestFollowerRefusesTargetedRecord(t *testing.T) {
 	}
 }
 
+// TestFollowerWaitsAtZeroFilledTail: a primary segment extended by zeros
+// past its last record — what a crash can leave — ships as it is. The
+// primary's replay ends its durable prefix at the zeros; the follower's
+// tail reads the frames by the same scanner, so it applies the record and
+// waits there, without the error it once logged on every poll.
+func TestFollowerWaitsAtZeroFilledTail(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/wal/", http.StripPrefix("/wal", l.StreamHandler()))
+	srv := httptest.NewServer(mux)
+	defer func() { srv.Close(); l.Close() }()
+	if err := l.Append(wal.Record{Batch: graph.Batch{{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.OpenFile(filepath.Join(dir, wal.SegmentName(1)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Write(make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	seg.Close()
+
+	svc := serve.NewService()
+	defer svc.Close()
+	if _, err := svc.Host(serve.SSSP(sssp.NewInc(graph.New(8, true), 0)), serve.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower(FollowerOptions{Source: srv.URL, Dir: t.TempDir(), Service: svc})
+	go f.Run()
+	defer f.Stop()
+	deadline := time.Now().Add(10 * time.Second)
+	for st := f.Status(); st.Epochs["sssp"] != 1 || st.LagBytes != 0; st = f.Status() {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck: %+v", st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(3 * followInterval) // polls that reach the zeros again
+	if st := f.Status(); st.LastError != "" || st.Records != 1 {
+		t.Fatalf("follower at the zero-filled tail: %d records, last error %q; want 1 and none", st.Records, st.LastError)
+	}
+}
+
 // TestMixedVersionCheckpointDir: a directory whose checkpoint is v2
 // (testdata/sixclass, written before the state codec) recovers from it
 // and ships it unchanged — opening the log rewrites nothing. The next

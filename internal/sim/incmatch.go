@@ -4,9 +4,11 @@ import "incgraph/internal/graph"
 
 // simState is the counter machinery Sim_fp, IncSim and IncMatch share: the
 // relation bitmap plus cnt(v, u') = number of v's out-neighbors matching
-// u', with the violation cascade that retracts unsupported matches.
+// u', with the violation cascade that retracts unsupported matches. It
+// reads the data graph's edges from flat, the pattern's from its rows.
 type simState struct {
 	g, q *graph.Graph
+	flat *graph.Flat
 	nq   int
 	r    []bool
 	cnt  []int32
@@ -27,8 +29,8 @@ type simState struct {
 // in the paper's notation).
 const tsTrue = int64(1) << 62
 
-func newSimState(g, q *graph.Graph, withTS bool) *simState {
-	s := &simState{g: g, q: q, nq: q.NumNodes()}
+func newSimState(g *graph.Graph, f *graph.Flat, q *graph.Graph, withTS bool) *simState {
+	s := &simState{g: g, q: q, flat: f, nq: q.NumNodes()}
 	pairs := g.NumNodes() * s.nq
 	s.r, s.cnt = make([]bool, pairs), make([]int32, pairs)
 	if withTS {
@@ -57,9 +59,10 @@ func (s *simState) run() {
 		}
 	}
 	for v := 0; v < n; v++ {
-		for _, ge := range s.g.Out(graph.NodeID(v)) {
+		ts, _, _, _ := s.flat.OutSpans(graph.NodeID(v))
+		for _, w := range ts {
 			for u := 0; u < s.nq; u++ {
-				if s.r[int(ge.To)*s.nq+u] {
+				if s.r[int(w)*s.nq+u] {
 					s.cnt[v*s.nq+u]++
 				}
 			}
@@ -115,11 +118,12 @@ func (s *simState) cascade(p [][2]int32) {
 			if s.onFalse != nil {
 				s.onFalse(v, u)
 			}
-			for _, ge := range s.g.In(graph.NodeID(v)) {
-				i := int(ge.To)*s.nq + int(u)
+			ts, _, _, _ := s.flat.InSpans(graph.NodeID(v))
+			for _, w := range ts {
+				i := int(w)*s.nq + int(u)
 				s.cnt[i]--
 				if s.cnt[i] == 0 {
-					p = append(p, [2]int32{int32(ge.To), u})
+					p = append(p, [2]int32{int32(w), u})
 				}
 			}
 		}
@@ -147,7 +151,7 @@ type IncMatch struct {
 
 // NewIncMatch computes the initial maximum simulation.
 func NewIncMatch(g, q *graph.Graph) *IncMatch {
-	return &IncMatch{simState: newSimState(g, q, false), round: g.Round(), acyclic: isDAG(q)}
+	return &IncMatch{simState: newSimState(g, g.Flat(), q, false), round: g.Round(), acyclic: isDAG(q)}
 }
 
 // isDAG reports whether the pattern has no directed cycle.
@@ -258,10 +262,11 @@ func (m *IncMatch) insertRepair(sites []graph.NodeID) int {
 		if d >= depth {
 			continue
 		}
-		for _, e := range m.g.In(v) {
-			if _, ok := dist[e.To]; !ok {
-				dist[e.To] = d + 1
-				queue = append(queue, e.To)
+		ts, _, _, _ := m.flat.InSpans(v)
+		for _, w := range ts {
+			if _, ok := dist[w]; !ok {
+				dist[w] = d + 1
+				queue = append(queue, w)
 			}
 		}
 	}
@@ -278,8 +283,9 @@ func (m *IncMatch) insertRepair(sites []graph.NodeID) int {
 	}
 	// Account the raises in the counters of in-neighbors.
 	for _, p := range raised {
-		for _, ge := range m.g.In(graph.NodeID(p[0])) {
-			m.cnt[int(ge.To)*m.nq+int(p[1])]++
+		ts, _, _, _ := m.flat.InSpans(graph.NodeID(p[0]))
+		for _, w := range ts {
+			m.cnt[int(w)*m.nq+int(p[1])]++
 		}
 	}
 	// Refine: every raised pair with an exhausted out-requirement seeds

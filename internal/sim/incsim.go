@@ -43,13 +43,13 @@ type Inc struct {
 
 // NewInc computes the initial maximum simulation with timestamp recording
 // and returns the algorithm.
-func NewInc(g, q *graph.Graph) *Inc { return newInc(newSimState(g, q, true)) }
+func NewInc(g, q *graph.Graph) *Inc { return newInc(newSimState(g, g.Flat(), q, true)) }
 
 // Blank returns IncSim over g and pattern q before the batch run, every
 // pair false: the maintainer a checkpointed state is restored into
 // (RestoreState) or Recompute fills, before Apply.
 func Blank(g, q *graph.Graph) *Inc {
-	s := &simState{g: g, q: q, nq: q.NumNodes()}
+	s := &simState{g: g, q: q, flat: g.Flat(), nq: q.NumNodes()}
 	pairs := g.NumNodes() * s.nq
 	s.r, s.cnt, s.ts = make([]bool, pairs), make([]int32, pairs), make([]int64, pairs)
 	return newInc(s)
@@ -89,7 +89,8 @@ func (i *Inc) ledgerAff(x int32) bool {
 	i.stats.Ledger.Aff++
 	v := graph.NodeID(int(x) / i.nq)
 	u := graph.NodeID(int(x) % i.nq)
-	i.stats.Ledger.AffEdges += int64(len(i.g.In(v))) * int64(len(i.q.In(u)))
+	in, _, _, _ := i.flat.InSpans(v)
+	i.stats.Ledger.AffEdges += int64(len(in)) * int64(len(i.q.In(u)))
 	return true
 }
 
@@ -131,7 +132,9 @@ func (i *Inc) ExportState() (r []bool, cnt []int32, ts []int64, clock int64) {
 }
 
 // RestoreState installs state exported from a checkpoint of the same
-// data and pattern graphs.
+// data and pattern graphs as they are now: like Recompute, it leaves the
+// maintainer at the data graph's round, so one whose graph advanced past
+// it carries on from the restored state.
 func (i *Inc) RestoreState(r []bool, cnt []int32, ts []int64, clock int64) error {
 	want := i.g.NumNodes() * i.nq
 	if len(r) != want || len(cnt) != want || len(ts) != want {
@@ -141,6 +144,7 @@ func (i *Inc) RestoreState(r []bool, cnt []int32, ts []int64, clock int64) error
 	copy(i.cnt, cnt)
 	copy(i.ts, ts)
 	i.clock = clock
+	i.round = i.g.Round()
 	return nil
 }
 
@@ -283,14 +287,15 @@ func (i *Inc) scopeFunction(touched []fixpoint.Touched) []int32 {
 		if i.ledgerAff(x) {
 			h0 = append(h0, x)
 		}
-		for _, ge := range i.g.In(v) {
-			i.cnt[int(ge.To)*i.nq+int(u)]++
+		in, _, _, _ := i.flat.InSpans(v)
+		for _, w := range in {
+			i.cnt[int(w)*i.nq+int(u)]++
 		}
 		// Enqueue dependents that x may anchor: pairs over in-neighbors
 		// with larger turn-off times.
-		for _, ge := range i.g.In(v) {
+		for _, w := range in {
 			for _, qe := range i.q.In(u) {
-				z := int32(int(ge.To)*i.nq + int(qe.To))
+				z := int32(int(w)*i.nq + int(qe.To))
 				if !i.r[z] && i.ts[z] > tsx {
 					i.hq.AddOrAdjust(z)
 				}
@@ -304,14 +309,15 @@ func (i *Inc) scopeFunction(touched []fixpoint.Touched) []int32 {
 // feasible input set Ȳ: inputs determined after tsx are replaced by their
 // label-match bottoms.
 func (i *Inc) feasibleCond(v, u graph.NodeID, tsx int64) bool {
+	out, _, _, _ := i.flat.OutSpans(v)
 	for _, qe := range i.q.Out(u) {
 		found := false
-		for _, ge := range i.g.Out(v) {
-			p := int(ge.To)*i.nq + int(qe.To)
+		for _, w := range out {
+			p := int(w)*i.nq + int(qe.To)
 			i.stats.Reads++
 			if i.ts[p] > tsx {
 				// Determined after (v, u): use the bottom value.
-				if i.g.Label(ge.To) == i.q.Label(qe.To) {
+				if i.g.Label(w) == i.q.Label(qe.To) {
 					found = true
 					break
 				}

@@ -100,9 +100,10 @@ func Naive(g, q *graph.Graph) Relation {
 // counters cnt(v, u') of v's out-neighbors matching u', seeds a worklist
 // with exhausted counters, and cascades violations. It returns the maximum
 // simulation. It is the counter core IncSim and IncMatch are built on
-// (simState), run once from the label-match bottoms; tests hold it to the
+// (simState), run once from the label-match bottoms over the rows of a
+// fresh graph.NewFlat(g), never a staged one; tests hold it to the
 // independent Naive.
-func Simfp(g, q *graph.Graph) Relation { return newSimState(g, q, false).relation() }
+func Simfp(g, q *graph.Graph) Relation { return newSimState(g, graph.NewFlat(g), q, false).relation() }
 
 // Instance is the Sim instantiation of the fixpoint model: one Boolean
 // variable per pair ⟨v, u⟩, f_x true iff labels match and every pattern

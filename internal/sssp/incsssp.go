@@ -154,16 +154,18 @@ func (i *Inc) grow() {
 }
 
 // ledgerAff charges v's first entry into this repair's affected area:
-// |AFF| grows by one and ‖AFF‖ by v's incident edges (adjacency-slice
-// lengths, so allocation-free like the tracker).
+// |AFF| grows by one and ‖AFF‖ by v's incident edges (the lengths of its
+// Flat spans, so allocation-free like the tracker).
 func (i *Inc) ledgerAff(v graph.NodeID) {
 	if !i.led.Aff(int32(v)) {
 		return
 	}
 	i.stats.Ledger.Aff++
-	deg := int64(len(i.g.Out(v)))
+	out, _, _, _ := i.flat.OutSpans(v)
+	deg := int64(len(out))
 	if i.g.Directed() {
-		deg += int64(len(i.g.In(v)))
+		in, _, _, _ := i.flat.InSpans(v)
+		deg += int64(len(in))
 	}
 	i.stats.Ledger.AffEdges += deg
 }

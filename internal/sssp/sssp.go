@@ -14,11 +14,10 @@ import (
 const Infinity = graph.Infinity
 
 // Dijkstra computes shortest distances from src, the paper's batch
-// algorithm A for SSSP: a label-setting run over a monotone radix heap
-// (pq.Radix) of (distance, node) pairs. A node is pushed again whenever
-// its distance falls, and a popped pair whose distance is no longer the
-// node's is skipped. The heap's keys are sound because the graph refuses
-// a weight outside [0, Infinity): every distance popped is below
+// algorithm A for SSSP: a label-setting run over an indexed monotone radix
+// heap (pq.Radix) of nodes by distance. A node is queued once, and moved
+// whenever its distance falls. The heap's keys are sound because the graph
+// refuses a weight outside [0, Infinity): every distance popped is below
 // Infinity, every push at or above it and below 2·Infinity.
 func Dijkstra(g *graph.Graph, src graph.NodeID) []int64 {
 	dist := make([]int64, g.NumNodes())
@@ -32,15 +31,12 @@ func dijkstra(g *graph.Graph, src graph.NodeID, dist []int64) {
 		dist[i] = Infinity
 	}
 	dist[src] = 0
-	var que pq.Radix
+	que := pq.NewRadix(len(dist))
 	que.Push(0, int32(src))
 	for {
 		d, x, ok := que.Pop()
 		if !ok {
 			return
-		}
-		if d != dist[x] {
-			continue // reached more cheaply since the push
 		}
 		for _, e := range g.Out(graph.NodeID(x)) {
 			if alt := d + e.W; alt < dist[e.To] {

@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -231,7 +228,8 @@ func (t *Tail) Advance(fn func(Record) error) (int, error) {
 
 // scanFrom decodes complete frames in the current segment from t.Off,
 // advancing the position past each. partial reports whether the scan
-// stopped on an incomplete frame (as opposed to clean EOF).
+// stopped on an incomplete or zero-filled frame (as opposed to clean
+// EOF): the bytes that complete or replace it may still be shipped.
 func (t *Tail) scanFrom(fn func(Record) error, emitted *int) (partial bool, err error) {
 	f, err := os.Open(filepath.Join(t.dir, segName(t.Seq)))
 	if err != nil {
@@ -244,38 +242,27 @@ func (t *Tail) scanFrom(fn func(Record) error, emitted *int) (partial bool, err 
 	if _, err := f.Seek(t.Off, io.SeekStart); err != nil {
 		return false, err
 	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	var hdr [frameHeader]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return err == io.ErrUnexpectedEOF, nil
-		}
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if plen > maxFramePayload {
-			return false, fmt.Errorf("wal: tail: frame at %s:%d claims %d bytes", segName(t.Seq), t.Off, plen)
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return true, nil // incomplete frame: wait for more bytes
-		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			return false, fmt.Errorf("wal: tail: CRC mismatch at %s:%d", segName(t.Seq), t.Off)
-		}
-		rec, derr := DecodeRecord(payload)
-		if derr != nil {
-			return false, fmt.Errorf("wal: tail: %s:%d: %w", segName(t.Seq), t.Off, derr)
-		}
-		at := t.Off
-		t.Off += int64(frameHeader) + int64(plen)
+	end, why, err := scanFrames(f, t.Off, func(rec Record, at, next int64) error {
+		t.Off = next
 		t.Records++
 		*emitted++
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return false, fmt.Errorf("wal: tail: record at %s:%d: %w", segName(t.Seq), at, err)
-			}
+		if fn == nil {
+			return nil
 		}
+		if err := fn(rec); err != nil {
+			return fmt.Errorf("wal: tail: record at %s:%d: %w", segName(t.Seq), at, err)
+		}
+		return nil
+	})
+	switch why {
+	case frameIncomplete:
+		return true, nil
+	case frameCorrupt:
+		return false, fmt.Errorf("wal: tail: corrupt frame at %s:%d", segName(t.Seq), end)
+	case frameUndecodable:
+		return false, fmt.Errorf("wal: tail: %s:%d: %w", segName(t.Seq), end, err)
 	}
+	return false, err
 }
 
 // nextSegment returns the smallest listed segment strictly above seq.

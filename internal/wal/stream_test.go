@@ -77,3 +77,63 @@ func TestStreamHandlerCheckpoint(t *testing.T) {
 	}
 	check("newest rewritten", 9)
 }
+
+// TestTailWaitsAtZeroFilledFrame: a segment extended by zeros past its
+// last record — what a crash can leave — ends Replay's prefix cleanly,
+// and a Tail reads the same frames by the same scanner: it emits the
+// record and then waits at the zero-filled frame, as at an incomplete
+// one, rather than failing on every Advance. When the bytes that replace
+// the zeros arrive, it reads on.
+func TestTailWaitsAtZeroFilledFrame(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(Record{Batch: mkBatch(2)}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	seg := filepath.Join(dir, segName(1))
+	one, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, append(one, make([]byte, 64)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := Replay(dir, 0, nil); err != nil || n != 1 {
+		t.Fatalf("Replay: %d records, err %v; want 1, nil", n, err)
+	}
+	tail := NewTail(dir, 0)
+	for k, want := range []int{1, 0} {
+		if n, err := tail.Advance(nil); err != nil || n != want {
+			t.Fatalf("Advance %d: %d records, err %v; want %d, nil", k, n, err, want)
+		}
+	}
+	if tail.Off != int64(len(one)) {
+		t.Fatalf("tail at offset %d, want %d: the end of the record", tail.Off, len(one))
+	}
+
+	// The zeros are replaced by a whole frame: the tail reads it.
+	other := t.TempDir()
+	l2, err := Open(other, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Append(Record{Batch: mkBatch(3)}); err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	second, err := os.ReadFile(filepath.Join(other, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, append(one, second...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	if n, err := tail.Advance(func(r Record) error { got = append(got, len(r.Batch)); return nil }); err != nil || n != 1 || got[0] != 3 {
+		t.Fatalf("after the zeros were replaced: %d records %v, err %v; want the 3-update record", n, got, err)
+	}
+}

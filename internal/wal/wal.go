@@ -512,55 +512,87 @@ func Segments(dir string) ([]uint64, error) {
 	return segs, nil
 }
 
-// scanSegment reads frames from a segment file, calling fn (when non-nil)
+// Why scanFrames stopped.
+const (
+	frameEnd         = iota // no byte follows the last whole frame
+	frameIncomplete         // a torn frame, or an empty one: a zero-filled tail, which no append writes
+	frameCorrupt            // a length past maxFramePayload, or a CRC mismatch
+	frameUndecodable        // a whole, CRC-valid frame that is no record, which no crash writes
+	frameRefused            // fn returned an error for the record
+)
+
+// scanFrames is the one reader of the frame format. It reads the frames
+// of a segment from offset off on and hands fn each record, with the
+// offsets of its frame and of the next. It returns the offset past the
+// last frame consumed (one fn refused included), why it stopped, and the
+// decode or fn error of an undecodable or refused frame. Open and Replay
+// end the durable prefix at an incomplete or corrupt frame; a Tail waits
+// at an incomplete one, where more bytes may arrive.
+func scanFrames(r io.Reader, off int64, fn func(rec Record, at, next int64) error) (int64, int, error) {
+	br := bufio.NewReaderSize(r, 1<<20)
+	var hdr [frameHeader]byte
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err == io.EOF {
+			return off, frameEnd, nil
+		} else if err != nil {
+			return off, frameIncomplete, nil
+		}
+		plen := binary.LittleEndian.Uint32(hdr[0:4])
+		want := binary.LittleEndian.Uint32(hdr[4:8])
+		if plen > maxFramePayload {
+			return off, frameCorrupt, nil
+		}
+		payload := make([]byte, plen)
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return off, frameIncomplete, nil
+		}
+		if crc32.Checksum(payload, castagnoli) != want {
+			return off, frameCorrupt, nil
+		}
+		if plen == 0 {
+			return off, frameIncomplete, nil
+		}
+		rec, err := DecodeRecord(payload)
+		if err != nil {
+			return off, frameUndecodable, err
+		}
+		at := off
+		off += int64(frameHeader) + int64(plen)
+		if err := fn(rec, at, off); err != nil {
+			return off, frameRefused, err
+		}
+	}
+}
+
+// scanSegment reads a segment file's frames, calling fn (when non-nil)
 // for each decodable record. It returns the byte offset of the end of the
 // last whole, CRC-valid frame — the durable prefix — and the record
-// count. A torn or corrupt tail is not an error; it is where the prefix
-// ends, and so is an empty frame (a zero-filled tail). A whole, CRC-valid
-// frame that does not decode is an error naming the record: no crash
-// writes one, so it is a foreign or hostile record — a weight outside
-// [0, Infinity), say — and ending the prefix there would drop it and
-// every record after it without a word. So is an error from fn.
+// count. A torn, zero-filled or corrupt tail is not an error; it is where
+// the prefix ends. A whole, CRC-valid frame that does not decode is an
+// error naming the record: no crash writes one, so it is a foreign or
+// hostile record — a weight outside [0, Infinity), say — and ending the
+// prefix there would drop it and every record after it without a word. So
+// is an error from fn.
 func scanSegment(path string, fn func(Record) error) (good int64, n int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var off int64
-	var hdr [frameHeader]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return off, n, nil // clean EOF or torn header: prefix ends here
-		}
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if plen > maxFramePayload {
-			return off, n, nil // corrupt length: treat as torn
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return off, n, nil // torn payload
-		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			return off, n, nil // corrupt frame
-		}
-		if plen == 0 {
-			return off, n, nil // a zero-filled tail, not a record
-		}
-		rec, derr := DecodeRecord(payload)
-		if derr != nil {
-			return off, n, fmt.Errorf("record %d at offset %d: %w", n+1, off, derr)
-		}
-		off += int64(frameHeader) + int64(plen)
+	good, why, err := scanFrames(f, 0, func(rec Record, _, _ int64) error {
 		n++
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return off, n, fmt.Errorf("record %d: %w", n, err)
-			}
+		if fn == nil {
+			return nil
 		}
+		if err := fn(rec); err != nil {
+			return fmt.Errorf("record %d: %w", n, err)
+		}
+		return nil
+	})
+	if why == frameUndecodable {
+		return good, n, fmt.Errorf("record %d at offset %d: %w", n+1, good, err)
 	}
+	return good, n, err
 }
 
 // Replay streams every record in segments with sequence number >= from,
