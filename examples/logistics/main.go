@@ -1,7 +1,7 @@
 // Logistics: watching for single points of failure in a supply network.
 //
-// Warehouses and routes come and go (vertex and edge updates, §4 of the
-// paper); the operator needs to know, after every change, which warehouses
+// Routes come and go and warehouses open (edge and vertex updates, §4 of
+// the paper); the operator needs to know, after every change, which warehouses
 // are articulation points — their failure would disconnect deliveries —
 // and how redundancy (biconnected components) evolves. Both are maintained
 // incrementally and verified against batch recomputation.
@@ -16,8 +16,14 @@ import (
 
 func main() {
 	// Start from a sparse power-law network: a few hubs, many spokes —
-	// exactly the shape that breeds articulation points.
-	g := incgraph.PowerLawGraph(31, 5_000, 4, false)
+	// exactly the shape that breeds articulation points. The warehouses
+	// the loop opens are sites of the network from the start, with no
+	// route yet: a graph's node set is fixed when it is built.
+	net := incgraph.PowerLawGraph(31, 5_000, 4, false)
+	const opening = 3
+	g := incgraph.NewGraph(net.NumNodes()+opening, false)
+	net.Edges(func(u, v incgraph.NodeID, w int64) { g.InsertEdge(u, v, w) })
+	next := incgraph.NodeID(net.NumNodes()) // the next warehouse to open
 	fmt.Printf("supply network: %d sites, %d routes\n\n", g.NumNodes(), g.NumEdges())
 
 	inc := incgraph.NewIncBC(g)
@@ -38,9 +44,10 @@ func main() {
 		delta := incgraph.RandomUpdates(int64(300+week), inc.Graph(), 150, 0.6)
 
 		// Every other week a new warehouse opens, wired to two existing
-		// sites — a vertex insertion expressed through its edge dual.
+		// sites — a vertex insertion: the first edges of an isolated site.
 		if week%2 == 0 {
-			v := inc.Graph().AddNode(0)
+			v := next
+			next++
 			delta = append(delta,
 				incgraph.Update{Kind: incgraph.InsertEdge, From: incgraph.NodeID(week * 13), To: v, W: 1},
 				incgraph.Update{Kind: incgraph.InsertEdge, From: v, To: incgraph.NodeID(week * 29), W: 1},

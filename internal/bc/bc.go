@@ -54,24 +54,13 @@ type Result struct {
 	comps int // the number of heads
 }
 
+// newResult returns the result for n isolated nodes.
 func newResult(n int) *Result {
-	r := &Result{}
-	r.grow(n)
-	return r
-}
-
-// grow extends the arrays to n nodes, the new ones isolated.
-func (r *Result) grow(n int) {
-	was := len(r.Block)
-	if n <= was {
-		return
-	}
-	r.Articulation = append(r.Articulation, make([]bool, n-was)...)
-	r.Num = append(r.Num, make([]int32, n-was)...)
-	r.Block = append(r.Block, make([]graph.NodeID, n-was)...)
-	for v := was; v < n; v++ {
+	r := &Result{Articulation: make([]bool, n), Block: make([]graph.NodeID, n), Num: make([]int32, n)}
+	for v := range r.Block {
 		r.Block[v] = -1
 	}
+	return r
 }
 
 // EdgeComp returns the biconnected-component id of the edge {u, v}, which
@@ -154,16 +143,7 @@ type seenNode struct {
 }
 
 func newLowpointState(n int, f *graph.Flat) *lowpointState {
-	st := &lowpointState{flat: f}
-	st.grow(n)
-	return st
-}
-
-func (st *lowpointState) grow(n int) {
-	if more := n - len(st.low); more > 0 {
-		st.low = append(st.low, make([]int32, more)...)
-		st.stamp = append(st.stamp, make([]int64, more)...)
-	}
+	return &lowpointState{flat: f, low: make([]int32, n), stamp: make([]int64, n)}
 }
 
 // begin starts a round of traversals: nothing visited, nothing seen, and
@@ -319,8 +299,6 @@ func Blank(g *graph.Graph) *Inc {
 // rewrites every flag, block and number, leaving what NewInc builds.
 func (i *Inc) Recompute() {
 	i.round = i.g.Round()
-	i.st.grow(i.g.NumNodes())
-	i.res.grow(i.g.NumNodes())
 	i.st.runAll(i.res)
 	i.written = i.written[:0]
 }
@@ -377,8 +355,6 @@ func (i *Inc) Apply(b graph.Batch) int {
 // Repair re-runs the lowpoint DFS over the components the newest round touched.
 func (i *Inc) Repair() int {
 	applied := i.g.Take(&i.round)
-	i.st.grow(i.g.NumNodes())
-	i.res.grow(i.g.NumNodes())
 	i.written = i.written[:0]
 	if len(applied) == 0 {
 		return 0

@@ -246,7 +246,6 @@ func Blank(g *graph.Graph) *Inc {
 // leaving what NewInc builds.
 func (i *Inc) Recompute() {
 	i.round = i.g.Round()
-	i.eng.Grow()
 	i.eng.Reset()
 	i.eng.Run()
 }
@@ -310,7 +309,6 @@ func (i *Inc) Apply(b graph.Batch) int {
 // Repair runs the incremental algorithm over the graph's newest round.
 func (i *Inc) Repair() int {
 	applied := i.g.Take(&i.round)
-	i.eng.Grow()
 	a := &i.arena
 	a.Begin(i.g.NumNodes())
 	for _, u := range applied {
@@ -366,7 +364,6 @@ func (i *IncNaive) Apply(b graph.Batch) int {
 // and resumes the step function.
 func (i *IncNaive) Repair() int {
 	applied := i.g.Take(&i.round)
-	i.eng.Grow()
 	st := i.eng.State()
 	inst := &Instance{G: i.g}
 	pe := make(map[fixpoint.Var]bool, 2*len(applied))
@@ -424,7 +421,6 @@ func (d *DynCC) Apply(b graph.Batch) int {
 		switch u.Kind {
 		case graph.InsertEdge:
 			if d.g.InsertEdge(u.From, u.To, u.W) {
-				d.dc.Grow(d.g.NumNodes())
 				d.dc.Insert(int32(u.From), int32(u.To))
 			}
 		case graph.DeleteEdge:

@@ -135,11 +135,13 @@ func TestTimestampedBeatsNaiveOnDeletion(t *testing.T) {
 	}
 }
 
+// TestIncVertexUpdates: a vertex insertion is edge insertions at a node
+// the graph was built with, still isolated (§4).
 func TestIncVertexUpdates(t *testing.T) {
-	g := graph.New(3, false)
+	g := graph.New(4, false)
 	g.InsertEdge(0, 1, 1)
 	inc := NewInc(g)
-	v := g.AddNode(0)
+	v := graph.NodeID(3)
 	inc.Apply(graph.Batch{{Kind: graph.InsertEdge, From: 2, To: v, W: 1}})
 	want := Components(g)
 	if !reflect.DeepEqual(inc.Labels(), want) {

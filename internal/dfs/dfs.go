@@ -101,7 +101,7 @@ func Run(g *graph.Graph) *Tree { return run(graph.NewFlat(g), g.NumNodes()) }
 
 // run is a full traversal of the n nodes whose rows f holds.
 func run(f *graph.Flat, n int) *Tree {
-	t := &Tree{}
+	t := &Tree{First: make([]int32, n), Last: make([]int32, n), Parent: make([]graph.NodeID, n)}
 	replayFrom(f, n, t, 1, new(replay))
 	return t
 }
@@ -175,12 +175,6 @@ func (sc *replay) run(f *graph.Flat, t *Tree, clock int32) int32 {
 // number of nodes whose intervals were (re)computed, the affected-area
 // measure.
 func replayFrom(f *graph.Flat, n int, t *Tree, tstar int32, sc *replay) int {
-	// Grow state for vertex insertions.
-	for len(t.First) < n {
-		t.First = append(t.First, 0)
-		t.Last = append(t.Last, 0)
-		t.Parent = append(t.Parent, -1)
-	}
 	sc.open, sc.stack, sc.prior, sc.scanned = sc.open[:0], sc.stack[:0], sc.prior[:0], 0
 	// Classify nodes: closed prefix (kept), open stack (first kept, last
 	// recomputed), affected suffix (reset).
@@ -305,16 +299,15 @@ func (i *Inc) Apply(b graph.Batch) int {
 func (i *Inc) Repair() int {
 	applied := i.g.Take(&i.round)
 	i.written = i.written[:0]
-	oldN := len(i.tree.First)
-	if len(applied) == 0 && i.g.NumNodes() == oldN {
+	if len(applied) == 0 {
 		return 0
 	}
-	end := int32(2*oldN + 1)
+	end := int32(2*len(i.tree.First) + 1)
 	tstar := end
 	// The traversal can diverge only strictly after the changed source's
 	// visit event, so first[u]+1 is the earliest affected time.
 	consider := func(u graph.NodeID) {
-		if int(u) < oldN && i.tree.First[u] > 0 && i.tree.First[u]+1 < tstar {
+		if i.tree.First[u] > 0 && i.tree.First[u]+1 < tstar {
 			tstar = i.tree.First[u] + 1
 		}
 	}
@@ -323,7 +316,6 @@ func (i *Inc) Repair() int {
 			tstar = t
 		}
 	}
-	old := func(v graph.NodeID) bool { return int(v) < oldN }
 	for _, up := range applied {
 		switch up.Kind {
 		case graph.InsertEdge:
@@ -331,7 +323,7 @@ func (i *Inc) Repair() int {
 				// If the target was already visited before the source
 				// even started, the canonical traversal skips the new
 				// edge: nothing diverges.
-				if old(up.From) && old(up.To) && i.tree.First[up.To] < i.tree.First[up.From] {
+				if i.tree.First[up.To] < i.tree.First[up.From] {
 					continue
 				}
 				consider(up.From)
@@ -342,8 +334,8 @@ func (i *Inc) Repair() int {
 		case graph.DeleteEdge:
 			// Removing a non-tree edge never changes the canonical
 			// traversal: its consult always found the target visited.
-			fromTree := old(up.To) && i.tree.Parent[up.To] == up.From
-			toTree := !i.g.Directed() && old(up.From) && i.tree.Parent[up.From] == up.To
+			fromTree := i.tree.Parent[up.To] == up.From
+			toTree := !i.g.Directed() && i.tree.Parent[up.From] == up.To
 			if fromTree {
 				considerAt(i.tree.First[up.To]) // divergence at the child's visit
 			}

@@ -2,10 +2,10 @@ package dfs
 
 import (
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
+	"incgraph/internal/alloctest"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 )
@@ -115,35 +115,32 @@ func TestIncAgainstBatch(t *testing.T) {
 }
 
 // TestRepairZeroAlloc: once the replay scratch has grown to the graph, a
-// repair allocates nothing (staging, which applies the batch, does).
+// repair allocates nothing.
 func TestRepairZeroAlloc(t *testing.T) {
 	g := gen.PowerLaw(rand.New(rand.NewSource(5)), 2000, 8, false)
 	s := gen.NewBurstStream(5, g)
 	inc := NewInc(g)
 	inc.Apply(s.Next(50)) // warm-up: the scratch and the written list
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var mallocs uint64
-	for round := 0; round < 20; round++ {
-		// Edge 0–1 in or out: either way tstar is at node 0's visit.
-		up := graph.Update{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}
-		if g.HasEdge(0, 1) {
-			up.Kind = graph.DeleteEdge
+	var replayed int
+	repair := func() { replayed = inc.Repair() }
+	alloctest.Zero(t, func(measure func(func())) {
+		for round := 0; round < 20; round++ {
+			// Edge 0–1 in or out: either way tstar is at node 0's visit.
+			up := graph.Update{Kind: graph.InsertEdge, From: 0, To: 1, W: 1}
+			if g.HasEdge(0, 1) {
+				up.Kind = graph.DeleteEdge
+			}
+			inc.Graph().Advance(graph.Batch{up})
+			if round < 2 {
+				repair()
+			} else {
+				measure(repair)
+			}
+			if replayed == 0 {
+				t.Fatal("nothing replayed")
+			}
 		}
-		inc.Graph().Advance(graph.Batch{up})
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		replayed := inc.Repair()
-		runtime.ReadMemStats(&m1)
-		if round >= 2 {
-			mallocs += m1.Mallocs - m0.Mallocs
-		}
-		if replayed == 0 {
-			t.Fatal("nothing replayed")
-		}
-	}
-	if mallocs != 0 {
-		t.Fatalf("Repair allocates %d objects in 18 runs", mallocs)
-	}
+	})
 	if !inc.Tree().Equal(Run(g)) {
 		t.Fatal("tree differs from Run")
 	}
@@ -181,11 +178,13 @@ func TestIncSuffixOnly(t *testing.T) {
 	}
 }
 
+// TestIncVertexInsertion: a vertex insertion is edge insertions at a node
+// the graph was built with, still isolated (§4).
 func TestIncVertexInsertion(t *testing.T) {
-	g := graph.New(3, true)
+	g := graph.New(4, true)
 	g.InsertEdge(0, 1, 1)
 	inc := NewInc(g)
-	v := g.AddNode(0)
+	v := graph.NodeID(3)
 	inc.Apply(graph.Batch{{Kind: graph.InsertEdge, From: 1, To: v, W: 1}})
 	if !inc.Tree().Equal(Run(inc.Graph())) {
 		t.Fatal("tree wrong after vertex insertion")

@@ -55,7 +55,7 @@ func (d *DynDFS) Apply(b graph.Batch) int {
 func (d *DynDFS) Repair() int {
 	total := 0
 	for _, up := range d.g.Take(&d.round) {
-		if up.Kind == graph.InsertEdge && d.g.NumNodes() == len(d.tree.First) && d.absorbable(up.From, up.To) {
+		if up.Kind == graph.InsertEdge && d.absorbable(up.From, up.To) {
 			continue // an edge the tree tolerates
 		}
 		if up.Kind == graph.DeleteEdge && d.tree.Parent[up.To] != up.From &&
@@ -81,10 +81,9 @@ func (d *DynDFS) absorbable(u, v graph.NodeID) bool {
 // the invariant; on violation (an earlier absorbed edge turned into a
 // forward cross) it rebuilds from scratch.
 func (d *DynDFS) replayChecked(up graph.Update) int {
-	oldN := len(d.tree.First)
-	tstar := int32(2*oldN + 1)
+	tstar := int32(2*len(d.tree.First) + 1)
 	consider := func(u graph.NodeID) {
-		if int(u) < oldN && d.tree.First[u] > 0 && d.tree.First[u]+1 < tstar {
+		if d.tree.First[u] > 0 && d.tree.First[u]+1 < tstar {
 			tstar = d.tree.First[u] + 1
 		}
 	}

@@ -55,22 +55,6 @@ func unpack(k uint64) (int32, int32) { return int32(k >> 32), int32(uint32(k)) }
 // NumVertices returns the size of the vertex set.
 func (d *DynConn) NumVertices() int { return d.n }
 
-// Grow extends the vertex set to n vertices, each a new component.
-func (d *DynConn) Grow(n int) {
-	if n <= d.n {
-		return
-	}
-	d.comps += n - d.n
-	d.n = n
-	for _, lv := range d.levels {
-		lv.t.grow(n)
-		for len(lv.adj) < n {
-			lv.adj = append(lv.adj, nil)
-			lv.tadj = append(lv.tadj, nil)
-		}
-	}
-}
-
 // Components returns the current number of connected components.
 func (d *DynConn) Components() int { return d.comps }
 

@@ -128,17 +128,18 @@ func TestCycleReplacement(t *testing.T) {
 	}
 }
 
-func TestGrow(t *testing.T) {
-	d := New(2)
+// TestIsolatedVerticesJoin: vertices with no edge yet are components of
+// their own until their first insertions (a vertex insertion).
+func TestIsolatedVerticesJoin(t *testing.T) {
+	d := New(4)
 	d.Insert(0, 1)
-	d.Grow(4)
 	if d.Components() != 3 {
 		t.Fatalf("components = %d, want 3", d.Components())
 	}
 	d.Insert(2, 3)
 	d.Insert(1, 2)
 	if !d.Connected(0, 3) {
-		t.Fatal("grown vertices not connectable")
+		t.Fatal("isolated vertices not connectable")
 	}
 }
 

@@ -24,13 +24,6 @@ func (t *ett) vert(v int32) *node {
 	return t.verts[v]
 }
 
-// grow extends the vertex table to n entries.
-func (t *ett) grow(n int) {
-	for len(t.verts) < n {
-		t.verts = append(t.verts, nil)
-	}
-}
-
 // connected reports whether u and v are in the same tree at this level.
 func (t *ett) connected(u, v int32) bool {
 	if u == v {

@@ -64,22 +64,21 @@ func TestHasEdgeAndNumVertices(t *testing.T) {
 	}
 }
 
-func TestGrowAfterOperations(t *testing.T) {
-	d := New(2)
+func TestIsolatedVerticesJoinAfterOperations(t *testing.T) {
+	d := New(5)
 	d.Insert(0, 1)
 	d.Delete(0, 1)
 	d.Insert(0, 1) // exercise re-insert after full delete
-	d.Grow(5)
-	d.Insert(3, 4)
+	d.Insert(3, 4) // 3 and 4 were isolated until now
 	d.Insert(1, 3)
 	if !d.Connected(0, 4) {
-		t.Fatal("connectivity through grown vertices failed")
+		t.Fatal("connectivity through the joined vertices failed")
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Labels(); got[4] != 0 || got[2] != 2 {
-		t.Fatalf("labels after grow: %v", got)
+		t.Fatalf("labels after the joins: %v", got)
 	}
 }
 

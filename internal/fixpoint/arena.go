@@ -16,17 +16,14 @@ type VarSet struct {
 	epoch int64
 }
 
-// Begin clears the set and grows its capacity to n variables.
+// Begin clears the set in O(1). The first Begin (or the Tracker's Size)
+// sizes it to n variables, for good: a graph's node set is fixed when the
+// graph is built.
 func (s *VarSet) Begin(n int) {
-	s.grow(n)
-	s.epoch++
-}
-
-// grow extends the set's capacity to n variables, keeping its members.
-func (s *VarSet) grow(n int) {
-	if len(s.mark) < n {
-		s.mark = append(s.mark, make([]int64, n-len(s.mark))...)
+	if s.mark == nil {
+		s.mark = make([]int64, n)
 	}
+	s.epoch++
 }
 
 // reset returns the set to generation 0, where Add adds nothing.
@@ -46,7 +43,7 @@ func (s *VarSet) Add(x Var) bool {
 
 // Has reports whether x is in the current generation.
 func (s *VarSet) Has(x Var) bool {
-	return int(x) < len(s.mark) && s.mark[x] == s.epoch
+	return s.mark[x] == s.epoch
 }
 
 // ScopeArena accumulates the deduplicated touched set and push seeds for
@@ -61,13 +58,13 @@ type ScopeArena struct {
 	seeds      []Var
 }
 
-// Begin starts a new apply with capacity for n variables, clearing both
-// accumulators in O(1).
+// Begin starts a new apply, clearing both accumulators in O(1). The
+// first Begin sizes the arena to n variables, for good (see VarSet.Begin).
 func (a *ScopeArena) Begin(n int) {
 	a.touchedSet.Begin(n)
 	a.seedSet.Begin(n)
-	if len(a.pos) < n {
-		a.pos = append(a.pos, make([]int32, n-len(a.pos))...)
+	if a.pos == nil {
+		a.pos = make([]int32, n)
 	}
 	a.touched = a.touched[:0]
 	a.seeds = a.seeds[:0]

@@ -11,12 +11,12 @@ func TestVarSet(t *testing.T) {
 	if !s.Has(2) || s.Has(3) {
 		t.Fatal("Has broken")
 	}
-	s.Begin(8) // new generation: previous marks invisible, capacity grown
+	s.Begin(4) // new generation: previous marks invisible
 	if s.Has(2) {
 		t.Fatal("Begin did not clear")
 	}
-	if !s.Add(7) {
-		t.Fatal("grown capacity not usable")
+	if !s.Add(2) || !s.Add(3) {
+		t.Fatal("a new generation refused a variable")
 	}
 }
 

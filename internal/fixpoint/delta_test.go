@@ -46,25 +46,24 @@ func TestIncrementalRunDeltaMixed(t *testing.T) {
 	}
 }
 
-func TestGrowMidStream(t *testing.T) {
-	m := newMinPlus(3, 0)
+// TestVertexInsertion: a vertex insertion (§4) is the insertions of the
+// first edges at a variable the instance was built with, still bottom.
+func TestVertexInsertion(t *testing.T) {
+	m := newMinPlus(5, 0)
 	m.addEdge(0, 1, 2)
 	e := New[int64](m, PriorityOrder)
 	e.Run()
-
-	// Grow the instance by two variables, wire one up, repair.
-	m.out = append(m.out, nil, nil)
-	m.in = append(m.in, nil, nil)
-	e.Grow()
-	if len(e.State().Val) != 5 || e.State().Val[3] != inf {
-		t.Fatalf("grown state wrong: %v", e.State().Val)
+	if want := []int64{0, 2, inf, inf, inf}; !reflect.DeepEqual(e.State().Val, want) {
+		t.Fatalf("vals before the insertion = %v, want %v", e.State().Val, want)
 	}
+
+	// Wire the isolated variables 3 and 4 up, repair.
 	m.addEdge(1, 3, 4)
 	m.addEdge(3, 4, 1)
 	e.IncrementalRunDelta(nil, []Var{1, 3})
 	want := []int64{0, 2, inf, 6, 7}
 	if !reflect.DeepEqual(e.State().Val, want) {
-		t.Fatalf("vals after grow+repair = %v, want %v", e.State().Val, want)
+		t.Fatalf("vals after the insertion = %v, want %v", e.State().Val, want)
 	}
 }
 

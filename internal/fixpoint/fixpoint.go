@@ -266,7 +266,7 @@ func New[V any](inst Instance[V], policy Policy) *Engine[V] {
 	e.hq = pq.New(n, func(a, b int32) bool {
 		return e.st.TS[a] < e.st.TS[b]
 	})
-	e.led.Grow(n)
+	e.led.Size(n)
 	e.emitFn = func(z Var, cand V) {
 		if e.install(z, cand) {
 			e.wl.AddOrAdjust(z)
@@ -327,21 +327,6 @@ func (e *Engine[V]) Restore(vals []V, ts []int64, clock int64) error {
 	copy(e.st.TS, ts)
 	e.st.clock = clock
 	return nil
-}
-
-// Grow extends the state with freshly bottomed variables after the
-// instance's NumVars grew (vertex insertions, §4). New variables carry
-// timestamp 0: their bottom values are trivially feasible.
-func (e *Engine[V]) Grow() {
-	n := e.inst.NumVars()
-	for len(e.st.Val) < n {
-		x := Var(len(e.st.Val))
-		e.st.Val = append(e.st.Val, e.inst.Bottom(x))
-		e.st.TS = append(e.st.TS, 0)
-	}
-	e.led.Grow(n)
-	e.wl.Grow(n)
-	e.hq.Grow(n)
 }
 
 // Value returns the current value of variable x.

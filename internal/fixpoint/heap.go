@@ -13,13 +13,6 @@ func newFifo(n int) *fifo { return &fifo{in: make([]bool, n)} }
 
 func (f *fifo) Len() int { return len(f.q) }
 
-// Grow extends the handle space to n variables.
-func (f *fifo) Grow(n int) {
-	for len(f.in) < n {
-		f.in = append(f.in, false)
-	}
-}
-
 func (f *fifo) AddOrAdjust(x Var) {
 	if !f.in[x] {
 		f.in[x] = true
@@ -42,7 +35,6 @@ type worklist interface {
 	Len() int
 	AddOrAdjust(x Var)
 	Pop() (Var, bool)
-	Grow(n int)
 }
 
 // priority is the PriorityOrder worklist: a pq.Heap, whose handles are
@@ -50,7 +42,6 @@ type worklist interface {
 type priority struct{ h *pq.Heap }
 
 func (p priority) Len() int          { return p.h.Len() }
-func (p priority) Grow(n int)        { p.h.Grow(n) }
 func (p priority) AddOrAdjust(x Var) { p.h.AddOrAdjust(int32(x)) }
 
 func (p priority) Pop() (Var, bool) {

@@ -147,10 +147,10 @@ type OutDegreer interface {
 // sim.Inc): which variables entered the affected area, and which were
 // written together with the value each held when the run began — what
 // CHANGED is settled from and what a publisher reads as the written list.
-// Variables are dense int32 ids below the size last given to Grow. The zero
-// value is ready for Grow; before the first Begin nothing is recorded, so
-// the writes of an initial batch run cost one compare each. After Grow no
-// method allocates.
+// Variables are dense int32 ids below the size given to Size, the one
+// sizing, made when the maintainer is built. The zero value is ready for
+// Size; before the first Begin nothing is recorded, so the writes of an
+// initial batch run cost one compare each. After Size no method allocates.
 //
 // The counters stay with the caller: Aff and Settle say when to charge
 // |AFF|, ‖AFF‖ and |CHANGED|, the caller knows what a variable's degree is.
@@ -160,17 +160,13 @@ type Tracker[V any] struct {
 	written    []int32 // the written variables, each once, in first-write order
 }
 
-// Grow makes room for variables 0..n-1, keeping the current run's records;
-// the written list gets a slot per variable so Write never allocates.
-func (t *Tracker[V]) Grow(n int) {
-	t.aff.grow(n)
-	t.wrote.grow(n)
-	if len(t.old) < n {
-		t.old = append(t.old, make([]V, n-len(t.old))...)
-	}
-	if cap(t.written) < n || t.written == nil {
-		t.written = append(make([]int32, 0, n), t.written...)
-	}
+// Size makes room for variables 0..n-1, the written list a slot per
+// variable so Write never allocates. Call it once, on the zero Tracker.
+func (t *Tracker[V]) Size(n int) {
+	t.aff.mark = make([]int64, n)
+	t.wrote.mark = make([]int64, n)
+	t.old = make([]V, n)
+	t.written = make([]int32, 0, n)
 }
 
 // Begin starts a run: both sets and the written list empty, in O(1).
@@ -181,7 +177,7 @@ func (t *Tracker[V]) Begin() {
 }
 
 // Reset empties the tracker and stops its recording until the next Begin,
-// as after its first Grow: a batch rerun's writes go unrecorded.
+// as after Size: a batch rerun's writes go unrecorded.
 func (t *Tracker[V]) Reset() {
 	t.aff.reset()
 	t.wrote.reset()
@@ -219,5 +215,5 @@ func (t *Tracker[V]) Settle(changed func(x int32, old V) bool) (n int64) {
 
 // Written lists the variables written since Begin, each once: a superset
 // of those whose value changed. It aliases the tracker's storage, is never
-// nil after Grow, and is valid until the next Begin.
+// nil after Size, and is valid until the next Begin.
 func (t *Tracker[V]) Written() []int32 { return t.written }

@@ -266,12 +266,12 @@ func TestWorkLedgerAlgebra(t *testing.T) {
 // TestTracker pins the contracts every ledger-reporting maintainer gets
 // from the one Tracker: nothing recorded before the first Begin, first-write
 // capture, a transient write that reverts is written but not CHANGED, Aff
-// reports first entries only, Grow between runs keeps working, Written is
-// stable until the next Begin, and none of it allocates once grown.
+// reports first entries only, Written is stable until the next Begin, and
+// none of it allocates once sized.
 func TestTracker(t *testing.T) {
-	val := []int64{10, 11, 12, 13}
+	val := []int64{10, 11, 12, 13, 14, 15}
 	var tr Tracker[int64]
-	tr.Grow(len(val))
+	tr.Size(len(val))
 	write := func(x int32, v int64) {
 		tr.Write(x, val[x])
 		val[x] = v
@@ -310,17 +310,15 @@ func TestTracker(t *testing.T) {
 		t.Fatal("Aff: want true on a first entry and false on the second")
 	}
 
-	// Written stays what it was until the next Begin, Grow included.
+	// Written stays what it was until the next Begin, while the run in
+	// progress goes on.
 	held := tr.Written()
-	val = append(val, 14, 15)
-	tr.Grow(len(val))
-	if len(held) != 2 || held[0] != 1 || held[1] != 2 || len(tr.Written()) != 2 {
-		t.Fatalf("after Grow: held %v, Written %v", held, tr.Written())
-	}
-	// ...and the run in progress goes on over the new variables.
 	write(5, 50)
 	if changed, olds := settle(); changed != 2 || olds[5] != 15 {
-		t.Fatalf("after Grow mid-stream: changed %d, run-start values %v", changed, olds)
+		t.Fatalf("run goes on: changed %d, run-start values %v", changed, olds)
+	}
+	if len(held) != 2 || held[0] != 1 || held[1] != 2 || len(tr.Written()) != 3 {
+		t.Fatalf("held %v, Written %v", held, tr.Written())
 	}
 
 	tr.Begin()
@@ -340,6 +338,6 @@ func TestTracker(t *testing.T) {
 		}
 		tr.Settle(func(x int32, old int64) bool { return val[x] != old })
 	}); n != 0 {
-		t.Errorf("a full run over a grown tracker: %v allocs, want 0", n)
+		t.Errorf("a full run over a sized tracker: %v allocs, want 0", n)
 	}
 }

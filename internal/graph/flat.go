@@ -182,7 +182,6 @@ func (f *Flat) MaybeCompact(g *Graph) bool {
 // already holds the whole batch, and is done.
 func (f *Flat) Stage(g *Graph, applied Batch) {
 	f.laidOut = false
-	f.grow(g.NumNodes())
 	rev := f.rev()
 	for _, u := range applied {
 		switch u.Kind {
@@ -195,17 +194,6 @@ func (f *Flat) Stage(g *Graph, applied Batch) {
 			f.out.remove(u.From, u.To)
 			rev.remove(u.To, u.From)
 		}
-	}
-}
-
-// grow adds rows without room for nodes added after the view was built;
-// each moves to the end of the arrays on its first insertion.
-func (f *Flat) grow(n int) {
-	for len(f.out.rows) < n {
-		f.out.rows = append(f.out.rows, span{})
-	}
-	for f.directed && len(f.in.rows) < n {
-		f.in.rows = append(f.in.rows, span{})
 	}
 }
 
@@ -262,9 +250,6 @@ func (d *flatDir) remove(u, v NodeID) {
 
 // row returns u's targets and weights, sorted by target.
 func (d *flatDir) row(u NodeID) ([]NodeID, []int64) {
-	if int(u) >= len(d.rows) {
-		return nil, nil
-	}
 	r := d.rows[u]
 	return d.ts[r.lo:r.hi:r.hi], d.ws[r.lo:r.hi:r.hi]
 }

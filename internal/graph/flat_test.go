@@ -207,22 +207,6 @@ func TestFlatOutSpansQuick(t *testing.T) {
 	}
 }
 
-// TestFlatGrow covers nodes added after the view was built: they get a row
-// without room, which moves to the end of the arrays on its first insert.
-func TestFlatGrow(t *testing.T) {
-	g := New(2, false)
-	g.InsertEdge(0, 1, 1)
-	f := NewFlat(g)
-	f.SetCompactThreshold(1e9)
-	v := g.AddNode(0)
-	b := Batch{{Kind: InsertEdge, From: 0, To: v, W: 7}}
-	f.Stage(g, g.Apply(b))
-	checkFlatAgainstGraph(t, f, g)
-	if es := flatEdges(f, v); len(es) != 1 || es[0].To != 0 {
-		t.Fatalf("new node edges = %v", es)
-	}
-}
-
 // checkFlatRows holds every row of f to g's, with the layout's own
 // invariants: each row strictly increasing and, with its weights, the
 // graph's row as a set; spans inside the arrays and disjoint; the live
@@ -290,10 +274,9 @@ func checkFlatRows(f *Flat, g *Graph) error {
 
 // TestFlatAgainstGraphModel runs random programs of staged batches against
 // a Flat and the Graph it mirrors: inserts into full rows (each forces a
-// move), deletes that empty a row, edits at a hub of degree over 10³, rows
-// for nodes added after the view was built, and compaction under
-// thresholds 0, 0.05 and ∞, interleaved. After every step the rows must
-// pass checkFlatRows.
+// move), deletes that empty a row, edits at a hub of degree over 10³,
+// and compaction under thresholds 0, 0.05 and ∞, interleaved. After every
+// step the rows must pass checkFlatRows.
 func TestFlatAgainstGraphModel(t *testing.T) {
 	program := func(seed int64, directed bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -310,7 +293,7 @@ func TestFlatAgainstGraphModel(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			var b Batch
 			op := ""
-			switch k := rng.Intn(6); k {
+			switch k := rng.Intn(5); k {
 			case 0: // fill one row past its room
 				op = "fill"
 				u := node()
@@ -330,12 +313,6 @@ func TestFlatAgainstGraphModel(t *testing.T) {
 				op = "hub"
 				for i := 0; i < 20; i++ {
 					b = append(b, Update{Kind: UpdateKind(rng.Intn(2)), From: 0, To: node(), W: int64(rng.Intn(9))})
-				}
-			case 3: // a node past the view
-				op = "grow"
-				v := g.AddNode(0)
-				for i := 0; i < 3; i++ {
-					b = append(b, Update{Kind: InsertEdge, From: v, To: node(), W: 1}, Update{Kind: InsertEdge, From: node(), To: v, W: 2})
 				}
 			default:
 				op = "random"

@@ -14,8 +14,10 @@ import (
 )
 
 // NodeID identifies a node. Node ids are dense: a graph with n nodes uses
-// ids 0..n-1, and nodes are only ever added, so an id held by a caller
-// never dangles.
+// ids 0..n-1, and the node set is fixed when the graph is built (New,
+// Read, ReadBinary, Clone), so an id held by a caller never dangles and an
+// array sized to NumNodes stays sized. A vertex insertion is a batch of
+// edge insertions at a node the graph was built with, still isolated.
 type NodeID int32
 
 // Label is a node label drawn from a small alphabet, as in property graphs.
@@ -122,17 +124,6 @@ func (g *Graph) Label(v NodeID) Label { return g.labels[v] }
 
 // SetLabel assigns label l to node v.
 func (g *Graph) SetLabel(v NodeID, l Label) { g.labels[v] = l }
-
-// AddNode allocates a fresh node with the given label and returns its id.
-func (g *Graph) AddNode(l Label) NodeID {
-	id := NodeID(len(g.out))
-	g.labels = append(g.labels, l)
-	g.out = append(g.out, nil)
-	if g.directed {
-		g.in = append(g.in, nil)
-	}
-	return id
-}
 
 // find returns the position of the entry for v in row, or -1.
 func find(row []Edge, v NodeID) int {

@@ -105,27 +105,6 @@ func TestSwapRemoveKeepsIndex(t *testing.T) {
 	}
 }
 
-func TestAddNode(t *testing.T) {
-	g := New(2, true)
-	g.InsertEdge(0, 1, 1)
-	v := g.AddNode(3)
-	if v != 2 || g.Label(v) != 3 || g.NumNodes() != 3 || g.Size() != 4 {
-		t.Fatalf("AddNode gave id=%d label=%d, %d nodes, size %d", v, g.Label(v), g.NumNodes(), g.Size())
-	}
-	if !g.InsertEdge(v, 0, 1) || !g.InsertEdge(1, v, 1) {
-		t.Fatal("insert touching the added node failed")
-	}
-	if g.InsertEdge(0, v+1, 1) {
-		t.Fatal("insert touching a node past the graph succeeded")
-	}
-	if len(g.Out(v)) != 1 || len(g.In(v)) != 1 {
-		t.Fatalf("added node has out %d in %d, want 1 1", len(g.Out(v)), len(g.In(v)))
-	}
-	if err := g.CheckConsistent(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestClone(t *testing.T) {
 	g := New(4, false)
 	g.InsertEdge(0, 1, 1)

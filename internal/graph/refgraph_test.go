@@ -30,15 +30,6 @@ func newMapGraph(n int, directed bool) *mapGraph {
 // has reports whether v is a node of the graph.
 func (g *mapGraph) has(v NodeID) bool { return v >= 0 && int(v) < len(g.out) }
 
-func (g *mapGraph) AddNode() NodeID {
-	id := NodeID(len(g.out))
-	g.out = append(g.out, nil)
-	if g.directed {
-		g.in = append(g.in, nil)
-	}
-	return id
-}
-
 func (g *mapGraph) HasEdge(u, v NodeID) bool {
 	_, ok := g.outPos[pack(u, v)]
 	return ok
@@ -131,36 +122,22 @@ func (g *mapGraph) Clone() *mapGraph {
 	return c
 }
 
-// ApplyCounted is Graph.ApplyCounted over the indexed operations: Weight,
-// then DeleteEdge, for a deletion.
-func (g *mapGraph) ApplyCounted(b Batch) ApplySummary {
-	var s ApplySummary
-	s.Applied = make(Batch, 0, len(b))
-	n := NodeID(len(g.out))
+// Apply is Graph.Apply over the indexed operations: Weight, then
+// DeleteEdge, for a deletion.
+func (g *mapGraph) Apply(b Batch) Batch {
+	applied := make(Batch, 0, len(b))
 	for _, u := range b {
-		if u.From < 0 || u.From >= n || u.To < 0 || u.To >= n || u.From == u.To {
-			s.Malformed++
-			continue
-		}
 		switch u.Kind {
 		case InsertEdge:
 			if g.InsertEdge(u.From, u.To, u.W) {
-				s.Applied = append(s.Applied, u)
-				s.Inserted++
-			} else {
-				s.DupInserts++
+				applied = append(applied, u)
 			}
 		case DeleteEdge:
 			w := g.Weight(u.From, u.To)
 			if g.DeleteEdge(u.From, u.To) {
-				s.Applied = append(s.Applied, Update{Kind: DeleteEdge, From: u.From, To: u.To, W: w})
-				s.Deleted++
-			} else {
-				s.AbsentDeletes++
+				applied = append(applied, Update{Kind: DeleteEdge, From: u.From, To: u.To, W: w})
 			}
-		default:
-			s.Malformed++
 		}
 	}
-	return s
+	return applied
 }

@@ -58,12 +58,15 @@ func (g *Graph) Round() uint64 { return g.round }
 
 // Advance applies b to g as its next round, stages the applied updates
 // into the Flat view if one is built, compacting it when due, and returns
-// them: what Apply returned for b, valid until the next round. A stage
-// that panics leaves the round taken — the rows and the applied list are
-// whole, since Apply never panics — and the Flat torn; it is laid out
-// again from the rows before anyone reads it through Flat.
+// them: what Apply would return for b, in a list the store owns and
+// reuses, so valid until the next round. Once the list, the rows and the
+// Flat's arrays have room for the rounds a workload brings, a round
+// allocates nothing (TestAdvanceZeroAlloc). A stage that panics leaves the
+// round taken — the rows and the applied list are whole, since Apply never
+// panics — and the Flat torn; it is laid out again from the rows before
+// anyone reads it through Flat.
 func (g *Graph) Advance(b Batch) Batch {
-	g.applied = g.Apply(b)
+	g.applied = g.apply(g.applied[:0], b)
 	g.round++
 	if g.flat != nil {
 		g.torn = true

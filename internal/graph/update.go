@@ -5,7 +5,8 @@ import "fmt"
 // UpdateKind distinguishes the unit update types of the paper: edge
 // insertions and deletions. A vertex deletion is expressed as its dual,
 // the deletions of its incident edges (§4 of the paper); a vertex
-// insertion is AddNode followed by edge insertions.
+// insertion is the insertions of the first edges at a node the graph was
+// built with, still isolated (see NodeID).
 type UpdateKind uint8
 
 const (
@@ -52,80 +53,34 @@ func (b Batch) Inverse() Batch {
 	return inv
 }
 
-// ApplySummary reports what one batch application did to a graph: the
-// sub-batch that actually changed it plus a count of every update that
-// was skipped and why. Re-inserting a present edge and deleting an
-// absent one are idempotent no-ops — identically so for directed and
-// undirected graphs, where the mirrored half-edge representation used to
-// make the accounting easy to get subtly wrong — and malformed updates
-// (out-of-range ids, self-loops, unknown kinds) are counted and skipped
-// instead of panicking, so arbitrary input reaching batch application is
-// safe.
-type ApplySummary struct {
-	// Applied is the sub-batch that changed the graph, in order; its
-	// Inverse reverts the application. Deletions carry the weight of the
-	// edge that was removed.
-	Applied Batch
-	// Inserted and Deleted count the applied updates by kind.
-	Inserted, Deleted int
-	// DupInserts counts insertions of already-present edges (for
-	// undirected graphs, in either orientation).
-	DupInserts int
-	// AbsentDeletes counts deletions of edges that do not exist.
-	AbsentDeletes int
-	// Malformed counts updates no graph state could apply: endpoints out
-	// of [0, NumNodes), self-loops, unknown kinds.
-	Malformed int
+// Apply applies the batch to g in order, computing G ⊕ ΔG in place, and
+// returns the sub-batch that changed the graph, in order, as a fresh list:
+// its Inverse reverts the application, and its deletions carry the weight
+// of the edge that was removed. Re-inserting a present edge (in either
+// orientation when undirected) and deleting an absent one are no-ops, and
+// malformed updates — ids outside [0, NumNodes), self-loops, unknown
+// kinds — are skipped without touching the rows, so arbitrary input
+// reaching batch application is safe.
+func (g *Graph) Apply(b Batch) Batch {
+	return g.apply(make(Batch, 0, len(b)), b)
 }
 
-// Skipped returns the total number of updates that did not change the
-// graph.
-func (s ApplySummary) Skipped() int {
-	return s.DupInserts + s.AbsentDeletes + s.Malformed
-}
-
-// ApplyCounted applies the batch to g in order, computing G ⊕ ΔG in
-// place, and returns the full accounting. It never panics: every update
-// is classified before it touches the adjacency structures.
-func (g *Graph) ApplyCounted(b Batch) ApplySummary {
-	var s ApplySummary
-	s.Applied = make(Batch, 0, len(b))
-	n := NodeID(g.NumNodes())
+// apply applies b to g as Apply does, appending the updates that changed
+// the graph to dst.
+func (g *Graph) apply(dst, b Batch) Batch {
 	for _, u := range b {
-		if u.From < 0 || u.From >= n || u.To < 0 || u.To >= n || u.From == u.To {
-			s.Malformed++
-			continue
-		}
 		switch u.Kind {
 		case InsertEdge:
 			if g.InsertEdge(u.From, u.To, u.W) {
-				s.Applied = append(s.Applied, u)
-				s.Inserted++
-			} else {
-				s.DupInserts++
+				dst = append(dst, u)
 			}
 		case DeleteEdge:
 			if w, ok := g.RemoveEdge(u.From, u.To); ok {
-				s.Applied = append(s.Applied, Update{Kind: DeleteEdge, From: u.From, To: u.To, W: w})
-				s.Deleted++
-			} else {
-				s.AbsentDeletes++
+				dst = append(dst, Update{Kind: DeleteEdge, From: u.From, To: u.To, W: w})
 			}
-		default:
-			s.Malformed++
 		}
 	}
-	return s
-}
-
-// Apply applies the batch to g in order, computing G ⊕ ΔG in place.
-// It returns the sub-batch of updates that actually changed the graph
-// (inserting a present edge or deleting an absent one is skipped), so the
-// caller can revert with the result's Inverse. Deletions in the returned
-// batch carry the weight of the edge that was removed. Callers that need
-// the skip accounting use ApplyCounted.
-func (g *Graph) Apply(b Batch) Batch {
-	return g.ApplyCounted(b).Applied
+	return dst
 }
 
 // Validate checks that the update is well-formed against a graph with n

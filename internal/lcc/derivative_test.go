@@ -1,10 +1,10 @@
 package lcc
 
 import (
-	"runtime"
 	"testing"
 	"testing/quick"
 
+	"incgraph/internal/alloctest"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 )
@@ -80,9 +80,10 @@ func TestDerivativeAgainstBrute(t *testing.T) {
 		}
 	}
 
+	// Vertex insertions: the first edges of two nodes isolated until then.
 	t.Run("node ids the batch adds", func(t *testing.T) {
-		inc := NewInc(triangleWithTail())
-		v, w := inc.Graph().AddNode(0), inc.Graph().AddNode(0)
+		inc := NewInc(withIsolated(triangleWithTail(), 2))
+		v, w := graph.NodeID(4), graph.NodeID(5)
 		if err := checkRepair(inc, graph.Batch{ins(v, 0), ins(1, v)}, graph.Batch{ins(w, v), ins(0, w), ins(w, 1), del(0, 1)}); err != nil {
 			t.Fatal(err)
 		}
@@ -108,8 +109,7 @@ func TestDerivativeAgainstBrute(t *testing.T) {
 }
 
 // TestRepairZeroAlloc: once its scratch has grown to a burst-shaped
-// batch, a repair allocates nothing (staging, which applies the batch,
-// does).
+// batch, a repair allocates nothing.
 func TestRepairZeroAlloc(t *testing.T) {
 	g := gen.BurstGraph()
 	s := gen.NewBurstStream(5, g)
@@ -119,24 +119,21 @@ func TestRepairZeroAlloc(t *testing.T) {
 	inc.Apply(b)
 	// Back to the graph before the batch and forward again, as one round.
 	trip := append(applied.Inverse(), applied...)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var mallocs uint64
-	for round := 0; round < 20; round++ {
-		inc.Graph().Advance(trip)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		scope := inc.Repair()
-		runtime.ReadMemStats(&m1)
-		if round >= 1 {
-			mallocs += m1.Mallocs - m0.Mallocs
+	var scope int
+	repair := func() { scope = inc.Repair() }
+	alloctest.Zero(t, func(measure func(func())) {
+		for round := 0; round < 20; round++ {
+			inc.Graph().Advance(trip)
+			if round < 1 {
+				repair()
+			} else {
+				measure(repair)
+			}
+			if scope == 0 {
+				t.Fatal("empty scope")
+			}
 		}
-		if scope == 0 {
-			t.Fatal("empty scope")
-		}
-	}
-	if mallocs != 0 {
-		t.Fatalf("Repair allocates %d objects in 19 runs", mallocs)
-	}
+	})
 	if !inc.Result().Equal(Run(g)) {
 		t.Fatal("result differs from Run")
 	}

@@ -58,13 +58,6 @@ func (r *Result) clone() *Result {
 	return &Result{Deg: append([]int32(nil), r.Deg...), Tri: append([]int64(nil), r.Tri...)}
 }
 
-func (r *Result) grow(n int) {
-	for len(r.Deg) < n {
-		r.Deg = append(r.Deg, 0)
-		r.Tri = append(r.Tri, 0)
-	}
-}
-
 // Brute recomputes the result by enumerating neighbor pairs, the O(Σ d²)
 // reference used by tests.
 func Brute(g *graph.Graph) *Result {
@@ -189,7 +182,6 @@ func NewInc(g *graph.Graph) *Inc {
 func (i *Inc) Recompute() {
 	i.round = i.g.Round()
 	i.r = run(i.flat, i.g.NumNodes())
-	i.grow()
 	i.scope = i.scope[:0]
 }
 
@@ -247,18 +239,6 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// grow extends the per-node arrays to the graph's current node count.
-func (i *Inc) grow() {
-	n := i.g.NumNodes()
-	i.r.grow(n)
-	for len(i.mark) < n {
-		i.mark = append(i.mark, 0)
-		i.scopeMark = append(i.scopeMark, 0)
-		i.dtri = append(i.dtri, 0)
-		i.head = append(i.head, 0)
-	}
-}
-
 // add puts v in the scope.
 func (i *Inc) add(v graph.NodeID) {
 	if i.scopeMark[v] != i.scopeEpoch {
@@ -301,7 +281,6 @@ func sign(u graph.Update) int64 {
 // the scope, and λ_v takes its accumulated change.
 func (i *Inc) Repair() int {
 	applied := i.g.Take(&i.round)
-	i.grow() // nodes added since the last Repair
 	i.scopeEpoch++
 	i.scope = i.scope[:0]
 	if len(applied) == 0 {
@@ -412,10 +391,6 @@ func (d *DynLCC) applyUnit(u graph.Update) {
 	case graph.InsertEdge:
 		if !d.g.InsertEdge(u.From, u.To, u.W) {
 			return
-		}
-		d.r.grow(d.g.NumNodes())
-		for len(d.mark) < d.g.NumNodes() {
-			d.mark = append(d.mark, 0)
 		}
 		d.r.Deg[u.From]++
 		d.r.Deg[u.To]++

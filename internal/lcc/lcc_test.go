@@ -19,6 +19,14 @@ func triangleWithTail() *graph.Graph {
 	return g
 }
 
+// withIsolated returns a copy of g with k more nodes, isolated: the nodes
+// a vertex insertion gives their first edges.
+func withIsolated(g *graph.Graph, k int) *graph.Graph {
+	c := graph.New(g.NumNodes()+k, g.Directed())
+	g.Edges(func(u, v graph.NodeID, w int64) { c.InsertEdge(u, v, w) })
+	return c
+}
+
 func TestRunKnown(t *testing.T) {
 	r := Run(triangleWithTail())
 	wantDeg := []int32{2, 2, 3, 1}
@@ -133,10 +141,12 @@ func TestIncDeleteDestroysTriangles(t *testing.T) {
 	}
 }
 
+// TestIncVertexInsertion: a vertex insertion is edge insertions at a node
+// the graph was built with, still isolated (§4).
 func TestIncVertexInsertion(t *testing.T) {
-	g := triangleWithTail()
+	g := withIsolated(triangleWithTail(), 1)
 	inc := NewInc(g)
-	v := g.AddNode(0)
+	v := graph.NodeID(4)
 	inc.Apply(graph.Batch{
 		{Kind: graph.InsertEdge, From: v, To: 0, W: 1},
 		{Kind: graph.InsertEdge, From: v, To: 1, W: 1},

@@ -92,7 +92,6 @@ func checkRepair(inc *Inc, batches ...graph.Batch) error {
 	}
 
 	// CHANGED ⊆ written ⊆ AFF, the last two being one set here.
-	before.grow(g.NumNodes())
 	inScope := map[int32]bool{}
 	for _, v := range inc.Written() {
 		inScope[v] = true
@@ -155,15 +154,16 @@ func rawBatch(rng *rand.Rand, n, size int) graph.Batch {
 // TestScopeIsInputSet is the scope property test: on small triangle-dense
 // graphs, under every compaction regime (so rows are read freshly laid
 // out, edited in place and moved), one to three batches in each round.
+// The graph is built with four isolated nodes past the first n, which
+// the batches reach one at a time: vertex insertions.
 func TestScopeIsInputSet(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(14)
-		inc := NewInc(denseGraph(rng, n, 0.2+0.4*rng.Float64()))
+		inc := NewInc(withIsolated(denseGraph(rng, n, 0.2+0.4*rng.Float64()), 4))
 		inc.Graph().Flat().SetCompactThreshold([]float64{0, 0.05, graph.DefaultCompactThreshold, math.Inf(1)}[rng.Intn(4)])
 		for step := 0; step < 12; step++ {
-			if rng.Intn(8) == 0 {
-				inc.Graph().AddNode(0)
+			if rng.Intn(8) == 0 && n < inc.Graph().NumNodes() {
 				n++
 			}
 			batches := make([]graph.Batch, 1+rng.Intn(3))
@@ -234,9 +234,10 @@ func TestScopeHardCases(t *testing.T) {
 		}
 	}
 
+	// A vertex insertion: the first edges of a node isolated until then.
 	t.Run("edge to a freshly added node id", func(t *testing.T) {
-		inc := NewInc(triangleWithTail())
-		v := inc.Graph().AddNode(0)
+		inc := NewInc(withIsolated(triangleWithTail(), 1))
+		v := graph.NodeID(4)
 		if err := checkRepair(inc, graph.Batch{ins(v, 0), ins(1, v)}); err != nil {
 			t.Fatal(err)
 		}

@@ -28,13 +28,6 @@ func (h *Heap) Len() int { return len(h.items) }
 // Contains reports whether x is queued.
 func (h *Heap) Contains(x int32) bool { return h.pos[x] >= 0 }
 
-// Grow extends the handle space to n.
-func (h *Heap) Grow(n int) {
-	for len(h.pos) < n {
-		h.pos = append(h.pos, -1)
-	}
-}
-
 // AddOrAdjust inserts x, or restores heap order after x's key changed —
 // the paper's que.addOrAdjust.
 func (h *Heap) AddOrAdjust(x int32) {

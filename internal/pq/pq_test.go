@@ -22,14 +22,13 @@ func TestHeapSortsKeys(t *testing.T) {
 	}
 }
 
-func TestHeapAdjustAndGrow(t *testing.T) {
+func TestHeapAdjust(t *testing.T) {
 	keys := []int64{5, 6, 7, 0}
-	h := New(3, func(a, b int32) bool { return keys[a] < keys[b] })
+	h := New(4, func(a, b int32) bool { return keys[a] < keys[b] })
 	h.AddOrAdjust(0)
 	h.AddOrAdjust(1)
 	keys[1] = 1
 	h.AddOrAdjust(1)
-	h.Grow(4)
 	h.AddOrAdjust(3)
 	if x, _ := h.Pop(); x != 3 {
 		t.Fatalf("popped %d, want 3", x)

@@ -359,7 +359,7 @@ func (v LCCView) viewFields(lo, hi int) []viewField {
 // LCC adapts an IncLCC maintainer. Its view derives γ from d and λ at the
 // written nodes only — the rest of gamma is what the last view derived
 // from values that have not changed since — unless the change is unknown
-// or the graph has grown.
+// or no view has been derived yet.
 func LCC(inc *lcc.Inc) Serveable {
 	var gamma []float64 // the coefficients of the last published view
 	return &adapter[*lcc.Inc, LCCView]{

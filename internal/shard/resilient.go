@@ -144,8 +144,7 @@ func retryableShardErr(err error) bool {
 // attempt re-checks the breaker and re-resolves the active address, so
 // a mid-call promotion is picked up by the next attempt. Updates are
 // safe to retry whole because shard applies are idempotent
-// (graph.ApplyCounted: duplicate inserts and absent deletes are counted
-// no-ops).
+// (graph.Apply: duplicate inserts and absent deletes are no-ops).
 func (rt *Router) callShard(ctx context.Context, i int, op func(context.Context, *Client) error) error {
 	return resilience.Do(ctx, resilience.RetryOptions{
 		Attempts:   shardAttempts,

@@ -79,25 +79,6 @@ func (s *simState) run() {
 	s.cascade(p)
 }
 
-// grow extends the pair tables after vertex insertions.
-func (s *simState) grow() {
-	n := s.g.NumNodes()
-	for len(s.r) < n*s.nq {
-		v := len(s.r) / s.nq
-		u := len(s.r) % s.nq
-		match := s.g.Label(graph.NodeID(v)) == s.q.Label(graph.NodeID(u))
-		s.r = append(s.r, match)
-		s.cnt = append(s.cnt, 0)
-		if s.ts != nil {
-			if match {
-				s.ts = append(s.ts, tsTrue)
-			} else {
-				s.ts = append(s.ts, 0)
-			}
-		}
-	}
-}
-
 // cascade retracts matches transitively from the exhausted (v, u') pairs,
 // stamping turn-off times when timestamps are enabled.
 func (s *simState) cascade(p [][2]int32) {
@@ -200,7 +181,6 @@ func (m *IncMatch) Apply(b graph.Batch) int {
 // counters count each applied update once.
 func (m *IncMatch) Repair() int {
 	applied := m.g.Take(&m.round)
-	m.grow()
 	var offSeeds [][2]int32
 	var inserted []graph.NodeID
 	adjust := func(from, to graph.NodeID, delta int32) {

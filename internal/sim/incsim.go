@@ -58,7 +58,7 @@ func Blank(g, q *graph.Graph) *Inc {
 // newInc positions IncSim at the relation, counters and stamps of s.
 func newInc(s *simState) *Inc {
 	i := &Inc{simState: s, round: s.g.Round()}
-	i.led.Grow(len(s.r))
+	i.led.Size(len(s.r))
 	i.hq = pq.New(len(s.r), func(a, b int32) bool { return i.ts[a] < i.ts[b] })
 	// Record cascade retractions in the ledger (a retracted pair was true
 	// before the write); installed after the initial batch cascade above,
@@ -71,9 +71,6 @@ func newInc(s *simState) *Inc {
 // round, leaving what NewInc builds; the ledger records none of it.
 func (i *Inc) Recompute() {
 	i.round = i.g.Round()
-	i.grow()
-	i.led.Grow(len(i.r))
-	i.hq.Grow(len(i.r))
 	i.led.Reset()
 	i.run()
 }
@@ -169,9 +166,6 @@ func (i *Inc) Apply(b graph.Batch) int {
 // Repair runs the incremental algorithm over the data graph's newest round.
 func (i *Inc) Repair() int {
 	applied := i.g.Take(&i.round)
-	i.grow()
-	i.led.Grow(len(i.r))
-	i.hq.Grow(len(i.r))
 	a := &i.arena
 	a.Begin(len(i.r))
 	i.led.Begin()

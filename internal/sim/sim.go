@@ -266,7 +266,6 @@ func (i *IncEngine) Apply(b graph.Batch) int {
 // Repair maintains the relation over the data graph's newest round.
 func (i *IncEngine) Repair() int {
 	applied := i.g.Take(&i.round)
-	i.eng.Grow()
 	a := &i.arena
 	a.Begin(i.inst.NumVars())
 	touch := func(v graph.NodeID) {

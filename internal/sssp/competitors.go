@@ -216,10 +216,6 @@ func (d *DynDij) Apply(b graph.Batch) int {
 // insertion seeds are relaxed without checking the edge survived.
 func (d *DynDij) Repair() int {
 	applied := d.g.Take(&d.round)
-	for len(d.dist) < d.g.NumNodes() {
-		d.dist = append(d.dist, Infinity)
-		d.parent = append(d.parent, -1)
-	}
 	if len(applied) == 0 {
 		return 0
 	}

@@ -77,7 +77,7 @@ func Blank(g *graph.Graph, src graph.NodeID) *Inc {
 	i.hkey = make([]int64, n)
 	i.oldVal = make([]int64, n)
 	i.mark = make([]int64, n)
-	i.led.Grow(n)
+	i.led.Size(n)
 	return i
 }
 
@@ -85,7 +85,6 @@ func Blank(g *graph.Graph, src graph.NodeID) *Inc {
 // NewInc builds: its written list empty.
 func (i *Inc) Recompute() {
 	i.round = i.g.Round()
-	i.grow()
 	dijkstra(i.g, i.src, i.dist)
 	i.led.Reset()
 }
@@ -140,19 +139,6 @@ func (i *Inc) Apply(b graph.Batch) int {
 	return i.Repair()
 }
 
-// grow extends the per-node arrays to the graph's node count.
-func (i *Inc) grow() {
-	for len(i.dist) < i.g.NumNodes() {
-		i.dist = append(i.dist, Infinity)
-		i.hkey = append(i.hkey, 0)
-		i.oldVal = append(i.oldVal, 0)
-		i.mark = append(i.mark, 0)
-	}
-	i.led.Grow(len(i.dist))
-	i.wq.Grow(len(i.dist))
-	i.hq.Grow(len(i.dist))
-}
-
 // ledgerAff charges v's first entry into this repair's affected area:
 // |AFF| grows by one and ‖AFF‖ by v's incident edges (the lengths of its
 // Flat spans, so allocation-free like the tracker).
@@ -181,7 +167,6 @@ func (i *Inc) oldDist(v graph.NodeID) int64 {
 // Repair runs h and the resumed step function over the graph's newest round.
 func (i *Inc) Repair() int {
 	applied := i.g.Take(&i.round)
-	i.grow()
 	i.led.Begin()
 	if len(applied) == 0 {
 		return 0

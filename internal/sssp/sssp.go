@@ -200,13 +200,11 @@ func (i *IncEngine) Apply(b graph.Batch) int {
 // the head's anchor set — other deletions touch nothing at all.
 func (i *IncEngine) Repair() int {
 	applied := i.g.Take(&i.round)
-	i.eng.Grow()
 	dist := i.eng.State().Val
 	a := &i.arena
 	a.Begin(i.g.NumNodes())
 	tight := func(u, v graph.NodeID, w int64) bool {
-		return int(u) < len(dist) && int(v) < len(dist) &&
-			dist[u] < Infinity && dist[u]+w == dist[v]
+		return dist[u] < Infinity && dist[u]+w == dist[v]
 	}
 	for _, up := range applied {
 		switch up.Kind {

@@ -277,16 +277,20 @@ func TestIncDisconnect(t *testing.T) {
 }
 
 func TestIncVertexInsertion(t *testing.T) {
-	// Vertex updates: add a node, then connect it via edge updates (§4).
-	g := graph.New(2, true)
+	// A vertex insertion is edge insertions at a node the graph was built
+	// with, still isolated (§4).
+	g := graph.New(3, true)
 	g.InsertEdge(0, 1, 3)
 	inc := NewInc(g, 0)
-	v := g.AddNode(0)
+	v := graph.NodeID(2)
+	if got := inc.Dist()[v]; got != Infinity {
+		t.Fatalf("dist[isolated] = %d, want Infinity", got)
+	}
 	inc.Apply(graph.Batch{
 		{Kind: graph.InsertEdge, From: 1, To: v, W: 2},
 	})
 	if got := inc.Dist()[v]; got != 5 {
-		t.Fatalf("dist[new] = %d, want 5", got)
+		t.Fatalf("dist[%d] = %d, want 5", v, got)
 	}
 }
 

@@ -92,16 +92,19 @@ func TestStressBC(t *testing.T) {
 }
 
 // TestStressInterleavedVertexUpdates drives node insertions and deletions
-// through the edge-update dual (§4) across rounds.
+// through the edge-update dual (§4) across rounds: a node inserted is one
+// the graph is built with, isolated until its round gives it edges.
 func TestStressInterleavedVertexUpdates(t *testing.T) {
-	g := PowerLawGraph(17, 200, 6, true)
+	const rounds = 15
+	base := PowerLawGraph(17, 200, 6, true)
+	g := NewGraph(base.NumNodes()+rounds, true)
+	base.Edges(func(u, v NodeID, w int64) { g.InsertEdge(u, v, w) })
 	incS := NewIncSSSP(g, 0)
 	incC := NewIncCC(g.Clone())
-	for round := 0; round < 15; round++ {
-		// Add a node wired to two random existing nodes.
+	for round := 0; round < rounds; round++ {
+		// Wire an isolated node to two existing ones.
 		gs := incS.Graph()
-		v := gs.AddNode(0)
-		incC.Graph().AddNode(0)
+		v := NodeID(base.NumNodes() + round)
 		b := Batch{
 			{Kind: InsertEdge, From: NodeID(round % 50), To: v, W: 3},
 			{Kind: InsertEdge, From: v, To: NodeID((round * 7) % 50), W: 2},
