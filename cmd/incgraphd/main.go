@@ -37,10 +37,10 @@
 // and expvar counters (/debug/pprof/, /debug/vars) — kept off the main
 // listener so profiling endpoints are never exposed on the service port.
 //
-// The hosted maintainers share one graph and its one flat view, each
-// keeping only its own state. One apply loop per service writes to all of
-// them: updates are validated into one queue, coalesced and netted once,
-// applied to the graph and staged into its flat view once, and every class
+// The hosted maintainers share one graph, whose sorted rows are its one
+// adjacency, each keeping only its own state. One apply loop per service
+// writes to all of them: updates are validated into one queue, coalesced
+// and netted once, applied to the graph once, and every class
 // then repairs from the round's list of applied updates. On SIGINT/SIGTERM
 // the daemon stops accepting requests, drains the queue, and exits.
 //

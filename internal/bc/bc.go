@@ -111,7 +111,7 @@ func (r *Result) Equivalent(o *Result, g *graph.Graph) bool {
 // an iterative lowpoint DFS from the smallest-id node of every component.
 func Run(g *graph.Graph) *Result {
 	r := newResult(g.NumNodes())
-	newLowpointState(g.NumNodes(), graph.NewFlat(g)).runAll(r)
+	newLowpointState(g.NumNodes(), g.Flat()).runAll(r)
 	return r
 }
 

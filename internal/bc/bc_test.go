@@ -28,10 +28,11 @@ func bruteArticulation(g *graph.Graph) []bool {
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				for _, e := range g.Out(x) {
-					if e.To != skip && lab[e.To] < 0 {
-						lab[e.To] = c
-						stack = append(stack, e.To)
+				ts, _, _, _ := g.Flat().OutSpans(x)
+				for _, to := range ts {
+					if to != skip && lab[to] < 0 {
+						lab[to] = c
+						stack = append(stack, to)
 					}
 				}
 			}
@@ -55,7 +56,7 @@ func bruteArticulation(g *graph.Graph) []bool {
 	baseCount := count(base, -1)
 	out := make([]bool, n)
 	for v := 0; v < n; v++ {
-		if len(g.Out(graph.NodeID(v))) == 0 {
+		if out, _, _, _ := g.Flat().OutSpans(graph.NodeID(v)); len(out) == 0 {
 			continue
 		}
 		lab := comps(graph.NodeID(v))

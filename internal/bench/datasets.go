@@ -18,10 +18,13 @@ func ExpDatasets(cfg Config) {
 	for _, d := range gen.Datasets {
 		g := d.Build(cfg.Seed, cfg.Scale)
 		degs := make([]int, g.NumNodes())
+		f := g.Flat()
 		for v := range degs {
-			degs[v] = len(g.Out(graph.NodeID(v)))
+			out, _, _, _ := f.OutSpans(graph.NodeID(v))
+			degs[v] = len(out)
 			if g.Directed() {
-				degs[v] += len(g.In(graph.NodeID(v)))
+				in, _, _, _ := f.InSpans(graph.NodeID(v))
+				degs[v] += len(in)
 			}
 		}
 		sort.Ints(degs)

@@ -24,6 +24,7 @@ func Components(g *graph.Graph) []int64 {
 		lab[i] = -1
 	}
 	var stack []graph.NodeID
+	f := g.Flat()
 	for s := 0; s < n; s++ {
 		if lab[s] >= 0 {
 			continue
@@ -39,12 +40,14 @@ func Components(g *graph.Graph) []int64 {
 					stack = append(stack, y)
 				}
 			}
-			for _, e := range g.Out(x) {
-				visit(e.To)
+			out, _, _, _ := f.OutSpans(x)
+			for _, y := range out {
+				visit(y)
 			}
 			if g.Directed() {
-				for _, e := range g.In(x) {
-					visit(e.To)
+				in, _, _, _ := f.InSpans(x)
+				for _, y := range in {
+					visit(y)
 				}
 			}
 		}
@@ -55,15 +58,9 @@ func Components(g *graph.Graph) []int64 {
 // Instance is the CC instantiation of the fixpoint model (Example 2): one
 // variable per node holding a component id, f_xv = min({id_v} ∪ Y_xv) over
 // the neighbors. It is contracting and monotonic under the order on ids.
-//
-// When Flat is set, all adjacency reads go through the flat view's sorted
-// spans: that is how the incremental maintainer Inc runs it. With Flat nil
-// the instance reads the graph's rows — the mode of the batch oracle CCfp,
-// of Certify and of the IncNaive ablation (graph/store.go states which
-// reader reads which copy).
+// Every adjacency read goes through the graph's sorted spans.
 type Instance struct {
-	G    *graph.Graph
-	Flat *graph.Flat
+	G *graph.Graph
 }
 
 // NumVars returns one variable per node.
@@ -78,35 +75,24 @@ func (c *Instance) Less(a, b int64) bool { return a < b }
 // Equal reports label equality.
 func (c *Instance) Equal(a, b int64) bool { return a == b }
 
-// rows returns v's flat out-row and, on a directed graph, its in-row:
+// rows returns v's out-row and, on a directed graph, its in-row:
 // together its (undirected) neighbors.
 func (c *Instance) rows(v graph.NodeID) (out, in []graph.NodeID) {
-	out, _, _, _ = c.Flat.OutSpans(v)
+	f := c.G.Flat()
+	out, _, _, _ = f.OutSpans(v)
 	if c.G.Directed() {
-		in, _, _, _ = c.Flat.InSpans(v)
+		in, _, _, _ = f.InSpans(v)
 	}
 	return out, in
 }
 
 func (c *Instance) neighbors(x fixpoint.Var, yield func(fixpoint.Var)) {
-	v := graph.NodeID(x)
-	if c.Flat != nil {
-		out, in := c.rows(v)
-		for _, u := range out {
-			yield(fixpoint.Var(u))
-		}
-		for _, u := range in {
-			yield(fixpoint.Var(u))
-		}
-		return
+	out, in := c.rows(graph.NodeID(x))
+	for _, u := range out {
+		yield(fixpoint.Var(u))
 	}
-	for _, e := range c.G.Out(v) {
-		yield(fixpoint.Var(e.To))
-	}
-	if c.G.Directed() {
-		for _, e := range c.G.In(v) {
-			yield(fixpoint.Var(e.To))
-		}
+	for _, u := range in {
+		yield(fixpoint.Var(u))
 	}
 }
 
@@ -118,32 +104,14 @@ func (c *Instance) Dependents(x fixpoint.Var, yield func(fixpoint.Var)) { c.neig
 
 // Update evaluates f_x: the minimum of the node's id and neighbor labels.
 func (c *Instance) Update(x fixpoint.Var, get func(fixpoint.Var) int64) int64 {
-	best, v := int64(x), graph.NodeID(x)
-	if c.Flat != nil {
-		out, in := c.rows(v)
-		return meet(meet(best, out, get), in, get)
-	}
-	best = meetEdges(best, c.G.Out(v), get)
-	if c.G.Directed() {
-		best = meetEdges(best, c.G.In(v), get)
-	}
-	return best
+	out, in := c.rows(graph.NodeID(x))
+	return meet(meet(int64(x), out, get), in, get)
 }
 
-// meet folds get over one flat row.
+// meet folds get over one row.
 func meet(best int64, row []graph.NodeID, get func(fixpoint.Var) int64) int64 {
 	for _, u := range row {
 		if l := get(fixpoint.Var(u)); l < best {
-			best = l
-		}
-	}
-	return best
-}
-
-// meetEdges folds get over the targets of one of the graph's rows.
-func meetEdges(best int64, row []graph.Edge, get func(fixpoint.Var) int64) int64 {
-	for _, e := range row {
-		if l := get(fixpoint.Var(e.To)); l < best {
 			best = l
 		}
 	}
@@ -166,22 +134,9 @@ func (c *Instance) RelaxOut(x fixpoint.Var, xv int64, emit func(fixpoint.Var, in
 // DependentRow appends x's neighbors to buf (fixpoint.UniformRelaxer):
 // min-label propagation emits the same candidate everywhere, so the
 // engine's drain installs it along this row with no per-edge closure.
-// The row visits exactly what RelaxOut emits to, in the same order, in
-// both the flat and the bare-graph mode.
+// The row visits exactly what RelaxOut emits to, in the same order.
 func (c *Instance) DependentRow(x fixpoint.Var, buf []fixpoint.Var) []fixpoint.Var {
-	v := graph.NodeID(x)
-	if c.Flat == nil {
-		for _, e := range c.G.Out(v) {
-			buf = append(buf, fixpoint.Var(e.To))
-		}
-		if c.G.Directed() {
-			for _, e := range c.G.In(v) {
-				buf = append(buf, fixpoint.Var(e.To))
-			}
-		}
-		return buf
-	}
-	out, in := c.rows(v)
+	out, in := c.rows(graph.NodeID(x))
 	return appendRow(appendRow(buf, out), in)
 }
 
@@ -195,9 +150,8 @@ func appendRow(buf []fixpoint.Var, ts []graph.NodeID) []fixpoint.Var {
 
 // OutDegree reports the number of dependency edges leaving x — its
 // (undirected) neighbor count — feeding ‖AFF‖ in the engine's work ledger
-// (see fixpoint.OutDegreer). O(1): the lengths of x's Flat spans. Only an
-// incremental run charges the ledger, and only Inc runs one, in the Flat
-// mode.
+// (see fixpoint.OutDegreer). O(1): the lengths of x's spans. Only an
+// incremental run charges the ledger.
 func (c *Instance) OutDegree(x fixpoint.Var) int64 {
 	out, in := c.rows(graph.NodeID(x))
 	return int64(len(out) + len(in))
@@ -238,7 +192,7 @@ func NewInc(g *graph.Graph) *Inc {
 // id and every stamp 0: the maintainer a checkpointed state is restored
 // into (RestoreState) or Recompute fills, before Apply.
 func Blank(g *graph.Graph) *Inc {
-	eng := fixpoint.New[int64](&Instance{G: g, Flat: g.Flat()}, fixpoint.PriorityOrder)
+	eng := fixpoint.New[int64](&Instance{G: g}, fixpoint.PriorityOrder)
 	return &Inc{g: g, round: g.Round(), eng: eng}
 }
 
@@ -282,8 +236,8 @@ func (i *Inc) RestoreState(labels, ts []int64, clock int64) error {
 
 // Certify checks the labels, stamps and clock by fixpoint.CheckOrder:
 // the labels are the components and the stamps the order <_C the next
-// Apply's h relies on. It reads the graph's rows, not the Flat view the
-// repairs read.
+// Apply's h relies on. It reads the one adjacency the repairs read, which
+// the graph package's model test holds to an independent reference.
 func (i *Inc) Certify() error {
 	return fixpoint.CheckOrder[int64](&Instance{G: i.g}, i.eng.State())
 }

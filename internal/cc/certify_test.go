@@ -102,12 +102,11 @@ func durableShape() *graph.Graph { return gen.Synthetic(1, 20000, 16, false) }
 // incSink keeps the benchmarked batch runs' results alive.
 var incSink *Inc
 
-// BenchmarkBatchRun is cc's batch run on the durable workload's graph,
-// over its laid-out Flat view: what a recovery verified by recompute pays
-// for cc (Recompute builds the maintainer again with NewInc).
+// BenchmarkBatchRun is cc's batch run on the durable workload's graph:
+// what a recovery verified by recompute pays for cc (Recompute builds the
+// maintainer again with NewInc).
 func BenchmarkBatchRun(b *testing.B) {
 	g := durableShape()
-	g.Flat()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		incSink = NewInc(g)

@@ -85,8 +85,9 @@ func (t *Tree) IsValid(g *graph.Graph) bool {
 	}
 	ok := true
 	for u := 0; u < n && ok; u++ {
-		for _, e := range g.Out(graph.NodeID(u)) {
-			if t.Last[u] < t.First[e.To] {
+		ts, _, _, _ := g.Flat().OutSpans(graph.NodeID(u))
+		for _, to := range ts {
+			if t.Last[u] < t.First[to] {
 				ok = false
 				break
 			}
@@ -96,8 +97,8 @@ func (t *Tree) IsValid(g *graph.Graph) bool {
 }
 
 // Run computes the canonical DFS of g, the batch algorithm DFS_fp, over
-// the sorted rows of graph.NewFlat(g).
-func Run(g *graph.Graph) *Tree { return run(graph.NewFlat(g), g.NumNodes()) }
+// g's sorted rows.
+func Run(g *graph.Graph) *Tree { return run(g.Flat(), g.NumNodes()) }
 
 // run is a full traversal of the n nodes whose rows f holds.
 func run(f *graph.Flat, n int) *Tree {

@@ -24,10 +24,8 @@ func recursiveRef(g *graph.Graph) *Tree {
 	visit = func(v graph.NodeID) {
 		clock++
 		t.First[v] = clock
-		var row []graph.NodeID
-		for _, e := range g.Out(v) {
-			row = append(row, e.To)
-		}
+		ts, _, _, _ := g.Flat().OutSpans(v)
+		row := slices.Clone(ts) // the reference sorts for itself
 		slices.Sort(row)
 		for _, w := range row {
 			if t.First[w] == 0 {

@@ -239,6 +239,7 @@ type Engine[V any] struct {
 	wl  worklist   // step-function scope
 	hq  *pq.Heap   // h's queue, ordered by old timestamps (the order <_C)
 	led Tracker[V] // AFF membership (which is H⁰'s dedup too) and first writes
+	h0  []Var      // the last run's H⁰, whose room the next run reuses
 	deg OutDegreer // instance's optional out-degree hook for ‖AFF‖
 }
 
@@ -481,7 +482,7 @@ type Touched struct {
 // Fig. 4), conservatively treating every one as potentially infeasible.
 // It applies the initial scope function h to produce a feasible status D⁰
 // and valid scope H⁰, then resumes the batch step function. It returns
-// H⁰.
+// H⁰, in a list the engine reuses: valid until its next run.
 func (e *Engine[V]) IncrementalRun(touched []Var) []Var {
 	ts := make([]Touched, len(touched))
 	for i, x := range touched {
@@ -561,7 +562,7 @@ func (e *Engine[V]) scopeFunction(touched []Touched) []Var {
 	st := e.st
 	que := e.hq
 	e.led.Begin()
-	h0 := make([]Var, 0, len(touched)*2)
+	h0 := e.h0[:0]
 	// H⁰ members are the first entrants of the run's affected area, so AFF
 	// membership is also H⁰'s dedup.
 	addH0 := func(x Var) {
@@ -595,6 +596,7 @@ func (e *Engine[V]) scopeFunction(touched []Touched) []Var {
 			e.inst.Dependents(x, e.hEnqFn)
 		}
 	}
+	e.h0 = h0
 	return h0
 }
 

@@ -202,6 +202,7 @@ func HotspotUpdates(rng *rand.Rand, g *graph.Graph, count int, insFrac float64, 
 	center := graph.NodeID(rng.Intn(n))
 	dist := map[graph.NodeID]int{center: 0}
 	queue := []graph.NodeID{center}
+	f := g.Flat()
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
 		if dist[v] >= radius {
@@ -213,12 +214,14 @@ func HotspotUpdates(rng *rand.Rand, g *graph.Graph, count int, insFrac float64, 
 				queue = append(queue, w)
 			}
 		}
-		for _, e := range g.Out(v) {
-			visit(e.To)
+		out, _, _, _ := f.OutSpans(v)
+		for _, x := range out {
+			visit(x)
 		}
 		if g.Directed() {
-			for _, e := range g.In(v) {
-				visit(e.To)
+			in, _, _, _ := f.InSpans(v)
+			for _, x := range in {
+				visit(x)
 			}
 		}
 	}

@@ -45,8 +45,8 @@ func TestPowerLawShape(t *testing.T) {
 	// Heavy tail: the max degree should far exceed the average.
 	maxDeg := 0
 	for v := 0; v < g.NumNodes(); v++ {
-		if d := len(g.Out(graph.NodeID(v))); d > maxDeg {
-			maxDeg = d
+		if out, _, _, _ := g.Flat().OutSpans(graph.NodeID(v)); len(out) > maxDeg {
+			maxDeg = len(out)
 		}
 	}
 	if float64(maxDeg) < 4*avg {

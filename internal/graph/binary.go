@@ -34,7 +34,7 @@ const maxBinaryNodes = 1 << 31
 func (g *Graph) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(binaryMagic)
-	if g.directed {
+	if g.Directed() {
 		bw.WriteByte(1)
 	} else {
 		bw.WriteByte(0)
@@ -79,8 +79,8 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 // checkWeight, so corrupted or hostile input (a checkpoint fetched from a
 // primary) yields an error, never a panic, an inconsistent graph or a
 // weight a relaxation would overflow on. It reads r whole and decodes the
-// bytes in memory; the rows are built in one pass (Graph.build), as
-// inserting the edges in turn would have laid them out, and the first
+// bytes in memory; the sorted rows are laid out from the decoded edges
+// (Graph.build) — the graph inserting them in turn would hold — and the first
 // error in blob order is the one reported, a repeated edge or self-loop
 // included.
 func ReadBinary(r io.Reader) (*Graph, error) {

@@ -29,11 +29,13 @@ func trickleShaped(n, deg int) *Graph {
 	return g
 }
 
-// TestGraphBytesPerHalfEdge holds the heap a Graph occupies to its rows:
-// 16 B an entry plus the slack append leaves and a slice header per node —
-// about 25 B per half-edge at degree 8, where the position index this type
-// used to carry made it about 49. An index that comes back has to come
-// back through this number.
+// TestGraphBytesPerHalfEdge holds the heap a Graph occupies to its one
+// adjacency: 12 B an entry in the sorted rows, plus a span per node and,
+// on a graph built edge by edge as this one is, the room moved rows left
+// behind and the arrays' growth — about 21 B per half-edge at degree 8,
+// where the unordered rows beside a Flat made it about 25 for the rows
+// alone and a position index on top about 49. An index or a second copy
+// that comes back has to come back through this number.
 func TestGraphBytesPerHalfEdge(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -50,11 +52,11 @@ func TestGraphBytesPerHalfEdge(t *testing.T) {
 }
 
 // BenchmarkEdgeOpsByDegree deletes and reinserts one edge at a hub of
-// degree d: the table in Graph's comment. The graph is many stars — a
-// million edges in all, whatever d is — and every operation picks a star
-// and a leaf at random, so the hub's row is cold when it is scanned. "map"
-// is the same on the position-indexed reference, the cost the scan is
-// weighed against.
+// degree d. The graph is many stars — a million edges in all, whatever d
+// is — and every operation picks a star and a leaf at random, so the
+// hub's row is cold when it is searched. "map" is the same on the
+// position-indexed reference, the cost the sorted rows' binary search and
+// shift are weighed against.
 func BenchmarkEdgeOpsByDegree(b *testing.B) {
 	const edges = 1000000
 	type ops struct {
@@ -65,7 +67,7 @@ func BenchmarkEdgeOpsByDegree(b *testing.B) {
 	var g *Graph
 	var m *mapGraph
 	for _, impl := range []ops{
-		{"scan", func(n int) { g, m = New(n, false), nil },
+		{"sorted", func(n int) { g, m = New(n, false), nil },
 			func(u, v NodeID) bool { return g.InsertEdge(u, v, 1) },
 			func(u, v NodeID) bool { return g.DeleteEdge(u, v) }},
 		{"map", func(n int) { g, m = nil, newMapGraph(n, false) },

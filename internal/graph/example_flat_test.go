@@ -6,9 +6,10 @@ import (
 	"incgraph/internal/graph"
 )
 
-// ExampleFlat shows the life of a flat adjacency view: rows laid out
-// sorted with one free slot each, a batch edited into them in place, and
-// compaction reclaiming the space the edits opened.
+// ExampleFlat shows the life of a copy of a graph's adjacency (NewFlat):
+// rows laid out sorted with one free slot each, a batch edited into them
+// in place by Stage, and compaction reclaiming the space the edits opened.
+// The graph's own adjacency (Graph.Flat) is edited the same way by Apply.
 func ExampleFlat() {
 	g := graph.New(4, false)
 	g.InsertEdge(0, 1, 5)
@@ -35,7 +36,7 @@ func ExampleFlat() {
 	}
 	fmt.Printf("dead space: %.2f of the live entries\n", f.OverlayRatio())
 
-	// Compaction lays the rows out again and reclaims it.
+	// Compaction packs the rows again and reclaims it.
 	f.Compact(g)
 	fmt.Printf("after compact: %.2f, %d compaction\n", f.OverlayRatio(), f.Compactions())
 

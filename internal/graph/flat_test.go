@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
-// flatEdges collects u's live out-edges from the flat view, sorted.
+// flatEdges collects u's out-edges from a Flat, in order.
 func flatEdges(f *Flat, u NodeID) []Edge {
 	ts, ws, _, _ := f.OutSpans(u)
 	return spanEdges(ts, ws)
@@ -21,25 +20,11 @@ func flatInEdges(f *Flat, u NodeID) []Edge {
 	return spanEdges(ts, ws)
 }
 
-func spanEdges(ts []NodeID, ws []int64) []Edge {
-	var es []Edge
-	for k, v := range ts {
-		es = append(es, Edge{To: v, W: ws[k]})
-	}
-	sort.Slice(es, func(i, j int) bool { return es[i].To < es[j].To })
-	return es
-}
-
 func graphEdges(g *Graph, u NodeID, in bool) []Edge {
-	var src []Edge
 	if in {
-		src = g.In(u)
-	} else {
-		src = g.Out(u)
+		return inRow(g, u)
 	}
-	es := append([]Edge(nil), src...)
-	sort.Slice(es, func(i, j int) bool { return es[i].To < es[j].To })
-	return es
+	return outRow(g, u)
 }
 
 func sameEdges(a, b []Edge) bool {
@@ -207,76 +192,28 @@ func TestFlatOutSpansQuick(t *testing.T) {
 	}
 }
 
-// checkFlatRows holds every row of f to g's, with the layout's own
-// invariants: each row strictly increasing and, with its weights, the
-// graph's row as a set; spans inside the arrays and disjoint; the live
-// count and the dead space OverlayRatio reports equal to a recount; and
-// OutSpans/InSpans handing out no dead or extra slices.
+// checkFlatRows holds every row of a staged copy f to g's own, in both
+// directions, and f's arrays to the layout's invariants (checkLayout).
 func checkFlatRows(f *Flat, g *Graph) error {
-	type dir struct {
-		name  string
-		d     *flatDir
-		row   func(NodeID) []Edge
-		spans func(NodeID) ([]NodeID, []int64, []bool, []Edge)
-	}
-	dirs := []dir{{"out", &f.out, g.Out, f.OutSpans}}
-	if f.directed {
-		dirs = append(dirs, dir{"in", &f.in, g.In, f.InSpans})
-	}
-	dead, live := 0, 0
-	for _, x := range dirs {
-		if len(x.d.rows) != g.NumNodes() {
-			return fmt.Errorf("%s: %d rows for %d nodes", x.name, len(x.d.rows), g.NumNodes())
+	for u := 0; u < g.NumNodes(); u++ {
+		for _, in := range []bool{false, true} {
+			got := flatEdges(f, NodeID(u))
+			if in {
+				got = flatInEdges(f, NodeID(u))
+			}
+			if want := graphEdges(g, NodeID(u), in); !sameEdges(got, want) {
+				return fmt.Errorf("row %d (in=%v): copy %v, graph %v", u, in, got, want)
+			}
 		}
-		owner := make([]int32, len(x.d.ts))
-		n := 0
-		for u := range x.d.rows {
-			r := x.d.rows[u]
-			if r.lo < 0 || r.lo > r.hi || r.hi > r.end || int(r.end) > len(x.d.ts) {
-				return fmt.Errorf("%s row %d: span %+v outside %d slots", x.name, u, r, len(x.d.ts))
-			}
-			for k := r.lo; k < r.end; k++ {
-				if owner[k] != 0 {
-					return fmt.Errorf("%s rows %d and %d share slot %d", x.name, owner[k]-1, u, k)
-				}
-				owner[k] = int32(u) + 1
-			}
-			ts, ws, dd, extra := x.spans(NodeID(u))
-			if dd != nil || extra != nil {
-				return fmt.Errorf("%s row %d: dead %v, extra %v", x.name, u, dd, extra)
-			}
-			want := append([]Edge(nil), x.row(NodeID(u))...)
-			slices.SortFunc(want, func(a, b Edge) int { return int(a.To) - int(b.To) })
-			if len(ts) != len(want) || len(ws) != len(want) {
-				return fmt.Errorf("%s row %d: %v, graph %v", x.name, u, ts, want)
-			}
-			for k := range ts {
-				if k > 0 && ts[k-1] >= ts[k] {
-					return fmt.Errorf("%s row %d not strictly increasing: %v", x.name, u, ts)
-				}
-				if (Edge{ts[k], ws[k]}) != want[k] {
-					return fmt.Errorf("%s row %d: %v %v, graph %v", x.name, u, ts, ws, want)
-				}
-			}
-			n += len(ts)
-		}
-		if n != x.d.live {
-			return fmt.Errorf("%s: %d live entries counted, %d recounted", x.name, x.d.live, n)
-		}
-		dead += max(len(x.d.ts)-n-len(x.d.rows), 0)
-		live += n
 	}
-	if want := float64(dead) / float64(live+1); f.OverlayRatio() != want {
-		return fmt.Errorf("dead space %v, recounted %v", f.OverlayRatio(), want)
-	}
-	return nil
+	return checkLayout(f, g.NumNodes())
 }
 
 // TestFlatAgainstGraphModel runs random programs of staged batches against
-// a Flat and the Graph it mirrors: inserts into full rows (each forces a
-// move), deletes that empty a row, edits at a hub of degree over 10³,
-// and compaction under thresholds 0, 0.05 and ∞, interleaved. After every
-// step the rows must pass checkFlatRows.
+// a copy made by NewFlat and the Graph it mirrors: inserts into full rows
+// (each forces a move), deletes that empty a row, edits at a hub of degree
+// over 10³, and compaction under thresholds 0, 0.05 and ∞, interleaved.
+// After every step the copy must pass checkFlatRows.
 func TestFlatAgainstGraphModel(t *testing.T) {
 	program := func(seed int64, directed bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -303,10 +240,10 @@ func TestFlatAgainstGraphModel(t *testing.T) {
 			case 1: // empty one row
 				op = "empty"
 				u := node()
-				for _, e := range g.Out(u) {
+				for _, e := range outRow(g, u) {
 					b = append(b, Update{Kind: DeleteEdge, From: u, To: e.To})
 				}
-				for _, e := range g.In(u) {
+				for _, e := range inRow(g, u) {
 					b = append(b, Update{Kind: DeleteEdge, From: e.To, To: u})
 				}
 			case 2: // edit the hub
@@ -360,33 +297,8 @@ func TestFlatStageAllocs(t *testing.T) {
 	if f.Compactions() != 0 {
 		t.Fatalf("rows with room compacted %d times", f.Compactions())
 	}
-	if err := checkFlatRows(f, g); err != nil {
+	if err := checkLayout(f, g.NumNodes()); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestRelayoutOnlyAfterStage: Relayout lays the Flat out again only when
-// something was staged into it since it was last laid out, so the classes
-// a recovery recomputes one after another pay for one layout between
-// them; a view as NewFlat or a compaction left it is what the rows hold.
-func TestRelayoutOnlyAfterStage(t *testing.T) {
-	g := New(4, false)
-	g.InsertEdge(0, 1, 1)
-	g.InsertEdge(1, 2, 1)
-	f := g.Flat()
-	g.Relayout()
-	if c := f.Compactions(); c != 0 {
-		t.Fatalf("a view nothing was staged into was laid out %d times", c)
-	}
-	g.Advance(Batch{{Kind: InsertEdge, From: 2, To: 3, W: 1}})
-	staged := f.Compactions()
-	for i := 0; i < 3; i++ {
-		g.Relayout()
-		if c := f.Compactions(); c != staged+1 {
-			t.Fatalf("relayout %d after a stage: %d layouts, want %d", i, c-staged, 1)
-		}
-	}
-	if got, _, _, _ := f.OutSpans(2); !slices.Equal(got, []NodeID{1, 3}) {
-		t.Errorf("row 2 after the relayout: %v", got)
-	}
+	checkFlatAgainstGraph(t, f, g)
 }

@@ -127,7 +127,7 @@ func sameGraph(a, b *Graph) bool {
 	}
 	for v := 0; v < a.NumNodes(); v++ {
 		id := NodeID(v)
-		if a.Label(id) != b.Label(id) || !slices.Equal(a.Out(id), b.Out(id)) || !slices.Equal(a.In(id), b.In(id)) {
+		if a.Label(id) != b.Label(id) || !slices.Equal(outRow(a, id), outRow(b, id)) || !slices.Equal(inRow(a, id), inRow(b, id)) {
 			return false
 		}
 	}

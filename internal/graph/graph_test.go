@@ -42,8 +42,8 @@ func TestInsertDeleteDirected(t *testing.T) {
 	if g.Weight(1, 0) != Infinity {
 		t.Fatal("absent edge should weigh Infinity")
 	}
-	if len(g.In(1)) != 1 || g.In(1)[0].To != 0 {
-		t.Fatalf("in-adjacency wrong: %v", g.In(1))
+	if len(inRow(g, 1)) != 1 || inRow(g, 1)[0].To != 0 {
+		t.Fatalf("in-adjacency wrong: %v", inRow(g, 1))
 	}
 	if !g.DeleteEdge(0, 1) {
 		t.Fatal("delete failed")
@@ -51,7 +51,7 @@ func TestInsertDeleteDirected(t *testing.T) {
 	if g.DeleteEdge(0, 1) {
 		t.Fatal("double delete succeeded")
 	}
-	if g.NumEdges() != 0 || len(g.Out(0)) != 0 || len(g.In(1)) != 0 {
+	if g.NumEdges() != 0 || len(outRow(g, 0)) != 0 || len(inRow(g, 1)) != 0 {
 		t.Fatal("edge not fully removed")
 	}
 	if err := g.CheckConsistent(); err != nil {
@@ -68,7 +68,7 @@ func TestInsertDeleteUndirected(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
 	}
-	if len(g.Out(0)) != 1 || len(g.Out(1)) != 1 {
+	if len(outRow(g, 0)) != 1 || len(outRow(g, 1)) != 1 {
 		t.Fatal("degrees wrong")
 	}
 	if g.InsertEdge(1, 0, 9) {
@@ -86,14 +86,14 @@ func TestInsertDeleteUndirected(t *testing.T) {
 }
 
 func TestSwapRemoveKeepsIndex(t *testing.T) {
-	// Deleting from the middle of an adjacency list moves the last entry into
-	// the hole; the moved edge must still be found.
+	// Deleting from the middle of a row shifts the entries after it left;
+	// a shifted edge must still be found.
 	g := New(5, true)
 	g.InsertEdge(0, 1, 1)
 	g.InsertEdge(0, 2, 1)
 	g.InsertEdge(0, 3, 1)
 	g.InsertEdge(0, 4, 1)
-	g.DeleteEdge(0, 2) // 4 moves into slot of 2
+	g.DeleteEdge(0, 2) // 3 and 4 shift left
 	if err := g.CheckConsistent(); err != nil {
 		t.Fatal(err)
 	}

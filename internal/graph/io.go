@@ -30,7 +30,7 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 		return err
 	}
 	kind := "undirected"
-	if g.directed {
+	if g.Directed() {
 		kind = "directed"
 	}
 	if err := count(fmt.Fprintf(bw, "graph %s %d\n", kind, g.NumNodes())); err != nil {
@@ -234,9 +234,9 @@ func parseInt(s []byte, bits int) (int64, error) {
 //
 // It reads r whole into one buffer (sized up front for a file or a
 // bytes.Reader), parses the header, and cuts the lines after it into
-// GOMAXPROCS chunks of whole lines that are parsed side by side. The rows
-// are built from the chunks' edge lists in file order (Graph.build),
-// exactly as inserting the edges line by line would, and the labels set
+// GOMAXPROCS chunks of whole lines that are parsed side by side. The
+// sorted rows are laid out from the chunks' edge lists (Graph.build): the
+// graph inserting the edges line by line would hold, and the labels set
 // in file order. Errors, their texts and their line numbers are those of
 // a line-by-line read: the first error in file order is the one
 // reported, a repeated edge or self-loop included.

@@ -1,10 +1,11 @@
 package graph
 
-// mapGraph is Graph as it was while it carried a position index: one hash
-// entry per half-edge, keyed by (from, to), kept current by every edit.
-// It is the reference the model-based test and BenchmarkEdgeOpsByDegree
-// hold Graph against — same answers, same row order after every step — and
-// exists in tests only.
+// mapGraph is Graph as it was while it kept append/swap-remove rows and
+// a position index: one hash entry per half-edge, keyed by (from, to),
+// kept current by every edit. It shares no code with the sorted layout,
+// and is the reference the model-based test and BenchmarkEdgeOpsByDegree
+// hold Graph against — same answers, the same rows as sets after every
+// step — and exists in tests only.
 type mapGraph struct {
 	directed bool
 	out      [][]Edge
@@ -117,6 +118,31 @@ func (g *mapGraph) Clone() *mapGraph {
 		c.inPos = make(map[uint64]int32, len(g.inPos))
 		for k, v := range g.inPos {
 			c.inPos[k] = v
+		}
+	}
+	return c
+}
+
+func cloneRows(rows [][]Edge) [][]Edge {
+	if rows == nil {
+		return nil
+	}
+	c := make([][]Edge, len(rows))
+	for i, es := range rows {
+		c[i] = append([]Edge(nil), es...)
+	}
+	return c
+}
+
+// Filter is Graph.Filter: a fresh reference holding the edges keep holds
+// for, inserted in row order.
+func (g *mapGraph) Filter(keep func(u, v NodeID) bool) *mapGraph {
+	c := newMapGraph(len(g.out), g.directed)
+	for u, row := range g.out {
+		for _, e := range row {
+			if (g.directed || NodeID(u) < e.To) && keep(NodeID(u), e.To) {
+				c.InsertEdge(NodeID(u), e.To, e.W)
+			}
 		}
 	}
 	return c

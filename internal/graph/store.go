@@ -2,78 +2,36 @@ package graph
 
 import "fmt"
 
-// A Graph is the one store every maintainer built on it shares: beside the
-// rows it keeps one Flat view and a round counter. Each round has one
-// writer — the service's apply loop, a recovery's replay, or a maintainer
-// used alone — which applies the batch to the rows and stages it into the
-// Flat once (Advance); every maintainer, keeping its own state and the
-// last round it took, then takes the round's applied list (Take). A Graph
-// nobody advances (an oracle, a batch run's input, a clone) pays for
-// neither: the Flat is built by the first call to Flat.
+// A Graph is the one store every maintainer built on it shares: beside its
+// one adjacency it keeps a round counter and the last round's applied
+// updates. Each round has one writer — the service's apply loop, a
+// recovery's replay, or a maintainer used alone — which applies the batch
+// to the graph once (Advance); every maintainer, keeping its own state
+// and the last round it took, then takes the round's applied list (Take).
 //
-// Which copy a reader reads: repairs read a Flat, checks read the rows.
-// Every maintainer that repairs a served class's round (the six Incs,
-// sim.IncMatch, dfs.DynDFS) and the shard eval read only their store's
-// Flat, degrees and ‖AFF‖ charges included, and the batch runs that order
-// rows (Simfp, dfs.Run, lcc.Run, bc.Run) a fresh NewFlat. The batch
-// oracles (Dijkstra, CCfp), certificates and references read the rows: a
-// certificate reading a Flat a recovery staged would share its layout with
-// what it checks. So do the generators, whose streams follow row order,
-// the codecs, and the engine forms and competitors no service holds.
+// One adjacency: every reader — the maintainers' repairs, the batch runs
+// and oracles, the certificates and references, the generators and the
+// codecs — reads the graph's own sorted rows, through Flat. A certificate
+// that checks a state a recovery repaired reads the rows the repair read;
+// the mapGraph reference in this package's tests holds the rows
+// themselves to an independent implementation.
 
-// Flat returns the view every maintainer of g reads, building it on the
-// first call; every later Advance stages its round into it. The view is
-// whole even after a stage that panicked: it is laid out again from the
-// rows first. Once the view is built and whole, Flat only reads g, so the
-// batch runs of a start may call it side by side.
-func (g *Graph) Flat() *Flat {
-	if g.flat == nil {
-		g.flat = NewFlat(g)
-	} else if g.torn {
-		g.flat.Compact(g)
-		g.torn = false
-	}
-	return g.flat
-}
-
-// Relayout lays the Flat view out again from the rows, if a reader has
-// one, so that a batch rerun over it reads what the rows hold rather than
-// what staging made of them. A view nothing was staged into since it was
-// last laid out already is what the rows hold, and is left as it is: the
-// classes a recovery or a start reruns one after another pay for one
-// layout between them.
-func (g *Graph) Relayout() {
-	if g.flat != nil && !g.flat.laidOut {
-		g.flat.Compact(g)
-		g.torn = false
-	}
-}
-
-// Staged returns the Flat view if a reader has asked for one (Flat), and
-// nil otherwise: what an observer reads without building one.
-func (g *Graph) Staged() *Flat { return g.flat }
+// Flat returns the graph's adjacency, which every maintainer of g reads:
+// Apply, Advance, InsertEdge and DeleteEdge edit it in place. Reading it
+// never writes, so readers may share it side by side between edits.
+func (g *Graph) Flat() *Flat { return &g.adj }
 
 // Round returns the number of batches Advance has applied to g.
 func (g *Graph) Round() uint64 { return g.round }
 
-// Advance applies b to g as its next round, stages the applied updates
-// into the Flat view if one is built, compacting it when due, and returns
-// them: what Apply would return for b, in a list the store owns and
-// reuses, so valid until the next round. Once the list, the rows and the
-// Flat's arrays have room for the rounds a workload brings, a round
-// allocates nothing (TestAdvanceZeroAlloc). A stage that panics leaves the
-// round taken — the rows and the applied list are whole, since Apply never
-// panics — and the Flat torn; it is laid out again from the rows before
-// anyone reads it through Flat.
+// Advance applies b to g as its next round and returns the applied
+// updates: what Apply would return for b, in a list the store owns and
+// reuses, so valid until the next round. Once the list and the
+// adjacency's arrays have room for the rounds a workload brings, a round
+// allocates nothing (TestAdvanceZeroAlloc).
 func (g *Graph) Advance(b Batch) Batch {
 	g.applied = g.apply(g.applied[:0], b)
 	g.round++
-	if g.flat != nil {
-		g.torn = true
-		g.flat.Stage(g, g.applied)
-		g.flat.MaybeCompact(g)
-		g.torn = false
-	}
 	return g.applied
 }
 

@@ -66,7 +66,8 @@ func (g *Graph) Apply(b Batch) Batch {
 }
 
 // apply applies b to g as Apply does, appending the updates that changed
-// the graph to dst.
+// the graph to dst, and then compacts the adjacency if its dead space is
+// due (Flat.MaybeCompact).
 func (g *Graph) apply(dst, b Batch) Batch {
 	for _, u := range b {
 		switch u.Kind {
@@ -80,6 +81,7 @@ func (g *Graph) apply(dst, b Batch) Batch {
 			}
 		}
 	}
+	g.adj.MaybeCompact(g)
 	return dst
 }
 

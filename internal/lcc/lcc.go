@@ -63,11 +63,11 @@ func (r *Result) clone() *Result {
 func Brute(g *graph.Graph) *Result {
 	r := NewResult(g.NumNodes())
 	for v := 0; v < g.NumNodes(); v++ {
-		ns := g.Out(graph.NodeID(v))
+		ns, _, _, _ := g.Flat().OutSpans(graph.NodeID(v))
 		r.Deg[v] = int32(len(ns))
 		for i := 0; i < len(ns); i++ {
 			for j := i + 1; j < len(ns); j++ {
-				if g.HasEdge(ns[i].To, ns[j].To) {
+				if g.HasEdge(ns[i], ns[j]) {
 					r.Tri[v]++
 				}
 			}
@@ -76,14 +76,14 @@ func Brute(g *graph.Graph) *Result {
 	return r
 }
 
-// Run is the batch fixpoint algorithm LCC_fp over the sorted rows of
-// graph.NewFlat(g): d_v is a row's length, and a triangle pass finds each
+// Run is the batch fixpoint algorithm LCC_fp over g's sorted rows: d_v
+// is a row's length, and a triangle pass finds each
 // triangle {w < v < u} once, from its two largest corners — for each edge
 // (u, v) with v < u, the rows of u and v are merged below v only, and
 // every common neighbor w credits all three corners.
-func Run(g *graph.Graph) *Result { return run(graph.NewFlat(g), g.NumNodes()) }
+func Run(g *graph.Graph) *Result { return run(g.Flat(), g.NumNodes()) }
 
-// run is Run over f, the flat view of a graph of n nodes.
+// run is Run over f, the adjacency of a graph of n nodes.
 func run(f *graph.Flat, n int) *Result {
 	r := NewResult(n)
 	for u := 0; u < n; u++ {
@@ -409,14 +409,17 @@ func (d *DynLCC) applyUnit(u graph.Update) {
 // deleted, by sgn per common neighbor.
 func (d *DynLCC) delta(a, b graph.NodeID, sgn int64) {
 	d.epoch++
-	for _, e := range d.g.Out(a) {
-		d.mark[e.To] = d.epoch
+	f := d.g.Flat()
+	as, _, _, _ := f.OutSpans(a)
+	for _, c := range as {
+		d.mark[c] = d.epoch
 	}
-	for _, e := range d.g.Out(b) {
-		if e.To != a && d.mark[e.To] == d.epoch {
+	bs, _, _, _ := f.OutSpans(b)
+	for _, c := range bs {
+		if c != a && d.mark[c] == d.epoch {
 			d.r.Tri[a] += sgn
 			d.r.Tri[b] += sgn
-			d.r.Tri[e.To] += sgn
+			d.r.Tri[c] += sgn
 		}
 	}
 }

@@ -287,8 +287,9 @@ func TestScopeBoundedOnBurst(t *testing.T) {
 			if u.Kind == graph.DeleteEdge {
 				side = pre
 			}
-			for _, e := range side.Out(u.From) {
-				if side.HasEdge(e.To, u.To) {
+			ts, _, _, _ := side.Flat().OutSpans(u.From)
+			for _, to := range ts {
+				if side.HasEdge(to, u.To) {
 					bound++
 				}
 			}

@@ -54,11 +54,9 @@ import (
 // status variables (§5.2, §5.3), and bc its three per-node arrays (flags,
 // and the blocks and DFS numbers the edge partition is read off).
 // Recompute reruns the maintainer's batch algorithm in place — a start's
-// batch run, the self-healing and recovery-verification path — after
-// laying the graph's Flat view out again from its rows: every class's
-// repairs and batch rerun read the Flat and its certificates the rows
-// (the rule internal/graph/store.go states), so the rerun does not read
-// what staging made of the rows.
+// batch run, the self-healing and recovery-verification path — over the
+// graph's one adjacency, which its repairs and certificates read too (the
+// rule internal/graph/store.go states).
 
 // maintainer is what the adapter needs of an incremental maintainer.
 // Written lists the indices (nodes, or sim's pairs) the last Repair
@@ -165,7 +163,6 @@ func (a *adapter[M, V]) RestoreState(r io.Reader) error {
 
 func (a *adapter[M, V]) Recompute() {
 	a.pub.unknown()
-	a.m.Graph().Relayout()
 	a.m.Recompute()
 }
 

@@ -65,9 +65,10 @@ func TestStartRepairsWrongRestoredState(t *testing.T) {
 			// rejects: the later one's label then rests on no neighbour
 			// stamped before it.
 			for u := range st.TS {
-				for _, e := range g.Out(graph.NodeID(u)) {
+				nbrs, _, _, _ := g.Flat().OutSpans(graph.NodeID(u))
+				for _, to := range nbrs {
 					ts := slices.Clone(st.TS)
-					ts[u], ts[e.To] = ts[e.To], ts[u]
+					ts[u], ts[to] = ts[to], ts[u]
 					m := cc.Blank(g)
 					if err := m.RestoreState(st.Labels, ts, st.Clock); err != nil {
 						t.Fatal(err)

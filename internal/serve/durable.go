@@ -40,7 +40,7 @@ import (
 //     absorbed, through the serving path's step (Advance, then Apply);
 //  3. verify: each maintainer's replayed state is checked — by its
 //     certificate where the class has one (sssp, cc: see certifier),
-//     which reads the graph's rows and runs no batch algorithm, and
+//     which reads the graph and runs no batch algorithm, and
 //     otherwise by comparing its answer with a batch recompute over the
 //     recovered graph. Divergence — which the design treats as a bug,
 //     not an expected state — is counted, exposed as a gauge, and
@@ -75,8 +75,6 @@ type Recovery struct {
 	replayedRaw uint64
 	// Replayed is the total WAL records re-applied by Replay.
 	Replayed int
-	// StagePanics counts the replayed records whose stage panicked (stage).
-	StagePanics int
 }
 
 // upgradeV2 converts class algo's state in a v2 checkpoint, a gob struct of
@@ -151,8 +149,7 @@ func (r *Recovery) Restore(algo string, m Serveable) error {
 // Replay streams the WAL tail into the targets: every record reaches
 // every serveable. Called before the hosts start, so it is the rounds' one
 // writer, as the loop is later, and stages each record as the loop does
-// (stage: each distinct graph of the targets advanced once, a stage that
-// panics recorded in StagePanics and its Flat laid out again); then every
+// (stage: each distinct graph of the targets advanced once); then every
 // target repairs (Apply). Each record is coalesced with Net once, as the
 // serving path would have (the targets must agree on directedness, which
 // is checked up front), and validated as it would have been: a record
@@ -184,7 +181,7 @@ func (r *Recovery) Replay(targets map[string]Serveable, rec *trace.Recorder) (in
 			}
 		}
 		net := record.Batch.Net(directed)
-		r.StagePanics += stage(ms, Serveable.Graph, net, rec, track)
+		stage(ms, Serveable.Graph, net)
 		for _, m := range ms {
 			m.Apply(net)
 		}
@@ -227,24 +224,21 @@ type Check struct {
 // divergent algos are returned, in name order, for the divergence gauge.
 // Call after Replay, before hosting.
 func VerifyRecovered(targets map[string]Serveable, rec *trace.Recorder) []string {
-	_, divergent := verifyRecovered(targets, rec, 1, func() {})
+	_, divergent := verifyRecovered(targets, rec, 1)
 	return divergent
 }
 
 // verifyRecovered is VerifyRecovered, on up to workers goroutines, with
-// each class's Check; a check calls layOut before it recomputes. Side by
-// side, classes that share a graph share its Flat, which a recompute lays
-// out again when something was staged into it: layOut must do that once,
-// before any of them reads it (Start's does). A certificate reads the
-// graph's rows, not the Flat, so it needs no layout.
-func verifyRecovered(targets map[string]Serveable, rec *trace.Recorder, workers int, layOut func()) (map[string]Check, []string) {
+// each class's Check. Side by side, classes that share a graph only read
+// it: each check writes its own class alone.
+func verifyRecovered(targets map[string]Serveable, rec *trace.Recorder, workers int) (map[string]Check, []string) {
 	names := make([]string, 0, len(targets))
 	for name := range targets {
 		names = append(names, name)
 	}
 	slices.Sort(names)
 	checks := make([]Check, len(names))
-	fanOut(len(names), workers, func(i int) { checks[i] = verifyClass(targets[names[i]], rec, layOut) })
+	fanOut(len(names), workers, func(i int) { checks[i] = verifyClass(targets[names[i]], rec) })
 	byName := make(map[string]Check, len(names))
 	var divergent []string
 	for i, name := range names {
@@ -256,9 +250,9 @@ func verifyRecovered(targets map[string]Serveable, rec *trace.Recorder, workers 
 	return byName, divergent
 }
 
-// verifyClass checks one class (see VerifyRecovered and Host.Verify),
-// calling layOut before any recompute, in a span on rec if it is not nil.
-func verifyClass(m Serveable, rec *trace.Recorder, layOut func()) Check {
+// verifyClass checks one class (see VerifyRecovered and Host.Verify), in
+// a span on rec if it is not nil.
+func verifyClass(m Serveable, rec *trace.Recorder) Check {
 	start := time.Now()
 	var span trace.Span
 	if rec != nil {
@@ -269,14 +263,12 @@ func verifyClass(m Serveable, rec *trace.Recorder, layOut func()) Check {
 		if has, err := ct.Certify(); has {
 			c.By, c.Err, c.Diverged = "certificate", err, err != nil
 			if c.Diverged {
-				layOut()
 				m.Recompute()
 			}
 		}
 	}
 	if c.By == "recompute" {
 		before := m.Snapshot()
-		layOut()
 		m.Recompute()
 		// Paged vectors make this cheap and exact: Update shares every
 		// page the recompute left equal (pointer-equal, which DeepEqual

@@ -46,12 +46,11 @@ type Service struct {
 	shed  *obs.Counter
 	// stream is the one account of the update stream every host consumes.
 	stream *streamAccount
-	// The Flat view of the graph the hosts share: its series, and its
+	// The adjacency of the graph the hosts share: its series, and its
 	// compaction count at the last batch (apply loop only).
 	flatCompactions *obs.Counter
 	flatOverlay     *obs.Gauge
 	flatSeen        int64
-	stagePanics     *obs.Counter // batches whose stage into a Flat panicked
 
 	// The apply loop (loop.go). submitMu serializes Submit and WithState
 	// (read side) against Close and a host joining (write side).
@@ -123,9 +122,8 @@ func NewService() *Service {
 	s.shed = s.reg.Counter("incgraph_shed_total",
 		"Updates rejected with 503 because a submission queue was saturated.")
 	s.stream = newStreamAccount(s.reg)
-	s.flatCompactions = s.reg.Counter("incgraph_flat_compactions_total", "Compactions (row layouts from the graph) of the shared graph's flat adjacency view.")
-	s.flatOverlay = s.reg.Gauge("incgraph_flat_overlay_ratio", "Dead space (array slots a compaction would reclaim) as a fraction of the shared flat view's live entries after the last batch.")
-	s.stagePanics = s.reg.Counter("incgraph_stage_panics_total", "Batches, served or replayed at a recovery, whose stage into the shared flat adjacency view panicked; the view was laid out again from the graph and every class repaired as usual.")
+	s.flatCompactions = s.reg.Counter("incgraph_flat_compactions_total", "Compactions (in-place row layouts) of the shared graph's adjacency.")
+	s.flatOverlay = s.reg.Gauge("incgraph_flat_overlay_ratio", "Dead space (array slots a compaction would reclaim) as a fraction of the shared graph's live adjacency entries after the last batch.")
 	return s
 }
 

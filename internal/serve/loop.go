@@ -229,7 +229,7 @@ func (s *Service) loop(opt Options, directed bool) {
 // loop's own track, moves the stream past it, stages it (each graph of the
 // hosts advanced by it once), in a "stage" span beside it, and has every
 // host repair in name order; each stamps its view with the stream's new
-// position. The graph's Flat view is observed once, after the last host.
+// position. The graph's adjacency is observed once, after the last host.
 // Called only from loop.
 func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid trace.TraceID, why flushReason) {
 	span := s.rec.Begin("coalesce", "serve", s.track)
@@ -244,45 +244,30 @@ func (s *Service) apply(raw graph.Batch, directed bool, oldest time.Time, tid tr
 	s.mu.RUnlock()
 	span = s.rec.Begin("stage", "serve", s.track)
 	span.SetTrace(tid)
-	s.stagePanics.Add(float64(stage(hosts, func(h *Host) *graph.Graph { return h.m.Graph() }, net, s.rec, s.track)))
+	stage(hosts, func(h *Host) *graph.Graph { return h.m.Graph() }, net)
 	span.End()
 	for _, h := range hosts {
 		h.apply(raw, net, oldest, tid, why)
 	}
-	if f := hosts[0].m.Graph().Staged(); f != nil {
-		c := f.Compactions()
-		s.flatCompactions.Add(float64(c - s.flatSeen))
-		s.flatSeen = c
-		s.flatOverlay.Set(f.OverlayRatio())
-	}
+	f := hosts[0].m.Graph().Flat()
+	c := f.Compactions()
+	s.flatCompactions.Add(float64(c - s.flatSeen))
+	s.flatSeen = c
+	s.flatOverlay.Set(f.OverlayRatio())
 }
 
 // stage takes net as the next round of each distinct graph of the classes
 // cs (graph.Graph.Advance): the round's one write, which the apply loop
-// and a recovery's replay both make here. A panic in a stage is the
-// store's, not a class's: it is counted, recorded on rec's track (if rec
-// is not nil), and the Flat it tore is laid out again from the rows
-// (graph.Graph.Flat), so every class then repairs the round as usual.
-func stage[C any](cs []C, graphOf func(C) *graph.Graph, net graph.Batch, rec *trace.Recorder, track int32) (panics int) {
+// and a recovery's replay both make here. Apply never panics, whatever
+// the batch holds (graph's TestApplyNeverPanics), so nothing here is
+// fenced: a class's own repair is, on its host.
+func stage[C any](cs []C, graphOf func(C) *graph.Graph, net graph.Batch) {
 	for i, c := range cs {
 		g := graphOf(c)
-		if slices.ContainsFunc(cs[:i], func(o C) bool { return graphOf(o) == g }) {
-			continue
-		}
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					panics++
-					if rec != nil {
-						panicEvent(rec, track, p)
-					}
-					g.Flat()
-				}
-			}()
+		if !slices.ContainsFunc(cs[:i], func(o C) bool { return graphOf(o) == g }) {
 			g.Advance(net)
-		}()
+		}
 	}
-	return panics
 }
 
 // streamAccount is a service's one account of its update stream, which

@@ -124,9 +124,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if v := promValue(t, expo, `incgraph_graph_nodes`); v != 6 {
 		t.Errorf("graph nodes = %g, want 6", v)
 	}
-	// The one flat view both classes read: the insert takes the free slots
-	// of rows 2 and 3 and the delete opens one in rows 1 and 2 — nothing a
-	// compaction would reclaim, so none ran (the end of the test makes one).
+	// The one adjacency both classes read, built edge by edge from New:
+	// row 1 moved to the end of the arrays for its second entry, and the
+	// insert moves row 2 for its second, so the rows take four slots
+	// beyond a fresh layout's once the delete frees one in rows 1 and 2,
+	// against four live entries — past the 0.25 threshold, so the apply
+	// compacted once and left no dead space (the end of the test makes
+	// another).
 	flat := func(expo string, compactions float64) {
 		t.Helper()
 		if c := promValue(t, expo, `incgraph_flat_compactions_total`); c != compactions {
@@ -136,7 +140,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Errorf("flat dead space %g after %g compactions, want 0", r, compactions)
 		}
 	}
-	flat(expo, 0)
+	flat(expo, 1)
 	// The retired parallel mode left no series behind.
 	for _, name := range []string{"incgraph_fixpoint_workers", "incgraph_par_rounds_total",
 		"incgraph_par_seq_rounds_total", "incgraph_worker_utilization", "incgraph_worker_imbalance"} {
@@ -237,12 +241,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// Deleting 0-1 and 1-2 as well leaves two live half-edges (per
 	// direction) where a fresh layout would hold them and a free slot per
 	// row in two slots fewer: dead space 2/3 of the live entries, far past
-	// the 0.25 threshold, so that apply compacts exactly once and leaves
+	// the 0.25 threshold, so that apply compacts once more and leaves
 	// none.
 	if code, body := postUpdate(t, ts.URL+"/update?wait=1", "- 0 1\n- 1 2\n"); code != http.StatusOK {
 		t.Fatalf("update status %d: %s", code, body)
 	}
-	flat(scrape(), 1)
+	flat(scrape(), 2)
 }
 
 // TestDebugApplies checks the recent-applies trace ring over HTTP: the

@@ -176,8 +176,8 @@ type tracerSetter interface{ SetTracer(fixpoint.Tracer) }
 
 // certifier is the optional Serveable extension recovery verification
 // checks a restored class through: has reports whether the class has a
-// certificate (sssp, cc), a check of its state against the graph's rows
-// that runs no batch algorithm; err is its outcome.
+// certificate (sssp, cc), a check of its state against the graph that
+// runs no batch algorithm; err is its outcome.
 type certifier interface{ Certify() (has bool, err error) }
 
 // Host is one class of a Service: its maintainer, published view, stats,
@@ -525,7 +525,7 @@ func (h *Host) Verify() (diverged bool, err error) {
 		if h.quarantined {
 			return fmt.Errorf("serve: %s is quarantined", h.algo)
 		}
-		data, ok := h.rebuild("verify", func() { diverged = verifyClass(h.m, nil, func() {}).Diverged })
+		data, ok := h.rebuild("verify", func() { diverged = verifyClass(h.m, nil).Diverged })
 		if !ok {
 			h.statMu.Lock()
 			h.stats.Degraded = true

@@ -99,9 +99,7 @@ func Start(svc *Service, dir string, algos []string, build func(algo string, g *
 		}
 		targets[algo] = m
 	}
-	// A batch run reads the graph and its Flat and writes its own class
-	// alone, once the Flat is laid out: that is done here, for all of them.
-	g.Relayout()
+	// A batch run reads the graph and writes its own class alone.
 	fanOut(len(unrun), runtime.GOMAXPROCS(0), func(k int) {
 		t := time.Now()
 		targets[algos[unrun[k]]].Recompute()
@@ -110,19 +108,13 @@ func Start(svc *Service, dir string, algos []string, build func(algo string, g *
 	lap(&buildT)
 	st.Verify = make([]Check, len(algos))
 	if dir != "" && !replica {
-		_, err := rec.Replay(targets, svc.Recorder())
-		svc.stagePanics.Add(float64(rec.StagePanics))
-		if err != nil {
+		if _, err := rec.Replay(targets, svc.Recorder()); err != nil {
 			return nil, st, fmt.Errorf("recovery: replay: %w", err)
 		}
 		lap(&replayT)
 		if verify {
-			// The Flat is laid out again, once, only if a check recomputes:
-			// certificates read the graph's rows.
-			var once sync.Once
-			layOut := func() { once.Do(g.Relayout) }
 			var checks map[string]Check
-			checks, st.Diverged = verifyRecovered(targets, svc.Recorder(), runtime.GOMAXPROCS(0), layOut)
+			checks, st.Diverged = verifyRecovered(targets, svc.Recorder(), runtime.GOMAXPROCS(0))
 			for i, algo := range algos {
 				st.Verify[i] = checks[algo]
 			}

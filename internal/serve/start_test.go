@@ -272,7 +272,7 @@ func TestStartSharesOneStore(t *testing.T) {
 			var hg *graph.Graph
 			var hf *graph.Flat
 			h.WithState(func(m Serveable) error {
-				hg, hf = m.Graph(), m.Graph().Staged()
+				hg, hf = m.Graph(), m.Graph().Flat()
 				return nil
 			})
 			if g == nil {
@@ -332,7 +332,7 @@ func TestStartSharesOneStore(t *testing.T) {
 // TestStartHeapOneStore is the memory half of TestStartSharesOneStore:
 // the five classes a six-class start holds beyond a one-class start's
 // take less live heap between them than one more copy of the graph and
-// its Flat view would.
+// of its adjacency would.
 func TestStartHeapOneStore(t *testing.T) {
 	generate := func() *graph.Graph {
 		g := gen.PowerLaw(rand.New(rand.NewSource(3)), 8000, 32, false)
@@ -366,9 +366,9 @@ func TestStartHeapOneStore(t *testing.T) {
 	copyHeap := held(func() any { g := generate(); return []any{g, graph.NewFlat(g)} })
 	one := held(func() any { return start([]string{"sssp"}) })
 	six := held(func() any { return start(opsAlgos()) })
-	t.Logf("one class %d KB, six classes %d KB, a Graph and its Flat %d KB", one>>10, six>>10, copyHeap>>10)
+	t.Logf("one class %d KB, six classes %d KB, a Graph and a copy of its adjacency %d KB", one>>10, six>>10, copyHeap>>10)
 	if six-one >= copyHeap {
-		t.Errorf("five more classes hold %d KB, more than the %d KB of a Graph and its Flat", (six-one)>>10, copyHeap>>10)
+		t.Errorf("five more classes hold %d KB, more than the %d KB of a Graph and a copy of its adjacency", (six-one)>>10, copyHeap>>10)
 	}
 }
 

@@ -132,17 +132,9 @@ func SplitBatch(p Partitioner, directed bool, b graph.Batch) []graph.Batch {
 // preserved, but only the edges OwnsEdge assigns to id. Shard daemons
 // build their graph through this, and because the same rule routes
 // updates, a fragment stays exactly the owned sub-multiset of the
-// logical graph's edges as the stream evolves.
+// logical graph's edges as the stream evolves. It is one pass over g's
+// sorted rows (graph.Graph.Filter), which stay sorted filtered.
 func FilterGraph(g *graph.Graph, p Partitioner, id int) *graph.Graph {
 	directed := g.Directed()
-	f := graph.New(g.NumNodes(), directed)
-	for v := 0; v < g.NumNodes(); v++ {
-		f.SetLabel(graph.NodeID(v), g.Label(graph.NodeID(v)))
-	}
-	g.Edges(func(u, v graph.NodeID, w int64) {
-		if OwnsEdge(p, directed, id, u, v) {
-			f.InsertEdge(u, v, w)
-		}
-	})
-	return f
+	return g.Filter(func(u, v graph.NodeID) bool { return OwnsEdge(p, directed, id, u, v) })
 }

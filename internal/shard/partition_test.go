@@ -168,3 +168,15 @@ func TestSplitApplyEquivalence(t *testing.T) {
 }
 
 func graphEdgeCount(g *graph.Graph) int { return g.NumEdges() }
+
+// BenchmarkFilterGraph extracts one shard's fragment on the cluster
+// workload's shape (3,000 nodes, average degree 16, two hash shards): the
+// graph build of a shard daemon's start, one pass over the sorted rows.
+func BenchmarkFilterGraph(b *testing.B) {
+	g := gen.PowerLaw(rand.New(rand.NewSource(1)), 3000, 16, false)
+	p := NewHashPartitioner(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FilterGraph(g, p, i%2)
+	}
+}

@@ -31,10 +31,12 @@ func (s *DualInstance) Update(x fixpoint.Var, get func(fixpoint.Var) bool) bool 
 		return false
 	}
 	v, u := s.pair(x)
-	for _, qe := range s.Q.In(u) {
+	qin, _, _, _ := s.Q.Flat().InSpans(u)
+	gin, _, _, _ := s.G.Flat().InSpans(v)
+	for _, up := range qin {
 		found := false
-		for _, ge := range s.G.In(v) {
-			if get(s.PairVar(ge.To, qe.To)) {
+		for _, vp := range gin {
+			if get(s.PairVar(vp, up)) {
 				found = true
 				break
 			}
@@ -51,9 +53,11 @@ func (s *DualInstance) Update(x fixpoint.Var, get func(fixpoint.Var) bool) bool 
 func (s *DualInstance) Inputs(x fixpoint.Var, yield func(fixpoint.Var)) {
 	s.Instance.Inputs(x, yield)
 	v, u := s.pair(x)
-	for _, ge := range s.G.In(v) {
-		for _, qe := range s.Q.In(u) {
-			yield(s.PairVar(ge.To, qe.To))
+	gin, _, _, _ := s.G.Flat().InSpans(v)
+	qin, _, _, _ := s.Q.Flat().InSpans(u)
+	for _, vp := range gin {
+		for _, up := range qin {
+			yield(s.PairVar(vp, up))
 		}
 	}
 }
@@ -63,9 +67,11 @@ func (s *DualInstance) Inputs(x fixpoint.Var, yield func(fixpoint.Var)) {
 func (s *DualInstance) Dependents(x fixpoint.Var, yield func(fixpoint.Var)) {
 	s.Instance.Dependents(x, yield)
 	v, u := s.pair(x)
-	for _, ge := range s.G.Out(v) {
-		for _, qe := range s.Q.Out(u) {
-			yield(s.PairVar(ge.To, qe.To))
+	gout, _, _, _ := s.G.Flat().OutSpans(v)
+	qout, _, _, _ := s.Q.Flat().OutSpans(u)
+	for _, vp := range gout {
+		for _, up := range qout {
+			yield(s.PairVar(vp, up))
 		}
 	}
 }

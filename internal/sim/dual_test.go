@@ -19,11 +19,11 @@ func naiveDual(g, q *graph.Graph) Relation {
 		}
 	}
 	cond := func(v, u int) bool {
-		check := func(qes, ges []graph.Edge) bool {
-			for _, qe := range qes {
+		check := func(qs, gs []graph.NodeID) bool {
+			for _, up := range qs {
 				found := false
-				for _, ge := range ges {
-					if r.Bits[int(ge.To)*nq+int(qe.To)] {
+				for _, vp := range gs {
+					if r.Bits[int(vp)*nq+int(up)] {
 						found = true
 						break
 					}
@@ -34,8 +34,11 @@ func naiveDual(g, q *graph.Graph) Relation {
 			}
 			return true
 		}
-		return check(q.Out(graph.NodeID(u)), g.Out(graph.NodeID(v))) &&
-			check(q.In(graph.NodeID(u)), g.In(graph.NodeID(v)))
+		qout, _, _, _ := q.Flat().OutSpans(graph.NodeID(u))
+		gout, _, _, _ := g.Flat().OutSpans(graph.NodeID(v))
+		qin, _, _, _ := q.Flat().InSpans(graph.NodeID(u))
+		gin, _, _, _ := g.Flat().InSpans(graph.NodeID(v))
+		return check(qout, gout) && check(qin, gin)
 	}
 	for changed := true; changed; {
 		changed = false

@@ -86,8 +86,9 @@ func (s *simState) cascade(p [][2]int32) {
 		pair := p[len(p)-1]
 		p = p[:len(p)-1]
 		v, uPrime := pair[0], pair[1]
-		for _, qe := range s.q.In(graph.NodeID(uPrime)) {
-			u := int32(qe.To)
+		qs, _, _, _ := s.q.Flat().InSpans(graph.NodeID(uPrime))
+		for _, up := range qs {
+			u := int32(up)
 			if !s.r[int(v)*s.nq+int(u)] {
 				continue
 			}
@@ -142,12 +143,13 @@ func isDAG(q *graph.Graph) bool {
 	var visit func(graph.NodeID) bool
 	visit = func(v graph.NodeID) bool {
 		state[v] = 1
-		for _, e := range q.Out(v) {
-			switch state[e.To] {
+		qs, _, _, _ := q.Flat().OutSpans(v)
+		for _, w := range qs {
+			switch state[w] {
 			case 1:
 				return false
 			case 0:
-				if !visit(e.To) {
+				if !visit(w) {
 					return false
 				}
 			}
@@ -272,9 +274,10 @@ func (m *IncMatch) insertRepair(sites []graph.NodeID) int {
 	// the cascade.
 	var seeds [][2]int32
 	for _, p := range raised {
-		for _, qe := range m.q.Out(graph.NodeID(p[1])) {
-			if m.cnt[int(p[0])*m.nq+int(qe.To)] == 0 {
-				seeds = append(seeds, [2]int32{p[0], int32(qe.To)})
+		qs, _, _, _ := m.q.Flat().OutSpans(graph.NodeID(p[1]))
+		for _, up := range qs {
+			if m.cnt[int(p[0])*m.nq+int(up)] == 0 {
+				seeds = append(seeds, [2]int32{p[0], int32(up)})
 			}
 		}
 	}

@@ -87,7 +87,8 @@ func (i *Inc) ledgerAff(x int32) bool {
 	v := graph.NodeID(int(x) / i.nq)
 	u := graph.NodeID(int(x) % i.nq)
 	in, _, _, _ := i.flat.InSpans(v)
-	i.stats.Ledger.AffEdges += int64(len(in)) * int64(len(i.q.In(u)))
+	qin, _, _, _ := i.q.Flat().InSpans(u)
+	i.stats.Ledger.AffEdges += int64(len(in)) * int64(len(qin))
 	return true
 }
 
@@ -287,9 +288,10 @@ func (i *Inc) scopeFunction(touched []fixpoint.Touched) []int32 {
 		}
 		// Enqueue dependents that x may anchor: pairs over in-neighbors
 		// with larger turn-off times.
+		qs, _, _, _ := i.q.Flat().InSpans(u)
 		for _, w := range in {
-			for _, qe := range i.q.In(u) {
-				z := int32(int(w)*i.nq + int(qe.To))
+			for _, up := range qs {
+				z := int32(int(w)*i.nq + int(up))
 				if !i.r[z] && i.ts[z] > tsx {
 					i.hq.AddOrAdjust(z)
 				}
@@ -304,14 +306,15 @@ func (i *Inc) scopeFunction(touched []fixpoint.Touched) []int32 {
 // label-match bottoms.
 func (i *Inc) feasibleCond(v, u graph.NodeID, tsx int64) bool {
 	out, _, _, _ := i.flat.OutSpans(v)
-	for _, qe := range i.q.Out(u) {
+	qs, _, _, _ := i.q.Flat().OutSpans(u)
+	for _, up := range qs {
 		found := false
 		for _, w := range out {
-			p := int(w)*i.nq + int(qe.To)
+			p := int(w)*i.nq + int(up)
 			i.stats.Reads++
 			if i.ts[p] > tsx {
 				// Determined after (v, u): use the bottom value.
-				if i.g.Label(w) == i.q.Label(qe.To) {
+				if i.g.Label(w) == i.q.Label(up) {
 					found = true
 					break
 				}
@@ -341,9 +344,10 @@ func (i *Inc) resume(h0 []int32) {
 		if !i.r[x] {
 			continue
 		}
-		for _, qe := range i.q.Out(u) {
-			if i.cnt[int(v)*i.nq+int(qe.To)] == 0 {
-				seeds = append(seeds, [2]int32{v, int32(qe.To)})
+		qs, _, _, _ := i.q.Flat().OutSpans(u)
+		for _, up := range qs {
+			if i.cnt[int(v)*i.nq+int(up)] == 0 {
+				seeds = append(seeds, [2]int32{v, int32(up)})
 			}
 		}
 	}

@@ -59,9 +59,10 @@ func TestTunedCountersStayConsistent(t *testing.T) {
 	n := inc.Graph().NumNodes()
 	want := make([]int32, n*nq)
 	for v := 0; v < n; v++ {
-		for _, ge := range inc.Graph().Out(graph.NodeID(v)) {
+		ts, _, _, _ := inc.Graph().Flat().OutSpans(graph.NodeID(v))
+		for _, to := range ts {
 			for u := 0; u < nq; u++ {
-				if inc.r[int(ge.To)*nq+u] {
+				if inc.r[int(to)*nq+u] {
 					want[v*nq+u]++
 				}
 			}

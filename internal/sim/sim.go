@@ -73,10 +73,12 @@ func Naive(g, q *graph.Graph) Relation {
 					continue
 				}
 				ok := true
-				for _, qe := range q.Out(graph.NodeID(u)) {
+				qout, _, _, _ := q.Flat().OutSpans(graph.NodeID(u))
+				gout, _, _, _ := g.Flat().OutSpans(graph.NodeID(v))
+				for _, up := range qout {
 					found := false
-					for _, ge := range g.Out(graph.NodeID(v)) {
-						if r.Bits[int(ge.To)*nq+int(qe.To)] {
+					for _, vp := range gout {
+						if r.Bits[int(vp)*nq+int(up)] {
 							found = true
 							break
 						}
@@ -100,10 +102,9 @@ func Naive(g, q *graph.Graph) Relation {
 // counters cnt(v, u') of v's out-neighbors matching u', seeds a worklist
 // with exhausted counters, and cascades violations. It returns the maximum
 // simulation. It is the counter core IncSim and IncMatch are built on
-// (simState), run once from the label-match bottoms over the rows of a
-// fresh graph.NewFlat(g), never a staged one; tests hold it to the
-// independent Naive.
-func Simfp(g, q *graph.Graph) Relation { return newSimState(g, graph.NewFlat(g), q, false).relation() }
+// (simState), run once from the label-match bottoms over g's rows; tests
+// hold it to the independent Naive.
+func Simfp(g, q *graph.Graph) Relation { return newSimState(g, g.Flat(), q, false).relation() }
 
 // Instance is the Sim instantiation of the fixpoint model: one Boolean
 // variable per pair ⟨v, u⟩, f_x true iff labels match and every pattern
@@ -147,9 +148,11 @@ func (s *Instance) Equal(a, b bool) bool { return a == b }
 // Inputs yields the pairs ⟨v', u'⟩ over v's and u's out-neighbors.
 func (s *Instance) Inputs(x fixpoint.Var, yield func(fixpoint.Var)) {
 	v, u := s.pair(x)
-	for _, ge := range s.G.Out(v) {
-		for _, qe := range s.Q.Out(u) {
-			yield(s.PairVar(ge.To, qe.To))
+	gout, _, _, _ := s.G.Flat().OutSpans(v)
+	qout, _, _, _ := s.Q.Flat().OutSpans(u)
+	for _, vp := range gout {
+		for _, up := range qout {
+			yield(s.PairVar(vp, up))
 		}
 	}
 }
@@ -157,9 +160,11 @@ func (s *Instance) Inputs(x fixpoint.Var, yield func(fixpoint.Var)) {
 // Dependents yields the pairs over in-neighbors.
 func (s *Instance) Dependents(x fixpoint.Var, yield func(fixpoint.Var)) {
 	v, u := s.pair(x)
-	for _, ge := range s.G.In(v) {
-		for _, qe := range s.Q.In(u) {
-			yield(s.PairVar(ge.To, qe.To))
+	gin, _, _, _ := s.G.Flat().InSpans(v)
+	qin, _, _, _ := s.Q.Flat().InSpans(u)
+	for _, vp := range gin {
+		for _, up := range qin {
+			yield(s.PairVar(vp, up))
 		}
 	}
 }
@@ -170,10 +175,12 @@ func (s *Instance) Update(x fixpoint.Var, get func(fixpoint.Var) bool) bool {
 	if s.G.Label(v) != s.Q.Label(u) {
 		return false
 	}
-	for _, qe := range s.Q.Out(u) {
+	qout, _, _, _ := s.Q.Flat().OutSpans(u)
+	gout, _, _, _ := s.G.Flat().OutSpans(v)
+	for _, up := range qout {
 		found := false
-		for _, ge := range s.G.Out(v) {
-			if get(s.PairVar(ge.To, qe.To)) {
+		for _, vp := range gout {
+			if get(s.PairVar(vp, up)) {
 				found = true
 				break
 			}

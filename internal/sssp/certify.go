@@ -49,14 +49,15 @@ func Certify(g *graph.Graph, src graph.NodeID, dist []int64) error {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		du := dist[u]
-		for _, e := range g.Out(u) {
-			alt := du + e.W
-			switch dv := dist[e.To]; {
+		ts, ws, _, _ := g.Flat().OutSpans(u)
+		for k, to := range ts {
+			alt := du + ws[k]
+			switch dv := dist[to]; {
 			case alt < dv && alt < Infinity:
-				return fmt.Errorf("sssp: edge %d→%d (weight %d) not relaxed: %d > %d + %d", u, e.To, e.W, dv, du, e.W)
-			case alt == dv && dv < Infinity && !reached[e.To]:
-				reached[e.To] = true
-				stack = append(stack, e.To)
+				return fmt.Errorf("sssp: edge %d→%d (weight %d) not relaxed: %d > %d + %d", u, to, ws[k], dv, du, ws[k])
+			case alt == dv && dv < Infinity && !reached[to]:
+				reached[to] = true
+				stack = append(stack, to)
 				count++
 			}
 		}

@@ -71,10 +71,11 @@ func (r *RR) relaxFrom(a, b graph.NodeID, w int64) {
 			return
 		}
 		v := graph.NodeID(x)
-		for _, e := range r.g.Out(v) {
-			if alt := r.dist[v] + e.W; alt < r.dist[e.To] {
-				r.dist[e.To] = alt
-				que.AddOrAdjust(int32(e.To))
+		ts, ws, _, _ := r.g.Flat().OutSpans(v)
+		for k, to := range ts {
+			if alt := r.dist[v] + ws[k]; alt < r.dist[to] {
+				r.dist[to] = alt
+				que.AddOrAdjust(int32(to))
 			}
 		}
 	}
@@ -95,9 +96,9 @@ func (r *RR) deleteRepair(a, b graph.NodeID, w int64) {
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
-		for _, e := range r.g.Out(x) {
-			y := e.To
-			if affected[y] || r.dist[y] >= Infinity || r.dist[x]+e.W != r.dist[y] {
+		ts, ws, _, _ := r.g.Flat().OutSpans(x)
+		for k, y := range ts {
+			if affected[y] || r.dist[y] >= Infinity || r.dist[x]+ws[k] != r.dist[y] {
 				continue
 			}
 			if r.hasUnaffectedTightEdge(y, affected) {
@@ -124,10 +125,11 @@ func (r *RR) deleteRepair(a, b graph.NodeID, w int64) {
 			return
 		}
 		v := graph.NodeID(xi)
-		for _, e := range r.g.Out(v) {
-			if alt := r.dist[v] + e.W; alt < r.dist[e.To] {
-				r.dist[e.To] = alt
-				que.AddOrAdjust(int32(e.To))
+		ts, ws, _, _ := r.g.Flat().OutSpans(v)
+		for k, to := range ts {
+			if alt := r.dist[v] + ws[k]; alt < r.dist[to] {
+				r.dist[to] = alt
+				que.AddOrAdjust(int32(to))
 			}
 		}
 	}
@@ -139,9 +141,10 @@ func (r *RR) best(v graph.NodeID) int64 {
 		return 0
 	}
 	best := Infinity
-	for _, e := range r.g.In(v) {
-		if d := r.dist[e.To]; d < Infinity && d+e.W < best {
-			best = d + e.W
+	ts, ws, _, _ := r.g.Flat().InSpans(v)
+	for k, u := range ts {
+		if d := r.dist[u]; d < Infinity && d+ws[k] < best {
+			best = d + ws[k]
 		}
 	}
 	return best
@@ -151,9 +154,9 @@ func (r *RR) hasUnaffectedTightEdge(y graph.NodeID, affected map[graph.NodeID]bo
 	if y == r.src {
 		return true
 	}
-	for _, e := range r.g.In(y) {
-		u := e.To
-		if !affected[u] && r.dist[u] < Infinity && r.dist[u]+e.W == r.dist[y] {
+	ts, ws, _, _ := r.g.Flat().InSpans(y)
+	for k, u := range ts {
+		if !affected[u] && r.dist[u] < Infinity && r.dist[u]+ws[k] == r.dist[y] {
 			return true
 		}
 	}
@@ -189,9 +192,10 @@ func (d *DynDij) rebuild() {
 		if d.dist[v] >= Infinity || graph.NodeID(v) == d.src {
 			continue
 		}
-		for _, e := range d.g.In(graph.NodeID(v)) {
-			if d.dist[e.To] < Infinity && d.dist[e.To]+e.W == d.dist[v] {
-				d.parent[v] = e.To
+		ts, ws, _, _ := d.g.Flat().InSpans(graph.NodeID(v))
+		for k, u := range ts {
+			if d.dist[u] < Infinity && d.dist[u]+ws[k] == d.dist[v] {
+				d.parent[v] = u
 				break
 			}
 		}
@@ -261,8 +265,9 @@ func (d *DynDij) Repair() int {
 			break
 		}
 		v := graph.NodeID(xi)
-		for _, e := range d.g.Out(v) {
-			relax(v, e.To, e.W)
+		ts, ws, _, _ := d.g.Flat().OutSpans(v)
+		for k, to := range ts {
+			relax(v, to, ws[k])
 		}
 	}
 	return len(affected)
@@ -310,9 +315,10 @@ func (d *DynDij) bestWithParent(v graph.NodeID) (int64, graph.NodeID) {
 		return 0, -1
 	}
 	best, parent := Infinity, graph.NodeID(-1)
-	for _, e := range d.g.In(v) {
-		if dd := d.dist[e.To]; dd < Infinity && dd+e.W < best {
-			best, parent = dd+e.W, e.To
+	ts, ws, _, _ := d.g.Flat().InSpans(v)
+	for k, u := range ts {
+		if dd := d.dist[u]; dd < Infinity && dd+ws[k] < best {
+			best, parent = dd+ws[k], u
 		}
 	}
 	return best, parent

@@ -49,7 +49,10 @@ type Inc struct {
 	oldVal []int64 // pre-revision distances of this round's revised nodes
 	mark   []int64 // epoch marks: revised this round
 	epoch  int64
-	led    fixpoint.Tracker[int64] // work ledger: AFF membership, first writes
+	// revised lists the nodes this round's h revised; kept so that a
+	// round reuses the last one's room.
+	revised []graph.NodeID
+	led     fixpoint.Tracker[int64] // work ledger: AFF membership, first writes
 
 	stats  fixpoint.Stats
 	tracer fixpoint.Tracer
@@ -119,8 +122,8 @@ func (i *Inc) RestoreState(dist []int64) error {
 	return nil
 }
 
-// Certify checks the distances by certificate (see Certify), reading the
-// graph's rows rather than the Flat view the repairs read.
+// Certify checks the distances by certificate (see Certify), over the
+// graph's rows the repairs read.
 func (i *Inc) Certify() error { return Certify(i.g, i.src, i.dist) }
 
 // SetTracer installs the span hook observing Repair's h and resume
@@ -203,7 +206,7 @@ func (i *Inc) Repair() int {
 	// h (Fig. 4): revise in ascending old-distance order. Nodes whose old
 	// values survive the feasibility check need no further action: their
 	// update functions lost only non-tight candidates.
-	var revised []graph.NodeID
+	revised := i.revised[:0]
 	for {
 		x, ok := i.hq.Pop()
 		if !ok {
@@ -238,6 +241,7 @@ func (i *Inc) Repair() int {
 	// Resume the batch step function: recompute the revised nodes from
 	// actual values, relax the inserted edges against the (now feasible)
 	// status, then run Dijkstra's loop (lines 4-10 of Fig. 1).
+	i.revised = revised
 	for _, v := range revised {
 		if nb := i.best(v); nb != i.dist[v] {
 			i.led.Write(int32(v), i.dist[v])

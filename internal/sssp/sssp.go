@@ -33,15 +33,17 @@ func dijkstra(g *graph.Graph, src graph.NodeID, dist []int64) {
 	dist[src] = 0
 	que := pq.NewRadix(len(dist))
 	que.Push(0, int32(src))
+	f := g.Flat()
 	for {
 		d, x, ok := que.Pop()
 		if !ok {
 			return
 		}
-		for _, e := range g.Out(graph.NodeID(x)) {
-			if alt := d + e.W; alt < dist[e.To] {
-				dist[e.To] = alt
-				que.Push(alt, int32(e.To))
+		ts, ws, _, _ := f.OutSpans(graph.NodeID(x))
+		for k, to := range ts {
+			if alt := d + ws[k]; alt < dist[to] {
+				dist[to] = alt
+				que.Push(alt, int32(to))
 			}
 		}
 	}
@@ -56,15 +58,17 @@ func BellmanFord(g *graph.Graph, src graph.NodeID) []int64 {
 		dist[i] = Infinity
 	}
 	dist[src] = 0
+	f := g.Flat()
 	for round := 0; round < n; round++ {
 		changed := false
 		for u := 0; u < n; u++ {
 			if dist[u] >= Infinity {
 				continue
 			}
-			for _, e := range g.Out(graph.NodeID(u)) {
-				if alt := dist[u] + e.W; alt < dist[e.To] {
-					dist[e.To] = alt
+			ts, ws, _, _ := f.OutSpans(graph.NodeID(u))
+			for k, to := range ts {
+				if alt := dist[u] + ws[k]; alt < dist[to] {
+					dist[to] = alt
 					changed = true
 				}
 			}
@@ -104,15 +108,17 @@ func (s *Instance) Equal(a, b int64) bool { return a == b }
 
 // Inputs yields the in-neighbors of x, the input set Y_x.
 func (s *Instance) Inputs(x fixpoint.Var, yield func(fixpoint.Var)) {
-	for _, e := range s.G.In(graph.NodeID(x)) {
-		yield(fixpoint.Var(e.To))
+	ts, _, _, _ := s.G.Flat().InSpans(graph.NodeID(x))
+	for _, u := range ts {
+		yield(fixpoint.Var(u))
 	}
 }
 
 // Dependents yields the out-neighbors of x.
 func (s *Instance) Dependents(x fixpoint.Var, yield func(fixpoint.Var)) {
-	for _, e := range s.G.Out(graph.NodeID(x)) {
-		yield(fixpoint.Var(e.To))
+	ts, _, _, _ := s.G.Flat().OutSpans(graph.NodeID(x))
+	for _, z := range ts {
+		yield(fixpoint.Var(z))
 	}
 }
 
@@ -124,9 +130,10 @@ func (s *Instance) Update(x fixpoint.Var, get func(fixpoint.Var) int64) int64 {
 		return 0
 	}
 	best := Infinity
-	for _, e := range s.G.In(v) {
-		if d := get(fixpoint.Var(e.To)); d < Infinity && d+e.W < best {
-			best = d + e.W
+	ts, ws, _, _ := s.G.Flat().InSpans(v)
+	for k, u := range ts {
+		if d := get(fixpoint.Var(u)); d < Infinity && d+ws[k] < best {
+			best = d + ws[k]
 		}
 	}
 	return best
@@ -142,8 +149,9 @@ func (s *Instance) RelaxOut(x fixpoint.Var, xv int64, emit func(fixpoint.Var, in
 	if xv >= Infinity {
 		return
 	}
-	for _, e := range s.G.Out(graph.NodeID(x)) {
-		emit(fixpoint.Var(e.To), xv+e.W)
+	ts, ws, _, _ := s.G.Flat().OutSpans(graph.NodeID(x))
+	for k, z := range ts {
+		emit(fixpoint.Var(z), xv+ws[k])
 	}
 }
 

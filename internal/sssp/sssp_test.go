@@ -305,11 +305,13 @@ func TestIncVertexDeletion(t *testing.T) {
 	// hand the incident edges to the incremental algorithm as a batch,
 	// which leaves node 2 isolated.
 	var b graph.Batch
-	for _, e := range g.Out(graph.NodeID(2)) {
-		b = append(b, graph.Update{Kind: graph.DeleteEdge, From: 2, To: e.To})
+	out, _, _, _ := g.Flat().OutSpans(2)
+	for _, v := range out {
+		b = append(b, graph.Update{Kind: graph.DeleteEdge, From: 2, To: v})
 	}
-	for _, e := range g.In(graph.NodeID(2)) {
-		b = append(b, graph.Update{Kind: graph.DeleteEdge, From: e.To, To: 2})
+	in, _, _, _ := g.Flat().InSpans(2)
+	for _, u := range in {
+		b = append(b, graph.Update{Kind: graph.DeleteEdge, From: u, To: 2})
 	}
 	inc.Apply(b)
 	if got := inc.Dist()[3]; got != 9 {
