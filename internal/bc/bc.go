@@ -116,16 +116,15 @@ func Run(g *graph.Graph) *Result {
 }
 
 // lowpointState carries the DFS bookkeeping. It is reusable across rounds
-// via epoch stamping, so the incremental algorithm re-runs single
-// components without clearing global arrays.
+// — visited is an epoch-marked set — so the incremental algorithm re-runs
+// single components without clearing global arrays.
 type lowpointState struct {
 	// flat's rows are read in place: biconnectivity does not depend on the
 	// order neighbors are visited in.
-	flat  *graph.Flat
-	low   []int32
-	stamp []int64
-	epoch int64
-	clock int32
+	flat    *graph.Flat
+	low     []int32
+	visited fixpoint.VarSet
+	clock   int32
 	// nodes holds the discovered non-root nodes whose block is still open,
 	// in discovery order; closing a block pops its members.
 	nodes  []graph.NodeID
@@ -143,7 +142,9 @@ type seenNode struct {
 }
 
 func newLowpointState(n int, f *graph.Flat) *lowpointState {
-	return &lowpointState{flat: f, low: make([]int32, n), stamp: make([]int64, n)}
+	st := &lowpointState{flat: f, low: make([]int32, n)}
+	st.visited.Begin(n)
+	return st
 }
 
 // begin starts a round of traversals: nothing visited, nothing seen, and
@@ -151,7 +152,7 @@ func newLowpointState(n int, f *graph.Flat) *lowpointState {
 // component, which one traversal numbers whole, so a round need not count
 // on from the last — and a clock that did would wrap after 2³¹ discoveries.
 func (st *lowpointState) begin() {
-	st.epoch++
+	st.visited.Begin(0)
 	st.clock = 0
 	st.seen = st.seen[:0]
 	st.scanned = 0
@@ -161,19 +162,17 @@ func (st *lowpointState) begin() {
 func (st *lowpointState) runAll(r *Result) {
 	st.begin()
 	for s := range st.low {
-		if !st.visited(graph.NodeID(s)) {
+		if !st.visited.Has(fixpoint.Var(s)) {
 			st.runComponent(graph.NodeID(s), r)
 		}
 	}
 }
 
-func (st *lowpointState) visited(v graph.NodeID) bool { return st.stamp[v] == st.epoch }
-
 // discover numbers v and takes it out of the structure it was in: a head
 // rediscovered is a block dissolved.
 func (st *lowpointState) discover(v graph.NodeID, r *Result) {
 	st.clock++
-	st.stamp[v] = st.epoch
+	st.visited.Add(fixpoint.Var(v))
 	r.Num[v] = st.clock
 	st.low[v] = st.clock
 	if r.Block[v] == v {
@@ -216,7 +215,7 @@ func (st *lowpointState) runComponent(s graph.NodeID, r *Result) {
 				f.parent = -1 // skip the tree edge back to the parent once
 				continue
 			}
-			if !st.visited(w) {
+			if !st.visited.Has(fixpoint.Var(w)) {
 				st.discover(w, r)
 				st.nodes = append(st.nodes, w)
 				f.children++
@@ -362,7 +361,7 @@ func (i *Inc) Repair() int {
 	i.st.begin()
 	for _, u := range applied {
 		for _, v := range [2]graph.NodeID{u.From, u.To} {
-			if !i.st.visited(v) {
+			if !i.st.visited.Has(fixpoint.Var(v)) {
 				i.st.runComponent(v, i.res)
 			}
 		}

@@ -396,6 +396,3 @@ func (d *DynCC) Labels() []int64 {
 	}
 	return out
 }
-
-// Components returns the number of connected components.
-func (d *DynCC) Components() int { return d.dc.Components() }

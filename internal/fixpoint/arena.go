@@ -4,32 +4,31 @@ package fixpoint
 // class adapters used to allocate map[Var]bool per Apply to deduplicate
 // touched variables and scope seeds; on large batches those maps dominated
 // the constant factor of repair. A VarSet is the flat replacement: one
-// int64 mark array indexed by variable id plus an epoch counter, so Reset
+// uint32 mark array indexed by variable id plus an epoch counter, so Begin
 // is O(1) and membership is a single array compare — no hashing, no
 // allocation after the array reaches steady-state size.
 
-// VarSet is a reusable dense set of variables. Begin starts a new
-// generation in O(1) by bumping the epoch; Add inserts with one array
-// write. The zero value is ready to use.
+// VarSet is a reusable dense set of variables, 4 B a variable. Begin
+// starts a new generation in O(1) by bumping the epoch; Add inserts with
+// one array write. The zero value is ready to use.
 type VarSet struct {
-	mark  []int64
-	epoch int64
+	mark  []uint32
+	epoch uint32
 }
 
-// Begin clears the set in O(1). The first Begin (or the Tracker's Size)
-// sizes it to n variables, for good: a graph's node set is fixed when the
-// graph is built.
+// Begin clears the set. The first Begin sizes it to n variables, for
+// good: a graph's node set is fixed when the graph is built. It is O(1)
+// but once every 2³² generations, when the epoch wraps and the marks are
+// cleared, so that no mark of an earlier generation can read as the new
+// one.
 func (s *VarSet) Begin(n int) {
 	if s.mark == nil {
-		s.mark = make([]int64, n)
+		s.mark = make([]uint32, n)
 	}
-	s.epoch++
-}
-
-// reset returns the set to generation 0, where Add adds nothing.
-func (s *VarSet) reset() {
-	clear(s.mark)
-	s.epoch = 0
+	if s.epoch++; s.epoch == 0 {
+		clear(s.mark)
+		s.epoch = 1
+	}
 }
 
 // Add inserts x and reports whether it was newly added.
@@ -40,6 +39,9 @@ func (s *VarSet) Add(x Var) bool {
 	s.mark[x] = s.epoch
 	return true
 }
+
+// Remove takes x out of the generation Begin started, which is never 0.
+func (s *VarSet) Remove(x Var) { s.mark[x] = 0 }
 
 // Has reports whether x is in the current generation.
 func (s *VarSet) Has(x Var) bool {

@@ -1,6 +1,9 @@
 package fixpoint
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestVarSet(t *testing.T) {
 	var s VarSet
@@ -17,6 +20,31 @@ func TestVarSet(t *testing.T) {
 	}
 	if !s.Add(2) || !s.Add(3) {
 		t.Fatal("a new generation refused a variable")
+	}
+}
+
+// TestVarSetEpochWrap: the generation after epoch 2³² − 1 wraps to 0,
+// where every mark would read as present; Begin clears the marks instead,
+// so no member of an earlier generation survives and Add works on.
+func TestVarSetEpochWrap(t *testing.T) {
+	var s VarSet
+	s.Begin(4)
+	s.Add(0) // a member of generation 1, which the wrap meets again
+	s.epoch = math.MaxUint32
+	s.Add(1)
+	s.Add(2)
+	s.Begin(4)
+	for x := Var(0); x < 4; x++ {
+		if s.Has(x) {
+			t.Fatalf("after the wrap (epoch %d) %d reads as present", s.epoch, x)
+		}
+	}
+	if !s.Add(1) || s.Add(1) || !s.Has(1) || s.Has(2) {
+		t.Fatal("Add after the wrap broken")
+	}
+	s.Begin(4)
+	if s.Has(1) {
+		t.Fatal("the generation after the wrap kept a member")
 	}
 }
 

@@ -1,5 +1,7 @@
 package fixpoint
 
+import "math"
+
 // This file implements the engine's work ledger: per-run accounting of the
 // quantities relative boundedness (§4, Theorem 3) is a statement about.
 // Stats counts raw inspections; the ledger counts the *sets* the theorem
@@ -8,11 +10,12 @@ package fixpoint
 // cost to the paper's cost model and flag updates whose work is not a
 // function of |ΔG| and |AFF|.
 //
-// Accounting is allocation-free: membership of the AFF and CHANGED sets is
-// tracked by a Tracker — epoch-marked VarSets sized once, first-write old
-// values in a preallocated shadow array — and every counter bump rides an
-// existing hot-path branch. The nil-tracer zero-allocation guarantee is
-// preserved and guarded by TestLedgerZeroAlloc.
+// Accounting is allocation-free once warm: membership of the AFF and
+// CHANGED sets is tracked by a Tracker — one run-numbered mark per
+// variable, sized once, and first-write old values in a list beside the
+// written variables, reused from run to run — and every counter bump
+// rides an existing hot-path branch. The nil-tracer zero-allocation
+// guarantee is preserved and guarded by TestLedgerZeroAlloc.
 //
 // CHANGED is settled *after* the drain, as {x : D_final(x) ≠ D_start(x)}:
 // counting installs as they happen would charge variables that move
@@ -150,51 +153,84 @@ type OutDegreer interface {
 // Variables are dense int32 ids below the size given to Size, the one
 // sizing, made when the maintainer is built. The zero value is ready for
 // Size; before the first Begin nothing is recorded, so the writes of an
-// initial batch run cost one compare each. After Size no method allocates.
+// initial batch run cost a load and two compares each.
+//
+// What it holds per variable is one mark, 4 B: the number of the last run
+// that entered the variable into either set, and a flag for each set. The
+// written variables and their run-start values are lists that grow by
+// append with the largest run so far and are reused from run to run, so a
+// warmed Tracker allocates nothing and its scratch follows the runs'
+// work, not the graph.
 //
 // The counters stay with the caller: Aff and Settle say when to charge
 // |AFF|, ‖AFF‖ and |CHANGED|, the caller knows what a variable's degree is.
 type Tracker[V any] struct {
-	aff, wrote VarSet
-	old        []V     // run-start value of each written variable
-	written    []int32 // the written variables, each once, in first-write order
+	mark    []uint32 // run<<runShift | inAff | inWritten, for the variable's last run
+	run     uint32   // the run Begin started; 0 before the first, when nothing is recorded
+	written []int32  // the written variables, each once, in first-write order
+	olds    []V      // olds[k] is written[k]'s run-start value
 }
 
-// Size makes room for variables 0..n-1, the written list a slot per
-// variable so Write never allocates. Call it once, on the zero Tracker.
+// The layout of a Tracker's marks: two set flags under the run number.
+const (
+	inAff, inWritten = 1, 2
+	runShift         = 2
+	lastRun          = math.MaxUint32 >> runShift // the run after it is 1
+)
+
+// Size makes room for variables 0..n-1: their marks, and an empty written
+// list. Call it once, on the zero Tracker.
 func (t *Tracker[V]) Size(n int) {
-	t.aff.mark = make([]int64, n)
-	t.wrote.mark = make([]int64, n)
-	t.old = make([]V, n)
-	t.written = make([]int32, 0, n)
+	t.mark = make([]uint32, n)
+	t.written = []int32{}
 }
 
-// Begin starts a run: both sets and the written list empty, in O(1).
+// Begin starts a run: both sets and the written list empty. It is O(1)
+// but once every 2³⁰ runs, when the run number wraps and the marks are
+// cleared, so that no mark of an earlier run can read as the new one's.
 func (t *Tracker[V]) Begin() {
-	t.aff.Begin(0)
-	t.wrote.Begin(0)
-	t.written = t.written[:0]
+	if t.run == lastRun {
+		clear(t.mark)
+		t.run = 0
+	}
+	t.run++
+	t.written, t.olds = t.written[:0], t.olds[:0]
 }
 
 // Reset empties the tracker and stops its recording until the next Begin,
 // as after Size: a batch rerun's writes go unrecorded.
 func (t *Tracker[V]) Reset() {
-	t.aff.reset()
-	t.wrote.reset()
-	t.written = t.written[:0]
+	clear(t.mark)
+	t.run = 0
+	t.written, t.olds = t.written[:0], t.olds[:0]
+}
+
+// enter puts x in the run's set that flag names and reports whether it
+// was not there yet; before the first Begin it records nothing.
+func (t *Tracker[V]) enter(x int32, flag uint32) bool {
+	m := t.mark[x]
+	if m>>runShift != t.run {
+		m = t.run << runShift
+	}
+	if m&flag != 0 || t.run == 0 {
+		return false
+	}
+	t.mark[x] = m | flag
+	return true
 }
 
 // Aff enters x into the run's affected area and reports whether this was
 // its first entry — the moment the caller charges |AFF| and ‖AFF‖.
-func (t *Tracker[V]) Aff(x int32) bool { return t.aff.Add(Var(x)) }
+func (t *Tracker[V]) Aff(x int32) bool { return t.enter(x, inAff) }
 
 // Write records a value write at x; old, the value being overwritten, is
 // kept only on x's first write of the run, when it is x's run-start value.
-// It sits on every install, so it is one compare unless the write is a first.
+// It sits on every install, so it is a load and two compares unless the
+// write is a first.
 func (t *Tracker[V]) Write(x int32, old V) {
-	if t.wrote.Add(Var(x)) {
-		t.old[x] = old
+	if t.enter(x, inWritten) {
 		t.written = append(t.written, x)
+		t.olds = append(t.olds, old)
 	}
 }
 
@@ -205,8 +241,8 @@ func (t *Tracker[V]) Write(x int32, old V) {
 // is affected, so the callback is also where the caller enters it into Aff.
 // The sweep costs O(written variables), bounded by the run's own work.
 func (t *Tracker[V]) Settle(changed func(x int32, old V) bool) (n int64) {
-	for _, x := range t.written {
-		if changed(x, t.old[x]) {
+	for k, x := range t.written {
+		if changed(x, t.olds[k]) {
 			n++
 		}
 	}

@@ -21,11 +21,14 @@ func (m *minLabel) OutDegree(x Var) int64 { return int64(len(m.adj[x])) }
 // the loop.
 func affSet[V any](e *Engine[V]) (aff, written map[Var]bool) {
 	aff, written = map[Var]bool{}, map[Var]bool{}
-	for x := range e.st.Val {
-		if e.led.aff.Has(Var(x)) {
+	for x, m := range e.led.mark {
+		if m>>runShift != e.led.run {
+			continue
+		}
+		if m&inAff != 0 {
 			aff[Var(x)] = true
 		}
-		if e.led.wrote.Has(Var(x)) {
+		if m&inWritten != 0 {
 			written[Var(x)] = true
 		}
 	}
@@ -265,7 +268,8 @@ func TestWorkLedgerAlgebra(t *testing.T) {
 
 // TestTracker pins the contracts every ledger-reporting maintainer gets
 // from the one Tracker: nothing recorded before the first Begin, first-write
-// capture, a transient write that reverts is written but not CHANGED, Aff
+// capture, a transient write that reverts is written but not CHANGED (and
+// one written again after it is settled once, from its run-start value), Aff
 // reports first entries only, Written is stable until the next Begin, and
 // none of it allocates once sized.
 func TestTracker(t *testing.T) {
@@ -330,6 +334,17 @@ func TestTracker(t *testing.T) {
 		t.Fatalf("second run: changed %d, run-start values %v", changed, olds)
 	}
 
+	// Written, written back and written again in one run: listed and
+	// settled once, with the run-start value, not the one the third write
+	// overwrote.
+	tr.Begin()
+	write(3, 30)
+	write(3, 13)
+	write(3, 31)
+	if changed, olds := settle(); changed != 1 || olds[3] != 13 || len(olds) != 1 || len(tr.Written()) != 1 {
+		t.Fatalf("rewritten: changed %d, run-start values %v, Written %v", changed, olds, tr.Written())
+	}
+
 	if n := testing.AllocsPerRun(100, func() {
 		tr.Begin()
 		for x := int32(0); x < int32(len(val)); x++ {
@@ -339,5 +354,29 @@ func TestTracker(t *testing.T) {
 		tr.Settle(func(x int32, old int64) bool { return val[x] != old })
 	}); n != 0 {
 		t.Errorf("a full run over a sized tracker: %v allocs, want 0", n)
+	}
+}
+
+// TestTrackerRunWrap: the run after the last a mark can number wraps to
+// run 1, whose number an old mark may carry; Begin clears the marks there,
+// so no variable of an earlier run reads as affected or written.
+func TestTrackerRunWrap(t *testing.T) {
+	var tr Tracker[int64]
+	tr.Size(3)
+	tr.Begin() // run 1: variable 0 affected and written
+	tr.Aff(0)
+	tr.Write(0, 7)
+	tr.run = lastRun
+	tr.Aff(1)
+	tr.Begin()
+	if tr.run != 1 {
+		t.Fatalf("the run after %d is %d, want 1", lastRun, tr.run)
+	}
+	if !tr.Aff(0) || !tr.Aff(1) {
+		t.Fatal("after the wrap a variable of an earlier run read as affected")
+	}
+	tr.Write(0, 8)
+	if w := tr.Written(); len(w) != 1 || w[0] != 0 {
+		t.Fatalf("after the wrap Written = %v, want [0]", w)
 	}
 }

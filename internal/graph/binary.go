@@ -80,9 +80,9 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 // primary) yields an error, never a panic, an inconsistent graph or a
 // weight a relaxation would overflow on. It reads r whole and decodes the
 // bytes in memory; the sorted rows are laid out from the decoded edges
-// (Graph.build) — the graph inserting them in turn would hold — and the first
-// error in blob order is the one reported, a repeated edge or self-loop
-// included.
+// in the arrays the graph keeps (Graph.build) — the graph inserting them
+// in turn would hold — and the first error in blob order is the one
+// reported, a repeated edge or self-loop included.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	data, err := readAll(r)
 	if err != nil {
@@ -115,7 +115,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph binary: node count %d too large", n)
 	}
 	d.nodes = n
-	g := New(int(n), dirByte == 1)
+	g := blank(int(n), dirByte == 1)
 	labeled, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("graph binary: reading label count: %w", err)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // trickleShaped builds the shape of the benchmark's largest graph: n nodes
@@ -50,6 +51,47 @@ func TestGraphBytesPerHalfEdge(t *testing.T) {
 	}
 	runtime.KeepAlive(g)
 }
+
+// TestReadAllocatesOneLayout holds Read of trickle's graph to one
+// adjacency layout: what it allocates may be the text, the chunks' edge
+// lists and the layout the graph keeps, with 15 % of the layout to spare
+// for the labels and the rest. A read that lays the rows out in scratch
+// first and copies them over allocates a layout more, and fails.
+func TestReadAllocatesOneLayout(t *testing.T) {
+	var file bytes.Buffer
+	if _, err := trickleShaped(100000, 8).WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"undirected", "directed"} {
+		text := bytes.Replace(file.Bytes(), []byte("graph undirected"), []byte("graph "+kind), 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := Read(bytes.NewReader(text))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated := after.TotalAlloc - before.TotalAlloc
+		lists := (bytes.Count(text, []byte{'\n'}) + runtime.GOMAXPROCS(0)) * int(unsafe.Sizeof(rawEdge{}))
+		layout := layoutBytes(&g.adj.out)
+		if g.Directed() {
+			layout += layoutBytes(&g.adj.in)
+		}
+		budget := uint64(len(text) + lists + layout*115/100)
+		t.Logf("%s: %.1f MB allocated: text %.1f, lists %.1f, layout %.1f; budget %.1f",
+			kind, mb(allocated), mb(uint64(len(text))), mb(uint64(lists)), mb(uint64(layout)), mb(budget))
+		if allocated > budget {
+			t.Errorf("%s Read allocated %.1f MB, past the text, the lists and 1.15 layouts: %.1f MB", kind, mb(allocated), mb(budget))
+		}
+	}
+}
+
+// layoutBytes is the heap d's arrays take.
+func layoutBytes(d *flatDir) int {
+	return cap(d.rows)*int(unsafe.Sizeof(span{})) + cap(d.ts)*int(unsafe.Sizeof(NodeID(0))) + cap(d.ws)*8
+}
+
+func mb(b uint64) float64 { return float64(b) / (1 << 20) }
 
 // BenchmarkEdgeOpsByDegree deletes and reinserts one edge at a hub of
 // degree d. The graph is many stars — a million edges in all, whatever d

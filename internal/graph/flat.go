@@ -139,7 +139,8 @@ func (d *flatDir) copyOf(src *flatDir, keep func(u, v NodeID) bool) {
 // weight, for every entry v of src's row u. Walking src's rows in
 // ascending id order writes every row of d in ascending order, so nothing
 // is sorted, whatever order src's rows are in. Each row gets one free
-// slot, in the arrays d holds where they suffice; src must not be d.
+// slot, in the arrays d holds where they suffice; src must not be d. It
+// lays out a directed graph's reads (an undirected one sorts in place).
 func (d *flatDir) transpose(src *flatDir) {
 	n := len(src.rows)
 	d.rows = fit(d.rows, n)[:n]

@@ -76,12 +76,18 @@ type Graph struct {
 
 // New returns an empty graph with n nodes, all labeled 0.
 func New(n int, directed bool) *Graph {
-	g := &Graph{labels: make([]Label, n), adj: Flat{directed: directed, threshold: DefaultCompactThreshold}}
+	g := blank(n, directed)
 	g.adj.out.empty(n)
 	if directed {
 		g.adj.in.empty(n)
 	}
 	return g
+}
+
+// blank returns a graph of n nodes, all labeled 0, with no rows laid out:
+// the readers' graph, whose rows build lays out once every edge is read.
+func blank(n int, directed bool) *Graph {
+	return &Graph{labels: make([]Label, n), adj: Flat{directed: directed, threshold: DefaultCompactThreshold}}
 }
 
 func pack(u, v NodeID) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }

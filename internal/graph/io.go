@@ -341,9 +341,9 @@ func readHeader(text []byte) (g *Graph, rest []byte, line int, err error) {
 		}
 		switch string(fields[1]) {
 		case "directed":
-			return New(int(nodes), true), text, line + 1, nil
+			return blank(int(nodes), true), text, line + 1, nil
 		case "undirected":
-			return New(int(nodes), false), text, line + 1, nil
+			return blank(int(nodes), false), text, line + 1, nil
 		}
 		return nil, nil, 0, fmt.Errorf("graph: line %d: bad kind %q", line, fields[1])
 	}

@@ -150,19 +150,17 @@ type Inc struct {
 	flat  *graph.Flat
 	round uint64 // the last round of g this maintainer took
 	r     *Result
-	// mark/epoch stamp one neighborhood at a time: that of an update's
-	// first endpoint in G_k.
-	mark  []int64
-	epoch int64
-	// The scope is an epoch-marked dense set (mark array + list) that
-	// Repair builds, and Written hands out until the next Repair. dtri and
-	// head hold Repair's scratch for the nodes in it: λ_v's change so far,
-	// and v's overlay — the entry of its last-walked update, or -1.
-	scopeMark  []int64
-	scopeEpoch int64
-	scope      []int32
-	dtri       []int64
-	head       []int32
+	// nbrs holds one neighborhood at a time: that of an update's first
+	// endpoint in G_k.
+	nbrs fixpoint.VarSet
+	// The scope is a dense set and a list that Repair builds, and Written
+	// hands out until the next Repair. dtri and head hold Repair's scratch
+	// for the nodes in it: λ_v's change so far, and v's overlay — the
+	// entry of its last-walked update, or -1.
+	inScope fixpoint.VarSet
+	scope   []int32
+	dtri    []int64
+	head    []int32
 	// next links the overlay: entry 2k (2k+1) stands for update k at its
 	// From (To) endpoint, and next[e] is the entry of the update walked
 	// before it at the same node, or -1.
@@ -190,12 +188,13 @@ func (i *Inc) Recompute() {
 // (RestoreState) or Recompute fills, before Apply.
 func Blank(g *graph.Graph) *Inc {
 	n := g.NumNodes()
-	return &Inc{
+	i := &Inc{
 		g: g, flat: g.Flat(), round: g.Round(), r: &Result{},
-		mark:      make([]int64, n),
-		scopeMark: make([]int64, n), scopeEpoch: 1,
 		dtri: make([]int64, n), head: make([]int32, n),
 	}
+	i.nbrs.Begin(n)
+	i.inScope.Begin(n)
+	return i
 }
 
 // Graph returns the maintained graph.
@@ -241,8 +240,7 @@ func (i *Inc) Apply(b graph.Batch) int {
 
 // add puts v in the scope.
 func (i *Inc) add(v graph.NodeID) {
-	if i.scopeMark[v] != i.scopeEpoch {
-		i.scopeMark[v] = i.scopeEpoch
+	if i.inScope.Add(fixpoint.Var(v)) {
 		i.scope = append(i.scope, int32(v))
 		i.dtri[v], i.head[v] = 0, -1
 	}
@@ -281,7 +279,7 @@ func sign(u graph.Update) int64 {
 // the scope, and λ_v takes its accumulated change.
 func (i *Inc) Repair() int {
 	applied := i.g.Take(&i.round)
-	i.scopeEpoch++
+	i.inScope.Begin(0)
 	i.scope = i.scope[:0]
 	if len(applied) == 0 {
 		return 0
@@ -325,30 +323,28 @@ func (i *Inc) Repair() int {
 // amount, and it is then an endpoint of that entry's update, in the scope
 // either way.
 func (i *Inc) common(applied graph.Batch, a, b graph.NodeID, sgn int64) int64 {
-	i.epoch++
-	mark, epoch := i.mark, i.epoch
+	nbrs := &i.nbrs
+	nbrs.Begin(0)
 	ts, _, _, _ := i.flat.OutSpans(a)
 	for _, x := range ts {
-		mark[x] = epoch
+		nbrs.Add(fixpoint.Var(x))
 	}
 	for e := i.head[a]; e >= 0; e = i.next[e] {
-		if x := other(applied, e); mark[x] == epoch {
-			mark[x] = 0
-		} else {
-			mark[x] = epoch
+		if x := fixpoint.Var(other(applied, e)); !nbrs.Add(x) {
+			nbrs.Remove(x)
 		}
 	}
 	var c int64
 	rs, _, _, _ := i.flat.OutSpans(b)
 	i.stats.Reads += int64(len(ts) + len(rs))
 	for _, x := range rs {
-		if mark[x] == epoch {
+		if nbrs.Has(fixpoint.Var(x)) {
 			i.credit(x, sgn)
 			c++
 		}
 	}
 	for e := i.head[b]; e >= 0; e = i.next[e] {
-		if x := other(applied, e); mark[x] == epoch {
+		if x := other(applied, e); nbrs.Has(fixpoint.Var(x)) {
 			s := sign(applied[e>>1])
 			i.credit(x, -s*sgn)
 			c -= s
@@ -361,15 +357,14 @@ func (i *Inc) common(applied graph.Batch, a, b graph.NodeID, sgn int64) int64 {
 // adjusts the triangle counts by the common neighborhood of its endpoints
 // — exact deltas, one edge at a time.
 type DynLCC struct {
-	g     *graph.Graph
-	r     *Result
-	mark  []int64
-	epoch int64
+	g    *graph.Graph
+	r    *Result
+	nbrs fixpoint.VarSet // the first endpoint's neighborhood
 }
 
 // NewDynLCC runs the batch algorithm and returns the competitor.
 func NewDynLCC(g *graph.Graph) *DynLCC {
-	return &DynLCC{g: g, r: Run(g), mark: make([]int64, g.NumNodes())}
+	return &DynLCC{g: g, r: Run(g)}
 }
 
 // Graph returns the maintained graph.
@@ -408,15 +403,15 @@ func (d *DynLCC) applyUnit(u graph.Update) {
 // delta adjusts triangle counts for the edge (a, b), just inserted or just
 // deleted, by sgn per common neighbor.
 func (d *DynLCC) delta(a, b graph.NodeID, sgn int64) {
-	d.epoch++
+	d.nbrs.Begin(d.g.NumNodes())
 	f := d.g.Flat()
 	as, _, _, _ := f.OutSpans(a)
 	for _, c := range as {
-		d.mark[c] = d.epoch
+		d.nbrs.Add(fixpoint.Var(c))
 	}
 	bs, _, _, _ := f.OutSpans(b)
 	for _, c := range bs {
-		if c != a && d.mark[c] == d.epoch {
+		if c != a && d.nbrs.Has(fixpoint.Var(c)) {
 			d.r.Tri[a] += sgn
 			d.r.Tri[b] += sgn
 			d.r.Tri[c] += sgn

@@ -44,15 +44,16 @@ type Inc struct {
 	dist []int64
 	wq   *pq.Heap // step-function queue, keyed by current distance
 
-	hq     *pq.Heap // h's queue, keyed by old distance
-	hkey   []int64
-	oldVal []int64 // pre-revision distances of this round's revised nodes
-	mark   []int64 // epoch marks: revised this round
-	epoch  int64
-	// revised lists the nodes this round's h revised; kept so that a
-	// round reuses the last one's room.
-	revised []graph.NodeID
-	led     fixpoint.Tracker[int64] // work ledger: AFF membership, first writes
+	hq *pq.Heap // h's queue, keyed by old distance
+	// hkey is h's queue key: a node's distance at the start of the round,
+	// set when h first enqueues it and kept through its revision, so it
+	// is the revised nodes' old distance too (see oldDist).
+	hkey []int64
+	// isRevised holds the nodes this round's h revised, and revised lists
+	// them; the list is kept so that a round reuses the last one's room.
+	isRevised fixpoint.VarSet
+	revised   []graph.NodeID
+	led       fixpoint.Tracker[int64] // work ledger: AFF membership, first writes
 
 	stats  fixpoint.Stats
 	tracer fixpoint.Tracer
@@ -78,8 +79,7 @@ func Blank(g *graph.Graph, src graph.NodeID) *Inc {
 	i.wq = pq.New(n, func(a, b int32) bool { return i.dist[a] < i.dist[b] })
 	i.hq = pq.New(n, func(a, b int32) bool { return i.hkey[a] < i.hkey[b] })
 	i.hkey = make([]int64, n)
-	i.oldVal = make([]int64, n)
-	i.mark = make([]int64, n)
+	i.isRevised.Begin(n)
 	i.led.Size(n)
 	return i
 }
@@ -159,10 +159,13 @@ func (i *Inc) ledgerAff(v graph.NodeID) {
 	i.stats.Ledger.AffEdges += deg
 }
 
-// oldDist returns v's distance as of the start of this round.
+// oldDist returns v's distance as of the start of this round. Until h
+// revises v its distance is the round's start value; from then on hkey[v]
+// holds it, as h enqueued v before revising it and every later enqueue
+// writes the same value back.
 func (i *Inc) oldDist(v graph.NodeID) int64 {
-	if i.mark[v] == i.epoch {
-		return i.oldVal[v]
+	if i.isRevised.Has(fixpoint.Var(v)) {
+		return i.hkey[v]
 	}
 	return i.dist[v]
 }
@@ -174,7 +177,7 @@ func (i *Inc) Repair() int {
 	if len(applied) == 0 {
 		return 0
 	}
-	i.epoch++
+	i.isRevised.Begin(0)
 	st0 := i.stats
 	i.stats.Ledger.Runs++
 	i.stats.Ledger.Touched += int64(len(applied))
@@ -219,10 +222,7 @@ func (i *Inc) Repair() int {
 		dv := i.oldDist(v)
 		newv := i.feasibleValue(v, dv)
 		if newv > i.dist[v] {
-			if i.mark[v] != i.epoch {
-				i.mark[v] = i.epoch
-				i.oldVal[v] = i.dist[v]
-			}
+			i.isRevised.Add(fixpoint.Var(v))
 			i.led.Write(int32(v), i.dist[v])
 			i.dist[v] = newv
 			i.stats.HResets++

@@ -178,13 +178,6 @@ func (r *Recorder) SetProcess(name string) {
 	r.process = name
 }
 
-// Process returns the process identity, or "" if unset.
-func (r *Recorder) Process() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.process
-}
-
 // Now returns the current recorder timestamp (nanoseconds since the
 // recorder's epoch).
 func (r *Recorder) Now() int64 { return int64(time.Since(r.start)) }
