@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -33,15 +34,39 @@ const (
 	crashDeg   = 6
 )
 
+// daemon is the incgraphd binary the exec tests run: built by the first
+// buildDaemon of a package run, in a directory TestMain removes at its end.
+var daemon struct {
+	once     sync.Once
+	dir, bin string
+	err      error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if daemon.dir != "" {
+		os.RemoveAll(daemon.dir)
+	}
+	os.Exit(code)
+}
+
+// buildDaemon returns the package run's incgraphd binary, building it on
+// the first call.
 func buildDaemon(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "incgraphd")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	daemon.once.Do(func() {
+		if daemon.dir, daemon.err = os.MkdirTemp("", "incgraphd-test-"); daemon.err != nil {
+			return
+		}
+		daemon.bin = filepath.Join(daemon.dir, "incgraphd")
+		if out, err := exec.Command("go", "build", "-o", daemon.bin, ".").CombinedOutput(); err != nil {
+			daemon.err = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if daemon.err != nil {
+		t.Fatal(daemon.err)
 	}
-	return bin
+	return daemon.bin
 }
 
 func freeAddr(t *testing.T) string {

@@ -63,8 +63,8 @@ func TestFlagDefaults(t *testing.T) {
 	if c.algos != "sssp" {
 		t.Fatalf("parsed algos=%q", c.algos)
 	}
-	if c.listen != ":8356" || c.maxBatch != 256 || c.queue != 1024 {
-		t.Fatalf("defaults drifted: listen=%q max-batch=%d queue=%d", c.listen, c.maxBatch, c.queue)
+	if c.listen != ":8356" || c.MaxBatch != 256 || c.Queue != 1024 {
+		t.Fatalf("defaults drifted: listen=%q max-batch=%d queue=%d", c.listen, c.MaxBatch, c.Queue)
 	}
 }
 

@@ -12,10 +12,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"incgraph/internal/cc"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
-	"incgraph/internal/serve"
 	"incgraph/internal/shard"
 	"incgraph/internal/sssp"
 )
@@ -60,8 +58,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // ExpExchange is rung (f) of the benchmark ladder: what a routed SSSP
 // query costs in the router's boundary exchange, at 1, 2 and 4 shards.
-// Each topology is a real shard.Router over in-process shard daemons
-// (serve.Service + the shard API behind loopback HTTP servers) on the
+// Each topology is a real shard.Router over in-process shard nodes
+// (shard.StartNode's, behind loopback HTTP servers) on the
 // repository benchmark's cluster shape — an undirected power-law graph,
 // |V| = 3,000 × scale, degree 16, hash-partitioned. A round routes a
 // 64-update batch and then asks for /query/sssp; per query the table
@@ -111,7 +109,7 @@ type exchangeCost struct {
 }
 
 // measureExchange stands up a router over shards in-process shard
-// daemons and runs the update-then-query rounds against it.
+// nodes and runs the update-then-query rounds against it.
 func measureExchange(seed int64, n, shards int) (m exchangeCost, err error) {
 	rng := newRNG(seed)
 	g := gen.PowerLaw(rng, n, 16, false)
@@ -120,17 +118,16 @@ func measureExchange(seed int64, n, shards int) (m exchangeCost, err error) {
 	var wire wireCounter
 	addrs := make([]string, shards)
 	for id := range addrs {
-		frag := shard.FilterGraph(g, part, id)
-		svc := serve.NewService()
-		defer svc.Close()
-		if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src)), serve.Options{}); err != nil {
+		node, err := shard.StartNode(shard.NodeConfig{
+			Algos: []string{"sssp", "cc"}, Src: int(src),
+			Input:   func() (*graph.Graph, error) { return g, nil },
+			ShardID: id, Shards: shards,
+		})
+		if err != nil {
 			return m, err
 		}
-		if _, err := svc.Host(serve.CC(cc.NewInc(frag.Clone())), serve.Options{}); err != nil {
-			return m, err
-		}
-		shard.MountShardAPI(svc, part, id, n, false, nil)
-		srv := httptest.NewServer(wire.wrap(svc.Handler()))
+		defer node.Close()
+		srv := httptest.NewServer(wire.wrap(node.Handler()))
 		defer srv.Close()
 		addrs[id] = srv.URL
 	}

@@ -17,98 +17,36 @@ import (
 	"testing"
 	"time"
 
-	"incgraph/internal/cc"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 	"incgraph/internal/obs"
 	"incgraph/internal/serve"
-	"incgraph/internal/sssp"
 	"incgraph/internal/trace"
 	"incgraph/internal/wal"
 )
 
-// startDurableShard is startShardDaemon plus a WAL: updates are logged
-// (carrying their trace ID and wall-clock stamp) and the segments are
-// served under /wal/ for a log-shipping replica, exactly the wiring
-// cmd/incgraphd does in shard mode.
-func startDurableShard(t *testing.T, g *graph.Graph, p Partitioner, id int, src graph.NodeID) *httptest.Server {
+// startDurableShard is startShardDaemon with a data directory: updates
+// are logged under fsync-always and the segments served under /wal/.
+func startDurableShard(t *testing.T, g *graph.Graph, p Partitioner, id int, src graph.NodeID) (*Node, *httptest.Server) {
 	t.Helper()
-	frag := FilterGraph(g, p, id)
-	svc := serve.NewService()
-	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src)), serve.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Host(serve.CC(cc.NewInc(frag.Clone())), serve.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	d, err := serve.OpenDurable(svc, t.TempDir(), serve.DurableOptions{
-		WAL: wal.Options{Policy: wal.SyncAlways},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	MountShardAPI(svc, p, id, g.NumNodes(), g.Directed(), nil)
-	svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
-	srv := httptest.NewServer(svc.Handler())
-	t.Cleanup(func() { srv.Close(); svc.Close(); d.Close() })
-	return srv
+	cfg := shardConfig(g, p, id, src)
+	cfg.DataDir, cfg.Sync = t.TempDir(), wal.SyncAlways
+	n := bootNode(t, cfg, serve.OpenDurable)
+	srv := httptest.NewServer(n.Handler())
+	t.Cleanup(srv.Close)
+	return n, srv
 }
 
-// openShippedLog is what a promotion of startObservedReplica's replica
-// does by default: open the shipped WAL in dir for writing.
-func openShippedLog(svc *serve.Service, dir string) (*serve.Durable, error) {
-	return serve.OpenDurable(svc, dir, serve.DurableOptions{WAL: wal.Options{Policy: wal.SyncAlways}})
-}
-
-// startObservedReplica runs a warm replica of the primary the way the
-// daemon's replica mode does: the maintainers hosted on a service from
-// the start, a Follower submitting the shipped records to them, and the
-// service's API served behind the Standby gate (NewStandby, MountShardAPI,
-// Standby.Handler — the calls cmd/incgraphd makes). A promotion verifies
-// the hosts and opens the shipped log with open.
-func startObservedReplica(t *testing.T, g *graph.Graph, p Partitioner, id int, src graph.NodeID, primaryURL string,
-	open func(svc *serve.Service, dir string) (*serve.Durable, error)) (*Follower, *httptest.Server) {
+// startObservedReplica boots a warm replica of shard id at primaryURL,
+// whose promotion opens the shipped log with open.
+func startObservedReplica(t *testing.T, g *graph.Graph, p Partitioner, id int, src graph.NodeID, primaryURL string, open openLog) (*Follower, *httptest.Server) {
 	t.Helper()
-	frag := FilterGraph(g, p, id)
-	svc := serve.NewService()
-	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src)), serve.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Host(serve.CC(cc.NewInc(frag.Clone())), serve.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	f := NewFollower(FollowerOptions{
-		Source:  primaryURL,
-		Dir:     dir,
-		Service: svc,
-	})
-	go f.Run()
-	var d *serve.Durable
-	sb := NewStandby(svc, f, func() error {
-		for _, h := range svc.Hosts() {
-			if _, err := h.Verify(); err != nil {
-				return err
-			}
-		}
-		var err error
-		if d, err = open(svc, dir); err != nil {
-			return err
-		}
-		svc.Mount("/wal/", http.StripPrefix("/wal", d.Log().StreamHandler()))
-		return nil
-	})
-	MountShardAPI(svc, p, id, g.NumNodes(), g.Directed(), sb.Following)
-	srv := httptest.NewServer(sb.Handler())
-	t.Cleanup(func() {
-		srv.Close()
-		f.Stop()
-		svc.Close()
-		if d != nil {
-			d.Close()
-		}
-	})
-	return f, srv
+	cfg := shardConfig(g, p, id, src)
+	cfg.DataDir, cfg.Sync, cfg.ReplicaOf = t.TempDir(), wal.SyncAlways, primaryURL
+	n := bootNode(t, cfg, open)
+	srv := httptest.NewServer(n.Handler())
+	t.Cleanup(srv.Close)
+	return n.follower, srv
 }
 
 // TestReplicaPromoteRetry: a promotion that fails — the shipped log
@@ -121,18 +59,18 @@ func TestReplicaPromoteRetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	g := gen.PowerLaw(rng, 120, 4, true)
 	p := NewHashPartitioner(1)
-	primary := startDurableShard(t, g, p, 0, 0)
+	_, primary := startDurableShard(t, g, p, 0, 0)
 	// The first attempt opens the log under a regular file: MkdirAll fails.
 	blocker := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	attempts := 0
-	_, repl := startObservedReplica(t, g, p, 0, 0, primary.URL, func(svc *serve.Service, dir string) (*serve.Durable, error) {
+	_, repl := startObservedReplica(t, g, p, 0, 0, primary.URL, func(svc *serve.Service, dir string, opt serve.DurableOptions) (*serve.Durable, error) {
 		if attempts++; attempts == 1 {
 			dir = filepath.Join(blocker, "wal")
 		}
-		return openShippedLog(svc, dir)
+		return serve.OpenDurable(svc, dir, opt)
 	})
 
 	ctx := context.Background()
@@ -305,9 +243,9 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	g := gen.PowerLaw(rng, 120, 4, true)
 	src := graph.NodeID(0)
 	p := NewHashPartitioner(2)
-	s0 := startDurableShard(t, g, p, 0, src)
-	s1 := startDurableShard(t, g, p, 1, src)
-	follower, repl := startObservedReplica(t, g, p, 0, src, s0.URL, openShippedLog)
+	_, s0 := startDurableShard(t, g, p, 0, src)
+	_, s1 := startDurableShard(t, g, p, 1, src)
+	follower, repl := startObservedReplica(t, g, p, 0, src, s0.URL, serve.OpenDurable)
 
 	table := NewTable([]string{s0.URL, s1.URL})
 	table.SetReplica(0, repl.URL)

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"incgraph/internal/cc"
 	"incgraph/internal/gen"
@@ -22,29 +23,20 @@ import (
 	"incgraph/internal/sssp"
 )
 
-// startShardDaemon builds one in-process shard daemon: a serve.Service
-// hosting sssp+cc over the shard's fragment, with the shard API mounted,
-// behind an httptest server.
+// startShardDaemon boots shard id of p over g as a node hosting sssp
+// from src and cc, behind an httptest server.
 func startShardDaemon(t *testing.T, g *graph.Graph, p Partitioner, id int, src graph.NodeID) *httptest.Server {
 	t.Helper()
 	return startWrappedShard(t, g, p, id, src, func(h http.Handler) http.Handler { return h })
 }
 
-// startWrappedShard is startShardDaemon with wrap around the daemon's
+// startWrappedShard is startShardDaemon with wrap around the node's
 // handler, for tests that interfere with the wire.
 func startWrappedShard(t *testing.T, g *graph.Graph, p Partitioner, id int, src graph.NodeID, wrap func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
-	frag := FilterGraph(g, p, id)
-	svc := serve.NewService()
-	if _, err := svc.Host(serve.SSSP(sssp.NewInc(frag, src)), serve.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Host(serve.CC(cc.NewInc(frag.Clone())), serve.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	MountShardAPI(svc, p, id, g.NumNodes(), g.Directed(), nil)
-	srv := httptest.NewServer(wrap(svc.Handler()))
-	t.Cleanup(func() { srv.Close(); svc.Close() })
+	n := bootNode(t, shardConfig(g, p, id, src), serve.OpenDurable)
+	srv := httptest.NewServer(wrap(n.Handler()))
+	t.Cleanup(srv.Close)
 	return srv
 }
 
@@ -148,16 +140,32 @@ func TestClientUpdateSendsTextBatch(t *testing.T) {
 // single-process guarantee, over real HTTP: random update batches routed
 // through the splitter and fan-out, then cross-shard SSSP and CC reads
 // compared against a full-graph recompute. Run under -race this also
-// exercises the router's concurrent fan-out and view gathering.
+// exercises the router's concurrent fan-out and view gathering. The
+// durable case runs two durable shards and a follower of shard 0,
+// registered as its replica, and promotes the follower after round 2:
+// the answers must not change when a replica takes over.
 func TestRouterDifferential(t *testing.T) {
 	leakCheck(t)
 	for _, directed := range []bool{true, false} {
-		for _, shards := range []int{1, 3} {
-			t.Run(fmt.Sprintf("directed=%v/shards=%d", directed, shards), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(shards)*100 + 5))
+		for _, tc := range []struct {
+			shards  int
+			durable bool
+		}{{1, false}, {3, false}, {2, true}} {
+			name := fmt.Sprintf("directed=%v/shards=%d", directed, tc.shards)
+			if tc.durable {
+				name += "/durable"
+			}
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(tc.shards)*100 + 5))
 				oracle := gen.PowerLaw(rng, 200, 5, directed)
 				src := graph.NodeID(rng.Intn(oracle.NumNodes()))
-				rt, _ := startCluster(t, oracle, shards, src)
+				var rt *Router
+				var promote func()
+				if tc.durable {
+					rt, promote = startDurableCluster(t, oracle, src)
+				} else {
+					rt, _ = startCluster(t, oracle, tc.shards, src)
+				}
 				h := rt.Handler()
 
 				checkAnswers := func(round int) {
@@ -230,10 +238,50 @@ func TestRouterDifferential(t *testing.T) {
 					}
 					oracle.Apply(b)
 					checkAnswers(round)
+					if round == 2 && promote != nil {
+						promote()
+						checkAnswers(round)
+					}
 				}
 			})
 		}
 	}
+}
+
+// startDurableCluster routes over two durable shard nodes of g and a
+// follower of shard 0 registered as its replica. promote waits until the
+// follower has replayed every record shard 0 logged, promotes it and
+// makes it shard 0's primary.
+func startDurableCluster(t *testing.T, g *graph.Graph, src graph.NodeID) (*Router, func()) {
+	t.Helper()
+	p := NewHashPartitioner(2)
+	n0, s0 := startDurableShard(t, g, p, 0, src)
+	_, s1 := startDurableShard(t, g, p, 1, src)
+	follower, repl := startObservedReplica(t, g, p, 0, src, s0.URL, serve.OpenDurable)
+	table := NewTable([]string{s0.URL, s1.URL})
+	table.SetReplica(0, repl.URL)
+	rt, err := NewRouter(RouterOptions{Part: p, Table: table, Directed: g.Directed(), NumNodes: g.NumNodes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	promote := func() {
+		t.Helper()
+		logged, _ := n0.durable.Load().Log().Stats()
+		deadline := time.Now().Add(10 * time.Second)
+		for follower.Status().Records < uint64(logged) {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower replayed %d of %d records", follower.Status().Records, logged)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if _, err := (&Client{Base: repl.URL}).Promote(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := table.Promote(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rt, promote
 }
 
 // TestRouterShedsOnUnhealthyShard: an unhealthy owning shard must shed
