@@ -249,8 +249,6 @@ type (
 	// Recovery is the loaded durable state of a data directory: restored
 	// per-algo checkpoints plus the WAL tail to replay.
 	Recovery = serve.Recovery
-	// RecoveredAlgo is one algo's checkpointed graph and state.
-	RecoveredAlgo = serve.RecoveredAlgo
 	// WALOptions configure the write-ahead log (segment size, fsync
 	// policy and interval, fault hooks).
 	WALOptions = wal.Options

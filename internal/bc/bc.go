@@ -207,26 +207,38 @@ func (st *lowpointState) runComponent(s graph.NodeID, r *Result) {
 	st.push(s, -1)
 	for len(st.fstack) > 0 {
 		f := &st.fstack[len(st.fstack)-1]
-		if int(f.i) < len(f.ts) {
-			w := f.ts[f.i]
-			f.i++
-			st.scanned++
-			if w == f.parent {
-				f.parent = -1 // skip the tree edge back to the parent once
-				continue
+		// Scan the row up to its next unvisited target: the tree edge
+		// back to the parent is skipped once, and every other visited
+		// target is a back edge to an ancestor (a descendant's number is
+		// above Num[f.v], so above low too). f.i and low[f.v] are written
+		// back once per descent.
+		ts, i0, parent, low := f.ts, int(f.i), f.parent, st.low[f.v]
+		mark, epoch := st.visited.Marks()
+		num := r.Num
+		i := i0
+		for ; i < len(ts); i++ {
+			w := ts[i]
+			if mark[w] != epoch {
+				break
 			}
-			if !st.visited.Has(fixpoint.Var(w)) {
-				st.discover(w, r)
-				st.nodes = append(st.nodes, w)
-				f.children++
-				st.push(w, f.v)
-			} else if r.Num[w] < st.low[f.v] {
-				// Back edge to an ancestor (a descendant's number is above
-				// Num[f.v], so above low[f.v] too).
-				st.low[f.v] = r.Num[w]
+			if w == parent {
+				parent = -1
+			} else if num[w] < low {
+				low = num[w]
 			}
+		}
+		f.parent, st.low[f.v] = parent, low
+		if i < len(ts) {
+			w := ts[i]
+			f.i = int32(i + 1)
+			st.scanned += int64(i + 1 - i0)
+			st.discover(w, r)
+			st.nodes = append(st.nodes, w)
+			f.children++
+			st.push(w, f.v)
 			continue
 		}
+		st.scanned += int64(i - i0)
 		v := f.v
 		st.fstack = st.fstack[:len(st.fstack)-1]
 		if len(st.fstack) == 0 {

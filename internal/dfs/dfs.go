@@ -148,24 +148,22 @@ func (sc *replay) push(f *graph.Flat, v graph.NodeID) {
 func (sc *replay) run(f *graph.Flat, t *Tree, clock int32) int32 {
 	for len(sc.stack) > 0 {
 		fr := &sc.stack[len(sc.stack)-1]
-		descended := false
-		for int(fr.i) < len(fr.ts) {
-			w := fr.ts[fr.i]
-			fr.i++
-			if t.First[w] == 0 {
-				clock++
-				t.First[w] = clock
-				t.Parent[w] = fr.v
-				sc.push(f, w)
-				descended = true
-				break
-			}
+		ts, i := fr.ts, int(fr.i)
+		for i < len(ts) && t.First[ts[i]] != 0 {
+			i++ // visited
 		}
-		if !descended {
+		if i < len(ts) {
+			w := ts[i]
+			fr.i = int32(i + 1)
 			clock++
-			t.Last[fr.v] = clock
-			sc.stack = sc.stack[:len(sc.stack)-1]
+			t.First[w] = clock
+			t.Parent[w] = fr.v
+			sc.push(f, w)
+			continue
 		}
+		clock++
+		t.Last[fr.v] = clock
+		sc.stack = sc.stack[:len(sc.stack)-1]
 	}
 	return clock
 }

@@ -48,6 +48,11 @@ func (s *VarSet) Has(x Var) bool {
 	return s.mark[x] == s.epoch
 }
 
+// Marks returns the set's mark array and its generation: until the next
+// Begin, x is in the set exactly when mark[x] == epoch (Add and Remove
+// write into mark). A tight loop reads them once instead of through Has.
+func (s *VarSet) Marks() (mark []uint32, epoch uint32) { return s.mark, s.epoch }
+
 // ScopeArena accumulates the deduplicated touched set and push seeds for
 // one incremental apply, replacing the per-apply map[Var]bool pairs in
 // the class adapters. The backing arrays are reused across applies: after

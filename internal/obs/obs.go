@@ -1,8 +1,8 @@
 // Package obs is the observability substrate of the serving stack:
 // lock-free counters and gauges, log-bucketed latency histograms with
 // quantile estimation, a labeled metric registry with Prometheus
-// text-format exposition, and a bounded ring buffer for recent trace
-// events.
+// text-format exposition, and a bounded ring buffer for recent events
+// (a host's apply traces, the cluster's topology changes).
 //
 // The paper's relative-boundedness guarantee (Theorem 3) is a statement
 // about cost counters — reads, pops, |AFF| — as a function of |ΔG|, not

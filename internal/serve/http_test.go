@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"incgraph/internal/cc"
 	"incgraph/internal/graph"
@@ -179,6 +181,51 @@ func TestHTTPUpdateQueryStats(t *testing.T) {
 		if st := svc.Get(algo).Stats(); st.UpdatesReceived != 4 {
 			t.Fatalf("%s received %d updates, want 4", algo, st.UpdatesReceived)
 		}
+	}
+}
+
+// TestUpdateResultBytes: POST /update's hand-written reply is writeJSON's
+// bytes, over random results — odd algo names (quotes, HTML, control
+// bytes, U+2028, invalid UTF-8), nil and empty targets, nil and empty
+// epochs.
+func TestUpdateResultBytes(t *testing.T) {
+	odd := []string{"", "sssp", "cc", `a"b`, `back\slash`, "<lt>&amp;", "tab\tnew\nline", "\x00\x1f", "\u2028\u2029", "héllo", "\xff\xfe", "日本"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		name := func() string {
+			if rng.Intn(2) == 0 {
+				return odd[rng.Intn(len(odd))]
+			}
+			b := make([]byte, rng.Intn(12))
+			rng.Read(b)
+			return string(b)
+		}
+		res := UpdateResult{Accepted: rng.Intn(1 << 20), Applied: rng.Intn(2) == 0, TraceID: name()}
+		if rng.Intn(4) == 0 {
+			res.Accepted = -res.Accepted
+		}
+		if k := rng.Intn(5); k > 0 {
+			res.Targets = make([]string, k-1)
+			for i := range res.Targets {
+				res.Targets[i] = name()
+			}
+		}
+		if k := rng.Intn(5); k > 0 {
+			res.Epochs = make(map[string]uint64)
+			for range k - 1 {
+				res.Epochs[name()] = rng.Uint64() >> rng.Intn(64)
+			}
+		}
+		rr := httptest.NewRecorder()
+		writeJSON(rr, http.StatusOK, res)
+		if got := appendUpdateResult(nil, &res); !bytes.Equal(got, rr.Body.Bytes()) {
+			t.Logf("%+v:\n got %q\nwant %q", res, got, rr.Body.Bytes())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }
 

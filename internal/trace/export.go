@@ -65,13 +65,10 @@ func (r *Recorder) WriteTraceEventsN(w io.Writer, n int) error {
 	r.mu.Lock()
 	tracks := append([]string(nil), r.tracks...)
 	process := r.process
+	events := r.ring.last(n)
 	r.mu.Unlock()
 	if process == "" {
 		process = "incgraph"
-	}
-	events := r.Events()
-	if len(events) > n {
-		events = events[len(events)-n:]
 	}
 
 	out := jsonTrace{

@@ -13,20 +13,20 @@
 // view of the paper's |AFF| that aggregate metrics cannot show.
 //
 // Recording is designed for the apply hot path: an Event is a fixed-size
-// value (no maps, no interfaces, integer-only args), Emit copies it into
-// a preallocated ring under one short mutex, and all rendering cost
-// (hex encoding, JSON) is paid at dump time, not at record time.
+// value (no maps, no interfaces, integer-only args), Emit packs it into
+// the recorder's byte arena under one short mutex, and all rendering
+// cost (decoding, hex encoding, JSON) is paid at dump time, not at
+// record time.
 package trace
 
 import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"incgraph/internal/obs"
 )
 
 // TraceID is a W3C trace-context trace ID: 16 bytes, all-zero meaning
@@ -147,13 +147,17 @@ func (e *Event) AddArg(key string, val int64) {
 // Recorder is the bounded flight recorder: the most recent events, a
 // monotone clock epoch, and the track-name table. All methods are safe
 // for concurrent use.
+//
+// It keeps the events packed (pack.go): each one a few dozen bytes of
+// varints in a byte arena that grows as it fills, never a pointer, so
+// the collector has nothing to scan in it.
 type Recorder struct {
 	start time.Time
-	ring  *obs.Ring[Event]
 
 	mu      sync.Mutex
 	tracks  []string // tracks[i] is the name of track i+1 (track 0 is unnamed)
 	process string   // process identity stamped into exports ("" = "incgraph")
+	ring    ring
 }
 
 // NewRecorder returns a recorder retaining the last n events.
@@ -165,7 +169,7 @@ func NewRecorder(n int) *Recorder {
 // recorder timestamps are nanoseconds since start. Tests use a fixed
 // epoch for deterministic exports; production code uses NewRecorder.
 func NewRecorderAt(start time.Time, n int) *Recorder {
-	return &Recorder{start: start, ring: obs.NewRing[Event](n)}
+	return &Recorder{start: start, ring: newRing(max(n, 1))}
 }
 
 // SetProcess names the process identity this recorder belongs to
@@ -195,19 +199,30 @@ func (r *Recorder) Track(name string) int32 {
 }
 
 // Emit records ev. If ev.TS is zero it is stamped with the current time
-// (instant events); complete spans should carry their own start.
+// (instant events); complete spans should carry their own start. Once
+// the arena has grown to hold the last n events, Emit allocates nothing.
 func (r *Recorder) Emit(ev Event) {
 	if ev.TS == 0 {
 		ev.TS = r.Now()
 	}
-	r.ring.Push(ev)
+	r.mu.Lock()
+	r.ring.push(&ev)
+	r.mu.Unlock()
 }
 
 // Events returns the retained events, oldest first.
-func (r *Recorder) Events() []Event { return r.ring.Snapshot() }
+func (r *Recorder) Events() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ring.last(math.MaxInt)
+}
 
 // Len returns the number of retained events.
-func (r *Recorder) Len() int { return r.ring.Len() }
+func (r *Recorder) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ring.count
+}
 
 // Span is an in-progress complete event. It is a value type: start one
 // with Begin, annotate it, and End it to emit. A Span must not outlive
